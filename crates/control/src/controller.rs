@@ -80,11 +80,11 @@ pub struct ClassReading {
 /// Everything a control tick consumes.
 #[derive(Debug, Clone, Copy)]
 pub struct TickInput<'a> {
-    /// The readings hub's sequence number; a non-advancing sequence is
+    /// Successful occupancy probes so far; a non-advancing sequence is
     /// the staleness signal.
     pub seq: u64,
-    /// Latest per-class readings (possibly empty before the sampler's
-    /// first publish).
+    /// Latest per-class readings (empty until the first successful
+    /// probe).
     pub readings: &'a [ClassReading],
     /// Whether resctrl health is currently tripped.
     pub degraded: bool,

@@ -10,9 +10,9 @@
 //! CI without hardware:
 //!
 //! 1. **Signals** — per-class `llc_occupancy` and cumulative `mbm_total`
-//!    readings (from `ccp-resctrl`'s `OccupancySampler`, real or
-//!    simulated), delivered with a sequence number so staleness is
-//!    observable.
+//!    readings (from a `ccp-resctrl` `OccupancyProbe`, real or
+//!    simulated), delivered with a sequence number — successful probes
+//!    so far — so staleness is observable.
 //! 2. **Classification** ([`classify`]) — each class's current behavior
 //!    (fits / steady / starved / polluting / idle) from its
 //!    occupancy-vs-allocation ratio and MBM slope.
@@ -25,7 +25,7 @@
 //!    mapping whenever resctrl health is degraded or readings go stale.
 //!
 //! The crate is std-only and side-effect free: it decides, the caller
-//! (the server's control thread) applies — writing schemata through the
+//! (the control step of the server's control plane) applies — writing schemata through the
 //! supervised resctrl path and publishing the plan to the engine's
 //! `LiveMasks` table, which workers consult on their next bind.
 

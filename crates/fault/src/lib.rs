@@ -43,7 +43,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -420,6 +420,29 @@ pub fn clear() {
     ARMED.store(false, Ordering::Relaxed);
 }
 
+/// Whose turn it is to own the process-wide plan; see [`exclusive`].
+static TURN: Mutex<()> = Mutex::new(());
+
+/// One test's turn at the process-wide plan, from [`exclusive`].
+/// Dropping it clears the installed plan — on a panic too, so a failing
+/// test cannot leak an armed failpoint — and passes the turn on.
+pub struct Exclusive(#[allow(dead_code)] MutexGuard<'static, ()>);
+
+impl Drop for Exclusive {
+    fn drop(&mut self) {
+        clear();
+    }
+}
+
+/// Takes the turn at the process-wide plan, blocking while another
+/// holder has it. Plans are per process while `cargo test` runs a
+/// binary's tests on parallel threads: a test that arms a plan, or whose
+/// code merely passes through a site a neighbour arms, holds the
+/// returned value for its whole run.
+pub fn exclusive() -> Exclusive {
+    Exclusive(TURN.lock().unwrap_or_else(PoisonError::into_inner))
+}
+
 /// Whether any plan is installed. Cheap (one relaxed load).
 pub fn armed() -> bool {
     // ORDERING: relaxed — advisory gate; see the `ARMED` declaration.
@@ -526,16 +549,10 @@ pub fn snapshot() -> Vec<PointStatus> {
 mod tests {
     use super::*;
 
-    /// Process-global registry: tests that install plans serialize on
-    /// this so `cargo test`'s parallel threads don't fight over it.
-    static TEST_GATE: Mutex<()> = Mutex::new(());
-
     fn with_plan<R>(plan: &str, f: impl FnOnce() -> R) -> R {
-        let _gate = TEST_GATE.lock().unwrap_or_else(PoisonError::into_inner);
+        let _turn = exclusive();
         install_str(plan).expect("test plan parses");
-        let out = f();
-        clear();
-        out
+        f()
     }
 
     #[test]
@@ -674,7 +691,7 @@ mod tests {
 
     #[test]
     fn disarmed_point_counts_nothing() {
-        let _gate = TEST_GATE.lock().unwrap_or_else(PoisonError::into_inner);
+        let _turn = exclusive();
         clear();
         assert!(!armed());
         // Hitting a point with no plan installed must not fail, must not

@@ -479,8 +479,15 @@ mod tests {
         acc
     }
 
+    /// The session gate (`ACTIVE`) and the thread registry are
+    /// process-global: each test here holds this lock, or a neighbour's
+    /// session turns its own into `Busy` and a neighbour's registration
+    /// moves the registry count under it.
+    static SESSION: Mutex<()> = Mutex::new(());
+
     #[test]
     fn profile_captures_stacks_from_registered_threads() {
+        let _session = SESSION.lock().unwrap_or_else(PoisonError::into_inner);
         let worker = std::thread::Builder::new()
             .name("flight-test-worker".to_string())
             .spawn(|| {
@@ -505,6 +512,7 @@ mod tests {
 
     #[test]
     fn concurrent_sessions_are_refused() {
+        let _session = SESSION.lock().unwrap_or_else(PoisonError::into_inner);
         register_current_thread();
         let bg = std::thread::spawn(|| profile(Duration::from_millis(700)));
         std::thread::sleep(Duration::from_millis(150));
@@ -519,6 +527,7 @@ mod tests {
 
     #[test]
     fn register_is_idempotent() {
+        let _session = SESSION.lock().unwrap_or_else(PoisonError::into_inner);
         let before = rings().lock().unwrap_or_else(PoisonError::into_inner).len();
         register_current_thread();
         register_current_thread();

@@ -1,6 +1,7 @@
 //! The flight recorder: a fixed-memory ring TSDB over `ccp-obs`.
 //!
-//! Every `interval` the recorder thread calls
+//! Every `interval` the owner of the [`Sampler`] (the server's control
+//! plane) calls [`Sampler::tick`], which takes
 //! [`Registry::sample_all`] and pushes one point per metric into that
 //! metric's [`Series`]: counters and gauges become one series each
 //! (named `family{labels}`), histograms become windowed `:p50` / `:p95`
@@ -31,7 +32,7 @@ use crate::ring::{Downsample, Series};
 use ccp_obs::{HistogramSnapshot, Labels, MetricSample, Registry};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant, SystemTime};
 
@@ -67,8 +68,8 @@ impl Default for RecorderConfig {
     }
 }
 
-/// State shared between the recorder thread, event emitters and
-/// `/timeline` readers.
+/// State shared between the sampler, event emitters and `/timeline`
+/// readers.
 struct SharedState {
     cfg: RecorderConfig,
     series: Mutex<BTreeMap<String, Arc<Series>>>,
@@ -78,7 +79,6 @@ struct SharedState {
     dropped_series: AtomicU64,
     started: Instant,
     started_unix_ms: u64,
-    stop: AtomicBool,
 }
 
 /// A cloneable handle for emitting events and reading timelines.
@@ -168,8 +168,7 @@ impl FlightHandle {
 
 /// The sampling half: owns the per-series writer state (downsample
 /// accumulators, previous histogram snapshots). Exactly one sampler
-/// exists per recorder — either driven by the background thread or
-/// manually from tests via [`Sampler::tick`].
+/// exists per recorder; whoever owns it drives [`Sampler::tick`].
 pub struct Sampler {
     shared: Arc<SharedState>,
     registry: Registry,
@@ -269,19 +268,17 @@ fn series_name(family: &str, labels: &Labels) -> String {
     out
 }
 
-/// A running flight recorder; [`stop`](FlightRecorder::stop) (or drop)
-/// joins the sampling thread.
-pub struct FlightRecorder {
-    handle: FlightHandle,
-    worker: Option<std::thread::JoinHandle<()>>,
-}
+/// Constructor namespace for a recorder's two halves.
+pub struct FlightRecorder;
 
 impl FlightRecorder {
-    fn shared(cfg: RecorderConfig) -> Arc<SharedState> {
+    /// A recorder over `registry`: the cloneable emit/read handle and
+    /// the [`Sampler`] whose ticks the caller drives.
+    pub fn manual(registry: &Registry, cfg: RecorderConfig) -> (FlightHandle, Sampler) {
         let started_unix_ms = SystemTime::now()
             .duration_since(SystemTime::UNIX_EPOCH)
             .map_or(0, |d| d.as_millis() as u64);
-        Arc::new(SharedState {
+        let shared = Arc::new(SharedState {
             events: EventLane::new(cfg.max_events),
             cfg,
             series: Mutex::new(BTreeMap::new()),
@@ -289,40 +286,7 @@ impl FlightRecorder {
             dropped_series: AtomicU64::new(0),
             started: Instant::now(),
             started_unix_ms,
-            stop: AtomicBool::new(false),
-        })
-    }
-
-    /// Starts the background sampling thread over `registry`.
-    pub fn spawn(registry: &Registry, cfg: RecorderConfig) -> std::io::Result<FlightRecorder> {
-        let interval = cfg.interval;
-        let shared = Self::shared(cfg);
-        let mut sampler = Sampler {
-            shared: Arc::clone(&shared),
-            registry: registry.clone(),
-            acc: BTreeMap::new(),
-            prev_hist: BTreeMap::new(),
-        };
-        let thread_shared = Arc::clone(&shared);
-        let worker = std::thread::Builder::new()
-            .name("ccp-flight".to_string())
-            .spawn(move || {
-                // ORDERING: the stop flag is a plain shutdown latch.
-                while !thread_shared.stop.load(Ordering::Relaxed) {
-                    sampler.tick();
-                    std::thread::park_timeout(interval);
-                }
-            })?;
-        Ok(FlightRecorder {
-            handle: FlightHandle { shared },
-            worker: Some(worker),
-        })
-    }
-
-    /// A recorder without a thread, for deterministic tests: drive
-    /// ticks yourself through the returned [`Sampler`].
-    pub fn manual(registry: &Registry, cfg: RecorderConfig) -> (FlightHandle, Sampler) {
-        let shared = Self::shared(cfg);
+        });
         (
             FlightHandle {
                 shared: Arc::clone(&shared),
@@ -334,27 +298,6 @@ impl FlightRecorder {
                 prev_hist: BTreeMap::new(),
             },
         )
-    }
-
-    /// The emit/read handle (cloneable).
-    pub fn handle(&self) -> FlightHandle {
-        self.handle.clone()
-    }
-
-    /// Stops and joins the sampling thread. Idempotent.
-    pub fn stop(&mut self) {
-        // ORDERING: shutdown latch; the join below synchronizes.
-        self.handle.shared.stop.store(true, Ordering::Relaxed);
-        if let Some(worker) = self.worker.take() {
-            worker.thread().unpark();
-            let _ = worker.join();
-        }
-    }
-}
-
-impl Drop for FlightRecorder {
-    fn drop(&mut self) {
-        self.stop();
     }
 }
 
@@ -485,25 +428,5 @@ mod tests {
         let tl = handle.timeline(0, Some("aa_"));
         assert_eq!(tl.series.len(), 1);
         assert_eq!(tl.series[0].0, "aa_x");
-    }
-
-    #[test]
-    fn spawned_recorder_ticks_and_stops() {
-        let registry = Registry::new();
-        registry
-            .counter_family("c_total", "C")
-            .get_or_create(&[])
-            .add(1);
-        let mut rec = FlightRecorder::spawn(&registry, test_cfg()).expect("spawn");
-        let handle = rec.handle();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while handle.tick() < 2 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(handle.tick() >= 2, "recorder never ticked");
-        rec.stop();
-        let t = handle.tick();
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(handle.tick(), t, "ticks continued after stop");
     }
 }

@@ -23,10 +23,10 @@
 //!
 //! Beyond allocation, the crate also drives RDT **monitoring**: typed
 //! `mon_groups` handles ([`MonGroupHandle`]) for RMID-backed per-query
-//! counters, CMT/MBM reads, and a background [`OccupancySampler`] that
-//! publishes per-CUID-class `ccp_llc_occupancy_bytes` gauges — backed by
-//! real counters ([`ResctrlMonitor`]) or by a load-driven model
-//! ([`SimulatedMonitor`]) where the hardware has none.
+//! counters, CMT/MBM reads, and per-CUID-class [`OccupancyProbe`]s the
+//! server's control plane polls — backed by real counters
+//! ([`ResctrlMonitor`]) or by a load-driven model ([`SimulatedMonitor`])
+//! where the hardware has none.
 //!
 //! ```
 //! use ccp_resctrl::{fs::FakeFs, CacheController};
@@ -56,10 +56,7 @@ pub use controller::{CacheController, CatInfo, GroupHandle, MonGroupHandle, Moni
 pub use detect::{detect, CatSupport};
 pub use error::ResctrlError;
 pub use metrics::ResctrlMetrics;
-pub use monitor::{
-    ClassSample, OccupancyProbe, OccupancySampler, ReadingsHub, ResctrlMonitor, SimClass,
-    SimulatedMonitor,
-};
+pub use monitor::{ClassSample, OccupancyProbe, ResctrlMonitor, SimClass, SimulatedMonitor};
 pub use reconcile::{DesiredGroup, GroupState, ReconcileOutcome, ReconcileStats, Reconciler};
 pub use schemata::Schemata;
 pub use supervisor::{ResctrlHealth, RetryPolicy, SupervisedController};

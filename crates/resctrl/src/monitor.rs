@@ -1,11 +1,11 @@
-//! Background cache-occupancy sampling per CUID class.
+//! Cache-occupancy probes per CUID class.
 //!
 //! The paper's scheduler *acts* on cache usage identifiers; this module
-//! makes their footprint *visible*. An [`OccupancySampler`] thread
-//! periodically asks an [`OccupancyProbe`] for per-class LLC occupancy
-//! and publishes it as `ccp_llc_occupancy_bytes{class=...}` gauges (plus
-//! `ccp_mbm_total_bytes{class=...}` for bandwidth), ready for one
-//! `/metrics` scrape next to the scheduler's own instruments.
+//! makes their footprint *visible*. An [`OccupancyProbe`] reports
+//! per-class LLC occupancy and memory bandwidth; the server's control
+//! plane polls one every monitor interval, publishes the readings as
+//! `ccp_llc_occupancy_bytes{class=...}` / `ccp_mbm_total_bytes{class=...}`
+//! gauges and feeds them to the adaptive controller.
 //!
 //! Two probes are provided:
 //!
@@ -19,12 +19,6 @@
 //!   class are currently running).
 
 use crate::controller::CacheController;
-use crate::error::ResctrlError;
-use ccp_obs::Registry;
-use parking_lot::{Condvar, Mutex};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// One probe reading: the occupancy of a single CUID class.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,7 +31,7 @@ pub struct ClassSample {
     pub mbm_total_bytes: u64,
 }
 
-/// Source of per-class occupancy readings, polled by the sampler.
+/// Source of per-class occupancy readings, polled by the control plane.
 pub trait OccupancyProbe: Send {
     /// Takes one reading per class. Classes that cannot be read (e.g. a
     /// control group not created yet) are simply omitted.
@@ -159,161 +153,13 @@ impl OccupancyProbe for SimulatedMonitor {
     }
 }
 
-/// Shared mailbox between the sampler thread and consumers of raw
-/// readings (the adaptive controller, primarily).
-///
-/// The sampler publishes each *successful* probe here with a
-/// monotonically increasing sequence number; a consumer that sees the
-/// sequence stop advancing knows its readings have gone stale (probe
-/// failpoints, hung backend) and can clamp to a safe configuration.
-#[derive(Debug, Default)]
-pub struct ReadingsHub {
-    inner: Mutex<HubInner>,
-}
-
-#[derive(Debug, Default)]
-struct HubInner {
-    seq: u64,
-    samples: Vec<ClassSample>,
-}
-
-impl ReadingsHub {
-    /// An empty hub: sequence 0, no samples.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Publishes one probe's worth of samples, bumping the sequence.
-    pub fn publish(&self, samples: Vec<ClassSample>) {
-        let mut inner = self.inner.lock();
-        inner.seq += 1;
-        inner.samples = samples;
-    }
-
-    /// The latest `(sequence, samples)` pair. Sequence 0 means nothing
-    /// has been published yet.
-    pub fn snapshot(&self) -> (u64, Vec<ClassSample>) {
-        let inner = self.inner.lock();
-        (inner.seq, inner.samples.clone())
-    }
-}
-
-/// Background thread that polls a probe and publishes
-/// `ccp_llc_occupancy_bytes{class=...}` / `ccp_mbm_total_bytes{class=...}`
-/// gauges into a [`Registry`].
-pub struct OccupancySampler {
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for OccupancySampler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OccupancySampler")
-            .field("running", &self.thread.is_some())
-            .finish()
-    }
-}
-
-impl OccupancySampler {
-    /// Spawns the sampling thread, ticking every `interval`. The first
-    /// sample is taken immediately so gauges exist before the first
-    /// scrape.
-    ///
-    /// # Errors
-    /// Propagates thread-spawn failure.
-    pub fn start(
-        probe: Box<dyn OccupancyProbe>,
-        registry: &Registry,
-        interval: Duration,
-    ) -> Result<Self, ResctrlError> {
-        Self::start_with_hub(probe, registry, interval, None)
-    }
-
-    /// Like [`start`](Self::start), additionally publishing every
-    /// successful probe into `hub` for raw-reading consumers. Failed or
-    /// fault-skipped probes do not touch the hub, so its sequence number
-    /// doubles as a staleness signal.
-    ///
-    /// # Errors
-    /// Propagates thread-spawn failure.
-    pub fn start_with_hub(
-        mut probe: Box<dyn OccupancyProbe>,
-        registry: &Registry,
-        interval: Duration,
-        hub: Option<Arc<ReadingsHub>>,
-    ) -> Result<Self, ResctrlError> {
-        let registry = registry.clone();
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let stop2 = Arc::clone(&stop);
-        let thread = std::thread::Builder::new()
-            .name("ccp-occupancy".into())
-            .spawn(move || {
-                let occ = registry.gauge_family(
-                    "ccp_llc_occupancy_bytes",
-                    "LLC bytes occupied per CUID class (CMT; simulated when hardware \
-                     monitoring is unavailable)",
-                );
-                let mbm = registry.gauge_family(
-                    "ccp_mbm_total_bytes",
-                    "Cumulative memory-bandwidth bytes per CUID class (MBM; simulated \
-                     when hardware monitoring is unavailable)",
-                );
-                loop {
-                    // A fired probe failpoint models a transient CMT read
-                    // error: nothing publishes this tick, gauges keep
-                    // their previous values.
-                    if !ccp_fault::should_fail(crate::faults::SAMPLER_PROBE) {
-                        let samples = probe.sample();
-                        for s in &samples {
-                            let labels = [("class", s.class.as_str())];
-                            occ.get_or_create(&labels).set(s.llc_occupancy_bytes as f64);
-                            mbm.get_or_create(&labels).set(s.mbm_total_bytes as f64);
-                        }
-                        if let Some(hub) = &hub {
-                            hub.publish(samples);
-                        }
-                    }
-                    let (lock, cv) = &*stop2;
-                    let mut stopped = lock.lock();
-                    if *stopped {
-                        break;
-                    }
-                    cv.wait_for(&mut stopped, interval);
-                    if *stopped {
-                        break;
-                    }
-                }
-            })
-            .map_err(|e| ResctrlError::io("<thread>", "spawn", &e))?;
-        Ok(OccupancySampler {
-            stop,
-            thread: Some(thread),
-        })
-    }
-
-    /// Stops the sampling thread promptly (no waiting out the interval)
-    /// and joins it. Idempotent.
-    pub fn stop(&mut self) {
-        let (lock, cv) = &*self.stop;
-        *lock.lock() = true;
-        cv.notify_all();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for OccupancySampler {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fs::FakeFs;
+    use parking_lot::Mutex;
     use std::path::Path;
+    use std::sync::Arc;
 
     #[test]
     fn resctrl_probe_reads_allocator_groups() {
@@ -375,87 +221,5 @@ mod tests {
         }
         let drained = probe.sample();
         assert!(drained[0].llc_occupancy_bytes < 1024);
-    }
-
-    #[test]
-    fn hub_sequences_publishes_and_snapshots() {
-        let hub = ReadingsHub::new();
-        assert_eq!(hub.snapshot(), (0, vec![]));
-        hub.publish(vec![ClassSample {
-            class: "sensitive".into(),
-            llc_occupancy_bytes: 7,
-            mbm_total_bytes: 9,
-        }]);
-        let (seq, samples) = hub.snapshot();
-        assert_eq!(seq, 1);
-        assert_eq!(samples.len(), 1);
-        hub.publish(vec![]);
-        assert_eq!(hub.snapshot().0, 2);
-    }
-
-    #[test]
-    fn sampler_feeds_hub_on_successful_probes() {
-        let registry = Registry::new();
-        struct Fixed;
-        impl OccupancyProbe for Fixed {
-            fn sample(&mut self) -> Vec<ClassSample> {
-                vec![ClassSample {
-                    class: "polluting".into(),
-                    llc_occupancy_bytes: 55,
-                    mbm_total_bytes: 1,
-                }]
-            }
-        }
-        let hub = Arc::new(ReadingsHub::new());
-        let mut sampler = OccupancySampler::start_with_hub(
-            Box::new(Fixed),
-            &registry,
-            Duration::from_millis(5),
-            Some(Arc::clone(&hub)),
-        )
-        .unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            let (seq, samples) = hub.snapshot();
-            if seq >= 2 {
-                assert_eq!(samples[0].llc_occupancy_bytes, 55);
-                break;
-            }
-            assert!(std::time::Instant::now() < deadline, "hub never advanced");
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        sampler.stop();
-    }
-
-    #[test]
-    fn sampler_publishes_class_gauges() {
-        let registry = Registry::new();
-        struct Fixed;
-        impl OccupancyProbe for Fixed {
-            fn sample(&mut self) -> Vec<ClassSample> {
-                vec![ClassSample {
-                    class: "mixed".into(),
-                    llc_occupancy_bytes: 1234,
-                    mbm_total_bytes: 99,
-                }]
-            }
-        }
-        let mut sampler =
-            OccupancySampler::start(Box::new(Fixed), &registry, Duration::from_secs(3600)).unwrap();
-        // First sample is immediate; wait for it to land.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            let text = registry.render_prometheus();
-            if text.contains("ccp_llc_occupancy_bytes{class=\"mixed\"} 1234.0") {
-                assert!(text.contains("ccp_mbm_total_bytes{class=\"mixed\"} 99.0"));
-                break;
-            }
-            assert!(std::time::Instant::now() < deadline, "gauge never appeared");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        // Stop returns promptly despite the 1h interval.
-        let started = std::time::Instant::now();
-        sampler.stop();
-        assert!(started.elapsed() < Duration::from_secs(2));
     }
 }

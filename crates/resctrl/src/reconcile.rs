@@ -533,18 +533,7 @@ mod tests {
     use crate::controller::CacheController;
     use crate::fs::FakeFs;
     use crate::supervisor::RetryPolicy;
-    use std::sync::{Mutex, PoisonError};
     use std::time::Duration;
-
-    /// Fault plans are process-global; serialize the tests that arm them.
-    static FAULT_GATE: Mutex<()> = Mutex::new(());
-
-    struct PlanGuard;
-    impl Drop for PlanGuard {
-        fn drop(&mut self) {
-            ccp_fault::clear();
-        }
-    }
 
     fn fast_policy() -> RetryPolicy {
         RetryPolicy {
@@ -664,71 +653,6 @@ mod tests {
         assert_eq!(healed.fallback, 0);
         assert!(r.stats().retried() >= 1);
         assert!(!r.stats().is_exhausted());
-    }
-
-    #[test]
-    fn typed_enospc_failpoint_forces_fallback_then_heals() {
-        let _gate = FAULT_GATE.lock().unwrap_or_else(PoisonError::into_inner);
-        let fs = FakeFs::broadwell();
-        let mut r = reconciler_on(fs.clone());
-        r.set_desired(vec![desired("ccp-a-sensitive", 0xfffff)]);
-        let _plan = PlanGuard;
-        ccp_fault::install_str("tenant.create_group=err:enospc@1+2").unwrap();
-        let out = r.reconcile();
-        assert_eq!(out.fallback, 1);
-        assert_eq!(out.failed, 0);
-        // Pass 2 is the backoff pass, pass 3 burns the second fault hit,
-        // then backoff again; the window exhausted, creation succeeds.
-        let mut healed = false;
-        for _ in 0..8 {
-            if r.reconcile().fallback == 0 {
-                healed = true;
-                break;
-            }
-        }
-        assert!(healed, "reconciler must converge after the fault window");
-        assert_eq!(r.stats().failed(), 0);
-        assert!(r.stats().retried() >= 1);
-    }
-
-    #[test]
-    fn eio_failpoint_counts_failed_and_retries_without_backoff() {
-        let _gate = FAULT_GATE.lock().unwrap_or_else(PoisonError::into_inner);
-        let fs = FakeFs::broadwell();
-        let mut r = reconciler_on(fs.clone());
-        r.set_desired(vec![desired("ccp-a-mixed", 0xfff)]);
-        let _plan = PlanGuard;
-        ccp_fault::install_str("tenant.create_group=err:eio@1").unwrap();
-        let out = r.reconcile();
-        assert_eq!(out.failed, 1);
-        assert_eq!(out.fallback, 0);
-        assert_eq!(r.stats().failed(), 1);
-        // EIO is transient: the very next pass retries and succeeds.
-        let out = r.reconcile();
-        assert_eq!(out.failed, 0);
-        assert_eq!(r.stats().failed(), 0);
-        assert!(r.stats().retried() >= 1);
-    }
-
-    #[test]
-    fn sweep_failpoint_skips_one_pass_then_orphans_are_removed() {
-        let _gate = FAULT_GATE.lock().unwrap_or_else(PoisonError::into_inner);
-        let fs = FakeFs::broadwell();
-        {
-            let mut prev =
-                CacheController::open_with(Box::new(fs.clone()), "/sys/fs/resctrl").unwrap();
-            prev.create_group("ccp-stale-mixed").unwrap();
-        }
-        let mut r = reconciler_on(fs.clone());
-        let _plan = PlanGuard;
-        ccp_fault::install_str("reconcile.sweep=err@1").unwrap();
-        let out = r.reconcile();
-        assert!(out.sweep_failed);
-        assert_eq!(fs.group_count(), 1, "orphan survives the failed sweep");
-        let out = r.reconcile();
-        assert!(!out.sweep_failed);
-        assert_eq!(out.orphans_removed, 1);
-        assert_eq!(fs.group_count(), 0);
     }
 
     #[test]

@@ -435,19 +435,6 @@ impl SupervisedController {
 mod tests {
     use super::*;
     use crate::fs::FakeFs;
-    use std::sync::{Mutex, PoisonError};
-
-    /// Fault plans are process-global; serialize the tests that arm them.
-    static FAULT_GATE: Mutex<()> = Mutex::new(());
-
-    /// Clears the installed plan even when the test panics, so one
-    /// failing test cannot leak an armed failpoint into the next.
-    struct PlanGuard;
-    impl Drop for PlanGuard {
-        fn drop(&mut self) {
-            ccp_fault::clear();
-        }
-    }
 
     fn supervised(policy: RetryPolicy) -> (Arc<ResctrlHealth>, SupervisedController) {
         let fs = FakeFs::broadwell();
@@ -467,72 +454,7 @@ mod tests {
     }
 
     #[test]
-    fn transient_failure_is_retried_to_success() {
-        let _gate = FAULT_GATE.lock().unwrap_or_else(PoisonError::into_inner);
-        let (health, mut sup) = supervised(fast_policy());
-        let g = sup.create_group("g").unwrap();
-        // First two writes fail, third (last allowed attempt) succeeds.
-        let _plan = PlanGuard;
-        ccp_fault::install_str("resctrl.write_schemata=err@1+2").unwrap();
-        sup.set_l3_mask(&g, 0, WayMask::new(0x3).unwrap()).unwrap();
-        assert_eq!(health.retries(), 2);
-        assert_eq!(health.failures(), 0);
-        assert!(!health.is_degraded());
-    }
-
-    #[test]
-    fn breaker_trips_after_consecutive_exhausted_ops_and_probe_heals() {
-        let _gate = FAULT_GATE.lock().unwrap_or_else(PoisonError::into_inner);
-        let (health, mut sup) = supervised(fast_policy());
-        let g = sup.create_group("g").unwrap();
-        let mask = WayMask::new(0x3).unwrap();
-        sup.set_l3_mask(&g, 0, mask).unwrap();
-
-        // 3 ops × 3 attempts: all nine writes fail → breaker trips on
-        // the third exhausted operation. Each op uses a fresh mask so
-        // the old-vs-new skip cache cannot short-circuit the write.
-        let _plan = PlanGuard;
-        ccp_fault::install_str("resctrl.write_schemata=err@1+9").unwrap();
-        for mask in [0x7, 0xf, 0x1f] {
-            let other = WayMask::new(mask).unwrap();
-            assert!(sup.set_l3_mask(&g, 0, other).is_err());
-        }
-        assert!(health.is_degraded(), "breaker must be tripped");
-        assert_eq!(health.trips(), 1);
-
-        // Faults exhausted: the next probe performs a real write and heals.
-        assert!(sup.probe());
-        assert!(!health.is_degraded());
-        assert_eq!(health.restores(), 1);
-        assert!(health.reprobes() >= 1);
-    }
-
-    #[test]
-    fn probe_fails_while_fault_active() {
-        let _gate = FAULT_GATE.lock().unwrap_or_else(PoisonError::into_inner);
-        let (health, mut sup) = supervised(RetryPolicy {
-            max_attempts: 1,
-            ..fast_policy()
-        });
-        let g = sup.create_group("g").unwrap();
-        sup.set_l3_mask(&g, 0, WayMask::new(0x3).unwrap()).unwrap();
-        for _ in 0..3 {
-            health.record_failure();
-        }
-        assert!(health.is_degraded());
-        {
-            let _plan = PlanGuard;
-            ccp_fault::install_str("resctrl.write_schemata=err").unwrap();
-            assert!(!sup.probe(), "probe must not heal while writes still fail");
-        }
-        assert!(health.is_degraded());
-        assert!(sup.probe());
-        assert!(!health.is_degraded());
-    }
-
-    #[test]
     fn probe_without_prior_write_uses_scratch_group() {
-        let _gate = FAULT_GATE.lock().unwrap_or_else(PoisonError::into_inner);
         let fs = FakeFs::broadwell();
         let ctl = CacheController::open_with(Box::new(fs.clone()), "/sys/fs/resctrl").unwrap();
         let health = Arc::new(ResctrlHealth::new(1));
@@ -547,7 +469,6 @@ mod tests {
 
     #[test]
     fn deterministic_errors_bypass_retry_and_breaker() {
-        let _gate = FAULT_GATE.lock().unwrap_or_else(PoisonError::into_inner);
         let (health, mut sup) = supervised(fast_policy());
         let g = sup.create_group("g").unwrap();
         // 1 way < min_cbm_bits: BadMask, deterministic.

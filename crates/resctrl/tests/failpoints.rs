@@ -1,0 +1,168 @@
+//! Unit-level failpoint tests for the supervised controller and the
+//! reconciler.
+//!
+//! Fault plans are process-global, and nearly every unit test in the
+//! crate passes through `resctrl.write_schemata` or
+//! `tenant.create_group`: a plan armed inside the unit-test binary gets
+//! consumed by (and fails) whichever neighbour hits the site first. So
+//! every test that arms a plan lives here, in a process of its own, and
+//! takes turns ([`ccp_fault::exclusive`]).
+
+use ccp_cachesim::WayMask;
+use ccp_resctrl::fs::FakeFs;
+use ccp_resctrl::{
+    CacheController, DesiredGroup, Reconciler, ResctrlHealth, RetryPolicy, SupervisedController,
+};
+use std::sync::Arc;
+use std::time::Duration;
+
+fn fast_policy() -> RetryPolicy {
+    RetryPolicy {
+        max_attempts: 3,
+        base_delay: Duration::from_micros(50),
+        max_delay: Duration::from_micros(200),
+        jitter_seed: 7,
+    }
+}
+
+fn supervised(policy: RetryPolicy) -> (Arc<ResctrlHealth>, SupervisedController) {
+    let fs = FakeFs::broadwell();
+    let ctl = CacheController::open_with(Box::new(fs), "/sys/fs/resctrl").unwrap();
+    let health = Arc::new(ResctrlHealth::new(3));
+    let sup = SupervisedController::new(ctl, policy, Arc::clone(&health));
+    (health, sup)
+}
+
+fn reconciler_on(fs: FakeFs) -> Reconciler {
+    let ctl = CacheController::open_with(Box::new(fs), "/sys/fs/resctrl").unwrap();
+    let sup = SupervisedController::new(ctl, fast_policy(), Arc::new(ResctrlHealth::new(3)));
+    Reconciler::new(sup, vec![0])
+}
+
+fn desired(name: &str, mask: u32) -> DesiredGroup {
+    DesiredGroup {
+        name: name.to_string(),
+        mask: WayMask::new(mask).unwrap(),
+    }
+}
+
+#[test]
+fn transient_failure_is_retried_to_success() {
+    let _turn = ccp_fault::exclusive();
+    let (health, mut sup) = supervised(fast_policy());
+    let g = sup.create_group("g").unwrap();
+    // First two writes fail, third (last allowed attempt) succeeds.
+    ccp_fault::install_str("resctrl.write_schemata=err@1+2").unwrap();
+    sup.set_l3_mask(&g, 0, WayMask::new(0x3).unwrap()).unwrap();
+    assert_eq!(health.retries(), 2);
+    assert_eq!(health.failures(), 0);
+    assert!(!health.is_degraded());
+}
+
+#[test]
+fn breaker_trips_after_consecutive_exhausted_ops_and_probe_heals() {
+    let _turn = ccp_fault::exclusive();
+    let (health, mut sup) = supervised(fast_policy());
+    let g = sup.create_group("g").unwrap();
+    let mask = WayMask::new(0x3).unwrap();
+    sup.set_l3_mask(&g, 0, mask).unwrap();
+
+    // 3 ops × 3 attempts: all nine writes fail → breaker trips on
+    // the third exhausted operation. Each op uses a fresh mask so
+    // the old-vs-new skip cache cannot short-circuit the write.
+    ccp_fault::install_str("resctrl.write_schemata=err@1+9").unwrap();
+    for mask in [0x7, 0xf, 0x1f] {
+        let other = WayMask::new(mask).unwrap();
+        assert!(sup.set_l3_mask(&g, 0, other).is_err());
+    }
+    assert!(health.is_degraded(), "breaker must be tripped");
+    assert_eq!(health.trips(), 1);
+
+    // Faults exhausted: the next probe performs a real write and heals.
+    assert!(sup.probe());
+    assert!(!health.is_degraded());
+    assert_eq!(health.restores(), 1);
+    assert!(health.reprobes() >= 1);
+}
+
+#[test]
+fn probe_fails_while_fault_active() {
+    let _turn = ccp_fault::exclusive();
+    let (health, mut sup) = supervised(RetryPolicy {
+        max_attempts: 1,
+        ..fast_policy()
+    });
+    let g = sup.create_group("g").unwrap();
+    sup.set_l3_mask(&g, 0, WayMask::new(0x3).unwrap()).unwrap();
+    for _ in 0..3 {
+        health.record_failure();
+    }
+    assert!(health.is_degraded());
+    ccp_fault::install_str("resctrl.write_schemata=err").unwrap();
+    assert!(!sup.probe(), "probe must not heal while writes still fail");
+    ccp_fault::clear();
+    assert!(health.is_degraded());
+    assert!(sup.probe());
+    assert!(!health.is_degraded());
+}
+
+#[test]
+fn typed_enospc_failpoint_forces_fallback_then_heals() {
+    let _turn = ccp_fault::exclusive();
+    let fs = FakeFs::broadwell();
+    let mut r = reconciler_on(fs.clone());
+    r.set_desired(vec![desired("ccp-a-sensitive", 0xfffff)]);
+    ccp_fault::install_str("tenant.create_group=err:enospc@1+2").unwrap();
+    let out = r.reconcile();
+    assert_eq!(out.fallback, 1);
+    assert_eq!(out.failed, 0);
+    // Pass 2 is the backoff pass, pass 3 burns the second fault hit,
+    // then backoff again; the window exhausted, creation succeeds.
+    let mut healed = false;
+    for _ in 0..8 {
+        if r.reconcile().fallback == 0 {
+            healed = true;
+            break;
+        }
+    }
+    assert!(healed, "reconciler must converge after the fault window");
+    assert_eq!(r.stats().failed(), 0);
+    assert!(r.stats().retried() >= 1);
+}
+
+#[test]
+fn eio_failpoint_counts_failed_and_retries_without_backoff() {
+    let _turn = ccp_fault::exclusive();
+    let fs = FakeFs::broadwell();
+    let mut r = reconciler_on(fs.clone());
+    r.set_desired(vec![desired("ccp-a-mixed", 0xfff)]);
+    ccp_fault::install_str("tenant.create_group=err:eio@1").unwrap();
+    let out = r.reconcile();
+    assert_eq!(out.failed, 1);
+    assert_eq!(out.fallback, 0);
+    assert_eq!(r.stats().failed(), 1);
+    // EIO is transient: the very next pass retries and succeeds.
+    let out = r.reconcile();
+    assert_eq!(out.failed, 0);
+    assert_eq!(r.stats().failed(), 0);
+    assert!(r.stats().retried() >= 1);
+}
+
+#[test]
+fn sweep_failpoint_skips_one_pass_then_orphans_are_removed() {
+    let _turn = ccp_fault::exclusive();
+    let fs = FakeFs::broadwell();
+    {
+        let mut prev = CacheController::open_with(Box::new(fs.clone()), "/sys/fs/resctrl").unwrap();
+        prev.create_group("ccp-stale-mixed").unwrap();
+    }
+    let mut r = reconciler_on(fs.clone());
+    ccp_fault::install_str("reconcile.sweep=err@1").unwrap();
+    let out = r.reconcile();
+    assert!(out.sweep_failed);
+    assert_eq!(fs.group_count(), 1, "orphan survives the failed sweep");
+    let out = r.reconcile();
+    assert!(!out.sweep_failed);
+    assert_eq!(out.orphans_removed, 1);
+    assert_eq!(fs.group_count(), 0);
+}

@@ -913,35 +913,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_failpoint_forces_the_vanished_entry_path() {
-        let c = cache(1 << 16);
-        let key = c.key("q1", "t<9");
-        if let Begin::Build(g) = c.begin(&key) {
-            g.publish(result_artifact(3, 3), Duration::from_micros(10));
-        }
-        ccp_fault::install_str("reuse.lookup=err@1").expect("plan parses");
-        // The armed lookup treats the entry as vanished: a miss, and
-        // the entry is gone afterwards (as if evicted mid-flight).
-        assert!(matches!(c.begin(&key), Begin::Build(_)));
-        ccp_fault::clear();
-        assert_eq!(c.stats().entries, 0);
-        assert_eq!(c.bytes(), 0);
-    }
-
-    #[test]
-    fn install_failpoint_drops_the_artifact() {
-        let c = cache(1 << 16);
-        ccp_fault::install_str("reuse.install=err@1").expect("plan parses");
-        let key = c.key("q1", "t<9");
-        if let Begin::Build(g) = c.begin(&key) {
-            assert!(!g.publish(result_artifact(3, 3), Duration::from_micros(10)));
-        }
-        ccp_fault::clear();
-        assert_eq!(c.stats().inserts, 0);
-        assert!(matches!(c.begin(&key), Begin::Build(_)), "still a miss");
-    }
-
-    #[test]
     fn handle_wraps_begin_and_reports_status() {
         let c = cache(1 << 16);
         let h = ReuseHandle::new(c.clone(), c.key("q2", "agg=max"));

@@ -1,0 +1,737 @@
+//! The control plane: every periodic duty of the server on one thread.
+//!
+//! `ccp serve` has five periodic jobs — sample occupancy, supervise
+//! resctrl health, run the adaptive controller, reconcile tenant groups,
+//! record the flight timeline. A [`ControlPlane`] owns the state of all
+//! five and runs them on a single `ccp-plane` thread that sleeps on one
+//! condvar until the earliest due task. Tasks that fall due in the same
+//! wake always run in this order:
+//!
+//! | step | period (`ServerConfig` field) | what it does |
+//! |---|---|---|
+//! | sample | `monitor_interval` | probes per-class occupancy into the `ccp_llc_occupancy_bytes` / `ccp_mbm_total_bytes` gauges and the readings the control step consumes |
+//! | supervise | `reprobe_interval` | mirrors resctrl health counters, flips degraded mode, re-probes while degraded |
+//! | control | `control_interval` | one [`Controller`] tick on the latest readings; applies or reverts the live mask table |
+//! | reconcile | `reconcile_interval` | one [`Reconciler`] pass over the `ccp-<tenant>-<class>` groups |
+//! | record | `flight_interval` | one flight-recorder snapshot of the registry |
+//!
+//! The order is what makes the hand-offs trivial: the control step reads
+//! the sample taken earlier in the same pass, so a reading can only be
+//! stale because the probe itself failed, never because another thread
+//! was scheduled late; the record step sees every counter the earlier
+//! steps moved. A task whose switch is off (`monitor_interval: None`,
+//! `adaptive: false`, `flight: false`, an unsupervised allocator) is
+//! simply absent. The price of one thread is that a step that blocks —
+//! the supervised resctrl retry backoff can sleep up to ~150 ms — delays
+//! the steps behind it. A late wake runs each due task once and re-arms
+//! it one period after the wake; there are no catch-up bursts.
+//!
+//! [`ControlPlane::step`] is the whole scheduler, so tests drive the
+//! plane with synthetic instants and no thread.
+
+use crate::admission::AdmissionQueue;
+use crate::metrics::ServerMetrics;
+use crate::query::QueryEngine;
+use crate::server::ServerConfig;
+use ccp_control::{
+    ClassId, ClassReading, ControlConfig, Controller, Decision, MaskPlan, ScriptedTrace, TickInput,
+};
+use ccp_engine::CacheUsageClass;
+use ccp_flight::{FlightHandle, FlightRecorder, RecorderConfig};
+use ccp_obs::{Family, Gauge, Registry};
+use ccp_resctrl::{
+    CacheController, DesiredGroup, GroupState, OccupancyProbe, Reconciler, ResctrlHealth,
+    ResctrlMonitor, SimClass, SimulatedMonitor, TenantId,
+};
+use ccp_trace::TraceCat;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::{Duration, Instant};
+
+/// Failpoint name: an adaptive repartition's apply step. Arming it
+/// (e.g. `control.apply=err@1+1`) makes the control step treat the
+/// repartition as failed, exercising the revert-to-static path.
+pub const FAULT_CONTROL_APPLY: &str = "control.apply";
+
+/// What the plane last published for `/stats`.
+#[derive(Debug, Clone, Default)]
+pub struct PlaneView {
+    /// `(clamped, last decision label)` of the adaptive controller;
+    /// `None` in static mode.
+    pub control: Option<(bool, &'static str)>,
+    /// Name-sorted `(ccp-<tenant>-<class>, state label)` after the latest
+    /// reconcile pass; `None` when the resctrl backend is unsupervised.
+    pub groups: Option<Vec<(String, &'static str)>>,
+}
+
+/// When a task next runs.
+struct Every {
+    period: Duration,
+    due: Instant,
+}
+
+impl Every {
+    /// Due at `start`, then one `period` after each run — a late wake
+    /// stretches the gap, it never triggers a catch-up burst.
+    fn new(period: Duration, start: Instant) -> Self {
+        Every { period, due: start }
+    }
+
+    fn fire(&mut self, now: Instant) -> bool {
+        if now < self.due {
+            return false;
+        }
+        self.due = now + self.period;
+        true
+    }
+}
+
+/// The task in `slot`, if it exists and is due at `now`.
+fn due<T>(slot: &mut Option<(Every, T)>, now: Instant) -> Option<&mut T> {
+    let (every, task) = slot.as_mut()?;
+    every.fire(now).then_some(task)
+}
+
+/// What the tasks act on besides their own state.
+struct Env {
+    engine: Arc<QueryEngine>,
+    metrics: ServerMetrics,
+    flight: Option<FlightHandle>,
+    view: Arc<Mutex<PlaneView>>,
+}
+
+impl Env {
+    fn emit(&self, kind: &'static str, detail: String) {
+        if let Some(flight) = &self.flight {
+            flight.emit(kind, detail);
+        }
+    }
+}
+
+struct Sample {
+    probe: Box<dyn OccupancyProbe>,
+    occupancy: Family<Gauge>,
+    mbm: Family<Gauge>,
+}
+
+/// The sample step's output, read by the control step of the same pass.
+#[derive(Default)]
+struct Readings {
+    /// Successful probes so far; the controller's staleness signal.
+    seq: u64,
+    classes: Vec<ClassReading>,
+}
+
+struct Supervise {
+    health: Arc<ResctrlHealth>,
+    degraded_seen: bool,
+    trips_seen: u64,
+}
+
+struct Control {
+    controller: Controller,
+    last_emitted: &'static str,
+}
+
+struct Reconcile {
+    reconciler: Reconciler,
+    was_exhausted: bool,
+}
+
+/// The five periodic tasks and their state. See the module docs.
+pub struct ControlPlane {
+    env: Env,
+    readings: Readings,
+    sample: Option<(Every, Sample)>,
+    supervise: Option<(Every, Supervise)>,
+    control: Option<(Every, Control)>,
+    reconcile: Option<(Every, Reconcile)>,
+    record: Option<(Every, ccp_flight::Sampler)>,
+}
+
+impl ControlPlane {
+    /// Builds the plane for `config` over `engine`, publishing into
+    /// `registry`/`metrics`. `probe` is the occupancy source; the sample
+    /// step exists only when both it and `config.monitor_interval` are
+    /// set.
+    ///
+    /// When the engine's resctrl backend is supervised this also runs the
+    /// reconciler's startup sweep — synchronously, before the engine's
+    /// allocator lazily mints its own mask groups — so a crashed
+    /// predecessor's leftovers are gone by the time the first query binds.
+    ///
+    /// # Errors
+    /// `InvalidInput` for a tenant name in `config` that does not parse.
+    pub fn new(
+        config: &ServerConfig,
+        engine: Arc<QueryEngine>,
+        registry: &Registry,
+        metrics: ServerMetrics,
+        probe: Option<Box<dyn OccupancyProbe>>,
+    ) -> std::io::Result<ControlPlane> {
+        let start = Instant::now();
+        let policy = engine.policy();
+        let sample = config.monitor_interval.zip(probe).map(|(period, probe)| {
+            let task = Sample {
+                probe,
+                occupancy: registry.gauge_family(
+                    "ccp_llc_occupancy_bytes",
+                    "LLC bytes occupied per CUID class (CMT; simulated when hardware \
+                     monitoring is unavailable)",
+                ),
+                mbm: registry.gauge_family(
+                    "ccp_mbm_total_bytes",
+                    "Cumulative memory-bandwidth bytes per CUID class (MBM; simulated \
+                     when hardware monitoring is unavailable)",
+                ),
+            };
+            (Every::new(period, start), task)
+        });
+        let supervise = engine.resctrl_health().map(|health| {
+            metrics.set_resctrl_degraded(false);
+            let task = Supervise {
+                trips_seen: health.trips(),
+                health,
+                degraded_seen: false,
+            };
+            (Every::new(config.reprobe_interval, start), task)
+        });
+        let control = (config.adaptive && sample.is_some()).then(|| {
+            let control_ms = config.control_interval.as_millis().max(1) as u64;
+            let monitor_ms = config
+                .monitor_interval
+                .map_or(control_ms, |d| d.as_millis().max(1) as u64);
+            let cfg = ControlConfig::paper_default(policy.llc.ways, policy.llc.size_bytes)
+                .with_intervals(control_ms, monitor_ms);
+            let task = Control {
+                controller: Controller::new(cfg, static_mask_plan(&engine)),
+                last_emitted: "",
+            };
+            (Every::new(config.control_interval, start), task)
+        });
+        let reconcile = match engine.reconcile_controller() {
+            Some(ctl) => {
+                let mut reconciler = Reconciler::new(ctl, vec![0]);
+                reconciler.set_desired(desired_tenant_groups(config, &engine)?);
+                if let Err(err) = reconciler.startup_sweep() {
+                    eprintln!("ccp-serve: startup sweep failed (continuing): {err}");
+                }
+                let task = Reconcile {
+                    reconciler,
+                    was_exhausted: false,
+                };
+                Some((Every::new(config.reconcile_interval, start), task))
+            }
+            None => None,
+        };
+        // The recorder is built after every family above is registered,
+        // so tick 1, taken here, is a baseline carrying the full set.
+        // Events are stamped with the last completed tick and `/timeline`
+        // serves `seq > since`: without the baseline the first pass's
+        // events would sit at tick 0, below every cursor.
+        let (flight, record) = if config.flight {
+            let (handle, mut sampler) = FlightRecorder::manual(
+                registry,
+                RecorderConfig {
+                    interval: config.flight_interval,
+                    ..RecorderConfig::default()
+                },
+            );
+            sampler.tick();
+            (
+                Some(handle),
+                Some((Every::new(config.flight_interval, start), sampler)),
+            )
+        } else {
+            (None, None)
+        };
+        let view = PlaneView {
+            control: control.as_ref().map(|_| (false, "none")),
+            groups: reconcile.as_ref().map(|_| Vec::new()),
+        };
+        Ok(ControlPlane {
+            env: Env {
+                engine,
+                metrics,
+                flight,
+                view: Arc::new(Mutex::new(view)),
+            },
+            readings: Readings::default(),
+            sample,
+            supervise,
+            control,
+            reconcile,
+            record,
+        })
+    }
+
+    /// The flight recorder's emit/read handle; `None` with `--no-flight`.
+    pub fn flight(&self) -> Option<FlightHandle> {
+        self.env.flight.clone()
+    }
+
+    /// The `/stats` view the plane republishes after every pass.
+    pub fn view(&self) -> Arc<Mutex<PlaneView>> {
+        Arc::clone(&self.env.view)
+    }
+
+    /// Runs every task due at `now`, in the documented order, and returns
+    /// when the next one falls due (`None`: the plane has no tasks).
+    pub fn step(&mut self, now: Instant) -> Option<Instant> {
+        let ControlPlane {
+            env,
+            readings,
+            sample,
+            supervise,
+            control,
+            reconcile,
+            record,
+        } = self;
+        if let Some(task) = due(sample, now) {
+            take_sample(task, readings);
+        }
+        if let Some(task) = due(supervise, now) {
+            run_supervise(env, task);
+        }
+        if let Some(task) = due(control, now) {
+            run_control(env, task, readings);
+        }
+        if let Some(task) = due(reconcile, now) {
+            run_reconcile(env, task);
+        }
+        if let Some(sampler) = due(record, now) {
+            sampler.tick();
+        }
+        [
+            sample.as_ref().map(|t| t.0.due),
+            supervise.as_ref().map(|t| t.0.due),
+            control.as_ref().map(|t| t.0.due),
+            reconcile.as_ref().map(|t| t.0.due),
+            record.as_ref().map(|t| t.0.due),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+    }
+
+    /// Starts the `ccp-plane` thread: `step`, sleep until the returned
+    /// instant or a stop, repeat.
+    ///
+    /// # Errors
+    /// Propagates thread-spawn failure.
+    pub fn spawn(mut self) -> std::io::Result<PlaneHandle> {
+        let stop = Arc::new((Mutex::new(false), Condvar::new()));
+        let thread_stop = Arc::clone(&stop);
+        let thread = std::thread::Builder::new()
+            .name("ccp-plane".to_string())
+            .spawn(move || {
+                ccp_flight::register_current_thread();
+                let (lock, cv) = &*thread_stop;
+                // A plane without tasks has nothing to wake for: the loop
+                // ends at once and `stop` just collects the plane.
+                while let Some(next) = self.step(Instant::now()) {
+                    let stopped = lock.lock().unwrap_or_else(PoisonError::into_inner);
+                    let left = next.saturating_duration_since(Instant::now());
+                    let (stopped, _) = cv
+                        .wait_timeout_while(stopped, left, |stopped| !*stopped)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    if *stopped {
+                        break;
+                    }
+                }
+                self.finish();
+                self
+            })?;
+        Ok(PlaneHandle {
+            stop,
+            thread: Some(thread),
+        })
+    }
+
+    /// What the thread does on its way out: a last health sync, so
+    /// counters recorded after the final pass still reach the registry,
+    /// and the live mask table back on the static mapping, so the
+    /// remaining drain runs the paper's well-understood configuration.
+    fn finish(&mut self) {
+        if let Some((_, task)) = &self.supervise {
+            self.env.metrics.sync_resctrl_health(&task.health);
+        }
+        if self.control.is_some() {
+            let engine = &self.env.engine;
+            engine.live_masks().reset_to(&engine.policy());
+        }
+    }
+
+    /// Removes every `ccp-` group from the resctrl tree. Call after the
+    /// plane has stopped and admission has drained, when no query can
+    /// mint or bind a group any more; the log line is what the smoke
+    /// harness greps to prove zero groups leaked.
+    pub fn shutdown_sweep(&mut self) {
+        let Some((_, task)) = &mut self.reconcile else {
+            return;
+        };
+        let (removed, remaining) = task.reconciler.shutdown_sweep();
+        self.env.metrics.sync_reconcile(&task.reconciler.stats());
+        eprintln!(
+            "ccp-serve: reconcile shutdown sweep: removed {removed} group(s), \
+             {remaining} ccp- group(s) remain"
+        );
+    }
+}
+
+/// Stop handle of a running plane thread; dropping it stops the thread.
+pub struct PlaneHandle {
+    stop: Arc<(Mutex<bool>, Condvar)>,
+    thread: Option<std::thread::JoinHandle<ControlPlane>>,
+}
+
+impl PlaneHandle {
+    /// Stops the thread promptly (no waiting out a period), joins it and
+    /// hands the plane back for [`ControlPlane::shutdown_sweep`]. Later
+    /// calls, and a thread that panicked, return `None`.
+    pub fn stop(&mut self) -> Option<ControlPlane> {
+        let (lock, cv) = &*self.stop;
+        *lock.lock().unwrap_or_else(PoisonError::into_inner) = true;
+        cv.notify_all();
+        self.thread.take()?.join().ok()
+    }
+}
+
+impl Drop for PlaneHandle {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+/// Sample step. A fired probe failpoint models a transient CMT read
+/// error: nothing is published, gauges and readings keep their values
+/// and `seq` does not advance.
+fn take_sample(task: &mut Sample, readings: &mut Readings) {
+    if ccp_fault::should_fail(ccp_resctrl::faults::SAMPLER_PROBE) {
+        return;
+    }
+    let samples = task.probe.sample();
+    for s in &samples {
+        let labels = [("class", s.class.as_str())];
+        task.occupancy
+            .get_or_create(&labels)
+            .set(s.llc_occupancy_bytes as f64);
+        task.mbm
+            .get_or_create(&labels)
+            .set(s.mbm_total_bytes as f64);
+    }
+    readings.seq += 1;
+    readings.classes = samples
+        .iter()
+        .filter_map(|s| {
+            ClassId::from_label(&s.class).map(|class| ClassReading {
+                class,
+                occupancy_bytes: s.llc_occupancy_bytes,
+                mbm_total_bytes: s.mbm_total_bytes,
+            })
+        })
+        .collect();
+}
+
+/// Supervise step: mirrors the supervisor's monotonic counters into the
+/// registry and compares the breaker state with what the engine runs in.
+/// On a Partitioned→Degraded flip it stops the executor from binding way
+/// masks ([`set_partitioning(false)`] — queries keep running under the
+/// full cache), raises the `ccp_resctrl_degraded` gauge and drops a
+/// `resctrl_degraded` trace instant; while degraded it re-probes the
+/// backend and flips everything back the moment a probe's *real*
+/// schemata write succeeds.
+///
+/// [`set_partitioning(false)`]: ccp_engine::DualPoolExecutor::set_partitioning
+fn run_supervise(env: &Env, task: &mut Supervise) {
+    loop {
+        env.metrics.sync_resctrl_health(&task.health);
+        let trips = task.health.trips();
+        if trips != task.trips_seen {
+            env.emit(
+                "breaker_trip",
+                format!("circuit breaker trips: {} -> {trips}", task.trips_seen),
+            );
+            task.trips_seen = trips;
+        }
+        let degraded = task.health.is_degraded();
+        if degraded != task.degraded_seen {
+            task.degraded_seen = degraded;
+            env.metrics.set_resctrl_degraded(degraded);
+            // Partitioning is an optimization, never a gate: degraded
+            // mode just runs every query under the full cache.
+            env.engine.pools().set_partitioning(!degraded);
+            if degraded {
+                ccp_trace::instant(TraceCat::Bind, "resctrl_degraded");
+                env.emit("degraded", "resctrl breaker open; partitioning off".into());
+            } else {
+                ccp_trace::instant(TraceCat::Bind, "resctrl_restored");
+                env.emit("restored", "resctrl healed; partitioning back on".into());
+            }
+        }
+        // Healed: go round again so the restore (gauge, trace, re-enabled
+        // partitioning) lands in this pass.
+        if !(degraded && env.engine.reprobe_resctrl()) {
+            break;
+        }
+    }
+}
+
+/// Control step: feeds the latest readings (plus the breaker's degraded
+/// flag) to the [`Controller`] and acts on the decision. A repartition is
+/// applied to the resctrl backend first and published to the live mask
+/// table only on success — workers observe it on their next bind; a
+/// revert republishes the static plan.
+fn run_control(env: &Env, task: &mut Control, readings: &Readings) {
+    let live = env.engine.live_masks();
+    let degraded = env.engine.resctrl_health().is_some_and(|h| h.is_degraded());
+    let decision = task.controller.tick(&TickInput {
+        seq: readings.seq,
+        readings: &readings.classes,
+        degraded,
+    });
+    match decision {
+        Decision::Repartition(plan) => {
+            if apply_plan(&env.engine, &plan).is_ok() {
+                live.set_masks(plan.polluting, plan.mixed, plan.sensitive);
+                ccp_trace::instant(TraceCat::Bind, "control_repartition");
+                env.emit("repartition", plan_detail(&plan));
+            } else {
+                let fallback = task.controller.note_apply_failed();
+                live.set_masks(fallback.polluting, fallback.mixed, fallback.sensitive);
+                ccp_trace::instant(TraceCat::Bind, "control_revert");
+                env.emit(
+                    "revert",
+                    format!("apply failed; back to {}", plan_detail(&fallback)),
+                );
+            }
+            task.last_emitted = "repartition";
+        }
+        Decision::Revert { plan, .. } => {
+            live.set_masks(plan.polluting, plan.mixed, plan.sensitive);
+            ccp_trace::instant(TraceCat::Bind, "control_revert");
+            env.emit("revert", plan_detail(&plan));
+            task.last_emitted = "revert";
+        }
+        Decision::Hold(_) => {
+            // One event per run of holds, not one per tick: the
+            // interesting moment is the *transition* to holding.
+            if task.last_emitted != "hold" {
+                env.emit("hold", "controller holding current plan".into());
+                task.last_emitted = "hold";
+            }
+        }
+    }
+    env.metrics.sync_control(task.controller.counters());
+    for (class, ways) in task.controller.current_plan().way_counts() {
+        env.metrics.set_control_mask_ways(class.label(), ways);
+    }
+    env.view
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .control = Some((
+        task.controller.is_clamped(),
+        task.controller.last_decision(),
+    ));
+}
+
+/// Reconcile step: one [`Reconciler::reconcile`] pass — orphan sweep,
+/// desired-vs-actual diff, capacity-aware creation with backoff — then
+/// the pass's counters into the registry, the per-group states into the
+/// `/stats` view, and flight events on the interesting transitions:
+/// `reconciled` when groups were created, `tenant_degraded` when CLOSID
+/// exhaustion pushed tenants onto the shared class masks.
+fn run_reconcile(env: &Env, task: &mut Reconcile) {
+    let outcome = task.reconciler.reconcile();
+    let stats = task.reconciler.stats();
+    env.metrics.sync_reconcile(&stats);
+    let mut states: Vec<(String, &'static str)> = task
+        .reconciler
+        .group_states()
+        .into_iter()
+        .map(|(name, state)| (name, group_state_label(state)))
+        .collect();
+    states.sort();
+    env.view
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .groups = Some(states);
+    if outcome.created > 0 {
+        env.emit(
+            "reconciled",
+            format!(
+                "created {} tenant group(s); {} fallback, {} failed",
+                outcome.created, outcome.fallback, outcome.failed
+            ),
+        );
+    }
+    let exhausted = stats.is_exhausted();
+    if exhausted != task.was_exhausted {
+        task.was_exhausted = exhausted;
+        if exhausted {
+            env.emit(
+                "tenant_degraded",
+                format!(
+                    "CLOSIDs exhausted; {} tenant group(s) on shared class masks",
+                    outcome.fallback
+                ),
+            );
+        } else {
+            env.emit(
+                "reconciled",
+                "CLOSID capacity recovered; dedicated tenant groups restored".into(),
+            );
+        }
+    }
+}
+
+/// The `/stats` label for a reconciler group state.
+fn group_state_label(state: GroupState) -> &'static str {
+    match state {
+        GroupState::Pending => "pending",
+        GroupState::Satisfied => "satisfied",
+        GroupState::Fallback => "fallback",
+        GroupState::Failed => "failed",
+    }
+}
+
+/// The paper's static mask per CUID class label, with the mixed class in
+/// its cache-sensitive regime (hot structure comparable to the LLC) —
+/// the mask the paper's 60% rule picks.
+fn class_masks(engine: &QueryEngine) -> [(&'static str, ccp_cachesim::WayMask); 3] {
+    let policy = engine.policy();
+    [
+        ("polluting", policy.mask_for(CacheUsageClass::Polluting)),
+        ("sensitive", policy.mask_for(CacheUsageClass::Sensitive)),
+        (
+            "mixed",
+            policy.mask_for(CacheUsageClass::Mixed {
+                hot_bytes: policy.llc.size_bytes,
+            }),
+        ),
+    ]
+}
+
+/// The static paper plan the controller clamps to.
+fn static_mask_plan(engine: &QueryEngine) -> MaskPlan {
+    let [(_, polluting), (_, sensitive), (_, mixed)] = class_masks(engine);
+    MaskPlan::new(polluting, mixed, sensitive)
+}
+
+/// Human-readable way-count summary of a mask plan, for event details.
+fn plan_detail(plan: &MaskPlan) -> String {
+    format!(
+        "ways polluting={} mixed={} sensitive={}",
+        plan.polluting.way_count(),
+        plan.mixed.way_count(),
+        plan.sensitive.way_count()
+    )
+}
+
+/// Applies a repartition to the resctrl backend: pre-creates (or
+/// re-asserts) the group for each class mask so the schemata writes
+/// happen here, on the control path — a failure leaves the live table
+/// untouched and turns into a revert, never a broken bind.
+fn apply_plan(engine: &QueryEngine, plan: &MaskPlan) -> Result<(), ()> {
+    if ccp_fault::should_fail(FAULT_CONTROL_APPLY) {
+        return Err(());
+    }
+    for mask in [plan.polluting, plan.mixed, plan.sensitive] {
+        engine.prepare_mask(mask).map_err(|_| ())?;
+    }
+    Ok(())
+}
+
+/// The reconciler's desired set: one `ccp-<tenant>-<class>` group per
+/// (configured tenant ∪ default) × CUID class, programmed with the
+/// paper's static class masks. Invalid tenant names in the config are a
+/// startup error, not a silent skip.
+fn desired_tenant_groups(
+    config: &ServerConfig,
+    engine: &QueryEngine,
+) -> std::io::Result<Vec<DesiredGroup>> {
+    let class_masks = class_masks(engine);
+    let mut names: Vec<&str> = vec![ccp_resctrl::DEFAULT_TENANT];
+    for name in config
+        .tenant_quotas
+        .iter()
+        .map(|(t, _)| t.as_str())
+        .chain(config.tenant_weights.iter().map(|(t, _)| t.as_str()))
+    {
+        if !names.contains(&name) {
+            names.push(name);
+        }
+    }
+    let mut desired = Vec::with_capacity(names.len() * class_masks.len());
+    for name in names {
+        let tenant = TenantId::parse(name).map_err(|why| {
+            std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("--tenant: {why}"))
+        })?;
+        for (class, mask) in &class_masks {
+            desired.push(DesiredGroup {
+                name: tenant.group_name(class),
+                mask: *mask,
+            });
+        }
+    }
+    Ok(desired)
+}
+
+/// Builds the occupancy probe for the sample step; `None` when
+/// `config.monitor_interval` turns sampling off.
+///
+/// `config.occupancy_script` replaces the probe with a deterministic
+/// [`ScriptedTrace`]. Otherwise, with live CAT hardware the probe reads
+/// real CMT counters from the control groups the engine's allocator
+/// materializes (one `ccp-<mask>` group per distinct way mask, so each
+/// CUID class maps to the group of its policy mask). Everywhere else —
+/// containers, CI, non-Intel hosts — a [`SimulatedMonitor`] stands in,
+/// driven by how many queries of each class currently hold an admission
+/// permit.
+///
+/// # Errors
+/// `InvalidInput` for a malformed occupancy script.
+pub(crate) fn occupancy_probe(
+    config: &ServerConfig,
+    engine: &QueryEngine,
+    admission: &Arc<AdmissionQueue>,
+) -> std::io::Result<Option<Box<dyn OccupancyProbe>>> {
+    if config.monitor_interval.is_none() {
+        return Ok(None);
+    }
+    let policy = engine.policy();
+    if let Some(spec) = &config.occupancy_script {
+        let trace = ScriptedTrace::parse(spec, policy.llc.size_bytes)
+            .map_err(|why| std::io::Error::new(std::io::ErrorKind::InvalidInput, why))?;
+        return Ok(Some(Box::new(trace)));
+    }
+    let classes = class_masks(engine);
+    if engine.cat_live() {
+        if let Ok(ctl) = CacheController::open() {
+            let groups = classes
+                .iter()
+                .map(|(label, mask)| ((*label).to_string(), format!("ccp-{:x}", mask.bits())))
+                .collect();
+            return Ok(Some(Box::new(ResctrlMonitor::new(ctl, groups, 0))));
+        }
+    }
+    let ways = f64::from(policy.llc.ways);
+    let sim_classes = classes
+        .iter()
+        .map(|(label, mask)| SimClass {
+            label: (*label).to_string(),
+            llc_share: f64::from(mask.way_count()) / ways,
+        })
+        .collect();
+    let admission = Arc::clone(admission);
+    Ok(Some(Box::new(SimulatedMonitor::new(
+        policy.llc.size_bytes,
+        sim_classes,
+        Box::new(move || {
+            admission
+                .running_by_class()
+                .into_iter()
+                .map(|(label, n)| (label.to_string(), n as f64))
+                .collect()
+        }),
+    ))))
+}

@@ -35,6 +35,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod admission;
+pub mod control_plane;
 pub mod dashboard;
 pub mod http;
 pub mod json;
@@ -45,6 +46,7 @@ pub mod server;
 pub use admission::{
     AdmissionError, AdmissionQueue, ClassQueueLimits, FairShare, RunPermit, TenantLimits,
 };
+pub use control_plane::{ControlPlane, PlaneHandle, PlaneView};
 pub use http::{
     fetch, fetch_with_headers, ClientResponse, HttpClient, HttpError, Request, Response,
 };

@@ -46,36 +46,11 @@ pub struct ServerMetrics {
     control_mask_ways: Family<Gauge>,
 }
 
-/// Last [`ResctrlHealth`] counter values already published to the
-/// registry; [`ServerMetrics::sync_resctrl_health`] adds only deltas so
-/// the Prometheus counters stay monotonic.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ResctrlHealthPublished {
-    retries: u64,
-    failures: u64,
-    trips: u64,
-    reprobes: u64,
-    restores: u64,
-}
-
-/// Last [`ControlCounters`] values already published to the registry;
-/// [`ServerMetrics::sync_control`] adds only deltas so the Prometheus
-/// counters stay monotonic across control ticks.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ControlPublished {
-    counters: ControlCounters,
-}
-
-/// Last [`ReconcileStats`] counter values already published to the
-/// registry; [`ServerMetrics::sync_reconcile`] adds only deltas so the
-/// Prometheus counters stay monotonic across reconcile passes.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ReconcilePublished {
-    sweeps: u64,
-    reconciled: u64,
-    retried: u64,
-    orphans_removed: u64,
-    failed_total: u64,
+/// Brings `counter` up to `src`, a monotonic count kept elsewhere. The
+/// control plane is the only writer of the mirrored counters, so the
+/// counter's own value is the amount already published.
+fn mirror(counter: &Counter, src: u64) {
+    counter.add(src.saturating_sub(counter.get()));
 }
 
 impl ServerMetrics {
@@ -344,35 +319,27 @@ impl ServerMetrics {
             .get()
     }
 
-    /// Publishes the reconciler's counters and gauges, adding only the
-    /// counter deltas since `published` (which is updated).
-    pub fn sync_reconcile(&self, stats: &ReconcileStats, published: &mut ReconcilePublished) {
-        let sweeps = stats.sweeps();
-        let reconciled = stats.reconciled();
-        let retried = stats.retried();
-        let orphans_removed = stats.orphans_removed();
-        let failed_total = stats.failed_total();
-        self.reconcile_sweeps
-            .add(sweeps.saturating_sub(published.sweeps));
-        self.reconcile_reconciled
-            .add(reconciled.saturating_sub(published.reconciled));
-        self.reconcile_retried
-            .add(retried.saturating_sub(published.retried));
-        self.reconcile_orphans_removed
-            .add(orphans_removed.saturating_sub(published.orphans_removed));
-        self.reconcile_failures
-            .add(failed_total.saturating_sub(published.failed_total));
+    /// Publishes the reconciler's counters and gauges.
+    pub fn sync_reconcile(&self, stats: &ReconcileStats) {
+        mirror(&self.reconcile_sweeps, stats.sweeps());
+        mirror(&self.reconcile_reconciled, stats.reconciled());
+        mirror(&self.reconcile_retried, stats.retried());
+        mirror(&self.reconcile_orphans_removed, stats.orphans_removed());
+        mirror(&self.reconcile_failures, stats.failed_total());
         self.reconcile_failed_groups.set(stats.failed() as f64);
         self.reconcile_fallback_groups.set(stats.fallback() as f64);
         self.reconcile_exhausted
             .set(if stats.is_exhausted() { 1.0 } else { 0.0 });
-        *published = ReconcilePublished {
-            sweeps,
-            reconciled,
-            retried,
-            orphans_removed,
-            failed_total,
-        };
+    }
+
+    /// Orphan sweeps so far.
+    pub fn reconcile_sweeps(&self) -> u64 {
+        self.reconcile_sweeps.get()
+    }
+
+    /// Whether the last creating reconcile pass hit CLOSID exhaustion.
+    pub fn reconcile_exhausted(&self) -> bool {
+        self.reconcile_exhausted.get() != 0.0
     }
 
     /// Reconciler group creations so far.
@@ -446,47 +413,21 @@ impl ServerMetrics {
         self.resctrl_degraded.get()
     }
 
-    /// Publishes `health`'s monotonic counters into the registry,
-    /// adding only what changed since `published` (which is updated).
-    pub fn sync_resctrl_health(
-        &self,
-        health: &ResctrlHealth,
-        published: &mut ResctrlHealthPublished,
-    ) {
-        let (retries, failures) = (health.retries(), health.failures());
-        let (trips, reprobes, restores) = (health.trips(), health.reprobes(), health.restores());
-        self.resctrl_retries
-            .add(retries.saturating_sub(published.retries));
-        self.resctrl_op_failures
-            .add(failures.saturating_sub(published.failures));
-        self.resctrl_breaker_trips
-            .add(trips.saturating_sub(published.trips));
-        self.resctrl_reprobes
-            .add(reprobes.saturating_sub(published.reprobes));
-        self.resctrl_restores
-            .add(restores.saturating_sub(published.restores));
-        *published = ResctrlHealthPublished {
-            retries,
-            failures,
-            trips,
-            reprobes,
-            restores,
-        };
+    /// Publishes `health`'s monotonic counters into the registry.
+    pub fn sync_resctrl_health(&self, health: &ResctrlHealth) {
+        mirror(&self.resctrl_retries, health.retries());
+        mirror(&self.resctrl_op_failures, health.failures());
+        mirror(&self.resctrl_breaker_trips, health.trips());
+        mirror(&self.resctrl_reprobes, health.reprobes());
+        mirror(&self.resctrl_restores, health.restores());
     }
 
-    /// Publishes the controller's monotonic counters, adding only what
-    /// changed since `published` (which is updated).
-    pub fn sync_control(&self, counters: ControlCounters, published: &mut ControlPublished) {
-        let last = published.counters;
-        self.control_decisions
-            .add(counters.decisions.saturating_sub(last.decisions));
-        self.control_repartitions
-            .add(counters.repartitions.saturating_sub(last.repartitions));
-        self.control_holds
-            .add(counters.holds.saturating_sub(last.holds));
-        self.control_reverts
-            .add(counters.reverts.saturating_sub(last.reverts));
-        published.counters = counters;
+    /// Publishes the controller's monotonic counters.
+    pub fn sync_control(&self, counters: ControlCounters) {
+        mirror(&self.control_decisions, counters.decisions);
+        mirror(&self.control_repartitions, counters.repartitions);
+        mirror(&self.control_holds, counters.holds);
+        mirror(&self.control_reverts, counters.reverts);
     }
 
     /// Publishes one class's live way count.
@@ -547,36 +488,26 @@ mod tests {
     fn control_counters_delta_sync_and_gauges_render() {
         let registry = Registry::new();
         let m = ServerMetrics::new(&registry);
-        let mut published = ControlPublished::default();
-        m.sync_control(
-            ControlCounters {
-                decisions: 5,
-                repartitions: 2,
-                holds: 3,
-                reverts: 1,
-            },
-            &mut published,
-        );
+        m.sync_control(ControlCounters {
+            decisions: 5,
+            repartitions: 2,
+            holds: 3,
+            reverts: 1,
+        });
         // Re-syncing the same snapshot adds nothing; a moved snapshot
         // adds only the delta.
-        m.sync_control(
-            ControlCounters {
-                decisions: 5,
-                repartitions: 2,
-                holds: 3,
-                reverts: 1,
-            },
-            &mut published,
-        );
-        m.sync_control(
-            ControlCounters {
-                decisions: 7,
-                repartitions: 3,
-                holds: 3,
-                reverts: 1,
-            },
-            &mut published,
-        );
+        m.sync_control(ControlCounters {
+            decisions: 5,
+            repartitions: 2,
+            holds: 3,
+            reverts: 1,
+        });
+        m.sync_control(ControlCounters {
+            decisions: 7,
+            repartitions: 3,
+            holds: 3,
+            reverts: 1,
+        });
         m.set_control_mask_ways("sensitive", 4);
         assert_eq!(m.control_decisions(), 7);
         assert_eq!(m.control_repartitions(), 3);
@@ -609,7 +540,6 @@ mod tests {
         let registry = Registry::new();
         let m = ServerMetrics::new(&registry);
         let stats = ReconcileStats::default();
-        let mut published = ReconcilePublished::default();
         stats.note_sweep();
         stats.note_reconciled();
         stats.note_reconciled();
@@ -617,9 +547,9 @@ mod tests {
         stats.set_failed(1);
         stats.set_fallback(3);
         stats.set_exhausted(true);
-        m.sync_reconcile(&stats, &mut published);
+        m.sync_reconcile(&stats);
         // Re-syncing an unchanged snapshot adds nothing.
-        m.sync_reconcile(&stats, &mut published);
+        m.sync_reconcile(&stats);
         assert_eq!(m.reconcile_reconciled(), 2);
         assert_eq!(m.reconcile_retried(), 1);
         assert_eq!(m.reconcile_failed_groups(), 1.0);

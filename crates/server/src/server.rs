@@ -2,7 +2,7 @@
 //!
 //! One listener thread accepts connections up to a hard cap and hands
 //! each to a short-lived handler thread (std-only; no async runtime).
-//! Handlers speak strict HTTP/1.1 with keep-alive, route to five
+//! Handlers speak strict HTTP/1.1 with keep-alive, route to ten
 //! endpoints, and account every request in the `ccp_server_*` families:
 //!
 //! | endpoint | method | body |
@@ -18,28 +18,24 @@
 //! | `/profile` | GET | SIGPROF sampling for `?seconds=N`, collapsed stacks out |
 //! | `/version` | GET | build provenance (version, git SHA, profile) |
 //!
-//! Shutdown is cooperative: a flag flips, a self-connection unblocks
-//! `accept`, the admission queue drains, and the handle joins every
-//! connection before returning — no `TcpListener` leaks into the next
-//! test's port.
+//! Everything periodic — occupancy sampling, resctrl supervision,
+//! adaptive control, group reconciliation, the flight recorder — runs on
+//! the one [`ControlPlane`] thread (see [`crate::control_plane`]).
+//!
+//! Shutdown is cooperative: a flag flips, the plane stops, a
+//! self-connection unblocks `accept`, the admission queue drains, and
+//! the handle joins every connection before returning — no
+//! `TcpListener` leaks into the next test's port.
 
 use crate::admission::{AdmissionError, AdmissionQueue, ClassQueueLimits, TenantLimits};
+use crate::control_plane::{occupancy_probe, ControlPlane, PlaneHandle, PlaneView};
 use crate::http::{read_request, HttpError, Request, Response};
 use crate::json::Json;
-use crate::metrics::{ControlPublished, ReconcilePublished, ServerMetrics};
+use crate::metrics::ServerMetrics;
 use crate::query::{parse_query, Breakdown, QueryEngine};
-use ccp_control::{
-    ClassId, ClassReading, ControlConfig, Controller, Decision, MaskPlan, ScriptedTrace, TickInput,
-};
-use ccp_engine::{
-    with_query_ctx, CacheAwareScheduler, CacheUsageClass, JobExecutor, QueryCtx, SchedulerMetrics,
-};
-use ccp_flight::{FlightHandle, FlightRecorder, RecorderConfig};
+use ccp_engine::{with_query_ctx, CacheAwareScheduler, JobExecutor, QueryCtx, SchedulerMetrics};
+use ccp_flight::FlightHandle;
 use ccp_obs::Registry;
-use ccp_resctrl::{
-    CacheController, DesiredGroup, GroupState, OccupancyProbe, OccupancySampler, ReadingsHub,
-    ReconcileStats, Reconciler, ResctrlMonitor, SimClass, SimulatedMonitor, TenantId,
-};
 use ccp_trace::TraceCat;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -82,11 +78,13 @@ pub struct ServerConfig {
     pub trace: bool,
     /// Per-thread trace ring capacity (events retained per thread).
     pub trace_ring_capacity: usize,
-    /// How often the background sampler refreshes the per-CUID-class
-    /// `ccp_llc_occupancy_bytes` gauges. `None` disables sampling.
+    /// Period of the control plane's sample step, which refreshes the
+    /// per-CUID-class `ccp_llc_occupancy_bytes` gauges. `None` disables
+    /// sampling.
     pub monitor_interval: Option<Duration>,
-    /// How often the supervision loop syncs resctrl health counters and,
-    /// while degraded, re-probes the backend for recovery.
+    /// Period of the control plane's supervise step, which syncs resctrl
+    /// health counters and, while degraded, re-probes the backend for
+    /// recovery.
     pub reprobe_interval: Duration,
     /// Backs the engine with an in-memory fake resctrl filesystem under
     /// full supervision (the chaos harness; see
@@ -97,7 +95,7 @@ pub struct ServerConfig {
     /// the paper's static mapping whenever resctrl health degrades or
     /// readings go stale. Requires `monitor_interval` to be set.
     pub adaptive: bool,
-    /// How often the adaptive controller evaluates one tick.
+    /// Period of the control plane's control step (one controller tick).
     pub control_interval: Duration,
     /// Replaces the occupancy probe with a deterministic scripted trace
     /// (see [`ScriptedTrace`] for the grammar) — the CI harness for
@@ -111,7 +109,8 @@ pub struct ServerConfig {
     /// Runs the flight recorder (`/timeline`, `/dashboard`); off with
     /// `--no-flight`, e.g. for overhead A/B runs.
     pub flight: bool,
-    /// Flight-recorder sampling interval (`--flight-interval-ms`).
+    /// Period of the control plane's record step, the flight-recorder
+    /// sampling interval (`--flight-interval-ms`).
     pub flight_interval: Duration,
     /// Per-tenant in-flight admission quotas (`--tenant-quota NAME=N`);
     /// a tenant at its quota gets `429` per request.
@@ -123,8 +122,8 @@ pub struct ServerConfig {
     /// (`--fake-closids N`) so CLOSID-exhaustion paths are reachable in
     /// chaos runs; `None` keeps the Broadwell default of 16.
     pub fake_closids: Option<u32>,
-    /// How often the group reconciler runs a pass
-    /// (`--reconcile-interval-ms`).
+    /// Period of the control plane's reconcile step, one group-reconciler
+    /// pass (`--reconcile-interval-ms`).
     pub reconcile_interval: Duration,
 }
 
@@ -209,57 +208,20 @@ impl ConnTracker {
     }
 }
 
-/// Failpoint name: an adaptive repartition's apply step. Arming it
-/// (e.g. `control.apply=err@1+1`) makes the control loop treat the
-/// repartition as failed, exercising the revert-to-static path.
-pub const FAULT_CONTROL_APPLY: &str = "control.apply";
-
-/// Live view of the adaptive controller, published by the control loop
-/// for `/stats`.
-struct ControlState {
-    clamped: AtomicBool,
-    last_decision: Mutex<&'static str>,
-}
-
-/// Live view of the group reconciler, published each pass by the
-/// reconcile loop for `/stats`.
-struct ReconcileView {
-    stats: Arc<ReconcileStats>,
-    /// Per-group state snapshot after the latest pass
-    /// (`ccp-<tenant>-<class>` → state label).
-    states: Mutex<Vec<(String, &'static str)>>,
-}
-
-/// The `/stats` label for a reconciler group state.
-fn group_state_label(state: GroupState) -> &'static str {
-    match state {
-        GroupState::Pending => "pending",
-        GroupState::Satisfied => "satisfied",
-        GroupState::Fallback => "fallback",
-        GroupState::Failed => "failed",
-    }
-}
-
 struct Shared {
     config: ServerConfig,
     registry: Registry,
     metrics: ServerMetrics,
     admission: Arc<AdmissionQueue>,
-    engine: QueryEngine,
+    engine: Arc<QueryEngine>,
     shutdown: AtomicBool,
     conns: ConnTracker,
     started: Instant,
-    /// Background occupancy sampler, if enabled; taken (and stopped) once
-    /// at shutdown.
-    sampler: Mutex<Option<OccupancySampler>>,
-    /// Adaptive-control view for `/stats`; `None` in static mode.
-    control: Option<Arc<ControlState>>,
     /// Flight-recorder handle for `/timeline`, `/dashboard` and event
     /// emission; `None` with `--no-flight`.
     flight: Option<FlightHandle>,
-    /// Reconciler view for `/stats`; `None` when the resctrl backend has
-    /// no supervised controller (noop allocator).
-    reconcile: Option<Arc<ReconcileView>>,
+    /// What the control plane last published for `/stats`.
+    plane_view: Arc<Mutex<PlaneView>>,
 }
 
 /// Emits a flight-recorder event when the recorder is running.
@@ -269,38 +231,12 @@ fn emit_event(shared: &Shared, kind: &'static str, detail: String) {
     }
 }
 
-/// Stop handle for the background resctrl supervision thread: the loop
-/// that publishes [`ResctrlHealth`](ccp_resctrl::ResctrlHealth) counter
-/// deltas, flips the engine between partitioned and degraded
-/// unpartitioned mode when the circuit breaker trips, and re-probes the
-/// backend while degraded.
-struct SupervisorHandle {
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl SupervisorHandle {
-    /// Stops the supervision thread promptly (no waiting out the
-    /// interval) and joins it. Idempotent.
-    fn stop(&mut self) {
-        let (lock, cv) = &*self.stop;
-        *lock.lock().unwrap_or_else(PoisonError::into_inner) = true;
-        cv.notify_all();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
 /// A running server; dropping it shuts the service down gracefully.
 pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
     accept: Option<std::thread::JoinHandle<()>>,
-    supervise: Option<SupervisorHandle>,
-    control: Option<SupervisorHandle>,
-    reconcile: Option<SupervisorHandle>,
-    recorder: Option<FlightRecorder>,
+    plane: Option<PlaneHandle>,
 }
 
 impl Server {
@@ -365,68 +301,15 @@ impl Server {
             .with_tenant_limits(tenant_limits),
         );
 
-        // Adaptive control needs the sampler's readings delivered as a
-        // sequenced stream, not just gauge updates: the hub's sequence
-        // number is how the controller detects stale data.
-        let hub = (config.adaptive && config.monitor_interval.is_some())
-            .then(|| Arc::new(ReadingsHub::new()));
-        let sampler = match config.monitor_interval {
-            Some(interval) => {
-                let probe: Box<dyn OccupancyProbe> = match &config.occupancy_script {
-                    Some(spec) => Box::new(
-                        ScriptedTrace::parse(spec, engine.policy().llc.size_bytes).map_err(
-                            |why| std::io::Error::new(std::io::ErrorKind::InvalidInput, why),
-                        )?,
-                    ),
-                    None => occupancy_probe(&engine, &admission),
-                };
-                OccupancySampler::start_with_hub(probe, &registry, interval, hub.clone()).ok()
-            }
-            None => None,
-        };
-        let control_state = hub.as_ref().map(|_| {
-            Arc::new(ControlState {
-                clamped: AtomicBool::new(false),
-                last_decision: Mutex::new("none"),
-            })
-        });
-
-        // The recorder snapshots the registry *after* every family above
-        // is registered, so the first tick already carries the full set.
-        let recorder = if config.flight {
-            Some(FlightRecorder::spawn(
-                &registry,
-                RecorderConfig {
-                    interval: config.flight_interval,
-                    ..RecorderConfig::default()
-                },
-            )?)
-        } else {
-            None
-        };
-
-        // The group reconciler: owns every `ccp-<tenant>-<class>` group on
-        // the resctrl tree the engine allocates from. The startup sweep
-        // runs synchronously — before the engine's allocator lazily mints
-        // its own mask groups — so a crashed predecessor's leftovers are
-        // gone by the time the first query binds.
-        let reconciler = match engine.reconcile_controller() {
-            Some(ctl) => {
-                let mut reconciler = Reconciler::new(ctl, vec![0]);
-                reconciler.set_desired(desired_tenant_groups(&config, &engine)?);
-                if let Err(err) = reconciler.startup_sweep() {
-                    eprintln!("ccp-serve: startup sweep failed (continuing): {err}");
-                }
-                Some(reconciler)
-            }
-            None => None,
-        };
-        let reconcile_view = reconciler.as_ref().map(|r| {
-            Arc::new(ReconcileView {
-                stats: r.stats(),
-                states: Mutex::new(Vec::new()),
-            })
-        });
+        let engine = Arc::new(engine);
+        let probe = occupancy_probe(&config, &engine, &admission)?;
+        let plane = ControlPlane::new(
+            &config,
+            Arc::clone(&engine),
+            &registry,
+            metrics.clone(),
+            probe,
+        )?;
 
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
@@ -439,67 +322,10 @@ impl Server {
             shutdown: AtomicBool::new(false),
             conns: ConnTracker::new(),
             started: Instant::now(),
-            sampler: Mutex::new(sampler),
-            control: control_state,
-            flight: recorder.as_ref().map(FlightRecorder::handle),
-            reconcile: reconcile_view,
+            flight: plane.flight(),
+            plane_view: plane.view(),
         });
-        let reconcile = match (reconciler, shared.reconcile.as_ref()) {
-            (Some(mut reconciler), Some(view)) => {
-                let stop = Arc::new((Mutex::new(false), Condvar::new()));
-                let loop_shared = Arc::clone(&shared);
-                let loop_view = Arc::clone(view);
-                let loop_stop = Arc::clone(&stop);
-                let thread = std::thread::Builder::new()
-                    .name("ccp-reconcile".to_string())
-                    .spawn(move || {
-                        ccp_flight::register_current_thread();
-                        reconcile_loop(&loop_shared, &mut reconciler, &loop_view, &loop_stop)
-                    })?;
-                Some(SupervisorHandle {
-                    stop,
-                    thread: Some(thread),
-                })
-            }
-            _ => None,
-        };
-        let supervise = match shared.engine.resctrl_health() {
-            Some(health) => {
-                let stop = Arc::new((Mutex::new(false), Condvar::new()));
-                let loop_shared = Arc::clone(&shared);
-                let loop_stop = Arc::clone(&stop);
-                let thread = std::thread::Builder::new()
-                    .name("ccp-supervise".to_string())
-                    .spawn(move || {
-                        ccp_flight::register_current_thread();
-                        supervision_loop(&loop_shared, &health, &loop_stop)
-                    })?;
-                Some(SupervisorHandle {
-                    stop,
-                    thread: Some(thread),
-                })
-            }
-            None => None,
-        };
-        let control = match (hub, shared.control.as_ref()) {
-            (Some(hub), Some(state)) => {
-                let stop = Arc::new((Mutex::new(false), Condvar::new()));
-                let loop_shared = Arc::clone(&shared);
-                let loop_state = Arc::clone(state);
-                let loop_stop = Arc::clone(&stop);
-                let thread = std::thread::Builder::new()
-                    .name("ccp-control".to_string())
-                    .spawn(move || {
-                        ccp_flight::register_current_thread();
-                        control_loop(&loop_shared, &hub, &loop_state, &loop_stop)
-                    })?;
-                Some(SupervisorHandle {
-                    stop,
-                    thread: Some(thread),
-                })
-            }
-            _ => None,
-        };
+        let plane = plane.spawn()?;
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::Builder::new()
             .name("ccp-accept".to_string())
@@ -511,10 +337,7 @@ impl Server {
             shared,
             addr,
             accept: Some(accept),
-            supervise,
-            control,
-            reconcile,
-            recorder,
+            plane: Some(plane),
         })
     }
 
@@ -544,29 +367,9 @@ impl Server {
     /// finished (bounded by the connection timeouts).
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // The control loop consumes the sampler's hub and writes the live
-        // mask table; stop it before the sampler and the supervisor so no
-        // repartition races the teardown.
-        if let Some(mut control) = self.control.take() {
-            control.stop();
-        }
-        if let Some(mut supervise) = self.supervise.take() {
-            supervise.stop();
-        }
-        if let Some(mut sampler) = self
-            .shared
-            .sampler
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-        {
-            sampler.stop();
-        }
-        // Recorder last among the background samplers, so the loops'
-        // final events still land in the timeline before it stops.
-        if let Some(mut recorder) = self.recorder.take() {
-            recorder.stop();
-        }
+        // The plane writes the live mask table and the resctrl tree; stop
+        // it first so no repartition or reconcile pass races the teardown.
+        let plane = self.plane.take().and_then(|mut handle| handle.stop());
         self.shared.admission.shutdown();
         // The accept loop blocks in `accept`; a throwaway self-connection
         // wakes it so it can observe the flag.
@@ -577,11 +380,11 @@ impl Server {
         let grace = self.shared.config.read_timeout + Duration::from_secs(2);
         self.shared.admission.drain(grace);
         self.shared.conns.wait_zero(grace);
-        // The reconciler goes last: its shutdown sweep must run after the
-        // drain, when no query can mint or bind a group any more, so it
-        // can leave the resctrl tree with zero `ccp-` groups.
-        if let Some(mut reconcile) = self.reconcile.take() {
-            reconcile.stop();
+        // The shutdown sweep runs after the drain, when no query can mint
+        // or bind a group any more, so it can leave the resctrl tree with
+        // zero `ccp-` groups.
+        if let Some(mut plane) = plane {
+            plane.shutdown_sweep();
         }
     }
 }
@@ -590,427 +393,6 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// Builds the cache-occupancy probe for the background sampler.
-///
-/// With live CAT hardware the probe reads real CMT counters from the
-/// control groups the engine's allocator materializes (one `ccp-<mask>`
-/// group per distinct way mask, so each CUID class maps to the group of
-/// its policy mask). Everywhere else — containers, CI, non-Intel hosts —
-/// a [`SimulatedMonitor`] stands in, driven by how many queries of each
-/// class currently hold an admission permit.
-fn occupancy_probe(
-    engine: &QueryEngine,
-    admission: &Arc<AdmissionQueue>,
-) -> Box<dyn OccupancyProbe> {
-    let policy = engine.policy();
-    let classes = [
-        ("polluting", policy.mask_for(CacheUsageClass::Polluting)),
-        ("sensitive", policy.mask_for(CacheUsageClass::Sensitive)),
-        (
-            // The mixed class in its cache-sensitive regime (hot structure
-            // comparable to the LLC) — the mask the paper's 60% rule picks.
-            "mixed",
-            policy.mask_for(CacheUsageClass::Mixed {
-                hot_bytes: policy.llc.size_bytes,
-            }),
-        ),
-    ];
-    if engine.cat_live() {
-        if let Ok(ctl) = CacheController::open() {
-            let groups = classes
-                .iter()
-                .map(|(label, mask)| ((*label).to_string(), format!("ccp-{:x}", mask.bits())))
-                .collect();
-            return Box::new(ResctrlMonitor::new(ctl, groups, 0));
-        }
-    }
-    let ways = f64::from(policy.llc.ways);
-    let sim_classes = classes
-        .iter()
-        .map(|(label, mask)| SimClass {
-            label: (*label).to_string(),
-            llc_share: f64::from(mask.way_count()) / ways,
-        })
-        .collect();
-    let admission = Arc::clone(admission);
-    Box::new(SimulatedMonitor::new(
-        policy.llc.size_bytes,
-        sim_classes,
-        Box::new(move || {
-            admission
-                .running_by_class()
-                .into_iter()
-                .map(|(label, n)| (label.to_string(), n as f64))
-                .collect()
-        }),
-    ))
-}
-
-/// The resctrl supervision loop (one thread, started only when the
-/// engine's allocator exposes a health handle).
-///
-/// Every `reprobe_interval` it publishes the supervisor's monotonic
-/// counters into the registry (delta-synced, so the Prometheus series
-/// stay monotonic) and compares the breaker state with what the engine
-/// currently runs in. On a Partitioned→Degraded flip it stops the
-/// executor from binding way masks ([`set_partitioning(false)`]
-/// — queries keep running under the full cache), raises the
-/// `ccp_resctrl_degraded` gauge and drops a `resctrl_degraded` trace
-/// instant; while degraded it re-probes the backend each tick and flips
-/// everything back the moment a probe's *real* schemata write succeeds.
-///
-/// [`set_partitioning(false)`]: ccp_engine::DualPoolExecutor::set_partitioning
-fn supervision_loop(
-    shared: &Shared,
-    health: &ccp_resctrl::ResctrlHealth,
-    stop: &(Mutex<bool>, Condvar),
-) {
-    let mut published = crate::metrics::ResctrlHealthPublished::default();
-    let mut degraded_seen = false;
-    let mut trips_seen = health.trips();
-    shared.metrics.set_resctrl_degraded(false);
-    loop {
-        shared.metrics.sync_resctrl_health(health, &mut published);
-        let trips = health.trips();
-        if trips != trips_seen {
-            emit_event(
-                shared,
-                "breaker_trip",
-                format!("circuit breaker trips: {trips_seen} -> {trips}"),
-            );
-            trips_seen = trips;
-        }
-        let degraded = health.is_degraded();
-        if degraded != degraded_seen {
-            degraded_seen = degraded;
-            shared.metrics.set_resctrl_degraded(degraded);
-            // Partitioning is an optimization, never a gate: degraded
-            // mode just runs every query under the full cache.
-            shared.engine.pools().set_partitioning(!degraded);
-            ccp_trace::instant(
-                TraceCat::Bind,
-                if degraded {
-                    "resctrl_degraded"
-                } else {
-                    "resctrl_restored"
-                },
-            );
-            if degraded {
-                emit_event(
-                    shared,
-                    "degraded",
-                    "resctrl breaker open; partitioning off".into(),
-                );
-            } else {
-                emit_event(
-                    shared,
-                    "restored",
-                    "resctrl healed; partitioning back on".into(),
-                );
-            }
-        }
-        if degraded && shared.engine.reprobe_resctrl() {
-            // Healed: loop straight back so the restore (gauge, trace,
-            // re-enabled partitioning) lands without waiting a tick.
-            continue;
-        }
-        let (lock, cv) = stop;
-        let stopped = lock.lock().unwrap_or_else(PoisonError::into_inner);
-        if *stopped {
-            break;
-        }
-        let (stopped, _) = cv
-            .wait_timeout(stopped, shared.config.reprobe_interval)
-            .unwrap_or_else(PoisonError::into_inner);
-        if *stopped {
-            break;
-        }
-    }
-    // Final sync so counters recorded after the last tick (e.g. during
-    // shutdown's drain) still reach the registry.
-    shared.metrics.sync_resctrl_health(health, &mut published);
-}
-
-/// The reconciler's desired set: one `ccp-<tenant>-<class>` group per
-/// (configured tenant ∪ default) × CUID class, programmed with the
-/// paper's static class masks. Invalid tenant names in the config are a
-/// startup error, not a silent skip.
-fn desired_tenant_groups(
-    config: &ServerConfig,
-    engine: &QueryEngine,
-) -> std::io::Result<Vec<DesiredGroup>> {
-    let policy = engine.policy();
-    let class_masks = [
-        ("polluting", policy.mask_for(CacheUsageClass::Polluting)),
-        ("sensitive", policy.mask_for(CacheUsageClass::Sensitive)),
-        (
-            "mixed",
-            policy.mask_for(CacheUsageClass::Mixed {
-                hot_bytes: policy.llc.size_bytes,
-            }),
-        ),
-    ];
-    let mut names: Vec<&str> = vec![ccp_resctrl::DEFAULT_TENANT];
-    for name in config
-        .tenant_quotas
-        .iter()
-        .map(|(t, _)| t.as_str())
-        .chain(config.tenant_weights.iter().map(|(t, _)| t.as_str()))
-    {
-        if !names.contains(&name) {
-            names.push(name);
-        }
-    }
-    let mut desired = Vec::with_capacity(names.len() * class_masks.len());
-    for name in names {
-        let tenant = TenantId::parse(name).map_err(|why| {
-            std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("--tenant: {why}"))
-        })?;
-        for (class, mask) in &class_masks {
-            desired.push(DesiredGroup {
-                name: tenant.group_name(class),
-                mask: *mask,
-            });
-        }
-    }
-    Ok(desired)
-}
-
-/// The group-reconciler loop (one thread, started whenever the engine's
-/// resctrl backend is supervised).
-///
-/// Every `reconcile_interval` it runs one [`Reconciler::reconcile`]
-/// pass — orphan sweep, desired-vs-actual diff, capacity-aware creation
-/// with backoff — publishes the pass's counters into the registry
-/// (delta-synced) and the per-group states into the `/stats` view, and
-/// drops flight-recorder events on the interesting transitions:
-/// `reconciled` when groups were created, `tenant_degraded` when CLOSID
-/// exhaustion pushed tenants onto the shared class masks. After the stop
-/// flag it runs the shutdown sweep; the final log line is what the smoke
-/// harness greps to prove zero `ccp-` groups leaked.
-fn reconcile_loop(
-    shared: &Shared,
-    reconciler: &mut Reconciler,
-    view: &ReconcileView,
-    stop: &(Mutex<bool>, Condvar),
-) {
-    let mut published = ReconcilePublished::default();
-    let mut was_exhausted = false;
-    loop {
-        let outcome = reconciler.reconcile();
-        let stats = reconciler.stats();
-        shared.metrics.sync_reconcile(&stats, &mut published);
-        {
-            let mut states = view.states.lock().unwrap_or_else(PoisonError::into_inner);
-            *states = reconciler
-                .group_states()
-                .into_iter()
-                .map(|(name, state)| (name, group_state_label(state)))
-                .collect();
-            states.sort();
-        }
-        if outcome.created > 0 {
-            emit_event(
-                shared,
-                "reconciled",
-                format!(
-                    "created {} tenant group(s); {} fallback, {} failed",
-                    outcome.created, outcome.fallback, outcome.failed
-                ),
-            );
-        }
-        let exhausted = stats.is_exhausted();
-        if exhausted != was_exhausted {
-            was_exhausted = exhausted;
-            if exhausted {
-                emit_event(
-                    shared,
-                    "tenant_degraded",
-                    format!(
-                        "CLOSIDs exhausted; {} tenant group(s) on shared class masks",
-                        outcome.fallback
-                    ),
-                );
-            } else {
-                emit_event(
-                    shared,
-                    "reconciled",
-                    "CLOSID capacity recovered; dedicated tenant groups restored".into(),
-                );
-            }
-        }
-        let (lock, cv) = stop;
-        let stopped = lock.lock().unwrap_or_else(PoisonError::into_inner);
-        if *stopped {
-            break;
-        }
-        let (stopped, _) = cv
-            .wait_timeout(stopped, shared.config.reconcile_interval)
-            .unwrap_or_else(PoisonError::into_inner);
-        if *stopped {
-            break;
-        }
-    }
-    let (removed, remaining) = reconciler.shutdown_sweep();
-    shared
-        .metrics
-        .sync_reconcile(&reconciler.stats(), &mut published);
-    eprintln!(
-        "ccp-serve: reconcile shutdown sweep: removed {removed} group(s), \
-         {remaining} ccp- group(s) remain"
-    );
-}
-
-/// The static paper plan the controller clamps to: the polluter mask,
-/// the mixed-in-sensitive-regime mask, and the full sensitive mask.
-fn static_mask_plan(engine: &QueryEngine) -> MaskPlan {
-    let policy = engine.policy();
-    MaskPlan::new(
-        policy.mask_for(CacheUsageClass::Polluting),
-        policy.mask_for(CacheUsageClass::Mixed {
-            hot_bytes: policy.llc.size_bytes,
-        }),
-        policy.mask_for(CacheUsageClass::Sensitive),
-    )
-}
-
-/// Human-readable way-count summary of a mask plan, for event details.
-fn plan_detail(plan: &MaskPlan) -> String {
-    format!(
-        "ways polluting={} mixed={} sensitive={}",
-        plan.polluting.way_count(),
-        plan.mixed.way_count(),
-        plan.sensitive.way_count()
-    )
-}
-
-/// Applies a repartition to the resctrl backend: pre-creates (or
-/// re-asserts) the group for each class mask so the schemata writes
-/// happen here, on the control path — a failure leaves the live table
-/// untouched and turns into a revert, never a broken bind.
-fn apply_plan(shared: &Shared, plan: &MaskPlan) -> Result<(), ()> {
-    if ccp_fault::should_fail(FAULT_CONTROL_APPLY) {
-        return Err(());
-    }
-    for mask in [plan.polluting, plan.mixed, plan.sensitive] {
-        shared.engine.prepare_mask(mask).map_err(|_| ())?;
-    }
-    Ok(())
-}
-
-/// The adaptive control loop (one thread, started only with
-/// `--adaptive` and an active monitor).
-///
-/// Every `control_interval` it snapshots the sampler's latest readings,
-/// feeds them (plus the supervisor's degraded flag) to the
-/// [`Controller`], and acts on the decision: a repartition is applied to
-/// the resctrl backend first and published to the live mask table only
-/// on success — workers observe it on their next bind; a revert
-/// republishes the static plan. Counters, per-class way-count gauges and
-/// the `/stats` view are refreshed every tick.
-fn control_loop(
-    shared: &Shared,
-    hub: &ReadingsHub,
-    state: &ControlState,
-    stop: &(Mutex<bool>, Condvar),
-) {
-    let policy = shared.engine.policy();
-    let control_ms = shared.config.control_interval.as_millis().max(1) as u64;
-    let monitor_ms = shared
-        .config
-        .monitor_interval
-        .map_or(control_ms, |d| d.as_millis().max(1) as u64);
-    let cfg = ControlConfig::paper_default(policy.llc.ways, policy.llc.size_bytes)
-        .with_intervals(control_ms, monitor_ms);
-    let mut controller = Controller::new(cfg, static_mask_plan(&shared.engine));
-    let mut published = ControlPublished::default();
-    let live = shared.engine.live_masks();
-    let mut last_emitted = "";
-    loop {
-        let (seq, samples) = hub.snapshot();
-        let readings: Vec<ClassReading> = samples
-            .iter()
-            .filter_map(|s| {
-                ClassId::from_label(&s.class).map(|class| ClassReading {
-                    class,
-                    occupancy_bytes: s.llc_occupancy_bytes,
-                    mbm_total_bytes: s.mbm_total_bytes,
-                })
-            })
-            .collect();
-        let degraded = shared
-            .engine
-            .resctrl_health()
-            .is_some_and(|h| h.is_degraded());
-        let decision = controller.tick(&TickInput {
-            seq,
-            readings: &readings,
-            degraded,
-        });
-        match decision {
-            Decision::Repartition(plan) => {
-                if apply_plan(shared, &plan).is_ok() {
-                    live.set_masks(plan.polluting, plan.mixed, plan.sensitive);
-                    ccp_trace::instant(TraceCat::Bind, "control_repartition");
-                    emit_event(shared, "repartition", plan_detail(&plan));
-                } else {
-                    let fallback = controller.note_apply_failed();
-                    live.set_masks(fallback.polluting, fallback.mixed, fallback.sensitive);
-                    ccp_trace::instant(TraceCat::Bind, "control_revert");
-                    emit_event(
-                        shared,
-                        "revert",
-                        format!("apply failed; back to {}", plan_detail(&fallback)),
-                    );
-                }
-                last_emitted = "repartition";
-            }
-            Decision::Revert { plan, .. } => {
-                live.set_masks(plan.polluting, plan.mixed, plan.sensitive);
-                ccp_trace::instant(TraceCat::Bind, "control_revert");
-                emit_event(shared, "revert", plan_detail(&plan));
-                last_emitted = "revert";
-            }
-            Decision::Hold(_) => {
-                // One event per run of holds, not one per tick: the
-                // interesting moment is the *transition* to holding.
-                if last_emitted != "hold" {
-                    emit_event(shared, "hold", "controller holding current plan".into());
-                    last_emitted = "hold";
-                }
-            }
-        }
-        shared
-            .metrics
-            .sync_control(controller.counters(), &mut published);
-        for (class, ways) in controller.current_plan().way_counts() {
-            shared.metrics.set_control_mask_ways(class.label(), ways);
-        }
-        // ORDERING: a point-in-time flag for `/stats`; no ordering needed.
-        state
-            .clamped
-            .store(controller.is_clamped(), Ordering::Relaxed);
-        *state
-            .last_decision
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = controller.last_decision();
-        let (lock, cv) = stop;
-        let stopped = lock.lock().unwrap_or_else(PoisonError::into_inner);
-        if *stopped {
-            break;
-        }
-        let (stopped, _) = cv
-            .wait_timeout(stopped, shared.config.control_interval)
-            .unwrap_or_else(PoisonError::into_inner);
-        if *stopped {
-            break;
-        }
-    }
-    // Leave the table on the static mapping so a restart (or the
-    // remaining drain) runs the paper's well-understood configuration.
-    live.reset_to(&policy);
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
@@ -1560,6 +942,13 @@ fn pool_json(ex: &JobExecutor) -> Json {
 
 fn stats_json(shared: &Shared) -> Json {
     let (queued, running) = shared.admission.occupancy();
+    // One copy of what the control plane last published, shared by the
+    // three sections that render from it.
+    let view = shared
+        .plane_view
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clone();
     Json::obj(vec![
         (
             "uptime_secs",
@@ -1604,9 +993,9 @@ fn stats_json(shared: &Shared) -> Json {
             ]),
         ),
         ("resctrl", resctrl_json(shared)),
-        ("control", control_json(shared)),
-        ("tenants", tenants_json(shared)),
-        ("reconciler", reconcile_json(shared)),
+        ("control", control_json(shared, &view)),
+        ("tenants", tenants_json(shared, &view)),
+        ("reconciler", reconcile_json(shared, &view)),
         ("reuse", reuse_json(shared)),
         ("trace", trace_json()),
     ])
@@ -1616,7 +1005,7 @@ fn stats_json(shared: &Shared) -> Json {
 /// waiting/running occupancy, cumulative grants and quota rejections,
 /// and — when the reconciler runs — the state of each of the tenant's
 /// `ccp-<tenant>-<class>` groups.
-fn tenants_json(shared: &Shared) -> Json {
+fn tenants_json(shared: &Shared, view: &PlaneView) -> Json {
     let limits = shared.admission.tenant_limits().clone();
     let waiting = shared.admission.waiting_by_tenant();
     let running = shared.admission.running_by_tenant();
@@ -1634,12 +1023,6 @@ fn tenants_json(shared: &Shared) -> Json {
             names.push(name);
         }
     }
-    let group_states = shared.reconcile.as_ref().map(|view| {
-        view.states
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    });
     let count = |list: &[(String, usize)], name: &str| {
         list.iter().find(|(t, _)| t == name).map_or(0, |&(_, n)| n)
     };
@@ -1670,7 +1053,7 @@ fn tenants_json(shared: &Shared) -> Json {
                     Json::num(shared.metrics.tenant_rejections(&name) as f64),
                 ),
             ];
-            if let Some(states) = &group_states {
+            if let Some(states) = &view.groups {
                 let groups: Vec<(&str, Json)> = states
                     .iter()
                     .filter_map(|(group, state)| {
@@ -1695,25 +1078,28 @@ fn tenants_json(shared: &Shared) -> Json {
 /// convergence gauges (`failed` must return to 0 after faults heal;
 /// `fallback` counts tenants degraded to the shared class masks) and
 /// whether the last pass saw CLOSID exhaustion.
-fn reconcile_json(shared: &Shared) -> Json {
-    let Some(view) = shared.reconcile.as_ref() else {
+fn reconcile_json(shared: &Shared, view: &PlaneView) -> Json {
+    if view.groups.is_none() {
         return Json::obj(vec![("enabled", Json::Bool(false))]);
-    };
-    let s = &view.stats;
+    }
+    let m = &shared.metrics;
     Json::obj(vec![
         ("enabled", Json::Bool(true)),
         (
             "interval_ms",
             Json::num(shared.config.reconcile_interval.as_millis() as f64),
         ),
-        ("sweeps", Json::num(s.sweeps() as f64)),
-        ("reconciled", Json::num(s.reconciled() as f64)),
-        ("retried", Json::num(s.retried() as f64)),
-        ("orphans_removed", Json::num(s.orphans_removed() as f64)),
-        ("failures", Json::num(s.failed_total() as f64)),
-        ("failed", Json::num(s.failed() as f64)),
-        ("fallback", Json::num(s.fallback() as f64)),
-        ("exhausted", Json::Bool(s.is_exhausted())),
+        ("sweeps", Json::num(m.reconcile_sweeps() as f64)),
+        ("reconciled", Json::num(m.reconcile_reconciled() as f64)),
+        ("retried", Json::num(m.reconcile_retried() as f64)),
+        (
+            "orphans_removed",
+            Json::num(m.reconcile_orphans_removed() as f64),
+        ),
+        ("failures", Json::num(m.reconcile_failures() as f64)),
+        ("failed", Json::num(m.reconcile_failed_groups())),
+        ("fallback", Json::num(m.reconcile_fallback_groups())),
+        ("exhausted", Json::Bool(m.reconcile_exhausted())),
     ])
 }
 
@@ -1744,8 +1130,8 @@ fn reuse_json(shared: &Shared) -> Json {
 /// Adaptive-control view for `/stats`: whether the loop runs, whether it
 /// is currently clamped to the static plan, its last decision, the
 /// cumulative decision counters and the live per-class way counts.
-fn control_json(shared: &Shared) -> Json {
-    let Some(state) = shared.control.as_ref() else {
+fn control_json(shared: &Shared, view: &PlaneView) -> Json {
+    let Some((clamped, last_decision)) = view.control else {
         return Json::obj(vec![("enabled", Json::Bool(false))]);
     };
     let live = shared.engine.live_masks();
@@ -1756,20 +1142,8 @@ fn control_json(shared: &Shared) -> Json {
             "interval_ms",
             Json::num(shared.config.control_interval.as_millis() as f64),
         ),
-        (
-            "clamped",
-            // ORDERING: point-in-time snapshot for reporting.
-            Json::Bool(state.clamped.load(Ordering::Relaxed)),
-        ),
-        (
-            "last_decision",
-            Json::str(
-                *state
-                    .last_decision
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner),
-            ),
-        ),
+        ("clamped", Json::Bool(clamped)),
+        ("last_decision", Json::str(last_decision)),
         (
             "decisions",
             Json::num(shared.metrics.control_decisions() as f64),
@@ -1934,13 +1308,13 @@ impl ScrapeServer {
             ..ServerConfig::default()
         };
         let metrics = ServerMetrics::new(registry);
-        let engine = QueryEngine::with_allocator(
+        let engine = Arc::new(QueryEngine::with_allocator(
             config.olap_workers,
             config.oltp_workers,
             config.dataset_rows,
             Arc::new(ccp_engine::NoopAllocator),
             false,
-        );
+        ));
         let scheduler = CacheAwareScheduler::new(engine.policy(), config.scheduler_slots);
         let admission = Arc::new(AdmissionQueue::new(
             scheduler,
@@ -1959,10 +1333,8 @@ impl ScrapeServer {
             shutdown: AtomicBool::new(false),
             conns: ConnTracker::new(),
             started: Instant::now(),
-            sampler: Mutex::new(None),
-            control: None,
             flight: None,
-            reconcile: None,
+            plane_view: Arc::default(),
         });
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::Builder::new()
@@ -1973,10 +1345,7 @@ impl ScrapeServer {
                 shared,
                 addr: bound,
                 accept: Some(accept),
-                supervise: None,
-                control: None,
-                reconcile: None,
-                recorder: None,
+                plane: None,
             },
         })
     }

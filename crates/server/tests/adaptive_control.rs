@@ -8,14 +8,6 @@ use ccp_server::{fetch, Json, Server, ServerConfig};
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-/// Clears the process-global fault plan even when the test panics.
-struct PlanGuard;
-impl Drop for PlanGuard {
-    fn drop(&mut self) {
-        ccp_fault::clear();
-    }
-}
-
 const SHRINK_SCRIPT: &str = "sensitive:0.95x6,0.12;polluting:0.08;mixed:0.02";
 
 fn adaptive_config() -> ServerConfig {
@@ -48,6 +40,10 @@ fn num(v: &Json, key: &str) -> f64 {
 
 #[test]
 fn scripted_shrink_repartitions_and_reports_everywhere() {
+    // Both tests run a controller that passes the `control.apply` site:
+    // side by side, whichever server repartitions first would consume
+    // the other test's one-shot fault.
+    let _turn = ccp_fault::exclusive();
     let mut server = Server::start(adaptive_config()).expect("start");
     let addr = server.addr();
 
@@ -98,7 +94,7 @@ fn scripted_shrink_repartitions_and_reports_everywhere() {
 
 #[test]
 fn apply_fault_reverts_cleanly_then_retries() {
-    let _plan = PlanGuard;
+    let _turn = ccp_fault::exclusive();
     // The first apply fails; every later one succeeds.
     ccp_fault::install_str("control.apply=err@1+1").expect("plan");
     let mut server = Server::start(adaptive_config()).expect("start");

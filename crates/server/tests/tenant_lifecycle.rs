@@ -10,15 +10,6 @@ use ccp_server::{fetch, fetch_with_headers, Server, ServerConfig};
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-/// Clears the process-global fault plan even when the test panics, so a
-/// failure here cannot leak an armed failpoint into other tests.
-struct PlanGuard;
-impl Drop for PlanGuard {
-    fn drop(&mut self) {
-        ccp_fault::clear();
-    }
-}
-
 fn stats(addr: SocketAddr) -> String {
     fetch(addr, "GET", "/stats", None).expect("stats").body
 }
@@ -53,6 +44,10 @@ fn scrape_value(scrape: &str, name: &str) -> f64 {
 
 #[test]
 fn tenant_header_routes_quotas_and_stats() {
+    // Both tests run a reconciler that passes the `tenant.create_group`
+    // site: side by side, this server would eat part of the chaos test's
+    // ENOSPC window.
+    let _turn = ccp_fault::exclusive();
     let mut server = Server::start(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         olap_workers: 2,
@@ -199,7 +194,7 @@ fn tenant_header_routes_quotas_and_stats() {
 
 #[test]
 fn closid_exhaustion_chaos_degrades_to_fallback_and_heals() {
-    let _plan = PlanGuard;
+    let _turn = ccp_fault::exclusive();
     // A bounded ENOSPC window on tenant group creation, armed before
     // the server boots so even the first reconcile passes hit it.
     ccp_fault::install_str("tenant.create_group=err:enospc@1+20").expect("plan");

@@ -1,10 +1,16 @@
 //! Model-checks the adaptive controller's mask publication against the
-//! supervisor's degradation breaker and concurrent bind-time readers.
+//! degradation breaker and concurrent bind-time readers.
 //!
 //! The real system publishes a repartition one class entry at a time
-//! ([`ccp_engine::LiveMasks`] stores are independent atomics), while the
-//! supervisor may trip resctrl health at any point and workers keep
-//! binding jobs throughout. The invariant under *every* interleaving:
+//! ([`ccp_engine::LiveMasks`] stores are independent atomics), while a
+//! failing bind on any worker may trip resctrl health at any point and
+//! workers keep binding jobs throughout. Everything that *reacts* to the
+//! breaker — the apply steps and the next tick's clamp check — runs on
+//! the server's single control-plane thread and is one actor; the trip
+//! and the bind-time reads come from other threads and stay concurrent
+//! with it (the actor split the five-thread server needed is the one
+//! the one-thread server needs, so the space is unchanged: 280
+//! interleavings per case). The invariant under *every* interleaving:
 //! no class entry is ever empty, non-contiguous, or wider than the
 //! cache, and the run always settles on a *complete* plan — the full
 //! adaptive plan (with the polluter exclusively confined) or the full
@@ -24,7 +30,8 @@ struct ControlModel {
     live: Arc<LiveMasks>,
     adaptive: MaskPlan,
     static_plan: MaskPlan,
-    /// Supervisor breaker: set when resctrl health trips mid-run.
+    /// Resctrl breaker: set when a worker's bind failure trips health
+    /// mid-run.
     degraded: bool,
     /// Controller observed a failure (apply fault or degraded health)
     /// and reverted the whole table to the static plan.
@@ -80,7 +87,7 @@ fn static_plan(policy: &PartitionPolicy) -> MaskPlan {
 }
 
 /// Builds the model: a controller applying a shrink repartition one
-/// class per step (failing at step `fail_at`, if any), a supervisor
+/// class per step (failing at step `fail_at`, if any), a failing bind
 /// that trips the health breaker at an arbitrary point, and a worker
 /// reading bind-time masks throughout.
 fn build(
@@ -141,7 +148,7 @@ fn build(
             &[Access::Read("breaker"), Access::Write("masks")],
         );
 
-        let supervisor = Actor::new("supervisor").then_accessing(
+        let breaker = Actor::new("breaker").then_accessing(
             move |s: &mut ControlModel| {
                 if trip_health {
                     s.degraded = true;
@@ -170,7 +177,7 @@ fn build(
             );
         }
 
-        (state, vec![controller, supervisor, worker])
+        (state, vec![controller, breaker, worker])
     }
 }
 
@@ -239,7 +246,7 @@ fn clean_repartitions_never_tear_under_any_interleaving() {
 }
 
 #[test]
-fn supervisor_degradation_at_any_point_settles_on_a_complete_plan() {
+fn degradation_at_any_point_settles_on_a_complete_plan() {
     explore_case(None, true);
 }
 

@@ -1,19 +1,20 @@
-//! Model checks for the observability lifecycles added with the fault
-//! work: the [`ccp_resctrl::OccupancySampler`] start/sample/stop path
-//! and [`ccp_server::ScrapeServer`] shutdown.
+//! Model checks for the background-thread lifecycles: the
+//! [`ccp_server::ControlPlane`] spawn/sample/stop path and
+//! [`ccp_server::ScrapeServer`] shutdown.
 //!
 //! Both run real background threads, so the explorer interleaves the
 //! *control* operations — waiting for samples, stopping, double-stopping,
 //! dropping, publishing, scraping — and the invariants say the
 //! lifecycles are order-independent: stop is idempotent, a joined
-//! sampler's last publish is never lost (the gauge equals the final
-//! probe reading), nothing samples after the join, and a scrape server
-//! going down can neither lose a registry publish nor serve a torn
-//! scrape.
+//! plane's last publish is never lost (the gauge equals the final probe
+//! reading), nothing runs after the join, and a scrape server going
+//! down can neither lose a registry publish nor serve a torn scrape.
 
 use ccp_obs::{Counter, Registry};
-use ccp_resctrl::{ClassSample, OccupancyProbe, OccupancySampler};
-use ccp_server::{fetch, ScrapeServer};
+use ccp_resctrl::{ClassSample, OccupancyProbe};
+use ccp_server::{
+    fetch, ControlPlane, PlaneHandle, QueryEngine, ScrapeServer, ServerConfig, ServerMetrics,
+};
 use ccp_verify::{explore, Actor, Mode};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,73 +39,92 @@ impl OccupancyProbe for CountingProbe {
     }
 }
 
-struct SamplerModel {
+struct PlaneModel {
     registry: Registry,
-    sampler: Option<OccupancySampler>,
+    plane: Option<PlaneHandle>,
     samples: Arc<AtomicU64>,
 }
 
 #[test]
-fn sampler_stop_is_idempotent_and_never_loses_the_final_publish() {
+fn plane_stop_is_idempotent_and_never_loses_the_final_publish() {
     let build = || {
         let registry = Registry::new();
         let samples = Arc::new(AtomicU64::new(0));
-        let sampler = OccupancySampler::start(
-            Box::new(CountingProbe {
-                n: Arc::clone(&samples),
-            }),
+        // A plane whose only task is the sample step: no flight, and a
+        // noop allocator has nothing to supervise or reconcile.
+        let config = ServerConfig {
+            monitor_interval: Some(Duration::from_millis(1)),
+            flight: false,
+            ..ServerConfig::default()
+        };
+        let engine = Arc::new(QueryEngine::with_allocator(
+            1,
+            1,
+            64,
+            Arc::new(ccp_engine::NoopAllocator),
+            false,
+        ));
+        let plane = ControlPlane::new(
+            &config,
+            engine,
             &registry,
-            Duration::from_millis(1),
+            ServerMetrics::new(&registry),
+            Some(Box::new(CountingProbe {
+                n: Arc::clone(&samples),
+            })),
         )
-        .expect("sampler start");
-        let state = SamplerModel {
+        .expect("plane")
+        .spawn()
+        .expect("plane thread");
+        let state = PlaneModel {
             registry,
-            sampler: Some(sampler),
+            plane: Some(plane),
             samples,
         };
-        // The sampler loop samples once before its first stop check, so
+        // The plane thread steps once before its first stop check, so
         // a waiter for >= 1 sample terminates under every interleaving,
         // even "stop immediately".
         // UNANNOTATED: steps drive a real background thread; their
         // effects are not captured by a declarable read/write set, so
         // every step must stay mutually dependent (exhaustive mode).
-        let waiter = Actor::new("waiter").then(|s: &mut SamplerModel| {
+        let waiter = Actor::new("waiter").then(|s: &mut PlaneModel| {
             while s.samples.load(Ordering::SeqCst) == 0 {
                 std::thread::sleep(Duration::from_micros(200));
             }
         });
-        // Two stop calls on the same handle: stop must be idempotent.
-        let stop_step = |s: &mut SamplerModel| {
-            if let Some(sampler) = s.sampler.as_mut() {
-                sampler.stop();
+        // Two stop calls on the same handle: the first hands the plane
+        // back, the second must be a no-op.
+        let stop_step = |s: &mut PlaneModel| {
+            if let Some(plane) = s.plane.as_mut() {
+                plane.stop();
             }
         };
         // UNANNOTATED: stop/drop join a real thread — not modelable.
         let stopper = Actor::new("stopper").then(stop_step).then(stop_step);
         // Dropping is the third way down (Drop also stops).
         // UNANNOTATED: see above — real thread join.
-        let dropper = Actor::new("dropper").then(|s: &mut SamplerModel| {
-            s.sampler.take();
+        let dropper = Actor::new("dropper").then(|s: &mut PlaneModel| {
+            s.plane.take();
         });
         (state, vec![waiter, stopper, dropper])
     };
-    let check_final = |s: &mut SamplerModel| {
-        if s.sampler.is_some() {
-            return Err("dropper ran, yet the sampler handle survived".to_string());
+    let check_final = |s: &mut PlaneModel| {
+        if s.plane.is_some() {
+            return Err("dropper ran, yet the plane handle survived".to_string());
         }
         let n = s.samples.load(Ordering::SeqCst);
         if n == 0 {
-            return Err("sampler thread never sampled before stopping".to_string());
+            return Err("plane thread never sampled before stopping".to_string());
         }
-        // The thread is joined: nothing may sample any more.
+        // The thread is joined: nothing may run any more.
         std::thread::sleep(Duration::from_millis(5));
         let after = s.samples.load(Ordering::SeqCst);
         if after != n {
             return Err(format!("sampling continued after stop: {n} -> {after}"));
         }
         // The final publish was not lost: the gauge holds exactly the
-        // last probe reading (publish happens before the loop's stop
-        // check, and stop joins).
+        // last probe reading (the sample step publishes before the
+        // loop's stop check, and stop joins).
         let gauge = s
             .registry
             .gauge_family("ccp_llc_occupancy_bytes", "")
@@ -126,7 +146,7 @@ fn sampler_stop_is_idempotent_and_never_loses_the_final_publish() {
         |_| Ok(()),
         check_final,
     )
-    .expect("sampler lifecycle must be order-independent");
+    .expect("plane lifecycle must be order-independent");
     assert!(report.exhausted);
     // waiter(1) + stopper(2) + dropper(1): 4!/(1!·2!·1!) = 12 orders.
     assert_eq!(report.schedules, 12);

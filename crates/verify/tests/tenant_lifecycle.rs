@@ -1,9 +1,15 @@
-//! Model-checks the tenant group lifecycle: a reconciler minting
-//! `ccp-<tenant>-<class>` groups from a finite CLOSID pool, a
-//! supervisor that can trip (and heal) the degradation breaker at any
-//! point, a tenant-churn actor flipping a tenant in and out of the
-//! desired set mid-pass, and an admission-side reader binding
-//! throughout. Under *every* interleaving:
+//! Model-checks the tenant group lifecycle: the control plane minting
+//! `ccp-<tenant>-<class>` groups from a finite CLOSID pool, a worker
+//! whose failed bind can trip the degradation breaker at any point, a
+//! tenant-churn actor flipping a tenant in and out of the desired set
+//! mid-pass, and an admission-side reader binding throughout.
+//!
+//! The server runs supervision and reconciliation on one thread, in a
+//! fixed order, so they are one actor here: each plane pass is the
+//! supervise step (the only place a tripped breaker heals) followed by
+//! the sweep and the per-tenant reconcile steps. What other threads do —
+//! trip the breaker from a bind, churn the desired set, read the table —
+//! stays concurrent. Under *every* interleaving:
 //!
 //! * no group is ever leaked (every table entry maps to a desired
 //!   tenant group after quiescence, orphans are swept),
@@ -30,7 +36,7 @@ struct TenantModel {
     desired: Vec<String>,
     /// Groups accounted as degraded onto the shared class mask.
     fallback: Vec<String>,
-    /// Supervisor breaker: reconciler must stand down while set.
+    /// Resctrl breaker: the reconcile steps stand down while set.
     degraded: bool,
     /// First double-free observed, if any (the invariant killer).
     double_free: Option<String>,
@@ -50,6 +56,14 @@ impl TenantModel {
             return;
         }
         self.closids[closid] = false;
+    }
+
+    /// The plane's supervise step: a re-probe heals a tripped breaker
+    /// (when the scenario lets the backend recover).
+    fn supervise(&mut self, heal: bool) {
+        if heal {
+            self.degraded = false;
+        }
     }
 
     /// One sweep step: drop every group no longer desired, returning
@@ -125,8 +139,8 @@ fn group(tenant: &str) -> String {
         .group_name("polluting")
 }
 
-/// Builds the model: the reconciler runs two full passes (sweep +
-/// per-tenant reconcile), the supervisor trips/heals the breaker, the
+/// Builds the model: the plane runs two full passes (supervise, sweep,
+/// per-tenant reconcile), a worker's failed bind trips the breaker, the
 /// churn actor removes tenant `b` from the desired set and (optionally)
 /// re-adds it, and the reader checks the ledger from the bind path.
 fn build(
@@ -151,9 +165,13 @@ fn build(
         let stale_closid = state.alloc().expect("empty pool at boot");
         state.groups.push((orphan, stale_closid));
 
-        let mut reconciler = Actor::new("reconciler");
+        let mut plane = Actor::new("plane");
         for _pass in 0..2 {
-            reconciler = reconciler.then_accessing(
+            plane = plane.then_accessing(
+                move |s: &mut TenantModel| s.supervise(heal),
+                &[Access::Write("breaker")],
+            );
+            plane = plane.then_accessing(
                 TenantModel::sweep,
                 &[
                     Access::Read("breaker"),
@@ -162,7 +180,7 @@ fn build(
                 ],
             );
             for name in [a.clone(), b.clone()] {
-                reconciler = reconciler.then_accessing(
+                plane = plane.then_accessing(
                     move |s: &mut TenantModel| s.reconcile_one(&name),
                     &[
                         Access::Read("breaker"),
@@ -173,23 +191,14 @@ fn build(
             }
         }
 
-        let supervisor = Actor::new("supervisor")
-            .then_accessing(
-                move |s: &mut TenantModel| {
-                    if trip {
-                        s.degraded = true;
-                    }
-                },
-                &[Access::Write("breaker")],
-            )
-            .then_accessing(
-                move |s: &mut TenantModel| {
-                    if heal {
-                        s.degraded = false;
-                    }
-                },
-                &[Access::Write("breaker")],
-            );
+        let worker = Actor::new("worker").then_accessing(
+            move |s: &mut TenantModel| {
+                if trip {
+                    s.degraded = true;
+                }
+            },
+            &[Access::Write("breaker")],
+        );
 
         let churn_b = b.clone();
         let readd_b = b.clone();
@@ -216,7 +225,7 @@ fn build(
             &[Access::Read("table")],
         );
 
-        (state, vec![reconciler, supervisor, churn, reader])
+        (state, vec![plane, worker, churn, reader])
     }
 }
 
@@ -224,14 +233,15 @@ fn check_step(s: &TenantModel) -> Result<(), String> {
     s.check_ledger()
 }
 
-/// Quiescent convergence: the reconciler's *next* pass after all actors
+/// Quiescent convergence: the plane's *next* pass after all actors
 /// stop (the loop never exits in the real system). After it, every
 /// desired group is satisfied or fallback, nothing undesired survives,
 /// and with the breaker clear the pool is large enough that fallback
 /// only appears while a stale CLOSID is still reclaimable — which the
 /// pass just did, so fallback must be empty.
-fn check_final(s: &mut TenantModel) -> Result<(), String> {
+fn check_final(s: &mut TenantModel, heal: bool) -> Result<(), String> {
     let desired = s.desired.clone();
+    s.supervise(heal);
     if !s.degraded {
         s.sweep();
         for name in desired.clone() {
@@ -271,7 +281,7 @@ fn explore_case(trip: bool, heal: bool, readd: bool) -> ccp_verify::Report {
         },
         build(trip, heal, readd),
         check_step,
-        check_final,
+        |s| check_final(s, heal),
     )
     .unwrap_or_else(|v| panic!("trip={trip} heal={heal} readd={readd}: {v}"));
     assert!(report.exhausted, "interleaving space not fully covered");
@@ -282,8 +292,9 @@ fn explore_case(trip: bool, heal: bool, readd: bool) -> ccp_verify::Report {
 fn reconciler_churn_and_reader_never_tear_the_ledger() {
     let start = Instant::now();
     let report = explore_case(false, false, true);
-    // 6 reconciler + 2 supervisor + 2 churn + 1 reader steps: the
-    // multinomial space is ≫ 1k; DPOR must buy a real reduction.
+    // 8 plane + 1 worker + 2 churn + 1 reader steps: the multinomial
+    // space is 5 940 (13 860 while supervision was an actor of its own);
+    // DPOR must still buy a real reduction.
     assert!(
         report.interleavings > 1_000,
         "space too small to be meaningful: {}",

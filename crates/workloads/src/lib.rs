@@ -15,13 +15,11 @@
 //! * [`native`] — the same repeat-until-deadline protocol over *native*
 //!   query closures, for measuring real partitioning on CAT hardware.
 
-pub mod adaptive;
 pub mod experiment;
 pub mod native;
 pub mod paper;
 pub mod s4hana;
 
-pub use adaptive::{AdaptationReport, AdaptiveController, Decision};
 pub use experiment::{Experiment, MaskChoice, NormalizedOutcome, QuerySpec, SweepPoint};
 pub use native::{
     export_normalized_metrics, run_mixed, run_mixed_normalized, MixedRunReport, NativeQuery,
