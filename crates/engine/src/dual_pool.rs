@@ -19,6 +19,24 @@ use crate::executor::JobExecutor;
 use crate::job::Job;
 use crate::partition::PartitionPolicy;
 use std::sync::Arc;
+use std::time::Duration;
+
+/// How long an OLAP worker busy-polls its empty queue before it parks.
+///
+/// It has to outlast the turn-around of a closed-loop client (reply, next
+/// request, parse, admit, submit: 100-250 us on the benchmark host), so
+/// that a stream of back-to-back analytic queries never lets the workers
+/// sleep. Measured on `oltp_scan`/`reuse_churn` (EXPERIMENTS.md): with
+/// sub-millisecond scans and no linger the foreground streams lose half
+/// their throughput and their p95 grows fivefold; from 100 us up they keep
+/// both, and 1 ms sits well inside that plateau. The price is at most this
+/// much CPU per worker after a batch on an otherwise idle server.
+///
+/// The OLTP pool does not linger: its requests arrive faster than any
+/// useful linger, so its worker would spin for good and compete with the
+/// OLAP workers as a third CPU-bound thread (measured: OLTP p95 0.09 ->
+/// 0.68 ms).
+const OLAP_LINGER: Duration = Duration::from_millis(1);
 
 /// Two-pool engine front end: partitioned OLAP workers, full-cache OLTP
 /// workers.
@@ -38,8 +56,15 @@ impl DualPoolExecutor {
         policy: PartitionPolicy,
         allocator: Arc<dyn CacheAllocator>,
     ) -> Self {
-        let olap = JobExecutor::with_pool_name(olap_workers, policy, allocator.clone(), "olap");
-        let oltp = JobExecutor::with_pool_name(oltp_workers, policy, allocator, "oltp");
+        let olap = JobExecutor::with_pool_name(
+            olap_workers,
+            policy,
+            allocator.clone(),
+            "olap",
+            OLAP_LINGER,
+        );
+        let oltp =
+            JobExecutor::with_pool_name(oltp_workers, policy, allocator, "oltp", Duration::ZERO);
         // The OLTP pool never partitions: with partitioning disabled, every
         // job binds the full mask, and the per-worker fast path makes that
         // a one-time cost per worker thread.

@@ -16,7 +16,7 @@ use crate::metrics::ExecutorMetrics;
 use crate::partition::PartitionPolicy;
 use ccp_cachesim::WayMask;
 use ccp_trace::TraceCat;
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -115,6 +115,35 @@ struct Shared {
     all_done: Condvar,
 }
 
+/// Busy-wait iterations between two looks at the queue while a worker
+/// lingers: about a microsecond, so the two workers of a pool do not
+/// fight the submitter for the queue's lock.
+const LINGER_POLL_SPINS: u32 = 32;
+
+/// The next job, or `None` once every sender is gone.
+///
+/// An empty queue is busy-polled for `linger` before the worker parks on
+/// it. A worker that parks between sub-millisecond batches comes back from
+/// every sleep with its CPU debt forgiven, so the kernel scheduler treats
+/// it as the equal of the connection threads it shares the CPUs with, and
+/// their hand-offs wait out the worker's burst instead of preempting it. A
+/// worker that burns its idle time stays in debt, and short sleepers keep
+/// preempting it at once. The poll has to spin: one that yields the CPU
+/// was measured and does not have the effect (DESIGN.md §2, "Lingering
+/// OLAP workers").
+fn next_job(rx: &Receiver<(Job, Instant)>, linger: Duration) -> Option<(Job, Instant)> {
+    let idle_since = Instant::now();
+    while idle_since.elapsed() < linger {
+        if let Some(next) = rx.try_recv() {
+            return Some(next);
+        }
+        for _ in 0..LINGER_POLL_SPINS {
+            std::hint::spin_loop();
+        }
+    }
+    rx.recv().ok()
+}
+
 /// A pool of job workers with integrated cache partitioning.
 pub struct JobExecutor {
     tx: Option<Sender<(Job, Instant)>>,
@@ -132,12 +161,14 @@ impl JobExecutor {
         policy: PartitionPolicy,
         allocator: Arc<dyn CacheAllocator>,
     ) -> Self {
-        Self::with_pool_name(n_workers, policy, allocator, "job")
+        Self::with_pool_name(n_workers, policy, allocator, "job", Duration::ZERO)
     }
 
     /// Spawns `n_workers` job workers with threads named
     /// `{pool}-worker-{i}`, so profiler output and thread listings are
-    /// keyed by pool (`olap-worker-3`, `oltp-worker-0`).
+    /// keyed by pool (`olap-worker-3`, `oltp-worker-0`). A worker that
+    /// finds the queue empty polls it for `linger` before it parks;
+    /// `Duration::ZERO` parks at once.
     ///
     /// # Panics
     /// Panics when `n_workers` is zero.
@@ -146,6 +177,7 @@ impl JobExecutor {
         policy: PartitionPolicy,
         allocator: Arc<dyn CacheAllocator>,
         pool: &str,
+        linger: Duration,
     ) -> Self {
         assert!(n_workers > 0, "executor needs at least one worker");
         let (tx, rx) = unbounded::<(Job, Instant)>();
@@ -171,7 +203,7 @@ impl JobExecutor {
                         let full =
                             WayMask::full(shared.policy.llc.ways).expect("validated LLC way count");
                         let mut current: Option<WayMask> = None;
-                        while let Ok((job, submitted)) = rx.recv() {
+                        while let Some((job, submitted)) = next_job(&rx, linger) {
                             let queue_wait = submitted.elapsed().as_secs_f64();
                             let cuid = job.cuid;
                             let query_id = job.ctx.as_ref().map_or(0, |c| c.id);
@@ -679,5 +711,50 @@ mod tests {
         let ex = JobExecutor::new(2, policy(), Arc::new(NoopAllocator));
         ex.run_jobs(vec![Job::unannotated("x", || {})]);
         drop(ex); // must not hang or panic
+    }
+
+    #[test]
+    fn next_job_drains_then_reports_disconnection_with_or_without_linger() {
+        for linger in [Duration::ZERO, Duration::from_millis(2)] {
+            let (tx, rx) = unbounded::<(Job, Instant)>();
+            tx.send((Job::unannotated("queued", || {}), Instant::now()))
+                .expect("receiver alive");
+            drop(tx);
+            let (job, _) = next_job(&rx, linger).expect("the queued job");
+            assert_eq!(job.name, "queued");
+            // Empty and disconnected: the linger runs out, then `None`.
+            assert!(next_job(&rx, linger).is_none());
+        }
+    }
+
+    #[test]
+    fn lingering_pool_runs_batches_and_shuts_down() {
+        let ex = JobExecutor::with_pool_name(
+            2,
+            policy(),
+            Arc::new(NoopAllocator),
+            "linger",
+            Duration::from_millis(2),
+        );
+        let counter = Arc::new(AtomicU64::new(0));
+        // The first batch finds the workers polling or parked, whichever
+        // they reached; the second follows at once and finds them polling.
+        for _ in 0..2 {
+            let jobs = (0..8)
+                .map(|i| {
+                    let c = counter.clone();
+                    Job::unannotated(format!("j{i}"), move || {
+                        c.fetch_add(1, Ordering::Relaxed);
+                    })
+                })
+                .collect();
+            ex.run_batch(jobs);
+        }
+        assert_eq!(counter.load(Ordering::Relaxed), 16);
+        // A batch completes inside its last job; the pool counts the job
+        // afterwards, so let the pool drain before reading its count.
+        ex.wait_idle();
+        assert_eq!(ex.jobs_executed(), 16);
+        drop(ex); // workers leave the poll loop and are joined
     }
 }

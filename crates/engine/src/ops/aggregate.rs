@@ -10,6 +10,7 @@
 use crate::executor::JobExecutor;
 use crate::job::{CacheUsageClass, Job};
 use ccp_reuse::{Artifact, Begin, ReuseHandle, ReuseStatus};
+use ccp_storage::bitpack::{scan_blocks, SCAN_BLOCK};
 use ccp_storage::{AggHashTable, Aggregate, DictColumn};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -59,12 +60,17 @@ pub fn grouped_aggregate(
             CacheUsageClass::Sensitive,
             move || {
                 let mut local = AggHashTable::new(agg, expected);
-                for row in lo..hi {
-                    let g_code = g_col.code_at(row);
-                    // Decompress the aggregated value through the dictionary —
+                let mut g_codes = [0u32; SCAN_BLOCK];
+                let mut v_codes = [0u32; SCAN_BLOCK];
+                let mut values = [0i64; SCAN_BLOCK];
+                for block in scan_blocks(lo..hi) {
+                    let n = block.len();
+                    g_col.codes().unpack(block.start, &mut g_codes[..n]);
+                    v_col.codes().unpack(block.start, &mut v_codes[..n]);
+                    // Decompress the aggregated values through the dictionary —
                     // the random-access pattern the paper highlights.
-                    let v = *v_col.dict().decode(v_col.code_at(row));
-                    local.update(g_code, v);
+                    v_col.dict().decode_into(&v_codes[..n], &mut values[..n]);
+                    local.update_slice(&g_codes[..n], &values[..n]);
                 }
                 locals.lock().push(local);
             },

@@ -10,6 +10,7 @@
 use crate::executor::JobExecutor;
 use crate::job::CacheUsageClass;
 use ccp_reuse::{Artifact, Begin, ReuseHandle, ReuseStatus};
+use ccp_storage::bitpack::{scan_blocks, SCAN_BLOCK};
 use ccp_storage::{BitVec, DictColumn};
 use std::sync::Arc;
 use std::time::Instant;
@@ -18,21 +19,23 @@ use std::time::Instant;
 const CHUNK_ROWS: usize = 64 * 1024;
 
 /// Build phase of Query 3: the bit vector over the primary-key domain.
-/// The dictionary of a primary-key column is the sorted key set itself;
-/// the largest key bounds the bit-vector length. This is the artifact
-/// the reuse cache memoizes — probing is cheap, building is the
-/// per-query random-write pass worth skipping.
+/// The dictionary of a primary-key column is the sorted key set itself, so
+/// the build walks the dictionary — ascending bit sets, no code unpacked —
+/// and its last entry bounds the bit-vector length. Valid because
+/// [`DictColumn::build`] is the only constructor: every dictionary value
+/// occurs in the column, none is stale. This is the artifact the reuse
+/// cache memoizes.
 ///
 /// # Panics
 /// Panics when a primary key is non-positive (the paper's keys are
 /// `1..=N`).
 pub fn fk_bit_vector(pk_col: &Arc<DictColumn<i64>>) -> BitVec {
     let _span = super::op_span("join_build");
-    let max_key = pk_col.dict().iter().next_back().copied().unwrap_or(0);
+    let keys = pk_col.dict();
+    let max_key = keys.iter().next_back().copied().unwrap_or(0);
     assert!(max_key >= 0, "primary keys must be positive");
     let mut bv = BitVec::zeros(max_key as u64 + 1);
-    for i in 0..pk_col.len() {
-        let key = *pk_col.value_at(i);
+    for &key in keys.iter() {
         assert!(key >= 1, "primary keys must be positive, got {key}");
         bv.set(key as u64);
     }
@@ -40,9 +43,9 @@ pub fn fk_bit_vector(pk_col: &Arc<DictColumn<i64>>) -> BitVec {
 }
 
 /// Probe phase of Query 3: one bit test per foreign key, parallel over
-/// chunks. The CUID is derived from the bit vector's size, exactly as
-/// when the vector was freshly built — a reused vector pollutes (or
-/// doesn't) the same way.
+/// chunks, each chunk unpacked block by block. The CUID is derived from
+/// the bit vector's size, exactly as when the vector was freshly built — a
+/// reused vector pollutes (or doesn't) the same way.
 pub fn fk_probe_count(ex: &JobExecutor, bv: Arc<BitVec>, fk_col: &Arc<DictColumn<i64>>) -> u64 {
     let cuid = CacheUsageClass::Mixed {
         hot_bytes: bv.size_bytes(),
@@ -51,12 +54,17 @@ pub fn fk_probe_count(ex: &JobExecutor, bv: Arc<BitVec>, fk_col: &Arc<DictColumn
     let chunks = n.div_ceil(CHUNK_ROWS).max(1);
     let fk_col = fk_col.clone();
     ex.parallel_sum("fk_join_probe", cuid, n, chunks, move |rows| {
+        let dict = fk_col.dict();
+        let mut buf = [0u32; SCAN_BLOCK];
         let mut matches = 0u64;
-        for row in rows {
-            let key = *fk_col.value_at(row);
-            if key >= 0 && (key as u64) < bv.len() && bv.get(key as u64) {
-                matches += 1;
-            }
+        for block in scan_blocks(rows) {
+            let codes = &mut buf[..block.len()];
+            fk_col.codes().unpack(block.start, codes);
+            let hits = codes.iter().filter(|&&code| {
+                let key = *dict.decode(code);
+                key >= 0 && (key as u64) < bv.len() && bv.get(key as u64)
+            });
+            matches += hits.count() as u64;
         }
         matches
     })
@@ -178,6 +186,38 @@ mod tests {
 
         let (count, st) = fk_join_count_cached(&ex, &pk, &fk_a, None);
         assert_eq!((count, st), (500, ReuseStatus::Bypass));
+    }
+
+    #[test]
+    fn bit_vector_from_dictionary_equals_row_walk() {
+        // Shuffled, gappy keys: the dictionary walk must set exactly the
+        // bits a walk over the rows sets.
+        let keys: Vec<i64> = gen::primary_keys(5_000, 9)
+            .into_iter()
+            .filter(|k| k % 7 != 0)
+            .collect();
+        let pk = Arc::new(DictColumn::build(&keys));
+        let mut by_row = BitVec::zeros(*keys.iter().max().unwrap() as u64 + 1);
+        for row in 0..pk.len() {
+            by_row.set(*pk.value_at(row) as u64);
+        }
+        assert_eq!(fk_bit_vector(&pk), by_row);
+        assert_eq!(
+            fk_bit_vector(&Arc::new(DictColumn::build(&[]))),
+            BitVec::zeros(1)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "primary keys must be positive, got 0")]
+    fn zero_primary_key_rejected() {
+        fk_bit_vector(&Arc::new(DictColumn::build(&[0i64, 4])));
+    }
+
+    #[test]
+    #[should_panic(expected = "primary keys must be positive")]
+    fn all_negative_primary_keys_rejected() {
+        fk_bit_vector(&Arc::new(DictColumn::build(&[-3i64, -1])));
     }
 
     #[test]

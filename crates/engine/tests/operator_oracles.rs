@@ -1,0 +1,107 @@
+//! Differential oracles for the native operators: each block-at-a-time
+//! operator against a row-at-a-time reference over the raw values, at row
+//! counts that are not multiples of the 64 Ki-row chunk, the decode block
+//! or the 64-code group.
+
+use ccp_cachesim::HierarchyConfig;
+use ccp_engine::ops::{aggregate, join, scan};
+use ccp_engine::{JobExecutor, NoopAllocator, PartitionPolicy};
+use ccp_storage::{gen, Aggregate, DictColumn};
+use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+fn executor() -> JobExecutor {
+    let cfg = HierarchyConfig::broadwell_e5_2699_v4();
+    JobExecutor::new(
+        3,
+        PartitionPolicy::paper_default(cfg.llc, cfg.l2.size_bytes),
+        Arc::new(NoopAllocator),
+    )
+}
+
+/// Row counts below one block, around one chunk and around two chunks.
+fn arb_rows() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        1usize..3_000,
+        65_400usize..65_700,
+        66_500usize..66_700,
+        131_000usize..131_200,
+    ]
+}
+
+proptest! {
+    /// `grouped_aggregate` == a map folded row by row, all four aggregates.
+    #[test]
+    fn grouped_aggregate_matches_row_reference(
+        n in arb_rows(),
+        groups in 1i64..300,
+        distinct in 1i64..5_000,
+        seed in 0u64..10_000,
+    ) {
+        let v = gen::uniform_ints(n, distinct, seed);
+        let g = gen::uniform_ints(n, groups, seed + 1);
+        let v_col = Arc::new(DictColumn::build(&v));
+        let g_col = Arc::new(DictColumn::build(&g));
+        let ex = executor();
+        for agg in [Aggregate::Max, Aggregate::Min, Aggregate::Sum, Aggregate::Count] {
+            let mut reference: BTreeMap<i64, (i64, u64)> = BTreeMap::new();
+            for (&value, &group) in v.iter().zip(&g) {
+                let first = if agg == Aggregate::Count { 1 } else { value };
+                reference
+                    .entry(group)
+                    .and_modify(|(acc, count)| {
+                        *acc = match agg {
+                            Aggregate::Max => (*acc).max(value),
+                            Aggregate::Min => (*acc).min(value),
+                            Aggregate::Sum => *acc + value,
+                            Aggregate::Count => *acc + 1,
+                        };
+                        *count += 1;
+                    })
+                    .or_insert((first, 1));
+            }
+            let table = aggregate::grouped_aggregate(&ex, &v_col, &g_col, agg);
+            let got: BTreeMap<i64, (i64, u64)> = table
+                .iter()
+                .map(|(code, acc, count)| (*g_col.dict().decode(code), (acc, count)))
+                .collect();
+            prop_assert_eq!(got, reference, "{:?} over {} rows", agg, n);
+        }
+    }
+
+    /// `fk_join_count` == counting foreign keys found in the key set, with
+    /// gaps in the key domain and foreign keys beyond it.
+    #[test]
+    fn fk_join_count_matches_row_reference(
+        n in arb_rows(),
+        keys in 1usize..4_000,
+        modulus in 2i64..9,
+        seed in 0u64..10_000,
+    ) {
+        let pks: Vec<i64> = gen::primary_keys(keys, seed)
+            .into_iter()
+            .filter(|k| k % modulus != 0)
+            .collect();
+        let key_set: BTreeSet<i64> = pks.iter().copied().collect();
+        let fks = gen::foreign_keys(n, keys as i64 + 50, seed + 1);
+        let reference = fks.iter().filter(|&fk| key_set.contains(fk)).count() as u64;
+        let pk = Arc::new(DictColumn::build(&pks));
+        let fk = Arc::new(DictColumn::build(&fks));
+        prop_assert_eq!(join::fk_join_count(&executor(), &pk, &fk), reference);
+    }
+
+    /// `column_scan` == a filter over the raw values.
+    #[test]
+    fn column_scan_matches_row_reference(
+        n in arb_rows(),
+        distinct in 1i64..100_000,
+        threshold in -5i64..100_005,
+        seed in 0u64..10_000,
+    ) {
+        let values = gen::uniform_ints(n, distinct, seed);
+        let col = Arc::new(DictColumn::build(&values));
+        let reference = values.iter().filter(|&&v| v > threshold).count() as u64;
+        prop_assert_eq!(scan::column_scan(&executor(), &col, threshold), reference);
+    }
+}

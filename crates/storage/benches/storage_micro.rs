@@ -3,6 +3,7 @@
 //! bit-vector probe rates. These are the native (non-simulated) kernels
 //! that would run under resctrl on CAT hardware.
 
+use ccp_storage::bitpack::{scan_blocks, SCAN_BLOCK};
 use ccp_storage::{
     gen, AggHashTable, Aggregate, BitVec, DictColumn, InvertedIndex, PackedCodeVector,
 };
@@ -12,13 +13,21 @@ use std::ops::Bound;
 const ROWS: usize = 1 << 16;
 
 fn bench_compressed_scan(c: &mut Criterion) {
-    let values = gen::uniform_ints(ROWS, 1_000_000, 1);
-    let col = DictColumn::build(&values);
     let mut g = c.benchmark_group("storage/scan");
     g.throughput(Throughput::Elements(ROWS as u64));
-    g.bench_function("count_range_20bit", |b| {
-        b.iter(|| col.count_range(Bound::Excluded(&500_000i64), Bound::Unbounded));
-    });
+    // 20 bits is the paper's column; 6 and 16 bits are the widths the
+    // server's `regions` and `amounts` columns have.
+    for (id, distinct) in [
+        ("count_range_20bit", 1_000_000i64),
+        ("count_range_16bit", 50_000),
+        ("count_range_6bit", 64),
+    ] {
+        let col = DictColumn::build(&gen::uniform_ints(ROWS, distinct, 1));
+        let threshold = distinct / 2;
+        g.bench_function(id, |b| {
+            b.iter(|| col.count_range(Bound::Excluded(&threshold), Bound::Unbounded));
+        });
+    }
     g.finish();
 }
 
@@ -118,10 +127,13 @@ fn bench_bitpack(c: &mut Criterion) {
     });
     let packed = PackedCodeVector::from_codes(20, &codes);
     g.bench_function("unpack_20bit", |b| {
+        let mut block = [0u32; SCAN_BLOCK];
         b.iter(|| {
             let mut acc = 0u64;
-            for i in 0..packed.len() {
-                acc += u64::from(packed.get(i));
+            for rows in scan_blocks(0..packed.len()) {
+                let codes = &mut block[..rows.len()];
+                packed.unpack(rows.start, codes);
+                acc += u64::from(codes[0]);
             }
             acc
         });

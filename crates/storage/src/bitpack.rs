@@ -2,10 +2,79 @@
 //!
 //! Dictionary codes are stored in fixed-width bit fields packed back to
 //! back into `u64` words (the paper's 10⁹-row column of 10⁶ distinct values
-//! packs each 32-bit integer into 20 bits). The scan kernel
-//! ([`PackedCodeVector::count_in_range`]) works directly on the packed
-//! representation, several codes per word, without materializing values —
-//! the software analogue of HANA's SIMD scan.
+//! packs each 32-bit integer into 20 bits). Every row-sequential consumer
+//! — the scan kernel ([`PackedCodeVector::count_in_range`]), aggregation,
+//! the join probe, TPC-H Q1/Q6 — reads the column through one block
+//! decoder, [`PackedCodeVector::unpack`]: it expands at most
+//! [`SCAN_BLOCK`] codes at a time into a stack buffer
+//! that stays in L1, so the predicate is evaluated on codes and no
+//! *value* is materialized — the scalar analogue of HANA's SIMD scan.
+//! [`PackedCodeVector::get`] is for random access only (OLTP point
+//! selects, inverted-index postings).
+
+use std::ops::Range;
+
+/// Codes per aligned group: 64 codes of `BITS` bits fill exactly `BITS`
+/// words, so every group starts on a word boundary.
+const GROUP: usize = 64;
+
+/// Expands `$body` once per lane of a group with `$i` bound to the
+/// constants 0..=63. A `for` over `0..64` is left rolled by the compiler
+/// (variable shifts, a straddle branch and a bounds check per code);
+/// written out, every shift, mask and word index folds to an immediate.
+macro_rules! for_each_lane {
+    ($i:ident => $body:block) => {
+        for_each_lane!(@ $i $body
+            0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15
+            16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31
+            32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47
+            48 49 50 51 52 53 54 55 56 57 58 59 60 61 62 63)
+    };
+    (@ $i:ident $body:block $($lane:literal)*) => {
+        $({
+            const $i: usize = $lane;
+            $body
+        })*
+    };
+}
+
+/// Unpacks whole groups — `out.len() / 64` of them, `BITS` words each.
+fn unpack_groups<const BITS: usize>(words: &[u64], out: &mut [u32]) {
+    let mask = (1u64 << BITS) - 1;
+    for (w, o) in words.chunks_exact(BITS).zip(out.chunks_exact_mut(GROUP)) {
+        let w: &[u64; BITS] = w.try_into().expect("chunks_exact yields BITS words");
+        let o: &mut [u32; GROUP] = o.try_into().expect("chunks_exact_mut yields 64 codes");
+        for_each_lane!(LANE => {
+            let (word, off) = (LANE * BITS / 64, LANE * BITS % 64);
+            let mut v = w[word] >> off;
+            if off + BITS > 64 {
+                v |= w[word + 1] << (64 - off);
+            }
+            o[LANE] = (v & mask) as u32;
+        });
+    }
+}
+
+/// Rows per decode block, shared by every block-at-a-time consumer: a
+/// multiple of 64 (so [`scan_blocks`] yields group-aligned blocks), small
+/// enough that two code buffers and one `i64` value buffer (16 KiB
+/// together) live on the stack and in L1.
+pub const SCAN_BLOCK: usize = 1024;
+
+/// Splits `rows` into consecutive blocks that end on multiples of
+/// [`SCAN_BLOCK`] — the loop every block-at-a-time consumer runs around
+/// [`PackedCodeVector::unpack`]. Only the first block can start unaligned,
+/// whatever row a chunk starts at.
+pub fn scan_blocks(rows: Range<usize>) -> impl Iterator<Item = Range<usize>> {
+    let mut lo = rows.start;
+    std::iter::from_fn(move || {
+        (lo < rows.end).then(|| {
+            let block = lo..((lo / SCAN_BLOCK + 1) * SCAN_BLOCK).min(rows.end);
+            lo = block.end;
+            block
+        })
+    })
+}
 
 /// A vector of unsigned integers, each `bits` wide, packed into `u64`s.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,11 +142,7 @@ impl PackedCodeVector {
 
     #[inline]
     fn mask(&self) -> u64 {
-        if self.bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.bits) - 1
-        }
+        (1u64 << self.bits) - 1
     }
 
     /// Appends a code.
@@ -104,7 +169,8 @@ impl PackedCodeVector {
         self.len += 1;
     }
 
-    /// Reads the code at `idx`.
+    /// Reads the code at `idx` — random access; sequential readers use
+    /// [`PackedCodeVector::unpack`].
     ///
     /// # Panics
     /// Panics on out-of-bounds access.
@@ -115,6 +181,12 @@ impl PackedCodeVector {
             "index {idx} out of bounds (len {})",
             self.len
         );
+        self.read(idx)
+    }
+
+    /// The code at `idx < self.len`, recomputing word and offset.
+    #[inline]
+    fn read(&self, idx: usize) -> u32 {
         let bit_pos = idx * self.bits as usize;
         let word = bit_pos / 64;
         let off = (bit_pos % 64) as u32;
@@ -131,86 +203,94 @@ impl PackedCodeVector {
         (0..self.len).map(move |i| self.get(i))
     }
 
-    /// Unpacks the codes of rows `[rows.start, rows.end)` into `out`
-    /// (cleared first), walking the packed words sequentially with a
-    /// rolling bit buffer instead of recomputing word/offset per element —
-    /// the scalar skeleton of the SIMD-Scan technique (Willhalm et al.,
-    /// cited by the paper as the engine's scan kernel).
-    pub fn unpack_rows(&self, rows: std::ops::Range<usize>, out: &mut Vec<u32>) {
-        out.clear();
-        let hi = rows.end.min(self.len);
-        if rows.start >= hi {
-            return;
+    /// The block decoder: unpacks the codes of rows
+    /// `[start, start + out.len())` into `out`. Rows up to the next
+    /// multiple of 64 and the last `< 64` rows are read one by one; the
+    /// aligned middle runs through a kernel specialised for the column's
+    /// width, chosen once per call — the scalar skeleton of the SIMD-Scan
+    /// technique (Willhalm et al., cited by the paper as the engine's scan
+    /// kernel).
+    ///
+    /// # Panics
+    /// Panics when the rows reach past the end of the vector.
+    pub fn unpack(&self, start: usize, out: &mut [u32]) {
+        assert!(
+            start <= self.len && out.len() <= self.len - start,
+            "rows {start}..{start}+{} out of bounds (len {})",
+            out.len(),
+            self.len
+        );
+        let head = (start.next_multiple_of(GROUP) - start).min(out.len());
+        let (head_out, rest) = out.split_at_mut(head);
+        for (i, code) in head_out.iter_mut().enumerate() {
+            *code = self.read(start + i);
         }
-        out.reserve(hi - rows.start);
-        let bits = self.bits as usize;
-        let mask = self.mask();
-        let mut bit_pos = rows.start * bits;
-        // Rolling 128-bit window over the packed words: `cur` always holds
-        // at least `bits` valid bits starting at `cur_off`.
-        for _ in rows.start..hi {
-            let word = bit_pos / 64;
-            let off = (bit_pos % 64) as u32;
-            let mut v = self.words[word] >> off;
-            if off as usize + bits > 64 {
-                v |= self.words[word + 1] << (64 - off);
+        let aligned = start + head;
+        let groups = rest.len() / GROUP;
+        let (body, tail) = rest.split_at_mut(groups * GROUP);
+        if groups > 0 {
+            let bits = self.bits as usize;
+            let first = aligned / GROUP * bits;
+            let words = &self.words[first..first + groups * bits];
+            macro_rules! by_width {
+                ($($w:literal)*) => {
+                    match bits {
+                        $($w => unpack_groups::<$w>(words, body),)*
+                        _ => unreachable!("width is checked to be 1..=32 at construction"),
+                    }
+                };
             }
-            out.push((v & mask) as u32);
-            bit_pos += bits;
+            by_width!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16
+                      17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32);
+        }
+        let tail_start = aligned + groups * GROUP;
+        for (i, code) in tail.iter_mut().enumerate() {
+            *code = self.read(tail_start + i);
         }
     }
 
     /// Counts codes in the half-open range `[lo, hi)` — the compressed-scan
     /// kernel behind the paper's Query 1 (`WHERE A.X > ?` after the
-    /// predicate constant has been dictionary-encoded). Processes the
-    /// column block-wise: unpack a block with the sequential kernel, then
-    /// a branch-free compare loop the compiler auto-vectorizes.
-    pub fn count_in_range(&self, range: std::ops::Range<u32>) -> u64 {
+    /// predicate constant has been dictionary-encoded).
+    pub fn count_in_range(&self, range: Range<u32>) -> u64 {
         self.count_in_range_rows(range, 0..self.len)
     }
 
-    /// Rows per scan block; fits the unpack buffer in L1.
-    const SCAN_BLOCK: usize = 4096;
-
     /// Like [`PackedCodeVector::count_in_range`] but restricted to the rows
-    /// `[rows.start, rows.end)` — lets callers process the column in chunks.
-    pub fn count_in_range_rows(
-        &self,
-        range: std::ops::Range<u32>,
-        rows: std::ops::Range<usize>,
-    ) -> u64 {
-        let hi = rows.end.min(self.len);
+    /// `[rows.start, rows.end)` (clamped to the vector) — lets callers
+    /// process the column in chunks. Per block: unpack, then one
+    /// branch-free `code - lo < hi - lo` per code, which the compiler
+    /// vectorizes.
+    pub fn count_in_range_rows(&self, range: Range<u32>, rows: Range<usize>) -> u64 {
+        let span = range.end.saturating_sub(range.start);
+        let mut buf = [0u32; SCAN_BLOCK];
         let mut count = 0u64;
-        let mut block = Vec::new();
-        let mut lo = rows.start;
-        while lo < hi {
-            let end = (lo + Self::SCAN_BLOCK).min(hi);
-            self.unpack_rows(lo..end, &mut block);
-            // Branch-free: `contains` over a block of u32s vectorizes.
-            count += block
+        for block in scan_blocks(rows.start..rows.end.min(self.len)) {
+            let codes = &mut buf[..block.len()];
+            self.unpack(block.start, codes);
+            let hits: u32 = codes
                 .iter()
-                .map(|c| u64::from(*c >= range.start && *c < range.end))
-                .sum::<u64>();
-            lo = end;
+                .map(|c| u32::from(c.wrapping_sub(range.start) < span))
+                .sum();
+            count += u64::from(hits);
         }
         count
     }
 
     /// Collects the row ids whose code lies in `[lo, hi)` — the
     /// materializing variant of the scan, used for selective predicates.
-    pub fn matching_rows(&self, range: std::ops::Range<u32>) -> Vec<u32> {
+    pub fn matching_rows(&self, range: Range<u32>) -> Vec<u32> {
+        let span = range.end.saturating_sub(range.start);
+        let mut buf = [0u32; SCAN_BLOCK];
         let mut out = Vec::new();
-        let mut block = Vec::new();
-        let mut lo = 0usize;
-        while lo < self.len {
-            let end = (lo + Self::SCAN_BLOCK).min(self.len);
-            self.unpack_rows(lo..end, &mut block);
-            for (i, &c) in block.iter().enumerate() {
-                if c >= range.start && c < range.end {
-                    out.push((lo + i) as u32);
+        for block in scan_blocks(0..self.len) {
+            let codes = &mut buf[..block.len()];
+            self.unpack(block.start, codes);
+            for (row, c) in block.zip(codes.iter()) {
+                if c.wrapping_sub(range.start) < span {
+                    out.push(row as u32);
                 }
             }
-            lo = end;
         }
         out
     }
@@ -288,24 +368,36 @@ mod tests {
     }
 
     #[test]
-    fn unpack_rows_matches_get() {
+    fn unpack_matches_get() {
         let codes: Vec<u32> = (0..10_000u32)
             .map(|i| i.wrapping_mul(2_654_435_761) % (1 << 17))
             .collect();
         let v = PackedCodeVector::from_codes(17, &codes);
-        let mut block = Vec::new();
-        for range in [0..100usize, 4090..4200, 9_990..10_000, 0..10_000] {
-            v.unpack_rows(range.clone(), &mut block);
-            assert_eq!(block.len(), range.len());
-            for (off, &c) in block.iter().enumerate() {
-                assert_eq!(c, v.get(range.start + off));
-            }
+        for range in [0..100usize, 4090..4200, 9_990..10_000, 0..10_000, 5..5] {
+            let mut block = vec![u32::MAX; range.len()];
+            v.unpack(range.start, &mut block);
+            assert_eq!(block, &codes[range]);
         }
-        // Out-of-bounds end is clamped; inverted range yields nothing.
-        v.unpack_rows(9_999..20_000, &mut block);
-        assert_eq!(block.len(), 1);
-        v.unpack_rows(5..5, &mut block);
-        assert!(block.is_empty());
+        v.unpack(10_000, &mut []);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn unpack_rejects_rows_past_the_end() {
+        let v = PackedCodeVector::from_codes(4, &[1, 2, 3]);
+        v.unpack(2, &mut [0; 2]);
+    }
+
+    #[test]
+    #[allow(clippy::reversed_empty_ranges)] // an inverted range is an input under test
+    fn scan_blocks_cover_the_range_once() {
+        const B: usize = SCAN_BLOCK;
+        assert_eq!(scan_blocks(0..0).count(), 0);
+        assert_eq!(scan_blocks(7..3).count(), 0);
+        let blocks: Vec<_> = scan_blocks(5..2 * B + 9).collect();
+        assert_eq!(blocks, [5..B, B..2 * B, 2 * B..2 * B + 9]);
+        let mut one = scan_blocks(B..B + 1);
+        assert_eq!((one.next(), one.next()), (Some(B..B + 1), None));
     }
 
     #[test]

@@ -91,6 +91,20 @@ impl<T: Ord + Clone> Dictionary<T> {
     }
 }
 
+impl<T: Ord + Copy> Dictionary<T> {
+    /// Decodes `codes[i]` into `out[i]` — the block-at-a-time form of
+    /// [`Dictionary::decode`] for operators that materialize values.
+    ///
+    /// # Panics
+    /// Panics when the slices differ in length or a code is out of range.
+    pub fn decode_into(&self, codes: &[u32], out: &mut [T]) {
+        assert_eq!(codes.len(), out.len(), "one output slot per code");
+        for (value, &code) in out.iter_mut().zip(codes) {
+            *value = self.values[code as usize];
+        }
+    }
+}
+
 impl<T: Ord + Clone> Dictionary<T>
 where
     T: DictEntrySize,
@@ -152,6 +166,16 @@ mod tests {
             assert_eq!(*d.decode(i), v);
         }
         assert_eq!(d.encode(&25), None);
+    }
+
+    #[test]
+    fn decode_into_matches_decode() {
+        let d = dict();
+        let codes = [3u32, 0, 0, 2, 1];
+        let mut out = [0i64; 5];
+        d.decode_into(&codes, &mut out);
+        assert_eq!(out, [40, 10, 10, 30, 20]);
+        d.decode_into(&[], &mut []);
     }
 
     #[test]

@@ -98,37 +98,51 @@ impl AggHashTable {
         std::mem::size_of::<Slot>()
     }
 
-    /// Folds `value` into group `key`, inserting the group if new.
-    /// Grows the table when load exceeds 50 %.
+    /// Folds `value` into group `key`, inserting the group if new — the
+    /// one-element case of [`AggHashTable::update_slice`].
     pub fn update(&mut self, key: u32, value: i64) {
-        debug_assert!(key != EMPTY_KEY, "key {EMPTY_KEY:#x} is reserved");
-        if self.len * 2 >= self.slots.len() {
-            self.grow();
-        }
-        let agg = self.agg;
-        let mask = self.mask;
-        let mut idx = self.home_slot(key);
-        loop {
-            let slot = &mut self.slots[idx];
-            if slot.key == key {
-                slot.acc = Self::fold(agg, slot.acc, value);
-                slot.count += 1;
-                return;
-            }
-            if slot.key == EMPTY_KEY {
-                *slot = Slot {
-                    key,
-                    acc: Self::init(agg, value),
-                    count: 1,
-                };
-                self.len += 1;
-                return;
-            }
-            idx = (idx + 1) & mask;
+        self.fold_slice(&[key], &[value], self.agg);
+    }
+
+    /// Folds `values[i]` into group `keys[i]` for every `i`, in order.
+    ///
+    /// # Panics
+    /// Panics when the slices differ in length.
+    pub fn update_slice(&mut self, keys: &[u32], values: &[i64]) {
+        assert_eq!(
+            keys.len(),
+            values.len(),
+            "update_slice needs one value per key"
+        );
+        // Naming the aggregate in each arm makes it a constant inside the
+        // inlined loop: the fold is chosen once per call, not once per row.
+        match self.agg {
+            Aggregate::Max => self.fold_slice(keys, values, Aggregate::Max),
+            Aggregate::Min => self.fold_slice(keys, values, Aggregate::Min),
+            Aggregate::Sum => self.fold_slice(keys, values, Aggregate::Sum),
+            Aggregate::Count => self.fold_slice(keys, values, Aggregate::Count),
         }
     }
 
-    #[inline]
+    #[inline(always)]
+    fn fold_slice(&mut self, keys: &[u32], values: &[i64], agg: Aggregate) {
+        for (&key, &value) in keys.iter().zip(values) {
+            self.upsert(
+                key,
+                |slot| {
+                    slot.acc = Self::fold(agg, slot.acc, value);
+                    slot.count += 1;
+                },
+                || Slot {
+                    key,
+                    acc: Self::init(agg, value),
+                    count: 1,
+                },
+            );
+        }
+    }
+
+    #[inline(always)]
     fn init(agg: Aggregate, value: i64) -> i64 {
         match agg {
             Aggregate::Max | Aggregate::Min | Aggregate::Sum => value,
@@ -136,7 +150,7 @@ impl AggHashTable {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn fold(agg: Aggregate, acc: i64, value: i64) -> i64 {
         match agg {
             Aggregate::Max => acc.max(value),
@@ -144,6 +158,42 @@ impl AggHashTable {
             Aggregate::Sum => acc + value,
             Aggregate::Count => acc + 1,
         }
+    }
+
+    /// The one probe loop: runs `hit` on the slot holding `key`, or claims
+    /// the first empty slot of its probe sequence for `new()`. Only the
+    /// insert path looks at the load factor, so a table at its
+    /// `expected_groups` never grows on a hit; it doubles when a new group
+    /// would push the load above 50 %.
+    #[inline(always)]
+    fn upsert(&mut self, key: u32, hit: impl FnOnce(&mut Slot), new: impl FnOnce() -> Slot) {
+        debug_assert!(key != EMPTY_KEY, "key {EMPTY_KEY:#x} is reserved");
+        let capacity = self.slots.len();
+        let mut idx = self.home_slot(key);
+        loop {
+            let slot = &mut self.slots[idx];
+            if slot.key == key {
+                return hit(slot);
+            }
+            if slot.key == EMPTY_KEY {
+                if (self.len + 1) * 2 > capacity {
+                    break;
+                }
+                *slot = new();
+                self.len += 1;
+                return;
+            }
+            idx = (idx + 1) & self.mask;
+        }
+        // The new group would push the load above 50 %: double the table,
+        // then claim the first empty slot of the key's new probe sequence.
+        self.grow();
+        idx = self.home_slot(key);
+        while self.slots[idx].key != EMPTY_KEY {
+            idx = (idx + 1) & self.mask;
+        }
+        self.slots[idx] = new();
+        self.len += 1;
     }
 
     /// Looks up the aggregate of group `key`.
@@ -179,29 +229,19 @@ impl AggHashTable {
     }
 
     fn merge_one(&mut self, key: u32, acc: i64, count: u64) {
-        if self.len * 2 >= self.slots.len() {
-            self.grow();
-        }
         let agg = self.agg;
-        let mut idx = self.home_slot(key);
-        loop {
-            let slot = &mut self.slots[idx];
-            if slot.key == key {
+        self.upsert(
+            key,
+            |slot| {
                 slot.acc = match agg {
                     Aggregate::Max => slot.acc.max(acc),
                     Aggregate::Min => slot.acc.min(acc),
                     Aggregate::Sum | Aggregate::Count => slot.acc + acc,
                 };
                 slot.count += count;
-                return;
-            }
-            if slot.key == EMPTY_KEY {
-                *slot = Slot { key, acc, count };
-                self.len += 1;
-                return;
-            }
-            idx = (idx + 1) & self.mask;
-        }
+            },
+            || Slot { key, acc, count },
+        );
     }
 
     fn grow(&mut self) {
@@ -272,6 +312,32 @@ mod tests {
         for k in (0..10_000).step_by(97) {
             assert_eq!(t.get(k), Some(1), "group {k} lost in rehash");
         }
+    }
+
+    #[test]
+    fn holds_expected_groups_without_resizing() {
+        // 64 expected groups -> 128 slots; at 64 groups the load is exactly
+        // 50 % and neither hits nor merges of known groups may grow it.
+        let mut t = AggHashTable::new(Aggregate::Sum, 64);
+        let cap = t.capacity();
+        assert_eq!(cap, 128);
+        for k in 0..64u32 {
+            t.update(k, 1);
+        }
+        for k in 0..64u32 {
+            t.update(k, 1);
+        }
+        t.update_slice(&[5, 63, 0], &[1, 1, 1]);
+        assert_eq!(t.capacity(), cap, "a hit must not grow the table");
+        let mut global = AggHashTable::new(Aggregate::Sum, 64);
+        global.merge(&t);
+        global.merge(&t);
+        assert_eq!(global.capacity(), cap, "merging known groups must not grow");
+        // The 65th group is the first to push the load past 50 %.
+        t.update(64, 1);
+        assert_eq!(t.capacity(), 2 * cap);
+        assert_eq!(t.get(5), Some(3));
+        assert_eq!(t.len(), 65);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!   sorted, range predicates can be evaluated entirely on compressed data.
 //! * **Bit-packed code vectors** ([`bitpack`]) — codes are packed into
 //!   ⌈log₂ |dict|⌉ bits each (the paper's 10⁶-value column packs into
-//!   20 bits), scanned word-at-a-time.
+//!   20 bits) and read by sequential operators through one block decoder,
+//!   64 codes per width-specialised step.
 //! * **Aggregation hash tables** ([`hashtable`]) — open-addressing tables
 //!   used per worker thread and for the global merge.
 //! * **Join bit vectors** ([`bitvec`]) — the compact primary-key

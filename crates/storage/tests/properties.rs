@@ -152,25 +152,6 @@ proptest! {
         }
     }
 
-    /// matching_rows returns exactly the rows a naive filter selects.
-    #[test]
-    fn matching_rows_matches_naive(
-        codes in proptest::collection::vec(0u32..100, 1..500),
-        lo in 0u32..100,
-        span in 1u32..100,
-    ) {
-        let v = PackedCodeVector::from_codes(7, &codes);
-        let range = lo..(lo + span).min(100);
-        let got = v.matching_rows(range.clone());
-        let expected: Vec<u32> = codes
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| range.contains(c))
-            .map(|(i, _)| i as u32)
-            .collect();
-        prop_assert_eq!(got, expected);
-    }
-
     /// A foreign-key join via bit vector equals a naive nested validation:
     /// every probe of a key in the PK set hits, others miss.
     #[test]

@@ -10,6 +10,7 @@
 use crate::gen;
 use ccp_engine::job::{CacheUsageClass, Job};
 use ccp_engine::JobExecutor;
+use ccp_storage::bitpack::{scan_blocks, SCAN_BLOCK};
 use ccp_storage::{AggHashTable, Aggregate, Column, Table};
 use parking_lot::Mutex;
 use std::ops::Bound;
@@ -66,11 +67,22 @@ pub fn q1_pricing_summary(ex: &JobExecutor, lineitem: &Arc<Table>) -> Vec<Q1Row>
                 let status = int_column(&t, "L_LINESTATUS");
                 let price = int_column(&t, "L_EXTENDEDPRICE");
                 let mut local = AggHashTable::new(Aggregate::Sum, 8);
-                for row in lo..hi {
-                    let key = flag.code_at(row) * status_card + status.code_at(row);
+                let mut keys = [0u32; SCAN_BLOCK];
+                let mut codes = [0u32; SCAN_BLOCK];
+                let mut prices = [0i64; SCAN_BLOCK];
+                for block in scan_blocks(lo..hi) {
+                    let (keys, codes) = (&mut keys[..block.len()], &mut codes[..block.len()]);
+                    flag.codes().unpack(block.start, keys);
+                    status.codes().unpack(block.start, codes);
+                    for (key, status_code) in keys.iter_mut().zip(codes.iter()) {
+                        *key = *key * status_card + status_code;
+                    }
                     // Decode through the (29 MiB at SF 100) price dictionary —
                     // the access pattern that makes Q1 cache-sensitive.
-                    local.update(key, *price.dict().decode(price.code_at(row)));
+                    let prices = &mut prices[..block.len()];
+                    price.codes().unpack(block.start, codes);
+                    price.dict().decode_into(codes, prices);
+                    local.update_slice(keys, prices);
                 }
                 locals.lock().push(local);
             },
@@ -125,17 +137,21 @@ pub fn q6_forecast_revenue(
         let qty = int_column(&t, "L_QUANTITY");
         let disc = int_column(&t, "L_DISCOUNT");
         let price = int_column(&t, "L_EXTENDEDPRICE");
+        let mut qty_codes = [0u32; SCAN_BLOCK];
+        let mut disc_codes = [0u32; SCAN_BLOCK];
+        let mut price_codes = [0u32; SCAN_BLOCK];
         let mut revenue = 0i64;
-        for row in rows {
-            let qc = qty.code_at(row);
-            if !(qty_range.start <= qc && qc < qty_range.end) {
-                continue;
+        for block in scan_blocks(rows) {
+            let n = block.len();
+            qty.codes().unpack(block.start, &mut qty_codes[..n]);
+            disc.codes().unpack(block.start, &mut disc_codes[..n]);
+            price.codes().unpack(block.start, &mut price_codes[..n]);
+            for ((&qc, &dc), &pc) in qty_codes[..n].iter().zip(&disc_codes).zip(&price_codes) {
+                // Both predicates on codes; only qualifying rows decode.
+                if qty_range.contains(&qc) && disc_range.contains(&dc) {
+                    revenue += *price.dict().decode(pc) * *disc.dict().decode(dc);
+                }
             }
-            let dc = disc.code_at(row);
-            if !(disc_range.start <= dc && dc < disc_range.end) {
-                continue;
-            }
-            revenue += *price.dict().decode(price.code_at(row)) * *disc.dict().decode(dc);
         }
         revenue as u64
     }) as i64
@@ -166,6 +182,49 @@ mod tests {
         )
     }
 
+    /// Q1 one row at a time over decoded values.
+    fn q1_by_row(lineitem: &Table) -> Vec<Q1Row> {
+        let flag = int_column(lineitem, "L_RETURNFLAG");
+        let status = int_column(lineitem, "L_LINESTATUS");
+        let price = int_column(lineitem, "L_EXTENDEDPRICE");
+        let mut groups = std::collections::BTreeMap::<(i64, i64), (i64, u64)>::new();
+        for row in 0..lineitem.row_count() {
+            let e = groups
+                .entry((*flag.value_at(row), *status.value_at(row)))
+                .or_insert((0, 0));
+            e.0 += *price.value_at(row);
+            e.1 += 1;
+        }
+        groups
+            .into_iter()
+            .map(
+                |((returnflag, linestatus), (sum_extendedprice, count))| Q1Row {
+                    returnflag,
+                    linestatus,
+                    sum_extendedprice,
+                    count,
+                },
+            )
+            .collect()
+    }
+
+    /// Q6 one row at a time over decoded values.
+    fn q6_by_row(
+        lineitem: &Table,
+        max_quantity: i64,
+        discount: std::ops::RangeInclusive<i64>,
+    ) -> i64 {
+        let qty = int_column(lineitem, "L_QUANTITY");
+        let disc = int_column(lineitem, "L_DISCOUNT");
+        let price = int_column(lineitem, "L_EXTENDEDPRICE");
+        (0..lineitem.row_count())
+            .filter(|&row| {
+                *qty.value_at(row) < max_quantity && discount.contains(disc.value_at(row))
+            })
+            .map(|row| *price.value_at(row) * *disc.value_at(row))
+            .sum()
+    }
+
     #[test]
     fn q1_matches_naive_reference() {
         let (lineitem, _) = sample_database(60_000, 5_000, 99);
@@ -173,25 +232,7 @@ mod tests {
         let rows = q1_pricing_summary(&ex, &lineitem);
         // 3 flags x 2 statuses = 6 groups on any non-trivial sample.
         assert_eq!(rows.len(), 6);
-
-        // Naive reference over decoded values.
-        let flag = int_column(&lineitem, "L_RETURNFLAG");
-        let status = int_column(&lineitem, "L_LINESTATUS");
-        let price = int_column(&lineitem, "L_EXTENDEDPRICE");
-        let mut naive = std::collections::BTreeMap::<(i64, i64), (i64, u64)>::new();
-        for row in 0..lineitem.row_count() {
-            let e = naive
-                .entry((*flag.value_at(row), *status.value_at(row)))
-                .or_insert((0, 0));
-            e.0 += *price.value_at(row);
-            e.1 += 1;
-        }
-        for r in &rows {
-            let &(sum, count) = naive
-                .get(&(r.returnflag, r.linestatus))
-                .expect("group exists");
-            assert_eq!((r.sum_extendedprice, r.count), (sum, count));
-        }
+        assert_eq!(rows, q1_by_row(&lineitem));
         let total: u64 = rows.iter().map(|r| r.count).sum();
         assert_eq!(total, 60_000);
     }
@@ -201,20 +242,31 @@ mod tests {
         let (lineitem, _) = sample_database(40_000, 3_000, 7);
         let ex = executor(Arc::new(NoopAllocator));
         let revenue = q6_forecast_revenue(&ex, &lineitem, 24, 5..=7);
-
-        let qty = int_column(&lineitem, "L_QUANTITY");
-        let disc = int_column(&lineitem, "L_DISCOUNT");
-        let price = int_column(&lineitem, "L_EXTENDEDPRICE");
-        let mut naive = 0i64;
-        for row in 0..lineitem.row_count() {
-            let q = *qty.value_at(row);
-            let d = *disc.value_at(row);
-            if q < 24 && (5..=7).contains(&d) {
-                naive += *price.value_at(row) * d;
-            }
-        }
-        assert_eq!(revenue, naive);
+        assert_eq!(revenue, q6_by_row(&lineitem, 24, 5..=7));
         assert!(revenue > 0);
+    }
+
+    proptest::proptest! {
+        /// Q1 and Q6 against the row-at-a-time references at row counts
+        /// that are not multiples of the 32 Ki-row chunk or the decode
+        /// block, over arbitrary predicate constants.
+        #[test]
+        fn q1_q6_match_row_reference(
+            rows in proptest::prop_oneof![1usize..2_500, 32_700usize..32_900, 66_000usize..66_100],
+            max_quantity in 0i64..55,
+            lo in 0i64..12,
+            width in 0i64..6,
+            seed in 0u64..10_000,
+        ) {
+            let (lineitem, _) = sample_database(rows, rows / 8 + 1, seed);
+            let ex = executor(Arc::new(NoopAllocator));
+            proptest::prop_assert_eq!(q1_pricing_summary(&ex, &lineitem), q1_by_row(&lineitem));
+            let discount = lo..=lo + width;
+            proptest::prop_assert_eq!(
+                q6_forecast_revenue(&ex, &lineitem, max_quantity, discount.clone()),
+                q6_by_row(&lineitem, max_quantity, discount)
+            );
+        }
     }
 
     #[test]

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# Perf-regression gate for the cache-allocation fast path.
+# Perf-regression gate for the cache-allocation fast path and the storage
+# kernels (compressed scan, aggregation hash table).
 #
-# Runs the `micro_alloc` criterion benchmark several times on the current
-# tree and on a base ref (checked out into a throwaway git worktree),
-# compares per-benchmark medians, and fails if any gated benchmark got
-# more than the threshold slower. The measurements come from the JSON
-# lines the vendored criterion stand-in appends when CCP_BENCH_JSON is
-# set.
+# Runs the `micro_alloc` and `storage_micro` criterion benchmarks several
+# times on the current tree and on a base ref (checked out into a
+# throwaway git worktree), compares per-benchmark medians, and fails if
+# any gated benchmark got more than the threshold slower. The measurements
+# come from the JSON lines the vendored criterion stand-in appends when
+# CCP_BENCH_JSON is set.
 #
 # Usage:
 #   scripts/perf_gate.sh [BASE_REF]        # default: origin/main, then main
@@ -15,14 +16,15 @@
 #   CCP_PERF_RUNS       repetitions per side (default 5)
 #   CCP_PERF_THRESHOLD  allowed slowdown in percent (default 15)
 #   CCP_PERF_GATE_IDS   space-separated benchmark ids to gate
-#                       (default: the mask-rebind fast path + mask switch)
+#                       (default: the mask-rebind fast path, the mask
+#                       switch, the 20-bit scan and the hash-table update)
 #   CCP_BENCH_MS        measuring window per benchmark in ms (default 120)
 
 set -euo pipefail
 
 RUNS="${CCP_PERF_RUNS:-5}"
 THRESHOLD="${CCP_PERF_THRESHOLD:-15}"
-GATE_IDS="${CCP_PERF_GATE_IDS:-alloc/fast_path/rebind_same_mask alloc/switch/alternate_masks}"
+GATE_IDS="${CCP_PERF_GATE_IDS:-alloc/fast_path/rebind_same_mask alloc/switch/alternate_masks storage/scan/count_range_20bit storage/hashtable/update_100k_groups}"
 export CCP_BENCH_MS="${CCP_BENCH_MS:-120}"
 
 REPO_ROOT="$(git rev-parse --show-toplevel)"
@@ -51,8 +53,9 @@ run_bench() { # run_bench <tree-dir> <json-out>
     local tree="$1" out="$2" i
     for ((i = 1; i <= RUNS; i++)); do
         echo "  run $i/$RUNS …"
-        (cd "$tree" && CCP_BENCH_JSON="$out" \
-            cargo bench -p ccp-bench --bench micro_alloc >/dev/null)
+        (cd "$tree" && export CCP_BENCH_JSON="$out" &&
+            cargo bench -p ccp-bench --bench micro_alloc >/dev/null &&
+            cargo bench -p ccp-storage --bench storage_micro >/dev/null)
     done
 }
 
@@ -69,8 +72,8 @@ if [[ ! -s "$PR_JSON" ]]; then
     # regression": it means the bench harness itself broke.
     echo "perf gate: no CCP_BENCH_JSON lines from the current tree — the" >&2
     echo "vendored criterion stand-in emitted no measurements (is the" >&2
-    echo "micro_alloc bench still wired to CCP_BENCH_JSON?)" >&2
-    echo "### Perf gate (micro_alloc): FAILED — no measurements from the current tree" >>"$SUMMARY"
+    echo "micro_alloc/storage_micro benches still wired to CCP_BENCH_JSON?)" >&2
+    echo "### Perf gate: FAILED — no measurements from the current tree" >>"$SUMMARY"
     exit 1
 fi
 
@@ -83,7 +86,7 @@ if [[ ! -s "$BASE_JSON" ]]; then
     # criterion stand-in; there is nothing to compare against yet.
     echo "-- base produced no measurements; gate passes vacuously"
     {
-        echo "### Perf gate (micro_alloc)"
+        echo "### Perf gate (micro_alloc, storage_micro)"
         echo
         echo "Vacuous pass: base \`${BASE_REF}\` produced no CCP_BENCH_JSON measurements."
     } >>"$SUMMARY"
@@ -139,7 +142,7 @@ for bench in gate_ids:
         failed = True
 
 with open(summary_path, "w") as f:
-    f.write("### Perf gate (micro_alloc)\n\n")
+    f.write("### Perf gate (micro_alloc, storage_micro)\n\n")
     f.write(f"Threshold: {threshold:.0f}% slowdown on medians.\n\n")
     f.write("| benchmark | base (ns/iter) | pr (ns/iter) | delta | verdict |\n")
     f.write("|---|---:|---:|---:|---|\n")
