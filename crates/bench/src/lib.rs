@@ -81,17 +81,8 @@ pub fn save_json(name: &str, rows: &[ResultRow]) {
 /// Renders result rows as a pretty-printed JSON array.
 fn rows_to_json(rows: &[ResultRow]) -> String {
     fn esc(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
+        let mut out = String::with_capacity(s.len() + 2);
+        ccp_trace::escape_json_into(&mut out, s);
         out
     }
     fn num(v: f64) -> String {
@@ -107,8 +98,8 @@ fn rows_to_json(rows: &[ResultRow]) -> String {
     let mut out = String::from("[\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str("  {\n");
-        out.push_str(&format!("    \"config\": \"{}\",\n", esc(&r.config)));
-        out.push_str(&format!("    \"series\": \"{}\",\n", esc(&r.series)));
+        out.push_str(&format!("    \"config\": {},\n", esc(&r.config)));
+        out.push_str(&format!("    \"series\": {},\n", esc(&r.series)));
         out.push_str(&format!("    \"x\": {},\n", num(r.x)));
         out.push_str(&format!("    \"normalized\": {},\n", num(r.normalized)));
         out.push_str(&format!(

@@ -130,8 +130,9 @@ pub enum Decision {
     },
 }
 
-/// Monotonic decision counters, mirrored into
-/// `ccp_control_*_total` metrics by the server.
+/// Monotonic decision counters for embedders without a metrics layer.
+/// (The server does not read them: its control step bumps the
+/// `ccp_control_*_total` instruments from each [`Decision`] directly.)
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ControlCounters {
     /// Total ticks evaluated.

@@ -13,7 +13,7 @@
 //!    readings (from a `ccp-resctrl` `OccupancyProbe`, real or
 //!    simulated), delivered with a sequence number — successful probes
 //!    so far — so staleness is observable.
-//! 2. **Classification** ([`classify`]) — each class's current behavior
+//! 2. **Classification** ([`mod@classify`]) — each class's current behavior
 //!    (fits / steady / starved / polluting / idle) from its
 //!    occupancy-vs-allocation ratio and MBM slope.
 //! 3. **Derivation** ([`plan`]) — behaviors become per-class way

@@ -91,6 +91,13 @@ impl<T: Clone> Family<T> {
             .clone()
     }
 
+    /// The metric for `labels` if one exists. Unlike
+    /// [`get_or_create`](Family::get_or_create) a lookup never mints a
+    /// label set, so read paths (`/stats`) cannot grow the exposition.
+    pub fn get(&self, labels: &[(&str, &str)]) -> Option<T> {
+        lock(&self.inner.metrics).get(&normalize(labels)).cloned()
+    }
+
     /// Attaches an existing metric handle under `labels`, replacing any
     /// previous metric there. This lets a component keep private
     /// instruments (isolated per instance) and expose them through a
@@ -219,6 +226,16 @@ impl Registry {
         )
     }
 
+    /// The unlabelled counter `name`: its family's only metric.
+    pub fn counter(&self, name: &str, help: &str) -> Counter {
+        self.counter_family(name, help).get_or_create(&[])
+    }
+
+    /// The unlabelled gauge `name`: its family's only metric.
+    pub fn gauge(&self, name: &str, help: &str) -> Gauge {
+        self.gauge_family(name, help).get_or_create(&[])
+    }
+
     /// Registers (or returns the existing) histogram family with the
     /// default latency bucket layout.
     pub fn histogram_family(&self, name: &str, help: &str) -> Family<Histogram> {
@@ -248,10 +265,11 @@ impl Registry {
     }
 
     /// Samples every family programmatically, in name order — the
-    /// machine-readable sibling of [`render_prometheus`]
-    /// (`Self::render_prometheus`). This is what a periodic recorder
-    /// (the `ccp-flight` ring TSDB) consumes: typed values instead of
-    /// text, with histogram snapshots intact for windowed quantiles.
+    /// machine-readable sibling of
+    /// [`render_prometheus`](Self::render_prometheus). This is what a
+    /// periodic recorder (the `ccp-flight` ring TSDB) consumes: typed
+    /// values instead of text, with histogram snapshots intact for
+    /// windowed quantiles.
     pub fn sample_all(&self) -> Vec<FamilySample> {
         let families: Vec<(String, AnyFamily)> = lock(&self.families)
             .iter()
@@ -410,6 +428,23 @@ mod tests {
         let b = r.counter_family("x_total", "X");
         a.get_or_create(&[]).inc();
         assert_eq!(b.get_or_create(&[]).get(), 1);
+    }
+
+    #[test]
+    fn get_reads_without_creating_and_shortcuts_share_the_family() {
+        let r = Registry::new();
+        let fam = r.counter_family("x_total", "X");
+        assert!(fam.get(&[("tenant", "a")]).is_none());
+        assert!(fam.collect().is_empty(), "a lookup minted a label set");
+        fam.get_or_create(&[("tenant", "a")]).add(2);
+        assert_eq!(fam.get(&[("tenant", "a")]).map(|c| c.get()), Some(2));
+        r.counter("y_total", "Y").inc();
+        assert_eq!(r.counter("y_total", "Y").get(), 1);
+        r.gauge("z", "Z").set(4.0);
+        assert_eq!(
+            r.gauge_family("z", "Z").get(&[]).map(|g| g.get()),
+            Some(4.0)
+        );
     }
 
     #[test]

@@ -41,8 +41,8 @@ use crate::faults;
 use crate::supervisor::{ResctrlHealth, SupervisedController};
 use crate::tenant::{parse_group_name, GROUP_PREFIX};
 use ccp_cachesim::WayMask;
+use ccp_obs::{Counter, Gauge, Registry};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Passes to skip after the first consecutive exhaustion; doubles up to
@@ -77,126 +77,88 @@ pub enum GroupState {
     Failed,
 }
 
-/// Shared, lock-free counters of the reconciler's work, in the same
-/// style as [`ResctrlHealth`]: producers on the reconcile loop, readers
-/// on the metrics scrape path.
-#[derive(Debug, Default)]
+/// The reconciler's `ccp_reconcile_*` instruments, a bundle of live
+/// `ccp_obs` handles: bumped on the reconcile loop, read by `/stats`
+/// (`handle.get()`), and — once attached with
+/// [`register_into`](ReconcileStats::register_into) — rendered by
+/// `/metrics` from the same handles. Cloning shares them.
+#[derive(Debug, Default, Clone)]
 pub struct ReconcileStats {
-    // ORDERING: all relaxed — monotone event counters plus advisory
-    // gauges; no other memory depends on their ordering and readers
-    // tolerate values a pass stale.
-    reconciled: AtomicU64,
-    retried: AtomicU64,
-    orphans_removed: AtomicU64,
-    failed_total: AtomicU64,
-    sweeps: AtomicU64,
+    /// Groups brought into their desired state (created + programmed).
+    pub reconciled: Counter,
+    /// Creation re-attempts after an earlier failed or exhausted pass.
+    pub retried: Counter,
+    /// Orphaned `ccp-` groups deleted by sweeps.
+    pub orphans_removed: Counter,
+    /// Cumulative non-capacity reconcile failures.
+    pub failures: Counter,
+    /// Sweep passes completed.
+    pub sweeps: Counter,
     /// Desired groups in [`GroupState::Failed`] after the latest pass —
     /// the convergence gauge: 0 once every non-capacity failure healed.
-    last_failed: AtomicU64,
+    pub failed: Gauge,
     /// Desired groups in [`GroupState::Fallback`] after the latest pass.
-    last_fallback: AtomicU64,
-    /// Whether the latest pass observed CLOSID exhaustion.
-    exhausted: AtomicBool,
+    pub fallback: Gauge,
+    /// 1 while the latest creating pass observed CLOSID exhaustion.
+    pub exhausted: Gauge,
 }
 
 impl ReconcileStats {
-    /// Groups brought into their desired state (created + programmed).
-    pub fn reconciled(&self) -> u64 {
-        // ORDERING: relaxed — eventually-consistent read (struct doc).
-        self.reconciled.load(Ordering::Relaxed)
-    }
-
-    /// Creation re-attempts after an earlier failed or exhausted pass.
-    pub fn retried(&self) -> u64 {
-        // ORDERING: relaxed — eventually-consistent read (struct doc).
-        self.retried.load(Ordering::Relaxed)
-    }
-
-    /// Orphaned `ccp-` groups deleted by sweeps.
-    pub fn orphans_removed(&self) -> u64 {
-        // ORDERING: relaxed — eventually-consistent read (struct doc).
-        self.orphans_removed.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative non-capacity reconcile failures.
-    pub fn failed_total(&self) -> u64 {
-        // ORDERING: relaxed — eventually-consistent read (struct doc).
-        self.failed_total.load(Ordering::Relaxed)
-    }
-
-    /// Sweep passes completed.
-    pub fn sweeps(&self) -> u64 {
-        // ORDERING: relaxed — eventually-consistent read (struct doc).
-        self.sweeps.load(Ordering::Relaxed)
-    }
-
-    /// Desired groups still failing after the latest pass (gauge).
-    pub fn failed(&self) -> u64 {
-        // ORDERING: relaxed — eventually-consistent read (struct doc).
-        self.last_failed.load(Ordering::Relaxed)
-    }
-
-    /// Desired groups degraded to the shared class mask (gauge).
-    pub fn fallback(&self) -> u64 {
-        // ORDERING: relaxed — eventually-consistent read (struct doc).
-        self.last_fallback.load(Ordering::Relaxed)
-    }
-
-    /// Whether the latest pass hit CLOSID exhaustion.
-    pub fn is_exhausted(&self) -> bool {
-        // ORDERING: relaxed — advisory gauge (struct doc).
-        self.exhausted.load(Ordering::Relaxed)
-    }
-
-    // Producers, public in the [`ResctrlHealth`] style so metric sinks
-    // and their tests can drive a stats instance without a reconciler.
-
-    /// Counts one sweep pass.
-    pub fn note_sweep(&self) {
-        // ORDERING: relaxed — monotone event counter (struct doc).
-        self.sweeps.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one group brought to its desired state.
-    pub fn note_reconciled(&self) {
-        // ORDERING: relaxed — monotone event counter (struct doc).
-        self.reconciled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one creation re-attempt.
-    pub fn note_retried(&self) {
-        // ORDERING: relaxed — monotone event counter (struct doc).
-        self.retried.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one orphaned group removed.
-    pub fn note_orphan_removed(&self) {
-        // ORDERING: relaxed — monotone event counter (struct doc).
-        self.orphans_removed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one failed reconcile operation.
-    pub fn note_failure(&self) {
-        // ORDERING: relaxed — monotone event counter (struct doc).
-        self.failed_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Publishes the post-pass Failed-group gauge.
-    pub fn set_failed(&self, failed: u64) {
-        // ORDERING: relaxed — advisory gauge (struct doc).
-        self.last_failed.store(failed, Ordering::Relaxed);
-    }
-
-    /// Publishes the post-pass Fallback-group gauge.
-    pub fn set_fallback(&self, fallback: u64) {
-        // ORDERING: relaxed — advisory gauge (struct doc).
-        self.last_fallback.store(fallback, Ordering::Relaxed);
-    }
-
-    /// Publishes whether the latest pass saw CLOSID exhaustion.
-    pub fn set_exhausted(&self, exhausted: bool) {
-        // ORDERING: relaxed — advisory gauge (struct doc).
-        self.exhausted.store(exhausted, Ordering::Relaxed);
+    /// Attaches the live counters and gauges to `registry`.
+    pub fn register_into(&self, registry: &Registry) {
+        for (name, help, counter) in [
+            (
+                "ccp_reconcile_sweeps_total",
+                "Orphan sweeps executed by the group reconciler (startup and per pass)",
+                &self.sweeps,
+            ),
+            (
+                "ccp_reconcile_reconciled_total",
+                "Tenant groups created and programmed by the reconciler",
+                &self.reconciled,
+            ),
+            (
+                "ccp_reconcile_retried_total",
+                "Group creations re-attempted after a failed or fallback pass",
+                &self.retried,
+            ),
+            (
+                "ccp_reconcile_orphans_removed_total",
+                "Stale ccp- groups deleted by reconciler sweeps",
+                &self.orphans_removed,
+            ),
+            (
+                "ccp_reconcile_failures_total",
+                "Reconcile operations (create, program, sweep) that failed",
+                &self.failures,
+            ),
+        ] {
+            registry
+                .counter_family(name, help)
+                .register(&[], counter.clone());
+        }
+        for (name, help, gauge) in [
+            (
+                "ccp_reconcile_failed_groups",
+                "Desired tenant groups currently in the Failed state",
+                &self.failed,
+            ),
+            (
+                "ccp_reconcile_fallback_groups",
+                "Desired tenant groups currently degraded to the shared class mask \
+                 (CLOSID exhaustion fallback)",
+                &self.fallback,
+            ),
+            (
+                "ccp_reconcile_exhausted",
+                "1 while the last reconcile pass hit CLOSID exhaustion, else 0",
+                &self.exhausted,
+            ),
+        ] {
+            registry
+                .gauge_family(name, help)
+                .register(&[], gauge.clone());
+        }
     }
 }
 
@@ -225,7 +187,7 @@ pub struct Reconciler {
     domains: Vec<u32>,
     desired: Vec<DesiredGroup>,
     states: HashMap<String, GroupState>,
-    stats: Arc<ReconcileStats>,
+    stats: ReconcileStats,
     /// Passes left to skip before creation is attempted again.
     backoff_left: u32,
     /// Next backoff window (doubles per consecutive exhaustion).
@@ -255,16 +217,17 @@ impl Reconciler {
             domains,
             desired: Vec::new(),
             states: HashMap::new(),
-            stats: Arc::new(ReconcileStats::default()),
+            stats: ReconcileStats::default(),
             backoff_left: 0,
             backoff_next: BASE_BACKOFF_PASSES,
             capacity_exhausted: false,
         }
     }
 
-    /// The shared stats handle (for `/metrics` and `/stats`).
-    pub fn stats(&self) -> Arc<ReconcileStats> {
-        Arc::clone(&self.stats)
+    /// The reconciler's instruments (shared handles, for `/metrics` and
+    /// `/stats`).
+    pub fn stats(&self) -> ReconcileStats {
+        self.stats.clone()
     }
 
     /// The supervisor's shared health handle.
@@ -299,7 +262,7 @@ impl Reconciler {
     ///
     /// # Errors
     /// Propagates a listing failure; individual remove failures are
-    /// counted into `failed_total` but do not abort the sweep.
+    /// counted into `failures` but do not abort the sweep.
     pub fn startup_sweep(&mut self) -> Result<usize, ResctrlError> {
         self.sweep(|name| name.starts_with(GROUP_PREFIX))
     }
@@ -334,7 +297,7 @@ impl Reconciler {
                 message: "Input/output error (os error 5)".into(),
             });
         }
-        self.stats.note_sweep();
+        self.stats.sweeps.inc();
         let mut removed = 0;
         for name in self.ctl.groups()? {
             if !victim(&name) || self.desired.iter().any(|d| d.name == name) {
@@ -346,10 +309,10 @@ impl Reconciler {
             match self.ctl.remove_group(handle) {
                 Ok(()) => {
                     removed += 1;
-                    self.stats.note_orphan_removed();
+                    self.stats.orphans_removed.inc();
                 }
                 Err(_) => {
-                    self.stats.note_failure();
+                    self.stats.failures.inc();
                 }
             }
         }
@@ -417,13 +380,13 @@ impl Reconciler {
                 match self.assert_mask(d) {
                     Ok(()) => {
                         if state != GroupState::Satisfied {
-                            self.stats.note_reconciled();
+                            self.stats.reconciled.inc();
                             out.created += usize::from(state == GroupState::Pending);
                         }
                         self.states.insert(d.name.clone(), GroupState::Satisfied);
                     }
                     Err(_) => {
-                        self.stats.note_failure();
+                        self.stats.failures.inc();
                         self.states.insert(d.name.clone(), GroupState::Failed);
                     }
                 }
@@ -440,7 +403,7 @@ impl Reconciler {
                 continue;
             }
             if matches!(state, GroupState::Fallback | GroupState::Failed) {
-                self.stats.note_retried();
+                self.stats.retried.inc();
             }
             let created = self
                 .fault_create(&d.name)
@@ -449,7 +412,7 @@ impl Reconciler {
                 Ok(handle) => match self.program_mask(&handle, d.mask) {
                     Ok(()) => {
                         out.created += 1;
-                        self.stats.note_reconciled();
+                        self.stats.reconciled.inc();
                         self.states.insert(d.name.clone(), GroupState::Satisfied);
                     }
                     Err(_) => {
@@ -458,7 +421,7 @@ impl Reconciler {
                         if let Ok(h) = self.ctl.existing_group(&d.name) {
                             let _ = self.ctl.remove_group(h);
                         }
-                        self.stats.note_failure();
+                        self.stats.failures.inc();
                         self.states.insert(d.name.clone(), GroupState::Failed);
                     }
                 },
@@ -470,7 +433,7 @@ impl Reconciler {
                     self.states.insert(d.name.clone(), GroupState::Fallback);
                 }
                 Err(_) => {
-                    self.stats.note_failure();
+                    self.stats.failures.inc();
                     self.states.insert(d.name.clone(), GroupState::Failed);
                 }
             }
@@ -496,14 +459,16 @@ impl Reconciler {
 
         out.failed = self.count(GroupState::Failed);
         out.fallback = self.count(GroupState::Fallback);
-        self.stats.set_exhausted(self.capacity_exhausted);
+        self.stats
+            .exhausted
+            .set(f64::from(u8::from(self.capacity_exhausted)));
         self.publish_gauges(&out);
         out
     }
 
     fn publish_gauges(&self, out: &ReconcileOutcome) {
-        self.stats.set_failed(out.failed as u64);
-        self.stats.set_fallback(out.fallback as u64);
+        self.stats.failed.set(out.failed as f64);
+        self.stats.fallback.set(out.fallback as f64);
     }
 
     fn count(&self, which: GroupState) -> usize {
@@ -571,7 +536,7 @@ mod tests {
         }
         let mut r = reconciler_on(fs.clone());
         assert_eq!(r.startup_sweep().unwrap(), 3);
-        assert_eq!(r.stats().orphans_removed(), 3);
+        assert_eq!(r.stats().orphans_removed.get(), 3);
         assert_eq!(fs.group_count(), 1);
     }
 
@@ -586,7 +551,7 @@ mod tests {
         let out = r.reconcile();
         assert_eq!(out.created, 2);
         assert_eq!(out.failed, 0);
-        assert_eq!(r.stats().reconciled(), 2);
+        assert_eq!(r.stats().reconciled.get(), 2);
         use crate::fs::ResctrlFs;
         assert_eq!(
             fs.read(std::path::Path::new(
@@ -598,7 +563,7 @@ mod tests {
         // A second pass is a no-op: nothing new created or failed.
         let out = r.reconcile();
         assert_eq!(out.created, 0);
-        assert_eq!(r.stats().reconciled(), 2);
+        assert_eq!(r.stats().reconciled.get(), 2);
         assert!(r
             .group_states()
             .values()
@@ -641,7 +606,7 @@ mod tests {
         assert_eq!(out.created, 1, "one slot was left");
         assert_eq!(out.fallback, 1, "the other degrades to the shared mask");
         assert_eq!(out.failed, 0, "exhaustion is not a failure");
-        assert!(r.stats().is_exhausted());
+        assert_eq!(r.stats().exhausted.get(), 1.0);
 
         // Capacity frees; backoff (1 pass after first exhaustion) then
         // the retry upgrades the fallback group to satisfied.
@@ -651,8 +616,36 @@ mod tests {
         let healed = r.reconcile();
         assert_eq!(healed.created, 1);
         assert_eq!(healed.fallback, 0);
-        assert!(r.stats().retried() >= 1);
-        assert!(!r.stats().is_exhausted());
+        assert!(r.stats().retried.get() >= 1);
+        assert_eq!(r.stats().exhausted.get(), 0.0);
+    }
+
+    #[test]
+    fn register_into_renders_the_live_counters_and_gauges() {
+        let fs = FakeFs::new("/sys/fs/resctrl", 0xfffff, 2, 3, &[0]);
+        let mut r = reconciler_on(fs);
+        let registry = Registry::new();
+        r.stats().register_into(&registry);
+        // 3 CLOSIDs: root + 2 groups, so the third desired group falls back.
+        r.set_desired(vec![
+            desired("ccp-a-polluting", 0x3),
+            desired("ccp-a-sensitive", 0xfffff),
+            desired("ccp-a-mixed", 0xfff),
+        ]);
+        r.reconcile();
+        let text = registry.render_prometheus();
+        for line in [
+            "ccp_reconcile_sweeps_total 1",
+            "ccp_reconcile_reconciled_total 2",
+            "ccp_reconcile_retried_total 0",
+            "ccp_reconcile_orphans_removed_total 0",
+            "ccp_reconcile_failures_total 0",
+            "ccp_reconcile_failed_groups 0.0",
+            "ccp_reconcile_fallback_groups 1.0",
+            "ccp_reconcile_exhausted 1.0",
+        ] {
+            assert!(text.contains(line), "{line} missing from:\n{text}");
+        }
     }
 
     #[test]

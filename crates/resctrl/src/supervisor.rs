@@ -17,10 +17,10 @@
 //!    the shared `degraded` flag. The engine observes the flag and
 //!    falls back to full-mask (unpartitioned) execution: queries keep
 //!    succeeding, partitioning is sacrificed.
-//! 3. **Re-probe** — while degraded, a caller-driven [`probe`]
-//!    (`SupervisedController::probe`) replays the last schemata write
-//!    *bypassing* the old-vs-new skip cache; only a real kernel write
-//!    succeeding clears the flag ([`ResctrlHealth::restore`]).
+//! 3. **Re-probe** — while degraded, a caller-driven
+//!    [`probe`](SupervisedController::probe) replays the last schemata
+//!    write *bypassing* the old-vs-new skip cache; only a real kernel
+//!    write succeeding clears the flag ([`ResctrlHealth::restore`]).
 //!
 //! Deterministic errors — [`ResctrlError::BadMask`],
 //! [`ResctrlError::TooManyGroups`], [`ResctrlError::NoSuchGroup`] — are
@@ -32,7 +32,8 @@ use crate::error::ResctrlError;
 use crate::metrics::ResctrlMetrics;
 use crate::schemata::Schemata;
 use ccp_cachesim::WayMask;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use ccp_obs::{Counter, Registry};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -65,17 +66,6 @@ impl Default for RetryPolicy {
     }
 }
 
-impl RetryPolicy {
-    /// A policy that never retries (used where latency matters more
-    /// than resilience, and by tests).
-    pub fn no_retry() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..Self::default()
-        }
-    }
-}
-
 /// SplitMix64 step, the jitter source (same mixer the failpoint layer
 /// uses; deterministic, no global RNG state).
 fn splitmix64(state: &mut u64) -> u64 {
@@ -87,24 +77,25 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// Shared health of the resctrl backend: the circuit breaker's state
-/// plus counters for observability. One instance is shared between the
-/// supervised controller (producer), the engine/server supervision loop
-/// (consumer), and `/metrics`.
+/// plus its `ccp_resctrl_*_total` event counters. One instance is shared
+/// between the supervised controller (producer), the engine/server
+/// supervision loop (consumer), and — once attached with
+/// [`register_into`](ResctrlHealth::register_into) — `/metrics`.
 #[derive(Debug)]
 pub struct ResctrlHealth {
-    // ORDERING: all counters and the degraded flag use relaxed loads and
-    // stores. They are monotonic event counts and a single advisory
-    // flag; no other memory depends on their ordering, and the
-    // supervision loop that consumes them tolerates reading values a
-    // few events stale.
+    // ORDERING: the degraded flag and the streak use relaxed loads and
+    // stores. They are a single advisory flag and a single-writer count;
+    // no other memory depends on their ordering, and the supervision
+    // loop that consumes them tolerates reading values a few events
+    // stale.
     degraded: AtomicBool,
     consecutive_failures: AtomicU32,
     trip_after: u32,
-    retries: AtomicU64,
-    failures: AtomicU64,
-    trips: AtomicU64,
-    reprobes: AtomicU64,
-    restores: AtomicU64,
+    retries: Counter,
+    failures: Counter,
+    trips: Counter,
+    reprobes: Counter,
+    restores: Counter,
 }
 
 impl ResctrlHealth {
@@ -115,11 +106,46 @@ impl ResctrlHealth {
             degraded: AtomicBool::new(false),
             consecutive_failures: AtomicU32::new(0),
             trip_after: trip_after.max(1),
-            retries: AtomicU64::new(0),
-            failures: AtomicU64::new(0),
-            trips: AtomicU64::new(0),
-            reprobes: AtomicU64::new(0),
-            restores: AtomicU64::new(0),
+            retries: Counter::new(),
+            failures: Counter::new(),
+            trips: Counter::new(),
+            reprobes: Counter::new(),
+            restores: Counter::new(),
+        }
+    }
+
+    /// Attaches the live event counters to `registry`.
+    pub fn register_into(&self, registry: &Registry) {
+        for (name, help, counter) in [
+            (
+                "ccp_resctrl_retries_total",
+                "Transient resctrl failures retried by the supervisor",
+                &self.retries,
+            ),
+            (
+                "ccp_resctrl_op_failures_total",
+                "resctrl operations that exhausted their retries",
+                &self.failures,
+            ),
+            (
+                "ccp_resctrl_breaker_trips_total",
+                "Partitioned→Degraded transitions of the resctrl circuit breaker",
+                &self.trips,
+            ),
+            (
+                "ccp_resctrl_reprobes_total",
+                "Health probes attempted while degraded",
+                &self.reprobes,
+            ),
+            (
+                "ccp_resctrl_restores_total",
+                "Degraded→Partitioned transitions (successful re-probes)",
+                &self.restores,
+            ),
+        ] {
+            registry
+                .counter_family(name, help)
+                .register(&[], counter.clone());
         }
     }
 
@@ -136,9 +162,10 @@ impl ResctrlHealth {
     }
 
     /// An operation succeeded: the consecutive-failure streak resets.
-    /// Does *not* clear the degraded flag — only a [`restore`]
-    /// (driven by an explicit re-probe) does that, so a lucky write
-    /// while degraded cannot flap the engine back early.
+    /// Does *not* clear the degraded flag — only a
+    /// [`restore`](Self::restore) (driven by an explicit re-probe) does
+    /// that, so a lucky write while degraded cannot flap the engine back
+    /// early.
     pub fn record_success(&self) {
         // ORDERING: relaxed — single-writer streak reset; see the struct
         // comment.
@@ -147,22 +174,19 @@ impl ResctrlHealth {
 
     /// One retry attempt was scheduled.
     pub fn record_retry(&self) {
-        // ORDERING: relaxed — monotone event counter; see the struct
-        // comment.
-        self.retries.fetch_add(1, Ordering::Relaxed);
+        self.retries.inc();
     }
 
     /// An operation exhausted its retries. Returns `true` when this
     /// failure tripped the breaker (degraded mode begins now).
     pub fn record_failure(&self) -> bool {
-        // ORDERING: relaxed throughout — monotone counters plus the
-        // advisory degraded flag (see the struct comment); the `swap`
-        // is atomic, which alone guarantees exactly one caller counts
-        // each trip.
-        self.failures.fetch_add(1, Ordering::Relaxed);
+        self.failures.inc();
+        // ORDERING: relaxed — streak plus the advisory degraded flag
+        // (see the struct comment); the `swap` is atomic, which alone
+        // guarantees exactly one caller counts each trip.
         let streak = self.consecutive_failures.fetch_add(1, Ordering::Relaxed) + 1;
         if streak >= self.trip_after && !self.degraded.swap(true, Ordering::Relaxed) {
-            self.trips.fetch_add(1, Ordering::Relaxed);
+            self.trips.inc();
             return true;
         }
         false
@@ -170,9 +194,7 @@ impl ResctrlHealth {
 
     /// A health re-probe ran (successful or not).
     pub fn record_reprobe(&self) {
-        // ORDERING: relaxed — monotone event counter; see the struct
-        // comment.
-        self.reprobes.fetch_add(1, Ordering::Relaxed);
+        self.reprobes.inc();
     }
 
     /// A re-probe observed resctrl healthy again. Returns `true` when
@@ -182,7 +204,7 @@ impl ResctrlHealth {
         // `swap` is atomic, so exactly one caller counts each restore.
         self.consecutive_failures.store(0, Ordering::Relaxed);
         if self.degraded.swap(false, Ordering::Relaxed) {
-            self.restores.fetch_add(1, Ordering::Relaxed);
+            self.restores.inc();
             return true;
         }
         false
@@ -190,37 +212,27 @@ impl ResctrlHealth {
 
     /// Retry attempts scheduled so far.
     pub fn retries(&self) -> u64 {
-        // ORDERING: relaxed — eventually-consistent counter read; see
-        // the struct comment.
-        self.retries.load(Ordering::Relaxed)
+        self.retries.get()
     }
 
     /// Operations that exhausted their retries.
     pub fn failures(&self) -> u64 {
-        // ORDERING: relaxed — eventually-consistent counter read; see
-        // the struct comment.
-        self.failures.load(Ordering::Relaxed)
+        self.failures.get()
     }
 
     /// Times the breaker tripped (Partitioned → Degraded transitions).
     pub fn trips(&self) -> u64 {
-        // ORDERING: relaxed — eventually-consistent counter read; see
-        // the struct comment.
-        self.trips.load(Ordering::Relaxed)
+        self.trips.get()
     }
 
     /// Health probes attempted while degraded.
     pub fn reprobes(&self) -> u64 {
-        // ORDERING: relaxed — eventually-consistent counter read; see
-        // the struct comment.
-        self.reprobes.load(Ordering::Relaxed)
+        self.reprobes.get()
     }
 
     /// Times a probe healed the breaker (Degraded → Partitioned).
     pub fn restores(&self) -> u64 {
-        // ORDERING: relaxed — eventually-consistent counter read; see
-        // the struct comment.
-        self.restores.load(Ordering::Relaxed)
+        self.restores.get()
     }
 
     /// Current consecutive-failure streak.
@@ -496,6 +508,28 @@ mod tests {
         assert!(health.restore());
         assert!(!health.is_degraded());
         assert!(!health.restore(), "restore is idempotent");
+    }
+
+    #[test]
+    fn register_into_renders_the_live_counters() {
+        let health = ResctrlHealth::new(2);
+        let registry = Registry::new();
+        health.register_into(&registry);
+        health.record_retry();
+        health.record_failure();
+        assert!(health.record_failure(), "second failure trips");
+        health.record_reprobe();
+        assert!(health.restore());
+        let text = registry.render_prometheus();
+        for line in [
+            "ccp_resctrl_retries_total 1",
+            "ccp_resctrl_op_failures_total 2",
+            "ccp_resctrl_breaker_trips_total 1",
+            "ccp_resctrl_reprobes_total 1",
+            "ccp_resctrl_restores_total 1",
+        ] {
+            assert!(text.contains(line), "{line} missing from:\n{text}");
+        }
     }
 
     #[test]

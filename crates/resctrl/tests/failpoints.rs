@@ -126,8 +126,8 @@ fn typed_enospc_failpoint_forces_fallback_then_heals() {
         }
     }
     assert!(healed, "reconciler must converge after the fault window");
-    assert_eq!(r.stats().failed(), 0);
-    assert!(r.stats().retried() >= 1);
+    assert_eq!(r.stats().failed.get(), 0.0);
+    assert!(r.stats().retried.get() >= 1);
 }
 
 #[test]
@@ -140,12 +140,12 @@ fn eio_failpoint_counts_failed_and_retries_without_backoff() {
     let out = r.reconcile();
     assert_eq!(out.failed, 1);
     assert_eq!(out.fallback, 0);
-    assert_eq!(r.stats().failed(), 1);
+    assert_eq!(r.stats().failed.get(), 1.0);
     // EIO is transient: the very next pass retries and succeeds.
     let out = r.reconcile();
     assert_eq!(out.failed, 0);
-    assert_eq!(r.stats().failed(), 0);
-    assert!(r.stats().retried() >= 1);
+    assert_eq!(r.stats().failed.get(), 0.0);
+    assert!(r.stats().retried.get() >= 1);
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! independent limits:
 //!
 //! 1. **Concurrency shape** — the engine's
-//!    [`CacheAwareScheduler`](ccp_engine::CacheAwareScheduler) decides who
+//!    [`CacheAwareScheduler`] decides who
 //!    may co-run: at most `slots` queries at once, never two
 //!    cache-sensitive ones together (they would fight over the LLC share
 //!    partitioning reserves for them). Waiters are served FIFO *with
@@ -142,19 +142,20 @@ impl TenantLimits {
 
     /// Every tenant named by a quota or weight, in configuration order.
     pub fn tenants(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = Vec::new();
-        for name in self
-            .quotas
-            .iter()
-            .map(|(t, _)| t.as_str())
-            .chain(self.weights.iter().map(|(t, _)| t.as_str()))
-        {
-            if !out.contains(&name) {
-                out.push(name);
-            }
-        }
-        out
+        let quotas = self.quotas.iter().map(|(t, _)| t.as_str());
+        unique(quotas.chain(self.weights.iter().map(|(t, _)| t.as_str())))
     }
+}
+
+/// `names` without repeats, in first-seen order.
+pub(crate) fn unique<'a>(names: impl IntoIterator<Item = &'a str>) -> Vec<&'a str> {
+    let mut out: Vec<&str> = Vec::new();
+    for name in names {
+        if !out.contains(&name) {
+            out.push(name);
+        }
+    }
+    out
 }
 
 /// Weighted-fair grant selection across tenants — the pure core of the
@@ -311,8 +312,11 @@ impl AdmissionQueue {
     }
 
     /// Layers per-tenant quotas and grant weights on top of the class
-    /// caps. Call before the queue is shared (builder style).
+    /// caps. Call before the queue is shared (builder style). The tenants
+    /// `limits` names keep a metric label set of their own however many
+    /// unconfigured tenants show up.
     pub fn with_tenant_limits(mut self, limits: TenantLimits) -> Self {
+        self.server_metrics.pin_tenants(limits.tenants());
         self.tenant_limits = limits;
         self
     }
@@ -588,16 +592,7 @@ impl AdmissionQueue {
     /// (`polluting` / `sensitive` / `mixed`), for `/stats` next to the
     /// per-class limits.
     pub fn waiting_by_class(&self) -> Vec<(&'static str, usize)> {
-        let st = self.lock();
-        let mut counts: Vec<(&'static str, usize)> = Vec::new();
-        for w in &st.waiting {
-            let label = class_label(w.cuid);
-            match counts.iter_mut().find(|(l, _)| *l == label) {
-                Some((_, n)) => *n += 1,
-                None => counts.push((label, 1)),
-            }
-        }
-        counts
+        tally(self.lock().waiting.iter().map(|w| class_label(w.cuid)))
     }
 
     /// Count of currently *running* queries per CUID class label
@@ -605,42 +600,17 @@ impl AdmissionQueue {
     /// occupancy sampler's simulated probe feeds on when no CMT hardware
     /// is present.
     pub fn running_by_class(&self) -> Vec<(&'static str, usize)> {
-        let st = self.lock();
-        let mut counts: Vec<(&'static str, usize)> = Vec::new();
-        for &cuid in &st.running {
-            let label = class_label(cuid);
-            match counts.iter_mut().find(|(l, _)| *l == label) {
-                Some((_, n)) => *n += 1,
-                None => counts.push((label, 1)),
-            }
-        }
-        counts
+        tally(self.lock().running.iter().map(|&cuid| class_label(cuid)))
     }
 
     /// Count of currently *waiting* queries per tenant, for `/stats`.
     pub fn waiting_by_tenant(&self) -> Vec<(String, usize)> {
-        let st = self.lock();
-        let mut counts: Vec<(String, usize)> = Vec::new();
-        for w in &st.waiting {
-            match counts.iter_mut().find(|(t, _)| **t == *w.tenant) {
-                Some((_, n)) => *n += 1,
-                None => counts.push((w.tenant.to_string(), 1)),
-            }
-        }
-        counts
+        tally(self.lock().waiting.iter().map(|w| w.tenant.to_string()))
     }
 
     /// Count of currently *running* queries per tenant, for `/stats`.
     pub fn running_by_tenant(&self) -> Vec<(String, usize)> {
-        let st = self.lock();
-        let mut counts: Vec<(String, usize)> = Vec::new();
-        for t in &st.running_tenants {
-            match counts.iter_mut().find(|(n, _)| **n == **t) {
-                Some((_, n)) => *n += 1,
-                None => counts.push((t.to_string(), 1)),
-            }
-        }
-        counts
+        tally(self.lock().running_tenants.iter().map(|t| t.to_string()))
     }
 
     /// Cumulative grants per tenant since startup (the weighted-fairness
@@ -648,6 +618,18 @@ impl AdmissionQueue {
     pub fn grants_by_tenant(&self) -> Vec<(String, u64)> {
         self.lock().fair.all().to_vec()
     }
+}
+
+/// How often each distinct key occurs, in first-seen order.
+fn tally<K: PartialEq>(keys: impl Iterator<Item = K>) -> Vec<(K, usize)> {
+    let mut counts: Vec<(K, usize)> = Vec::new();
+    for key in keys {
+        match counts.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, n)) => *n += 1,
+            None => counts.push((key, 1)),
+        }
+    }
+    counts
 }
 
 /// Permission for one query to run; releases its concurrency slot on drop

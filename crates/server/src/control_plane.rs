@@ -10,7 +10,7 @@
 //! | step | period (`ServerConfig` field) | what it does |
 //! |---|---|---|
 //! | sample | `monitor_interval` | probes per-class occupancy into the `ccp_llc_occupancy_bytes` / `ccp_mbm_total_bytes` gauges and the readings the control step consumes |
-//! | supervise | `reprobe_interval` | mirrors resctrl health counters, flips degraded mode, re-probes while degraded |
+//! | supervise | `reprobe_interval` | flips degraded mode on a breaker trip, re-probes while degraded |
 //! | control | `control_interval` | one [`Controller`] tick on the latest readings; applies or reverts the live mask table |
 //! | reconcile | `reconcile_interval` | one [`Reconciler`] pass over the `ccp-<tenant>-<class>` groups |
 //! | record | `flight_interval` | one flight-recorder snapshot of the registry |
@@ -28,8 +28,15 @@
 //!
 //! [`ControlPlane::step`] is the whole scheduler, so tests drive the
 //! plane with synthetic instants and no thread.
+//!
+//! Nothing here copies a number: the supervisor's and the reconciler's
+//! counters are attached to the registry where they are bumped
+//! ([`ResctrlHealth::register_into`],
+//! [`ReconcileStats::register_into`](ccp_resctrl::ReconcileStats::register_into)),
+//! and the control step's own `ccp_control_*` instruments live in the
+//! [`PlaneView`] that `/stats` reads.
 
-use crate::admission::AdmissionQueue;
+use crate::admission::{unique, AdmissionQueue};
 use crate::metrics::ServerMetrics;
 use crate::query::QueryEngine;
 use crate::server::ServerConfig;
@@ -38,10 +45,10 @@ use ccp_control::{
 };
 use ccp_engine::CacheUsageClass;
 use ccp_flight::{FlightHandle, FlightRecorder, RecorderConfig};
-use ccp_obs::{Family, Gauge, Registry};
+use ccp_obs::{Counter, Family, Gauge, Registry};
 use ccp_resctrl::{
-    CacheController, DesiredGroup, GroupState, OccupancyProbe, Reconciler, ResctrlHealth,
-    ResctrlMonitor, SimClass, SimulatedMonitor, TenantId,
+    CacheController, DesiredGroup, GroupState, OccupancyProbe, ReconcileStats, Reconciler,
+    ResctrlHealth, ResctrlMonitor, SimClass, SimulatedMonitor, TenantId,
 };
 use ccp_trace::TraceCat;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -52,15 +59,77 @@ use std::time::{Duration, Instant};
 /// repartition as failed, exercising the revert-to-static path.
 pub const FAULT_CONTROL_APPLY: &str = "control.apply";
 
-/// What the plane last published for `/stats`.
+/// What `/stats` reads from the plane: the control and reconcile steps'
+/// live instruments plus the state that has no metric family.
 #[derive(Debug, Clone, Default)]
 pub struct PlaneView {
-    /// `(clamped, last decision label)` of the adaptive controller;
-    /// `None` in static mode.
-    pub control: Option<(bool, &'static str)>,
+    /// The adaptive controller; `None` in static mode.
+    pub control: Option<ControlView>,
+    /// The reconciler's `ccp_reconcile_*` instruments; `None` when the
+    /// resctrl backend is unsupervised.
+    pub reconcile: Option<ReconcileStats>,
     /// Name-sorted `(ccp-<tenant>-<class>, state label)` after the latest
-    /// reconcile pass; `None` when the resctrl backend is unsupervised.
-    pub groups: Option<Vec<(String, &'static str)>>,
+    /// reconcile pass.
+    pub groups: Vec<(String, &'static str)>,
+}
+
+/// The adaptive controller as `/stats` and `/metrics` show it. The
+/// control step is the only writer.
+#[derive(Debug, Clone)]
+pub struct ControlView {
+    /// Whether the last tick was clamped to the static plan.
+    pub clamped: bool,
+    /// Short label of the last decision.
+    pub last_decision: &'static str,
+    /// `ccp_control_decisions_total`: ticks evaluated.
+    pub decisions: Counter,
+    /// `ccp_control_repartitions_total`: plans derived and applied.
+    pub repartitions: Counter,
+    /// `ccp_control_holds_total`: ticks that held the current plan.
+    pub holds: Counter,
+    /// `ccp_control_reverts_total`: falls back to the static plan.
+    pub reverts: Counter,
+    /// `ccp_control_mask_ways{class}`, in [`ClassId::ALL`] order.
+    pub mask_ways: [Gauge; 3],
+}
+
+impl ControlView {
+    fn new(registry: &Registry, plan: &MaskPlan) -> Self {
+        let ways = registry.gauge_family(
+            "ccp_control_mask_ways",
+            "LLC ways currently granted to each CUID class by the live mask table",
+        );
+        let view = ControlView {
+            clamped: false,
+            last_decision: "none",
+            decisions: registry.counter(
+                "ccp_control_decisions_total",
+                "Adaptive control ticks evaluated",
+            ),
+            repartitions: registry.counter(
+                "ccp_control_repartitions_total",
+                "Adaptive mask plans derived and applied",
+            ),
+            holds: registry.counter(
+                "ccp_control_holds_total",
+                "Control ticks that held the current plan (dwell, threshold, clamp, no data)",
+            ),
+            reverts: registry.counter(
+                "ccp_control_reverts_total",
+                "Falls back to the static paper plan (degraded health, stale readings, or a \
+                 failed apply)",
+            ),
+            mask_ways: ClassId::ALL.map(|class| ways.get_or_create(&[("class", class.label())])),
+        };
+        view.set_mask_ways(plan);
+        view
+    }
+
+    fn set_mask_ways(&self, plan: &MaskPlan) {
+        for (gauge, (_, ways)) in self.mask_ways.iter().zip(plan.way_counts()) {
+            gauge.set(f64::from(ways));
+        }
+    }
 }
 
 /// When a task next runs.
@@ -130,6 +199,8 @@ struct Supervise {
 struct Control {
     controller: Controller,
     last_emitted: &'static str,
+    /// The step's instruments; republished to [`PlaneView`] every tick.
+    view: ControlView,
 }
 
 struct Reconcile {
@@ -187,7 +258,7 @@ impl ControlPlane {
             (Every::new(period, start), task)
         });
         let supervise = engine.resctrl_health().map(|health| {
-            metrics.set_resctrl_degraded(false);
+            health.register_into(registry);
             let task = Supervise {
                 trips_seen: health.trips(),
                 health,
@@ -202,15 +273,24 @@ impl ControlPlane {
                 .map_or(control_ms, |d| d.as_millis().max(1) as u64);
             let cfg = ControlConfig::paper_default(policy.llc.ways, policy.llc.size_bytes)
                 .with_intervals(control_ms, monitor_ms);
+            let controller = Controller::new(cfg, static_mask_plan(&engine));
             let task = Control {
-                controller: Controller::new(cfg, static_mask_plan(&engine)),
+                view: ControlView::new(registry, controller.current_plan()),
+                controller,
                 last_emitted: "",
             };
             (Every::new(config.control_interval, start), task)
         });
+        let mut view = PlaneView {
+            control: control.as_ref().map(|(_, task)| task.view.clone()),
+            ..PlaneView::default()
+        };
         let reconcile = match engine.reconcile_controller() {
             Some(ctl) => {
                 let mut reconciler = Reconciler::new(ctl, vec![0]);
+                let stats = reconciler.stats();
+                stats.register_into(registry);
+                view.reconcile = Some(stats);
                 reconciler.set_desired(desired_tenant_groups(config, &engine)?);
                 if let Err(err) = reconciler.startup_sweep() {
                     eprintln!("ccp-serve: startup sweep failed (continuing): {err}");
@@ -243,10 +323,6 @@ impl ControlPlane {
             )
         } else {
             (None, None)
-        };
-        let view = PlaneView {
-            control: control.as_ref().map(|_| (false, "none")),
-            groups: reconcile.as_ref().map(|_| Vec::new()),
         };
         Ok(ControlPlane {
             env: Env {
@@ -347,14 +423,10 @@ impl ControlPlane {
         })
     }
 
-    /// What the thread does on its way out: a last health sync, so
-    /// counters recorded after the final pass still reach the registry,
-    /// and the live mask table back on the static mapping, so the
-    /// remaining drain runs the paper's well-understood configuration.
+    /// What the thread does on its way out: the live mask table back on
+    /// the static mapping, so the remaining drain runs the paper's
+    /// well-understood configuration.
     fn finish(&mut self) {
-        if let Some((_, task)) = &self.supervise {
-            self.env.metrics.sync_resctrl_health(&task.health);
-        }
         if self.control.is_some() {
             let engine = &self.env.engine;
             engine.live_masks().reset_to(&engine.policy());
@@ -370,7 +442,6 @@ impl ControlPlane {
             return;
         };
         let (removed, remaining) = task.reconciler.shutdown_sweep();
-        self.env.metrics.sync_reconcile(&task.reconciler.stats());
         eprintln!(
             "ccp-serve: reconcile shutdown sweep: removed {removed} group(s), \
              {remaining} ccp- group(s) remain"
@@ -432,11 +503,10 @@ fn take_sample(task: &mut Sample, readings: &mut Readings) {
         .collect();
 }
 
-/// Supervise step: mirrors the supervisor's monotonic counters into the
-/// registry and compares the breaker state with what the engine runs in.
-/// On a Partitioned→Degraded flip it stops the executor from binding way
-/// masks ([`set_partitioning(false)`] — queries keep running under the
-/// full cache), raises the `ccp_resctrl_degraded` gauge and drops a
+/// Supervise step: compares the breaker state with what the engine runs
+/// in. On a Partitioned→Degraded flip it stops the executor from binding
+/// way masks ([`set_partitioning(false)`] — queries keep running under
+/// the full cache), raises the `ccp_resctrl_degraded` gauge and drops a
 /// `resctrl_degraded` trace instant; while degraded it re-probes the
 /// backend and flips everything back the moment a probe's *real*
 /// schemata write succeeds.
@@ -444,7 +514,6 @@ fn take_sample(task: &mut Sample, readings: &mut Readings) {
 /// [`set_partitioning(false)`]: ccp_engine::DualPoolExecutor::set_partitioning
 fn run_supervise(env: &Env, task: &mut Supervise) {
     loop {
-        env.metrics.sync_resctrl_health(&task.health);
         let trips = task.health.trips();
         if trips != task.trips_seen {
             env.emit(
@@ -489,14 +558,18 @@ fn run_control(env: &Env, task: &mut Control, readings: &Readings) {
         readings: &readings.classes,
         degraded,
     });
+    let view = &mut task.view;
+    view.decisions.inc();
     match decision {
         Decision::Repartition(plan) => {
+            view.repartitions.inc();
             if apply_plan(&env.engine, &plan).is_ok() {
                 live.set_masks(plan.polluting, plan.mixed, plan.sensitive);
                 ccp_trace::instant(TraceCat::Bind, "control_repartition");
                 env.emit("repartition", plan_detail(&plan));
             } else {
                 let fallback = task.controller.note_apply_failed();
+                view.reverts.inc();
                 live.set_masks(fallback.polluting, fallback.mixed, fallback.sensitive);
                 ccp_trace::instant(TraceCat::Bind, "control_revert");
                 env.emit(
@@ -507,12 +580,14 @@ fn run_control(env: &Env, task: &mut Control, readings: &Readings) {
             task.last_emitted = "repartition";
         }
         Decision::Revert { plan, .. } => {
+            view.reverts.inc();
             live.set_masks(plan.polluting, plan.mixed, plan.sensitive);
             ccp_trace::instant(TraceCat::Bind, "control_revert");
             env.emit("revert", plan_detail(&plan));
             task.last_emitted = "revert";
         }
         Decision::Hold(_) => {
+            view.holds.inc();
             // One event per run of holds, not one per tick: the
             // interesting moment is the *transition* to holding.
             if task.last_emitted != "hold" {
@@ -521,29 +596,23 @@ fn run_control(env: &Env, task: &mut Control, readings: &Readings) {
             }
         }
     }
-    env.metrics.sync_control(task.controller.counters());
-    for (class, ways) in task.controller.current_plan().way_counts() {
-        env.metrics.set_control_mask_ways(class.label(), ways);
-    }
+    view.set_mask_ways(task.controller.current_plan());
+    view.clamped = task.controller.is_clamped();
+    view.last_decision = task.controller.last_decision();
     env.view
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
-        .control = Some((
-        task.controller.is_clamped(),
-        task.controller.last_decision(),
-    ));
+        .control = Some(view.clone());
 }
 
 /// Reconcile step: one [`Reconciler::reconcile`] pass — orphan sweep,
 /// desired-vs-actual diff, capacity-aware creation with backoff — then
-/// the pass's counters into the registry, the per-group states into the
-/// `/stats` view, and flight events on the interesting transitions:
-/// `reconciled` when groups were created, `tenant_degraded` when CLOSID
-/// exhaustion pushed tenants onto the shared class masks.
+/// the per-group states into the `/stats` view, and flight events on the
+/// interesting transitions: `reconciled` when groups were created,
+/// `tenant_degraded` when CLOSID exhaustion pushed tenants onto the
+/// shared class masks.
 fn run_reconcile(env: &Env, task: &mut Reconcile) {
     let outcome = task.reconciler.reconcile();
-    let stats = task.reconciler.stats();
-    env.metrics.sync_reconcile(&stats);
     let mut states: Vec<(String, &'static str)> = task
         .reconciler
         .group_states()
@@ -554,7 +623,7 @@ fn run_reconcile(env: &Env, task: &mut Reconcile) {
     env.view
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
-        .groups = Some(states);
+        .groups = states;
     if outcome.created > 0 {
         env.emit(
             "reconciled",
@@ -564,7 +633,7 @@ fn run_reconcile(env: &Env, task: &mut Reconcile) {
             ),
         );
     }
-    let exhausted = stats.is_exhausted();
+    let exhausted = task.reconciler.stats().exhausted.get() != 0.0;
     if exhausted != task.was_exhausted {
         task.was_exhausted = exhausted;
         if exhausted {
@@ -650,17 +719,9 @@ fn desired_tenant_groups(
     engine: &QueryEngine,
 ) -> std::io::Result<Vec<DesiredGroup>> {
     let class_masks = class_masks(engine);
-    let mut names: Vec<&str> = vec![ccp_resctrl::DEFAULT_TENANT];
-    for name in config
-        .tenant_quotas
-        .iter()
-        .map(|(t, _)| t.as_str())
-        .chain(config.tenant_weights.iter().map(|(t, _)| t.as_str()))
-    {
-        if !names.contains(&name) {
-            names.push(name);
-        }
-    }
+    let quotas = config.tenant_quotas.iter().map(|(t, _)| t.as_str());
+    let weights = config.tenant_weights.iter().map(|(t, _)| t.as_str());
+    let names = unique(std::iter::once(ccp_resctrl::DEFAULT_TENANT).chain(quotas.chain(weights)));
     let mut desired = Vec::with_capacity(names.len() * class_masks.len());
     for name in names {
         let tenant = TenantId::parse(name).map_err(|why| {

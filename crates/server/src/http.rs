@@ -240,70 +240,50 @@ pub struct Response {
 }
 
 impl Response {
-    /// A `text/plain` response.
-    pub fn text(status: u16, body: impl Into<Vec<u8>>) -> Self {
+    fn new(status: u16, content_type: &'static str, body: impl Into<Vec<u8>>) -> Self {
         Response {
             status,
-            content_type: "text/plain; charset=utf-8",
+            content_type,
             body: body.into(),
             close: false,
             retry_after_secs: None,
         }
+    }
+
+    /// A `text/plain` response.
+    pub fn text(status: u16, body: impl Into<Vec<u8>>) -> Self {
+        Response::new(status, "text/plain; charset=utf-8", body)
     }
 
     /// A `text/html` response (the self-contained dashboard).
     pub fn html(status: u16, body: impl Into<Vec<u8>>) -> Self {
-        Response {
-            status,
-            content_type: "text/html; charset=utf-8",
-            body: body.into(),
-            close: false,
-            retry_after_secs: None,
-        }
+        Response::new(status, "text/html; charset=utf-8", body)
     }
 
     /// An `application/json` response.
     pub fn json(status: u16, body: &crate::json::Json) -> Self {
-        Response {
-            status,
-            content_type: "application/json",
-            body: body.to_string().into_bytes(),
-            close: false,
-            retry_after_secs: None,
-        }
+        Response::json_text(status, body.to_string())
+    }
+
+    /// The `{"error": why}` body every failed request gets.
+    pub fn error(status: u16, why: impl Into<String>) -> Self {
+        let why = crate::json::Json::str(why);
+        Response::json(status, &crate::json::Json::obj(vec![("error", why)]))
     }
 
     /// An `application/json` response from pre-rendered JSON text.
     pub fn json_text(status: u16, body: impl Into<Vec<u8>>) -> Self {
-        Response {
-            status,
-            content_type: "application/json",
-            body: body.into(),
-            close: false,
-            retry_after_secs: None,
-        }
+        Response::new(status, "application/json", body)
     }
 
     /// An NDJSON (one JSON document per line) response.
     pub fn ndjson(status: u16, lines: impl Into<Vec<u8>>) -> Self {
-        Response {
-            status,
-            content_type: "application/x-ndjson",
-            body: lines.into(),
-            close: false,
-            retry_after_secs: None,
-        }
+        Response::new(status, "application/x-ndjson", lines)
     }
 
     /// A Prometheus text-exposition response.
     pub fn prometheus(body: impl Into<Vec<u8>>) -> Self {
-        Response {
-            status: 200,
-            content_type: "text/plain; version=0.0.4; charset=utf-8",
-            body: body.into(),
-            close: false,
-            retry_after_secs: None,
-        }
+        Response::new(200, "text/plain; version=0.0.4; charset=utf-8", body)
     }
 
     /// Marks the connection for closing after this response.
@@ -502,7 +482,7 @@ impl HttpClient {
     /// connection.
     ///
     /// A failed exchange is retried on a fresh connection — up to
-    /// [`CLIENT_MAX_ATTEMPTS`] tries total, with capped exponential
+    /// `CLIENT_MAX_ATTEMPTS` (3) tries total, with capped exponential
     /// backoff plus jitter between them — but only when the server
     /// cannot have executed the request twice: always when no request
     /// byte reached the socket, and for idempotent methods

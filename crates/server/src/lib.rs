@@ -42,11 +42,12 @@ pub mod json;
 pub mod metrics;
 pub mod query;
 pub mod server;
+mod stats;
 
 pub use admission::{
     AdmissionError, AdmissionQueue, ClassQueueLimits, FairShare, RunPermit, TenantLimits,
 };
-pub use control_plane::{ControlPlane, PlaneHandle, PlaneView};
+pub use control_plane::{ControlPlane, ControlView, PlaneHandle, PlaneView};
 pub use http::{
     fetch, fetch_with_headers, ClientResponse, HttpClient, HttpError, Request, Response,
 };

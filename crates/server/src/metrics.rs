@@ -1,14 +1,40 @@
 //! The server's own `ccp-obs` metric families (`ccp_server_*`).
 //!
-//! Everything the service layer does — connections accepted and refused,
-//! requests by endpoint and status, request latency, admission-queue
-//! occupancy and rejections — lands in the same [`Registry`] the engine,
-//! scheduler and resctrl layers already publish to, so one `/metrics`
-//! scrape shows the whole stack.
+//! Everything the service layer itself counts — connections accepted and
+//! refused, requests by endpoint and status, request latency,
+//! admission-queue occupancy and rejections, per-tenant traffic — lands
+//! in the same [`Registry`] the engine, scheduler, resctrl and control
+//! layers attach their own handles to (`register_into`), so one
+//! `/metrics` scrape shows the whole stack and `/stats` reads the very
+//! same handles.
 
-use ccp_control::ControlCounters;
 use ccp_obs::{unit, Counter, Family, Gauge, Histogram, Registry};
-use ccp_resctrl::{ReconcileStats, ResctrlHealth};
+use ccp_resctrl::DEFAULT_TENANT;
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Unconfigured tenants that get a label set of their own in the
+/// `ccp_server_tenant_*` families. `X-CCP-Tenant` is client input with
+/// 37^24 valid values; past this many distinct ones the rest are booked
+/// under [`OVERFLOW_TENANT`]. Configured tenants (a quota or a weight)
+/// and the default tenant never count against the cap.
+const MAX_TENANT_LABELS: usize = 64;
+
+/// The `tenant` label value shared by every tenant past the cap.
+const OVERFLOW_TENANT: &str = "other";
+
+/// Which tenants own a label set in the `ccp_server_tenant_*` families.
+struct TenantLabels {
+    own: Mutex<OwnLabels>,
+    overflow: Counter,
+}
+
+#[derive(Default)]
+struct OwnLabels {
+    configured: BTreeSet<String>,
+    /// At most [`MAX_TENANT_LABELS`] names, first come first served.
+    unconfigured: BTreeSet<String>,
+}
 
 /// Instruments of the HTTP service layer. Cloning shares state.
 #[derive(Clone)]
@@ -23,59 +49,29 @@ pub struct ServerMetrics {
     admission_timeouts: Counter,
     tenant_requests: Family<Counter>,
     tenant_rejections: Family<Counter>,
-    reconcile_sweeps: Counter,
-    reconcile_reconciled: Counter,
-    reconcile_retried: Counter,
-    reconcile_orphans_removed: Counter,
-    reconcile_failures: Counter,
-    reconcile_failed_groups: Gauge,
-    reconcile_fallback_groups: Gauge,
-    reconcile_exhausted: Gauge,
+    tenant_labels: Arc<TenantLabels>,
     queue_depth: Gauge,
     running_queries: Gauge,
     resctrl_degraded: Gauge,
-    resctrl_retries: Counter,
-    resctrl_op_failures: Counter,
-    resctrl_breaker_trips: Counter,
-    resctrl_reprobes: Counter,
-    resctrl_restores: Counter,
-    control_decisions: Counter,
-    control_repartitions: Counter,
-    control_holds: Counter,
-    control_reverts: Counter,
-    control_mask_ways: Family<Gauge>,
-}
-
-/// Brings `counter` up to `src`, a monotonic count kept elsewhere. The
-/// control plane is the only writer of the mirrored counters, so the
-/// counter's own value is the amount already published.
-fn mirror(counter: &Counter, src: u64) {
-    counter.add(src.saturating_sub(counter.get()));
 }
 
 impl ServerMetrics {
     /// Creates the `ccp_server_*` families in `registry` and returns live
     /// handles.
     pub fn new(registry: &Registry) -> Self {
-        ServerMetrics {
-            connections_total: registry
-                .counter_family(
-                    "ccp_server_connections_total",
-                    "TCP connections accepted by the server",
-                )
-                .get_or_create(&[]),
-            connections_refused: registry
-                .counter_family(
-                    "ccp_server_connections_refused_total",
-                    "Connections turned away at the connection cap (503)",
-                )
-                .get_or_create(&[]),
-            active_connections: registry
-                .gauge_family(
-                    "ccp_server_active_connections",
-                    "Connections currently being served",
-                )
-                .get_or_create(&[]),
+        let metrics = ServerMetrics {
+            connections_total: registry.counter(
+                "ccp_server_connections_total",
+                "TCP connections accepted by the server",
+            ),
+            connections_refused: registry.counter(
+                "ccp_server_connections_refused_total",
+                "Connections turned away at the connection cap (503)",
+            ),
+            active_connections: registry.gauge(
+                "ccp_server_active_connections",
+                "Connections currently being served",
+            ),
             requests: registry.counter_family(
                 "ccp_server_requests_total",
                 "HTTP requests handled, by endpoint and status code",
@@ -85,22 +81,18 @@ impl ServerMetrics {
                 "Request handling latency, by endpoint",
                 unit::latency_seconds(),
             ),
-            admission_rejections: registry
-                .counter_family(
-                    "ccp_server_admission_rejections_total",
-                    "Queries rejected with 429 because the admission queue was full",
-                )
-                .get_or_create(&[]),
+            admission_rejections: registry.counter(
+                "ccp_server_admission_rejections_total",
+                "Queries rejected with 429 because the admission queue was full",
+            ),
             admission_class_rejections: registry.counter_family(
                 "ccp_server_admission_class_rejections_total",
                 "Queries rejected with 429 because their class hit its queue limit",
             ),
-            admission_timeouts: registry
-                .counter_family(
-                    "ccp_admission_timeouts_total",
-                    "Queries dequeued with 503 after waiting past the admission deadline",
-                )
-                .get_or_create(&[]),
+            admission_timeouts: registry.counter(
+                "ccp_admission_timeouts_total",
+                "Queries dequeued with 503 after waiting past the admission deadline",
+            ),
             tenant_requests: registry.counter_family(
                 "ccp_server_tenant_requests_total",
                 "Queries admitted per tenant and CUID class",
@@ -109,134 +101,30 @@ impl ServerMetrics {
                 "ccp_server_tenant_rejections_total",
                 "Queries rejected with 429 because their tenant hit its in-flight quota",
             ),
-            reconcile_sweeps: registry
-                .counter_family(
-                    "ccp_reconcile_sweeps_total",
-                    "Orphan sweeps executed by the group reconciler (startup and per pass)",
-                )
-                .get_or_create(&[]),
-            reconcile_reconciled: registry
-                .counter_family(
-                    "ccp_reconcile_reconciled_total",
-                    "Tenant groups created and programmed by the reconciler",
-                )
-                .get_or_create(&[]),
-            reconcile_retried: registry
-                .counter_family(
-                    "ccp_reconcile_retried_total",
-                    "Group creations re-attempted after a failed or fallback pass",
-                )
-                .get_or_create(&[]),
-            reconcile_orphans_removed: registry
-                .counter_family(
-                    "ccp_reconcile_orphans_removed_total",
-                    "Stale ccp- groups deleted by reconciler sweeps",
-                )
-                .get_or_create(&[]),
-            reconcile_failures: registry
-                .counter_family(
-                    "ccp_reconcile_failures_total",
-                    "Reconcile operations (create, program, sweep) that failed",
-                )
-                .get_or_create(&[]),
-            reconcile_failed_groups: registry
-                .gauge_family(
-                    "ccp_reconcile_failed_groups",
-                    "Desired tenant groups currently in the Failed state",
-                )
-                .get_or_create(&[]),
-            reconcile_fallback_groups: registry
-                .gauge_family(
-                    "ccp_reconcile_fallback_groups",
-                    "Desired tenant groups currently degraded to the shared class mask \
-                     (CLOSID exhaustion fallback)",
-                )
-                .get_or_create(&[]),
-            reconcile_exhausted: registry
-                .gauge_family(
-                    "ccp_reconcile_exhausted",
-                    "1 while the last reconcile pass hit CLOSID exhaustion, else 0",
-                )
-                .get_or_create(&[]),
-            queue_depth: registry
-                .gauge_family(
-                    "ccp_server_admission_queue_depth",
-                    "Queries waiting in the bounded admission queue",
-                )
-                .get_or_create(&[]),
-            running_queries: registry
-                .gauge_family(
-                    "ccp_server_running_queries",
-                    "Queries currently admitted and executing",
-                )
-                .get_or_create(&[]),
-            resctrl_degraded: registry
-                .gauge_family(
-                    "ccp_resctrl_degraded",
-                    "1 while the resctrl circuit breaker is tripped and the engine runs \
-                     unpartitioned (degraded mode), 0 when partitioning is live",
-                )
-                .get_or_create(&[]),
-            resctrl_retries: registry
-                .counter_family(
-                    "ccp_resctrl_retries_total",
-                    "Transient resctrl failures retried by the supervisor",
-                )
-                .get_or_create(&[]),
-            resctrl_op_failures: registry
-                .counter_family(
-                    "ccp_resctrl_op_failures_total",
-                    "resctrl operations that exhausted their retries",
-                )
-                .get_or_create(&[]),
-            resctrl_breaker_trips: registry
-                .counter_family(
-                    "ccp_resctrl_breaker_trips_total",
-                    "Partitioned→Degraded transitions of the resctrl circuit breaker",
-                )
-                .get_or_create(&[]),
-            resctrl_reprobes: registry
-                .counter_family(
-                    "ccp_resctrl_reprobes_total",
-                    "Health probes attempted while degraded",
-                )
-                .get_or_create(&[]),
-            resctrl_restores: registry
-                .counter_family(
-                    "ccp_resctrl_restores_total",
-                    "Degraded→Partitioned transitions (successful re-probes)",
-                )
-                .get_or_create(&[]),
-            control_decisions: registry
-                .counter_family(
-                    "ccp_control_decisions_total",
-                    "Adaptive control ticks evaluated",
-                )
-                .get_or_create(&[]),
-            control_repartitions: registry
-                .counter_family(
-                    "ccp_control_repartitions_total",
-                    "Adaptive mask plans derived and applied",
-                )
-                .get_or_create(&[]),
-            control_holds: registry
-                .counter_family(
-                    "ccp_control_holds_total",
-                    "Control ticks that held the current plan (dwell, threshold, clamp, no data)",
-                )
-                .get_or_create(&[]),
-            control_reverts: registry
-                .counter_family(
-                    "ccp_control_reverts_total",
-                    "Falls back to the static paper plan (degraded health, stale readings, or a \
-                     failed apply)",
-                )
-                .get_or_create(&[]),
-            control_mask_ways: registry.gauge_family(
-                "ccp_control_mask_ways",
-                "LLC ways currently granted to each CUID class by the live mask table",
+            tenant_labels: Arc::new(TenantLabels {
+                own: Mutex::default(),
+                overflow: registry.counter(
+                    "ccp_server_tenant_label_overflow_total",
+                    "Tenant-labelled events booked under tenant=\"other\" because the cap on \
+                     distinct unconfigured tenant label sets was reached",
+                ),
+            }),
+            queue_depth: registry.gauge(
+                "ccp_server_admission_queue_depth",
+                "Queries waiting in the bounded admission queue",
             ),
-        }
+            running_queries: registry.gauge(
+                "ccp_server_running_queries",
+                "Queries currently admitted and executing",
+            ),
+            resctrl_degraded: registry.gauge(
+                "ccp_resctrl_degraded",
+                "1 while the resctrl circuit breaker is tripped and the engine runs \
+                 unpartitioned (degraded mode), 0 when partitioning is live",
+            ),
+        };
+        metrics.pin_tenants([DEFAULT_TENANT]);
+        metrics
     }
 
     /// Records an accepted connection; pair with
@@ -284,14 +172,43 @@ impl ServerMetrics {
     /// Per-class queue-limit rejections so far for `class`.
     pub fn class_rejections(&self, class: &str) -> u64 {
         self.admission_class_rejections
-            .get_or_create(&[("class", class)])
-            .get()
+            .get(&[("class", class)])
+            .map_or(0, |c| c.get())
+    }
+
+    /// Gives each of `tenants` a label set of its own that does not
+    /// count against [`MAX_TENANT_LABELS`] — the configured tenants.
+    pub(crate) fn pin_tenants<'a>(&self, tenants: impl IntoIterator<Item = &'a str>) {
+        let mut own = self.own_labels();
+        own.configured
+            .extend(tenants.into_iter().map(str::to_string));
+    }
+
+    fn own_labels(&self) -> MutexGuard<'_, OwnLabels> {
+        self.tenant_labels
+            .own
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The `tenant` label value `tenant`'s events are booked under.
+    fn tenant_label<'a>(&self, tenant: &'a str) -> &'a str {
+        let mut own = self.own_labels();
+        if own.configured.contains(tenant) || own.unconfigured.contains(tenant) {
+            return tenant;
+        }
+        if own.unconfigured.len() >= MAX_TENANT_LABELS {
+            self.tenant_labels.overflow.inc();
+            return OVERFLOW_TENANT;
+        }
+        own.unconfigured.insert(tenant.to_string());
+        tenant
     }
 
     /// Records one admitted query for `tenant` in `class`.
     pub fn record_tenant_request(&self, tenant: &str, class: &str) {
         self.tenant_requests
-            .get_or_create(&[("tenant", tenant), ("class", class)])
+            .get_or_create(&[("tenant", self.tenant_label(tenant)), ("class", class)])
             .inc();
     }
 
@@ -301,81 +218,26 @@ impl ServerMetrics {
     pub fn record_tenant_rejection(&self, tenant: &str) {
         self.admission_rejections.inc();
         self.tenant_rejections
-            .get_or_create(&[("tenant", tenant)])
+            .get_or_create(&[("tenant", self.tenant_label(tenant))])
             .inc();
     }
 
     /// Per-tenant quota rejections so far for `tenant`.
     pub fn tenant_rejections(&self, tenant: &str) -> u64 {
         self.tenant_rejections
-            .get_or_create(&[("tenant", tenant)])
-            .get()
-    }
-
-    /// Admitted queries so far for `tenant` in `class`.
-    pub fn tenant_requests(&self, tenant: &str, class: &str) -> u64 {
-        self.tenant_requests
-            .get_or_create(&[("tenant", tenant), ("class", class)])
-            .get()
-    }
-
-    /// Publishes the reconciler's counters and gauges.
-    pub fn sync_reconcile(&self, stats: &ReconcileStats) {
-        mirror(&self.reconcile_sweeps, stats.sweeps());
-        mirror(&self.reconcile_reconciled, stats.reconciled());
-        mirror(&self.reconcile_retried, stats.retried());
-        mirror(&self.reconcile_orphans_removed, stats.orphans_removed());
-        mirror(&self.reconcile_failures, stats.failed_total());
-        self.reconcile_failed_groups.set(stats.failed() as f64);
-        self.reconcile_fallback_groups.set(stats.fallback() as f64);
-        self.reconcile_exhausted
-            .set(if stats.is_exhausted() { 1.0 } else { 0.0 });
-    }
-
-    /// Orphan sweeps so far.
-    pub fn reconcile_sweeps(&self) -> u64 {
-        self.reconcile_sweeps.get()
-    }
-
-    /// Whether the last creating reconcile pass hit CLOSID exhaustion.
-    pub fn reconcile_exhausted(&self) -> bool {
-        self.reconcile_exhausted.get() != 0.0
-    }
-
-    /// Reconciler group creations so far.
-    pub fn reconcile_reconciled(&self) -> u64 {
-        self.reconcile_reconciled.get()
-    }
-
-    /// Reconciler re-attempts so far.
-    pub fn reconcile_retried(&self) -> u64 {
-        self.reconcile_retried.get()
-    }
-
-    /// Orphaned groups removed so far.
-    pub fn reconcile_orphans_removed(&self) -> u64 {
-        self.reconcile_orphans_removed.get()
-    }
-
-    /// Failed reconcile operations so far.
-    pub fn reconcile_failures(&self) -> u64 {
-        self.reconcile_failures.get()
-    }
-
-    /// Desired groups currently in the Failed state.
-    pub fn reconcile_failed_groups(&self) -> f64 {
-        self.reconcile_failed_groups.get()
-    }
-
-    /// Desired groups currently degraded to the shared class mask.
-    pub fn reconcile_fallback_groups(&self) -> f64 {
-        self.reconcile_fallback_groups.get()
+            .get(&[("tenant", tenant)])
+            .map_or(0, |c| c.get())
     }
 
     /// Publishes the admission queue's current occupancy.
     pub fn set_admission_occupancy(&self, queued: usize, running: usize) {
         self.queue_depth.set(queued as f64);
         self.running_queries.set(running as f64);
+    }
+
+    /// The admission queue's `(waiting, running)` occupancy as published.
+    pub fn admission_occupancy(&self) -> (f64, f64) {
+        (self.queue_depth.get(), self.running_queries.get())
     }
 
     /// Records a query dequeued after its admission deadline (a 503).
@@ -405,56 +267,7 @@ impl ServerMetrics {
 
     /// Publishes the degraded flag (1 = degraded unpartitioned mode).
     pub fn set_resctrl_degraded(&self, degraded: bool) {
-        self.resctrl_degraded.set(if degraded { 1.0 } else { 0.0 });
-    }
-
-    /// Current value of the degraded gauge.
-    pub fn resctrl_degraded(&self) -> f64 {
-        self.resctrl_degraded.get()
-    }
-
-    /// Publishes `health`'s monotonic counters into the registry.
-    pub fn sync_resctrl_health(&self, health: &ResctrlHealth) {
-        mirror(&self.resctrl_retries, health.retries());
-        mirror(&self.resctrl_op_failures, health.failures());
-        mirror(&self.resctrl_breaker_trips, health.trips());
-        mirror(&self.resctrl_reprobes, health.reprobes());
-        mirror(&self.resctrl_restores, health.restores());
-    }
-
-    /// Publishes the controller's monotonic counters.
-    pub fn sync_control(&self, counters: ControlCounters) {
-        mirror(&self.control_decisions, counters.decisions);
-        mirror(&self.control_repartitions, counters.repartitions);
-        mirror(&self.control_holds, counters.holds);
-        mirror(&self.control_reverts, counters.reverts);
-    }
-
-    /// Publishes one class's live way count.
-    pub fn set_control_mask_ways(&self, class: &str, ways: u32) {
-        self.control_mask_ways
-            .get_or_create(&[("class", class)])
-            .set(f64::from(ways));
-    }
-
-    /// Adaptive repartitions so far.
-    pub fn control_repartitions(&self) -> u64 {
-        self.control_repartitions.get()
-    }
-
-    /// Control-loop decisions so far.
-    pub fn control_decisions(&self) -> u64 {
-        self.control_decisions.get()
-    }
-
-    /// Control-loop holds so far.
-    pub fn control_holds(&self) -> u64 {
-        self.control_holds.get()
-    }
-
-    /// Control-loop reverts to the static plan so far.
-    pub fn control_reverts(&self) -> u64 {
-        self.control_reverts.get()
+        self.resctrl_degraded.set(f64::from(u8::from(degraded)));
     }
 }
 
@@ -485,47 +298,12 @@ mod tests {
     }
 
     #[test]
-    fn control_counters_delta_sync_and_gauges_render() {
-        let registry = Registry::new();
-        let m = ServerMetrics::new(&registry);
-        m.sync_control(ControlCounters {
-            decisions: 5,
-            repartitions: 2,
-            holds: 3,
-            reverts: 1,
-        });
-        // Re-syncing the same snapshot adds nothing; a moved snapshot
-        // adds only the delta.
-        m.sync_control(ControlCounters {
-            decisions: 5,
-            repartitions: 2,
-            holds: 3,
-            reverts: 1,
-        });
-        m.sync_control(ControlCounters {
-            decisions: 7,
-            repartitions: 3,
-            holds: 3,
-            reverts: 1,
-        });
-        m.set_control_mask_ways("sensitive", 4);
-        assert_eq!(m.control_decisions(), 7);
-        assert_eq!(m.control_repartitions(), 3);
-        assert_eq!(m.control_holds(), 3);
-        assert_eq!(m.control_reverts(), 1);
-        let text = registry.render_prometheus();
-        assert!(text.contains("ccp_control_repartitions_total 3"));
-        assert!(text.contains("ccp_control_mask_ways{class=\"sensitive\"} 4.0"));
-    }
-
-    #[test]
     fn tenant_families_render_and_count() {
         let registry = Registry::new();
         let m = ServerMetrics::new(&registry);
         m.record_tenant_request("acme", "polluting");
         m.record_tenant_request("acme", "polluting");
         m.record_tenant_rejection("acme");
-        assert_eq!(m.tenant_requests("acme", "polluting"), 2);
         assert_eq!(m.tenant_rejections("acme"), 1);
         // The quota 429 also lands in the global rejection series.
         assert_eq!(m.admission_rejections(), 1);
@@ -536,27 +314,47 @@ mod tests {
     }
 
     #[test]
-    fn reconcile_counters_delta_sync() {
+    fn unconfigured_tenants_past_the_cap_share_one_label_set() {
         let registry = Registry::new();
         let m = ServerMetrics::new(&registry);
-        let stats = ReconcileStats::default();
-        stats.note_sweep();
-        stats.note_reconciled();
-        stats.note_reconciled();
-        stats.note_retried();
-        stats.set_failed(1);
-        stats.set_fallback(3);
-        stats.set_exhausted(true);
-        m.sync_reconcile(&stats);
-        // Re-syncing an unchanged snapshot adds nothing.
-        m.sync_reconcile(&stats);
-        assert_eq!(m.reconcile_reconciled(), 2);
-        assert_eq!(m.reconcile_retried(), 1);
-        assert_eq!(m.reconcile_failed_groups(), 1.0);
-        assert_eq!(m.reconcile_fallback_groups(), 3.0);
+        m.pin_tenants(["acme"]);
+        for i in 0..MAX_TENANT_LABELS + 10 {
+            m.record_tenant_request(&format!("t{i}"), "polluting");
+        }
+        m.record_tenant_request("acme", "polluting");
+        m.record_tenant_request(DEFAULT_TENANT, "polluting");
+        m.record_tenant_request("t0", "polluting"); // already owns a label set
+        m.record_tenant_rejection("acme");
         let text = registry.render_prometheus();
-        assert!(text.contains("ccp_reconcile_reconciled_total 2"));
-        assert!(text.contains("ccp_reconcile_exhausted 1.0"));
+        let label_sets = text
+            .lines()
+            .filter(|l| l.starts_with("ccp_server_tenant_requests_total{"))
+            .count();
+        assert_eq!(
+            label_sets,
+            MAX_TENANT_LABELS + 3,
+            "cap + acme + default + other"
+        );
+        assert!(text
+            .contains("ccp_server_tenant_requests_total{class=\"polluting\",tenant=\"other\"} 10"));
+        assert!(text.contains("ccp_server_tenant_label_overflow_total 10"));
+        assert!(
+            text.contains("ccp_server_tenant_requests_total{class=\"polluting\",tenant=\"t0\"} 2")
+        );
+        assert!(text.contains("ccp_server_tenant_rejections_total{tenant=\"acme\"} 1"));
+    }
+
+    #[test]
+    fn reading_a_rejection_count_mints_no_label_set() {
+        let registry = Registry::new();
+        let m = ServerMetrics::new(&registry);
+        assert_eq!(m.tenant_rejections("nobody"), 0);
+        assert_eq!(m.class_rejections("mixed"), 0);
+        let text = registry.render_prometheus();
+        assert!(
+            !text.contains("nobody") && !text.contains("class=\"mixed\""),
+            "{text}"
+        );
     }
 
     #[test]

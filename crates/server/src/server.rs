@@ -9,7 +9,7 @@
 //! |---|---|---|
 //! | `/metrics` | GET | Prometheus text exposition of the whole registry |
 //! | `/healthz` | GET | `{"status":"ok"}` |
-//! | `/stats` | GET | JSON snapshot of executor/scheduler/admission state |
+//! | `/stats` | GET | JSON snapshot of the whole stack (built in `stats.rs`) |
 //! | `/query` | POST | NDJSON workloads in, NDJSON outcomes out |
 //! | `/trace` | GET | Chrome trace-event JSON (`?clear=1` resets the rings) |
 //! | `/data/bump` | POST | bumps the data-version epoch, invalidating reuse entries |
@@ -18,9 +18,10 @@
 //! | `/profile` | GET | SIGPROF sampling for `?seconds=N`, collapsed stacks out |
 //! | `/version` | GET | build provenance (version, git SHA, profile) |
 //!
-//! Everything periodic — occupancy sampling, resctrl supervision,
-//! adaptive control, group reconciliation, the flight recorder — runs on
-//! the one [`ControlPlane`] thread (see [`crate::control_plane`]).
+//! This module is routing and the connection loop. Everything periodic —
+//! occupancy sampling, resctrl supervision, adaptive control, group
+//! reconciliation, the flight recorder — runs on the one [`ControlPlane`]
+//! thread (see [`crate::control_plane`]).
 //!
 //! Shutdown is cooperative: a flag flips, the plane stops, a
 //! self-connection unblocks `accept`, the admission queue drains, and
@@ -33,7 +34,7 @@ use crate::http::{read_request, HttpError, Request, Response};
 use crate::json::Json;
 use crate::metrics::ServerMetrics;
 use crate::query::{parse_query, Breakdown, QueryEngine};
-use ccp_engine::{with_query_ctx, CacheAwareScheduler, JobExecutor, QueryCtx, SchedulerMetrics};
+use ccp_engine::{with_query_ctx, CacheAwareScheduler, QueryCtx, SchedulerMetrics};
 use ccp_flight::FlightHandle;
 use ccp_obs::Registry;
 use ccp_trace::TraceCat;
@@ -82,9 +83,9 @@ pub struct ServerConfig {
     /// per-CUID-class `ccp_llc_occupancy_bytes` gauges. `None` disables
     /// sampling.
     pub monitor_interval: Option<Duration>,
-    /// Period of the control plane's supervise step, which syncs resctrl
-    /// health counters and, while degraded, re-probes the backend for
-    /// recovery.
+    /// Period of the control plane's supervise step, which flips the
+    /// engine into and out of degraded mode on the breaker's state and,
+    /// while degraded, re-probes the backend for recovery.
     pub reprobe_interval: Duration,
     /// Backs the engine with an in-memory fake resctrl filesystem under
     /// full supervision (the chaos harness; see
@@ -98,7 +99,7 @@ pub struct ServerConfig {
     /// Period of the control plane's control step (one controller tick).
     pub control_interval: Duration,
     /// Replaces the occupancy probe with a deterministic scripted trace
-    /// (see [`ScriptedTrace`] for the grammar) — the CI harness for
+    /// (see [`ccp_control::ScriptedTrace`] for the grammar) — the CI harness for
     /// driving the controller through a chosen scenario.
     pub occupancy_script: Option<String>,
     /// Reuse-cache byte budget in MiB (`--reuse-budget-mb`).
@@ -208,20 +209,21 @@ impl ConnTracker {
     }
 }
 
-struct Shared {
-    config: ServerConfig,
+/// What every connection handler works on.
+pub(crate) struct Shared {
+    pub(crate) config: ServerConfig,
     registry: Registry,
-    metrics: ServerMetrics,
-    admission: Arc<AdmissionQueue>,
-    engine: Arc<QueryEngine>,
+    pub(crate) metrics: ServerMetrics,
+    pub(crate) admission: Arc<AdmissionQueue>,
+    pub(crate) engine: Arc<QueryEngine>,
     shutdown: AtomicBool,
     conns: ConnTracker,
-    started: Instant,
+    pub(crate) started: Instant,
     /// Flight-recorder handle for `/timeline`, `/dashboard` and event
     /// emission; `None` with `--no-flight`.
     flight: Option<FlightHandle>,
     /// What the control plane last published for `/stats`.
-    plane_view: Arc<Mutex<PlaneView>>,
+    pub(crate) plane_view: Arc<Mutex<PlaneView>>,
 }
 
 /// Emits a flight-recorder event when the recorder is running.
@@ -310,7 +312,19 @@ impl Server {
             metrics.clone(),
             probe,
         )?;
+        Server::launch(config, registry, metrics, admission, engine, Some(plane))
+    }
 
+    /// Binds the listener and starts the accept loop (and `plane`, when
+    /// there is one) over an assembled stack.
+    fn launch(
+        config: ServerConfig,
+        registry: Registry,
+        metrics: ServerMetrics,
+        admission: Arc<AdmissionQueue>,
+        engine: Arc<QueryEngine>,
+        plane: Option<ControlPlane>,
+    ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
@@ -322,10 +336,10 @@ impl Server {
             shutdown: AtomicBool::new(false),
             conns: ConnTracker::new(),
             started: Instant::now(),
-            flight: plane.flight(),
-            plane_view: plane.view(),
+            flight: plane.as_ref().and_then(ControlPlane::flight),
+            plane_view: plane.as_ref().map(ControlPlane::view).unwrap_or_default(),
         });
-        let plane = plane.spawn()?;
+        let plane = plane.map(ControlPlane::spawn).transpose()?;
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::Builder::new()
             .name("ccp-accept".to_string())
@@ -337,7 +351,7 @@ impl Server {
             shared,
             addr,
             accept: Some(accept),
-            plane: Some(plane),
+            plane,
         })
     }
 
@@ -408,12 +422,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             shared.metrics.connection_refused();
             let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
             let mut s = stream;
-            let _ = Response::json(
-                503,
-                &Json::obj(vec![("error", Json::str("connection limit reached"))]),
-            )
-            .closing()
-            .write_to(&mut s);
+            let _ = Response::error(503, "connection limit reached")
+                .closing()
+                .write_to(&mut s);
             continue;
         }
         let conn_shared = Arc::clone(&shared);
@@ -480,8 +491,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
 
 fn respond_error(shared: &Shared, writer: &mut TcpStream, status: u16, why: &str) {
     let started = Instant::now();
-    let body = Json::obj(vec![("error", Json::str(why))]);
-    let _ = Response::json(status, &body).closing().write_to(writer);
+    let _ = Response::error(status, why).closing().write_to(writer);
     shared
         .metrics
         .record_request("invalid", status, started.elapsed().as_secs_f64());
@@ -498,7 +508,7 @@ fn route(shared: &Shared, req: &Request) -> (&'static str, Response) {
             "/healthz",
             Response::json(200, &Json::obj(vec![("status", Json::str("ok"))])),
         ),
-        ("GET", "/stats") => ("/stats", Response::json(200, &stats_json(shared))),
+        ("GET", "/stats") => ("/stats", Response::json(200, &crate::stats::render(shared))),
         ("GET", "/trace") => ("/trace", handle_trace(req)),
         ("GET", "/timeline") => ("/timeline", handle_timeline(shared, req)),
         ("GET", "/dashboard") => ("/dashboard", handle_dashboard(shared)),
@@ -507,20 +517,26 @@ fn route(shared: &Shared, req: &Request) -> (&'static str, Response) {
         ("POST", "/query") => ("/query", handle_query(shared, req)),
         ("POST", "/data/bump") => ("/data/bump", handle_data_bump(shared)),
         ("GET" | "HEAD", _) => ("other", not_found()),
-        (
-            _,
-            "/metrics" | "/healthz" | "/stats" | "/query" | "/trace" | "/data/bump" | "/timeline"
-            | "/dashboard" | "/profile" | "/version",
-        ) => (
-            "other",
-            Response::json(
-                405,
-                &Json::obj(vec![("error", Json::str("method not allowed"))]),
-            ),
-        ),
+        (_, path) if ENDPOINTS.contains(&path) => {
+            ("other", Response::error(405, "method not allowed"))
+        }
         _ => ("other", not_found()),
     }
 }
+
+/// Every path [`route`] serves.
+const ENDPOINTS: [&str; 10] = [
+    "/metrics",
+    "/healthz",
+    "/stats",
+    "/query",
+    "/trace",
+    "/data/bump",
+    "/timeline",
+    "/dashboard",
+    "/profile",
+    "/version",
+];
 
 /// `true` when the request's query string sets `name=1` or `name=true`.
 fn query_flag(req: &Request, name: &str) -> bool {
@@ -537,6 +553,17 @@ fn query_param<'r>(req: &'r Request, name: &str) -> Option<&'r str> {
         .next_back()
 }
 
+/// The query parameter `name` as an unsigned integer; a value that does
+/// not parse is the `400` to send back.
+fn uint_param(req: &Request, name: &str) -> Result<Option<u64>, Response> {
+    query_param(req, name)
+        .map(|raw| {
+            raw.parse()
+                .map_err(|_| Response::error(400, format!("{name} must be an unsigned integer")))
+        })
+        .transpose()
+}
+
 /// Serves the tracer's Chrome trace-event snapshot. `?clear=1` hides
 /// exactly the records the snapshot observed — spans recorded while the
 /// scrape was running stay for the next one — so a scrape-then-clear
@@ -545,20 +572,9 @@ fn query_param<'r>(req: &'r Request, name: &str) -> Option<&'r str> {
 /// with `clear=1` still clears the whole observed window, because the
 /// snapshot is taken before the filter is applied.
 fn handle_trace(req: &Request) -> Response {
-    let ticket = match query_param(req, "ticket") {
-        Some(raw) => match raw.parse::<u64>() {
-            Ok(n) => Some(n),
-            Err(_) => {
-                return Response::json(
-                    400,
-                    &Json::obj(vec![(
-                        "error",
-                        Json::str("ticket must be an unsigned integer"),
-                    )]),
-                );
-            }
-        },
-        None => None,
+    let ticket = match uint_param(req, "ticket") {
+        Ok(ticket) => ticket,
+        Err(bad) => return bad,
     };
     let snap = if query_flag(req, "clear") {
         ccp_trace::snapshot_and_clear()
@@ -611,28 +627,11 @@ fn build_info_json() -> Json {
 /// pulls); `?series=prefix` filters series by name prefix.
 fn handle_timeline(shared: &Shared, req: &Request) -> Response {
     let Some(flight) = &shared.flight else {
-        return Response::json(
-            404,
-            &Json::obj(vec![(
-                "error",
-                Json::str("flight recorder disabled (--no-flight)"),
-            )]),
-        );
+        return Response::error(404, "flight recorder disabled (--no-flight)");
     };
-    let since = match query_param(req, "since") {
-        Some(raw) => match raw.parse::<u64>() {
-            Ok(n) => n,
-            Err(_) => {
-                return Response::json(
-                    400,
-                    &Json::obj(vec![(
-                        "error",
-                        Json::str("since must be an unsigned integer"),
-                    )]),
-                );
-            }
-        },
-        None => 0,
+    let since = match uint_param(req, "since") {
+        Ok(since) => since.unwrap_or(0),
+        Err(bad) => return bad,
     };
     let timeline = flight.timeline(since, query_param(req, "series"));
     Response::json(200, &timeline_json(&timeline))
@@ -684,13 +683,7 @@ fn timeline_json(tl: &ccp_flight::Timeline) -> Json {
 /// air-gapped artifact store).
 fn handle_dashboard(shared: &Shared) -> Response {
     let Some(flight) = &shared.flight else {
-        return Response::json(
-            404,
-            &Json::obj(vec![(
-                "error",
-                Json::str("flight recorder disabled (--no-flight)"),
-            )]),
-        );
+        return Response::error(404, "flight recorder disabled (--no-flight)");
     };
     let timeline = flight.timeline(0, None);
     Response::html(200, crate::dashboard::render(&timeline))
@@ -701,52 +694,22 @@ fn handle_dashboard(shared: &Shared) -> Response {
 /// stacks (`thread;root;…;leaf count`), ready for `flamegraph.pl`.
 /// Concurrent sessions get `409`.
 fn handle_profile(req: &Request) -> Response {
-    let seconds = match query_param(req, "seconds") {
-        Some(raw) => match raw.parse::<u64>() {
-            Ok(n) if (1..=30).contains(&n) => n,
-            _ => {
-                return Response::json(
-                    400,
-                    &Json::obj(vec![(
-                        "error",
-                        Json::str("seconds must be an integer in 1..=30"),
-                    )]),
-                );
-            }
-        },
-        None => 2,
+    let seconds = match uint_param(req, "seconds") {
+        Ok(None) => 2,
+        Ok(Some(n)) if (1..=30).contains(&n) => n,
+        _ => return Response::error(400, "seconds must be an integer in 1..=30"),
     };
     match ccp_flight::profile(Duration::from_secs(seconds)) {
         Ok(report) => Response::text(200, report.collapsed),
-        Err(ccp_flight::ProfileError::Busy) => Response::json(
-            409,
-            &Json::obj(vec![(
-                "error",
-                Json::str("a profiling session is already running"),
-            )]),
-        ),
-        Err(err) => Response::json(500, &Json::obj(vec![("error", Json::str(err.to_string()))])),
+        Err(ccp_flight::ProfileError::Busy) => {
+            Response::error(409, "a profiling session is already running")
+        }
+        Err(err) => Response::error(500, err.to_string()),
     }
 }
 
 fn not_found() -> Response {
-    let endpoints = Json::Arr(
-        [
-            "/metrics",
-            "/healthz",
-            "/stats",
-            "/query",
-            "/trace",
-            "/data/bump",
-            "/timeline",
-            "/dashboard",
-            "/profile",
-            "/version",
-        ]
-        .iter()
-        .map(|e| Json::str(*e))
-        .collect(),
-    );
+    let endpoints = Json::Arr(ENDPOINTS.iter().map(|e| Json::str(*e)).collect());
     Response::json(
         404,
         &Json::obj(vec![
@@ -773,10 +736,7 @@ fn handle_data_bump(shared: &Shared) -> Response {
                 ]),
             )
         }
-        None => Response::json(
-            409,
-            &Json::obj(vec![("error", Json::str("reuse cache disabled"))]),
-        ),
+        None => Response::error(409, "reuse cache disabled"),
     }
 }
 
@@ -794,22 +754,11 @@ fn handle_query(shared: &Shared, req: &Request) -> Response {
         None => ccp_resctrl::TenantId::default_tenant(),
         Some(raw) => match ccp_resctrl::TenantId::parse(raw) {
             Ok(t) => t,
-            Err(why) => {
-                return Response::json(
-                    400,
-                    &Json::obj(vec![(
-                        "error",
-                        Json::str(format!("bad X-CCP-Tenant: {why}")),
-                    )]),
-                )
-            }
+            Err(why) => return Response::error(400, format!("bad X-CCP-Tenant: {why}")),
         },
     };
     let Ok(body) = std::str::from_utf8(&req.body) else {
-        return Response::json(
-            400,
-            &Json::obj(vec![("error", Json::str("body is not UTF-8"))]),
-        );
+        return Response::error(400, "body is not UTF-8");
     };
     let lines: Vec<&str> = body
         .lines()
@@ -817,13 +766,7 @@ fn handle_query(shared: &Shared, req: &Request) -> Response {
         .filter(|l| !l.is_empty())
         .collect();
     if lines.is_empty() {
-        return Response::json(
-            400,
-            &Json::obj(vec![(
-                "error",
-                Json::str("empty body; send one JSON object per line"),
-            )]),
-        );
+        return Response::error(400, "empty body; send one JSON object per line");
     }
     let mut out = Vec::with_capacity(lines.len());
     for (i, line) in lines.iter().enumerate() {
@@ -930,308 +873,6 @@ fn run_query_line(
     Ok(json.to_string())
 }
 
-fn pool_json(ex: &JobExecutor) -> Json {
-    let m = ex.metrics();
-    Json::obj(vec![
-        ("jobs_executed", Json::num(m.jobs_executed() as f64)),
-        ("jobs_panicked", Json::num(m.jobs_panicked() as f64)),
-        ("mask_switches", Json::num(m.mask_switches() as f64)),
-        ("bind_failures", Json::num(m.bind_failures() as f64)),
-    ])
-}
-
-fn stats_json(shared: &Shared) -> Json {
-    let (queued, running) = shared.admission.occupancy();
-    // One copy of what the control plane last published, shared by the
-    // three sections that render from it.
-    let view = shared
-        .plane_view
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone();
-    Json::obj(vec![
-        (
-            "uptime_secs",
-            Json::num(shared.started.elapsed().as_secs_f64()),
-        ),
-        ("cat_live", Json::Bool(shared.engine.cat_live())),
-        (
-            "pools",
-            Json::obj(vec![
-                ("olap", pool_json(shared.engine.pools().olap())),
-                ("oltp", pool_json(shared.engine.pools().oltp())),
-            ]),
-        ),
-        (
-            "admission",
-            Json::obj(vec![
-                ("queued", Json::num(queued as f64)),
-                ("running", Json::num(running as f64)),
-                ("capacity", Json::num(shared.admission.capacity() as f64)),
-                ("slots", Json::num(shared.admission.slots() as f64)),
-                (
-                    "rejections",
-                    Json::num(shared.metrics.admission_rejections() as f64),
-                ),
-                (
-                    "timeouts",
-                    Json::num(shared.metrics.admission_timeouts() as f64),
-                ),
-                ("deferrals", Json::num(shared.admission.deferrals() as f64)),
-                ("classes", admission_classes_json(shared)),
-            ]),
-        ),
-        (
-            "connections",
-            Json::obj(vec![
-                ("active", Json::num(shared.metrics.active_connections())),
-                (
-                    "total",
-                    Json::num(shared.metrics.connections_total() as f64),
-                ),
-                ("max", Json::num(shared.config.max_connections as f64)),
-            ]),
-        ),
-        ("resctrl", resctrl_json(shared)),
-        ("control", control_json(shared, &view)),
-        ("tenants", tenants_json(shared, &view)),
-        ("reconciler", reconcile_json(shared, &view)),
-        ("reuse", reuse_json(shared)),
-        ("trace", trace_json()),
-    ])
-}
-
-/// Per-tenant view for `/stats`: configured quota and weight, current
-/// waiting/running occupancy, cumulative grants and quota rejections,
-/// and — when the reconciler runs — the state of each of the tenant's
-/// `ccp-<tenant>-<class>` groups.
-fn tenants_json(shared: &Shared, view: &PlaneView) -> Json {
-    let limits = shared.admission.tenant_limits().clone();
-    let waiting = shared.admission.waiting_by_tenant();
-    let running = shared.admission.running_by_tenant();
-    let grants = shared.admission.grants_by_tenant();
-    let mut names: Vec<String> = vec![ccp_resctrl::DEFAULT_TENANT.to_string()];
-    for name in limits
-        .tenants()
-        .into_iter()
-        .map(str::to_string)
-        .chain(grants.iter().map(|(t, _)| t.clone()))
-        .chain(waiting.iter().map(|(t, _)| t.clone()))
-        .chain(running.iter().map(|(t, _)| t.clone()))
-    {
-        if !names.contains(&name) {
-            names.push(name);
-        }
-    }
-    let count = |list: &[(String, usize)], name: &str| {
-        list.iter().find(|(t, _)| t == name).map_or(0, |&(_, n)| n)
-    };
-    let fields = names
-        .into_iter()
-        .map(|name| {
-            let mut obj = vec![
-                (
-                    "quota",
-                    limits
-                        .quota_for(&name)
-                        .map_or(Json::Null, |q| Json::num(q as f64)),
-                ),
-                ("weight", Json::num(f64::from(limits.weight_for(&name)))),
-                ("waiting", Json::num(count(&waiting, &name) as f64)),
-                ("running", Json::num(count(&running, &name) as f64)),
-                (
-                    "grants",
-                    Json::num(
-                        grants
-                            .iter()
-                            .find(|(t, _)| *t == name)
-                            .map_or(0.0, |&(_, g)| g as f64),
-                    ),
-                ),
-                (
-                    "rejections",
-                    Json::num(shared.metrics.tenant_rejections(&name) as f64),
-                ),
-            ];
-            if let Some(states) = &view.groups {
-                let groups: Vec<(&str, Json)> = states
-                    .iter()
-                    .filter_map(|(group, state)| {
-                        let (tenant, class) = ccp_resctrl::parse_group_name(group)?;
-                        (tenant.as_str() == name).then_some((class, Json::str(*state)))
-                    })
-                    .collect();
-                obj.push(("groups", Json::obj(groups)));
-            }
-            (name, Json::obj(obj))
-        })
-        .collect::<Vec<_>>();
-    Json::obj(
-        fields
-            .iter()
-            .map(|(name, json)| (name.as_str(), json.clone()))
-            .collect(),
-    )
-}
-
-/// Group-reconciler view for `/stats`: cumulative pass counters, the
-/// convergence gauges (`failed` must return to 0 after faults heal;
-/// `fallback` counts tenants degraded to the shared class masks) and
-/// whether the last pass saw CLOSID exhaustion.
-fn reconcile_json(shared: &Shared, view: &PlaneView) -> Json {
-    if view.groups.is_none() {
-        return Json::obj(vec![("enabled", Json::Bool(false))]);
-    }
-    let m = &shared.metrics;
-    Json::obj(vec![
-        ("enabled", Json::Bool(true)),
-        (
-            "interval_ms",
-            Json::num(shared.config.reconcile_interval.as_millis() as f64),
-        ),
-        ("sweeps", Json::num(m.reconcile_sweeps() as f64)),
-        ("reconciled", Json::num(m.reconcile_reconciled() as f64)),
-        ("retried", Json::num(m.reconcile_retried() as f64)),
-        (
-            "orphans_removed",
-            Json::num(m.reconcile_orphans_removed() as f64),
-        ),
-        ("failures", Json::num(m.reconcile_failures() as f64)),
-        ("failed", Json::num(m.reconcile_failed_groups())),
-        ("fallback", Json::num(m.reconcile_fallback_groups())),
-        ("exhausted", Json::Bool(m.reconcile_exhausted())),
-    ])
-}
-
-/// Reuse-cache view for `/stats`: budget and residency, the hit/miss
-/// counters (including coalesced single-flight waits), invalidation and
-/// misprediction totals, and the current data-version epoch.
-fn reuse_json(shared: &Shared) -> Json {
-    let Some(cache) = shared.engine.reuse_cache() else {
-        return Json::obj(vec![("enabled", Json::Bool(false))]);
-    };
-    let s = cache.stats();
-    Json::obj(vec![
-        ("enabled", Json::Bool(true)),
-        ("budget_bytes", Json::num(s.budget_bytes as f64)),
-        ("bytes", Json::num(s.bytes as f64)),
-        ("entries", Json::num(s.entries as f64)),
-        ("data_version", Json::num(s.data_version as f64)),
-        ("hits", Json::num(s.hits as f64)),
-        ("misses", Json::num(s.misses as f64)),
-        ("inserts", Json::num(s.inserts as f64)),
-        ("evictions", Json::num(s.evictions as f64)),
-        ("invalidations", Json::num(s.invalidations as f64)),
-        ("coalesced", Json::num(s.coalesced as f64)),
-        ("mispredictions", Json::num(s.mispredictions as f64)),
-    ])
-}
-
-/// Adaptive-control view for `/stats`: whether the loop runs, whether it
-/// is currently clamped to the static plan, its last decision, the
-/// cumulative decision counters and the live per-class way counts.
-fn control_json(shared: &Shared, view: &PlaneView) -> Json {
-    let Some((clamped, last_decision)) = view.control else {
-        return Json::obj(vec![("enabled", Json::Bool(false))]);
-    };
-    let live = shared.engine.live_masks();
-    let ways = |bits: u32| Json::num(f64::from(bits.count_ones()));
-    Json::obj(vec![
-        ("enabled", Json::Bool(true)),
-        (
-            "interval_ms",
-            Json::num(shared.config.control_interval.as_millis() as f64),
-        ),
-        ("clamped", Json::Bool(clamped)),
-        ("last_decision", Json::str(last_decision)),
-        (
-            "decisions",
-            Json::num(shared.metrics.control_decisions() as f64),
-        ),
-        (
-            "repartitions",
-            Json::num(shared.metrics.control_repartitions() as f64),
-        ),
-        ("holds", Json::num(shared.metrics.control_holds() as f64)),
-        (
-            "reverts",
-            Json::num(shared.metrics.control_reverts() as f64),
-        ),
-        (
-            "mask_ways",
-            Json::obj(vec![
-                ("polluting", ways(live.polluting_bits())),
-                ("mixed", ways(live.mixed_bits())),
-                ("sensitive", ways(live.sensitive_bits())),
-            ]),
-        ),
-    ])
-}
-
-/// Supervisor health for `/stats`: whether the engine currently runs
-/// degraded (unpartitioned) and the supervisor's cumulative counters.
-/// Backends without failure modes (noop, recording) report
-/// `supervised: false` and are never degraded.
-fn resctrl_json(shared: &Shared) -> Json {
-    match shared.engine.resctrl_health() {
-        Some(h) => Json::obj(vec![
-            ("supervised", Json::Bool(true)),
-            ("degraded", Json::Bool(h.is_degraded())),
-            ("retries", Json::num(h.retries() as f64)),
-            ("op_failures", Json::num(h.failures() as f64)),
-            ("breaker_trips", Json::num(h.trips() as f64)),
-            ("reprobes", Json::num(h.reprobes() as f64)),
-            ("restores", Json::num(h.restores() as f64)),
-        ]),
-        None => Json::obj(vec![
-            ("supervised", Json::Bool(false)),
-            ("degraded", Json::Bool(false)),
-        ]),
-    }
-}
-
-/// Per-class admission view for `/stats`: the configured waiting cap
-/// (`null` = bounded only by the global queue), how many queries of the
-/// class wait right now, and how many were 429'd at the class cap.
-fn admission_classes_json(shared: &Shared) -> Json {
-    let limits = shared.admission.class_limits();
-    let waiting = shared.admission.waiting_by_class();
-    let class = |label: &'static str, limit: Option<usize>| {
-        let waiting_now = waiting
-            .iter()
-            .find(|(l, _)| *l == label)
-            .map_or(0, |&(_, n)| n);
-        (
-            label,
-            Json::obj(vec![
-                ("limit", limit.map_or(Json::Null, |n| Json::num(n as f64))),
-                ("waiting", Json::num(waiting_now as f64)),
-                (
-                    "rejections",
-                    Json::num(shared.metrics.class_rejections(label) as f64),
-                ),
-            ]),
-        )
-    };
-    Json::obj(vec![
-        class("polluting", limits.polluting),
-        class("sensitive", limits.sensitive),
-        class("mixed", limits.mixed),
-    ])
-}
-
-/// Tracer ring health for `/stats`: a rising `dropped` means `/trace`
-/// timelines have holes (scrape with `clear=1` more often or raise the
-/// ring capacity).
-fn trace_json() -> Json {
-    let t = ccp_trace::stats();
-    Json::obj(vec![
-        ("enabled", Json::Bool(t.enabled)),
-        ("rings", Json::num(t.rings as f64)),
-        ("dropped", Json::num(t.dropped as f64)),
-    ])
-}
-
 // ---------------------------------------------------------------------------
 // SIGINT flag
 // ---------------------------------------------------------------------------
@@ -1322,32 +963,8 @@ impl ScrapeServer {
             SchedulerMetrics::new(),
             metrics.clone(),
         ));
-        let listener = TcpListener::bind(&config.addr)?;
-        let bound = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            config,
-            registry: registry.clone(),
-            metrics,
-            admission,
-            engine,
-            shutdown: AtomicBool::new(false),
-            conns: ConnTracker::new(),
-            started: Instant::now(),
-            flight: None,
-            plane_view: Arc::default(),
-        });
-        let accept_shared = Arc::clone(&shared);
-        let accept = std::thread::Builder::new()
-            .name("ccp-scrape".to_string())
-            .spawn(move || accept_loop(listener, accept_shared))?;
-        Ok(ScrapeServer {
-            inner: Server {
-                shared,
-                addr: bound,
-                accept: Some(accept),
-                plane: None,
-            },
-        })
+        let inner = Server::launch(config, registry.clone(), metrics, admission, engine, None)?;
+        Ok(ScrapeServer { inner })
     }
 
     /// The bound address.

@@ -1,0 +1,262 @@
+//! `GET /stats`: one JSON snapshot of the whole stack.
+//!
+//! Every section is built the same way — [`section`] over `(key, value)`
+//! pairs in render order — and every number that has a metric family is
+//! read from the very `ccp_obs` handle `/metrics` renders, through the
+//! component that owns it: [`ServerMetrics`](crate::ServerMetrics), the
+//! pools' `ExecutorMetrics`, the scheduler's deferral counter,
+//! [`ResctrlHealth`](ccp_resctrl::ResctrlHealth),
+//! [`ReconcileStats`](ccp_resctrl::ReconcileStats), the plane's
+//! [`ControlView`](crate::control_plane::ControlView) and the reuse
+//! cache. The two surfaces therefore cannot disagree, and reading never
+//! mints a label set. Typed views supply only what has no family: the
+//! controller's labels and the group states ([`PlaneView`]), the
+//! admission queue's tenant ledger, and echoes of the configuration.
+//!
+//! Key names *and key order* are part of the contract (scripts grep
+//! substrings of the rendered text); `tests/stats_shape.rs` pins both.
+
+use crate::admission::unique;
+use crate::control_plane::PlaneView;
+use crate::json::Json;
+use crate::server::Shared;
+use ccp_control::ClassId;
+use ccp_engine::JobExecutor;
+use std::sync::PoisonError;
+
+/// One `/stats` object: its fields in render order.
+fn section<const N: usize>(fields: [(&str, Json); N]) -> Json {
+    Json::obj(fields.into())
+}
+
+/// The `/stats` body.
+pub(crate) fn render(shared: &Shared) -> Json {
+    // One copy of what the control plane last published, shared by the
+    // three sections that render from it.
+    let view = shared
+        .plane_view
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clone();
+    let m = &shared.metrics;
+    let (queued, running) = m.admission_occupancy();
+    let pools = shared.engine.pools();
+    section([
+        ("uptime_secs", shared.started.elapsed().as_secs_f64().into()),
+        ("cat_live", shared.engine.cat_live().into()),
+        (
+            "pools",
+            section([("olap", pool(pools.olap())), ("oltp", pool(pools.oltp()))]),
+        ),
+        (
+            "admission",
+            section([
+                ("queued", queued.into()),
+                ("running", running.into()),
+                ("capacity", shared.admission.capacity().into()),
+                ("slots", shared.admission.slots().into()),
+                ("rejections", m.admission_rejections().into()),
+                ("timeouts", m.admission_timeouts().into()),
+                ("deferrals", shared.admission.deferrals().into()),
+                ("classes", admission_classes(shared)),
+            ]),
+        ),
+        (
+            "connections",
+            section([
+                ("active", m.active_connections().into()),
+                ("total", m.connections_total().into()),
+                ("max", shared.config.max_connections.into()),
+            ]),
+        ),
+        ("resctrl", resctrl(shared)),
+        ("control", control(shared, &view)),
+        ("tenants", tenants(shared, &view)),
+        ("reconciler", reconciler(shared, &view)),
+        ("reuse", reuse(shared)),
+        ("trace", trace()),
+    ])
+}
+
+fn pool(ex: &JobExecutor) -> Json {
+    let m = ex.metrics();
+    section([
+        ("jobs_executed", m.jobs_executed().into()),
+        ("jobs_panicked", m.jobs_panicked().into()),
+        ("mask_switches", m.mask_switches().into()),
+        ("bind_failures", m.bind_failures().into()),
+    ])
+}
+
+/// Per-class admission view: the configured waiting cap (`null` =
+/// bounded only by the global queue), how many queries of the class wait
+/// right now, and how many were 429'd at the class cap.
+fn admission_classes(shared: &Shared) -> Json {
+    let limits = shared.admission.class_limits();
+    let waiting = shared.admission.waiting_by_class();
+    let class = |label: &'static str, limit: Option<usize>| {
+        let waiting_now = waiting
+            .iter()
+            .find(|(l, _)| *l == label)
+            .map_or(0, |&(_, n)| n);
+        let fields = section([
+            ("limit", limit.into()),
+            ("waiting", waiting_now.into()),
+            ("rejections", shared.metrics.class_rejections(label).into()),
+        ]);
+        (label, fields)
+    };
+    section([
+        class("polluting", limits.polluting),
+        class("sensitive", limits.sensitive),
+        class("mixed", limits.mixed),
+    ])
+}
+
+/// Supervisor health: whether the engine currently runs degraded
+/// (unpartitioned) and the supervisor's cumulative counters. Backends
+/// without failure modes (noop, recording) report `supervised: false`
+/// and are never degraded.
+fn resctrl(shared: &Shared) -> Json {
+    match shared.engine.resctrl_health() {
+        Some(h) => section([
+            ("supervised", true.into()),
+            ("degraded", h.is_degraded().into()),
+            ("retries", h.retries().into()),
+            ("op_failures", h.failures().into()),
+            ("breaker_trips", h.trips().into()),
+            ("reprobes", h.reprobes().into()),
+            ("restores", h.restores().into()),
+        ]),
+        None => section([("supervised", false.into()), ("degraded", false.into())]),
+    }
+}
+
+/// Adaptive control: whether the loop runs, whether it is currently
+/// clamped to the static plan, its last decision, the cumulative decision
+/// counters and the per-class way counts.
+fn control(shared: &Shared, view: &PlaneView) -> Json {
+    let Some(c) = &view.control else {
+        return section([("enabled", false.into())]);
+    };
+    let mask_ways = ClassId::ALL
+        .iter()
+        .zip(&c.mask_ways)
+        .map(|(class, ways)| (class.label(), ways.get().into()));
+    section([
+        ("enabled", true.into()),
+        (
+            "interval_ms",
+            shared.config.control_interval.as_millis().into(),
+        ),
+        ("clamped", c.clamped.into()),
+        ("last_decision", c.last_decision.into()),
+        ("decisions", c.decisions.get().into()),
+        ("repartitions", c.repartitions.get().into()),
+        ("holds", c.holds.get().into()),
+        ("reverts", c.reverts.get().into()),
+        ("mask_ways", Json::obj(mask_ways.collect())),
+    ])
+}
+
+/// Per-tenant view: configured quota and weight, current waiting/running
+/// occupancy, cumulative grants and quota rejections, and — when the
+/// reconciler runs — the state of each of the tenant's
+/// `ccp-<tenant>-<class>` groups.
+fn tenants(shared: &Shared, view: &PlaneView) -> Json {
+    let limits = shared.admission.tenant_limits();
+    let waiting = shared.admission.waiting_by_tenant();
+    let running = shared.admission.running_by_tenant();
+    let grants = shared.admission.grants_by_tenant();
+    let names = unique(
+        std::iter::once(ccp_resctrl::DEFAULT_TENANT)
+            .chain(limits.tenants())
+            .chain(grants.iter().map(|(t, _)| t.as_str()))
+            .chain(waiting.iter().map(|(t, _)| t.as_str()))
+            .chain(running.iter().map(|(t, _)| t.as_str())),
+    );
+    fn of<N: Copy + Default>(list: &[(String, N)], name: &str) -> N {
+        list.iter()
+            .find(|(t, _)| t == name)
+            .map_or(N::default(), |&(_, n)| n)
+    }
+    let tenant = |name: &str| {
+        let mut fields = vec![
+            ("quota", limits.quota_for(name).into()),
+            ("weight", limits.weight_for(name).into()),
+            ("waiting", of(&waiting, name).into()),
+            ("running", of(&running, name).into()),
+            ("grants", of(&grants, name).into()),
+            ("rejections", shared.metrics.tenant_rejections(name).into()),
+        ];
+        if view.reconcile.is_some() {
+            let groups = view.groups.iter().filter_map(|(group, state)| {
+                let (tenant, class) = ccp_resctrl::parse_group_name(group)?;
+                (tenant.as_str() == name).then_some((class, Json::from(*state)))
+            });
+            fields.push(("groups", Json::obj(groups.collect())));
+        }
+        (name.to_string(), Json::obj(fields))
+    };
+    Json::Obj(names.into_iter().map(tenant).collect())
+}
+
+/// Group reconciler: cumulative pass counters, the convergence gauges
+/// (`failed` must return to 0 after faults heal; `fallback` counts
+/// tenants degraded to the shared class masks) and whether the last pass
+/// saw CLOSID exhaustion.
+fn reconciler(shared: &Shared, view: &PlaneView) -> Json {
+    let Some(r) = &view.reconcile else {
+        return section([("enabled", false.into())]);
+    };
+    section([
+        ("enabled", true.into()),
+        (
+            "interval_ms",
+            shared.config.reconcile_interval.as_millis().into(),
+        ),
+        ("sweeps", r.sweeps.get().into()),
+        ("reconciled", r.reconciled.get().into()),
+        ("retried", r.retried.get().into()),
+        ("orphans_removed", r.orphans_removed.get().into()),
+        ("failures", r.failures.get().into()),
+        ("failed", r.failed.get().into()),
+        ("fallback", r.fallback.get().into()),
+        ("exhausted", (r.exhausted.get() != 0.0).into()),
+    ])
+}
+
+/// Reuse cache: budget and residency, the hit/miss counters (including
+/// coalesced single-flight waits), invalidation and misprediction totals,
+/// and the current data-version epoch.
+fn reuse(shared: &Shared) -> Json {
+    let Some(cache) = shared.engine.reuse_cache() else {
+        return section([("enabled", false.into())]);
+    };
+    let s = cache.stats();
+    section([
+        ("enabled", true.into()),
+        ("budget_bytes", s.budget_bytes.into()),
+        ("bytes", s.bytes.into()),
+        ("entries", s.entries.into()),
+        ("data_version", s.data_version.into()),
+        ("hits", s.hits.into()),
+        ("misses", s.misses.into()),
+        ("inserts", s.inserts.into()),
+        ("evictions", s.evictions.into()),
+        ("invalidations", s.invalidations.into()),
+        ("coalesced", s.coalesced.into()),
+        ("mispredictions", s.mispredictions.into()),
+    ])
+}
+
+/// Tracer ring health: a rising `dropped` means `/trace` timelines have
+/// holes (scrape with `clear=1` more often or raise the ring capacity).
+fn trace() -> Json {
+    let t = ccp_trace::stats();
+    section([
+        ("enabled", t.enabled.into()),
+        ("rings", t.rings.into()),
+        ("dropped", t.dropped.into()),
+    ])
+}

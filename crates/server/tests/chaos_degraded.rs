@@ -34,6 +34,38 @@ fn scrape_value(scrape: &str, name: &str) -> f64 {
         .unwrap_or_else(|| panic!("metric {name} missing from scrape"))
 }
 
+/// The supervisor counters as `(/stats key, /metrics family)`.
+const RESCTRL_COUNTERS: [(&str, &str); 5] = [
+    ("retries", "ccp_resctrl_retries_total"),
+    ("op_failures", "ccp_resctrl_op_failures_total"),
+    ("breaker_trips", "ccp_resctrl_breaker_trips_total"),
+    ("reprobes", "ccp_resctrl_reprobes_total"),
+    ("restores", "ccp_resctrl_restores_total"),
+];
+
+/// [`RESCTRL_COUNTERS`] as `/stats` reports them in its `resctrl` section.
+fn resctrl_stats(stats: &str) -> Vec<f64> {
+    let section = &stats[stats.find("\"resctrl\":").expect("resctrl section")..];
+    RESCTRL_COUNTERS
+        .iter()
+        .map(|(key, _)| {
+            let needle = format!("\"{key}\":");
+            let rest = &section[section.find(&needle).expect("key") + needle.len()..];
+            rest[..rest.find([',', '}']).expect("value end")]
+                .parse()
+                .expect("numeric stat")
+        })
+        .collect()
+}
+
+/// [`RESCTRL_COUNTERS`] as a `/metrics` scrape reports them.
+fn resctrl_samples(scrape: &str) -> Vec<f64> {
+    RESCTRL_COUNTERS
+        .iter()
+        .map(|(_, family)| scrape_value(scrape, family))
+        .collect()
+}
+
 #[test]
 fn write_faults_trip_degraded_mode_and_reprobe_heals() {
     let _plan = PlanGuard;
@@ -74,7 +106,23 @@ fn write_faults_trip_degraded_mode_and_reprobe_heals() {
             "queries must survive bind faults: {}",
             r.body
         );
-        if stats(addr).contains("\"degraded\":true") {
+        let s = stats(addr);
+        if s.contains("\"degraded\":true") {
+            // Mid-episode the counters are moving (the plane re-probes
+            // every 20 ms), so a scrape taken after the stats fetch can
+            // only be ahead of it — never behind, which is what a
+            // once-per-pass copy into the registry would show.
+            let scrape = fetch(addr, "GET", "/metrics", None).expect("scrape").body;
+            for ((stat, sample), (key, _)) in resctrl_stats(&s)
+                .into_iter()
+                .zip(resctrl_samples(&scrape))
+                .zip(RESCTRL_COUNTERS)
+            {
+                assert!(
+                    sample >= stat,
+                    "/metrics behind /stats on {key}: {sample} < {stat}"
+                );
+            }
             break;
         }
         assert!(
@@ -114,6 +162,12 @@ fn write_faults_trip_degraded_mode_and_reprobe_heals() {
     assert!(scrape_value(&scrape, "ccp_resctrl_breaker_trips_total") >= 1.0);
     assert!(scrape_value(&scrape, "ccp_resctrl_reprobes_total") >= 1.0);
     assert!(scrape_value(&scrape, "ccp_resctrl_restores_total") >= 1.0);
+    // `/stats` and `/metrics` read the same counters: with the episode
+    // over and the counters at rest, a stats fetch and the scrape right
+    // behind it agree on every one of them.
+    let at_rest = resctrl_stats(&stats(addr));
+    let scrape = fetch(addr, "GET", "/metrics", None).expect("scrape").body;
+    assert_eq!(at_rest, resctrl_samples(&scrape), "{RESCTRL_COUNTERS:?}");
     // No worker died through any of it.
     let panicked = scrape
         .lines()

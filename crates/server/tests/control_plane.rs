@@ -5,7 +5,7 @@
 
 use ccp_control::ScriptedTrace;
 use ccp_obs::Registry;
-use ccp_server::{ControlPlane, QueryEngine, ServerConfig, ServerMetrics};
+use ccp_server::{ControlPlane, ControlView, QueryEngine, ServerConfig, ServerMetrics};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -15,7 +15,6 @@ const PERIOD: Duration = Duration::from_millis(10);
 struct Rig {
     plane: ControlPlane,
     engine: Arc<QueryEngine>,
-    metrics: ServerMetrics,
 }
 
 /// An adaptive + flight + fake-resctrl plane in which every task has the
@@ -33,7 +32,6 @@ fn rig() -> Rig {
         ..ServerConfig::default()
     };
     let registry = Registry::new();
-    let metrics = ServerMetrics::new(&registry);
     let engine = Arc::new(QueryEngine::with_fake_resctrl(1, 1, 64));
     let probe =
         ScriptedTrace::parse(SHRINK_SCRIPT, engine.policy().llc.size_bytes).expect("script");
@@ -41,21 +39,20 @@ fn rig() -> Rig {
         &config,
         Arc::clone(&engine),
         &registry,
-        metrics.clone(),
+        ServerMetrics::new(&registry),
         Some(Box::new(probe)),
     )
     .expect("plane");
-    Rig {
-        plane,
-        engine,
-        metrics,
-    }
+    Rig { plane, engine }
 }
 
-fn clamped(rig: &Rig) -> bool {
+/// The controller as the plane last published it.
+fn control(rig: &Rig) -> ControlView {
     let view = rig.plane.view();
     let view = view.lock().expect("view lock");
-    view.control.expect("adaptive plane publishes control").0
+    view.control
+        .clone()
+        .expect("adaptive plane publishes control")
 }
 
 /// Steps the plane 14 times, `gap(k)` apart; returns the steps at which
@@ -66,7 +63,7 @@ fn repartition_steps(gap: impl Fn(u32) -> Duration) -> (Vec<u32>, u32) {
     let mut landed = Vec::new();
     for k in 1..=14 {
         rig.plane.step(now);
-        if rig.metrics.control_repartitions() > landed.len() as u64 {
+        if control(&rig).repartitions.get() > landed.len() as u64 {
             landed.push(k);
         }
         now += gap(k);
@@ -107,7 +104,7 @@ fn only_a_probe_fault_window_of_the_stale_horizon_clamps() {
         let mut clamp_step = None;
         for k in 1..=12 {
             rig.plane.step(now);
-            if clamp_step.is_none() && clamped(&rig) {
+            if clamp_step.is_none() && control(&rig).clamped {
                 clamp_step = Some(k);
             }
             now += PERIOD;
@@ -118,7 +115,10 @@ fn only_a_probe_fault_window_of_the_stale_horizon_clamps() {
             expect_clamp.then_some(6),
             "fault window of {window} probes"
         );
-        assert!(!clamped(&rig), "readings came back, the clamp must lift");
+        assert!(
+            !control(&rig).clamped,
+            "readings came back, the clamp must lift"
+        );
     }
 }
 
@@ -140,8 +140,8 @@ fn steps_due_in_one_wake_run_in_the_documented_order() {
     rig.plane.step(Instant::now());
 
     // sample → control: the controller's first tick already had data.
-    let view = rig.plane.view().lock().expect("view lock").clone();
-    assert_eq!(view.control, Some((false, "hold-dwell")));
+    let view = control(&rig);
+    assert_eq!((view.clamped, view.last_decision), (false, "hold-dwell"));
     // supervise → control → reconcile: their events sit in that order,
     // all stamped with the baseline tick because record had not run yet.
     let flight = rig.plane.flight().expect("flight on");

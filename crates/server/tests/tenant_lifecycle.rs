@@ -193,6 +193,86 @@ fn tenant_header_routes_quotas_and_stats() {
 }
 
 #[test]
+fn cycling_tenant_ids_cannot_grow_the_exposition_without_bound() {
+    let _turn = ccp_fault::exclusive();
+    let mut server = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        dataset_rows: 64,
+        monitor_interval: None,
+        no_reuse: true,
+        // Quota 0: every acme arrival is a per-tenant 429.
+        tenant_quotas: vec![("acme".to_string(), 0)],
+        tenant_weights: vec![("acme".to_string(), 3)],
+        ..ServerConfig::default()
+    })
+    .expect("start");
+    let addr = server.addr();
+    let query = |tenant: &str| {
+        fetch_with_headers(
+            addr,
+            "POST",
+            "/query",
+            &[("X-CCP-Tenant", tenant)],
+            Some(r#"{"workload":"q1"}"#),
+        )
+        .expect("query")
+        .status
+    };
+
+    // 200 distinct well-formed ids, one query each: the first 64 get a
+    // label set of their own, the other 136 share `tenant="other"`.
+    for i in 0..200 {
+        assert_eq!(query(&format!("t{i}")), 200);
+    }
+    // The configured tenant keeps its quota, its weight and its own
+    // label set; the default tenant keeps its own too.
+    assert_eq!(query("acme"), 429, "quota 0 still enforced");
+    let r = fetch(addr, "POST", "/query", Some(r#"{"workload":"q1"}"#)).expect("default");
+    assert_eq!(r.status, 200);
+    // Reading per-tenant rejections for 200 tenants mints nothing.
+    let s = stats(addr);
+    let at = s.find("\"acme\"").expect("acme in tenants");
+    assert_eq!(stat_num(&s[at..], "weight"), 3.0, "{s}");
+    assert_eq!(stat_num(&s[at..], "rejections"), 1.0, "{s}");
+
+    let scrape = fetch(addr, "GET", "/metrics", None).expect("scrape").body;
+    let series = |family: &str| {
+        let prefix = format!("{family}{{");
+        scrape.lines().filter(|l| l.starts_with(&prefix)).count()
+    };
+    assert_eq!(
+        series("ccp_server_tenant_requests_total"),
+        64 + 2,
+        "64 unconfigured + default + other: {scrape}"
+    );
+    assert_eq!(
+        scrape_value(
+            &scrape,
+            "ccp_server_tenant_requests_total{class=\"polluting\",tenant=\"other\"}"
+        ),
+        136.0
+    );
+    assert_eq!(
+        scrape_value(&scrape, "ccp_server_tenant_label_overflow_total"),
+        136.0
+    );
+    assert_eq!(
+        series("ccp_server_tenant_rejections_total"),
+        1,
+        "only acme was ever rejected: {scrape}"
+    );
+    assert_eq!(
+        scrape_value(
+            &scrape,
+            "ccp_server_tenant_rejections_total{tenant=\"acme\"}"
+        ),
+        1.0
+    );
+
+    server.shutdown();
+}
+
+#[test]
 fn closid_exhaustion_chaos_degrades_to_fallback_and_heals() {
     let _turn = ccp_fault::exclusive();
     // A bounded ENOSPC window on tenant group creation, armed before

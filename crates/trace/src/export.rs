@@ -200,8 +200,9 @@ fn format_event(ph: &str, name: &str, cat: TraceCat, ts_us: u64, tid: u32, id: u
     s
 }
 
-/// Appends `s` as a JSON string literal (with quotes) onto `out`.
-pub(crate) fn escape_json_into(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string literal (with quotes) onto `out` — the
+/// workspace's one JSON string escaper.
+pub fn escape_json_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

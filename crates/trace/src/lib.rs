@@ -66,7 +66,7 @@ mod export;
 mod ring;
 mod tracer;
 
-pub use export::{ThreadInfo, TraceEvent, TraceEventKind, TraceSnapshot};
+pub use export::{escape_json_into, ThreadInfo, TraceEvent, TraceEventKind, TraceSnapshot};
 pub use ring::{Record, SpanRing};
 pub use tracer::{
     clear, disable, dropped, enable, enabled, instant, instant_id, snapshot, snapshot_and_clear,

@@ -72,7 +72,7 @@ pub struct Record {
 
 /// A bounded single-writer, many-reader event ring.
 ///
-/// The owning thread calls [`push`](SpanRing::push); snapshot readers
+/// The owning thread calls `push`; snapshot readers
 /// call [`collect`](SpanRing::collect). When the ring wraps, the oldest
 /// record is overwritten and [`dropped`](SpanRing::dropped) increments.
 pub struct SpanRing {
@@ -120,7 +120,7 @@ impl SpanRing {
     /// Writes one span record (a completed span: start + duration).
     ///
     /// Must only be called by the ring's single owner — see
-    /// [`push`](Self::push) for the seqlock contract.
+    /// `push` for the seqlock contract.
     pub fn push_span(&self, ts_us: u64, dur_us: u64, cat: TraceCat, id: u64, name: &str) {
         self.push(ts_us, dur_us, KIND_SPAN, cat, id, name);
     }
@@ -128,7 +128,7 @@ impl SpanRing {
     /// Writes one zero-duration instant record.
     ///
     /// Must only be called by the ring's single owner — see
-    /// [`push`](Self::push) for the seqlock contract.
+    /// `push` for the seqlock contract.
     pub fn push_instant(&self, ts_us: u64, cat: TraceCat, id: u64, name: &str) {
         self.push(ts_us, 0, KIND_INSTANT, cat, id, name);
     }

@@ -13,7 +13,7 @@
 //! invariants:
 //!
 //! * **no lost records beyond the dropped counter** — every record
-//!   pushed into a [`ccp_trace::SpanRing`] is eventually observed by a
+//!   pushed into a `ccp_trace::SpanRing` is eventually observed by a
 //!   snapshot, still visible, or counted as dropped;
 //! * **monotone heads** — a ring's write index never runs backwards,
 //!   under any snapshot/clear/recycle interleaving;

@@ -9,15 +9,18 @@
 //!   paths (e.g. `crates/xtask/fixtures`) to lint something else, such
 //!   as the seeded-violation fixtures in CI. Exits `1` when findings
 //!   exist, `2` on usage or I/O errors.
+//! * `loc` — print a markdown table of non-test lines and `pub` items
+//!   per crate (see `loc.rs`).
 
 mod lint;
+mod loc;
 mod scan;
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!("usage: cargo xtask lint [--format human|json] [paths...]");
+    eprintln!("usage: cargo xtask lint [--format human|json] [paths...]\n       cargo xtask loc");
     ExitCode::from(2)
 }
 
@@ -25,6 +28,16 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => run_lint(&args[1..]),
+        Some("loc") if args.len() == 1 => match loc::table(&repo_root()) {
+            Ok(table) => {
+                print!("{table}");
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("loc: {e}");
+                ExitCode::from(2)
+            }
+        },
         _ => usage(),
     }
 }

@@ -74,47 +74,62 @@ fn print_help() {
          serve      run the HTTP query/metrics service, e.g. `ccp serve --addr 127.0.0.1:9090`\n  \
          bench-serve  load-test a running server over keep-alive sockets\n  \
          help       this text\n\n\
-         SERVE FLAGS:\n  \
-         --addr HOST:PORT   bind address        (default 127.0.0.1:9090)\n  \
-         --olap-workers N   partitioned workers (default 2)\n  \
-         --oltp-workers N   full-cache workers  (default 1)\n  \
-         --slots N          concurrent queries  (default 2)\n  \
-         --queue N          admission queue cap (default 16)\n  \
-         --queue-limit-polluting N  cap on waiting polluting queries (default: global cap only)\n  \
-         --queue-limit-sensitive N  cap on waiting sensitive queries (default: global cap only)\n  \
-         --queue-limit-mixed N      cap on waiting mixed queries     (default: global cap only)\n  \
-         --max-conns N      connection cap      (default 64)\n  \
-         --rows N           resident rows       (default 60000)\n  \
-         --queue-deadline-ms N  shed queries queued longer than N ms with 503 (default 30000, 0 = wait forever)\n  \
-         --faults PLAN      arm ccp-fault failpoints, e.g. resctrl.write_schemata=err@1+40 (or env CCP_FAULTS)\n  \
-         --fake-resctrl     back the engine with an in-memory resctrl (chaos harness; no CAT needed)\n  \
-         --reprobe-interval-ms N  resctrl health sync / degraded re-probe period (default 200)\n  \
-         --adaptive         close the loop: occupancy readings repartition the LLC online\n  \
-         --control-interval-ms N  adaptive controller tick period (default 100)\n  \
-         --monitor-interval-ms N  occupancy sampler period (default 250)\n  \
-         --occupancy-script SPEC  scripted occupancy trace for CI, e.g. 'sensitive:0.95x6,0.12;polluting:0.08'\n  \
-         --reuse-budget-mb N  reuse-cache byte budget in MiB (default 64)\n  \
-         --no-reuse         disable the artifact reuse cache (every query reports reuse=bypass)\n  \
-         --no-flight        disable the flight recorder (/timeline and /dashboard return 404)\n  \
-         --flight-interval-ms N  flight recorder snapshot period (default 250)\n  \
-         --tenant-quota NAME=N    cap NAME's in-flight queries at N, 429 above (repeatable)\n  \
-         --tenant-weight NAME=W   weighted-fair admission share for NAME (default 1, repeatable)\n  \
-         --fake-closids N   fake resctrl with only N CLOSIDs (implies --fake-resctrl; exhaustion chaos)\n  \
-         --reconcile-interval-ms N  tenant group reconciler pass period (default 500)\n\n\
-         BENCH-SERVE FLAGS:\n\
-         --addr HOST:PORT   server to drive     (default 127.0.0.1:9090)\n  \
-         --qps N            target request rate (default 50)\n  \
-         --duration SECS    run length          (default 10)\n  \
-         --concurrency N    client connections  (default 4)\n  \
-         --workload KIND    q1|q2|oltp|mix      (default mix)\n  \
-         --max-error-pct N  exit non-zero above this error rate (default 5)\n  \
-         --ab-addr HOST:PORT  second server for an A/B run (phase A on --addr, phase B here)\n  \
-         --json-out FILE    write the phase summaries as JSON (includes the server's build info)\n  \
-         --timeline-out FILE  save the server's /timeline after the run (flight-recorder black box)\n  \
-         --tenant-mix SPEC  spread requests over tenants by weight via X-CCP-Tenant,\n                     \
-         e.g. 'alpha:50,beta:30,gamma:20' (per-tenant sent/ok/429 reported)\n\n\
-         The full experiment suite lives in `cargo bench -p ccp-bench`."
+         SERVE FLAGS:\n{}\n\
+         BENCH-SERVE FLAGS:\n{}\n\
+         The full experiment suite lives in `cargo bench -p ccp-bench`.",
+        flag_help(SERVE_FLAGS),
+        flag_help(BENCH_FLAGS),
     );
+}
+
+/// One command-line flag, declared once: the table entry drives both the
+/// parser and the flag's line in `ccp help`.
+struct Flag<C> {
+    name: &'static str,
+    /// Placeholder of the value in the help text; empty for a switch.
+    value: &'static str,
+    help: &'static str,
+    /// Applies the flag (with its value, `""` for a switch) to the config.
+    apply: fn(&mut C, &str) -> Result<(), String>,
+}
+
+/// `*slot = value`, as a flag's `apply` result.
+fn set<T>(slot: &mut T, value: T) -> Result<(), String> {
+    *slot = value;
+    Ok(())
+}
+
+/// The help lines of `flags`, one per flag.
+fn flag_help<C>(flags: &[Flag<C>]) -> String {
+    flags
+        .iter()
+        .map(|f| format!("  {:<27} {}\n", format!("{} {}", f.name, f.value), f.help))
+        .collect()
+}
+
+/// Applies `args` to `config` through the flag table of subcommand `cmd`;
+/// an unknown flag, a missing value or a value the flag rejects is a
+/// clean failure, never a panic.
+fn parse_flags<C>(
+    cmd: &str,
+    flags: &[Flag<C>],
+    args: &[String],
+    config: &mut C,
+) -> Result<(), String> {
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let flag = flags.iter().find(|f| f.name == arg).ok_or_else(|| {
+            format!("unknown {cmd} flag {arg:?} (see `ccp help` for the flag list)")
+        })?;
+        let value = if flag.value.is_empty() {
+            ""
+        } else {
+            it.next()
+                .ok_or_else(|| format!("flag {} needs a value", flag.name))?
+        };
+        (flag.apply)(config, value)?;
+    }
+    Ok(())
 }
 
 fn probe() -> ExitCode {
@@ -223,106 +238,204 @@ fn classify() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Parses `serve` flags into a [`ServerConfig`] plus an optional
-/// `--faults` plan string (installed by [`serve`], not here — parsing
-/// stays side-effect free); any unknown flag, missing value or
-/// unparsable number is a clean failure, never a panic.
-fn parse_serve_config(args: &[String]) -> Result<(ServerConfig, Option<String>), String> {
-    let mut config = ServerConfig {
-        addr: "127.0.0.1:9090".to_string(),
-        ..ServerConfig::default()
+/// What `ccp serve` is started with: the server's configuration plus an
+/// optional `--faults` plan string (installed by [`serve`], not by the
+/// parser — parsing stays side-effect free).
+struct ServeArgs {
+    config: ServerConfig,
+    faults: Option<String>,
+}
+
+const SERVE_FLAGS: &[Flag<ServeArgs>] = &[
+    Flag {
+        name: "--addr",
+        value: "HOST:PORT",
+        help: "bind address (default 127.0.0.1:9090)",
+        apply: |a, v| set(&mut a.config.addr, v.to_string()),
+    },
+    Flag {
+        name: "--olap-workers",
+        value: "N",
+        help: "partitioned workers (default 2)",
+        apply: |a, v| parse_count(v).map(|n| a.config.olap_workers = n),
+    },
+    Flag {
+        name: "--oltp-workers",
+        value: "N",
+        help: "full-cache workers (default 1)",
+        apply: |a, v| parse_count(v).map(|n| a.config.oltp_workers = n),
+    },
+    Flag {
+        name: "--slots",
+        value: "N",
+        help: "concurrent queries (default 2)",
+        apply: |a, v| parse_count(v).map(|n| a.config.scheduler_slots = n),
+    },
+    Flag {
+        name: "--queue",
+        value: "N",
+        help: "admission queue cap (default 16)",
+        apply: |a, v| parse_count(v).map(|n| a.config.queue_capacity = n),
+    },
+    Flag {
+        name: "--queue-limit-polluting",
+        value: "N",
+        help: "cap on waiting polluting queries (default: global cap only)",
+        apply: |a, v| parse_limit(v).map(|n| a.config.class_queue_limits.polluting = Some(n)),
+    },
+    Flag {
+        name: "--queue-limit-sensitive",
+        value: "N",
+        help: "cap on waiting sensitive queries (default: global cap only)",
+        apply: |a, v| parse_limit(v).map(|n| a.config.class_queue_limits.sensitive = Some(n)),
+    },
+    Flag {
+        name: "--queue-limit-mixed",
+        value: "N",
+        help: "cap on waiting mixed queries (default: global cap only)",
+        apply: |a, v| parse_limit(v).map(|n| a.config.class_queue_limits.mixed = Some(n)),
+    },
+    Flag {
+        name: "--max-conns",
+        value: "N",
+        help: "connection cap (default 64)",
+        apply: |a, v| parse_count(v).map(|n| a.config.max_connections = n),
+    },
+    Flag {
+        name: "--rows",
+        value: "N",
+        help: "resident rows (default 60000)",
+        apply: |a, v| parse_count(v).map(|n| a.config.dataset_rows = n),
+    },
+    Flag {
+        name: "--queue-deadline-ms",
+        value: "N",
+        help: "shed queries queued longer than N ms with 503 (default 30000, 0 = wait forever)",
+        apply: |a, v| {
+            let ms: u64 = v
+                .parse()
+                .map_err(|_| "expected a number for --queue-deadline-ms".to_string())?;
+            // 0 opts out of shedding (wait for a slot indefinitely).
+            a.config.queue_deadline = (ms > 0).then(|| Duration::from_millis(ms));
+            Ok(())
+        },
+    },
+    Flag {
+        name: "--faults",
+        value: "PLAN",
+        help: "arm ccp-fault failpoints, e.g. resctrl.write_schemata=err@1+40 (or env CCP_FAULTS)",
+        apply: |a, v| set(&mut a.faults, Some(v.to_string())),
+    },
+    Flag {
+        name: "--fake-resctrl",
+        value: "",
+        help: "back the engine with an in-memory resctrl (chaos harness; no CAT needed)",
+        apply: |a, _| set(&mut a.config.fake_resctrl, true),
+    },
+    Flag {
+        name: "--reprobe-interval-ms",
+        value: "N",
+        help: "degraded-mode check and re-probe period (default 200)",
+        apply: |a, v| parse_millis(v).map(|d| a.config.reprobe_interval = d),
+    },
+    Flag {
+        name: "--adaptive",
+        value: "",
+        help: "close the loop: occupancy readings repartition the LLC online",
+        apply: |a, _| set(&mut a.config.adaptive, true),
+    },
+    Flag {
+        name: "--control-interval-ms",
+        value: "N",
+        help: "adaptive controller tick period (default 100)",
+        apply: |a, v| parse_millis(v).map(|d| a.config.control_interval = d),
+    },
+    Flag {
+        name: "--monitor-interval-ms",
+        value: "N",
+        help: "occupancy sampler period (default 250)",
+        apply: |a, v| parse_millis(v).map(|d| a.config.monitor_interval = Some(d)),
+    },
+    Flag {
+        name: "--occupancy-script",
+        value: "SPEC",
+        help: "scripted occupancy trace for CI, e.g. 'sensitive:0.95x6,0.12;polluting:0.08'",
+        apply: |a, v| set(&mut a.config.occupancy_script, Some(v.to_string())),
+    },
+    Flag {
+        name: "--reuse-budget-mb",
+        value: "N",
+        help: "reuse-cache byte budget in MiB (default 64)",
+        apply: |a, v| parse_count(v).map(|n| a.config.reuse_budget_mb = n),
+    },
+    Flag {
+        name: "--no-reuse",
+        value: "",
+        help: "disable the artifact reuse cache (every query reports reuse=bypass)",
+        apply: |a, _| set(&mut a.config.no_reuse, true),
+    },
+    Flag {
+        name: "--no-flight",
+        value: "",
+        help: "disable the flight recorder (/timeline and /dashboard return 404)",
+        apply: |a, _| set(&mut a.config.flight, false),
+    },
+    Flag {
+        name: "--flight-interval-ms",
+        value: "N",
+        help: "flight recorder snapshot period (default 250)",
+        apply: |a, v| parse_millis(v).map(|d| a.config.flight_interval = d),
+    },
+    Flag {
+        name: "--tenant-quota",
+        value: "NAME=N",
+        help: "cap NAME's in-flight queries at N, 429 above (repeatable)",
+        apply: |a, v| {
+            let (name, n) = parse_tenant_kv(v, "--tenant-quota")?;
+            // Quota 0 is legal: it rejects every arrival for that tenant.
+            a.config.tenant_quotas.push((name, parse_limit(n)?));
+            Ok(())
+        },
+    },
+    Flag {
+        name: "--tenant-weight",
+        value: "NAME=W",
+        help: "weighted-fair admission share for NAME (default 1, repeatable)",
+        apply: |a, v| {
+            let (name, w) = parse_tenant_kv(v, "--tenant-weight")?;
+            a.config.tenant_weights.push((name, parse_count(w)? as u32));
+            Ok(())
+        },
+    },
+    Flag {
+        name: "--fake-closids",
+        value: "N",
+        help: "fake resctrl with only N CLOSIDs (implies --fake-resctrl; exhaustion chaos)",
+        apply: |a, v| parse_count(v).map(|n| a.config.fake_closids = Some(n as u32)),
+    },
+    Flag {
+        name: "--reconcile-interval-ms",
+        value: "N",
+        help: "tenant group reconciler pass period (default 500)",
+        apply: |a, v| parse_millis(v).map(|d| a.config.reconcile_interval = d),
+    },
+];
+
+fn parse_serve_config(args: &[String]) -> Result<ServeArgs, String> {
+    let mut parsed = ServeArgs {
+        config: ServerConfig {
+            addr: "127.0.0.1:9090".to_string(),
+            ..ServerConfig::default()
+        },
+        faults: None,
     };
-    let mut faults = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value_of = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {name} needs a value"))
-        };
-        match flag.as_str() {
-            "--addr" => config.addr = value_of("--addr")?,
-            "--olap-workers" => config.olap_workers = parse_count(&value_of("--olap-workers")?)?,
-            "--oltp-workers" => config.oltp_workers = parse_count(&value_of("--oltp-workers")?)?,
-            "--slots" => config.scheduler_slots = parse_count(&value_of("--slots")?)?,
-            "--queue" => config.queue_capacity = parse_count(&value_of("--queue")?)?,
-            "--queue-limit-polluting" => {
-                config.class_queue_limits.polluting =
-                    Some(parse_limit(&value_of("--queue-limit-polluting")?)?)
-            }
-            "--queue-limit-sensitive" => {
-                config.class_queue_limits.sensitive =
-                    Some(parse_limit(&value_of("--queue-limit-sensitive")?)?)
-            }
-            "--queue-limit-mixed" => {
-                config.class_queue_limits.mixed =
-                    Some(parse_limit(&value_of("--queue-limit-mixed")?)?)
-            }
-            "--max-conns" => config.max_connections = parse_count(&value_of("--max-conns")?)?,
-            "--rows" => config.dataset_rows = parse_count(&value_of("--rows")?)?,
-            "--queue-deadline-ms" => {
-                let ms: u64 = value_of("--queue-deadline-ms")?
-                    .parse()
-                    .map_err(|_| "expected a number for --queue-deadline-ms".to_string())?;
-                // 0 opts out of shedding (wait for a slot indefinitely).
-                config.queue_deadline = (ms > 0).then(|| Duration::from_millis(ms));
-            }
-            "--faults" => faults = Some(value_of("--faults")?),
-            "--fake-resctrl" => config.fake_resctrl = true,
-            "--reprobe-interval-ms" => {
-                let ms = parse_count(&value_of("--reprobe-interval-ms")?)? as u64;
-                config.reprobe_interval = Duration::from_millis(ms);
-            }
-            "--adaptive" => config.adaptive = true,
-            "--control-interval-ms" => {
-                let ms = parse_count(&value_of("--control-interval-ms")?)? as u64;
-                config.control_interval = Duration::from_millis(ms);
-            }
-            "--monitor-interval-ms" => {
-                let ms = parse_count(&value_of("--monitor-interval-ms")?)? as u64;
-                config.monitor_interval = Some(Duration::from_millis(ms));
-            }
-            "--occupancy-script" => config.occupancy_script = Some(value_of("--occupancy-script")?),
-            "--reuse-budget-mb" => {
-                config.reuse_budget_mb = parse_count(&value_of("--reuse-budget-mb")?)?
-            }
-            "--no-reuse" => config.no_reuse = true,
-            "--no-flight" => config.flight = false,
-            "--flight-interval-ms" => {
-                let ms = parse_count(&value_of("--flight-interval-ms")?)? as u64;
-                config.flight_interval = Duration::from_millis(ms);
-            }
-            "--tenant-quota" => {
-                let (name, n) = parse_tenant_kv(&value_of("--tenant-quota")?, "--tenant-quota")?;
-                // Quota 0 is legal: it rejects every arrival for that tenant.
-                let quota = parse_limit(&n)?;
-                config.tenant_quotas.push((name, quota));
-            }
-            "--tenant-weight" => {
-                let (name, w) = parse_tenant_kv(&value_of("--tenant-weight")?, "--tenant-weight")?;
-                let weight = parse_count(&w)? as u32;
-                config.tenant_weights.push((name, weight));
-            }
-            "--fake-closids" => {
-                config.fake_closids = Some(parse_count(&value_of("--fake-closids")?)? as u32);
-            }
-            "--reconcile-interval-ms" => {
-                let ms = parse_count(&value_of("--reconcile-interval-ms")?)? as u64;
-                config.reconcile_interval = Duration::from_millis(ms);
-            }
-            other => {
-                return Err(format!(
-                    "unknown serve flag {other:?} (see `ccp help` for the flag list)"
-                ))
-            }
-        }
-    }
-    Ok((config, faults))
+    parse_flags("serve", SERVE_FLAGS, args, &mut parsed)?;
+    Ok(parsed)
 }
 
 /// Splits a `NAME=VALUE` tenant flag argument; tenant id validation is
 /// left to the server (it returns a startup error naming the bad id).
-fn parse_tenant_kv(s: &str, flag: &str) -> Result<(String, String), String> {
+fn parse_tenant_kv<'v>(s: &'v str, flag: &str) -> Result<(String, &'v str), String> {
     let (name, value) = s
         .split_once('=')
         .ok_or_else(|| format!("{flag} expects NAME=VALUE, got {s:?}"))?;
@@ -331,7 +444,7 @@ fn parse_tenant_kv(s: &str, flag: &str) -> Result<(String, String), String> {
             "{flag} expects a tenant name before '=', got {s:?}"
         ));
     }
-    Ok((name.to_string(), value.to_string()))
+    Ok((name.to_string(), value))
 }
 
 /// Parses a per-class queue cap; unlike [`parse_count`], `0` is legal
@@ -349,8 +462,13 @@ fn parse_count(s: &str) -> Result<usize, String> {
     }
 }
 
+/// A positive count of milliseconds.
+fn parse_millis(s: &str) -> Result<Duration, String> {
+    parse_count(s).map(|ms| Duration::from_millis(ms as u64))
+}
+
 fn serve(args: &[String]) -> ExitCode {
-    let (config, faults) = match parse_serve_config(args) {
+    let ServeArgs { config, faults } = match parse_serve_config(args) {
         Ok(c) => c,
         Err(why) => {
             eprintln!("{why}");
@@ -423,6 +541,93 @@ struct BenchConfig {
     tenant_mix: Vec<(String, u64)>,
 }
 
+const BENCH_FLAGS: &[Flag<BenchConfig>] = &[
+    Flag {
+        name: "--addr",
+        value: "HOST:PORT",
+        help: "server to drive (default 127.0.0.1:9090)",
+        apply: |c, v| set(&mut c.addr, v.to_string()),
+    },
+    Flag {
+        name: "--qps",
+        value: "N",
+        help: "target request rate (default 50)",
+        apply: |c, v| parse_count(v).map(|n| c.qps = n as u64),
+    },
+    Flag {
+        name: "--duration",
+        value: "SECS",
+        help: "run length (default 10)",
+        apply: |c, v| parse_count(v).map(|n| c.duration = Duration::from_secs(n as u64)),
+    },
+    Flag {
+        name: "--concurrency",
+        value: "N",
+        help: "client connections (default 4)",
+        apply: |c, v| parse_count(v).map(|n| c.concurrency = n),
+    },
+    Flag {
+        name: "--workload",
+        value: "KIND",
+        help: "q1|q2|oltp|mix (default mix)",
+        apply: |c, v| {
+            if !["q1", "q2", "oltp", "mix"].contains(&v) {
+                return Err(format!("unknown workload {v:?} (q1, q2, oltp or mix)"));
+            }
+            c.workload = v.to_string();
+            Ok(())
+        },
+    },
+    Flag {
+        name: "--max-error-pct",
+        value: "N",
+        help: "exit non-zero above this error rate (default 5)",
+        apply: |c, v| {
+            c.max_error_pct = v
+                .parse()
+                .map_err(|_| "expected a number for --max-error-pct".to_string())?;
+            Ok(())
+        },
+    },
+    Flag {
+        name: "--ab-addr",
+        value: "HOST:PORT",
+        help: "second server for an A/B run (phase A on --addr, phase B here)",
+        apply: |c, v| set(&mut c.ab_addr, Some(v.to_string())),
+    },
+    Flag {
+        name: "--json-out",
+        value: "FILE",
+        help: "write the phase summaries as JSON (includes the server's build info)",
+        apply: |c, v| set(&mut c.json_out, Some(v.to_string())),
+    },
+    Flag {
+        name: "--timeline-out",
+        value: "FILE",
+        help: "save the server's /timeline after the run (flight-recorder black box)",
+        apply: |c, v| set(&mut c.timeline_out, Some(v.to_string())),
+    },
+    Flag {
+        name: "--tenant-mix",
+        value: "SPEC",
+        help: "spread requests over tenants by weight via X-CCP-Tenant, e.g. \
+               'alpha:50,beta:30,gamma:20' (per-tenant sent/ok/429 reported)",
+        apply: |c, v| {
+            for part in v.split(',') {
+                let (name, weight) = part.split_once(':').ok_or_else(|| {
+                    format!("--tenant-mix expects NAME:WEIGHT entries, got {part:?}")
+                })?;
+                if name.is_empty() {
+                    return Err(format!("--tenant-mix entry {part:?} has no tenant name"));
+                }
+                c.tenant_mix
+                    .push((name.to_string(), parse_count(weight)? as u64));
+            }
+            Ok(())
+        },
+    },
+];
+
 fn parse_bench_config(args: &[String]) -> Result<BenchConfig, String> {
     let mut config = BenchConfig {
         addr: "127.0.0.1:9090".to_string(),
@@ -436,54 +641,7 @@ fn parse_bench_config(args: &[String]) -> Result<BenchConfig, String> {
         timeline_out: None,
         tenant_mix: Vec::new(),
     };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value_of = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {name} needs a value"))
-        };
-        match flag.as_str() {
-            "--addr" => config.addr = value_of("--addr")?,
-            "--qps" => config.qps = parse_count(&value_of("--qps")?)? as u64,
-            "--duration" => {
-                config.duration = Duration::from_secs(parse_count(&value_of("--duration")?)? as u64)
-            }
-            "--concurrency" => config.concurrency = parse_count(&value_of("--concurrency")?)?,
-            "--workload" => {
-                let w = value_of("--workload")?;
-                if !["q1", "q2", "oltp", "mix"].contains(&w.as_str()) {
-                    return Err(format!("unknown workload {w:?} (q1, q2, oltp or mix)"));
-                }
-                config.workload = w;
-            }
-            "--max-error-pct" => {
-                config.max_error_pct = value_of("--max-error-pct")?
-                    .parse()
-                    .map_err(|_| "expected a number for --max-error-pct".to_string())?
-            }
-            "--ab-addr" => config.ab_addr = Some(value_of("--ab-addr")?),
-            "--json-out" => config.json_out = Some(value_of("--json-out")?),
-            "--timeline-out" => config.timeline_out = Some(value_of("--timeline-out")?),
-            "--tenant-mix" => {
-                for part in value_of("--tenant-mix")?.split(',') {
-                    let (name, weight) = part.split_once(':').ok_or_else(|| {
-                        format!("--tenant-mix expects NAME:WEIGHT entries, got {part:?}")
-                    })?;
-                    if name.is_empty() {
-                        return Err(format!("--tenant-mix entry {part:?} has no tenant name"));
-                    }
-                    let weight = parse_count(weight)? as u64;
-                    config.tenant_mix.push((name.to_string(), weight));
-                }
-            }
-            other => {
-                return Err(format!(
-                    "unknown bench-serve flag {other:?} (see `ccp help`)"
-                ))
-            }
-        }
-    }
+    parse_flags("bench-serve", BENCH_FLAGS, args, &mut config)?;
     Ok(config)
 }
 

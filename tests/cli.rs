@@ -66,3 +66,117 @@ fn help_and_no_args_succeed() {
         assert!(text.contains("serve"), "help mentions serve: {text}");
     }
 }
+
+/// The flag lines (`  --name [VALUE]  help…`) of one section of `ccp help`,
+/// as `(name, takes a value)`.
+fn help_flags(section: &str) -> Vec<(String, bool)> {
+    let out = ccp(&["help"]);
+    let text = String::from_utf8_lossy(&out.stdout).into_owned();
+    let header = format!("{section}:\n");
+    let at = text
+        .find(&header)
+        .unwrap_or_else(|| panic!("{section} missing from help: {text}"));
+    text[at + header.len()..]
+        .lines()
+        .take_while(|l| l.starts_with("  --"))
+        .map(|l| {
+            let mut words = l.split_whitespace();
+            let name = words.next().expect("flag name").to_string();
+            // A value placeholder is upper-case (`N`, `HOST:PORT`, `NAME=N`).
+            let valued = words.next().is_some_and(|w| {
+                w.chars().any(|c| c.is_ascii_uppercase()) && w == w.to_uppercase()
+            });
+            (name, valued)
+        })
+        .collect()
+}
+
+#[test]
+fn every_flag_is_listed_in_help_and_known_to_its_parser() {
+    const SERVE: [&str; 26] = [
+        "--addr",
+        "--olap-workers",
+        "--oltp-workers",
+        "--slots",
+        "--queue",
+        "--queue-limit-polluting",
+        "--queue-limit-sensitive",
+        "--queue-limit-mixed",
+        "--max-conns",
+        "--rows",
+        "--queue-deadline-ms",
+        "--faults",
+        "--fake-resctrl",
+        "--reprobe-interval-ms",
+        "--adaptive",
+        "--control-interval-ms",
+        "--monitor-interval-ms",
+        "--occupancy-script",
+        "--reuse-budget-mb",
+        "--no-reuse",
+        "--no-flight",
+        "--flight-interval-ms",
+        "--tenant-quota",
+        "--tenant-weight",
+        "--fake-closids",
+        "--reconcile-interval-ms",
+    ];
+    const BENCH: [&str; 10] = [
+        "--addr",
+        "--qps",
+        "--duration",
+        "--concurrency",
+        "--workload",
+        "--max-error-pct",
+        "--ab-addr",
+        "--json-out",
+        "--timeline-out",
+        "--tenant-mix",
+    ];
+    for (cmd, section, expect) in [
+        ("serve", "SERVE FLAGS", &SERVE[..]),
+        ("bench-serve", "BENCH-SERVE FLAGS", &BENCH[..]),
+    ] {
+        let listed = help_flags(section);
+        let names: Vec<&str> = listed.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, expect, "{section} of `ccp help`");
+        // Help and parser come from one table: every valued flag the help
+        // lists is one the parser knows and demands a value for. (Switches
+        // would start a server, so they are only checked for being listed.)
+        for (name, valued) in &listed {
+            if !*valued {
+                continue;
+            }
+            let out = ccp(&[cmd, name]);
+            assert_eq!(out.status.code(), Some(1), "{cmd} {name}");
+            let err = stderr(&out);
+            assert!(
+                err.contains(&format!("flag {name} needs a value")),
+                "{cmd} {name} stderr: {err}"
+            );
+        }
+        let switches = listed.iter().filter(|(_, valued)| !valued).count();
+        assert_eq!(switches, if cmd == "serve" { 4 } else { 0 }, "{section}");
+    }
+}
+
+#[test]
+fn malformed_bench_serve_flags_fail_before_connecting() {
+    let cases: &[(&[&str], &str)] = &[
+        (&["bench-serve", "--frobnicate"], "unknown bench-serve flag"),
+        (&["bench-serve", "--qps"], "flag --qps needs a value"),
+        (&["bench-serve", "--qps", "0"], "expected a positive number"),
+        (&["bench-serve", "--workload", "q9"], "unknown workload"),
+        (
+            &["bench-serve", "--tenant-mix", "alpha"],
+            "--tenant-mix expects NAME:WEIGHT entries",
+        ),
+    ];
+    for (args, expect) in cases {
+        let out = ccp(args);
+        assert_eq!(out.status.code(), Some(1), "args: {args:?}");
+        let err = stderr(&out);
+        assert!(err.contains(expect), "args {args:?} stderr: {err}");
+        assert!(!err.contains("panicked"), "no panic for {args:?}: {err}");
+    }
+}
