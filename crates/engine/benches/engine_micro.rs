@@ -1,14 +1,16 @@
 //! Criterion microbenchmarks for the execution engine: job dispatch
-//! overhead (with and without mask switching) and the partition policy's
-//! mask derivation. Dispatch latency matters because the paper's
-//! integration point is per-job: a slow path here would tax short OLTP
-//! statements.
+//! overhead (with and without mask switching), the partition policy's
+//! mask derivation, and the grouped aggregation the server runs as `q2`.
+//! Dispatch latency matters because the paper's integration point is
+//! per-job: a slow path here would tax short OLTP statements.
 
 use ccp_cachesim::HierarchyConfig;
 use ccp_engine::alloc::NoopAllocator;
 use ccp_engine::job::{CacheUsageClass, Job};
+use ccp_engine::ops::aggregate;
 use ccp_engine::partition::PartitionPolicy;
 use ccp_engine::JobExecutor;
+use ccp_storage::{gen, Aggregate, DictColumn};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::sync::Arc;
 
@@ -65,5 +67,26 @@ fn bench_policy(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_dispatch, bench_policy);
+/// The served `q2` at half its size: 16-bit amounts grouped by 64 regions
+/// on the two-worker OLAP pool.
+fn bench_aggregate(c: &mut Criterion) {
+    const ROWS: usize = 1_000_000;
+    let amounts = Arc::new(DictColumn::build(&gen::uniform_ints(ROWS, 50_000, 11)));
+    let regions = Arc::new(DictColumn::build(&gen::uniform_ints(ROWS, 64, 12)));
+    let ex = JobExecutor::new(2, policy(), Arc::new(NoopAllocator));
+    let mut g = c.benchmark_group("engine/aggregate");
+    g.throughput(Throughput::Elements(ROWS as u64));
+    for (id, agg) in [
+        ("q2_max_64_groups", Aggregate::Max),
+        ("q2_sum_64_groups", Aggregate::Sum),
+        ("q2_count_64_groups", Aggregate::Count),
+    ] {
+        g.bench_function(id, |b| {
+            b.iter(|| aggregate::grouped_aggregate(&ex, &amounts, &regions, agg).len());
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_dispatch, bench_policy, bench_aggregate);
 criterion_main!(benches);

@@ -144,6 +144,13 @@ fn next_job(rx: &Receiver<(Job, Instant)>, linger: Duration) -> Option<(Job, Ins
     rx.recv().ok()
 }
 
+/// `0..n` cut into at most `chunks` (at least one) equal ranges, the last
+/// one shorter; no empty range is produced.
+fn chunk_ranges(n: usize, chunks: usize) -> impl Iterator<Item = Range<usize>> {
+    let step = n.div_ceil(chunks.max(1)).max(1);
+    (0..n).step_by(step).map(move |lo| lo..(lo + step).min(n))
+}
+
 /// A pool of job workers with integrated cache partitioning.
 pub struct JobExecutor {
     tx: Option<Sender<(Job, Instant)>>,
@@ -379,31 +386,66 @@ impl JobExecutor {
     where
         F: Fn(Range<usize>) -> u64 + Send + Sync + 'static,
     {
-        let chunks = chunks.max(1);
         let f = Arc::new(f);
         let acc = Arc::new(AtomicU64::new(0));
-        let step = n.div_ceil(chunks);
-        let mut jobs = Vec::with_capacity(chunks);
-        for c in 0..chunks {
-            let lo = c * step;
-            let hi = ((c + 1) * step).min(n);
-            if lo >= hi {
-                break;
-            }
-            let f = f.clone();
-            let acc = acc.clone();
-            jobs.push(Job::new(format!("{name}[{c}]"), cuid, move || {
-                // ORDERING: relaxed accumulation is fine because run_batch
-                // below synchronizes (channel + condvar) before the read.
-                acc.fetch_add(f(lo..hi), Ordering::Relaxed);
-            }));
-        }
+        let jobs = chunk_ranges(n, chunks)
+            .enumerate()
+            .map(|(c, rows)| {
+                let f = f.clone();
+                let acc = acc.clone();
+                Job::new(format!("{name}[{c}]"), cuid, move || {
+                    // ORDERING: relaxed accumulation is fine because run_batch
+                    // below synchronizes (channel + condvar) before the read.
+                    acc.fetch_add(f(rows), Ordering::Relaxed);
+                })
+            })
+            .collect();
         // Wait on the batch, not the pool: concurrent operators sharing
         // this executor must not serialize on each other's jobs.
         self.run_batch(jobs);
         // ORDERING: run_batch's completion handshake already happens-before
         // this load, so relaxed observes every worker's fetch_add.
         acc.load(Ordering::Relaxed)
+    }
+
+    /// Data-parallel fold: splits `0..n` into `chunks` ranges like
+    /// [`parallel_sum`](Self::parallel_sum) and runs `fold` on each as a
+    /// job of class `cuid`, over an accumulator checked out for the length
+    /// of the job: a free one if an earlier job has handed one back, a new
+    /// one from `init` otherwise. No more accumulators exist than jobs ran
+    /// at the same time — at most one per worker, however many chunks —
+    /// and all of them are returned for the caller to merge. Every job
+    /// carries `name` as it is.
+    pub fn parallel_fold<A, I, F>(
+        &self,
+        name: &'static str,
+        cuid: crate::job::CacheUsageClass,
+        n: usize,
+        chunks: usize,
+        init: I,
+        fold: F,
+    ) -> Vec<A>
+    where
+        A: Send + 'static,
+        I: Fn() -> A + Send + Sync + 'static,
+        F: Fn(&mut A, Range<usize>) + Send + Sync + 'static,
+    {
+        let shared = Arc::new((init, fold, Mutex::new(Vec::new())));
+        let jobs = chunk_ranges(n, chunks)
+            .map(|rows| {
+                let shared = shared.clone();
+                Job::new(name, cuid, move || {
+                    let (init, fold, free) = &*shared;
+                    let checked_out = free.lock().pop();
+                    let mut acc = checked_out.unwrap_or_else(init);
+                    fold(&mut acc, rows);
+                    free.lock().push(acc);
+                })
+            })
+            .collect();
+        self.run_batch(jobs);
+        let mut free = shared.2.lock();
+        std::mem::take(&mut *free)
     }
 
     /// This pool's instruments (queue-wait and run-latency histograms
@@ -487,6 +529,33 @@ mod tests {
             r.map(|i| i as u64).sum()
         });
         assert_eq!(total, 499_500);
+    }
+
+    #[test]
+    fn parallel_fold_covers_every_index_with_at_most_one_accumulator_per_worker() {
+        let ex = JobExecutor::new(2, policy(), Arc::new(NoopAllocator));
+        let made = Arc::new(AtomicU64::new(0));
+        let made_in_init = made.clone();
+        // 1000 indices in 31 chunks on 2 workers.
+        let parts = ex.parallel_fold(
+            "fold",
+            CacheUsageClass::Sensitive,
+            1000,
+            31,
+            move || {
+                made_in_init.fetch_add(1, Ordering::Relaxed);
+                Vec::new()
+            },
+            |seen: &mut Vec<usize>, rows| seen.extend(rows),
+        );
+        assert!((1..=2).contains(&parts.len()), "{} parts", parts.len());
+        assert_eq!(made.load(Ordering::Relaxed), parts.len() as u64);
+        let mut seen: Vec<usize> = parts.into_iter().flatten().collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..1000).collect::<Vec<_>>());
+        // Nothing to fold: no job, no accumulator.
+        let none = ex.parallel_fold("fold", CacheUsageClass::Sensitive, 0, 4, || 0u8, |_, _| {});
+        assert!(none.is_empty());
     }
 
     #[test]

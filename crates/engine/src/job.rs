@@ -6,6 +6,7 @@
 //! executor turns it into a CAT way mask before the job runs.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -95,8 +96,9 @@ pub fn current_query_ctx() -> Option<Arc<QueryCtx>> {
 
 /// A unit of work for the executor: a closure tagged with its CUID.
 pub struct Job {
-    /// Human-readable label for diagnostics.
-    pub name: String,
+    /// Human-readable label for diagnostics; a literal costs no
+    /// allocation, which is what per-chunk and per-statement jobs pass.
+    pub name: Cow<'static, str>,
     /// Cache usage identifier.
     pub cuid: CacheUsageClass,
     /// The work itself.
@@ -110,7 +112,7 @@ impl Job {
     /// Creates a job with an explicit CUID. The current thread's query
     /// context, if any, is attached automatically.
     pub fn new(
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         cuid: CacheUsageClass,
         run: impl FnOnce() + Send + 'static,
     ) -> Self {
@@ -124,7 +126,10 @@ impl Job {
 
     /// Creates a job with the default (sensitive) CUID — what operators
     /// without annotations get, guaranteeing they keep the whole cache.
-    pub fn unannotated(name: impl Into<String>, run: impl FnOnce() + Send + 'static) -> Self {
+    pub fn unannotated(
+        name: impl Into<Cow<'static, str>>,
+        run: impl FnOnce() + Send + 'static,
+    ) -> Self {
         Job::new(name, CacheUsageClass::default(), run)
     }
 }

@@ -1,18 +1,26 @@
-//! Native grouped aggregation (paper Query 2).
+//! Native grouped aggregation (paper Query 2), in the code domain.
 //!
-//! Two-phase hash aggregation exactly as Section III-A describes: the input
-//! is split among worker jobs; each job decodes the aggregated column
-//! through its dictionary (random dictionary accesses!) and pre-aggregates
-//! into a thread-local hash table; the local tables are then merged into a
-//! global result. Annotated [`CacheUsageClass::Sensitive`]: the paper gives
-//! aggregations the whole cache.
+//! The paper's Section III-A aggregation pre-aggregates into a hash table
+//! per worker and merges the tables. Here the grouping column's dictionary
+//! codes are a dense `0..dict.len()`, so the dictionary already is the
+//! perfect hash: each worker folds its chunks into a
+//! [`CodeAccumulator`] — one cell per group code, no probing — and the at
+//! most `workers` accumulators are merged cell by cell. The fold stays on
+//! codes wherever order preservation allows: `Max`/`Min` fold the value
+//! *codes* and decode one value per group after the merge, `Count` never
+//! reads the value column, and only `Sum` gathers every row's value from
+//! the value dictionary — the random dictionary accesses the paper
+//! highlights. The result is handed out as an [`AggHashTable`].
+//! Annotated [`CacheUsageClass::Sensitive`]: the paper gives aggregations
+//! the whole cache. The regime where the hash table itself outgrows the
+//! cache is modelled by the simulated operator, not by this one.
 
 use crate::executor::JobExecutor;
-use crate::job::{CacheUsageClass, Job};
+use crate::job::CacheUsageClass;
 use ccp_reuse::{Artifact, Begin, ReuseHandle, ReuseStatus};
 use ccp_storage::bitpack::{scan_blocks, SCAN_BLOCK};
-use ccp_storage::{AggHashTable, Aggregate, DictColumn};
-use parking_lot::Mutex;
+use ccp_storage::{AggHashTable, Aggregate, CodeAccumulator, DictColumn};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -39,53 +47,63 @@ pub fn grouped_aggregate(
     );
     let _span = super::op_span("grouped_aggregate");
     let n = v_col.len();
-    let expected_groups = g_col.dict().len();
-    let locals: Arc<Mutex<Vec<AggHashTable>>> = Arc::new(Mutex::new(Vec::new()));
-    let chunks = n.div_ceil(CHUNK_ROWS).max(1);
-    let mut jobs = Vec::with_capacity(chunks);
-    for c in 0..chunks {
-        let lo = c * CHUNK_ROWS;
-        let hi = ((c + 1) * CHUNK_ROWS).min(n);
-        if lo >= hi {
-            break;
-        }
-        let v_col = v_col.clone();
-        let g_col = g_col.clone();
-        let locals = locals.clone();
-        // Local tables sized for the chunk's worst case, mirroring HANA's
-        // thread-local pre-aggregation.
-        let expected = expected_groups.min(hi - lo);
-        jobs.push(Job::new(
-            format!("agg[{c}]"),
-            CacheUsageClass::Sensitive,
-            move || {
-                let mut local = AggHashTable::new(agg, expected);
-                let mut g_codes = [0u32; SCAN_BLOCK];
-                let mut v_codes = [0u32; SCAN_BLOCK];
-                let mut values = [0i64; SCAN_BLOCK];
-                for block in scan_blocks(lo..hi) {
-                    let n = block.len();
-                    g_col.codes().unpack(block.start, &mut g_codes[..n]);
-                    v_col.codes().unpack(block.start, &mut v_codes[..n]);
-                    // Decompress the aggregated values through the dictionary —
-                    // the random-access pattern the paper highlights.
-                    v_col.dict().decode_into(&v_codes[..n], &mut values[..n]);
-                    local.update_slice(&g_codes[..n], &values[..n]);
-                }
-                locals.lock().push(local);
-            },
-        ));
-    }
-    // Wait on this aggregation's own jobs only — concurrent queries
-    // sharing the pool must not extend each other's merge barrier.
-    ex.run_batch(jobs);
-    // Global merge phase.
+    let groups = g_col.dict().len();
+    let (v, g) = (v_col.clone(), g_col.clone());
+    let partials = ex.parallel_fold(
+        "agg",
+        CacheUsageClass::Sensitive,
+        n,
+        n.div_ceil(CHUNK_ROWS),
+        move || CodeAccumulator::new(agg, groups),
+        move |acc, rows| fold_rows(agg, acc, &v, &g, rows),
+    );
     let _merge_span = super::op_span("agg_merge");
-    let mut global = AggHashTable::new(agg, expected_groups);
-    for local in locals.lock().iter() {
-        global.merge(local);
+    let mut table = AggHashTable::new(agg, groups);
+    let Some(total) = CodeAccumulator::merged(partials) else {
+        return table;
+    };
+    for (group, acc, count) in total.groups() {
+        let acc = match agg {
+            // The dictionary is monotone: the extreme code is the code of
+            // the extreme value.
+            Aggregate::Max | Aggregate::Min => *v_col.dict().decode(acc as u32),
+            Aggregate::Sum | Aggregate::Count => acc,
+        };
+        table.merge_one(group, acc, count);
     }
-    global
+    table
+}
+
+/// Folds `rows` of the two columns into `acc`, an accumulator of `agg`, a
+/// block of codes at a time.
+fn fold_rows(
+    agg: Aggregate,
+    acc: &mut CodeAccumulator,
+    v_col: &DictColumn<i64>,
+    g_col: &DictColumn<i64>,
+    rows: Range<usize>,
+) {
+    let mut g_codes = [0u32; SCAN_BLOCK];
+    let mut v_codes = [0u32; SCAN_BLOCK];
+    let mut values = [0i64; SCAN_BLOCK];
+    for block in scan_blocks(rows) {
+        let n = block.len();
+        let (g_codes, v_codes) = (&mut g_codes[..n], &mut v_codes[..n]);
+        g_col.codes().unpack(block.start, g_codes);
+        // A count reads no value at all, a maximum or minimum only the
+        // value codes.
+        if agg != Aggregate::Count {
+            v_col.codes().unpack(block.start, v_codes);
+        }
+        if agg == Aggregate::Sum {
+            // A sum needs the values themselves: one dictionary access
+            // per row.
+            v_col.dict().decode_into(v_codes, &mut values[..n]);
+            acc.fold(g_codes, &values[..n]);
+        } else {
+            acc.fold(g_codes, v_codes);
+        }
+    }
 }
 
 /// [`grouped_aggregate`] with optional artifact reuse: when `reuse` is

@@ -30,6 +30,98 @@ fn arb_rows() -> impl Strategy<Value = usize> {
     ]
 }
 
+const AGGREGATES: [Aggregate; 4] = [
+    Aggregate::Max,
+    Aggregate::Min,
+    Aggregate::Sum,
+    Aggregate::Count,
+];
+
+/// `(aggregate, row count)` per group value, folded one row at a time over
+/// the raw values.
+fn aggregate_by_row(v: &[i64], g: &[i64], agg: Aggregate) -> BTreeMap<i64, (i64, u64)> {
+    let mut reference: BTreeMap<i64, (i64, u64)> = BTreeMap::new();
+    for (&value, &group) in v.iter().zip(g) {
+        let first = if agg == Aggregate::Count { 1 } else { value };
+        reference
+            .entry(group)
+            .and_modify(|(acc, count)| {
+                *acc = match agg {
+                    Aggregate::Max => (*acc).max(value),
+                    Aggregate::Min => (*acc).min(value),
+                    Aggregate::Sum => *acc + value,
+                    Aggregate::Count => *acc + 1,
+                };
+                *count += 1;
+            })
+            .or_insert((first, 1));
+    }
+    reference
+}
+
+/// `grouped_aggregate` over the encoded columns as the same map: every
+/// `(key, acc, count)` triple of the result, keys decoded.
+fn aggregate_by_operator(
+    ex: &JobExecutor,
+    v: &[i64],
+    g: &[i64],
+    agg: Aggregate,
+) -> BTreeMap<i64, (i64, u64)> {
+    let v_col = Arc::new(DictColumn::build(v));
+    let g_col = Arc::new(DictColumn::build(g));
+    let table = aggregate::grouped_aggregate(ex, &v_col, &g_col, agg);
+    let got: BTreeMap<i64, (i64, u64)> = table
+        .iter()
+        .map(|(code, acc, count)| (*g_col.dict().decode(code), (acc, count)))
+        .collect();
+    assert_eq!(got.len(), table.len(), "a group code appeared twice");
+    got
+}
+
+/// All four aggregates over group domains of 1, 2, 64, 65 537 (more groups
+/// than one chunk has rows) and one group per row, with negative values
+/// and with the `i64` extremes in the value dictionary (no sum over those:
+/// it overflows by construction), at row counts that are multiples of
+/// neither the decode block nor the chunk.
+#[test]
+fn grouped_aggregate_matches_row_reference_across_domains_and_extremes() {
+    const EXTREMES: [i64; 7] = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+    let ex = executor();
+    for (domain, rows) in [
+        (1usize, 777usize),
+        (1, 70_001),
+        (2, 1_025),
+        (2, 131_073),
+        (64, 777),
+        (64, 140_001),
+        (65_537, 140_001),
+        (70_001, 70_001),
+    ] {
+        // A multiplier coprime to every domain above walks all of it.
+        let g: Vec<i64> = (0..rows)
+            .map(|i| ((i * 7_919) % domain) as i64 - 3)
+            .collect();
+        let signed: Vec<i64> = (0..rows as i64)
+            .map(|i| (i * 104_729) % 20_011 - 10_005)
+            .collect();
+        let extreme: Vec<i64> = (0..rows).map(|i| EXTREMES[(i * 31 + i / 7) % 7]).collect();
+        for agg in AGGREGATES {
+            assert_eq!(
+                aggregate_by_operator(&ex, &signed, &g, agg),
+                aggregate_by_row(&signed, &g, agg),
+                "{agg:?}, {domain} groups, {rows} rows, signed values"
+            );
+            if agg != Aggregate::Sum {
+                assert_eq!(
+                    aggregate_by_operator(&ex, &extreme, &g, agg),
+                    aggregate_by_row(&extreme, &g, agg),
+                    "{agg:?}, {domain} groups, {rows} rows, extreme values"
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     /// `grouped_aggregate` == a map folded row by row, all four aggregates.
     #[test]
@@ -41,32 +133,13 @@ proptest! {
     ) {
         let v = gen::uniform_ints(n, distinct, seed);
         let g = gen::uniform_ints(n, groups, seed + 1);
-        let v_col = Arc::new(DictColumn::build(&v));
-        let g_col = Arc::new(DictColumn::build(&g));
         let ex = executor();
-        for agg in [Aggregate::Max, Aggregate::Min, Aggregate::Sum, Aggregate::Count] {
-            let mut reference: BTreeMap<i64, (i64, u64)> = BTreeMap::new();
-            for (&value, &group) in v.iter().zip(&g) {
-                let first = if agg == Aggregate::Count { 1 } else { value };
-                reference
-                    .entry(group)
-                    .and_modify(|(acc, count)| {
-                        *acc = match agg {
-                            Aggregate::Max => (*acc).max(value),
-                            Aggregate::Min => (*acc).min(value),
-                            Aggregate::Sum => *acc + value,
-                            Aggregate::Count => *acc + 1,
-                        };
-                        *count += 1;
-                    })
-                    .or_insert((first, 1));
-            }
-            let table = aggregate::grouped_aggregate(&ex, &v_col, &g_col, agg);
-            let got: BTreeMap<i64, (i64, u64)> = table
-                .iter()
-                .map(|(code, acc, count)| (*g_col.dict().decode(code), (acc, count)))
-                .collect();
-            prop_assert_eq!(got, reference, "{:?} over {} rows", agg, n);
+        for agg in AGGREGATES {
+            prop_assert_eq!(
+                aggregate_by_operator(&ex, &v, &g, agg),
+                aggregate_by_row(&v, &g, agg),
+                "{:?} over {} rows", agg, n
+            );
         }
     }
 

@@ -170,6 +170,9 @@ pub(crate) fn unique<'a>(names: impl IntoIterator<Item = &'a str>) -> Vec<&'a st
 /// behave exactly as before.
 #[derive(Debug, Clone, Default)]
 pub struct FairShare {
+    /// One entry per tenant name ever granted. The queue grants under the
+    /// capped names of `ServerMetrics::tenant_label`, so its ledger — and
+    /// the linear scans over it under the admission lock — stay short.
     grants: Vec<(String, u64)>,
 }
 
@@ -365,6 +368,13 @@ impl AdmissionQueue {
     /// [`AdmissionError::QuotaExceeded`] when the tenant is at its
     /// in-flight quota, and grants among concurrently admissible waiters
     /// follow the weighted-fair order of [`FairShare`].
+    ///
+    /// The queue knows `tenant` by the name the metrics book it under
+    /// (`ServerMetrics::tenant_label`): the tenant header is client input,
+    /// so past the cap on distinct unconfigured names the rest queue, run
+    /// and are granted as the one tenant `other` (weight 1), which keeps
+    /// the ledger and `/stats → tenants` bounded. Configured tenants and
+    /// the default tenant always keep their own name, quota and weight.
     pub fn acquire_tenant(
         self: &Arc<Self>,
         cuid: CacheUsageClass,
@@ -375,7 +385,7 @@ impl AdmissionQueue {
             self.server_metrics.record_admission_rejection();
             return Err(AdmissionError::QueueFull);
         }
-        let tenant: Arc<str> = Arc::from(tenant);
+        let tenant: Arc<str> = Arc::from(self.server_metrics.tenant_label(tenant));
         let enqueued = Instant::now();
         let mut st = self.lock();
         if st.shutdown {
@@ -977,6 +987,42 @@ mod tests {
         drop((a, b, a2));
         assert!(q.drain(Duration::from_secs(1)));
         assert!(q.running_by_tenant().is_empty());
+    }
+
+    #[test]
+    fn cycling_tenant_ids_leave_a_bounded_ledger_and_configured_weights_alone() {
+        let q = Arc::new(
+            Arc::into_inner(queue(4, 8))
+                .expect("sole owner")
+                .with_tenant_limits(TenantLimits::new().with_weight("acme", 3)),
+        );
+        for i in 0..200 {
+            let id = format!("t{i}");
+            let permit = q
+                .acquire_tenant(CacheUsageClass::Polluting, &id, None)
+                .unwrap();
+            assert_eq!(permit.tenant(), if i < 64 { id.as_str() } else { "other" });
+        }
+        drop(q.acquire(CacheUsageClass::Polluting).unwrap());
+        drop(
+            q.acquire_tenant(CacheUsageClass::Polluting, "acme", None)
+                .unwrap(),
+        );
+        let grants = q.grants_by_tenant();
+        assert_eq!(
+            grants.len(),
+            64 + 3,
+            "64 own + other + default + acme: {grants:?}"
+        );
+        let of = |name: &str| grants.iter().find(|(t, _)| t == name).map(|&(_, g)| g);
+        assert_eq!(of("other"), Some(136));
+        assert_eq!(of("t63"), Some(1));
+        assert_eq!(of("t64"), None);
+        assert_eq!(of("acme"), Some(1));
+        // However many ids went by, acme still outweighs a weight-1 tenant
+        // three to one.
+        assert_eq!(q.tenant_limits().weight_for("acme"), 3);
+        assert!(q.running_by_tenant().is_empty() && q.waiting_by_tenant().is_empty());
     }
 
     #[test]

@@ -13,17 +13,18 @@ use ccp_resctrl::DEFAULT_TENANT;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Unconfigured tenants that get a label set of their own in the
-/// `ccp_server_tenant_*` families. `X-CCP-Tenant` is client input with
-/// 37^24 valid values; past this many distinct ones the rest are booked
-/// under [`OVERFLOW_TENANT`]. Configured tenants (a quota or a weight)
-/// and the default tenant never count against the cap.
+/// Unconfigured tenants that are booked under their own name — a label
+/// set in the `ccp_server_tenant_*` families, an entry in the admission
+/// queue's fair-share ledger and in `/stats → tenants`. `X-CCP-Tenant` is
+/// client input with 37^24 valid values; past this many distinct ones the
+/// rest are booked under [`OVERFLOW_TENANT`]. Configured tenants (a quota
+/// or a weight) and the default tenant never count against the cap.
 const MAX_TENANT_LABELS: usize = 64;
 
-/// The `tenant` label value shared by every tenant past the cap.
+/// The name shared by every tenant past the cap.
 const OVERFLOW_TENANT: &str = "other";
 
-/// Which tenants own a label set in the `ccp_server_tenant_*` families.
+/// Which tenants are booked under their own name.
 struct TenantLabels {
     own: Mutex<OwnLabels>,
     overflow: Counter,
@@ -191,8 +192,15 @@ impl ServerMetrics {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The `tenant` label value `tenant`'s events are booked under.
-    fn tenant_label<'a>(&self, tenant: &'a str) -> &'a str {
+    /// The name `tenant` is booked under, in the tenant-labelled families
+    /// here and in the admission queue's ledger: its own for the default
+    /// tenant, the configured ones and the first [`MAX_TENANT_LABELS`]
+    /// others, [`OVERFLOW_TENANT`] for the rest. The one place that rule
+    /// lives; it sees the id as the client sent it, so it is also where an
+    /// arrival landing in the overflow is counted. A request resolves its
+    /// tenant once — the admission queue does, and its permit carries the
+    /// name to the recorders below.
+    pub(crate) fn tenant_label<'a>(&self, tenant: &'a str) -> &'a str {
         let mut own = self.own_labels();
         if own.configured.contains(tenant) || own.unconfigured.contains(tenant) {
             return tenant;
@@ -207,18 +215,26 @@ impl ServerMetrics {
 
     /// Records one admitted query for `tenant` in `class`.
     pub fn record_tenant_request(&self, tenant: &str, class: &str) {
+        self.record_labelled_request(self.tenant_label(tenant), class);
+    }
+
+    /// [`record_tenant_request`](Self::record_tenant_request) under
+    /// `label`, a name [`tenant_label`](Self::tenant_label) already
+    /// resolved — a permit's tenant.
+    pub(crate) fn record_labelled_request(&self, label: &str, class: &str) {
         self.tenant_requests
-            .get_or_create(&[("tenant", self.tenant_label(tenant)), ("class", class)])
+            .get_or_create(&[("tenant", label), ("class", class)])
             .inc();
     }
 
-    /// Records a per-tenant quota rejection (also a 429). The global
-    /// rejection counter is bumped too, so existing dashboards keep
+    /// Records a per-tenant quota rejection (also a 429) under `label`, a
+    /// name [`tenant_label`](Self::tenant_label) already resolved. The
+    /// global rejection counter is bumped too, so existing dashboards keep
     /// seeing every 429 in one series.
-    pub fn record_tenant_rejection(&self, tenant: &str) {
+    pub(crate) fn record_tenant_rejection(&self, label: &str) {
         self.admission_rejections.inc();
         self.tenant_rejections
-            .get_or_create(&[("tenant", self.tenant_label(tenant))])
+            .get_or_create(&[("tenant", label)])
             .inc();
     }
 

@@ -18,6 +18,7 @@ use ccp_resctrl::{detect, CatSupport};
 use ccp_reuse::{Artifact, Begin, ResultSet, ReuseCache, ReuseHandle, ReuseStatus};
 use ccp_storage::{gen, Aggregate, DictColumn, InvertedIndex, Table};
 use ccp_tpch::queries::PhaseSpec;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -59,15 +60,16 @@ pub enum WorkloadSpec {
 
 impl WorkloadSpec {
     /// Stable name used for metrics labels and throughput normalization.
-    pub fn name(&self) -> String {
-        match self {
-            WorkloadSpec::Q1 { .. } => "q1".into(),
-            WorkloadSpec::Q2 { .. } => "q2".into(),
-            WorkloadSpec::Q3 => "q3".into(),
-            WorkloadSpec::Tpch { id } => format!("tpch-{id}"),
-            WorkloadSpec::Oltp { .. } => "oltp".into(),
-            WorkloadSpec::Sleep { .. } => "sleep".into(),
-        }
+    /// Only `tpch-N` is formatted; the fixed names cost no allocation.
+    pub fn name(&self) -> Cow<'static, str> {
+        Cow::Borrowed(match self {
+            WorkloadSpec::Q1 { .. } => "q1",
+            WorkloadSpec::Q2 { .. } => "q2",
+            WorkloadSpec::Q3 => "q3",
+            WorkloadSpec::Tpch { id } => return Cow::Owned(format!("tpch-{id}")),
+            WorkloadSpec::Oltp { .. } => "oltp",
+            WorkloadSpec::Sleep { .. } => "sleep",
+        })
     }
 }
 
@@ -139,7 +141,7 @@ pub fn parse_query(v: &Json, allow_sleep: bool) -> Result<WorkloadSpec, String> 
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
     /// Workload name (`q1`, `tpch-5`, …).
-    pub workload: String,
+    pub workload: Cow<'static, str>,
     /// CUID class label (`polluting`, `sensitive`, `mixed`).
     pub class: &'static str,
     /// Way mask the OLAP jobs bind (full mask for OLTP).
@@ -204,7 +206,7 @@ impl QueryOutcome {
     /// Renders the outcome as a JSON object.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
-            ("workload", Json::str(&self.workload)),
+            ("workload", Json::str(&*self.workload)),
             ("class", Json::str(self.class)),
             ("mask", Json::str(format!("{:#x}", self.mask_bits))),
             ("rows", Json::num(self.rows as f64)),
@@ -559,14 +561,22 @@ impl QueryEngine {
             .best_rows_per_sec
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let entry = best.entry(workload.to_string()).or_insert(rows_per_sec);
-        if rows_per_sec > *entry {
-            *entry = rows_per_sec;
-        }
-        if *entry <= 0.0 {
+        // Every query but the first of its name finds the entry: the name
+        // is copied once per workload, not once per query under this lock.
+        let best = match best.get_mut(workload) {
+            Some(best) => {
+                *best = best.max(rows_per_sec);
+                *best
+            }
+            None => {
+                best.insert(workload.to_string(), rows_per_sec);
+                rows_per_sec
+            }
+        };
+        if best <= 0.0 {
             1.0
         } else {
-            rows_per_sec / *entry
+            rows_per_sec / best
         }
     }
 

@@ -832,9 +832,10 @@ fn run_query_line(
         .admission
         .acquire_tenant(cuid, tenant.as_str(), shared.config.queue_deadline)
         .map_err(QueryLineError::Admission)?;
+    // The permit carries the name the queue resolved the tenant to.
     shared
         .metrics
-        .record_tenant_request(tenant.as_str(), ccp_engine::class_label(cuid));
+        .record_labelled_request(permit.tenant(), ccp_engine::class_label(cuid));
     // The admission ticket doubles as the trace query id: every span this
     // query emits downstream (scheduler, bind, operators) carries it.
     let ticket = permit.ticket();

@@ -234,6 +234,25 @@ fn cycling_tenant_ids_cannot_grow_the_exposition_without_bound() {
     let at = s.find("\"acme\"").expect("acme in tenants");
     assert_eq!(stat_num(&s[at..], "weight"), 3.0, "{s}");
     assert_eq!(stat_num(&s[at..], "rejections"), 1.0, "{s}");
+    // The fair-share ledger and the `tenants` object stopped growing with
+    // the label sets: every entry carries one `grants` field, and only
+    // acme (quota 0) has none to show.
+    let tenants = &s[s.find("\"tenants\":{").expect("tenants object")..];
+    let entries = tenants.matches("\"grants\":").count();
+    assert_eq!(
+        entries,
+        64 + 3,
+        "64 unconfigured + default + other + acme: {s}"
+    );
+    let granted = entries - tenants.matches("\"grants\":0").count();
+    assert_eq!(
+        granted,
+        64 + 2,
+        "ledger: 64 unconfigured + default + other: {s}"
+    );
+    let other = &tenants[tenants.find("\"other\":{").expect("other in tenants")..];
+    assert_eq!(stat_num(other, "grants"), 136.0, "{s}");
+    assert_eq!(stat_num(other, "weight"), 1.0, "{s}");
 
     let scrape = fetch(addr, "GET", "/metrics", None).expect("scrape").body;
     let series = |family: &str| {

@@ -7,6 +7,12 @@
 //! over a power-of-two table keeps the probe sequence short and the memory
 //! layout flat, so the table's cache footprint is simply
 //! `capacity × slot size` — the quantity the paper relates to the LLC size.
+//!
+//! The native operators fold rows into a
+//! [`CodeAccumulator`](crate::CodeAccumulator) and enter the merged groups
+//! here with [`AggHashTable::merge_one`]; the per-row
+//! [`AggHashTable::update`] remains the paper's probe-per-row structure,
+//! timed by the storage microbenchmarks.
 
 /// Aggregate functions supported by the table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,6 +25,18 @@ pub enum Aggregate {
     Sum,
     /// Row count per group.
     Count,
+}
+
+impl Aggregate {
+    /// Combines two partial aggregates over disjoint sets of rows.
+    #[inline(always)]
+    pub fn combine(self, a: i64, b: i64) -> i64 {
+        match self {
+            Aggregate::Max => a.max(b),
+            Aggregate::Min => a.min(b),
+            Aggregate::Sum | Aggregate::Count => a + b,
+        }
+    }
 }
 
 /// One slot: group key (dictionary code), aggregate accumulator, row count.
@@ -98,48 +116,21 @@ impl AggHashTable {
         std::mem::size_of::<Slot>()
     }
 
-    /// Folds `value` into group `key`, inserting the group if new — the
-    /// one-element case of [`AggHashTable::update_slice`].
+    /// Folds `value` into group `key`, inserting the group if new.
     pub fn update(&mut self, key: u32, value: i64) {
-        self.fold_slice(&[key], &[value], self.agg);
-    }
-
-    /// Folds `values[i]` into group `keys[i]` for every `i`, in order.
-    ///
-    /// # Panics
-    /// Panics when the slices differ in length.
-    pub fn update_slice(&mut self, keys: &[u32], values: &[i64]) {
-        assert_eq!(
-            keys.len(),
-            values.len(),
-            "update_slice needs one value per key"
-        );
-        // Naming the aggregate in each arm makes it a constant inside the
-        // inlined loop: the fold is chosen once per call, not once per row.
-        match self.agg {
-            Aggregate::Max => self.fold_slice(keys, values, Aggregate::Max),
-            Aggregate::Min => self.fold_slice(keys, values, Aggregate::Min),
-            Aggregate::Sum => self.fold_slice(keys, values, Aggregate::Sum),
-            Aggregate::Count => self.fold_slice(keys, values, Aggregate::Count),
-        }
-    }
-
-    #[inline(always)]
-    fn fold_slice(&mut self, keys: &[u32], values: &[i64], agg: Aggregate) {
-        for (&key, &value) in keys.iter().zip(values) {
-            self.upsert(
+        let agg = self.agg;
+        self.upsert(
+            key,
+            |slot| {
+                slot.acc = Self::fold(agg, slot.acc, value);
+                slot.count += 1;
+            },
+            || Slot {
                 key,
-                |slot| {
-                    slot.acc = Self::fold(agg, slot.acc, value);
-                    slot.count += 1;
-                },
-                || Slot {
-                    key,
-                    acc: Self::init(agg, value),
-                    count: 1,
-                },
-            );
-        }
+                acc: Self::init(agg, value),
+                count: 1,
+            },
+        );
     }
 
     #[inline(always)]
@@ -219,25 +210,16 @@ impl AggHashTable {
             .map(|s| (s.key, s.acc, s.count))
     }
 
-    /// Merges `other` into `self` — the paper's global merge step after
-    /// thread-local pre-aggregation.
-    pub fn merge(&mut self, other: &AggHashTable) {
-        debug_assert_eq!(self.agg, other.agg, "cannot merge different aggregates");
-        for (key, acc, count) in other.iter() {
-            self.merge_one(key, acc, count);
-        }
-    }
-
-    fn merge_one(&mut self, key: u32, acc: i64, count: u64) {
+    /// Inserts the partial aggregate `acc` over `count` rows of group
+    /// `key`, combining it with what the group already holds — how a
+    /// result computed elsewhere (another table, a
+    /// [`CodeAccumulator`](crate::CodeAccumulator)) enters this one.
+    pub fn merge_one(&mut self, key: u32, acc: i64, count: u64) {
         let agg = self.agg;
         self.upsert(
             key,
             |slot| {
-                slot.acc = match agg {
-                    Aggregate::Max => slot.acc.max(acc),
-                    Aggregate::Min => slot.acc.min(acc),
-                    Aggregate::Sum | Aggregate::Count => slot.acc + acc,
-                };
+                slot.acc = agg.combine(slot.acc, acc);
                 slot.count += count;
             },
             || Slot { key, acc, count },
@@ -270,6 +252,13 @@ impl AggHashTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Enters every group of `from` into `into`.
+    fn merge_all(into: &mut AggHashTable, from: &AggHashTable) {
+        for (key, acc, count) in from.iter() {
+            into.merge_one(key, acc, count);
+        }
+    }
 
     #[test]
     fn max_aggregation() {
@@ -327,11 +316,13 @@ mod tests {
         for k in 0..64u32 {
             t.update(k, 1);
         }
-        t.update_slice(&[5, 63, 0], &[1, 1, 1]);
+        for k in [5, 63, 0] {
+            t.update(k, 1);
+        }
         assert_eq!(t.capacity(), cap, "a hit must not grow the table");
         let mut global = AggHashTable::new(Aggregate::Sum, 64);
-        global.merge(&t);
-        global.merge(&t);
+        merge_all(&mut global, &t);
+        merge_all(&mut global, &t);
         assert_eq!(global.capacity(), cap, "merging known groups must not grow");
         // The 65th group is the first to push the load past 50 %.
         t.update(64, 1);
@@ -341,7 +332,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines_thread_local_tables() {
+    fn merge_one_combines_partial_tables() {
         let mut global = AggHashTable::new(Aggregate::Max, 16);
         let mut local_a = AggHashTable::new(Aggregate::Max, 16);
         let mut local_b = AggHashTable::new(Aggregate::Max, 16);
@@ -349,8 +340,8 @@ mod tests {
         local_a.update(2, 20);
         local_b.update(2, 25);
         local_b.update(3, 30);
-        global.merge(&local_a);
-        global.merge(&local_b);
+        merge_all(&mut global, &local_a);
+        merge_all(&mut global, &local_b);
         assert_eq!(global.get(1), Some(10));
         assert_eq!(global.get(2), Some(25));
         assert_eq!(global.get(3), Some(30));
@@ -364,7 +355,7 @@ mod tests {
         a.update(7, 1);
         a.update(7, 1);
         b.update(7, 3);
-        a.merge(&b);
+        merge_all(&mut a, &b);
         let (_, acc, count) = a.iter().find(|(k, _, _)| *k == 7).unwrap();
         assert_eq!(acc, 5);
         assert_eq!(count, 3);

@@ -11,8 +11,11 @@
 //!   ⌈log₂ |dict|⌉ bits each (the paper's 10⁶-value column packs into
 //!   20 bits) and read by sequential operators through one block decoder,
 //!   64 codes per width-specialised step.
-//! * **Aggregation hash tables** ([`hashtable`]) — open-addressing tables
-//!   used per worker thread and for the global merge.
+//! * **Code-domain accumulators** ([`accumulator`]) — one aggregation cell
+//!   per group code, what the native aggregation folds into per worker.
+//! * **Aggregation hash tables** ([`hashtable`]) — the paper's
+//!   probe-per-row open-addressing table; the native operators hand their
+//!   result out in one.
 //! * **Join bit vectors** ([`bitvec`]) — the compact primary-key
 //!   representation of the OLAP foreign-key join.
 //! * **Inverted indexes** ([`invindex`]) — code → row-id postings used by
@@ -20,6 +23,7 @@
 //! * **Column tables and generators** ([`mod@column`], [`table`], [`gen`]) —
 //!   the glue plus the paper's exact data-set distributions.
 
+pub mod accumulator;
 pub mod bitpack;
 pub mod bitvec;
 pub mod column;
@@ -30,6 +34,7 @@ pub mod invindex;
 pub mod rle;
 pub mod table;
 
+pub use accumulator::CodeAccumulator;
 pub use bitpack::PackedCodeVector;
 pub use bitvec::BitVec;
 pub use column::DictColumn;

@@ -1,9 +1,10 @@
 //! Differential tests for the block-at-a-time kernels: the block decoder
-//! against `get`, the scan kernels against a naive filter, the slice
-//! update against the per-row update. Every property walks all 32 widths.
+//! against `get`, the scan kernels against a naive filter, the code-domain
+//! accumulator against the per-row table update. The decode and scan
+//! properties walk all 32 widths.
 
 use ccp_storage::bitpack::{scan_blocks, SCAN_BLOCK as BLOCK};
-use ccp_storage::{AggHashTable, Aggregate, PackedCodeVector};
+use ccp_storage::{AggHashTable, Aggregate, CodeAccumulator, PackedCodeVector};
 use proptest::prelude::*;
 
 fn max_code(bits: u32) -> u32 {
@@ -135,10 +136,11 @@ proptest! {
         }
     }
 
-    /// Slice update == per-row update for all four aggregates, with the
-    /// table (8 expected groups, up to 200 met) growing mid-slice.
+    /// Chunked folds into a `CodeAccumulator`, entered into a table with
+    /// `merge_one`, == per-row `update` for all four aggregates, with the
+    /// table (8 expected groups, up to 200 met) growing as groups arrive.
     #[test]
-    fn update_slice_matches_update(
+    fn accumulator_into_table_matches_update(
         pairs in proptest::collection::vec((0u32..200, -1_000i64..1_000), 0..700),
         cut in 1usize..300,
     ) {
@@ -148,13 +150,16 @@ proptest! {
             for &(k, v) in &pairs {
                 by_row.update(k, v);
             }
-            let mut by_slice = AggHashTable::new(agg, 8);
+            let mut acc = CodeAccumulator::new(agg, 200);
             for (k, v) in keys.chunks(cut).zip(values.chunks(cut)) {
-                by_slice.update_slice(k, v);
+                acc.fold(k, v);
             }
-            prop_assert_eq!(sorted_groups(&by_slice), sorted_groups(&by_row), "{:?}", agg);
-            prop_assert_eq!(by_slice.capacity(), by_row.capacity());
-            prop_assert_eq!(by_slice.len(), by_row.len());
+            let mut by_code = AggHashTable::new(agg, 8);
+            for (key, partial, count) in acc.groups() {
+                by_code.merge_one(key, partial, count);
+            }
+            prop_assert_eq!(sorted_groups(&by_code), sorted_groups(&by_row), "{:?}", agg);
+            prop_assert_eq!(by_code.len(), by_row.len());
         }
     }
 }

@@ -93,7 +93,9 @@ proptest! {
         for &(k, v) in &pairs[split..] {
             b.update(k, v);
         }
-        a.merge(&b);
+        for (k, acc, count) in b.iter() {
+            a.merge_one(k, acc, count);
+        }
         prop_assert_eq!(a.len(), single.len());
         for (k, acc, count) in single.iter() {
             let (_, acc2, count2) = a.iter().find(|(k2, _, _)| *k2 == k).expect("group present");

@@ -8,11 +8,10 @@
 //! the scan-dominated one).
 
 use crate::gen;
-use ccp_engine::job::{CacheUsageClass, Job};
+use ccp_engine::job::CacheUsageClass;
 use ccp_engine::JobExecutor;
 use ccp_storage::bitpack::{scan_blocks, SCAN_BLOCK};
-use ccp_storage::{AggHashTable, Aggregate, Column, Table};
-use parking_lot::Mutex;
+use ccp_storage::{Aggregate, CodeAccumulator, Column, Table};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -40,64 +39,52 @@ fn int_column<'t>(t: &'t Table, name: &str) -> &'t ccp_storage::DictColumn<i64> 
 /// `SELECT l_returnflag, l_linestatus, SUM(l_extendedprice), COUNT(*)
 ///  FROM lineitem GROUP BY l_returnflag, l_linestatus`.
 ///
-/// Runs as cache-sensitive jobs (the paper's class *ii*): each chunk
-/// pre-aggregates into a thread-local table keyed by the combined
-/// `(returnflag, linestatus)` code, then the tables merge. Results are
-/// sorted by `(returnflag, linestatus)`.
+/// Runs as cache-sensitive jobs (the paper's class *ii*): the two group
+/// columns' codes combine into one dense key `flag × |status| + status`,
+/// which indexes a [`CodeAccumulator`] per worker directly; the
+/// accumulators then merge cell by cell. Results are sorted by
+/// `(returnflag, linestatus)`.
 pub fn q1_pricing_summary(ex: &JobExecutor, lineitem: &Arc<Table>) -> Vec<Q1Row> {
     let n = lineitem.row_count();
-    let status_card = int_column(lineitem, "L_LINESTATUS").dict().len() as u32;
-    let locals: Arc<Mutex<Vec<AggHashTable>>> = Arc::new(Mutex::new(Vec::new()));
-    const CHUNK: usize = 32 * 1024;
-    let chunks = n.div_ceil(CHUNK).max(1);
-    let mut jobs = Vec::with_capacity(chunks);
-    for c in 0..chunks {
-        let lo = c * CHUNK;
-        let hi = ((c + 1) * CHUNK).min(n);
-        if lo >= hi {
-            break;
-        }
-        let t = lineitem.clone();
-        let locals = locals.clone();
-        jobs.push(Job::new(
-            format!("q1[{c}]"),
-            CacheUsageClass::Sensitive,
-            move || {
-                let flag = int_column(&t, "L_RETURNFLAG");
-                let status = int_column(&t, "L_LINESTATUS");
-                let price = int_column(&t, "L_EXTENDEDPRICE");
-                let mut local = AggHashTable::new(Aggregate::Sum, 8);
-                let mut keys = [0u32; SCAN_BLOCK];
-                let mut codes = [0u32; SCAN_BLOCK];
-                let mut prices = [0i64; SCAN_BLOCK];
-                for block in scan_blocks(lo..hi) {
-                    let (keys, codes) = (&mut keys[..block.len()], &mut codes[..block.len()]);
-                    flag.codes().unpack(block.start, keys);
-                    status.codes().unpack(block.start, codes);
-                    for (key, status_code) in keys.iter_mut().zip(codes.iter()) {
-                        *key = *key * status_card + status_code;
-                    }
-                    // Decode through the (29 MiB at SF 100) price dictionary —
-                    // the access pattern that makes Q1 cache-sensitive.
-                    let prices = &mut prices[..block.len()];
-                    price.codes().unpack(block.start, codes);
-                    price.dict().decode_into(codes, prices);
-                    local.update_slice(keys, prices);
-                }
-                locals.lock().push(local);
-            },
-        ));
-    }
-    ex.run_batch(jobs);
-
-    let mut global = AggHashTable::new(Aggregate::Sum, 8);
-    for local in locals.lock().iter() {
-        global.merge(local);
-    }
     let flag_dict = int_column(lineitem, "L_RETURNFLAG").dict();
     let status_dict = int_column(lineitem, "L_LINESTATUS").dict();
-    let mut rows: Vec<Q1Row> = global
+    let status_card = status_dict.len() as u32;
+    let keys = flag_dict.len() * status_dict.len();
+    const CHUNK: usize = 32 * 1024;
+    let t = lineitem.clone();
+    let partials = ex.parallel_fold(
+        "q1",
+        CacheUsageClass::Sensitive,
+        n,
+        n.div_ceil(CHUNK),
+        move || CodeAccumulator::new(Aggregate::Sum, keys),
+        move |acc, rows| {
+            let flag = int_column(&t, "L_RETURNFLAG");
+            let status = int_column(&t, "L_LINESTATUS");
+            let price = int_column(&t, "L_EXTENDEDPRICE");
+            let mut keys = [0u32; SCAN_BLOCK];
+            let mut codes = [0u32; SCAN_BLOCK];
+            let mut prices = [0i64; SCAN_BLOCK];
+            for block in scan_blocks(rows) {
+                let (keys, codes) = (&mut keys[..block.len()], &mut codes[..block.len()]);
+                flag.codes().unpack(block.start, keys);
+                status.codes().unpack(block.start, codes);
+                for (key, status_code) in keys.iter_mut().zip(codes.iter()) {
+                    *key = *key * status_card + status_code;
+                }
+                // Decode through the (29 MiB at SF 100) price dictionary —
+                // the access pattern that makes Q1 cache-sensitive.
+                let prices = &mut prices[..block.len()];
+                price.codes().unpack(block.start, codes);
+                price.dict().decode_into(codes, prices);
+                acc.fold(keys, prices);
+            }
+        },
+    );
+    let total = CodeAccumulator::merged(partials);
+    let mut rows: Vec<Q1Row> = total
         .iter()
+        .flat_map(CodeAccumulator::groups)
         .map(|(key, sum, count)| Q1Row {
             returnflag: *flag_dict.decode(key / status_card),
             linestatus: *status_dict.decode(key % status_card),

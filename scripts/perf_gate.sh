@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# Perf-regression gate for the cache-allocation fast path and the storage
-# kernels (compressed scan, aggregation hash table).
+# Perf-regression gate for the cache-allocation fast path, the storage
+# kernels (compressed scan, aggregation hash table) and the grouped
+# aggregation operator.
 #
-# Runs the `micro_alloc` and `storage_micro` criterion benchmarks several
-# times on the current tree and on a base ref (checked out into a
-# throwaway git worktree), compares per-benchmark medians, and fails if
-# any gated benchmark got more than the threshold slower. The measurements
-# come from the JSON lines the vendored criterion stand-in appends when
-# CCP_BENCH_JSON is set.
+# Runs the `micro_alloc`, `storage_micro` and `engine_micro` criterion
+# benchmarks several times on the current tree and on a base ref (checked
+# out into a throwaway git worktree), compares per-benchmark medians, and
+# fails if any gated benchmark got more than the threshold slower. The
+# measurements come from the JSON lines the vendored criterion stand-in
+# appends when CCP_BENCH_JSON is set.
 #
 # Usage:
 #   scripts/perf_gate.sh [BASE_REF]        # default: origin/main, then main
@@ -17,14 +18,15 @@
 #   CCP_PERF_THRESHOLD  allowed slowdown in percent (default 15)
 #   CCP_PERF_GATE_IDS   space-separated benchmark ids to gate
 #                       (default: the mask-rebind fast path, the mask
-#                       switch, the 20-bit scan and the hash-table update)
+#                       switch, the 20-bit scan, the hash-table update and
+#                       the served q2 MAX aggregation)
 #   CCP_BENCH_MS        measuring window per benchmark in ms (default 120)
 
 set -euo pipefail
 
 RUNS="${CCP_PERF_RUNS:-5}"
 THRESHOLD="${CCP_PERF_THRESHOLD:-15}"
-GATE_IDS="${CCP_PERF_GATE_IDS:-alloc/fast_path/rebind_same_mask alloc/switch/alternate_masks storage/scan/count_range_20bit storage/hashtable/update_100k_groups}"
+GATE_IDS="${CCP_PERF_GATE_IDS:-alloc/fast_path/rebind_same_mask alloc/switch/alternate_masks storage/scan/count_range_20bit storage/hashtable/update_100k_groups engine/aggregate/q2_max_64_groups}"
 export CCP_BENCH_MS="${CCP_BENCH_MS:-120}"
 
 REPO_ROOT="$(git rev-parse --show-toplevel)"
@@ -55,7 +57,8 @@ run_bench() { # run_bench <tree-dir> <json-out>
         echo "  run $i/$RUNS …"
         (cd "$tree" && export CCP_BENCH_JSON="$out" &&
             cargo bench -p ccp-bench --bench micro_alloc >/dev/null &&
-            cargo bench -p ccp-storage --bench storage_micro >/dev/null)
+            cargo bench -p ccp-storage --bench storage_micro >/dev/null &&
+            cargo bench -p ccp-engine --bench engine_micro >/dev/null)
     done
 }
 
@@ -72,7 +75,7 @@ if [[ ! -s "$PR_JSON" ]]; then
     # regression": it means the bench harness itself broke.
     echo "perf gate: no CCP_BENCH_JSON lines from the current tree — the" >&2
     echo "vendored criterion stand-in emitted no measurements (is the" >&2
-    echo "micro_alloc/storage_micro benches still wired to CCP_BENCH_JSON?)" >&2
+    echo "micro_alloc/storage_micro/engine_micro benches still wired to CCP_BENCH_JSON?)" >&2
     echo "### Perf gate: FAILED — no measurements from the current tree" >>"$SUMMARY"
     exit 1
 fi
@@ -86,7 +89,7 @@ if [[ ! -s "$BASE_JSON" ]]; then
     # criterion stand-in; there is nothing to compare against yet.
     echo "-- base produced no measurements; gate passes vacuously"
     {
-        echo "### Perf gate (micro_alloc, storage_micro)"
+        echo "### Perf gate (micro_alloc, storage_micro, engine_micro)"
         echo
         echo "Vacuous pass: base \`${BASE_REF}\` produced no CCP_BENCH_JSON measurements."
     } >>"$SUMMARY"
@@ -142,7 +145,7 @@ for bench in gate_ids:
         failed = True
 
 with open(summary_path, "w") as f:
-    f.write("### Perf gate (micro_alloc, storage_micro)\n\n")
+    f.write("### Perf gate (micro_alloc, storage_micro, engine_micro)\n\n")
     f.write(f"Threshold: {threshold:.0f}% slowdown on medians.\n\n")
     f.write("| benchmark | base (ns/iter) | pr (ns/iter) | delta | verdict |\n")
     f.write("|---|---:|---:|---:|---|\n")
