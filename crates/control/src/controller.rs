@@ -9,7 +9,8 @@
 //! publishes the static plan instead.
 
 use crate::classify::{classify, Behavior, Thresholds};
-use crate::plan::{derive_masks, ClassId, ClassTargets, MaskPlan};
+use crate::plan::{delta_ways, derive_masks, MaskPlan};
+use ccp_resctrl::{Class, ClassReading, PerClass};
 
 /// Controller tuning. [`ControlConfig::paper_default`] matches the
 /// values documented in DESIGN.md §10.
@@ -63,18 +64,6 @@ impl ControlConfig {
         self.stale_after_ticks = (ticks_per_reading * 3).max(4).min(u64::from(u32::MAX)) as u32;
         self
     }
-}
-
-/// One class's reading for a control tick (a typed
-/// `ccp_resctrl::ClassSample`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClassReading {
-    /// Which class the reading describes.
-    pub class: ClassId,
-    /// Bytes of LLC the class currently occupies.
-    pub occupancy_bytes: u64,
-    /// Cumulative MBM byte counter (the controller differentiates it).
-    pub mbm_total_bytes: u64,
 }
 
 /// Everything a control tick consumes.
@@ -156,7 +145,7 @@ pub struct Controller {
     seen_data: bool,
     stale_ticks: u32,
     dwell_remaining: u32,
-    last_mbm: [Option<u64>; 3],
+    last_mbm: PerClass<Option<u64>>,
     clamped: bool,
     counters: ControlCounters,
     last_decision: &'static str,
@@ -176,7 +165,7 @@ impl Controller {
             seen_data: false,
             stale_ticks: 0,
             dwell_remaining: cfg.min_dwell_ticks,
-            last_mbm: [None; 3],
+            last_mbm: PerClass::default(),
             clamped: false,
             counters: ControlCounters::default(),
             last_decision: "none",
@@ -226,7 +215,7 @@ impl Controller {
             self.clamped = true;
             // Cumulative MBM history is useless after a gap; restart
             // slope tracking when readings come back.
-            self.last_mbm = [None; 3];
+            self.last_mbm = PerClass::default();
             let reason = if input.degraded {
                 RevertReason::Degraded
             } else {
@@ -249,11 +238,14 @@ impl Controller {
 
         // Differentiate the cumulative MBM counters every tick — even
         // held ones — so the slope window stays one tick wide.
-        let mut slopes: [Option<u64>; 3] = [None; 3];
+        let mut slopes: PerClass<Option<u64>> = PerClass::default();
         for r in input.readings {
-            let idx = r.class as usize;
-            slopes[idx] = self.last_mbm[idx].map(|prev| r.mbm_total_bytes.saturating_sub(prev));
-            self.last_mbm[idx] = Some(r.mbm_total_bytes);
+            let slope = self
+                .last_mbm
+                .get(r.class)
+                .map(|prev| r.mbm_total_bytes.saturating_sub(prev));
+            slopes.set(r.class, slope);
+            self.last_mbm.set(r.class, Some(r.mbm_total_bytes));
         }
 
         if self.dwell_remaining > 0 {
@@ -264,17 +256,13 @@ impl Controller {
         }
 
         let way_bytes = (self.cfg.llc_bytes / u64::from(self.cfg.ways.max(1))).max(1);
-        let mut targets = ClassTargets {
-            polluting: self.current.polluting.way_count(),
-            mixed: self.current.mixed.way_count(),
-            sensitive: self.current.sensitive.way_count(),
-        };
+        let mut targets = self.current.map(|mask| mask.way_count());
         for r in input.readings {
             let cur = self.current.get(r.class).way_count();
             let alloc = u64::from(cur) * way_bytes;
             let behavior = classify(
                 r.occupancy_bytes,
-                slopes[r.class as usize],
+                *slopes.get(r.class),
                 alloc,
                 &self.cfg.thresholds,
             );
@@ -290,13 +278,13 @@ impl Controller {
                 Behavior::Starved => cur.saturating_add(self.cfg.grow_step),
                 // A streaming class is confined to (at most) the static
                 // polluter share; growth cannot buy it reuse.
-                Behavior::Polluting => cur.min(self.static_plan.polluting.way_count()),
+                Behavior::Polluting => cur.min(self.static_plan.get(Class::Polluting).way_count()),
             };
             targets.set(r.class, target);
         }
 
         let plan = derive_masks(&targets, self.cfg.ways, self.cfg.min_ways);
-        if plan.delta_ways(&self.current) < self.cfg.min_delta_ways {
+        if delta_ways(&plan, &self.current) < self.cfg.min_delta_ways {
             self.counters.holds += 1;
             self.last_decision = "hold-threshold";
             return Decision::Hold(HoldReason::BelowThreshold);

@@ -37,10 +37,12 @@ pub mod controller;
 pub mod plan;
 pub mod script;
 
+/// The class vocabulary and the probe reading, from `ccp-resctrl`
+/// (`ClassId` is the controller's older name for [`Class`]).
+pub use ccp_resctrl::{Class, Class as ClassId, ClassReading, PerClass};
 pub use classify::{classify, Behavior, Thresholds};
 pub use controller::{
-    ClassReading, ControlConfig, ControlCounters, Controller, Decision, HoldReason, RevertReason,
-    TickInput,
+    ControlConfig, ControlCounters, Controller, Decision, HoldReason, RevertReason, TickInput,
 };
-pub use plan::{derive_masks, ClassId, ClassTargets, MaskPlan};
+pub use plan::{derive_masks, polluter_isolated, ClassTargets, MaskPlan};
 pub use script::ScriptedTrace;

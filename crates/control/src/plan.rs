@@ -15,164 +15,31 @@
 //! preserved under every input.
 
 use ccp_cachesim::WayMask;
-
-/// The three CUID classes the controller partitions between. Labels
-/// match the sampler's class labels (`polluting` / `mixed` /
-/// `sensitive`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ClassId {
-    /// Class *i*: scan-like operators that stream without reuse.
-    Polluting,
-    /// Class *iii*: operators whose behavior depends on working-set size.
-    Mixed,
-    /// Class *ii*: reuse-heavy operators (the protected class).
-    Sensitive,
-}
-
-impl ClassId {
-    /// All classes, in mask-layout order (bottom of the cache first).
-    pub const ALL: [ClassId; 3] = [ClassId::Polluting, ClassId::Mixed, ClassId::Sensitive];
-
-    /// The sampler/metrics label for this class.
-    pub fn label(self) -> &'static str {
-        match self {
-            ClassId::Polluting => "polluting",
-            ClassId::Mixed => "mixed",
-            ClassId::Sensitive => "sensitive",
-        }
-    }
-
-    /// Parses a sampler label back into a class; `None` for labels the
-    /// controller does not partition (future classes are ignored, not
-    /// errors).
-    pub fn from_label(label: &str) -> Option<Self> {
-        match label {
-            "polluting" => Some(ClassId::Polluting),
-            "mixed" => Some(ClassId::Mixed),
-            "sensitive" => Some(ClassId::Sensitive),
-            _ => None,
-        }
-    }
-}
+use ccp_resctrl::{Class, PerClass};
 
 /// Per-class way-count targets, the input to [`derive_masks`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClassTargets {
-    /// Target ways for the polluting class.
-    pub polluting: u32,
-    /// Target ways for the mixed class.
-    pub mixed: u32,
-    /// Target ways for the sensitive class.
-    pub sensitive: u32,
+pub type ClassTargets = PerClass<u32>;
+
+/// One complete CUID→mask mapping: a way mask per class (the mixed
+/// entry is the mask of its cache-sensitive regime).
+pub type MaskPlan = PerClass<WayMask>;
+
+/// Total way-count movement between two plans — the change magnitude
+/// the hysteresis threshold compares against.
+pub(crate) fn delta_ways(a: &MaskPlan, b: &MaskPlan) -> u32 {
+    a.iter()
+        .map(|(class, mask)| mask.way_count().abs_diff(b.get(class).way_count()))
+        .sum()
 }
 
-impl ClassTargets {
-    /// The target for `class`.
-    pub fn get(&self, class: ClassId) -> u32 {
-        match class {
-            ClassId::Polluting => self.polluting,
-            ClassId::Mixed => self.mixed,
-            ClassId::Sensitive => self.sensitive,
-        }
-    }
-
-    /// Sets the target for `class`.
-    pub fn set(&mut self, class: ClassId, ways: u32) {
-        match class {
-            ClassId::Polluting => self.polluting = ways,
-            ClassId::Mixed => self.mixed = ways,
-            ClassId::Sensitive => self.sensitive = ways,
-        }
-    }
-
-    /// Builds targets from `(class, ways)` pairs in any order; classes
-    /// mentioned more than once take their maximum (a commutative
-    /// reduction, so the result is independent of pair order) and
-    /// unmentioned classes default to `default_ways`.
-    pub fn from_pairs(pairs: &[(ClassId, u32)], default_ways: u32) -> Self {
-        let mut t = ClassTargets {
-            polluting: 0,
-            mixed: 0,
-            sensitive: 0,
-        };
-        let mut seen = [false; 3];
-        for &(class, ways) in pairs {
-            let idx = class as usize;
-            t.set(
-                class,
-                if seen[idx] {
-                    t.get(class).max(ways)
-                } else {
-                    ways
-                },
-            );
-            seen[idx] = true;
-        }
-        for (idx, class) in ClassId::ALL.iter().enumerate() {
-            if !seen[idx] {
-                t.set(*class, default_ways);
-            }
-        }
-        t
-    }
-}
-
-/// One complete CUID→mask mapping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MaskPlan {
-    /// Mask for the polluting class.
-    pub polluting: WayMask,
-    /// Mask for the mixed class (when in its sensitive regime).
-    pub mixed: WayMask,
-    /// Mask for the sensitive class.
-    pub sensitive: WayMask,
-}
-
-impl MaskPlan {
-    /// Bundles three masks into a plan.
-    pub fn new(polluting: WayMask, mixed: WayMask, sensitive: WayMask) -> Self {
-        MaskPlan {
-            polluting,
-            mixed,
-            sensitive,
-        }
-    }
-
-    /// The mask for `class`.
-    pub fn get(&self, class: ClassId) -> WayMask {
-        match class {
-            ClassId::Polluting => self.polluting,
-            ClassId::Mixed => self.mixed,
-            ClassId::Sensitive => self.sensitive,
-        }
-    }
-
-    /// `(class, way count)` for every class, in layout order.
-    pub fn way_counts(&self) -> [(ClassId, u32); 3] {
-        [
-            (ClassId::Polluting, self.polluting.way_count()),
-            (ClassId::Mixed, self.mixed.way_count()),
-            (ClassId::Sensitive, self.sensitive.way_count()),
-        ]
-    }
-
-    /// Total way-count movement between two plans — the change magnitude
-    /// the hysteresis threshold compares against.
-    pub fn delta_ways(&self, other: &MaskPlan) -> u32 {
-        ClassId::ALL
-            .iter()
-            .map(|&c| self.get(c).way_count().abs_diff(other.get(c).way_count()))
-            .sum()
-    }
-
-    /// Whether the polluting class is isolated from both top-anchored
-    /// classes — the confinement property adaptive plans guarantee.
-    /// (The paper's *static* plan intentionally violates this: its
-    /// nested masks give sensitive operators the polluter's ways too.)
-    pub fn polluter_isolated(&self) -> bool {
-        self.polluting.bits() & self.sensitive.bits() == 0
-            && self.polluting.bits() & self.mixed.bits() == 0
-    }
+/// Whether the polluting class is isolated from both top-anchored
+/// classes — the confinement property adaptive plans guarantee.
+/// (The paper's *static* plan intentionally violates this: its
+/// nested masks give sensitive operators the polluter's ways too.)
+pub fn polluter_isolated(plan: &MaskPlan) -> bool {
+    let polluting = plan.get(Class::Polluting).bits();
+    polluting & plan.get(Class::Sensitive).bits() == 0
+        && polluting & plan.get(Class::Mixed).bits() == 0
 }
 
 /// Derives a [`MaskPlan`] from per-class way targets on a `ways`-way
@@ -193,11 +60,12 @@ pub fn derive_masks(targets: &ClassTargets, ways: u32, min_ways: u32) -> MaskPla
     }
     // Bottom-anchored polluting region, clamped so at least `min_ways`
     // remain above it for the protected classes.
-    let p = targets.polluting.clamp(min_ways, ways - min_ways);
+    let want = |class| *targets.get(class);
+    let p = want(Class::Polluting).clamp(min_ways, ways - min_ways);
     // Top-anchored protected regions, clamped to the space above the
     // polluting region — structural exclusivity.
-    let s = targets.sensitive.clamp(min_ways, ways - p);
-    let m = targets.mixed.clamp(min_ways, ways - p);
+    let s = want(Class::Sensitive).clamp(min_ways, ways - p);
+    let m = want(Class::Mixed).clamp(min_ways, ways - p);
     MaskPlan::new(
         WayMask::from_ways(p).expect("p in [1, ways]"),
         WayMask::range(ways - m, m).expect("m in [1, ways - p]"),
@@ -210,96 +78,37 @@ mod tests {
     use super::*;
 
     #[test]
-    fn labels_round_trip() {
-        for c in ClassId::ALL {
-            assert_eq!(ClassId::from_label(c.label()), Some(c));
-        }
-        assert_eq!(ClassId::from_label("oltp"), None);
-    }
-
-    #[test]
     fn derive_anchors_polluter_low_and_sensitive_high() {
-        let plan = derive_masks(
-            &ClassTargets {
-                polluting: 2,
-                mixed: 4,
-                sensitive: 6,
-            },
-            20,
-            2,
-        );
-        assert_eq!(plan.polluting.bits(), 0x3);
-        assert_eq!(plan.sensitive.bits(), 0xfc000); // top 6 ways
-        assert_eq!(plan.mixed.bits(), 0xf0000); // top 4 ways
-        assert!(plan.polluter_isolated());
+        let plan = derive_masks(&ClassTargets::new(2, 4, 6), 20, 2);
+        assert_eq!(plan.get(Class::Polluting).bits(), 0x3);
+        assert_eq!(plan.get(Class::Sensitive).bits(), 0xfc000); // top 6 ways
+        assert_eq!(plan.get(Class::Mixed).bits(), 0xf0000); // top 4 ways
+        assert!(polluter_isolated(&plan));
     }
 
     #[test]
     fn oversized_targets_are_clamped_to_capacity() {
-        let plan = derive_masks(
-            &ClassTargets {
-                polluting: 50,
-                mixed: 50,
-                sensitive: 50,
-            },
-            20,
-            2,
-        );
+        let plan = derive_masks(&ClassTargets::new(50, 50, 50), 20, 2);
         // Polluter capped so the protected classes keep min_ways...
-        assert_eq!(plan.polluting.way_count(), 18);
+        assert_eq!(plan.get(Class::Polluting).way_count(), 18);
         // ...and the protected classes fill whatever remains above it.
-        assert_eq!(plan.sensitive.way_count(), 2);
-        assert!(plan.polluter_isolated());
+        assert_eq!(plan.get(Class::Sensitive).way_count(), 2);
+        assert!(polluter_isolated(&plan));
     }
 
     #[test]
     fn degenerate_cache_shares_everything() {
-        let plan = derive_masks(
-            &ClassTargets {
-                polluting: 1,
-                mixed: 1,
-                sensitive: 1,
-            },
-            3,
-            2,
-        );
-        assert_eq!(plan.polluting.bits(), 0x7);
-        assert_eq!(plan.sensitive.bits(), 0x7);
-        assert!(!plan.polluter_isolated());
+        let plan = derive_masks(&ClassTargets::new(1, 1, 1), 3, 2);
+        assert_eq!(plan.get(Class::Polluting).bits(), 0x7);
+        assert_eq!(plan.get(Class::Sensitive).bits(), 0x7);
+        assert!(!polluter_isolated(&plan));
     }
 
     #[test]
     fn delta_ways_sums_per_class_movement() {
-        let a = derive_masks(
-            &ClassTargets {
-                polluting: 2,
-                mixed: 12,
-                sensitive: 18,
-            },
-            20,
-            2,
-        );
-        let b = derive_masks(
-            &ClassTargets {
-                polluting: 2,
-                mixed: 12,
-                sensitive: 4,
-            },
-            20,
-            2,
-        );
-        assert_eq!(a.delta_ways(&b), 14);
-        assert_eq!(a.delta_ways(&a), 0);
-    }
-
-    #[test]
-    fn from_pairs_is_order_independent() {
-        let fwd = ClassTargets::from_pairs(&[(ClassId::Sensitive, 6), (ClassId::Polluting, 2)], 3);
-        let rev = ClassTargets::from_pairs(&[(ClassId::Polluting, 2), (ClassId::Sensitive, 6)], 3);
-        assert_eq!(fwd, rev);
-        assert_eq!(fwd.mixed, 3); // unmentioned -> default
-                                  // Duplicates reduce via max, which commutes.
-        let dup = ClassTargets::from_pairs(&[(ClassId::Mixed, 4), (ClassId::Mixed, 9)], 1);
-        assert_eq!(dup.mixed, 9);
+        let a = derive_masks(&ClassTargets::new(2, 12, 18), 20, 2);
+        let b = derive_masks(&ClassTargets::new(2, 12, 4), 20, 2);
+        assert_eq!(delta_ways(&a, &b), 14);
+        assert_eq!(delta_ways(&a, &a), 0);
     }
 }

@@ -28,7 +28,7 @@
 //! sensitive:0.95x6,0.12;polluting:0.08;mixed:0.02
 //! ```
 
-use ccp_resctrl::{ClassSample, OccupancyProbe};
+use ccp_resctrl::{Class, ClassReading, OccupancyProbe};
 
 #[derive(Debug, Clone, Copy)]
 struct Segment {
@@ -39,7 +39,7 @@ struct Segment {
 
 #[derive(Debug, Clone)]
 struct ClassTrack {
-    label: String,
+    class: Class,
     segments: Vec<Segment>,
     /// Index of the active segment and ticks already spent in it.
     cursor: (usize, u32),
@@ -67,12 +67,10 @@ impl ScriptedTrace {
                 .split_once(':')
                 .ok_or_else(|| format!("class spec {class_spec:?} is missing ':'"))?;
             let label = label.trim();
-            if !matches!(label, "polluting" | "mixed" | "sensitive") {
-                return Err(format!(
-                    "unknown class {label:?} (expected polluting|mixed|sensitive)"
-                ));
-            }
-            if classes.iter().any(|c: &ClassTrack| c.label == label) {
+            let class = Class::parse(label).ok_or_else(|| {
+                format!("unknown class {label:?} (expected polluting|mixed|sensitive)")
+            })?;
+            if classes.iter().any(|c: &ClassTrack| c.class == class) {
                 return Err(format!("class {label:?} appears twice"));
             }
             let mut segments = Vec::new();
@@ -83,7 +81,7 @@ impl ScriptedTrace {
                 return Err(format!("class {label:?} has no segments"));
             }
             classes.push(ClassTrack {
-                label: label.to_string(),
+                class,
                 segments,
                 cursor: (0, 0),
                 traffic: 0.0,
@@ -133,15 +131,15 @@ impl ScriptedTrace {
 }
 
 impl OccupancyProbe for ScriptedTrace {
-    fn sample(&mut self) -> Vec<ClassSample> {
+    fn sample(&mut self) -> Vec<ClassReading> {
         let mut out = Vec::with_capacity(self.classes.len());
         for track in &mut self.classes {
             let (ref mut idx, ref mut spent) = track.cursor;
             let seg = track.segments[*idx];
             track.traffic += seg.bw_frac * self.llc_bytes as f64;
-            out.push(ClassSample {
-                class: track.label.clone(),
-                llc_occupancy_bytes: (seg.frac * self.llc_bytes as f64) as u64,
+            out.push(ClassReading {
+                class: track.class,
+                occupancy_bytes: (seg.frac * self.llc_bytes as f64) as u64,
                 mbm_total_bytes: track.traffic as u64,
             });
             *spent += 1;
@@ -166,15 +164,15 @@ mod tests {
     fn replays_segments_in_order() {
         let mut t = ScriptedTrace::parse("sensitive:0.95x2,0.12;polluting:0.08", LLC).unwrap();
         let s1 = t.sample();
-        assert_eq!(s1[0].class, "sensitive");
-        assert_eq!(s1[0].llc_occupancy_bytes, 950);
-        assert_eq!(s1[1].llc_occupancy_bytes, 80);
+        assert_eq!(s1[0].class, Class::Sensitive);
+        assert_eq!(s1[0].occupancy_bytes, 950);
+        assert_eq!(s1[1].occupancy_bytes, 80);
         t.sample(); // second tick of the first segment
         let s3 = t.sample();
-        assert_eq!(s3[0].llc_occupancy_bytes, 120);
+        assert_eq!(s3[0].occupancy_bytes, 120);
         // The last segment holds forever.
         for _ in 0..10 {
-            assert_eq!(t.sample()[0].llc_occupancy_bytes, 120);
+            assert_eq!(t.sample()[0].occupancy_bytes, 120);
         }
     }
 

@@ -3,8 +3,8 @@
 
 use ccp_cachesim::WayMask;
 use ccp_control::{
-    ClassId, ClassReading, ControlConfig, Controller, Decision, HoldReason, MaskPlan, RevertReason,
-    TickInput,
+    polluter_isolated, Class, ClassReading, ControlConfig, Controller, Decision, HoldReason,
+    MaskPlan, RevertReason, TickInput,
 };
 
 const LLC: u64 = 55 * 1024 * 1024;
@@ -28,17 +28,17 @@ fn shrink_readings(tick: u64) -> Vec<ClassReading> {
     let frac = |f: f64| (f * LLC as f64) as u64;
     vec![
         ClassReading {
-            class: ClassId::Polluting,
+            class: Class::Polluting,
             occupancy_bytes: frac(0.08),
             mbm_total_bytes: frac(0.08) * tick,
         },
         ClassReading {
-            class: ClassId::Mixed,
+            class: Class::Mixed,
             occupancy_bytes: 0,
             mbm_total_bytes: 0,
         },
         ClassReading {
-            class: ClassId::Sensitive,
+            class: Class::Sensitive,
             occupancy_bytes: frac(0.12),
             mbm_total_bytes: frac(0.12) * tick,
         },
@@ -69,8 +69,11 @@ fn warmup_dwell_holds_before_the_first_decision() {
     let Decision::Repartition(plan) = d else {
         panic!("expected a repartition after warm-up, got {d:?}");
     };
-    assert!(plan.sensitive.way_count() < 20, "sensitive should shrink");
-    assert!(plan.polluter_isolated());
+    assert!(
+        plan.get(Class::Sensitive).way_count() < 20,
+        "sensitive should shrink"
+    );
+    assert!(polluter_isolated(&plan));
     assert_eq!(c.counters().repartitions, 1);
     assert_eq!(c.counters().holds, 3);
 }
@@ -88,7 +91,7 @@ fn post_repartition_dwell_holds_even_under_big_signal_changes() {
     let starved: Vec<ClassReading> = shrink_readings(5)
         .into_iter()
         .map(|mut r| {
-            if r.class == ClassId::Sensitive {
+            if r.class == Class::Sensitive {
                 r.occupancy_bytes = LLC;
             }
             r

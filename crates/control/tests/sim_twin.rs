@@ -4,10 +4,10 @@
 
 use ccp_cachesim::WayMask;
 use ccp_control::{
-    ClassId, ClassReading, ControlConfig, Controller, Decision, MaskPlan, RevertReason,
-    ScriptedTrace, TickInput,
+    polluter_isolated, Class, ControlConfig, Controller, Decision, MaskPlan, PerClass,
+    RevertReason, ScriptedTrace, TickInput,
 };
-use ccp_resctrl::{OccupancyProbe, SimClass, SimulatedMonitor};
+use ccp_resctrl::{OccupancyProbe, SimulatedMonitor};
 use std::sync::{Arc, Mutex};
 
 const LLC: u64 = 55 * 1024 * 1024;
@@ -22,7 +22,7 @@ fn paper_static_plan() -> MaskPlan {
 }
 
 /// What the server's control thread does each tick, with the effects
-/// replaced by an injectable applier: probe → convert → tick → apply.
+/// replaced by an injectable applier: probe → tick → apply.
 /// Returns the label of each tick's decision.
 fn drive(
     controller: &mut Controller,
@@ -33,17 +33,7 @@ fn drive(
 ) -> Vec<&'static str> {
     let mut log = Vec::new();
     for seq in seq0..seq0 + ticks {
-        let readings: Vec<ClassReading> = probe
-            .sample()
-            .into_iter()
-            .filter_map(|s| {
-                ClassId::from_label(&s.class).map(|class| ClassReading {
-                    class,
-                    occupancy_bytes: s.llc_occupancy_bytes,
-                    mbm_total_bytes: s.mbm_total_bytes,
-                })
-            })
-            .collect();
+        let readings = probe.sample();
         let decision = controller.tick(&TickInput {
             seq,
             readings: &readings,
@@ -87,11 +77,11 @@ fn scripted_shrink_trace_repartitions_downward() {
     // is structural.
     let last = *applied.lock().unwrap().last().unwrap();
     assert!(
-        last.sensitive.way_count() <= 6,
+        last.get(Class::Sensitive).way_count() <= 6,
         "sensitive still holds {} ways",
-        last.sensitive.way_count()
+        last.get(Class::Sensitive).way_count()
     );
-    assert!(last.polluter_isolated());
+    assert!(polluter_isolated(&last));
     assert_eq!(last, *c.current_plan());
 }
 
@@ -119,7 +109,7 @@ fn apply_failure_mid_repartition_reverts_then_recovers() {
     assert!(log.contains(&"revert-apply"));
     // It ends on the adaptive plan, not stuck on static.
     assert_ne!(*c.current_plan(), paper_static_plan());
-    assert!(c.current_plan().polluter_isolated());
+    assert!(polluter_isolated(c.current_plan()));
 }
 
 #[test]
@@ -127,43 +117,30 @@ fn simulated_monitor_drives_growth_when_load_arrives() {
     // SimulatedMonitor under live "pressure": sensitive idle at first,
     // then fully loaded — occupancy converges up and the controller,
     // which had shrunk the idle class, grows it back.
-    let load = Arc::new(Mutex::new(vec![]));
+    let load = Arc::new(Mutex::new(PerClass::default()));
     let load2 = Arc::clone(&load);
     let mut probe = SimulatedMonitor::new(
         LLC,
-        vec![
-            SimClass {
-                label: "polluting".into(),
-                llc_share: 0.1,
-            },
-            SimClass {
-                label: "mixed".into(),
-                llc_share: 0.6,
-            },
-            SimClass {
-                label: "sensitive".into(),
-                llc_share: 1.0,
-            },
-        ],
-        Box::new(move || load2.lock().unwrap().clone()),
+        PerClass::new(0.1, 0.6, 1.0),
+        Box::new(move || *load2.lock().unwrap()),
     );
     let mut c = Controller::new(ControlConfig::paper_default(WAYS, LLC), paper_static_plan());
     let log1 = drive(&mut c, &mut probe, 1, 15, |_| Ok(()));
-    let shrunk = c.current_plan().sensitive.way_count();
+    let shrunk = c.current_plan().get(Class::Sensitive).way_count();
     assert!(
         shrunk <= 4,
         "idle sensitive class not shrunk (has {shrunk} ways): {log1:?}"
     );
     // Load arrives: occupancy fills the (small) allocation, the class
     // reads as starved, and the controller grows it step by step.
-    *load.lock().unwrap() = vec![("sensitive".to_string(), 1.0)];
+    load.lock().unwrap().set(Class::Sensitive, 1.0);
     let log2 = drive(&mut c, &mut probe, 16, 40, |_| Ok(()));
-    let grown = c.current_plan().sensitive.way_count();
+    let grown = c.current_plan().get(Class::Sensitive).way_count();
     assert!(
         grown > shrunk,
         "sensitive never grew under load ({shrunk} -> {grown}): {log2:?}"
     );
-    assert!(c.current_plan().polluter_isolated());
+    assert!(polluter_isolated(c.current_plan()));
 }
 
 #[test]
@@ -175,17 +152,7 @@ fn degraded_mid_run_reverts_and_resumes_after_recovery() {
     assert_ne!(*c.current_plan(), paper_static_plan());
     // Health trips mid-run (the supervisor's breaker): one degraded
     // tick must be enough to land back on static.
-    let readings: Vec<ClassReading> = probe
-        .sample()
-        .into_iter()
-        .filter_map(|s| {
-            ClassId::from_label(&s.class).map(|class| ClassReading {
-                class,
-                occupancy_bytes: s.llc_occupancy_bytes,
-                mbm_total_bytes: s.mbm_total_bytes,
-            })
-        })
-        .collect();
+    let readings = probe.sample();
     let d = c.tick(&TickInput {
         seq: 11,
         readings: &readings,

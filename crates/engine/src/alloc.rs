@@ -10,7 +10,8 @@
 
 use ccp_cachesim::WayMask;
 use ccp_resctrl::{
-    CacheController, GroupHandle, ResctrlError, ResctrlHealth, RetryPolicy, SupervisedController,
+    detect, mask_group_name, CacheController, GroupHandle, ResctrlError, ResctrlHealth,
+    RetryPolicy, SupervisedController,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -19,11 +20,11 @@ use std::sync::Arc;
 
 /// Failpoint name for the executor's bind path (see `ccp-fault`): when
 /// armed, a worker's allocator bind fails before reaching the backend.
-pub const FAULT_BIND: &str = "engine.bind";
+pub(crate) const FAULT_BIND: &str = "engine.bind";
 
 /// Consecutive exhausted resctrl operations before the supervised
 /// allocator's circuit breaker trips into degraded mode.
-pub const DEFAULT_TRIP_AFTER: u32 = 3;
+pub(crate) const DEFAULT_TRIP_AFTER: u32 = 3;
 
 /// Errors surfaced by allocator backends.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -157,7 +158,7 @@ impl ResctrlInner {
         if let Some(g) = self.groups.get(&mask.bits()) {
             return Ok(g.clone());
         }
-        let name = format!("ccp-{:x}", mask.bits());
+        let name = mask_group_name(mask);
         let g = match self.ctl.existing_group(&name) {
             Ok(g) => g,
             Err(_) => self.ctl.create_group(&name)?,
@@ -173,7 +174,7 @@ impl ResctrlInner {
 impl ResctrlAllocator {
     /// Wraps an opened controller, programming the given L3 `domains`,
     /// under the default supervision (3-attempt retry with backoff,
-    /// breaker tripping after [`DEFAULT_TRIP_AFTER`] exhausted ops).
+    /// breaker tripping after `DEFAULT_TRIP_AFTER` = 3 exhausted ops).
     pub fn new(ctl: CacheController, domains: Vec<u32>) -> Self {
         Self::supervised(
             ctl,
@@ -249,12 +250,25 @@ impl CacheAllocator for ResctrlAllocator {
     }
 }
 
+/// The allocator the host supports, and whether it reaches real CAT
+/// hardware: resctrl when [`detect()`] finds it usable and the mount opens,
+/// no-op allocation otherwise — partitioning is an optimization, the
+/// engine never refuses to run without it.
+pub fn host_allocator() -> (Arc<dyn CacheAllocator>, bool) {
+    if detect().is_available() {
+        if let Ok(resctrl) = ResctrlAllocator::open_host() {
+            return (Arc::new(resctrl), true);
+        }
+    }
+    (Arc::new(NoopAllocator), false)
+}
+
 /// Best-effort current-thread kernel tid.
 ///
 /// Reads `/proc/thread-self/stat` on Linux; falls back to a hash of the
 /// Rust `ThreadId` elsewhere (sufficient for the non-resctrl backends,
 /// which only need a stable per-thread key).
-pub fn current_tid() -> u64 {
+pub(crate) fn current_tid() -> u64 {
     #[cfg(target_os = "linux")]
     {
         if let Ok(stat) = std::fs::read_to_string("/proc/thread-self/stat") {
@@ -355,6 +369,43 @@ mod tests {
         // A later bind to the same mask reuses the prepared group.
         a.bind(7, WayMask::new(0xf0000).unwrap()).unwrap();
         assert_eq!(fs.group_count(), 1);
+    }
+
+    #[test]
+    fn occupancy_is_read_from_the_group_the_live_mask_binds_into() {
+        use crate::masks::LiveMasks;
+        use crate::{CacheUsageClass, PartitionPolicy};
+        use ccp_resctrl::{Class, OccupancyProbe, ResctrlMonitor};
+        use std::path::Path;
+
+        let (fs, a) = fake_allocator();
+        let cfg = ccp_cachesim::HierarchyConfig::broadwell_e5_2699_v4();
+        let policy = PartitionPolicy::paper_default(cfg.llc, cfg.l2.size_bytes);
+        let live = Arc::new(LiveMasks::from_policy(&policy));
+        let ctl = CacheController::open_with(Box::new(fs.clone()), "/sys/fs/resctrl").unwrap();
+        let table = Arc::clone(&live);
+        let mut probe = ResctrlMonitor::new(ctl, Box::new(move || table.snapshot(&policy)), 0);
+        let polluting = |probe: &mut ResctrlMonitor| {
+            let readings = probe.sample();
+            let reading = readings.iter().find(|r| r.class == Class::Polluting);
+            reading.map(|r| r.occupancy_bytes)
+        };
+
+        a.bind(7, live.mask_for(CacheUsageClass::Polluting, &policy))
+            .unwrap();
+        fs.set_mon_counter(Path::new("/sys/fs/resctrl/ccp-3"), "llc_occupancy", 1111);
+        assert_eq!(polluting(&mut probe), Some(1111));
+
+        // A repartition widens the polluting class: the worker's next
+        // bind moves it to `ccp-f`, and `ccp-3` stops changing.
+        let mut plan = policy.static_plan();
+        plan.set(Class::Polluting, WayMask::new(0xf).unwrap());
+        live.publish(&plan);
+        a.bind(7, live.mask_for(CacheUsageClass::Polluting, &policy))
+            .unwrap();
+        assert_eq!(fs.tasks_of(Path::new("/sys/fs/resctrl/ccp-f")), vec![7]);
+        fs.set_mon_counter(Path::new("/sys/fs/resctrl/ccp-f"), "llc_occupancy", 2222);
+        assert_eq!(polluting(&mut probe), Some(2222));
     }
 
     #[test]

@@ -179,7 +179,7 @@ impl JobExecutor {
     ///
     /// # Panics
     /// Panics when `n_workers` is zero.
-    pub fn with_pool_name(
+    pub(crate) fn with_pool_name(
         n_workers: usize,
         policy: PartitionPolicy,
         allocator: Arc<dyn CacheAllocator>,
@@ -361,7 +361,7 @@ impl JobExecutor {
     /// Submits `jobs` as a batch and blocks until *these* jobs (and only
     /// these) have finished. Under concurrent submitters this is the right
     /// primitive: [`run_jobs`](Self::run_jobs) waits for the whole pool.
-    pub fn run_batch(&self, jobs: Vec<Job>) {
+    pub(crate) fn run_batch(&self, jobs: Vec<Job>) {
         self.submit_batch(jobs).wait();
     }
 
@@ -476,11 +476,6 @@ impl JobExecutor {
     pub fn jobs_panicked(&self) -> u64 {
         self.shared.metrics.jobs_panicked()
     }
-
-    /// Number of worker threads.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
 }
 
 impl Drop for JobExecutor {
@@ -498,6 +493,7 @@ mod tests {
     use crate::alloc::{NoopAllocator, RecordingAllocator};
     use crate::job::CacheUsageClass;
     use ccp_cachesim::HierarchyConfig;
+    use ccp_resctrl::{Class, PerClass};
 
     fn policy() -> PartitionPolicy {
         let cfg = HierarchyConfig::broadwell_e5_2699_v4();
@@ -640,11 +636,11 @@ mod tests {
         // An adaptive repartition shrinks the sensitive class to the top
         // four ways; the already-idle worker rebinds on its next job.
         let live = ex.live_masks();
-        live.set_masks(
+        live.publish(&PerClass::new(
             WayMask::new(0x3).unwrap(),
             WayMask::range(16, 4).unwrap(),
             WayMask::range(16, 4).unwrap(),
-        );
+        ));
         ex.run_jobs(vec![Job::new("agg1", CacheUsageClass::Sensitive, || {})]);
         let masks: Vec<u32> = rec.calls().iter().map(|(_, m)| m.bits()).collect();
         assert_eq!(masks, vec![0xfffff, 0xf0000]);
@@ -700,12 +696,12 @@ mod tests {
             .collect();
         ex.run_jobs(jobs);
         let m = ex.metrics();
-        assert_eq!(m.jobs_in_class(CacheUsageClass::Polluting), 10);
-        assert_eq!(m.jobs_in_class(CacheUsageClass::Sensitive), 0);
-        let lat = m.job_latency(CacheUsageClass::Polluting);
+        assert_eq!(m.jobs.get(Class::Polluting).get(), 10);
+        assert_eq!(m.jobs.get(Class::Sensitive).get(), 0);
+        let lat = m.job_latency.get(Class::Polluting);
         assert_eq!(lat.count(), 10);
         assert!(lat.sum() >= 0.010, "10 x 1 ms of sleep, got {}", lat.sum());
-        assert_eq!(m.queue_wait(CacheUsageClass::Polluting).count(), 10);
+        assert_eq!(m.queue_wait.get(Class::Polluting).count(), 10);
     }
 
     #[test]

@@ -5,13 +5,15 @@
 //! paper's taxonomy of operators by cache behaviour (Section V-C); the
 //! executor turns it into a CAT way mask before the job runs.
 
+use ccp_resctrl::Class;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The paper's three cache-usage classes.
+/// A cache usage identifier: one of the paper's three classes plus, for
+/// the mixed class, the size hint the partition policy resolves it with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum CacheUsageClass {
     /// Class (*i*): not cache-sensitive, pollutes the cache by streaming —
@@ -30,6 +32,18 @@ pub enum CacheUsageClass {
         /// geometry to pick a mask.
         hot_bytes: u64,
     },
+}
+
+impl CacheUsageClass {
+    /// The class this identifier belongs to — the only CUID → class
+    /// mapping in the tree.
+    pub fn class(self) -> Class {
+        match self {
+            CacheUsageClass::Polluting => Class::Polluting,
+            CacheUsageClass::Sensitive => Class::Sensitive,
+            CacheUsageClass::Mixed { .. } => Class::Mixed,
+        }
+    }
 }
 
 /// Per-query execution context propagated from the thread that plans a
@@ -57,7 +71,7 @@ impl QueryCtx {
     }
 
     /// Adds `ns` nanoseconds of mask-bind work attributed to this query.
-    pub fn add_bind_ns(&self, ns: u64) {
+    pub(crate) fn add_bind_ns(&self, ns: u64) {
         // ORDERING: monotone statistics counter; readers only want an
         // eventually-consistent total, never cross-field consistency.
         self.bind_ns.fetch_add(ns, Ordering::Relaxed);
@@ -90,7 +104,7 @@ pub fn with_query_ctx<R>(ctx: Arc<QueryCtx>, f: impl FnOnce() -> R) -> R {
 
 /// The thread's current query context, if inside a [`with_query_ctx`]
 /// scope.
-pub fn current_query_ctx() -> Option<Arc<QueryCtx>> {
+pub(crate) fn current_query_ctx() -> Option<Arc<QueryCtx>> {
     CURRENT_QUERY.with(|c| c.borrow().clone())
 }
 

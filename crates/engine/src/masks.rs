@@ -18,95 +18,57 @@
 use crate::job::CacheUsageClass;
 use crate::partition::PartitionPolicy;
 use ccp_cachesim::WayMask;
+use ccp_resctrl::{Class, PerClass};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Published per-class way masks, updated in place by the controller and
 /// consulted by workers on every bind decision.
 #[derive(Debug)]
 pub struct LiveMasks {
-    polluting: AtomicU32,
-    mixed: AtomicU32,
-    sensitive: AtomicU32,
+    bits: PerClass<AtomicU32>,
 }
 
 impl LiveMasks {
-    /// A table seeded with the policy's static mapping (polluting mask,
-    /// the mixed-in-sensitive-regime mask, and the full sensitive mask).
+    /// A table seeded with the policy's static plan.
     pub fn from_policy(policy: &PartitionPolicy) -> Self {
-        let mixed_static = policy.mask_for(CacheUsageClass::Mixed {
-            hot_bytes: policy.llc.size_bytes,
-        });
         LiveMasks {
-            polluting: AtomicU32::new(policy.mask_for(CacheUsageClass::Polluting).bits()),
-            mixed: AtomicU32::new(mixed_static.bits()),
-            sensitive: AtomicU32::new(policy.mask_for(CacheUsageClass::Sensitive).bits()),
+            bits: policy.static_plan().map(|mask| AtomicU32::new(mask.bits())),
         }
     }
 
-    /// The current mask for `cuid`. Mixed classes are resolved the same
-    /// way the static policy resolves them — a working set that is not
-    /// LLC-comparable pollutes and gets the polluting entry — but against
-    /// the *live* per-class bits.
+    /// The current mask for `cuid`: the live entry of the class the
+    /// static policy resolves it to, so a mixed working set that is not
+    /// LLC-comparable gets the *live* polluting entry.
+    pub fn mask_for(&self, cuid: CacheUsageClass, policy: &PartitionPolicy) -> WayMask {
+        self.entry(policy.regime(cuid), policy)
+    }
+
+    /// The live entry of `class`.
     ///
     /// Defensive: if a published entry ever fails mask validation the
-    /// static policy mapping is used instead, so a torn or buggy publish
+    /// static policy mask is used instead, so a torn or buggy publish
     /// can never produce an illegal CBM at bind time.
-    pub fn mask_for(&self, cuid: CacheUsageClass, policy: &PartitionPolicy) -> WayMask {
-        let bits = match cuid {
-            // ORDERING: (all loads below) each class entry is independent
-            // and self-contained; a stale read only delays a rebind by
-            // one job, matching the documented next-bind semantics.
-            CacheUsageClass::Polluting => self.polluting.load(Ordering::Relaxed),
-            CacheUsageClass::Sensitive => self.sensitive.load(Ordering::Relaxed),
-            CacheUsageClass::Mixed { hot_bytes } => {
-                if policy.is_llc_comparable(hot_bytes) {
-                    self.mixed.load(Ordering::Relaxed)
-                } else {
-                    // ORDERING: same independent-entry argument as above.
-                    self.polluting.load(Ordering::Relaxed)
-                }
-            }
-        };
-        WayMask::new(bits).unwrap_or_else(|_| policy.mask_for(cuid))
+    fn entry(&self, class: Class, policy: &PartitionPolicy) -> WayMask {
+        // ORDERING: each class entry is independent and self-contained;
+        // a stale read only delays a rebind by one job, matching the
+        // documented next-bind semantics.
+        let bits = self.bits.get(class).load(Ordering::Relaxed);
+        WayMask::new(bits).unwrap_or_else(|_| *policy.static_plan().get(class))
     }
 
     /// Publishes a full plan. Per-class stores are independent; readers
     /// may observe a mix of old and new entries, each individually valid.
-    pub fn set_masks(&self, polluting: WayMask, mixed: WayMask, sensitive: WayMask) {
-        // ORDERING: see `mask_for` — independent advisory entries.
-        self.polluting.store(polluting.bits(), Ordering::Relaxed);
-        self.mixed.store(mixed.bits(), Ordering::Relaxed);
-        self.sensitive.store(sensitive.bits(), Ordering::Relaxed);
+    pub fn publish(&self, plan: &PerClass<WayMask>) {
+        for (class, mask) in plan.iter() {
+            // ORDERING: see `entry` — independent advisory entries.
+            self.bits.get(class).store(mask.bits(), Ordering::Relaxed);
+        }
     }
 
-    /// Reverts the table to the policy's static mapping.
-    pub fn reset_to(&self, policy: &PartitionPolicy) {
-        let mixed_static = policy.mask_for(CacheUsageClass::Mixed {
-            hot_bytes: policy.llc.size_bytes,
-        });
-        self.set_masks(
-            policy.mask_for(CacheUsageClass::Polluting),
-            mixed_static,
-            policy.mask_for(CacheUsageClass::Sensitive),
-        );
-    }
-
-    /// Raw bits of the polluting entry.
-    pub fn polluting_bits(&self) -> u32 {
-        // ORDERING: point-in-time read for reporting; no ordering implied.
-        self.polluting.load(Ordering::Relaxed)
-    }
-
-    /// Raw bits of the mixed (sensitive-regime) entry.
-    pub fn mixed_bits(&self) -> u32 {
-        // ORDERING: point-in-time read for reporting; no ordering implied.
-        self.mixed.load(Ordering::Relaxed)
-    }
-
-    /// Raw bits of the sensitive entry.
-    pub fn sensitive_bits(&self) -> u32 {
-        // ORDERING: point-in-time read for reporting; no ordering implied.
-        self.sensitive.load(Ordering::Relaxed)
+    /// Point-in-time copy of the table, entry by entry (a concurrent
+    /// publish may be half visible, as to a binding worker).
+    pub fn snapshot(&self, policy: &PartitionPolicy) -> PerClass<WayMask> {
+        PerClass::from_fn(|class| self.entry(class, policy))
     }
 }
 
@@ -143,7 +105,7 @@ mod tests {
         let pol = WayMask::new(0x3).unwrap();
         let mix = WayMask::range(18, 2).unwrap();
         let sen = WayMask::range(16, 4).unwrap();
-        live.set_masks(pol, mix, sen);
+        live.publish(&PerClass::new(pol, mix, sen));
         assert_eq!(
             live.mask_for(CacheUsageClass::Sensitive, &p).bits(),
             0xf0000
@@ -164,7 +126,8 @@ mod tests {
                 .bits(),
             0x3
         );
-        live.reset_to(&p);
+        assert_eq!(live.snapshot(&p), PerClass::new(pol, mix, sen));
+        live.publish(&p.static_plan());
         assert_eq!(
             live.mask_for(CacheUsageClass::Sensitive, &p),
             p.mask_for(CacheUsageClass::Sensitive)
@@ -176,10 +139,11 @@ mod tests {
         let p = policy();
         let live = LiveMasks::from_policy(&p);
         // Bypass the typed setter to simulate a corrupt publish.
-        live.sensitive.store(0, Ordering::Relaxed);
+        live.bits.get(Class::Sensitive).store(0, Ordering::Relaxed);
         assert_eq!(
             live.mask_for(CacheUsageClass::Sensitive, &p),
             p.mask_for(CacheUsageClass::Sensitive)
         );
+        assert_eq!(live.snapshot(&p), p.static_plan());
     }
 }

@@ -8,27 +8,17 @@
 //! [`Registry`] under a `pool` label; the registry then renders them in
 //! Prometheus text format alongside every other family.
 //!
-//! Per-class fan-out uses the paper's CUID taxonomy as the `class`
-//! label: `polluting` (i), `sensitive` (ii), `mixed` (iii).
+//! Per-class fan-out uses [`Class::label`] as the `class` label value.
 
 use crate::job::CacheUsageClass;
 use crate::scheduler::Admission;
 use ccp_obs::{unit, Counter, Histogram, Registry};
+use ccp_resctrl::{Class, PerClass};
 
-/// Stable label value for a CUID class (`polluting` / `sensitive` /
+/// The `class` label value of a CUID (`polluting` / `sensitive` /
 /// `mixed`).
 pub fn class_label(cuid: CacheUsageClass) -> &'static str {
-    CLASS_LABELS[class_index(cuid)]
-}
-
-const CLASS_LABELS: [&str; 3] = ["polluting", "sensitive", "mixed"];
-
-fn class_index(cuid: CacheUsageClass) -> usize {
-    match cuid {
-        CacheUsageClass::Polluting => 0,
-        CacheUsageClass::Sensitive => 1,
-        CacheUsageClass::Mixed { .. } => 2,
-    }
+    cuid.class().label()
 }
 
 /// Per-executor instruments: job counts and latency distributions per
@@ -36,12 +26,12 @@ fn class_index(cuid: CacheUsageClass) -> usize {
 /// paper's Section V-C fast path. Cloning shares the underlying state.
 #[derive(Debug, Clone)]
 pub struct ExecutorMetrics {
-    jobs: [Counter; 3],
+    pub(crate) jobs: PerClass<Counter>,
     panicked: Counter,
     mask_switches: Counter,
     bind_failures: Counter,
-    queue_wait: [Histogram; 3],
-    job_latency: [Histogram; 3],
+    pub(crate) queue_wait: PerClass<Histogram>,
+    pub(crate) job_latency: PerClass<Histogram>,
 }
 
 impl Default for ExecutorMetrics {
@@ -53,30 +43,30 @@ impl Default for ExecutorMetrics {
 impl ExecutorMetrics {
     /// Creates a fresh (zeroed, unregistered) instrument bundle.
     pub fn new() -> Self {
-        let lat = || Histogram::new(unit::latency_seconds());
+        let lat = |_| Histogram::new(unit::latency_seconds());
         ExecutorMetrics {
-            jobs: std::array::from_fn(|_| Counter::new()),
+            jobs: PerClass::from_fn(|_| Counter::new()),
             panicked: Counter::new(),
             mask_switches: Counter::new(),
             bind_failures: Counter::new(),
-            queue_wait: std::array::from_fn(|_| lat()),
-            job_latency: std::array::from_fn(|_| lat()),
+            queue_wait: PerClass::from_fn(lat),
+            job_latency: PerClass::from_fn(lat),
         }
     }
 
     /// Records one completed job: its class, how long it sat in the
     /// queue, how long it ran, and whether its closure panicked.
-    pub fn record_job(
+    pub(crate) fn record_job(
         &self,
         cuid: CacheUsageClass,
         queue_wait_secs: f64,
         run_secs: f64,
         panicked: bool,
     ) {
-        let i = class_index(cuid);
-        self.jobs[i].inc();
-        self.queue_wait[i].observe(queue_wait_secs);
-        self.job_latency[i].observe(run_secs);
+        let class = cuid.class();
+        self.jobs.get(class).inc();
+        self.queue_wait.get(class).observe(queue_wait_secs);
+        self.job_latency.get(class).observe(run_secs);
         if panicked {
             self.panicked.inc();
         }
@@ -84,24 +74,19 @@ impl ExecutorMetrics {
 
     /// Records an allocator bind that was not skipped by the per-worker
     /// fast path.
-    pub fn record_mask_switch(&self) {
+    pub(crate) fn record_mask_switch(&self) {
         self.mask_switches.inc();
     }
 
     /// Records a failed allocator bind (the job still ran,
     /// unpartitioned).
-    pub fn record_bind_failure(&self) {
+    pub(crate) fn record_bind_failure(&self) {
         self.bind_failures.inc();
     }
 
     /// Jobs executed across all classes.
     pub fn jobs_executed(&self) -> u64 {
-        self.jobs.iter().map(Counter::get).sum()
-    }
-
-    /// Jobs executed in one class.
-    pub fn jobs_in_class(&self, cuid: CacheUsageClass) -> u64 {
-        self.jobs[class_index(cuid)].get()
+        self.jobs.iter().map(|(_, jobs)| jobs.get()).sum()
     }
 
     /// Jobs whose closure panicked.
@@ -117,16 +102,6 @@ impl ExecutorMetrics {
     /// Allocator bind failures.
     pub fn bind_failures(&self) -> u64 {
         self.bind_failures.get()
-    }
-
-    /// Queue-wait latency histogram for one class (shared handle).
-    pub fn queue_wait(&self, cuid: CacheUsageClass) -> Histogram {
-        self.queue_wait[class_index(cuid)].clone()
-    }
-
-    /// Job run-latency histogram for one class (shared handle).
-    pub fn job_latency(&self, cuid: CacheUsageClass) -> Histogram {
-        self.job_latency[class_index(cuid)].clone()
     }
 
     /// Attaches these live handles to `registry` under
@@ -147,11 +122,11 @@ impl ExecutorMetrics {
             "Job closure run time",
             unit::latency_seconds(),
         );
-        for (i, class) in CLASS_LABELS.iter().enumerate() {
-            let labels = [("pool", pool), ("class", *class)];
-            jobs.register(&labels, self.jobs[i].clone());
-            wait.register(&labels, self.queue_wait[i].clone());
-            lat.register(&labels, self.job_latency[i].clone());
+        for class in Class::ALL {
+            let labels = [("pool", pool), ("class", class.label())];
+            jobs.register(&labels, self.jobs.get(class).clone());
+            wait.register(&labels, self.queue_wait.get(class).clone());
+            lat.register(&labels, self.job_latency.get(class).clone());
         }
         registry
             .counter_family(
@@ -178,8 +153,8 @@ impl ExecutorMetrics {
 /// and how often admission control defers a candidate.
 #[derive(Debug, Clone)]
 pub struct SchedulerMetrics {
-    waves_planned: Counter,
-    wave_occupancy: Histogram,
+    pub(crate) waves_planned: Counter,
+    pub(crate) wave_occupancy: Histogram,
     admitted: Counter,
     deferred: Counter,
 }
@@ -204,7 +179,7 @@ impl SchedulerMetrics {
     /// Records the outcome of one [`plan_waves`] run.
     ///
     /// [`plan_waves`]: crate::scheduler::CacheAwareScheduler::plan_waves
-    pub fn record_plan(&self, waves: &[Vec<usize>]) {
+    pub(crate) fn record_plan(&self, waves: &[Vec<usize>]) {
         self.waves_planned.add(waves.len() as u64);
         for w in waves {
             self.wave_occupancy.observe(w.len() as f64);
@@ -212,26 +187,16 @@ impl SchedulerMetrics {
     }
 
     /// Records one admission decision.
-    pub fn record_admission(&self, decision: Admission) {
+    pub(crate) fn record_admission(&self, decision: Admission) {
         match decision {
             Admission::RunNow => self.admitted.inc(),
             Admission::Defer => self.deferred.inc(),
         }
     }
 
-    /// Waves planned so far.
-    pub fn waves_planned(&self) -> u64 {
-        self.waves_planned.get()
-    }
-
     /// Admission decisions that deferred the candidate.
     pub fn deferrals(&self) -> u64 {
         self.deferred.get()
-    }
-
-    /// Wave-occupancy histogram (queries per planned wave).
-    pub fn wave_occupancy(&self) -> Histogram {
-        self.wave_occupancy.clone()
     }
 
     /// Attaches these live handles to `registry`.
@@ -263,26 +228,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn class_labels_cover_the_taxonomy() {
-        assert_eq!(class_label(CacheUsageClass::Polluting), "polluting");
-        assert_eq!(class_label(CacheUsageClass::Sensitive), "sensitive");
-        assert_eq!(
-            class_label(CacheUsageClass::Mixed { hot_bytes: 1 }),
-            "mixed"
-        );
-    }
-
-    #[test]
     fn record_job_updates_class_counters_and_histograms() {
         let m = ExecutorMetrics::new();
         m.record_job(CacheUsageClass::Polluting, 0.001, 0.01, false);
         m.record_job(CacheUsageClass::Polluting, 0.002, 0.02, true);
         m.record_job(CacheUsageClass::Sensitive, 0.001, 0.01, false);
         assert_eq!(m.jobs_executed(), 3);
-        assert_eq!(m.jobs_in_class(CacheUsageClass::Polluting), 2);
+        assert_eq!(m.jobs.get(Class::Polluting).get(), 2);
         assert_eq!(m.jobs_panicked(), 1);
-        assert_eq!(m.queue_wait(CacheUsageClass::Polluting).count(), 2);
-        assert_eq!(m.job_latency(CacheUsageClass::Sensitive).count(), 1);
+        assert_eq!(m.queue_wait.get(Class::Polluting).count(), 2);
+        assert_eq!(m.job_latency.get(Class::Sensitive).count(), 1);
     }
 
     #[test]
@@ -323,9 +278,9 @@ mod tests {
         m.record_admission(Admission::RunNow);
         m.record_admission(Admission::Defer);
         m.record_admission(Admission::Defer);
-        assert_eq!(m.waves_planned(), 2);
+        assert_eq!(m.waves_planned.get(), 2);
         assert_eq!(m.deferrals(), 2);
-        assert_eq!(m.wave_occupancy().count(), 2);
+        assert_eq!(m.wave_occupancy.count(), 2);
         let r = Registry::new();
         m.register_into(&r);
         let text = r.render_prometheus();

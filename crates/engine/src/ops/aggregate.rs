@@ -17,15 +17,11 @@
 
 use crate::executor::JobExecutor;
 use crate::job::CacheUsageClass;
-use ccp_reuse::{Artifact, Begin, ReuseHandle, ReuseStatus};
+use ccp_reuse::{Artifact, ReuseHandle, ReuseStatus};
 use ccp_storage::bitpack::{scan_blocks, SCAN_BLOCK};
 use ccp_storage::{AggHashTable, Aggregate, CodeAccumulator, DictColumn};
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
-
-/// Rows per aggregation job.
-const CHUNK_ROWS: usize = 64 * 1024;
 
 /// Runs Query 2: `SELECT agg(v), g FROM t GROUP BY g`.
 ///
@@ -53,7 +49,7 @@ pub fn grouped_aggregate(
         "agg",
         CacheUsageClass::Sensitive,
         n,
-        n.div_ceil(CHUNK_ROWS),
+        n.div_ceil(super::CHUNK_ROWS),
         move || CodeAccumulator::new(agg, groups),
         move |acc, rows| fold_rows(agg, acc, &v, &g, rows),
     );
@@ -119,28 +115,12 @@ pub fn grouped_aggregate_cached(
     agg: Aggregate,
     reuse: Option<&ReuseHandle>,
 ) -> (Arc<AggHashTable>, ReuseStatus) {
-    let Some(handle) = reuse else {
-        return (
-            Arc::new(grouped_aggregate(ex, v_col, g_col, agg)),
-            ReuseStatus::Bypass,
-        );
-    };
-    match handle.begin() {
-        Begin::Hit(artifact) => match artifact.agg_table() {
-            Some(table) => (table, ReuseStatus::Hit),
-            // Artifact/key type mismatch: treat as uncacheable rather
-            // than serving the wrong structure.
-            None => (
-                Arc::new(grouped_aggregate(ex, v_col, g_col, agg)),
-                ReuseStatus::Miss,
-            ),
-        },
-        Begin::Build(guard) => {
-            let start = Instant::now();
-            let table = Arc::new(grouped_aggregate(ex, v_col, g_col, agg));
-            guard.publish(Artifact::AggTable(Arc::clone(&table)), start.elapsed());
-            (table, ReuseStatus::Miss)
-        }
+    let build = || Arc::new(grouped_aggregate(ex, v_col, g_col, agg));
+    match reuse {
+        Some(handle) => handle.get_or_build(Artifact::agg_table, build, |table| {
+            Artifact::AggTable(Arc::clone(table))
+        }),
+        None => (build(), ReuseStatus::Bypass),
     }
 }
 

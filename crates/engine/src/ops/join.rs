@@ -9,14 +9,10 @@
 
 use crate::executor::JobExecutor;
 use crate::job::CacheUsageClass;
-use ccp_reuse::{Artifact, Begin, ReuseHandle, ReuseStatus};
+use ccp_reuse::{Artifact, ReuseHandle, ReuseStatus};
 use ccp_storage::bitpack::{scan_blocks, SCAN_BLOCK};
 use ccp_storage::{BitVec, DictColumn};
 use std::sync::Arc;
-use std::time::Instant;
-
-/// Rows per probe job.
-const CHUNK_ROWS: usize = 64 * 1024;
 
 /// Build phase of Query 3: the bit vector over the primary-key domain.
 /// The dictionary of a primary-key column is the sorted key set itself, so
@@ -51,7 +47,7 @@ pub fn fk_probe_count(ex: &JobExecutor, bv: Arc<BitVec>, fk_col: &Arc<DictColumn
         hot_bytes: bv.size_bytes(),
     };
     let n = fk_col.len();
-    let chunks = n.div_ceil(CHUNK_ROWS).max(1);
+    let chunks = n.div_ceil(super::CHUNK_ROWS).max(1);
     let fk_col = fk_col.clone();
     ex.parallel_sum("fk_join_probe", cuid, n, chunks, move |rows| {
         let dict = fk_col.dict();
@@ -102,21 +98,12 @@ pub fn fk_join_count_cached(
         return (fk_join_count(ex, pk_col, fk_col), ReuseStatus::Bypass);
     };
     let _span = super::op_span("fk_join");
-    match handle.begin() {
-        Begin::Hit(artifact) => match artifact.join_bits() {
-            Some(bv) => (fk_probe_count(ex, bv, fk_col), ReuseStatus::Hit),
-            None => {
-                let bv = Arc::new(fk_bit_vector(pk_col));
-                (fk_probe_count(ex, bv, fk_col), ReuseStatus::Miss)
-            }
-        },
-        Begin::Build(guard) => {
-            let start = Instant::now();
-            let bv = Arc::new(fk_bit_vector(pk_col));
-            guard.publish(Artifact::JoinBits(Arc::clone(&bv)), start.elapsed());
-            (fk_probe_count(ex, bv, fk_col), ReuseStatus::Miss)
-        }
-    }
+    let (bv, status) = handle.get_or_build(
+        Artifact::join_bits,
+        || Arc::new(fk_bit_vector(pk_col)),
+        |bv| Artifact::JoinBits(Arc::clone(bv)),
+    );
+    (fk_probe_count(ex, bv, fk_col), status)
 }
 
 #[cfg(test)]

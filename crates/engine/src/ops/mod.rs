@@ -18,6 +18,10 @@ pub mod join;
 pub mod oltp;
 pub mod scan;
 
+/// Rows per job of a chunked operator (scan, aggregation fold, join
+/// probe): the one granularity at which operators hand work to the pool.
+pub(crate) const CHUNK_ROWS: usize = 64 * 1024;
+
 /// Opens an operator-phase trace span on the calling thread, tagged with
 /// the current query id (if inside a
 /// [`with_query_ctx`](crate::job::with_query_ctx) scope). Inert — one

@@ -12,9 +12,6 @@ use ccp_storage::DictColumn;
 use std::ops::Bound;
 use std::sync::Arc;
 
-/// Number of rows each scan job processes.
-const CHUNK_ROWS: usize = 64 * 1024;
-
 /// Runs Query 1: `SELECT COUNT(*) FROM col WHERE col > threshold`.
 ///
 /// The column is shared read-only across jobs; each job counts its row
@@ -25,7 +22,7 @@ pub fn column_scan(ex: &JobExecutor, col: &Arc<DictColumn<i64>>, threshold: i64)
         .dict()
         .code_range(Bound::Excluded(&threshold), Bound::Unbounded);
     let n = col.len();
-    let chunks = n.div_ceil(CHUNK_ROWS).max(1);
+    let chunks = n.div_ceil(super::CHUNK_ROWS).max(1);
     let col = col.clone();
     ex.parallel_sum(
         "column_scan",

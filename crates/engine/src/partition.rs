@@ -13,12 +13,11 @@
 
 use crate::job::CacheUsageClass;
 use ccp_cachesim::{CacheLevelConfig, WayMask};
+use ccp_resctrl::{Class, PerClass};
 use serde::{Deserialize, Serialize};
 
 /// The paper's mask for cache-polluting operators: 2/20 ways = 10 %.
 pub const PAPER_POLLUTER_MASK: u32 = 0x3;
-/// The paper's mask for the cache-sensitive FK join: 12/20 ways = 60 %.
-pub const PAPER_SHARED_MASK: u32 = 0xfff;
 
 /// Maps cache usage classes to LLC way masks for a particular cache
 /// geometry.
@@ -51,18 +50,38 @@ impl PartitionPolicy {
         }
     }
 
-    /// Mask for the given cache usage class.
+    /// Mask for the given cache usage identifier.
     pub fn mask_for(&self, cuid: CacheUsageClass) -> WayMask {
-        let full = WayMask::full(self.llc.ways).expect("LLC way count validated by config");
+        self.class_mask(self.regime(cuid))
+    }
+
+    /// The class whose mask `cuid` runs under: its own, except that a
+    /// mixed operator whose hot structure is not LLC-comparable acts
+    /// like a scan and is confined with the polluters.
+    pub fn regime(&self, cuid: CacheUsageClass) -> Class {
         match cuid {
-            CacheUsageClass::Sensitive => full,
-            CacheUsageClass::Polluting => self.polluter_mask(),
-            CacheUsageClass::Mixed { hot_bytes } => {
-                if self.is_llc_comparable(hot_bytes) {
-                    WayMask::percent(self.mixed_percent, self.llc.ways).expect("valid percent/ways")
-                } else {
-                    self.polluter_mask()
-                }
+            CacheUsageClass::Mixed { hot_bytes } if !self.is_llc_comparable(hot_bytes) => {
+                Class::Polluting
+            }
+            _ => cuid.class(),
+        }
+    }
+
+    /// The static three-mask plan of Section V-B — what the live mask
+    /// table starts on and the adaptive controller reverts to. The mixed
+    /// entry is the mask of the class's cache-sensitive regime.
+    pub fn static_plan(&self) -> PerClass<WayMask> {
+        PerClass::from_fn(|class| self.class_mask(class))
+    }
+
+    fn class_mask(&self, class: Class) -> WayMask {
+        match class {
+            Class::Polluting => self.polluter_mask(),
+            Class::Mixed => {
+                WayMask::percent(self.mixed_percent, self.llc.ways).expect("valid percent/ways")
+            }
+            Class::Sensitive => {
+                WayMask::full(self.llc.ways).expect("LLC way count validated by config")
             }
         }
     }
@@ -122,7 +141,7 @@ mod tests {
         let m = p.mask_for(CacheUsageClass::Mixed {
             hot_bytes: 12_500_000,
         });
-        assert_eq!(m.bits(), PAPER_SHARED_MASK);
+        assert_eq!(m.bits(), 0xfff); // 12/20 ways = 60 %
     }
 
     #[test]

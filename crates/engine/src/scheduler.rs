@@ -15,15 +15,12 @@
 use crate::job::CacheUsageClass;
 use crate::metrics::SchedulerMetrics;
 use crate::partition::PartitionPolicy;
+use ccp_resctrl::Class;
 
 /// Whether a query behaves as cache-sensitive under `policy` — class (ii),
 /// or class (iii) in its cache-sensitive regime.
 pub fn is_cache_sensitive(policy: &PartitionPolicy, cuid: CacheUsageClass) -> bool {
-    match cuid {
-        CacheUsageClass::Sensitive => true,
-        CacheUsageClass::Polluting => false,
-        CacheUsageClass::Mixed { hot_bytes } => policy.is_llc_comparable(hot_bytes),
-    }
+    policy.regime(cuid) != Class::Polluting
 }
 
 /// Admission decision for one candidate against the currently running set.
@@ -260,9 +257,9 @@ mod tests {
         let waves = s.plan_waves_observed(&[AGG, SCAN, SCAN], &m);
         assert_eq!(waves.len(), 2);
         assert_eq!(m.deferrals(), 1);
-        assert_eq!(m.waves_planned(), 2);
+        assert_eq!(m.waves_planned.get(), 2);
         // Occupancies 2 and 1: the histogram saw both waves.
-        assert_eq!(m.wave_occupancy().count(), 2);
-        assert!((m.wave_occupancy().sum() - 3.0).abs() < 1e-12);
+        assert_eq!(m.wave_occupancy.count(), 2);
+        assert!((m.wave_occupancy.sum() - 3.0).abs() < 1e-12);
     }
 }

@@ -93,11 +93,6 @@ impl AggregationSim {
     pub fn dict_bytes(&self) -> u64 {
         self.dict.len
     }
-
-    /// Hash-table footprint in bytes.
-    pub fn ht_bytes(&self) -> u64 {
-        self.ht.len
-    }
 }
 
 impl SimOperator for AggregationSim {
@@ -195,7 +190,7 @@ mod tests {
         let mut space = AddrSpace::new();
         let agg = AggregationSim::paper_q2(&mut space, 1000, 40 << 20, 100_000);
         assert_eq!(agg.dict_bytes(), (40 << 20) / 8 * 8);
-        assert_eq!(agg.ht_bytes(), 55_000_000);
+        assert_eq!(agg.ht.len, 55_000_000);
     }
 
     #[test]

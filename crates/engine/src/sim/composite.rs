@@ -26,11 +26,10 @@ pub struct CompositeSim {
     phases: Vec<Phase>,
     current: usize,
     done_in_phase: u64,
-    cuid: CacheUsageClass,
 }
 
 impl CompositeSim {
-    /// Builds a composite query. The CUID defaults to
+    /// Builds a composite query. Its CUID is
     /// [`CacheUsageClass::Sensitive`] — composite analytical queries keep
     /// the full cache in the paper's evaluation (only the deliberately
     /// polluting micro-queries are confined).
@@ -51,24 +50,7 @@ impl CompositeSim {
             phases,
             current: 0,
             done_in_phase: 0,
-            cuid: CacheUsageClass::Sensitive,
         }
-    }
-
-    /// Overrides the composite's CUID.
-    pub fn with_cuid(mut self, cuid: CacheUsageClass) -> Self {
-        self.cuid = cuid;
-        self
-    }
-
-    /// Total rows per full execution of the query.
-    pub fn rows_per_execution(&self) -> u64 {
-        self.phases.iter().map(|p| p.quota).sum()
-    }
-
-    /// Number of phases.
-    pub fn phase_count(&self) -> usize {
-        self.phases.len()
     }
 }
 
@@ -78,7 +60,7 @@ impl SimOperator for CompositeSim {
     }
 
     fn cuid(&self) -> CacheUsageClass {
-        self.cuid
+        CacheUsageClass::Sensitive
     }
 
     fn parallelism(&self) -> u32 {
@@ -129,8 +111,7 @@ mod tests {
         let mut space = AddrSpace::new();
         let mut q = composite(&mut space);
         let mut mem = MemoryHierarchy::new(HierarchyConfig::tiny_for_tests(), 1);
-        assert_eq!(q.rows_per_execution(), 1500);
-        assert_eq!(q.phase_count(), 2);
+        assert_eq!(q.phases.iter().map(|p| p.quota).sum::<u64>(), 1500);
         // Run through at least one full execution.
         let mut total = 0;
         while total < 1500 {
@@ -163,12 +144,9 @@ mod tests {
     }
 
     #[test]
-    fn default_cuid_is_sensitive_and_overridable() {
+    fn cuid_is_sensitive() {
         let mut space = AddrSpace::new();
-        let q = composite(&mut space);
-        assert_eq!(q.cuid(), CacheUsageClass::Sensitive);
-        let q = composite(&mut space).with_cuid(CacheUsageClass::Polluting);
-        assert_eq!(q.cuid(), CacheUsageClass::Polluting);
+        assert_eq!(composite(&mut space).cuid(), CacheUsageClass::Sensitive);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod driver;
 pub mod join;
 pub mod oltp;
 pub mod scan;
-pub mod zipf;
+mod zipf;
 
 pub use aggregate::AggregationSim;
 pub use classify::{classify_operator, ClassificationReport};
@@ -42,7 +42,6 @@ pub use driver::{run_concurrent, run_isolated, RunOutcome, SimWorkload, StreamOu
 pub use join::FkJoinSim;
 pub use oltp::OltpSim;
 pub use scan::ColumnScanSim;
-pub use zipf::ZipfSampler;
 
 use crate::job::CacheUsageClass;
 use ccp_cachesim::{MemoryHierarchy, StreamId};
@@ -80,17 +79,17 @@ pub trait SimOperator: Send {
 /// Deterministic 64-bit generator (SplitMix64) used by every simulated
 /// operator — no global RNG state, every run replayable.
 #[derive(Debug, Clone)]
-pub struct SimRng(u64);
+pub(crate) struct SimRng(u64);
 
 impl SimRng {
     /// Seeds the generator.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         SimRng(seed.wrapping_add(0x9E37_79B9_7F4A_7C15))
     }
 
     /// Next raw 64-bit value.
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -103,7 +102,7 @@ impl SimRng {
     /// # Panics
     /// Panics when `n` is zero.
     #[inline]
-    pub fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "below(0) is meaningless");
         // Multiply-shift bounded generation (Lemire) — unbiased enough for
         // cache modeling and branch-free.

@@ -85,7 +85,7 @@ impl OltpSim {
 
     /// Total bytes of dictionaries + index directories — the working set
     /// that decides this query's cache sensitivity.
-    pub fn working_set_bytes(&self) -> u64 {
+    pub(crate) fn working_set_bytes(&self) -> u64 {
         self.indexes.iter().map(|r| r.len).sum::<u64>()
             + self.projected.iter().map(|c| c.dict.len).sum::<u64>()
     }

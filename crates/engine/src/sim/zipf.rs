@@ -15,7 +15,7 @@ use super::SimRng;
 
 /// Rejection-inversion Zipf sampler over `1..=n` with exponent `s > 0`.
 #[derive(Debug, Clone)]
-pub struct ZipfSampler {
+pub(crate) struct ZipfSampler {
     n: u64,
     s: f64,
     h_x1: f64,
@@ -52,7 +52,7 @@ impl ZipfSampler {
     ///
     /// # Panics
     /// Panics when `n` is zero or `s` is not positive and finite.
-    pub fn new(n: u64, s: f64) -> Self {
+    pub(crate) fn new(n: u64, s: f64) -> Self {
         assert!(n > 0, "Zipf domain must be non-empty");
         assert!(
             s > 0.0 && s.is_finite(),
@@ -67,7 +67,7 @@ impl ZipfSampler {
     }
 
     /// Draws one value in `1..=n`; rank 1 is the most frequent.
-    pub fn sample(&self, rng: &mut SimRng) -> u64 {
+    pub(crate) fn sample(&self, rng: &mut SimRng) -> u64 {
         loop {
             // Uniform f64 in [0, 1) from the top 53 bits.
             let u01 = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);

@@ -5,6 +5,7 @@ use ccp_cachesim::HierarchyConfig;
 use ccp_engine::job::CacheUsageClass;
 use ccp_engine::partition::PartitionPolicy;
 use ccp_engine::scheduler::{is_cache_sensitive, CacheAwareScheduler};
+use ccp_resctrl::{Class, PerClass};
 use proptest::prelude::*;
 
 fn paper_policy() -> PartitionPolicy {
@@ -21,6 +22,38 @@ fn arb_cuid() -> impl Strategy<Value = CacheUsageClass> {
 }
 
 proptest! {
+    /// The class vocabulary is one coherent table: label, parse and index
+    /// round-trip, a `PerClass` answers `get` with what `set`, `map` and
+    /// `iter` say, every CUID has a class, and the static plan on the
+    /// paper's machine is the paper's three masks.
+    #[test]
+    fn class_vocabulary_is_coherent(cuid in arb_cuid(), touched in 0usize..3, value in 0u32..1000) {
+        for (i, class) in Class::ALL.into_iter().enumerate() {
+            prop_assert_eq!(class.index(), i);
+            prop_assert_eq!(Class::parse(class.label()), Some(class));
+            prop_assert!(Class::PAPER_ORDER.contains(&class));
+        }
+        prop_assert_eq!(Class::parse("oltp"), None);
+
+        let touched = Class::ALL[touched];
+        let mut per = PerClass::from_fn(|class| class.index() as u32);
+        prop_assert_eq!(per, PerClass::new(0, 1, 2));
+        per.set(touched, value);
+        let doubled = per.map(|v| v * 2);
+        for (class, &v) in per.iter() {
+            let want = if class == touched { value } else { class.index() as u32 };
+            prop_assert_eq!(v, want);
+            prop_assert_eq!(*per.get(class), want);
+            prop_assert_eq!(*doubled.get(class), want * 2);
+        }
+
+        let p = paper_policy();
+        prop_assert!(Class::ALL.contains(&cuid.class()));
+        prop_assert_eq!(ccp_engine::class_label(cuid), cuid.class().label());
+        prop_assert_eq!(p.mask_for(cuid), *p.static_plan().get(p.regime(cuid)));
+        prop_assert_eq!(p.static_plan().map(|mask| mask.bits()), PerClass::new(0x3, 0xfff, 0xfffff));
+    }
+
     /// The policy always yields a legal CAT mask with at least 2 ways
     /// (the paper's 0x1 prohibition), never exceeding the LLC.
     #[test]

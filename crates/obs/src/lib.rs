@@ -31,19 +31,19 @@
 //!
 //! let registry = Registry::new();
 //! let jobs = registry.counter_family("jobs_total", "Jobs executed");
-//! jobs.get_or_create(&[("class", "polluting")]).inc();
+//! jobs.get_or_create(&[("pool", "olap")]).inc();
 //!
 //! let latency = registry.histogram_family_with(
 //!     "job_seconds", "Job latency", unit::latency_seconds(),
 //! );
 //! {
 //!     let _t = ccp_obs::ScopedTimer::new(
-//!         latency.get_or_create(&[("class", "polluting")]),
+//!         latency.get_or_create(&[("pool", "olap")]),
 //!     );
 //!     // ... timed work ...
 //! }
 //! let text = registry.render_prometheus();
-//! assert!(text.contains("jobs_total{class=\"polluting\"} 1"));
+//! assert!(text.contains("jobs_total{pool=\"olap\"} 1"));
 //! ```
 
 mod histogram;

@@ -1,7 +1,7 @@
 //! Metric families and the process-wide [`Registry`].
 //!
 //! A [`Family`] is one metric name fanned out over label sets (e.g.
-//! `ccp_executor_jobs_total{class="polluting"}`). The [`Registry`] owns
+//! `ccp_executor_jobs_total{pool="olap"}`). The [`Registry`] owns
 //! families by name and renders everything in the Prometheus text
 //! exposition format, so a scrape endpoint or the `metrics_dump`
 //! example can serve/print the whole process state in one call.

@@ -285,7 +285,7 @@ impl CacheController {
     ///
     /// # Errors
     /// Same surface as [`set_l3_mask`](Self::set_l3_mask).
-    pub fn rewrite_l3_mask(
+    pub(crate) fn rewrite_l3_mask(
         &mut self,
         group: &GroupHandle,
         domain: u32,

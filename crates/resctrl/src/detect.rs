@@ -42,7 +42,7 @@ pub fn detect() -> CatSupport {
 }
 
 /// Testable core of [`detect`] with injectable paths.
-pub fn detect_at(cpuinfo: &Path, filesystems: &Path, mount: &Path) -> CatSupport {
+pub(crate) fn detect_at(cpuinfo: &Path, filesystems: &Path, mount: &Path) -> CatSupport {
     let cpuinfo_text = std::fs::read_to_string(cpuinfo).unwrap_or_default();
     let missing = missing_cpu_flags(&cpuinfo_text);
     if !missing.is_empty() {
@@ -70,7 +70,7 @@ pub fn detect_at(cpuinfo: &Path, filesystems: &Path, mount: &Path) -> CatSupport
 }
 
 /// Returns which required CPU flags are absent from a cpuinfo dump.
-pub fn missing_cpu_flags(cpuinfo: &str) -> Vec<String> {
+pub(crate) fn missing_cpu_flags(cpuinfo: &str) -> Vec<String> {
     let flags_line = cpuinfo
         .lines()
         .find(|l| l.starts_with("flags"))

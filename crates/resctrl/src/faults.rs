@@ -7,22 +7,22 @@
 //! relaxed atomic load and a branch.
 
 /// `schemata` write fails with an `EBUSY`-style I/O error.
-pub const WRITE_SCHEMATA: &str = "resctrl.write_schemata";
+pub(crate) const WRITE_SCHEMATA: &str = "resctrl.write_schemata";
 
 /// `tasks` write (thread binding) fails with an `EBUSY`-style I/O error.
-pub const ASSIGN_TASK: &str = "resctrl.assign_task";
+pub(crate) const ASSIGN_TASK: &str = "resctrl.assign_task";
 
 /// Group creation fails with an `ENOSPC`-style I/O error, which the
 /// controller maps to [`crate::ResctrlError::TooManyGroups`] exactly
 /// like a real CLOS exhaustion.
-pub const CREATE_GROUP: &str = "resctrl.create_group";
+pub(crate) const CREATE_GROUP: &str = "resctrl.create_group";
 
 /// Schemata / monitoring-counter reads fail with an `EIO`-style error.
-pub const READ: &str = "resctrl.read";
+pub(crate) const READ: &str = "resctrl.read";
 
 /// The whole mount vanishes: any controller operation reports
 /// [`crate::ResctrlError::NotMounted`].
-pub const MOUNT_LOST: &str = "resctrl.mount_lost";
+pub(crate) const MOUNT_LOST: &str = "resctrl.mount_lost";
 
 /// The occupancy sampler's probe fails for one tick (gauges keep their
 /// previous values, like a transient CMT read error).
@@ -30,17 +30,17 @@ pub const SAMPLER_PROBE: &str = "resctrl.sampler_probe";
 
 /// Low-level fake-filesystem write fails (below the controller, so the
 /// error travels the same path a real kernel `write(2)` failure would).
-pub const FS_WRITE: &str = "resctrl.fs.write";
+pub(crate) const FS_WRITE: &str = "resctrl.fs.write";
 
 /// The reconciler's creation of a tenant group fails. Supports typed
 /// errnos: `err:enospc` surfaces as CLOSID exhaustion (class-sharing
 /// fallback), `err:eio`/bare `err` as a transient I/O failure (retried
 /// on the next pass).
-pub const TENANT_CREATE_GROUP: &str = "tenant.create_group";
+pub(crate) const TENANT_CREATE_GROUP: &str = "tenant.create_group";
 
 /// The reconciler's orphan sweep fails for one pass (orphans survive
 /// until the next pass, exactly like a transient listing error).
-pub const RECONCILE_SWEEP: &str = "reconcile.sweep";
+pub(crate) const RECONCILE_SWEEP: &str = "reconcile.sweep";
 
 /// Low-level fake-filesystem read fails.
-pub const FS_READ: &str = "resctrl.fs.read";
+pub(crate) const FS_READ: &str = "resctrl.fs.read";

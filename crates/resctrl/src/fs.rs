@@ -29,7 +29,7 @@ pub trait ResctrlFs: Send + Sync {
 
 /// Passthrough to the host filesystem (`/sys/fs/resctrl` on CAT hardware).
 #[derive(Debug, Default, Clone, Copy)]
-pub struct RealFs;
+pub(crate) struct RealFs;
 
 impl ResctrlFs for RealFs {
     fn read(&self, path: &Path) -> Result<String, ResctrlError> {

@@ -15,7 +15,8 @@
 //! The driver is built over a small filesystem abstraction ([`fs::ResctrlFs`])
 //! with two implementations:
 //!
-//! * [`fs::RealFs`] — the actual `/sys/fs/resctrl` tree, for CAT hardware;
+//! * `fs::RealFs` (crate-private, behind [`CacheController::open`]) — the
+//!   actual `/sys/fs/resctrl` tree, for CAT hardware;
 //! * [`fs::FakeFs`] — an in-memory emulation of the kernel's behaviour
 //!   (schemata normalization, CLOS limits, task files), used by the test
 //!   suite and by any host without CAT, such as a container on an old
@@ -40,6 +41,7 @@
 //! ctl.assign_task(&group, 4242).unwrap();
 //! ```
 
+pub mod class;
 pub mod controller;
 pub mod detect;
 pub mod error;
@@ -52,15 +54,16 @@ pub mod schemata;
 pub mod supervisor;
 pub mod tenant;
 
+pub use class::{Class, PerClass};
 pub use controller::{CacheController, CatInfo, GroupHandle, MonGroupHandle, MonitoringData};
 pub use detect::{detect, CatSupport};
 pub use error::ResctrlError;
 pub use metrics::ResctrlMetrics;
-pub use monitor::{ClassSample, OccupancyProbe, ResctrlMonitor, SimClass, SimulatedMonitor};
+pub use monitor::{ClassReading, OccupancyProbe, ResctrlMonitor, SimulatedMonitor};
 pub use reconcile::{DesiredGroup, GroupState, ReconcileOutcome, ReconcileStats, Reconciler};
 pub use schemata::Schemata;
 pub use supervisor::{ResctrlHealth, RetryPolicy, SupervisedController};
-pub use tenant::{parse_group_name, TenantId, DEFAULT_TENANT};
+pub use tenant::{mask_group_name, parse_group_name, TenantId, DEFAULT_TENANT};
 
 /// Conventional mount point of the resctrl filesystem.
-pub const DEFAULT_MOUNT: &str = "/sys/fs/resctrl";
+pub(crate) const DEFAULT_MOUNT: &str = "/sys/fs/resctrl";

@@ -59,31 +59,31 @@ impl ResctrlMetrics {
     }
 
     /// Records a schemata write that actually reached the kernel.
-    pub fn record_schemata_write(&self, seconds: f64) {
+    pub(crate) fn record_schemata_write(&self, seconds: f64) {
         self.inner.schemata_writes.inc();
         self.inner.fs_op_seconds.observe(seconds);
     }
 
     /// Records a task assignment that actually reached the kernel.
-    pub fn record_task_assign(&self, seconds: f64) {
+    pub(crate) fn record_task_assign(&self, seconds: f64) {
         self.inner.task_assigns.inc();
         self.inner.fs_op_seconds.observe(seconds);
     }
 
     /// Records a control-group creation.
-    pub fn record_group_create(&self, seconds: f64) {
+    pub(crate) fn record_group_create(&self, seconds: f64) {
         self.inner.group_creates.inc();
         self.inner.fs_op_seconds.observe(seconds);
     }
 
     /// Records a kernel write skipped by the old-vs-new fast path.
-    pub fn record_skipped_write(&self) {
+    pub(crate) fn record_skipped_write(&self) {
         self.inner.skipped_writes.inc();
     }
 
     /// Publishes one group's CMT/MBM sample as gauges, when a registry
     /// is attached (no-op otherwise).
-    pub fn record_monitoring(&self, group: &str, domain: u32, data: &MonitoringData) {
+    pub(crate) fn record_monitoring(&self, group: &str, domain: u32, data: &MonitoringData) {
         let registry = {
             let guard = self
                 .inner
@@ -129,7 +129,8 @@ impl ResctrlMetrics {
     }
 
     /// Control groups created.
-    pub fn group_creates(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn group_creates(&self) -> u64 {
         self.inner.group_creates.get()
     }
 
@@ -140,7 +141,8 @@ impl ResctrlMetrics {
 
     /// Latency histogram over actual resctrl filesystem operations
     /// (shared handle).
-    pub fn fs_op_seconds(&self) -> Histogram {
+    #[cfg(test)]
+    pub(crate) fn fs_op_seconds(&self) -> Histogram {
         self.inner.fs_op_seconds.clone()
     }
 

@@ -18,16 +18,21 @@
 //!   caller-supplied pressure function (e.g. how many queries of that
 //!   class are currently running).
 
+use crate::class::{Class, PerClass};
 use crate::controller::CacheController;
+use crate::tenant::mask_group_name;
+use ccp_cachesim::WayMask;
 
-/// One probe reading: the occupancy of a single CUID class.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClassSample {
-    /// CUID class label (`polluting`, `sensitive`, `mixed`, ...).
-    pub class: String,
+/// One probe reading: the footprint of a single class. This is the one
+/// type between the probes and the adaptive controller's tick.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClassReading {
+    /// Which class the reading describes.
+    pub class: Class,
     /// Bytes of LLC the class currently occupies.
-    pub llc_occupancy_bytes: u64,
-    /// Cumulative memory-bandwidth bytes attributed to the class.
+    pub occupancy_bytes: u64,
+    /// Cumulative memory-bandwidth bytes attributed to the class (the
+    /// controller differentiates it).
     pub mbm_total_bytes: u64,
 }
 
@@ -35,58 +40,50 @@ pub struct ClassSample {
 pub trait OccupancyProbe: Send {
     /// Takes one reading per class. Classes that cannot be read (e.g. a
     /// control group not created yet) are simply omitted.
-    fn sample(&mut self) -> Vec<ClassSample>;
+    fn sample(&mut self) -> Vec<ClassReading>;
 }
 
-/// Probe backed by real CMT counters: reads `llc_occupancy` of the named
-/// control groups through a [`CacheController`].
+/// Probe backed by real CMT counters: reads `llc_occupancy` of the
+/// allocator's per-mask control groups through a [`CacheController`].
 pub struct ResctrlMonitor {
     ctl: CacheController,
-    /// `(class label, control group name)` pairs to read.
-    classes: Vec<(String, String)>,
+    /// The class → mask mapping in force. Asked at every sample: an
+    /// adaptive repartition moves the workers into the groups of the new
+    /// masks, and the groups of the old ones stop changing.
+    masks: Box<dyn Fn() -> PerClass<WayMask> + Send>,
     domain: u32,
 }
 
 impl ResctrlMonitor {
-    /// Builds a probe reading `classes` (label → group name) on cache
-    /// `domain` through `ctl`.
-    pub fn new(ctl: CacheController, classes: Vec<(String, String)>, domain: u32) -> Self {
-        ResctrlMonitor {
-            ctl,
-            classes,
-            domain,
-        }
+    /// Builds a probe reading, on cache `domain` through `ctl`, the group
+    /// [`mask_group_name`] gives for each class's current mask.
+    pub fn new(
+        ctl: CacheController,
+        masks: Box<dyn Fn() -> PerClass<WayMask> + Send>,
+        domain: u32,
+    ) -> Self {
+        ResctrlMonitor { ctl, masks, domain }
     }
 }
 
 impl OccupancyProbe for ResctrlMonitor {
-    fn sample(&mut self) -> Vec<ClassSample> {
-        let mut out = Vec::with_capacity(self.classes.len());
-        for (label, group) in &self.classes {
-            let Ok(handle) = self.ctl.existing_group(group) else {
-                continue; // allocator has not materialized this class yet
+    fn sample(&mut self) -> Vec<ClassReading> {
+        let mut out = Vec::with_capacity(Class::ALL.len());
+        for (class, &mask) in (self.masks)().iter() {
+            let Ok(handle) = self.ctl.existing_group(&mask_group_name(mask)) else {
+                continue; // allocator has not materialized this mask yet
             };
             let Ok(m) = self.ctl.monitoring(&handle, self.domain) else {
                 continue;
             };
-            out.push(ClassSample {
-                class: label.clone(),
-                llc_occupancy_bytes: m.llc_occupancy_bytes,
+            out.push(ClassReading {
+                class,
+                occupancy_bytes: m.llc_occupancy_bytes,
                 mbm_total_bytes: m.mbm_total_bytes,
             });
         }
         out
     }
-}
-
-/// A class in the simulated probe: its label and the fraction of the LLC
-/// its way mask covers.
-#[derive(Debug, Clone)]
-pub struct SimClass {
-    /// CUID class label.
-    pub label: String,
-    /// Fraction of the LLC reachable under the class's mask (0.0–1.0).
-    pub llc_share: f64,
 }
 
 /// Model-backed probe for hosts without CMT hardware.
@@ -97,56 +94,54 @@ pub struct SimClass {
 /// under load and drain when a class goes idle, like real CMT readings.
 pub struct SimulatedMonitor {
     llc_bytes: u64,
-    classes: Vec<SimClass>,
-    pressure: Box<dyn FnMut() -> Vec<(String, f64)> + Send>,
-    occupancy: Vec<f64>,
-    traffic: Vec<f64>,
+    llc_share: PerClass<f64>,
+    pressure: Box<dyn FnMut() -> PerClass<f64> + Send>,
+    occupancy: PerClass<f64>,
+    traffic: PerClass<f64>,
 }
 
 impl SimulatedMonitor {
-    /// Builds the simulator for an `llc_bytes`-sized cache. `pressure`
-    /// reports current load per class label (e.g. running query count);
-    /// labels it omits are treated as idle.
+    /// Builds the simulator for an `llc_bytes`-sized cache. `llc_share`
+    /// is the fraction of the LLC reachable under each class's mask
+    /// (0.0–1.0); `pressure` reports the current load per class (e.g.
+    /// running query count; 0 is idle).
     pub fn new(
         llc_bytes: u64,
-        classes: Vec<SimClass>,
-        pressure: Box<dyn FnMut() -> Vec<(String, f64)> + Send>,
+        llc_share: PerClass<f64>,
+        pressure: Box<dyn FnMut() -> PerClass<f64> + Send>,
     ) -> Self {
-        let n = classes.len();
         SimulatedMonitor {
             llc_bytes,
-            classes,
+            llc_share,
             pressure,
-            occupancy: vec![0.0; n],
-            traffic: vec![0.0; n],
+            occupancy: PerClass::default(),
+            traffic: PerClass::default(),
         }
     }
 }
 
 impl OccupancyProbe for SimulatedMonitor {
-    fn sample(&mut self) -> Vec<ClassSample> {
+    fn sample(&mut self) -> Vec<ClassReading> {
         let loads = (self.pressure)();
-        let mut out = Vec::with_capacity(self.classes.len());
-        for (i, class) in self.classes.iter().enumerate() {
-            let load = loads
-                .iter()
-                .find(|(l, _)| l == &class.label)
-                .map_or(0.0, |&(_, v)| v)
-                .clamp(0.0, 1.0);
-            let target = class.llc_share * load * self.llc_bytes as f64;
-            let before = self.occupancy[i];
-            self.occupancy[i] += (target - before) * 0.5;
+        let mut out = Vec::with_capacity(Class::ALL.len());
+        for class in Class::ALL {
+            let load = loads.get(class).clamp(0.0, 1.0);
+            let target = self.llc_share.get(class) * load * self.llc_bytes as f64;
+            let before = *self.occupancy.get(class);
+            let occupancy = before + (target - before) * 0.5;
+            self.occupancy.set(class, occupancy);
             // MBM counters are cumulative. Modeled bandwidth is the fill
             // traffic (occupancy movement = cold/capacity misses) plus a
             // small steady-state miss stream while the class is loaded —
             // a converged, reuse-heavy class mostly hits in cache, so
             // its MBM slope flattens instead of streaming its whole
             // share every tick.
-            self.traffic[i] += (self.occupancy[i] - before).abs() + 0.05 * target;
-            out.push(ClassSample {
-                class: class.label.clone(),
-                llc_occupancy_bytes: self.occupancy[i] as u64,
-                mbm_total_bytes: self.traffic[i] as u64,
+            let traffic = self.traffic.get(class) + (occupancy - before).abs() + 0.05 * target;
+            self.traffic.set(class, traffic);
+            out.push(ClassReading {
+                class,
+                occupancy_bytes: occupancy as u64,
+                mbm_total_bytes: traffic as u64,
             });
         }
         out
@@ -168,58 +163,44 @@ mod tests {
         ctl.create_group("ccp-3").unwrap();
         fs.set_mon_counter(Path::new("/sys/fs/resctrl/ccp-3"), "llc_occupancy", 4096);
         let ctl2 = CacheController::open_with(Box::new(fs), "/sys/fs/resctrl").unwrap();
-        let mut probe = ResctrlMonitor::new(
-            ctl2,
-            vec![
-                ("polluting".into(), "ccp-3".into()),
-                ("sensitive".into(), "ccp-fffff".into()), // not created yet
-            ],
-            0,
-        );
+        // Only the polluting mask's group exists so far.
+        let masks = PerClass::new(0x3, 0xfff, 0xfffff).map(|&bits| WayMask::new(bits).unwrap());
+        let mut probe = ResctrlMonitor::new(ctl2, Box::new(move || masks), 0);
         let samples = probe.sample();
         assert_eq!(samples.len(), 1);
-        assert_eq!(samples[0].class, "polluting");
-        assert_eq!(samples[0].llc_occupancy_bytes, 4096);
+        assert_eq!(samples[0].class, Class::Polluting);
+        assert_eq!(samples[0].occupancy_bytes, 4096);
     }
 
     #[test]
     fn simulated_probe_tracks_load() {
         let llc = 55 * 1024 * 1024_u64;
-        let load = Arc::new(Mutex::new(vec![("polluting".to_string(), 1.0)]));
+        let load = Arc::new(Mutex::new(PerClass::new(1.0, 0.0, 0.0)));
         let load2 = Arc::clone(&load);
         let mut probe = SimulatedMonitor::new(
             llc,
-            vec![
-                SimClass {
-                    label: "polluting".into(),
-                    llc_share: 0.1,
-                },
-                SimClass {
-                    label: "sensitive".into(),
-                    llc_share: 1.0,
-                },
-            ],
-            Box::new(move || load2.lock().clone()),
+            PerClass::new(0.1, 0.6, 1.0),
+            Box::new(move || *load2.lock()),
         );
         for _ in 0..20 {
             probe.sample();
         }
         let s = probe.sample();
         // Converged near 10% of the LLC for the loaded class...
-        let polluting = s.iter().find(|c| c.class == "polluting").unwrap();
-        assert!(polluting.llc_occupancy_bytes > (llc as f64 * 0.09) as u64);
-        assert!(polluting.llc_occupancy_bytes <= (llc as f64 * 0.1) as u64 + 1);
+        let polluting = s.iter().find(|r| r.class == Class::Polluting).unwrap();
+        assert!(polluting.occupancy_bytes > (llc as f64 * 0.09) as u64);
+        assert!(polluting.occupancy_bytes <= (llc as f64 * 0.1) as u64 + 1);
         // ...while the idle class stays empty and traffic accumulates.
-        let sensitive = s.iter().find(|c| c.class == "sensitive").unwrap();
-        assert_eq!(sensitive.llc_occupancy_bytes, 0);
-        assert!(polluting.mbm_total_bytes > polluting.llc_occupancy_bytes);
+        let sensitive = s.iter().find(|r| r.class == Class::Sensitive).unwrap();
+        assert_eq!(sensitive.occupancy_bytes, 0);
+        assert!(polluting.mbm_total_bytes > polluting.occupancy_bytes);
 
         // Load removed: occupancy drains.
-        load.lock().clear();
+        *load.lock() = PerClass::default();
         for _ in 0..20 {
             probe.sample();
         }
         let drained = probe.sample();
-        assert!(drained[0].llc_occupancy_bytes < 1024);
+        assert!(drained[0].occupancy_bytes < 1024);
     }
 }

@@ -58,7 +58,8 @@ impl Schemata {
     }
 
     /// Mask of a particular domain, if present.
-    pub fn mask_of(&self, domain: u32) -> Option<WayMask> {
+    #[cfg(test)]
+    pub(crate) fn mask_of(&self, domain: u32) -> Option<WayMask> {
         self.l3.get(&domain).copied()
     }
 }

@@ -13,7 +13,7 @@
 //!    backoff plus deterministic jitter (half the delay is fixed, half
 //!    drawn from a seeded SplitMix64 stream, so runs replay exactly).
 //! 2. **Circuit breaker** — [`ResctrlHealth`] counts *consecutive*
-//!    exhausted operations; at [`ResctrlHealth::trip_after`] it flips
+//!    exhausted operations; at the `trip_after` it was built with it flips
 //!    the shared `degraded` flag. The engine observes the flag and
 //!    falls back to full-mask (unpartitioned) execution: queries keep
 //!    succeeding, partitioning is sacrificed.
@@ -40,7 +40,7 @@ use std::time::Duration;
 
 /// Group name used by the health probe when no schemata write has
 /// succeeded yet (created, written, and removed again).
-pub const PROBE_GROUP: &str = "ccp-probe";
+pub(crate) const PROBE_GROUP: &str = "ccp-probe";
 
 /// Retry schedule for transient resctrl failures.
 #[derive(Debug, Clone)]
@@ -156,24 +156,19 @@ impl ResctrlHealth {
         self.degraded.load(Ordering::Relaxed)
     }
 
-    /// Consecutive failures needed to trip the breaker.
-    pub fn trip_after(&self) -> u32 {
-        self.trip_after
-    }
-
     /// An operation succeeded: the consecutive-failure streak resets.
     /// Does *not* clear the degraded flag — only a
     /// [`restore`](Self::restore) (driven by an explicit re-probe) does
     /// that, so a lucky write while degraded cannot flap the engine back
     /// early.
-    pub fn record_success(&self) {
+    pub(crate) fn record_success(&self) {
         // ORDERING: relaxed — single-writer streak reset; see the struct
         // comment.
         self.consecutive_failures.store(0, Ordering::Relaxed);
     }
 
     /// One retry attempt was scheduled.
-    pub fn record_retry(&self) {
+    pub(crate) fn record_retry(&self) {
         self.retries.inc();
     }
 
@@ -193,7 +188,7 @@ impl ResctrlHealth {
     }
 
     /// A health re-probe ran (successful or not).
-    pub fn record_reprobe(&self) {
+    pub(crate) fn record_reprobe(&self) {
         self.reprobes.inc();
     }
 
@@ -233,13 +228,6 @@ impl ResctrlHealth {
     /// Times a probe healed the breaker (Degraded → Partitioned).
     pub fn restores(&self) -> u64 {
         self.restores.get()
-    }
-
-    /// Current consecutive-failure streak.
-    pub fn consecutive_failures(&self) -> u32 {
-        // ORDERING: relaxed — eventually-consistent counter read; see
-        // the struct comment.
-        self.consecutive_failures.load(Ordering::Relaxed)
     }
 }
 
@@ -500,7 +488,7 @@ mod tests {
         assert!(health.record_failure(), "second failure trips");
         assert!(health.is_degraded());
         health.record_success();
-        assert_eq!(health.consecutive_failures(), 0);
+        assert_eq!(health.consecutive_failures.load(Ordering::Relaxed), 0);
         assert!(
             health.is_degraded(),
             "only an explicit restore clears degraded"

@@ -14,6 +14,8 @@
 //! directory names), no uppercase (header values fold). Hostile names —
 //! `..`, `a/b`, empty, overlong — never reach the filesystem.
 
+use crate::class::Class;
+use ccp_cachesim::WayMask;
 use std::fmt;
 
 /// The tenant attributed to requests that carry no `X-CCP-Tenant`
@@ -89,8 +91,8 @@ impl TenantId {
 
     /// The resctrl control-group name for this tenant's `class` slice:
     /// `ccp-<tenant>-<class>`.
-    pub fn group_name(&self, class: &str) -> String {
-        format!("{GROUP_PREFIX}{}-{class}", self.0)
+    pub fn group_name(&self, class: Class) -> String {
+        format!("{GROUP_PREFIX}{}-{}", self.0, class.label())
     }
 }
 
@@ -100,21 +102,22 @@ impl fmt::Display for TenantId {
     }
 }
 
-/// The CUID class labels a tenant group name may end in (the server's
-/// `class_label()` values).
-pub const CLASS_LABELS: &[&str] = &["polluting", "sensitive", "mixed"];
+/// The control group the engine's allocator binds workers running under
+/// `mask` into: `ccp-<mask hex>`, one group per distinct mask, shared by
+/// every tenant.
+pub fn mask_group_name(mask: WayMask) -> String {
+    format!("{GROUP_PREFIX}{:x}", mask.bits())
+}
 
 /// Parses a group name minted by [`TenantId::group_name`] back into its
 /// `(tenant, class)` pair. Returns `None` for anything else — the
 /// engine's `ccp-<hex>` mask groups, the supervisor's `ccp-probe`, or
 /// garbage — so sweep logic can attribute ownership without false
 /// positives.
-pub fn parse_group_name(name: &str) -> Option<(TenantId, &'static str)> {
+pub fn parse_group_name(name: &str) -> Option<(TenantId, Class)> {
     let rest = name.strip_prefix(GROUP_PREFIX)?;
     let (tenant, class) = rest.rsplit_once('-')?;
-    let class = CLASS_LABELS.iter().find(|&&c| c == class)?;
-    let tenant = TenantId::parse(tenant).ok()?;
-    Some((tenant, class))
+    Some((TenantId::parse(tenant).ok()?, Class::parse(class)?))
 }
 
 #[cfg(test)]
@@ -125,11 +128,9 @@ mod tests {
     fn valid_ids_round_trip_through_group_names() {
         for id in ["a", "tenant_1", "x9", "default", &"t".repeat(24)] {
             let t = TenantId::parse(id).unwrap();
-            for class in CLASS_LABELS {
+            for class in Class::ALL {
                 let name = t.group_name(class);
-                let (back, back_class) = parse_group_name(&name).unwrap();
-                assert_eq!(back, t, "{name}");
-                assert_eq!(back_class, *class);
+                assert_eq!(parse_group_name(&name), Some((t.clone(), class)), "{name}");
             }
         }
     }

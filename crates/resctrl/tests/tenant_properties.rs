@@ -4,8 +4,8 @@
 //! reserved words, foreign group names) are rejected rather than
 //! aliased onto some other tenant's groups.
 
-use ccp_resctrl::tenant::{CLASS_LABELS, GROUP_PREFIX, MAX_TENANT_LEN, RESERVED};
-use ccp_resctrl::{parse_group_name, TenantId};
+use ccp_resctrl::tenant::{GROUP_PREFIX, MAX_TENANT_LEN, RESERVED};
+use ccp_resctrl::{parse_group_name, Class, TenantId};
 use proptest::prelude::*;
 
 /// The full legal tenant alphabet: lowercase alphanumerics plus
@@ -31,7 +31,7 @@ proptest! {
         match TenantId::parse(&name) {
             Ok(id) => {
                 prop_assert_eq!(id.as_str(), name.as_str());
-                for class in CLASS_LABELS {
+                for class in Class::ALL {
                     let group = id.group_name(class);
                     prop_assert!(
                         group.starts_with(GROUP_PREFIX),
@@ -40,7 +40,7 @@ proptest! {
                     let (back, back_class) = parse_group_name(&group)
                         .unwrap_or_else(|| panic!("{group} must parse back"));
                     prop_assert_eq!(back.as_str(), name.as_str());
-                    prop_assert_eq!(&back_class, class);
+                    prop_assert_eq!(back_class, class);
                 }
             }
             // The alphabet only produces legal characters and lengths,
@@ -88,9 +88,9 @@ proptest! {
     #[test]
     fn foreign_group_names_do_not_parse(
         name in tenant_name(),
-        class_ix in 0usize..CLASS_LABELS.len(),
+        class_ix in 0usize..Class::ALL.len(),
     ) {
-        let class = CLASS_LABELS[class_ix];
+        let class = Class::ALL[class_ix].label();
         // Wrong prefix.
         prop_assert_eq!(parse_group_name(&format!("xcp-{name}-{class}")).map(|(t, _)| t.as_str().to_string()), None);
         // Unknown class label.

@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A memoized full query result: the row count the query reported
 /// processing and its scalar result. Small (one entry is ~32 bytes of
@@ -709,21 +709,31 @@ impl ReuseHandle {
         ReuseHandle { cache, key }
     }
 
-    /// The bound key.
-    pub fn key(&self) -> &ReuseKey {
-        &self.key
-    }
-
-    /// Blocking single-flight lookup for the bound key.
-    pub fn begin(&self) -> Begin {
-        self.cache.begin(&self.key)
-    }
-
-    /// Status label helper: `Hit` for a hit, `Miss` otherwise.
-    pub fn status_of(begin: &Begin) -> ReuseStatus {
-        match begin {
-            Begin::Hit(_) => ReuseStatus::Hit,
-            Begin::Build(_) => ReuseStatus::Miss,
+    /// Single-flight get-or-build for the bound key — the one reuse
+    /// protocol every cached operator follows. A hit whose artifact
+    /// `cached` accepts is served as is ([`ReuseStatus::Hit`]). A miss
+    /// runs `build`, publishes `wrap(&built)` with the measured build
+    /// time as its rebuild cost, and returns the built value
+    /// ([`ReuseStatus::Miss`]). A hit of another artifact type (a key
+    /// collision between operators) also builds and reports a miss, but
+    /// publishes nothing: better uncached than the wrong structure.
+    pub fn get_or_build<T>(
+        &self,
+        cached: impl FnOnce(&Artifact) -> Option<T>,
+        build: impl FnOnce() -> T,
+        wrap: impl FnOnce(&T) -> Artifact,
+    ) -> (T, ReuseStatus) {
+        match self.cache.begin(&self.key) {
+            Begin::Hit(artifact) => match cached(&artifact) {
+                Some(value) => (value, ReuseStatus::Hit),
+                None => (build(), ReuseStatus::Miss),
+            },
+            Begin::Build(guard) => {
+                let started = Instant::now();
+                let built = build();
+                guard.publish(wrap(&built), started.elapsed());
+                (built, ReuseStatus::Miss)
+            }
         }
     }
 }
@@ -913,22 +923,25 @@ mod tests {
     }
 
     #[test]
-    fn handle_wraps_begin_and_reports_status() {
+    fn handle_builds_once_then_serves_and_never_serves_the_wrong_type() {
         let c = cache(1 << 16);
         let h = ReuseHandle::new(c.clone(), c.key("q2", "agg=max"));
-        let b = h.begin();
-        assert_eq!(ReuseHandle::status_of(&b), crate::ReuseStatus::Miss);
-        if let Begin::Build(g) = b {
-            g.publish(
-                Artifact::AggTable(Arc::new(AggHashTable::new(ccp_storage::Aggregate::Max, 8))),
-                Duration::from_micros(40),
-            );
-        }
-        let b = h.begin();
-        assert_eq!(ReuseHandle::status_of(&b), crate::ReuseStatus::Hit);
-        if let Begin::Hit(a) = b {
-            assert!(a.agg_table().is_some());
-            assert!(a.join_bits().is_none());
-        }
+        let build = || Arc::new(AggHashTable::new(ccp_storage::Aggregate::Max, 8));
+        let wrap = |t: &Arc<AggHashTable>| Artifact::AggTable(Arc::clone(t));
+        let (first, status) = h.get_or_build(Artifact::agg_table, build, wrap);
+        assert_eq!(status, ReuseStatus::Miss);
+        let (second, status) =
+            h.get_or_build(Artifact::agg_table, || unreachable!("resident"), wrap);
+        assert_eq!(status, ReuseStatus::Hit);
+        assert!(Arc::ptr_eq(&first, &second));
+        // Another operator asking the same key for a bit vector builds
+        // its own and leaves the entry alone.
+        let (_, status) = h.get_or_build(
+            Artifact::join_bits,
+            || Arc::new(BitVec::zeros(8)),
+            |b| Artifact::JoinBits(Arc::clone(b)),
+        );
+        assert_eq!(status, ReuseStatus::Miss);
+        assert_eq!(c.stats().inserts, 1);
     }
 }

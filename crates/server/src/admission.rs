@@ -31,7 +31,8 @@
 //! id the query's operator spans carry downstream.
 
 use crate::metrics::ServerMetrics;
-use ccp_engine::{class_label, Admission, CacheAwareScheduler, CacheUsageClass, SchedulerMetrics};
+use ccp_engine::{Admission, CacheAwareScheduler, CacheUsageClass, SchedulerMetrics};
+use ccp_resctrl::PerClass;
 use ccp_resctrl::DEFAULT_TENANT;
 use ccp_trace::TraceCat;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -243,26 +244,7 @@ impl FairShare {
 /// class is bounded only by the global capacity. A limit of `0` rejects
 /// every arrival of that class that would have to exist in the queue —
 /// mirroring how a global capacity of `0` behaves.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClassQueueLimits {
-    /// Cap for `CacheUsageClass::Polluting` waiters.
-    pub polluting: Option<usize>,
-    /// Cap for `CacheUsageClass::Sensitive` waiters.
-    pub sensitive: Option<usize>,
-    /// Cap for `CacheUsageClass::Mixed` waiters.
-    pub mixed: Option<usize>,
-}
-
-impl ClassQueueLimits {
-    /// The cap that applies to `cuid`, if any.
-    pub fn limit_for(&self, cuid: CacheUsageClass) -> Option<usize> {
-        match class_label(cuid) {
-            "polluting" => self.polluting,
-            "sensitive" => self.sensitive,
-            _ => self.mixed,
-        }
-    }
-}
+pub type ClassQueueLimits = PerClass<Option<usize>>;
 
 /// Bounded admission queue in front of the dual-pool executor.
 pub struct AdmissionQueue {
@@ -325,7 +307,7 @@ impl AdmissionQueue {
     }
 
     /// The per-class waiting caps in effect.
-    pub fn class_limits(&self) -> ClassQueueLimits {
+    pub(crate) fn class_limits(&self) -> ClassQueueLimits {
         self.class_limits
     }
 
@@ -410,15 +392,15 @@ impl AdmissionQueue {
         // arrival has not enqueued yet — so a limit of N admits at most
         // N simultaneous waiters of the class, independent of how much
         // global capacity a burst of that class would otherwise grab.
-        if let Some(limit) = self.class_limits.limit_for(cuid) {
-            let label = class_label(cuid);
+        let class = cuid.class();
+        if let Some(limit) = *self.class_limits.get(class) {
             let same_class = st
                 .waiting
                 .iter()
-                .filter(|w| class_label(w.cuid) == label)
+                .filter(|w| w.cuid.class() == class)
                 .count();
             if same_class >= limit {
-                self.server_metrics.record_class_rejection(label);
+                self.server_metrics.record_class_rejection(class);
                 return Err(AdmissionError::QueueFull);
             }
         }
@@ -598,19 +580,17 @@ impl AdmissionQueue {
         self.sched_metrics.deferrals()
     }
 
-    /// Count of currently *waiting* queries per CUID class label
-    /// (`polluting` / `sensitive` / `mixed`), for `/stats` next to the
-    /// per-class limits.
-    pub fn waiting_by_class(&self) -> Vec<(&'static str, usize)> {
-        tally(self.lock().waiting.iter().map(|w| class_label(w.cuid)))
+    /// Count of currently *waiting* queries per class, for `/stats` next
+    /// to the per-class limits.
+    pub(crate) fn waiting_by_class(&self) -> PerClass<usize> {
+        count_by_class(self.lock().waiting.iter().map(|w| w.cuid))
     }
 
-    /// Count of currently *running* queries per CUID class label
-    /// (`polluting` / `sensitive` / `mixed`). This is the load signal the
-    /// occupancy sampler's simulated probe feeds on when no CMT hardware
-    /// is present.
-    pub fn running_by_class(&self) -> Vec<(&'static str, usize)> {
-        tally(self.lock().running.iter().map(|&cuid| class_label(cuid)))
+    /// Count of currently *running* queries per class. This is the load
+    /// signal the occupancy sampler's simulated probe feeds on when no
+    /// CMT hardware is present.
+    pub(crate) fn running_by_class(&self) -> PerClass<usize> {
+        count_by_class(self.lock().running.iter().copied())
     }
 
     /// Count of currently *waiting* queries per tenant, for `/stats`.
@@ -628,6 +608,16 @@ impl AdmissionQueue {
     pub fn grants_by_tenant(&self) -> Vec<(String, u64)> {
         self.lock().fair.all().to_vec()
     }
+}
+
+/// How many of `cuids` belong to each class.
+fn count_by_class(cuids: impl Iterator<Item = CacheUsageClass>) -> PerClass<usize> {
+    let mut counts = PerClass::default();
+    for cuid in cuids {
+        let class = cuid.class();
+        counts.set(class, counts.get(class) + 1);
+    }
+    counts
 }
 
 /// How often each distinct key occurs, in first-seen order.
@@ -705,8 +695,16 @@ mod tests {
     use ccp_cachesim::HierarchyConfig;
     use ccp_engine::PartitionPolicy;
     use ccp_obs::Registry;
+    use ccp_resctrl::Class;
     use std::sync::mpsc;
     use std::thread;
+
+    /// A cap of `limit` waiters on `class`, none on the other classes.
+    fn only(class: Class, limit: usize) -> ClassQueueLimits {
+        let mut limits = ClassQueueLimits::default();
+        limits.set(class, Some(limit));
+        limits
+    }
 
     fn queue(slots: usize, capacity: usize) -> Arc<AdmissionQueue> {
         let cfg = HierarchyConfig::broadwell_e5_2699_v4();
@@ -841,10 +839,7 @@ mod tests {
                 SchedulerMetrics::new(),
                 metrics.clone(),
             )
-            .with_class_limits(ClassQueueLimits {
-                polluting: Some(1),
-                ..ClassQueueLimits::default()
-            }),
+            .with_class_limits(only(Class::Polluting, 1)),
         );
         let held = q.acquire(CacheUsageClass::Polluting).unwrap();
         let q2 = Arc::clone(&q);
@@ -855,7 +850,7 @@ mod tests {
         // Global queue has 7 free slots, but the polluter cap (1) is hit.
         let err = q.acquire(CacheUsageClass::Polluting).unwrap_err();
         assert_eq!(err, AdmissionError::QueueFull);
-        assert_eq!(metrics.class_rejections("polluting"), 1);
+        assert_eq!(metrics.class_rejections(Class::Polluting), 1);
         // A sensitive query is not subject to the polluter cap: with the
         // slot held it waits, so probe with a zero deadline instead.
         let err = q
@@ -879,10 +874,7 @@ mod tests {
                 SchedulerMetrics::new(),
                 ServerMetrics::new(&registry),
             )
-            .with_class_limits(ClassQueueLimits {
-                sensitive: Some(0),
-                ..ClassQueueLimits::default()
-            }),
+            .with_class_limits(only(Class::Sensitive, 0)),
         );
         assert_eq!(
             q.acquire(CacheUsageClass::Sensitive).unwrap_err(),

@@ -40,15 +40,12 @@ use crate::admission::{unique, AdmissionQueue};
 use crate::metrics::ServerMetrics;
 use crate::query::QueryEngine;
 use crate::server::ServerConfig;
-use ccp_control::{
-    ClassId, ClassReading, ControlConfig, Controller, Decision, MaskPlan, ScriptedTrace, TickInput,
-};
-use ccp_engine::CacheUsageClass;
+use ccp_control::{ControlConfig, Controller, Decision, MaskPlan, ScriptedTrace, TickInput};
 use ccp_flight::{FlightHandle, FlightRecorder, RecorderConfig};
 use ccp_obs::{Counter, Family, Gauge, Registry};
 use ccp_resctrl::{
-    CacheController, DesiredGroup, GroupState, OccupancyProbe, ReconcileStats, Reconciler,
-    ResctrlHealth, ResctrlMonitor, SimClass, SimulatedMonitor, TenantId,
+    CacheController, Class, ClassReading, DesiredGroup, GroupState, OccupancyProbe, PerClass,
+    ReconcileStats, Reconciler, ResctrlHealth, ResctrlMonitor, SimulatedMonitor, TenantId,
 };
 use ccp_trace::TraceCat;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -89,8 +86,8 @@ pub struct ControlView {
     pub holds: Counter,
     /// `ccp_control_reverts_total`: falls back to the static plan.
     pub reverts: Counter,
-    /// `ccp_control_mask_ways{class}`, in [`ClassId::ALL`] order.
-    pub mask_ways: [Gauge; 3],
+    /// `ccp_control_mask_ways{class}`.
+    pub mask_ways: PerClass<Gauge>,
 }
 
 impl ControlView {
@@ -119,15 +116,15 @@ impl ControlView {
                 "Falls back to the static paper plan (degraded health, stale readings, or a \
                  failed apply)",
             ),
-            mask_ways: ClassId::ALL.map(|class| ways.get_or_create(&[("class", class.label())])),
+            mask_ways: PerClass::from_fn(|class| ways.get_or_create(&[("class", class.label())])),
         };
         view.set_mask_ways(plan);
         view
     }
 
     fn set_mask_ways(&self, plan: &MaskPlan) {
-        for (gauge, (_, ways)) in self.mask_ways.iter().zip(plan.way_counts()) {
-            gauge.set(f64::from(ways));
+        for (class, gauge) in self.mask_ways.iter() {
+            gauge.set(f64::from(plan.get(class).way_count()));
         }
     }
 }
@@ -273,7 +270,7 @@ impl ControlPlane {
                 .map_or(control_ms, |d| d.as_millis().max(1) as u64);
             let cfg = ControlConfig::paper_default(policy.llc.ways, policy.llc.size_bytes)
                 .with_intervals(control_ms, monitor_ms);
-            let controller = Controller::new(cfg, static_mask_plan(&engine));
+            let controller = Controller::new(cfg, policy.static_plan());
             let task = Control {
                 view: ControlView::new(registry, controller.current_plan()),
                 controller,
@@ -429,7 +426,7 @@ impl ControlPlane {
     fn finish(&mut self) {
         if self.control.is_some() {
             let engine = &self.env.engine;
-            engine.live_masks().reset_to(&engine.policy());
+            engine.live_masks().publish(&engine.policy().static_plan());
         }
     }
 
@@ -482,25 +479,16 @@ fn take_sample(task: &mut Sample, readings: &mut Readings) {
     }
     let samples = task.probe.sample();
     for s in &samples {
-        let labels = [("class", s.class.as_str())];
+        let labels = [("class", s.class.label())];
         task.occupancy
             .get_or_create(&labels)
-            .set(s.llc_occupancy_bytes as f64);
+            .set(s.occupancy_bytes as f64);
         task.mbm
             .get_or_create(&labels)
             .set(s.mbm_total_bytes as f64);
     }
     readings.seq += 1;
-    readings.classes = samples
-        .iter()
-        .filter_map(|s| {
-            ClassId::from_label(&s.class).map(|class| ClassReading {
-                class,
-                occupancy_bytes: s.llc_occupancy_bytes,
-                mbm_total_bytes: s.mbm_total_bytes,
-            })
-        })
-        .collect();
+    readings.classes = samples;
 }
 
 /// Supervise step: compares the breaker state with what the engine runs
@@ -564,13 +552,13 @@ fn run_control(env: &Env, task: &mut Control, readings: &Readings) {
         Decision::Repartition(plan) => {
             view.repartitions.inc();
             if apply_plan(&env.engine, &plan).is_ok() {
-                live.set_masks(plan.polluting, plan.mixed, plan.sensitive);
+                live.publish(&plan);
                 ccp_trace::instant(TraceCat::Bind, "control_repartition");
                 env.emit("repartition", plan_detail(&plan));
             } else {
                 let fallback = task.controller.note_apply_failed();
                 view.reverts.inc();
-                live.set_masks(fallback.polluting, fallback.mixed, fallback.sensitive);
+                live.publish(&fallback);
                 ccp_trace::instant(TraceCat::Bind, "control_revert");
                 env.emit(
                     "revert",
@@ -581,7 +569,7 @@ fn run_control(env: &Env, task: &mut Control, readings: &Readings) {
         }
         Decision::Revert { plan, .. } => {
             view.reverts.inc();
-            live.set_masks(plan.polluting, plan.mixed, plan.sensitive);
+            live.publish(&plan);
             ccp_trace::instant(TraceCat::Bind, "control_revert");
             env.emit("revert", plan_detail(&plan));
             task.last_emitted = "revert";
@@ -663,37 +651,13 @@ fn group_state_label(state: GroupState) -> &'static str {
     }
 }
 
-/// The paper's static mask per CUID class label, with the mixed class in
-/// its cache-sensitive regime (hot structure comparable to the LLC) —
-/// the mask the paper's 60% rule picks.
-fn class_masks(engine: &QueryEngine) -> [(&'static str, ccp_cachesim::WayMask); 3] {
-    let policy = engine.policy();
-    [
-        ("polluting", policy.mask_for(CacheUsageClass::Polluting)),
-        ("sensitive", policy.mask_for(CacheUsageClass::Sensitive)),
-        (
-            "mixed",
-            policy.mask_for(CacheUsageClass::Mixed {
-                hot_bytes: policy.llc.size_bytes,
-            }),
-        ),
-    ]
-}
-
-/// The static paper plan the controller clamps to.
-fn static_mask_plan(engine: &QueryEngine) -> MaskPlan {
-    let [(_, polluting), (_, sensitive), (_, mixed)] = class_masks(engine);
-    MaskPlan::new(polluting, mixed, sensitive)
-}
-
 /// Human-readable way-count summary of a mask plan, for event details.
 fn plan_detail(plan: &MaskPlan) -> String {
-    format!(
-        "ways polluting={} mixed={} sensitive={}",
-        plan.polluting.way_count(),
-        plan.mixed.way_count(),
-        plan.sensitive.way_count()
-    )
+    let ways: Vec<String> = plan
+        .iter()
+        .map(|(class, mask)| format!("{}={}", class.label(), mask.way_count()))
+        .collect();
+    format!("ways {}", ways.join(" "))
 }
 
 /// Applies a repartition to the resctrl backend: pre-creates (or
@@ -704,7 +668,7 @@ fn apply_plan(engine: &QueryEngine, plan: &MaskPlan) -> Result<(), ()> {
     if ccp_fault::should_fail(FAULT_CONTROL_APPLY) {
         return Err(());
     }
-    for mask in [plan.polluting, plan.mixed, plan.sensitive] {
+    for (_, &mask) in plan.iter() {
         engine.prepare_mask(mask).map_err(|_| ())?;
     }
     Ok(())
@@ -718,19 +682,19 @@ fn desired_tenant_groups(
     config: &ServerConfig,
     engine: &QueryEngine,
 ) -> std::io::Result<Vec<DesiredGroup>> {
-    let class_masks = class_masks(engine);
+    let masks = engine.policy().static_plan();
     let quotas = config.tenant_quotas.iter().map(|(t, _)| t.as_str());
     let weights = config.tenant_weights.iter().map(|(t, _)| t.as_str());
     let names = unique(std::iter::once(ccp_resctrl::DEFAULT_TENANT).chain(quotas.chain(weights)));
-    let mut desired = Vec::with_capacity(names.len() * class_masks.len());
+    let mut desired = Vec::with_capacity(names.len() * Class::ALL.len());
     for name in names {
         let tenant = TenantId::parse(name).map_err(|why| {
             std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("--tenant: {why}"))
         })?;
-        for (class, mask) in &class_masks {
+        for class in Class::PAPER_ORDER {
             desired.push(DesiredGroup {
                 name: tenant.group_name(class),
-                mask: *mask,
+                mask: *masks.get(class),
             });
         }
     }
@@ -743,8 +707,9 @@ fn desired_tenant_groups(
 /// `config.occupancy_script` replaces the probe with a deterministic
 /// [`ScriptedTrace`]. Otherwise, with live CAT hardware the probe reads
 /// real CMT counters from the control groups the engine's allocator
-/// materializes (one `ccp-<mask>` group per distinct way mask, so each
-/// CUID class maps to the group of its policy mask). Everywhere else —
+/// materializes (one `ccp-<mask>` group per distinct way mask; each class
+/// is read from the group of its mask in the *live* table, which is where
+/// its workers are bound after an adaptive repartition). Everywhere else —
 /// containers, CI, non-Intel hosts — a [`SimulatedMonitor`] stands in,
 /// driven by how many queries of each class currently hold an admission
 /// permit.
@@ -765,34 +730,21 @@ pub(crate) fn occupancy_probe(
             .map_err(|why| std::io::Error::new(std::io::ErrorKind::InvalidInput, why))?;
         return Ok(Some(Box::new(trace)));
     }
-    let classes = class_masks(engine);
     if engine.cat_live() {
         if let Ok(ctl) = CacheController::open() {
-            let groups = classes
-                .iter()
-                .map(|(label, mask)| ((*label).to_string(), format!("ccp-{:x}", mask.bits())))
-                .collect();
-            return Ok(Some(Box::new(ResctrlMonitor::new(ctl, groups, 0))));
+            let live = engine.live_masks();
+            let masks = Box::new(move || live.snapshot(&policy));
+            return Ok(Some(Box::new(ResctrlMonitor::new(ctl, masks, 0))));
         }
     }
     let ways = f64::from(policy.llc.ways);
-    let sim_classes = classes
-        .iter()
-        .map(|(label, mask)| SimClass {
-            label: (*label).to_string(),
-            llc_share: f64::from(mask.way_count()) / ways,
-        })
-        .collect();
+    let llc_share = policy
+        .static_plan()
+        .map(|mask| f64::from(mask.way_count()) / ways);
     let admission = Arc::clone(admission);
     Ok(Some(Box::new(SimulatedMonitor::new(
         policy.llc.size_bytes,
-        sim_classes,
-        Box::new(move || {
-            admission
-                .running_by_class()
-                .into_iter()
-                .map(|(label, n)| (label.to_string(), n as f64))
-                .collect()
-        }),
+        llc_share,
+        Box::new(move || admission.running_by_class().map(|&n| n as f64)),
     ))))
 }

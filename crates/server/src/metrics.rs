@@ -9,7 +9,7 @@
 //! same handles.
 
 use ccp_obs::{unit, Counter, Family, Gauge, Histogram, Registry};
-use ccp_resctrl::DEFAULT_TENANT;
+use ccp_resctrl::{Class, DEFAULT_TENANT};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -163,17 +163,17 @@ impl ServerMetrics {
     /// Records a per-class queue-limit rejection (also a 429). The
     /// global rejection counter is bumped too, so existing dashboards
     /// keep seeing every 429 in one series.
-    pub fn record_class_rejection(&self, class: &str) {
+    pub(crate) fn record_class_rejection(&self, class: Class) {
         self.admission_rejections.inc();
         self.admission_class_rejections
-            .get_or_create(&[("class", class)])
+            .get_or_create(&[("class", class.label())])
             .inc();
     }
 
     /// Per-class queue-limit rejections so far for `class`.
-    pub fn class_rejections(&self, class: &str) -> u64 {
+    pub(crate) fn class_rejections(&self, class: Class) -> u64 {
         self.admission_class_rejections
-            .get(&[("class", class)])
+            .get(&[("class", class.label())])
             .map_or(0, |c| c.get())
     }
 
@@ -365,7 +365,7 @@ mod tests {
         let registry = Registry::new();
         let m = ServerMetrics::new(&registry);
         assert_eq!(m.tenant_rejections("nobody"), 0);
-        assert_eq!(m.class_rejections("mixed"), 0);
+        assert_eq!(m.class_rejections(Class::Mixed), 0);
         let text = registry.render_prometheus();
         assert!(
             !text.contains("nobody") && !text.contains("class=\"mixed\""),

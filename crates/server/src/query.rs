@@ -11,11 +11,11 @@
 //! every request measures execution, not data generation.
 
 use crate::json::Json;
-use ccp_engine::alloc::{CacheAllocator, NoopAllocator, ResctrlAllocator};
+use ccp_engine::alloc::{host_allocator, CacheAllocator, NoopAllocator, ResctrlAllocator};
 use ccp_engine::ops::{aggregate, join, scan};
-use ccp_engine::{class_label, CacheUsageClass, DualPoolExecutor, Job, PartitionPolicy};
-use ccp_resctrl::{detect, CatSupport};
-use ccp_reuse::{Artifact, Begin, ResultSet, ReuseCache, ReuseHandle, ReuseStatus};
+use ccp_engine::{CacheUsageClass, DualPoolExecutor, Job, PartitionPolicy};
+use ccp_resctrl::Class;
+use ccp_reuse::{Artifact, ResultSet, ReuseCache, ReuseHandle, ReuseStatus};
 use ccp_storage::{gen, Aggregate, DictColumn, InvertedIndex, Table};
 use ccp_tpch::queries::PhaseSpec;
 use std::borrow::Cow;
@@ -142,8 +142,8 @@ pub fn parse_query(v: &Json, allow_sleep: bool) -> Result<WorkloadSpec, String> 
 pub struct QueryOutcome {
     /// Workload name (`q1`, `tpch-5`, …).
     pub workload: Cow<'static, str>,
-    /// CUID class label (`polluting`, `sensitive`, `mixed`).
-    pub class: &'static str,
+    /// Class the query was admitted under.
+    pub class: Class,
     /// Way mask the OLAP jobs bind (full mask for OLTP).
     pub mask_bits: u32,
     /// Input rows processed.
@@ -207,7 +207,7 @@ impl QueryOutcome {
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("workload", Json::str(&*self.workload)),
-            ("class", Json::str(self.class)),
+            ("class", Json::str(self.class.label())),
             ("mask", Json::str(format!("{:#x}", self.mask_bits))),
             ("rows", Json::num(self.rows as f64)),
             ("result", Json::num(self.result as f64)),
@@ -308,14 +308,7 @@ impl QueryEngine {
     /// Builds the engine, partitioning through real CAT when the host
     /// supports it and falling back to no-op allocation otherwise.
     pub fn new(olap_workers: usize, oltp_workers: usize, dataset_rows: usize) -> Self {
-        let support = detect();
-        let (allocator, cat_live): (Arc<dyn CacheAllocator>, bool) = match &support {
-            CatSupport::Available { .. } => match ResctrlAllocator::open_host() {
-                Ok(a) => (Arc::new(a), true),
-                Err(_) => (Arc::new(NoopAllocator), false),
-            },
-            _ => (Arc::new(NoopAllocator), false),
-        };
+        let (allocator, cat_live) = host_allocator();
         Self::with_allocator(
             olap_workers,
             oltp_workers,
@@ -544,7 +537,7 @@ impl QueryEngine {
         let normalized = self.normalize(&workload, rows_per_sec);
         QueryOutcome {
             workload,
-            class: class_label(cuid),
+            class: cuid.class(),
             mask_bits: self.mask_bits(spec, cuid),
             rows,
             result,
@@ -756,24 +749,12 @@ fn memoized(
         let (rows, result) = run();
         return (rows, result, ReuseStatus::Bypass);
     };
-    match handle.begin() {
-        Begin::Hit(artifact) => match artifact.result_set() {
-            Some(rs) => (rs.rows, rs.result, ReuseStatus::Hit),
-            None => {
-                let (rows, result) = run();
-                (rows, result, ReuseStatus::Miss)
-            }
-        },
-        Begin::Build(guard) => {
-            let started = Instant::now();
-            let (rows, result) = run();
-            guard.publish(
-                Artifact::ResultSet(Arc::new(ResultSet { rows, result })),
-                started.elapsed(),
-            );
-            (rows, result, ReuseStatus::Miss)
-        }
-    }
+    let ((rows, result), status) = handle.get_or_build(
+        |artifact| artifact.result_set().map(|rs| (rs.rows, rs.result)),
+        run,
+        |&(rows, result)| Artifact::ResultSet(Arc::new(ResultSet { rows, result })),
+    );
+    (rows, result, status)
 }
 
 /// CUID for a TPC-H query from its SF 100 cache profile: the phase
@@ -949,7 +930,7 @@ mod tests {
         assert!(predicted);
         let second = en.execute_admitted(&spec, cuid);
         assert_eq!(second.reuse, "hit");
-        assert_eq!(second.class, "sensitive");
+        assert_eq!(second.class, Class::Sensitive);
         assert_eq!((second.rows, second.result), (first.rows, first.result));
         // A different threshold is a different key: miss again.
         let other = en.execute(&WorkloadSpec::Q1 { threshold: 10 });

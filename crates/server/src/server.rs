@@ -835,7 +835,7 @@ fn run_query_line(
     // The permit carries the name the queue resolved the tenant to.
     shared
         .metrics
-        .record_labelled_request(permit.tenant(), ccp_engine::class_label(cuid));
+        .record_labelled_request(permit.tenant(), cuid.class().label());
     // The admission ticket doubles as the trace query id: every span this
     // query emits downstream (scheduler, bind, operators) carries it.
     let ticket = permit.ticket();

@@ -20,8 +20,8 @@ use crate::admission::unique;
 use crate::control_plane::PlaneView;
 use crate::json::Json;
 use crate::server::Shared;
-use ccp_control::ClassId;
 use ccp_engine::JobExecutor;
+use ccp_resctrl::Class;
 use std::sync::PoisonError;
 
 /// One `/stats` object: its fields in render order.
@@ -94,23 +94,14 @@ fn pool(ex: &JobExecutor) -> Json {
 fn admission_classes(shared: &Shared) -> Json {
     let limits = shared.admission.class_limits();
     let waiting = shared.admission.waiting_by_class();
-    let class = |label: &'static str, limit: Option<usize>| {
-        let waiting_now = waiting
-            .iter()
-            .find(|(l, _)| *l == label)
-            .map_or(0, |&(_, n)| n);
+    section(Class::PAPER_ORDER.map(|class| {
         let fields = section([
-            ("limit", limit.into()),
-            ("waiting", waiting_now.into()),
-            ("rejections", shared.metrics.class_rejections(label).into()),
+            ("limit", (*limits.get(class)).into()),
+            ("waiting", (*waiting.get(class)).into()),
+            ("rejections", shared.metrics.class_rejections(class).into()),
         ]);
-        (label, fields)
-    };
-    section([
-        class("polluting", limits.polluting),
-        class("sensitive", limits.sensitive),
-        class("mixed", limits.mixed),
-    ])
+        (class.label(), fields)
+    }))
 }
 
 /// Supervisor health: whether the engine currently runs degraded
@@ -139,9 +130,9 @@ fn control(shared: &Shared, view: &PlaneView) -> Json {
     let Some(c) = &view.control else {
         return section([("enabled", false.into())]);
     };
-    let mask_ways = ClassId::ALL
+    let mask_ways = c
+        .mask_ways
         .iter()
-        .zip(&c.mask_ways)
         .map(|(class, ways)| (class.label(), ways.get().into()));
     section([
         ("enabled", true.into()),
@@ -192,7 +183,7 @@ fn tenants(shared: &Shared, view: &PlaneView) -> Json {
         if view.reconcile.is_some() {
             let groups = view.groups.iter().filter_map(|(group, state)| {
                 let (tenant, class) = ccp_resctrl::parse_group_name(group)?;
-                (tenant.as_str() == name).then_some((class, Json::from(*state)))
+                (tenant.as_str() == name).then_some((class.label(), Json::from(*state)))
             });
             fields.push(("groups", Json::obj(groups.collect())));
         }

@@ -5,6 +5,7 @@
 
 use ccp_control::ScriptedTrace;
 use ccp_obs::Registry;
+use ccp_resctrl::Class;
 use ccp_server::{ControlPlane, ControlView, QueryEngine, ServerConfig, ServerMetrics};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -68,7 +69,8 @@ fn repartition_steps(gap: impl Fn(u32) -> Duration) -> (Vec<u32>, u32) {
         }
         now += gap(k);
     }
-    let sensitive_ways = rig.engine.live_masks().sensitive_bits().count_ones();
+    let live = rig.engine.live_masks().snapshot(&rig.engine.policy());
+    let sensitive_ways = live.get(Class::Sensitive).way_count();
     (landed, sensitive_ways)
 }
 

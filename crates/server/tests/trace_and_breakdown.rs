@@ -319,10 +319,8 @@ fn trace_ticket_filter_isolates_one_query() {
 fn stats_expose_trace_health_and_class_limits() {
     let _guard = serial();
     let mut cfg = config();
-    cfg.class_queue_limits = ccp_server::ClassQueueLimits {
-        polluting: Some(3),
-        ..Default::default()
-    };
+    cfg.class_queue_limits
+        .set(ccp_resctrl::Class::Polluting, Some(3));
     let mut server = Server::start(cfg).expect("start");
     let addr = server.addr();
     let resp = fetch(addr, "GET", "/stats", None).expect("stats");

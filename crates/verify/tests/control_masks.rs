@@ -11,13 +11,14 @@
 //! with it (the actor split the five-thread server needed is the one
 //! the one-thread server needs, so the space is unchanged: 280
 //! interleavings per case). The invariant under *every* interleaving:
-//! no class entry is ever empty, non-contiguous, or wider than the
-//! cache, and the run always settles on a *complete* plan — the full
+//! no class entry is ever wider than the cache (empty and
+//! non-contiguous entries cannot be published: `publish` takes
+//! `WayMask`s), and the run always settles on a *complete* plan — the full
 //! adaptive plan (with the polluter exclusively confined) or the full
 //! static plan — never a torn mixture.
 
-use ccp_cachesim::{HierarchyConfig, WayMask};
-use ccp_control::{derive_masks, ClassTargets, MaskPlan};
+use ccp_cachesim::HierarchyConfig;
+use ccp_control::{derive_masks, polluter_isolated, Class, ClassTargets, MaskPlan};
 use ccp_engine::{CacheUsageClass, LiveMasks, PartitionPolicy};
 use ccp_verify::{explore, Access, Actor, Mode};
 use std::sync::Arc;
@@ -39,34 +40,17 @@ struct ControlModel {
 }
 
 impl ControlModel {
-    fn live_entry(&self, idx: usize) -> u32 {
-        match idx {
-            0 => self.live.polluting_bits(),
-            1 => self.live.mixed_bits(),
-            _ => self.live.sensitive_bits(),
-        }
-    }
-
-    /// Publishes class entry `idx` of the adaptive plan, leaving the
-    /// other two entries untouched — exactly the per-class store
-    /// granularity of `LiveMasks::set_masks`.
-    fn publish_class(&self, idx: usize) {
-        let pick = |i: usize| {
-            if i == idx {
-                match i {
-                    0 => self.adaptive.polluting,
-                    1 => self.adaptive.mixed,
-                    _ => self.adaptive.sensitive,
-                }
-            } else {
-                WayMask::new(self.live_entry(i)).expect("live entry stays valid")
-            }
-        };
-        self.live.set_masks(pick(0), pick(1), pick(2));
+    /// Publishes the adaptive plan's entry for `class`, leaving the
+    /// other two entries as they are — exactly the per-class store
+    /// granularity of `LiveMasks::publish`.
+    fn publish_class(&self, class: Class) {
+        let mut plan = self.live.snapshot(&self.policy);
+        plan.set(class, *self.adaptive.get(class));
+        self.live.publish(&plan);
     }
 
     fn revert(&mut self) {
-        self.live.reset_to(&self.policy);
+        self.live.publish(&self.static_plan);
         self.reverted = true;
     }
 }
@@ -74,16 +58,6 @@ impl ControlModel {
 fn paper_policy() -> PartitionPolicy {
     let cfg = HierarchyConfig::broadwell_e5_2699_v4();
     PartitionPolicy::paper_default(cfg.llc, cfg.l2.size_bytes)
-}
-
-fn static_plan(policy: &PartitionPolicy) -> MaskPlan {
-    MaskPlan::new(
-        policy.mask_for(CacheUsageClass::Polluting),
-        policy.mask_for(CacheUsageClass::Mixed {
-            hot_bytes: policy.llc.size_bytes,
-        }),
-        policy.mask_for(CacheUsageClass::Sensitive),
-    )
 }
 
 /// Builds the model: a controller applying a shrink repartition one
@@ -98,17 +72,9 @@ fn build(
         let policy = paper_policy();
         let live = Arc::new(LiveMasks::from_policy(&policy));
         // The canonical "sensitive shrinks" repartition.
-        let adaptive = derive_masks(
-            &ClassTargets {
-                polluting: 2,
-                mixed: 3,
-                sensitive: 4,
-            },
-            WAYS,
-            2,
-        );
+        let adaptive = derive_masks(&ClassTargets::new(2, 3, 4), WAYS, 2);
         let state = ControlModel {
-            static_plan: static_plan(&policy),
+            static_plan: policy.static_plan(),
             policy,
             live,
             adaptive,
@@ -117,7 +83,7 @@ fn build(
         };
 
         let mut controller = Actor::new("controller");
-        for idx in 0..3 {
+        for (idx, class) in Class::ALL.into_iter().enumerate() {
             // Each apply reads the breaker and rewrites the whole live
             // table (publish_class re-stores the untouched entries too).
             controller = controller.then_accessing(
@@ -131,7 +97,7 @@ fn build(
                         s.revert();
                         return;
                     }
-                    s.publish_class(idx);
+                    s.publish_class(class);
                 },
                 &[Access::Read("breaker"), Access::Write("masks")],
             );
@@ -182,22 +148,15 @@ fn build(
 }
 
 fn check_step(s: &ControlModel) -> Result<(), String> {
-    for (idx, name) in [(0, "polluting"), (1, "mixed"), (2, "sensitive")] {
-        let bits = s.live_entry(idx);
-        let mask = WayMask::new(bits)
-            .map_err(|e| format!("{name} entry 0x{bits:x} invalid mid-run: {e}"))?;
+    for (class, mask) in s.live.snapshot(&s.policy).iter() {
         mask.check_fits(WAYS)
-            .map_err(|e| format!("{name} entry {mask} exceeds the cache: {e}"))?;
+            .map_err(|e| format!("{class:?} entry {mask} exceeds the cache: {e}"))?;
     }
     Ok(())
 }
 
 fn check_final(s: &mut ControlModel) -> Result<(), String> {
-    let settled = MaskPlan::new(
-        WayMask::new(s.live.polluting_bits()).map_err(|e| format!("final polluting: {e}"))?,
-        WayMask::new(s.live.mixed_bits()).map_err(|e| format!("final mixed: {e}"))?,
-        WayMask::new(s.live.sensitive_bits()).map_err(|e| format!("final sensitive: {e}"))?,
-    );
+    let settled = s.live.snapshot(&s.policy);
     if s.reverted {
         if settled != s.static_plan {
             return Err(format!(
@@ -207,7 +166,7 @@ fn check_final(s: &mut ControlModel) -> Result<(), String> {
         return Ok(());
     }
     if settled == s.adaptive {
-        if !settled.polluter_isolated() {
+        if !polluter_isolated(&settled) {
             return Err(format!(
                 "adaptive plan leaves the polluter shared: {settled:?}"
             ));

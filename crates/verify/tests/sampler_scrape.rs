@@ -11,7 +11,7 @@
 //! down can neither lose a registry publish nor serve a torn scrape.
 
 use ccp_obs::{Counter, Registry};
-use ccp_resctrl::{ClassSample, OccupancyProbe};
+use ccp_resctrl::{Class, ClassReading, OccupancyProbe};
 use ccp_server::{
     fetch, ControlPlane, PlaneHandle, QueryEngine, ScrapeServer, ServerConfig, ServerMetrics,
 };
@@ -29,11 +29,11 @@ struct CountingProbe {
 }
 
 impl OccupancyProbe for CountingProbe {
-    fn sample(&mut self) -> Vec<ClassSample> {
+    fn sample(&mut self) -> Vec<ClassReading> {
         let k = self.n.fetch_add(1, Ordering::SeqCst) + 1;
-        vec![ClassSample {
-            class: "polluting".to_string(),
-            llc_occupancy_bytes: k * 100,
+        vec![ClassReading {
+            class: Class::Polluting,
+            occupancy_bytes: k * 100,
             mbm_total_bytes: k,
         }]
     }

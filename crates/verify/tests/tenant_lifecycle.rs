@@ -136,7 +136,7 @@ impl TenantModel {
 fn group(tenant: &str) -> String {
     TenantId::parse(tenant)
         .expect("model tenants are valid ids")
-        .group_name("polluting")
+        .group_name(ccp_resctrl::Class::Polluting)
 }
 
 /// Builds the model: the plane runs two full passes (supervise, sweep,

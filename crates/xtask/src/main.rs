@@ -10,7 +10,8 @@
 //!   as the seeded-violation fixtures in CI. Exits `1` when findings
 //!   exist, `2` on usage or I/O errors.
 //! * `loc` — print a markdown table of non-test lines and `pub` items
-//!   per crate (see `loc.rs`).
+//!   per crate (see `loc.rs`). The table is committed as `LOC.md`
+//!   (`cargo xtask loc >LOC.md`) and CI diffs the two.
 
 mod lint;
 mod loc;

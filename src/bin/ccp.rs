@@ -19,6 +19,7 @@
 use cache_partitioning::prelude::*;
 use ccp_engine::sim::{classify_operator, AggregationSim, ColumnScanSim, FkJoinSim};
 use ccp_engine::CacheAwareScheduler;
+use ccp_resctrl::Class;
 use ccp_server::{
     fetch, install_sigint_handler, sigint_requested, HttpClient, Json, Server, ServerConfig,
 };
@@ -281,19 +282,25 @@ const SERVE_FLAGS: &[Flag<ServeArgs>] = &[
         name: "--queue-limit-polluting",
         value: "N",
         help: "cap on waiting polluting queries (default: global cap only)",
-        apply: |a, v| parse_limit(v).map(|n| a.config.class_queue_limits.polluting = Some(n)),
+        apply: |a, v| {
+            parse_limit(v).map(|n| a.config.class_queue_limits.set(Class::Polluting, Some(n)))
+        },
     },
     Flag {
         name: "--queue-limit-sensitive",
         value: "N",
         help: "cap on waiting sensitive queries (default: global cap only)",
-        apply: |a, v| parse_limit(v).map(|n| a.config.class_queue_limits.sensitive = Some(n)),
+        apply: |a, v| {
+            parse_limit(v).map(|n| a.config.class_queue_limits.set(Class::Sensitive, Some(n)))
+        },
     },
     Flag {
         name: "--queue-limit-mixed",
         value: "N",
         help: "cap on waiting mixed queries (default: global cap only)",
-        apply: |a, v| parse_limit(v).map(|n| a.config.class_queue_limits.mixed = Some(n)),
+        apply: |a, v| {
+            parse_limit(v).map(|n| a.config.class_queue_limits.set(Class::Mixed, Some(n)))
+        },
     },
     Flag {
         name: "--max-conns",

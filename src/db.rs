@@ -8,12 +8,11 @@
 //! hand from the sub-crates (see `examples/htap_mixed.rs`).
 
 use ccp_cachesim::HierarchyConfig;
-use ccp_engine::alloc::{CacheAllocator, NoopAllocator, ResctrlAllocator};
+use ccp_engine::alloc::{host_allocator, CacheAllocator};
 use ccp_engine::dual_pool::DualPoolExecutor;
 use ccp_engine::job::Job;
 use ccp_engine::ops::{aggregate, join, oltp, scan};
 use ccp_engine::partition::PartitionPolicy;
-use ccp_resctrl::{detect, CatSupport};
 use ccp_storage::{AggHashTable, Aggregate, Column, DictColumn, Table};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -73,14 +72,7 @@ impl Database {
     /// back to no-op allocation otherwise — the engine never refuses to
     /// run.
     pub fn open(olap_workers: usize, oltp_workers: usize) -> Self {
-        let support = detect();
-        let (allocator, cat_live): (Arc<dyn CacheAllocator>, bool) = match &support {
-            CatSupport::Available { .. } => match ResctrlAllocator::open_host() {
-                Ok(a) => (Arc::new(a), true),
-                Err(_) => (Arc::new(NoopAllocator), false),
-            },
-            _ => (Arc::new(NoopAllocator), false),
-        };
+        let (allocator, cat_live) = host_allocator();
         Self::open_with(olap_workers, oltp_workers, allocator, cat_live)
     }
 
@@ -259,7 +251,7 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccp_engine::alloc::RecordingAllocator;
+    use ccp_engine::alloc::{NoopAllocator, RecordingAllocator};
     use ccp_storage::gen;
 
     fn sample_db(alloc: Arc<dyn CacheAllocator>) -> Database {

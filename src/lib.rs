@@ -22,14 +22,20 @@
 //!
 //! ## Crate map
 //!
+//! The facade re-exports the eight crates a library user programs against;
+//! the other eight (`ccp-control`, `-reuse`, `-trace`, `-flight`, `-fault`,
+//! `-verify`, `-bench`, `xtask`) sit behind `ccp serve` or the test suite —
+//! DESIGN.md §2 has the full 16-crate map.
+//!
 //! | crate | contents |
 //! |---|---|
 //! | [`cachesim`] | deterministic cache-hierarchy simulator with CAT way-masking |
-//! | [`resctrl`] | typed driver for Linux `/sys/fs/resctrl` (real CAT hardware) |
+//! | [`resctrl`] | typed driver for Linux `/sys/fs/resctrl` (real CAT hardware); the `Class` / `PerClass` vocabulary |
 //! | [`storage`] | column-store substrate: dictionaries, bit-packing, hash tables, bit vectors, inverted indexes |
 //! | [`engine`] | jobs + CUIDs, worker pool, allocator backends, native operators and their simulated twins |
 //! | [`workloads`] | the paper's workloads (Q1/Q2/Q3, S/4HANA OLTP) and measurement protocol |
 //! | [`tpch`] | TPC-H SF 100 cache profiles for all 22 queries |
+//! | [`obs`] | dependency-free metrics: counters, gauges, histograms, Prometheus exposition |
 //! | [`server`] | std-only HTTP service: query admission front end + Prometheus scrape endpoint |
 //!
 //! ## Quickstart
@@ -74,7 +80,7 @@ pub use ccp_workloads as workloads;
 pub mod prelude {
     pub use crate::db::{Database, DbError};
     pub use ccp_cachesim::{AddrSpace, HierarchyConfig, MemoryHierarchy, WayMask};
-    pub use ccp_engine::alloc::{CacheAllocator, NoopAllocator, ResctrlAllocator};
+    pub use ccp_engine::alloc::{host_allocator, CacheAllocator, NoopAllocator, ResctrlAllocator};
     pub use ccp_engine::job::{CacheUsageClass, Job};
     pub use ccp_engine::partition::PartitionPolicy;
     pub use ccp_engine::sim::{run_concurrent, run_isolated, SimWorkload};

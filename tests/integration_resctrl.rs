@@ -60,12 +60,7 @@ fn alternating_jobs_reuse_groups_not_closids() {
 fn paper_section5c_masks_via_detect_fallback() {
     // On this host detect() almost certainly reports no CAT; the engine
     // must still run (paper: partitioning is an optimization, not a gate).
-    let support = detect();
-    let allocator: Arc<dyn CacheAllocator> = if support.is_available() {
-        Arc::new(ResctrlAllocator::open_host().expect("probe said available"))
-    } else {
-        Arc::new(NoopAllocator)
-    };
+    let (allocator, _cat_live) = host_allocator();
     let cfg = HierarchyConfig::broadwell_e5_2699_v4();
     let ex = JobExecutor::new(
         2,
