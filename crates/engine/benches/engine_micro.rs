@@ -1,13 +1,14 @@
 //! Criterion microbenchmarks for the execution engine: job dispatch
 //! overhead (with and without mask switching), the partition policy's
-//! mask derivation, and the grouped aggregation the server runs as `q2`.
+//! mask derivation, the grouped aggregation the server runs as `q2` and
+//! the probe of its `q3` join.
 //! Dispatch latency matters because the paper's integration point is
 //! per-job: a slow path here would tax short OLTP statements.
 
 use ccp_cachesim::HierarchyConfig;
 use ccp_engine::alloc::NoopAllocator;
 use ccp_engine::job::{CacheUsageClass, Job};
-use ccp_engine::ops::aggregate;
+use ccp_engine::ops::{aggregate, join};
 use ccp_engine::partition::PartitionPolicy;
 use ccp_engine::JobExecutor;
 use ccp_storage::{gen, Aggregate, DictColumn};
@@ -88,5 +89,29 @@ fn bench_aggregate(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_dispatch, bench_policy, bench_aggregate);
+/// The served `q3` probe: 2 M foreign keys (19-bit codes) over 500 k
+/// primary keys on the two-worker OLAP pool, the translation of the key
+/// bit vector through the foreign-key dictionary included.
+fn bench_join(c: &mut Criterion) {
+    const ROWS: usize = 2_000_000;
+    const KEYS: usize = 500_000;
+    let pk = Arc::new(DictColumn::build(&gen::primary_keys(KEYS, 21)));
+    let fk = Arc::new(DictColumn::build(&gen::foreign_keys(ROWS, KEYS as i64, 22)));
+    let bv = Arc::new(join::fk_bit_vector(&pk));
+    let ex = JobExecutor::new(2, policy(), Arc::new(NoopAllocator));
+    let mut g = c.benchmark_group("engine/join");
+    g.throughput(Throughput::Elements(ROWS as u64));
+    g.bench_function("q3_probe_19bit", |b| {
+        b.iter(|| join::fk_probe_count(&ex, Arc::clone(&bv), &fk));
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_dispatch,
+    bench_policy,
+    bench_aggregate,
+    bench_join
+);
 criterion_main!(benches);

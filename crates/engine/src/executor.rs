@@ -375,9 +375,10 @@ impl JobExecutor {
 
     /// Data-parallel sum: splits `0..n` into `chunks` ranges, runs `f` on
     /// each as a job of class `cuid`, and returns the sum of the results.
+    /// Every job carries `name` as it is.
     pub fn parallel_sum<F>(
         &self,
-        name: &str,
+        name: &'static str,
         cuid: crate::job::CacheUsageClass,
         n: usize,
         chunks: usize,
@@ -389,11 +390,10 @@ impl JobExecutor {
         let f = Arc::new(f);
         let acc = Arc::new(AtomicU64::new(0));
         let jobs = chunk_ranges(n, chunks)
-            .enumerate()
-            .map(|(c, rows)| {
+            .map(|rows| {
                 let f = f.clone();
                 let acc = acc.clone();
-                Job::new(format!("{name}[{c}]"), cuid, move || {
+                Job::new(name, cuid, move || {
                     // ORDERING: relaxed accumulation is fine because run_batch
                     // below synchronizes (channel + condvar) before the read.
                     acc.fetch_add(f(rows), Ordering::Relaxed);

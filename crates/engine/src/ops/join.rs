@@ -2,10 +2,21 @@
 //!
 //! The OLAP-optimized join of Section III-A: build a bit vector over the
 //! primary-key domain, then probe it once per foreign key, counting
-//! matches. The join's CUID is [`CacheUsageClass::Mixed`] with the bit
-//! vector's size as the hot-structure hint — the partition policy decides
-//! at runtime whether this join is a polluter (tiny or huge bit vector) or
-//! cache-sensitive (bit vector comparable to the LLC).
+//! matches — in the *code domain*. The foreign-key column is dictionary
+//! encoded, so "is this row's key set?" has one answer per distinct value:
+//! [`fk_probe_count`] walks the sorted dictionary once and writes a bit
+//! vector indexed by foreign-key *code*, and the per-row loop is unpack a
+//! block, one bit test per code, sum ([`BitVec::count_set`]) — the paper's
+//! "stream the foreign-key column, test one bit per row", with no
+//! dictionary access and no key value in it. `dict.len() <= rows` by
+//! construction, so the translation never costs more than the per-row
+//! lookups it replaces.
+//!
+//! The join's CUID is [`CacheUsageClass::Mixed`] with the size of the
+//! vector the probe reads per row — the code-domain one,
+//! [`probe_hot_bytes`] — as the hot-structure hint: the partition policy
+//! decides at runtime whether this join is a polluter (tiny or huge bit
+//! vector) or cache-sensitive (bit vector comparable to the LLC).
 
 use crate::executor::JobExecutor;
 use crate::job::CacheUsageClass;
@@ -19,8 +30,7 @@ use std::sync::Arc;
 /// the build walks the dictionary — ascending bit sets, no code unpacked —
 /// and its last entry bounds the bit-vector length. Valid because
 /// [`DictColumn::build`] is the only constructor: every dictionary value
-/// occurs in the column, none is stale. This is the artifact the reuse
-/// cache memoizes.
+/// occurs in the column, none is stale.
 ///
 /// # Panics
 /// Panics when a primary key is non-positive (the paper's keys are
@@ -30,40 +40,67 @@ pub fn fk_bit_vector(pk_col: &Arc<DictColumn<i64>>) -> BitVec {
     let keys = pk_col.dict();
     let max_key = keys.iter().next_back().copied().unwrap_or(0);
     assert!(max_key >= 0, "primary keys must be positive");
-    let mut bv = BitVec::zeros(max_key as u64 + 1);
-    for &key in keys.iter() {
+    let bits = keys.iter().map(|&key| {
         assert!(key >= 1, "primary keys must be positive, got {key}");
-        bv.set(key as u64);
-    }
-    bv
+        key as u64
+    });
+    BitVec::from_ascending(max_key as u64 + 1, bits)
 }
 
-/// Probe phase of Query 3: one bit test per foreign key, parallel over
-/// chunks, each chunk unpacked block by block. The CUID is derived from
-/// the bit vector's size, exactly as when the vector was freshly built — a
-/// reused vector pollutes (or doesn't) the same way.
-pub fn fk_probe_count(ex: &JobExecutor, bv: Arc<BitVec>, fk_col: &Arc<DictColumn<i64>>) -> u64 {
+/// Translates the key-domain vector `bv` through `fk_col`'s dictionary:
+/// bit `c` of the result is set iff dictionary value `c` is a key `bv`
+/// holds (non-negative, inside `bv`, set there). The dictionary is sorted,
+/// so both its read and the bit tests ascend. This is the vector the probe
+/// reads, and the artifact the reuse cache memoizes.
+fn code_domain_bits(bv: &BitVec, fk_col: &DictColumn<i64>) -> BitVec {
+    let _span = super::op_span("join_translate");
+    let dict = fk_col.dict();
+    let held = |key: i64| key >= 0 && (key as u64) < bv.len() && bv.get(key as u64);
+    let codes = dict.iter().zip(0u64..).filter(|(&key, _)| held(key));
+    BitVec::from_ascending(dict.len() as u64, codes.map(|(_, code)| code))
+}
+
+/// The join's hot set: bytes of the code-domain vector a probe of `fk_col`
+/// reads per row. Admission classifies with it before any vector exists
+/// and the probe jobs carry it, so a join is admitted and bound under the
+/// same mask.
+pub fn probe_hot_bytes(fk_col: &DictColumn<i64>) -> u64 {
+    BitVec::bytes_for(fk_col.dict().len() as u64)
+}
+
+/// The per-row loop: one bit test per foreign-key code, parallel over
+/// chunks, each chunk unpacked block by block. `bits` is indexed by
+/// `fk_col`'s codes.
+fn probe_codes(ex: &JobExecutor, bits: Arc<BitVec>, fk_col: &Arc<DictColumn<i64>>) -> u64 {
+    assert_eq!(
+        bits.len(),
+        fk_col.dict().len() as u64,
+        "code-domain vector built for another foreign-key column"
+    );
     let cuid = CacheUsageClass::Mixed {
-        hot_bytes: bv.size_bytes(),
+        hot_bytes: probe_hot_bytes(fk_col),
     };
     let n = fk_col.len();
     let chunks = n.div_ceil(super::CHUNK_ROWS).max(1);
     let fk_col = fk_col.clone();
     ex.parallel_sum("fk_join_probe", cuid, n, chunks, move |rows| {
-        let dict = fk_col.dict();
         let mut buf = [0u32; SCAN_BLOCK];
         let mut matches = 0u64;
         for block in scan_blocks(rows) {
             let codes = &mut buf[..block.len()];
             fk_col.codes().unpack(block.start, codes);
-            let hits = codes.iter().filter(|&&code| {
-                let key = *dict.decode(code);
-                key >= 0 && (key as u64) < bv.len() && bv.get(key as u64)
-            });
-            matches += hits.count() as u64;
+            matches += bits.count_set(codes);
         }
         matches
     })
+}
+
+/// Probe phase of Query 3 against the key-domain vector `bv`: translate it
+/// through the foreign-key dictionary once, then one bit test per row on
+/// codes.
+pub fn fk_probe_count(ex: &JobExecutor, bv: Arc<BitVec>, fk_col: &Arc<DictColumn<i64>>) -> u64 {
+    let bits = Arc::new(code_domain_bits(&bv, fk_col));
+    probe_codes(ex, bits, fk_col)
 }
 
 /// Runs Query 3: `SELECT COUNT(*) FROM R, S WHERE R.P = S.F`.
@@ -84,10 +121,12 @@ pub fn fk_join_count(
     fk_probe_count(ex, bv, fk_col)
 }
 
-/// [`fk_join_count`] with optional build-side reuse: a hit skips the
-/// bit-vector construction pass and probes the cached vector (the probe
-/// itself always runs — its result depends on `fk_col`). A miss builds
-/// and publishes the vector with its measured build cost.
+/// [`fk_join_count`] with optional reuse of the vector the probe reads: a
+/// hit skips both the build over the primary keys and the translation
+/// through the foreign-key dictionary (the probe itself always runs). A
+/// miss does both and publishes the code-domain vector with their measured
+/// cost. The vector is indexed by `fk_col`'s codes, so `reuse`'s key must
+/// name the pair of columns, not the build side alone.
 pub fn fk_join_count_cached(
     ex: &JobExecutor,
     pk_col: &Arc<DictColumn<i64>>,
@@ -98,12 +137,12 @@ pub fn fk_join_count_cached(
         return (fk_join_count(ex, pk_col, fk_col), ReuseStatus::Bypass);
     };
     let _span = super::op_span("fk_join");
-    let (bv, status) = handle.get_or_build(
+    let (bits, status) = handle.get_or_build(
         Artifact::join_bits,
-        || Arc::new(fk_bit_vector(pk_col)),
-        |bv| Artifact::JoinBits(Arc::clone(bv)),
+        || Arc::new(code_domain_bits(&fk_bit_vector(pk_col), fk_col)),
+        |bits| Artifact::JoinBits(Arc::clone(bits)),
     );
-    (fk_probe_count(ex, bv, fk_col), status)
+    (probe_codes(ex, bits, fk_col), status)
 }
 
 #[cfg(test)]
@@ -155,24 +194,72 @@ mod tests {
     }
 
     #[test]
-    fn cached_join_reuses_build_side_but_still_probes() {
+    fn cached_join_reuses_the_probed_vector() {
         let pks: Vec<i64> = (1..=1000).filter(|k| k % 2 == 0).collect();
         let pk = Arc::new(DictColumn::build(&pks));
-        let fk_a = Arc::new(DictColumn::build(&(1..=1000).collect::<Vec<i64>>()));
-        let fk_b = Arc::new(DictColumn::build(&(1..=500).collect::<Vec<i64>>()));
+        let fk = Arc::new(DictColumn::build(&(1..=1000).collect::<Vec<i64>>()));
         let ex = executor(Arc::new(NoopAllocator));
         let cache = ccp_reuse::ReuseCache::new(ccp_reuse::ReuseConfig::with_budget(1 << 20));
         let handle = ReuseHandle::new(cache.clone(), cache.key("q3", ""));
 
-        let (count, st) = fk_join_count_cached(&ex, &pk, &fk_a, Some(&handle));
+        let (count, st) = fk_join_count_cached(&ex, &pk, &fk, Some(&handle));
         assert_eq!((count, st), (500, ReuseStatus::Miss));
-        // Same build side, different probe side: hit, fresh probe result.
-        let (count, st) = fk_join_count_cached(&ex, &pk, &fk_b, Some(&handle));
-        assert_eq!((count, st), (250, ReuseStatus::Hit));
+        // The hit probes the memoized code-domain vector: fresh count.
+        let (count, st) = fk_join_count_cached(&ex, &pk, &fk, Some(&handle));
+        assert_eq!((count, st), (500, ReuseStatus::Hit));
         assert_eq!(cache.stats().hits, 1);
 
-        let (count, st) = fk_join_count_cached(&ex, &pk, &fk_a, None);
+        let (count, st) = fk_join_count_cached(&ex, &pk, &fk, None);
         assert_eq!((count, st), (500, ReuseStatus::Bypass));
+    }
+
+    #[test]
+    #[should_panic(expected = "built for another foreign-key column")]
+    fn cached_vector_of_another_fk_column_rejected() {
+        let pk = Arc::new(DictColumn::build(&[2i64, 4]));
+        let fk_a = Arc::new(DictColumn::build(&[1i64, 2, 3, 4]));
+        let fk_b = Arc::new(DictColumn::build(&[2i64, 4]));
+        let ex = executor(Arc::new(NoopAllocator));
+        let cache = ccp_reuse::ReuseCache::new(ccp_reuse::ReuseConfig::with_budget(1 << 20));
+        let handle = ReuseHandle::new(cache.clone(), cache.key("q3", ""));
+        fk_join_count_cached(&ex, &pk, &fk_a, Some(&handle));
+        fk_join_count_cached(&ex, &pk, &fk_b, Some(&handle));
+    }
+
+    #[test]
+    fn code_domain_bits_mark_the_held_dictionary_values() {
+        // Keys 2 and 4 of a 5-bit domain; the FK dictionary reaches below
+        // zero, into the gaps and past the end of the key domain.
+        let bv = BitVec::from_ascending(5, [2, 4]);
+        let fk = DictColumn::build(&[-7i64, 0, 2, 3, 4, 5, 900, 2, 4]);
+        let bits = code_domain_bits(&bv, &fk);
+        assert_eq!(bits, BitVec::from_ascending(7, [2, 4]));
+        assert_eq!(bits.size_bytes(), probe_hot_bytes(&fk));
+    }
+
+    #[test]
+    fn admission_and_probe_jobs_see_one_cuid() {
+        // Small, LLC-comparable and oversize code domains against a
+        // scaled-down cache (4 KiB L2, 64 KiB LLC): what a caller
+        // classifies with `probe_hot_bytes` before the join runs is what
+        // every probe job is bound under.
+        let mut cfg = HierarchyConfig::broadwell_e5_2699_v4();
+        cfg.llc.size_bytes = 64 << 10;
+        let policy = PartitionPolicy::paper_default(cfg.llc, 4 << 10);
+        for (distinct, mask) in [(1_000, 0x3), (300_000, 0xfff), (2_000_000, 0x3)] {
+            let rec = Arc::new(RecordingAllocator::new());
+            let ex = JobExecutor::new(2, policy, rec.clone());
+            let pk = Arc::new(DictColumn::build(&[1i64, 2, 3]));
+            let fk = Arc::new(DictColumn::build(&(1..=distinct).collect::<Vec<i64>>()));
+            let classified = CacheUsageClass::Mixed {
+                hot_bytes: probe_hot_bytes(&fk),
+            };
+            assert_eq!(policy.mask_for(classified).bits(), mask, "{distinct}");
+            assert_eq!(fk_join_count(&ex, &pk, &fk), 3);
+            let bound = rec.calls();
+            assert!(!bound.is_empty());
+            assert!(bound.iter().all(|(_, m)| m.bits() == mask), "{distinct}");
+        }
     }
 
     #[test]

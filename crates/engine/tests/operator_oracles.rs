@@ -6,6 +6,7 @@
 use ccp_cachesim::HierarchyConfig;
 use ccp_engine::ops::{aggregate, join, scan};
 use ccp_engine::{JobExecutor, NoopAllocator, PartitionPolicy};
+use ccp_reuse::{Begin, ReuseCache, ReuseConfig, ReuseHandle, ReuseStatus};
 use ccp_storage::{gen, Aggregate, DictColumn};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -144,12 +145,17 @@ proptest! {
     }
 
     /// `fk_join_count` == counting foreign keys found in the key set, with
-    /// gaps in the key domain and foreign keys beyond it.
+    /// gaps in the key domain, foreign keys at and below zero and beyond
+    /// the domain, an empty foreign-key column (`n` = 0), an empty
+    /// primary-key column (`modulus` = 1 drops every key) and a foreign-key
+    /// column with one distinct value per row.
     #[test]
     fn fk_join_count_matches_row_reference(
-        n in arb_rows(),
+        n in prop_oneof![Just(0usize), arb_rows()],
         keys in 1usize..4_000,
-        modulus in 2i64..9,
+        modulus in 1i64..9,
+        shift in 0i64..60,
+        distinct_per_row in 0u8..2,
         seed in 0u64..10_000,
     ) {
         let pks: Vec<i64> = gen::primary_keys(keys, seed)
@@ -157,7 +163,11 @@ proptest! {
             .filter(|k| k % modulus != 0)
             .collect();
         let key_set: BTreeSet<i64> = pks.iter().copied().collect();
-        let fks = gen::foreign_keys(n, keys as i64 + 50, seed + 1);
+        let drawn = match distinct_per_row {
+            0 => gen::foreign_keys(n, keys as i64 + 50, seed + 1),
+            _ => gen::primary_keys(n, seed + 1),
+        };
+        let fks: Vec<i64> = drawn.into_iter().map(|k| k - shift).collect();
         let reference = fks.iter().filter(|&fk| key_set.contains(fk)).count() as u64;
         let pk = Arc::new(DictColumn::build(&pks));
         let fk = Arc::new(DictColumn::build(&fks));
@@ -177,4 +187,49 @@ proptest! {
         let reference = values.iter().filter(|&&v| v > threshold).count() as u64;
         prop_assert_eq!(scan::column_scan(&executor(), &col, threshold), reference);
     }
+}
+
+/// `fk_join_count_cached` == `fk_join_count` across miss -> hit -> epoch
+/// bump -> miss, and the hit runs neither the build nor the translation:
+/// nothing is published and the vector it probes is the one the miss made.
+#[test]
+fn cached_join_equals_uncached_across_an_epoch_bump() {
+    let pks: Vec<i64> = (1..=3_000).filter(|k| k % 3 != 0).collect();
+    let fks: Vec<i64> = gen::foreign_keys(70_000, 3_100, 5)
+        .into_iter()
+        .map(|k| k - 40)
+        .collect();
+    let pk = Arc::new(DictColumn::build(&pks));
+    let fk = Arc::new(DictColumn::build(&fks));
+    let ex = executor();
+    let uncached = join::fk_join_count(&ex, &pk, &fk);
+
+    let cache = ReuseCache::new(ReuseConfig::with_budget(1 << 20));
+    let run = || {
+        let handle = ReuseHandle::new(cache.clone(), cache.key("q3", ""));
+        join::fk_join_count_cached(&ex, &pk, &fk, Some(&handle))
+    };
+    let published = || match cache.begin(&cache.key("q3", "")) {
+        Begin::Hit(artifact) => artifact.join_bits().expect("bit-vector artifact"),
+        Begin::Build(_) => panic!("the miss must have published"),
+    };
+
+    assert_eq!(run(), (uncached, ReuseStatus::Miss));
+    assert_eq!(cache.stats().inserts, 1);
+    let first = published();
+    assert_eq!(first.len(), fk.dict().len() as u64, "code-domain vector");
+
+    assert_eq!(run(), (uncached, ReuseStatus::Hit));
+    assert_eq!(
+        cache.stats().inserts,
+        1,
+        "a hit builds and publishes nothing"
+    );
+    assert!(Arc::ptr_eq(&first, &published()));
+
+    cache.bump_version();
+    assert_eq!(run(), (uncached, ReuseStatus::Miss));
+    assert_eq!(cache.stats().inserts, 2);
+    assert!(!Arc::ptr_eq(&first, &published()));
+    assert_eq!(*first, *published());
 }

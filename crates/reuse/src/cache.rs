@@ -40,7 +40,8 @@ pub struct ResultSet {
 pub enum Artifact {
     /// A merged grouped-aggregation hash table (paper Q2 / TPC-H 1).
     AggTable(Arc<AggHashTable>),
-    /// A foreign-key join's build-side bit vector (paper Q3).
+    /// The bit vector a foreign-key join probes (paper Q3): the key set,
+    /// indexed by the probe column's dictionary codes.
     JoinBits(Arc<BitVec>),
     /// A full memoized result set (selective scans, profile playback).
     ResultSet(Arc<ResultSet>),

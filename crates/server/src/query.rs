@@ -270,17 +270,9 @@ impl Datasets {
         }
     }
 
-    /// Bit-vector size of the Q3 build side — the join's hot set.
+    /// The Q3 join's hot set: the vector its probe reads per row.
     fn q3_hot_bytes(&self) -> u64 {
-        let max_key = self
-            .pk
-            .dict()
-            .iter()
-            .next_back()
-            .copied()
-            .unwrap_or(0)
-            .max(0) as u64;
-        (max_key + 1).div_ceil(8)
+        join::probe_hot_bytes(&self.fk)
     }
 }
 

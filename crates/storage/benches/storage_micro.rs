@@ -98,6 +98,13 @@ fn bench_bitvec_probe(c: &mut Criterion) {
             hits
         });
     });
+    // The served q3's build side: 500 k sorted keys into a 500 001-bit
+    // vector, one store per word.
+    const KEYS: u64 = 500_000;
+    g.throughput(Throughput::Elements(KEYS));
+    g.bench_function("from_ascending_500k", |b| {
+        b.iter(|| BitVec::from_ascending(KEYS + 1, 1..=KEYS).len());
+    });
     g.finish();
 }
 

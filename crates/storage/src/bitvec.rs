@@ -5,6 +5,13 @@
 //! is set when primary key `i` qualifies. Probing a foreign key is a single
 //! random bit test — the data structure whose size relative to the LLC
 //! decides whether the join is cache-polluting or cache-sensitive.
+//!
+//! Both of the join's vectors are filled from sorted input — the build
+//! side from the primary-key dictionary, the probe side's code-domain
+//! translation from the foreign-key dictionary — so
+//! [`BitVec::from_ascending`] is the constructor and
+//! [`BitVec::count_set`] the probe: a block of unpacked codes in, the
+//! number of set bits among them out.
 
 /// A fixed-size bit vector backed by `u64` words.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,6 +29,33 @@ impl BitVec {
         }
     }
 
+    /// Creates a vector of `len` bits with exactly the bits in `bits` set.
+    /// `bits` must ascend (repeats allowed), which lets the word under
+    /// construction stay in a register: each backing word is stored once,
+    /// in address order, however many of its bits are set.
+    ///
+    /// # Panics
+    /// Panics on a bit `>= len` and on a bit smaller than its predecessor.
+    pub fn from_ascending(len: u64, bits: impl IntoIterator<Item = u64>) -> Self {
+        let mut bv = BitVec::zeros(len);
+        let (mut word, mut at, mut prev) = (0u64, 0usize, 0u64);
+        for bit in bits {
+            assert!(bit < len, "bit {bit} out of range (len {len})");
+            assert!(bit >= prev, "bit {bit} after {prev}: input must ascend");
+            prev = bit;
+            let idx = (bit / 64) as usize;
+            if idx != at {
+                bv.words[at] = word;
+                (word, at) = (0, idx);
+            }
+            word |= 1u64 << (bit % 64);
+        }
+        if let Some(slot) = bv.words.get_mut(at) {
+            *slot = word;
+        }
+        bv
+    }
+
     /// Number of bits.
     pub fn len(&self) -> u64 {
         self.len
@@ -36,6 +70,13 @@ impl BitVec {
     /// "comparable to the LLC" case.
     pub fn size_bytes(&self) -> u64 {
         (self.words.len() * 8) as u64
+    }
+
+    /// [`size_bytes`](Self::size_bytes) of a vector of `len` bits, without
+    /// building it — what a footprint estimate needs before the vector
+    /// exists.
+    pub fn bytes_for(len: u64) -> u64 {
+        len.div_ceil(64) * 8
     }
 
     /// Sets bit `i`.
@@ -66,6 +107,19 @@ impl BitVec {
     pub fn get(&self, i: u64) -> bool {
         assert!(i < self.len, "bit {i} out of range (len {})", self.len);
         (self.words[(i / 64) as usize] >> (i % 64)) & 1 == 1
+    }
+
+    /// How many of `codes` address a set bit — the join probe's block
+    /// kernel: one shift-and-mask per code, summed, no branch on the bit.
+    ///
+    /// # Panics
+    /// Panics when a code addresses a word past the end of the vector.
+    pub fn count_set(&self, codes: &[u32]) -> u64 {
+        let hits: u32 = codes
+            .iter()
+            .map(|&c| (self.words[(c / 64) as usize] >> (c % 64)) as u32 & 1)
+            .sum();
+        u64::from(hits)
     }
 
     /// Number of set bits.

@@ -117,6 +117,30 @@ proptest! {
         prop_assert_eq!(bv.count_ones(), bits.len() as u64);
     }
 
+    /// `from_ascending` builds the vector `zeros` + `set` builds, for every
+    /// length around a word boundary, with repeated bits; `bytes_for`
+    /// predicts its size and `count_set` counts what `get` reports.
+    #[test]
+    fn bitvec_from_ascending_matches_set(
+        len in prop_oneof![Just(0u64), Just(1), Just(63), Just(64), Just(65), Just(4096 + 1)],
+        picks in proptest::collection::vec((0u64..u64::MAX, 1usize..4), 0..300),
+    ) {
+        let mut bits: Vec<u64> = match len {
+            0 => Vec::new(),
+            _ => picks.iter().flat_map(|&(b, reps)| vec![b % len; reps]).collect(),
+        };
+        bits.sort_unstable();
+        let mut by_set = BitVec::zeros(len);
+        for &b in &bits {
+            by_set.set(b);
+        }
+        let built = BitVec::from_ascending(len, bits.iter().copied());
+        prop_assert_eq!(&built, &by_set);
+        prop_assert_eq!(built.size_bytes(), BitVec::bytes_for(len));
+        let codes: Vec<u32> = (0..len as u32).collect();
+        prop_assert_eq!(built.count_set(&codes), by_set.count_ones());
+    }
+
     /// Inverted index partitions the row ids: every row appears in exactly
     /// one posting list, the one of its code.
     #[test]
@@ -169,4 +193,16 @@ proptest! {
         let naive = probes.iter().filter(|p| pks.contains(p)).count();
         prop_assert_eq!(matches, naive);
     }
+}
+
+#[test]
+#[should_panic(expected = "bit 64 out of range (len 64)")]
+fn bitvec_from_ascending_rejects_out_of_range() {
+    BitVec::from_ascending(64, [3, 64]);
+}
+
+#[test]
+#[should_panic(expected = "bit 9 after 70: input must ascend")]
+fn bitvec_from_ascending_rejects_descending() {
+    BitVec::from_ascending(128, [5, 70, 9]);
 }

@@ -104,24 +104,47 @@ fn executor_respects_partitioning_toggle_mid_stream() {
 
 #[test]
 fn join_cuid_switches_with_pk_cardinality() {
-    // Small PK domain -> polluter mask; LLC-comparable domain -> 60% mask.
+    // The join's hot set is the vector its probe reads per row: one bit per
+    // distinct foreign key, so it grows with the cardinality of the key
+    // domain the foreign keys cover. Small domain -> polluter mask;
+    // LLC-comparable -> 60% mask. The cache is scaled down (4 KiB L2,
+    // 64 KiB LLC) so that "LLC-comparable" is 300 k keys, not 10^8.
     let rec = Arc::new(RecordingAllocator::new());
-    let ex = executor_with(rec.clone());
+    let mut cfg = HierarchyConfig::broadwell_e5_2699_v4();
+    cfg.llc.size_bytes = 64 << 10;
+    let ex = JobExecutor::new(
+        4,
+        PartitionPolicy::paper_default(cfg.llc, 4 << 10),
+        rec.clone(),
+    );
 
     let small_pk = Arc::new(DictColumn::build(&gen::primary_keys(1_000, 41)));
     let fk = Arc::new(DictColumn::build(&gen::foreign_keys(5_000, 1_000, 42)));
     join::fk_join_count(&ex, &small_pk, &fk);
     assert!(rec.calls().iter().all(|(_, m)| m.bits() == 0x3));
+    let small_calls = rec.calls().len();
 
-    // An artificial wide-domain PK column: values spread to 100M so the bit
-    // vector is LLC-comparable (12.5 MB).
-    let wide: Vec<i64> = (0..2_000).map(|i| i * 50_000 + 1).collect();
-    let wide_pk = Arc::new(DictColumn::build(&wide));
-    let fk2 = Arc::new(DictColumn::build(&vec![1i64; 5_000]));
-    join::fk_join_count(&ex, &wide_pk, &fk2);
-    let last_masks: Vec<u32> = rec.calls().iter().map(|(_, m)| m.bits()).collect();
+    // 300 k distinct keys on both sides: a 37.5 KB code-domain vector.
+    let wide_pk = Arc::new(DictColumn::build(&gen::primary_keys(300_000, 43)));
+    let fk2 = Arc::new(DictColumn::build(&gen::primary_keys(300_000, 44)));
+    assert_eq!(join::fk_join_count(&ex, &wide_pk, &fk2), 300_000);
+    let wide_masks: Vec<u32> = rec.calls()[small_calls..]
+        .iter()
+        .map(|(_, m)| m.bits())
+        .collect();
     assert!(
-        last_masks.contains(&0xfff),
-        "LLC-comparable bit vector gets the 60% mask"
+        !wide_masks.is_empty() && wide_masks.iter().all(|&m| m == 0xfff),
+        "LLC-comparable bit vector gets the 60% mask, got {wide_masks:x?}"
     );
+
+    // A wide key domain probed by one distinct foreign key is one hot bit:
+    // the probe streams, like a scan.
+    let sparse: Vec<i64> = (0..2_000).map(|i| i * 50_000 + 1).collect();
+    let sparse_pk = Arc::new(DictColumn::build(&sparse));
+    let fk3 = Arc::new(DictColumn::build(&vec![1i64; 5_000]));
+    let wide_calls = rec.calls().len();
+    assert_eq!(join::fk_join_count(&ex, &sparse_pk, &fk3), 5_000);
+    assert!(rec.calls()[wide_calls..]
+        .iter()
+        .all(|(_, m)| m.bits() == 0x3));
 }
