@@ -331,6 +331,34 @@ mod tests {
     }
 
     #[test]
+    fn alternating_binds_leave_every_worker_in_exactly_one_group() {
+        let (fs, a) = fake_allocator();
+        let root = std::path::Path::new("/sys/fs/resctrl");
+        let masks = [0x3, 0xfffff, 0xfff].map(|m| WayMask::new(m).unwrap());
+        let workers = [11u64, 12, 13];
+        // Worker `w` advances `w + 1` masks per step: one rotates forwards,
+        // one backwards, one re-binds the mask it already has.
+        for step in 0..24 {
+            for (w, &tid) in workers.iter().enumerate() {
+                a.bind(tid, masks[step * (w + 1) % masks.len()]).unwrap();
+            }
+            for &tid in &workers {
+                let listed_by: Vec<String> = masks
+                    .iter()
+                    .map(|&m| mask_group_name(m))
+                    .filter(|g| fs.tasks_of(&root.join(g)).contains(&tid))
+                    .collect();
+                assert_eq!(
+                    listed_by.len(),
+                    1,
+                    "step {step}: tid {tid} in {listed_by:?}"
+                );
+            }
+            assert!(fs.tasks_of(root).is_empty(), "bound workers left the root");
+        }
+    }
+
+    #[test]
     fn rebinding_same_mask_is_skipped() {
         let (_, a) = fake_allocator();
         let m = WayMask::new(0x3).unwrap();

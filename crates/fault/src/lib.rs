@@ -26,11 +26,8 @@
 //! resctrl.write_schemata=err@1+40,sampler.probe=delay10@every2,engine.bind=err@p25s42
 //! ```
 //!
-//! Actions: `err` (site returns its error), `err:<errno>` (site
-//! fabricates that specific OS error — `err:enospc`, `err:eio` — so
-//! exhaustion paths are distinguishable from generic I/O failure),
-//! `delay<ms>` (sleep, then proceed), `panic`. Triggers: `<n>` (fire on
-//! the n-th hit only),
+//! Actions: `err` (site returns its error), `delay<ms>` (sleep, then
+//! proceed), `panic`. Triggers: `<n>` (fire on the n-th hit only),
 //! `<n>+<count>` (a window of `count` consecutive hits starting at the
 //! n-th), `every<k>` (every k-th hit), `p<pct>s<seed>` (fire with
 //! probability `pct`% decided by a SplitMix64 hash of `seed ^ hit`).
@@ -69,54 +66,12 @@ struct PointState {
     fires: u64,
 }
 
-/// The specific OS error a typed `err:<errno>` action fabricates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Errno {
-    /// `ENOSPC` — "No space left on device". What resctrl reports on
-    /// CLOSID/RMID exhaustion (`mkdir` of one group too many).
-    Enospc,
-    /// `EIO` — "Input/output error". A generic kernel-side failure.
-    Eio,
-}
-
-impl Errno {
-    /// The strerror-style message real kernels put in the `io::Error`,
-    /// so sites can fabricate errors indistinguishable from real ones.
-    pub fn message(self) -> &'static str {
-        match self {
-            Errno::Enospc => "No space left on device",
-            Errno::Eio => "Input/output error",
-        }
-    }
-
-    /// The raw OS error number (Linux values).
-    pub fn code(self) -> i32 {
-        match self {
-            Errno::Enospc => 28,
-            Errno::Eio => 5,
-        }
-    }
-}
-
-impl fmt::Display for Errno {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Errno::Enospc => write!(f, "enospc"),
-            Errno::Eio => write!(f, "eio"),
-        }
-    }
-}
-
 /// What an armed failpoint does when its trigger matches.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Action {
     /// The site reports failure to its caller ([`should_fail`] returns
     /// `true`); the site fabricates whatever typed error fits.
     Err,
-    /// Like [`Action::Err`], but naming the OS error the site should
-    /// fabricate (`err:enospc`, `err:eio`) so exhaustion is
-    /// distinguishable from generic I/O failure at the injection site.
-    ErrNo(Errno),
     /// Sleep this many milliseconds, then let the site proceed.
     Delay(u64),
     /// Panic with a message naming the failpoint.
@@ -127,7 +82,6 @@ impl fmt::Display for Action {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Action::Err => write!(f, "err"),
-            Action::ErrNo(e) => write!(f, "err:{e}"),
             Action::Delay(ms) => write!(f, "delay{ms}"),
             Action::Panic => write!(f, "panic"),
         }
@@ -279,15 +233,6 @@ fn parse_action(s: &str) -> Result<Action, String> {
     if s == "err" {
         return Ok(Action::Err);
     }
-    if let Some(errno) = s.strip_prefix("err:") {
-        return match errno {
-            "enospc" => Ok(Action::ErrNo(Errno::Enospc)),
-            "eio" => Ok(Action::ErrNo(Errno::Eio)),
-            other => Err(format!(
-                "unknown errno {other:?} (want err:enospc or err:eio)"
-            )),
-        };
-    }
     if s == "panic" {
         return Ok(Action::Panic);
     }
@@ -298,7 +243,7 @@ fn parse_action(s: &str) -> Result<Action, String> {
         return Ok(Action::Delay(ms));
     }
     Err(format!(
-        "unknown action {s:?} (want err, err:<errno>, delay<ms>, or panic)"
+        "unknown action {s:?} (want err, delay<ms>, or panic)"
     ))
 }
 
@@ -455,63 +400,42 @@ pub fn active_plan() -> Option<String> {
     guard.as_ref().map(|r| r.plan.to_string())
 }
 
-/// How a fired failpoint wants its site to fail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Failure {
-    /// Bare `err`: the site fabricates whatever typed error fits.
-    Generic,
-    /// `err:<errno>`: the site should fabricate this specific OS error.
-    Errno(Errno),
-}
-
 /// Evaluates the named failpoint.
 ///
-/// Returns `true` when the site should fail (an `err` or `err:<errno>`
-/// action fired); the site fabricates its own typed error. A `delay`
-/// action sleeps here and returns `false`; a `panic` action panics
-/// here. When no plan is installed this is one relaxed load and a
-/// branch — no lock, no counter update. Sites that distinguish
-/// exhaustion from generic I/O failure use [`check`] instead.
+/// Returns `true` when the site should fail (an `err` action fired); the
+/// site fabricates its own typed error. A `delay` action sleeps here and
+/// returns `false`; a `panic` action panics here. When no plan is
+/// installed this is one relaxed load and a branch — no lock, no counter
+/// update.
 pub fn should_fail(name: &str) -> bool {
-    check(name).is_some()
-}
-
-/// Evaluates the named failpoint, reporting *how* to fail.
-///
-/// `None` means proceed (disarmed, trigger not matched, or a `delay`
-/// action that already slept here). `Some(Failure::Generic)` is a bare
-/// `err`; `Some(Failure::Errno(e))` is a typed `err:<errno>` whose
-/// message/code the site should put in its fabricated error. A `panic`
-/// action panics here. Same disarmed fast path as [`should_fail`].
-pub fn check(name: &str) -> Option<Failure> {
     // ORDERING: relaxed — this load is the whole disarmed fast path; a
     // stale read delays (dis)arming by a few hits, by design (see the
     // `ARMED` declaration).
     if !ARMED.load(Ordering::Relaxed) {
-        return None;
+        return false;
     }
-    check_slow(name)
+    should_fail_slow(name)
 }
 
 #[inline(never)]
-fn check_slow(name: &str) -> Option<Failure> {
+fn should_fail_slow(name: &str) -> bool {
     let action = {
         let mut guard = lock_registry();
-        let reg = guard.as_mut()?;
-        let point = reg.points.get_mut(name)?;
+        let Some(point) = guard.as_mut().and_then(|reg| reg.points.get_mut(name)) else {
+            return false;
+        };
         point.hits += 1;
         if !point.spec.trigger.fires(point.hits) {
-            return None;
+            return false;
         }
         point.fires += 1;
         point.spec.action.clone()
     };
     match action {
-        Action::Err => Some(Failure::Generic),
-        Action::ErrNo(e) => Some(Failure::Errno(e)),
+        Action::Err => true,
         Action::Delay(ms) => {
             thread::sleep(Duration::from_millis(ms));
-            None
+            false
         }
         Action::Panic => panic!("ccp-fault: failpoint {name:?} fired panic action"),
     }
@@ -571,38 +495,11 @@ mod tests {
 
     #[test]
     fn parse_all_forms_round_trip() {
-        let s = "a=err@1+40,b.c=delay10@every2,d_e=panic@p25s42,f-g=err,\
-                 h=err:enospc@1+20,i=err:eio@every3";
-        let s = s.replace(char::is_whitespace, "");
+        let s = "a=err@1+40,b.c=delay10@every2,d_e=panic@p25s42,f-g=err";
         let plan: FaultPlan = s.parse().expect("parses");
         assert_eq!(plan.to_string(), s);
-        assert_eq!(plan.specs.len(), 6);
+        assert_eq!(plan.specs.len(), 4);
         assert_eq!(plan.specs[3].trigger, Trigger::Always);
-        assert_eq!(plan.specs[4].action, Action::ErrNo(Errno::Enospc));
-        assert_eq!(plan.specs[5].action, Action::ErrNo(Errno::Eio));
-    }
-
-    #[test]
-    fn typed_errno_actions_surface_through_check() {
-        with_plan("t.space=err:enospc@2,t.io=err:eio", || {
-            assert_eq!(check("t.space"), None);
-            assert_eq!(check("t.space"), Some(Failure::Errno(Errno::Enospc)));
-            assert_eq!(check("t.io"), Some(Failure::Errno(Errno::Eio)));
-            assert_eq!(Errno::Enospc.message(), "No space left on device");
-            assert_eq!(Errno::Eio.code(), 5);
-        });
-        // A bare `err` through the richer API is a generic failure, and
-        // `should_fail` keeps treating typed errnos as plain failures.
-        with_plan("t.plain=err,t.typed=err:eio", || {
-            assert_eq!(check("t.plain"), Some(Failure::Generic));
-            assert!(should_fail("t.typed"));
-        });
-    }
-
-    #[test]
-    fn unknown_errno_is_rejected() {
-        let e = "x=err:ebusy".parse::<FaultPlan>().expect_err("bad errno");
-        assert!(e.reason.contains("unknown errno"), "{e}");
     }
 
     #[test]
@@ -616,6 +513,8 @@ mod tests {
         let e = "x=err@p200s1".parse::<FaultPlan>().expect_err("pct range");
         assert!(e.reason.contains("out of range"), "{e}");
         let e = "x=zap@3".parse::<FaultPlan>().expect_err("bad action");
+        assert!(e.reason.contains("unknown action"), "{e}");
+        let e = "x=err:enospc".parse::<FaultPlan>().expect_err("no errnos");
         assert!(e.reason.contains("unknown action"), "{e}");
         let e = "x=err@0".parse::<FaultPlan>().expect_err("hit 0");
         assert!(e.reason.contains("1-based"), "{e}");

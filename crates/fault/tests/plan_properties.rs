@@ -3,7 +3,7 @@
 //! unchanged, and malformed clauses must be rejected with an error that
 //! names the offending clause verbatim.
 
-use ccp_fault::{Action, Errno, FaultPlan, FaultSpec, Trigger};
+use ccp_fault::{Action, FaultPlan, FaultSpec, Trigger};
 use proptest::prelude::*;
 
 /// Every character the grammar allows in a failpoint name.
@@ -19,8 +19,6 @@ fn name_strategy() -> impl Strategy<Value = String> {
 fn action_strategy() -> impl Strategy<Value = Action> {
     prop_oneof![
         Just(Action::Err),
-        Just(Action::ErrNo(Errno::Enospc)),
-        Just(Action::ErrNo(Errno::Eio)),
         (0u64..100_000).prop_map(Action::Delay),
         Just(Action::Panic),
     ]

@@ -31,12 +31,11 @@ impl Class {
     pub const ALL: [Class; 3] = [Class::Polluting, Class::Mixed, Class::Sensitive];
 
     /// The paper's (*i*), (*ii*), (*iii*) numbering — the order
-    /// `/stats` `admission.classes` and the per-tenant group list are
-    /// rendered in.
+    /// `/stats` `admission.classes` is rendered in.
     pub const PAPER_ORDER: [Class; 3] = [Class::Polluting, Class::Sensitive, Class::Mixed];
 
-    /// The wire label: metric label value, `/stats` key, group-name
-    /// suffix, occupancy-script class name.
+    /// The wire label: metric label value, `/stats` key,
+    /// occupancy-script class name.
     pub const fn label(self) -> &'static str {
         match self {
             Class::Polluting => "polluting",

@@ -227,7 +227,7 @@ impl CacheController {
     /// monitoring groups are torn down first — real resctrl refuses to
     /// rmdir a group whose `mon_groups/` is non-empty, so removing them
     /// in one call is what makes group teardown a single operation for
-    /// callers like the reconciler's orphan sweep.
+    /// callers like the orphan sweeps.
     ///
     /// # Errors
     /// Propagates filesystem errors.

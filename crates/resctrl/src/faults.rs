@@ -32,14 +32,8 @@ pub const SAMPLER_PROBE: &str = "resctrl.sampler_probe";
 /// error travels the same path a real kernel `write(2)` failure would).
 pub(crate) const FS_WRITE: &str = "resctrl.fs.write";
 
-/// The reconciler's creation of a tenant group fails. Supports typed
-/// errnos: `err:enospc` surfaces as CLOSID exhaustion (class-sharing
-/// fallback), `err:eio`/bare `err` as a transient I/O failure (retried
-/// on the next pass).
-pub(crate) const TENANT_CREATE_GROUP: &str = "tenant.create_group";
-
-/// The reconciler's orphan sweep fails for one pass (orphans survive
-/// until the next pass, exactly like a transient listing error).
+/// An orphan sweep fails before listing the tree (orphans survive until
+/// the next sweep, exactly like a transient listing error).
 pub(crate) const RECONCILE_SWEEP: &str = "reconcile.sweep";
 
 /// Low-level fake-filesystem read fails.

@@ -3,7 +3,7 @@
 
 use crate::error::ResctrlError;
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -79,6 +79,10 @@ struct FakeState {
     files: BTreeMap<PathBuf, String>,
     /// directory paths (groups + root + info dirs).
     dirs: Vec<PathBuf>,
+    /// tid -> the control group (root included) whose `tasks` lists it.
+    /// A tid is in one control group at a time, so a bind is one insert
+    /// here; the groups' `tasks` files are rendered from it on read.
+    task_group: HashMap<u64, PathBuf>,
 }
 
 /// In-memory emulation of a mounted resctrl filesystem.
@@ -95,7 +99,14 @@ struct FakeState {
 /// * writes to a `schemata` file are validated (hex mask, contiguity,
 ///   min_cbm_bits, known domain) and the file is re-rendered in the
 ///   kernel's canonical `L3:0=fffff` format;
-/// * writes to a `tasks` file append one pid per line.
+/// * a tid written to a control group's `tasks` (the root's included)
+///   leaves the control group it was in: every tid is listed by exactly
+///   one, and `rmdir` of a group hands its tids back to the root.
+///
+/// Known divergence: a *monitoring* group's `tasks` only appends. The
+/// kernel also moves a tid between the monitoring groups of its control
+/// group, takes it out of them when it changes control group, and
+/// refuses a tid that belongs to a different control group.
 #[derive(Debug, Clone)]
 pub struct FakeFs {
     state: Arc<Mutex<FakeState>>,
@@ -180,13 +191,31 @@ impl FakeFs {
         );
     }
 
-    /// Lists the tasks assigned to a group (test helper).
+    /// Lists the tasks assigned to a group, as its `tasks` file reads
+    /// (test helper).
     pub fn tasks_of(&self, group_dir: &Path) -> Vec<u64> {
-        let st = self.state.lock();
-        st.files
-            .get(&group_dir.join("tasks"))
-            .map(|s| s.lines().filter_map(|l| l.trim().parse().ok()).collect())
-            .unwrap_or_default()
+        let listed = self.read(&group_dir.join("tasks")).unwrap_or_default();
+        listed.lines().filter_map(|l| l.parse().ok()).collect()
+    }
+
+    /// The tids in control group `dir`, ascending.
+    fn control_group_tasks(st: &FakeState, dir: &Path) -> Vec<u64> {
+        let mut tids: Vec<u64> = st
+            .task_group
+            .iter()
+            .filter(|(_, group)| group.as_path() == dir)
+            .map(|(&tid, _)| tid)
+            .collect();
+        tids.sort_unstable();
+        tids
+    }
+
+    /// Whether `dir` sits directly under a `mon_groups` directory. The
+    /// only `tasks` files in the tree belong to monitoring groups, which
+    /// do, and to control groups (the root included), which do not. Looks
+    /// at the last two components only: this is on the bind path.
+    fn in_mon_groups(dir: &Path) -> bool {
+        dir.parent().is_some_and(|p| p.ends_with("mon_groups"))
     }
 
     /// Whether a root-level directory name is reserved by the kernel (not
@@ -300,10 +329,20 @@ impl ResctrlFs for FakeFs {
             });
         }
         let st = self.state.lock();
-        st.files.get(path).cloned().ok_or_else(|| ResctrlError::Io {
+        let content = st.files.get(path).ok_or_else(|| ResctrlError::Io {
             path: path.display().to_string(),
             op: "read",
             message: "No such file or directory".into(),
+        })?;
+        let control_group = path.parent().filter(|dir| {
+            path.file_name().is_some_and(|n| n == "tasks") && !Self::in_mon_groups(dir)
+        });
+        Ok(match control_group {
+            Some(group) => Self::control_group_tasks(&st, group)
+                .iter()
+                .map(|tid| format!("{tid}\n"))
+                .collect(),
+            None => content.clone(),
         })
     }
 
@@ -324,28 +363,40 @@ impl ResctrlFs for FakeFs {
             None
         };
         let mut st = self.state.lock();
-        if !st.files.contains_key(path) {
+        let FakeState {
+            files, task_group, ..
+        } = &mut *st;
+        let Some(entry) = files.get_mut(path) else {
             return Err(ResctrlError::Io {
                 path: path.display().to_string(),
                 op: "write",
                 message: "No such file or directory".into(),
             });
-        }
-        let entry = st.files.get_mut(path).expect("checked above");
+        };
         if let Some(canonical) = canonical {
             *entry = canonical;
         } else if path.file_name().is_some_and(|n| n == "tasks") {
-            // The kernel accepts one pid per write and appends it.
+            // The kernel accepts one pid per write.
             let pid = data.trim();
-            if pid.parse::<u64>().is_err() {
+            let Ok(tid) = pid.parse::<u64>() else {
                 return Err(ResctrlError::Io {
                     path: path.display().to_string(),
                     op: "write",
                     message: format!("Invalid argument: {pid:?}"),
                 });
+            };
+            let group = path.parent().expect("a file has a directory");
+            if Self::in_mon_groups(group) {
+                entry.push_str(pid);
+                entry.push('\n');
+            } else if let Some(current) = task_group.get_mut(&tid) {
+                // Moving in is moving out of wherever the tid was; a tid
+                // seen before keeps its buffer.
+                current.clear();
+                current.push(group);
+            } else {
+                task_group.insert(tid, group.to_path_buf());
             }
-            entry.push_str(pid);
-            entry.push('\n');
         } else {
             *entry = data.to_string();
         }
@@ -444,6 +495,12 @@ impl ResctrlFs for FakeFs {
         // goes with it, exactly like the kernel's rmdir.
         st.dirs.retain(|d| !d.starts_with(path));
         st.files.retain(|p, _| !p.starts_with(path));
+        // A removed group's tasks fall back to the root class.
+        for group in st.task_group.values_mut() {
+            if group == path {
+                group.clone_from(&self.root);
+            }
+        }
         Ok(())
     }
 
@@ -533,13 +590,29 @@ mod tests {
     }
 
     #[test]
-    fn tasks_writes_append() {
+    fn tasks_write_moves_the_tid_between_control_groups() {
         let fs = FakeFs::broadwell();
-        let t = Path::new("/sys/fs/resctrl/tasks");
-        fs.write(t, "100").unwrap();
-        fs.write(t, "200\n").unwrap();
-        assert_eq!(fs.tasks_of(Path::new("/sys/fs/resctrl")), vec![100, 200]);
-        assert!(fs.write(t, "not-a-pid").is_err());
+        let root = Path::new("/sys/fs/resctrl");
+        let (a, b) = (root.join("a"), root.join("b"));
+        fs.create_dir(&a).unwrap();
+        fs.create_dir(&b).unwrap();
+        fs.write(&root.join("tasks"), "100").unwrap();
+        fs.write(&root.join("tasks"), "200\n").unwrap();
+        assert_eq!(fs.tasks_of(root), vec![100, 200]);
+        assert!(fs.write(&root.join("tasks"), "not-a-pid").is_err());
+
+        // Into `a`: out of the root. Again into `a`: still listed once.
+        fs.write(&a.join("tasks"), "100").unwrap();
+        fs.write(&a.join("tasks"), "100").unwrap();
+        assert_eq!(fs.read(&a.join("tasks")).unwrap(), "100\n");
+        assert_eq!(fs.tasks_of(root), vec![200]);
+        // On to `b`: out of `a`.
+        fs.write(&b.join("tasks"), "100").unwrap();
+        assert_eq!(fs.read(&a.join("tasks")).unwrap(), "");
+        assert_eq!(fs.tasks_of(&b), vec![100]);
+        // Removing `b` hands its tasks back to the root.
+        fs.remove_dir(&b).unwrap();
+        assert_eq!(fs.tasks_of(root), vec![100, 200]);
     }
 
     #[test]

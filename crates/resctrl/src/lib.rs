@@ -49,9 +49,9 @@ pub mod faults;
 pub mod fs;
 pub mod metrics;
 pub mod monitor;
-pub mod reconcile;
 pub mod schemata;
 pub mod supervisor;
+pub mod sweep;
 pub mod tenant;
 
 pub use class::{Class, PerClass};
@@ -60,10 +60,10 @@ pub use detect::{detect, CatSupport};
 pub use error::ResctrlError;
 pub use metrics::ResctrlMetrics;
 pub use monitor::{ClassReading, OccupancyProbe, ResctrlMonitor, SimulatedMonitor};
-pub use reconcile::{DesiredGroup, GroupState, ReconcileOutcome, ReconcileStats, Reconciler};
 pub use schemata::Schemata;
 pub use supervisor::{ResctrlHealth, RetryPolicy, SupervisedController};
-pub use tenant::{mask_group_name, parse_group_name, TenantId, DEFAULT_TENANT};
+pub use sweep::{SweepStats, Sweeper};
+pub use tenant::{mask_group_name, TenantId, DEFAULT_TENANT};
 
 /// Conventional mount point of the resctrl filesystem.
 pub(crate) const DEFAULT_MOUNT: &str = "/sys/fs/resctrl";

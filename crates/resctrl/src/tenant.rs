@@ -1,20 +1,18 @@
-//! Tenant identities and tenant-aware resctrl group naming.
+//! Tenant identities, and the names of the groups this system owns.
 //!
-//! Fleet-scale serving means many tenants sharing one resctrl tree, so
-//! every group the tenant layer creates is named
-//! `ccp-<tenant>-<class>` — prefix-owned (the reconciler may sweep any
-//! `ccp-` group it does not desire), parseable (a crashed process's
-//! leftovers can be attributed on the next start), and collision-free
-//! with the engine's per-mask `ccp-<hex>` groups (those never contain a
-//! second dash followed by a class word).
+//! Tenancy is an admission concept: a validated [`TenantId`] keys quotas,
+//! weighted-fair queueing and the per-tenant metric labels. It names no
+//! resctrl group — every tenant's workers bind into the shared per-mask
+//! group [`mask_group_name`] mints, `ccp-<mask hex>`, and everything this
+//! system creates in the tree carries [`GROUP_PREFIX`], which is what
+//! lets the orphan sweeps tell its groups from anyone else's.
 //!
 //! Tenant identifiers are deliberately strict: lowercase ASCII
-//! alphanumerics and underscores, 1–24 characters. No dashes (the
-//! group-name separator), no path metacharacters (these become kernel
-//! directory names), no uppercase (header values fold). Hostile names —
-//! `..`, `a/b`, empty, overlong — never reach the filesystem.
+//! alphanumerics and underscores, 1–24 characters. No dashes, no path
+//! metacharacters, no uppercase (header values fold): an id is a metric
+//! label value and a `/stats` key, and hostile names — `..`, `a/b`,
+//! empty, overlong — are rejected where they enter.
 
-use crate::class::Class;
 use ccp_cachesim::WayMask;
 use std::fmt;
 
@@ -22,12 +20,13 @@ use std::fmt;
 /// header.
 pub const DEFAULT_TENANT: &str = "default";
 
-/// Every group name the tenant layer owns starts with this.
+/// Every group name this system owns starts with this.
 pub const GROUP_PREFIX: &str = "ccp-";
 
-/// Tenant identifiers reserved by the system: `probe` would collide
-/// with the supervisor's scratch group, `shared` names the class-shared
-/// fallback, `mon` guards against `mon_groups`/`mon_data` confusion.
+/// Tenant identifiers reserved because a label or `/stats` key carrying
+/// them would read as the system's own vocabulary: `probe` (the
+/// supervisor's `ccp-probe` scratch group), `shared`, and `mon`
+/// (resctrl's `mon_groups`/`mon_data`).
 pub const RESERVED: &[&str] = &["probe", "shared", "mon"];
 
 /// Longest accepted tenant identifier.
@@ -88,12 +87,6 @@ impl TenantId {
     pub fn as_str(&self) -> &str {
         &self.0
     }
-
-    /// The resctrl control-group name for this tenant's `class` slice:
-    /// `ccp-<tenant>-<class>`.
-    pub fn group_name(&self, class: Class) -> String {
-        format!("{GROUP_PREFIX}{}-{}", self.0, class.label())
-    }
 }
 
 impl fmt::Display for TenantId {
@@ -109,30 +102,16 @@ pub fn mask_group_name(mask: WayMask) -> String {
     format!("{GROUP_PREFIX}{:x}", mask.bits())
 }
 
-/// Parses a group name minted by [`TenantId::group_name`] back into its
-/// `(tenant, class)` pair. Returns `None` for anything else — the
-/// engine's `ccp-<hex>` mask groups, the supervisor's `ccp-probe`, or
-/// garbage — so sweep logic can attribute ownership without false
-/// positives.
-pub fn parse_group_name(name: &str) -> Option<(TenantId, Class)> {
-    let rest = name.strip_prefix(GROUP_PREFIX)?;
-    let (tenant, class) = rest.rsplit_once('-')?;
-    Some((TenantId::parse(tenant).ok()?, Class::parse(class)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn valid_ids_round_trip_through_group_names() {
+    fn valid_ids_parse_to_themselves() {
         for id in ["a", "tenant_1", "x9", "default", &"t".repeat(24)] {
-            let t = TenantId::parse(id).unwrap();
-            for class in Class::ALL {
-                let name = t.group_name(class);
-                assert_eq!(parse_group_name(&name), Some((t.clone(), class)), "{name}");
-            }
+            assert_eq!(TenantId::parse(id).unwrap().as_str(), id);
         }
+        assert_eq!(TenantId::default_tenant().as_str(), DEFAULT_TENANT);
     }
 
     #[test]
@@ -155,17 +134,8 @@ mod tests {
     }
 
     #[test]
-    fn non_tenant_group_names_do_not_parse() {
-        for name in [
-            "ccp-3",
-            "ccp-fffff",
-            "ccp-probe",
-            "other-a-polluting",
-            "ccp-a-unknownclass",
-            "ccp--polluting",
-            "ccp-A-polluting",
-        ] {
-            assert!(parse_group_name(name).is_none(), "{name:?} must not parse");
-        }
+    fn mask_groups_carry_the_prefix_and_the_mask_in_hex() {
+        assert_eq!(mask_group_name(WayMask::new(0x3).unwrap()), "ccp-3");
+        assert_eq!(mask_group_name(WayMask::new(0xfffff).unwrap()), "ccp-fffff");
     }
 }

@@ -1,18 +1,16 @@
 //! Unit-level failpoint tests for the supervised controller and the
-//! reconciler.
+//! orphan sweeper.
 //!
 //! Fault plans are process-global, and nearly every unit test in the
-//! crate passes through `resctrl.write_schemata` or
-//! `tenant.create_group`: a plan armed inside the unit-test binary gets
-//! consumed by (and fails) whichever neighbour hits the site first. So
+//! crate passes through `resctrl.write_schemata` or `reconcile.sweep`:
+//! a plan armed inside the unit-test binary gets consumed by (and
+//! fails) whichever neighbour hits the site first. So
 //! every test that arms a plan lives here, in a process of its own, and
 //! takes turns ([`ccp_fault::exclusive`]).
 
 use ccp_cachesim::WayMask;
 use ccp_resctrl::fs::FakeFs;
-use ccp_resctrl::{
-    CacheController, DesiredGroup, Reconciler, ResctrlHealth, RetryPolicy, SupervisedController,
-};
+use ccp_resctrl::{CacheController, ResctrlHealth, RetryPolicy, SupervisedController, Sweeper};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -31,19 +29,6 @@ fn supervised(policy: RetryPolicy) -> (Arc<ResctrlHealth>, SupervisedController)
     let health = Arc::new(ResctrlHealth::new(3));
     let sup = SupervisedController::new(ctl, policy, Arc::clone(&health));
     (health, sup)
-}
-
-fn reconciler_on(fs: FakeFs) -> Reconciler {
-    let ctl = CacheController::open_with(Box::new(fs), "/sys/fs/resctrl").unwrap();
-    let sup = SupervisedController::new(ctl, fast_policy(), Arc::new(ResctrlHealth::new(3)));
-    Reconciler::new(sup, vec![0])
-}
-
-fn desired(name: &str, mask: u32) -> DesiredGroup {
-    DesiredGroup {
-        name: name.to_string(),
-        mask: WayMask::new(mask).unwrap(),
-    }
 }
 
 #[test]
@@ -107,62 +92,17 @@ fn probe_fails_while_fault_active() {
 }
 
 #[test]
-fn typed_enospc_failpoint_forces_fallback_then_heals() {
-    let _turn = ccp_fault::exclusive();
-    let fs = FakeFs::broadwell();
-    let mut r = reconciler_on(fs.clone());
-    r.set_desired(vec![desired("ccp-a-sensitive", 0xfffff)]);
-    ccp_fault::install_str("tenant.create_group=err:enospc@1+2").unwrap();
-    let out = r.reconcile();
-    assert_eq!(out.fallback, 1);
-    assert_eq!(out.failed, 0);
-    // Pass 2 is the backoff pass, pass 3 burns the second fault hit,
-    // then backoff again; the window exhausted, creation succeeds.
-    let mut healed = false;
-    for _ in 0..8 {
-        if r.reconcile().fallback == 0 {
-            healed = true;
-            break;
-        }
-    }
-    assert!(healed, "reconciler must converge after the fault window");
-    assert_eq!(r.stats().failed.get(), 0.0);
-    assert!(r.stats().retried.get() >= 1);
-}
-
-#[test]
-fn eio_failpoint_counts_failed_and_retries_without_backoff() {
-    let _turn = ccp_fault::exclusive();
-    let fs = FakeFs::broadwell();
-    let mut r = reconciler_on(fs.clone());
-    r.set_desired(vec![desired("ccp-a-mixed", 0xfff)]);
-    ccp_fault::install_str("tenant.create_group=err:eio@1").unwrap();
-    let out = r.reconcile();
-    assert_eq!(out.failed, 1);
-    assert_eq!(out.fallback, 0);
-    assert_eq!(r.stats().failed.get(), 1.0);
-    // EIO is transient: the very next pass retries and succeeds.
-    let out = r.reconcile();
-    assert_eq!(out.failed, 0);
-    assert_eq!(r.stats().failed.get(), 0.0);
-    assert!(r.stats().retried.get() >= 1);
-}
-
-#[test]
 fn sweep_failpoint_skips_one_pass_then_orphans_are_removed() {
     let _turn = ccp_fault::exclusive();
     let fs = FakeFs::broadwell();
-    {
-        let mut prev = CacheController::open_with(Box::new(fs.clone()), "/sys/fs/resctrl").unwrap();
-        prev.create_group("ccp-stale-mixed").unwrap();
-    }
-    let mut r = reconciler_on(fs.clone());
+    let mut ctl = CacheController::open_with(Box::new(fs.clone()), "/sys/fs/resctrl").unwrap();
+    ctl.create_group("ccp-fff").unwrap();
+    let health = Arc::new(ResctrlHealth::new(3));
+    let mut sweeper = Sweeper::new(SupervisedController::new(ctl, fast_policy(), health));
     ccp_fault::install_str("reconcile.sweep=err@1").unwrap();
-    let out = r.reconcile();
-    assert!(out.sweep_failed);
+    assert!(sweeper.sweep().is_err());
     assert_eq!(fs.group_count(), 1, "orphan survives the failed sweep");
-    let out = r.reconcile();
-    assert!(!out.sweep_failed);
-    assert_eq!(out.orphans_removed, 1);
+    assert_eq!(sweeper.stats().sweeps.get(), 0, "the tree was never listed");
+    assert_eq!(sweeper.shutdown_sweep(), (1, 0));
     assert_eq!(fs.group_count(), 0);
 }

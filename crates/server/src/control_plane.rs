@@ -1,18 +1,17 @@
 //! The control plane: every periodic duty of the server on one thread.
 //!
-//! `ccp serve` has five periodic jobs — sample occupancy, supervise
-//! resctrl health, run the adaptive controller, reconcile tenant groups,
-//! record the flight timeline. A [`ControlPlane`] owns the state of all
-//! five and runs them on a single `ccp-plane` thread that sleeps on one
-//! condvar until the earliest due task. Tasks that fall due in the same
-//! wake always run in this order:
+//! `ccp serve` has four periodic jobs — sample occupancy, supervise
+//! resctrl health, run the adaptive controller, record the flight
+//! timeline. A [`ControlPlane`] owns the state of all four and runs them
+//! on a single `ccp-plane` thread that sleeps on one condvar until the
+//! earliest due task. Tasks that fall due in the same wake always run in
+//! this order:
 //!
 //! | step | period (`ServerConfig` field) | what it does |
 //! |---|---|---|
 //! | sample | `monitor_interval` | probes per-class occupancy into the `ccp_llc_occupancy_bytes` / `ccp_mbm_total_bytes` gauges and the readings the control step consumes |
 //! | supervise | `reprobe_interval` | flips degraded mode on a breaker trip, re-probes while degraded |
 //! | control | `control_interval` | one [`Controller`] tick on the latest readings; applies or reverts the live mask table |
-//! | reconcile | `reconcile_interval` | one [`Reconciler`] pass over the `ccp-<tenant>-<class>` groups |
 //! | record | `flight_interval` | one flight-recorder snapshot of the registry |
 //!
 //! The order is what makes the hand-offs trivial: the control step reads
@@ -26,17 +25,22 @@
 //! the steps behind it. A late wake runs each due task once and re-arms
 //! it one period after the wake; there are no catch-up bursts.
 //!
+//! The plane also holds the two duties towards the resctrl tree that are
+//! not periodic: the [`Sweeper`]'s start-up sweep runs in
+//! [`ControlPlane::new`], its shutdown sweep in
+//! [`ControlPlane::shutdown_sweep`].
+//!
 //! [`ControlPlane::step`] is the whole scheduler, so tests drive the
 //! plane with synthetic instants and no thread.
 //!
-//! Nothing here copies a number: the supervisor's and the reconciler's
+//! Nothing here copies a number: the supervisor's and the sweeper's
 //! counters are attached to the registry where they are bumped
 //! ([`ResctrlHealth::register_into`],
-//! [`ReconcileStats::register_into`](ccp_resctrl::ReconcileStats::register_into)),
+//! [`SweepStats::register_into`](ccp_resctrl::SweepStats::register_into)),
 //! and the control step's own `ccp_control_*` instruments live in the
 //! [`PlaneView`] that `/stats` reads.
 
-use crate::admission::{unique, AdmissionQueue};
+use crate::admission::AdmissionQueue;
 use crate::metrics::ServerMetrics;
 use crate::query::QueryEngine;
 use crate::server::ServerConfig;
@@ -44,8 +48,8 @@ use ccp_control::{ControlConfig, Controller, Decision, MaskPlan, ScriptedTrace, 
 use ccp_flight::{FlightHandle, FlightRecorder, RecorderConfig};
 use ccp_obs::{Counter, Family, Gauge, Registry};
 use ccp_resctrl::{
-    CacheController, Class, ClassReading, DesiredGroup, GroupState, OccupancyProbe, PerClass,
-    ReconcileStats, Reconciler, ResctrlHealth, ResctrlMonitor, SimulatedMonitor, TenantId,
+    CacheController, ClassReading, OccupancyProbe, PerClass, ResctrlHealth, ResctrlMonitor,
+    SimulatedMonitor, SweepStats, Sweeper,
 };
 use ccp_trace::TraceCat;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -56,18 +60,15 @@ use std::time::{Duration, Instant};
 /// repartition as failed, exercising the revert-to-static path.
 pub const FAULT_CONTROL_APPLY: &str = "control.apply";
 
-/// What `/stats` reads from the plane: the control and reconcile steps'
-/// live instruments plus the state that has no metric family.
+/// What `/stats` reads from the plane: the control step's and the
+/// sweeper's live instruments plus the state that has no metric family.
 #[derive(Debug, Clone, Default)]
 pub struct PlaneView {
     /// The adaptive controller; `None` in static mode.
     pub control: Option<ControlView>,
-    /// The reconciler's `ccp_reconcile_*` instruments; `None` when the
+    /// The sweeper's `ccp_reconcile_*` instruments; `None` when the
     /// resctrl backend is unsupervised.
-    pub reconcile: Option<ReconcileStats>,
-    /// Name-sorted `(ccp-<tenant>-<class>, state label)` after the latest
-    /// reconcile pass.
-    pub groups: Vec<(String, &'static str)>,
+    pub sweep: Option<SweepStats>,
 }
 
 /// The adaptive controller as `/stats` and `/metrics` show it. The
@@ -200,20 +201,16 @@ struct Control {
     view: ControlView,
 }
 
-struct Reconcile {
-    reconciler: Reconciler,
-    was_exhausted: bool,
-}
-
-/// The five periodic tasks and their state. See the module docs.
+/// The four periodic tasks and their state. See the module docs.
 pub struct ControlPlane {
     env: Env,
     readings: Readings,
     sample: Option<(Every, Sample)>,
     supervise: Option<(Every, Supervise)>,
     control: Option<(Every, Control)>,
-    reconcile: Option<(Every, Reconcile)>,
     record: Option<(Every, ccp_flight::Sampler)>,
+    /// Present when the engine's resctrl backend is supervised.
+    sweeper: Option<Sweeper>,
 }
 
 impl ControlPlane {
@@ -223,19 +220,16 @@ impl ControlPlane {
     /// set.
     ///
     /// When the engine's resctrl backend is supervised this also runs the
-    /// reconciler's startup sweep — synchronously, before the engine's
-    /// allocator lazily mints its own mask groups — so a crashed
-    /// predecessor's leftovers are gone by the time the first query binds.
-    ///
-    /// # Errors
-    /// `InvalidInput` for a tenant name in `config` that does not parse.
+    /// start-up sweep — synchronously, before the engine's allocator
+    /// lazily mints its mask groups — so a crashed predecessor's leftovers
+    /// are gone by the time the first query binds.
     pub fn new(
         config: &ServerConfig,
         engine: Arc<QueryEngine>,
         registry: &Registry,
         metrics: ServerMetrics,
         probe: Option<Box<dyn OccupancyProbe>>,
-    ) -> std::io::Result<ControlPlane> {
+    ) -> ControlPlane {
         let start = Instant::now();
         let policy = engine.policy();
         let sample = config.monitor_interval.zip(probe).map(|(period, probe)| {
@@ -278,27 +272,17 @@ impl ControlPlane {
             };
             (Every::new(config.control_interval, start), task)
         });
-        let mut view = PlaneView {
-            control: control.as_ref().map(|(_, task)| task.view.clone()),
-            ..PlaneView::default()
-        };
-        let reconcile = match engine.reconcile_controller() {
-            Some(ctl) => {
-                let mut reconciler = Reconciler::new(ctl, vec![0]);
-                let stats = reconciler.stats();
-                stats.register_into(registry);
-                view.reconcile = Some(stats);
-                reconciler.set_desired(desired_tenant_groups(config, &engine)?);
-                if let Err(err) = reconciler.startup_sweep() {
-                    eprintln!("ccp-serve: startup sweep failed (continuing): {err}");
-                }
-                let task = Reconcile {
-                    reconciler,
-                    was_exhausted: false,
-                };
-                Some((Every::new(config.reconcile_interval, start), task))
+        let sweeper = engine.tree_controller().map(|ctl| {
+            let mut sweeper = Sweeper::new(ctl);
+            sweeper.stats().register_into(registry);
+            if let Err(err) = sweeper.sweep() {
+                eprintln!("ccp-serve: startup sweep failed (continuing): {err}");
             }
-            None => None,
+            sweeper
+        });
+        let view = PlaneView {
+            control: control.as_ref().map(|(_, task)| task.view.clone()),
+            sweep: sweeper.as_ref().map(Sweeper::stats),
         };
         // The recorder is built after every family above is registered,
         // so tick 1, taken here, is a baseline carrying the full set.
@@ -321,7 +305,7 @@ impl ControlPlane {
         } else {
             (None, None)
         };
-        Ok(ControlPlane {
+        ControlPlane {
             env: Env {
                 engine,
                 metrics,
@@ -332,9 +316,9 @@ impl ControlPlane {
             sample,
             supervise,
             control,
-            reconcile,
             record,
-        })
+            sweeper,
+        }
     }
 
     /// The flight recorder's emit/read handle; `None` with `--no-flight`.
@@ -356,8 +340,8 @@ impl ControlPlane {
             sample,
             supervise,
             control,
-            reconcile,
             record,
+            ..
         } = self;
         if let Some(task) = due(sample, now) {
             take_sample(task, readings);
@@ -368,9 +352,6 @@ impl ControlPlane {
         if let Some(task) = due(control, now) {
             run_control(env, task, readings);
         }
-        if let Some(task) = due(reconcile, now) {
-            run_reconcile(env, task);
-        }
         if let Some(sampler) = due(record, now) {
             sampler.tick();
         }
@@ -378,7 +359,6 @@ impl ControlPlane {
             sample.as_ref().map(|t| t.0.due),
             supervise.as_ref().map(|t| t.0.due),
             control.as_ref().map(|t| t.0.due),
-            reconcile.as_ref().map(|t| t.0.due),
             record.as_ref().map(|t| t.0.due),
         ]
         .into_iter()
@@ -435,10 +415,10 @@ impl ControlPlane {
     /// mint or bind a group any more; the log line is what the smoke
     /// harness greps to prove zero groups leaked.
     pub fn shutdown_sweep(&mut self) {
-        let Some((_, task)) = &mut self.reconcile else {
+        let Some(sweeper) = &mut self.sweeper else {
             return;
         };
-        let (removed, remaining) = task.reconciler.shutdown_sweep();
+        let (removed, remaining) = sweeper.shutdown_sweep();
         eprintln!(
             "ccp-serve: reconcile shutdown sweep: removed {removed} group(s), \
              {remaining} ccp- group(s) remain"
@@ -593,64 +573,6 @@ fn run_control(env: &Env, task: &mut Control, readings: &Readings) {
         .control = Some(view.clone());
 }
 
-/// Reconcile step: one [`Reconciler::reconcile`] pass — orphan sweep,
-/// desired-vs-actual diff, capacity-aware creation with backoff — then
-/// the per-group states into the `/stats` view, and flight events on the
-/// interesting transitions: `reconciled` when groups were created,
-/// `tenant_degraded` when CLOSID exhaustion pushed tenants onto the
-/// shared class masks.
-fn run_reconcile(env: &Env, task: &mut Reconcile) {
-    let outcome = task.reconciler.reconcile();
-    let mut states: Vec<(String, &'static str)> = task
-        .reconciler
-        .group_states()
-        .into_iter()
-        .map(|(name, state)| (name, group_state_label(state)))
-        .collect();
-    states.sort();
-    env.view
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .groups = states;
-    if outcome.created > 0 {
-        env.emit(
-            "reconciled",
-            format!(
-                "created {} tenant group(s); {} fallback, {} failed",
-                outcome.created, outcome.fallback, outcome.failed
-            ),
-        );
-    }
-    let exhausted = task.reconciler.stats().exhausted.get() != 0.0;
-    if exhausted != task.was_exhausted {
-        task.was_exhausted = exhausted;
-        if exhausted {
-            env.emit(
-                "tenant_degraded",
-                format!(
-                    "CLOSIDs exhausted; {} tenant group(s) on shared class masks",
-                    outcome.fallback
-                ),
-            );
-        } else {
-            env.emit(
-                "reconciled",
-                "CLOSID capacity recovered; dedicated tenant groups restored".into(),
-            );
-        }
-    }
-}
-
-/// The `/stats` label for a reconciler group state.
-fn group_state_label(state: GroupState) -> &'static str {
-    match state {
-        GroupState::Pending => "pending",
-        GroupState::Satisfied => "satisfied",
-        GroupState::Fallback => "fallback",
-        GroupState::Failed => "failed",
-    }
-}
-
 /// Human-readable way-count summary of a mask plan, for event details.
 fn plan_detail(plan: &MaskPlan) -> String {
     let ways: Vec<String> = plan
@@ -672,33 +594,6 @@ fn apply_plan(engine: &QueryEngine, plan: &MaskPlan) -> Result<(), ()> {
         engine.prepare_mask(mask).map_err(|_| ())?;
     }
     Ok(())
-}
-
-/// The reconciler's desired set: one `ccp-<tenant>-<class>` group per
-/// (configured tenant ∪ default) × CUID class, programmed with the
-/// paper's static class masks. Invalid tenant names in the config are a
-/// startup error, not a silent skip.
-fn desired_tenant_groups(
-    config: &ServerConfig,
-    engine: &QueryEngine,
-) -> std::io::Result<Vec<DesiredGroup>> {
-    let masks = engine.policy().static_plan();
-    let quotas = config.tenant_quotas.iter().map(|(t, _)| t.as_str());
-    let weights = config.tenant_weights.iter().map(|(t, _)| t.as_str());
-    let names = unique(std::iter::once(ccp_resctrl::DEFAULT_TENANT).chain(quotas.chain(weights)));
-    let mut desired = Vec::with_capacity(names.len() * Class::ALL.len());
-    for name in names {
-        let tenant = TenantId::parse(name).map_err(|why| {
-            std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("--tenant: {why}"))
-        })?;
-        for class in Class::PAPER_ORDER {
-            desired.push(DesiredGroup {
-                name: tenant.group_name(class),
-                mask: *masks.get(class),
-            });
-        }
-    }
-    Ok(desired)
 }
 
 /// Builds the occupancy probe for the sample step; `None` when

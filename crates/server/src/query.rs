@@ -287,9 +287,9 @@ pub struct QueryEngine {
     best_rows_per_sec: Mutex<HashMap<String, f64>>,
     /// Artifact reuse cache; `None` disables reuse entirely (`--no-reuse`).
     reuse: Option<ReuseCache>,
-    /// The fake resctrl tree backing the engine, kept so other components
-    /// (the group reconciler) can open their own controller over the
-    /// *same* tree; `None` outside `--fake-resctrl`.
+    /// The fake resctrl tree backing the engine, kept so the orphan
+    /// sweeps can open their own controller over the *same* tree; `None`
+    /// outside `--fake-resctrl`.
     fake_fs: Option<ccp_resctrl::fs::FakeFs>,
 }
 
@@ -326,8 +326,8 @@ impl QueryEngine {
 
     /// [`with_fake_resctrl`](Self::with_fake_resctrl) with the fake
     /// tree's CLOSID count capped at `num_closids` (Broadwell has 16;
-    /// the exhaustion chaos harness runs with 4 so tenant groups hit
-    /// `ENOSPC` deterministically).
+    /// the tenant smoke runs with 4, a common CAT part, where three mask
+    /// groups are all the tree can hold).
     pub fn with_fake_resctrl_closids(
         olap_workers: usize,
         oltp_workers: usize,
@@ -380,10 +380,10 @@ impl QueryEngine {
 
     /// A supervised controller over the *same* resctrl tree the engine's
     /// allocator programs, sharing its health handle — this is what the
-    /// group reconciler runs on, so a reconcile failure streak trips the
-    /// same breaker the engine's binds do. `None` for backends without a
-    /// tree (noop, recording).
-    pub fn reconcile_controller(&self) -> Option<ccp_resctrl::SupervisedController> {
+    /// orphan sweeps run on, so a failure streak there trips the same
+    /// breaker the engine's binds do. `None` for backends without a tree
+    /// (noop, recording).
+    pub fn tree_controller(&self) -> Option<ccp_resctrl::SupervisedController> {
         let health = self.resctrl_health()?;
         let ctl = match &self.fake_fs {
             Some(fs) => {

@@ -19,9 +19,9 @@
 //! | `/version` | GET | build provenance (version, git SHA, profile) |
 //!
 //! This module is routing and the connection loop. Everything periodic —
-//! occupancy sampling, resctrl supervision, adaptive control, group
-//! reconciliation, the flight recorder — runs on the one [`ControlPlane`]
-//! thread (see [`crate::control_plane`]).
+//! occupancy sampling, resctrl supervision, adaptive control, the flight
+//! recorder — runs on the one [`ControlPlane`] thread (see
+//! [`crate::control_plane`]).
 //!
 //! Shutdown is cooperative: a flag flips, the plane stops, a
 //! self-connection unblocks `accept`, the admission queue drains, and
@@ -123,9 +123,6 @@ pub struct ServerConfig {
     /// (`--fake-closids N`) so CLOSID-exhaustion paths are reachable in
     /// chaos runs; `None` keeps the Broadwell default of 16.
     pub fake_closids: Option<u32>,
-    /// Period of the control plane's reconcile step, one group-reconciler
-    /// pass (`--reconcile-interval-ms`).
-    pub reconcile_interval: Duration,
 }
 
 impl Default for ServerConfig {
@@ -158,7 +155,6 @@ impl Default for ServerConfig {
             tenant_quotas: Vec::new(),
             tenant_weights: Vec::new(),
             fake_closids: None,
-            reconcile_interval: Duration::from_millis(500),
         }
     }
 }
@@ -243,7 +239,18 @@ pub struct Server {
 
 impl Server {
     /// Binds, builds the engine and registry, and starts serving.
+    ///
+    /// # Errors
+    /// `InvalidInput` for a tenant name in `config` that no `X-CCP-Tenant`
+    /// header could ever match or a malformed occupancy script; otherwise
+    /// what binding the address or spawning a thread reports.
     pub fn start(config: ServerConfig) -> std::io::Result<Server> {
+        let quotas = config.tenant_quotas.iter().map(|(t, _)| t);
+        for tenant in quotas.chain(config.tenant_weights.iter().map(|(t, _)| t)) {
+            ccp_resctrl::TenantId::parse(tenant).map_err(|why| {
+                std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("--tenant: {why}"))
+            })?;
+        }
         if config.trace {
             ccp_trace::enable(ccp_trace::TraceConfig {
                 ring_capacity: config.trace_ring_capacity,
@@ -311,7 +318,7 @@ impl Server {
             &registry,
             metrics.clone(),
             probe,
-        )?;
+        );
         Server::launch(config, registry, metrics, admission, engine, Some(plane))
     }
 
@@ -370,6 +377,12 @@ impl Server {
         self.shared.engine.cat_live()
     }
 
+    /// Names of the control groups in the resctrl tree the engine
+    /// partitions through; `None` for a backend without a tree.
+    pub fn resctrl_groups(&self) -> Option<Vec<String>> {
+        self.shared.engine.tree_controller()?.groups().ok()
+    }
+
     /// Whether something (a signal, `Server::shutdown`) asked the server
     /// to stop.
     pub fn shutdown_requested(&self) -> bool {
@@ -382,7 +395,7 @@ impl Server {
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // The plane writes the live mask table and the resctrl tree; stop
-        // it first so no repartition or reconcile pass races the teardown.
+        // it first so no repartition races the teardown.
         let plane = self.plane.take().and_then(|mut handle| handle.stop());
         self.shared.admission.shutdown();
         // The accept loop blocks in `accept`; a throwaway self-connection

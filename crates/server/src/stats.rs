@@ -6,12 +6,12 @@
 //! component that owns it: [`ServerMetrics`](crate::ServerMetrics), the
 //! pools' `ExecutorMetrics`, the scheduler's deferral counter,
 //! [`ResctrlHealth`](ccp_resctrl::ResctrlHealth),
-//! [`ReconcileStats`](ccp_resctrl::ReconcileStats), the plane's
+//! [`SweepStats`](ccp_resctrl::SweepStats), the plane's
 //! [`ControlView`](crate::control_plane::ControlView) and the reuse
 //! cache. The two surfaces therefore cannot disagree, and reading never
 //! mints a label set. Typed views supply only what has no family: the
-//! controller's labels and the group states ([`PlaneView`]), the
-//! admission queue's tenant ledger, and echoes of the configuration.
+//! controller's labels ([`PlaneView`]), the admission queue's tenant
+//! ledger, and echoes of the configuration.
 //!
 //! Key names *and key order* are part of the contract (scripts grep
 //! substrings of the rendered text); `tests/stats_shape.rs` pins both.
@@ -32,7 +32,7 @@ fn section<const N: usize>(fields: [(&str, Json); N]) -> Json {
 /// The `/stats` body.
 pub(crate) fn render(shared: &Shared) -> Json {
     // One copy of what the control plane last published, shared by the
-    // three sections that render from it.
+    // two sections that render from it.
     let view = shared
         .plane_view
         .lock()
@@ -71,8 +71,8 @@ pub(crate) fn render(shared: &Shared) -> Json {
         ),
         ("resctrl", resctrl(shared)),
         ("control", control(shared, &view)),
-        ("tenants", tenants(shared, &view)),
-        ("reconciler", reconciler(shared, &view)),
+        ("tenants", tenants(shared)),
+        ("reconciler", reconciler(&view)),
         ("reuse", reuse(shared)),
         ("trace", trace()),
     ])
@@ -151,10 +151,8 @@ fn control(shared: &Shared, view: &PlaneView) -> Json {
 }
 
 /// Per-tenant view: configured quota and weight, current waiting/running
-/// occupancy, cumulative grants and quota rejections, and — when the
-/// reconciler runs — the state of each of the tenant's
-/// `ccp-<tenant>-<class>` groups.
-fn tenants(shared: &Shared, view: &PlaneView) -> Json {
+/// occupancy, cumulative grants and quota rejections.
+fn tenants(shared: &Shared) -> Json {
     let limits = shared.admission.tenant_limits();
     let waiting = shared.admission.waiting_by_tenant();
     let running = shared.admission.running_by_tenant();
@@ -172,48 +170,30 @@ fn tenants(shared: &Shared, view: &PlaneView) -> Json {
             .map_or(N::default(), |&(_, n)| n)
     }
     let tenant = |name: &str| {
-        let mut fields = vec![
+        let fields = section([
             ("quota", limits.quota_for(name).into()),
             ("weight", limits.weight_for(name).into()),
             ("waiting", of(&waiting, name).into()),
             ("running", of(&running, name).into()),
             ("grants", of(&grants, name).into()),
             ("rejections", shared.metrics.tenant_rejections(name).into()),
-        ];
-        if view.reconcile.is_some() {
-            let groups = view.groups.iter().filter_map(|(group, state)| {
-                let (tenant, class) = ccp_resctrl::parse_group_name(group)?;
-                (tenant.as_str() == name).then_some((class.label(), Json::from(*state)))
-            });
-            fields.push(("groups", Json::obj(groups.collect())));
-        }
-        (name.to_string(), Json::obj(fields))
+        ]);
+        (name.to_string(), fields)
     };
     Json::Obj(names.into_iter().map(tenant).collect())
 }
 
-/// Group reconciler: cumulative pass counters, the convergence gauges
-/// (`failed` must return to 0 after faults heal; `fallback` counts
-/// tenants degraded to the shared class masks) and whether the last pass
-/// saw CLOSID exhaustion.
-fn reconciler(shared: &Shared, view: &PlaneView) -> Json {
-    let Some(r) = &view.reconcile else {
+/// Orphan sweeps over the resctrl tree (start-up and shutdown): how many
+/// ran, the `ccp-` groups they removed and the removals that failed.
+fn reconciler(view: &PlaneView) -> Json {
+    let Some(sweep) = &view.sweep else {
         return section([("enabled", false.into())]);
     };
     section([
         ("enabled", true.into()),
-        (
-            "interval_ms",
-            shared.config.reconcile_interval.as_millis().into(),
-        ),
-        ("sweeps", r.sweeps.get().into()),
-        ("reconciled", r.reconciled.get().into()),
-        ("retried", r.retried.get().into()),
-        ("orphans_removed", r.orphans_removed.get().into()),
-        ("failures", r.failures.get().into()),
-        ("failed", r.failed.get().into()),
-        ("fallback", r.fallback.get().into()),
-        ("exhausted", (r.exhausted.get() != 0.0).into()),
+        ("sweeps", sweep.sweeps.get().into()),
+        ("orphans_removed", sweep.orphans_removed.get().into()),
+        ("failures", sweep.failures.get().into()),
     ])
 }
 

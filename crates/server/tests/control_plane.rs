@@ -19,7 +19,7 @@ struct Rig {
 }
 
 /// An adaptive + flight + fake-resctrl plane in which every task has the
-/// same period, so each `step` one period apart runs all five.
+/// same period, so each `step` one period apart runs all four.
 fn rig() -> Rig {
     let config = ServerConfig {
         fake_resctrl: true,
@@ -28,7 +28,6 @@ fn rig() -> Rig {
         monitor_interval: Some(PERIOD),
         reprobe_interval: PERIOD,
         control_interval: PERIOD,
-        reconcile_interval: PERIOD,
         flight_interval: PERIOD,
         ..ServerConfig::default()
     };
@@ -42,8 +41,7 @@ fn rig() -> Rig {
         &registry,
         ServerMetrics::new(&registry),
         Some(Box::new(probe)),
-    )
-    .expect("plane");
+    );
     Rig { plane, engine }
 }
 
@@ -131,7 +129,7 @@ fn steps_due_in_one_wake_run_in_the_documented_order() {
     let mut rig = rig();
     // A breaker trip that healed before the first pass: supervise has
     // something to report without the degraded flag changing what
-    // control and reconcile do.
+    // control does.
     let health = rig
         .engine
         .resctrl_health()
@@ -144,12 +142,12 @@ fn steps_due_in_one_wake_run_in_the_documented_order() {
     // sample → control: the controller's first tick already had data.
     let view = control(&rig);
     assert_eq!((view.clamped, view.last_decision), (false, "hold-dwell"));
-    // supervise → control → reconcile: their events sit in that order,
-    // all stamped with the baseline tick because record had not run yet.
+    // supervise → control: their events sit in that order, both stamped
+    // with the baseline tick because record had not run yet.
     let flight = rig.plane.flight().expect("flight on");
     let timeline = flight.timeline(0, None);
     let kinds: Vec<(&str, u64)> = timeline.events.iter().map(|e| (e.kind, e.seq)).collect();
-    assert_eq!(kinds, [("breaker_trip", 1), ("hold", 1), ("reconciled", 1)]);
+    assert_eq!(kinds, [("breaker_trip", 1), ("hold", 1)]);
     // … → record: the pass's own tick carries what every earlier step of
     // the pass published.
     assert_eq!(timeline.tick, 2);
@@ -166,5 +164,4 @@ fn steps_due_in_one_wake_run_in_the_documented_order() {
     assert!(recorded("ccp_llc_occupancy_bytes{class=\"sensitive\"}") > 0.0);
     assert_eq!(recorded("ccp_resctrl_breaker_trips_total"), 1.0);
     assert_eq!(recorded("ccp_control_decisions_total"), 1.0);
-    assert_eq!(recorded("ccp_reconcile_reconciled_total"), 3.0);
 }

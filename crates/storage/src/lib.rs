@@ -31,7 +31,6 @@ pub mod dict;
 pub mod gen;
 pub mod hashtable;
 pub mod invindex;
-pub mod rle;
 pub mod table;
 
 pub use accumulator::CodeAccumulator;
@@ -41,5 +40,4 @@ pub use column::DictColumn;
 pub use dict::Dictionary;
 pub use hashtable::{AggHashTable, Aggregate};
 pub use invindex::InvertedIndex;
-pub use rle::RleVector;
 pub use table::{Column, Table};

@@ -2,7 +2,6 @@
 
 use ccp_storage::{
     AggHashTable, Aggregate, BitVec, DictColumn, Dictionary, InvertedIndex, PackedCodeVector,
-    RleVector,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -155,27 +154,6 @@ proptest! {
             }
         }
         prop_assert!(seen.iter().all(|&s| s));
-    }
-
-    /// RLE round-trips any code sequence, and its range count matches the
-    /// packed vector's on the same data.
-    #[test]
-    fn rle_equivalent_to_packed(
-        codes in proptest::collection::vec(0u32..64, 0..400),
-        lo in 0u32..64,
-        span in 0u32..64,
-    ) {
-        let rle = RleVector::from_codes(codes.iter().copied());
-        prop_assert_eq!(rle.iter().collect::<Vec<u32>>(), codes.clone());
-        prop_assert!(rle.run_count() <= codes.len().max(1));
-        if !codes.is_empty() {
-            let packed = PackedCodeVector::from_codes(6, &codes);
-            let range = lo..(lo + span).min(64);
-            prop_assert_eq!(
-                rle.count_in_range(range.clone()),
-                packed.count_in_range(range)
-            );
-        }
     }
 
     /// A foreign-key join via bit vector equals a naive nested validation:

@@ -51,7 +51,7 @@ fn plane_stop_is_idempotent_and_never_loses_the_final_publish() {
         let registry = Registry::new();
         let samples = Arc::new(AtomicU64::new(0));
         // A plane whose only task is the sample step: no flight, and a
-        // noop allocator has nothing to supervise or reconcile.
+        // noop allocator has nothing to supervise or sweep.
         let config = ServerConfig {
             monitor_interval: Some(Duration::from_millis(1)),
             flight: false,
@@ -73,7 +73,6 @@ fn plane_stop_is_idempotent_and_never_loses_the_final_publish() {
                 n: Arc::clone(&samples),
             })),
         )
-        .expect("plane")
         .spawn()
         .expect("plane thread");
         let state = PlaneModel {

@@ -1,22 +1,18 @@
 #!/usr/bin/env bash
-# Tenant lifecycle smoke gate: quotas bite per tenant, the group
-# reconciler survives CLOSID exhaustion, and shutdown leaves zero
-# `ccp-` groups behind.
+# Tenant smoke gate: quotas bite per tenant, tenancy costs no CLOSIDs,
+# and shutdown leaves zero `ccp-` groups behind.
 #
-# Starts `ccp serve` with the fake resctrl tree capped at 4 CLOSIDs —
-# three tenants x three classes of desired groups can never all fit —
-# plus a bounded ENOSPC fault window on tenant group creation, then:
+# Starts `ccp serve` with the fake resctrl tree capped at 4 CLOSIDs — a
+# common CAT part: the root plus exactly the three mask groups workers
+# bind into — and four tenants configured, then:
 #
 #   * a zero-quota tenant is 429'd at arrival while a quota'd tenant
 #     serves 200 through the very same queue (quotas are per tenant,
 #     not a shared valve);
 #   * `ccp bench-serve --tenant-mix alpha:50,beta:30,gamma:20` drives a
-#     skewed three-tenant mix with a 1% error gate — >=99% of queries
-#     succeed on shared class masks while dedicated groups are
-#     impossible;
-#   * the reconciler's retry counter advances through the fault window
-#     and the failed-groups gauge converges to 0 (exhaustion degrades
-#     to fallback, it is never booked as failure);
+#     skewed three-tenant mix with a 1% error gate;
+#   * the way masks are in force under that budget: the OLAP pool
+#     switched masks and not one bind failed;
 #   * SIGINT shutdown runs the final sweep and the server's own exit
 #     log proves 0 `ccp-` groups remain;
 #   * zero worker panics end to end.
@@ -38,10 +34,6 @@ ADDR="127.0.0.1:${PORT}"
 QPS="${CCP_TENANT_QPS:-40}"
 SECS="${CCP_TENANT_SECS:-6}"
 PROFILE="${CCP_TENANT_PROFILE:-release}"
-# 20 ENOSPC hits on tenant group creation: the capacity-aware retry
-# (one attempt every few 25ms passes under backoff) burns through the
-# window in about two seconds, then lands on genuine 4-CLOSID scarcity.
-FAULTS="tenant.create_group=err:enospc@1+20"
 
 cd "$(dirname "$0")/.."
 . scripts/lib.sh
@@ -50,18 +42,16 @@ ccp_build "$PROFILE"
 ccp_init
 
 ccp_launch_server serve "$ADDR" \
-  --fake-closids 4 --reconcile-interval-ms 25 \
+  --fake-closids 4 \
   --tenant-quota alpha=8 --tenant-weight alpha=5 \
   --tenant-quota beta=8 --tenant-weight beta=3 \
   --tenant-quota gamma=8 --tenant-weight gamma=2 \
-  --tenant-quota tiny=0 \
-  --faults "$FAULTS"
+  --tenant-quota tiny=0
 SERVER_PID="${CCP_SERVER_PIDS[${#CCP_SERVER_PIDS[@]}-1]}"
 SERVER_LOG="${CCP_SERVER_LOGS[${#CCP_SERVER_LOGS[@]}-1]}"
 
-# Numeric comparison helpers: counters render as integers but gauges
-# render as '0.0' / '1.0', so string equality is not enough.
-num_eq() { awk -v a="${1:-}" -v b="$2" 'BEGIN { exit (a+0 == b+0) ? 0 : 1 }'; }
+# Numeric comparison helpers over scraped samples (empty = missing).
+num_eq() { [[ -n "${1:-}" ]] && awk -v a="$1" -v b="$2" 'BEGIN { exit (a+0 == b+0) ? 0 : 1 }'; }
 num_gt0() { [[ -n "${1:-}" ]] && awk -v a="$1" 'BEGIN { exit (a+0 > 0) ? 0 : 1 }'; }
 
 # POST /query as a tenant; echoes the HTTP status code.
@@ -86,7 +76,7 @@ grep -qF '"tenants"' "$WORK/stats.json" || {
   exit 1
 }
 grep -qF '"reconciler":{"enabled":true' "$WORK/stats.json" || {
-  echo "/stats says the reconciler is not running:" >&2
+  echo "/stats says the orphan sweeps are not running:" >&2
   cat "$WORK/stats.json" >&2
   exit 1
 }
@@ -104,41 +94,22 @@ if [[ "$STATUS_ALPHA" != 200 ]]; then
 fi
 echo "   tiny -> 429, alpha -> 200"
 
-echo "== bench-serve --tenant-mix alpha:50,beta:30,gamma:20 under '${FAULTS}': ${QPS} qps for ${SECS}s"
+echo "== bench-serve --tenant-mix alpha:50,beta:30,gamma:20 on 4 CLOSIDs: ${QPS} qps for ${SECS}s"
 "$CCP" bench-serve --addr "$ADDR" --qps "$QPS" --duration "$SECS" \
   --concurrency 2 --max-error-pct 1 \
   --tenant-mix alpha:50,beta:30,gamma:20 # propagates the >=99% gate
 
-# The reconciler must burn through the fault window (retries advance)
-# and settle with zero failed groups: under permanent CLOSID scarcity
-# every unsatisfiable group is fallback (shared class mask), which is
-# degradation, not failure.
-SETTLED=0
-for _ in $(seq 1 100); do
-  ccp_scrape "$ADDR" /metrics "$WORK/metrics.txt"
-  RETRIED=$(ccp_metric "$WORK/metrics.txt" ccp_reconcile_retried_total)
-  FAILED=$(ccp_metric "$WORK/metrics.txt" ccp_reconcile_failed_groups)
-  if num_gt0 "$RETRIED" && num_eq "$FAILED" 0; then
-    SETTLED=1
-    break
-  fi
-  sleep 0.1
-done
-if [[ "$SETTLED" != 1 ]]; then
-  echo "reconciler never settled (retried=${RETRIED:-?} failed=${FAILED:-?}):" >&2
-  grep '^ccp_reconcile' "$WORK/metrics.txt" >&2 || true
+# Four CLOSIDs hold the three mask groups, so every bind must land: the
+# masks are in force, not merely reported in the replies.
+ccp_scrape "$ADDR" /metrics "$WORK/metrics.txt"
+SWITCHES=$(ccp_metric "$WORK/metrics.txt" 'ccp_executor_mask_switches_total{pool="olap"}')
+BIND_FAILURES=$(ccp_metric "$WORK/metrics.txt" 'ccp_executor_bind_failures_total{pool="olap"}')
+if ! num_gt0 "$SWITCHES" || ! num_eq "$BIND_FAILURES" 0; then
+  echo "way masks not in force under 4 CLOSIDs: mask_switches=${SWITCHES:-?} bind_failures=${BIND_FAILURES:-?}" >&2
+  grep '^ccp_executor_\(mask_switches\|bind_failures\)' "$WORK/metrics.txt" >&2 || true
   exit 1
 fi
-echo "   reconcile retried=${RETRIED}, failed_groups=0 after heal"
-
-EXHAUSTED=$(ccp_metric "$WORK/metrics.txt" ccp_reconcile_exhausted)
-FALLBACK=$(ccp_metric "$WORK/metrics.txt" ccp_reconcile_fallback_groups)
-if ! num_eq "$EXHAUSTED" 1 || ! num_gt0 "$FALLBACK"; then
-  echo "expected CLOSID exhaustion with class-sharing fallback, got exhausted=${EXHAUSTED:-?} fallback=${FALLBACK:-?}" >&2
-  grep '^ccp_reconcile' "$WORK/metrics.txt" >&2 || true
-  exit 1
-fi
-echo "   exhausted=1 with fallback_groups=${FALLBACK} on shared class masks"
+echo "   olap mask_switches=${SWITCHES}, bind_failures=0"
 
 # Every tenant's traffic is labelled in the scrape. The mix's oltp
 # share (and reuse-predicted scan hits) are admitted as sensitive, so

@@ -420,12 +420,6 @@ const SERVE_FLAGS: &[Flag<ServeArgs>] = &[
         help: "fake resctrl with only N CLOSIDs (implies --fake-resctrl; exhaustion chaos)",
         apply: |a, v| parse_count(v).map(|n| a.config.fake_closids = Some(n as u32)),
     },
-    Flag {
-        name: "--reconcile-interval-ms",
-        value: "N",
-        help: "tenant group reconciler pass period (default 500)",
-        apply: |a, v| parse_millis(v).map(|d| a.config.reconcile_interval = d),
-    },
 ];
 
 fn parse_serve_config(args: &[String]) -> Result<ServeArgs, String> {
@@ -440,8 +434,8 @@ fn parse_serve_config(args: &[String]) -> Result<ServeArgs, String> {
     Ok(parsed)
 }
 
-/// Splits a `NAME=VALUE` tenant flag argument; tenant id validation is
-/// left to the server (it returns a startup error naming the bad id).
+/// Splits a `NAME=VALUE` tenant flag argument; `Server::start` validates
+/// the id (a startup error naming it, before anything is spawned).
 fn parse_tenant_kv<'v>(s: &'v str, flag: &str) -> Result<(String, &'v str), String> {
     let (name, value) = s
         .split_once('=')

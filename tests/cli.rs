@@ -47,6 +47,10 @@ fn malformed_serve_flags_fail_without_binding() {
         (&["serve", "--slots"], "flag --slots needs a value"),
         (&["serve", "--rows", "0"], "expected a positive number"),
         (&["serve", "--addr"], "flag --addr needs a value"),
+        (
+            &["serve", "--tenant-quota", "Bad Name=1"],
+            "--tenant: invalid tenant id: \"Bad Name\" contains characters outside [a-z0-9_]",
+        ),
     ];
     for (args, expect) in cases {
         let out = ccp(args);
@@ -93,7 +97,7 @@ fn help_flags(section: &str) -> Vec<(String, bool)> {
 
 #[test]
 fn every_flag_is_listed_in_help_and_known_to_its_parser() {
-    const SERVE: [&str; 26] = [
+    const SERVE: [&str; 25] = [
         "--addr",
         "--olap-workers",
         "--oltp-workers",
@@ -119,7 +123,6 @@ fn every_flag_is_listed_in_help_and_known_to_its_parser() {
         "--tenant-quota",
         "--tenant-weight",
         "--fake-closids",
-        "--reconcile-interval-ms",
     ];
     const BENCH: [&str; 10] = [
         "--addr",
