@@ -4,17 +4,19 @@
 //! trait: "bind thread `tid` to way mask `mask`". Three backends:
 //!
 //! * [`ResctrlAllocator`] — the production path on CAT hardware: one
-//!   resctrl group per distinct mask, threads moved between groups.
+//!   resctrl group per distinct mask, threads moved between groups. It
+//!   hands out the process's one [`ResctrlTree`]: sweeps, monitor and
+//!   supervise step go through the controller the binds use.
 //! * [`NoopAllocator`] — partitioning disabled (the paper's baseline).
 //! * [`RecordingAllocator`] — test double recording every call.
 
 use ccp_cachesim::WayMask;
+use ccp_resctrl::fs::FakeFs;
 use ccp_resctrl::{
-    detect, mask_group_name, CacheController, GroupHandle, ResctrlError, ResctrlHealth,
-    RetryPolicy, SupervisedController,
+    detect, CacheController, PerClass, ResctrlError, ResctrlHealth, ResctrlTree, RetryPolicy,
+    SupervisedController,
 };
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -58,37 +60,32 @@ pub trait CacheAllocator: Send + Sync {
     /// job but not the engine.
     fn bind(&self, tid: u64, mask: WayMask) -> Result<(), AllocError>;
 
-    /// Eagerly materializes the backend state behind `mask` — group
-    /// creation plus schemata writes — without binding any thread.
+    /// Makes the backend hold the state of `plan` and nothing else,
+    /// without binding any thread: groups of masks the plan does not name
+    /// are retired (their tasks run under the full cache until their next
+    /// bind), the groups of its masks created and programmed.
     ///
-    /// This is the control loop's repartition path: a new plan's masks
-    /// are prepared up front so a failing schemata rewrite surfaces as a
-    /// controller revert instead of as per-job bind failures. Backends
-    /// without kernel state accept any mask.
+    /// The control loop calls this before every publish to the live mask
+    /// table, so a failing schemata write surfaces as a controller revert
+    /// instead of as per-job bind failures. Backends without kernel state
+    /// accept any plan.
     ///
     /// # Errors
-    /// Backend-specific failures; the caller is expected to fall back to
-    /// the previous (static) mapping.
-    fn prepare(&self, mask: WayMask) -> Result<(), AllocError> {
-        let _ = mask;
+    /// Backend-specific failures; the caller falls back to the static
+    /// mapping (and prepares that).
+    fn prepare(&self, plan: &PerClass<WayMask>) -> Result<(), AllocError> {
+        let _ = plan;
         Ok(())
     }
 
     /// Human-readable backend name for diagnostics.
     fn backend_name(&self) -> &'static str;
 
-    /// The backend's shared health handle, when it has failure modes.
-    /// `None` for backends that cannot fail (noop, recording).
-    fn health(&self) -> Option<Arc<ResctrlHealth>> {
+    /// The resctrl tree behind the backend: its one controller, with the
+    /// breaker, the probe and the instruments. `None` for backends
+    /// without a tree (noop, recording), which cannot fail.
+    fn tree(&self) -> Option<ResctrlTree> {
         None
-    }
-
-    /// Degraded-mode recovery probe: performs one real backend
-    /// operation and reports whether the backend is healthy (clearing
-    /// its breaker on success). Backends without failure modes are
-    /// trivially healthy.
-    fn reprobe(&self) -> bool {
-        true
     }
 }
 
@@ -135,40 +132,13 @@ impl CacheAllocator for RecordingAllocator {
     }
 }
 
-/// Production backend: drives a [`CacheController`] (resctrl).
-///
-/// Lazily creates one control group per distinct mask, named
-/// `ccp-<mask-hex>`, and moves threads between groups. The controller's own
+/// Production backend: binds through the process's [`ResctrlTree`],
+/// which lazily creates one control group per distinct mask, named
+/// `ccp-<mask-hex>`, and moves threads between groups; the controller's
 /// old-vs-new caching (paper Section V-C) makes repeated identical binds
 /// free.
 pub struct ResctrlAllocator {
-    inner: Mutex<ResctrlInner>,
-    /// L3 cache domains to program (usually one per socket).
-    domains: Vec<u32>,
-}
-
-struct ResctrlInner {
-    ctl: SupervisedController,
-    groups: HashMap<u32, GroupHandle>,
-}
-
-impl ResctrlInner {
-    /// Group for `mask`, created and programmed on first use.
-    fn ensure_group(&mut self, domains: &[u32], mask: WayMask) -> Result<GroupHandle, AllocError> {
-        if let Some(g) = self.groups.get(&mask.bits()) {
-            return Ok(g.clone());
-        }
-        let name = mask_group_name(mask);
-        let g = match self.ctl.existing_group(&name) {
-            Ok(g) => g,
-            Err(_) => self.ctl.create_group(&name)?,
-        };
-        for &d in domains {
-            self.ctl.set_l3_mask(&g, d, mask)?;
-        }
-        self.groups.insert(mask.bits(), g.clone());
-        Ok(g)
-    }
+    tree: ResctrlTree,
 }
 
 impl ResctrlAllocator {
@@ -176,29 +146,10 @@ impl ResctrlAllocator {
     /// under the default supervision (3-attempt retry with backoff,
     /// breaker tripping after `DEFAULT_TRIP_AFTER` = 3 exhausted ops).
     pub fn new(ctl: CacheController, domains: Vec<u32>) -> Self {
-        Self::supervised(
-            ctl,
-            domains,
-            RetryPolicy::default(),
-            Arc::new(ResctrlHealth::new(DEFAULT_TRIP_AFTER)),
-        )
-    }
-
-    /// Wraps an opened controller with an explicit retry policy and a
-    /// caller-shared health handle (so the server's supervision loop
-    /// observes breaker trips).
-    pub fn supervised(
-        ctl: CacheController,
-        domains: Vec<u32>,
-        policy: RetryPolicy,
-        health: Arc<ResctrlHealth>,
-    ) -> Self {
+        let health = Arc::new(ResctrlHealth::new(DEFAULT_TRIP_AFTER));
+        let ctl = SupervisedController::new(ctl, RetryPolicy::default(), health);
         ResctrlAllocator {
-            inner: Mutex::new(ResctrlInner {
-                ctl: SupervisedController::new(ctl, policy, health),
-                groups: HashMap::new(),
-            }),
-            domains,
+            tree: ctl.shared(domains),
         }
     }
 
@@ -210,43 +161,35 @@ impl ResctrlAllocator {
         Ok(Self::new(CacheController::open()?, vec![0]))
     }
 
-    /// Number of kernel writes skipped by the fast path so far.
-    pub fn skipped_writes(&self) -> u64 {
-        self.inner.lock().ctl.skipped_writes()
+    /// Opens an in-memory fake resctrl tree with `num_closids` classes of
+    /// service (Broadwell has 16; with 4, three mask groups are all the
+    /// tree holds), supervised like the host's: `ccp serve --fake-resctrl`,
+    /// where failpoints, breaker trips and degraded mode need no CAT.
+    ///
+    /// # Errors
+    /// Propagates [`ResctrlError`] when the fake tree does not open.
+    pub fn open_fake(num_closids: u32) -> Result<Self, ResctrlError> {
+        let fs = FakeFs::new("/sys/fs/resctrl", 0xfffff, 2, num_closids, &[0]);
+        let ctl = CacheController::open_with(Box::new(fs), "/sys/fs/resctrl")?;
+        Ok(Self::new(ctl, vec![0]))
     }
 }
 
 impl CacheAllocator for ResctrlAllocator {
     fn bind(&self, tid: u64, mask: WayMask) -> Result<(), AllocError> {
-        let mut inner = self.inner.lock();
-        let group = inner.ensure_group(&self.domains, mask)?;
-        inner.ctl.assign_task(&group, tid)?;
-        Ok(())
+        Ok(self.tree.lock().bind(tid, mask)?)
     }
 
-    fn prepare(&self, mask: WayMask) -> Result<(), AllocError> {
-        let mut inner = self.inner.lock();
-        let group = inner.ensure_group(&self.domains, mask)?;
-        // Re-assert the schemata even for a cached group so a drifted or
-        // faulted kernel state surfaces here, on the control path, rather
-        // than at the next worker bind. The controller's own old-vs-new
-        // write cache keeps the repeat case cheap.
-        for &d in &self.domains {
-            inner.ctl.set_l3_mask(&group, d, mask)?;
-        }
-        Ok(())
+    fn prepare(&self, plan: &PerClass<WayMask>) -> Result<(), AllocError> {
+        Ok(self.tree.lock().prepare(plan)?)
     }
 
     fn backend_name(&self) -> &'static str {
         "resctrl"
     }
 
-    fn health(&self) -> Option<Arc<ResctrlHealth>> {
-        Some(self.inner.lock().ctl.health())
-    }
-
-    fn reprobe(&self) -> bool {
-        self.inner.lock().ctl.probe()
+    fn tree(&self) -> Option<ResctrlTree> {
+        Some(Arc::clone(&self.tree))
     }
 }
 
@@ -287,7 +230,7 @@ pub(crate) fn current_tid() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccp_resctrl::fs::FakeFs;
+    use ccp_resctrl::mask_group_name;
 
     fn fake_allocator() -> (FakeFs, ResctrlAllocator) {
         let fs = FakeFs::broadwell();
@@ -363,11 +306,11 @@ mod tests {
         let (_, a) = fake_allocator();
         let m = WayMask::new(0x3).unwrap();
         a.bind(1, m).unwrap();
-        let before = a.skipped_writes();
+        let before = skipped_writes(&a);
         for _ in 0..10 {
             a.bind(1, m).unwrap();
         }
-        assert_eq!(a.skipped_writes() - before, 10);
+        assert_eq!(skipped_writes(&a) - before, 10);
     }
 
     #[test]
@@ -381,11 +324,29 @@ mod tests {
         assert_eq!(s, "L3:0=fff\n");
     }
 
+    fn skipped_writes(a: &ResctrlAllocator) -> u64 {
+        a.tree.lock().metrics().skipped_writes()
+    }
+
+    fn plan(polluting: u32, mixed: u32, sensitive: u32) -> PerClass<WayMask> {
+        PerClass::new(polluting, mixed, sensitive).map(|&bits| WayMask::new(bits).unwrap())
+    }
+
+    fn ccp_groups(fs: &FakeFs) -> Vec<String> {
+        use ccp_resctrl::fs::ResctrlFs;
+        let mut groups = fs
+            .list_dirs(std::path::Path::new("/sys/fs/resctrl"))
+            .unwrap();
+        groups.retain(|g| g.starts_with("ccp-"));
+        groups.sort();
+        groups
+    }
+
     #[test]
-    fn prepare_creates_group_without_binding_tasks() {
+    fn prepare_creates_the_plans_groups_without_binding_tasks() {
         let (fs, a) = fake_allocator();
-        a.prepare(WayMask::new(0xf0000).unwrap()).unwrap();
-        assert_eq!(fs.group_count(), 1);
+        a.prepare(&plan(0x3, 0xf0000, 0xf0000)).unwrap();
+        assert_eq!(ccp_groups(&fs), ["ccp-3", "ccp-f0000"]);
         use ccp_resctrl::fs::ResctrlFs;
         let s = fs
             .read(std::path::Path::new("/sys/fs/resctrl/ccp-f0000/schemata"))
@@ -396,7 +357,80 @@ mod tests {
             .is_empty());
         // A later bind to the same mask reuses the prepared group.
         a.bind(7, WayMask::new(0xf0000).unwrap()).unwrap();
-        assert_eq!(fs.group_count(), 1);
+        assert_eq!(fs.group_count(), 2);
+    }
+
+    #[test]
+    fn prepare_retires_the_groups_the_plan_no_longer_names() {
+        // Root + three groups: the pool holds one plan and nothing else.
+        let fs = FakeFs::new("/sys/fs/resctrl", 0xfffff, 2, 4, &[0]);
+        let ctl = CacheController::open_with(Box::new(fs.clone()), "/sys/fs/resctrl").unwrap();
+        let a = ResctrlAllocator::new(ctl, vec![0]);
+        let root = std::path::Path::new("/sys/fs/resctrl");
+        a.prepare(&plan(0x3, 0xfff, 0xfffff)).unwrap();
+        a.bind(7, WayMask::new(0xfffff).unwrap()).unwrap();
+        assert_eq!(ccp_groups(&fs), ["ccp-3", "ccp-fff", "ccp-fffff"]);
+
+        // Two of the next plan's masks are new: without the retire there
+        // is no CLOSID for either.
+        a.prepare(&plan(0x3, 0xc0000, 0xf0000)).unwrap();
+        assert_eq!(ccp_groups(&fs), ["ccp-3", "ccp-c0000", "ccp-f0000"]);
+        assert_eq!(
+            fs.tasks_of(root),
+            vec![7],
+            "a retired group's task runs in the root"
+        );
+
+        // A mask outside the plan is still made lazily by a bind — when a
+        // CLOSID is left, which here none is: a counted failed bind.
+        assert!(a.bind(8, WayMask::new(0xfffff).unwrap()).is_err());
+        // And back: the revert retires what the repartition made.
+        a.prepare(&plan(0x3, 0xfff, 0xfffff)).unwrap();
+        assert_eq!(ccp_groups(&fs), ["ccp-3", "ccp-fff", "ccp-fffff"]);
+        // An identical plan touches nothing.
+        let writes = a.tree.lock().metrics().schemata_writes();
+        a.prepare(&plan(0x3, 0xfff, 0xfffff)).unwrap();
+        assert_eq!(a.tree.lock().metrics().schemata_writes(), writes);
+    }
+
+    #[test]
+    fn rebind_after_retire_and_recreate_is_a_real_write() {
+        let (fs, a) = fake_allocator();
+        let full = WayMask::new(0xfffff).unwrap();
+        let group = std::path::Path::new("/sys/fs/resctrl/ccp-fffff");
+        a.bind(7, full).unwrap();
+        a.prepare(&plan(0x3, 0xc0000, 0xf0000)).unwrap();
+        a.prepare(&plan(0x3, 0xfff, 0xfffff)).unwrap();
+        assert!(fs.tasks_of(group).is_empty(), "re-created, nobody in it");
+        // The controller that removed the group is the one the bind asks:
+        // its task cache no longer says "already there".
+        let skipped = skipped_writes(&a);
+        a.bind(7, full).unwrap();
+        assert_eq!(fs.tasks_of(group), vec![7]);
+        assert_eq!(skipped_writes(&a), skipped);
+    }
+
+    #[test]
+    fn probe_heals_after_its_last_written_group_was_retired() {
+        let (fs, a) = fake_allocator();
+        // The sensitive mask's group takes the plan's last schemata write…
+        a.prepare(&plan(0x3, 0xfff, 0xfffff)).unwrap();
+        // …and the next plan retires it without writing anything new.
+        a.prepare(&plan(0x3, 0xfff, 0xfff)).unwrap();
+        assert_eq!(ccp_groups(&fs), ["ccp-3", "ccp-fff"]);
+        let health = a.tree.lock().health();
+        while !health.record_failure() {}
+        assert!(health.is_degraded());
+        assert!(
+            a.tree.lock().probe(),
+            "nothing to replay: the scratch-group probe"
+        );
+        assert!(!health.is_degraded());
+        assert_eq!(
+            ccp_groups(&fs),
+            ["ccp-3", "ccp-fff"],
+            "ccp-probe cleaned up"
+        );
     }
 
     #[test]
@@ -410,9 +444,9 @@ mod tests {
         let cfg = ccp_cachesim::HierarchyConfig::broadwell_e5_2699_v4();
         let policy = PartitionPolicy::paper_default(cfg.llc, cfg.l2.size_bytes);
         let live = Arc::new(LiveMasks::from_policy(&policy));
-        let ctl = CacheController::open_with(Box::new(fs.clone()), "/sys/fs/resctrl").unwrap();
         let table = Arc::clone(&live);
-        let mut probe = ResctrlMonitor::new(ctl, Box::new(move || table.snapshot(&policy)), 0);
+        let masks = Box::new(move || table.snapshot(&policy));
+        let mut probe = ResctrlMonitor::new(Arc::clone(&a.tree), masks, 0);
         let polluting = |probe: &mut ResctrlMonitor| {
             let readings = probe.sample();
             let reading = readings.iter().find(|r| r.class == Class::Polluting);
@@ -424,10 +458,11 @@ mod tests {
         fs.set_mon_counter(Path::new("/sys/fs/resctrl/ccp-3"), "llc_occupancy", 1111);
         assert_eq!(polluting(&mut probe), Some(1111));
 
-        // A repartition widens the polluting class: the worker's next
-        // bind moves it to `ccp-f`, and `ccp-3` stops changing.
+        // A repartition widens the polluting class: `ccp-3` is retired,
+        // and the worker's next bind moves it to `ccp-f`.
         let mut plan = policy.static_plan();
         plan.set(Class::Polluting, WayMask::new(0xf).unwrap());
+        a.prepare(&plan).unwrap();
         live.publish(&plan);
         a.bind(7, live.mask_for(CacheUsageClass::Polluting, &policy))
             .unwrap();

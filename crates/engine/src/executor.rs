@@ -4,10 +4,11 @@
 //! Mirrors the integration sketched in the paper's Figure 8: the engine
 //! annotates each job with a CUID; when a worker picks a job up, the
 //! executor maps the CUID to a way mask through the [`PartitionPolicy`]
-//! and — only if it differs from the mask the worker currently has — binds
-//! the worker thread via the configured [`CacheAllocator`]. Short-running
-//! jobs therefore pay nothing when consecutive jobs share a class, which is
-//! the paper's measured-sub-100 µs fast path.
+//! and — only if it differs from the mask the worker currently has, or the
+//! live table has been republished since — binds the worker thread via the
+//! configured [`CacheAllocator`]. Short-running jobs therefore pay nothing
+//! when consecutive jobs share a class, which is the paper's
+//! measured-sub-100 µs fast path.
 
 use crate::alloc::{current_tid, CacheAllocator};
 use crate::job::Job;
@@ -209,7 +210,8 @@ impl JobExecutor {
                         let tid = current_tid();
                         let full =
                             WayMask::full(shared.policy.llc.ways).expect("validated LLC way count");
-                        let mut current: Option<WayMask> = None;
+                        // Mask last bound, live-table generation then.
+                        let mut current: Option<(WayMask, u64)> = None;
                         while let Some((job, submitted)) = next_job(&rx, linger) {
                             let queue_wait = submitted.elapsed().as_secs_f64();
                             let cuid = job.cuid;
@@ -217,6 +219,7 @@ impl JobExecutor {
                             // ORDERING: advisory runtime toggle; a stale read
                             // only delays a worker's rebind by one job, which
                             // set_partitioning documents as lazy.
+                            let generation = shared.live.generation();
                             let want = if shared.partitioning.load(Ordering::Relaxed) {
                                 // The live table (seeded from the policy,
                                 // rewritten by adaptive control) is read
@@ -227,8 +230,9 @@ impl JobExecutor {
                                 full
                             };
                             // Fast path: skip the allocator when the worker
-                            // already carries the right mask.
-                            if current != Some(want) {
+                            // already carries the right mask and no publish
+                            // since can have retired that mask's group.
+                            if current != Some((want, generation)) {
                                 let bind_started = Instant::now();
                                 let bind_span =
                                     ccp_trace::span_id(TraceCat::Bind, "mask_bind", query_id);
@@ -242,7 +246,7 @@ impl JobExecutor {
                                 match bound {
                                     Ok(()) => {
                                         shared.metrics.record_mask_switch();
-                                        current = Some(want);
+                                        current = Some((want, generation));
                                     }
                                     Err(_) => {
                                         shared.metrics.record_bind_failure();
@@ -575,6 +579,24 @@ mod tests {
         ex.run_jobs(jobs);
         assert_eq!(rec.calls().len(), 1);
         assert_eq!(ex.mask_switches(), 1);
+    }
+
+    #[test]
+    fn same_mask_after_a_republish_reaches_the_allocator_once() {
+        let rec = Arc::new(RecordingAllocator::new());
+        let ex = JobExecutor::new(1, policy(), rec.clone());
+        let scans = || {
+            (0..5)
+                .map(|i| Job::new(format!("s{i}"), CacheUsageClass::Polluting, || {}))
+                .collect()
+        };
+        ex.run_jobs(scans());
+        // The plan came back — a revert, or B → A after A → B: the mask is
+        // the one the worker carries, its group may be a new one.
+        ex.live_masks().publish(&policy().static_plan());
+        ex.run_jobs(scans());
+        let masks: Vec<u32> = rec.calls().iter().map(|(_, m)| m.bits()).collect();
+        assert_eq!(masks, vec![0x3, 0x3]);
     }
 
     #[test]

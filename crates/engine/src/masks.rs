@@ -14,18 +14,26 @@
 //! *not* applied atomically across classes, which is safe because a bind
 //! consults exactly one class entry and every intermediate state is a set
 //! of individually-valid masks.
+//!
+//! Every publish also bumps a **generation**: a repartition may retire a
+//! mask's resctrl group and a later one create it again, and a worker
+//! comparing masks alone would then skip the bind into the new group for
+//! good. Workers remember `(mask, generation)` and go back to the
+//! allocator when either moved; its task cache, purged with the group,
+//! decides whether the kernel hears of it.
 
 use crate::job::CacheUsageClass;
 use crate::partition::PartitionPolicy;
 use ccp_cachesim::WayMask;
 use ccp_resctrl::{Class, PerClass};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Published per-class way masks, updated in place by the controller and
 /// consulted by workers on every bind decision.
 #[derive(Debug)]
 pub struct LiveMasks {
     bits: PerClass<AtomicU32>,
+    generation: AtomicU64,
 }
 
 impl LiveMasks {
@@ -33,7 +41,15 @@ impl LiveMasks {
     pub fn from_policy(policy: &PartitionPolicy) -> Self {
         LiveMasks {
             bits: policy.static_plan().map(|mask| AtomicU32::new(mask.bits())),
+            generation: AtomicU64::new(0),
         }
+    }
+
+    /// Publishes so far. Read it *before* the entry it is remembered
+    /// with: whoever sees a publish's generation also sees its masks.
+    pub fn generation(&self) -> u64 {
+        // ORDERING: acquire, pairing with the release bump in `publish`.
+        self.generation.load(Ordering::Acquire)
     }
 
     /// The current mask for `cuid`: the live entry of the class the
@@ -56,13 +72,16 @@ impl LiveMasks {
         WayMask::new(bits).unwrap_or_else(|_| *policy.static_plan().get(class))
     }
 
-    /// Publishes a full plan. Per-class stores are independent; readers
-    /// may observe a mix of old and new entries, each individually valid.
+    /// Publishes a full plan and bumps the generation. Per-class stores
+    /// are independent; readers may observe a mix of old and new entries,
+    /// each individually valid.
     pub fn publish(&self, plan: &PerClass<WayMask>) {
         for (class, mask) in plan.iter() {
             // ORDERING: see `entry` — independent advisory entries.
             self.bits.get(class).store(mask.bits(), Ordering::Relaxed);
         }
+        // ORDERING: release, after the entries — see `generation`.
+        self.generation.fetch_add(1, Ordering::Release);
     }
 
     /// Point-in-time copy of the table, entry by entry (a concurrent
@@ -127,7 +146,9 @@ mod tests {
             0x3
         );
         assert_eq!(live.snapshot(&p), PerClass::new(pol, mix, sen));
+        assert_eq!(live.generation(), 1);
         live.publish(&p.static_plan());
+        assert_eq!(live.generation(), 2, "every publish counts, also a revert");
         assert_eq!(
             live.mask_for(CacheUsageClass::Sensitive, &p),
             p.mask_for(CacheUsageClass::Sensitive)

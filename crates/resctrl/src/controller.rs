@@ -257,18 +257,7 @@ impl CacheController {
         domain: u32,
         mask: WayMask,
     ) -> Result<(), ResctrlError> {
-        if (mask.bits() & !self.info.cbm_mask) != 0 {
-            return Err(ResctrlError::BadMask(format!(
-                "mask {mask} exceeds hardware cbm_mask {:#x}",
-                self.info.cbm_mask
-            )));
-        }
-        if mask.way_count() < self.info.min_cbm_bits {
-            return Err(ResctrlError::BadMask(format!(
-                "mask {mask} has fewer than min_cbm_bits={} ways",
-                self.info.min_cbm_bits
-            )));
-        }
+        self.check_mask(mask)?;
         let key = (group.name.clone(), domain);
         if self.mask_cache.get(&key) == Some(&mask) {
             self.metrics.record_skipped_write();
@@ -291,6 +280,12 @@ impl CacheController {
         domain: u32,
         mask: WayMask,
     ) -> Result<(), ResctrlError> {
+        self.check_mask(mask)?;
+        self.write_schemata(group, domain, mask)
+    }
+
+    /// `mask` against the hardware's `cbm_mask` and `min_cbm_bits`.
+    fn check_mask(&self, mask: WayMask) -> Result<(), ResctrlError> {
         if (mask.bits() & !self.info.cbm_mask) != 0 {
             return Err(ResctrlError::BadMask(format!(
                 "mask {mask} exceeds hardware cbm_mask {:#x}",
@@ -303,7 +298,7 @@ impl CacheController {
                 self.info.min_cbm_bits
             )));
         }
-        self.write_schemata(group, domain, mask)
+        Ok(())
     }
 
     fn write_schemata(

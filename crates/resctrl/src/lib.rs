@@ -22,6 +22,10 @@
 //!   suite and by any host without CAT, such as a container on an old
 //!   kernel.
 //!
+//! A process that partitions opens **one** controller and shares it as a
+//! [`ResctrlTree`] (see [`supervisor`]): the tree then holds the groups
+//! of the mask plan in force and nothing else.
+//!
 //! Beyond allocation, the crate also drives RDT **monitoring**: typed
 //! `mon_groups` handles ([`MonGroupHandle`]) for RMID-backed per-query
 //! counters, CMT/MBM reads, and per-CUID-class [`OccupancyProbe`]s the
@@ -61,7 +65,7 @@ pub use error::ResctrlError;
 pub use metrics::ResctrlMetrics;
 pub use monitor::{ClassReading, OccupancyProbe, ResctrlMonitor, SimulatedMonitor};
 pub use schemata::Schemata;
-pub use supervisor::{ResctrlHealth, RetryPolicy, SupervisedController};
+pub use supervisor::{ResctrlHealth, ResctrlTree, RetryPolicy, SupervisedController};
 pub use sweep::{SweepStats, Sweeper};
 pub use tenant::{mask_group_name, TenantId, DEFAULT_TENANT};
 

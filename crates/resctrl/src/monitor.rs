@@ -9,9 +9,9 @@
 //!
 //! Two probes are provided:
 //!
-//! * [`ResctrlMonitor`] — reads real CMT counters from the control groups
-//!   the allocator created (one `ccp-<mask>` group per distinct way
-//!   mask), for hosts with RDT monitoring;
+//! * [`ResctrlMonitor`] — reads real CMT counters from the mask groups
+//!   of the process's [`ResctrlTree`] (one `ccp-<mask>` group per
+//!   distinct way mask), for hosts with RDT monitoring;
 //! * [`SimulatedMonitor`] — a model-backed stand-in for everywhere else
 //!   (containers, non-Intel hosts, CI): each class's occupancy decays
 //!   exponentially toward `share_of_llc × load`, where load comes from a
@@ -19,8 +19,7 @@
 //!   class are currently running).
 
 use crate::class::{Class, PerClass};
-use crate::controller::CacheController;
-use crate::tenant::mask_group_name;
+use crate::supervisor::ResctrlTree;
 use ccp_cachesim::WayMask;
 
 /// One probe reading: the footprint of a single class. This is the one
@@ -44,36 +43,38 @@ pub trait OccupancyProbe: Send {
 }
 
 /// Probe backed by real CMT counters: reads `llc_occupancy` of the
-/// allocator's per-mask control groups through a [`CacheController`].
+/// tree's per-mask control groups, through the tree's one controller.
 pub struct ResctrlMonitor {
-    ctl: CacheController,
-    /// The class → mask mapping in force. Asked at every sample: an
-    /// adaptive repartition moves the workers into the groups of the new
-    /// masks, and the groups of the old ones stop changing.
+    tree: ResctrlTree,
+    /// The class → mask mapping in force, asked at every sample: a
+    /// repartition moves the workers into new groups and retires the old.
     masks: Box<dyn Fn() -> PerClass<WayMask> + Send>,
     domain: u32,
 }
 
 impl ResctrlMonitor {
-    /// Builds a probe reading, on cache `domain` through `ctl`, the group
-    /// [`mask_group_name`] gives for each class's current mask.
+    /// Builds a probe reading, on cache `domain`, the group `tree` holds
+    /// for each class's current mask.
     pub fn new(
-        ctl: CacheController,
+        tree: ResctrlTree,
         masks: Box<dyn Fn() -> PerClass<WayMask> + Send>,
         domain: u32,
     ) -> Self {
-        ResctrlMonitor { ctl, masks, domain }
+        ResctrlMonitor {
+            tree,
+            masks,
+            domain,
+        }
     }
 }
 
 impl OccupancyProbe for ResctrlMonitor {
     fn sample(&mut self) -> Vec<ClassReading> {
         let mut out = Vec::with_capacity(Class::ALL.len());
-        for (class, &mask) in (self.masks)().iter() {
-            let Ok(handle) = self.ctl.existing_group(&mask_group_name(mask)) else {
-                continue; // allocator has not materialized this mask yet
-            };
-            let Ok(m) = self.ctl.monitoring(&handle, self.domain) else {
+        let masks = (self.masks)();
+        let ctl = self.tree.lock();
+        for (class, &mask) in masks.iter() {
+            let Some(m) = ctl.mask_monitoring(mask, self.domain) else {
                 continue;
             };
             out.push(ClassReading {
@@ -151,21 +152,25 @@ impl OccupancyProbe for SimulatedMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::CacheController;
     use crate::fs::FakeFs;
+    use crate::supervisor::{ResctrlHealth, RetryPolicy, SupervisedController};
     use parking_lot::Mutex;
     use std::path::Path;
     use std::sync::Arc;
 
     #[test]
-    fn resctrl_probe_reads_allocator_groups() {
+    fn resctrl_probe_reads_the_trees_mask_groups() {
         let fs = FakeFs::broadwell();
-        let mut ctl = CacheController::open_with(Box::new(fs.clone()), "/sys/fs/resctrl").unwrap();
-        ctl.create_group("ccp-3").unwrap();
-        fs.set_mon_counter(Path::new("/sys/fs/resctrl/ccp-3"), "llc_occupancy", 4096);
-        let ctl2 = CacheController::open_with(Box::new(fs), "/sys/fs/resctrl").unwrap();
+        let ctl = CacheController::open_with(Box::new(fs.clone()), "/sys/fs/resctrl").unwrap();
+        let health = Arc::new(ResctrlHealth::new(3));
+        let tree = SupervisedController::new(ctl, RetryPolicy::default(), health).shared(vec![0]);
         // Only the polluting mask's group exists so far.
         let masks = PerClass::new(0x3, 0xfff, 0xfffff).map(|&bits| WayMask::new(bits).unwrap());
-        let mut probe = ResctrlMonitor::new(ctl2, Box::new(move || masks), 0);
+        let polluting = *masks.get(Class::Polluting);
+        tree.lock().bind(7, polluting).unwrap();
+        fs.set_mon_counter(Path::new("/sys/fs/resctrl/ccp-3"), "llc_occupancy", 4096);
+        let mut probe = ResctrlMonitor::new(tree, Box::new(move || masks), 0);
         let samples = probe.sample();
         assert_eq!(samples.len(), 1);
         assert_eq!(samples[0].class, Class::Polluting);

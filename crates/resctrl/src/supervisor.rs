@@ -19,20 +19,36 @@
 //!    succeeding, partitioning is sacrificed.
 //! 3. **Re-probe** — while degraded, a caller-driven
 //!    [`probe`](SupervisedController::probe) replays the last schemata
-//!    write *bypassing* the old-vs-new skip cache; only a real kernel
-//!    write succeeding clears the flag ([`ResctrlHealth::restore`]).
+//!    write *bypassing* the old-vs-new skip cache — or writes a scratch
+//!    `ccp-probe` group when there is none, or its group has since been
+//!    removed; only a real kernel write succeeding clears the flag
+//!    ([`ResctrlHealth::restore`]).
+//!
+//! The supervised controller is also the **one owner of a process's
+//! resctrl tree**: it indexes the per-mask `ccp-<mask hex>` groups made
+//! through [`bind`](SupervisedController::bind) and
+//! [`prepare`](SupervisedController::prepare), and is shared as a
+//! [`ResctrlTree`] — one mutex under the workers' binds, a repartition's
+//! `prepare`, the [`Sweeper`](crate::Sweeper), the
+//! [`ResctrlMonitor`](crate::ResctrlMonitor) and the probe. A removed
+//! group leaves the index, the skip caches and the probe's memory at
+//! once, so removal is safe mid-run and the tree holds the groups of the
+//! mask plan in force and nothing else.
 //!
 //! Deterministic errors — [`ResctrlError::BadMask`],
 //! [`ResctrlError::TooManyGroups`], [`ResctrlError::NoSuchGroup`] — are
 //! neither retried nor counted against the breaker: they indicate a
 //! caller bug or a real resource limit, not a sick resctrl tree.
 
-use crate::controller::{CacheController, CatInfo, GroupHandle};
+use crate::class::PerClass;
+use crate::controller::{CacheController, CatInfo, GroupHandle, MonitoringData};
 use crate::error::ResctrlError;
 use crate::metrics::ResctrlMetrics;
-use crate::schemata::Schemata;
+use crate::tenant::mask_group_name;
 use ccp_cachesim::WayMask;
 use ccp_obs::{Counter, Registry};
+use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -247,10 +263,19 @@ pub struct SupervisedController {
     policy: RetryPolicy,
     health: Arc<ResctrlHealth>,
     jitter: u64,
-    /// Last successfully written `(group, domain, mask)`; the probe
-    /// replays it with the skip cache bypassed.
+    /// Last successfully written `(group, domain, mask)`, while that
+    /// group exists; the probe replays it with the skip cache bypassed.
     last_write: Option<(GroupHandle, u32, WayMask)>,
+    /// L3 cache domains mask groups are programmed on (one per socket).
+    domains: Vec<u32>,
+    /// The mask groups created or adopted through `bind`/`prepare` and
+    /// not removed since, by mask bits.
+    mask_groups: HashMap<u32, GroupHandle>,
 }
+
+/// The one handle a process holds on its resctrl tree: its only
+/// controller, behind the mutex every bind takes. Cloning shares it.
+pub type ResctrlTree = Arc<Mutex<SupervisedController>>;
 
 impl std::fmt::Debug for SupervisedController {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -271,7 +296,16 @@ impl SupervisedController {
             health,
             jitter,
             last_write: None,
+            domains: vec![0],
+            mask_groups: HashMap::new(),
         }
+    }
+
+    /// Makes this controller the process's [`ResctrlTree`], programming
+    /// mask groups on the given L3 `domains`.
+    pub fn shared(mut self, domains: Vec<u32>) -> ResctrlTree {
+        self.domains = domains;
+        Arc::new(Mutex::new(self))
     }
 
     /// The shared health handle.
@@ -287,11 +321,6 @@ impl SupervisedController {
     /// The wrapped controller's instruments.
     pub fn metrics(&self) -> ResctrlMetrics {
         self.inner.metrics()
-    }
-
-    /// Kernel writes skipped by the old-vs-new fast path.
-    pub fn skipped_writes(&self) -> u64 {
-        self.inner.skipped_writes()
     }
 
     fn backoff_delay(&mut self, attempt: u32) -> Duration {
@@ -340,11 +369,15 @@ impl SupervisedController {
     }
 
     /// [`CacheController::existing_group`] (read-only, not retried).
-    ///
-    /// # Errors
-    /// Same surface as the wrapped call.
-    pub fn existing_group(&self, name: &str) -> Result<GroupHandle, ResctrlError> {
+    pub(crate) fn existing_group(&self, name: &str) -> Result<GroupHandle, ResctrlError> {
         self.inner.existing_group(name)
+    }
+
+    /// [`CacheController::monitoring`] of the group of `mask` (read-only,
+    /// not retried); `None` when no such group is indexed or readable.
+    pub(crate) fn mask_monitoring(&self, mask: WayMask, domain: u32) -> Option<MonitoringData> {
+        let group = self.mask_groups.get(&mask.bits())?;
+        self.inner.monitoring(group, domain).ok()
     }
 
     /// [`CacheController::groups`] (read-only, not retried).
@@ -356,11 +389,16 @@ impl SupervisedController {
     }
 
     /// [`CacheController::remove_group`] with retry/breaker accounting.
-    ///
-    /// # Errors
-    /// Same surface as the wrapped call.
-    pub fn remove_group(&mut self, group: GroupHandle) -> Result<(), ResctrlError> {
-        self.retry(|ctl| ctl.remove_group(group.clone()))
+    /// A removed group also leaves the mask-group index and is forgotten
+    /// as the probe's replay target: a write into a directory that is
+    /// gone could never heal the breaker.
+    pub(crate) fn remove_group(&mut self, group: GroupHandle) -> Result<(), ResctrlError> {
+        self.retry(|ctl| ctl.remove_group(group.clone()))?;
+        self.mask_groups.retain(|_, g| *g != group);
+        if self.last_write.as_ref().is_some_and(|(g, ..)| *g == group) {
+            self.last_write = None;
+        }
+        Ok(())
     }
 
     /// [`CacheController::set_l3_mask`] with retry/breaker accounting.
@@ -378,26 +416,58 @@ impl SupervisedController {
         Ok(())
     }
 
-    /// [`CacheController::schemata`] with retry/breaker accounting.
-    ///
-    /// # Errors
-    /// Same surface as the wrapped call.
-    pub fn schemata(&mut self, group: &GroupHandle) -> Result<Schemata, ResctrlError> {
-        self.retry(|ctl| ctl.schemata(group))
+    /// Group for `mask`, created (or adopted) and programmed on first use.
+    fn mask_group(&mut self, mask: WayMask) -> Result<GroupHandle, ResctrlError> {
+        if let Some(g) = self.mask_groups.get(&mask.bits()) {
+            return Ok(g.clone());
+        }
+        let name = mask_group_name(mask);
+        let g = match self.existing_group(&name) {
+            Ok(g) => g,
+            Err(_) => self.create_group(&name)?,
+        };
+        for d in self.domains.clone() {
+            self.set_l3_mask(&g, d, mask)?;
+        }
+        self.mask_groups.insert(mask.bits(), g.clone());
+        Ok(g)
     }
 
-    /// [`CacheController::assign_task`] with retry/breaker accounting.
+    /// Moves thread `tid` into the group of `mask`, creating the group
+    /// when no live one has that mask. The controller's task cache makes
+    /// a repeat of the last bind free (paper §V-C).
     ///
     /// # Errors
-    /// Same surface as the wrapped call.
-    pub fn assign_task(&mut self, group: &GroupHandle, tid: u64) -> Result<(), ResctrlError> {
-        self.retry(|ctl| ctl.assign_task(group, tid))
+    /// `TooManyGroups` when the mask needs a group and no CLOSID is free.
+    pub fn bind(&mut self, tid: u64, mask: WayMask) -> Result<(), ResctrlError> {
+        let group = self.mask_group(mask)?;
+        self.retry(|ctl| ctl.assign_task(&group, tid))
+    }
+
+    /// Makes the tree hold the groups of `plan`. Mask groups the plan does
+    /// not name are removed first — its own may need their CLOSIDs; their
+    /// tasks fall to the root class, the full cache, until their next
+    /// bind — then each of the plan's masks gets its group.
+    ///
+    /// # Errors
+    /// The first failing removal or creation; what was removed stays
+    /// removed, so the caller prepares the plan it falls back to.
+    pub fn prepare(&mut self, plan: &PerClass<WayMask>) -> Result<(), ResctrlError> {
+        for (bits, group) in self.mask_groups.clone() {
+            if !plan.iter().any(|(_, mask)| mask.bits() == bits) {
+                self.remove_group(group)?;
+            }
+        }
+        for (_, &mask) in plan.iter() {
+            self.mask_group(mask)?;
+        }
+        Ok(())
     }
 
     /// Health probe for degraded mode: performs one *real* schemata
     /// write (the last successful one replayed with the skip cache
-    /// bypassed, or a scratch `ccp-probe` group when none happened yet)
-    /// and, if it succeeds, clears the breaker.
+    /// bypassed, or a scratch `ccp-probe` group when there is none to
+    /// replay) and, if it succeeds, clears the breaker.
     ///
     /// Returns `true` when resctrl is healthy after this probe.
     pub fn probe(&mut self) -> bool {

@@ -1,13 +1,13 @@
 //! Orphan sweeps: the two moments a process owns every `ccp-` group.
 //!
-//! The only groups this system creates are the allocator's per-mask
-//! `ccp-<mask hex>` groups (workers are bound into them) and the
-//! supervisor's short-lived `ccp-probe`. Both are created on demand and
-//! nothing removes them mid-run, so a crashed process leaves its groups
-//! behind — and CLOSIDs are scarce (16 on the paper's Broadwell, often 4
-//! elsewhere): a few dead predecessors are enough to make every bind of
-//! the next one fail with `ENOSPC`. The [`Sweeper`] closes that gap at
-//! the two points where ownership is unambiguous:
+//! The only groups this system creates are the per-mask `ccp-<mask hex>`
+//! groups (workers are bound into them) and the supervisor's short-lived
+//! `ccp-probe`. Mid-run a group goes only when a repartition stops
+//! naming its mask, so a crashed process leaves its groups behind — and
+//! CLOSIDs are scarce (16 on the paper's Broadwell, often 4 elsewhere):
+//! a few dead predecessors are enough to make every bind of the next one
+//! fail with `ENOSPC`. The [`Sweeper`] closes that gap at the two points
+//! where ownership is unambiguous:
 //!
 //! * **Start-up sweep** — every `ccp-` group left over from a previous
 //!   process is deleted before this one binds anything (nested
@@ -16,15 +16,15 @@
 //!   so nothing this process created survives it; the caller logs the
 //!   `(removed, remaining)` pair as its zero-leak witness.
 //!
-//! Every kernel operation goes through the [`SupervisedController`] the
-//! allocator's binds share a breaker with, so transient errors retry with
-//! backoff and a failure streak here is visible to the same supervision.
-//! Groups without the prefix belong to someone else and are never
-//! touched.
+//! A sweep runs on the process's one [`ResctrlTree`], under the mutex the
+//! binds take: transient errors retry with backoff, a failure streak
+//! trips the same breaker, and a swept group leaves the index and the
+//! skip caches with its directory. Groups without the prefix belong to
+//! someone else and are never touched.
 
 use crate::error::ResctrlError;
 use crate::faults;
-use crate::supervisor::SupervisedController;
+use crate::supervisor::ResctrlTree;
 use crate::tenant::GROUP_PREFIX;
 use ccp_obs::{Counter, Registry};
 
@@ -71,17 +71,16 @@ impl SweepStats {
 }
 
 /// Removes `ccp-` groups nobody can be running in. See the module docs.
-#[derive(Debug)]
 pub struct Sweeper {
-    ctl: SupervisedController,
+    tree: ResctrlTree,
     stats: SweepStats,
 }
 
 impl Sweeper {
-    /// Wraps a supervised controller over the tree to sweep.
-    pub fn new(ctl: SupervisedController) -> Self {
+    /// A sweeper over `tree`.
+    pub fn new(tree: ResctrlTree) -> Self {
         Sweeper {
-            ctl,
+            tree,
             stats: SweepStats::default(),
         }
     }
@@ -108,15 +107,16 @@ impl Sweeper {
             });
         }
         self.stats.sweeps.inc();
+        let mut ctl = self.tree.lock();
         let mut removed = 0;
-        for name in self.ctl.groups()? {
+        for name in ctl.groups()? {
             if !name.starts_with(GROUP_PREFIX) {
                 continue;
             }
-            let Ok(handle) = self.ctl.existing_group(&name) else {
+            let Ok(handle) = ctl.existing_group(&name) else {
                 continue;
             };
-            match self.ctl.remove_group(handle) {
+            match ctl.remove_group(handle) {
                 Ok(()) => {
                     removed += 1;
                     self.stats.orphans_removed.inc();
@@ -134,7 +134,8 @@ impl Sweeper {
     pub fn shutdown_sweep(&mut self) -> (usize, usize) {
         let removed = self.sweep().unwrap_or(0);
         let remaining = self
-            .ctl
+            .tree
+            .lock()
             .groups()
             .map(|gs| gs.iter().filter(|g| g.starts_with(GROUP_PREFIX)).count())
             .unwrap_or(usize::MAX);
@@ -147,16 +148,13 @@ mod tests {
     use super::*;
     use crate::controller::CacheController;
     use crate::fs::FakeFs;
-    use crate::supervisor::{ResctrlHealth, RetryPolicy};
+    use crate::supervisor::{ResctrlHealth, RetryPolicy, SupervisedController};
     use std::sync::Arc;
 
     fn sweeper_on(fs: FakeFs) -> Sweeper {
         let ctl = CacheController::open_with(Box::new(fs), "/sys/fs/resctrl").unwrap();
-        Sweeper::new(SupervisedController::new(
-            ctl,
-            RetryPolicy::default(),
-            Arc::new(ResctrlHealth::new(3)),
-        ))
+        let health = Arc::new(ResctrlHealth::new(3));
+        Sweeper::new(SupervisedController::new(ctl, RetryPolicy::default(), health).shared(vec![0]))
     }
 
     #[test]

@@ -98,7 +98,8 @@ fn sweep_failpoint_skips_one_pass_then_orphans_are_removed() {
     let mut ctl = CacheController::open_with(Box::new(fs.clone()), "/sys/fs/resctrl").unwrap();
     ctl.create_group("ccp-fff").unwrap();
     let health = Arc::new(ResctrlHealth::new(3));
-    let mut sweeper = Sweeper::new(SupervisedController::new(ctl, fast_policy(), health));
+    let mut sweeper =
+        Sweeper::new(SupervisedController::new(ctl, fast_policy(), health).shared(vec![0]));
     ccp_fault::install_str("reconcile.sweep=err@1").unwrap();
     assert!(sweeper.sweep().is_err());
     assert_eq!(fs.group_count(), 1, "orphan survives the failed sweep");

@@ -28,14 +28,18 @@
 //! The plane also holds the two duties towards the resctrl tree that are
 //! not periodic: the [`Sweeper`]'s start-up sweep runs in
 //! [`ControlPlane::new`], its shutdown sweep in
-//! [`ControlPlane::shutdown_sweep`].
+//! [`ControlPlane::shutdown_sweep`]. Those sweeps, the supervise step's
+//! probe, a repartition's `prepare` and the monitor's reads all go
+//! through the one [`ResctrlTree`] the engine's allocator hands out: the
+//! controller the workers bind through, under the mutex they take.
 //!
 //! [`ControlPlane::step`] is the whole scheduler, so tests drive the
 //! plane with synthetic instants and no thread.
 //!
-//! Nothing here copies a number: the supervisor's and the sweeper's
-//! counters are attached to the registry where they are bumped
-//! ([`ResctrlHealth::register_into`],
+//! Nothing here copies a number: the supervisor's, the controller's and
+//! the sweeper's instruments are attached to the registry where they are
+//! bumped ([`ResctrlHealth::register_into`](ccp_resctrl::ResctrlHealth::register_into),
+//! [`ResctrlMetrics::register_into`](ccp_resctrl::ResctrlMetrics::register_into),
 //! [`SweepStats::register_into`](ccp_resctrl::SweepStats::register_into)),
 //! and the control step's own `ccp_control_*` instruments live in the
 //! [`PlaneView`] that `/stats` reads.
@@ -48,8 +52,8 @@ use ccp_control::{ControlConfig, Controller, Decision, MaskPlan, ScriptedTrace, 
 use ccp_flight::{FlightHandle, FlightRecorder, RecorderConfig};
 use ccp_obs::{Counter, Family, Gauge, Registry};
 use ccp_resctrl::{
-    CacheController, ClassReading, OccupancyProbe, PerClass, ResctrlHealth, ResctrlMonitor,
-    SimulatedMonitor, SweepStats, Sweeper,
+    ClassReading, OccupancyProbe, PerClass, ResctrlMonitor, ResctrlTree, SimulatedMonitor,
+    SweepStats, Sweeper,
 };
 use ccp_trace::TraceCat;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -189,7 +193,7 @@ struct Readings {
 }
 
 struct Supervise {
-    health: Arc<ResctrlHealth>,
+    tree: ResctrlTree,
     degraded_seen: bool,
     trips_seen: u64,
 }
@@ -209,7 +213,7 @@ pub struct ControlPlane {
     supervise: Option<(Every, Supervise)>,
     control: Option<(Every, Control)>,
     record: Option<(Every, ccp_flight::Sampler)>,
-    /// Present when the engine's resctrl backend is supervised.
+    /// Present when the engine's allocator has a resctrl tree.
     sweeper: Option<Sweeper>,
 }
 
@@ -219,10 +223,10 @@ impl ControlPlane {
     /// step exists only when both it and `config.monitor_interval` are
     /// set.
     ///
-    /// When the engine's resctrl backend is supervised this also runs the
-    /// start-up sweep — synchronously, before the engine's allocator
-    /// lazily mints its mask groups — so a crashed predecessor's leftovers
-    /// are gone by the time the first query binds.
+    /// When the engine's allocator has a resctrl tree this also attaches
+    /// the tree's breaker and controller instruments to `registry` and
+    /// runs the start-up sweep — synchronously, so a crashed predecessor's
+    /// leftovers are gone by the time the first query binds.
     pub fn new(
         config: &ServerConfig,
         engine: Arc<QueryEngine>,
@@ -248,11 +252,14 @@ impl ControlPlane {
             };
             (Every::new(period, start), task)
         });
-        let supervise = engine.resctrl_health().map(|health| {
+        let tree = engine.allocator().tree();
+        let supervise = tree.clone().map(|tree| {
+            let health = tree.lock().health();
             health.register_into(registry);
+            tree.lock().metrics().register_into(registry);
             let task = Supervise {
                 trips_seen: health.trips(),
-                health,
+                tree,
                 degraded_seen: false,
             };
             (Every::new(config.reprobe_interval, start), task)
@@ -272,8 +279,8 @@ impl ControlPlane {
             };
             (Every::new(config.control_interval, start), task)
         });
-        let sweeper = engine.tree_controller().map(|ctl| {
-            let mut sweeper = Sweeper::new(ctl);
+        let sweeper = tree.map(|tree| {
+            let mut sweeper = Sweeper::new(tree);
             sweeper.stats().register_into(registry);
             if let Err(err) = sweeper.sweep() {
                 eprintln!("ccp-serve: startup sweep failed (continuing): {err}");
@@ -406,7 +413,7 @@ impl ControlPlane {
     fn finish(&mut self) {
         if self.control.is_some() {
             let engine = &self.env.engine;
-            engine.live_masks().publish(&engine.policy().static_plan());
+            publish_fallback(engine, &engine.policy().static_plan());
         }
     }
 
@@ -481,8 +488,9 @@ fn take_sample(task: &mut Sample, readings: &mut Readings) {
 ///
 /// [`set_partitioning(false)`]: ccp_engine::DualPoolExecutor::set_partitioning
 fn run_supervise(env: &Env, task: &mut Supervise) {
+    let health = task.tree.lock().health();
     loop {
-        let trips = task.health.trips();
+        let trips = health.trips();
         if trips != task.trips_seen {
             env.emit(
                 "breaker_trip",
@@ -490,7 +498,7 @@ fn run_supervise(env: &Env, task: &mut Supervise) {
             );
             task.trips_seen = trips;
         }
-        let degraded = task.health.is_degraded();
+        let degraded = health.is_degraded();
         if degraded != task.degraded_seen {
             task.degraded_seen = degraded;
             env.metrics.set_resctrl_degraded(degraded);
@@ -507,7 +515,7 @@ fn run_supervise(env: &Env, task: &mut Supervise) {
         }
         // Healed: go round again so the restore (gauge, trace, re-enabled
         // partitioning) lands in this pass.
-        if !(degraded && env.engine.reprobe_resctrl()) {
+        if !(degraded && task.tree.lock().probe()) {
             break;
         }
     }
@@ -517,10 +525,10 @@ fn run_supervise(env: &Env, task: &mut Supervise) {
 /// flag) to the [`Controller`] and acts on the decision. A repartition is
 /// applied to the resctrl backend first and published to the live mask
 /// table only on success — workers observe it on their next bind; a
-/// revert republishes the static plan.
+/// revert prepares and republishes the static plan.
 fn run_control(env: &Env, task: &mut Control, readings: &Readings) {
-    let live = env.engine.live_masks();
-    let degraded = env.engine.resctrl_health().is_some_and(|h| h.is_degraded());
+    let tree = env.engine.allocator().tree();
+    let degraded = tree.is_some_and(|tree| tree.lock().health().is_degraded());
     let decision = task.controller.tick(&TickInput {
         seq: readings.seq,
         readings: &readings.classes,
@@ -532,13 +540,13 @@ fn run_control(env: &Env, task: &mut Control, readings: &Readings) {
         Decision::Repartition(plan) => {
             view.repartitions.inc();
             if apply_plan(&env.engine, &plan).is_ok() {
-                live.publish(&plan);
+                env.engine.live_masks().publish(&plan);
                 ccp_trace::instant(TraceCat::Bind, "control_repartition");
                 env.emit("repartition", plan_detail(&plan));
             } else {
                 let fallback = task.controller.note_apply_failed();
                 view.reverts.inc();
-                live.publish(&fallback);
+                publish_fallback(&env.engine, &fallback);
                 ccp_trace::instant(TraceCat::Bind, "control_revert");
                 env.emit(
                     "revert",
@@ -549,7 +557,7 @@ fn run_control(env: &Env, task: &mut Control, readings: &Readings) {
         }
         Decision::Revert { plan, .. } => {
             view.reverts.inc();
-            live.publish(&plan);
+            publish_fallback(&env.engine, &plan);
             ccp_trace::instant(TraceCat::Bind, "control_revert");
             env.emit("revert", plan_detail(&plan));
             task.last_emitted = "revert";
@@ -582,18 +590,25 @@ fn plan_detail(plan: &MaskPlan) -> String {
     format!("ways {}", ways.join(" "))
 }
 
-/// Applies a repartition to the resctrl backend: pre-creates (or
-/// re-asserts) the group for each class mask so the schemata writes
-/// happen here, on the control path — a failure leaves the live table
+/// Applies a repartition to the resctrl backend — one
+/// [`prepare`](ccp_engine::CacheAllocator::prepare): the groups of the
+/// plan it replaces are retired, its own created — so the schemata writes
+/// happen here, on the control path. A failure leaves the live table
 /// untouched and turns into a revert, never a broken bind.
 fn apply_plan(engine: &QueryEngine, plan: &MaskPlan) -> Result<(), ()> {
     if ccp_fault::should_fail(FAULT_CONTROL_APPLY) {
         return Err(());
     }
-    for (_, &mask) in plan.iter() {
-        engine.prepare_mask(mask).map_err(|_| ())?;
-    }
-    Ok(())
+    engine.allocator().prepare(plan).map_err(|_| ())
+}
+
+/// Puts the plan the controller falls back to in force: prepared like any
+/// other — what a failed apply left half-made is retired — but published
+/// even when that fails. There is nothing further to fall back to, and a
+/// bind into a group that could not be made fails and is counted.
+fn publish_fallback(engine: &QueryEngine, plan: &MaskPlan) {
+    let _ = engine.allocator().prepare(plan);
+    engine.live_masks().publish(plan);
 }
 
 /// Builds the occupancy probe for the sample step; `None` when
@@ -601,10 +616,10 @@ fn apply_plan(engine: &QueryEngine, plan: &MaskPlan) -> Result<(), ()> {
 ///
 /// `config.occupancy_script` replaces the probe with a deterministic
 /// [`ScriptedTrace`]. Otherwise, with live CAT hardware the probe reads
-/// real CMT counters from the control groups the engine's allocator
-/// materializes (one `ccp-<mask>` group per distinct way mask; each class
-/// is read from the group of its mask in the *live* table, which is where
-/// its workers are bound after an adaptive repartition). Everywhere else —
+/// real CMT counters from the mask groups of the allocator's tree (one
+/// `ccp-<mask>` group per distinct way mask; each class is read from the
+/// group of its mask in the *live* table, which is where its workers are
+/// bound after an adaptive repartition). Everywhere else —
 /// containers, CI, non-Intel hosts — a [`SimulatedMonitor`] stands in,
 /// driven by how many queries of each class currently hold an admission
 /// permit.
@@ -625,12 +640,10 @@ pub(crate) fn occupancy_probe(
             .map_err(|why| std::io::Error::new(std::io::ErrorKind::InvalidInput, why))?;
         return Ok(Some(Box::new(trace)));
     }
-    if engine.cat_live() {
-        if let Ok(ctl) = CacheController::open() {
-            let live = engine.live_masks();
-            let masks = Box::new(move || live.snapshot(&policy));
-            return Ok(Some(Box::new(ResctrlMonitor::new(ctl, masks, 0))));
-        }
+    if let Some(tree) = engine.allocator().tree().filter(|_| engine.cat_live()) {
+        let live = engine.live_masks();
+        let masks = Box::new(move || live.snapshot(&policy));
+        return Ok(Some(Box::new(ResctrlMonitor::new(tree, masks, 0))));
     }
     let ways = f64::from(policy.llc.ways);
     let llc_share = policy

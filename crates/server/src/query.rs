@@ -11,7 +11,7 @@
 //! every request measures execution, not data generation.
 
 use crate::json::Json;
-use ccp_engine::alloc::{host_allocator, CacheAllocator, NoopAllocator, ResctrlAllocator};
+use ccp_engine::alloc::CacheAllocator;
 use ccp_engine::ops::{aggregate, join, scan};
 use ccp_engine::{CacheUsageClass, DualPoolExecutor, Job, PartitionPolicy};
 use ccp_resctrl::Class;
@@ -287,69 +287,14 @@ pub struct QueryEngine {
     best_rows_per_sec: Mutex<HashMap<String, f64>>,
     /// Artifact reuse cache; `None` disables reuse entirely (`--no-reuse`).
     reuse: Option<ReuseCache>,
-    /// The fake resctrl tree backing the engine, kept so the orphan
-    /// sweeps can open their own controller over the *same* tree; `None`
-    /// outside `--fake-resctrl`.
-    fake_fs: Option<ccp_resctrl::fs::FakeFs>,
 }
 
 /// Default reuse-cache budget when the server does not override it.
 pub const DEFAULT_REUSE_BUDGET_BYTES: u64 = 64 << 20;
 
 impl QueryEngine {
-    /// Builds the engine, partitioning through real CAT when the host
-    /// supports it and falling back to no-op allocation otherwise.
-    pub fn new(olap_workers: usize, oltp_workers: usize, dataset_rows: usize) -> Self {
-        let (allocator, cat_live) = host_allocator();
-        Self::with_allocator(
-            olap_workers,
-            oltp_workers,
-            dataset_rows,
-            allocator,
-            cat_live,
-        )
-    }
-
-    /// Builds the engine over an in-memory fake resctrl filesystem,
-    /// supervised exactly like the production path. This is the chaos
-    /// harness backend (`ccp serve --fake-resctrl`): `ccp-fault`
-    /// failpoints in the resctrl layer fire as they would on hardware,
-    /// the circuit breaker trips, and degraded mode is reachable in CI
-    /// containers without CAT.
-    pub fn with_fake_resctrl(
-        olap_workers: usize,
-        oltp_workers: usize,
-        dataset_rows: usize,
-    ) -> Self {
-        Self::with_fake_resctrl_closids(olap_workers, oltp_workers, dataset_rows, 16)
-    }
-
-    /// [`with_fake_resctrl`](Self::with_fake_resctrl) with the fake
-    /// tree's CLOSID count capped at `num_closids` (Broadwell has 16;
-    /// the tenant smoke runs with 4, a common CAT part, where three mask
-    /// groups are all the tree can hold).
-    pub fn with_fake_resctrl_closids(
-        olap_workers: usize,
-        oltp_workers: usize,
-        dataset_rows: usize,
-        num_closids: u32,
-    ) -> Self {
-        let fs = ccp_resctrl::fs::FakeFs::new("/sys/fs/resctrl", 0xfffff, 2, num_closids, &[0]);
-        let allocator: Arc<dyn CacheAllocator> = match ccp_resctrl::CacheController::open_with(
-            Box::new(fs.clone()),
-            "/sys/fs/resctrl",
-        ) {
-            Ok(ctl) => Arc::new(ResctrlAllocator::new(ctl, vec![0])),
-            Err(_) => Arc::new(NoopAllocator),
-        };
-        let mut engine =
-            Self::with_allocator(olap_workers, oltp_workers, dataset_rows, allocator, false);
-        engine.fake_fs = Some(fs);
-        engine
-    }
-
-    /// Builds the engine with an explicit allocator (tests use recording
-    /// or no-op allocators).
+    /// Builds the engine over `allocator` (the host's, a fake tree's, a
+    /// test double); `cat_live`: whether its masks reach CAT hardware.
     pub fn with_allocator(
         olap_workers: usize,
         oltp_workers: usize,
@@ -374,30 +319,7 @@ impl QueryEngine {
             reuse: Some(ReuseCache::new(ccp_reuse::ReuseConfig::with_budget(
                 DEFAULT_REUSE_BUDGET_BYTES,
             ))),
-            fake_fs: None,
         }
-    }
-
-    /// A supervised controller over the *same* resctrl tree the engine's
-    /// allocator programs, sharing its health handle — this is what the
-    /// orphan sweeps run on, so a failure streak there trips the same
-    /// breaker the engine's binds do. `None` for backends without a tree
-    /// (noop, recording).
-    pub fn tree_controller(&self) -> Option<ccp_resctrl::SupervisedController> {
-        let health = self.resctrl_health()?;
-        let ctl = match &self.fake_fs {
-            Some(fs) => {
-                ccp_resctrl::CacheController::open_with(Box::new(fs.clone()), "/sys/fs/resctrl")
-                    .ok()?
-            }
-            None if self.cat_live => ccp_resctrl::CacheController::open().ok()?,
-            None => return None,
-        };
-        Some(ccp_resctrl::SupervisedController::new(
-            ctl,
-            ccp_resctrl::RetryPolicy::default(),
-            health,
-        ))
     }
 
     /// Replaces (or disables, with `None`) the reuse cache. The server
@@ -418,17 +340,11 @@ impl QueryEngine {
         &self.pools
     }
 
-    /// The allocator's shared resctrl health handle (`None` for
-    /// backends without failure modes, e.g. noop).
-    pub fn resctrl_health(&self) -> Option<Arc<ccp_resctrl::ResctrlHealth>> {
-        self.allocator.health()
-    }
-
-    /// Runs one allocator health probe; returns `true` when the
-    /// backend is (or has become) healthy. See
-    /// [`CacheAllocator::reprobe`].
-    pub fn reprobe_resctrl(&self) -> bool {
-        self.allocator.reprobe()
+    /// The allocator both pools bind through; its
+    /// [`tree`](CacheAllocator::tree) is the one handle on the resctrl
+    /// tree (`None` for backends without one, e.g. noop).
+    pub fn allocator(&self) -> &Arc<dyn CacheAllocator> {
+        &self.allocator
     }
 
     /// The active partition policy.
@@ -501,13 +417,6 @@ impl QueryEngine {
     /// adaptive controller's publication target.
     pub fn live_masks(&self) -> Arc<ccp_engine::LiveMasks> {
         self.pools.live_masks()
-    }
-
-    /// Pre-creates (or re-asserts) the resctrl group for `mask` without
-    /// binding any task, so a repartition's schemata writes happen — and
-    /// fail — on the control path rather than on a worker's bind path.
-    pub fn prepare_mask(&self, mask: ccp_cachesim::WayMask) -> Result<(), ccp_engine::AllocError> {
-        self.allocator.prepare(mask)
     }
 
     /// Executes `spec` on the appropriate pool and reports the outcome.

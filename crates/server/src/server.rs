@@ -34,6 +34,7 @@ use crate::http::{read_request, HttpError, Request, Response};
 use crate::json::Json;
 use crate::metrics::ServerMetrics;
 use crate::query::{parse_query, Breakdown, QueryEngine};
+use ccp_engine::alloc::{host_allocator, CacheAllocator, ResctrlAllocator};
 use ccp_engine::{with_query_ctx, CacheAwareScheduler, QueryCtx, SchedulerMetrics};
 use ccp_flight::FlightHandle;
 use ccp_obs::Registry;
@@ -89,7 +90,7 @@ pub struct ServerConfig {
     pub reprobe_interval: Duration,
     /// Backs the engine with an in-memory fake resctrl filesystem under
     /// full supervision (the chaos harness; see
-    /// [`QueryEngine::with_fake_resctrl`]).
+    /// [`ResctrlAllocator::open_fake`]).
     pub fake_resctrl: bool,
     /// Enables the closed-loop adaptive controller: occupancy readings
     /// drive online repartitions of the live mask table, clamped back to
@@ -259,26 +260,22 @@ impl Server {
         }
         let registry = Registry::new();
         register_build_info(&registry);
-        let mut engine = if let Some(closids) = config.fake_closids {
-            QueryEngine::with_fake_resctrl_closids(
-                config.olap_workers,
-                config.oltp_workers,
-                config.dataset_rows,
-                closids,
-            )
-        } else if config.fake_resctrl {
-            QueryEngine::with_fake_resctrl(
-                config.olap_workers,
-                config.oltp_workers,
-                config.dataset_rows,
-            )
+        // The one allocator, and with it the one resctrl controller, this
+        // server opens: a fake tree when asked for, else the host's.
+        let (allocator, cat_live) = if config.fake_resctrl || config.fake_closids.is_some() {
+            let fake = ResctrlAllocator::open_fake(config.fake_closids.unwrap_or(16))
+                .map_err(std::io::Error::other)?;
+            (Arc::new(fake) as Arc<dyn CacheAllocator>, false)
         } else {
-            QueryEngine::new(
-                config.olap_workers,
-                config.oltp_workers,
-                config.dataset_rows,
-            )
+            host_allocator()
         };
+        let mut engine = QueryEngine::with_allocator(
+            config.olap_workers,
+            config.oltp_workers,
+            config.dataset_rows,
+            allocator,
+            cat_live,
+        );
         engine.configure_reuse((!config.no_reuse).then(|| {
             ccp_reuse::ReuseCache::new(ccp_reuse::ReuseConfig::with_budget(
                 (config.reuse_budget_mb as u64) << 20,
@@ -372,15 +369,25 @@ impl Server {
         self.shared.registry.clone()
     }
 
-    /// Whether way masks reach real CAT hardware.
-    pub fn cat_live(&self) -> bool {
-        self.shared.engine.cat_live()
+    /// The allocator's backend and whether its tree reaches CAT hardware:
+    /// `resctrl (live CAT)`, `resctrl (fake tree, 4 CLOSIDs)` or `noop`.
+    pub fn partitioning(&self) -> String {
+        let allocator = self.shared.engine.allocator();
+        let backend = allocator.backend_name();
+        let Some(tree) = allocator.tree() else {
+            return backend.to_string();
+        };
+        if self.shared.engine.cat_live() {
+            return format!("{backend} (live CAT)");
+        }
+        let closids = tree.lock().info().num_closids;
+        format!("{backend} (fake tree, {closids} CLOSIDs)")
     }
 
     /// Names of the control groups in the resctrl tree the engine
     /// partitions through; `None` for a backend without a tree.
     pub fn resctrl_groups(&self) -> Option<Vec<String>> {
-        self.shared.engine.tree_controller()?.groups().ok()
+        self.shared.engine.allocator().tree()?.lock().groups().ok()
     }
 
     /// Whether something (a signal, `Server::shutdown`) asked the server

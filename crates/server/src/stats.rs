@@ -109,18 +109,19 @@ fn admission_classes(shared: &Shared) -> Json {
 /// without failure modes (noop, recording) report `supervised: false`
 /// and are never degraded.
 fn resctrl(shared: &Shared) -> Json {
-    match shared.engine.resctrl_health() {
-        Some(h) => section([
-            ("supervised", true.into()),
-            ("degraded", h.is_degraded().into()),
-            ("retries", h.retries().into()),
-            ("op_failures", h.failures().into()),
-            ("breaker_trips", h.trips().into()),
-            ("reprobes", h.reprobes().into()),
-            ("restores", h.restores().into()),
-        ]),
-        None => section([("supervised", false.into()), ("degraded", false.into())]),
-    }
+    let Some(tree) = shared.engine.allocator().tree() else {
+        return section([("supervised", false.into()), ("degraded", false.into())]);
+    };
+    let h = tree.lock().health();
+    section([
+        ("supervised", true.into()),
+        ("degraded", h.is_degraded().into()),
+        ("retries", h.retries().into()),
+        ("op_failures", h.failures().into()),
+        ("breaker_trips", h.trips().into()),
+        ("reprobes", h.reprobes().into()),
+        ("restores", h.restores().into()),
+    ])
 }
 
 /// Adaptive control: whether the loop runs, whether it is currently

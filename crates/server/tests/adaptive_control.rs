@@ -2,7 +2,9 @@
 //! trace drives the controller to repartition the live mask table, the
 //! episode is visible in `/stats` and `/metrics`, and an armed
 //! `control.apply` failpoint turns the first repartition into a clean
-//! revert followed by a successful retry.
+//! revert followed by a successful retry. On a 4-CLOSID tree — the root
+//! plus three groups, one plan's worth — a repartition has to retire the
+//! groups of the plan it replaces before it can make its own.
 
 use ccp_server::{fetch, Json, Server, ServerConfig};
 use std::net::SocketAddr;
@@ -120,4 +122,83 @@ fn apply_fault_reverts_cleanly_then_retries() {
     }
 
     server.shutdown();
+}
+
+/// The `ccp-` groups in the server's resctrl tree.
+fn ccp_groups(server: &Server) -> Vec<String> {
+    let mut groups = server.resctrl_groups().expect("fake tree");
+    groups.retain(|g| g.starts_with("ccp-"));
+    groups
+}
+
+#[test]
+fn four_closids_repartition_without_thrash() {
+    let _turn = ccp_fault::exclusive();
+    let mut server = Server::start(ServerConfig {
+        fake_closids: Some(4),
+        olap_workers: 2,
+        ..adaptive_config()
+    })
+    .expect("start");
+    let addr = server.addr();
+
+    // The scripted collapse lands, then the controller gets 60 more ticks
+    // to change its mind in. The pool never holds more than one plan.
+    let deadline = Instant::now() + Duration::from_secs(15);
+    let mut shrunk_at = None;
+    loop {
+        let groups = ccp_groups(&server);
+        assert!(groups.len() <= 3, "more groups than one plan: {groups:?}");
+        let c = control_stats(addr);
+        if num(c.get("mask_ways").expect("mask_ways"), "sensitive") < 20.0 {
+            let decisions = num(&c, "decisions");
+            if decisions >= *shrunk_at.get_or_insert(decisions) + 60.0 {
+                break;
+            }
+        }
+        assert!(Instant::now() < deadline, "never converged: {c}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let mut replied = Vec::new();
+    for workload in ["q1", "q2", "tpch-3"] {
+        let body = format!(r#"{{"workload":"{workload}"}}"#);
+        let r = fetch(addr, "POST", "/query", Some(&body)).expect("query");
+        assert_eq!(r.status, 200, "{workload}: {}", r.body);
+        let outcome = Json::parse(r.body.lines().next().expect("one line")).expect("outcome");
+        let mask = outcome.get("mask").and_then(Json::as_str).expect("mask");
+        replied.push(format!("ccp-{}", mask.trim_start_matches("0x")));
+    }
+
+    let stats = fetch(addr, "GET", "/stats", None).expect("stats").body;
+    let stats = Json::parse(&stats).expect("stats is JSON");
+    let control = stats.get("control").expect("control");
+    assert_eq!(num(control, "reverts"), 0.0, "{control}");
+    assert!(num(control, "repartitions") <= 3.0, "{control}");
+    let olap = stats
+        .get("pools")
+        .and_then(|p| p.get("olap"))
+        .expect("olap");
+    assert_eq!(num(olap, "bind_failures"), 0.0, "{olap}");
+
+    // Every group is the group of a mask the plan in force names: the
+    // masks the replies report are there, and nothing is left of the
+    // static plan the repartition replaced.
+    let groups = ccp_groups(&server);
+    let ways = control.get("mask_ways").expect("mask_ways");
+    let plan_ways = ["polluting", "mixed", "sensitive"].map(|class| num(ways, class) as u32);
+    for group in &groups {
+        let bits = u32::from_str_radix(&group["ccp-".len()..], 16).expect("ccp-<mask hex>");
+        assert!(
+            plan_ways.contains(&bits.count_ones()),
+            "{group} is no mask of {control}: {groups:?}"
+        );
+    }
+    for group in &replied {
+        assert!(groups.contains(group), "{group} missing from {groups:?}");
+    }
+    assert!(groups.len() <= 3, "{groups:?}");
+
+    server.shutdown();
+    assert_eq!(ccp_groups(&server), Vec::<String>::new());
 }

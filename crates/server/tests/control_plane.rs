@@ -4,6 +4,7 @@
 //! stale, and the steps of one wake run in the documented order.
 
 use ccp_control::ScriptedTrace;
+use ccp_engine::alloc::ResctrlAllocator;
 use ccp_obs::Registry;
 use ccp_resctrl::Class;
 use ccp_server::{ControlPlane, ControlView, QueryEngine, ServerConfig, ServerMetrics};
@@ -32,7 +33,8 @@ fn rig() -> Rig {
         ..ServerConfig::default()
     };
     let registry = Registry::new();
-    let engine = Arc::new(QueryEngine::with_fake_resctrl(1, 1, 64));
+    let fake = ResctrlAllocator::open_fake(16).expect("fake tree opens");
+    let engine = Arc::new(QueryEngine::with_allocator(1, 1, 64, Arc::new(fake), false));
     let probe =
         ScriptedTrace::parse(SHRINK_SCRIPT, engine.policy().llc.size_bytes).expect("script");
     let plane = ControlPlane::new(
@@ -130,10 +132,8 @@ fn steps_due_in_one_wake_run_in_the_documented_order() {
     // A breaker trip that healed before the first pass: supervise has
     // something to report without the degraded flag changing what
     // control does.
-    let health = rig
-        .engine
-        .resctrl_health()
-        .expect("fake resctrl is supervised");
+    let tree = rig.engine.allocator().tree().expect("fake resctrl tree");
+    let health = tree.lock().health();
     while !health.record_failure() {}
     assert!(health.restore());
 

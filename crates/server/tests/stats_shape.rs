@@ -2,10 +2,12 @@
 //! `/stats` in render order (scripts grep substrings such as
 //! `"reconciler":{"enabled":true`, so order is part of the contract) and
 //! every metric family with its type. The lists below were taken at
-//! commit cbb8391 and have since changed by removals only (the
-//! `ccp-<tenant>-<class>` groups' keys and families went with the groups);
-//! a refactor of how the numbers are produced must leave this test
-//! passing unchanged.
+//! commit cbb8391 and have since changed by removals (the
+//! `ccp-<tenant>-<class>` groups' keys and families went with the groups)
+//! and by five families: the resctrl controller's own instruments, which
+//! the server exports since it opens exactly one controller. A refactor
+//! of how the numbers are produced must leave this test passing
+//! unchanged.
 
 use ccp_server::{fetch, Json, Server, ServerConfig};
 use std::time::Duration;
@@ -133,10 +135,15 @@ const METRIC_TYPES: &[&str] = &[
     "ccp_reconcile_sweeps_total counter",
     "ccp_resctrl_breaker_trips_total counter",
     "ccp_resctrl_degraded gauge",
+    "ccp_resctrl_fs_op_seconds histogram",
+    "ccp_resctrl_group_creates_total counter",
     "ccp_resctrl_op_failures_total counter",
     "ccp_resctrl_reprobes_total counter",
     "ccp_resctrl_restores_total counter",
     "ccp_resctrl_retries_total counter",
+    "ccp_resctrl_schemata_writes_total counter",
+    "ccp_resctrl_skipped_writes_total counter",
+    "ccp_resctrl_task_assigns_total counter",
     "ccp_reuse_bytes gauge",
     "ccp_reuse_coalesced_total counter",
     "ccp_reuse_evictions_total counter",
@@ -225,4 +232,65 @@ fn stats_key_order_and_metric_families_are_pinned() {
     }
 
     server.shutdown();
+}
+
+/// The controller's families exist exactly where a controller does: the
+/// server exports the one it binds, sweeps and probes through, and a
+/// backend without a resctrl tree has none to export.
+#[test]
+fn controller_families_follow_the_backend() {
+    let _turn = ccp_fault::exclusive();
+    const FAMILIES: [&str; 5] = [
+        "ccp_resctrl_schemata_writes_total",
+        "ccp_resctrl_task_assigns_total",
+        "ccp_resctrl_group_creates_total",
+        "ccp_resctrl_skipped_writes_total",
+        "ccp_resctrl_fs_op_seconds",
+    ];
+    let config = || ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        dataset_rows: 64,
+        ..ServerConfig::default()
+    };
+
+    let mut fake = Server::start(ServerConfig {
+        fake_resctrl: true,
+        ..config()
+    })
+    .expect("start");
+    assert_eq!(fake.partitioning(), "resctrl (fake tree, 16 CLOSIDs)");
+    for body in [r#"{"workload":"q1"}"#, r#"{"workload":"q2"}"#] {
+        let r = fetch(fake.addr(), "POST", "/query", Some(body)).expect("query");
+        assert_eq!(r.status, 200, "{}", r.body);
+    }
+    let scrape = fetch(fake.addr(), "GET", "/metrics", None)
+        .expect("scrape")
+        .body;
+    for family in FAMILIES {
+        assert!(
+            scrape.contains(&format!("# TYPE {family} ")),
+            "{family} missing"
+        );
+    }
+    // One schemata write per mask group the two queries' binds made.
+    let writes = scrape
+        .lines()
+        .find_map(|l| l.strip_prefix("ccp_resctrl_schemata_writes_total "))
+        .expect("schemata_writes sample");
+    assert!(writes.parse::<u64>().expect("count") >= 2, "{writes}");
+    fake.shutdown();
+
+    let mut host = Server::start(config()).expect("start");
+    if host.partitioning() == "noop" {
+        let scrape = fetch(host.addr(), "GET", "/metrics", None)
+            .expect("scrape")
+            .body;
+        for family in FAMILIES {
+            assert!(
+                !scrape.contains(family),
+                "{family} on a backend without a tree"
+            );
+        }
+    }
+    host.shutdown();
 }

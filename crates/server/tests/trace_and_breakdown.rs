@@ -48,7 +48,7 @@ fn breakdown_sums_to_at_most_total_latency() {
     for body in [
         r#"{"workload":"q1","threshold":100}"#,
         r#"{"workload":"q2","agg":"sum"}"#,
-        r#"{"workload":"oltp","ops":200}"#,
+        r#"{"workload":"oltp","key":4}"#,
     ] {
         let started = Instant::now();
         let resp = client.request("POST", "/query", Some(body)).expect("query");

@@ -24,8 +24,8 @@ fn main() {
     .expect("bind an ephemeral port");
     let addr = server.addr();
     println!(
-        "serving on http://{addr} (CAT live: {})\n",
-        server.cat_live()
+        "serving on http://{addr} (partitioning: {})\n",
+        server.partitioning()
     );
 
     // Two clients hammer the server concurrently: a polluting scan stream

@@ -8,18 +8,26 @@
 # `ccp bench-serve --ab-addr` run and asserts:
 #
 #   * the controller repartitioned at least once and is not thrashing
-#     (repartitions <= CCP_ADAPT_MAX_REPARTS);
+#     (repartitions <= CCP_ADAPT_MAX_REPARTS, zero reverts);
+#   * the way masks are in force, not merely reported: no OLAP bind
+#     failed and the controller's schemata writes show in /metrics —
+#     on a 4-CLOSID tree (`--fake-closids 4`, the root plus one plan's
+#     three groups), where a repartition must retire the groups of the
+#     plan it replaces before it can make its own;
 #   * `ccp_control_mask_ways{class="sensitive"}` shrank below the full
 #     20 ways while the polluter kept >= 2 ways;
 #   * adaptive p95 <= static p95 * 1.10 + CCP_AB_SLACK_US (the slack
 #     absorbs scheduler jitter on loaded CI runners at microsecond
 #     scales);
-#   * zero worker panics on either server.
+#   * zero worker panics on either server;
+#   * the adaptive server's exit sweep removes at most three groups and
+#     leaves zero.
 #
 # Phase 2 (chaos): a third adaptive server starts with schemata writes
 # failing for a bounded window plus a one-shot `control.apply` fault,
 # and must (a) clamp to the static masks while degraded, (b) record at
-# least one revert, and (c) land the adaptive plan after healing.
+# least one revert, and (c) land the adaptive plan after healing — on
+# 4 CLOSIDs as well.
 #
 # Usage:
 #   scripts/adaptive_smoke.sh [PORT_STATIC] [PORT_ADAPTIVE]  # 19290/19291
@@ -61,9 +69,11 @@ ADDR_ADAPTIVE="127.0.0.1:${PORT_ADAPTIVE}"
 ADDR_CHAOS="127.0.0.1:${PORT_CHAOS}"
 
 ccp_launch_server static "$ADDR_STATIC" --fake-resctrl
-ccp_launch_server adaptive "$ADDR_ADAPTIVE" --fake-resctrl --adaptive \
+ccp_launch_server adaptive "$ADDR_ADAPTIVE" --fake-resctrl --fake-closids 4 --adaptive \
   --control-interval-ms 50 --monitor-interval-ms 100 \
   --occupancy-script "$TRACE"
+ADAPTIVE_PID="${CCP_SERVER_PIDS[${#CCP_SERVER_PIDS[@]}-1]}"
+ADAPTIVE_LOG="${CCP_SERVER_LOGS[${#CCP_SERVER_LOGS[@]}-1]}"
 
 # Let the controller converge before measuring: the scripted collapse
 # lands after 6 monitor ticks, the dwell gate 3 control ticks later.
@@ -110,6 +120,15 @@ awk -v s="$SENS" -v p="$POLL" 'BEGIN {
   if (p == "" || p < 2)   { print "polluter starved: " p > "/dev/stderr"; exit 1 }
 }'
 echo "   repartitions=${REPARTS} mask_ways sensitive=${SENS} polluting=${POLL}"
+REVERTS=$(ccp_metric "$WORK/adaptive.metrics.txt" ccp_control_reverts_total)
+BIND_FAILURES=$(ccp_metric "$WORK/adaptive.metrics.txt" 'ccp_executor_bind_failures_total{pool="olap"}')
+WRITES=$(ccp_metric "$WORK/adaptive.metrics.txt" ccp_resctrl_schemata_writes_total)
+if [[ "$REVERTS" != 0 || "$BIND_FAILURES" != 0 || -z "$WRITES" || "$WRITES" == 0 ]]; then
+  echo "adaptive plan not in force on 4 CLOSIDs: reverts=${REVERTS:-?}" \
+    "olap bind_failures=${BIND_FAILURES:-?} schemata_writes=${WRITES:-?}" >&2
+  exit 1
+fi
+echo "   reverts=0, olap bind_failures=0, schemata_writes=${WRITES}"
 
 echo "== p95 gate (adaptive <= static * 1.10 + ${SLACK_US}us)"
 python3 - "$WORK/ab.json" "$SLACK_US" <<'PY'
@@ -134,6 +153,18 @@ ccp_scrape "$ADDR_STATIC" /metrics "$WORK/static.metrics.txt"
 ccp_assert_no_panics "$WORK/static.metrics.txt"
 echo "   jobs_panicked = 0 on both servers"
 
+# The tree held one plan at a time: the exit sweep finds at most the
+# three groups of the plan in force, and leaves none.
+echo "== SIGINT the adaptive server: at most 3 groups to sweep, zero may remain"
+kill -INT "$ADAPTIVE_PID"
+wait "$ADAPTIVE_PID" 2>/dev/null || true
+if ! grep -qE 'reconcile shutdown sweep: removed [0-3] group\(s\), 0 ccp- group\(s\) remain' "$ADAPTIVE_LOG"; then
+  echo "adaptive server's shutdown sweep:" >&2
+  grep 'reconcile' "$ADAPTIVE_LOG" >&2 || cat "$ADAPTIVE_LOG" >&2
+  exit 1
+fi
+echo "   $(grep -o 'removed [0-9]* group(s), 0 ccp- group(s) remain' "$ADAPTIVE_LOG")"
+
 # ---------------------------------------------------------------------------
 # Phase 2: the controller must revert cleanly when the backend misbehaves.
 # A one-shot control.apply fault fails the first repartition outright and
@@ -143,7 +174,7 @@ echo "   jobs_panicked = 0 on both servers"
 # ---------------------------------------------------------------------------
 FAULTS='resctrl.write_schemata=err@1+40,control.apply=err@1+1'
 echo "== chaos variant under fault plan '${FAULTS}'"
-ccp_launch_server chaos "$ADDR_CHAOS" --fake-resctrl --adaptive \
+ccp_launch_server chaos "$ADDR_CHAOS" --fake-resctrl --fake-closids 4 --adaptive \
   --control-interval-ms 50 --monitor-interval-ms 100 --reprobe-interval-ms 150 \
   --occupancy-script "$TRACE" --faults "$FAULTS"
 

@@ -496,14 +496,7 @@ fn serve(args: &[String]) -> ExitCode {
         }
     };
     println!("ccp-server listening on http://{}", server.addr());
-    println!(
-        "  partitioning: {}",
-        if server.cat_live() {
-            "live CAT via resctrl"
-        } else {
-            "no-op allocator (no CAT on this host)"
-        }
-    );
+    println!("  partitioning: {}", server.partitioning());
     println!(
         "  endpoints: /metrics /healthz /stats /trace /timeline /dashboard /profile /version \
          POST /query POST /data/bump"
@@ -646,16 +639,21 @@ fn parse_bench_config(args: &[String]) -> Result<BenchConfig, String> {
     Ok(config)
 }
 
-/// Request bodies the generator rotates through per workload choice.
+/// Request bodies the generator rotates through, by slot, per workload
+/// choice. Point selects cycle over three keys every data set holds.
 fn bench_bodies(workload: &str) -> Vec<&'static str> {
     let q1 = r#"{"workload":"q1","threshold":100}"#;
     let q2 = r#"{"workload":"q2","agg":"sum"}"#;
-    let oltp = r#"{"workload":"oltp","ops":200}"#;
+    let oltp = [
+        r#"{"workload":"oltp","key":7}"#,
+        r#"{"workload":"oltp","key":1}"#,
+        r#"{"workload":"oltp","key":4}"#,
+    ];
     match workload {
         "q1" => vec![q1],
         "q2" => vec![q2],
-        "oltp" => vec![oltp],
-        _ => vec![q1, q2, oltp],
+        "oltp" => oltp.to_vec(),
+        _ => oltp.iter().flat_map(|&select| [q1, q2, select]).collect(),
     }
 }
 
