@@ -29,7 +29,7 @@ fn bench_dispatch(c: &mut Criterion) {
             let jobs: Vec<Job> = (0..256)
                 .map(|i| Job::new(format!("j{i}"), CacheUsageClass::Polluting, || {}))
                 .collect();
-            ex.run_jobs(jobs);
+            ex.submit_batch(jobs).wait();
         });
     });
     g.bench_function("alternating_class_jobs", |b| {
@@ -45,7 +45,7 @@ fn bench_dispatch(c: &mut Criterion) {
                     Job::new(format!("j{i}"), cuid, || {})
                 })
                 .collect();
-            ex.run_jobs(jobs);
+            ex.submit_batch(jobs).wait();
         });
     });
     g.finish();

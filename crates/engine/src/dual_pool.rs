@@ -16,7 +16,6 @@
 
 use crate::alloc::CacheAllocator;
 use crate::executor::JobExecutor;
-use crate::job::Job;
 use crate::partition::PartitionPolicy;
 use std::sync::Arc;
 use std::time::Duration;
@@ -82,17 +81,6 @@ impl DualPoolExecutor {
         &self.oltp
     }
 
-    /// Submits an analytical job: its CUID decides its mask.
-    pub fn submit_olap(&self, job: Job) {
-        self.olap.submit(job);
-    }
-
-    /// Submits a transactional job: runs with the full cache, regardless
-    /// of its CUID.
-    pub fn submit_oltp(&self, job: Job) {
-        self.oltp.submit(job);
-    }
-
     /// The OLAP pool's live mask table — the handle adaptive control
     /// publishes repartitions through. The OLTP pool has no table to
     /// speak of: it binds the full mask regardless.
@@ -104,18 +92,6 @@ impl DualPoolExecutor {
     /// evaluation toggle); the OLTP pool is unaffected by design.
     pub fn set_partitioning(&self, on: bool) {
         self.olap.set_partitioning(on);
-    }
-
-    /// Waits until both pools are idle.
-    pub fn wait_idle(&self) {
-        self.olap.wait_idle();
-        self.oltp.wait_idle();
-    }
-
-    /// Total mask switches across both pools — the OLTP pool's share stays
-    /// at one per worker (its startup bind), which is the §V-C guarantee.
-    pub fn mask_switches(&self) -> (u64, u64) {
-        (self.olap.mask_switches(), self.oltp.mask_switches())
     }
 
     /// Attaches both pools' live instruments to `registry`, labeled
@@ -132,7 +108,7 @@ impl DualPoolExecutor {
 mod tests {
     use super::*;
     use crate::alloc::RecordingAllocator;
-    use crate::job::CacheUsageClass;
+    use crate::job::{CacheUsageClass, Job};
     use ccp_cachesim::HierarchyConfig;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -153,23 +129,22 @@ mod tests {
         let (rec, ex) = dual(1, 1);
         // Even a job annotated as polluting runs unconfined on the OLTP
         // side (the CUID is advisory; the pool guarantees full cache).
-        for i in 0..5 {
-            ex.submit_oltp(Job::new(format!("t{i}"), CacheUsageClass::Polluting, || {}));
-        }
-        ex.wait_idle();
+        let jobs = (0..5)
+            .map(|i| Job::new(format!("t{i}"), CacheUsageClass::Polluting, || {}))
+            .collect();
+        ex.oltp().submit_batch(jobs).wait();
         assert!(rec.calls().iter().all(|(_, m)| m.bits() == 0xfffff));
     }
 
     #[test]
     fn oltp_pool_binds_once_per_worker() {
         let (_, ex) = dual(1, 2);
-        for i in 0..20 {
-            ex.submit_oltp(Job::unannotated(format!("t{i}"), || {}));
-        }
-        ex.wait_idle();
-        let (_, oltp_switches) = ex.mask_switches();
+        let jobs = (0..20)
+            .map(|i| Job::unannotated(format!("t{i}"), || {}))
+            .collect();
+        ex.oltp().submit_batch(jobs).wait();
         assert!(
-            oltp_switches <= 2,
+            ex.oltp().metrics().mask_switches() <= 2,
             "OLTP pool must bind at most once per worker"
         );
     }
@@ -177,14 +152,15 @@ mod tests {
     #[test]
     fn olap_jobs_are_partitioned_oltp_untouched_by_toggle() {
         let (rec, ex) = dual(1, 1);
-        ex.submit_olap(Job::new("scan", CacheUsageClass::Polluting, || {}));
-        ex.wait_idle();
+        let scan = |name| Job::new(name, CacheUsageClass::Polluting, || {});
+        ex.olap().submit_batch(vec![scan("scan")]).wait();
         assert_eq!(rec.calls().last().map(|(_, m)| m.bits()), Some(0x3));
 
         ex.set_partitioning(false);
-        ex.submit_olap(Job::new("scan2", CacheUsageClass::Polluting, || {}));
-        ex.submit_oltp(Job::unannotated("t", || {}));
-        ex.wait_idle();
+        let olap = ex.olap().submit_batch(vec![scan("scan2")]);
+        let oltp = ex.oltp().submit_batch(vec![Job::unannotated("t", || {})]);
+        olap.wait();
+        oltp.wait();
         // After the toggle the OLAP scan binds the full mask too.
         assert!(rec
             .calls()
@@ -198,29 +174,34 @@ mod tests {
     fn pools_run_concurrently() {
         let (_, ex) = dual(2, 2);
         let done = Arc::new(AtomicU64::new(0));
-        for i in 0..8 {
-            let d = done.clone();
-            let job = Job::unannotated(format!("j{i}"), move || {
-                d.fetch_add(1, Ordering::Relaxed);
-            });
-            if i % 2 == 0 {
-                ex.submit_olap(job);
-            } else {
-                ex.submit_oltp(job);
-            }
-        }
-        ex.wait_idle();
+        let jobs = || {
+            (0..4)
+                .map(|i| {
+                    let d = done.clone();
+                    Job::unannotated(format!("j{i}"), move || {
+                        d.fetch_add(1, Ordering::Relaxed);
+                    })
+                })
+                .collect()
+        };
+        let olap = ex.olap().submit_batch(jobs());
+        let oltp = ex.oltp().submit_batch(jobs());
+        olap.wait();
+        oltp.wait();
         assert_eq!(done.load(Ordering::Relaxed), 8);
-        assert_eq!(ex.olap().jobs_executed(), 4);
-        assert_eq!(ex.oltp().jobs_executed(), 4);
+        assert_eq!(ex.olap().metrics().jobs_executed(), 4);
+        assert_eq!(ex.oltp().metrics().jobs_executed(), 4);
     }
 
     #[test]
     fn register_metrics_exposes_both_pools() {
         let (_, ex) = dual(1, 1);
-        ex.submit_olap(Job::new("scan", CacheUsageClass::Polluting, || {}));
-        ex.submit_oltp(Job::unannotated("txn", || {}));
-        ex.wait_idle();
+        let olap =
+            ex.olap()
+                .submit_batch(vec![Job::new("scan", CacheUsageClass::Polluting, || {})]);
+        let oltp = ex.oltp().submit_batch(vec![Job::unannotated("txn", || {})]);
+        olap.wait();
+        oltp.wait();
         let registry = ccp_obs::Registry::new();
         ex.register_metrics(&registry);
         let text = registry.render_prometheus();

@@ -31,14 +31,14 @@ struct BatchInner {
 }
 
 /// Completion handle for one group of jobs submitted together via
-/// [`JobExecutor::submit_batch`].
+/// [`JobExecutor::submit_batch`] — the executor's only way to wait.
 ///
-/// Unlike [`JobExecutor::wait_idle`] — which blocks until the *whole pool*
-/// drains and therefore couples independent callers under concurrency — a
-/// batch handle completes as soon as its own jobs have finished, no matter
-/// what else the pool is running. This is what lets a serving front end
-/// admit many simultaneous queries through one executor and still report
-/// accurate per-query latencies.
+/// A batch completes as soon as its own jobs have finished, no matter what
+/// else the pool is running, which is what lets a serving front end admit
+/// many simultaneous queries through one executor and still report
+/// accurate per-query latencies. A job counts as finished once the pool
+/// has recorded it, so a completed batch is already in the pool's
+/// [`metrics`](JobExecutor::metrics).
 #[derive(Clone)]
 pub struct BatchHandle {
     inner: Arc<BatchInner>,
@@ -54,9 +54,8 @@ impl BatchHandle {
         }
     }
 
-    /// Completion guard embedded in each job; decrements on drop so the
-    /// batch completes even when the job's closure panics (the worker
-    /// catches the unwind, the guard runs during it).
+    /// Completion guard queued beside each job; decrements on drop, which
+    /// the worker does after recording the job — panicking or not.
     fn guard(&self) -> BatchGuard {
         BatchGuard {
             inner: self.inner.clone(),
@@ -106,14 +105,20 @@ impl Drop for BatchGuard {
     }
 }
 
+/// A job on its way to a worker: the work, when it was queued, and the
+/// batch it completes.
+struct Queued {
+    job: Job,
+    submitted: Instant,
+    batch: BatchGuard,
+}
+
 struct Shared {
     policy: PartitionPolicy,
     allocator: Arc<dyn CacheAllocator>,
     live: Arc<LiveMasks>,
     partitioning: AtomicBool,
     metrics: ExecutorMetrics,
-    pending: Mutex<usize>,
-    all_done: Condvar,
 }
 
 /// Busy-wait iterations between two looks at the queue while a worker
@@ -132,7 +137,7 @@ const LINGER_POLL_SPINS: u32 = 32;
 /// preempting it at once. The poll has to spin: one that yields the CPU
 /// was measured and does not have the effect (DESIGN.md §2, "Lingering
 /// OLAP workers").
-fn next_job(rx: &Receiver<(Job, Instant)>, linger: Duration) -> Option<(Job, Instant)> {
+fn next_job(rx: &Receiver<Queued>, linger: Duration) -> Option<Queued> {
     let idle_since = Instant::now();
     while idle_since.elapsed() < linger {
         if let Some(next) = rx.try_recv() {
@@ -154,7 +159,7 @@ fn chunk_ranges(n: usize, chunks: usize) -> impl Iterator<Item = Range<usize>> {
 
 /// A pool of job workers with integrated cache partitioning.
 pub struct JobExecutor {
-    tx: Option<Sender<(Job, Instant)>>,
+    tx: Option<Sender<Queued>>,
     workers: Vec<JoinHandle<()>>,
     shared: Arc<Shared>,
 }
@@ -188,7 +193,7 @@ impl JobExecutor {
         linger: Duration,
     ) -> Self {
         assert!(n_workers > 0, "executor needs at least one worker");
-        let (tx, rx) = unbounded::<(Job, Instant)>();
+        let (tx, rx) = unbounded::<Queued>();
         let live = Arc::new(LiveMasks::from_policy(&policy));
         let shared = Arc::new(Shared {
             policy,
@@ -196,8 +201,6 @@ impl JobExecutor {
             live,
             partitioning: AtomicBool::new(true),
             metrics: ExecutorMetrics::new(),
-            pending: Mutex::new(0),
-            all_done: Condvar::new(),
         });
         let workers = (0..n_workers)
             .map(|i| {
@@ -212,7 +215,12 @@ impl JobExecutor {
                             WayMask::full(shared.policy.llc.ways).expect("validated LLC way count");
                         // Mask last bound, live-table generation then.
                         let mut current: Option<(WayMask, u64)> = None;
-                        while let Some((job, submitted)) = next_job(&rx, linger) {
+                        while let Some(Queued {
+                            job,
+                            submitted,
+                            batch,
+                        }) = next_job(&rx, linger)
+                        {
                             let queue_wait = submitted.elapsed().as_secs_f64();
                             let cuid = job.cuid;
                             let query_id = job.ctx.as_ref().map_or(0, |c| c.id);
@@ -260,9 +268,9 @@ impl JobExecutor {
                                 }
                             }
                             // A panicking job must not kill the worker or
-                            // leak the pending count (wait_idle would hang
-                            // forever); unwind safety is fine because the
-                            // closure is consumed either way.
+                            // leave its batch waiting forever; unwind
+                            // safety is fine because the closure is
+                            // consumed either way.
                             let started = Instant::now();
                             let job_span = ccp_trace::span_id(TraceCat::Op, &job.name, query_id);
                             let outcome =
@@ -274,11 +282,9 @@ impl JobExecutor {
                                 started.elapsed().as_secs_f64(),
                                 outcome.is_err(),
                             );
-                            let mut pending = shared.pending.lock();
-                            *pending -= 1;
-                            if *pending == 0 {
-                                shared.all_done.notify_all();
-                            }
+                            // Counted first, completed second: a waiter
+                            // woken here finds the job in the metrics.
+                            drop(batch);
                         }
                     })
                     .expect("spawning a worker thread")
@@ -314,67 +320,24 @@ impl JobExecutor {
         self.shared.partitioning.load(Ordering::Relaxed)
     }
 
-    /// Submits a job without waiting for it.
-    pub fn submit(&self, job: Job) {
-        {
-            let mut pending = self.shared.pending.lock();
-            *pending += 1;
-        }
-        self.tx
-            .as_ref()
-            .expect("executor not shut down")
-            .send((job, Instant::now()))
-            .expect("workers alive");
-    }
-
-    /// Submits all jobs and blocks until every submitted job (including
-    /// earlier ones) has finished.
-    pub fn run_jobs(&self, jobs: Vec<Job>) {
-        for j in jobs {
-            self.submit(j);
-        }
-        self.wait_idle();
-    }
-
     /// Submits `jobs` as one tracked batch and returns a handle that
     /// completes when exactly these jobs have finished — independent of
     /// whatever else the pool is running. The handle is panic-safe: a
     /// panicking job still counts as finished.
     pub fn submit_batch(&self, jobs: Vec<Job>) -> BatchHandle {
         let batch = BatchHandle::new(jobs.len());
+        let tx = self.tx.as_ref().expect("executor not shut down");
         for job in jobs {
-            let Job {
-                name,
-                cuid,
-                run,
-                ctx,
-            } = job;
-            let guard = batch.guard();
-            let mut wrapped = Job::new(name, cuid, move || {
-                let _guard = guard;
-                run();
-            });
-            // Preserve the context the job was *created* under, not
-            // whatever scope this wrapping happens to run in.
-            wrapped.ctx = ctx;
-            self.submit(wrapped);
+            let queued = Queued {
+                job,
+                submitted: Instant::now(),
+                batch: batch.guard(),
+            };
+            if tx.send(queued).is_err() {
+                panic!("executor workers gone");
+            }
         }
         batch
-    }
-
-    /// Submits `jobs` as a batch and blocks until *these* jobs (and only
-    /// these) have finished. Under concurrent submitters this is the right
-    /// primitive: [`run_jobs`](Self::run_jobs) waits for the whole pool.
-    pub(crate) fn run_batch(&self, jobs: Vec<Job>) {
-        self.submit_batch(jobs).wait();
-    }
-
-    /// Blocks until no submitted job is outstanding.
-    pub fn wait_idle(&self) {
-        let mut pending = self.shared.pending.lock();
-        while *pending > 0 {
-            self.shared.all_done.wait(&mut pending);
-        }
     }
 
     /// Data-parallel sum: splits `0..n` into `chunks` ranges, runs `f` on
@@ -398,16 +361,16 @@ impl JobExecutor {
                 let f = f.clone();
                 let acc = acc.clone();
                 Job::new(name, cuid, move || {
-                    // ORDERING: relaxed accumulation is fine because run_batch
-                    // below synchronizes (channel + condvar) before the read.
+                    // ORDERING: relaxed accumulation is fine because the batch
+                    // wait below synchronizes (channel + condvar) before the read.
                     acc.fetch_add(f(rows), Ordering::Relaxed);
                 })
             })
             .collect();
         // Wait on the batch, not the pool: concurrent operators sharing
         // this executor must not serialize on each other's jobs.
-        self.run_batch(jobs);
-        // ORDERING: run_batch's completion handshake already happens-before
+        self.submit_batch(jobs).wait();
+        // ORDERING: the batch's completion handshake already happens-before
         // this load, so relaxed observes every worker's fetch_add.
         acc.load(Ordering::Relaxed)
     }
@@ -447,7 +410,7 @@ impl JobExecutor {
                 })
             })
             .collect();
-        self.run_batch(jobs);
+        self.submit_batch(jobs).wait();
         let mut free = shared.2.lock();
         std::mem::take(&mut *free)
     }
@@ -458,27 +421,6 @@ impl JobExecutor {
     /// [`ExecutorMetrics::register_into`] to expose it.
     pub fn metrics(&self) -> ExecutorMetrics {
         self.shared.metrics.clone()
-    }
-
-    /// Jobs executed so far.
-    pub fn jobs_executed(&self) -> u64 {
-        self.shared.metrics.jobs_executed()
-    }
-
-    /// Mask switches performed (allocator binds that were not skipped by
-    /// the per-worker fast path).
-    pub fn mask_switches(&self) -> u64 {
-        self.shared.metrics.mask_switches()
-    }
-
-    /// Allocator bind failures (jobs still ran, unpartitioned).
-    pub fn bind_failures(&self) -> u64 {
-        self.shared.metrics.bind_failures()
-    }
-
-    /// Jobs whose closure panicked (caught; the worker survived).
-    pub fn jobs_panicked(&self) -> u64 {
-        self.shared.metrics.jobs_panicked()
     }
 }
 
@@ -516,9 +458,9 @@ mod tests {
                 })
             })
             .collect();
-        ex.run_jobs(jobs);
+        ex.submit_batch(jobs).wait();
         assert_eq!(counter.load(Ordering::Relaxed), 100);
-        assert_eq!(ex.jobs_executed(), 100);
+        assert_eq!(ex.metrics().jobs_executed(), 100);
     }
 
     #[test]
@@ -562,7 +504,8 @@ mod tests {
     fn polluting_jobs_get_the_paper_mask() {
         let rec = Arc::new(RecordingAllocator::new());
         let ex = JobExecutor::new(1, policy(), rec.clone());
-        ex.run_jobs(vec![Job::new("scan", CacheUsageClass::Polluting, || {})]);
+        ex.submit_batch(vec![Job::new("scan", CacheUsageClass::Polluting, || {})])
+            .wait();
         let calls = rec.calls();
         assert_eq!(calls.len(), 1);
         assert_eq!(calls[0].1.bits(), 0x3);
@@ -576,9 +519,9 @@ mod tests {
         let jobs: Vec<Job> = (0..10)
             .map(|i| Job::new(format!("s{i}"), CacheUsageClass::Polluting, || {}))
             .collect();
-        ex.run_jobs(jobs);
+        ex.submit_batch(jobs).wait();
         assert_eq!(rec.calls().len(), 1);
-        assert_eq!(ex.mask_switches(), 1);
+        assert_eq!(ex.metrics().mask_switches(), 1);
     }
 
     #[test]
@@ -590,11 +533,11 @@ mod tests {
                 .map(|i| Job::new(format!("s{i}"), CacheUsageClass::Polluting, || {}))
                 .collect()
         };
-        ex.run_jobs(scans());
+        ex.submit_batch(scans()).wait();
         // The plan came back — a revert, or B → A after A → B: the mask is
         // the one the worker carries, its group may be a new one.
         ex.live_masks().publish(&policy().static_plan());
-        ex.run_jobs(scans());
+        ex.submit_batch(scans()).wait();
         let masks: Vec<u32> = rec.calls().iter().map(|(_, m)| m.bits()).collect();
         assert_eq!(masks, vec![0x3, 0x3]);
     }
@@ -612,7 +555,7 @@ mod tests {
             };
             jobs.push(Job::new(format!("j{i}"), cuid, || {}));
         }
-        ex.run_jobs(jobs);
+        ex.submit_batch(jobs).wait();
         assert_eq!(rec.calls().len(), 4);
         let masks: Vec<u32> = rec.calls().iter().map(|(_, m)| m.bits()).collect();
         assert_eq!(masks, vec![0x3, 0xfffff, 0x3, 0xfffff]);
@@ -624,7 +567,8 @@ mod tests {
         let ex = JobExecutor::new(1, policy(), rec.clone());
         ex.set_partitioning(false);
         assert!(!ex.partitioning());
-        ex.run_jobs(vec![Job::new("scan", CacheUsageClass::Polluting, || {})]);
+        ex.submit_batch(vec![Job::new("scan", CacheUsageClass::Polluting, || {})])
+            .wait();
         assert_eq!(rec.calls()[0].1.bits(), 0xfffff);
     }
 
@@ -632,7 +576,7 @@ mod tests {
     fn mixed_class_resolved_through_policy() {
         let rec = Arc::new(RecordingAllocator::new());
         let ex = JobExecutor::new(1, policy(), rec.clone());
-        ex.run_jobs(vec![
+        ex.submit_batch(vec![
             Job::new(
                 "join-small",
                 CacheUsageClass::Mixed { hot_bytes: 125_000 },
@@ -645,7 +589,8 @@ mod tests {
                 },
                 || {},
             ),
-        ]);
+        ])
+        .wait();
         let masks: Vec<u32> = rec.calls().iter().map(|(_, m)| m.bits()).collect();
         assert_eq!(masks, vec![0x3, 0xfff]);
     }
@@ -654,7 +599,8 @@ mod tests {
     fn live_mask_updates_apply_on_the_next_bind() {
         let rec = Arc::new(RecordingAllocator::new());
         let ex = JobExecutor::new(1, policy(), rec.clone());
-        ex.run_jobs(vec![Job::new("agg0", CacheUsageClass::Sensitive, || {})]);
+        ex.submit_batch(vec![Job::new("agg0", CacheUsageClass::Sensitive, || {})])
+            .wait();
         // An adaptive repartition shrinks the sensitive class to the top
         // four ways; the already-idle worker rebinds on its next job.
         let live = ex.live_masks();
@@ -663,7 +609,8 @@ mod tests {
             WayMask::range(16, 4).unwrap(),
             WayMask::range(16, 4).unwrap(),
         ));
-        ex.run_jobs(vec![Job::new("agg1", CacheUsageClass::Sensitive, || {})]);
+        ex.submit_batch(vec![Job::new("agg1", CacheUsageClass::Sensitive, || {})])
+            .wait();
         let masks: Vec<u32> = rec.calls().iter().map(|(_, m)| m.bits()).collect();
         assert_eq!(masks, vec![0xfffff, 0xf0000]);
     }
@@ -680,7 +627,7 @@ mod tests {
                 })
             })
             .collect();
-        ex.run_jobs(jobs);
+        ex.submit_batch(jobs).wait();
         // Serial execution would take >= 400 ms.
         assert!(
             start.elapsed() < Duration::from_millis(350),
@@ -693,17 +640,18 @@ mod tests {
         let ex = JobExecutor::new(1, policy(), Arc::new(NoopAllocator));
         let done = Arc::new(AtomicU64::new(0));
         let d = done.clone();
-        ex.run_jobs(vec![
+        ex.submit_batch(vec![
             Job::unannotated("boom", || panic!("deliberate test panic")),
             Job::unannotated("after", move || {
                 d.fetch_add(1, Ordering::Relaxed);
             }),
-        ]);
-        // wait_idle returned (no hang), the next job still ran on the same
+        ])
+        .wait();
+        // The batch completed (no hang), the next job still ran on the same
         // single worker, and the panic was counted.
         assert_eq!(done.load(Ordering::Relaxed), 1);
-        assert_eq!(ex.jobs_panicked(), 1);
-        assert_eq!(ex.jobs_executed(), 2);
+        assert_eq!(ex.metrics().jobs_panicked(), 1);
+        assert_eq!(ex.metrics().jobs_executed(), 2);
     }
 
     #[test]
@@ -716,7 +664,7 @@ mod tests {
                 })
             })
             .collect();
-        ex.run_jobs(jobs);
+        ex.submit_batch(jobs).wait();
         let m = ex.metrics();
         assert_eq!(m.jobs.get(Class::Polluting).get(), 10);
         assert_eq!(m.jobs.get(Class::Sensitive).get(), 0);
@@ -729,7 +677,8 @@ mod tests {
     #[test]
     fn metrics_register_renders_executor_families() {
         let ex = JobExecutor::new(1, policy(), Arc::new(NoopAllocator));
-        ex.run_jobs(vec![Job::new("agg", CacheUsageClass::Sensitive, || {})]);
+        ex.submit_batch(vec![Job::new("agg", CacheUsageClass::Sensitive, || {})])
+            .wait();
         let registry = ccp_obs::Registry::new();
         ex.metrics().register_into(&registry, "test");
         let text = registry.render_prometheus();
@@ -746,13 +695,13 @@ mod tests {
         // A long-running foreign job occupies one worker the whole time.
         let gate = Arc::new(AtomicU64::new(0));
         let g = gate.clone();
-        ex.submit(Job::unannotated("slow", move || {
+        let slow = ex.submit_batch(vec![Job::unannotated("slow", move || {
             while g.load(Ordering::Relaxed) == 0 {
                 std::thread::sleep(Duration::from_millis(1));
             }
-        }));
+        })]);
         // The batch must finish on the free worker without waiting for
-        // the foreign job (wait_idle would hang here).
+        // the foreign job.
         let batch = ex.submit_batch(vec![
             Job::unannotated("a", || {}),
             Job::unannotated("b", || {}),
@@ -763,7 +712,7 @@ mod tests {
         );
         assert_eq!(batch.remaining(), 0);
         gate.store(1, Ordering::Relaxed);
-        ex.wait_idle();
+        slow.wait();
     }
 
     #[test]
@@ -774,7 +723,7 @@ mod tests {
             Job::unannotated("ok", || {}),
         ]);
         batch.wait(); // must not hang
-        assert_eq!(ex.jobs_panicked(), 1);
+        assert_eq!(ex.metrics().jobs_panicked(), 1);
     }
 
     #[test]
@@ -796,19 +745,26 @@ mod tests {
     #[test]
     fn drop_joins_workers_cleanly() {
         let ex = JobExecutor::new(2, policy(), Arc::new(NoopAllocator));
-        ex.run_jobs(vec![Job::unannotated("x", || {})]);
+        ex.submit_batch(vec![Job::unannotated("x", || {})]).wait();
         drop(ex); // must not hang or panic
     }
 
     #[test]
     fn next_job_drains_then_reports_disconnection_with_or_without_linger() {
         for linger in [Duration::ZERO, Duration::from_millis(2)] {
-            let (tx, rx) = unbounded::<(Job, Instant)>();
-            tx.send((Job::unannotated("queued", || {}), Instant::now()))
-                .expect("receiver alive");
+            let (tx, rx) = unbounded::<Queued>();
+            let batch = BatchHandle::new(1);
+            let queued = Queued {
+                job: Job::unannotated("queued", || {}),
+                submitted: Instant::now(),
+                batch: batch.guard(),
+            };
+            assert!(tx.send(queued).is_ok(), "receiver alive");
             drop(tx);
-            let (job, _) = next_job(&rx, linger).expect("the queued job");
-            assert_eq!(job.name, "queued");
+            let queued = next_job(&rx, linger).expect("the queued job");
+            assert_eq!(queued.job.name, "queued");
+            drop(queued);
+            assert_eq!(batch.remaining(), 0);
             // Empty and disconnected: the linger runs out, then `None`.
             assert!(next_job(&rx, linger).is_none());
         }
@@ -835,13 +791,30 @@ mod tests {
                     })
                 })
                 .collect();
-            ex.run_batch(jobs);
+            ex.submit_batch(jobs).wait();
         }
         assert_eq!(counter.load(Ordering::Relaxed), 16);
-        // A batch completes inside its last job; the pool counts the job
-        // afterwards, so let the pool drain before reading its count.
-        ex.wait_idle();
-        assert_eq!(ex.jobs_executed(), 16);
+        assert_eq!(ex.metrics().jobs_executed(), 16);
         drop(ex); // workers leave the poll loop and are joined
+    }
+
+    #[test]
+    fn a_finished_batch_is_already_counted() {
+        let ex = JobExecutor::new(1, policy(), Arc::new(NoopAllocator));
+        let metrics = ex.metrics();
+        let mut panicked = 0;
+        for i in 1..=1_000u64 {
+            let job = if i % 100 == 0 {
+                panicked += 1;
+                Job::unannotated("boom", || panic!("deliberate test panic"))
+            } else {
+                Job::unannotated("ok", || {})
+            };
+            ex.submit_batch(vec![job]).wait();
+            // No settling: the worker records a job before it completes
+            // the job's batch.
+            assert_eq!(metrics.jobs_executed(), i, "batch {i} done but not counted");
+            assert_eq!(metrics.jobs_panicked(), panicked, "batch {i}");
+        }
     }
 }

@@ -149,12 +149,10 @@ impl ExecutorMetrics {
     }
 }
 
-/// Instruments for the cache-aware wave scheduler: how full waves are
-/// and how often admission control defers a candidate.
+/// Instruments for the cache-aware scheduler's admission control: how
+/// often it admits a candidate and how often it defers one.
 #[derive(Debug, Clone)]
 pub struct SchedulerMetrics {
-    pub(crate) waves_planned: Counter,
-    pub(crate) wave_occupancy: Histogram,
     admitted: Counter,
     deferred: Counter,
 }
@@ -169,20 +167,8 @@ impl SchedulerMetrics {
     /// Creates a fresh (zeroed, unregistered) instrument bundle.
     pub fn new() -> Self {
         SchedulerMetrics {
-            waves_planned: Counter::new(),
-            wave_occupancy: Histogram::new(unit::small_counts()),
             admitted: Counter::new(),
             deferred: Counter::new(),
-        }
-    }
-
-    /// Records the outcome of one [`plan_waves`] run.
-    ///
-    /// [`plan_waves`]: crate::scheduler::CacheAwareScheduler::plan_waves
-    pub(crate) fn record_plan(&self, waves: &[Vec<usize>]) {
-        self.waves_planned.add(waves.len() as u64);
-        for w in waves {
-            self.wave_occupancy.observe(w.len() as f64);
         }
     }
 
@@ -201,19 +187,6 @@ impl SchedulerMetrics {
 
     /// Attaches these live handles to `registry`.
     pub fn register_into(&self, registry: &Registry) {
-        registry
-            .counter_family(
-                "ccp_scheduler_waves_planned_total",
-                "Waves produced by plan_waves",
-            )
-            .register(&[], self.waves_planned.clone());
-        registry
-            .histogram_family_with(
-                "ccp_scheduler_wave_occupancy",
-                "Queries packed per planned wave",
-                unit::small_counts(),
-            )
-            .register(&[], self.wave_occupancy.clone());
         let adm = registry.counter_family(
             "ccp_scheduler_admissions_total",
             "Admission decisions, by outcome",
@@ -272,19 +245,16 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_metrics_track_plans_and_admissions() {
+    fn scheduler_metrics_track_admissions() {
         let m = SchedulerMetrics::new();
-        m.record_plan(&[vec![0, 1], vec![2]]);
         m.record_admission(Admission::RunNow);
         m.record_admission(Admission::Defer);
         m.record_admission(Admission::Defer);
-        assert_eq!(m.waves_planned.get(), 2);
         assert_eq!(m.deferrals(), 2);
-        assert_eq!(m.wave_occupancy.count(), 2);
         let r = Registry::new();
         m.register_into(&r);
         let text = r.render_prometheus();
-        assert!(text.contains("ccp_scheduler_waves_planned_total 2"));
+        assert!(text.contains("ccp_scheduler_admissions_total{decision=\"run_now\"} 1"));
         assert!(text.contains("ccp_scheduler_admissions_total{decision=\"defer\"} 2"));
     }
 }

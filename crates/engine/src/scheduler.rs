@@ -100,18 +100,6 @@ impl CacheAwareScheduler {
         metrics.record_admission(decision);
         decision
     }
-
-    /// [`plan_waves`](Self::plan_waves), recording wave count and
-    /// per-wave occupancy in `metrics`.
-    pub fn plan_waves_observed(
-        &self,
-        queue: &[CacheUsageClass],
-        metrics: &SchedulerMetrics,
-    ) -> Vec<Vec<usize>> {
-        let waves = self.plan_waves(queue);
-        metrics.record_plan(&waves);
-        waves
-    }
 }
 
 #[cfg(test)]
@@ -248,18 +236,12 @@ mod tests {
     }
 
     #[test]
-    fn observed_variants_record_into_metrics() {
+    fn observed_admissions_record_into_metrics() {
         use crate::metrics::SchedulerMetrics;
         let s = sched(2);
         let m = SchedulerMetrics::new();
         assert_eq!(s.admit_observed(&[AGG], AGG, &m), Admission::Defer);
         assert_eq!(s.admit_observed(&[AGG], SCAN, &m), Admission::RunNow);
-        let waves = s.plan_waves_observed(&[AGG, SCAN, SCAN], &m);
-        assert_eq!(waves.len(), 2);
         assert_eq!(m.deferrals(), 1);
-        assert_eq!(m.waves_planned.get(), 2);
-        // Occupancies 2 and 1: the histogram saw both waves.
-        assert_eq!(m.wave_occupancy.count(), 2);
-        assert!((m.wave_occupancy.sum() - 3.0).abs() < 1e-12);
     }
 }

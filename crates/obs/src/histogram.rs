@@ -61,15 +61,6 @@ pub mod unit {
             subdivisions: 4,
         }
     }
-
-    /// Dimensionless small counts: 1 to ~4096, 2 subdivisions.
-    pub fn small_counts() -> BucketSpec {
-        BucketSpec {
-            min_exp: 0,
-            max_exp: 12,
-            subdivisions: 2,
-        }
-    }
 }
 
 #[derive(Debug)]

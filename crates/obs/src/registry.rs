@@ -3,8 +3,8 @@
 //! A [`Family`] is one metric name fanned out over label sets (e.g.
 //! `ccp_executor_jobs_total{pool="olap"}`). The [`Registry`] owns
 //! families by name and renders everything in the Prometheus text
-//! exposition format, so a scrape endpoint or the `metrics_dump`
-//! example can serve/print the whole process state in one call.
+//! exposition format, so a scrape endpoint (the server's `/metrics`)
+//! can serve the whole process state in one call.
 //!
 //! Families are idempotent: asking twice for the same name returns the
 //! same family, and instruments already held elsewhere (an executor's

@@ -66,7 +66,7 @@ pub const FAULT_CONTROL_APPLY: &str = "control.apply";
 
 /// What `/stats` reads from the plane: the control step's and the
 /// sweeper's live instruments plus the state that has no metric family.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct PlaneView {
     /// The adaptive controller; `None` in static mode.
     pub control: Option<ControlView>,

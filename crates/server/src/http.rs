@@ -654,8 +654,8 @@ impl HttpClient {
     }
 }
 
-/// Minimal blocking HTTP client used by tests, examples and the
-/// `metrics_dump` scrape path: one request per connection
+/// Minimal blocking HTTP client used by tests, examples and the CLI's
+/// one-shot scrapes: one request per connection
 /// (`Connection: close`), 5 s timeouts. For repeated requests prefer
 /// [`HttpClient`], which reuses its connection.
 pub fn fetch(

@@ -56,4 +56,4 @@ pub use metrics::ServerMetrics;
 pub use query::{
     parse_query, Breakdown, QueryEngine, QueryOutcome, WorkloadSpec, DEFAULT_REUSE_BUDGET_BYTES,
 };
-pub use server::{install_sigint_handler, sigint_requested, ScrapeServer, Server, ServerConfig};
+pub use server::{install_sigint_handler, sigint_requested, Server, ServerConfig};

@@ -316,19 +316,6 @@ impl Server {
             metrics.clone(),
             probe,
         );
-        Server::launch(config, registry, metrics, admission, engine, Some(plane))
-    }
-
-    /// Binds the listener and starts the accept loop (and `plane`, when
-    /// there is one) over an assembled stack.
-    fn launch(
-        config: ServerConfig,
-        registry: Registry,
-        metrics: ServerMetrics,
-        admission: Arc<AdmissionQueue>,
-        engine: Arc<QueryEngine>,
-        plane: Option<ControlPlane>,
-    ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
@@ -340,10 +327,10 @@ impl Server {
             shutdown: AtomicBool::new(false),
             conns: ConnTracker::new(),
             started: Instant::now(),
-            flight: plane.as_ref().and_then(ControlPlane::flight),
-            plane_view: plane.as_ref().map(ControlPlane::view).unwrap_or_default(),
+            flight: plane.flight(),
+            plane_view: plane.view(),
         });
-        let plane = plane.map(ControlPlane::spawn).transpose()?;
+        let plane = plane.spawn()?;
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::Builder::new()
             .name("ccp-accept".to_string())
@@ -355,7 +342,7 @@ impl Server {
             shared,
             addr,
             accept: Some(accept),
-            plane,
+            plane: Some(plane),
         })
     }
 
@@ -938,63 +925,4 @@ pub fn install_sigint_handler() {
 /// Whether SIGINT arrived since [`install_sigint_handler`].
 pub fn sigint_requested() -> bool {
     SIGINT_SEEN.load(Ordering::SeqCst)
-}
-
-// ---------------------------------------------------------------------------
-// Scrape-only server
-// ---------------------------------------------------------------------------
-
-/// A minimal scrape endpoint over an *existing* registry: `/metrics` and
-/// `/healthz` only, no executor, no admission. This is what
-/// `examples/metrics_dump.rs` serves — any application that already fills
-/// a [`Registry`] can expose it with two lines.
-pub struct ScrapeServer {
-    inner: Server,
-}
-
-impl ScrapeServer {
-    /// Serves `registry` on `addr` (port 0 for ephemeral).
-    ///
-    /// The caller's registry is served verbatim, with this server's
-    /// `ccp_server_*` request accounting registered into it. A tiny
-    /// placeholder engine backs `/query` (noop allocator, 64-row data
-    /// set, one slot) so the router stays uniform.
-    pub fn start(registry: &Registry, addr: &str) -> std::io::Result<ScrapeServer> {
-        let config = ServerConfig {
-            addr: addr.to_string(),
-            olap_workers: 1,
-            oltp_workers: 1,
-            scheduler_slots: 1,
-            queue_capacity: 1,
-            dataset_rows: 64,
-            ..ServerConfig::default()
-        };
-        let metrics = ServerMetrics::new(registry);
-        let engine = Arc::new(QueryEngine::with_allocator(
-            config.olap_workers,
-            config.oltp_workers,
-            config.dataset_rows,
-            Arc::new(ccp_engine::NoopAllocator),
-            false,
-        ));
-        let scheduler = CacheAwareScheduler::new(engine.policy(), config.scheduler_slots);
-        let admission = Arc::new(AdmissionQueue::new(
-            scheduler,
-            config.queue_capacity,
-            SchedulerMetrics::new(),
-            metrics.clone(),
-        ));
-        let inner = Server::launch(config, registry.clone(), metrics, admission, engine, None)?;
-        Ok(ScrapeServer { inner })
-    }
-
-    /// The bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.inner.addr()
-    }
-
-    /// Graceful stop.
-    pub fn shutdown(&mut self) {
-        self.inner.shutdown();
-    }
 }

@@ -153,8 +153,6 @@ const METRIC_TYPES: &[&str] = &[
     "ccp_reuse_mispredictions_total counter",
     "ccp_reuse_misses_total counter",
     "ccp_scheduler_admissions_total counter",
-    "ccp_scheduler_wave_occupancy histogram",
-    "ccp_scheduler_waves_planned_total counter",
     "ccp_server_active_connections gauge",
     "ccp_server_admission_class_rejections_total counter",
     "ccp_server_admission_queue_depth gauge",

@@ -5,11 +5,14 @@
 //! interleaving of OLAP and OLTP submissions.
 //!
 //! The pools use real worker threads, so the explorer controls the
-//! *submission* interleaving and the invariants are checked after
-//! `wait_idle()` — the handoff (which queue a job enters, which mask its
-//! pool binds) is exactly the part schedule order could plausibly break.
+//! *submission* interleaving and the invariants are checked after every
+//! submitted batch has completed — the handoff (which queue a job enters,
+//! which mask its pool binds) is exactly the part schedule order could
+//! plausibly break.
 
-use ccp_engine::{CacheUsageClass, DualPoolExecutor, Job, PartitionPolicy, RecordingAllocator};
+use ccp_engine::{
+    BatchHandle, CacheUsageClass, DualPoolExecutor, Job, PartitionPolicy, RecordingAllocator,
+};
 use ccp_verify::{explore, Access, Actor, Mode};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -23,8 +26,39 @@ struct PoolModel {
     rec: Arc<RecordingAllocator>,
     ex: DualPoolExecutor,
     done: Arc<AtomicU64>,
-    submitted_olap: u64,
-    submitted_oltp: u64,
+    /// One single-job batch per OLAP submission.
+    olap_batches: Vec<BatchHandle>,
+    /// One single-job batch per OLTP submission.
+    oltp_batches: Vec<BatchHandle>,
+}
+
+impl PoolModel {
+    fn new(ex: DualPoolExecutor, rec: Arc<RecordingAllocator>) -> Self {
+        PoolModel {
+            rec,
+            ex,
+            done: Arc::new(AtomicU64::new(0)),
+            olap_batches: Vec::new(),
+            oltp_batches: Vec::new(),
+        }
+    }
+
+    /// Waits for every submitted batch; returns `(olap, oltp)` jobs
+    /// submitted.
+    fn settle(&self) -> (u64, u64) {
+        for batch in self.olap_batches.iter().chain(&self.oltp_batches) {
+            batch.wait();
+        }
+        (
+            self.olap_batches.len() as u64,
+            self.oltp_batches.len() as u64,
+        )
+    }
+
+    /// The OLTP pool's mask switches.
+    fn oltp_switches(&self) -> u64 {
+        self.ex.oltp().metrics().mask_switches()
+    }
 }
 
 #[test]
@@ -38,29 +72,23 @@ fn handoff_preserves_jobs_and_oltp_full_cache_under_all_submission_orders() {
             PartitionPolicy::paper_default(cfg.llc, cfg.l2.size_bytes),
             rec.clone(),
         );
-        let state = PoolModel {
-            rec,
-            ex,
-            done: Arc::new(AtomicU64::new(0)),
-            submitted_olap: 0,
-            submitted_oltp: 0,
-        };
+        let state = PoolModel::new(ex, rec);
         // The two submitters touch disjoint queues, and every check runs
-        // after wait_idle() — so the submission orders are genuinely
-        // independent and DPOR collapses the space to one trace.
+        // after every batch completed — so the submission orders are
+        // genuinely independent and DPOR collapses the space to one trace.
         let mut olap = Actor::new("olap-submitter");
         for i in 0..PER_POOL {
             olap = olap.then_accessing(
                 move |s: &mut PoolModel| {
                     let d = s.done.clone();
-                    s.ex.submit_olap(Job::new(
+                    let batch = s.ex.olap().submit_batch(vec![Job::new(
                         format!("scan-{i}"),
                         CacheUsageClass::Polluting,
                         move || {
                             d.fetch_add(1, Ordering::Relaxed);
                         },
-                    ));
-                    s.submitted_olap += 1;
+                    )]);
+                    s.olap_batches.push(batch);
                 },
                 &[Access::Write("olap-q")],
             );
@@ -70,14 +98,14 @@ fn handoff_preserves_jobs_and_oltp_full_cache_under_all_submission_orders() {
             oltp = oltp.then_accessing(
                 move |s: &mut PoolModel| {
                     let d = s.done.clone();
-                    s.ex.submit_oltp(Job::new(
+                    let batch = s.ex.oltp().submit_batch(vec![Job::new(
                         format!("txn-{i}"),
                         CacheUsageClass::Polluting, // CUID is advisory on OLTP
                         move || {
                             d.fetch_add(1, Ordering::Relaxed);
                         },
-                    ));
-                    s.submitted_oltp += 1;
+                    )]);
+                    s.oltp_batches.push(batch);
                 },
                 &[Access::Write("oltp-q")],
             );
@@ -85,33 +113,30 @@ fn handoff_preserves_jobs_and_oltp_full_cache_under_all_submission_orders() {
         (state, vec![olap, oltp])
     };
     let check_final = |s: &mut PoolModel| {
-        s.ex.wait_idle();
+        let (submitted_olap, submitted_oltp) = s.settle();
         // Conservation: every submitted job ran exactly once, in the pool
         // it was handed to.
         let ran = s.done.load(Ordering::Relaxed);
-        if ran != s.submitted_olap + s.submitted_oltp {
+        if ran != submitted_olap + submitted_oltp {
             return Err(format!(
-                "{ran} jobs ran, {} + {} were submitted",
-                s.submitted_olap, s.submitted_oltp
+                "{ran} jobs ran, {submitted_olap} + {submitted_oltp} were submitted"
             ));
         }
-        if s.ex.olap().jobs_executed() != s.submitted_olap {
+        let olap_ran = s.ex.olap().metrics().jobs_executed();
+        if olap_ran != submitted_olap {
             return Err(format!(
-                "OLAP pool ran {} of {} OLAP jobs",
-                s.ex.olap().jobs_executed(),
-                s.submitted_olap
+                "OLAP pool ran {olap_ran} of {submitted_olap} OLAP jobs"
             ));
         }
-        if s.ex.oltp().jobs_executed() != s.submitted_oltp {
+        let oltp_ran = s.ex.oltp().metrics().jobs_executed();
+        if oltp_ran != submitted_oltp {
             return Err(format!(
-                "OLTP pool ran {} of {} OLTP jobs",
-                s.ex.oltp().jobs_executed(),
-                s.submitted_oltp
+                "OLTP pool ran {oltp_ran} of {submitted_oltp} OLTP jobs"
             ));
         }
         // §V-C: the OLTP pool binds once per worker (1 here), and only
         // ever the full mask; polluting OLAP jobs bind their partition.
-        let (_, oltp_switches) = s.ex.mask_switches();
+        let oltp_switches = s.oltp_switches();
         if oltp_switches > 1 {
             return Err(format!(
                 "OLTP pool re-bound {oltp_switches} times; must bind once per worker"
@@ -160,33 +185,33 @@ fn handoff_survives_randomized_submission_orders() {
             PartitionPolicy::paper_default(cfg.llc, cfg.l2.size_bytes),
             rec.clone(),
         );
-        let state = PoolModel {
-            rec,
-            ex,
-            done: Arc::new(AtomicU64::new(0)),
-            submitted_olap: 0,
-            submitted_oltp: 0,
-        };
+        let state = PoolModel::new(ex, rec);
         let mut olap = Actor::new("olap-submitter");
         let mut oltp = Actor::new("oltp-submitter");
         for _ in 0..6 {
             olap = olap.then_accessing(
                 |s: &mut PoolModel| {
                     let d = s.done.clone();
-                    s.ex.submit_olap(Job::new("scan", CacheUsageClass::Polluting, move || {
-                        d.fetch_add(1, Ordering::Relaxed);
-                    }));
-                    s.submitted_olap += 1;
+                    let batch = s.ex.olap().submit_batch(vec![Job::new(
+                        "scan",
+                        CacheUsageClass::Polluting,
+                        move || {
+                            d.fetch_add(1, Ordering::Relaxed);
+                        },
+                    )]);
+                    s.olap_batches.push(batch);
                 },
                 &[Access::Write("olap-q")],
             );
             oltp = oltp.then_accessing(
                 |s: &mut PoolModel| {
                     let d = s.done.clone();
-                    s.ex.submit_oltp(Job::unannotated("txn", move || {
-                        d.fetch_add(1, Ordering::Relaxed);
-                    }));
-                    s.submitted_oltp += 1;
+                    let batch =
+                        s.ex.oltp()
+                            .submit_batch(vec![Job::unannotated("txn", move || {
+                                d.fetch_add(1, Ordering::Relaxed);
+                            })]);
+                    s.oltp_batches.push(batch);
                 },
                 &[Access::Write("oltp-q")],
             );
@@ -201,12 +226,12 @@ fn handoff_survives_randomized_submission_orders() {
         build,
         |_| Ok(()),
         |s: &mut PoolModel| {
-            s.ex.wait_idle();
+            s.settle();
             let ran = s.done.load(Ordering::Relaxed);
             if ran != 12 {
                 return Err(format!("{ran} of 12 jobs ran"));
             }
-            let (_, oltp_switches) = s.ex.mask_switches();
+            let oltp_switches = s.oltp_switches();
             if oltp_switches > 2 {
                 return Err(format!("OLTP re-bound {oltp_switches} times for 2 workers"));
             }

@@ -1,19 +1,19 @@
 //! Model checks for the background-thread lifecycles: the
 //! [`ccp_server::ControlPlane`] spawn/sample/stop path and
-//! [`ccp_server::ScrapeServer`] shutdown.
+//! [`ccp_server::Server`] shutdown.
 //!
 //! Both run real background threads, so the explorer interleaves the
 //! *control* operations — waiting for samples, stopping, double-stopping,
 //! dropping, publishing, scraping — and the invariants say the
 //! lifecycles are order-independent: stop is idempotent, a joined
 //! plane's last publish is never lost (the gauge equals the final probe
-//! reading), nothing runs after the join, and a scrape server going
-//! down can neither lose a registry publish nor serve a torn scrape.
+//! reading), nothing runs after the join, and a server going down can
+//! neither lose a registry publish nor serve a torn scrape.
 
 use ccp_obs::{Counter, Registry};
 use ccp_resctrl::{Class, ClassReading, OccupancyProbe};
 use ccp_server::{
-    fetch, ControlPlane, PlaneHandle, QueryEngine, ScrapeServer, ServerConfig, ServerMetrics,
+    fetch, ControlPlane, PlaneHandle, QueryEngine, Server, ServerConfig, ServerMetrics,
 };
 use ccp_verify::{explore, Actor, Mode};
 use std::net::SocketAddr;
@@ -154,7 +154,7 @@ fn plane_stop_is_idempotent_and_never_loses_the_final_publish() {
 struct ScrapeModel {
     registry: Registry,
     hits: Counter,
-    server: Option<ScrapeServer>,
+    server: Option<Server>,
     addr: SocketAddr,
     scraped: Option<String>,
 }
@@ -162,11 +162,20 @@ struct ScrapeModel {
 #[test]
 fn scrape_server_shutdown_loses_no_publish_and_tolerates_double_stop() {
     let build = || {
-        let registry = Registry::new();
+        // The smallest server there is: 64 rows, no sampling, no flight
+        // recorder — the accept loop and the shutdown path are the model.
+        let server = Server::start(ServerConfig {
+            olap_workers: 1,
+            dataset_rows: 64,
+            monitor_interval: None,
+            flight: false,
+            ..ServerConfig::default()
+        })
+        .expect("server");
+        let registry = server.registry();
         let hits = registry
             .counter_family("model_final_publish_total", "model publishes")
             .get_or_create(&[]);
-        let server = ScrapeServer::start(&registry, "127.0.0.1:0").expect("scrape server");
         let addr = server.addr();
         let state = ScrapeModel {
             registry,
@@ -228,7 +237,7 @@ fn scrape_server_shutdown_loses_no_publish_and_tolerates_double_stop() {
         |_| Ok(()),
         check_final,
     )
-    .expect("scrape-server shutdown must be order-independent");
+    .expect("server shutdown must be order-independent");
     assert!(report.exhausted);
     // publisher(2) + scraper(1) + stopper(2): 5!/(2!·1!·2!) = 30 orders.
     assert_eq!(report.schedules, 30);

@@ -12,15 +12,12 @@
 //! * [`experiment`] — the measurement protocol: isolated baselines, LLC
 //!   sweeps (Figures 4–6) and concurrent normalized-throughput runs
 //!   (Figures 1, 9–12), each returning ready-to-print rows.
-//! * [`native`] — the same repeat-until-deadline protocol over *native*
-//!   query closures, for measuring real partitioning on CAT hardware.
+//!
+//! Native co-runs go through `ccp serve`: its `/metrics` and `/stats`
+//! report what the engine actually ran.
 
 pub mod experiment;
-pub mod native;
 pub mod paper;
 pub mod s4hana;
 
 pub use experiment::{Experiment, MaskChoice, NormalizedOutcome, QuerySpec, SweepPoint};
-pub use native::{
-    export_normalized_metrics, run_mixed, run_mixed_normalized, MixedRunReport, NativeQuery,
-};

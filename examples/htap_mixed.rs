@@ -80,11 +80,12 @@ fn main() {
     );
 
     // --- what the executor did ---------------------------------------------
+    let m = ex.metrics();
     println!(
         "\nexecutor: {} jobs, {} mask switches, {} bind failures",
-        ex.jobs_executed(),
-        ex.mask_switches(),
-        ex.bind_failures()
+        m.jobs_executed(),
+        m.mask_switches(),
+        m.bind_failures()
     );
     println!(
         "masks applied by CUID: polluting -> {:#x}, sensitive -> {:#x}",

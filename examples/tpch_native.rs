@@ -41,10 +41,11 @@ fn main() {
     let revenue = tpch::q6_forecast_revenue(&ex, &lineitem, 24, 5..=7);
     println!("revenue = {revenue}");
 
+    let m = ex.metrics();
     println!(
         "\nexecutor: {} jobs, {} mask switches — Q1 ran at 0xfffff, Q6 at 0x3, exactly \
          the paper's Figure 11 setup",
-        ex.jobs_executed(),
-        ex.mask_switches()
+        m.jobs_executed(),
+        m.mask_switches()
     );
 }

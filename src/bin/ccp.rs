@@ -788,7 +788,7 @@ struct PhaseSummary {
     addr: String,
     sent: u64,
     errors: u64,
-    error_pct: u64,
+    error_pct: f64,
     achieved_qps: f64,
     /// p50/p95/p99 of client-observed wall latency.
     total: [u64; 3],
@@ -951,9 +951,9 @@ fn run_phase(label: &str, addr_str: &str, config: &BenchConfig) -> Result<PhaseS
         return Err(format!("[{label}] no requests were sent"));
     }
     let elapsed = started.elapsed().as_secs_f64();
-    let error_pct = outcome.errors * 100 / sent;
+    let error_pct = outcome.errors as f64 * 100.0 / sent as f64;
     println!(
-        "[{label}] {} requests in {:.1}s ({:.1} achieved qps), {} error(s) ({error_pct}%)",
+        "[{label}] {} requests in {:.1}s ({:.1} achieved qps), {} error(s) ({error_pct:.1}%)",
         sent,
         elapsed,
         outcome.samples.len() as f64 / elapsed,
@@ -1039,6 +1039,12 @@ fn run_phase(label: &str, addr_str: &str, config: &BenchConfig) -> Result<PhaseS
     })
 }
 
+/// Whether `errors` of `sent` requests exceed `max_pct` percent, compared
+/// exactly: 19 failures in 1 000 is 1.9 %, over a 1 % budget.
+fn exceeds_error_budget(errors: u64, sent: u64, max_pct: u64) -> bool {
+    errors * 100 > max_pct * sent
+}
+
 /// Resolves `host:port` for the ad-hoc fetches around a bench run.
 fn resolve_bench_addr(addr_str: &str) -> Option<std::net::SocketAddr> {
     std::net::ToSocketAddrs::to_socket_addrs(&addr_str)
@@ -1094,9 +1100,9 @@ fn bench_serve(args: &[String]) -> ExitCode {
     for (label, phase) in
         std::iter::once((first_label, &first)).chain(second.iter().map(|s| ("adaptive", s)))
     {
-        if phase.error_pct > config.max_error_pct {
+        if exceeds_error_budget(phase.errors, phase.sent, config.max_error_pct) {
             eprintln!(
-                "[{label}] error rate {}% exceeds --max-error-pct {}",
+                "[{label}] error rate {:.1}% exceeds --max-error-pct {}",
                 phase.error_pct, config.max_error_pct
             );
             failed = true;
@@ -1205,4 +1211,18 @@ fn schedule(specs: &[String]) -> ExitCode {
         println!("wave {}: {}", i + 1, members.join("  +  "));
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::exceeds_error_budget;
+
+    #[test]
+    fn error_budget_is_compared_exactly() {
+        assert!(exceeds_error_budget(19, 1_000, 1), "1.9 % is over 1 %");
+        assert!(!exceeds_error_budget(10, 1_000, 1), "1.0 % is within 1 %");
+        assert!(exceeds_error_budget(11, 1_000, 1));
+        assert!(!exceeds_error_budget(0, 1, 0));
+        assert!(exceeds_error_budget(1, 1_000, 0));
+    }
 }

@@ -22,7 +22,8 @@
 //!
 //! ## Crate map
 //!
-//! The facade re-exports the eight crates a library user programs against;
+//! This package is re-exports, a prelude and the `ccp` binary. It
+//! re-exports the eight crates a library user programs against;
 //! the other eight (`ccp-control`, `-reuse`, `-trace`, `-flight`, `-fault`,
 //! `-verify`, `-bench`, `xtask`) sit behind `ccp serve` or the test suite —
 //! DESIGN.md §2 has the full 16-crate map.
@@ -62,10 +63,9 @@
 //!
 //! On a machine with CAT and a mounted resctrl filesystem, the same policy
 //! drives real hardware through [`engine::JobExecutor`] with
-//! [`engine::ResctrlAllocator`]; see `examples/htap_mixed.rs`.
-
-pub mod db;
-pub mod obs_demo;
+//! [`engine::ResctrlAllocator`]; see `examples/htap_mixed.rs`. The served
+//! engine — admission, both worker pools, `/metrics` and `/stats` — is
+//! [`server::Server`], which the `ccp serve` binary starts.
 
 pub use ccp_cachesim as cachesim;
 pub use ccp_engine as engine;
@@ -78,7 +78,6 @@ pub use ccp_workloads as workloads;
 
 /// The most common imports for working with the library.
 pub mod prelude {
-    pub use crate::db::{Database, DbError};
     pub use ccp_cachesim::{AddrSpace, HierarchyConfig, MemoryHierarchy, WayMask};
     pub use ccp_engine::alloc::{host_allocator, CacheAllocator, NoopAllocator, ResctrlAllocator};
     pub use ccp_engine::job::{CacheUsageClass, Job};

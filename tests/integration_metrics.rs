@@ -1,60 +1,85 @@
-//! End-to-end exposition check: the Figure-9-style co-run demo (the same
-//! code path `examples/metrics_dump.rs` runs) must produce structurally
-//! valid Prometheus text containing the executor, scheduler, resctrl and
-//! native-workload families.
+//! End-to-end exposition check against a real [`Server`]: after a `q1`,
+//! `q2`, `q3` and `oltp` over the fake resctrl tree, one `/metrics` scrape
+//! must be structurally valid Prometheus text covering every layer the
+//! server wires — service, admission, both executor pools and resctrl.
 
-use cache_partitioning::obs_demo::run_corun_demo;
+use cache_partitioning::server::{fetch, Server, ServerConfig};
 use std::collections::HashSet;
-use std::time::Duration;
+use std::sync::OnceLock;
 
-fn demo_text() -> String {
-    run_corun_demo(Duration::from_millis(30)).render_prometheus()
+/// One scrape shared by every test in this file.
+fn scrape_text() -> &'static str {
+    static SCRAPE: OnceLock<String> = OnceLock::new();
+    SCRAPE.get_or_init(|| {
+        let mut server = Server::start(ServerConfig {
+            dataset_rows: 20_000,
+            fake_resctrl: true,
+            ..ServerConfig::default()
+        })
+        .expect("bind an ephemeral port");
+        let addr = server.addr();
+        for body in [
+            r#"{"workload":"q1"}"#,
+            r#"{"workload":"q2"}"#,
+            r#"{"workload":"q3"}"#,
+            r#"{"workload":"oltp","key":7}"#,
+        ] {
+            let resp = fetch(addr, "POST", "/query", Some(body)).expect("round trip");
+            assert_eq!(resp.status, 200, "{body}: {}", resp.body);
+        }
+        let scrape = fetch(addr, "GET", "/metrics", None).expect("scrape");
+        assert_eq!(scrape.status, 200);
+        server.shutdown();
+        scrape.body
+    })
+}
+
+/// The value of the first sample line starting with `series`.
+fn sample(text: &str, series: &str) -> f64 {
+    let line = text
+        .lines()
+        .find(|l| l.starts_with(series))
+        .unwrap_or_else(|| panic!("{series} missing from the scrape"));
+    line.rsplit(' ').next().unwrap().parse().unwrap()
 }
 
 #[test]
-fn corun_demo_exports_every_layer() {
-    let text = demo_text();
+fn served_scrape_exports_every_layer() {
+    let text = scrape_text();
     // Executor: both pools, per-class counters, latency histograms.
     assert!(text.contains("# TYPE ccp_executor_jobs_total counter"));
     assert!(text.contains("ccp_executor_jobs_total{class=\"polluting\",pool=\"olap\"}"));
     assert!(text.contains("ccp_executor_jobs_total{class=\"sensitive\",pool=\"oltp\"}"));
     assert!(text.contains("# TYPE ccp_executor_job_latency_seconds histogram"));
     assert!(text.contains("ccp_executor_queue_wait_seconds_count"));
-    // Scheduler: the demo plans 2 waves from its 4-query co-run queue.
-    assert!(text.contains("ccp_scheduler_waves_planned_total 2"));
-    assert!(text.contains("ccp_scheduler_wave_occupancy_count 2"));
-    // resctrl: three groups programmed once each, three redundant writes
-    // skipped, CMT occupancy gauges per group.
-    assert!(text.contains("ccp_resctrl_schemata_writes_total 3"));
-    assert!(text.contains("ccp_resctrl_skipped_writes_total 3"));
-    assert!(text.contains("ccp_resctrl_llc_occupancy_bytes{domain=\"0\",group=\"cuid_polluting\"}"));
-    // Native workload: one throughput gauge per co-run query.
-    assert!(text.contains("ccp_native_query_throughput{query=\"q1_scan\"}"));
-    assert!(text.contains("ccp_native_query_throughput{query=\"q2_aggregation\"}"));
+    // Service layer and admission.
+    assert!(text.contains("ccp_server_requests_total{endpoint=\"/query\",status=\"200\"} 4"));
+    assert!(text.contains("ccp_scheduler_admissions_total{decision=\"run_now\"}"));
+    // resctrl: the fake tree's group writes are counted.
+    assert!(text.contains("# TYPE ccp_resctrl_schemata_writes_total counter"));
 }
 
 #[test]
-fn corun_demo_ran_real_work() {
-    let text = demo_text();
-    // The scan and aggregation each complete at least once even in a
-    // 30 ms window, and their jobs flow through the OLAP pool.
-    let jobs_line = text
-        .lines()
-        .find(|l| l.starts_with("ccp_executor_jobs_total{class=\"polluting\",pool=\"olap\"}"))
-        .expect("olap polluting jobs line present");
-    let jobs: u64 = jobs_line.rsplit(' ').next().unwrap().parse().unwrap();
-    assert!(jobs > 0, "scan jobs must have executed: {jobs_line}");
-    let ping_line = text
-        .lines()
-        .find(|l| l.starts_with("ccp_native_query_completions{query=\"oltp_ping\"}"))
-        .expect("oltp ping completions present");
-    let pings: f64 = ping_line.rsplit(' ').next().unwrap().parse().unwrap();
-    assert!(pings >= 1.0, "OLTP pings must have completed: {ping_line}");
+fn served_queries_ran_real_work() {
+    let text = scrape_text();
+    // The scan's jobs flowed through the OLAP pool under the polluter
+    // mask, and the point select through the OLTP pool.
+    let scans = sample(
+        text,
+        "ccp_executor_jobs_total{class=\"polluting\",pool=\"olap\"}",
+    );
+    assert!(scans > 0.0, "scan jobs must have executed");
+    let point_selects = sample(
+        text,
+        "ccp_executor_jobs_total{class=\"sensitive\",pool=\"oltp\"}",
+    );
+    assert_eq!(point_selects, 1.0, "one OLTP statement, one job");
+    assert!(sample(text, "ccp_resctrl_schemata_writes_total") > 0.0);
 }
 
 #[test]
 fn exposition_is_structurally_valid_prometheus() {
-    let text = demo_text();
+    let text = scrape_text();
     assert!(!text.is_empty());
     let mut typed: HashSet<String> = HashSet::new();
     let mut last_help: Option<String> = None;
@@ -104,15 +129,15 @@ fn exposition_is_structurally_valid_prometheus() {
         }
     }
     assert!(
-        typed.len() >= 10,
-        "expected a rich exposition, got {} families",
+        typed.len() >= 30,
+        "expected the server's full registry, got {} families",
         typed.len()
     );
 }
 
 #[test]
 fn histogram_bucket_counts_are_cumulative_and_consistent() {
-    let text = demo_text();
+    let text = scrape_text();
     // For one histogram series, +Inf bucket == _count and buckets never
     // decrease.
     let buckets: Vec<u64> = text
@@ -129,14 +154,13 @@ fn histogram_bucket_counts_are_cumulative_and_consistent() {
         buckets.windows(2).all(|w| w[0] <= w[1]),
         "buckets must be cumulative"
     );
-    let count_line = text
-        .lines()
-        .find(|l| {
-            l.starts_with(
-                "ccp_executor_job_latency_seconds_count{class=\"polluting\",pool=\"olap\"}",
-            )
-        })
-        .expect("histogram _count present");
-    let count: u64 = count_line.rsplit(' ').next().unwrap().parse().unwrap();
-    assert_eq!(*buckets.last().unwrap(), count, "+Inf bucket equals _count");
+    let count = sample(
+        text,
+        "ccp_executor_job_latency_seconds_count{class=\"polluting\",pool=\"olap\"}",
+    );
+    assert_eq!(
+        *buckets.last().unwrap() as f64,
+        count,
+        "+Inf bucket equals _count"
+    );
 }

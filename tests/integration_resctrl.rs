@@ -29,7 +29,6 @@ fn scan_jobs_land_in_the_polluter_group() {
     let col = Arc::new(DictColumn::build(&gen::uniform_ints(50_000, 1_000, 1)));
     let count = scan::column_scan(&ex, &col, 500);
     assert!(count > 0);
-    ex.wait_idle();
 
     // The executor created the 0x3 group and programmed its schemata.
     let schemata = fs
@@ -50,7 +49,6 @@ fn alternating_jobs_reuse_groups_not_closids() {
         ex.set_partitioning(round % 2 == 0);
         scan::column_scan(&ex, &col, 500);
     }
-    ex.wait_idle();
     // Only two groups ever exist (one per distinct mask), no matter how
     // many times jobs alternated — CLOS ids are a scarce resource (16).
     assert_eq!(fs.group_count(), 2, "exactly one group per distinct mask");
@@ -69,5 +67,5 @@ fn paper_section5c_masks_via_detect_fallback() {
     );
     let col = Arc::new(DictColumn::build(&gen::uniform_ints(10_000, 100, 3)));
     assert_eq!(scan::column_scan(&ex, &col, 0), 10_000);
-    assert_eq!(ex.bind_failures(), 0);
+    assert_eq!(ex.metrics().bind_failures(), 0);
 }
