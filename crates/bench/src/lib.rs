@@ -82,7 +82,7 @@ pub fn save_json(name: &str, rows: &[ResultRow]) {
 fn rows_to_json(rows: &[ResultRow]) -> String {
     fn esc(s: &str) -> String {
         let mut out = String::with_capacity(s.len() + 2);
-        ccp_trace::escape_json_into(&mut out, s);
+        let _ = ccp_trace::escape_json_into(&mut out, s);
         out
     }
     fn num(v: f64) -> String {

@@ -12,7 +12,15 @@
 //!
 //! [`DualPoolExecutor`] packages that arrangement: an OLAP pool with
 //! partitioning enabled and an OLTP pool that pins every worker to the
-//! full mask once at startup and never re-binds.
+//! full mask on its first job and never re-binds.
+//!
+//! `ccp serve` gets the same guarantee without the second pool: it runs
+//! an OLTP statement inline on the connection thread, which never binds
+//! and so runs in the resctrl root class, with the full cache — no pool
+//! round trip, no bind. The OLTP pool is still built, and gets no served
+//! work, only because the benchmark harness links
+//! [`DualPoolExecutor::new`] and [`DualPoolExecutor::register_metrics`];
+//! deleting it waits for the harness owner's sign-off (ROADMAP F(3)/F(6)).
 
 use crate::alloc::CacheAllocator;
 use crate::executor::JobExecutor;

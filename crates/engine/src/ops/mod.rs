@@ -11,7 +11,8 @@
 //!   `SELECT MAX(B.V), B.G FROM B GROUP BY B.G`
 //! * [`join::fk_join_count`] — Query 3,
 //!   `SELECT COUNT(*) FROM R, S WHERE R.P = S.F`
-//! * [`oltp::PointSelect`] — the ACDOCA-style indexed point query
+//! * [`oltp::PointSelect`] — the ACDOCA-style indexed point query, and
+//!   [`oltp::point_select_sum`], the one `ccp serve` runs
 
 pub mod aggregate;
 pub mod join;

@@ -4,10 +4,10 @@
 //! or the 64-code group.
 
 use ccp_cachesim::HierarchyConfig;
-use ccp_engine::ops::{aggregate, join, scan};
+use ccp_engine::ops::{aggregate, join, oltp, scan};
 use ccp_engine::{JobExecutor, NoopAllocator, PartitionPolicy};
 use ccp_reuse::{Begin, ReuseCache, ReuseConfig, ReuseHandle, ReuseStatus};
-use ccp_storage::{gen, Aggregate, DictColumn};
+use ccp_storage::{gen, Aggregate, DictColumn, InvertedIndex};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -186,6 +186,32 @@ proptest! {
         let col = Arc::new(DictColumn::build(&values));
         let reference = values.iter().filter(|&&v| v > threshold).count() as u64;
         prop_assert_eq!(scan::column_scan(&executor(), &col, threshold), reference);
+    }
+}
+
+/// `point_select_sum` == a row-at-a-time scan of the key and amount
+/// columns, over the server's OLTP data shape at a small scale: every key
+/// of the domain, and the absent keys just outside it.
+#[test]
+fn point_select_sum_matches_row_reference() {
+    const ROWS: usize = 4_096;
+    let domain = (ROWS / 8) as i64;
+    let keys = gen::uniform_ints(ROWS, domain, 31);
+    let amounts = gen::uniform_ints(ROWS, 1_000_000, 32);
+    let key_col = DictColumn::build(&keys);
+    let index = InvertedIndex::build(key_col.codes().iter(), key_col.dict().len());
+    let amount_col = DictColumn::build(&amounts);
+    for key in (1..=domain).chain([0, -1, domain + 1]) {
+        let (rows, sum) = keys
+            .iter()
+            .zip(&amounts)
+            .filter(|&(&k, _)| k == key)
+            .fold((0u64, 0i64), |(rows, sum), (_, &a)| (rows + 1, sum + a));
+        assert_eq!(
+            oltp::point_select_sum(&key_col, &index, &amount_col, key),
+            (rows, sum),
+            "key {key}"
+        );
     }
 }
 

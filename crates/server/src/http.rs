@@ -299,9 +299,14 @@ impl Response {
     }
 
     /// Writes the response (status line, headers, body) and flushes.
+    ///
+    /// One buffer, one write: the whole reply is framed first and handed
+    /// to `w` in a single `write_all`, so on a `TCP_NODELAY` socket it
+    /// leaves as one send instead of one per header line.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        let mut framed = Vec::with_capacity(128 + self.body.len());
         write!(
-            w,
+            framed,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
             self.status,
             reason(self.status),
@@ -309,13 +314,14 @@ impl Response {
             self.body.len()
         )?;
         if let Some(secs) = self.retry_after_secs {
-            write!(w, "Retry-After: {secs}\r\n")?;
+            write!(framed, "Retry-After: {secs}\r\n")?;
         }
         if self.close {
-            write!(w, "Connection: close\r\n")?;
+            framed.extend_from_slice(b"Connection: close\r\n");
         }
-        write!(w, "\r\n")?;
-        w.write_all(&self.body)?;
+        framed.extend_from_slice(b"\r\n");
+        framed.extend_from_slice(&self.body);
+        w.write_all(&framed)?;
         w.flush()
     }
 }
@@ -801,15 +807,78 @@ mod tests {
         assert!(!req.wants_close());
     }
 
+    /// A writer that counts `write` calls, the way a socket counts sends.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Every shape of reply leaves in exactly one `write`, with the bytes
+    /// the header-by-header framing produced.
     #[test]
-    fn retry_after_header_is_written() {
-        let mut out = Vec::new();
-        Response::text(503, "busy")
-            .retry_after(2)
-            .write_to(&mut out)
-            .unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("Retry-After: 2\r\n"));
+    fn every_reply_is_one_write_with_unchanged_bytes() {
+        let json = crate::json::Json::obj(vec![("error", crate::json::Json::str("full"))]);
+        let cases: [(Response, &str); 8] = [
+            (
+                Response::text(200, "hello"),
+                "HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\n\
+                 Content-Length: 5\r\n\r\nhello",
+            ),
+            (
+                Response::json(429, &json),
+                "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\n\
+                 Content-Length: 16\r\n\r\n{\"error\":\"full\"}",
+            ),
+            (
+                Response::ndjson(200, "{\"a\":1}\n"),
+                "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+                 Content-Length: 8\r\n\r\n{\"a\":1}\n",
+            ),
+            (
+                Response::prometheus("x 1\n"),
+                "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
+                 Content-Length: 4\r\n\r\nx 1\n",
+            ),
+            (
+                Response::html(200, "<p>"),
+                "HTTP/1.1 200 OK\r\nContent-Type: text/html; charset=utf-8\r\n\
+                 Content-Length: 3\r\n\r\n<p>",
+            ),
+            (
+                Response::text(503, "busy").retry_after(2),
+                "HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain; charset=utf-8\r\n\
+                 Content-Length: 4\r\nRetry-After: 2\r\n\r\nbusy",
+            ),
+            (
+                Response::error(400, "bad").closing(),
+                "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n\
+                 Content-Length: 15\r\nConnection: close\r\n\r\n{\"error\":\"bad\"}",
+            ),
+            (
+                Response::json_text(503, "").retry_after(1).closing(),
+                "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+                 Content-Length: 0\r\nRetry-After: 1\r\nConnection: close\r\n\r\n",
+            ),
+        ];
+        for (resp, want) in cases {
+            let mut w = CountingWriter::default();
+            resp.write_to(&mut w).unwrap();
+            assert_eq!(w.writes, 1, "{resp:?} took {} writes", w.writes);
+            assert_eq!(String::from_utf8(w.bytes).unwrap(), want);
+        }
     }
 
     #[test]
@@ -937,28 +1006,5 @@ mod tests {
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
             other => panic!("unexpected reconnect: {other:?}"),
         }
-    }
-
-    #[test]
-    fn response_writes_content_length_framing() {
-        let mut out = Vec::new();
-        Response::text(200, "hello").write_to(&mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(text.contains("Content-Length: 5\r\n"));
-        assert!(text.ends_with("\r\n\r\nhello"));
-
-        let mut out = Vec::new();
-        Response::json(
-            429,
-            &crate::json::Json::obj(vec![("error", crate::json::Json::str("full"))]),
-        )
-        .closing()
-        .write_to(&mut out)
-        .unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
-        assert!(text.contains("Connection: close\r\n"));
-        assert!(text.contains(r#"{"error":"full"}"#));
     }
 }

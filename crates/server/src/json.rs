@@ -9,6 +9,8 @@
 
 use std::fmt;
 
+use ccp_trace::escape_json_into;
+
 /// Maximum nesting depth accepted by the parser; deeper documents are
 /// rejected rather than risking stack exhaustion on hostile input.
 const MAX_DEPTH: usize = 32;
@@ -171,7 +173,7 @@ impl fmt::Display for Json {
                     write!(f, "{n}")
                 }
             }
-            Json::Str(s) => write_escaped(f, s),
+            Json::Str(s) => escape_json_into(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
                 for (i, v) in items.iter().enumerate() {
@@ -188,19 +190,13 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write_escaped(f, k)?;
+                    escape_json_into(f, k)?;
                     write!(f, ":{v}")?;
                 }
                 f.write_str("}")
             }
         }
     }
-}
-
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    let mut out = String::with_capacity(s.len() + 2);
-    ccp_trace::escape_json_into(&mut out, s);
-    f.write_str(&out)
 }
 
 struct Parser<'a> {
@@ -455,6 +451,30 @@ mod tests {
     fn escapes_render_correctly() {
         let j = Json::Str("line\nbreak \"quoted\" \\slash\u{1}".to_string());
         assert_eq!(j.to_string(), r#""line\nbreak \"quoted\" \\slash\u0001""#);
+    }
+
+    /// One code point per draw: ASCII (quotes, backslashes, control
+    /// characters included), two-byte, and anything up to U+10FFFF.
+    fn arb_text() -> impl proptest::strategy::Strategy<Value = String> {
+        use proptest::strategy::Strategy;
+        proptest::collection::vec(
+            proptest::prop_oneof![0u32..0x80, 0x80u32..0x800, 0x800u32..0x11_0000],
+            0..48,
+        )
+        .prop_map(|cps| {
+            cps.into_iter()
+                .map(|cp| char::from_u32(cp).unwrap_or('\u{fffd}'))
+                .collect()
+        })
+    }
+
+    proptest::proptest! {
+        /// Any key and string value survives render → parse unchanged.
+        #[test]
+        fn escaped_strings_round_trip(key in arb_text(), value in arb_text()) {
+            let doc = Json::Obj(vec![(key, Json::Str(value))]);
+            proptest::prop_assert_eq!(Json::parse(&doc.to_string()), Ok(doc));
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use crate::json::Json;
 use ccp_engine::alloc::CacheAllocator;
-use ccp_engine::ops::{aggregate, join, scan};
+use ccp_engine::ops::{aggregate, join, oltp, scan};
 use ccp_engine::{CacheUsageClass, DualPoolExecutor, Job, PartitionPolicy};
 use ccp_resctrl::Class;
 use ccp_reuse::{Artifact, ResultSet, ReuseCache, ReuseHandle, ReuseStatus};
@@ -20,7 +20,6 @@ use ccp_storage::{gen, Aggregate, DictColumn, InvertedIndex, Table};
 use ccp_tpch::queries::PhaseSpec;
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -45,7 +44,10 @@ pub enum WorkloadSpec {
         /// Query number, 1–22.
         id: u8,
     },
-    /// OLTP point select on the dedicated full-cache pool.
+    /// OLTP point select, run inline on the connection thread: it never
+    /// binds, so it runs in the resctrl root class with the full cache.
+    /// (The OLTP pool is still built, only because the benchmark harness
+    /// links it; it serves nothing.)
     Oltp {
         /// Document key to look up.
         key: i64,
@@ -235,9 +237,9 @@ struct Datasets {
     /// TPC-H lineitem sample for native Q1/Q6.
     lineitem: Arc<Table>,
     /// OLTP key column (BELNR) with its point-lookup index.
-    oltp_keys: Arc<DictColumn<i64>>,
-    oltp_index: Arc<InvertedIndex>,
-    oltp_amounts: Arc<DictColumn<i64>>,
+    oltp_keys: DictColumn<i64>,
+    oltp_index: InvertedIndex,
+    oltp_amounts: DictColumn<i64>,
 }
 
 impl Datasets {
@@ -252,12 +254,9 @@ impl Datasets {
         // OLTP side: an ACDOCA-like document table — repeated document
         // keys, an amount per row.
         let doc_count = (rows / 8).max(8) as i64;
-        let oltp_keys = Arc::new(DictColumn::build(&gen::uniform_ints(rows, doc_count, 31)));
-        let oltp_index = Arc::new(InvertedIndex::build(
-            oltp_keys.codes().iter(),
-            oltp_keys.dict().len(),
-        ));
-        let oltp_amounts = Arc::new(DictColumn::build(&gen::uniform_ints(rows, 1_000_000, 32)));
+        let oltp_keys = DictColumn::build(&gen::uniform_ints(rows, doc_count, 31));
+        let oltp_index = InvertedIndex::build(oltp_keys.codes().iter(), oltp_keys.dict().len());
+        let oltp_amounts = DictColumn::build(&gen::uniform_ints(rows, 1_000_000, 32));
         Datasets {
             amounts,
             regions,
@@ -371,7 +370,8 @@ impl QueryEngine {
             },
             WorkloadSpec::Tpch { id } => classify_profile(*id),
             // Point selects touch a few lines; treat as sensitive — they
-            // run on the full-cache OLTP pool regardless.
+            // run on the never-bound connection thread, with the full
+            // cache, regardless.
             WorkloadSpec::Oltp { .. } => CacheUsageClass::Sensitive,
             // Sleep holds a slot the way a sensitive query would, which
             // is exactly what the backpressure tests need.
@@ -419,7 +419,8 @@ impl QueryEngine {
         self.pools.live_masks()
     }
 
-    /// Executes `spec` on the appropriate pool and reports the outcome.
+    /// Executes `spec` (OLAP work on the OLAP pool, an OLTP point select
+    /// inline on the calling thread) and reports the outcome.
     pub fn execute(&self, spec: &WorkloadSpec) -> QueryOutcome {
         self.execute_admitted(spec, self.classify(spec))
     }
@@ -524,8 +525,12 @@ impl QueryEngine {
                 let id = *id;
                 memoized(self.reuse_handle(spec), || self.run_profile_phases(id))
             }
+            // Inline on the connection thread: it never binds, so it runs
+            // in the resctrl root class — the full cache the OLTP pool
+            // exists to give — without a pool round trip.
             WorkloadSpec::Oltp { key } => {
-                let (rows, result) = self.run_point_select(*key);
+                let (rows, result) =
+                    oltp::point_select_sum(&d.oltp_keys, &d.oltp_index, &d.oltp_amounts, *key);
                 (rows, result, ReuseStatus::Bypass)
             }
             WorkloadSpec::Sleep { ms } => {
@@ -574,44 +579,6 @@ impl QueryEngine {
             }
         }
         (rows, result)
-    }
-
-    /// Point select on the dedicated full-cache OLTP pool: index lookup on
-    /// the key column, sum of the projected amount column.
-    fn run_point_select(&self, key: i64) -> (u64, i64) {
-        let Some(code) = self.data.oltp_keys.dict().encode(&key) else {
-            return (0, 0);
-        };
-        let index = self.data.oltp_index.clone();
-        let amounts = self.data.oltp_amounts.clone();
-        let hits = Arc::new(AtomicU64::new(0));
-        let total = Arc::new(AtomicU64::new(0));
-        let (hits2, total2) = (hits.clone(), total.clone());
-        self.pools
-            .oltp()
-            .submit_batch(vec![Job::new(
-                "point-select",
-                CacheUsageClass::Sensitive,
-                move || {
-                    let rows = index.lookup(code);
-                    let mut sum = 0i64;
-                    for &r in rows {
-                        sum += *amounts.dict().decode(amounts.code_at(r as usize));
-                    }
-                    // ORDERING: the batch wait below synchronizes with the
-                    // worker (channel + condvar), so relaxed stores are
-                    // visible to the post-wait loads without extra fencing.
-                    hits2.store(rows.len() as u64, Ordering::Relaxed);
-                    total2.store(sum as u64, Ordering::Relaxed);
-                },
-            )])
-            .wait();
-        (
-            // ORDERING: wait() above happens-before these reads; relaxed
-            // is enough to observe the job's stores.
-            hits.load(Ordering::Relaxed),
-            total.load(Ordering::Relaxed) as i64,
-        )
     }
 }
 

@@ -312,6 +312,60 @@ fn trace_ticket_filter_isolates_one_query() {
     server.shutdown();
 }
 
+/// An OLTP statement runs on the never-bound connection thread: a hundred
+/// of them leave the resctrl tree's task assignments where they were,
+/// every reply's `bind_us` is 0, and a statement's trace holds its query
+/// and operator spans and no bind.
+#[test]
+fn oltp_statements_bind_nothing() {
+    let _guard = serial();
+    let mut server = Server::start(ServerConfig {
+        fake_resctrl: true,
+        ..config()
+    })
+    .expect("start");
+    let addr = server.addr();
+    let task_assigns = || {
+        let scrape = fetch(addr, "GET", "/metrics", None).expect("scrape").body;
+        let line = scrape
+            .lines()
+            .find(|l| l.starts_with("ccp_resctrl_task_assigns_total "))
+            .unwrap_or_else(|| panic!("no task_assigns counter in:\n{scrape}"));
+        line.rsplit(' ').next().unwrap().parse::<f64>().unwrap()
+    };
+    let before = task_assigns();
+    let mut client = HttpClient::connect(addr).expect("connect");
+    let mut ticket = None;
+    for key in 0..100 {
+        let body = format!(r#"{{"workload":"oltp","key":{key}}}"#);
+        let resp = client.request("POST", "/query", Some(&body)).expect("oltp");
+        assert_eq!(resp.status, 200, "{body}: {}", resp.body);
+        let outcome = Json::parse(resp.body.trim()).expect("outcome JSON");
+        assert_eq!(breakdown_field(&outcome, "bind_us"), 0, "{outcome:?}");
+        ticket = outcome.get("ticket").and_then(Json::as_u64);
+    }
+    assert_eq!(task_assigns(), before, "an OLTP statement moved a task");
+
+    let ticket = ticket.expect("reply carries a ticket");
+    let trace = fetch(addr, "GET", &format!("/trace?ticket={ticket}"), None).expect("trace");
+    let doc = Json::parse(&trace.body).expect("filtered trace is valid JSON");
+    let Some(Json::Arr(events)) = doc.get("traceEvents") else {
+        panic!("traceEvents array missing");
+    };
+    let spans: Vec<(&str, &str)> = events
+        .iter()
+        .filter(|e| e.get("ph").and_then(Json::as_str) == Some("B"))
+        .filter_map(|e| {
+            let cat = e.get("cat").and_then(Json::as_str)?;
+            Some((cat, e.get("name").and_then(Json::as_str)?))
+        })
+        .collect();
+    assert!(spans.iter().any(|&(cat, _)| cat == "query"), "{spans:?}");
+    assert!(spans.contains(&("op", "point_select")), "{spans:?}");
+    assert!(!spans.iter().any(|&(cat, _)| cat == "bind"), "{spans:?}");
+    server.shutdown();
+}
+
 /// `/stats` surfaces tracer ring health (satellite of the verify work:
 /// the drop counter the model checker guards is now observable) and the
 /// per-class admission view with its configured limits.

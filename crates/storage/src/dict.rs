@@ -22,6 +22,9 @@ impl<T: Ord + Clone> Dictionary<T> {
     pub fn build(mut values: Vec<T>) -> Self {
         values.sort_unstable();
         values.dedup();
+        // The input is usually a whole column: keep the distinct values,
+        // not a row-sized allocation.
+        values.shrink_to_fit();
         Dictionary { values }
     }
 
@@ -156,6 +159,13 @@ mod tests {
         assert_eq!(d.len(), 4);
         let values: Vec<i64> = d.iter().copied().collect();
         assert_eq!(values, vec![10, 20, 30, 40]);
+    }
+
+    #[test]
+    fn build_keeps_no_row_sized_allocation() {
+        let d = Dictionary::build((0..100_000i64).map(|i| i % 64).collect());
+        assert_eq!(d.len(), 64);
+        assert_eq!(d.values.capacity(), 64);
     }
 
     #[test]

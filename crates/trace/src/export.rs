@@ -8,6 +8,8 @@
 //! balanced and properly nested by construction, even when rings wrapped
 //! mid-run.
 
+use std::fmt;
+
 use crate::ring::{Record, KIND_INSTANT};
 use crate::TraceCat;
 
@@ -111,7 +113,7 @@ impl TraceSnapshot {
             m.push_str("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":");
             m.push_str(&t.tid.to_string());
             m.push_str(",\"args\":{\"name\":");
-            escape_json_into(&mut m, &t.name);
+            let _ = escape_json_into(&mut m, &t.name);
             m.push_str("}}");
             arr.emit(&m);
         }
@@ -179,7 +181,7 @@ impl EventArray {
 fn format_event(ph: &str, name: &str, cat: TraceCat, ts_us: u64, tid: u32, id: u64) -> String {
     let mut s = String::with_capacity(96);
     s.push_str("{\"name\":");
-    escape_json_into(&mut s, name);
+    let _ = escape_json_into(&mut s, name);
     s.push_str(",\"cat\":\"");
     s.push_str(cat.as_str());
     s.push_str("\",\"ph\":\"");
@@ -200,24 +202,31 @@ fn format_event(ph: &str, name: &str, cat: TraceCat, ts_us: u64, tid: u32, id: u
     s
 }
 
-/// Appends `s` as a JSON string literal (with quotes) onto `out` — the
-/// workspace's one JSON string escaper.
-pub fn escape_json_into(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Writes `s` as a JSON string literal (with quotes) into `out` — the
+/// workspace's one JSON string escaper, for `String`s and `Formatter`s
+/// alike (writing into a `String` cannot fail). Unescaped runs go out as
+/// slices of `s`, so nothing is allocated; every byte that needs an escape
+/// is ASCII, so cutting `s` at one never splits a UTF-8 sequence.
+pub fn escape_json_into<W: fmt::Write + ?Sized>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.write_str(&s[run..i])?;
+        match b {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            _ => write!(out, "\\u{b:04x}")?,
+        }
+        run = i + 1;
     }
-    out.push('"');
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 #[cfg(test)]
@@ -299,6 +308,13 @@ mod tests {
         let json = snap.to_chrome_json();
         assert!(json.contains(r#""a\"b\\c\n""#), "{json}");
         assert!(json.contains(r#""t\"1""#), "{json}");
+    }
+
+    #[test]
+    fn escaper_keeps_non_ascii_and_hex_escapes_other_controls() {
+        let mut out = String::new();
+        escape_json_into(&mut out, "é\u{1}\t\r\u{1f}😀").unwrap();
+        assert_eq!(out, r#""é\u0001\t\r\u001f😀""#);
     }
 
     #[test]

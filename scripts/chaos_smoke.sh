@@ -11,10 +11,12 @@
 #   * the `ccp_resctrl_degraded` gauge flips 0 -> 1 (observed live
 #     mid-run) -> 0 (after the re-probe loop burns through the window),
 #     with breaker-trip and restore counters recording the transitions;
-#   * zero worker panics end to end.
+#   * zero worker panics end to end;
+#   * with reuse on (a second server, same window), queries whose misses
+#     bind into failing writes still succeed >=99%.
 #
 # Usage:
-#   scripts/chaos_smoke.sh [PORT]          # default: 19191
+#   scripts/chaos_smoke.sh [PORT]          # default: 19191 (and PORT+1)
 #
 # Tunables (environment):
 #   CCP_CHAOS_QPS        offered load (default 40)
@@ -41,8 +43,13 @@ cd "$(dirname "$0")/.."
 ccp_build "$PROFILE"
 ccp_init
 
+# Reuse off: every q1/q2 of the mix then runs on the OLAP workers and
+# switches their mask, so the failing schemata writes come from real
+# binds. (With reuse on, the mix is served from the cache after its first
+# two queries; the `oltp` share never binds — it runs on the connection
+# thread — so nothing would reach the fault window.)
 ccp_launch_server serve "$ADDR" --fake-resctrl --reprobe-interval-ms 150 \
-  --faults "$FAULTS"
+  --no-reuse --faults "$FAULTS"
 
 ccp_scrape "$ADDR" /stats "$WORK/stats.json"
 grep -qF '"supervised":true' "$WORK/stats.json" || {
@@ -102,5 +109,24 @@ echo "   breaker_trips=${TRIPS} restores=${RESTORES}"
 
 ccp_assert_no_panics "$WORK/metrics.txt"
 echo "   jobs_panicked = 0"
+
+# Reuse on, same fault window: the mix's first q1 and q2 miss and bind
+# into the failing writes, every later one is a cache hit. Serving must
+# stay >=99% successful while the window is still open.
+REUSE_ADDR="127.0.0.1:$((PORT + 1))"
+ccp_launch_server serve-reuse "$REUSE_ADDR" --fake-resctrl \
+  --reprobe-interval-ms 150 --faults "$FAULTS"
+echo "== bench-serve with reuse on under '${FAULTS}': ${QPS} qps for 3s"
+"$CCP" bench-serve --addr "$REUSE_ADDR" --qps "$QPS" --duration 3 \
+  --concurrency 2 --max-error-pct 1
+ccp_scrape "$REUSE_ADDR" /metrics "$WORK/reuse_metrics.txt"
+BIND_FAILS=$(ccp_metric "$WORK/reuse_metrics.txt" 'ccp_executor_bind_failures_total{pool="olap"}')
+HITS=$(ccp_metric "$WORK/reuse_metrics.txt" ccp_reuse_hits_total)
+if [[ -z "$BIND_FAILS" || "$BIND_FAILS" == 0 || -z "$HITS" || "$HITS" == 0 ]]; then
+  echo "reuse-on phase missed the window: olap bind_failures=${BIND_FAILS:-?} reuse hits=${HITS:-?}" >&2
+  exit 1
+fi
+ccp_assert_no_panics "$WORK/reuse_metrics.txt"
+echo "   reuse on: bind_failures{pool=olap}=${BIND_FAILS} reuse_hits=${HITS}"
 
 echo "chaos smoke OK"

@@ -13,6 +13,8 @@
 #     skewed three-tenant mix with a 1% error gate;
 #   * the way masks are in force under that budget: the OLAP pool
 #     switched masks and not one bind failed;
+#   * the mix's oltp share is served inline on the connection threads:
+#     the OLTP pool ran no job and failed no bind;
 #   * SIGINT shutdown runs the final sweep and the server's own exit
 #     log proves 0 `ccp-` groups remain;
 #   * zero worker panics end to end.
@@ -110,6 +112,21 @@ if ! num_gt0 "$SWITCHES" || ! num_eq "$BIND_FAILURES" 0; then
   exit 1
 fi
 echo "   olap mask_switches=${SWITCHES}, bind_failures=0"
+
+# The mix's oltp share is served inline on the connection threads, which
+# never bind: the OLTP pool ran no job and so failed no bind.
+OLTP_BIND_FAILURES=$(ccp_metric "$WORK/metrics.txt" 'ccp_executor_bind_failures_total{pool="oltp"}')
+OLTP_JOBS=$(awk '/^ccp_executor_jobs_total\{.*pool="oltp"/ { sum += $NF } END { print sum + 0 }' "$WORK/metrics.txt")
+if [[ -n "$OLTP_BIND_FAILURES" ]] && ! num_eq "$OLTP_BIND_FAILURES" 0; then
+  echo "oltp statements bound a mask: bind_failures{pool=\"oltp\"}=${OLTP_BIND_FAILURES}" >&2
+  exit 1
+fi
+if ! num_eq "$OLTP_JOBS" 0; then
+  echo "oltp statements went through the OLTP pool: ${OLTP_JOBS} job(s)" >&2
+  grep '^ccp_executor_jobs_total' "$WORK/metrics.txt" >&2 || true
+  exit 1
+fi
+echo "   oltp served inline: 0 OLTP-pool jobs, oltp bind_failures=${OLTP_BIND_FAILURES:-absent}"
 
 # Every tenant's traffic is labelled in the scrape. The mix's oltp
 # share (and reuse-predicted scan hits) are admitted as sensitive, so
