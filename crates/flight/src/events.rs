@@ -1,15 +1,11 @@
-//! The event lane: a bounded log of control-plane moments.
+//! Control-plane events.
 //!
 //! Series tell you *what* the system looked like; events tell you
 //! *when it decided something*. The recorder stamps each event with the
 //! current recorder tick, so a `/timeline` consumer can line events up
 //! against the series points that bracket them (occupancy before/after
-//! a repartition is the canonical use). Events are rare — a handful per
-//! control interval at worst — so a mutex-guarded ring is plenty; the
-//! lock is never taken on the metric sampling path.
-
-use std::collections::VecDeque;
-use std::sync::{Mutex, PoisonError};
+//! a repartition is the canonical use). The recorder keeps the latest
+//! `max_events` of them.
 
 /// One recorded control-plane moment.
 #[derive(Debug, Clone)]
@@ -24,95 +20,4 @@ pub struct Event {
     pub kind: &'static str,
     /// Free-form detail (plan summary, failure reason, …).
     pub detail: String,
-}
-
-struct Inner {
-    events: VecDeque<Event>,
-    dropped: u64,
-}
-
-/// A bounded event ring; the oldest events fall off when full.
-pub struct EventLane {
-    cap: usize,
-    inner: Mutex<Inner>,
-}
-
-impl EventLane {
-    /// Creates a lane retaining the latest `cap` events.
-    pub fn new(cap: usize) -> EventLane {
-        EventLane {
-            cap: cap.max(1),
-            inner: Mutex::new(Inner {
-                events: VecDeque::new(),
-                dropped: 0,
-            }),
-        }
-    }
-
-    /// Appends one event, evicting the oldest when full.
-    pub fn emit(&self, event: Event) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if inner.events.len() >= self.cap {
-            inner.events.pop_front();
-            inner.dropped += 1;
-        }
-        inner.events.push_back(event);
-    }
-
-    /// Events with `seq > after`, oldest first.
-    pub fn since(&self, after: u64) -> Vec<Event> {
-        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner
-            .events
-            .iter()
-            .filter(|e| e.seq > after)
-            .cloned()
-            .collect()
-    }
-
-    /// Events evicted because the lane was full.
-    pub fn dropped(&self) -> u64 {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .dropped
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ev(seq: u64, kind: &'static str) -> Event {
-        Event {
-            seq,
-            t_ms: seq * 100,
-            kind,
-            detail: String::new(),
-        }
-    }
-
-    #[test]
-    fn events_round_trip_and_filter_by_seq() {
-        let lane = EventLane::new(8);
-        lane.emit(ev(1, "repartition"));
-        lane.emit(ev(3, "revert"));
-        let all = lane.since(0);
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0].kind, "repartition");
-        let late = lane.since(1);
-        assert_eq!(late.len(), 1);
-        assert_eq!(late[0].kind, "revert");
-    }
-
-    #[test]
-    fn full_lane_evicts_oldest_and_counts_drops() {
-        let lane = EventLane::new(2);
-        for seq in 1..=4 {
-            lane.emit(ev(seq, "hold"));
-        }
-        let kept: Vec<u64> = lane.since(0).iter().map(|e| e.seq).collect();
-        assert_eq!(kept, vec![3, 4]);
-        assert_eq!(lane.dropped(), 2);
-    }
 }

@@ -3,7 +3,7 @@
 //! Every `interval` the owner of the [`Sampler`] (the server's control
 //! plane) calls [`Sampler::tick`], which takes
 //! [`Registry::sample_all`] and pushes one point per metric into that
-//! metric's [`Series`]: counters and gauges become one series each
+//! metric's series: counters and gauges become one series each
 //! (named `family{labels}`), histograms become windowed `:p50` / `:p95`
 //! / `:p99` / `:count` series — the recorder diffs consecutive
 //! cumulative snapshots with
@@ -16,24 +16,32 @@
 //! Memory is bounded by construction, not by luck: at most
 //! `max_series` series are ever materialized (overflow increments a
 //! counter and drops the series, never grows the map), and each series
-//! owns `raw_window + history_window` slots of two `u64` words, fixed
-//! at creation. With the defaults (512 series × (240 + 240) slots ×
-//! 16 B) the recorder's point storage tops out at ~3.9 MiB plus series
-//! names — independent of uptime. The event lane is a bounded ring of
-//! `max_events` entries with the same property.
+//! owns `raw_window + history_window` slots of 16 B, allocated at
+//! creation. With the defaults (512 series × (240 + 240) slots × 16 B)
+//! the recorder's point storage tops out at ~3.9 MiB plus series names
+//! — independent of uptime. The event deque keeps at most `max_events`
+//! entries.
 //!
-//! Sampling is lock-*light*, not lock-free: the series map mutex is
-//! held only to clone `Arc`s, the per-point writes are the seqlock
-//! protocol in [`crate::ring`], and `/timeline` readers never block the
-//! writer.
+//! ## One lock
+//!
+//! Every series (both rings and the downsample accumulator), the event
+//! deque, the tick and both drop counters sit behind one mutex.
+//! [`Sampler::tick`] holds it while it pushes a tick's points and
+//! publishes the tick; [`FlightHandle::emit`], [`FlightHandle::timeline`]
+//! and [`FlightHandle::tick`] take it once per call. A reader therefore
+//! sees all of a tick or none of it, and a client tailing `/timeline`
+//! with `?since=<the previous reply's tick>` gets every point exactly
+//! once, as long as it polls at least once per raw window. The
+//! traffic is one writer every `interval` and occasional readers, so
+//! the lock is held for tens of microseconds a few times a second.
 
-use crate::events::{Event, EventLane};
-use crate::ring::{Downsample, Series};
+use crate::events::Event;
+use crate::ring::Series;
 use ccp_obs::{HistogramSnapshot, Labels, MetricSample, Registry};
-use std::collections::BTreeMap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant, SystemTime};
 
 /// Everything tunable about a [`FlightRecorder`].
@@ -51,7 +59,8 @@ pub struct RecorderConfig {
     /// Hard cap on distinct series; beyond it new series are dropped
     /// and counted (default 512).
     pub max_series: usize,
-    /// Event-lane capacity (default 1024).
+    /// Events retained; older ones are evicted and counted (default
+    /// 1024).
     pub max_events: usize,
 }
 
@@ -68,23 +77,64 @@ impl Default for RecorderConfig {
     }
 }
 
+/// Everything the recorder retains. One mutex guards all of it, so a
+/// reader sees all of a tick or none of it.
+#[derive(Default)]
+struct State {
+    series: BTreeMap<String, Series>,
+    events: VecDeque<Event>,
+    /// Last completed recorder tick (series sequence numbers).
+    tick: u64,
+    dropped_series: u64,
+    dropped_events: u64,
+}
+
+impl State {
+    /// Appends `value` at `seq` to the series `name`, admitting the
+    /// series if the `max_series` cap allows and counting it dropped if
+    /// not.
+    fn push(&mut self, cfg: &RecorderConfig, name: String, seq: u64, value: f64) {
+        let admitted = self.series.len();
+        match self.series.entry(name) {
+            Entry::Occupied(series) => series.into_mut().push(seq, value),
+            Entry::Vacant(_) if admitted >= cfg.max_series => self.dropped_series += 1,
+            Entry::Vacant(slot) => slot
+                .insert(Series::new(
+                    cfg.raw_window,
+                    cfg.history_window,
+                    cfg.downsample,
+                ))
+                .push(seq, value),
+        }
+    }
+}
+
 /// State shared between the sampler, event emitters and `/timeline`
 /// readers.
-struct SharedState {
+struct Shared {
     cfg: RecorderConfig,
-    series: Mutex<BTreeMap<String, Arc<Series>>>,
-    events: EventLane,
-    /// Last completed recorder tick (series sequence numbers).
-    tick: AtomicU64,
-    dropped_series: AtomicU64,
+    state: Mutex<State>,
     started: Instant,
     started_unix_ms: u64,
+}
+
+impl Shared {
+    /// Locks the state. A holder that panicked left it valid: every
+    /// update is a ring push, a deque push or a counter bump.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Milliseconds since the recorder started.
+    fn now_ms(&self) -> u64 {
+        self.started.elapsed().as_millis() as u64
+    }
 }
 
 /// A cloneable handle for emitting events and reading timelines.
 #[derive(Clone)]
 pub struct FlightHandle {
-    shared: Arc<SharedState>,
+    shared: Arc<Shared>,
 }
 
 /// One series' points, plus the merged events, as returned by
@@ -100,7 +150,7 @@ pub struct Timeline {
     pub started_unix_ms: u64,
     /// Series dropped at the `max_series` cap.
     pub dropped_series: u64,
-    /// Events evicted from the full lane.
+    /// Events evicted at the `max_events` cap.
     pub dropped_events: u64,
     /// `(name, points)` pairs, name-sorted; each point is `(seq, value)`.
     pub series: Vec<(String, Vec<(u64, f64)>)>,
@@ -111,140 +161,101 @@ pub struct Timeline {
 impl FlightHandle {
     /// Last completed recorder tick.
     pub fn tick(&self) -> u64 {
-        // ORDERING: Acquire pairs with the sampler's Release tick store,
-        // so a reader at tick t also sees every point pushed for t.
-        self.shared.tick.load(Ordering::Acquire)
+        self.shared.lock().tick
     }
 
-    /// Milliseconds since the recorder started.
-    pub fn now_ms(&self) -> u64 {
-        self.shared.started.elapsed().as_millis() as u64
-    }
-
-    /// Records a control-plane event at the current tick.
+    /// Records a control-plane event at the current tick, evicting the
+    /// oldest event when `max_events` are already kept.
     pub fn emit(&self, kind: &'static str, detail: impl Into<String>) {
-        self.shared.events.emit(Event {
-            seq: self.tick(),
-            t_ms: self.now_ms(),
+        let detail = detail.into();
+        let t_ms = self.shared.now_ms();
+        let mut state = self.shared.lock();
+        if state.events.len() >= self.shared.cfg.max_events.max(1) {
+            state.events.pop_front();
+            state.dropped_events += 1;
+        }
+        let seq = state.tick;
+        state.events.push_back(Event {
+            seq,
+            t_ms,
             kind,
-            detail: detail.into(),
+            detail,
         });
     }
 
     /// Snapshot of every series and event newer than `since`
     /// (`since = 0` for everything retained), optionally filtered to
-    /// series whose name starts with `prefix`.
+    /// series whose name starts with `prefix`. The reply holds whole
+    /// ticks up to its `tick`, so passing that `tick` back as the next
+    /// `since` resumes exactly where this reply ended.
     pub fn timeline(&self, since: u64, prefix: Option<&str>) -> Timeline {
-        let rings: Vec<(String, Arc<Series>)> = {
-            let map = self
-                .shared
-                .series
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            map.iter()
-                .filter(|(name, _)| prefix.is_none_or(|p| name.starts_with(p)))
-                .map(|(name, s)| (name.clone(), Arc::clone(s)))
-                .collect()
-        };
-        let series: Vec<(String, Vec<(u64, f64)>)> = rings
-            .into_iter()
-            .map(|(name, ring)| (name, ring.points_since(since)))
-            .filter(|(_, pts)| !pts.is_empty())
-            .collect();
+        let state = self.shared.lock();
         Timeline {
-            tick: self.tick(),
+            tick: state.tick,
             interval_ms: self.shared.cfg.interval.as_millis() as u64,
-            now_ms: self.now_ms(),
+            now_ms: self.shared.now_ms(),
             started_unix_ms: self.shared.started_unix_ms,
-            // ORDERING: monotone statistics counter; an off-by-one-tick
-            // read only staled the number, it gates nothing.
-            dropped_series: self.shared.dropped_series.load(Ordering::Relaxed),
-            dropped_events: self.shared.events.dropped(),
-            series,
-            events: self.shared.events.since(since),
+            dropped_series: state.dropped_series,
+            dropped_events: state.dropped_events,
+            series: state
+                .series
+                .iter()
+                .filter(|(name, _)| prefix.is_none_or(|p| name.starts_with(p)))
+                .map(|(name, series)| (name.clone(), series.points_since(since)))
+                .filter(|(_, pts)| !pts.is_empty())
+                .collect(),
+            events: state
+                .events
+                .iter()
+                .filter(|e| e.seq > since)
+                .cloned()
+                .collect(),
         }
     }
 }
 
-/// The sampling half: owns the per-series writer state (downsample
-/// accumulators, previous histogram snapshots). Exactly one sampler
-/// exists per recorder; whoever owns it drives [`Sampler::tick`].
+/// The sampling half: owns the previous histogram snapshots the
+/// windowed quantiles diff against. Exactly one sampler exists per
+/// recorder; whoever owns it drives [`Sampler::tick`].
 pub struct Sampler {
-    shared: Arc<SharedState>,
+    shared: Arc<Shared>,
     registry: Registry,
-    acc: BTreeMap<String, Downsample>,
     prev_hist: BTreeMap<String, HistogramSnapshot>,
 }
 
 impl Sampler {
     /// Takes one snapshot of the registry and publishes it as tick
-    /// `tick() + 1`.
+    /// `tick() + 1`. The recorder lock is held from the first point to
+    /// the tick's publication.
     pub fn tick(&mut self) {
-        // ORDERING: the sampler is the only writer of `tick` (single
-        // sampler per recorder), so its own Relaxed read is exact; the
-        // Release store at the end of this method is what readers pair
-        // their Acquire with.
-        let seq = self.shared.tick.load(Ordering::Relaxed) + 1;
-        for family in self.registry.sample_all() {
+        let families = self.registry.sample_all();
+        let cfg = &self.shared.cfg;
+        let mut state = self.shared.lock();
+        let seq = state.tick + 1;
+        for family in families {
             for (labels, sample) in family.samples {
                 let base = series_name(&family.name, &labels);
                 match sample {
-                    MetricSample::Counter(v) => self.push(&base, seq, v as f64),
-                    MetricSample::Gauge(v) => self.push(&base, seq, v),
+                    MetricSample::Counter(v) => state.push(cfg, base, seq, v as f64),
+                    MetricSample::Gauge(v) => state.push(cfg, base, seq, v),
                     MetricSample::Histogram(snap) => {
                         let delta = match self.prev_hist.get(&base) {
                             Some(prev) => snap.delta_since(prev),
                             None => snap.clone(),
                         };
-                        self.prev_hist.insert(base.clone(), snap);
                         let n = delta.count();
-                        self.push(&format!("{base}:count"), seq, n as f64);
+                        state.push(cfg, format!("{base}:count"), seq, n as f64);
                         if n > 0 {
                             for (tag, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
-                                self.push(&format!("{base}:{tag}"), seq, delta.quantile(q));
+                                state.push(cfg, format!("{base}:{tag}"), seq, delta.quantile(q));
                             }
                         }
+                        self.prev_hist.insert(base, snap);
                     }
                 }
             }
         }
-        // ORDERING: Release publishes every point of this tick before
-        // the tick counter readers Acquire.
-        self.shared.tick.store(seq, Ordering::Release);
-    }
-
-    fn push(&mut self, name: &str, seq: u64, value: f64) {
-        let Some(series) = self.series_for(name) else {
-            return;
-        };
-        series.raw().push(seq, value);
-        self.acc
-            .entry(name.to_string())
-            .or_default()
-            .record(&series, seq, value);
-    }
-
-    fn series_for(&self, name: &str) -> Option<Arc<Series>> {
-        let mut map = self
-            .shared
-            .series
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(s) = map.get(name) {
-            return Some(Arc::clone(s));
-        }
-        if map.len() >= self.shared.cfg.max_series {
-            // ORDERING: monotone overflow counter for reporting only.
-            self.shared.dropped_series.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let s = Arc::new(Series::new(
-            self.shared.cfg.raw_window,
-            self.shared.cfg.history_window,
-            self.shared.cfg.downsample,
-        ));
-        map.insert(name.to_string(), Arc::clone(&s));
-        Some(s)
+        state.tick = seq;
     }
 }
 
@@ -278,12 +289,9 @@ impl FlightRecorder {
         let started_unix_ms = SystemTime::now()
             .duration_since(SystemTime::UNIX_EPOCH)
             .map_or(0, |d| d.as_millis() as u64);
-        let shared = Arc::new(SharedState {
-            events: EventLane::new(cfg.max_events),
+        let shared = Arc::new(Shared {
             cfg,
-            series: Mutex::new(BTreeMap::new()),
-            tick: AtomicU64::new(0),
-            dropped_series: AtomicU64::new(0),
+            state: Mutex::new(State::default()),
             started: Instant::now(),
             started_unix_ms,
         });
@@ -294,7 +302,6 @@ impl FlightRecorder {
             Sampler {
                 shared,
                 registry: registry.clone(),
-                acc: BTreeMap::new(),
                 prev_hist: BTreeMap::new(),
             },
         )
@@ -407,9 +414,30 @@ mod tests {
         assert_eq!(tl.events.len(), 2);
         assert_eq!(tl.events[0].seq, 1);
         assert_eq!(tl.events[0].kind, "repartition");
+        assert_eq!(tl.events[0].detail, "plan 4/4/8");
         assert_eq!(tl.events[1].seq, 2);
         // `since` filters events too.
-        assert_eq!(handle.timeline(1, None).events.len(), 1);
+        let late = handle.timeline(1, None).events;
+        assert_eq!(late.len(), 1);
+        assert_eq!(late[0].kind, "revert");
+    }
+
+    #[test]
+    fn full_event_deque_evicts_oldest_and_counts_drops() {
+        let registry = Registry::new();
+        let cfg = RecorderConfig {
+            max_events: 2,
+            ..test_cfg()
+        };
+        let (handle, mut sampler) = FlightRecorder::manual(&registry, cfg);
+        for _ in 0..4 {
+            sampler.tick();
+            handle.emit("hold", "");
+        }
+        let tl = handle.timeline(0, None);
+        let kept: Vec<u64> = tl.events.iter().map(|e| e.seq).collect();
+        assert_eq!(kept, vec![3, 4]);
+        assert_eq!(tl.dropped_events, 2);
     }
 
     #[test]
@@ -428,5 +456,60 @@ mod tests {
         let tl = handle.timeline(0, Some("aa_"));
         assert_eq!(tl.series.len(), 1);
         assert_eq!(tl.series[0].0, "aa_x");
+    }
+
+    const TICKS: u64 = 200;
+
+    /// Ticks [`TICKS`] times on a second thread over 32 gauges, each set
+    /// to the tick number before its tick, while `read` pulls on this
+    /// thread until it returns `false`.
+    fn race_a_ticker(mut read: impl FnMut(&FlightHandle) -> bool) {
+        let registry = Registry::new();
+        let fam = registry.gauge_family("g", "G");
+        let gauges: Vec<ccp_obs::Gauge> = (0..32)
+            .map(|i| fam.get_or_create(&[("i", &i.to_string())]))
+            .collect();
+        let (handle, mut sampler) = FlightRecorder::manual(&registry, RecorderConfig::default());
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                for t in 1..=TICKS {
+                    for g in &gauges {
+                        g.set(t as f64);
+                    }
+                    sampler.tick();
+                }
+            });
+            while read(&handle) {}
+        });
+    }
+
+    #[test]
+    fn an_incremental_tailer_loses_no_point() {
+        let mut got: BTreeMap<String, Vec<(u64, f64)>> = BTreeMap::new();
+        let mut cursor = 0;
+        race_a_ticker(|handle| {
+            let tl = handle.timeline(cursor, None);
+            for (name, pts) in tl.series {
+                got.entry(name).or_default().extend(pts);
+            }
+            cursor = tl.tick;
+            cursor < TICKS
+        });
+        let want: Vec<(u64, f64)> = (1..=TICKS).map(|t| (t, t as f64)).collect();
+        assert_eq!(got.len(), 32);
+        for (name, pts) in &got {
+            assert_eq!(pts, &want, "{name}");
+        }
+    }
+
+    #[test]
+    fn a_concurrent_reader_sees_whole_ticks() {
+        race_a_ticker(|handle| {
+            let tl = handle.timeline(0, None);
+            for (name, pts) in &tl.series {
+                assert_eq!(pts.last(), Some(&(tl.tick, tl.tick as f64)), "{name}");
+            }
+            tl.tick < TICKS
+        });
     }
 }

@@ -1,299 +1,158 @@
-//! Fixed-capacity, single-writer/many-reader series rings.
+//! Fixed-capacity series rings with two-tier retention.
 //!
-//! One [`SeriesRing`] holds the most recent `cap` points of one time
-//! series as `(seq, f64)` pairs. The writer (the recorder thread)
-//! overwrites the oldest slot in place; readers (`/timeline` handlers)
-//! scan the slots lock-free and detect torn rows with a per-slot
-//! seqlock: the slot's sequence word is zeroed before the value is
-//! replaced and republished after, so a reader that observes different
-//! sequence numbers around its value load discards the row instead of
-//! pairing a stale sequence with a fresh value.
+//! A [`Ring`] holds the most recent `cap` points of one time series as
+//! `(seq, f64)` pairs in a buffer allocated once at construction; a push
+//! into a full ring overwrites the oldest point in place.
 //!
 //! A [`Series`] stacks two rings into the recorder's two-tier
 //! retention: a **raw** ring of every recorded point (the recent
 //! window) and a **history** ring of means over `every` consecutive raw
-//! points (the downsampled past). Both are fixed-size at construction —
-//! the whole structure never allocates after `new`, which is what
-//! bounds the recorder's memory.
+//! points (the downsampled past), plus the accumulator that forms those
+//! means. Neither ring grows after `new`, which is what bounds the
+//! recorder's memory.
 //!
-//! The writer protocol is deliberately decomposed into tiny published
-//! steps (`slot_invalidate` / `slot_store_value` / `slot_publish` /
-//! `publish_head`) so the `ccp-verify` interleaving explorer can drive
-//! a writer and readers through every schedule of those steps and check
-//! that no torn row is ever returned (see
-//! `crates/verify/tests/flight_ring.rs`).
+//! Nothing here synchronizes: the recorder keeps every series behind
+//! its one mutex.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// One published point: a sequence word (0 = empty or mid-write) and
-/// the value's bit pattern.
+/// A fixed-capacity ring of `(seq, value)` points, oldest overwritten
+/// first. Sequence numbers must be pushed strictly increasing.
 #[derive(Debug)]
-struct Slot {
-    seq: AtomicU64,
-    bits: AtomicU64,
+pub(crate) struct Ring {
+    points: Vec<(u64, f64)>,
+    cap: usize,
+    /// The slot the next push overwrites once the ring is full; until
+    /// then, `points.len()`.
+    next: usize,
 }
 
-/// A fixed-capacity ring of `(seq, value)` points. Sequence numbers are
-/// assigned by the single writer, must be nonzero and strictly
-/// increasing; readers scan slots and sort by sequence.
-#[derive(Debug)]
-pub struct SeriesRing {
-    slots: Box<[Slot]>,
-    /// Completed pushes; only the writer advances it (slot rotation).
-    pushes: AtomicU64,
-    /// Highest published sequence number (0 while empty).
-    head: AtomicU64,
-}
-
-impl SeriesRing {
+impl Ring {
     /// Creates a ring retaining the latest `cap` points (`cap >= 1`).
-    pub fn new(cap: usize) -> SeriesRing {
+    pub(crate) fn new(cap: usize) -> Ring {
         let cap = cap.max(1);
-        SeriesRing {
-            slots: (0..cap)
-                .map(|_| Slot {
-                    seq: AtomicU64::new(0),
-                    bits: AtomicU64::new(0),
-                })
-                .collect(),
-            pushes: AtomicU64::new(0),
-            head: AtomicU64::new(0),
+        Ring {
+            points: Vec::with_capacity(cap),
+            cap,
+            next: 0,
         }
     }
 
-    /// Number of slots.
-    pub fn cap(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Highest published sequence number (0 while empty).
-    pub fn head(&self) -> u64 {
-        // ORDERING: Acquire pairs with `publish_head`'s Release so a
-        // reader that sees head = s also sees slot s published.
-        self.head.load(Ordering::Acquire)
-    }
-
-    /// The slot index the next push will overwrite.
-    #[doc(hidden)]
-    pub fn writer_pos(&self) -> usize {
-        // ORDERING: writer-only counter (single-writer contract); the
-        // load only feeds the writer's own slot rotation.
-        (self.pushes.load(Ordering::Relaxed) % self.slots.len() as u64) as usize
-    }
-
-    /// Writer step 1: mark the slot mid-write so readers reject it.
-    #[doc(hidden)]
-    pub fn slot_invalidate(&self, pos: usize) {
-        // ORDERING: Relaxed suffices — the value store below is Release,
-        // which orders this zeroing before the new bits for any reader
-        // that observes them.
-        self.slots[pos].seq.store(0, Ordering::Relaxed);
-    }
-
-    /// Writer step 2: store the new value's bits.
-    #[doc(hidden)]
-    pub fn slot_store_value(&self, pos: usize, value: f64) {
-        // ORDERING: Release orders the preceding `slot_invalidate` before
-        // these bits; a reader whose Acquire bits-load observes them is
-        // therefore guaranteed to see seq = 0 (or newer) on its re-check
-        // and discards the torn row.
-        self.slots[pos]
-            .bits
-            .store(value.to_bits(), Ordering::Release);
-    }
-
-    /// Writer step 3: publish the slot under its sequence number.
-    #[doc(hidden)]
-    pub fn slot_publish(&self, pos: usize, seq: u64) {
-        // ORDERING: Release pairs with the reader's Acquire seq-load; a
-        // reader that observes this sequence also observes the bits
-        // stored in step 2.
-        self.slots[pos].seq.store(seq, Ordering::Release);
-        // ORDERING: writer-only rotation counter; published to nobody.
-        self.pushes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Writer step 4: advance the ring head.
-    #[doc(hidden)]
-    pub fn publish_head(&self, seq: u64) {
-        // ORDERING: Release pairs with `head`'s Acquire load.
-        self.head.store(seq, Ordering::Release);
-    }
-
-    /// Pushes one point. Single-writer contract: only one thread may
-    /// push into a given ring; `seq` must be nonzero and greater than
-    /// every previously pushed sequence.
-    pub fn push(&self, seq: u64, value: f64) {
-        let pos = self.writer_pos();
-        self.slot_invalidate(pos);
-        self.slot_store_value(pos, value);
-        self.slot_publish(pos, seq);
-        self.publish_head(seq);
-    }
-
-    /// Torn-row-checked read of one slot; `None` when the slot is
-    /// empty, mid-write, or was overwritten during the read.
-    pub fn read_slot(&self, pos: usize) -> Option<(u64, f64)> {
-        let slot = &self.slots[pos];
-        // ORDERING: Acquire pairs with `slot_publish`'s Release: seeing
-        // sequence s implies the bits for s are visible below.
-        let s1 = slot.seq.load(Ordering::Acquire);
-        if s1 == 0 {
-            return None;
+    pub(crate) fn push(&mut self, seq: u64, value: f64) {
+        if self.points.len() < self.cap {
+            self.points.push((seq, value));
+        } else {
+            self.points[self.next] = (seq, value);
         }
-        // ORDERING: Acquire pairs with `slot_store_value`'s Release: if
-        // these bits belong to a *newer* write, that write's preceding
-        // `slot_invalidate` (seq = 0) is visible to the re-check below,
-        // which then fails the s1 == s2 test.
-        let bits = slot.bits.load(Ordering::Acquire);
-        // ORDERING: Relaxed re-check is ordered after the Acquire load
-        // above; any overwrite observed through the bits forces a
-        // mismatch here.
-        let s2 = slot.seq.load(Ordering::Relaxed);
-        if s1 != s2 {
-            return None;
-        }
-        Some((s1, f64::from_bits(bits)))
+        self.next = (self.next + 1) % self.cap;
     }
 
-    /// Every readable point with sequence greater than `after`,
-    /// ascending by sequence. Rows torn by a concurrent overwrite are
-    /// skipped (their replacements show up on the next call).
-    pub fn since(&self, after: u64) -> Vec<(u64, f64)> {
-        let mut out: Vec<(u64, f64)> = (0..self.slots.len())
-            .filter_map(|pos| self.read_slot(pos))
-            .filter(|&(seq, _)| seq > after)
-            .collect();
-        out.sort_unstable_by_key(|&(seq, _)| seq);
-        out
+    /// Every retained point with sequence greater than `after`,
+    /// ascending by sequence.
+    pub(crate) fn since(&self, after: u64) -> impl Iterator<Item = (u64, f64)> + '_ {
+        let (newer, older) = self.points.split_at(self.next);
+        older
+            .iter()
+            .chain(newer)
+            .copied()
+            .filter(move |&(seq, _)| seq > after)
     }
 }
 
 /// Two-tier retention for one series: a raw recent window plus a
 /// downsampled history of window means.
 #[derive(Debug)]
-pub struct Series {
-    raw: SeriesRing,
-    history: SeriesRing,
+pub(crate) struct Series {
+    raw: Ring,
+    history: Ring,
     every: u64,
+    /// Sum and count of the raw points since the last history point.
+    sum: f64,
+    n: u64,
 }
 
 impl Series {
     /// Creates a series retaining `raw_cap` raw points and
     /// `history_cap` downsampled points of `every` raw points each.
-    pub fn new(raw_cap: usize, history_cap: usize, every: u64) -> Series {
+    pub(crate) fn new(raw_cap: usize, history_cap: usize, every: u64) -> Series {
         Series {
-            raw: SeriesRing::new(raw_cap),
-            history: SeriesRing::new(history_cap),
+            raw: Ring::new(raw_cap),
+            history: Ring::new(history_cap),
             every: every.max(1),
+            sum: 0.0,
+            n: 0,
         }
     }
 
-    /// The raw (recent-window) ring.
-    pub fn raw(&self) -> &SeriesRing {
-        &self.raw
-    }
-
-    /// The downsampled history ring.
-    pub fn history(&self) -> &SeriesRing {
-        &self.history
-    }
-
-    /// Raw points per history point.
-    pub fn every(&self) -> u64 {
-        self.every
-    }
-
-    /// Fixed upper bound on this series' point storage, in bytes (two
-    /// `u64` words per slot across both tiers).
-    pub fn bytes(&self) -> usize {
-        (self.raw.cap() + self.history.cap()) * 2 * std::mem::size_of::<u64>()
+    /// Records one raw point; every `every` points, their mean joins
+    /// the history tier under the latest sequence.
+    pub(crate) fn push(&mut self, seq: u64, value: f64) {
+        self.raw.push(seq, value);
+        self.sum += value;
+        self.n += 1;
+        if self.n >= self.every {
+            self.history.push(seq, self.sum / self.n as f64);
+            self.sum = 0.0;
+            self.n = 0;
+        }
     }
 
     /// Merged view since `after`: history points older than the oldest
     /// returned raw point, then the raw window, ascending by sequence.
     /// A history point carries the sequence of its last constituent raw
     /// point, so the cutoff dedups the overlap between the tiers.
-    pub fn points_since(&self, after: u64) -> Vec<(u64, f64)> {
-        let raw = self.raw.since(after);
-        let cutoff = raw.first().map_or(u64::MAX, |&(seq, _)| seq);
-        let mut out = self.history.since(after);
-        out.retain(|&(seq, _)| seq < cutoff);
-        out.extend(raw);
-        out
-    }
-}
-
-/// Writer-side accumulator for one series' downsampling: owned by the
-/// recorder thread, never shared.
-#[derive(Debug, Default)]
-pub struct Downsample {
-    sum: f64,
-    n: u64,
-}
-
-impl Downsample {
-    /// Records one raw point; when `series.every()` points have
-    /// accumulated, pushes their mean into the history tier under the
-    /// latest sequence and resets.
-    pub fn record(&mut self, series: &Series, seq: u64, value: f64) {
-        self.sum += value;
-        self.n += 1;
-        if self.n >= series.every() {
-            series.history.push(seq, self.sum / self.n as f64);
-            self.sum = 0.0;
-            self.n = 0;
-        }
+    pub(crate) fn points_since(&self, after: u64) -> Vec<(u64, f64)> {
+        let cutoff = self
+            .raw
+            .since(after)
+            .next()
+            .map_or(u64::MAX, |(seq, _)| seq);
+        self.history
+            .since(after)
+            .take_while(|&(seq, _)| seq < cutoff)
+            .chain(self.raw.since(after))
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Fixed upper bound on a series' point storage, in bytes.
+    fn bytes(s: &Series) -> usize {
+        (s.raw.points.capacity() + s.history.points.capacity()) * std::mem::size_of::<(u64, f64)>()
+    }
+
+    fn all(r: &Ring) -> Vec<(u64, f64)> {
+        r.since(0).collect()
+    }
 
     #[test]
     fn pushes_and_reads_back_in_order() {
-        let r = SeriesRing::new(4);
+        let mut r = Ring::new(4);
         for seq in 1..=3u64 {
             r.push(seq, seq as f64 * 10.0);
         }
-        assert_eq!(r.head(), 3);
-        assert_eq!(r.since(0), vec![(1, 10.0), (2, 20.0), (3, 30.0)],);
-        assert_eq!(r.since(2), vec![(3, 30.0)]);
-        assert!(r.since(3).is_empty());
+        assert_eq!(all(&r), vec![(1, 10.0), (2, 20.0), (3, 30.0)]);
+        assert_eq!(r.since(2).collect::<Vec<_>>(), vec![(3, 30.0)]);
+        assert_eq!(r.since(3).count(), 0);
     }
 
     #[test]
     fn overwrites_evict_the_oldest() {
-        let r = SeriesRing::new(3);
+        let mut r = Ring::new(3);
         for seq in 1..=5u64 {
             r.push(seq, seq as f64);
         }
-        assert_eq!(r.since(0), vec![(3, 3.0), (4, 4.0), (5, 5.0)]);
-    }
-
-    #[test]
-    fn mid_write_slot_is_invisible() {
-        let r = SeriesRing::new(2);
-        r.push(1, 1.0);
-        let pos = r.writer_pos();
-        r.slot_invalidate(pos);
-        r.slot_store_value(pos, 99.0);
-        // Not yet published: the ring only shows the completed point.
-        assert_eq!(r.since(0), vec![(1, 1.0)]);
-        r.slot_publish(pos, 2);
-        r.publish_head(2);
-        assert_eq!(r.since(0), vec![(1, 1.0), (2, 99.0)]);
+        assert_eq!(all(&r), vec![(3, 3.0), (4, 4.0), (5, 5.0)]);
     }
 
     #[test]
     fn series_two_tier_merge_has_no_gaps_or_overlap() {
         // Raw keeps 4 points, history keeps means of every 2.
-        let s = Series::new(4, 8, 2);
-        let mut ds = Downsample::default();
+        let mut s = Series::new(4, 8, 2);
         for seq in 1..=10u64 {
-            s.raw().push(seq, seq as f64);
-            ds.record(&s, seq, seq as f64);
+            s.push(seq, seq as f64);
         }
         let pts = s.points_since(0);
         // Raw window holds seqs 7..=10; history means at 2,4,6 predate it
@@ -301,16 +160,102 @@ mod tests {
         let seqs: Vec<u64> = pts.iter().map(|&(q, _)| q).collect();
         assert_eq!(seqs, vec![2, 4, 6, 7, 8, 9, 10]);
         // History points are window means.
-        assert_eq!(pts[0], (2, 1.5));
-        assert_eq!(pts[1], (4, 3.5));
-        assert_eq!(pts[2], (6, 5.5));
-        // Ascending and unique.
-        assert!(seqs.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(pts[..3], [(2, 1.5), (4, 3.5), (6, 5.5)]);
     }
 
-    #[test]
-    fn memory_bound_is_fixed() {
-        let s = Series::new(240, 240, 8);
-        assert_eq!(s.bytes(), 240 * 2 * 2 * 8);
+    proptest! {
+        /// Everything still in the window reads back strictly increasing
+        /// and gap-free: exactly the last `min(n, cap)` sequences.
+        #[test]
+        fn raw_window_is_gap_free(cap in 1usize..40, n in 0u64..200) {
+            let mut r = Ring::new(cap);
+            for seq in 1..=n {
+                r.push(seq, seq as f64 * 0.5);
+            }
+            let pts = all(&r);
+            let expect_first = n.saturating_sub(cap as u64) + 1;
+            let seqs: Vec<u64> = pts.iter().map(|&(s, _)| s).collect();
+            let want: Vec<u64> = (expect_first..=n).collect();
+            prop_assert_eq!(seqs, want);
+            for (seq, v) in pts {
+                prop_assert_eq!(v, seq as f64 * 0.5);
+            }
+        }
+
+        /// An incremental reader that always passes its last seen sequence
+        /// misses nothing the window still holds, and never sees a
+        /// sequence twice.
+        #[test]
+        fn since_cursor_never_duplicates(cap in 2usize..20, batches in proptest::collection::vec(1u64..8, 1..20)) {
+            let mut r = Ring::new(cap);
+            let mut cursor = 0u64;
+            let mut seq = 0u64;
+            let mut seen: Vec<u64> = Vec::new();
+            for batch in batches {
+                for _ in 0..batch {
+                    seq += 1;
+                    r.push(seq, seq as f64);
+                }
+                for (s, _) in r.since(cursor) {
+                    prop_assert!(s > cursor, "resurfaced sequence {}", s);
+                    seen.push(s);
+                    cursor = s;
+                }
+                // The reader keeping up within one window never misses: the
+                // batch was at most `cap`, so its tail is still resident.
+                prop_assert_eq!(cursor, seq);
+            }
+            let mut sorted = seen.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            prop_assert_eq!(sorted.len(), seen.len(), "duplicate sequences surfaced");
+        }
+
+        /// Two-tier merge: strictly increasing, no sequence appears in both
+        /// tiers, raw values exact, history points are exact window means.
+        #[test]
+        fn two_tier_merge_is_consistent(
+            raw_cap in 1usize..16,
+            hist_cap in 1usize..16,
+            every in 1u64..6,
+            n in 0u64..120,
+        ) {
+            let mut s = Series::new(raw_cap, hist_cap, every);
+            let value = |seq: u64| (seq % 7) as f64 + 0.25;
+            for seq in 1..=n {
+                s.push(seq, value(seq));
+            }
+            let pts = s.points_since(0);
+            let seqs: Vec<u64> = pts.iter().map(|&(q, _)| q).collect();
+            prop_assert!(seqs.windows(2).all(|w| w[0] < w[1]), "not strictly increasing: {:?}", seqs);
+            let raw_first = n.saturating_sub(raw_cap as u64) + 1;
+            for (seq, v) in pts {
+                if seq >= raw_first && n > 0 {
+                    // Raw tier: exact value.
+                    prop_assert_eq!(v, value(seq));
+                } else {
+                    // History tier: mean of its `every`-point window, which
+                    // ends at `seq` by construction.
+                    prop_assert_eq!(seq % every, 0);
+                    let window: f64 = (seq - every + 1..=seq).map(value).sum();
+                    prop_assert!((v - window / every as f64).abs() < 1e-9);
+                }
+            }
+        }
+
+        /// Point storage never grows past the construction-time bound of
+        /// 16 B per slot across both tiers, no matter how many points
+        /// flow through.
+        #[test]
+        fn memory_is_bounded_by_construction(raw_cap in 1usize..64, hist_cap in 1usize..64, n in 0u64..500) {
+            let mut s = Series::new(raw_cap, hist_cap, 4);
+            let bound = (raw_cap + hist_cap) * 16;
+            prop_assert_eq!(bytes(&s), bound);
+            for seq in 1..=n {
+                s.push(seq, 1.0);
+            }
+            prop_assert_eq!(bytes(&s), bound);
+            prop_assert!(s.points_since(0).len() <= raw_cap + hist_cap);
+        }
     }
 }

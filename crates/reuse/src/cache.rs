@@ -94,22 +94,20 @@ impl Artifact {
     }
 }
 
+/// Shards of a [`ReuseCache`] (keys are hashed version-independently).
+const SHARDS: usize = 8;
+
 /// Construction parameters for a [`ReuseCache`].
 #[derive(Debug, Clone, Copy)]
 pub struct ReuseConfig {
     /// Total artifact bytes the cache may hold.
     pub budget_bytes: u64,
-    /// Number of shards (keys are hashed version-independently).
-    pub shards: usize,
 }
 
 impl ReuseConfig {
-    /// A config with the given budget and the default shard count (8).
+    /// A config with the given budget.
     pub fn with_budget(budget_bytes: u64) -> Self {
-        ReuseConfig {
-            budget_bytes,
-            shards: 8,
-        }
+        ReuseConfig { budget_bytes }
     }
 }
 
@@ -258,10 +256,9 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 impl ReuseCache {
     /// Builds an empty cache.
     pub fn new(config: ReuseConfig) -> Self {
-        let shards = config.shards.max(1);
         ReuseCache {
             inner: Arc::new(Inner {
-                shards: (0..shards)
+                shards: (0..SHARDS)
                     .map(|_| ShardCell {
                         state: Mutex::new(Shard {
                             slots: HashMap::new(),
@@ -744,10 +741,7 @@ mod tests {
     use super::*;
 
     fn cache(budget: u64) -> ReuseCache {
-        ReuseCache::new(ReuseConfig {
-            budget_bytes: budget,
-            shards: 4,
-        })
+        ReuseCache::new(ReuseConfig::with_budget(budget))
     }
 
     fn result_artifact(rows: u64, result: i64) -> Artifact {

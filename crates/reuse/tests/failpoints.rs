@@ -9,10 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn cache(budget: u64) -> ReuseCache {
-    ReuseCache::new(ReuseConfig {
-        budget_bytes: budget,
-        shards: 4,
-    })
+    ReuseCache::new(ReuseConfig::with_budget(budget))
 }
 
 fn result_artifact(rows: u64, result: i64) -> Artifact {

@@ -255,7 +255,6 @@ impl Server {
         if config.trace {
             ccp_trace::enable(ccp_trace::TraceConfig {
                 ring_capacity: config.trace_ring_capacity,
-                ..ccp_trace::TraceConfig::default()
             });
         }
         let registry = Registry::new();

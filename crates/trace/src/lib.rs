@@ -36,8 +36,6 @@
 //!   else happens — no thread-local access, no timestamp, no allocation.
 //!   The `micro_alloc` perf gate runs with tracing disabled and must not
 //!   move.
-//! * **Sampling.** [`TraceConfig::sample_one_in`] records only every
-//!   N-th span per thread for always-on production tracing at low cost.
 //!
 //! [`AtomicBool`]: std::sync::atomic::AtomicBool
 //!

@@ -1,7 +1,7 @@
 //! The process-global tracer: enable/disable, per-thread ring
 //! registration and recycling, span guards and snapshots.
 
-use std::cell::{Cell, OnceCell};
+use std::cell::OnceCell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -17,16 +17,12 @@ pub struct TraceConfig {
     /// Slots per thread-local ring; oldest records are overwritten (and
     /// counted as dropped) beyond this.
     pub ring_capacity: usize,
-    /// Record only every N-th span per thread (`1` = record all). Lets
-    /// tracing stay on under load at a bounded cost.
-    pub sample_one_in: u32,
 }
 
 impl Default for TraceConfig {
     fn default() -> TraceConfig {
         TraceConfig {
             ring_capacity: 4096,
-            sample_one_in: 1,
         }
     }
 }
@@ -36,7 +32,6 @@ impl Default for TraceConfig {
 pub struct Tracer {
     enabled: AtomicBool,
     ring_capacity: AtomicU64,
-    sample_one_in: AtomicU32,
     next_tid: AtomicU32,
     /// Every live ring plus up to [`DEAD_RING_RETAIN`] rings of
     /// recently-exited threads (kept so late snapshots still see their
@@ -63,7 +58,6 @@ fn global() -> &'static Tracer {
     TRACER.get_or_init(|| Tracer {
         enabled: AtomicBool::new(false),
         ring_capacity: AtomicU64::new(TraceConfig::default().ring_capacity as u64),
-        sample_one_in: AtomicU32::new(1),
         next_tid: AtomicU32::new(1),
         rings: Mutex::new(Vec::new()),
         epoch: Instant::now(),
@@ -77,20 +71,13 @@ thread_local! {
     /// thread's `Arc` clone — the registry detects that (strong count
     /// back at 1) and eventually hands the ring to a later registering
     /// thread (see [`register_local_ring`]).
-    static LOCAL_RING: OnceCell<LocalRing> = const { OnceCell::new() };
-}
-
-/// Per-thread handle: one `Arc` clone of the registered ring plus the
-/// thread's sampling counter.
-struct LocalRing {
-    ring: Arc<SpanRing>,
-    sample_tick: Cell<u32>,
+    static LOCAL_RING: OnceCell<Arc<SpanRing>> = const { OnceCell::new() };
 }
 
 /// Runs `f` with this thread's ring handle, registering (or recycling)
 /// a ring on first use. Returns `None` only during thread destruction,
 /// when the thread-local is no longer accessible.
-fn with_local<R>(t: &'static Tracer, f: impl FnOnce(&LocalRing) -> R) -> Option<R> {
+fn with_local<R>(t: &'static Tracer, f: impl FnOnce(&Arc<SpanRing>) -> R) -> Option<R> {
     LOCAL_RING
         .try_with(|cell| f(cell.get_or_init(|| register_local_ring(t))))
         .ok()
@@ -109,7 +96,7 @@ const DEAD_RING_RETAIN: usize = 8;
 /// snapshottable; past the budget, the longest-dead ring is recycled for
 /// this thread instead of growing the registry. Dead rings whose
 /// capacity no longer matches the configuration are pruned outright.
-fn register_local_ring(t: &'static Tracer) -> LocalRing {
+fn register_local_ring(t: &'static Tracer) -> Arc<SpanRing> {
     // ORDERING: config knob and tid counter — the capacity is a hint
     // (rings created around a reconfigure may use either value) and the
     // tid only needs uniqueness, which fetch_add provides at any
@@ -123,7 +110,7 @@ fn register_local_ring(t: &'static Tracer) -> LocalRing {
     let dead: Vec<usize> = (0..rings.len())
         .filter(|&i| Arc::strong_count(&rings[i].ring) == 1)
         .collect();
-    let ring = if dead.len() >= DEAD_RING_RETAIN {
+    if dead.len() >= DEAD_RING_RETAIN {
         // `dead[0]` is the least recently registered dead entry; move it
         // to the back so the order keeps tracking recency.
         let mut reg = rings.remove(dead[0]);
@@ -141,10 +128,6 @@ fn register_local_ring(t: &'static Tracer) -> LocalRing {
             thread_name,
         });
         ring
-    };
-    LocalRing {
-        ring,
-        sample_tick: Cell::new(0),
     }
 }
 
@@ -157,13 +140,11 @@ fn now_us(t: &Tracer) -> u64 {
 /// reconfiguring applies to rings created after the call.
 pub fn enable(config: TraceConfig) {
     let t = global();
-    // ORDERING: independent config cells plus an on/off flag; trace
+    // ORDERING: an independent config cell plus an on/off flag; trace
     // points that race the enable may record or skip a span either way,
     // and nothing downstream dereferences memory guarded by the flag.
     t.ring_capacity
         .store(config.ring_capacity.max(8) as u64, Ordering::Relaxed);
-    t.sample_one_in
-        .store(config.sample_one_in.max(1), Ordering::Relaxed);
     t.enabled.store(true, Ordering::Relaxed);
 }
 
@@ -184,8 +165,7 @@ pub fn enabled() -> bool {
 }
 
 /// Starts a span; the record is written when the guard drops. Returns
-/// an inert guard (no ring write ever) when tracing is disabled or this
-/// span is sampled out.
+/// an inert guard (no ring write ever) when tracing is disabled.
 #[inline]
 pub fn span(cat: TraceCat, name: &str) -> SpanGuard {
     span_id(cat, name, 0)
@@ -199,20 +179,7 @@ pub fn span_id(cat: TraceCat, name: &str, id: u64) -> SpanGuard {
         return SpanGuard::inert();
     }
     let t = global();
-    let Some(ring) = with_local(t, |local| {
-        // ORDERING: sampling knob — a racing reconfigure may sample one
-        // span under the old rate; the tick itself is thread-local.
-        let n = t.sample_one_in.load(Ordering::Relaxed);
-        if n > 1 {
-            let tick = local.sample_tick.get().wrapping_add(1);
-            local.sample_tick.set(tick);
-            if !tick.is_multiple_of(n) {
-                return None;
-            }
-        }
-        Some(Arc::clone(&local.ring))
-    })
-    .flatten() else {
+    let Some(ring) = with_local(t, Arc::clone) else {
         return SpanGuard::inert();
     };
     let mut name_buf = [0u8; MAX_NAME];
@@ -240,8 +207,8 @@ pub fn instant_id(cat: TraceCat, name: &str, id: u64) {
         return;
     }
     let t = global();
-    let _ = with_local(t, |local| {
-        local.ring.push(now_us(t), 0, KIND_INSTANT, cat, id, name);
+    let _ = with_local(t, |ring| {
+        ring.push(now_us(t), 0, KIND_INSTANT, cat, id, name);
     });
 }
 
@@ -253,7 +220,7 @@ pub fn instant_id(cat: TraceCat, name: &str, id: u64) {
 /// `!Send`. It holds its own `Arc` clone of the ring, which also keeps
 /// the ring out of the recycler while the span is open.
 pub struct SpanGuard {
-    /// `None` for inert guards (tracing disabled / sampled out).
+    /// `None` for inert guards (tracing disabled).
     ring: Option<Arc<SpanRing>>,
     start_us: u64,
     cat: TraceCat,

@@ -12,10 +12,7 @@ const SPANS_PER_THREAD: u64 = 3;
 
 #[test]
 fn sequential_thread_churn_recycles_rings() {
-    trace::enable(TraceConfig {
-        ring_capacity: 64,
-        sample_one_in: 1,
-    });
+    trace::enable(TraceConfig { ring_capacity: 64 });
 
     // One short-lived traced thread at a time, like a `Connection: close`
     // client hammering a server that spawns a thread per connection.

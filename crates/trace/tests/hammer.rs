@@ -19,7 +19,6 @@ const RING_CAPACITY: usize = 256;
 fn hammered_rings_stay_consistent_and_account_for_drops() {
     trace::enable(TraceConfig {
         ring_capacity: RING_CAPACITY,
-        sample_one_in: 1,
     });
 
     let stop = Arc::new(AtomicBool::new(false));

@@ -14,7 +14,11 @@
 #     external reference of any kind;
 #   * the collapsed profile has >= 1 stack through `ccp_engine` (the
 #     build forces frame pointers so the handler's walk sees real
-#     frames).
+#     frames);
+#   * a client tailing `/timeline?since=<cursor>` through the bench run,
+#     with each reply's `tick` as its next cursor, gets every point of
+#     the `ccp_build_info` gauge exactly once (the documented `?since=`
+#     contract, live).
 #
 # Phase 2 (overhead): two otherwise identical servers — recorder on vs
 # `--no-flight` — take the same A/B bench (with a background profile
@@ -97,9 +101,47 @@ echo "== bench with a 2s profile window inside the load"
   --qps "$PROF_QPS" --duration "$SECS" --concurrency 2 --max-error-pct 1 \
   --json-out "$WORK/bench.json" --timeline-out "$WORK/timeline.json" &
 BENCH_PID=$!
+# Tail the timeline beside the load: one pull every 50 ms for ~3 s, each
+# passing the previous reply's `tick`. The build-info gauge has a point
+# at every tick, so its sequence numbers must come back as exactly the
+# ticks the tail covered.
+python3 - "$ADDR_FLIGHT" >"$WORK/tail.txt" 2>&1 <<'PY' &
+import json, sys, time, urllib.request
+
+addr = sys.argv[1]
+
+def pull(since):
+    url = f"http://{addr}/timeline?since={since}&series=ccp_build_info"
+    with urllib.request.urlopen(url, timeout=5) as reply:
+        return json.load(reply)
+
+first = cursor = pull(0)["tick"]
+seqs = {}
+deadline = time.monotonic() + 3.0
+while time.monotonic() < deadline:
+    time.sleep(0.05)
+    tl = pull(cursor)
+    for name, pts in tl["series"].items():
+        seqs.setdefault(name, []).extend(int(seq) for seq, _ in pts)
+    cursor = tl["tick"]
+want = list(range(first + 1, cursor + 1))
+assert want and seqs, f"tail saw no build-info points (ticks {first}..{cursor})"
+for name, got in seqs.items():
+    assert got == want, (
+        f"{name}: tail got {len(got)} points {got[:4]}..{got[-4:]}, "
+        f"want ticks {first + 1}..={cursor} once each"
+    )
+print(f"   tailed ticks {first + 1}..={cursor}: every build-info point once, in order")
+PY
+TAIL_PID=$!
 sleep 0.6
 ccp_scrape "$ADDR_FLIGHT" "/profile?seconds=2" "$WORK/profile.txt"
 wait "$BENCH_PID"
+if ! wait "$TAIL_PID"; then
+  cat "$WORK/tail.txt" >&2
+  exit 1
+fi
+cat "$WORK/tail.txt"
 # Sampling is probabilistic: with ~10 process-wide ticks per window a
 # run can land them all on unregistered connection threads. Retry under
 # fresh load before calling that a failure.
