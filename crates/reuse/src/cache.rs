@@ -1,26 +1,22 @@
-//! The sharded, byte-budgeted artifact store with single-flight
-//! get-or-compute and cost-aware eviction.
+//! The byte-budgeted artifact store with single-flight get-or-compute
+//! and cost-aware eviction.
 //!
-//! ## Locking discipline
+//! ## Locking
 //!
-//! Two lock kinds exist: one global *install* lock serializing every
-//! byte-budget check-then-reserve, and one mutex (plus condvar) per
-//! shard. The order is always install-lock → shard-lock; lookups and
-//! purges take only their shard lock, and nothing blocks while holding
-//! two shard locks at once (cross-shard eviction scans lock shards one
-//! at a time). Because every *addition* to `total_bytes` happens under
-//! the install lock after a fit check, and all other mutations only
-//! subtract, the published byte count can never exceed the budget.
+//! One mutex guards the whole cache state — the slot map, the accounted
+//! bytes, the data-version epoch and the recency tick — and one condvar
+//! wakes single-flight waiters when a claim is published or abandoned.
+//! Bytes only change under that lock, and an install checks the fit and
+//! adds its bytes in the same critical section, so the accounted total
+//! can never exceed the budget. The lock is held for map operations
+//! only, never while an artifact is built.
 
 use crate::key::ReuseKey;
 use crate::{ReuseStatus, FAULT_REUSE_INSTALL, FAULT_REUSE_LOOKUP};
 use ccp_obs::{Counter, Gauge, Registry};
 use ccp_storage::{AggHashTable, BitVec};
 use ccp_trace::TraceCat;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -94,9 +90,6 @@ impl Artifact {
     }
 }
 
-/// Shards of a [`ReuseCache`] (keys are hashed version-independently).
-const SHARDS: usize = 8;
-
 /// Construction parameters for a [`ReuseCache`].
 #[derive(Debug, Clone, Copy)]
 pub struct ReuseConfig {
@@ -118,8 +111,6 @@ struct Entry {
     /// Measured build time in microseconds (≥ 1); the denominator of
     /// the eviction score.
     cost_us: u64,
-    /// The epoch the entry was installed under.
-    version: u64,
     /// Logical recency stamp (eviction tie-break only).
     last_hit: u64,
 }
@@ -140,17 +131,24 @@ enum Slot {
     Building,
 }
 
-struct Shard {
+/// Everything the cache's one lock guards.
+struct State {
     slots: HashMap<ReuseKey, Slot>,
-    /// Epoch this shard last purged against; entries older than the
-    /// global epoch are swept the first time the shard is touched.
-    seen_version: u64,
+    /// Bytes accounted to published artifacts (never above the budget).
+    bytes: u64,
+    /// The data-version epoch new keys are minted under.
+    version: u64,
+    /// Logical clock for entry recency (eviction tie-break).
+    tick: u64,
 }
 
-struct ShardCell {
-    state: Mutex<Shard>,
-    /// Signalled on publish/abandon so single-flight waiters re-check.
-    published: Condvar,
+impl State {
+    /// Drops the Building claim on `key`, if one is held.
+    fn release_claim(&mut self, key: &ReuseKey) {
+        if matches!(self.slots.get(key), Some(Slot::Building)) {
+            self.slots.remove(key);
+        }
+    }
 }
 
 /// The non-blocking result of one lookup step (the unit the
@@ -161,7 +159,7 @@ pub enum TryBegin {
     /// The caller is now the single builder for this key.
     Build(BuildGuard),
     /// Another builder holds the key; retry after it publishes or
-    /// abandons ([`ReuseCache::begin`] blocks on the shard condvar).
+    /// abandons ([`ReuseCache::begin`] blocks on the cache's condvar).
     Pending,
 }
 
@@ -230,15 +228,10 @@ impl Instruments {
 }
 
 struct Inner {
-    shards: Vec<ShardCell>,
+    state: Mutex<State>,
+    /// Signalled on publish/abandon so single-flight waiters re-check.
+    published: Condvar,
     budget: u64,
-    /// Serializes every budget check-then-reserve (see the module docs
-    /// for the locking discipline).
-    install: Mutex<()>,
-    total_bytes: AtomicU64,
-    version: AtomicU64,
-    /// Logical clock for entry recency (eviction tie-break).
-    tick: AtomicU64,
     m: Instruments,
 }
 
@@ -249,32 +242,29 @@ pub struct ReuseCache {
     inner: Arc<Inner>,
 }
 
-fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 impl ReuseCache {
     /// Builds an empty cache.
     pub fn new(config: ReuseConfig) -> Self {
         ReuseCache {
             inner: Arc::new(Inner {
-                shards: (0..SHARDS)
-                    .map(|_| ShardCell {
-                        state: Mutex::new(Shard {
-                            slots: HashMap::new(),
-                            seen_version: 0,
-                        }),
-                        published: Condvar::new(),
-                    })
-                    .collect(),
+                state: Mutex::new(State {
+                    slots: HashMap::new(),
+                    bytes: 0,
+                    version: 0,
+                    tick: 0,
+                }),
+                published: Condvar::new(),
                 budget: config.budget_bytes,
-                install: Mutex::new(()),
-                total_bytes: AtomicU64::new(0),
-                version: AtomicU64::new(0),
-                tick: AtomicU64::new(0),
                 m: Instruments::new(),
             }),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.inner
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Mints a key for `query_id`/`predicate` under the *current*
@@ -285,22 +275,36 @@ impl ReuseCache {
 
     /// The current data-version epoch.
     pub fn current_version(&self) -> u64 {
-        // ORDERING: the epoch is a monotone counter; readers minting
-        // keys only need *a* recent value — a stale read just produces
-        // a key that the lazy purge treats as stale.
-        self.inner.version.load(Ordering::Relaxed)
+        self.lock().version
     }
 
-    /// Bumps the data-version epoch and returns the new value. O(1):
-    /// stale entries are swept lazily, the first time each shard is
-    /// touched under the new epoch.
+    /// Bumps the data-version epoch and returns the new value. Every
+    /// published entry built under an older epoch is swept at once (and
+    /// counted in `invalidations`), so its bytes are free for the next
+    /// install. Building claims survive: their publish finds the key
+    /// stale and discards the artifact.
     pub fn bump_version(&self) -> u64 {
-        // ORDERING: monotone epoch bump; purge correctness only needs
-        // the new value to become visible eventually, and every lookup
-        // re-reads it under the shard lock's synchronization.
-        let v = self.inner.version.fetch_add(1, Ordering::Relaxed) + 1;
+        let mut st = self.lock();
+        st.version += 1;
+        let version = st.version;
+        let (mut swept, mut freed) = (0u64, 0u64);
+        st.slots.retain(|key, slot| match slot {
+            Slot::Published(entry) if key.data_version() < version => {
+                swept += 1;
+                freed += entry.bytes;
+                false
+            }
+            _ => true,
+        });
+        st.bytes -= freed;
+        self.inner.m.bytes.set(st.bytes as f64);
+        drop(st);
+        if swept > 0 {
+            self.inner.m.invalidations.add(swept);
+            ccp_trace::instant(TraceCat::Reuse, "reuse_invalidate");
+        }
         ccp_trace::instant(TraceCat::Reuse, "reuse_version_bump");
-        v
+        version
     }
 
     /// The configured byte budget.
@@ -310,19 +314,14 @@ impl ReuseCache {
 
     /// Bytes currently accounted to published artifacts.
     pub fn bytes(&self) -> u64 {
-        // ORDERING: statistics read; mutations are guarded by the
-        // install lock / shard locks.
-        self.inner.total_bytes.load(Ordering::Relaxed)
+        self.lock().bytes
     }
 
     /// Whether a lookup for `key` would hit *right now*. The admission
     /// path calls this before classification; no counters move (only
     /// exec-time lookups participate in `hits + misses == lookups`).
     pub fn predict(&self, key: &ReuseKey) -> bool {
-        let cell = self.shard_for(key);
-        let mut shard = lock(&cell.state);
-        self.purge_locked(&mut shard);
-        matches!(shard.slots.get(key), Some(Slot::Published(_)))
+        matches!(self.lock().slots.get(key), Some(Slot::Published(_)))
     }
 
     /// Non-blocking single-flight lookup step. [`ReuseCache::begin`] is
@@ -334,16 +333,14 @@ impl ReuseCache {
 
     fn try_begin_inner(&self, key: &ReuseKey, waited: bool) -> TryBegin {
         let vanished = ccp_fault::should_fail(FAULT_REUSE_LOOKUP);
-        let cell = self.shard_for(key);
-        let mut shard = lock(&cell.state);
-        self.purge_locked(&mut shard);
-        match shard.slots.get_mut(key) {
+        let mut guard = self.lock();
+        let st = &mut *guard;
+        match st.slots.get_mut(key) {
             Some(Slot::Published(entry)) if !vanished => {
-                // ORDERING: logical recency clock; only uniqueness-ish
-                // monotonicity matters for the eviction tie-break.
-                entry.last_hit = self.inner.tick.fetch_add(1, Ordering::Relaxed);
+                st.tick += 1;
+                entry.last_hit = st.tick;
                 let artifact = entry.artifact.clone();
-                drop(shard);
+                drop(guard);
                 self.inner.m.hits.inc();
                 if waited {
                     self.inner.m.coalesced.inc();
@@ -356,12 +353,11 @@ impl ReuseCache {
                 // A fault-forced "vanished" lookup drops the published
                 // entry, exactly as if eviction had raced the query.
                 if let Some(Slot::Published(entry)) = other {
-                    let freed = entry.bytes;
-                    shard.slots.remove(key);
-                    self.sub_bytes(freed);
+                    st.bytes -= entry.bytes;
+                    self.inner.m.bytes.set(st.bytes as f64);
                 }
-                shard.slots.insert(key.clone(), Slot::Building);
-                drop(shard);
+                st.slots.insert(key.clone(), Slot::Building);
+                drop(guard);
                 self.inner.m.misses.inc();
                 ccp_trace::instant(TraceCat::Reuse, "reuse_miss");
                 TryBegin::Build(BuildGuard {
@@ -375,7 +371,7 @@ impl ReuseCache {
 
     /// Blocking single-flight lookup: returns a hit, or makes the
     /// caller the single builder. Concurrent callers with the same key
-    /// wait (on the shard condvar) for the builder to publish; if the
+    /// wait (on the cache's condvar) for the builder to publish; if the
     /// builder abandons, one waiter takes over.
     pub fn begin(&self, key: &ReuseKey) -> Begin {
         let mut waited = false;
@@ -385,15 +381,14 @@ impl ReuseCache {
                 TryBegin::Build(g) => return Begin::Build(g),
                 TryBegin::Pending => {
                     waited = true;
-                    let cell = self.shard_for(key);
-                    let shard = lock(&cell.state);
-                    if matches!(shard.slots.get(key), Some(Slot::Building)) {
-                        // Bounded wait: a missed wakeup (or an epoch
-                        // bump racing the builder) degrades to a
+                    let st = self.lock();
+                    if matches!(st.slots.get(key), Some(Slot::Building)) {
+                        // Bounded wait: a missed wakeup degrades to a
                         // re-check, never a hang.
-                        let _ = cell
+                        let _ = self
+                            .inner
                             .published
-                            .wait_timeout(shard, Duration::from_millis(20))
+                            .wait_timeout(st, Duration::from_millis(20))
                             .unwrap_or_else(PoisonError::into_inner);
                     }
                 }
@@ -463,19 +458,16 @@ impl ReuseCache {
 
     /// Point-in-time statistics (for `/stats.reuse`).
     pub fn stats(&self) -> ReuseStats {
+        let (bytes, data_version, entries) = {
+            let st = self.lock();
+            let entries = st
+                .slots
+                .values()
+                .filter(|s| matches!(s, Slot::Published(_)))
+                .count() as u64;
+            (st.bytes, st.version, entries)
+        };
         let m = &self.inner.m;
-        let entries = self
-            .inner
-            .shards
-            .iter()
-            .map(|cell| {
-                lock(&cell.state)
-                    .slots
-                    .values()
-                    .filter(|s| matches!(s, Slot::Published(_)))
-                    .count() as u64
-            })
-            .sum();
         ReuseStats {
             hits: m.hits.get(),
             misses: m.misses.get(),
@@ -484,159 +476,78 @@ impl ReuseCache {
             invalidations: m.invalidations.get(),
             coalesced: m.coalesced.get(),
             mispredictions: m.mispredictions.get(),
-            bytes: self.bytes(),
+            bytes,
             budget_bytes: self.inner.budget,
-            data_version: self.current_version(),
+            data_version,
             entries,
         }
     }
 
-    fn shard_for(&self, key: &ReuseKey) -> &ShardCell {
-        let mut h = DefaultHasher::new();
-        key.shard_seed().hash(&mut h);
-        let idx = (h.finish() as usize) % self.inner.shards.len();
-        &self.inner.shards[idx]
-    }
-
-    /// Sweeps entries older than the current epoch out of a locked
-    /// shard; first touch per shard per epoch, amortized O(1).
-    fn purge_locked(&self, shard: &mut Shard) {
-        let version = self.current_version();
-        if shard.seen_version == version {
-            return;
-        }
-        shard.seen_version = version;
-        let mut freed = 0u64;
-        let mut swept = 0u64;
-        shard.slots.retain(|key, slot| match slot {
-            Slot::Published(entry) if entry.version < version => {
-                let _ = key;
-                freed += entry.bytes;
-                swept += 1;
-                false
-            }
-            // Building claims survive: their publish notices the stale
-            // epoch and discards the artifact itself.
-            _ => true,
-        });
-        if swept > 0 {
-            self.sub_bytes(freed);
-            self.inner.m.invalidations.add(swept);
-            ccp_trace::instant(TraceCat::Reuse, "reuse_invalidate");
-        }
-    }
-
-    fn sub_bytes(&self, n: u64) {
-        // ORDERING: statistics-grade accounting; the budget invariant
-        // is enforced by additions under the install lock, and
-        // subtractions can only move the total further below budget.
-        self.inner.total_bytes.fetch_sub(n, Ordering::Relaxed);
-        self.inner.m.bytes.set(self.bytes() as f64);
-    }
-
-    /// Evicts until `incoming` fits in the budget. Called with the
-    /// install lock held. Returns `false` when not enough unpinned
-    /// bytes exist (the incoming artifact is then not installed, so the
-    /// budget invariant holds either way).
-    fn make_room(&self, incoming: u64) -> bool {
+    /// Evicts until `incoming` more bytes fit in the budget. Returns
+    /// `false` when they cannot: the artifact is larger than the whole
+    /// budget, or everything left is pinned by a reader or still
+    /// building (the artifact is then not installed, so the budget holds
+    /// either way).
+    fn make_room(&self, st: &mut State, incoming: u64) -> bool {
         if incoming > self.inner.budget {
             return false;
         }
-        while self.bytes() + incoming > self.inner.budget {
-            let mut victim: Option<(usize, ReuseKey, f64, u64)> = None;
-            for (idx, cell) in self.inner.shards.iter().enumerate() {
-                let shard = lock(&cell.state);
-                for (key, slot) in &shard.slots {
-                    let Slot::Published(entry) = slot else {
-                        continue;
-                    };
-                    if entry.artifact.is_shared() {
-                        continue; // a reader holds it: not a victim
-                    }
-                    let score = entry.evict_score();
-                    let better = match &victim {
-                        None => true,
-                        Some((_, _, best, last_hit)) => {
-                            score > *best || (score == *best && entry.last_hit < *last_hit)
-                        }
-                    };
-                    if better {
-                        victim = Some((idx, key.clone(), score, entry.last_hit));
-                    }
-                }
-            }
-            let Some((idx, key, _, _)) = victim else {
-                return false; // everything left is pinned or building
+        while st.bytes + incoming > self.inner.budget {
+            // The highest score goes first; among equal scores, the
+            // least recently hit.
+            let victim = st
+                .slots
+                .iter()
+                .filter_map(|(key, slot)| match slot {
+                    Slot::Published(entry) if !entry.artifact.is_shared() => Some((key, entry)),
+                    _ => None,
+                })
+                .max_by(|(_, a), (_, b)| {
+                    a.evict_score()
+                        .total_cmp(&b.evict_score())
+                        .then(b.last_hit.cmp(&a.last_hit))
+                })
+                .map(|(key, _)| key.clone());
+            let Some(key) = victim else {
+                return false;
             };
-            let cell = &self.inner.shards[idx];
-            let mut shard = lock(&cell.state);
-            // Re-check under the lock: a reader may have pinned the
-            // victim between the scan and now.
-            let evictable = matches!(
-                shard.slots.get(&key),
-                Some(Slot::Published(e)) if !e.artifact.is_shared()
-            );
-            if evictable {
-                if let Some(Slot::Published(entry)) = shard.slots.remove(&key) {
-                    drop(shard);
-                    self.sub_bytes(entry.bytes);
-                    self.inner.m.evictions.inc();
-                    ccp_trace::instant(TraceCat::Reuse, "reuse_evict");
-                }
+            if let Some(Slot::Published(entry)) = st.slots.remove(&key) {
+                st.bytes -= entry.bytes;
+                self.inner.m.evictions.inc();
+                ccp_trace::instant(TraceCat::Reuse, "reuse_evict");
             }
-            // If the victim got pinned, loop and pick another.
         }
         true
     }
 
     /// Installs `artifact` for `key`, replacing the caller's Building
-    /// claim. Returns whether the artifact was actually published.
+    /// claim. Returns whether the artifact was actually published: a
+    /// build whose key a version bump made stale is discarded (and
+    /// counted as an invalidation), and one that does not fit is dropped.
     fn install(&self, key: &ReuseKey, artifact: Artifact, cost: Duration) -> bool {
         let bytes = artifact.size_bytes();
-        let reserved = {
-            let _g = lock(&self.inner.install);
-            if self.make_room(bytes) {
-                // ORDERING: the reserve itself; the fit check above ran
-                // under the install lock, and concurrent mutations only
-                // subtract, so this add cannot overshoot the budget.
-                self.inner.total_bytes.fetch_add(bytes, Ordering::Relaxed);
-                true
-            } else {
-                false
-            }
-        };
-        let stale = key.data_version() < self.current_version();
-        let cell = self.shard_for(key);
-        let mut shard = lock(&cell.state);
-        // Whatever happens, the Building claim is released.
-        if matches!(shard.slots.get(key), Some(Slot::Building)) {
-            shard.slots.remove(key);
-        }
-        let published = reserved && !stale;
+        let mut st = self.lock();
+        st.release_claim(key);
+        let stale = key.data_version() < st.version;
+        let published = !stale && self.make_room(&mut st, bytes);
         if published {
-            let cost_us = (cost.as_micros() as u64).max(1);
-            // ORDERING: logical recency clock (see try_begin_inner).
-            let last_hit = self.inner.tick.fetch_add(1, Ordering::Relaxed);
-            shard.slots.insert(
-                key.clone(),
-                Slot::Published(Entry {
-                    artifact,
-                    bytes,
-                    cost_us,
-                    version: key.data_version(),
-                    last_hit,
-                }),
-            );
+            st.bytes += bytes;
+            st.tick += 1;
+            let entry = Entry {
+                artifact,
+                bytes,
+                cost_us: (cost.as_micros() as u64).max(1),
+                last_hit: st.tick,
+            };
+            st.slots.insert(key.clone(), Slot::Published(entry));
         }
-        cell.published.notify_all();
-        drop(shard);
+        self.inner.m.bytes.set(st.bytes as f64);
+        drop(st);
+        self.inner.published.notify_all();
         if published {
-            self.inner.m.bytes.set(self.bytes() as f64);
             self.inner.m.inserts.inc();
             ccp_trace::instant(TraceCat::Reuse, "reuse_install");
-        } else if reserved {
-            // Reserved but stale: a version bump raced the build.
-            self.sub_bytes(bytes);
+        } else if stale {
             self.inner.m.invalidations.inc();
         }
         published
@@ -645,12 +556,8 @@ impl ReuseCache {
     /// Releases a Building claim without publishing; one waiter (if
     /// any) becomes the next builder.
     fn abandon(&self, key: &ReuseKey) {
-        let cell = self.shard_for(key);
-        let mut shard = lock(&cell.state);
-        if matches!(shard.slots.get(key), Some(Slot::Building)) {
-            shard.slots.remove(key);
-        }
-        cell.published.notify_all();
+        self.lock().release_claim(key);
+        self.inner.published.notify_all();
     }
 }
 
@@ -739,6 +646,9 @@ impl ReuseHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::thread;
 
     fn cache(budget: u64) -> ReuseCache {
         ReuseCache::new(ReuseConfig::with_budget(budget))
@@ -804,23 +714,118 @@ mod tests {
     }
 
     #[test]
-    fn version_bump_invalidates_lazily() {
+    fn version_bump_invalidates_every_stale_entry() {
         let c = cache(1 << 16);
         let key = c.key("q1", "t<5");
-        if let Begin::Build(g) = c.begin(&key) {
-            g.publish(result_artifact(1, 1), Duration::from_micros(10));
+        for k in [&key, &c.key("q2", "t<5")] {
+            if let Begin::Build(g) = c.begin(k) {
+                g.publish(result_artifact(1, 1), Duration::from_micros(10));
+            }
         }
         assert!(c.predict(&key));
         let v = c.bump_version();
         assert_eq!(v, 1);
-        // The old-version key no longer predicts, the new one misses.
-        let fresh = c.key("q1", "t<5");
-        assert!(!c.predict(&fresh));
-        assert!(matches!(c.begin(&fresh), Begin::Build(_)));
         let s = c.stats();
-        assert_eq!(s.invalidations, 1);
+        assert_eq!(s.invalidations, 2, "both entries swept by the bump");
         assert_eq!(s.entries, 0);
         assert_eq!(s.bytes, 0, "invalidation returns the bytes");
+        // The old-version key no longer predicts, the new one misses.
+        let fresh = c.key("q1", "t<5");
+        assert!(!c.predict(&key) && !c.predict(&fresh));
+        assert!(matches!(c.begin(&fresh), Begin::Build(_)));
+    }
+
+    fn join_bits_128b(c: &ReuseCache, predicate: &str, cost: Duration) -> ReuseKey {
+        let key = c.key("join", predicate);
+        if let Begin::Build(g) = c.begin(&key) {
+            assert!(g.publish(Artifact::JoinBits(Arc::new(BitVec::zeros(1024))), cost));
+        }
+        key
+    }
+
+    #[test]
+    fn a_bump_frees_stale_entries_before_any_eviction() {
+        let c = cache(300);
+        join_bits_128b(&c, "expensive", Duration::from_millis(50));
+        c.bump_version();
+        let s = c.stats();
+        assert_eq!(
+            (s.entries, s.bytes, s.invalidations),
+            (0, 0, 1),
+            "the bump sweeps the stale entry and returns its bytes"
+        );
+        // A live cheap entry, then a third install: 256 of 300 bytes is
+        // a fit, so nothing live may be evicted for bytes a dead entry
+        // held.
+        let cheap = join_bits_128b(&c, "cheap", Duration::from_micros(2));
+        let third = join_bits_128b(&c, "third", Duration::from_millis(10));
+        assert!(c.predict(&cheap), "the live cheap entry survives");
+        assert!(c.predict(&third));
+        let s = c.stats();
+        assert_eq!((s.entries, s.bytes, s.evictions), (2, 256, 0));
+    }
+
+    #[test]
+    fn threads_racing_few_keys_build_once_per_epoch() {
+        const THREADS: usize = 4;
+        const BEGINS: usize = 2_000;
+        // Fits every entry three keys can hold at once.
+        const BUDGET: u64 = 1 << 16;
+        let c = cache(BUDGET);
+        let (stop, stopped) = mpsc::channel::<()>();
+        let bumper = {
+            let c = c.clone();
+            thread::spawn(move || {
+                while let Err(RecvTimeoutError::Timeout) =
+                    stopped.recv_timeout(Duration::from_millis(3))
+                {
+                    c.bump_version();
+                }
+            })
+        };
+        let (done, finished) = mpsc::channel();
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (c, done) = (c.clone(), done.clone());
+                thread::spawn(move || {
+                    let (mut built, mut published) = (Vec::new(), Vec::new());
+                    for i in 0..BEGINS {
+                        let key = c.key(&format!("q{}", (t + i) % 3), "t<1");
+                        if let Begin::Build(guard) = c.begin(&key) {
+                            built.push(key.clone());
+                            // Widen the build window so others wait on it.
+                            thread::yield_now();
+                            if guard.publish(result_artifact(1, 1), Duration::from_micros(5)) {
+                                published.push(key);
+                            }
+                        }
+                    }
+                    let _ = done.send((built, published));
+                })
+            })
+            .collect();
+        let (mut built, mut published) = (HashSet::new(), HashSet::new());
+        for _ in 0..THREADS {
+            let (b, p) = finished
+                .recv_timeout(Duration::from_secs(60))
+                .expect("a worker hung in begin");
+            built.extend(b);
+            for key in p {
+                assert!(published.insert(key.clone()), "{key} published twice");
+            }
+        }
+        for w in workers {
+            w.join().expect("worker");
+        }
+        drop(stop);
+        bumper.join().expect("bumper");
+        let s = c.stats();
+        assert_eq!(s.hits + s.misses, (THREADS * BEGINS) as u64, "{s:?}");
+        assert!(s.coalesced <= s.hits, "{s:?}");
+        assert_eq!(s.bytes, s.entries * 32, "{s:?}");
+        assert!(s.bytes <= s.budget_bytes, "{s:?}");
+        assert_eq!(s.inserts, published.len() as u64, "{s:?}");
+        assert!(s.inserts <= built.len() as u64, "{s:?}");
     }
 
     #[test]

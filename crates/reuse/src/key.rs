@@ -10,8 +10,10 @@ use std::fmt;
 
 /// The identity of a cacheable artifact: which query shape produced it
 /// (`query_id`), under which canonicalized predicate, against which
-/// data-version epoch. Keys with different versions never collide, so a
-/// version bump invalidates without touching the map.
+/// data-version epoch. Keys with different versions never collide, so no
+/// entry built before a version bump can answer a key minted after it;
+/// the bump itself sweeps the old entries out
+/// ([`ReuseCache::bump_version`](crate::ReuseCache::bump_version)).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ReuseKey {
     query_id: String,
@@ -43,13 +45,6 @@ impl ReuseKey {
     /// The data-version epoch the key was minted under.
     pub fn data_version(&self) -> u64 {
         self.data_version
-    }
-
-    /// The version-independent part of the key, used for shard routing
-    /// (the same logical query always lands on the same shard, whatever
-    /// the epoch).
-    pub(crate) fn shard_seed(&self) -> (&str, &str) {
-        (&self.query_id, &self.predicate)
     }
 }
 
@@ -124,7 +119,6 @@ mod tests {
         let k1 = ReuseKey::new("q1", "t<5", 0);
         let k2 = ReuseKey::new("q1", "t<5", 1);
         assert_ne!(k1, k2);
-        assert_eq!(k1.shard_seed(), k2.shard_seed());
         assert_eq!(format!("{k1}"), "q1[t<5]@v0");
     }
 

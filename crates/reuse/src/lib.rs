@@ -36,10 +36,13 @@
 //!   builder). A non-blocking [`ReuseCache::try_begin`] twin exists so
 //!   the `ccp-verify` interleaving explorer can model-check the
 //!   protocol step by step.
-//! * **Epoch-based lazy invalidation.** [`ReuseCache::bump_version`]
-//!   only increments a global data-version epoch; stale entries are
-//!   swept out lazily, the first time their shard is touched in the
-//!   new epoch, and counted as invalidations.
+//! * **Epoch invalidation.** [`ReuseCache::bump_version`] advances a
+//!   data-version epoch and sweeps every entry built under the old one
+//!   in the same critical section, counting each as an invalidation, so
+//!   a dead entry never holds budget a live one needs.
+//! * **One lock.** The slot map, the byte count, the epoch and the
+//!   recency tick sit behind one `Mutex`, with one `Condvar` for
+//!   single-flight waiters.
 //!
 //! Counters (`ccp_reuse_{hits,misses,inserts,evictions,invalidations,
 //! coalesced,mispredictions}_total`) plus the `ccp_reuse_bytes` gauge
@@ -66,7 +69,7 @@
 //! }
 //! // Second execution: near-free lookup.
 //! assert!(matches!(cache.begin(&key), Begin::Hit(_)));
-//! // A data change invalidates lazily: new keys carry the new version.
+//! // A data change sweeps the old entries; new keys carry the new version.
 //! cache.bump_version();
 //! assert!(!cache.predict(&cache.key("q1", "threshold < 100")));
 //! ```

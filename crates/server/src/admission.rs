@@ -89,8 +89,8 @@ struct State {
     shutdown: bool,
 }
 
-/// Per-tenant admission limits, layered on top of the global capacity
-/// and the per-class caps: a `quota` bounds how many of a tenant's
+/// Per-tenant admission limits, layered on top of the global capacity:
+/// a `quota` bounds how many of a tenant's
 /// queries may be in flight (waiting + running) at once — the arrival
 /// that would exceed it gets an immediate per-tenant `429` — and a
 /// `weight` biases grant order when several tenants' waiters are
@@ -237,22 +237,12 @@ impl FairShare {
     }
 }
 
-/// Optional per-class caps on *waiting* queries, layered under the
-/// global `capacity`: a polluter burst then fills at most its own share
-/// of the queue instead of starving sensitive arrivals (the paper's
-/// admission experiments mix exactly such bursts). `None` means the
-/// class is bounded only by the global capacity. A limit of `0` rejects
-/// every arrival of that class that would have to exist in the queue —
-/// mirroring how a global capacity of `0` behaves.
-pub type ClassQueueLimits = PerClass<Option<usize>>;
-
 /// Bounded admission queue in front of the dual-pool executor.
 pub struct AdmissionQueue {
     scheduler: CacheAwareScheduler,
     sched_metrics: SchedulerMetrics,
     server_metrics: ServerMetrics,
     capacity: usize,
-    class_limits: ClassQueueLimits,
     tenant_limits: TenantLimits,
     state: Mutex<State>,
     changed: Condvar,
@@ -275,7 +265,6 @@ impl AdmissionQueue {
             sched_metrics,
             server_metrics,
             capacity,
-            class_limits: ClassQueueLimits::default(),
             tenant_limits: TenantLimits::default(),
             state: Mutex::new(State {
                 running: Vec::new(),
@@ -289,26 +278,14 @@ impl AdmissionQueue {
         }
     }
 
-    /// Layers per-class waiting caps under the global capacity. Call
-    /// before the queue is shared (builder style).
-    pub fn with_class_limits(mut self, limits: ClassQueueLimits) -> Self {
-        self.class_limits = limits;
-        self
-    }
-
-    /// Layers per-tenant quotas and grant weights on top of the class
-    /// caps. Call before the queue is shared (builder style). The tenants
+    /// Layers per-tenant quotas and grant weights on top of the global
+    /// capacity. Call before the queue is shared (builder style). The tenants
     /// `limits` names keep a metric label set of their own however many
     /// unconfigured tenants show up.
     pub fn with_tenant_limits(mut self, limits: TenantLimits) -> Self {
         self.server_metrics.pin_tenants(limits.tenants());
         self.tenant_limits = limits;
         self
-    }
-
-    /// The per-class waiting caps in effect.
-    pub(crate) fn class_limits(&self) -> ClassQueueLimits {
-        self.class_limits
     }
 
     /// The per-tenant quotas and weights in effect.
@@ -386,22 +363,6 @@ impl AdmissionQueue {
             if in_flight >= quota {
                 self.server_metrics.record_tenant_rejection(&tenant);
                 return Err(AdmissionError::QuotaExceeded);
-            }
-        }
-        // The class cap counts *other* waiters of the same class — this
-        // arrival has not enqueued yet — so a limit of N admits at most
-        // N simultaneous waiters of the class, independent of how much
-        // global capacity a burst of that class would otherwise grab.
-        let class = cuid.class();
-        if let Some(limit) = *self.class_limits.get(class) {
-            let same_class = st
-                .waiting
-                .iter()
-                .filter(|w| w.cuid.class() == class)
-                .count();
-            if same_class >= limit {
-                self.server_metrics.record_class_rejection(class);
-                return Err(AdmissionError::QueueFull);
             }
         }
         // Record the arrival-time decision (admitted vs. deferred) in the
@@ -580,8 +541,7 @@ impl AdmissionQueue {
         self.sched_metrics.deferrals()
     }
 
-    /// Count of currently *waiting* queries per class, for `/stats` next
-    /// to the per-class limits.
+    /// Count of currently *waiting* queries per class, for `/stats`.
     pub(crate) fn waiting_by_class(&self) -> PerClass<usize> {
         count_by_class(self.lock().waiting.iter().map(|w| w.cuid))
     }
@@ -695,16 +655,8 @@ mod tests {
     use ccp_cachesim::HierarchyConfig;
     use ccp_engine::PartitionPolicy;
     use ccp_obs::Registry;
-    use ccp_resctrl::Class;
     use std::sync::mpsc;
     use std::thread;
-
-    /// A cap of `limit` waiters on `class`, none on the other classes.
-    fn only(class: Class, limit: usize) -> ClassQueueLimits {
-        let mut limits = ClassQueueLimits::default();
-        limits.set(class, Some(limit));
-        limits
-    }
 
     fn queue(slots: usize, capacity: usize) -> Arc<AdmissionQueue> {
         let cfg = HierarchyConfig::broadwell_e5_2699_v4();
@@ -822,66 +774,6 @@ mod tests {
             .acquire_with_deadline(CacheUsageClass::Polluting, Some(Duration::ZERO))
             .unwrap();
         assert!(p.ticket() > 0);
-        drop(p);
-        assert!(q.drain(Duration::from_secs(1)));
-    }
-
-    #[test]
-    fn class_limit_rejects_before_global_capacity() {
-        let cfg = HierarchyConfig::broadwell_e5_2699_v4();
-        let policy = PartitionPolicy::paper_default(cfg.llc, cfg.l2.size_bytes);
-        let registry = Registry::new();
-        let metrics = ServerMetrics::new(&registry);
-        let q = Arc::new(
-            AdmissionQueue::new(
-                CacheAwareScheduler::new(policy, 1),
-                8,
-                SchedulerMetrics::new(),
-                metrics.clone(),
-            )
-            .with_class_limits(only(Class::Polluting, 1)),
-        );
-        let held = q.acquire(CacheUsageClass::Polluting).unwrap();
-        let q2 = Arc::clone(&q);
-        let waiter = thread::spawn(move || q2.acquire(CacheUsageClass::Polluting).map(drop));
-        while q.occupancy().0 < 1 {
-            thread::yield_now();
-        }
-        // Global queue has 7 free slots, but the polluter cap (1) is hit.
-        let err = q.acquire(CacheUsageClass::Polluting).unwrap_err();
-        assert_eq!(err, AdmissionError::QueueFull);
-        assert_eq!(metrics.class_rejections(Class::Polluting), 1);
-        // A sensitive query is not subject to the polluter cap: with the
-        // slot held it waits, so probe with a zero deadline instead.
-        let err = q
-            .acquire_with_deadline(CacheUsageClass::Sensitive, Some(Duration::ZERO))
-            .unwrap_err();
-        assert_eq!(err, AdmissionError::TimedOut, "capped out, not rejected");
-        drop(held);
-        waiter.join().unwrap().unwrap();
-        assert!(q.drain(Duration::from_secs(1)));
-    }
-
-    #[test]
-    fn class_limit_zero_rejects_every_arrival_of_that_class() {
-        let cfg = HierarchyConfig::broadwell_e5_2699_v4();
-        let policy = PartitionPolicy::paper_default(cfg.llc, cfg.l2.size_bytes);
-        let registry = Registry::new();
-        let q = Arc::new(
-            AdmissionQueue::new(
-                CacheAwareScheduler::new(policy, 2),
-                8,
-                SchedulerMetrics::new(),
-                ServerMetrics::new(&registry),
-            )
-            .with_class_limits(only(Class::Sensitive, 0)),
-        );
-        assert_eq!(
-            q.acquire(CacheUsageClass::Sensitive).unwrap_err(),
-            AdmissionError::QueueFull
-        );
-        // Other classes are untouched.
-        let p = q.acquire(CacheUsageClass::Polluting).unwrap();
         drop(p);
         assert!(q.drain(Duration::from_secs(1)));
     }

@@ -44,9 +44,7 @@ pub mod query;
 pub mod server;
 mod stats;
 
-pub use admission::{
-    AdmissionError, AdmissionQueue, ClassQueueLimits, FairShare, RunPermit, TenantLimits,
-};
+pub use admission::{AdmissionError, AdmissionQueue, FairShare, RunPermit, TenantLimits};
 pub use control_plane::{ControlPlane, ControlView, PlaneHandle, PlaneView};
 pub use http::{
     fetch, fetch_with_headers, ClientResponse, HttpClient, HttpError, Request, Response,

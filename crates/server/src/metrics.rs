@@ -9,7 +9,7 @@
 //! same handles.
 
 use ccp_obs::{unit, Counter, Family, Gauge, Histogram, Registry};
-use ccp_resctrl::{Class, DEFAULT_TENANT};
+use ccp_resctrl::DEFAULT_TENANT;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -46,7 +46,6 @@ pub struct ServerMetrics {
     requests: Family<Counter>,
     request_latency: Family<Histogram>,
     admission_rejections: Counter,
-    admission_class_rejections: Family<Counter>,
     admission_timeouts: Counter,
     tenant_requests: Family<Counter>,
     tenant_rejections: Family<Counter>,
@@ -85,10 +84,6 @@ impl ServerMetrics {
             admission_rejections: registry.counter(
                 "ccp_server_admission_rejections_total",
                 "Queries rejected with 429 because the admission queue was full",
-            ),
-            admission_class_rejections: registry.counter_family(
-                "ccp_server_admission_class_rejections_total",
-                "Queries rejected with 429 because their class hit its queue limit",
             ),
             admission_timeouts: registry.counter(
                 "ccp_admission_timeouts_total",
@@ -158,23 +153,6 @@ impl ServerMetrics {
     /// Records an admission-queue overflow (a 429).
     pub fn record_admission_rejection(&self) {
         self.admission_rejections.inc();
-    }
-
-    /// Records a per-class queue-limit rejection (also a 429). The
-    /// global rejection counter is bumped too, so existing dashboards
-    /// keep seeing every 429 in one series.
-    pub(crate) fn record_class_rejection(&self, class: Class) {
-        self.admission_rejections.inc();
-        self.admission_class_rejections
-            .get_or_create(&[("class", class.label())])
-            .inc();
-    }
-
-    /// Per-class queue-limit rejections so far for `class`.
-    pub(crate) fn class_rejections(&self, class: Class) -> u64 {
-        self.admission_class_rejections
-            .get(&[("class", class.label())])
-            .map_or(0, |c| c.get())
     }
 
     /// Gives each of `tenants` a label set of its own that does not
@@ -365,12 +343,8 @@ mod tests {
         let registry = Registry::new();
         let m = ServerMetrics::new(&registry);
         assert_eq!(m.tenant_rejections("nobody"), 0);
-        assert_eq!(m.class_rejections(Class::Mixed), 0);
         let text = registry.render_prometheus();
-        assert!(
-            !text.contains("nobody") && !text.contains("class=\"mixed\""),
-            "{text}"
-        );
+        assert!(!text.contains("nobody"), "{text}");
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! the handle joins every connection before returning — no
 //! `TcpListener` leaks into the next test's port.
 
-use crate::admission::{AdmissionError, AdmissionQueue, ClassQueueLimits, TenantLimits};
+use crate::admission::{AdmissionError, AdmissionQueue, TenantLimits};
 use crate::control_plane::{occupancy_probe, ControlPlane, PlaneHandle, PlaneView};
 use crate::http::{read_request, HttpError, Request, Response};
 use crate::json::Json;
@@ -58,10 +58,6 @@ pub struct ServerConfig {
     pub scheduler_slots: usize,
     /// Queries allowed to *wait* for a slot before `429`.
     pub queue_capacity: usize,
-    /// Optional per-class waiting caps layered under `queue_capacity`
-    /// (`--queue-limit-polluting` etc.); a class at its cap gets `429`
-    /// even while the global queue has room.
-    pub class_queue_limits: ClassQueueLimits,
     /// Concurrent connections before new ones get `503` and close.
     pub max_connections: usize,
     /// Per-connection socket read timeout.
@@ -134,7 +130,6 @@ impl Default for ServerConfig {
             oltp_workers: 1,
             scheduler_slots: 2,
             queue_capacity: 16,
-            class_queue_limits: ClassQueueLimits::default(),
             max_connections: 64,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
@@ -302,7 +297,6 @@ impl Server {
                 sched_metrics,
                 metrics.clone(),
             )
-            .with_class_limits(config.class_queue_limits)
             .with_tenant_limits(tenant_limits),
         );
 
@@ -725,8 +719,8 @@ fn not_found() -> Response {
     )
 }
 
-/// `POST /data/bump`: advances the data-version epoch, so every cached
-/// artifact built against the old version is (lazily) invalidated. This
+/// `POST /data/bump`: advances the data-version epoch and sweeps every
+/// cached artifact built against the old version out of the cache. This
 /// is the server's stand-in for a data modification — the moment the
 /// resident columns would change, memoized results must stop matching.
 fn handle_data_bump(shared: &Shared) -> Response {

@@ -88,18 +88,12 @@ fn pool(ex: &JobExecutor) -> Json {
     ])
 }
 
-/// Per-class admission view: the configured waiting cap (`null` =
-/// bounded only by the global queue), how many queries of the class wait
-/// right now, and how many were 429'd at the class cap.
+/// Per-class admission view: how many queries of each class wait right
+/// now.
 fn admission_classes(shared: &Shared) -> Json {
-    let limits = shared.admission.class_limits();
     let waiting = shared.admission.waiting_by_class();
     section(Class::PAPER_ORDER.map(|class| {
-        let fields = section([
-            ("limit", (*limits.get(class)).into()),
-            ("waiting", (*waiting.get(class)).into()),
-            ("rejections", shared.metrics.class_rejections(class).into()),
-        ]);
+        let fields = section([("waiting", (*waiting.get(class)).into())]);
         (class.label(), fields)
     }))
 }

@@ -366,16 +366,12 @@ fn oltp_statements_bind_nothing() {
     server.shutdown();
 }
 
-/// `/stats` surfaces tracer ring health (satellite of the verify work:
-/// the drop counter the model checker guards is now observable) and the
-/// per-class admission view with its configured limits.
+/// `/stats` surfaces tracer ring health: whether the tracer runs, how
+/// many rings it holds and how many events it dropped.
 #[test]
-fn stats_expose_trace_health_and_class_limits() {
+fn stats_expose_trace_health() {
     let _guard = serial();
-    let mut cfg = config();
-    cfg.class_queue_limits
-        .set(ccp_resctrl::Class::Polluting, Some(3));
-    let mut server = Server::start(cfg).expect("start");
+    let mut server = Server::start(config()).expect("start");
     let addr = server.addr();
     let resp = fetch(addr, "GET", "/stats", None).expect("stats");
     assert_eq!(resp.status, 200);
@@ -393,23 +389,6 @@ fn stats_expose_trace_health_and_class_limits() {
     assert!(
         trace.get("dropped").and_then(Json::as_u64).is_some(),
         "drop counter numeric"
-    );
-
-    let classes = doc
-        .get("admission")
-        .and_then(|a| a.get("classes"))
-        .expect("admission.classes present");
-    let polluting = classes.get("polluting").expect("polluting class");
-    assert_eq!(
-        polluting.get("limit").and_then(Json::as_u64),
-        Some(3),
-        "configured cap surfaced"
-    );
-    assert_eq!(polluting.get("rejections").and_then(Json::as_u64), Some(0));
-    let sensitive = classes.get("sensitive").expect("sensitive class");
-    assert!(
-        matches!(sensitive.get("limit"), Some(Json::Null)),
-        "unlimited class renders null, got {sensitive:?}"
     );
     server.shutdown();
 }

@@ -11,9 +11,11 @@
 #     (a hit must skip the scan, not just relabel it);
 #   * ccp_reuse_bytes <= the configured budget.
 #
-# Phase 2 (invalidate): `POST /data/bump` advances the data version;
-# the next q1 must rebuild (reuse=miss), the one after must hit again,
-# and ccp_reuse_invalidations_total must have moved.
+# Phase 2 (invalidate): `POST /data/bump` advances the data version
+# and sweeps the stale entries at once — a scrape taken right after it,
+# before any other query, must read ccp_reuse_bytes 0 and
+# ccp_reuse_invalidations_total >= 1. The next q1 must rebuild
+# (reuse=miss) and the one after must hit again.
 #
 # Zero worker panics throughout.
 #
@@ -93,6 +95,17 @@ grep -qF '"status":"ok"' "$WORK/bump.json" || {
   echo "bump failed: $(cat "$WORK/bump.json")" >&2
   exit 1
 }
+ccp_scrape "$ADDR" /metrics "$WORK/bump.metrics.txt"
+SWEPT_BYTES=$(ccp_metric "$WORK/bump.metrics.txt" ccp_reuse_bytes)
+SWEPT=$(ccp_metric "$WORK/bump.metrics.txt" ccp_reuse_invalidations_total)
+awk -v b="$SWEPT_BYTES" -v n="$SWEPT" 'BEGIN {
+  if (b == "" || b + 0 != 0 || n == "" || n + 0 < 1) {
+    print "bump left stale entries resident: ccp_reuse_bytes=" b \
+      ", ccp_reuse_invalidations_total=" n > "/dev/stderr"
+    exit 1
+  }
+}'
+echo "   bump swept at once: ccp_reuse_bytes=${SWEPT_BYTES}, invalidations=${SWEPT}"
 Q1='{"workload":"q1","threshold":100}'
 ccp_post "$ADDR" /query "$Q1" "$WORK/rebuild.json"
 grep -qF '"reuse":"miss"' "$WORK/rebuild.json" || {

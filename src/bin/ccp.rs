@@ -19,7 +19,6 @@
 use cache_partitioning::prelude::*;
 use ccp_engine::sim::{classify_operator, AggregationSim, ColumnScanSim, FkJoinSim};
 use ccp_engine::CacheAwareScheduler;
-use ccp_resctrl::Class;
 use ccp_server::{
     fetch, install_sigint_handler, sigint_requested, HttpClient, Json, Server, ServerConfig,
 };
@@ -277,30 +276,6 @@ const SERVE_FLAGS: &[Flag<ServeArgs>] = &[
         value: "N",
         help: "admission queue cap (default 16)",
         apply: |a, v| parse_count(v).map(|n| a.config.queue_capacity = n),
-    },
-    Flag {
-        name: "--queue-limit-polluting",
-        value: "N",
-        help: "cap on waiting polluting queries (default: global cap only)",
-        apply: |a, v| {
-            parse_limit(v).map(|n| a.config.class_queue_limits.set(Class::Polluting, Some(n)))
-        },
-    },
-    Flag {
-        name: "--queue-limit-sensitive",
-        value: "N",
-        help: "cap on waiting sensitive queries (default: global cap only)",
-        apply: |a, v| {
-            parse_limit(v).map(|n| a.config.class_queue_limits.set(Class::Sensitive, Some(n)))
-        },
-    },
-    Flag {
-        name: "--queue-limit-mixed",
-        value: "N",
-        help: "cap on waiting mixed queries (default: global cap only)",
-        apply: |a, v| {
-            parse_limit(v).map(|n| a.config.class_queue_limits.set(Class::Mixed, Some(n)))
-        },
     },
     Flag {
         name: "--max-conns",

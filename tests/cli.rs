@@ -97,15 +97,12 @@ fn help_flags(section: &str) -> Vec<(String, bool)> {
 
 #[test]
 fn every_flag_is_listed_in_help_and_known_to_its_parser() {
-    const SERVE: [&str; 25] = [
+    const SERVE: [&str; 22] = [
         "--addr",
         "--olap-workers",
         "--oltp-workers",
         "--slots",
         "--queue",
-        "--queue-limit-polluting",
-        "--queue-limit-sensitive",
-        "--queue-limit-mixed",
         "--max-conns",
         "--rows",
         "--queue-deadline-ms",

@@ -7,7 +7,7 @@ use cache_partitioning::server::{fetch, Json, Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn test_server() -> Server {
     Server::start(ServerConfig {
@@ -105,8 +105,17 @@ fn scrape_exposes_all_layers() {
         text.contains("pool=\"olap\"") && text.contains("pool=\"oltp\""),
         "both pools labeled"
     );
-    // Executed jobs from the queries above are visible.
-    assert!(text.contains("ccp_server_requests_total{endpoint=\"/query\",status=\"200\"} 2"));
+    // Executed jobs from the queries above are visible. A connection
+    // thread counts its request after the reply is written, so the second
+    // query may land in the count a moment after the client has its reply.
+    let counted = "ccp_server_requests_total{endpoint=\"/query\",status=\"200\"} 2";
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut text = text;
+    while !text.contains(counted) && Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(10));
+        text = fetch(addr, "GET", "/metrics", None).unwrap().body;
+    }
+    assert!(text.contains(counted), "{text}");
     server.shutdown();
 }
 
