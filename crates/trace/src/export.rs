@@ -10,7 +10,6 @@
 
 use std::fmt;
 
-use crate::ring::{Record, KIND_INSTANT};
 use crate::TraceCat;
 
 /// What kind of record an event is.
@@ -62,22 +61,6 @@ pub struct TraceSnapshot {
     pub dropped: u64,
 }
 
-pub(crate) fn event_from_record(r: Record, tid: u32) -> TraceEvent {
-    TraceEvent {
-        tid,
-        ts_us: r.ts_us,
-        dur_us: r.dur_us,
-        kind: if r.kind == KIND_INSTANT {
-            TraceEventKind::Instant
-        } else {
-            TraceEventKind::Span
-        },
-        cat: r.cat,
-        id: r.id,
-        name: r.name,
-    }
-}
-
 impl TraceSnapshot {
     /// Keeps only the events of one query (`GET /trace?ticket=N`): spans
     /// and instants whose correlation id equals `query_id`, plus the
@@ -95,8 +78,8 @@ impl TraceSnapshot {
     ///
     /// Per thread, spans are sorted by start time (longest first on
     /// ties) and emitted through a nesting stack: every `B` gets exactly
-    /// one `E`, and a span that would cross its parent's end (possible
-    /// only via torn/partial ring reads) is clamped, so the result is
+    /// one `E`, and a span that would cross its parent's end (guards
+    /// dropped out of creation order) is clamped, so the result is
     /// always well-nested.
     pub fn to_chrome_json(&self) -> String {
         let mut arr = EventArray {
@@ -279,8 +262,8 @@ mod tests {
 
     #[test]
     fn crossing_span_is_clamped_to_parent() {
-        // A child that (impossibly) outlives its parent — as can appear
-        // after a partial ring wrap — must still nest.
+        // A child that outlives its parent — as guards dropped out of
+        // creation order record — must still nest.
         let snap = TraceSnapshot {
             events: vec![span(1, 0, 50, "parent"), span(1, 40, 100, "child")],
             threads: vec![],

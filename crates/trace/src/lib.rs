@@ -11,11 +11,13 @@
 //!
 //! ## Design
 //!
-//! * **Per-thread lock-free rings.** Each traced thread owns a bounded
-//!   ring of fixed-size slots ([`ring::SpanRing`]). Only the owning
-//!   thread writes; snapshot readers use a per-slot seqlock (odd/even
-//!   sequence numbers) to detect and skip torn slots, so recording never
-//!   takes a lock and never blocks on a reader.
+//! * **Per-thread rings, one lock each.** Each traced thread owns a
+//!   bounded, preallocated ring of fixed-size records behind its own
+//!   mutex. A push takes that lock, writes one record and releases it;
+//!   only its own thread pushes, and only a scrape reads, so the lock is
+//!   almost never contended. A snapshot copies each ring under its lock,
+//!   and [`snapshot_and_clear`] copies and empties it in the same hold,
+//!   so a scrape-then-clear loop sees every record exactly once.
 //! * **Completed spans, not raw begin/end.** A [`SpanGuard`] captures
 //!   the start timestamp on creation and writes one record (start +
 //!   duration) when dropped. The exporter re-derives begin/end pairs,
@@ -28,9 +30,10 @@
 //!   stays snapshottable (late scrapes still see its final events) until
 //!   the small dead-ring retention budget fills up; after that, each new
 //!   thread recycles the longest-dead ring — its leftover records are
-//!   counted as dropped. Memory is therefore bounded by the peak number
-//!   of *concurrently* traced threads plus that budget, even for servers
-//!   that spawn one short-lived thread per connection.
+//!   counted as dropped, never discarded uncounted. Memory is therefore
+//!   bounded by the peak number of *concurrently* traced threads plus
+//!   that budget, even for servers that spawn one short-lived thread per
+//!   connection.
 //! * **Zero-cost when disabled.** Every recording call first reads one
 //!   process-global relaxed [`AtomicBool`]; when tracing is off nothing
 //!   else happens — no thread-local access, no timestamp, no allocation.
@@ -65,32 +68,30 @@ mod ring;
 mod tracer;
 
 pub use export::{escape_json_into, ThreadInfo, TraceEvent, TraceEventKind, TraceSnapshot};
-pub use ring::{Record, SpanRing};
 pub use tracer::{
     clear, disable, dropped, enable, enabled, instant, instant_id, snapshot, snapshot_and_clear,
-    span, span_id, stats, SpanGuard, TraceConfig, Tracer, TracerStats,
+    span, span_id, stats, SpanGuard, TraceConfig, TracerStats,
 };
 
 /// Category a trace event belongs to; becomes the Chrome `cat` field so
 /// Perfetto can filter one layer of the stack at a time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
 pub enum TraceCat {
     /// HTTP service layer: request handling, response writing.
-    Server = 0,
+    Server,
     /// Admission queue: enqueue, wait, bypass, timeout.
-    Admission = 1,
+    Admission,
     /// Scheduler decision: slot acquisition, co-run admissibility.
-    Sched = 2,
+    Sched,
     /// resctrl mask-bind on an executor worker (the paper's <100 µs
     /// fast path).
-    Bind = 3,
+    Bind,
     /// Operator execution: scan, aggregate, join phases.
-    Op = 4,
+    Op,
     /// Whole-query envelope spans.
-    Query = 5,
+    Query,
     /// Reuse cache: artifact hit/miss/install/evict instants.
-    Reuse = 6,
+    Reuse,
 }
 
 impl TraceCat {
@@ -104,18 +105,6 @@ impl TraceCat {
             TraceCat::Op => "op",
             TraceCat::Query => "query",
             TraceCat::Reuse => "reuse",
-        }
-    }
-
-    pub(crate) fn from_u8(v: u8) -> TraceCat {
-        match v {
-            0 => TraceCat::Server,
-            1 => TraceCat::Admission,
-            2 => TraceCat::Sched,
-            3 => TraceCat::Bind,
-            4 => TraceCat::Op,
-            5 => TraceCat::Query,
-            _ => TraceCat::Reuse,
         }
     }
 }

@@ -1,20 +1,24 @@
 //! The process-global tracer: enable/disable, per-thread ring
 //! registration and recycling, span guards and snapshots.
+//!
+//! Lock order: the registry, then a ring. A push takes only its own
+//! ring's lock, which only a scrape (`snapshot`, `stats`, `clear`)
+//! ever contends.
 
 use std::cell::OnceCell;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
-use crate::export::{ThreadInfo, TraceSnapshot};
-use crate::ring::{Record, SpanRing, KIND_INSTANT, KIND_SPAN, MAX_NAME};
-use crate::TraceCat;
+use crate::export::{ThreadInfo, TraceEvent, TraceSnapshot};
+use crate::ring::{Name, Record, Ring};
+use crate::{TraceCat, TraceEventKind};
 
 /// Tuning knobs passed to [`enable`].
 #[derive(Debug, Clone, Copy)]
 pub struct TraceConfig {
-    /// Slots per thread-local ring; oldest records are overwritten (and
+    /// Records per thread-local ring; oldest records are overwritten (and
     /// counted as dropped) beyond this.
     pub ring_capacity: usize,
 }
@@ -27,12 +31,22 @@ impl Default for TraceConfig {
     }
 }
 
-/// Process-global tracer state. Use the free functions ([`enable`],
-/// [`span`], [`snapshot`], …) rather than holding one of these.
-pub struct Tracer {
+/// One thread's ring, shared between the thread (which pushes) and the
+/// registry (which snapshots).
+type SharedRing = Arc<Mutex<Ring>>;
+
+/// Process-global tracer state, reached through the free functions.
+struct Tracer {
     enabled: AtomicBool,
-    ring_capacity: AtomicU64,
-    next_tid: AtomicU32,
+    registry: Mutex<Registry>,
+    /// Zero point for all timestamps (first use of the tracer).
+    epoch: Instant,
+}
+
+struct Registry {
+    /// Records per ring for rings created (or recycled) from now on.
+    ring_capacity: usize,
+    next_tid: u32,
     /// Every live ring plus up to [`DEAD_RING_RETAIN`] rings of
     /// recently-exited threads (kept so late snapshots still see their
     /// final events — a query's spans outlive its worker). Beyond that
@@ -42,13 +56,11 @@ pub struct Tracer {
     /// not by the number of threads ever created (servers churn through
     /// one short-lived thread per connection). Ordered by registration
     /// recency: recycled entries move to the back.
-    rings: Mutex<Vec<RegisteredRing>>,
-    /// Zero point for all timestamps (first use of the tracer).
-    epoch: Instant,
+    rings: Vec<RegisteredRing>,
 }
 
 struct RegisteredRing {
-    ring: Arc<SpanRing>,
+    ring: SharedRing,
     tid: u32,
     thread_name: String,
 }
@@ -57,11 +69,20 @@ fn global() -> &'static Tracer {
     static TRACER: OnceLock<Tracer> = OnceLock::new();
     TRACER.get_or_init(|| Tracer {
         enabled: AtomicBool::new(false),
-        ring_capacity: AtomicU64::new(TraceConfig::default().ring_capacity as u64),
-        next_tid: AtomicU32::new(1),
-        rings: Mutex::new(Vec::new()),
+        registry: Mutex::new(Registry {
+            ring_capacity: TraceConfig::default().ring_capacity,
+            next_tid: 1,
+            rings: Vec::new(),
+        }),
         epoch: Instant::now(),
     })
+}
+
+/// Locks `m`, recovering from poison: no update of a ring or the
+/// registry can leave it invalid, and tracing must never panic its
+/// caller.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 thread_local! {
@@ -71,13 +92,13 @@ thread_local! {
     /// thread's `Arc` clone — the registry detects that (strong count
     /// back at 1) and eventually hands the ring to a later registering
     /// thread (see [`register_local_ring`]).
-    static LOCAL_RING: OnceCell<Arc<SpanRing>> = const { OnceCell::new() };
+    static LOCAL_RING: OnceCell<SharedRing> = const { OnceCell::new() };
 }
 
 /// Runs `f` with this thread's ring handle, registering (or recycling)
 /// a ring on first use. Returns `None` only during thread destruction,
 /// when the thread-local is no longer accessible.
-fn with_local<R>(t: &'static Tracer, f: impl FnOnce(&Arc<SpanRing>) -> R) -> Option<R> {
+fn with_local<R>(t: &'static Tracer, f: impl FnOnce(&SharedRing) -> R) -> Option<R> {
     LOCAL_RING
         .try_with(|cell| f(cell.get_or_init(|| register_local_ring(t))))
         .ok()
@@ -94,41 +115,37 @@ const DEAD_RING_RETAIN: usize = 8;
 /// thread-local (and any span guards) are gone. Dead rings within the
 /// [`DEAD_RING_RETAIN`] budget are left alone so their final events stay
 /// snapshottable; past the budget, the longest-dead ring is recycled for
-/// this thread instead of growing the registry. Dead rings whose
-/// capacity no longer matches the configuration are pruned outright.
-fn register_local_ring(t: &'static Tracer) -> Arc<SpanRing> {
-    // ORDERING: config knob and tid counter — the capacity is a hint
-    // (rings created around a reconfigure may use either value) and the
-    // tid only needs uniqueness, which fetch_add provides at any
-    // strength.
-    let capacity = (t.ring_capacity.load(Ordering::Relaxed) as usize).max(8);
-    let thread_name = std::thread::current().name().map(str::to_owned);
-    let tid = t.next_tid.fetch_add(1, Ordering::Relaxed);
-    let thread_name = thread_name.unwrap_or_else(|| format!("thread-{tid}"));
-    let mut rings = t.rings.lock().expect("tracer registry");
-    rings.retain(|reg| Arc::strong_count(&reg.ring) > 1 || reg.ring.capacity() == capacity);
-    let dead: Vec<usize> = (0..rings.len())
-        .filter(|&i| Arc::strong_count(&rings[i].ring) == 1)
+/// this thread instead of growing the registry: its records are counted
+/// as dropped, and it is resized to the configured capacity.
+fn register_local_ring(t: &'static Tracer) -> SharedRing {
+    let mut reg = lock(&t.registry);
+    let tid = reg.next_tid;
+    reg.next_tid += 1;
+    let thread_name = std::thread::current()
+        .name()
+        .map_or_else(|| format!("thread-{tid}"), str::to_owned);
+    let capacity = reg.ring_capacity;
+    let dead: Vec<usize> = (0..reg.rings.len())
+        .filter(|&i| Arc::strong_count(&reg.rings[i].ring) == 1)
         .collect();
-    if dead.len() >= DEAD_RING_RETAIN {
+    let entry = if dead.len() >= DEAD_RING_RETAIN {
         // `dead[0]` is the least recently registered dead entry; move it
         // to the back so the order keeps tracking recency.
-        let mut reg = rings.remove(dead[0]);
-        reg.ring.recycle();
-        reg.tid = tid;
-        reg.thread_name = thread_name;
-        let ring = Arc::clone(&reg.ring);
-        rings.push(reg);
-        ring
+        let mut entry = reg.rings.remove(dead[0]);
+        lock(&entry.ring).reset(capacity);
+        entry.tid = tid;
+        entry.thread_name = thread_name;
+        entry
     } else {
-        let ring = Arc::new(SpanRing::new(capacity));
-        rings.push(RegisteredRing {
-            ring: Arc::clone(&ring),
+        RegisteredRing {
+            ring: Arc::new(Mutex::new(Ring::new(capacity))),
             tid,
             thread_name,
-        });
-        ring
-    }
+        }
+    };
+    let ring = Arc::clone(&entry.ring);
+    reg.rings.push(entry);
+    ring
 }
 
 /// Microseconds since the tracer's epoch.
@@ -137,14 +154,13 @@ fn now_us(t: &Tracer) -> u64 {
 }
 
 /// Turns tracing on with the given configuration. Idempotent;
-/// reconfiguring applies to rings created after the call.
+/// reconfiguring applies to rings created or recycled after the call.
 pub fn enable(config: TraceConfig) {
     let t = global();
-    // ORDERING: an independent config cell plus an on/off flag; trace
-    // points that race the enable may record or skip a span either way,
-    // and nothing downstream dereferences memory guarded by the flag.
-    t.ring_capacity
-        .store(config.ring_capacity.max(8) as u64, Ordering::Relaxed);
+    lock(&t.registry).ring_capacity = config.ring_capacity.max(8);
+    // ORDERING: an on/off flag; trace points that race the enable may
+    // record or skip a span either way, and nothing downstream
+    // dereferences memory guarded by the flag.
     t.enabled.store(true, Ordering::Relaxed);
 }
 
@@ -182,16 +198,12 @@ pub fn span_id(cat: TraceCat, name: &str, id: u64) -> SpanGuard {
     let Some(ring) = with_local(t, Arc::clone) else {
         return SpanGuard::inert();
     };
-    let mut name_buf = [0u8; MAX_NAME];
-    let stored = crate::ring::truncated_utf8(name);
-    name_buf[..stored.len()].copy_from_slice(stored);
     SpanGuard {
         ring: Some(ring),
         start_us: now_us(t),
         cat,
         id,
-        name: name_buf,
-        name_len: stored.len() as u8,
+        name: Name::new(name),
         _not_send: PhantomData,
     }
 }
@@ -208,25 +220,30 @@ pub fn instant_id(cat: TraceCat, name: &str, id: u64) {
     }
     let t = global();
     let _ = with_local(t, |ring| {
-        ring.push(now_us(t), 0, KIND_INSTANT, cat, id, name);
+        lock(ring).push(Record {
+            ts_us: now_us(t),
+            dur_us: 0,
+            kind: TraceEventKind::Instant,
+            cat,
+            id,
+            name: Name::new(name),
+        });
     });
 }
 
 /// An in-flight span; writes its record (start timestamp + duration)
 /// into the owning thread's ring when dropped.
 ///
-/// Dropping on a different thread than the one that created it would
-/// break the single-writer ring protocol, so the guard is deliberately
-/// `!Send`. It holds its own `Arc` clone of the ring, which also keeps
-/// the ring out of the recycler while the span is open.
+/// The guard is `!Send`, so a thread's ring only ever holds that
+/// thread's spans. It holds its own `Arc` clone of the ring, which also
+/// keeps the ring out of the recycler while the span is open.
 pub struct SpanGuard {
     /// `None` for inert guards (tracing disabled).
-    ring: Option<Arc<SpanRing>>,
+    ring: Option<SharedRing>,
     start_us: u64,
     cat: TraceCat,
     id: u64,
-    name: [u8; MAX_NAME],
-    name_len: u8,
+    name: Name,
     /// Keeps the guard `!Send` (see the type-level doc).
     _not_send: PhantomData<*const ()>,
 }
@@ -238,8 +255,7 @@ impl SpanGuard {
             start_us: 0,
             cat: TraceCat::Query,
             id: 0,
-            name: [0; MAX_NAME],
-            name_len: 0,
+            name: Name::new(""),
             _not_send: PhantomData,
         }
     }
@@ -254,15 +270,14 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(ring) = &self.ring {
             let end = now_us(global());
-            let name = std::str::from_utf8(&self.name[..self.name_len as usize]).unwrap_or("");
-            ring.push(
-                self.start_us,
-                end.saturating_sub(self.start_us),
-                KIND_SPAN,
-                self.cat,
-                self.id,
-                name,
-            );
+            lock(ring).push(Record {
+                ts_us: self.start_us,
+                dur_us: end.saturating_sub(self.start_us),
+                kind: TraceEventKind::Span,
+                cat: self.cat,
+                id: self.id,
+                name: self.name,
+            });
         }
     }
 }
@@ -273,41 +288,49 @@ pub fn snapshot() -> TraceSnapshot {
     snapshot_inner(false)
 }
 
-/// Like [`snapshot`], but additionally hides exactly the records the
-/// snapshot observed (`GET /trace?clear=1`): spans recorded while the
-/// snapshot was being taken stay visible for the next one, so a
-/// scrape-then-clear loop sees each span exactly once.
+/// Like [`snapshot`], but also empties every ring (`GET /trace?clear=1`).
+/// Each ring is copied and emptied in one hold of its lock, so a
+/// scrape-then-clear loop sees each record exactly once.
 pub fn snapshot_and_clear() -> TraceSnapshot {
     snapshot_inner(true)
 }
 
 fn snapshot_inner(clear: bool) -> TraceSnapshot {
-    let t = global();
-    let rings = t.rings.lock().expect("tracer registry");
+    let reg = lock(&global().registry);
     let mut events = Vec::new();
-    let mut threads = Vec::with_capacity(rings.len());
-    let mut dropped_total = 0u64;
-    for reg in rings.iter() {
-        let mut records: Vec<Record> = Vec::new();
-        let head = reg.ring.collect(&mut records);
-        dropped_total += reg.ring.dropped();
-        if clear {
-            reg.ring.clear_to(head);
+    let mut threads = Vec::with_capacity(reg.rings.len());
+    let mut dropped = 0u64;
+    let mut copied: Vec<Record> = Vec::new();
+    for entry in &reg.rings {
+        {
+            let mut ring = lock(&entry.ring);
+            copied.clear();
+            copied.extend(ring.records().copied());
+            dropped += ring.dropped();
+            if clear {
+                ring.clear();
+            }
         }
+        // Decoding allocates a name per record; it runs after the owner
+        // is free to push again.
+        events.extend(copied.iter().map(|r| TraceEvent {
+            tid: entry.tid,
+            ts_us: r.ts_us,
+            dur_us: r.dur_us,
+            kind: r.kind,
+            cat: r.cat,
+            id: r.id,
+            name: r.name.as_str().to_owned(),
+        }));
         threads.push(ThreadInfo {
-            tid: reg.tid,
-            name: reg.thread_name.clone(),
+            tid: entry.tid,
+            name: entry.thread_name.clone(),
         });
-        events.extend(
-            records
-                .into_iter()
-                .map(|r| crate::export::event_from_record(r, reg.tid)),
-        );
     }
     TraceSnapshot {
         events,
         threads,
-        dropped: dropped_total,
+        dropped,
     }
 }
 
@@ -330,26 +353,22 @@ pub struct TracerStats {
 
 /// Snapshot of the tracer's ring/overflow counters (see [`TracerStats`]).
 pub fn stats() -> TracerStats {
-    let t = global();
-    let rings = t.rings.lock().expect("tracer registry");
+    let reg = lock(&global().registry);
     TracerStats {
-        // ORDERING: point-in-time stats read; staleness is inherent to a
-        // scrape.
-        enabled: t.enabled.load(Ordering::Relaxed),
-        rings: rings.len(),
-        dropped: rings.iter().map(|r| r.ring.dropped()).sum(),
+        enabled: enabled(),
+        rings: reg.rings.len(),
+        dropped: dropped_in(&reg),
     }
 }
 
-/// Total records lost to ring wrap-around since the last [`clear`].
+/// Total records lost to ring wrap-around or recycling since the last
+/// [`clear`].
 pub fn dropped() -> u64 {
-    let t = global();
-    t.rings
-        .lock()
-        .expect("tracer registry")
-        .iter()
-        .map(|r| r.ring.dropped())
-        .sum()
+    dropped_in(&lock(&global().registry))
+}
+
+fn dropped_in(reg: &Registry) -> u64 {
+    reg.rings.iter().map(|r| lock(&r.ring).dropped()).sum()
 }
 
 /// Forgets all recorded events: subsequent snapshots only contain events
@@ -357,8 +376,7 @@ pub fn dropped() -> u64 {
 /// with a snapshot — a separate snapshot-then-`clear` sequence silently
 /// hides anything recorded in between.
 pub fn clear() {
-    let t = global();
-    for reg in t.rings.lock().expect("tracer registry").iter() {
-        reg.ring.clear();
+    for entry in &lock(&global().registry).rings {
+        lock(&entry.ring).clear();
     }
 }

@@ -1,25 +1,28 @@
 //! # ccp-verify — deterministic interleaving checking
 //!
-//! The reproduction leans on hand-rolled lock-free code in exactly the
-//! places the paper's claims depend on: the tracer's seqlock span rings
-//! (`ccp-trace`), the observability layer's lock-free histograms
-//! (`ccp-obs`), the scheduler-gated admission queue and the dual-pool
-//! executor (`ccp-server`/`ccp-engine`). An ordering bug in any of them
-//! does not crash — it silently corrupts the numbers the experiments
-//! report. This crate is the checking machinery: a small, std-only,
-//! loom-style **interleaving explorer** plus model-check harnesses (in
-//! `tests/`) that drive the real data structures through every (bounded)
-//! interleaving of their operations and assert linearizability-ish
-//! invariants:
+//! The reproduction leans on hand-rolled concurrent code in exactly the
+//! places the paper's claims depend on: the observability layer's
+//! lock-free histograms (`ccp-obs`), the scheduler-gated admission queue,
+//! the dual-pool executor, the reuse cache's single-flight and the
+//! resctrl group lifecycle (`ccp-server`/`ccp-engine`/`ccp-reuse`/
+//! `ccp-resctrl`). An ordering bug in any of them does not crash — it
+//! silently corrupts the numbers the experiments report. This crate is
+//! the checking machinery: a small, std-only, loom-style **interleaving
+//! explorer** plus model-check harnesses (in `tests/`) that drive the
+//! real data structures through every (bounded) interleaving of their
+//! operations and assert linearizability-ish invariants, for example:
 //!
-//! * **no lost records beyond the dropped counter** — every record
-//!   pushed into a `ccp_trace::SpanRing` is eventually observed by a
-//!   snapshot, still visible, or counted as dropped;
-//! * **monotone heads** — a ring's write index never runs backwards,
-//!   under any snapshot/clear/recycle interleaving;
+//! * **monotone, exact histograms** — a scrape racing the recorders
+//!   never sees totals regress or exceed what was recorded, and the
+//!   final counts and sum are exact;
 //! * **conserved queue tickets** — every admission attempt consumes
 //!   exactly one ticket, granted tickets are unique and monotone, and
 //!   the queue drains to empty once all permits drop.
+//!
+//! `tests/differential.rs` keeps, as models, the two bugs the harnesses
+//! caught in the tracer's former seqlock span ring (now one mutex per
+//! ring, checked by `ccp-trace`'s own thread tests), and holds DPOR to
+//! finding them as surely as exhaustive search does.
 //!
 //! ## How it works
 //!
@@ -49,8 +52,8 @@
 //! discipline loom applies to memory orderings, scaled down to the
 //! operation interleavings our invariants actually depend on — which is
 //! precisely the granularity at which the PR-3 `/trace?clear=1`
-//! snapshot-vs-clear race lived (see `tests/span_ring.rs`, which
-//! re-finds that bug shape when the `clear_to` guard is reverted).
+//! snapshot-vs-clear race lived (see `tests/differential.rs`, which
+//! re-finds that bug shape in a model of a two-step snapshot-then-clear).
 //!
 //! ## Example
 //!

@@ -5,16 +5,16 @@
 //! soundness contract of the reduction: pruning interleavings may never
 //! prune a bug.
 //!
-//! The fixtures reproduce the two real bugs this repo's harnesses have
-//! caught: the PR-3 `/trace?clear=1` snapshot-vs-clear race (via the
-//! real [`ccp_trace::SpanRing`] with the guard reverted) and the PR-4
-//! recycle drop-accounting double-count (as a model, since the shipped
-//! ring carries the `i - cap >= cleared_upto` fix), plus the classic
-//! two-step lost update as a baseline.
+//! The fixtures reproduce, as models, the two real bugs this repo's
+//! harnesses caught in the tracer's former seqlock span ring: the PR-3
+//! `/trace?clear=1` snapshot-vs-clear race (also seeded into one of two
+//! independent logs, where DPOR prunes most interleavings) and the PR-4
+//! recycle drop-accounting double-count, plus the classic two-step lost
+//! update as a baseline.
 
-use ccp_trace::{SpanRing, TraceCat};
 use ccp_verify::{explore, replay, Access, Actor, Mode, Violation};
 use std::collections::BTreeSet;
+use std::time::Instant;
 
 const BUDGET: usize = 200_000;
 
@@ -150,97 +150,181 @@ fn lost_update_found_by_both_modes_and_clean_variant_passes_both() {
 }
 
 // ---------------------------------------------------------------------
-// Fixture 2: the PR-3 snapshot-vs-clear race, on the real SpanRing.
+// Fixture 2: the PR-3 snapshot-vs-clear race, as a model.
 // ---------------------------------------------------------------------
 
-struct RingModel {
-    ring: SpanRing,
+/// A plain log read by a two-step snapshot-then-clear: the shape of
+/// `/trace?clear=1` when the copy and the clear were separate steps. The
+/// shipped tracer copies and empties a ring in one lock hold, so the bug
+/// is reproduced here in model form: clearing everything after the
+/// snapshot loses any record pushed in between, while clearing only the
+/// prefix the snapshot saw loses nothing.
+struct Log {
+    /// Record `i` carries id `i`.
+    records: Vec<u64>,
     pushed: u64,
     observed: BTreeSet<u64>,
-    snapshot_head: u64,
+    /// How many records the reader's last snapshot saw.
+    seen: usize,
+    buggy: bool,
 }
 
-/// One writer, one snapshot-then-clear reader. `guarded` selects the
-/// shipped `clear_to(observed_head)` fix; the buggy variant reverts to
-/// the unconditional `clear()` that lost records pushed between the
-/// snapshot and the clear.
-fn pr3_build(guarded: bool) -> impl Fn() -> (RingModel, Vec<Actor<RingModel>>) {
-    move || {
-        let state = RingModel {
-            ring: SpanRing::new(8),
+impl Log {
+    fn new(buggy: bool) -> Log {
+        Log {
+            records: Vec::new(),
             pushed: 0,
             observed: BTreeSet::new(),
-            snapshot_head: 0,
-        };
-        let mut writer = Actor::new("writer");
-        for _ in 0..3 {
-            writer = writer.then_accessing(
-                |s: &mut RingModel| {
-                    s.ring.push_instant(s.pushed, TraceCat::Op, s.pushed, "w");
-                    s.pushed += 1;
-                },
-                &[Access::Write("ring")],
-            );
+            seen: 0,
+            buggy,
         }
-        let reader = Actor::new("reader")
-            .then_accessing(
-                |s: &mut RingModel| {
-                    let mut buf = Vec::new();
-                    s.snapshot_head = s.ring.collect(&mut buf);
-                    s.observed.extend(buf.iter().map(|r| r.id));
-                },
-                &[Access::Read("ring")],
-            )
-            .then_accessing(
-                move |s: &mut RingModel| {
-                    if guarded {
-                        s.ring.clear_to(s.snapshot_head);
-                    } else {
-                        s.ring.clear();
-                    }
-                },
-                &[Access::Write("ring")],
-            );
-        (state, vec![writer, reader])
+    }
+
+    fn push(&mut self) {
+        self.records.push(self.pushed);
+        self.pushed += 1;
+    }
+
+    fn snapshot(&mut self) {
+        self.observed.extend(&self.records);
+        self.seen = self.records.len();
+    }
+
+    fn clear(&mut self) {
+        if self.buggy {
+            self.records.clear();
+        } else {
+            self.records.drain(..self.seen);
+        }
+    }
+
+    /// Ids no snapshot and no final sweep ever observed.
+    fn lost(&mut self) -> Vec<u64> {
+        self.observed.extend(&self.records);
+        (0..self.pushed)
+            .filter(|id| !self.observed.contains(id))
+            .collect()
     }
 }
 
-fn pr3_final(s: &mut RingModel) -> Result<(), String> {
-    let mut buf = Vec::new();
-    s.ring.collect(&mut buf);
-    s.observed.extend(buf.iter().map(|r| r.id));
-    let missing: Vec<u64> = (0..s.pushed)
-        .filter(|id| !s.observed.contains(id))
-        .collect();
-    if missing.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("records never observed: {missing:?}"))
+/// Independent logs, indexed by the actors' log number.
+struct Logs(Vec<Log>);
+
+/// One writer pushing `records` records and one reader running `cycles`
+/// snapshot-then-clear passes on `logs[i]`, every step annotated with
+/// that log as its object.
+fn log_actors(i: usize, records: u64, cycles: usize) -> [Actor<Logs>; 2] {
+    const OBJECTS: [&str; 2] = ["log-0", "log-1"];
+    let obj = OBJECTS[i];
+    let mut writer = Actor::new(format!("writer-{i}"));
+    for _ in 0..records {
+        writer = writer.then_accessing(move |s: &mut Logs| s.0[i].push(), &[Access::Write(obj)]);
     }
+    let mut reader = Actor::new(format!("reader-{i}"));
+    for _ in 0..cycles {
+        reader = reader
+            .then_accessing(move |s: &mut Logs| s.0[i].snapshot(), &[Access::Read(obj)])
+            .then_accessing(move |s: &mut Logs| s.0[i].clear(), &[Access::Write(obj)]);
+    }
+    [writer, reader]
+}
+
+fn logs_final(s: &mut Logs) -> Result<(), String> {
+    for (i, log) in s.0.iter_mut().enumerate() {
+        let lost = log.lost();
+        if !lost.is_empty() {
+            return Err(format!("log {i}: records never observed: {lost:?}"));
+        }
+    }
+    Ok(())
+}
+
+fn pr3_build(buggy: bool) -> impl Fn() -> (Logs, Vec<Actor<Logs>>) {
+    move || (Logs(vec![Log::new(buggy)]), log_actors(0, 3, 1).into())
 }
 
 #[test]
 fn pr3_clear_race_found_by_both_modes_and_fix_passes_both() {
     assert_modes_agree(
         "pr3/buggy",
-        pr3_build(false),
+        pr3_build(true),
         |_| Ok(()),
-        pr3_final,
+        logs_final,
         Some("never observed"),
     );
-    assert_modes_agree("pr3/fixed", pr3_build(true), |_| Ok(()), pr3_final, None);
+    assert_modes_agree("pr3/fixed", pr3_build(false), |_| Ok(()), logs_final, None);
+}
+
+/// Two independent logs, each with its own writer/reader pair, like the
+/// tracer's per-thread rings; `buggy_log` seeds the bug in that log.
+fn two_log_build(
+    records: u64,
+    cycles: usize,
+    buggy_log: Option<usize>,
+) -> impl Fn() -> (Logs, Vec<Actor<Logs>>) {
+    move || {
+        let logs = Logs((0..2).map(|i| Log::new(buggy_log == Some(i))).collect());
+        let actors = [0, 1]
+            .into_iter()
+            .flat_map(|i| log_actors(i, records, cycles))
+            .collect();
+        (logs, actors)
+    }
+}
+
+#[test]
+fn pr3_seeded_in_one_of_two_independent_logs_found_by_both_modes() {
+    assert_modes_agree(
+        "pr3/two-logs/buggy",
+        two_log_build(3, 1, Some(1)),
+        |_| Ok(()),
+        logs_final,
+        Some("log 1: records never observed"),
+    );
+}
+
+/// The headline reduction: two independent writer/reader pairs explode
+/// to 25 200 interleavings, but DPOR needs only one representative per
+/// Mazurkiewicz trace.
+#[test]
+fn independent_logs_verify_under_dpor_with_real_reduction() {
+    let (records, cycles) = if ccp_verify::deep() { (4, 2) } else { (3, 1) };
+    let start = Instant::now();
+    let report = explore(
+        Mode::Dpor {
+            max_schedules: ccp_verify::budget(BUDGET),
+        },
+        two_log_build(records, cycles, None),
+        |_| Ok(()),
+        logs_final,
+    )
+    .expect("prefix-only clears must lose nothing");
+    ccp_verify::emit_stats("differential/two_logs", "dpor", &report, start.elapsed());
+    assert!(report.exhausted, "DPOR must close the space: {report:?}");
+    if !ccp_verify::deep() {
+        // 2 writers × 3 pushes + 2 readers × 2 steps = 10!/(3!2!3!2!).
+        assert_eq!(report.interleavings, 25_200);
+        // Per log: C(5,2) = 10 fully-conflicting interleavings; the two
+        // logs are independent, so 100 traces cover the product space.
+        assert_eq!(report.traces_explored, 100, "{report:?}");
+    }
+    assert!(
+        report.reduction_ratio() >= 2.0,
+        "the reduction must be real: ratio {} on {report:?}",
+        report.reduction_ratio()
+    );
 }
 
 // ---------------------------------------------------------------------
 // Fixture 3: the PR-4 recycle drop-accounting double-count, as a model.
 // ---------------------------------------------------------------------
 
-/// Miniature of the span ring's drop accounting. The shipped
-/// `SpanRing::recycle` carries the `i - cap >= cleared_upto` guard, so
-/// the bug is reproduced here in model form: `recycle()` counts every
-/// still-visible record as dropped, and a wrapping push counts its
-/// victim — the bug was counting victims that recycle had *already*
-/// counted, inflating `dropped` past conservation.
+/// Miniature of the former seqlock span ring's drop accounting, which
+/// hid records behind a `cleared_upto` floor instead of removing them:
+/// `recycle()` counts every still-visible record as dropped, and a
+/// wrapping push counts its victim — the bug was counting victims that
+/// recycle had *already* counted, inflating `dropped` past conservation.
+/// The fix guards the wrap count with `victim >= cleared_upto`.
 struct MiniRing {
     cap: u64,
     head: u64,

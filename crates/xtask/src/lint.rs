@@ -648,7 +648,7 @@ mod tests {
     #[test]
     fn bare_then_is_flagged_in_verify_tests_only() {
         let src = "let w = Actor::new(\"w\").then(|s: &mut u64| *s += 1);\n";
-        let f = lint_src("crates/verify/tests/span_ring.rs", src);
+        let f = lint_src("crates/verify/tests/differential.rs", src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "verify-annotated");
         // Outside the harness tree the rule is silent (and `.then(` on
@@ -664,7 +664,7 @@ mod tests {
                    x.load(Ordering::Relaxed); y.unwrap();\n";
         // The Relaxed load and unwrap would trip the hygiene rules in
         // src scope; in a harness file only the annotation rule runs.
-        let f = lint_src("crates/verify/tests/span_ring.rs", src);
+        let f = lint_src("crates/verify/tests/differential.rs", src);
         assert!(f.is_empty(), "{f:?}");
     }
 
