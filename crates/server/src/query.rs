@@ -250,7 +250,7 @@ impl Datasets {
         let regions = Arc::new(DictColumn::build(&gen::uniform_ints(rows, 64, 12)));
         let pk = Arc::new(DictColumn::build(&gen::primary_keys(keys, 21)));
         let fk = Arc::new(DictColumn::build(&gen::foreign_keys(rows, keys as i64, 22)));
-        let (lineitem, _orders) = ccp_tpch::sample_database(rows, keys, 7);
+        let lineitem = Arc::new(ccp_tpch::gen::lineitem_sample(rows, keys, 7));
         // OLTP side: an ACDOCA-like document table — repeated document
         // keys, an amount per row.
         let doc_count = (rows / 8).max(8) as i64;

@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks for the column-store substrate: compressed
-//! scan throughput, dictionary encode/decode, hash-table update and
-//! bit-vector probe rates. These are the native (non-simulated) kernels
-//! that would run under resctrl on CAT hardware.
+//! scan throughput, dictionary encode/decode and column build, hash-table
+//! update and bit-vector probe rates. These are the native (non-simulated)
+//! kernels that would run under resctrl on CAT hardware.
 
 use ccp_storage::bitpack::{scan_blocks, SCAN_BLOCK};
 use ccp_storage::{
@@ -55,6 +55,14 @@ fn bench_dictionary(c: &mut Criterion) {
             acc
         });
     });
+    // Whole-column encodes: a wide domain (128 k values, 17-bit codes)
+    // and the server's 64-region one, both through the rank table.
+    const BUILD_ROWS: usize = 1 << 18;
+    g.throughput(Throughput::Elements(BUILD_ROWS as u64));
+    for (id, distinct) in [("build_256k_wide", 1i64 << 17), ("build_256k_narrow", 64)] {
+        let values = gen::uniform_ints(BUILD_ROWS, distinct, 5);
+        g.bench_function(id, |b| b.iter(|| DictColumn::build(&values).len()));
+    }
     g.finish();
 }
 

@@ -4,9 +4,14 @@
 //! [`Dictionary`] plus a [`PackedCodeVector`] of per-row codes. Range scans
 //! run on the packed codes without decompression; materializing operators
 //! decode through the dictionary.
+//!
+//! [`DictColumn::build`] is the only constructor. It encodes through the
+//! element type's [`DictValue`] encoder — a rank table for dense `i64`
+//! domains, a binary search per row otherwise — and every encoder
+//! yields the same dictionary and packed words for the same rows.
 
 use crate::bitpack::PackedCodeVector;
-use crate::dict::{DictEntrySize, Dictionary};
+use crate::dict::{DictValue, Dictionary};
 use std::ops::Bound;
 
 /// One dictionary-encoded column.
@@ -17,20 +22,6 @@ pub struct DictColumn<T: Ord> {
 }
 
 impl<T: Ord + Clone> DictColumn<T> {
-    /// Encodes `values` into a fresh column.
-    pub fn build(values: &[T]) -> Self {
-        let dict = Dictionary::build(values.to_vec());
-        let bits = dict.code_bits();
-        let mut codes = PackedCodeVector::with_capacity(bits, values.len());
-        for v in values {
-            let code = dict
-                .encode(v)
-                .expect("dictionary was built from these values");
-            codes.push(code);
-        }
-        DictColumn { dict, codes }
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.codes.len()
@@ -69,7 +60,14 @@ impl<T: Ord + Clone> DictColumn<T> {
     }
 }
 
-impl<T: Ord + Clone + DictEntrySize> DictColumn<T> {
+impl<T: DictValue> DictColumn<T> {
+    /// Encodes `values` into a fresh column through `T`'s encoder
+    /// ([`DictValue::encode_column`]).
+    pub fn build(values: &[T]) -> Self {
+        let (dict, codes) = T::encode_column(values);
+        DictColumn { dict, codes }
+    }
+
     /// Dictionary footprint in bytes.
     pub fn dict_bytes(&self) -> u64 {
         self.dict.size_bytes()

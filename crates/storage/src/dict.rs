@@ -7,7 +7,15 @@
 //! materialize values (aggregation output, projections) perform random
 //! lookups into the dictionary, which is exactly the cache-sensitive access
 //! pattern the paper analyzes.
+//!
+//! A column is encoded by its element type's [`DictValue::encode_column`].
+//! The provided encoder sorts a copy of the rows and binary-searches each
+//! row. `i64` reads each row's code from a rank table indexed by
+//! `value - min` instead, whenever the domain spans at most `2 × rows`
+//! values (where the table is no larger than the sorted copy); both
+//! encoders build the same column, bit for bit.
 
+use crate::bitpack::PackedCodeVector;
 use std::ops::Bound;
 
 /// A sorted, deduplicated value domain with O(log n) encode and O(1) decode.
@@ -108,10 +116,7 @@ impl<T: Ord + Copy> Dictionary<T> {
     }
 }
 
-impl<T: Ord + Clone> Dictionary<T>
-where
-    T: DictEntrySize,
-{
+impl<T: DictValue> Dictionary<T> {
     /// Estimated in-memory size of the dictionary in bytes — what the
     /// paper's experiments vary between 4 MiB and 400 MiB.
     pub fn size_bytes(&self) -> u64 {
@@ -119,25 +124,92 @@ where
     }
 }
 
-/// Per-entry memory footprint used for dictionary sizing.
-pub trait DictEntrySize {
+/// A type a column can hold: its per-entry dictionary footprint and how a
+/// column of it is encoded.
+pub trait DictValue: Ord + Clone {
     /// Bytes this entry occupies in the dictionary storage.
     fn entry_bytes(&self) -> u64;
-}
 
-impl DictEntrySize for i64 {
-    fn entry_bytes(&self) -> u64 {
-        std::mem::size_of::<i64>() as u64
+    /// Encodes `values` into their sorted distinct values and one code per
+    /// row. Provided: sort and deduplicate a copy of the rows into a
+    /// [`Dictionary`], then binary-search it once per row.
+    fn encode_column(values: &[Self]) -> (Dictionary<Self>, PackedCodeVector) {
+        encode_by_search(values)
     }
 }
 
-impl DictEntrySize for i32 {
+/// The encoder for any domain: sorts and deduplicates a row-sized copy of
+/// `values` into a [`Dictionary`], then binary-searches it once per row.
+fn encode_by_search<T: Ord + Clone>(values: &[T]) -> (Dictionary<T>, PackedCodeVector) {
+    let dict = Dictionary::build(values.to_vec());
+    let mut codes = PackedCodeVector::with_capacity(dict.code_bits(), values.len());
+    for v in values {
+        let code = dict
+            .encode(v)
+            .expect("dictionary was built from these values");
+        codes.push(code);
+    }
+    (dict, codes)
+}
+
+/// The encoder for a dense integer domain: a value's code is its rank
+/// among the column's distinct values, read from a table indexed by
+/// `value - min` instead of searched for. `None` when `values` is empty or
+/// spans more than `2 × rows` values. The table costs 4 B per domain
+/// value and [`encode_by_search`] a copy of 8 B per row, so `2 × rows` is
+/// exactly where the table stops being the smaller of the two.
+fn encode_by_rank(values: &[i64]) -> Option<(Dictionary<i64>, PackedCodeVector)> {
+    let (&first, rest) = values.split_first()?;
+    let (min, max) = rest
+        .iter()
+        .fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    let span = u128::from(max.abs_diff(min)) + 1;
+    if span > 2 * values.len() as u128 {
+        return None;
+    }
+    // Mark the values present, then turn the marks into ranks in one
+    // ascending pass that also collects the sorted distinct values.
+    let mut table = vec![0u32; span as usize];
+    let mut distinct = 0;
+    for &v in values {
+        let slot = &mut table[v.abs_diff(min) as usize];
+        distinct += usize::from(*slot == 0);
+        *slot = 1;
+    }
+    let mut sorted = Vec::with_capacity(distinct);
+    for (offset, slot) in table.iter_mut().enumerate() {
+        if *slot != 0 {
+            *slot = sorted.len() as u32;
+            sorted.push(min + offset as i64);
+        }
+    }
+    let dict = Dictionary::from_sorted(sorted);
+    let mut codes = PackedCodeVector::with_capacity(dict.code_bits(), values.len());
+    for &v in values {
+        codes.push(table[v.abs_diff(min) as usize]);
+    }
+    Some((dict, codes))
+}
+
+impl DictValue for i64 {
+    fn entry_bytes(&self) -> u64 {
+        std::mem::size_of::<i64>() as u64
+    }
+
+    /// Through a rank table over a dense domain, by search over a sparse
+    /// one; both give the same column.
+    fn encode_column(values: &[i64]) -> (Dictionary<i64>, PackedCodeVector) {
+        encode_by_rank(values).unwrap_or_else(|| encode_by_search(values))
+    }
+}
+
+impl DictValue for i32 {
     fn entry_bytes(&self) -> u64 {
         std::mem::size_of::<i32>() as u64
     }
 }
 
-impl DictEntrySize for String {
+impl DictValue for String {
     fn entry_bytes(&self) -> u64 {
         // String payload plus the Vec<String> slot (ptr/len/cap), matching
         // how a real engine would account variable-size dictionary entries.
@@ -148,6 +220,7 @@ impl DictEntrySize for String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn dict() -> Dictionary<i64> {
         Dictionary::build(vec![30, 10, 20, 10, 40, 30])
@@ -240,6 +313,74 @@ mod tests {
         assert_eq!(d.size_bytes(), 8000);
         let s = Dictionary::build(vec!["alpha".to_string(), "be".to_string()]);
         assert_eq!(s.size_bytes(), 5 + 24 + 2 + 24);
+    }
+
+    /// The reference column: `Dictionary::build`, then `encode` per row.
+    fn reference(values: &[i64]) -> (Dictionary<i64>, PackedCodeVector) {
+        let dict = Dictionary::build(values.to_vec());
+        let codes: Vec<u32> = values.iter().map(|v| dict.encode(v).unwrap()).collect();
+        let codes = PackedCodeVector::from_codes(dict.code_bits(), &codes);
+        (dict, codes)
+    }
+
+    /// Asserts the `i64` encoder builds the reference column bit for bit;
+    /// returns whether it took the rank table.
+    fn assert_matches_reference(values: &[i64]) -> bool {
+        let by_rank = encode_by_rank(values).is_some();
+        let (dict, codes) = i64::encode_column(values);
+        let (ref_dict, ref_codes) = reference(values);
+        assert_eq!(dict.values, ref_dict.values, "{values:?}");
+        assert_eq!(dict.values.capacity(), dict.len(), "{values:?}");
+        assert_eq!(codes.bits(), ref_codes.bits(), "{values:?}");
+        assert_eq!(codes.len(), values.len());
+        assert_eq!(codes.words(), ref_codes.words(), "{values:?}");
+        by_rank
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn i64_encoder_matches_reference(values in prop_oneof![
+            // Dense, negative and positive.
+            proptest::collection::vec(-40i64..40, 0..300),
+            // Dense near an arbitrary base, extremes included.
+            (i64::MIN..=i64::MAX, proptest::collection::vec(0i64..64, 0..200))
+                .prop_map(|(base, offsets)| offsets
+                    .into_iter()
+                    .map(|o| base.saturating_add(o))
+                    .collect()),
+            // Sparse: the whole i64 range.
+            proptest::collection::vec(i64::MIN..=i64::MAX, 0..100),
+            // Both extremes beside small values: the span overflows i64.
+            proptest::collection::vec(
+                prop_oneof![Just(i64::MIN), Just(i64::MAX), -3i64..3],
+                0..50,
+            ),
+            // All rows equal.
+            (i64::MIN..=i64::MAX, 1usize..100).prop_map(|(v, n)| vec![v; n]),
+        ]) {
+            assert_matches_reference(&values);
+        }
+    }
+
+    #[test]
+    fn i64_encoder_takes_the_table_only_on_a_dense_domain() {
+        assert!(!assert_matches_reference(&[]));
+        assert!(assert_matches_reference(&[i64::MIN]));
+        assert!(assert_matches_reference(&[i64::MAX; 5]));
+        assert!(assert_matches_reference(&[-5, -1, -5, -3]));
+        assert!(!assert_matches_reference(&[i64::MIN, i64::MAX, 0]));
+        // The table may span at most 2 × rows values.
+        assert!(assert_matches_reference(&[0, 5, 2]));
+        assert!(!assert_matches_reference(&[0, 6, 2]));
+        assert!(!assert_matches_reference(&[-1_000_000, 1_000_000]));
+    }
+
+    #[test]
+    fn server_shaped_column_takes_the_table() {
+        let values = crate::gen::uniform_ints(2_000_000, 1_000_000, 32);
+        let (dict, codes) = encode_by_rank(&values).expect("a dense domain");
+        assert!(dict.len() <= 1_000_000);
+        assert_eq!(codes.len(), values.len());
     }
 
     #[test]

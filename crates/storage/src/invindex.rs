@@ -20,7 +20,8 @@ impl InvertedIndex {
     /// values (codes must be `< dict_len`).
     ///
     /// # Panics
-    /// Panics when a code is out of range.
+    /// Panics when a code is out of range, or when there are more rows
+    /// than `u32` row ids (2³²).
     pub fn build(codes: impl Iterator<Item = u32> + Clone, dict_len: usize) -> Self {
         let mut counts = vec![0u64; dict_len + 1];
         let mut n_rows = 0u64;
@@ -32,6 +33,10 @@ impl InvertedIndex {
             counts[c as usize + 1] += 1;
             n_rows += 1;
         }
+        assert!(
+            n_rows <= u64::from(u32::MAX) + 1,
+            "{n_rows} rows do not fit in u32 row ids"
+        );
         for i in 1..counts.len() {
             counts[i] += counts[i - 1];
         }

@@ -20,30 +20,24 @@ use rand::{Rng, SeedableRng};
 pub fn lineitem_sample(rows: usize, orders: usize, seed: u64) -> Table {
     assert!(rows > 0 && orders > 0, "sample needs rows and orders");
     let mut rng = StdRng::seed_from_u64(seed);
-    let orderkey: Vec<i64> = (0..rows)
-        .map(|_| rng.gen_range(1..=orders as i64))
-        .collect();
-    let quantity: Vec<i64> = (0..rows).map(|_| rng.gen_range(1..=50)).collect();
     let price_domain = (rows as i64 / 2).max(10);
-    let extendedprice: Vec<i64> = (0..rows)
-        .map(|_| rng.gen_range(90_000..90_000 + price_domain))
-        .collect();
-    let discount: Vec<i64> = (0..rows).map(|_| rng.gen_range(0..=10)).collect();
-    // Return flag A/N/R and line status F/O, encoded as small integers
-    // (0..3 and 0..2) with the spec's rough proportions.
-    let returnflag: Vec<i64> = (0..rows).map(|_| rng.gen_range(0..3)).collect();
-    let linestatus: Vec<i64> = (0..rows).map(|_| rng.gen_range(0..2)).collect();
-
     let mut t = Table::new("lineitem");
-    t.add_column("L_ORDERKEY", Column::Int(DictColumn::build(&orderkey)));
-    t.add_column("L_QUANTITY", Column::Int(DictColumn::build(&quantity)));
-    t.add_column(
-        "L_EXTENDEDPRICE",
-        Column::Int(DictColumn::build(&extendedprice)),
-    );
-    t.add_column("L_DISCOUNT", Column::Int(DictColumn::build(&discount)));
-    t.add_column("L_RETURNFLAG", Column::Int(DictColumn::build(&returnflag)));
-    t.add_column("L_LINESTATUS", Column::Int(DictColumn::build(&linestatus)));
+    // One column at a time: draw it, encode it, drop the draws. At most
+    // one row-sized `Vec<i64>` is alive, and the draws happen in this
+    // order, column after column.
+    for (name, lo, hi) in [
+        ("L_ORDERKEY", 1, orders as i64),
+        ("L_QUANTITY", 1, 50),
+        ("L_EXTENDEDPRICE", 90_000, 90_000 + price_domain - 1),
+        ("L_DISCOUNT", 0, 10),
+        // Return flag A/N/R and line status F/O, encoded as small
+        // integers (0..3 and 0..2) with the spec's rough proportions.
+        ("L_RETURNFLAG", 0, 2),
+        ("L_LINESTATUS", 0, 1),
+    ] {
+        let values: Vec<i64> = (0..rows).map(|_| rng.gen_range(lo..=hi)).collect();
+        t.add_column(name, Column::Int(DictColumn::build(&values)));
+    }
     t
 }
 
@@ -82,6 +76,48 @@ mod tests {
             panic!()
         };
         assert!(p.dict().len() > 1_000);
+    }
+
+    /// Draws every column before encoding any, the way the generator
+    /// used to, with the half-open ranges it used to draw from.
+    fn lineitem_drawn_first(
+        rows: usize,
+        orders: usize,
+        seed: u64,
+    ) -> Vec<(&'static str, Vec<i64>)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let orderkey: Vec<i64> = (0..rows)
+            .map(|_| rng.gen_range(1..=orders as i64))
+            .collect();
+        let quantity: Vec<i64> = (0..rows).map(|_| rng.gen_range(1..=50)).collect();
+        let price_domain = (rows as i64 / 2).max(10);
+        let extendedprice: Vec<i64> = (0..rows)
+            .map(|_| rng.gen_range(90_000..90_000 + price_domain))
+            .collect();
+        let discount: Vec<i64> = (0..rows).map(|_| rng.gen_range(0..=10)).collect();
+        let returnflag: Vec<i64> = (0..rows).map(|_| rng.gen_range(0..3)).collect();
+        let linestatus: Vec<i64> = (0..rows).map(|_| rng.gen_range(0..2)).collect();
+        vec![
+            ("L_ORDERKEY", orderkey),
+            ("L_QUANTITY", quantity),
+            ("L_EXTENDEDPRICE", extendedprice),
+            ("L_DISCOUNT", discount),
+            ("L_RETURNFLAG", returnflag),
+            ("L_LINESTATUS", linestatus),
+        ]
+    }
+
+    #[test]
+    fn column_at_a_time_draws_the_same_columns() {
+        let t = lineitem_sample(10_000, 1_000, 7);
+        for (name, values) in lineitem_drawn_first(10_000, 1_000, 7) {
+            let Column::Int(col) = t.column(name).unwrap() else {
+                panic!("{name} is an integer column")
+            };
+            let expected = DictColumn::build(&values);
+            assert_eq!(col.dict(), expected.dict(), "{name}");
+            assert_eq!(col.codes(), expected.codes(), "{name}");
+        }
     }
 
     #[test]
