@@ -33,7 +33,10 @@ fn bench_bind_fast_path(c: &mut Criterion) {
 
 fn bench_bind_switch(c: &mut Criterion) {
     let mut g = c.benchmark_group("alloc/switch");
-    // Alternating masks: a real schemata write each time (worst case).
+    // Alternating masks on a fresh tree each iteration (worst case): both
+    // binds make their mask's group — the group's one schemata write —
+    // and write the tasks file. On a warm tree a switch is the tasks
+    // write alone.
     g.bench_function("alternate_masks", |b| {
         b.iter_batched_ref(
             allocator,

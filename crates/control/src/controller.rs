@@ -119,21 +119,6 @@ pub enum Decision {
     },
 }
 
-/// Monotonic decision counters for embedders without a metrics layer.
-/// (The server does not read them: its control step bumps the
-/// `ccp_control_*_total` instruments from each [`Decision`] directly.)
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ControlCounters {
-    /// Total ticks evaluated.
-    pub decisions: u64,
-    /// Plans applied.
-    pub repartitions: u64,
-    /// Ticks that held the current plan.
-    pub holds: u64,
-    /// Falls back to the static plan (clamp or apply failure).
-    pub reverts: u64,
-}
-
 /// The adaptive partitioning state machine. See the module docs for the
 /// caller contract.
 #[derive(Debug)]
@@ -147,7 +132,6 @@ pub struct Controller {
     dwell_remaining: u32,
     last_mbm: PerClass<Option<u64>>,
     clamped: bool,
-    counters: ControlCounters,
     last_decision: &'static str,
 }
 
@@ -167,7 +151,6 @@ impl Controller {
             dwell_remaining: cfg.min_dwell_ticks,
             last_mbm: PerClass::default(),
             clamped: false,
-            counters: ControlCounters::default(),
             last_decision: "none",
         }
     }
@@ -180,11 +163,6 @@ impl Controller {
     /// The static fallback plan.
     pub fn static_plan(&self) -> &MaskPlan {
         &self.static_plan
-    }
-
-    /// Decision counters so far.
-    pub fn counters(&self) -> ControlCounters {
-        self.counters
     }
 
     /// Short label of the last decision (for `/stats`).
@@ -200,8 +178,6 @@ impl Controller {
 
     /// Evaluates one control tick.
     pub fn tick(&mut self, input: &TickInput<'_>) -> Decision {
-        self.counters.decisions += 1;
-
         if input.seq > self.last_seq {
             self.last_seq = input.seq;
             self.stale_ticks = 0;
@@ -224,14 +200,12 @@ impl Controller {
             if self.current != self.static_plan {
                 return self.revert(reason, "revert-clamped");
             }
-            self.counters.holds += 1;
             self.last_decision = "hold-clamped";
             return Decision::Hold(HoldReason::Clamped);
         }
         self.clamped = false;
 
         if !self.seen_data || input.readings.is_empty() {
-            self.counters.holds += 1;
             self.last_decision = "hold-no-data";
             return Decision::Hold(HoldReason::NoData);
         }
@@ -250,7 +224,6 @@ impl Controller {
 
         if self.dwell_remaining > 0 {
             self.dwell_remaining -= 1;
-            self.counters.holds += 1;
             self.last_decision = "hold-dwell";
             return Decision::Hold(HoldReason::Dwell);
         }
@@ -285,14 +258,12 @@ impl Controller {
 
         let plan = derive_masks(&targets, self.cfg.ways, self.cfg.min_ways);
         if delta_ways(&plan, &self.current) < self.cfg.min_delta_ways {
-            self.counters.holds += 1;
             self.last_decision = "hold-threshold";
             return Decision::Hold(HoldReason::BelowThreshold);
         }
 
         self.current = plan;
         self.dwell_remaining = self.cfg.min_dwell_ticks;
-        self.counters.repartitions += 1;
         self.last_decision = "repartition";
         Decision::Repartition(plan)
     }
@@ -311,7 +282,6 @@ impl Controller {
     fn revert(&mut self, reason: RevertReason, label: &'static str) -> Decision {
         self.current = self.static_plan;
         self.dwell_remaining = self.cfg.min_dwell_ticks;
-        self.counters.reverts += 1;
         self.last_decision = label;
         Decision::Revert {
             reason,

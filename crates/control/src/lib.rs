@@ -41,8 +41,6 @@ pub mod script;
 /// (`ClassId` is the controller's older name for [`Class`]).
 pub use ccp_resctrl::{Class, Class as ClassId, ClassReading, PerClass};
 pub use classify::{classify, Behavior, Thresholds};
-pub use controller::{
-    ControlConfig, ControlCounters, Controller, Decision, HoldReason, RevertReason, TickInput,
-};
+pub use controller::{ControlConfig, Controller, Decision, HoldReason, RevertReason, TickInput};
 pub use plan::{derive_masks, polluter_isolated, ClassTargets, MaskPlan};
 pub use script::ScriptedTrace;

@@ -53,6 +53,36 @@ fn tick(c: &mut Controller, seq: u64, readings: &[ClassReading], degraded: bool)
     })
 }
 
+/// Repartitions among `decisions`.
+fn repartitions(decisions: &[Decision]) -> usize {
+    decisions
+        .iter()
+        .filter(|d| matches!(d, Decision::Repartition(_)))
+        .count()
+}
+
+/// Reverts among `decisions`.
+fn reverts(decisions: &[Decision]) -> usize {
+    decisions
+        .iter()
+        .filter(|d| matches!(d, Decision::Revert { .. }))
+        .count()
+}
+
+/// Ticks with fresh shrink readings until the first repartition; returns
+/// the last tick's sequence number.
+fn drive_to_first_repartition(c: &mut Controller) -> u64 {
+    let mut t = 1;
+    loop {
+        let r = shrink_readings(t);
+        if matches!(tick(c, t, &r, false), Decision::Repartition(_)) {
+            return t;
+        }
+        t += 1;
+        assert!(t < 20, "never repartitioned");
+    }
+}
+
 #[test]
 fn warmup_dwell_holds_before_the_first_decision() {
     let mut c = controller();
@@ -74,18 +104,15 @@ fn warmup_dwell_holds_before_the_first_decision() {
         "sensitive should shrink"
     );
     assert!(polluter_isolated(&plan));
-    assert_eq!(c.counters().repartitions, 1);
-    assert_eq!(c.counters().holds, 3);
 }
 
 #[test]
 fn post_repartition_dwell_holds_even_under_big_signal_changes() {
     let mut c = controller();
-    for t in 1..=4 {
-        let r = shrink_readings(t);
-        tick(&mut c, t, &r, false);
-    }
-    assert_eq!(c.counters().repartitions, 1);
+    let decisions: Vec<Decision> = (1..=4)
+        .map(|t| tick(&mut c, t, &shrink_readings(t), false))
+        .collect();
+    assert_eq!(repartitions(&decisions), 1);
     // A violent signal swing right after the repartition: starve the
     // sensitive class completely. The dwell window must hold it.
     let starved: Vec<ClassReading> = shrink_readings(5)
@@ -114,19 +141,12 @@ fn post_repartition_dwell_holds_even_under_big_signal_changes() {
 #[test]
 fn sub_threshold_deltas_are_held() {
     let mut c = controller();
-    let mut t = 1;
     // Drive to a steady adaptive plan.
-    loop {
-        let r = shrink_readings(t);
-        if matches!(tick(&mut c, t, &r, false), Decision::Repartition(_)) {
-            break;
-        }
-        t += 1;
-        assert!(t < 20, "never repartitioned");
-    }
+    let mut t = drive_to_first_repartition(&mut c);
     let plan = *c.current_plan();
     // Burn the dwell window, then keep feeding the same signal: the
     // re-derived plan equals the current one (delta 0 < threshold 2).
+    let mut decisions = Vec::new();
     for _ in 0..10 {
         t += 1;
         let r = shrink_readings(t);
@@ -138,30 +158,26 @@ fn sub_threshold_deltas_are_held() {
             ),
             "steady signal must not move the plan, got {d:?}"
         );
+        decisions.push(d);
     }
     assert_eq!(*c.current_plan(), plan);
-    assert_eq!(c.counters().repartitions, 1, "no thrashing");
+    assert_eq!(repartitions(&decisions), 0, "no thrashing");
 }
 
 #[test]
 fn stale_readings_clamp_to_the_static_plan() {
     let mut c = controller();
-    let mut t = 1;
-    loop {
-        let r = shrink_readings(t);
-        if matches!(tick(&mut c, t, &r, false), Decision::Repartition(_)) {
-            break;
-        }
-        t += 1;
-        assert!(t < 20);
-    }
+    let t = drive_to_first_repartition(&mut c);
     assert_ne!(*c.current_plan(), paper_static_plan());
     // The sequence stops advancing: after stale_after_ticks the
     // controller must revert to static and report itself clamped.
     let frozen = shrink_readings(t);
     let mut reverted = false;
+    let mut decisions = Vec::new();
     for _ in 0..ControlConfig::paper_default(WAYS, LLC).stale_after_ticks + 1 {
-        match tick(&mut c, t, &frozen, false) {
+        let d = tick(&mut c, t, &frozen, false);
+        decisions.push(d);
+        match d {
             Decision::Revert {
                 reason: RevertReason::StaleReadings,
                 plan,
@@ -182,25 +198,18 @@ fn stale_readings_clamp_to_the_static_plan() {
         tick(&mut c, t, &frozen, false),
         Decision::Hold(HoldReason::Clamped)
     );
-    assert_eq!(c.counters().reverts, 1);
+    assert_eq!(reverts(&decisions), 1);
 }
 
 #[test]
 fn degraded_health_clamps_immediately_and_recovers() {
     let mut c = controller();
-    let mut t = 1;
-    loop {
-        let r = shrink_readings(t);
-        if matches!(tick(&mut c, t, &r, false), Decision::Repartition(_)) {
-            break;
-        }
-        t += 1;
-        assert!(t < 20);
-    }
+    let mut t = drive_to_first_repartition(&mut c);
     t += 1;
     let r = shrink_readings(t);
+    let degraded = tick(&mut c, t, &r, true);
     assert!(matches!(
-        tick(&mut c, t, &r, true),
+        degraded,
         Decision::Revert {
             reason: RevertReason::Degraded,
             ..
@@ -209,19 +218,23 @@ fn degraded_health_clamps_immediately_and_recovers() {
     assert!(c.is_clamped());
     // Health restored: after the revert's dwell window the controller
     // re-derives the adaptive plan.
-    let mut repartitioned = false;
+    let mut decisions = vec![degraded];
     for _ in 0..10 {
         t += 1;
         let r = shrink_readings(t);
-        if matches!(tick(&mut c, t, &r, false), Decision::Repartition(_)) {
-            repartitioned = true;
+        let d = tick(&mut c, t, &r, false);
+        decisions.push(d);
+        if matches!(d, Decision::Repartition(_)) {
             break;
         }
     }
-    assert!(repartitioned, "controller never resumed after recovery");
+    assert_eq!(
+        repartitions(&decisions),
+        1,
+        "controller never resumed after recovery"
+    );
+    assert_eq!(reverts(&decisions), 1);
     assert!(!c.is_clamped());
-    assert_eq!(c.counters().reverts, 1);
-    assert_eq!(c.counters().repartitions, 2);
 }
 
 #[test]
@@ -233,27 +246,18 @@ fn no_data_holds_without_reverting() {
             Decision::Hold(HoldReason::NoData)
         );
     }
-    assert_eq!(c.counters().reverts, 0);
     assert_eq!(*c.current_plan(), paper_static_plan());
 }
 
 #[test]
 fn apply_failure_reverts_and_redwells() {
     let mut c = controller();
-    let mut t = 1;
-    loop {
-        let r = shrink_readings(t);
-        if matches!(tick(&mut c, t, &r, false), Decision::Repartition(_)) {
-            break;
-        }
-        t += 1;
-        assert!(t < 20);
-    }
+    let mut t = drive_to_first_repartition(&mut c);
     // The server failed to write the new schemata mid-repartition.
     let fallback = c.note_apply_failed();
     assert_eq!(fallback, paper_static_plan());
     assert_eq!(*c.current_plan(), paper_static_plan());
-    assert_eq!(c.counters().reverts, 1);
+    assert_eq!(c.last_decision(), "revert-apply");
     // Dwell restarts: the immediate next ticks hold.
     t += 1;
     let r = shrink_readings(t);

@@ -13,8 +13,7 @@
 use ccp_cachesim::WayMask;
 use ccp_resctrl::fs::FakeFs;
 use ccp_resctrl::{
-    detect, CacheController, PerClass, ResctrlError, ResctrlHealth, ResctrlTree, RetryPolicy,
-    SupervisedController,
+    detect, CacheController, PerClass, ResctrlError, ResctrlTree, RetryPolicy, SupervisedController,
 };
 use parking_lot::Mutex;
 use std::fmt;
@@ -146,8 +145,7 @@ impl ResctrlAllocator {
     /// under the default supervision (3-attempt retry with backoff,
     /// breaker tripping after `DEFAULT_TRIP_AFTER` = 3 exhausted ops).
     pub fn new(ctl: CacheController, domains: Vec<u32>) -> Self {
-        let health = Arc::new(ResctrlHealth::new(DEFAULT_TRIP_AFTER));
-        let ctl = SupervisedController::new(ctl, RetryPolicy::default(), health);
+        let ctl = SupervisedController::new(ctl, RetryPolicy::default(), DEFAULT_TRIP_AFTER);
         ResctrlAllocator {
             tree: ctl.shared(domains),
         }
@@ -418,14 +416,12 @@ mod tests {
         // …and the next plan retires it without writing anything new.
         a.prepare(&plan(0x3, 0xfff, 0xfff)).unwrap();
         assert_eq!(ccp_groups(&fs), ["ccp-3", "ccp-fff"]);
-        let health = a.tree.lock().health();
-        while !health.record_failure() {}
-        assert!(health.is_degraded());
-        assert!(
-            a.tree.lock().probe(),
-            "nothing to replay: the scratch-group probe"
-        );
-        assert!(!health.is_degraded());
+        let mut tree = a.tree.lock();
+        while !tree.record_failure() {}
+        assert!(tree.is_degraded());
+        assert!(tree.probe(), "nothing to replay: the scratch-group probe");
+        assert!(!tree.is_degraded());
+        drop(tree);
         assert_eq!(
             ccp_groups(&fs),
             ["ccp-3", "ccp-fff"],
@@ -445,7 +441,7 @@ mod tests {
         let policy = PartitionPolicy::paper_default(cfg.llc, cfg.l2.size_bytes);
         let live = Arc::new(LiveMasks::from_policy(&policy));
         let table = Arc::clone(&live);
-        let masks = Box::new(move || table.snapshot(&policy));
+        let masks = Box::new(move || table.snapshot());
         let mut probe = ResctrlMonitor::new(Arc::clone(&a.tree), masks, 0);
         let polluting = |probe: &mut ResctrlMonitor| {
             let readings = probe.sample();

@@ -20,7 +20,7 @@ use ccp_trace::TraceCat;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -117,7 +117,6 @@ struct Shared {
     policy: PartitionPolicy,
     allocator: Arc<dyn CacheAllocator>,
     live: Arc<LiveMasks>,
-    partitioning: AtomicBool,
     metrics: ExecutorMetrics,
 }
 
@@ -199,7 +198,6 @@ impl JobExecutor {
             policy,
             allocator,
             live,
-            partitioning: AtomicBool::new(true),
             metrics: ExecutorMetrics::new(),
         });
         let workers = (0..n_workers)
@@ -224,19 +222,12 @@ impl JobExecutor {
                             let queue_wait = submitted.elapsed().as_secs_f64();
                             let cuid = job.cuid;
                             let query_id = job.ctx.as_ref().map_or(0, |c| c.id);
-                            // ORDERING: advisory runtime toggle; a stale read
-                            // only delays a worker's rebind by one job, which
-                            // set_partitioning documents as lazy.
-                            let generation = shared.live.generation();
-                            let want = if shared.partitioning.load(Ordering::Relaxed) {
-                                // The live table (seeded from the policy,
-                                // rewritten by adaptive control) is read
-                                // once per job: repartitions take effect
-                                // on the next bind, never mid-query.
-                                shared.live.mask_for(cuid, &shared.policy)
-                            } else {
-                                full
-                            };
+                            // The live table (seeded from the policy,
+                            // rewritten by adaptive control) is read once
+                            // per job: repartitions take effect on the
+                            // next bind, never mid-query.
+                            let class = shared.policy.regime(cuid);
+                            let (want, generation) = shared.live.bind_target(class, full);
                             // Fast path: skip the allocator when the worker
                             // already carries the right mask and no publish
                             // since can have retired that mask's group.
@@ -301,9 +292,7 @@ impl JobExecutor {
     /// toggles exactly this). Already-bound workers are rebound lazily on
     /// their next job.
     pub fn set_partitioning(&self, on: bool) {
-        // ORDERING: relaxed store of an independent flag; workers observe
-        // it on their next job and no other state is published with it.
-        self.shared.partitioning.store(on, Ordering::Relaxed);
+        self.shared.live.set_partitioning(on);
     }
 
     /// The live CUID→mask table this pool binds from. Adaptive control
@@ -315,9 +304,7 @@ impl JobExecutor {
 
     /// Whether partitioning is currently enabled.
     pub fn partitioning(&self) -> bool {
-        // ORDERING: point-in-time read of the toggle; no ordering with
-        // other memory is implied or needed.
-        self.shared.partitioning.load(Ordering::Relaxed)
+        self.shared.live.partitioning()
     }
 
     /// Submits `jobs` as one tracked batch and returns a handle that

@@ -1,5 +1,5 @@
 //! The live mask table: the executor's view of the *current* CUID→mask
-//! mapping.
+//! mapping, and whether it binds by it at all.
 //!
 //! The paper's mapping is static — [`PartitionPolicy`] computes the same
 //! mask for a class forever. Adaptive control (the `ccp-control` crate)
@@ -9,13 +9,12 @@
 //! the static policy mapping, which keeps every static-mode code path
 //! byte-for-byte identical to the pre-adaptive behavior.
 //!
-//! Concurrency model: one writer (the control loop) and many readers
-//! (workers). Each class's bits are an independent `AtomicU32`; a plan is
-//! *not* applied atomically across classes, which is safe because a bind
-//! consults exactly one class entry and every intermediate state is a set
-//! of individually-valid masks.
+//! The table is one plan, the partitioning switch and a generation behind
+//! one mutex: a publish swaps the whole plan, and a worker reads its
+//! job's mask and the generation that goes with it in one lock hold, so
+//! no reader ever sees half of a repartition.
 //!
-//! Every publish also bumps a **generation**: a repartition may retire a
+//! Every publish bumps the **generation**: a repartition may retire a
 //! mask's resctrl group and a later one create it again, and a worker
 //! comparing masks alone would then skip the bind into the new group for
 //! good. Workers remember `(mask, generation)` and go back to the
@@ -26,68 +25,79 @@ use crate::job::CacheUsageClass;
 use crate::partition::PartitionPolicy;
 use ccp_cachesim::WayMask;
 use ccp_resctrl::{Class, PerClass};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Published per-class way masks, updated in place by the controller and
+#[derive(Debug)]
+struct Table {
+    plan: PerClass<WayMask>,
+    /// Off: workers bind the full cache whatever the plan says.
+    partitioning: bool,
+    /// Publishes so far.
+    generation: u64,
+}
+
+/// Published per-class way masks, replaced whole by the controller and
 /// consulted by workers on every bind decision.
 #[derive(Debug)]
 pub struct LiveMasks {
-    bits: PerClass<AtomicU32>,
-    generation: AtomicU64,
+    table: Mutex<Table>,
 }
 
 impl LiveMasks {
-    /// A table seeded with the policy's static plan.
+    /// A table seeded with the policy's static plan, partitioning on.
     pub fn from_policy(policy: &PartitionPolicy) -> Self {
         LiveMasks {
-            bits: policy.static_plan().map(|mask| AtomicU32::new(mask.bits())),
-            generation: AtomicU64::new(0),
+            table: Mutex::new(Table {
+                plan: policy.static_plan(),
+                partitioning: true,
+                generation: 0,
+            }),
         }
     }
 
-    /// Publishes so far. Read it *before* the entry it is remembered
-    /// with: whoever sees a publish's generation also sees its masks.
-    pub fn generation(&self) -> u64 {
-        // ORDERING: acquire, pairing with the release bump in `publish`.
-        self.generation.load(Ordering::Acquire)
+    fn lock(&self) -> MutexGuard<'_, Table> {
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The current mask for `cuid`: the live entry of the class the
     /// static policy resolves it to, so a mixed working set that is not
-    /// LLC-comparable gets the *live* polluting entry.
+    /// LLC-comparable gets the *live* polluting entry. Partitioning off
+    /// does not change it.
     pub fn mask_for(&self, cuid: CacheUsageClass, policy: &PartitionPolicy) -> WayMask {
-        self.entry(policy.regime(cuid), policy)
+        let class = policy.regime(cuid);
+        *self.lock().plan.get(class)
     }
 
-    /// The live entry of `class`.
-    ///
-    /// Defensive: if a published entry ever fails mask validation the
-    /// static policy mask is used instead, so a torn or buggy publish
-    /// can never produce an illegal CBM at bind time.
-    fn entry(&self, class: Class, policy: &PartitionPolicy) -> WayMask {
-        // ORDERING: each class entry is independent and self-contained;
-        // a stale read only delays a rebind by one job, matching the
-        // documented next-bind semantics.
-        let bits = self.bits.get(class).load(Ordering::Relaxed);
-        WayMask::new(bits).unwrap_or_else(|_| *policy.static_plan().get(class))
+    /// What a worker binds for a job of `class` — its live mask, or
+    /// `full` while partitioning is off — and the generation that mask
+    /// belongs to.
+    pub(crate) fn bind_target(&self, class: Class, full: WayMask) -> (WayMask, u64) {
+        let table = self.lock();
+        let mask = table.partitioning.then(|| *table.plan.get(class));
+        (mask.unwrap_or(full), table.generation)
     }
 
-    /// Publishes a full plan and bumps the generation. Per-class stores
-    /// are independent; readers may observe a mix of old and new entries,
-    /// each individually valid.
+    /// Replaces the whole plan and bumps the generation.
     pub fn publish(&self, plan: &PerClass<WayMask>) {
-        for (class, mask) in plan.iter() {
-            // ORDERING: see `entry` — independent advisory entries.
-            self.bits.get(class).store(mask.bits(), Ordering::Relaxed);
-        }
-        // ORDERING: release, after the entries — see `generation`.
-        self.generation.fetch_add(1, Ordering::Release);
+        let mut table = self.lock();
+        table.plan = *plan;
+        table.generation += 1;
     }
 
-    /// Point-in-time copy of the table, entry by entry (a concurrent
-    /// publish may be half visible, as to a binding worker).
-    pub fn snapshot(&self, policy: &PartitionPolicy) -> PerClass<WayMask> {
-        PerClass::from_fn(|class| self.entry(class, policy))
+    /// The plan in force.
+    pub fn snapshot(&self) -> PerClass<WayMask> {
+        self.lock().plan
+    }
+
+    /// Switches binding by the plan on or off; workers follow on their
+    /// next job.
+    pub(crate) fn set_partitioning(&self, on: bool) {
+        self.lock().partitioning = on;
+    }
+
+    /// Whether workers bind by the plan.
+    pub(crate) fn partitioning(&self) -> bool {
+        self.lock().partitioning
     }
 }
 
@@ -95,10 +105,15 @@ impl LiveMasks {
 mod tests {
     use super::*;
     use ccp_cachesim::HierarchyConfig;
+    use std::sync::{Arc, Barrier};
 
     fn policy() -> PartitionPolicy {
         let cfg = HierarchyConfig::broadwell_e5_2699_v4();
         PartitionPolicy::paper_default(cfg.llc, cfg.l2.size_bytes)
+    }
+
+    fn full() -> WayMask {
+        WayMask::full(20).unwrap()
     }
 
     #[test]
@@ -114,6 +129,10 @@ mod tests {
             },
         ] {
             assert_eq!(live.mask_for(cuid, &p), p.mask_for(cuid));
+            assert_eq!(
+                live.bind_target(p.regime(cuid), full()),
+                (p.mask_for(cuid), 0)
+            );
         }
     }
 
@@ -145,26 +164,78 @@ mod tests {
                 .bits(),
             0x3
         );
-        assert_eq!(live.snapshot(&p), PerClass::new(pol, mix, sen));
-        assert_eq!(live.generation(), 1);
+        assert_eq!(live.snapshot(), PerClass::new(pol, mix, sen));
+        assert_eq!(live.bind_target(Class::Sensitive, full()).1, 1);
         live.publish(&p.static_plan());
-        assert_eq!(live.generation(), 2, "every publish counts, also a revert");
         assert_eq!(
-            live.mask_for(CacheUsageClass::Sensitive, &p),
-            p.mask_for(CacheUsageClass::Sensitive)
+            live.bind_target(Class::Sensitive, full()),
+            (p.mask_for(CacheUsageClass::Sensitive), 2),
+            "every publish counts, also a revert"
         );
     }
 
     #[test]
-    fn invalid_published_bits_fall_back_to_policy() {
+    fn switching_partitioning_off_binds_full_but_keeps_the_plan() {
         let p = policy();
         let live = LiveMasks::from_policy(&p);
-        // Bypass the typed setter to simulate a corrupt publish.
-        live.bits.get(Class::Sensitive).store(0, Ordering::Relaxed);
-        assert_eq!(
-            live.mask_for(CacheUsageClass::Sensitive, &p),
-            p.mask_for(CacheUsageClass::Sensitive)
+        live.set_partitioning(false);
+        assert!(!live.partitioning());
+        let target = live.bind_target(Class::Polluting, full());
+        assert_eq!(target, (full(), 0), "a switch is not a publish");
+        assert_eq!(live.mask_for(CacheUsageClass::Polluting, &p).bits(), 0x3);
+        live.set_partitioning(true);
+        let target = live.bind_target(Class::Polluting, full());
+        assert_eq!(target.0.bits(), 0x3);
+    }
+
+    /// One writer alternates two plans that differ in every class while
+    /// two readers take snapshots and worker-style `(mask, generation)`
+    /// reads: a snapshot is always one whole plan, a mask always belongs
+    /// to the generation read with it, and generations never go back.
+    #[test]
+    fn concurrent_readers_never_see_a_torn_plan() {
+        const PUBLISHES: u64 = 20_000;
+        let p = policy();
+        let a = p.static_plan();
+        let b = PerClass::new(
+            WayMask::new(0xc).unwrap(),
+            WayMask::new(0xff0).unwrap(),
+            WayMask::new(0xff000).unwrap(),
         );
-        assert_eq!(live.snapshot(&p), p.static_plan());
+        assert!(a.iter().all(|(class, mask)| b.get(class) != mask));
+        let live = Arc::new(LiveMasks::from_policy(&p));
+        let start = Arc::new(Barrier::new(3));
+        let readers: Vec<_> = [CacheUsageClass::Polluting, CacheUsageClass::Sensitive]
+            .into_iter()
+            .map(|cuid| {
+                let (live, start) = (Arc::clone(&live), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    let class = p.regime(cuid);
+                    start.wait();
+                    let mut last = 0;
+                    let mut reads = 0u64;
+                    // Ends once the last publish is seen: bounded by the
+                    // writer's iterations.
+                    while last < PUBLISHES {
+                        let seen = live.snapshot();
+                        assert!(seen == a || seen == b, "torn snapshot {seen:?}");
+                        let (mask, generation) = live.bind_target(p.regime(cuid), full());
+                        let plan = if generation % 2 == 0 { a } else { b };
+                        assert_eq!(mask, *plan.get(class), "generation {generation}");
+                        assert!(generation >= last, "{generation} after {last}");
+                        last = generation;
+                        reads += 1;
+                    }
+                    reads
+                })
+            })
+            .collect();
+        start.wait();
+        for k in 1..=PUBLISHES {
+            live.publish(if k % 2 == 0 { &a } else { &b });
+        }
+        for reader in readers {
+            assert!(reader.join().expect("reader panicked") > 0);
+        }
     }
 }

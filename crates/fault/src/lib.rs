@@ -297,10 +297,16 @@ fn parse_trigger(s: &str) -> Result<Trigger, String> {
     Ok(Trigger::Nth { start, count })
 }
 
-/// SplitMix64 finalizer: a cheap, high-quality 64-bit mixer used to
-/// derive the per-hit coin flip for probability triggers.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+/// The SplitMix64 state increment.
+pub const SPLITMIX64_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// SplitMix64: a cheap, high-quality 64-bit mixer of `z +`
+/// [`SPLITMIX64_GAMMA`]. Probability triggers derive their per-hit coin
+/// flip from it; called on a state that steps by `SPLITMIX64_GAMMA`
+/// after each call, it yields the reference SplitMix64 stream seeded
+/// with the state's first value.
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(SPLITMIX64_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
@@ -477,6 +483,18 @@ mod tests {
         let _turn = exclusive();
         install_str(plan).expect("test plan parses");
         f()
+    }
+
+    #[test]
+    fn splitmix64_yields_the_reference_stream() {
+        let mut state = 0u64;
+        let mut next = || {
+            let word = splitmix64(state);
+            state = state.wrapping_add(SPLITMIX64_GAMMA);
+            word
+        };
+        assert_eq!(next(), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(next(), 0x6e78_9e6a_a1b9_65f4);
     }
 
     #[test]

@@ -2,10 +2,12 @@
 //!
 //! [`CacheController`] manages *control groups* (classes of service): it
 //! creates them, programs their L3 capacity bitmasks, and binds threads to
-//! them. It also implements the paper's Section V-C optimization: a write
-//! to the kernel is skipped when the requested mask equals the mask a group
-//! already has ("our implementation always compares old and new bitmasks and
-//! only associates a TID with a new bitmask if really necessary").
+//! them. It also implements the paper's Section V-C optimization: a task
+//! write is skipped when the thread is already in the group ("our
+//! implementation always compares old and new bitmasks and only associates
+//! a TID with a new bitmask if really necessary"). Groups are per mask, so
+//! each group's schemata is written once, when it is made; a schemata
+//! write always reaches the kernel.
 
 use crate::error::ResctrlError;
 use crate::faults;
@@ -93,10 +95,8 @@ pub struct CacheController {
     fs: Box<dyn ResctrlFs>,
     root: PathBuf,
     info: CatInfo,
-    /// Cache of each group's last-written mask per domain: lets us skip
-    /// redundant kernel round-trips (paper Section V-C).
-    mask_cache: HashMap<(String, u32), WayMask>,
-    /// Cache of task -> group assignments, same purpose.
+    /// Cache of task -> group assignments: lets a rebind into the group
+    /// a thread is already in skip the kernel (paper Section V-C).
     task_cache: HashMap<u64, String>,
     metrics: ResctrlMetrics,
 }
@@ -148,7 +148,6 @@ impl CacheController {
             fs,
             root,
             info,
-            mask_cache: HashMap::new(),
             task_cache: HashMap::new(),
             metrics: ResctrlMetrics::new(),
         })
@@ -239,14 +238,12 @@ impl CacheController {
             }
         }
         self.fs.remove_dir(&group.dir)?;
-        self.mask_cache.retain(|(g, _), _| g != &group.name);
         self.task_cache.retain(|_, g| g != &group.name);
         Ok(())
     }
 
     /// Programs `group`'s L3 mask for cache `domain`, validating the mask
-    /// against the hardware's `cbm_mask`/`min_cbm_bits` first. Writes are
-    /// skipped when the cached last-written mask is identical.
+    /// against the hardware's `cbm_mask`/`min_cbm_bits` first.
     ///
     /// # Errors
     /// [`ResctrlError::BadMask`] on local validation failure, or the
@@ -258,30 +255,19 @@ impl CacheController {
         mask: WayMask,
     ) -> Result<(), ResctrlError> {
         self.check_mask(mask)?;
-        let key = (group.name.clone(), domain);
-        if self.mask_cache.get(&key) == Some(&mask) {
-            self.metrics.record_skipped_write();
-            return Ok(());
-        }
-        self.write_schemata(group, domain, mask)
-    }
-
-    /// Like [`set_l3_mask`](Self::set_l3_mask) but always performs the
-    /// kernel write, even when the cached mask is identical. This is the
-    /// supervisor's health probe: after a degradation it must observe a
-    /// *real* write succeeding before declaring resctrl healed, and the
-    /// skip cache would otherwise fake that success.
-    ///
-    /// # Errors
-    /// Same surface as [`set_l3_mask`](Self::set_l3_mask).
-    pub(crate) fn rewrite_l3_mask(
-        &mut self,
-        group: &GroupHandle,
-        domain: u32,
-        mask: WayMask,
-    ) -> Result<(), ResctrlError> {
-        self.check_mask(mask)?;
-        self.write_schemata(group, domain, mask)
+        fault_mount_lost()?;
+        fault_io(
+            faults::WRITE_SCHEMATA,
+            &group.dir.join("schemata"),
+            "write",
+            "Device or resource busy (os error 16)",
+        )?;
+        let line = format!("L3:{domain}={:x}\n", mask.bits());
+        let started = Instant::now();
+        self.fs.write(&group.dir.join("schemata"), &line)?;
+        self.metrics
+            .record_schemata_write(started.elapsed().as_secs_f64());
+        Ok(())
     }
 
     /// `mask` against the hardware's `cbm_mask` and `min_cbm_bits`.
@@ -298,28 +284,6 @@ impl CacheController {
                 self.info.min_cbm_bits
             )));
         }
-        Ok(())
-    }
-
-    fn write_schemata(
-        &mut self,
-        group: &GroupHandle,
-        domain: u32,
-        mask: WayMask,
-    ) -> Result<(), ResctrlError> {
-        fault_mount_lost()?;
-        fault_io(
-            faults::WRITE_SCHEMATA,
-            &group.dir.join("schemata"),
-            "write",
-            "Device or resource busy (os error 16)",
-        )?;
-        let line = format!("L3:{domain}={:x}\n", mask.bits());
-        let started = Instant::now();
-        self.fs.write(&group.dir.join("schemata"), &line)?;
-        self.metrics
-            .record_schemata_write(started.elapsed().as_secs_f64());
-        self.mask_cache.insert((group.name.clone(), domain), mask);
         Ok(())
     }
 
@@ -362,11 +326,6 @@ impl CacheController {
             .record_task_assign(started.elapsed().as_secs_f64());
         self.task_cache.insert(tid, group.name.clone());
         Ok(())
-    }
-
-    /// Number of kernel writes avoided by the old-vs-new fast path.
-    pub fn skipped_writes(&self) -> u64 {
-        self.metrics.skipped_writes()
     }
 
     /// This controller's instruments (kernel round-trip counts and
@@ -596,22 +555,6 @@ mod tests {
     }
 
     #[test]
-    fn redundant_mask_writes_are_skipped() {
-        let (_, mut ctl) = ctl();
-        let g = ctl.create_group("g").unwrap();
-        let m = WayMask::new(0xfff).unwrap();
-        ctl.set_l3_mask(&g, 0, m).unwrap();
-        assert_eq!(ctl.skipped_writes(), 0);
-        for _ in 0..5 {
-            ctl.set_l3_mask(&g, 0, m).unwrap();
-        }
-        assert_eq!(ctl.skipped_writes(), 5);
-        // A different mask goes through again.
-        ctl.set_l3_mask(&g, 0, WayMask::new(0x3).unwrap()).unwrap();
-        assert_eq!(ctl.schemata(&g).unwrap().mask_of(0).unwrap().bits(), 0x3);
-    }
-
-    #[test]
     fn task_assignment_appends_and_caches() {
         let (fs, mut ctl) = ctl();
         let g = ctl.create_group("g").unwrap();
@@ -622,7 +565,7 @@ mod tests {
             fs.tasks_of(std::path::Path::new("/sys/fs/resctrl/g")),
             vec![111, 222]
         );
-        assert_eq!(ctl.skipped_writes(), 1);
+        assert_eq!(ctl.metrics().skipped_writes(), 1);
     }
 
     #[test]
@@ -638,7 +581,7 @@ mod tests {
             fs.tasks_of(std::path::Path::new("/sys/fs/resctrl/b")),
             vec![7]
         );
-        assert_eq!(ctl.skipped_writes(), 0);
+        assert_eq!(ctl.metrics().skipped_writes(), 0);
     }
 
     #[test]
@@ -685,17 +628,16 @@ mod tests {
         let g = ctl.create_group("g").unwrap();
         let m = WayMask::new(0xfff).unwrap();
         ctl.set_l3_mask(&g, 0, m).unwrap();
-        ctl.set_l3_mask(&g, 0, m).unwrap(); // skipped
+        ctl.set_l3_mask(&g, 0, m).unwrap(); // written again
         ctl.assign_task(&g, 7).unwrap();
         ctl.assign_task(&g, 7).unwrap(); // skipped
         let metrics = ctl.metrics();
         assert_eq!(metrics.group_creates(), 1);
-        assert_eq!(metrics.schemata_writes(), 1);
+        assert_eq!(metrics.schemata_writes(), 2);
         assert_eq!(metrics.task_assigns(), 1);
-        assert_eq!(metrics.skipped_writes(), 2);
-        assert_eq!(metrics.skipped_writes(), ctl.skipped_writes());
-        // Three real fs operations, each timed.
-        assert_eq!(metrics.fs_op_seconds().count(), 3);
+        assert_eq!(metrics.skipped_writes(), 1);
+        // Four real fs operations, each timed.
+        assert_eq!(metrics.fs_op_seconds().count(), 4);
 
         // Once attached to a registry, a monitoring read publishes gauges.
         let registry = ccp_obs::Registry::new();
@@ -707,7 +649,7 @@ mod tests {
         );
         ctl.monitoring(&g, 0).unwrap();
         let text = registry.render_prometheus();
-        assert!(text.contains("ccp_resctrl_schemata_writes_total 1"));
+        assert!(text.contains("ccp_resctrl_schemata_writes_total 2"));
         assert!(text.contains("ccp_resctrl_llc_occupancy_bytes{domain=\"0\",group=\"g\"} 4096.0"));
     }
 

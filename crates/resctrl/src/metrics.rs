@@ -2,10 +2,10 @@
 //!
 //! Every [`CacheController`](crate::CacheController) owns a private
 //! [`ResctrlMetrics`]: kernel round-trip counts (schemata writes, task
-//! assignments, group creation), the writes the Section V-C old-vs-new
-//! comparison skipped, and a latency histogram over the actual resctrl
-//! filesystem operations — the paper's "< 100 µs even when the kernel
-//! is involved" claim, as a measured distribution.
+//! assignments, group creation), the task writes the Section V-C
+//! old-vs-new comparison skipped, and a latency histogram over the
+//! actual resctrl filesystem operations — the paper's "< 100 µs even
+//! when the kernel is involved" claim, as a measured distribution.
 //!
 //! Attaching the bundle to a [`Registry`] with
 //! [`ResctrlMetrics::register_into`] additionally turns every subsequent
@@ -76,7 +76,7 @@ impl ResctrlMetrics {
         self.inner.fs_op_seconds.observe(seconds);
     }
 
-    /// Records a kernel write skipped by the old-vs-new fast path.
+    /// Records a task write skipped by the old-vs-new fast path.
     pub(crate) fn record_skipped_write(&self) {
         self.inner.skipped_writes.inc();
     }
@@ -134,7 +134,7 @@ impl ResctrlMetrics {
         self.inner.group_creates.get()
     }
 
-    /// Kernel writes avoided by the old-vs-new fast path.
+    /// Task writes avoided by the old-vs-new fast path.
     pub fn skipped_writes(&self) -> u64 {
         self.inner.skipped_writes.get()
     }
@@ -167,7 +167,7 @@ impl ResctrlMetrics {
         registry
             .counter_family(
                 "ccp_resctrl_skipped_writes_total",
-                "Kernel writes avoided by the old-vs-new mask/task comparison",
+                "Task writes avoided because the thread was already in the group",
             )
             .register(&[], self.inner.skipped_writes.clone());
         registry

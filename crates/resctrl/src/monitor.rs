@@ -154,7 +154,7 @@ mod tests {
     use super::*;
     use crate::controller::CacheController;
     use crate::fs::FakeFs;
-    use crate::supervisor::{ResctrlHealth, RetryPolicy, SupervisedController};
+    use crate::supervisor::{RetryPolicy, SupervisedController};
     use parking_lot::Mutex;
     use std::path::Path;
     use std::sync::Arc;
@@ -163,8 +163,7 @@ mod tests {
     fn resctrl_probe_reads_the_trees_mask_groups() {
         let fs = FakeFs::broadwell();
         let ctl = CacheController::open_with(Box::new(fs.clone()), "/sys/fs/resctrl").unwrap();
-        let health = Arc::new(ResctrlHealth::new(3));
-        let tree = SupervisedController::new(ctl, RetryPolicy::default(), health).shared(vec![0]);
+        let tree = SupervisedController::new(ctl, RetryPolicy::default(), 3).shared(vec![0]);
         // Only the polluting mask's group exists so far.
         let masks = PerClass::new(0x3, 0xfff, 0xfffff).map(|&bits| WayMask::new(bits).unwrap());
         let polluting = *masks.get(Class::Polluting);

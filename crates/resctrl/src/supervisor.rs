@@ -1,5 +1,5 @@
-//! Supervised controller: retry with backoff, a circuit breaker, and
-//! the shared health state behind **degraded unpartitioned mode**.
+//! Supervised controller: retry with backoff, and the circuit breaker
+//! behind **degraded unpartitioned mode**.
 //!
 //! The paper's contract is that partitioning must never make a workload
 //! *worse* than the unpartitioned baseline. A resctrl tree that starts
@@ -12,17 +12,21 @@
 //!    [`RetryPolicy::max_attempts`] times with bounded exponential
 //!    backoff plus deterministic jitter (half the delay is fixed, half
 //!    drawn from a seeded SplitMix64 stream, so runs replay exactly).
-//! 2. **Circuit breaker** — [`ResctrlHealth`] counts *consecutive*
-//!    exhausted operations; at the `trip_after` it was built with it flips
-//!    the shared `degraded` flag. The engine observes the flag and
-//!    falls back to full-mask (unpartitioned) execution: queries keep
-//!    succeeding, partitioning is sacrificed.
+//! 2. **Circuit breaker** — the controller counts *consecutive*
+//!    exhausted operations; at the `trip_after` it was built with it
+//!    opens the breaker ([`is_degraded`](SupervisedController::is_degraded)).
+//!    The server's supervision step observes it and switches the engine to
+//!    full-mask (unpartitioned) execution: queries keep succeeding,
+//!    partitioning is sacrificed.
 //! 3. **Re-probe** — while degraded, a caller-driven
 //!    [`probe`](SupervisedController::probe) replays the last schemata
-//!    write *bypassing* the old-vs-new skip cache — or writes a scratch
-//!    `ccp-probe` group when there is none, or its group has since been
-//!    removed; only a real kernel write succeeding clears the flag
-//!    ([`ResctrlHealth::restore`]).
+//!    write — or writes a scratch `ccp-probe` group when there is none,
+//!    or its group has since been removed; only a kernel write succeeding
+//!    closes the breaker.
+//!
+//! The breaker's flag and streak are plain fields: every operation that
+//! moves them runs under the tree's mutex, and every reader takes it.
+//! Its event counters ([`ResctrlHealth`]) are `/metrics` handles.
 //!
 //! The supervised controller is also the **one owner of a process's
 //! resctrl tree**: it indexes the per-mask `ccp-<mask hex>` groups made
@@ -31,7 +35,7 @@
 //! [`ResctrlTree`] — one mutex under the workers' binds, a repartition's
 //! `prepare`, the [`Sweeper`](crate::Sweeper), the
 //! [`ResctrlMonitor`](crate::ResctrlMonitor) and the probe. A removed
-//! group leaves the index, the skip caches and the probe's memory at
+//! group leaves the index, the task cache and the probe's memory at
 //! once, so removal is safe mid-run and the tree holds the groups of the
 //! mask plan in force and nothing else.
 //!
@@ -49,7 +53,6 @@ use ccp_cachesim::WayMask;
 use ccp_obs::{Counter, Registry};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -82,31 +85,13 @@ impl Default for RetryPolicy {
     }
 }
 
-/// SplitMix64 step, the jitter source (same mixer the failpoint layer
-/// uses; deterministic, no global RNG state).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Shared health of the resctrl backend: the circuit breaker's state
-/// plus its `ccp_resctrl_*_total` event counters. One instance is shared
-/// between the supervised controller (producer), the engine/server
-/// supervision loop (consumer), and — once attached with
-/// [`register_into`](ResctrlHealth::register_into) — `/metrics`.
-#[derive(Debug)]
+/// The supervisor's `ccp_resctrl_*_total` event counters. They live in
+/// the [`SupervisedController`], are read through the tree's lock
+/// ([`health`](SupervisedController::health)) and, once attached with
+/// [`register_into`](ResctrlHealth::register_into), rendered on
+/// `/metrics`.
+#[derive(Debug, Default)]
 pub struct ResctrlHealth {
-    // ORDERING: the degraded flag and the streak use relaxed loads and
-    // stores. They are a single advisory flag and a single-writer count;
-    // no other memory depends on their ordering, and the supervision
-    // loop that consumes them tolerates reading values a few events
-    // stale.
-    degraded: AtomicBool,
-    consecutive_failures: AtomicU32,
-    trip_after: u32,
     retries: Counter,
     failures: Counter,
     trips: Counter,
@@ -115,21 +100,6 @@ pub struct ResctrlHealth {
 }
 
 impl ResctrlHealth {
-    /// Breaker tripping after `trip_after` consecutive exhausted
-    /// operations (minimum 1).
-    pub fn new(trip_after: u32) -> Self {
-        ResctrlHealth {
-            degraded: AtomicBool::new(false),
-            consecutive_failures: AtomicU32::new(0),
-            trip_after: trip_after.max(1),
-            retries: Counter::new(),
-            failures: Counter::new(),
-            trips: Counter::new(),
-            reprobes: Counter::new(),
-            restores: Counter::new(),
-        }
-    }
-
     /// Attaches the live event counters to `registry`.
     pub fn register_into(&self, registry: &Registry) {
         for (name, help, counter) in [
@@ -163,62 +133,6 @@ impl ResctrlHealth {
                 .counter_family(name, help)
                 .register(&[], counter.clone());
         }
-    }
-
-    /// Whether the breaker is currently tripped (engine should run
-    /// unpartitioned).
-    pub fn is_degraded(&self) -> bool {
-        // ORDERING: relaxed — advisory flag; see the struct comment.
-        self.degraded.load(Ordering::Relaxed)
-    }
-
-    /// An operation succeeded: the consecutive-failure streak resets.
-    /// Does *not* clear the degraded flag — only a
-    /// [`restore`](Self::restore) (driven by an explicit re-probe) does
-    /// that, so a lucky write while degraded cannot flap the engine back
-    /// early.
-    pub(crate) fn record_success(&self) {
-        // ORDERING: relaxed — single-writer streak reset; see the struct
-        // comment.
-        self.consecutive_failures.store(0, Ordering::Relaxed);
-    }
-
-    /// One retry attempt was scheduled.
-    pub(crate) fn record_retry(&self) {
-        self.retries.inc();
-    }
-
-    /// An operation exhausted its retries. Returns `true` when this
-    /// failure tripped the breaker (degraded mode begins now).
-    pub fn record_failure(&self) -> bool {
-        self.failures.inc();
-        // ORDERING: relaxed — streak plus the advisory degraded flag
-        // (see the struct comment); the `swap` is atomic, which alone
-        // guarantees exactly one caller counts each trip.
-        let streak = self.consecutive_failures.fetch_add(1, Ordering::Relaxed) + 1;
-        if streak >= self.trip_after && !self.degraded.swap(true, Ordering::Relaxed) {
-            self.trips.inc();
-            return true;
-        }
-        false
-    }
-
-    /// A health re-probe ran (successful or not).
-    pub(crate) fn record_reprobe(&self) {
-        self.reprobes.inc();
-    }
-
-    /// A re-probe observed resctrl healthy again. Returns `true` when
-    /// this call cleared a tripped breaker.
-    pub fn restore(&self) -> bool {
-        // ORDERING: relaxed throughout — see the struct comment; the
-        // `swap` is atomic, so exactly one caller counts each restore.
-        self.consecutive_failures.store(0, Ordering::Relaxed);
-        if self.degraded.swap(false, Ordering::Relaxed) {
-            self.restores.inc();
-            return true;
-        }
-        false
     }
 
     /// Retry attempts scheduled so far.
@@ -261,10 +175,21 @@ fn transient(e: &ResctrlError) -> bool {
 pub struct SupervisedController {
     inner: CacheController,
     policy: RetryPolicy,
-    health: Arc<ResctrlHealth>,
+    /// Boxed, as the `Arc` it replaced was: held inline, its five handles
+    /// slowed the same-mask rebind (`alloc/fast_path/rebind_same_mask`)
+    /// by 6–8 % on a 2-vCPU x86-64 host.
+    health: Box<ResctrlHealth>,
+    /// The breaker is open: the engine runs unpartitioned until a probe
+    /// heals it.
+    degraded: bool,
+    /// Consecutive operations that exhausted their retries.
+    streak: u32,
+    /// Streak length that opens the breaker.
+    trip_after: u32,
+    /// SplitMix64 state of the backoff jitter.
     jitter: u64,
     /// Last successfully written `(group, domain, mask)`, while that
-    /// group exists; the probe replays it with the skip cache bypassed.
+    /// group exists; the probe replays it.
     last_write: Option<(GroupHandle, u32, WayMask)>,
     /// L3 cache domains mask groups are programmed on (one per socket).
     domains: Vec<u32>,
@@ -280,20 +205,24 @@ pub type ResctrlTree = Arc<Mutex<SupervisedController>>;
 impl std::fmt::Debug for SupervisedController {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SupervisedController")
-            .field("degraded", &self.health.is_degraded())
+            .field("degraded", &self.degraded)
             .field("policy", &self.policy)
             .finish_non_exhaustive()
     }
 }
 
 impl SupervisedController {
-    /// Wraps `inner`, reporting into `health`.
-    pub fn new(inner: CacheController, policy: RetryPolicy, health: Arc<ResctrlHealth>) -> Self {
+    /// Wraps `inner`; the breaker opens after `trip_after` consecutive
+    /// exhausted operations (minimum 1).
+    pub fn new(inner: CacheController, policy: RetryPolicy, trip_after: u32) -> Self {
         let jitter = policy.jitter_seed;
         SupervisedController {
             inner,
             policy,
-            health,
+            health: Box::default(),
+            degraded: false,
+            streak: 0,
+            trip_after: trip_after.max(1),
             jitter,
             last_write: None,
             domains: vec![0],
@@ -308,9 +237,36 @@ impl SupervisedController {
         Arc::new(Mutex::new(self))
     }
 
-    /// The shared health handle.
-    pub fn health(&self) -> Arc<ResctrlHealth> {
-        Arc::clone(&self.health)
+    /// The supervisor's event counters.
+    pub fn health(&self) -> &ResctrlHealth {
+        &self.health
+    }
+
+    /// Whether the breaker is open (the engine should run unpartitioned).
+    pub fn is_degraded(&self) -> bool {
+        self.degraded
+    }
+
+    /// An operation exhausted its retries. Returns `true` when this
+    /// failure opened the breaker (degraded mode begins now).
+    pub fn record_failure(&mut self) -> bool {
+        self.health.failures.inc();
+        self.streak = self.streak.saturating_add(1);
+        if self.streak >= self.trip_after && !self.degraded {
+            self.degraded = true;
+            self.health.trips.inc();
+            return true;
+        }
+        false
+    }
+
+    /// A probe observed resctrl healthy: the streak resets and an open
+    /// breaker closes.
+    fn restore(&mut self) {
+        self.streak = 0;
+        if std::mem::take(&mut self.degraded) {
+            self.health.restores.inc();
+        }
     }
 
     /// CAT parameters of the underlying mount.
@@ -329,7 +285,8 @@ impl SupervisedController {
         let exp = base.saturating_mul(1u64 << attempt.saturating_sub(1).min(20));
         let capped = exp.min(cap);
         // Half fixed, half jitter: delay ∈ [capped/2, capped].
-        let jitter = splitmix64(&mut self.jitter) % (capped / 2 + 1);
+        let jitter = ccp_fault::splitmix64(self.jitter) % (capped / 2 + 1);
+        self.jitter = self.jitter.wrapping_add(ccp_fault::SPLITMIX64_GAMMA);
         Duration::from_micros(capped / 2 + jitter)
     }
 
@@ -342,16 +299,18 @@ impl SupervisedController {
         loop {
             match op(&mut self.inner) {
                 Ok(v) => {
-                    self.health.record_success();
+                    // Only a probe closes an open breaker, so a lucky
+                    // write while degraded cannot flap the engine back.
+                    self.streak = 0;
                     return Ok(v);
                 }
                 Err(e) if !transient(&e) => return Err(e),
                 Err(e) if attempt >= max_attempts => {
-                    self.health.record_failure();
+                    self.record_failure();
                     return Err(e);
                 }
                 Err(_) => {
-                    self.health.record_retry();
+                    self.health.retries.inc();
                     let delay = self.backoff_delay(attempt);
                     thread::sleep(delay);
                     attempt += 1;
@@ -464,26 +423,21 @@ impl SupervisedController {
         Ok(())
     }
 
-    /// Health probe for degraded mode: performs one *real* schemata
-    /// write (the last successful one replayed with the skip cache
-    /// bypassed, or a scratch `ccp-probe` group when there is none to
-    /// replay) and, if it succeeds, clears the breaker.
+    /// Health probe for degraded mode: performs one schemata write (the
+    /// last successful one replayed, or a scratch `ccp-probe` group when
+    /// there is none to replay) and, if it succeeds, clears the breaker.
     ///
     /// Returns `true` when resctrl is healthy after this probe.
     pub fn probe(&mut self) -> bool {
-        self.health.record_reprobe();
+        self.health.reprobes.inc();
         let outcome = match self.last_write.clone() {
-            Some((group, domain, mask)) => {
-                self.retry(|ctl| ctl.rewrite_l3_mask(&group, domain, mask))
-            }
+            Some((group, domain, mask)) => self.set_l3_mask(&group, domain, mask),
             None => self.probe_via_scratch_group(),
         };
         if outcome.is_ok() {
-            self.health.restore();
-            true
-        } else {
-            false
+            self.restore();
         }
+        outcome.is_ok()
     }
 
     fn probe_via_scratch_group(&mut self) -> Result<(), ResctrlError> {
@@ -493,7 +447,7 @@ impl SupervisedController {
             Ok(g) => g,
             Err(_) => self.retry(|ctl| ctl.create_group(PROBE_GROUP))?,
         };
-        let write = self.retry(|ctl| ctl.rewrite_l3_mask(&group, 0, full));
+        let write = self.retry(|ctl| ctl.set_l3_mask(&group, 0, full));
         // Always try to give the CLOS back, but a cleanup failure does
         // not veto a successful probe write.
         let _ = self.retry(|ctl| ctl.remove_group(group.clone()));
@@ -506,12 +460,10 @@ mod tests {
     use super::*;
     use crate::fs::FakeFs;
 
-    fn supervised(policy: RetryPolicy) -> (Arc<ResctrlHealth>, SupervisedController) {
+    fn supervised(policy: RetryPolicy) -> (FakeFs, SupervisedController) {
         let fs = FakeFs::broadwell();
-        let ctl = CacheController::open_with(Box::new(fs), "/sys/fs/resctrl").unwrap();
-        let health = Arc::new(ResctrlHealth::new(3));
-        let sup = SupervisedController::new(ctl, policy, Arc::clone(&health));
-        (health, sup)
+        let ctl = CacheController::open_with(Box::new(fs.clone()), "/sys/fs/resctrl").unwrap();
+        (fs, SupervisedController::new(ctl, policy, 3))
     }
 
     fn fast_policy() -> RetryPolicy {
@@ -525,69 +477,70 @@ mod tests {
 
     #[test]
     fn probe_without_prior_write_uses_scratch_group() {
-        let fs = FakeFs::broadwell();
-        let ctl = CacheController::open_with(Box::new(fs.clone()), "/sys/fs/resctrl").unwrap();
-        let health = Arc::new(ResctrlHealth::new(1));
-        let mut sup = SupervisedController::new(ctl, fast_policy(), Arc::clone(&health));
-        health.record_failure();
-        assert!(health.is_degraded());
+        let (fs, mut sup) = supervised(fast_policy());
+        while !sup.record_failure() {}
+        assert!(sup.is_degraded());
         assert!(sup.probe());
-        assert!(!health.is_degraded());
+        assert!(!sup.is_degraded());
         // The scratch group was cleaned up.
         assert_eq!(fs.group_count(), 0);
     }
 
     #[test]
     fn deterministic_errors_bypass_retry_and_breaker() {
-        let (health, mut sup) = supervised(fast_policy());
+        let (_, mut sup) = supervised(fast_policy());
         let g = sup.create_group("g").unwrap();
         // 1 way < min_cbm_bits: BadMask, deterministic.
         assert!(matches!(
             sup.set_l3_mask(&g, 0, WayMask::new(0x1).unwrap()),
             Err(ResctrlError::BadMask(_))
         ));
-        assert_eq!(health.retries(), 0);
-        assert_eq!(health.failures(), 0);
-        assert!(!health.is_degraded());
+        assert_eq!(sup.health().retries(), 0);
+        assert_eq!(sup.health().failures(), 0);
+        assert!(!sup.is_degraded());
     }
 
     #[test]
     fn success_resets_streak_but_not_degraded_flag() {
-        let health = ResctrlHealth::new(2);
-        assert!(!health.record_failure());
-        assert!(health.record_failure(), "second failure trips");
-        assert!(health.is_degraded());
-        health.record_success();
-        assert_eq!(health.consecutive_failures.load(Ordering::Relaxed), 0);
-        assert!(
-            health.is_degraded(),
-            "only an explicit restore clears degraded"
-        );
-        assert!(health.restore());
-        assert!(!health.is_degraded());
-        assert!(!health.restore(), "restore is idempotent");
+        let (_, mut sup) = supervised(fast_policy());
+        assert!(!sup.record_failure());
+        assert!(!sup.record_failure());
+        assert!(sup.record_failure(), "third failure trips");
+        assert!(sup.is_degraded());
+        sup.create_group("g").unwrap();
+        assert_eq!(sup.streak, 0);
+        assert!(sup.is_degraded(), "only a probe clears degraded");
+        assert!(sup.probe());
+        assert!(!sup.is_degraded());
+        assert!(sup.probe());
+        assert_eq!(sup.health().restores(), 1, "restore is idempotent");
     }
 
     #[test]
     fn register_into_renders_the_live_counters() {
-        let health = ResctrlHealth::new(2);
+        let (_, mut sup) = supervised(fast_policy());
         let registry = Registry::new();
-        health.register_into(&registry);
-        health.record_retry();
-        health.record_failure();
-        assert!(health.record_failure(), "second failure trips");
-        health.record_reprobe();
-        assert!(health.restore());
+        sup.health().register_into(&registry);
+        sup.health.retries.inc();
+        while !sup.record_failure() {}
+        assert!(sup.probe());
         let text = registry.render_prometheus();
         for line in [
             "ccp_resctrl_retries_total 1",
-            "ccp_resctrl_op_failures_total 2",
+            "ccp_resctrl_op_failures_total 3",
             "ccp_resctrl_breaker_trips_total 1",
             "ccp_resctrl_reprobes_total 1",
             "ccp_resctrl_restores_total 1",
         ] {
             assert!(text.contains(line), "{line} missing from:\n{text}");
         }
+    }
+
+    #[test]
+    fn default_backoff_matches_the_reference_jitter_stream() {
+        let (_, mut sup) = supervised(RetryPolicy::default());
+        let delays: Vec<u128> = (1..6).map(|a| sup.backoff_delay(a).as_micros()).collect();
+        assert_eq!(delays, [1647, 3206, 5371, 15713, 31866]);
     }
 
     #[test]

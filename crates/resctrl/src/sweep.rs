@@ -19,7 +19,7 @@
 //! A sweep runs on the process's one [`ResctrlTree`], under the mutex the
 //! binds take: transient errors retry with backoff, a failure streak
 //! trips the same breaker, and a swept group leaves the index and the
-//! skip caches with its directory. Groups without the prefix belong to
+//! task cache with its directory. Groups without the prefix belong to
 //! someone else and are never touched.
 
 use crate::error::ResctrlError;
@@ -148,13 +148,11 @@ mod tests {
     use super::*;
     use crate::controller::CacheController;
     use crate::fs::FakeFs;
-    use crate::supervisor::{ResctrlHealth, RetryPolicy, SupervisedController};
-    use std::sync::Arc;
+    use crate::supervisor::{RetryPolicy, SupervisedController};
 
     fn sweeper_on(fs: FakeFs) -> Sweeper {
         let ctl = CacheController::open_with(Box::new(fs), "/sys/fs/resctrl").unwrap();
-        let health = Arc::new(ResctrlHealth::new(3));
-        Sweeper::new(SupervisedController::new(ctl, RetryPolicy::default(), health).shared(vec![0]))
+        Sweeper::new(SupervisedController::new(ctl, RetryPolicy::default(), 3).shared(vec![0]))
     }
 
     #[test]

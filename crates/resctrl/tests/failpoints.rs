@@ -10,8 +10,7 @@
 
 use ccp_cachesim::WayMask;
 use ccp_resctrl::fs::FakeFs;
-use ccp_resctrl::{CacheController, ResctrlHealth, RetryPolicy, SupervisedController, Sweeper};
-use std::sync::Arc;
+use ccp_resctrl::{CacheController, RetryPolicy, SupervisedController, Sweeper};
 use std::time::Duration;
 
 fn fast_policy() -> RetryPolicy {
@@ -23,72 +22,69 @@ fn fast_policy() -> RetryPolicy {
     }
 }
 
-fn supervised(policy: RetryPolicy) -> (Arc<ResctrlHealth>, SupervisedController) {
+fn supervised(policy: RetryPolicy) -> SupervisedController {
     let fs = FakeFs::broadwell();
     let ctl = CacheController::open_with(Box::new(fs), "/sys/fs/resctrl").unwrap();
-    let health = Arc::new(ResctrlHealth::new(3));
-    let sup = SupervisedController::new(ctl, policy, Arc::clone(&health));
-    (health, sup)
+    SupervisedController::new(ctl, policy, 3)
 }
 
 #[test]
 fn transient_failure_is_retried_to_success() {
     let _turn = ccp_fault::exclusive();
-    let (health, mut sup) = supervised(fast_policy());
+    let mut sup = supervised(fast_policy());
     let g = sup.create_group("g").unwrap();
     // First two writes fail, third (last allowed attempt) succeeds.
     ccp_fault::install_str("resctrl.write_schemata=err@1+2").unwrap();
     sup.set_l3_mask(&g, 0, WayMask::new(0x3).unwrap()).unwrap();
-    assert_eq!(health.retries(), 2);
-    assert_eq!(health.failures(), 0);
-    assert!(!health.is_degraded());
+    assert_eq!(sup.health().retries(), 2);
+    assert_eq!(sup.health().failures(), 0);
+    assert!(!sup.is_degraded());
 }
 
 #[test]
 fn breaker_trips_after_consecutive_exhausted_ops_and_probe_heals() {
     let _turn = ccp_fault::exclusive();
-    let (health, mut sup) = supervised(fast_policy());
+    let mut sup = supervised(fast_policy());
     let g = sup.create_group("g").unwrap();
     let mask = WayMask::new(0x3).unwrap();
     sup.set_l3_mask(&g, 0, mask).unwrap();
 
     // 3 ops × 3 attempts: all nine writes fail → breaker trips on
-    // the third exhausted operation. Each op uses a fresh mask so
-    // the old-vs-new skip cache cannot short-circuit the write.
+    // the third exhausted operation.
     ccp_fault::install_str("resctrl.write_schemata=err@1+9").unwrap();
     for mask in [0x7, 0xf, 0x1f] {
         let other = WayMask::new(mask).unwrap();
         assert!(sup.set_l3_mask(&g, 0, other).is_err());
     }
-    assert!(health.is_degraded(), "breaker must be tripped");
-    assert_eq!(health.trips(), 1);
+    assert!(sup.is_degraded(), "breaker must be tripped");
+    assert_eq!(sup.health().trips(), 1);
 
     // Faults exhausted: the next probe performs a real write and heals.
     assert!(sup.probe());
-    assert!(!health.is_degraded());
-    assert_eq!(health.restores(), 1);
-    assert!(health.reprobes() >= 1);
+    assert!(!sup.is_degraded());
+    assert_eq!(sup.health().restores(), 1);
+    assert!(sup.health().reprobes() >= 1);
 }
 
 #[test]
 fn probe_fails_while_fault_active() {
     let _turn = ccp_fault::exclusive();
-    let (health, mut sup) = supervised(RetryPolicy {
+    let mut sup = supervised(RetryPolicy {
         max_attempts: 1,
         ..fast_policy()
     });
     let g = sup.create_group("g").unwrap();
     sup.set_l3_mask(&g, 0, WayMask::new(0x3).unwrap()).unwrap();
     for _ in 0..3 {
-        health.record_failure();
+        sup.record_failure();
     }
-    assert!(health.is_degraded());
+    assert!(sup.is_degraded());
     ccp_fault::install_str("resctrl.write_schemata=err").unwrap();
     assert!(!sup.probe(), "probe must not heal while writes still fail");
     ccp_fault::clear();
-    assert!(health.is_degraded());
+    assert!(sup.is_degraded());
     assert!(sup.probe());
-    assert!(!health.is_degraded());
+    assert!(!sup.is_degraded());
 }
 
 #[test]
@@ -97,9 +93,8 @@ fn sweep_failpoint_skips_one_pass_then_orphans_are_removed() {
     let fs = FakeFs::broadwell();
     let mut ctl = CacheController::open_with(Box::new(fs.clone()), "/sys/fs/resctrl").unwrap();
     ctl.create_group("ccp-fff").unwrap();
-    let health = Arc::new(ResctrlHealth::new(3));
     let mut sweeper =
-        Sweeper::new(SupervisedController::new(ctl, fast_policy(), health).shared(vec![0]));
+        Sweeper::new(SupervisedController::new(ctl, fast_policy(), 3).shared(vec![0]));
     ccp_fault::install_str("reconcile.sweep=err@1").unwrap();
     assert!(sweeper.sweep().is_err());
     assert_eq!(fs.group_count(), 1, "orphan survives the failed sweep");

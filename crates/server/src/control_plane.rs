@@ -254,11 +254,14 @@ impl ControlPlane {
         });
         let tree = engine.allocator().tree();
         let supervise = tree.clone().map(|tree| {
-            let health = tree.lock().health();
-            health.register_into(registry);
-            tree.lock().metrics().register_into(registry);
+            let trips_seen = {
+                let tree = tree.lock();
+                tree.health().register_into(registry);
+                tree.metrics().register_into(registry);
+                tree.health().trips()
+            };
             let task = Supervise {
-                trips_seen: health.trips(),
+                trips_seen,
                 tree,
                 degraded_seen: false,
             };
@@ -488,9 +491,11 @@ fn take_sample(task: &mut Sample, readings: &mut Readings) {
 ///
 /// [`set_partitioning(false)`]: ccp_engine::DualPoolExecutor::set_partitioning
 fn run_supervise(env: &Env, task: &mut Supervise) {
-    let health = task.tree.lock().health();
     loop {
-        let trips = health.trips();
+        let (trips, degraded) = {
+            let tree = task.tree.lock();
+            (tree.health().trips(), tree.is_degraded())
+        };
         if trips != task.trips_seen {
             env.emit(
                 "breaker_trip",
@@ -498,7 +503,6 @@ fn run_supervise(env: &Env, task: &mut Supervise) {
             );
             task.trips_seen = trips;
         }
-        let degraded = health.is_degraded();
         if degraded != task.degraded_seen {
             task.degraded_seen = degraded;
             env.metrics.set_resctrl_degraded(degraded);
@@ -528,7 +532,7 @@ fn run_supervise(env: &Env, task: &mut Supervise) {
 /// revert prepares and republishes the static plan.
 fn run_control(env: &Env, task: &mut Control, readings: &Readings) {
     let tree = env.engine.allocator().tree();
-    let degraded = tree.is_some_and(|tree| tree.lock().health().is_degraded());
+    let degraded = tree.is_some_and(|tree| tree.lock().is_degraded());
     let decision = task.controller.tick(&TickInput {
         seq: readings.seq,
         readings: &readings.classes,
@@ -642,7 +646,7 @@ pub(crate) fn occupancy_probe(
     }
     if let Some(tree) = engine.allocator().tree().filter(|_| engine.cat_live()) {
         let live = engine.live_masks();
-        let masks = Box::new(move || live.snapshot(&policy));
+        let masks = Box::new(move || live.snapshot());
         return Ok(Some(Box::new(ResctrlMonitor::new(tree, masks, 0))));
     }
     let ways = f64::from(policy.llc.ways);

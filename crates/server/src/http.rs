@@ -433,15 +433,6 @@ const CLIENT_BASE_DELAY_MS: u64 = 10;
 /// Backoff ceiling per retry.
 const CLIENT_MAX_DELAY_MS: u64 = 200;
 
-/// One SplitMix64 step: advances `state` and returns a well-mixed word.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// How far a failed exchange got, which decides whether a retry on a
 /// fresh connection can be safe (the server must provably not have
 /// executed the request — or the request must be idempotent).
@@ -549,7 +540,8 @@ impl HttpClient {
         let exp = CLIENT_BASE_DELAY_MS
             .saturating_mul(1u64 << (attempt - 1).min(10))
             .min(CLIENT_MAX_DELAY_MS);
-        let jitter = splitmix64(&mut self.jitter) % (exp / 2 + 1);
+        let jitter = ccp_fault::splitmix64(self.jitter) % (exp / 2 + 1);
+        self.jitter = self.jitter.wrapping_add(ccp_fault::SPLITMIX64_GAMMA);
         Duration::from_millis(exp / 2 + jitter)
     }
 

@@ -106,10 +106,11 @@ fn resctrl(shared: &Shared) -> Json {
     let Some(tree) = shared.engine.allocator().tree() else {
         return section([("supervised", false.into()), ("degraded", false.into())]);
     };
-    let h = tree.lock().health();
+    let tree = tree.lock();
+    let h = tree.health();
     section([
         ("supervised", true.into()),
-        ("degraded", h.is_degraded().into()),
+        ("degraded", tree.is_degraded().into()),
         ("retries", h.retries().into()),
         ("op_failures", h.failures().into()),
         ("breaker_trips", h.trips().into()),

@@ -180,6 +180,20 @@ fn four_closids_repartition_without_thrash() {
         .and_then(|p| p.get("olap"))
         .expect("olap");
     assert_eq!(num(olap, "bind_failures"), 0.0, "{olap}");
+    // Groups are per mask: each one's schemata is written once, when it
+    // is made, also across repartitions.
+    let scrape = fetch(addr, "GET", "/metrics", None).expect("metrics").body;
+    let total = |name: &str| {
+        scrape
+            .lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("{name} missing from the scrape"))
+            .to_string()
+    };
+    assert_eq!(
+        total("ccp_resctrl_schemata_writes_total"),
+        total("ccp_resctrl_group_creates_total")
+    );
 
     // Every group is the group of a mask the plan in force names: the
     // masks the replies report are there, and nothing is left of the

@@ -1,7 +1,9 @@
 //! The control plane driven through `ControlPlane::step` with a scripted
 //! occupancy probe and no thread: decisions land at exact step counts
 //! whatever the wall clock does, only failed probes can make readings
-//! stale, and the steps of one wake run in the documented order.
+//! stale, the steps of one wake run in the documented order, and a
+//! breaker trip puts the static plan in force with partitioning off until
+//! the heal.
 
 use ccp_control::ScriptedTrace;
 use ccp_engine::alloc::ResctrlAllocator;
@@ -69,7 +71,7 @@ fn repartition_steps(gap: impl Fn(u32) -> Duration) -> (Vec<u32>, u32) {
         }
         now += gap(k);
     }
-    let live = rig.engine.live_masks().snapshot(&rig.engine.policy());
+    let live = rig.engine.live_masks().snapshot();
     let sensitive_ways = live.get(Class::Sensitive).way_count();
     (landed, sensitive_ways)
 }
@@ -133,9 +135,10 @@ fn steps_due_in_one_wake_run_in_the_documented_order() {
     // something to report without the degraded flag changing what
     // control does.
     let tree = rig.engine.allocator().tree().expect("fake resctrl tree");
-    let health = tree.lock().health();
-    while !health.record_failure() {}
-    assert!(health.restore());
+    let mut supervisor = tree.lock();
+    while !supervisor.record_failure() {}
+    assert!(supervisor.probe());
+    drop(supervisor);
 
     rig.plane.step(Instant::now());
 
@@ -164,4 +167,48 @@ fn steps_due_in_one_wake_run_in_the_documented_order() {
     assert!(recorded("ccp_llc_occupancy_bytes{class=\"sensitive\"}") > 0.0);
     assert_eq!(recorded("ccp_resctrl_breaker_trips_total"), 1.0);
     assert_eq!(recorded("ccp_control_decisions_total"), 1.0);
+}
+
+#[test]
+fn a_breaker_trip_after_a_repartition_settles_on_static_with_partitioning_off_until_the_heal() {
+    // Every plane passes the process-global `resctrl.sampler_probe` site.
+    let _turn = ccp_fault::exclusive();
+    let mut rig = rig();
+    let static_plan = rig.engine.policy().static_plan();
+    let live = rig.engine.live_masks();
+    let partitioning = |rig: &Rig| rig.engine.pools().olap().partitioning();
+    let mut now = Instant::now();
+    for _ in 1..=4 {
+        rig.plane.step(now);
+        now += PERIOD;
+    }
+    assert_eq!(control(&rig).repartitions.get(), 1, "step 4 repartitions");
+    assert_ne!(live.snapshot(), static_plan);
+    assert!(partitioning(&rig));
+
+    // Schemata writes start failing and binds exhaust their retries
+    // until the breaker opens; the probes fail too.
+    ccp_fault::install_str("resctrl.write_schemata=err").expect("plan");
+    let tree = rig.engine.allocator().tree().expect("fake resctrl tree");
+    while !tree.lock().record_failure() {}
+    for _ in 5..=8 {
+        rig.plane.step(now);
+        now += PERIOD;
+        assert_eq!(live.snapshot(), static_plan, "degraded: the static plan");
+        assert!(!partitioning(&rig), "degraded: partitioning off");
+        assert!(control(&rig).clamped);
+    }
+    assert_eq!(
+        control(&rig).reverts.get(),
+        1,
+        "one revert, then clamped holds"
+    );
+
+    // Writes succeed again: the next probe heals, partitioning comes back
+    // on the static plan.
+    ccp_fault::clear();
+    rig.plane.step(now);
+    assert!(!tree.lock().is_degraded());
+    assert!(partitioning(&rig));
+    assert_eq!(live.snapshot(), static_plan);
 }

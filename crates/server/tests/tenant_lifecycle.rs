@@ -321,6 +321,13 @@ fn four_closids_and_three_tenants_still_partition() {
     let olap = &s[s.find("\"olap\"").expect("olap pool")..];
     assert_eq!(stat_num(olap, "bind_failures"), 0.0, "{s}");
     assert!(stat_num(olap, "mask_switches") >= 2.0, "{s}");
+    // Groups are per mask: each one's schemata is written once, when it
+    // is made, and a bind never writes one.
+    let scrape = fetch(addr, "GET", "/metrics", None).expect("metrics").body;
+    assert_eq!(
+        scrape_value(&scrape, "ccp_resctrl_schemata_writes_total"),
+        scrape_value(&scrape, "ccp_resctrl_group_creates_total"),
+    );
 
     // The tree holds groups a worker is bound into, and only those.
     let groups = server.resctrl_groups().expect("fake tree");

@@ -46,11 +46,14 @@ fn demo_lifecycle(mut ctl: CacheController, flavor: &str) {
         schemata.to_string().trim()
     );
 
-    // Redundant updates are skipped (the paper's Section V-C fast path).
+    // Redundant binds are skipped (the paper's Section V-C fast path).
     for _ in 0..5 {
-        ctl.set_l3_mask(&scan_group, 0, mask).expect("no-op update");
+        ctl.assign_task(&scan_group, tid).expect("no-op bind");
     }
-    println!("5 redundant mask writes skipped: {}", ctl.skipped_writes());
+    println!(
+        "5 redundant task binds skipped: {}",
+        ctl.metrics().skipped_writes()
+    );
 
     ctl.remove_group(scan_group).expect("cleanup");
     println!("group removed; tasks fell back to the root class");

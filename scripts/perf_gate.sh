@@ -20,14 +20,15 @@
 #                       (default: the mask-rebind fast path, the mask
 #                       switch, the 20-bit scan, the hash-table update,
 #                       the served q2 MAX aggregation, the served q3
-#                       join probe and a wide-domain column build)
+#                       join probe, a wide-domain column build and
+#                       alternating-class job dispatch)
 #   CCP_BENCH_MS        measuring window per benchmark in ms (default 120)
 
 set -euo pipefail
 
 RUNS="${CCP_PERF_RUNS:-5}"
 THRESHOLD="${CCP_PERF_THRESHOLD:-15}"
-GATE_IDS="${CCP_PERF_GATE_IDS:-alloc/fast_path/rebind_same_mask alloc/switch/alternate_masks storage/scan/count_range_20bit storage/hashtable/update_100k_groups engine/aggregate/q2_max_64_groups engine/join/q3_probe_19bit storage/dict/build_256k_wide}"
+GATE_IDS="${CCP_PERF_GATE_IDS:-alloc/fast_path/rebind_same_mask alloc/switch/alternate_masks storage/scan/count_range_20bit storage/hashtable/update_100k_groups engine/aggregate/q2_max_64_groups engine/join/q3_probe_19bit storage/dict/build_256k_wide engine/dispatch/alternating_class_jobs}"
 export CCP_BENCH_MS="${CCP_BENCH_MS:-120}"
 
 REPO_ROOT="$(git rev-parse --show-toplevel)"

@@ -423,8 +423,8 @@ fn parse_tenant_kv<'v>(s: &'v str, flag: &str) -> Result<(String, &'v str), Stri
     Ok((name.to_string(), value))
 }
 
-/// Parses a per-class queue cap; unlike [`parse_count`], `0` is legal
-/// (it means "reject every arrival of that class").
+/// Parses a tenant quota; unlike [`parse_count`], `0` is legal (it
+/// means "reject every arrival of that tenant").
 fn parse_limit(s: &str) -> Result<usize, String> {
     s.parse::<usize>()
         .map_err(|_| format!("expected a non-negative number, got {s:?}"))
