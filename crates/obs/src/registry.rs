@@ -13,6 +13,7 @@
 
 use crate::histogram::{BucketSpec, Histogram, HistogramSnapshot};
 use crate::metrics::{Counter, Gauge};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -20,13 +21,41 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// A label set: `(key, value)` pairs, sorted by key on creation.
 pub type Labels = Vec<(String, String)>;
 
-fn normalize(labels: &[(&str, &str)]) -> Labels {
-    let mut v: Labels = labels
+/// Label sets up to this size are sorted in a stack buffer.
+const STACK_LABELS: usize = 8;
+
+/// Calls `f` with `labels` sorted the way a stored [`Labels`] is. Up to
+/// [`STACK_LABELS`] pairs (every family here) the copy lives on the
+/// stack, so looking up an existing label set allocates nothing.
+fn with_sorted<R>(labels: &[(&str, &str)], f: impl FnOnce(&[(&str, &str)]) -> R) -> R {
+    let mut stack = [("", ""); STACK_LABELS];
+    let mut heap = Vec::new();
+    let sorted = if labels.len() <= STACK_LABELS {
+        let sorted = &mut stack[..labels.len()];
+        sorted.copy_from_slice(labels);
+        sorted
+    } else {
+        heap.extend_from_slice(labels);
+        &mut heap[..]
+    };
+    sorted.sort_unstable();
+    f(sorted)
+}
+
+/// Orders a stored label set against sorted borrowed pairs exactly as
+/// `Labels`' own `Ord` orders two stored ones.
+fn cmp_labels(stored: &Labels, sorted: &[(&str, &str)]) -> Ordering {
+    stored
         .iter()
-        .map(|(k, s)| (k.to_string(), s.to_string()))
-        .collect();
-    v.sort();
-    v
+        .map(|(k, v)| (k.as_str(), v.as_str()))
+        .cmp(sorted.iter().copied())
+}
+
+fn owned(sorted: &[(&str, &str)]) -> Labels {
+    sorted
+        .iter()
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .collect()
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -37,7 +66,8 @@ struct FamilyInner<T> {
     name: String,
     help: String,
     make: Box<dyn Fn() -> T + Send + Sync>,
-    metrics: Mutex<BTreeMap<Labels, T>>,
+    /// Every label set with its metric, sorted by label set.
+    metrics: Mutex<Vec<(Labels, T)>>,
 }
 
 /// One metric name fanned out over label sets. Cloning shares the
@@ -70,7 +100,7 @@ impl<T: Clone> Family<T> {
                 name: name.to_string(),
                 help: help.to_string(),
                 make: Box::new(make),
-                metrics: Mutex::new(BTreeMap::new()),
+                metrics: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -83,19 +113,32 @@ impl<T: Clone> Family<T> {
     /// Returns the metric for `labels`, creating it on first use. The
     /// returned handle shares state with the family, so it can be moved
     /// into a hot path and updated without further lookups.
+    /// Only minting a new label set allocates.
     pub fn get_or_create(&self, labels: &[(&str, &str)]) -> T {
-        let key = normalize(labels);
-        let mut map = lock(&self.inner.metrics);
-        map.entry(key)
-            .or_insert_with(|| (self.inner.make)())
-            .clone()
+        with_sorted(labels, |sorted| {
+            let mut metrics = lock(&self.inner.metrics);
+            match metrics.binary_search_by(|(l, _)| cmp_labels(l, sorted)) {
+                Ok(at) => metrics[at].1.clone(),
+                Err(at) => {
+                    let metric = (self.inner.make)();
+                    metrics.insert(at, (owned(sorted), metric.clone()));
+                    metric
+                }
+            }
+        })
     }
 
     /// The metric for `labels` if one exists. Unlike
     /// [`get_or_create`](Family::get_or_create) a lookup never mints a
     /// label set, so read paths (`/stats`) cannot grow the exposition.
     pub fn get(&self, labels: &[(&str, &str)]) -> Option<T> {
-        lock(&self.inner.metrics).get(&normalize(labels)).cloned()
+        with_sorted(labels, |sorted| {
+            let metrics = lock(&self.inner.metrics);
+            let at = metrics
+                .binary_search_by(|(l, _)| cmp_labels(l, sorted))
+                .ok()?;
+            Some(metrics[at].1.clone())
+        })
     }
 
     /// Attaches an existing metric handle under `labels`, replacing any
@@ -103,16 +146,19 @@ impl<T: Clone> Family<T> {
     /// instruments (isolated per instance) and expose them through a
     /// registry only when asked.
     pub fn register(&self, labels: &[(&str, &str)], metric: T) {
-        lock(&self.inner.metrics).insert(normalize(labels), metric);
+        with_sorted(labels, |sorted| {
+            let mut metrics = lock(&self.inner.metrics);
+            match metrics.binary_search_by(|(l, _)| cmp_labels(l, sorted)) {
+                Ok(at) => metrics[at].1 = metric,
+                Err(at) => metrics.insert(at, (owned(sorted), metric)),
+            }
+        });
     }
 
     /// Point-in-time copy of all (labels, metric) pairs, sorted by label
     /// set.
     pub fn collect(&self) -> Vec<(Labels, T)> {
-        lock(&self.inner.metrics)
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
+        lock(&self.inner.metrics).clone()
     }
 }
 
@@ -553,6 +599,73 @@ mod tests {
             MetricSample::Histogram(snap) => assert_eq!(snap.count(), 2),
             other => panic!("unexpected histogram sample: {other:?}"),
         }
+    }
+
+    /// Label sets minted in a scrambled order (with repeats, both pair
+    /// orders, and more pairs than the stack buffer holds) come back
+    /// sorted from `collect()`, exactly once each, and a repeated lookup
+    /// returns the handle the first one minted.
+    #[test]
+    fn label_sets_minted_in_any_order_stay_sorted_and_shared() {
+        let r = Registry::new();
+        let fam = r.counter_family("x_total", "X");
+        let tenants = ["t3", "a", "t10", "t1", "zz", "b", "t2", ""];
+        let classes = ["sensitive", "polluting", "mixed"];
+        let mut expected = Vec::new();
+        let mut state = 0x9e37_79b9_u64;
+        for round in 0..200u64 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let tenant = tenants[(state >> 33) as usize % tenants.len()];
+            let class = classes[(state >> 45) as usize % classes.len()];
+            let counter = if round % 2 == 0 {
+                fam.get_or_create(&[("tenant", tenant), ("class", class)])
+            } else {
+                fam.get_or_create(&[("class", class), ("tenant", tenant)])
+            };
+            counter.inc();
+            let labels = vec![
+                ("class".to_string(), class.to_string()),
+                ("tenant".to_string(), tenant.to_string()),
+            ];
+            if !expected.contains(&labels) {
+                expected.push(labels);
+            }
+        }
+        let wide: Vec<(String, String)> = (0..STACK_LABELS + 3)
+            .rev()
+            .map(|i| (format!("k{i:02}"), i.to_string()))
+            .collect();
+        let wide_refs: Vec<(&str, &str)> =
+            wide.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+        fam.get_or_create(&wide_refs).add(5);
+        let mut wide_sorted = wide.clone();
+        wide_sorted.sort();
+        expected.push(wide_sorted);
+        expected.sort();
+
+        let collected = fam.collect();
+        let labels: Vec<Labels> = collected.iter().map(|(l, _)| l.clone()).collect();
+        assert_eq!(labels, expected);
+        let total: u64 = collected.iter().map(|(_, c)| c.get()).sum();
+        assert_eq!(total, 205, "every increment landed on a stored handle");
+
+        let first = fam.get_or_create(&[("tenant", "t1"), ("class", "mixed")]);
+        let again = fam.get_or_create(&[("class", "mixed"), ("tenant", "t1")]);
+        let before = again.get();
+        first.inc();
+        assert_eq!(
+            again.get(),
+            before + 1,
+            "a repeated lookup shares the handle"
+        );
+        assert_eq!(fam.get(&wide_refs).map(|c| c.get()), Some(5));
+        assert_eq!(
+            fam.collect().len(),
+            expected.len(),
+            "lookups minted nothing"
+        );
     }
 
     #[test]

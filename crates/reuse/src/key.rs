@@ -67,8 +67,41 @@ impl fmt::Display for ReuseKey {
 ///    (`threshold < 100` ≡ `threshold<100`);
 /// 4. sort and deduplicate the conjuncts, then rejoin with ` and `.
 ///
-/// The result is stable: canonicalizing a canonical string is a no-op.
+/// The result is stable: canonicalizing a canonical string is a no-op,
+/// and costs one scan and one copy — the server emits its predicates in
+/// canonical form.
 pub fn canonicalize_predicate(raw: &str) -> String {
+    if is_canonical(raw) {
+        return raw.to_string();
+    }
+    canonicalize_full(raw)
+}
+
+/// Whether `raw` is already what [`canonicalize_full`] returns:
+/// conjuncts joined by single ` and `, each non-empty, free of
+/// whitespace and ASCII uppercase, in strictly ascending order. Such
+/// text lowercases, squashes and splits into exactly those conjuncts,
+/// which are already sorted and distinct, so the full path rejoins it
+/// unchanged.
+fn is_canonical(raw: &str) -> bool {
+    if raw.is_empty() {
+        return true;
+    }
+    let mut prev: Option<&str> = None;
+    for clause in raw.split(" and ") {
+        let plain = !clause.is_empty()
+            && !clause
+                .chars()
+                .any(|c| c.is_whitespace() || c.is_ascii_uppercase());
+        if !plain || prev.is_some_and(|p| p >= clause) {
+            return false;
+        }
+        prev = Some(clause);
+    }
+    true
+}
+
+fn canonicalize_full(raw: &str) -> String {
     let lowered = raw.to_ascii_lowercase();
     // Squash runs of whitespace so the `and` separators are uniform.
     let squashed = lowered.split_whitespace().collect::<Vec<_>>().join(" ");
@@ -112,6 +145,50 @@ mod tests {
     fn canonicalization_is_idempotent() {
         let once = canonicalize_predicate("C=3 and a=1  AND b = 2");
         assert_eq!(canonicalize_predicate(&once), once);
+    }
+
+    #[test]
+    fn the_servers_spellings_take_the_early_return() {
+        for pred in [
+            "",
+            "threshold<25000",
+            "threshold<-3",
+            "agg=max",
+            "a<1 and b=2",
+        ] {
+            assert!(is_canonical(pred), "{pred:?}");
+            assert_eq!(canonicalize_predicate(pred), pred);
+        }
+        for pred in [
+            " x", "b and a", "x and x", "A<1", "a and  b", "a and ", "x\u{a0}y",
+        ] {
+            assert!(!is_canonical(pred), "{pred:?}");
+        }
+    }
+
+    /// Text over an alphabet that spells conjunct separators, case,
+    /// ASCII and Unicode whitespace, and multi-byte characters.
+    fn arb_predicate() -> impl proptest::strategy::Strategy<Value = String> {
+        use proptest::strategy::Strategy;
+        const ALPHABET: [&str; 16] = [
+            "a", "n", "d", " and ", "AND", " ", "  ", "\t", "\u{a0}", "b", "B", "<", "=1", "é",
+            "x", "\u{3000}",
+        ];
+        proptest::collection::vec(0..ALPHABET.len(), 0..12)
+            .prop_map(|picks| picks.into_iter().map(|i| ALPHABET[i]).collect())
+    }
+
+    proptest::proptest! {
+        /// The early return is observably the full path: on arbitrary
+        /// text, and on the canonical text the full path produces.
+        #[test]
+        fn early_return_matches_the_full_path(raw in arb_predicate()) {
+            proptest::prop_assert_eq!(canonicalize_predicate(&raw), canonicalize_full(&raw));
+            let canon = canonicalize_full(&raw);
+            proptest::prop_assert!(is_canonical(&canon), "{:?} -> {:?}", raw, canon);
+            proptest::prop_assert_eq!(canonicalize_full(&canon), canon.clone());
+            proptest::prop_assert_eq!(canonicalize_predicate(&canon), canon);
+        }
     }
 
     #[test]

@@ -86,13 +86,18 @@ impl Request {
     }
 }
 
-/// Reads one line (up to `max` bytes before the terminator) from `r`.
-/// `Ok(None)` is a clean EOF before any byte of the line.
-fn read_line_limited<R: BufRead>(r: &mut R, max: usize) -> Result<Option<Vec<u8>>, HttpError> {
-    let mut buf = Vec::new();
+/// Reads one line (up to `max` bytes before the terminator) from `r`
+/// into `buf`, replacing its contents, and returns it without the
+/// terminator. `Ok(None)` is a clean EOF before any byte of the line.
+fn read_line_limited<'b, R: BufRead>(
+    r: &mut R,
+    max: usize,
+    buf: &'b mut Vec<u8>,
+) -> Result<Option<&'b [u8]>, HttpError> {
+    buf.clear();
     let n = (&mut *r)
         .take(max as u64 + 1)
-        .read_until(b'\n', &mut buf)
+        .read_until(b'\n', buf)
         .map_err(HttpError::Io)?;
     if n == 0 {
         return Ok(None);
@@ -111,9 +116,13 @@ fn read_line_limited<R: BufRead>(r: &mut R, max: usize) -> Result<Option<Vec<u8>
     Ok(Some(buf))
 }
 
-fn ascii_line(bytes: Vec<u8>, what: &'static str) -> Result<String, HttpError> {
-    String::from_utf8(bytes).map_err(|_| HttpError::Malformed(what))
+fn ascii_line<'b>(bytes: &'b [u8], what: &'static str) -> Result<&'b str, HttpError> {
+    std::str::from_utf8(bytes).map_err(|_| HttpError::Malformed(what))
 }
+
+/// Capacity of the line buffer a request is read through: a typical
+/// request line or header fits without regrowing.
+const LINE_BUF_BYTES: usize = 256;
 
 /// Reads the next request off a buffered stream. `Ok(None)` means the
 /// peer closed the connection cleanly between requests (keep-alive /
@@ -121,7 +130,9 @@ fn ascii_line(bytes: Vec<u8>, what: &'static str) -> Result<String, HttpError> {
 /// 413 ([`HttpError::TooLarge`]) or connection-level
 /// ([`HttpError::Io`]).
 pub fn read_request<R: BufRead>(r: &mut R) -> Result<Option<Request>, HttpError> {
-    let Some(line) = read_line_limited(r, MAX_REQUEST_LINE)? else {
+    // One line buffer serves the request line and every header line.
+    let mut buf = Vec::with_capacity(LINE_BUF_BYTES);
+    let Some(line) = read_line_limited(r, MAX_REQUEST_LINE, &mut buf)? else {
         return Ok(None);
     };
     let line = ascii_line(line, "request line is not UTF-8")?;
@@ -150,11 +161,12 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Option<Request>, HttpError>
         "HTTP/1.0" => false,
         _ => return Err(HttpError::Malformed("unsupported HTTP version")),
     };
+    let (method, target) = (method.to_string(), target.to_string());
 
     let mut headers = Vec::new();
     let mut header_bytes = 0usize;
     loop {
-        let Some(line) = read_line_limited(r, MAX_HEADER_BYTES)? else {
+        let Some(line) = read_line_limited(r, MAX_HEADER_BYTES, &mut buf)? else {
             return Err(HttpError::Malformed("connection closed inside headers"));
         };
         if line.is_empty() {
@@ -179,8 +191,8 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Option<Request>, HttpError>
     }
 
     let mut request = Request {
-        method: method.to_string(),
-        target: target.to_string(),
+        method,
+        target,
         http11,
         headers,
         body: Vec::new(),

@@ -7,7 +7,7 @@
 //! rather than a serde integration. Parsing is depth-limited and never
 //! panics on malformed input.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use ccp_trace::escape_json_into;
 
@@ -52,14 +52,11 @@ impl std::error::Error for JsonError {}
 impl Json {
     /// Parses one JSON document; trailing non-whitespace is an error.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { src: input, pos: 0 };
         p.skip_ws();
         let value = p.value(0)?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.src.len() {
             return Err(p.err("trailing characters after document"));
         }
         Ok(value)
@@ -161,46 +158,93 @@ impl<T: Into<Json>> From<Option<T>> for Json {
     }
 }
 
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Json {
+    /// Appends the document's JSON text to `out`: the one renderer behind
+    /// [`Display`](fmt::Display), `to_string()` and the `/query` reply
+    /// body. Keys and strings go out as slices of themselves (escaped
+    /// only where a byte needs it), integral numbers below 10^15 through
+    /// a digit loop, other finite numbers as Rust's shortest round-trip
+    /// `f64` form. A non-finite number renders `null`: no JSON parser
+    /// accepts `NaN` or `inf`.
+    pub fn write_into(&self, out: &mut String) {
+        // Writing into a `String` cannot fail, so the `fmt::Result`s of
+        // `write!` and `escape_json_into` below are always `Ok`.
         match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 1e15 {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n}")
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) if !n.is_finite() => out.push_str("null"),
+            Json::Num(n) if n.fract() == 0.0 && n.abs() < 1e15 => {
+                let v = *n as i64;
+                if v < 0 {
+                    out.push('-');
                 }
+                out.push_str(decimal(v.unsigned_abs(), &mut [0; 20]));
             }
-            Json::Str(s) => escape_json_into(f, s),
+            Json::Num(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Json::Str(s) => {
+                let _ = escape_json_into(out, s);
+            }
             Json::Arr(items) => {
-                f.write_str("[")?;
+                out.push('[');
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
-                        f.write_str(",")?;
+                        out.push(',');
                     }
-                    write!(f, "{v}")?;
+                    v.write_into(out);
                 }
-                f.write_str("]")
+                out.push(']');
             }
             Json::Obj(fields) => {
-                f.write_str("{")?;
+                out.push('{');
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        f.write_str(",")?;
+                        out.push(',');
                     }
-                    escape_json_into(f, k)?;
-                    write!(f, ":{v}")?;
+                    let _ = escape_json_into(out, k);
+                    out.push(':');
+                    v.write_into(out);
                 }
-                f.write_str("}")
+                out.push('}');
             }
         }
     }
 }
 
+/// Room for one `/query` reply line (≈ 300 bytes): a buffer this size
+/// renders one without regrowing.
+pub(crate) const LINE_BYTES: usize = 512;
+
+/// Renders into one buffer and hands the formatter the whole text: one
+/// call instead of one per piece, each through the formatter's `dyn`
+/// writer, is what makes `to_string()` cheap.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut text = String::with_capacity(LINE_BYTES);
+        self.write_into(&mut text);
+        f.write_str(&text)
+    }
+}
+
+/// The decimal digits of `n`, written into `buf` from the back without
+/// going through `fmt`.
+pub(crate) fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &str {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    // Only ASCII digits were written: the fallback is unreachable.
+    std::str::from_utf8(&buf[at..]).unwrap_or_default()
+}
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
@@ -213,7 +257,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -232,7 +276,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, lit: &str, reason: &'static str) -> Result<(), JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(())
         } else {
@@ -312,10 +356,21 @@ impl Parser<'_> {
         }
     }
 
+    /// Parses a string. Runs without escapes are copied as slices of the
+    /// input: they end at an ASCII byte (`"`, `\\` or a control
+    /// character), which is always a UTF-8 boundary, so the input being a
+    /// `&str` is all the validation they need.
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"', "expected '\"'")?;
         let mut out = String::new();
         loop {
+            let run = self.pos;
+            let rest = &self.src.as_bytes()[run..];
+            self.pos += rest
+                .iter()
+                .position(|&c| c < 0x20 || c == b'"' || c == b'\\')
+                .unwrap_or(rest.len());
+            out.push_str(&self.src[run..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -343,18 +398,7 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => return Err(self.err("control character in string")),
-                Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so boundaries
-                    // are trustworthy).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let Some(c) = s.chars().next() else {
-                        return Err(self.err("unterminated string"));
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("control character in string")),
             }
         }
     }
@@ -417,9 +461,8 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>()
+        self.src[start..self.pos]
+            .parse::<f64>()
             .ok()
             .filter(|n| n.is_finite())
             .map(Json::Num)
@@ -475,6 +518,196 @@ mod tests {
             let doc = Json::Obj(vec![(key, Json::Str(value))]);
             proptest::prop_assert_eq!(Json::parse(&doc.to_string()), Ok(doc));
         }
+    }
+
+    /// The renderer as it was before `write_into`: a `Display` that
+    /// recursed through `write!` and formatted integers through `fmt`.
+    /// Kept as the oracle the byte-identity property runs against.
+    struct OldRender<'a>(&'a Json);
+
+    impl fmt::Display for OldRender<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            match self.0 {
+                Json::Null => f.write_str("null"),
+                Json::Bool(b) => write!(f, "{b}"),
+                Json::Num(n) => {
+                    if n.fract() == 0.0 && n.abs() < 1e15 {
+                        write!(f, "{}", *n as i64)
+                    } else {
+                        write!(f, "{n}")
+                    }
+                }
+                Json::Str(s) => escape_json_into(f, s),
+                Json::Arr(items) => {
+                    f.write_str("[")?;
+                    for (i, v) in items.iter().enumerate() {
+                        if i > 0 {
+                            f.write_str(",")?;
+                        }
+                        write!(f, "{}", OldRender(v))?;
+                    }
+                    f.write_str("]")
+                }
+                Json::Obj(fields) => {
+                    f.write_str("{")?;
+                    for (i, (k, v)) in fields.iter().enumerate() {
+                        if i > 0 {
+                            f.write_str(",")?;
+                        }
+                        escape_json_into(f, k)?;
+                        write!(f, ":{}", OldRender(v))?;
+                    }
+                    f.write_str("}")
+                }
+            }
+        }
+    }
+
+    /// Finite numbers the renderer treats differently: the integer cut at
+    /// ±10^15 from both sides, signed zeros, fractions, huge and tiny
+    /// magnitudes, and arbitrary integers and bit patterns.
+    fn arb_number(rng: &mut proptest::test_runner::TestRng) -> f64 {
+        const EDGES: [f64; 14] = [
+            999_999_999_999_999.0,
+            -999_999_999_999_999.0,
+            1e15,
+            -1e15,
+            1e15 + 2.0,
+            0.0,
+            -0.0,
+            0.5,
+            -2.25,
+            1e-7,
+            123.456,
+            1e21,
+            -1.7976931348623157e308,
+            5e-324,
+        ];
+        match rng.below(4) {
+            0 => EDGES[rng.below(EDGES.len() as u64) as usize],
+            1 => (rng.next_u64() % 2_000_000_000_000_001) as f64 - 1e15,
+            2 => rng.next_u64() as i64 as f64 / 1024.0,
+            _ => {
+                let n = f64::from_bits(rng.next_u64());
+                if n.is_finite() {
+                    n
+                } else {
+                    1.5
+                }
+            }
+        }
+    }
+
+    fn arb_string(rng: &mut proptest::test_runner::TestRng) -> String {
+        const PIECES: [&str; 10] = [
+            "q1", "\"", "\\", "\n", "\u{1}", "\u{1f}", "é", "\u{2028}", "😀", " ",
+        ];
+        (0..rng.below(6))
+            .map(|_| PIECES[rng.below(PIECES.len() as u64) as usize])
+            .collect()
+    }
+
+    /// Documents of every shape: nested objects and arrays over strings
+    /// with escapes, control characters and non-ASCII text, and numbers
+    /// from [`arb_number`].
+    struct ArbDoc;
+
+    impl ArbDoc {
+        fn doc(rng: &mut proptest::test_runner::TestRng, depth: u32) -> Json {
+            match rng.below(if depth == 0 { 4 } else { 6 }) {
+                0 => Json::Null,
+                1 => Json::Bool(rng.below(2) == 1),
+                2 => Json::Num(arb_number(rng)),
+                3 => Json::Str(arb_string(rng)),
+                4 => Json::Arr(
+                    (0..rng.below(4))
+                        .map(|_| Self::doc(rng, depth - 1))
+                        .collect(),
+                ),
+                _ => Json::Obj(
+                    (0..rng.below(4))
+                        .map(|_| (arb_string(rng), Self::doc(rng, depth - 1)))
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    impl proptest::strategy::Strategy for ArbDoc {
+        type Value = Json;
+        fn generate(&self, rng: &mut proptest::test_runner::TestRng) -> Json {
+            Self::doc(rng, 4)
+        }
+    }
+
+    proptest::proptest! {
+        /// `write_into` (and `Display` through it) writes the bytes the
+        /// old renderer wrote, for every finite document.
+        #[test]
+        fn renderer_matches_the_old_display(doc in ArbDoc) {
+            let mut written = String::new();
+            doc.write_into(&mut written);
+            let old = OldRender(&doc).to_string();
+            proptest::prop_assert_eq!(&written, &old);
+            proptest::prop_assert_eq!(doc.to_string(), old);
+        }
+    }
+
+    #[test]
+    fn integers_at_the_cut_render_as_before() {
+        for (n, text) in [
+            (999_999_999_999_999.0, "999999999999999"),
+            (-999_999_999_999_999.0, "-999999999999999"),
+            (1e15, "1000000000000000"),
+            (-1e15, "-1000000000000000"),
+            (-0.0, "0"),
+            (0.5, "0.5"),
+            (u64::MAX as f64, "18446744073709552000"),
+        ] {
+            assert_eq!(Json::Num(n).to_string(), text);
+        }
+    }
+
+    /// The one change from the old renderer: it wrote `NaN`, `inf` and
+    /// `-inf`, which no JSON parser accepts (this one included).
+    #[test]
+    fn non_finite_numbers_render_null() {
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let doc = Json::obj(vec![("x", Json::Num(n))]);
+            assert_eq!(doc.to_string(), r#"{"x":null}"#);
+            assert!(Json::parse(&OldRender(&doc).to_string()).is_err());
+        }
+    }
+
+    /// A string value at the request body limit (1 MiB) parses in one
+    /// pass: the parser used to re-validate the rest of the input per
+    /// character, which took seconds at this size.
+    #[test]
+    fn a_one_mib_string_parses_and_round_trips() {
+        let value = "x".repeat(1 << 20);
+        let doc = format!(r#"{{"workload":"{value}"}}"#);
+        let started = std::time::Instant::now();
+        let parsed = Json::parse(&doc).unwrap();
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(1),
+            "parse took {:?}",
+            started.elapsed()
+        );
+        assert_eq!(parsed.get("workload").and_then(Json::as_str), Some(&*value));
+        assert_eq!(parsed.to_string(), doc);
+    }
+
+    #[test]
+    fn a_long_string_with_escapes_and_multibyte_text_round_trips() {
+        let value = "é😀 \"q\"\\\n\t\u{1}x".repeat(1 << 15);
+        let doc = Json::obj(vec![("v", Json::str(&*value))]);
+        let text = doc.to_string();
+        assert!(text.len() > 1 << 19);
+        let parsed = Json::parse(&text).unwrap();
+        assert_eq!(parsed.get("v").and_then(Json::as_str), Some(&*value));
+        assert_eq!(parsed.to_string(), text);
+        let spelled = Json::parse(r#""a\u00e9\/\ud83d\ude00b""#).unwrap();
+        assert_eq!(spelled.as_str(), Some("aé/😀b"));
     }
 
     #[test]

@@ -142,8 +142,10 @@ impl ServerMetrics {
 
     /// Records one handled request.
     pub fn record_request(&self, endpoint: &str, status: u16, latency_secs: f64) {
+        let mut digits = [0; 20];
+        let status = crate::json::decimal(status.into(), &mut digits);
         self.requests
-            .get_or_create(&[("endpoint", endpoint), ("status", &status.to_string())])
+            .get_or_create(&[("endpoint", endpoint), ("status", status)])
             .inc();
         self.request_latency
             .get_or_create(&[("endpoint", endpoint)])
@@ -289,6 +291,24 @@ mod tests {
         assert!(text.contains("ccp_admission_timeouts_total 1"));
         assert!(text.contains("ccp_server_admission_queue_depth 3.0"));
         assert!(text.contains("ccp_server_running_queries 2.0"));
+    }
+
+    /// Every status the server sends, and one it never does, is labelled
+    /// with its decimal code.
+    #[test]
+    fn every_status_is_labelled_with_its_decimal_code() {
+        let registry = Registry::new();
+        let m = ServerMetrics::new(&registry);
+        let statuses = [200, 400, 404, 405, 409, 413, 429, 500, 503, 418, 7, 65535];
+        for status in statuses {
+            m.record_request("/query", status, 0.001);
+        }
+        let text = registry.render_prometheus();
+        for status in statuses {
+            let line =
+                format!("ccp_server_requests_total{{endpoint=\"/query\",status=\"{status}\"}} 1");
+            assert!(text.contains(&line), "missing {line}");
+        }
     }
 
     #[test]

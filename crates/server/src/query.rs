@@ -62,17 +62,32 @@ pub enum WorkloadSpec {
 
 impl WorkloadSpec {
     /// Stable name used for metrics labels and throughput normalization.
-    /// Only `tpch-N` is formatted; the fixed names cost no allocation.
+    /// Every name is a static string; only a `tpch-N` outside 1–22,
+    /// which [`parse_query`] never produces, is formatted.
     pub fn name(&self) -> Cow<'static, str> {
         Cow::Borrowed(match self {
             WorkloadSpec::Q1 { .. } => "q1",
             WorkloadSpec::Q2 { .. } => "q2",
             WorkloadSpec::Q3 => "q3",
-            WorkloadSpec::Tpch { id } => return Cow::Owned(format!("tpch-{id}")),
+            WorkloadSpec::Tpch { id } => match tpch_name(*id) {
+                Some(name) => name,
+                None => return Cow::Owned(format!("tpch-{id}")),
+            },
             WorkloadSpec::Oltp { .. } => "oltp",
             WorkloadSpec::Sleep { .. } => "sleep",
         })
     }
+}
+
+/// `tpch-1` … `tpch-22`, indexed by query number − 1.
+const TPCH_NAMES: [&str; 22] = [
+    "tpch-1", "tpch-2", "tpch-3", "tpch-4", "tpch-5", "tpch-6", "tpch-7", "tpch-8", "tpch-9",
+    "tpch-10", "tpch-11", "tpch-12", "tpch-13", "tpch-14", "tpch-15", "tpch-16", "tpch-17",
+    "tpch-18", "tpch-19", "tpch-20", "tpch-21", "tpch-22",
+];
+
+fn tpch_name(id: u8) -> Option<&'static str> {
+    TPCH_NAMES.get(usize::from(id).checked_sub(1)?).copied()
 }
 
 /// Parses one request line (`{"workload": "q1", ...}`) into a spec.
@@ -185,42 +200,37 @@ pub struct Breakdown {
 impl Breakdown {
     /// Renders the breakdown as a JSON object.
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("queue_us", Json::num(self.queue_us as f64)),
-            ("schedule_us", Json::num(self.schedule_us as f64)),
-            ("bind_us", Json::num(self.bind_us as f64)),
-            ("exec_us", Json::num(self.exec_us as f64)),
+        let field = |key: &str, us: u64| (key.to_string(), Json::num(us as f64));
+        Json::Obj(vec![
+            field("queue_us", self.queue_us),
+            field("schedule_us", self.schedule_us),
+            field("bind_us", self.bind_us),
+            field("exec_us", self.exec_us),
         ])
     }
 }
 
 impl QueryOutcome {
     /// Renders the outcome with the latency breakdown attached as a
-    /// `"breakdown"` sub-object.
+    /// `"breakdown"` sub-object. The field list has room for one more:
+    /// the `"ticket"` the connection handler appends.
     pub fn to_json_with(&self, breakdown: &Breakdown) -> Json {
-        let mut json = self.to_json();
-        if let Json::Obj(ref mut fields) = json {
-            fields.push(("breakdown".to_string(), breakdown.to_json()));
-        }
-        json
-    }
-
-    /// Renders the outcome as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("workload", Json::str(&*self.workload)),
-            ("class", Json::str(self.class.label())),
-            ("mask", Json::str(format!("{:#x}", self.mask_bits))),
-            ("rows", Json::num(self.rows as f64)),
-            ("result", Json::num(self.result as f64)),
-            ("latency_secs", Json::num(self.latency_secs)),
-            ("rows_per_sec", Json::num(self.rows_per_sec)),
-            (
-                "normalized_throughput",
-                Json::num(self.normalized_throughput),
-            ),
-            ("reuse", Json::str(self.reuse)),
-        ])
+        let mut fields = Vec::with_capacity(11);
+        let mut field = |key: &str, value: Json| fields.push((key.to_string(), value));
+        field("workload", Json::str(&*self.workload));
+        field("class", Json::str(self.class.label()));
+        field("mask", Json::str(format!("{:#x}", self.mask_bits)));
+        field("rows", Json::num(self.rows as f64));
+        field("result", Json::num(self.result as f64));
+        field("latency_secs", Json::num(self.latency_secs));
+        field("rows_per_sec", Json::num(self.rows_per_sec));
+        field(
+            "normalized_throughput",
+            Json::num(self.normalized_throughput),
+        );
+        field("reuse", Json::str(self.reuse));
+        field("breakdown", breakdown.to_json());
+        Json::Obj(fields)
     }
 }
 
@@ -246,17 +256,35 @@ impl Datasets {
     fn build(rows: usize) -> Self {
         let rows = rows.max(64);
         let keys = (rows / 4).max(16);
-        let amounts = Arc::new(DictColumn::build(&gen::uniform_ints(rows, 50_000, 11)));
-        let regions = Arc::new(DictColumn::build(&gen::uniform_ints(rows, 64, 12)));
+        // Every row-sized column is drawn into this one buffer. A buffer
+        // per column would be freed into the middle of the heap, where
+        // the allocator keeps it resident for the server's lifetime.
+        let mut draws = Vec::with_capacity(rows);
+        let amounts = Arc::new(DictColumn::build(gen::uniform_ints_into(
+            &mut draws, rows, 50_000, 11,
+        )));
+        let regions = Arc::new(DictColumn::build(gen::uniform_ints_into(
+            &mut draws, rows, 64, 12,
+        )));
         let pk = Arc::new(DictColumn::build(&gen::primary_keys(keys, 21)));
-        let fk = Arc::new(DictColumn::build(&gen::foreign_keys(rows, keys as i64, 22)));
-        let lineitem = Arc::new(ccp_tpch::gen::lineitem_sample(rows, keys, 7));
+        // `foreign_keys` is `uniform_ints` over the key domain.
+        let fk = Arc::new(DictColumn::build(gen::uniform_ints_into(
+            &mut draws,
+            rows,
+            keys as i64,
+            22,
+        )));
+        let lineitem = Arc::new(ccp_tpch::gen::lineitem_sample(rows, keys, 7, &mut draws));
         // OLTP side: an ACDOCA-like document table — repeated document
         // keys, an amount per row.
         let doc_count = (rows / 8).max(8) as i64;
-        let oltp_keys = DictColumn::build(&gen::uniform_ints(rows, doc_count, 31));
+        let oltp_keys = DictColumn::build(gen::uniform_ints_into(&mut draws, rows, doc_count, 31));
+        let oltp_amounts =
+            DictColumn::build(gen::uniform_ints_into(&mut draws, rows, 1_000_000, 32));
+        // Built from codes, not draws: freed first, the buffer's space can
+        // hold the index.
+        drop(draws);
         let oltp_index = InvertedIndex::build(oltp_keys.codes().iter(), oltp_keys.dict().len());
-        let oltp_amounts = DictColumn::build(&gen::uniform_ints(rows, 1_000_000, 32));
         Datasets {
             amounts,
             regions,
@@ -582,28 +610,24 @@ impl QueryEngine {
     }
 }
 
-/// The reuse-key identity of a workload: `(query_id, raw predicate)`.
-/// `None` marks the workload uncacheable — OLTP point selects (cheap,
-/// write-adjacent) and the debug sleep always bypass the cache. The
-/// predicate strings deliberately vary spelling-agnostic parameters
-/// only; [`ccp_reuse::canonicalize_predicate`] normalizes them.
-fn reuse_key_parts(spec: &WorkloadSpec) -> Option<(String, String)> {
-    match spec {
-        WorkloadSpec::Q1 { threshold } => Some(("q1".into(), format!("threshold < {threshold}"))),
-        WorkloadSpec::Q2 { agg } => Some(("q2".into(), format!("agg = {}", agg_label(*agg)))),
-        WorkloadSpec::Q3 => Some(("q3".into(), String::new())),
-        WorkloadSpec::Tpch { id } => Some((format!("tpch-{id}"), String::new())),
-        WorkloadSpec::Oltp { .. } | WorkloadSpec::Sleep { .. } => None,
-    }
-}
-
-fn agg_label(agg: Aggregate) -> &'static str {
-    match agg {
-        Aggregate::Max => "max",
-        Aggregate::Min => "min",
-        Aggregate::Sum => "sum",
-        Aggregate::Count => "count",
-    }
+/// The reuse-key identity of a workload: `(query_id, predicate)`, the
+/// predicate already in [`ccp_reuse::canonicalize_predicate`]'s form so
+/// the key build takes its early return. `None` marks the workload
+/// uncacheable — OLTP point selects (cheap, write-adjacent) and the
+/// debug sleep always bypass the cache.
+fn reuse_key_parts(spec: &WorkloadSpec) -> Option<(Cow<'static, str>, Cow<'static, str>)> {
+    let predicate = match spec {
+        WorkloadSpec::Q1 { threshold } => Cow::Owned(format!("threshold<{threshold}")),
+        WorkloadSpec::Q2 { agg } => Cow::Borrowed(match agg {
+            Aggregate::Max => "agg=max",
+            Aggregate::Min => "agg=min",
+            Aggregate::Sum => "agg=sum",
+            Aggregate::Count => "agg=count",
+        }),
+        WorkloadSpec::Q3 | WorkloadSpec::Tpch { .. } => Cow::Borrowed(""),
+        WorkloadSpec::Oltp { .. } | WorkloadSpec::Sleep { .. } => return None,
+    };
+    Some((spec.name(), predicate))
 }
 
 /// Full result memoization: a hit returns the cached `(rows, result)`
@@ -769,7 +793,10 @@ mod tests {
     #[test]
     fn outcome_renders_as_json_object() {
         let en = engine();
-        let line = en.execute(&WorkloadSpec::Q3).to_json().to_string();
+        let line = en
+            .execute(&WorkloadSpec::Q3)
+            .to_json_with(&Breakdown::default())
+            .to_string();
         let parsed = Json::parse(&line).unwrap();
         assert_eq!(parsed.get("workload").unwrap().as_str(), Some("q3"));
         assert_eq!(parsed.get("class").unwrap().as_str(), Some("mixed"));
@@ -834,6 +861,41 @@ mod tests {
         let (cuid, predicted) = en.classify_for_admission(&spec);
         assert_eq!(cuid, CacheUsageClass::Polluting);
         assert!(!predicted);
+    }
+
+    #[test]
+    fn reuse_keys_are_emitted_canonical_under_static_names() {
+        let mut specs = vec![
+            WorkloadSpec::Q1 { threshold: 25_000 },
+            WorkloadSpec::Q1 { threshold: -7 },
+            WorkloadSpec::Q3,
+        ];
+        specs.extend(
+            [
+                Aggregate::Max,
+                Aggregate::Min,
+                Aggregate::Sum,
+                Aggregate::Count,
+            ]
+            .map(|agg| WorkloadSpec::Q2 { agg }),
+        );
+        specs.extend(ccp_tpch::query_ids().map(|id| WorkloadSpec::Tpch { id }));
+        for spec in &specs {
+            let (qid, pred) = reuse_key_parts(spec).unwrap();
+            assert!(matches!(qid, Cow::Borrowed(_)), "{qid} was formatted");
+            assert_eq!(qid, spec.name());
+            assert_eq!(ccp_reuse::canonicalize_predicate(&pred), pred);
+        }
+        assert_eq!(WorkloadSpec::Tpch { id: 22 }.name(), "tpch-22");
+        // The keys the spaced spellings minted before.
+        let q1 = reuse_key_parts(&WorkloadSpec::Q1 { threshold: 25_000 }).unwrap();
+        assert_eq!(ccp_reuse::canonicalize_predicate("threshold < 25000"), q1.1);
+        let q2 = reuse_key_parts(&WorkloadSpec::Q2 {
+            agg: Aggregate::Count,
+        })
+        .unwrap();
+        assert_eq!(ccp_reuse::canonicalize_predicate("agg = count"), q2.1);
+        assert!(reuse_key_parts(&WorkloadSpec::Oltp { key: 7 }).is_none());
     }
 
     #[test]

@@ -760,24 +760,18 @@ fn handle_query(shared: &Shared, req: &Request) -> Response {
     let Ok(body) = std::str::from_utf8(&req.body) else {
         return Response::error(400, "body is not UTF-8");
     };
-    let lines: Vec<&str> = body
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty())
-        .collect();
-    if lines.is_empty() {
-        return Response::error(400, "empty body; send one JSON object per line");
-    }
-    let mut out = Vec::with_capacity(lines.len());
-    for (i, line) in lines.iter().enumerate() {
-        match run_query_line(shared, line, &tenant) {
-            Ok(outcome) => out.push(outcome),
+    let lines = body.lines().map(str::trim).filter(|l| !l.is_empty());
+    // Each reply line is rendered straight into the response body.
+    let mut out = String::with_capacity(crate::json::LINE_BYTES);
+    for (i, line) in lines.enumerate() {
+        let reply = match run_query_line(shared, line, &tenant) {
+            Ok(outcome) => outcome,
             Err(QueryLineError::Parse(why)) => {
                 let err = Json::obj(vec![("error", Json::str(&why))]);
                 if i == 0 {
                     return Response::json(400, &err);
                 }
-                out.push(err.to_string());
+                err
             }
             Err(QueryLineError::Admission(err)) => {
                 let status = match err {
@@ -793,13 +787,16 @@ fn handle_query(shared: &Shared, req: &Request) -> Response {
                         resp
                     };
                 }
-                out.push(msg.to_string());
+                msg
             }
-        }
+        };
+        reply.write_into(&mut out);
+        out.push('\n');
     }
-    let mut body = out.join("\n");
-    body.push('\n');
-    Response::ndjson(200, body)
+    if out.is_empty() {
+        return Response::error(400, "empty body; send one JSON object per line");
+    }
+    Response::ndjson(200, out)
 }
 
 enum QueryLineError {
@@ -820,7 +817,7 @@ fn run_query_line(
     shared: &Shared,
     line: &str,
     tenant: &ccp_resctrl::TenantId,
-) -> Result<String, QueryLineError> {
+) -> Result<Json, QueryLineError> {
     let value = Json::parse(line).map_err(|e| QueryLineError::Parse(format!("bad JSON: {e}")))?;
     let spec =
         parse_query(&value, shared.config.enable_sleep_workload).map_err(QueryLineError::Parse)?;
@@ -871,7 +868,7 @@ fn run_query_line(
         // `GET /trace?ticket=N`.
         fields.push(("ticket".to_string(), Json::num(ticket as f64)));
     }
-    Ok(json.to_string())
+    Ok(json)
 }
 
 // ---------------------------------------------------------------------------
@@ -918,4 +915,112 @@ pub fn install_sigint_handler() {
 /// Whether SIGINT arrived since [`install_sigint_handler`].
 pub fn sigint_requested() -> bool {
     SIGINT_SEEN.load(Ordering::SeqCst)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Heap allocations the thread has asked for (`alloc`,
+        /// `alloc_zeroed` and `realloc` calls). A const-initialised `Cell`
+        /// without a destructor: touching it never allocates.
+        static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn count_one() {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+
+    /// The system allocator, counting each thread's allocations.
+    struct CountingAlloc;
+
+    // SAFETY: every method forwards its arguments unchanged to `System`,
+    // which upholds the `GlobalAlloc` contract; counting only touches a
+    // thread-local `Cell`.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            count_one();
+            // SAFETY: the caller upholds `alloc`'s contract for `layout`.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            count_one();
+            // SAFETY: as for `alloc`.
+            unsafe { System.alloc_zeroed(layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            count_one();
+            // SAFETY: `ptr` came from this allocator (hence `System`) with
+            // `layout`, as the caller guarantees.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from this allocator (hence `System`) with
+            // `layout`, as the caller guarantees.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static COUNTING: CountingAlloc = CountingAlloc;
+
+    /// `f`'s result and the allocations the calling thread made inside it.
+    fn allocations_in<R>(f: impl FnOnce() -> R) -> (R, u64) {
+        let before = ALLOCATIONS.with(Cell::get);
+        let out = f();
+        (out, ALLOCATIONS.with(Cell::get) - before)
+    }
+
+    fn query(body: &str) -> Request {
+        Request {
+            method: "POST".to_string(),
+            target: "/query".to_string(),
+            http11: true,
+            headers: vec![
+                ("Host".to_string(), "127.0.0.1".to_string()),
+                ("Content-Length".to_string(), body.len().to_string()),
+            ],
+            body: body.as_bytes().to_vec(),
+        }
+    }
+
+    /// The fixed per-request work of `/query`, counted in heap
+    /// allocations on the connection thread: the handler for an `oltp`
+    /// statement, a reuse-hit `q1` and a reuse-hit `q2` stays under its
+    /// ceiling (the handler before the single renderer, label lookups
+    /// without allocation and canonical reuse keys made 49, 70 and 68).
+    #[test]
+    fn a_query_line_stays_inside_its_allocation_budget() {
+        let mut server = Server::start(ServerConfig {
+            dataset_rows: 4_096,
+            fake_resctrl: true,
+            monitor_interval: None,
+            flight: false,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        for (body, ceiling) in [
+            (r#"{"workload":"oltp","key":7}"#, 31),
+            (r#"{"workload":"q1","threshold":25000}"#, 37),
+            (r#"{"workload":"q2","agg":"sum"}"#, 36),
+        ] {
+            let req = query(body);
+            // The first run mints the label sets and the best-throughput
+            // entry, and publishes the reuse entry the measured run hits.
+            assert_eq!(handle_query(&server.shared, &req).status, 200);
+            let (resp, allocations) = allocations_in(|| handle_query(&server.shared, &req));
+            assert_eq!(resp.status, 200, "{body}");
+            assert!(
+                allocations <= ceiling,
+                "{body}: {allocations} allocations, ceiling {ceiling}"
+            );
+        }
+        server.shutdown();
+    }
 }

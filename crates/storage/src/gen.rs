@@ -10,9 +10,19 @@ use rand::{Rng, SeedableRng};
 /// `n` integers drawn uniformly from `1..=max` — the paper's Query 1 column
 /// (`10⁹` values in `1..=10⁶`) and Query 2 columns use this distribution.
 pub fn uniform_ints(n: usize, max: i64, seed: u64) -> Vec<i64> {
+    let mut out = Vec::new();
+    uniform_ints_into(&mut out, n, max, seed);
+    out
+}
+
+/// [`uniform_ints`] drawn into `out`, replacing its contents, so a caller
+/// building several columns draws them all through one row-sized buffer.
+pub fn uniform_ints_into(out: &mut Vec<i64>, n: usize, max: i64, seed: u64) -> &[i64] {
     assert!(max >= 1, "max must be positive");
     let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| rng.gen_range(1..=max)).collect()
+    out.clear();
+    out.extend((0..n).map(|_| rng.gen_range(1..=max)));
+    out
 }
 
 /// A shuffled permutation of `1..=n` — the paper's Query 3 primary-key
@@ -53,6 +63,16 @@ pub fn distinct_for_dict_bytes(bytes: u64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn drawing_into_a_used_buffer_replaces_its_contents() {
+        let mut buf = vec![-1; 5000];
+        assert_eq!(
+            uniform_ints_into(&mut buf, 1000, 100, 42),
+            uniform_ints(1000, 100, 42)
+        );
+        assert_eq!(buf.len(), 1000);
+    }
 
     #[test]
     fn uniform_is_seed_deterministic_and_in_range() {

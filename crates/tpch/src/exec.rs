@@ -148,7 +148,12 @@ pub fn q6_forecast_revenue(
 /// queries and examples.
 pub fn sample_database(lineitem_rows: usize, orders: usize, seed: u64) -> (Arc<Table>, Arc<Table>) {
     (
-        Arc::new(gen::lineitem_sample(lineitem_rows, orders, seed)),
+        Arc::new(gen::lineitem_sample(
+            lineitem_rows,
+            orders,
+            seed,
+            &mut Vec::new(),
+        )),
         Arc::new(gen::orders_sample(orders, seed ^ 0xbeef)),
     )
 }

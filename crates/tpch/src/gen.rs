@@ -17,14 +17,16 @@ use rand::{Rng, SeedableRng};
 /// * `L_EXTENDEDPRICE` — wide-domain prices (≈ `rows/2` distinct values,
 ///   mirroring the real column's high NDV).
 /// * `L_DISCOUNT` — uniform `0..=10` (percent, per spec).
-pub fn lineitem_sample(rows: usize, orders: usize, seed: u64) -> Table {
+///
+/// Every column is drawn into `draws` (its contents are replaced), so a
+/// caller building more columns can lend one row-sized buffer to all.
+pub fn lineitem_sample(rows: usize, orders: usize, seed: u64, draws: &mut Vec<i64>) -> Table {
     assert!(rows > 0 && orders > 0, "sample needs rows and orders");
     let mut rng = StdRng::seed_from_u64(seed);
     let price_domain = (rows as i64 / 2).max(10);
     let mut t = Table::new("lineitem");
-    // One column at a time: draw it, encode it, drop the draws. At most
-    // one row-sized `Vec<i64>` is alive, and the draws happen in this
-    // order, column after column.
+    // One column at a time: draw it into `draws`, encode it. The draws
+    // happen in this order, column after column.
     for (name, lo, hi) in [
         ("L_ORDERKEY", 1, orders as i64),
         ("L_QUANTITY", 1, 50),
@@ -35,8 +37,9 @@ pub fn lineitem_sample(rows: usize, orders: usize, seed: u64) -> Table {
         ("L_RETURNFLAG", 0, 2),
         ("L_LINESTATUS", 0, 1),
     ] {
-        let values: Vec<i64> = (0..rows).map(|_| rng.gen_range(lo..=hi)).collect();
-        t.add_column(name, Column::Int(DictColumn::build(&values)));
+        draws.clear();
+        draws.extend((0..rows).map(|_| rng.gen_range(lo..=hi)));
+        t.add_column(name, Column::Int(DictColumn::build(draws)));
     }
     t
 }
@@ -59,7 +62,7 @@ mod tests {
 
     #[test]
     fn lineitem_has_spec_distributions() {
-        let t = lineitem_sample(10_000, 1_000, 7);
+        let t = lineitem_sample(10_000, 1_000, 7, &mut Vec::new());
         assert_eq!(t.row_count(), 10_000);
         assert_eq!(t.column_count(), 6);
         let Column::Int(q) = t.column("L_QUANTITY").unwrap() else {
@@ -109,7 +112,7 @@ mod tests {
 
     #[test]
     fn column_at_a_time_draws_the_same_columns() {
-        let t = lineitem_sample(10_000, 1_000, 7);
+        let t = lineitem_sample(10_000, 1_000, 7, &mut Vec::new());
         for (name, values) in lineitem_drawn_first(10_000, 1_000, 7) {
             let Column::Int(col) = t.column(name).unwrap() else {
                 panic!("{name} is an integer column")
@@ -134,8 +137,8 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let a = lineitem_sample(100, 10, 1);
-        let b = lineitem_sample(100, 10, 1);
+        let a = lineitem_sample(100, 10, 1, &mut Vec::new());
+        let b = lineitem_sample(100, 10, 1, &mut Vec::new());
         let Column::Int(ca) = a.column("L_EXTENDEDPRICE").unwrap() else {
             panic!()
         };

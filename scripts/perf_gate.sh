@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # Perf-regression gate for the cache-allocation fast path, the storage
-# kernels (compressed scan, aggregation hash table) and the grouped
-# aggregation operator.
+# kernels (compressed scan, aggregation hash table), the grouped
+# aggregation operator and a request's fixed costs in the server.
 #
-# Runs the `micro_alloc`, `storage_micro` and `engine_micro` criterion
-# benchmarks several times on the current tree and on a base ref (checked
-# out into a throwaway git worktree), compares per-benchmark medians, and
-# fails if any gated benchmark got more than the threshold slower. The
-# measurements come from the JSON lines the vendored criterion stand-in
-# appends when CCP_BENCH_JSON is set.
+# Runs the `micro_alloc`, `storage_micro`, `engine_micro` and
+# `server_micro` criterion benchmarks several times on the current tree
+# and on a base ref (checked out into a throwaway git worktree),
+# alternating the two round by round so host drift lands on both sides,
+# compares per-benchmark medians, and fails if any gated benchmark got
+# more than the threshold slower. A bench target a tree does not have is
+# skipped there. The measurements come from the JSON lines the vendored
+# criterion stand-in appends when CCP_BENCH_JSON is set.
 #
 # Usage:
 #   scripts/perf_gate.sh [BASE_REF]        # default: origin/main, then main
@@ -53,14 +55,15 @@ cleanup() {
 }
 trap cleanup EXIT
 
-run_bench() { # run_bench <tree-dir> <json-out>
-    local tree="$1" out="$2" i
-    for ((i = 1; i <= RUNS; i++)); do
-        echo "  run $i/$RUNS …"
-        (cd "$tree" && export CCP_BENCH_JSON="$out" &&
-            cargo bench -p ccp-bench --bench micro_alloc >/dev/null &&
-            cargo bench -p ccp-storage --bench storage_micro >/dev/null &&
-            cargo bench -p ccp-engine --bench engine_micro >/dev/null)
+# package:bench-target:crate-dir
+BENCHES="ccp-bench:micro_alloc:crates/bench ccp-storage:storage_micro:crates/storage ccp-engine:engine_micro:crates/engine ccp-server:server_micro:crates/server"
+
+run_round() { # run_round <tree-dir> <json-out>: one run of every bench the tree has
+    local tree="$1" out="$2" entry pkg bench dir
+    for entry in $BENCHES; do
+        IFS=: read -r pkg bench dir <<<"$entry"
+        [[ -f "$tree/$dir/benches/$bench.rs" ]] || continue
+        (cd "$tree" && CCP_BENCH_JSON="$out" cargo bench -p "$pkg" --bench "$bench" >/dev/null)
     done
 }
 
@@ -69,29 +72,29 @@ run_bench() { # run_bench <tree-dir> <json-out>
 SUMMARY="${GITHUB_STEP_SUMMARY:-/dev/null}"
 
 echo "== perf gate: current tree vs $BASE_REF (runs=$RUNS, threshold=${THRESHOLD}%) =="
-echo "-- benchmarking current tree"
-run_bench "$REPO_ROOT" "$PR_JSON"
+git worktree add --detach "$BASE_TREE" "$BASE_REF" >/dev/null
+for ((i = 1; i <= RUNS; i++)); do
+    echo "-- round $i/$RUNS: current tree, then base ($BASE_REF)"
+    run_round "$REPO_ROOT" "$PR_JSON"
+    run_round "$BASE_TREE" "$BASE_JSON"
+done
 
 if [[ ! -s "$PR_JSON" ]]; then
     # A silently-empty measurement file must never read as "no
     # regression": it means the bench harness itself broke.
     echo "perf gate: no CCP_BENCH_JSON lines from the current tree — the" >&2
     echo "vendored criterion stand-in emitted no measurements (is the" >&2
-    echo "micro_alloc/storage_micro/engine_micro benches still wired to CCP_BENCH_JSON?)" >&2
+    echo "micro_alloc/storage_micro/engine_micro/server_micro benches still wired to CCP_BENCH_JSON?)" >&2
     echo "### Perf gate: FAILED — no measurements from the current tree" >>"$SUMMARY"
     exit 1
 fi
-
-echo "-- benchmarking base ($BASE_REF)"
-git worktree add --detach "$BASE_TREE" "$BASE_REF" >/dev/null
-run_bench "$BASE_TREE" "$BASE_JSON"
 
 if [[ ! -s "$BASE_JSON" ]]; then
     # The base ref predates CCP_BENCH_JSON support in the vendored
     # criterion stand-in; there is nothing to compare against yet.
     echo "-- base produced no measurements; gate passes vacuously"
     {
-        echo "### Perf gate (micro_alloc, storage_micro, engine_micro)"
+        echo "### Perf gate (micro_alloc, storage_micro, engine_micro, server_micro)"
         echo
         echo "Vacuous pass: base \`${BASE_REF}\` produced no CCP_BENCH_JSON measurements."
     } >>"$SUMMARY"
@@ -147,7 +150,7 @@ for bench in gate_ids:
         failed = True
 
 with open(summary_path, "w") as f:
-    f.write("### Perf gate (micro_alloc, storage_micro, engine_micro)\n\n")
+    f.write("### Perf gate (micro_alloc, storage_micro, engine_micro, server_micro)\n\n")
     f.write(f"Threshold: {threshold:.0f}% slowdown on medians.\n\n")
     f.write("| benchmark | base (ns/iter) | pr (ns/iter) | delta | verdict |\n")
     f.write("|---|---:|---:|---:|---|\n")
