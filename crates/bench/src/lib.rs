@@ -12,7 +12,6 @@
 //! ~4× slower); `CCP_QUICK=1` for a smoke run.
 
 use ccp_workloads::Experiment;
-use serde::Serialize;
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -55,7 +54,7 @@ pub fn banner(figure: &str, title: &str, e: &Experiment) {
 }
 
 /// Directory where experiment JSON results land.
-pub fn results_dir() -> PathBuf {
+pub(crate) fn results_dir() -> PathBuf {
     let dir =
         PathBuf::from(std::env::var_os("CARGO_TARGET_DIR").unwrap_or_else(|| "target".into()))
             .join("experiments");
@@ -118,7 +117,7 @@ fn rows_to_json(rows: &[ResultRow]) -> String {
 }
 
 /// A generic result row for JSON capture.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ResultRow {
     /// Configuration label (e.g. "dict=40MiB groups=1e5").
     pub config: String,

@@ -33,21 +33,6 @@ impl Region {
         );
         self.base + off
     }
-
-    /// Number of cache lines the region spans.
-    pub fn lines(&self) -> u64 {
-        self.len.div_ceil(LINE_BYTES)
-    }
-
-    /// Iterator over the byte address of the start of each line.
-    pub fn line_starts(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..self.lines()).map(move |i| self.base + i * LINE_BYTES)
-    }
-
-    /// Whether `addr` falls inside the region.
-    pub fn contains(&self, addr: u64) -> bool {
-        addr >= self.base && addr < self.base + self.len
-    }
 }
 
 /// Bump allocator for simulated regions.
@@ -77,11 +62,6 @@ impl AddrSpace {
         self.next += padded;
         Region { base, len }
     }
-
-    /// Total simulated bytes handed out (including padding).
-    pub fn allocated(&self) -> u64 {
-        self.next
-    }
 }
 
 #[cfg(test)]
@@ -97,25 +77,6 @@ mod tests {
         assert_eq!(r2.base % LINE_BYTES, 0);
         // r2 starts beyond r1's padded end (guard line included).
         assert!(r2.base >= r1.base + 128 + LINE_BYTES);
-        assert!(!r1.contains(r2.base));
-    }
-
-    #[test]
-    fn line_count_rounds_up() {
-        let mut a = AddrSpace::new();
-        assert_eq!(a.alloc(1).lines(), 1);
-        assert_eq!(a.alloc(64).lines(), 1);
-        assert_eq!(a.alloc(65).lines(), 2);
-    }
-
-    #[test]
-    fn line_starts_enumerates_lines() {
-        let mut a = AddrSpace::new();
-        let r = a.alloc(200);
-        let starts: Vec<u64> = r.line_starts().collect();
-        assert_eq!(starts.len(), 4);
-        assert_eq!(starts[0], r.base);
-        assert_eq!(starts[3], r.base + 192);
     }
 
     #[test]

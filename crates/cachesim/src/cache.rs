@@ -51,7 +51,7 @@ pub enum AccessOutcome {
 impl AccessOutcome {
     /// `true` for [`AccessOutcome::Hit`].
     #[inline]
-    pub fn is_hit(self) -> bool {
+    pub(crate) fn is_hit(self) -> bool {
         matches!(self, AccessOutcome::Hit)
     }
 }
@@ -88,7 +88,7 @@ impl SetAssociativeCache {
     ///
     /// # Panics
     /// See [`SetAssociativeCache::new`].
-    pub fn with_policy(size_bytes: u64, ways: u32, policy: ReplacementPolicy) -> Self {
+    pub(crate) fn with_policy(size_bytes: u64, ways: u32, policy: ReplacementPolicy) -> Self {
         assert!(
             (1..=32).contains(&ways),
             "associativity must be in 1..=32, got {ways}"
@@ -108,23 +108,6 @@ impl SetAssociativeCache {
             policy,
             rng: 0x853c_49e6_748f_ea9b,
         }
-    }
-
-    /// The cache's replacement policy.
-    pub fn policy(&self) -> ReplacementPolicy {
-        self.policy
-    }
-
-    /// Number of sets.
-    #[inline]
-    pub fn sets(&self) -> u64 {
-        self.sets
-    }
-
-    /// Associativity.
-    #[inline]
-    pub fn ways(&self) -> u32 {
-        self.ways
     }
 
     #[inline]
@@ -249,7 +232,7 @@ impl SetAssociativeCache {
 
     /// Removes `line` if present; returns whether it was present. Used for
     /// inclusive back-invalidation.
-    pub fn invalidate(&mut self, line: u64) -> bool {
+    pub(crate) fn invalidate(&mut self, line: u64) -> bool {
         let base = self.set_of(line);
         for w in 0..self.ways as usize {
             if self.tags[base + w] == line {
@@ -263,13 +246,6 @@ impl SetAssociativeCache {
     /// Number of valid lines currently cached.
     pub fn occupancy(&self) -> u64 {
         self.tags.iter().filter(|&&t| t != INVALID).count() as u64
-    }
-
-    /// Empties the cache.
-    pub fn flush(&mut self) {
-        self.tags.fill(INVALID);
-        self.stamps.fill(0);
-        self.tick = 0;
     }
 }
 
@@ -289,8 +265,8 @@ mod tests {
     #[test]
     fn geometry() {
         let c = small();
-        assert_eq!(c.sets(), 8);
-        assert_eq!(c.ways(), 8);
+        assert_eq!(c.sets, 8);
+        assert_eq!(c.ways, 8);
     }
 
     #[test]
@@ -366,14 +342,12 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_and_flush() {
+    fn occupancy_counts_valid_lines() {
         let mut c = small();
         for i in 0..10 {
             c.access(i, full8());
         }
         assert_eq!(c.occupancy(), 10);
-        c.flush();
-        assert_eq!(c.occupancy(), 0);
     }
 
     #[test]

@@ -19,11 +19,6 @@ pub struct CacheLevelConfig {
 }
 
 impl CacheLevelConfig {
-    /// Number of sets (`size / (ways * 64 B)`).
-    pub fn sets(&self) -> u64 {
-        self.size_bytes / (u64::from(self.ways) * crate::LINE_BYTES)
-    }
-
     /// Capacity of a single way in bytes.
     pub fn way_bytes(&self) -> u64 {
         self.size_bytes / u64::from(self.ways)
@@ -33,7 +28,7 @@ impl CacheLevelConfig {
     ///
     /// # Errors
     /// Fails when `ways` is out of the supported range.
-    pub fn full_mask(&self) -> Result<WayMask, MaskError> {
+    pub(crate) fn full_mask(&self) -> Result<WayMask, MaskError> {
         WayMask::full(self.ways)
     }
 }
@@ -173,8 +168,9 @@ mod tests {
         // One way is 2.75 MiB (paper section V-A).
         assert_eq!(c.llc.way_bytes(), 2_883_584);
         // 45,056 sets: 55 MiB / (20 ways * 64 B).
-        assert_eq!(c.llc.sets(), 45_056);
-        assert_eq!(c.l2.sets(), 512);
+        let sets = |l: CacheLevelConfig| l.size_bytes / (u64::from(l.ways) * crate::LINE_BYTES);
+        assert_eq!(sets(c.llc), 45_056);
+        assert_eq!(sets(c.l2), 512);
     }
 
     #[test]

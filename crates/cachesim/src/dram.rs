@@ -31,7 +31,7 @@ use crate::config::DramConfig;
 
 /// Service class of a DRAM request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DramClass {
+pub(crate) enum DramClass {
     /// A demand miss: the core is (partially) stalled on it.
     Demand,
     /// A prefetcher-initiated fill: latency-tolerant, lowest priority.
@@ -62,7 +62,7 @@ const DEMAND_SEES_PREFETCH_DIV: u64 = 4;
 
 impl DramChannel {
     /// Creates an idle channel.
-    pub fn new(cfg: DramConfig) -> Self {
+    pub(crate) fn new(cfg: DramConfig) -> Self {
         DramChannel {
             cfg,
             horizon_centi: 0,
@@ -76,7 +76,7 @@ impl DramChannel {
     /// Requests one 64-byte line transfer at drain-clock time `now`
     /// (cycles). Returns the latency the requester observes: the idle
     /// latency plus the class-dependent queuing delay.
-    pub fn request(&mut self, now: u64, class: DramClass) -> u64 {
+    pub(crate) fn request(&mut self, now: u64, class: DramClass) -> u64 {
         let now_centi = now * 100;
         // Drain by elapsed time: demand backlog first (it is served with
         // priority), the remainder drains prefetch backlog.
@@ -119,18 +119,8 @@ impl DramChannel {
         self.queue_cycles
     }
 
-    /// Achieved bandwidth in bytes per cycle over `elapsed_cycles`, as a
-    /// float for reporting only.
-    pub fn achieved_bytes_per_cycle(&self, elapsed_cycles: u64) -> f64 {
-        if elapsed_cycles == 0 {
-            0.0
-        } else {
-            self.bytes_transferred() as f64 / elapsed_cycles as f64
-        }
-    }
-
     /// Resets counters and the backlog, keeping the configuration.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.horizon_centi = 0;
         self.demand_backlog_centi = 0;
         self.prefetch_backlog_centi = 0;
@@ -261,7 +251,6 @@ mod tests {
         for _ in 0..10 {
             d.request(0, DramClass::Demand);
         }
-        let bpc = d.achieved_bytes_per_cycle(100);
-        assert!((bpc - 6.4).abs() < 1e-9);
+        assert_eq!(d.bytes_transferred(), 640);
     }
 }

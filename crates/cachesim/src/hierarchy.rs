@@ -77,9 +77,7 @@ pub struct MemoryHierarchy {
     /// excluded). Intel's Cache Monitoring Technology exposes the same
     /// per-RMID occupancy on real hardware.
     line_owner: HashMap<u64, (StreamId, bool)>,
-    /// Lines currently owned per stream (parallel summary of `line_owner`).
-    owned_lines: Vec<u64>,
-    /// Of the owned lines, how many were re-used at least once.
+    /// Of each stream's owned lines, how many were re-used at least once.
     reused_lines: Vec<u64>,
 }
 
@@ -116,7 +114,6 @@ impl MemoryHierarchy {
             streams,
             inflight: HashMap::new(),
             line_owner: HashMap::new(),
-            owned_lines: vec![0; n_streams],
             reused_lines: vec![0; n_streams],
         }
     }
@@ -124,11 +121,6 @@ impl MemoryHierarchy {
     /// The configuration this hierarchy was built with.
     pub fn config(&self) -> &HierarchyConfig {
         &self.cfg
-    }
-
-    /// Number of streams.
-    pub fn stream_count(&self) -> usize {
-        self.streams.len()
     }
 
     /// Sets stream `s`'s LLC way mask (its CAT class of service).
@@ -139,11 +131,6 @@ impl MemoryHierarchy {
         mask.check_fits(self.cfg.llc.ways)
             .expect("mask must fit the LLC");
         self.streams[s].llc_mask = mask;
-    }
-
-    /// Stream `s`'s current LLC way mask.
-    pub fn mask(&self, s: StreamId) -> WayMask {
-        self.streams[s].llc_mask
     }
 
     /// Sets the latency divisor for stream `s` (in-flight request overlap).
@@ -268,7 +255,6 @@ impl MemoryHierarchy {
         self.l2.invalidate(line);
         self.inflight.remove(&line);
         if let Some((owner, reused)) = self.line_owner.remove(&line) {
-            self.owned_lines[owner] -= 1;
             if reused {
                 self.reused_lines[owner] -= 1;
             }
@@ -277,13 +263,9 @@ impl MemoryHierarchy {
 
     /// Records that stream `s` filled `line` into the LLC (CMT accounting).
     fn record_fill(&mut self, s: StreamId, line: u64) {
-        if let Some((prev, reused)) = self.line_owner.insert(line, (s, false)) {
-            self.owned_lines[prev] -= 1;
-            if reused {
-                self.reused_lines[prev] -= 1;
-            }
+        if let Some((prev, true)) = self.line_owner.insert(line, (s, false)) {
+            self.reused_lines[prev] -= 1;
         }
-        self.owned_lines[s] += 1;
     }
 
     /// Flags `line` as re-used by its owner — but not when the "hit" is
@@ -298,14 +280,6 @@ impl MemoryHierarchy {
                 self.reused_lines[*owner] += 1;
             }
         }
-    }
-
-    /// CMT-style LLC occupancy of stream `s`, in bytes: the lines it filled
-    /// that are still resident. This is the number Intel CMT reports per
-    /// RMID on real hardware and is handy for verifying that masks confine
-    /// polluters.
-    pub fn llc_occupancy_bytes(&self, s: StreamId) -> u64 {
-        self.owned_lines[s] * crate::LINE_BYTES
     }
 
     /// Bytes of stream `s`'s resident LLC lines that were re-used at least
@@ -399,27 +373,6 @@ impl MemoryHierarchy {
         }
         self.dram.reset();
         self.inflight.clear();
-    }
-
-    /// Flushes all caches, clocks and statistics.
-    pub fn reset_all(&mut self) {
-        for st in &mut self.streams {
-            st.prefetcher.reset();
-            st.stats = StreamStats::default();
-            st.clock_centi = 0;
-        }
-        self.l2.flush();
-        self.llc.flush();
-        self.dram.reset();
-        self.inflight.clear();
-        self.line_owner.clear();
-        self.owned_lines.fill(0);
-        self.reused_lines.fill(0);
-    }
-
-    /// Number of valid lines currently in the LLC (diagnostics).
-    pub fn llc_occupancy(&self) -> u64 {
-        self.llc.occupancy()
     }
 }
 
@@ -587,17 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_all_cools_everything() {
-        let mut m = tiny(1);
-        m.access(0, 0, AccessKind::Read);
-        m.reset_all();
-        assert_eq!(m.clock(0), 0);
-        m.access(0, 0, AccessKind::Read);
-        assert_eq!(m.stats(0).l2.misses, 1);
-        assert_eq!(m.stats(0).llc.misses, 1);
-    }
-
-    #[test]
     fn retire_tracks_instructions_for_mpi() {
         let mut m = tiny(1);
         m.access(0, 0, AccessKind::Read);
@@ -614,6 +556,13 @@ mod tests {
         assert_eq!(all.llc.misses, 2);
     }
 
+    /// Bytes of the LLC lines stream `s` filled that are still resident
+    /// (its CMT occupancy).
+    fn owned_bytes(m: &MemoryHierarchy, s: StreamId) -> u64 {
+        let lines = m.line_owner.values().filter(|(o, _)| *o == s).count();
+        lines as u64 * crate::LINE_BYTES
+    }
+
     #[test]
     fn cmt_occupancy_tracks_fills_and_evictions() {
         let mut m = tiny(2);
@@ -621,14 +570,14 @@ mod tests {
         for i in 0..100u64 {
             m.access(0, i * 64, AccessKind::Read);
         }
-        assert_eq!(m.llc_occupancy_bytes(0), 100 * 64);
-        assert_eq!(m.llc_occupancy_bytes(1), 0);
+        assert_eq!(owned_bytes(&m, 0), 100 * 64);
+        assert_eq!(owned_bytes(&m, 1), 0);
         // Stream 1 floods the LLC: stream 0's occupancy collapses.
         for i in 0..4096u64 {
             m.access(1, 0x100_0000 + i * 64, AccessKind::Read);
         }
-        assert!(m.llc_occupancy_bytes(0) < 100 * 64 / 2);
-        assert!(m.llc_occupancy_bytes(1) > 0);
+        assert!(owned_bytes(&m, 0) < 100 * 64 / 2);
+        assert!(owned_bytes(&m, 1) > 0);
     }
 
     #[test]
@@ -640,19 +589,10 @@ mod tests {
             m.access(0, i * 64, AccessKind::Read);
         }
         assert!(
-            m.llc_occupancy_bytes(0) <= 16 * 1024,
+            owned_bytes(&m, 0) <= 16 * 1024,
             "masked stream exceeded its slice: {} bytes",
-            m.llc_occupancy_bytes(0)
+            owned_bytes(&m, 0)
         );
-    }
-
-    #[test]
-    fn cmt_occupancy_clears_on_reset_all() {
-        let mut m = tiny(1);
-        m.access(0, 0, AccessKind::Read);
-        assert_eq!(m.llc_occupancy_bytes(0), 64);
-        m.reset_all();
-        assert_eq!(m.llc_occupancy_bytes(0), 0);
     }
 
     #[test]

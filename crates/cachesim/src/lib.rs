@@ -38,14 +38,14 @@
 //! assert!(cost > 0);
 //! ```
 
-pub mod addr;
-pub mod cache;
-pub mod config;
-pub mod dram;
-pub mod hierarchy;
-pub mod mask;
-pub mod prefetch;
-pub mod stats;
+mod addr;
+mod cache;
+mod config;
+mod dram;
+mod hierarchy;
+mod mask;
+mod prefetch;
+mod stats;
 
 pub use addr::{AddrSpace, Region};
 pub use cache::{AccessOutcome, ReplacementPolicy, SetAssociativeCache};
@@ -61,6 +61,6 @@ pub const LINE_BYTES: u64 = 64;
 
 /// Returns the cache-line index of a byte address.
 #[inline]
-pub fn line_of(addr: u64) -> u64 {
+pub(crate) fn line_of(addr: u64) -> u64 {
     addr / LINE_BYTES
 }

@@ -23,7 +23,7 @@ const CONFIRM_RUN: u32 = 2;
 
 /// Detects ascending sequential line streams and proposes prefetches.
 #[derive(Debug, Clone)]
-pub struct StreamPrefetcher {
+pub(crate) struct StreamPrefetcher {
     depth: u32,
     table: Vec<StreamEntry>,
     /// Round-robin victim pointer for table replacement.
@@ -33,17 +33,12 @@ pub struct StreamPrefetcher {
 impl StreamPrefetcher {
     /// Creates a prefetcher that runs `depth` lines ahead. `depth == 0`
     /// disables prefetching entirely.
-    pub fn new(depth: u32) -> Self {
+    pub(crate) fn new(depth: u32) -> Self {
         StreamPrefetcher {
             depth,
             table: Vec::with_capacity(TABLE_SIZE),
             victim: 0,
         }
-    }
-
-    /// Whether prefetching is enabled.
-    pub fn enabled(&self) -> bool {
-        self.depth > 0
     }
 
     /// Observes a demand access to `line`; returns the range of lines to
@@ -55,7 +50,7 @@ impl StreamPrefetcher {
     /// the whole look-ahead window `line+1 ..= line+depth`; every further
     /// access proposes only the new head `line+depth`, keeping the window
     /// full at one request per access.
-    pub fn on_access(&mut self, line: u64) -> std::ops::Range<u64> {
+    pub(crate) fn on_access(&mut self, line: u64) -> std::ops::Range<u64> {
         if self.depth == 0 {
             return 0..0;
         }
@@ -91,12 +86,6 @@ impl StreamPrefetcher {
         }
         0..0
     }
-
-    /// Forgets all tracked streams.
-    pub fn reset(&mut self) {
-        self.table.clear();
-        self.victim = 0;
-    }
 }
 
 #[cfg(test)]
@@ -106,7 +95,6 @@ mod tests {
     #[test]
     fn disabled_prefetcher_is_silent() {
         let mut p = StreamPrefetcher::new(0);
-        assert!(!p.enabled());
         for i in 0..10 {
             assert!(p.on_access(i).is_empty());
         }
@@ -159,14 +147,5 @@ mod tests {
         // A fresh stream still confirms after replacement.
         p.on_access(500_000);
         assert_eq!(p.on_access(500_001), 500_002..500_004);
-    }
-
-    #[test]
-    fn reset_clears_streams() {
-        let mut p = StreamPrefetcher::new(2);
-        p.on_access(10);
-        p.reset();
-        // After reset the continuation is a brand-new stream (run=1).
-        assert!(p.on_access(11).is_empty());
     }
 }

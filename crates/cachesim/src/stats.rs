@@ -33,7 +33,7 @@ impl CacheStats {
     }
 
     /// Adds another counter set into this one.
-    pub fn merge(&mut self, other: &CacheStats) {
+    pub(crate) fn merge(&mut self, other: &CacheStats) {
         self.hits += other.hits;
         self.misses += other.misses;
     }
@@ -93,14 +93,9 @@ impl StreamStats {
         }
     }
 
-    /// Demand accesses that reached DRAM.
-    pub fn dram_accesses(&self) -> u64 {
-        self.llc.misses
-    }
-
     /// Merges another stream's counters into this one (for whole-workload
     /// reporting, like the paper's system-wide PCM numbers).
-    pub fn merge(&mut self, other: &StreamStats) {
+    pub(crate) fn merge(&mut self, other: &StreamStats) {
         self.l2.merge(&other.l2);
         self.llc.merge(&other.llc);
         self.prefetch_covered += other.prefetch_covered;

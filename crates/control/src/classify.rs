@@ -53,7 +53,7 @@ impl Default for Thresholds {
 
 /// A class's observed behavior over the last control tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Behavior {
+pub(crate) enum Behavior {
     /// No occupancy, no traffic: nothing running in this class.
     Idle,
     /// Working set already fits well inside the allocation.
@@ -69,7 +69,7 @@ pub enum Behavior {
 /// Classifies one class from its occupancy, MBM slope (bytes moved this
 /// tick; `None` when no previous reading exists) and current allocation
 /// in bytes. A zero allocation is degenerate and reads as Steady.
-pub fn classify(
+pub(crate) fn classify(
     occupancy_bytes: u64,
     traffic_bytes_per_tick: Option<u64>,
     allocation_bytes: u64,

@@ -62,32 +62,12 @@ impl BatchHandle {
         }
     }
 
-    /// Jobs of this batch still running or queued.
-    pub fn remaining(&self) -> usize {
-        *self.inner.remaining.lock()
-    }
-
     /// Blocks until every job of the batch has finished.
     pub fn wait(&self) {
         let mut remaining = self.inner.remaining.lock();
         while *remaining > 0 {
             self.inner.done.wait(&mut remaining);
         }
-    }
-
-    /// Blocks until the batch finishes or `timeout` elapses; returns
-    /// whether the batch completed.
-    pub fn wait_timeout(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut remaining = self.inner.remaining.lock();
-        while *remaining > 0 {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            self.inner.done.wait_for(&mut remaining, deadline - now);
-        }
-        true
     }
 }
 
@@ -298,7 +278,7 @@ impl JobExecutor {
     /// The live CUID→mask table this pool binds from. Adaptive control
     /// publishes repartitions through this handle; workers pick them up
     /// on their next bind.
-    pub fn live_masks(&self) -> Arc<LiveMasks> {
+    pub(crate) fn live_masks(&self) -> Arc<LiveMasks> {
         self.shared.live.clone()
     }
 
@@ -405,7 +385,7 @@ impl JobExecutor {
     /// This pool's instruments (queue-wait and run-latency histograms
     /// per CUID class, mask-switch accounting). The returned handle
     /// shares state with the pool; attach it to a registry with
-    /// [`ExecutorMetrics::register_into`] to expose it.
+    /// `ExecutorMetrics::register_into` to expose it.
     pub fn metrics(&self) -> ExecutorMetrics {
         self.shared.metrics.clone()
     }
@@ -675,31 +655,50 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn batch_completes_independently_of_other_submissions() {
-        use std::time::Duration;
-        let ex = JobExecutor::new(2, policy(), Arc::new(NoopAllocator));
-        // A long-running foreign job occupies one worker the whole time.
-        let gate = Arc::new(AtomicU64::new(0));
+    /// Waits for `batch` on a helper thread; the receiver yields once
+    /// `wait()` has returned.
+    fn wait_in_background(batch: BatchHandle) -> std::sync::mpsc::Receiver<()> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            batch.wait();
+            let _ = tx.send(());
+        });
+        rx
+    }
+
+    /// A job that spins until `gate` is set.
+    fn gated_job(gate: &Arc<AtomicU64>) -> Job {
         let g = gate.clone();
-        let slow = ex.submit_batch(vec![Job::unannotated("slow", move || {
+        Job::unannotated("slow", move || {
             while g.load(Ordering::Relaxed) == 0 {
                 std::thread::sleep(Duration::from_millis(1));
             }
-        })]);
+        })
+    }
+
+    #[test]
+    fn batch_completes_independently_of_other_submissions() {
+        let ex = JobExecutor::new(2, policy(), Arc::new(NoopAllocator));
+        // A long-running foreign job occupies one worker the whole time.
+        let gate = Arc::new(AtomicU64::new(0));
+        let slow = ex.submit_batch(vec![gated_job(&gate)]);
         // The batch must finish on the free worker without waiting for
         // the foreign job.
-        let batch = ex.submit_batch(vec![
-            Job::unannotated("a", || {}),
-            Job::unannotated("b", || {}),
-        ]);
-        assert!(
-            batch.wait_timeout(Duration::from_secs(5)),
-            "batch blocked on an unrelated job"
-        );
-        assert_eq!(batch.remaining(), 0);
+        let ran = Arc::new(AtomicU64::new(0));
+        let jobs = ["a", "b"]
+            .map(|name| {
+                let r = ran.clone();
+                Job::unannotated(name, move || {
+                    r.fetch_add(1, Ordering::Relaxed);
+                })
+            })
+            .into();
+        let done = wait_in_background(ex.submit_batch(jobs));
+        let finished = done.recv_timeout(Duration::from_secs(5)).is_ok();
         gate.store(1, Ordering::Relaxed);
         slow.wait();
+        assert!(finished, "batch blocked on an unrelated job");
+        assert_eq!(ran.load(Ordering::Relaxed), 2);
     }
 
     #[test]
@@ -714,19 +713,14 @@ mod tests {
     }
 
     #[test]
-    fn batch_wait_timeout_reports_unfinished_work() {
-        use std::time::Duration;
+    fn batch_wait_blocks_until_its_job_finishes() {
         let ex = JobExecutor::new(1, policy(), Arc::new(NoopAllocator));
         let gate = Arc::new(AtomicU64::new(0));
-        let g = gate.clone();
-        let batch = ex.submit_batch(vec![Job::unannotated("slow", move || {
-            while g.load(Ordering::Relaxed) == 0 {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        })]);
-        assert!(!batch.wait_timeout(Duration::from_millis(20)));
+        let done = wait_in_background(ex.submit_batch(vec![gated_job(&gate)]));
+        let early = done.recv_timeout(Duration::from_millis(20)).is_ok();
         gate.store(1, Ordering::Relaxed);
-        assert!(batch.wait_timeout(Duration::from_secs(5)));
+        assert!(!early, "wait() returned while the job was still running");
+        assert!(done.recv_timeout(Duration::from_secs(5)).is_ok());
     }
 
     #[test]
@@ -751,7 +745,8 @@ mod tests {
             let queued = next_job(&rx, linger).expect("the queued job");
             assert_eq!(queued.job.name, "queued");
             drop(queued);
-            assert_eq!(batch.remaining(), 0);
+            // The dropped guard completed the batch: `wait` returns at once.
+            batch.wait();
             // Empty and disconnected: the linger runs out, then `None`.
             assert!(next_job(&rx, linger).is_none());
         }

@@ -36,11 +36,11 @@
 //! validated against the native operators' access counts in the test suite.
 
 pub mod alloc;
-pub mod dual_pool;
-pub mod executor;
+mod dual_pool;
+mod executor;
 pub mod job;
-pub mod masks;
-pub mod metrics;
+mod masks;
+mod metrics;
 pub mod ops;
 pub mod partition;
 pub mod scheduler;

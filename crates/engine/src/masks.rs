@@ -45,7 +45,7 @@ pub struct LiveMasks {
 
 impl LiveMasks {
     /// A table seeded with the policy's static plan, partitioning on.
-    pub fn from_policy(policy: &PartitionPolicy) -> Self {
+    pub(crate) fn from_policy(policy: &PartitionPolicy) -> Self {
         LiveMasks {
             table: Mutex::new(Table {
                 plan: policy.static_plan(),

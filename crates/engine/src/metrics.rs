@@ -42,7 +42,7 @@ impl Default for ExecutorMetrics {
 
 impl ExecutorMetrics {
     /// Creates a fresh (zeroed, unregistered) instrument bundle.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let lat = |_| Histogram::new(unit::latency_seconds());
         ExecutorMetrics {
             jobs: PerClass::from_fn(|_| Counter::new()),
@@ -107,7 +107,7 @@ impl ExecutorMetrics {
     /// Attaches these live handles to `registry` under
     /// `pool="<pool>"`. Families are created idempotently, so several
     /// pools can expose through one registry.
-    pub fn register_into(&self, registry: &Registry, pool: &str) {
+    pub(crate) fn register_into(&self, registry: &Registry, pool: &str) {
         let jobs = registry.counter_family(
             "ccp_executor_jobs_total",
             "Jobs executed, by pool and CUID class",

@@ -88,7 +88,7 @@ impl PartitionPolicy {
 
     /// The polluter mask (never below 2 ways — the paper observed that one
     /// way causes contention and degrades even scans).
-    pub fn polluter_mask(&self) -> WayMask {
+    pub(crate) fn polluter_mask(&self) -> WayMask {
         let m = WayMask::percent(self.polluter_percent, self.llc.ways).expect("valid percent");
         if m.way_count() < 2 && self.llc.ways >= 2 {
             WayMask::from_ways(2).expect("2 <= 32")

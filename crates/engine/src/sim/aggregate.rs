@@ -88,11 +88,6 @@ impl AggregationSim {
     pub fn paper_q2(space: &mut AddrSpace, rows: u64, dict_bytes: u64, groups: u64) -> Self {
         Self::new(space, rows, (dict_bytes / 8).max(1), groups)
     }
-
-    /// Dictionary footprint in bytes.
-    pub fn dict_bytes(&self) -> u64 {
-        self.dict.len
-    }
 }
 
 impl SimOperator for AggregationSim {
@@ -189,7 +184,7 @@ mod tests {
     fn footprints_match_paper() {
         let mut space = AddrSpace::new();
         let agg = AggregationSim::paper_q2(&mut space, 1000, 40 << 20, 100_000);
-        assert_eq!(agg.dict_bytes(), (40 << 20) / 8 * 8);
+        assert_eq!(agg.dict.len, (40 << 20) / 8 * 8);
         assert_eq!(agg.ht.len, 55_000_000);
     }
 

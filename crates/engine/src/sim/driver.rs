@@ -72,18 +72,6 @@ pub struct RunOutcome {
     pub total_queue_cycles: u64,
 }
 
-impl RunOutcome {
-    /// System-wide LLC hit ratio.
-    pub fn llc_hit_ratio(&self) -> f64 {
-        self.combined.llc.hit_ratio()
-    }
-
-    /// System-wide LLC misses per instruction.
-    pub fn llc_mpi(&self) -> f64 {
-        self.combined.llc_mpi()
-    }
-}
-
 /// Default warm-up window: enough virtual cycles for every working set to
 /// reach steady state in a 55 MiB LLC (≈ 5 ms of virtual time at 2.2 GHz).
 pub const DEFAULT_WARM_CYCLES: u64 = 12_000_000;
@@ -318,7 +306,8 @@ mod tests {
         let sum: u64 = out.streams.iter().map(|s| s.stats.llc.misses).sum();
         assert_eq!(out.combined.llc.misses, sum);
         assert!(out.dram_bytes > 0);
-        assert!(out.llc_hit_ratio() >= 0.0 && out.llc_hit_ratio() <= 1.0);
+        let hit_ratio = out.combined.llc.hit_ratio();
+        assert!((0.0..=1.0).contains(&hit_ratio));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Each native operator has a *twin* here that replays the operator's
 //! memory-access pattern — derived from the paper's Sections II–IV — against
 //! the `ccp-cachesim` hierarchy. Twins process work in small batches under a
-//! virtual-time scheduler ([`driver`]), which is how the harness reproduces
+//! virtual-time scheduler (`driver`), which is how the harness reproduces
 //! the paper's isolated LLC sweeps (Figures 4–6) and concurrent workloads
 //! (Figures 1, 9–12) without CAT hardware.
 //!
@@ -26,19 +26,22 @@
 //! divides observed latencies. The constants are documented at each
 //! operator and validated by the shape tests in `tests/`.
 
-pub mod aggregate;
-pub mod classify;
-pub mod composite;
-pub mod driver;
-pub mod join;
-pub mod oltp;
-pub mod scan;
+mod aggregate;
+mod classify;
+mod composite;
+mod driver;
+mod join;
+mod oltp;
+mod scan;
 mod zipf;
 
 pub use aggregate::AggregationSim;
 pub use classify::{classify_operator, ClassificationReport};
 pub use composite::{CompositeSim, Phase};
-pub use driver::{run_concurrent, run_isolated, RunOutcome, SimWorkload, StreamOutcome};
+pub use driver::{
+    run_concurrent, run_isolated, RunOutcome, SimWorkload, StreamOutcome, DEFAULT_MEASURE_CYCLES,
+    DEFAULT_WARM_CYCLES,
+};
 pub use join::FkJoinSim;
 pub use oltp::OltpSim;
 pub use scan::ColumnScanSim;

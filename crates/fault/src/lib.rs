@@ -34,7 +34,7 @@
 //! Omitting the trigger fires on every hit.
 //!
 //! Plans install process-wide from the `CCP_FAULTS` environment
-//! variable ([`install_from_env`]) or programmatically ([`install`]).
+//! variable ([`install_from_env`]) or programmatically (`install`).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -63,7 +63,6 @@ struct Registry {
 struct PointState {
     spec: FaultSpec,
     hits: u64,
-    fires: u64,
 }
 
 /// What an armed failpoint does when its trigger matches.
@@ -321,7 +320,7 @@ fn lock_registry() -> std::sync::MutexGuard<'static, Option<Registry>> {
 /// Installs `plan` process-wide, replacing any previous plan and
 /// resetting all hit counters. An empty plan disarms everything
 /// (equivalent to [`clear`]).
-pub fn install(plan: FaultPlan) {
+pub(crate) fn install(plan: FaultPlan) {
     let mut guard = lock_registry();
     if plan.specs.is_empty() {
         *guard = None;
@@ -337,7 +336,6 @@ pub fn install(plan: FaultPlan) {
             PointState {
                 spec: spec.clone(),
                 hits: 0,
-                fires: 0,
             },
         );
     }
@@ -394,12 +392,6 @@ pub fn exclusive() -> Exclusive {
     Exclusive(TURN.lock().unwrap_or_else(PoisonError::into_inner))
 }
 
-/// Whether any plan is installed. Cheap (one relaxed load).
-pub fn armed() -> bool {
-    // ORDERING: relaxed — advisory gate; see the `ARMED` declaration.
-    ARMED.load(Ordering::Relaxed)
-}
-
 /// The `Display` form of the installed plan, if any.
 pub fn active_plan() -> Option<String> {
     let guard = lock_registry();
@@ -434,7 +426,6 @@ fn should_fail_slow(name: &str) -> bool {
         if !point.spec.trigger.fires(point.hits) {
             return false;
         }
-        point.fires += 1;
         point.spec.action.clone()
     };
     match action {
@@ -445,34 +436,6 @@ fn should_fail_slow(name: &str) -> bool {
         }
         Action::Panic => panic!("ccp-fault: failpoint {name:?} fired panic action"),
     }
-}
-
-/// Hit/fire counters for one armed failpoint (for tests and `/stats`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PointStatus {
-    pub name: String,
-    pub hits: u64,
-    pub fires: u64,
-}
-
-/// Counters for every armed failpoint, sorted by name. Empty when
-/// disarmed.
-pub fn snapshot() -> Vec<PointStatus> {
-    let guard = lock_registry();
-    let mut out: Vec<PointStatus> = match guard.as_ref() {
-        None => Vec::new(),
-        Some(reg) => reg
-            .points
-            .iter()
-            .map(|(name, p)| PointStatus {
-                name: name.clone(),
-                hits: p.hits,
-                fires: p.fires,
-            })
-            .collect(),
-    };
-    out.sort_by(|a, b| a.name.cmp(&b.name));
-    out
 }
 
 #[cfg(test)]
@@ -610,14 +573,15 @@ mod tests {
     fn disarmed_point_counts_nothing() {
         let _turn = exclusive();
         clear();
-        assert!(!armed());
+        // ORDERING: relaxed — the test holds the turn; nothing races it.
+        assert!(!ARMED.load(Ordering::Relaxed));
         // Hitting a point with no plan installed must not fail, must not
         // arm anything, and must not materialize registry state — the
         // observable half of the "branch-only when disarmed" contract.
         for _ in 0..1000 {
             assert!(!should_fail("t.cold"));
         }
-        assert!(snapshot().is_empty());
+        assert!(lock_registry().is_none());
         assert_eq!(active_plan(), None);
     }
 
@@ -626,11 +590,10 @@ mod tests {
         with_plan("t.known=err", || {
             assert!(!should_fail("t.unknown"));
             assert!(should_fail("t.known"));
-            let snap = snapshot();
-            assert_eq!(snap.len(), 1);
-            assert_eq!(snap[0].name, "t.known");
-            assert_eq!(snap[0].hits, 1);
-            assert_eq!(snap[0].fires, 1);
+            let guard = lock_registry();
+            let points = &guard.as_ref().expect("armed").points;
+            assert_eq!(points.len(), 1);
+            assert_eq!(points["t.known"].hits, 1);
         });
     }
 

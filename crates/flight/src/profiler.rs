@@ -81,26 +81,26 @@ mod ffi {
     //! Minimal hand-rolled glibc x86_64 bindings (no libc crate in the
     //! workspace); layouts match `sysdeps/unix/sysv/linux` ABI.
 
-    pub const SIGPROF: i32 = 27;
-    pub const ITIMER_PROF: i32 = 2;
-    pub const SA_SIGINFO: i32 = 4;
+    pub(super) const SIGPROF: i32 = 27;
+    pub(super) const ITIMER_PROF: i32 = 2;
+    pub(super) const SA_SIGINFO: i32 = 4;
     #[allow(overflowing_literals)]
-    pub const SA_RESTART: i32 = 0x1000_0000;
+    pub(super) const SA_RESTART: i32 = 0x1000_0000;
     /// Byte offset of `uc_mcontext.gregs` inside `ucontext_t`.
-    pub const UCONTEXT_GREGS_OFFSET: usize = 40;
-    pub const REG_RBP: usize = 10;
-    pub const REG_RIP: usize = 16;
+    pub(super) const UCONTEXT_GREGS_OFFSET: usize = 40;
+    pub(super) const REG_RBP: usize = 10;
+    pub(super) const REG_RIP: usize = 16;
 
     #[repr(C)]
     #[derive(Clone, Copy)]
-    pub struct Timeval {
+    pub(super) struct Timeval {
         pub tv_sec: i64,
         pub tv_usec: i64,
     }
 
     #[repr(C)]
     #[derive(Clone, Copy)]
-    pub struct Itimerval {
+    pub(super) struct Itimerval {
         pub it_interval: Timeval,
         pub it_value: Timeval,
     }
@@ -108,7 +108,7 @@ mod ffi {
     /// glibc's `struct sigaction`: handler, 1024-bit mask, flags,
     /// restorer — 152 bytes on x86_64.
     #[repr(C)]
-    pub struct Sigaction {
+    pub(super) struct Sigaction {
         pub handler: usize,
         pub mask: [u64; 16],
         pub flags: i32,
@@ -117,19 +117,19 @@ mod ffi {
 
     /// `pthread_attr_t` is 56 opaque bytes on x86_64 glibc.
     #[repr(C)]
-    pub struct PthreadAttr(pub [u64; 7]);
+    pub(super) struct PthreadAttr(pub [u64; 7]);
 
     extern "C" {
-        pub fn sigaction(signum: i32, act: *const Sigaction, old: *mut Sigaction) -> i32;
-        pub fn setitimer(which: i32, new: *const Itimerval, old: *mut Itimerval) -> i32;
-        pub fn pthread_self() -> usize;
-        pub fn pthread_getattr_np(thread: usize, attr: *mut PthreadAttr) -> i32;
-        pub fn pthread_attr_getstack(
+        pub(super) fn sigaction(signum: i32, act: *const Sigaction, old: *mut Sigaction) -> i32;
+        pub(super) fn setitimer(which: i32, new: *const Itimerval, old: *mut Itimerval) -> i32;
+        pub(super) fn pthread_self() -> usize;
+        pub(super) fn pthread_getattr_np(thread: usize, attr: *mut PthreadAttr) -> i32;
+        pub(super) fn pthread_attr_getstack(
             attr: *const PthreadAttr,
             stackaddr: *mut *mut u8,
             stacksize: *mut usize,
         ) -> i32;
-        pub fn pthread_attr_destroy(attr: *mut PthreadAttr) -> i32;
+        pub(super) fn pthread_attr_destroy(attr: *mut PthreadAttr) -> i32;
     }
 }
 

@@ -159,11 +159,6 @@ pub struct Timeline {
 }
 
 impl FlightHandle {
-    /// Last completed recorder tick.
-    pub fn tick(&self) -> u64 {
-        self.shared.lock().tick
-    }
-
     /// Records a control-plane event at the current tick, evicting the
     /// oldest event when `max_events` are already kept.
     pub fn emit(&self, kind: &'static str, detail: impl Into<String>) {
@@ -335,7 +330,7 @@ mod tests {
         jobs.get_or_create(&[("class", "polluting")]).add(2);
         depth.get_or_create(&[]).set(5.0);
         sampler.tick();
-        assert_eq!(handle.tick(), 2);
+        assert_eq!(handle.shared.lock().tick, 2);
         let tl = handle.timeline(0, None);
         let series: BTreeMap<&str, &Vec<(u64, f64)>> =
             tl.series.iter().map(|(n, p)| (n.as_str(), p)).collect();

@@ -161,11 +161,6 @@ impl Histogram {
             sum: self.sum(),
         }
     }
-
-    /// Convenience quantile on a fresh snapshot (`q` in `0..=1`).
-    pub fn quantile(&self, q: f64) -> f64 {
-        self.snapshot().quantile(q)
-    }
 }
 
 /// Point-in-time view of a histogram, for quantiles and exposition.
@@ -179,13 +174,13 @@ pub struct HistogramSnapshot {
 impl HistogramSnapshot {
     /// Finite bucket upper bounds (the exposition's `le` values, minus
     /// the trailing `+Inf`).
-    pub fn bounds(&self) -> &[f64] {
+    pub(crate) fn bounds(&self) -> &[f64] {
         &self.bounds
     }
 
     /// Per-bucket counts; one longer than [`bounds`](Self::bounds) (the
     /// last entry is the overflow bucket).
-    pub fn counts(&self) -> &[u64] {
+    pub(crate) fn counts(&self) -> &[u64] {
         &self.counts
     }
 
@@ -197,16 +192,6 @@ impl HistogramSnapshot {
     /// Sum of observations in the snapshot.
     pub fn sum(&self) -> f64 {
         self.sum
-    }
-
-    /// Mean observation, 0 when empty.
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum / n as f64
-        }
     }
 
     /// The observations recorded in `self` but not yet in `prev`:
@@ -309,9 +294,9 @@ mod tests {
         for i in 1..=1000 {
             h.observe(i as f64 / 1000.0); // uniform on (0, 1]
         }
-        let p50 = h.quantile(0.50);
-        let p95 = h.quantile(0.95);
-        let p99 = h.quantile(0.99);
+        let p50 = h.snapshot().quantile(0.50);
+        let p95 = h.snapshot().quantile(0.95);
+        let p99 = h.snapshot().quantile(0.99);
         assert!((0.4..0.62).contains(&p50), "p50={p50}");
         assert!((0.85..1.1).contains(&p95), "p95={p95}");
         assert!((0.9..1.15).contains(&p99), "p99={p99}");
@@ -331,8 +316,7 @@ mod tests {
     #[test]
     fn empty_histogram_quantile_is_zero() {
         let h = Histogram::latency();
-        assert_eq!(h.quantile(0.99), 0.0);
-        assert_eq!(h.snapshot().mean(), 0.0);
+        assert_eq!(h.snapshot().quantile(0.99), 0.0);
     }
 
     /// With `s` subdivisions per octave, a bucket spans at most a factor
@@ -413,7 +397,7 @@ mod tests {
         // The windowed p95 sees only phase B, not the slow history.
         assert_close(delta.quantile(0.95), 0.25, spec.subdivisions, "delta p95");
         // The cumulative snapshot still reflects both phases.
-        assert!(h.quantile(0.95) > 3.0);
+        assert!(h.snapshot().quantile(0.95) > 3.0);
     }
 
     #[test]

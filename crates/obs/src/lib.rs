@@ -20,7 +20,6 @@
 //! * [`Gauge`] — `f64` point-in-time value, lock-free (bit-cast CAS).
 //! * [`Histogram`] — log-linear buckets (powers of two, linearly
 //!   subdivided), lock-free recording, p50/p95/p99 quantile estimates.
-//! * [`ScopedTimer`] — records a latency span into a histogram on drop.
 //! * [`Family`] — a metric name fanned out over label sets.
 //! * [`Registry`] — owns families, renders the Prometheus text format.
 //!
@@ -36,12 +35,7 @@
 //! let latency = registry.histogram_family_with(
 //!     "job_seconds", "Job latency", unit::latency_seconds(),
 //! );
-//! {
-//!     let _t = ccp_obs::ScopedTimer::new(
-//!         latency.get_or_create(&[("pool", "olap")]),
-//!     );
-//!     // ... timed work ...
-//! }
+//! latency.get_or_create(&[("pool", "olap")]).observe(0.002);
 //! let text = registry.render_prometheus();
 //! assert!(text.contains("jobs_total{pool=\"olap\"} 1"));
 //! ```
@@ -49,9 +43,7 @@
 mod histogram;
 mod metrics;
 mod registry;
-mod timer;
 
 pub use histogram::{unit, BucketSpec, Histogram, HistogramSnapshot};
 pub use metrics::{Counter, Gauge};
 pub use registry::{Family, FamilySample, Labels, MetricSample, Registry};
-pub use timer::ScopedTimer;

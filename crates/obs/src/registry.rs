@@ -105,11 +105,6 @@ impl<T: Clone> Family<T> {
         }
     }
 
-    /// Metric name of this family.
-    pub fn name(&self) -> &str {
-        &self.inner.name
-    }
-
     /// Returns the metric for `labels`, creating it on first use. The
     /// returned handle shares state with the family, so it can be moved
     /// into a hot path and updated without further lookups.
@@ -157,7 +152,7 @@ impl<T: Clone> Family<T> {
 
     /// Point-in-time copy of all (labels, metric) pairs, sorted by label
     /// set.
-    pub fn collect(&self) -> Vec<(Labels, T)> {
+    pub(crate) fn collect(&self) -> Vec<(Labels, T)> {
         lock(&self.inner.metrics).clone()
     }
 }

@@ -72,24 +72,6 @@ impl GroupHandle {
     }
 }
 
-/// Opaque handle to a *monitoring group*: an RMID-backed CMT/MBM counter
-/// set under a `mon_groups` directory. Unlike a [`GroupHandle`] it has no
-/// schemata and consumes no CLOS — the kernel only assigns it a resource
-/// monitoring ID, so per-query occupancy can be tracked without spending
-/// one of the 16 classes of service.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct MonGroupHandle {
-    name: String,
-    dir: PathBuf,
-}
-
-impl MonGroupHandle {
-    /// The monitoring group's directory name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
-
 /// Manages CAT classes of service through a resctrl mount.
 pub struct CacheController {
     fs: Box<dyn ResctrlFs>,
@@ -210,7 +192,7 @@ impl CacheController {
     ///
     /// # Errors
     /// [`ResctrlError::NoSuchGroup`] when absent.
-    pub fn existing_group(&self, name: &str) -> Result<GroupHandle, ResctrlError> {
+    pub(crate) fn existing_group(&self, name: &str) -> Result<GroupHandle, ResctrlError> {
         let dir = self.root.join(name);
         if self.fs.exists(&dir.join("schemata")) {
             Ok(GroupHandle {
@@ -331,7 +313,7 @@ impl CacheController {
     /// This controller's instruments (kernel round-trip counts and
     /// latency, skipped writes). Attach them to a registry with
     /// [`ResctrlMetrics::register_into`]; once attached, every
-    /// [`monitoring`](Self::monitoring) read also publishes per-group
+    /// `monitoring` read also publishes per-group
     /// CMT/MBM gauges.
     pub fn metrics(&self) -> ResctrlMetrics {
         self.metrics.clone()
@@ -343,7 +325,7 @@ impl CacheController {
     /// # Errors
     /// [`ResctrlError::Unsupported`] when the kernel exposes no monitoring
     /// files for the group (no CMT hardware or `cqm` disabled).
-    pub fn monitoring(
+    pub(crate) fn monitoring(
         &self,
         group: &GroupHandle,
         domain: u32,
@@ -385,89 +367,6 @@ impl CacheController {
         };
         self.metrics.record_monitoring(label, domain, &data);
         Ok(data)
-    }
-
-    /// Creates a monitoring group under `parent` (or under the root when
-    /// `None`). Costs an RMID but no CLOS, so it never fails with
-    /// [`ResctrlError::TooManyGroups`].
-    ///
-    /// # Errors
-    /// [`ResctrlError::Unsupported`] when the kernel exposes no
-    /// `mon_groups` directory (RDT monitoring absent), otherwise
-    /// filesystem errors.
-    pub fn create_mon_group(
-        &mut self,
-        parent: Option<&GroupHandle>,
-        name: &str,
-    ) -> Result<MonGroupHandle, ResctrlError> {
-        let base = parent.map_or(self.root.as_path(), |g| g.dir.as_path());
-        let mon_root = base.join("mon_groups");
-        if !self.fs.exists(&mon_root) {
-            return Err(ResctrlError::Unsupported(
-                "no mon_groups directory (RDT monitoring unavailable)".into(),
-            ));
-        }
-        let dir = mon_root.join(name);
-        let started = Instant::now();
-        self.fs.create_dir(&dir)?;
-        self.metrics
-            .record_group_create(started.elapsed().as_secs_f64());
-        Ok(MonGroupHandle {
-            name: name.to_string(),
-            dir,
-        })
-    }
-
-    /// Names of existing monitoring groups under `parent` (root when
-    /// `None`).
-    ///
-    /// # Errors
-    /// Propagates filesystem errors; an absent `mon_groups` directory
-    /// yields an empty list.
-    pub fn mon_groups(&self, parent: Option<&GroupHandle>) -> Result<Vec<String>, ResctrlError> {
-        let base = parent.map_or(self.root.as_path(), |g| g.dir.as_path());
-        let mon_root = base.join("mon_groups");
-        if !self.fs.exists(&mon_root) {
-            return Ok(Vec::new());
-        }
-        self.fs.list_dirs(&mon_root)
-    }
-
-    /// Deletes a monitoring group, releasing its RMID.
-    ///
-    /// # Errors
-    /// Propagates filesystem errors.
-    pub fn remove_mon_group(&mut self, group: MonGroupHandle) -> Result<(), ResctrlError> {
-        self.fs.remove_dir(&group.dir)
-    }
-
-    /// Binds thread `tid` to a monitoring group (CMT/MBM attribution only
-    /// — the thread keeps its control group's cache mask).
-    ///
-    /// # Errors
-    /// Propagates filesystem errors.
-    pub fn assign_task_mon(
-        &mut self,
-        group: &MonGroupHandle,
-        tid: u64,
-    ) -> Result<(), ResctrlError> {
-        let started = Instant::now();
-        self.fs.write(&group.dir.join("tasks"), &tid.to_string())?;
-        self.metrics
-            .record_task_assign(started.elapsed().as_secs_f64());
-        Ok(())
-    }
-
-    /// Reads a monitoring group's CMT/MBM counters for L3 `domain`.
-    ///
-    /// # Errors
-    /// Same surface as [`CacheController::monitoring`].
-    pub fn mon_group_monitoring(
-        &self,
-        group: &MonGroupHandle,
-        domain: u32,
-    ) -> Result<MonitoringData, ResctrlError> {
-        self.read_mon_data(&group.dir, &group.name, domain)
     }
 }
 
@@ -654,45 +553,18 @@ mod tests {
     }
 
     #[test]
-    fn mon_group_lifecycle_and_counters() {
-        let (fs, mut ctl) = ctl();
-        let g = ctl.create_group("olap").unwrap();
-        let at_root = ctl.create_mon_group(None, "q1").unwrap();
-        let nested = ctl.create_mon_group(Some(&g), "q2").unwrap();
-        assert_eq!(ctl.mon_groups(None).unwrap(), vec!["q1"]);
-        assert_eq!(ctl.mon_groups(Some(&g)).unwrap(), vec!["q2"]);
-        // Mon groups never show up as control groups.
-        assert_eq!(ctl.groups().unwrap(), vec!["olap"]);
-
-        ctl.assign_task_mon(&nested, 42).unwrap();
-        assert_eq!(
-            fs.tasks_of(Path::new("/sys/fs/resctrl/olap/mon_groups/q2")),
-            vec![42]
-        );
-        fs.set_mon_counter(
-            Path::new("/sys/fs/resctrl/olap/mon_groups/q2"),
-            "llc_occupancy",
-            8192,
-        );
-        let m = ctl.mon_group_monitoring(&nested, 0).unwrap();
-        assert_eq!(m.llc_occupancy_bytes, 8192);
-
-        ctl.remove_mon_group(nested).unwrap();
-        assert!(ctl.mon_groups(Some(&g)).unwrap().is_empty());
-        ctl.remove_mon_group(at_root).unwrap();
-    }
-
-    #[test]
     fn remove_group_tears_down_nested_mon_groups_first() {
         // Regression: under strict-rmdir semantics (real resctrl refuses
         // to remove a group whose mon_groups/ is non-empty) a one-shot
         // remove_group used to fail with ENOTEMPTY and leak the group.
         let (fs, mut ctl) = ctl();
         let g = ctl.create_group("olap").unwrap();
-        ctl.create_mon_group(Some(&g), "q1").unwrap();
-        ctl.create_mon_group(Some(&g), "q2").unwrap();
-        // The raw rmdir the old implementation issued is refused.
         use crate::fs::ResctrlFs;
+        for q in ["q1", "q2"] {
+            fs.create_dir(&Path::new("/sys/fs/resctrl/olap/mon_groups").join(q))
+                .unwrap();
+        }
+        // The raw rmdir the old implementation issued is refused.
         let err = fs
             .remove_dir(Path::new("/sys/fs/resctrl/olap"))
             .unwrap_err();

@@ -53,7 +53,7 @@ impl std::error::Error for ResctrlError {}
 
 impl ResctrlError {
     /// Builds an [`ResctrlError::Io`] from a `std::io::Error`.
-    pub fn io(path: impl Into<String>, op: &'static str, err: &std::io::Error) -> Self {
+    pub(crate) fn io(path: impl Into<String>, op: &'static str, err: &std::io::Error) -> Self {
         ResctrlError::Io {
             path: path.into(),
             op,

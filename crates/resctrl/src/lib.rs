@@ -23,12 +23,11 @@
 //!   kernel.
 //!
 //! A process that partitions opens **one** controller and shares it as a
-//! [`ResctrlTree`] (see [`supervisor`]): the tree then holds the groups
+//! [`ResctrlTree`] (see `supervisor`): the tree then holds the groups
 //! of the mask plan in force and nothing else.
 //!
-//! Beyond allocation, the crate also drives RDT **monitoring**: typed
-//! `mon_groups` handles ([`MonGroupHandle`]) for RMID-backed per-query
-//! counters, CMT/MBM reads, and per-CUID-class [`OccupancyProbe`]s the
+//! Beyond allocation, the crate also drives RDT **monitoring**: CMT/MBM
+//! reads of a control group, and per-CUID-class [`OccupancyProbe`]s the
 //! server's control plane polls — backed by real counters
 //! ([`ResctrlMonitor`]) or by a load-driven model ([`SimulatedMonitor`])
 //! where the hardware has none.
@@ -45,21 +44,21 @@
 //! ctl.assign_task(&group, 4242).unwrap();
 //! ```
 
-pub mod class;
-pub mod controller;
-pub mod detect;
-pub mod error;
+mod class;
+mod controller;
+mod detect;
+mod error;
 pub mod faults;
 pub mod fs;
-pub mod metrics;
-pub mod monitor;
-pub mod schemata;
-pub mod supervisor;
-pub mod sweep;
+mod metrics;
+mod monitor;
+mod schemata;
+mod supervisor;
+mod sweep;
 pub mod tenant;
 
 pub use class::{Class, PerClass};
-pub use controller::{CacheController, CatInfo, GroupHandle, MonGroupHandle, MonitoringData};
+pub use controller::{CacheController, CatInfo, GroupHandle, MonitoringData};
 pub use detect::{detect, CatSupport};
 pub use error::ResctrlError;
 pub use metrics::ResctrlMetrics;

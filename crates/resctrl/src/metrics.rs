@@ -45,7 +45,7 @@ impl Default for ResctrlMetrics {
 
 impl ResctrlMetrics {
     /// Creates a fresh (zeroed, unregistered) instrument bundle.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ResctrlMetrics {
             inner: Arc::new(Inner {
                 schemata_writes: Counter::new(),

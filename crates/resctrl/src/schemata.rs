@@ -19,13 +19,6 @@ pub struct Schemata {
 }
 
 impl Schemata {
-    /// A schemata assigning `mask` to every domain in `domains`.
-    pub fn uniform(domains: &[u32], mask: WayMask) -> Self {
-        Schemata {
-            l3: domains.iter().map(|&d| (d, mask)).collect(),
-        }
-    }
-
     /// Parses the contents of a `schemata` file. Lines for resources other
     /// than `L3` (e.g. `MB:` bandwidth throttling) are ignored, matching
     /// what a CAT-focused controller needs.
@@ -33,7 +26,7 @@ impl Schemata {
     /// # Errors
     /// Returns [`ResctrlError::InvalidSchemata`] on malformed L3 entries and
     /// [`ResctrlError::BadMask`] on masks CAT would reject.
-    pub fn parse(text: &str) -> Result<Self, ResctrlError> {
+    pub(crate) fn parse(text: &str) -> Result<Self, ResctrlError> {
         let mut l3 = BTreeMap::new();
         for line in text.lines() {
             let line = line.trim();
@@ -135,11 +128,5 @@ mod tests {
         let rendered = s.to_string();
         assert_eq!(rendered, "L3:0=fffff;1=3\n");
         assert_eq!(Schemata::parse(&rendered).unwrap(), s);
-    }
-
-    #[test]
-    fn uniform_builder() {
-        let s = Schemata::uniform(&[0, 1], WayMask::new(0x3).unwrap());
-        assert_eq!(s.to_string(), "L3:0=3;1=3\n");
     }
 }

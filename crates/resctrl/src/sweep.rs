@@ -147,8 +147,9 @@ impl Sweeper {
 mod tests {
     use super::*;
     use crate::controller::CacheController;
-    use crate::fs::FakeFs;
+    use crate::fs::{FakeFs, ResctrlFs};
     use crate::supervisor::{RetryPolicy, SupervisedController};
+    use std::path::Path;
 
     fn sweeper_on(fs: FakeFs) -> Sweeper {
         let ctl = CacheController::open_with(Box::new(fs), "/sys/fs/resctrl").unwrap();
@@ -161,12 +162,13 @@ mod tests {
         {
             let mut prev =
                 CacheController::open_with(Box::new(fs.clone()), "/sys/fs/resctrl").unwrap();
-            let g = prev.create_group("ccp-3").unwrap();
-            prev.create_mon_group(Some(&g), "q1").unwrap();
+            prev.create_group("ccp-3").unwrap();
             prev.create_group("ccp-fffff").unwrap();
             prev.create_group("ccp-probe").unwrap();
             prev.create_group("other").unwrap(); // not ours: survives
         }
+        fs.create_dir(Path::new("/sys/fs/resctrl/ccp-3/mon_groups/q1"))
+            .unwrap();
         let mut s = sweeper_on(fs.clone());
         assert_eq!(s.sweep().unwrap(), 3);
         assert_eq!(s.stats().orphans_removed.get(), 3);
@@ -204,11 +206,12 @@ mod tests {
             // with a per-query monitoring group still nested in it.
             let mut engine =
                 CacheController::open_with(Box::new(fs.clone()), "/sys/fs/resctrl").unwrap();
-            let g = engine.create_group("ccp-3").unwrap();
-            engine.create_mon_group(Some(&g), "q7").unwrap();
+            engine.create_group("ccp-3").unwrap();
             engine.create_group("ccp-fffff").unwrap();
             engine.create_group("ccp-fff").unwrap();
         }
+        fs.create_dir(Path::new("/sys/fs/resctrl/ccp-3/mon_groups/q7"))
+            .unwrap();
         let (removed, remaining) = s.shutdown_sweep();
         assert_eq!(removed, 3);
         assert_eq!(remaining, 0);

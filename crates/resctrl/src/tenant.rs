@@ -4,7 +4,7 @@
 //! weighted-fair queueing and the per-tenant metric labels. It names no
 //! resctrl group — every tenant's workers bind into the shared per-mask
 //! group [`mask_group_name`] mints, `ccp-<mask hex>`, and everything this
-//! system creates in the tree carries [`GROUP_PREFIX`], which is what
+//! system creates in the tree carries `GROUP_PREFIX`, which is what
 //! lets the orphan sweeps tell its groups from anyone else's.
 //!
 //! Tenant identifiers are deliberately strict: lowercase ASCII
@@ -21,7 +21,7 @@ use std::fmt;
 pub const DEFAULT_TENANT: &str = "default";
 
 /// Every group name this system owns starts with this.
-pub const GROUP_PREFIX: &str = "ccp-";
+pub(crate) const GROUP_PREFIX: &str = "ccp-";
 
 /// Tenant identifiers reserved because a label or `/stats` key carrying
 /// them would read as the system's own vocabulary: `probe` (the

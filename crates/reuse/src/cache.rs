@@ -45,7 +45,7 @@ pub enum Artifact {
 
 impl Artifact {
     /// The artifact's accounted footprint in bytes.
-    pub fn size_bytes(&self) -> u64 {
+    pub(crate) fn size_bytes(&self) -> u64 {
         match self {
             Artifact::AggTable(t) => t.size_bytes(),
             Artifact::JoinBits(b) => b.size_bytes(),
@@ -274,7 +274,7 @@ impl ReuseCache {
     }
 
     /// The current data-version epoch.
-    pub fn current_version(&self) -> u64 {
+    pub(crate) fn current_version(&self) -> u64 {
         self.lock().version
     }
 
@@ -305,11 +305,6 @@ impl ReuseCache {
         }
         ccp_trace::instant(TraceCat::Reuse, "reuse_version_bump");
         version
-    }
-
-    /// The configured byte budget.
-    pub fn budget_bytes(&self) -> u64 {
-        self.inner.budget
     }
 
     /// Bytes currently accounted to published artifacts.
@@ -570,11 +565,6 @@ pub struct BuildGuard {
 }
 
 impl BuildGuard {
-    /// The key this guard claims.
-    pub fn key(&self) -> &ReuseKey {
-        &self.key
-    }
-
     /// Publishes the built artifact with its measured rebuild cost.
     /// Returns `false` when the artifact was dropped instead: the
     /// `reuse.install` failpoint fired, the artifact did not fit the
@@ -896,7 +886,7 @@ mod tests {
             ));
         }
         assert!(c.predict(&pinned_key));
-        assert!(c.bytes() <= c.budget_bytes());
+        assert!(c.bytes() <= c.inner.budget);
         // Release the pin; now the same install succeeds by evicting.
         drop(held);
         if let Begin::Build(g) = c.begin(&other) {

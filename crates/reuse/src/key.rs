@@ -32,18 +32,8 @@ impl ReuseKey {
         }
     }
 
-    /// The workload name this key belongs to (`q1`, `tpch-5`, …).
-    pub fn query_id(&self) -> &str {
-        &self.query_id
-    }
-
-    /// The canonical predicate text.
-    pub fn predicate(&self) -> &str {
-        &self.predicate
-    }
-
     /// The data-version epoch the key was minted under.
-    pub fn data_version(&self) -> u64 {
+    pub(crate) fn data_version(&self) -> u64 {
         self.data_version
     }
 }
@@ -202,6 +192,6 @@ mod tests {
     #[test]
     fn empty_predicate_is_legal() {
         let k = ReuseKey::new("q3", "", 0);
-        assert_eq!(k.predicate(), "");
+        assert_eq!(k.predicate, "");
     }
 }

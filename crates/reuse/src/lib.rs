@@ -91,13 +91,13 @@ pub use key::{canonicalize_predicate, ReuseKey};
 /// `reuse.lookup=err@1`) makes [`ReuseCache::begin`]/`try_begin` treat a
 /// published entry as vanished — the misprediction path a server hits
 /// when an entry is evicted between admission and execution.
-pub const FAULT_REUSE_LOOKUP: &str = "reuse.lookup";
+pub(crate) const FAULT_REUSE_LOOKUP: &str = "reuse.lookup";
 
 /// Failpoint name: an artifact install. Arming it (e.g.
 /// `reuse.install=err@every2`) makes [`BuildGuard::publish`] drop the
 /// freshly built artifact instead of installing it; the builder's own
 /// result is unaffected, waiters fall through to building themselves.
-pub const FAULT_REUSE_INSTALL: &str = "reuse.install";
+pub(crate) const FAULT_REUSE_INSTALL: &str = "reuse.install";
 
 /// How a query interacted with the reuse cache, rendered into `/query`
 /// responses so load generators can split hit-path and miss-path

@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 
 /// Failpoint name (see `ccp-fault`): when armed, admission rejects the
 /// arrival with [`AdmissionError::QueueFull`] before touching the queue.
-pub const FAULT_ADMISSION: &str = "server.admission";
+pub(crate) const FAULT_ADMISSION: &str = "server.admission";
 
 /// Why a query was not admitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,14 +119,14 @@ impl TenantLimits {
 
     /// Gives `tenant` grant weight `weight` (minimum 1; builder style).
     #[must_use]
-    pub fn with_weight(mut self, tenant: &str, weight: u32) -> Self {
+    pub(crate) fn with_weight(mut self, tenant: &str, weight: u32) -> Self {
         self.weights.retain(|(t, _)| t != tenant);
         self.weights.push((tenant.to_string(), weight.max(1)));
         self
     }
 
     /// The in-flight quota for `tenant`, if one is configured.
-    pub fn quota_for(&self, tenant: &str) -> Option<usize> {
+    pub(crate) fn quota_for(&self, tenant: &str) -> Option<usize> {
         self.quotas
             .iter()
             .find(|(t, _)| t == tenant)
@@ -134,7 +134,7 @@ impl TenantLimits {
     }
 
     /// The grant weight for `tenant` (1 when unconfigured).
-    pub fn weight_for(&self, tenant: &str) -> u32 {
+    pub(crate) fn weight_for(&self, tenant: &str) -> u32 {
         self.weights
             .iter()
             .find(|(t, _)| t == tenant)
@@ -142,7 +142,7 @@ impl TenantLimits {
     }
 
     /// Every tenant named by a quota or weight, in configuration order.
-    pub fn tenants(&self) -> Vec<&str> {
+    pub(crate) fn tenants(&self) -> Vec<&str> {
         let quotas = self.quotas.iter().map(|(t, _)| t.as_str());
         unique(quotas.chain(self.weights.iter().map(|(t, _)| t.as_str())))
     }
@@ -200,7 +200,7 @@ impl FairShare {
     }
 
     /// Tenants with at least one grant, with their counts.
-    pub fn all(&self) -> &[(String, u64)] {
+    pub(crate) fn all(&self) -> &[(String, u64)] {
         &self.grants
     }
 
@@ -289,7 +289,7 @@ impl AdmissionQueue {
     }
 
     /// The per-tenant quotas and weights in effect.
-    pub fn tenant_limits(&self) -> &TenantLimits {
+    pub(crate) fn tenant_limits(&self) -> &TenantLimits {
         &self.tenant_limits
     }
 
@@ -527,17 +527,17 @@ impl AdmissionQueue {
     }
 
     /// Maximum number of waiting queries.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Maximum queries running concurrently (scheduler slots).
-    pub fn slots(&self) -> usize {
+    pub(crate) fn slots(&self) -> usize {
         self.scheduler.slots
     }
 
     /// Arrival-time deferrals recorded so far.
-    pub fn deferrals(&self) -> u64 {
+    pub(crate) fn deferrals(&self) -> u64 {
         self.sched_metrics.deferrals()
     }
 
@@ -554,7 +554,7 @@ impl AdmissionQueue {
     }
 
     /// Count of currently *waiting* queries per tenant, for `/stats`.
-    pub fn waiting_by_tenant(&self) -> Vec<(String, usize)> {
+    pub(crate) fn waiting_by_tenant(&self) -> Vec<(String, usize)> {
         tally(self.lock().waiting.iter().map(|w| w.tenant.to_string()))
     }
 
@@ -565,7 +565,7 @@ impl AdmissionQueue {
 
     /// Cumulative grants per tenant since startup (the weighted-fairness
     /// accounting), for `/stats` and the fairness assertions in tests.
-    pub fn grants_by_tenant(&self) -> Vec<(String, u64)> {
+    pub(crate) fn grants_by_tenant(&self) -> Vec<(String, u64)> {
         self.lock().fair.all().to_vec()
     }
 }

@@ -62,7 +62,7 @@ use std::time::{Duration, Instant};
 /// Failpoint name: an adaptive repartition's apply step. Arming it
 /// (e.g. `control.apply=err@1+1`) makes the control step treat the
 /// repartition as failed, exercising the revert-to-static path.
-pub const FAULT_CONTROL_APPLY: &str = "control.apply";
+pub(crate) const FAULT_CONTROL_APPLY: &str = "control.apply";
 
 /// What `/stats` reads from the plane: the control step's and the
 /// sweeper's live instruments plus the state that has no metric family.
@@ -424,7 +424,7 @@ impl ControlPlane {
     /// plane has stopped and admission has drained, when no query can
     /// mint or bind a group any more; the log line is what the smoke
     /// harness greps to prove zero groups leaked.
-    pub fn shutdown_sweep(&mut self) {
+    pub(crate) fn shutdown_sweep(&mut self) {
         let Some(sweeper) = &mut self.sweeper else {
             return;
         };
@@ -444,7 +444,7 @@ pub struct PlaneHandle {
 
 impl PlaneHandle {
     /// Stops the thread promptly (no waiting out a period), joins it and
-    /// hands the plane back for [`ControlPlane::shutdown_sweep`]. Later
+    /// hands the plane back for `ControlPlane::shutdown_sweep`. Later
     /// calls, and a thread that panicked, return `None`.
     pub fn stop(&mut self) -> Option<ControlPlane> {
         let (lock, cv) = &*self.stop;

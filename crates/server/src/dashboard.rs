@@ -211,7 +211,7 @@ fn render_panel(out: &mut String, panel: &Panel<'_>, tl: &Timeline, seq_lo: u64,
 }
 
 /// Renders the whole timeline as a single self-contained HTML document.
-pub fn render(tl: &Timeline) -> String {
+pub(crate) fn render(tl: &Timeline) -> String {
     // X domain: every retained point and event, so all panels share one
     // axis and markers line up across charts.
     let mut seq_lo = u64::MAX;

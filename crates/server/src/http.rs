@@ -77,7 +77,7 @@ impl Request {
 
     /// Whether the client asked to close the connection after this
     /// exchange (`Connection: close`, or HTTP/1.0 without keep-alive).
-    pub fn wants_close(&self) -> bool {
+    pub(crate) fn wants_close(&self) -> bool {
         match self.header("connection") {
             Some(v) if v.eq_ignore_ascii_case("close") => true,
             Some(v) if v.eq_ignore_ascii_case("keep-alive") => false,
@@ -221,7 +221,7 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Option<Request>, HttpError>
 }
 
 /// Standard reason phrase for the status codes the server emits.
-pub fn reason(status: u16) -> &'static str {
+pub(crate) fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",
@@ -263,28 +263,28 @@ impl Response {
     }
 
     /// A `text/plain` response.
-    pub fn text(status: u16, body: impl Into<Vec<u8>>) -> Self {
+    pub(crate) fn text(status: u16, body: impl Into<Vec<u8>>) -> Self {
         Response::new(status, "text/plain; charset=utf-8", body)
     }
 
     /// A `text/html` response (the self-contained dashboard).
-    pub fn html(status: u16, body: impl Into<Vec<u8>>) -> Self {
+    pub(crate) fn html(status: u16, body: impl Into<Vec<u8>>) -> Self {
         Response::new(status, "text/html; charset=utf-8", body)
     }
 
     /// An `application/json` response.
-    pub fn json(status: u16, body: &crate::json::Json) -> Self {
+    pub(crate) fn json(status: u16, body: &crate::json::Json) -> Self {
         Response::json_text(status, body.to_string())
     }
 
     /// The `{"error": why}` body every failed request gets.
-    pub fn error(status: u16, why: impl Into<String>) -> Self {
+    pub(crate) fn error(status: u16, why: impl Into<String>) -> Self {
         let why = crate::json::Json::str(why);
         Response::json(status, &crate::json::Json::obj(vec![("error", why)]))
     }
 
     /// An `application/json` response from pre-rendered JSON text.
-    pub fn json_text(status: u16, body: impl Into<Vec<u8>>) -> Self {
+    pub(crate) fn json_text(status: u16, body: impl Into<Vec<u8>>) -> Self {
         Response::new(status, "application/json", body)
     }
 
@@ -294,18 +294,18 @@ impl Response {
     }
 
     /// A Prometheus text-exposition response.
-    pub fn prometheus(body: impl Into<Vec<u8>>) -> Self {
+    pub(crate) fn prometheus(body: impl Into<Vec<u8>>) -> Self {
         Response::new(200, "text/plain; version=0.0.4; charset=utf-8", body)
     }
 
     /// Marks the connection for closing after this response.
-    pub fn closing(mut self) -> Self {
+    pub(crate) fn closing(mut self) -> Self {
         self.close = true;
         self
     }
 
     /// Attaches a `Retry-After: secs` header (for 429/503 replies).
-    pub fn retry_after(mut self, secs: u64) -> Self {
+    pub(crate) fn retry_after(mut self, secs: u64) -> Self {
         self.retry_after_secs = Some(secs);
         self
     }

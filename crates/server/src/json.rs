@@ -166,7 +166,7 @@ impl Json {
     /// a digit loop, other finite numbers as Rust's shortest round-trip
     /// `f64` form. A non-finite number renders `null`: no JSON parser
     /// accepts `NaN` or `inf`.
-    pub fn write_into(&self, out: &mut String) {
+    pub(crate) fn write_into(&self, out: &mut String) {
         // Writing into a `String` cannot fail, so the `fmt::Result`s of
         // `write!` and `escape_json_into` below are always `Ok`.
         match self {

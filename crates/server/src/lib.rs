@@ -28,20 +28,20 @@
 //! server.shutdown();
 //! ```
 //!
-//! Everything — HTTP framing ([`http`]), JSON ([`json`]) — is written
+//! Everything — HTTP framing ([`http`]), JSON (`json`) — is written
 //! against `std` alone, keeping the offline-vendored workspace honest.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod admission;
-pub mod control_plane;
-pub mod dashboard;
+mod admission;
+mod control_plane;
+mod dashboard;
 pub mod http;
-pub mod json;
-pub mod metrics;
-pub mod query;
-pub mod server;
+mod json;
+mod metrics;
+mod query;
+mod server;
 mod stats;
 
 pub use admission::{AdmissionError, AdmissionQueue, FairShare, RunPermit, TenantLimits};
@@ -51,7 +51,5 @@ pub use http::{
 };
 pub use json::Json;
 pub use metrics::ServerMetrics;
-pub use query::{
-    parse_query, Breakdown, QueryEngine, QueryOutcome, WorkloadSpec, DEFAULT_REUSE_BUDGET_BYTES,
-};
+pub use query::{parse_query, Breakdown, QueryEngine, QueryOutcome, WorkloadSpec};
 pub use server::{install_sigint_handler, sigint_requested, Server, ServerConfig};

@@ -125,18 +125,18 @@ impl ServerMetrics {
 
     /// Records an accepted connection; pair with
     /// [`connection_closed`](Self::connection_closed).
-    pub fn connection_opened(&self) {
+    pub(crate) fn connection_opened(&self) {
         self.connections_total.inc();
         self.active_connections.add(1.0);
     }
 
     /// Records the end of an accepted connection.
-    pub fn connection_closed(&self) {
+    pub(crate) fn connection_closed(&self) {
         self.active_connections.sub(1.0);
     }
 
     /// Records a connection refused at the cap.
-    pub fn connection_refused(&self) {
+    pub(crate) fn connection_refused(&self) {
         self.connections_refused.inc();
     }
 
@@ -153,7 +153,7 @@ impl ServerMetrics {
     }
 
     /// Records an admission-queue overflow (a 429).
-    pub fn record_admission_rejection(&self) {
+    pub(crate) fn record_admission_rejection(&self) {
         self.admission_rejections.inc();
     }
 
@@ -219,50 +219,50 @@ impl ServerMetrics {
     }
 
     /// Per-tenant quota rejections so far for `tenant`.
-    pub fn tenant_rejections(&self, tenant: &str) -> u64 {
+    pub(crate) fn tenant_rejections(&self, tenant: &str) -> u64 {
         self.tenant_rejections
             .get(&[("tenant", tenant)])
             .map_or(0, |c| c.get())
     }
 
     /// Publishes the admission queue's current occupancy.
-    pub fn set_admission_occupancy(&self, queued: usize, running: usize) {
+    pub(crate) fn set_admission_occupancy(&self, queued: usize, running: usize) {
         self.queue_depth.set(queued as f64);
         self.running_queries.set(running as f64);
     }
 
     /// The admission queue's `(waiting, running)` occupancy as published.
-    pub fn admission_occupancy(&self) -> (f64, f64) {
+    pub(crate) fn admission_occupancy(&self) -> (f64, f64) {
         (self.queue_depth.get(), self.running_queries.get())
     }
 
     /// Records a query dequeued after its admission deadline (a 503).
-    pub fn record_admission_timeout(&self) {
+    pub(crate) fn record_admission_timeout(&self) {
         self.admission_timeouts.inc();
     }
 
     /// Admission rejections so far.
-    pub fn admission_rejections(&self) -> u64 {
+    pub(crate) fn admission_rejections(&self) -> u64 {
         self.admission_rejections.get()
     }
 
     /// Admission deadline timeouts so far.
-    pub fn admission_timeouts(&self) -> u64 {
+    pub(crate) fn admission_timeouts(&self) -> u64 {
         self.admission_timeouts.get()
     }
 
     /// Connections accepted so far.
-    pub fn connections_total(&self) -> u64 {
+    pub(crate) fn connections_total(&self) -> u64 {
         self.connections_total.get()
     }
 
     /// Connections currently active.
-    pub fn active_connections(&self) -> f64 {
+    pub(crate) fn active_connections(&self) -> f64 {
         self.active_connections.get()
     }
 
     /// Publishes the degraded flag (1 = degraded unpartitioned mode).
-    pub fn set_resctrl_degraded(&self, degraded: bool) {
+    pub(crate) fn set_resctrl_degraded(&self, degraded: bool) {
         self.resctrl_degraded.set(f64::from(u8::from(degraded)));
     }
 }

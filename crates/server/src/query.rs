@@ -199,7 +199,7 @@ pub struct Breakdown {
 
 impl Breakdown {
     /// Renders the breakdown as a JSON object.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(self) -> Json {
         let field = |key: &str, us: u64| (key.to_string(), Json::num(us as f64));
         Json::Obj(vec![
             field("queue_us", self.queue_us),
@@ -317,7 +317,7 @@ pub struct QueryEngine {
 }
 
 /// Default reuse-cache budget when the server does not override it.
-pub const DEFAULT_REUSE_BUDGET_BYTES: u64 = 64 << 20;
+pub(crate) const DEFAULT_REUSE_BUDGET_BYTES: u64 = 64 << 20;
 
 impl QueryEngine {
     /// Builds the engine over `allocator` (the host's, a fake tree's, a
@@ -380,13 +380,13 @@ impl QueryEngine {
     }
 
     /// Whether masks reach real CAT hardware.
-    pub fn cat_live(&self) -> bool {
+    pub(crate) fn cat_live(&self) -> bool {
         self.cat_live
     }
 
     /// Classifies a workload to its cache usage identifier — the paper's
     /// taxonomy applied at the query level.
-    pub fn classify(&self, spec: &WorkloadSpec) -> CacheUsageClass {
+    pub(crate) fn classify(&self, spec: &WorkloadSpec) -> CacheUsageClass {
         match spec {
             // A selective scan streams without reuse: class (i).
             WorkloadSpec::Q1 { .. } => CacheUsageClass::Polluting,
@@ -434,7 +434,7 @@ impl QueryEngine {
     /// The way mask jobs of this workload bind (OLTP: always full
     /// cache). OLAP masks come from the *live* table, so with adaptive
     /// control on, the reported mask is the one the next bind will use.
-    pub fn mask_bits(&self, spec: &WorkloadSpec, cuid: CacheUsageClass) -> u32 {
+    pub(crate) fn mask_bits(&self, spec: &WorkloadSpec, cuid: CacheUsageClass) -> u32 {
         match spec {
             WorkloadSpec::Oltp { .. } => self.policy.mask_for(CacheUsageClass::Sensitive).bits(),
             _ => self.pools.live_masks().mask_for(cuid, &self.policy).bits(),
@@ -445,12 +445,6 @@ impl QueryEngine {
     /// adaptive controller's publication target.
     pub fn live_masks(&self) -> Arc<ccp_engine::LiveMasks> {
         self.pools.live_masks()
-    }
-
-    /// Executes `spec` (OLAP work on the OLAP pool, an OLTP point select
-    /// inline on the calling thread) and reports the outcome.
-    pub fn execute(&self, spec: &WorkloadSpec) -> QueryOutcome {
-        self.execute_admitted(spec, self.classify(spec))
     }
 
     /// Executes `spec` under an already-admitted CUID (the class the
@@ -682,6 +676,13 @@ fn classify_profile(id: u8) -> CacheUsageClass {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl QueryEngine {
+        /// Classifies `spec`, then runs it under that class.
+        fn execute(&self, spec: &WorkloadSpec) -> QueryOutcome {
+            self.execute_admitted(spec, self.classify(spec))
+        }
+    }
     use ccp_engine::alloc::RecordingAllocator;
 
     fn engine() -> QueryEngine {

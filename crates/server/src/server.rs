@@ -893,7 +893,7 @@ mod sigint {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
     }
 
-    pub fn install() {
+    pub(super) fn install() {
         const SIGINT: i32 = 2;
         // SAFETY: `signal(2)` is async-signal-safe to install, the handler
         // only stores to a static atomic (no allocation, locking, or

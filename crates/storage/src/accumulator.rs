@@ -92,7 +92,7 @@ impl CodeAccumulator {
     ///
     /// # Panics
     /// Panics when aggregate or domain differ.
-    pub fn merge(&mut self, other: &CodeAccumulator) {
+    pub(crate) fn merge(&mut self, other: &CodeAccumulator) {
         assert_eq!(self.agg, other.agg, "cannot merge different aggregates");
         assert_eq!(self.cells.len(), other.cells.len(), "domains must match");
         for (cell, theirs) in self.cells.iter_mut().zip(&other.cells) {

@@ -89,7 +89,7 @@ impl PackedCodeVector {
     ///
     /// # Panics
     /// `bits` must be in `1..=32` (codes are `u32`).
-    pub fn new(bits: u32) -> Self {
+    pub(crate) fn new(bits: u32) -> Self {
         assert!(
             (1..=32).contains(&bits),
             "code width must be 1..=32, got {bits}"
@@ -102,7 +102,7 @@ impl PackedCodeVector {
     }
 
     /// Creates a vector with capacity for `n` codes.
-    pub fn with_capacity(bits: u32, n: usize) -> Self {
+    pub(crate) fn with_capacity(bits: u32, n: usize) -> Self {
         let mut v = Self::new(bits);
         v.words.reserve((n * bits as usize).div_ceil(64));
         v
@@ -118,11 +118,6 @@ impl PackedCodeVector {
             v.push(c);
         }
         v
-    }
-
-    /// Code width in bits.
-    pub fn bits(&self) -> u32 {
-        self.bits
     }
 
     /// Number of codes stored.
@@ -149,7 +144,7 @@ impl PackedCodeVector {
     ///
     /// # Panics
     /// Panics when `code` does not fit in the configured width.
-    pub fn push(&mut self, code: u32) {
+    pub(crate) fn push(&mut self, code: u32) {
         assert!(
             u64::from(code) <= self.mask(),
             "code {code} does not fit in {} bits",
@@ -293,12 +288,6 @@ impl PackedCodeVector {
             }
         }
         out
-    }
-
-    /// Raw packed words (read-only) — used by operators that model memory
-    /// traffic per word.
-    pub fn words(&self) -> &[u64] {
-        &self.words
     }
 }
 

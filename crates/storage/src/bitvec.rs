@@ -89,16 +89,6 @@ impl BitVec {
         self.words[(i / 64) as usize] |= 1u64 << (i % 64);
     }
 
-    /// Clears bit `i`.
-    ///
-    /// # Panics
-    /// Panics on out-of-range `i`.
-    #[inline]
-    pub fn clear(&mut self, i: u64) {
-        assert!(i < self.len, "bit {i} out of range (len {})", self.len);
-        self.words[(i / 64) as usize] &= !(1u64 << (i % 64));
-    }
-
     /// Tests bit `i`.
     ///
     /// # Panics
@@ -126,18 +116,6 @@ impl BitVec {
     pub fn count_ones(&self) -> u64 {
         self.words.iter().map(|w| u64::from(w.count_ones())).sum()
     }
-
-    /// Byte offset (into the backing storage) of the word containing bit
-    /// `i` — used by the simulated join to compute the address it touches.
-    #[inline]
-    pub fn byte_of_bit(&self, i: u64) -> u64 {
-        (i / 64) * 8
-    }
-
-    /// Raw words (read-only).
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
 }
 
 #[cfg(test)]
@@ -145,7 +123,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn set_get_clear() {
+    fn set_and_get() {
         let mut b = BitVec::zeros(130);
         assert!(!b.get(0));
         b.set(0);
@@ -153,8 +131,6 @@ mod tests {
         b.set(129);
         assert!(b.get(0) && b.get(64) && b.get(129));
         assert!(!b.get(1) && !b.get(63) && !b.get(128));
-        b.clear(64);
-        assert!(!b.get(64));
     }
 
     #[test]
@@ -174,15 +150,6 @@ mod tests {
         // 10^6 keys -> 125 KB, "almost fits in the L2 cache".
         let b = BitVec::zeros(1_000_000);
         assert_eq!(b.size_bytes(), 125_000);
-    }
-
-    #[test]
-    fn byte_of_bit_addresses_words() {
-        let b = BitVec::zeros(256);
-        assert_eq!(b.byte_of_bit(0), 0);
-        assert_eq!(b.byte_of_bit(63), 0);
-        assert_eq!(b.byte_of_bit(64), 8);
-        assert_eq!(b.byte_of_bit(255), 24);
     }
 
     #[test]

@@ -62,20 +62,10 @@ impl<T: Ord + Clone> DictColumn<T> {
 
 impl<T: DictValue> DictColumn<T> {
     /// Encodes `values` into a fresh column through `T`'s encoder
-    /// ([`DictValue::encode_column`]).
+    /// (`DictValue::encode_column`).
     pub fn build(values: &[T]) -> Self {
         let (dict, codes) = T::encode_column(values);
         DictColumn { dict, codes }
-    }
-
-    /// Dictionary footprint in bytes.
-    pub fn dict_bytes(&self) -> u64 {
-        self.dict.size_bytes()
-    }
-
-    /// Packed data footprint in bytes.
-    pub fn data_bytes(&self) -> u64 {
-        self.codes.packed_bytes()
     }
 }
 
@@ -114,9 +104,8 @@ mod tests {
         // far below the 8000 bytes of raw i64 storage.
         let values: Vec<i64> = (0..1000).map(|i| i % 100).collect();
         let col = DictColumn::build(&values);
-        assert_eq!(col.codes().bits(), 7);
-        assert!(col.data_bytes() < 1000);
-        assert_eq!(col.dict_bytes(), 800);
+        assert_eq!(col.dict().code_bits(), 7);
+        assert!(col.codes().packed_bytes() < 1000);
     }
 
     #[test]

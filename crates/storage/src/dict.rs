@@ -41,7 +41,7 @@ impl<T: Ord + Clone> Dictionary<T> {
     /// # Panics
     /// Debug-asserts sortedness; building from unsorted data is a caller
     /// bug.
-    pub fn from_sorted(values: Vec<T>) -> Self {
+    pub(crate) fn from_sorted(values: Vec<T>) -> Self {
         debug_assert!(
             values.windows(2).all(|w| w[0] < w[1]),
             "values must be sorted+unique"
@@ -91,7 +91,7 @@ impl<T: Ord + Clone> Dictionary<T> {
     }
 
     /// Bits needed to store one code: ⌈log₂ n⌉, minimum 1.
-    pub fn code_bits(&self) -> u32 {
+    pub(crate) fn code_bits(&self) -> u32 {
         let n = self.values.len().max(2) as u64;
         64 - (n - 1).leading_zeros()
     }
@@ -116,20 +116,8 @@ impl<T: Ord + Copy> Dictionary<T> {
     }
 }
 
-impl<T: DictValue> Dictionary<T> {
-    /// Estimated in-memory size of the dictionary in bytes — what the
-    /// paper's experiments vary between 4 MiB and 400 MiB.
-    pub fn size_bytes(&self) -> u64 {
-        self.values.iter().map(|v| v.entry_bytes()).sum()
-    }
-}
-
-/// A type a column can hold: its per-entry dictionary footprint and how a
-/// column of it is encoded.
+/// A type a column can hold: how a column of it is encoded.
 pub trait DictValue: Ord + Clone {
-    /// Bytes this entry occupies in the dictionary storage.
-    fn entry_bytes(&self) -> u64;
-
     /// Encodes `values` into their sorted distinct values and one code per
     /// row. Provided: sort and deduplicate a copy of the rows into a
     /// [`Dictionary`], then binary-search it once per row.
@@ -192,10 +180,6 @@ fn encode_by_rank(values: &[i64]) -> Option<(Dictionary<i64>, PackedCodeVector)>
 }
 
 impl DictValue for i64 {
-    fn entry_bytes(&self) -> u64 {
-        std::mem::size_of::<i64>() as u64
-    }
-
     /// Through a rank table over a dense domain, by search over a sparse
     /// one; both give the same column.
     fn encode_column(values: &[i64]) -> (Dictionary<i64>, PackedCodeVector) {
@@ -203,19 +187,9 @@ impl DictValue for i64 {
     }
 }
 
-impl DictValue for i32 {
-    fn entry_bytes(&self) -> u64 {
-        std::mem::size_of::<i32>() as u64
-    }
-}
+impl DictValue for i32 {}
 
-impl DictValue for String {
-    fn entry_bytes(&self) -> u64 {
-        // String payload plus the Vec<String> slot (ptr/len/cap), matching
-        // how a real engine would account variable-size dictionary entries.
-        self.len() as u64 + 24
-    }
-}
+impl DictValue for String {}
 
 #[cfg(test)]
 mod tests {
@@ -307,14 +281,6 @@ mod tests {
         assert_eq!(d.code_bits(), 9);
     }
 
-    #[test]
-    fn size_bytes_for_ints_and_strings() {
-        let d = Dictionary::from_sorted((0..1000i64).collect());
-        assert_eq!(d.size_bytes(), 8000);
-        let s = Dictionary::build(vec!["alpha".to_string(), "be".to_string()]);
-        assert_eq!(s.size_bytes(), 5 + 24 + 2 + 24);
-    }
-
     /// The reference column: `Dictionary::build`, then `encode` per row.
     fn reference(values: &[i64]) -> (Dictionary<i64>, PackedCodeVector) {
         let dict = Dictionary::build(values.to_vec());
@@ -331,9 +297,8 @@ mod tests {
         let (ref_dict, ref_codes) = reference(values);
         assert_eq!(dict.values, ref_dict.values, "{values:?}");
         assert_eq!(dict.values.capacity(), dict.len(), "{values:?}");
-        assert_eq!(codes.bits(), ref_codes.bits(), "{values:?}");
         assert_eq!(codes.len(), values.len());
-        assert_eq!(codes.words(), ref_codes.words(), "{values:?}");
+        assert_eq!(codes, ref_codes, "{values:?}");
         by_rank
     }
 

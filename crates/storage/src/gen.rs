@@ -39,27 +39,6 @@ pub fn foreign_keys(n: usize, pk_max: i64, seed: u64) -> Vec<i64> {
     uniform_ints(n, pk_max, seed)
 }
 
-/// Strings of the given byte length with `distinct` distinct values —
-/// models the NVARCHAR dictionaries of the S/4HANA ACDOCA table. Values
-/// are zero-padded decimals so lexicographic order matches numeric order.
-pub fn string_values(n: usize, distinct: usize, value_len: usize, seed: u64) -> Vec<String> {
-    assert!(distinct >= 1);
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            let v = rng.gen_range(0..distinct);
-            format!("{v:0value_len$}")
-        })
-        .collect()
-}
-
-/// The number of distinct values that makes an `i64` dictionary occupy
-/// roughly `bytes` bytes (8 bytes per entry) — used to hit the paper's
-/// 4 MiB / 40 MiB / 400 MiB dictionary sizes exactly.
-pub fn distinct_for_dict_bytes(bytes: u64) -> usize {
-    (bytes / 8).max(1) as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,24 +85,5 @@ mod tests {
     fn foreign_keys_reference_domain() {
         let fk = foreign_keys(5000, 100, 3);
         assert!(fk.iter().all(|&v| (1..=100).contains(&v)));
-    }
-
-    #[test]
-    fn string_values_have_bounded_cardinality() {
-        let s = string_values(1000, 10, 20, 5);
-        let mut distinct: Vec<&String> = s.iter().collect();
-        distinct.sort();
-        distinct.dedup();
-        assert!(distinct.len() <= 10);
-        assert!(s.iter().all(|v| v.len() == 20));
-    }
-
-    #[test]
-    fn dict_sizing_matches_paper() {
-        // 4 MiB dictionary of i64 -> ~half a million entries... the paper's
-        // 10^6 distinct 4-byte ints give 4 MB; with 8-byte entries we halve
-        // the count to keep the byte size identical.
-        assert_eq!(distinct_for_dict_bytes(4 * 1024 * 1024), 524_288);
-        assert_eq!(distinct_for_dict_bytes(8), 1);
     }
 }

@@ -30,7 +30,7 @@ pub enum Aggregate {
 impl Aggregate {
     /// Combines two partial aggregates over disjoint sets of rows.
     #[inline(always)]
-    pub fn combine(self, a: i64, b: i64) -> i64 {
+    pub(crate) fn combine(self, a: i64, b: i64) -> i64 {
         match self {
             Aggregate::Max => a.max(b),
             Aggregate::Min => a.min(b),
@@ -94,11 +94,6 @@ impl AggHashTable {
         self.len == 0
     }
 
-    /// Slot capacity.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Table footprint in bytes — what competes for the LLC.
     pub fn size_bytes(&self) -> u64 {
         (self.slots.len() * std::mem::size_of::<Slot>()) as u64
@@ -107,13 +102,8 @@ impl AggHashTable {
     /// The slot index `key` hashes to (before probing). Exposed so the
     /// simulated operator can model the table's access pattern faithfully.
     #[inline]
-    pub fn home_slot(&self, key: u32) -> usize {
+    pub(crate) fn home_slot(&self, key: u32) -> usize {
         (hash(key) as usize) & self.mask
-    }
-
-    /// Size of one slot in bytes.
-    pub const fn slot_bytes() -> usize {
-        std::mem::size_of::<Slot>()
     }
 
     /// Folds `value` into group `key`, inserting the group if new.
@@ -291,12 +281,12 @@ mod tests {
     #[test]
     fn grows_past_initial_capacity() {
         let mut t = AggHashTable::new(Aggregate::Sum, 8);
-        let initial_cap = t.capacity();
+        let initial_cap = t.slots.len();
         for k in 0..10_000u32 {
             t.update(k, 1);
         }
         assert_eq!(t.len(), 10_000);
-        assert!(t.capacity() > initial_cap);
+        assert!(t.slots.len() > initial_cap);
         // Every group is still reachable after growth rehashing.
         for k in (0..10_000).step_by(97) {
             assert_eq!(t.get(k), Some(1), "group {k} lost in rehash");
@@ -308,7 +298,7 @@ mod tests {
         // 64 expected groups -> 128 slots; at 64 groups the load is exactly
         // 50 % and neither hits nor merges of known groups may grow it.
         let mut t = AggHashTable::new(Aggregate::Sum, 64);
-        let cap = t.capacity();
+        let cap = t.slots.len();
         assert_eq!(cap, 128);
         for k in 0..64u32 {
             t.update(k, 1);
@@ -319,14 +309,18 @@ mod tests {
         for k in [5, 63, 0] {
             t.update(k, 1);
         }
-        assert_eq!(t.capacity(), cap, "a hit must not grow the table");
+        assert_eq!(t.slots.len(), cap, "a hit must not grow the table");
         let mut global = AggHashTable::new(Aggregate::Sum, 64);
         merge_all(&mut global, &t);
         merge_all(&mut global, &t);
-        assert_eq!(global.capacity(), cap, "merging known groups must not grow");
+        assert_eq!(
+            global.slots.len(),
+            cap,
+            "merging known groups must not grow"
+        );
         // The 65th group is the first to push the load past 50 %.
         t.update(64, 1);
-        assert_eq!(t.capacity(), 2 * cap);
+        assert_eq!(t.slots.len(), 2 * cap);
         assert_eq!(t.get(5), Some(3));
         assert_eq!(t.len(), 65);
     }
@@ -367,7 +361,6 @@ mod tests {
         let small = AggHashTable::new(Aggregate::Max, 100);
         let large = AggHashTable::new(Aggregate::Max, 100_000);
         assert!(large.size_bytes() > 500 * small.size_bytes());
-        assert_eq!(AggHashTable::slot_bytes(), 24);
     }
 
     #[test]

@@ -60,30 +60,6 @@ impl InvertedIndex {
         let hi = self.offsets[code as usize + 1] as usize;
         &self.postings[lo..hi]
     }
-
-    /// Number of distinct codes the index covers.
-    pub fn dict_len(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Total rows indexed.
-    pub fn row_count(&self) -> u64 {
-        *self
-            .offsets
-            .last()
-            .expect("offsets always has dict_len+1 entries")
-    }
-
-    /// Index footprint in bytes (offsets directory + postings).
-    pub fn size_bytes(&self) -> u64 {
-        (self.offsets.len() * 8 + self.postings.len() * 4) as u64
-    }
-
-    /// Byte offset of `code`'s directory entry — used by the simulated OLTP
-    /// operator to model index probes.
-    pub fn byte_of_code(&self, code: u32) -> u64 {
-        u64::from(code) * 8
-    }
 }
 
 #[cfg(test)]
@@ -98,8 +74,6 @@ mod tests {
         assert_eq!(idx.lookup(0), &[0, 2, 5]);
         assert_eq!(idx.lookup(1), &[1, 4]);
         assert_eq!(idx.lookup(2), &[3]);
-        assert_eq!(idx.row_count(), 6);
-        assert_eq!(idx.dict_len(), 3);
     }
 
     #[test]
@@ -122,13 +96,6 @@ mod tests {
         assert_eq!(idx.lookup(0), &[] as &[u32]);
         assert_eq!(idx.lookup(5), &[0]);
         assert_eq!(idx.lookup(9), &[] as &[u32]);
-    }
-
-    #[test]
-    fn size_accounts_directory_and_postings() {
-        let codes: Vec<u32> = (0..100).collect();
-        let idx = InvertedIndex::build(codes.iter().copied(), 100);
-        assert_eq!(idx.size_bytes(), 101 * 8 + 100 * 4);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Column tables: named collections of dictionary-encoded columns.
 
 use crate::column::DictColumn;
-use crate::invindex::InvertedIndex;
 
 /// A column of either integer or string type.
 #[derive(Debug, Clone)]
@@ -14,39 +13,10 @@ pub enum Column {
 
 impl Column {
     /// Number of rows.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Column::Int(c) => c.len(),
             Column::Str(c) => c.len(),
-        }
-    }
-
-    /// Whether the column is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Dictionary footprint in bytes.
-    pub fn dict_bytes(&self) -> u64 {
-        match self {
-            Column::Int(c) => c.dict_bytes(),
-            Column::Str(c) => c.dict_bytes(),
-        }
-    }
-
-    /// Packed data footprint in bytes.
-    pub fn data_bytes(&self) -> u64 {
-        match self {
-            Column::Int(c) => c.data_bytes(),
-            Column::Str(c) => c.data_bytes(),
-        }
-    }
-
-    /// Builds an inverted index over this column's codes.
-    pub fn build_index(&self) -> InvertedIndex {
-        match self {
-            Column::Int(c) => InvertedIndex::build(c.codes().iter(), c.dict().len()),
-            Column::Str(c) => InvertedIndex::build(c.codes().iter(), c.dict().len()),
         }
     }
 }
@@ -65,11 +35,6 @@ impl Table {
             name: name.into(),
             columns: Vec::new(),
         }
-    }
-
-    /// The table name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Adds a column.
@@ -110,22 +75,12 @@ impl Table {
     pub fn column(&self, name: &str) -> Option<&Column> {
         self.columns.iter().find(|(n, _)| n == name).map(|(_, c)| c)
     }
-
-    /// Iterates `(name, column)` in insertion order.
-    pub fn columns(&self) -> impl Iterator<Item = (&str, &Column)> {
-        self.columns.iter().map(|(n, c)| (n.as_str(), c))
-    }
-
-    /// Total dictionary bytes across all columns (the OLTP working-set
-    /// metric of Section VI-E).
-    pub fn total_dict_bytes(&self) -> u64 {
-        self.columns.iter().map(|(_, c)| c.dict_bytes()).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::invindex::InvertedIndex;
 
     fn int_col(values: &[i64]) -> Column {
         Column::Int(DictColumn::build(values))
@@ -136,7 +91,6 @@ mod tests {
         let mut t = Table::new("A");
         t.add_column("X", int_col(&[1, 2, 3]));
         t.add_column("Y", int_col(&[4, 5, 6]));
-        assert_eq!(t.name(), "A");
         assert_eq!(t.row_count(), 3);
         assert_eq!(t.column_count(), 2);
         assert!(t.column("X").is_some());
@@ -171,8 +125,10 @@ mod tests {
                 "aaa".to_string(),
             ])),
         );
-        assert!(t.total_dict_bytes() > 0);
-        let idx = t.column("TXT").unwrap().build_index();
+        let Some(Column::Str(txt)) = t.column("TXT") else {
+            panic!("TXT is a string column");
+        };
+        let idx = InvertedIndex::build(txt.codes().iter(), txt.dict().len());
         assert_eq!(idx.lookup(0), &[0, 2]); // "aaa" rows
     }
 }

@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 
 /// A scaled-down `lineitem` with the columns the example queries need.
 ///
-/// * `L_ORDERKEY` — foreign key into [`orders_sample`] (dense `1..=orders`).
+/// * `L_ORDERKEY` — foreign key into `orders_sample` (dense `1..=orders`).
 /// * `L_QUANTITY` — uniform `1..=50` (per spec).
 /// * `L_EXTENDEDPRICE` — wide-domain prices (≈ `rows/2` distinct values,
 ///   mirroring the real column's high NDV).
@@ -46,7 +46,7 @@ pub fn lineitem_sample(rows: usize, orders: usize, seed: u64, draws: &mut Vec<i6
 
 /// A scaled-down `orders` table: `O_ORDERKEY` is a shuffled dense primary
 /// key `1..=rows`.
-pub fn orders_sample(rows: usize, seed: u64) -> Table {
+pub(crate) fn orders_sample(rows: usize, seed: u64) -> Table {
     let keys = sgen::primary_keys(rows, seed);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xdead);
     let totalprice: Vec<i64> = (0..rows).map(|_| rng.gen_range(1_000..500_000)).collect();

@@ -10,7 +10,7 @@
 //! of its foreign-key joins are. All of that is derivable from the TPC-H
 //! specification's data distributions at SF 100 and is encoded here:
 //!
-//! * [`schema`] — table row counts and per-column NDV/dictionary-size
+//! * `schema` — table row counts and per-column NDV/dictionary-size
 //!   model at SF 100 (the paper itself confirms the key number: the
 //!   `L_EXTENDEDPRICE` dictionary is ≈ 29 MiB).
 //! * [`queries`] — the 22 queries expressed as phase sequences (scan /
@@ -19,10 +19,10 @@
 //! * [`gen`] — a miniature native TPC-H-like data generator for examples
 //!   and tests of the native operators.
 
-pub mod exec;
+mod exec;
 pub mod gen;
 pub mod queries;
-pub mod schema;
+mod schema;
 
 pub use exec::{q1_pricing_summary, q6_forecast_revenue, sample_database, Q1Row};
 pub use queries::{build_query, query_ids, QueryProfile};

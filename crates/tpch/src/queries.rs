@@ -11,7 +11,7 @@
 //! are cache-sensitive, queries with tiny or hopelessly oversized working
 //! sets are not.
 //!
-//! Row counts are scaled by [`ROW_SCALE`] at build time (see
+//! Row counts are scaled by `ROW_SCALE` at build time (see
 //! `ccp_engine::sim` for why scaling row counts — but never structure
 //! sizes — preserves the normalized-throughput curves).
 
@@ -20,7 +20,7 @@ use ccp_cachesim::AddrSpace;
 use ccp_engine::sim::{AggregationSim, ColumnScanSim, CompositeSim, FkJoinSim, Phase, SimOperator};
 
 /// Row-count scale-down applied when building operators (sizes stay real).
-pub const ROW_SCALE: u64 = 1_000;
+pub(crate) const ROW_SCALE: u64 = 1_000;
 
 /// One phase of a query profile, in full SF 100 rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,4 +1,5 @@
-//! TPC-H SF 100 size model.
+//! TPC-H SF 100 size model: the row counts and dictionary sizes the
+//! query profiles are built from.
 //!
 //! Row counts follow the TPC-H specification (`SF × base cardinality`);
 //! dictionary sizes use the reproduction's 8-bytes-per-entry integer
@@ -8,57 +9,35 @@
 //! scale — which yields the ≈ 29 MiB `L_EXTENDEDPRICE` dictionary the
 //! paper reports).
 
-/// Scale factor of the modeled database (the paper uses SF 100).
-pub const SCALE_FACTOR: u64 = 100;
-
 /// Rows per table at SF 100.
-pub mod rows {
+pub(crate) mod rows {
     /// `lineitem`: 6,000,000 × SF.
-    pub const LINEITEM: u64 = 600_000_000;
+    pub(crate) const LINEITEM: u64 = 600_000_000;
     /// `orders`: 1,500,000 × SF.
-    pub const ORDERS: u64 = 150_000_000;
+    pub(crate) const ORDERS: u64 = 150_000_000;
     /// `partsupp`: 800,000 × SF.
-    pub const PARTSUPP: u64 = 80_000_000;
+    pub(crate) const PARTSUPP: u64 = 80_000_000;
     /// `part`: 200,000 × SF.
-    pub const PART: u64 = 20_000_000;
+    pub(crate) const PART: u64 = 20_000_000;
     /// `customer`: 150,000 × SF.
-    pub const CUSTOMER: u64 = 15_000_000;
+    pub(crate) const CUSTOMER: u64 = 15_000_000;
     /// `supplier`: 10,000 × SF.
-    pub const SUPPLIER: u64 = 1_000_000;
-    /// `nation`: fixed 25.
-    pub const NATION: u64 = 25;
-    /// `region`: fixed 5.
-    pub const REGION: u64 = 5;
+    pub(crate) const SUPPLIER: u64 = 1_000_000;
 }
 
 /// Dictionary sizes (bytes) of the columns the 22 queries decompress.
-pub mod dict {
+pub(crate) mod dict {
     /// `L_EXTENDEDPRICE`: ≈ 3.8 M distinct price values → ≈ 29 MiB — the
     /// number the paper quotes for why TPC-H Q1 benefits from partitioning.
-    pub const L_EXTENDEDPRICE: u64 = 29 << 20;
+    pub(crate) const L_EXTENDEDPRICE: u64 = 29 << 20;
     /// `L_QUANTITY`: 50 distinct values.
-    pub const L_QUANTITY: u64 = 50 * 8;
-    /// `L_DISCOUNT`: 11 distinct values.
-    pub const L_DISCOUNT: u64 = 11 * 8;
-    /// `L_TAX`: 9 distinct values.
-    pub const L_TAX: u64 = 9 * 8;
-    /// Date columns: ≈ 2,526 distinct days.
-    pub const DATES: u64 = 2_526 * 8;
+    pub(crate) const L_QUANTITY: u64 = 50 * 8;
     /// `PS_SUPPLYCOST`: ≈ 100 k distinct values.
-    pub const PS_SUPPLYCOST: u64 = 100_000 * 8;
+    pub(crate) const PS_SUPPLYCOST: u64 = 100_000 * 8;
     /// `C_ACCTBAL`: ≈ 1.1 M distinct values → ≈ 9 MB.
-    pub const C_ACCTBAL: u64 = 1_100_000 * 8;
-    /// `O_TOTALPRICE`: nearly unique per order → ≈ 800 MB, never worth
-    /// caching.
-    pub const O_TOTALPRICE: u64 = 100_000_000 * 8;
+    pub(crate) const C_ACCTBAL: u64 = 1_100_000 * 8;
     /// Small enumerated string columns (flags, priorities, modes, ...).
-    pub const TINY: u64 = 64 * 8;
-}
-
-/// Bit-vector bytes for a foreign-key join whose build side has `keys`
-/// distinct keys (one bit per key in the dense key range).
-pub fn join_bitvec_bytes(keys: u64) -> u64 {
-    keys.div_ceil(8)
+    pub(crate) const TINY: u64 = 64 * 8;
 }
 
 #[cfg(test)]
@@ -67,10 +46,10 @@ mod tests {
 
     #[test]
     fn row_counts_scale_from_spec() {
-        assert_eq!(rows::LINEITEM, 6_000_000 * SCALE_FACTOR);
-        assert_eq!(rows::ORDERS, 1_500_000 * SCALE_FACTOR);
-        assert_eq!(rows::SUPPLIER, 10_000 * SCALE_FACTOR);
-        assert_eq!(rows::NATION, 25);
+        // SF 100, the paper's scale factor.
+        assert_eq!(rows::LINEITEM, 6_000_000 * 100);
+        assert_eq!(rows::ORDERS, 1_500_000 * 100);
+        assert_eq!(rows::SUPPLIER, 10_000 * 100);
     }
 
     #[test]
@@ -78,15 +57,5 @@ mod tests {
         // The paper (Section VI-D): "the column L_EXTENDEDPRICE with a
         // dictionary size of approximately 29 MiB".
         assert_eq!(dict::L_EXTENDEDPRICE, 30_408_704);
-    }
-
-    #[test]
-    fn join_bitvec_sizes() {
-        // orders: 150 M keys -> 18.75 MB, LLC-comparable.
-        assert_eq!(join_bitvec_bytes(rows::ORDERS), 18_750_000);
-        // supplier: 1 M keys -> 125 KB, L2-resident.
-        assert_eq!(join_bitvec_bytes(rows::SUPPLIER), 125_000);
-        // part: 20 M keys -> 2.5 MB.
-        assert_eq!(join_bitvec_bytes(rows::PART), 2_500_000);
     }
 }

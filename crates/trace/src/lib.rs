@@ -96,7 +96,7 @@ pub enum TraceCat {
 
 impl TraceCat {
     /// Stable lowercase label used in exported JSON.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             TraceCat::Server => "server",
             TraceCat::Admission => "admission",

@@ -22,13 +22,6 @@
 //!   subtree and stays asleep until some dependent step wakes it.
 //!   Without them, two backtrack choices would re-explore each other's
 //!   interleavings of independent suffixes.
-//! * **State fingerprinting** (optional): identical `(state hash,
-//!   per-actor progress, sleep set)` keys mark subtrees already
-//!   explored. Under DPOR this pruning is *conservative*: the pruned
-//!   subtree may have owed backtrack points to the current prefix, so
-//!   the driver over-approximates them from every actor's remaining
-//!   access sets before pruning (see `run_once`). This costs some
-//!   re-exploration on diamond-shaped spaces but never coverage.
 //!
 //! Soundness depends on the access annotations being honest (see
 //! [`Actor::then_accessing`]) and on the observer discipline documented
@@ -39,7 +32,7 @@ use crate::explore::{
     final_violation_message, nondeterminism_message, step_violation_message, Actor, Report,
     StepAccess, Violation,
 };
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 /// One decision on the DFS stack: the state identity (enabled set +
 /// per-actor progress), which actor was run from it, and the DPOR
@@ -72,20 +65,12 @@ enum RunOutcome {
     /// Every runnable actor was asleep at a fresh depth: the suffix was
     /// already covered elsewhere. Counted as a run, not a trace.
     SleepBlocked,
-    /// Fingerprint hit at a fresh depth: subtree already explored.
-    Pruned,
 }
-
-/// Fingerprint-pruning key: state hash + per-actor progress + sleep
-/// set. Sleep is part of the key because two visits that agree on state
-/// but not on what is asleep do not explore the same subtree.
-type VisitKey = (u64, Vec<usize>, Vec<usize>);
 
 pub(crate) fn explore_dpor<S>(
     max_schedules: usize,
     interleavings: u64,
     build: &impl Fn() -> (S, Vec<Actor<S>>),
-    fingerprint: Option<&dyn Fn(&S) -> u64>,
     check_step: &impl Fn(&S) -> Result<(), String>,
     check_final: &impl Fn(&mut S) -> Result<(), String>,
 ) -> Result<Report, Violation> {
@@ -97,7 +82,6 @@ pub(crate) fn explore_dpor<S>(
         probe.iter().map(Actor::access_sets).collect()
     };
     let mut stack: Vec<Frame> = Vec::new();
-    let mut visited: HashSet<VisitKey> = HashSet::new();
     let mut schedules = 0usize;
     let mut traces = 0usize;
     loop {
@@ -109,9 +93,7 @@ pub(crate) fn explore_dpor<S>(
             &mut stack,
             replay_len,
             &meta,
-            &mut visited,
             build,
-            fingerprint,
             check_step,
             check_final,
         )?;
@@ -174,14 +156,11 @@ fn last_dependent(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_once<S>(
     stack: &mut Vec<Frame>,
     replay_len: usize,
     meta: &[Vec<StepAccess>],
-    visited: &mut HashSet<VisitKey>,
     build: &impl Fn() -> (S, Vec<Actor<S>>),
-    fingerprint: Option<&dyn Fn(&S) -> u64>,
     check_step: &impl Fn(&S) -> Result<(), String>,
     check_final: &impl Fn(&mut S) -> Result<(), String>,
 ) -> Result<RunOutcome, Violation> {
@@ -244,28 +223,6 @@ fn run_once<S>(
                     })
                     .collect()
             };
-            if let Some(fp) = fingerprint {
-                let key = (
-                    fp(&state),
-                    pcs.clone(),
-                    sleep.iter().copied().collect::<Vec<_>>(),
-                );
-                if !visited.insert(key) {
-                    // Already-explored subtree. Before abandoning it,
-                    // conservatively grant the prefix every backtrack
-                    // point the subtree could have owed it: for each
-                    // actor's every remaining step, point its last
-                    // dependent executed event at that actor.
-                    for (p, steps) in meta.iter().enumerate() {
-                        for access in &steps[pcs[p]..] {
-                            if let Some(i) = last_dependent(stack, depth, meta, p, access) {
-                                stack[i].backtrack.insert(p);
-                            }
-                        }
-                    }
-                    return Ok(RunOutcome::Pruned);
-                }
-            }
             // FG race detection: every runnable actor's pending step is
             // raced against the executed prefix.
             for &p in &runnable {
@@ -485,45 +442,5 @@ mod tests {
             "ratio {} on {report:?}",
             report.reduction_ratio()
         );
-    }
-
-    /// Dpor + fingerprinting still exhausts and still finds violations
-    /// (the conservative backtrack sweep at prune points keeps races).
-    #[test]
-    fn dpor_with_fingerprint_keeps_coverage() {
-        let build = || {
-            let actors = (0..2)
-                .map(|i| {
-                    Actor::new(format!("inc-{i}"))
-                        .then_accessing(
-                            move |s: &mut (u64, [u64; 2])| s.1[i] = s.0,
-                            &[Access::Read("val")],
-                        )
-                        .then_accessing(
-                            move |s: &mut (u64, [u64; 2])| s.0 = s.1[i] + 1,
-                            &[Access::Write("val")],
-                        )
-                })
-                .collect();
-            ((0u64, [0u64; 2]), actors)
-        };
-        #[allow(clippy::type_complexity)]
-        let check: fn(&mut (u64, [u64; 2])) -> Result<(), String> = |s| {
-            if s.0 == 2 {
-                Ok(())
-            } else {
-                Err(format!("lost update: val={}", s.0))
-            }
-        };
-        let violation = crate::explore::explore_hashed(
-            Mode::Dpor {
-                max_schedules: 1_000,
-            },
-            build,
-            |_| Ok(()),
-            check,
-        )
-        .expect_err("fingerprinting must not hide the lost update");
-        assert!(violation.message.contains("lost update"), "{violation}");
     }
 }

@@ -5,7 +5,7 @@
 //! brute-force drivers.
 
 use crate::rng::SplitMix64;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// One boxed step of an actor (the unit of atomicity under exploration).
 type Step<S> = Box<dyn FnMut(&mut S)>;
@@ -28,14 +28,14 @@ pub enum Access {
 
 impl Access {
     /// The object label this access touches.
-    pub fn object(&self) -> &'static str {
+    pub(crate) fn object(&self) -> &'static str {
         match self {
             Access::Read(o) | Access::Write(o) | Access::AcqRel(o) => o,
         }
     }
 
     /// Whether the access mutates the object (writes and RMWs do).
-    pub fn is_write(&self) -> bool {
+    pub(crate) fn is_write(&self) -> bool {
         !matches!(self, Access::Read(_))
     }
 }
@@ -73,18 +73,15 @@ pub(crate) struct StepEntry<S> {
 }
 
 /// The scheduling oracle `run_one` consults at each decision: what to do
-/// given the decision depth, the (ascending) runnable actor indices and
-/// a view of the state.
+/// given the decision depth and the (ascending) runnable actor indices.
 enum Choice {
     /// Advance this absolute actor index.
     Pick(usize),
-    /// Stop the run here without a final check (fingerprint prune).
-    Stop,
     /// Abort the run as a violation.
     Fail(String),
 }
 
-type Decider<'d, S> = &'d mut dyn FnMut(usize, &[usize], &S) -> Choice;
+type Decider<'d> = &'d mut dyn FnMut(usize, &[usize]) -> Choice;
 
 /// One logical thread of a concurrent test case: a named, fixed sequence
 /// of steps over the shared state `S`. The explorer advances exactly one
@@ -140,12 +137,12 @@ impl<S> Actor<S> {
     }
 
     /// Steps not yet executed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.steps.len()
     }
 
     /// The actor's display name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -200,7 +197,7 @@ pub enum Mode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Report {
     /// Runs actually executed (in [`Mode::Dpor`] this includes
-    /// sleep-set-blocked and fingerprint-pruned partial runs).
+    /// sleep-set-blocked partial runs).
     pub schedules: usize,
     /// Whether the whole interleaving space was covered (exhaustive or
     /// DPOR mode under the bound only).
@@ -294,8 +291,8 @@ fn run_one<S>(
     build: &impl Fn() -> (S, Vec<Actor<S>>),
     check_step: &impl Fn(&S) -> Result<(), String>,
     check_final: &impl Fn(&mut S) -> Result<(), String>,
-    decide: Decider<'_, S>,
-) -> Result<(Vec<usize>, bool), Violation> {
+    decide: Decider<'_>,
+) -> Result<(), Violation> {
     let (mut state, mut actors) = build();
     let mut schedule: Vec<usize> = Vec::new();
     loop {
@@ -308,9 +305,8 @@ fn run_one<S>(
         if runnable.is_empty() {
             break;
         }
-        let actor = match decide(schedule.len(), &runnable, &state) {
+        let actor = match decide(schedule.len(), &runnable) {
             Choice::Pick(i) => i,
-            Choice::Stop => return Ok((schedule, false)),
             Choice::Fail(message) => return Err(Violation { schedule, message }),
         };
         schedule.push(actor);
@@ -336,7 +332,7 @@ fn run_one<S>(
             message: final_violation_message(&why),
         });
     }
-    Ok((schedule, true))
+    Ok(())
 }
 
 /// Explores interleavings of `build`'s actors over its shared state.
@@ -373,56 +369,12 @@ pub fn explore<S>(
     check_step: impl Fn(&S) -> Result<(), String>,
     check_final: impl Fn(&mut S) -> Result<(), String>,
 ) -> Result<Report, Violation> {
-    explore_inner(mode, &build, None, &check_step, &check_final)
-}
-
-/// [`explore`] with a state fingerprint hook: `fingerprint` must hash
-/// *all* state the harness's behaviour depends on. When two schedule
-/// prefixes reach the same fingerprint with the same per-actor progress,
-/// the second subtree is pruned as already explored. Sound for
-/// [`Mode::Exhaustive`] (identical state + progress ⇒ identical
-/// subtree); under [`Mode::Dpor`] the pruned continuation's backtrack
-/// contributions are conservatively over-approximated from the pruned
-/// actors' remaining access sets, which keeps the reduction honest at
-/// the price of some re-exploration. Ignored by [`Mode::Random`].
-pub fn explore_with_fingerprint<S>(
-    mode: Mode,
-    build: impl Fn() -> (S, Vec<Actor<S>>),
-    fingerprint: impl Fn(&S) -> u64,
-    check_step: impl Fn(&S) -> Result<(), String>,
-    check_final: impl Fn(&mut S) -> Result<(), String>,
-) -> Result<Report, Violation> {
-    explore_inner(mode, &build, Some(&fingerprint), &check_step, &check_final)
-}
-
-/// [`explore_with_fingerprint`] for states that implement [`Hash`]: the
-/// fingerprint is the state's own hash under the std default hasher.
-pub fn explore_hashed<S: std::hash::Hash>(
-    mode: Mode,
-    build: impl Fn() -> (S, Vec<Actor<S>>),
-    check_step: impl Fn(&S) -> Result<(), String>,
-    check_final: impl Fn(&mut S) -> Result<(), String>,
-) -> Result<Report, Violation> {
-    explore_inner(
-        mode,
-        &build,
-        Some(&|s: &S| {
-            use std::hash::Hasher;
-            // DefaultHasher::new() is fixed-key SipHash: deterministic
-            // across runs of one binary, which is all pruning needs.
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            s.hash(&mut h);
-            h.finish()
-        }),
-        &check_step,
-        &check_final,
-    )
+    explore_inner(mode, &build, &check_step, &check_final)
 }
 
 pub(crate) fn explore_inner<S>(
     mode: Mode,
     build: &impl Fn() -> (S, Vec<Actor<S>>),
-    fingerprint: Option<&dyn Fn(&S) -> u64>,
     check_step: &impl Fn(&S) -> Result<(), String>,
     check_final: &impl Fn(&mut S) -> Result<(), String>,
 ) -> Result<Report, Violation> {
@@ -438,60 +390,20 @@ pub(crate) fn explore_inner<S>(
             // advances.
             let mut path: Vec<(usize, Vec<usize>)> = Vec::new();
             let mut schedules = 0usize;
-            let mut traces = 0usize;
-            // Fingerprint pruning: (state hash, per-actor progress) of
-            // states whose subtrees are fully covered by an earlier
-            // visit. Progress is tracked via the per-run choice counts.
-            let mut visited: HashSet<(u64, Vec<usize>)> = HashSet::new();
-            let mut pcs: Vec<usize> = Vec::new();
             loop {
-                let completed = {
-                    let path = &mut path;
-                    let pcs = &mut pcs;
-                    let visited = &mut visited;
-                    let (_, done) = run_one(
-                        build,
-                        check_step,
-                        check_final,
-                        &mut |depth, runnable, state| {
-                            if depth == 0 {
-                                pcs.clear();
-                            }
-                            let fresh = depth >= path.len();
-                            if fresh {
-                                if let Some(fp) = fingerprint {
-                                    let key = (fp(state), pcs.clone());
-                                    if !visited.insert(key) {
-                                        // Same state, same per-actor
-                                        // progress: the subtree from here
-                                        // was exhausted on first visit.
-                                        return Choice::Stop;
-                                    }
-                                }
-                                path.push((0, runnable.to_vec()));
-                            } else {
-                                let (_, ref was) = path[depth];
-                                if was != runnable {
-                                    return Choice::Fail(nondeterminism_message(
-                                        depth, was, runnable,
-                                    ));
-                                }
-                            }
-                            let (choice, _) = path[depth];
-                            let picked = runnable[choice];
-                            if pcs.len() <= picked {
-                                pcs.resize(picked + 1, 0);
-                            }
-                            pcs[picked] += 1;
-                            Choice::Pick(picked)
-                        },
-                    )?;
-                    done
-                };
+                run_one(build, check_step, check_final, &mut |depth, runnable| {
+                    if depth >= path.len() {
+                        path.push((0, runnable.to_vec()));
+                    } else {
+                        let (_, ref was) = path[depth];
+                        if was != runnable {
+                            return Choice::Fail(nondeterminism_message(depth, was, runnable));
+                        }
+                    }
+                    let (choice, _) = path[depth];
+                    Choice::Pick(runnable[choice])
+                })?;
                 schedules += 1;
-                if completed {
-                    traces += 1;
-                }
                 // Odometer: advance the deepest decision that still has an
                 // unexplored sibling, dropping everything below it.
                 while let Some((choice, runnable)) = path.pop() {
@@ -505,7 +417,7 @@ pub(crate) fn explore_inner<S>(
                     return Ok(Report {
                         schedules,
                         exhausted,
-                        traces_explored: traces,
+                        traces_explored: schedules,
                         schedules_pruned: if exhausted {
                             interleavings.saturating_sub(schedules as u64)
                         } else {
@@ -521,7 +433,7 @@ pub(crate) fn explore_inner<S>(
                 // Decorrelate per-run streams: feeding `seed + run` into
                 // SplitMix64 is exactly its intended splitting usage.
                 let mut rng = SplitMix64::new(seed.wrapping_add(run as u64));
-                run_one(build, check_step, check_final, &mut |_, runnable, _| {
+                run_one(build, check_step, check_final, &mut |_, runnable| {
                     Choice::Pick(runnable[rng.below(runnable.len())])
                 })?;
             }
@@ -533,14 +445,9 @@ pub(crate) fn explore_inner<S>(
                 interleavings,
             })
         }
-        Mode::Dpor { max_schedules } => crate::dpor::explore_dpor(
-            max_schedules,
-            interleavings,
-            build,
-            fingerprint,
-            check_step,
-            check_final,
-        ),
+        Mode::Dpor { max_schedules } => {
+            crate::dpor::explore_dpor(max_schedules, interleavings, build, check_step, check_final)
+        }
     }
 }
 
@@ -577,31 +484,25 @@ pub fn replay<S>(
             probe.len(),
         )
     };
-    run_one(
-        &build,
-        &check_step,
-        &check_final,
-        &mut |depth, runnable, _| {
-            let Some(&want) = schedule.get(depth) else {
-                return Choice::Pick(runnable[0]);
-            };
-            if runnable.contains(&want) {
-                Choice::Pick(want)
-            } else if want >= actor_count {
-                Choice::Fail(format!(
-                    "schedule picks actor #{want} at depth {depth}, but the harness only has \
+    run_one(&build, &check_step, &check_final, &mut |depth, runnable| {
+        let Some(&want) = schedule.get(depth) else {
+            return Choice::Pick(runnable[0]);
+        };
+        if runnable.contains(&want) {
+            Choice::Pick(want)
+        } else if want >= actor_count {
+            Choice::Fail(format!(
+                "schedule picks actor #{want} at depth {depth}, but the harness only has \
                  {actor_count} actors ({actor_names:?}) — was it recorded against a larger \
                  actor set?"
-                ))
-            } else {
-                Choice::Fail(format!(
-                    "schedule picks actor #{want} ({}) at depth {depth}, but it has no steps left",
-                    actor_names[want]
-                ))
-            }
-        },
-    )
-    .map(|_| ())
+            ))
+        } else {
+            Choice::Fail(format!(
+                "schedule picks actor #{want} ({}) at depth {depth}, but it has no steps left",
+                actor_names[want]
+            ))
+        }
+    })
 }
 
 #[cfg(test)]
@@ -609,7 +510,6 @@ mod tests {
     use super::*;
 
     /// Two-step non-atomic increments: the canonical lost update.
-    #[derive(Hash)]
     struct LostUpdate {
         val: u64,
         tmp: [u64; 2],
@@ -896,59 +796,5 @@ mod tests {
             violation.message.contains("non-deterministic harness"),
             "{violation}"
         );
-    }
-
-    /// Fingerprint pruning in exhaustive mode: converging states (the
-    /// order of two commuting increments) collapse to one subtree, the
-    /// space still counts as exhausted, and violations are still found.
-    #[test]
-    fn exhaustive_fingerprint_prunes_converged_states() {
-        #[derive(Hash)]
-        struct Counters {
-            x: u64,
-            y: u64,
-        }
-        let build = || {
-            let actors = vec![
-                Actor::new("x")
-                    .then(|s: &mut Counters| s.x += 1)
-                    .then(|s: &mut Counters| s.x += 1),
-                Actor::new("y")
-                    .then(|s: &mut Counters| s.y += 1)
-                    .then(|s: &mut Counters| s.y += 1),
-            ];
-            (Counters { x: 0, y: 0 }, actors)
-        };
-        let unpruned = explore(
-            Mode::Exhaustive { max_schedules: 100 },
-            build,
-            |_| Ok(()),
-            |_| Ok(()),
-        )
-        .expect("nothing to violate");
-        assert_eq!(unpruned.schedules, 6, "C(4,2) schedules");
-        let pruned = explore_hashed(
-            Mode::Exhaustive { max_schedules: 100 },
-            build,
-            |_| Ok(()),
-            |_| Ok(()),
-        )
-        .expect("nothing to violate");
-        assert!(pruned.exhausted, "pruning must not cost exhaustion");
-        assert!(
-            pruned.schedules < unpruned.schedules,
-            "converging lattice must prune: {} vs {}",
-            pruned.schedules,
-            unpruned.schedules
-        );
-        // Pruning must not hide violations reachable through a pruned
-        // prefix's sibling.
-        let violation = explore_hashed(
-            Mode::Exhaustive { max_schedules: 100 },
-            lost_update_build,
-            |_| Ok(()),
-            lost_update_final,
-        );
-        assert!(violation.is_err(), "lost update survives pruning");
     }
 }

@@ -42,9 +42,7 @@
 //!   declared by [`Actor::then_accessing`] access annotations): visits
 //!   at least one representative schedule per Mazurkiewicz trace
 //!   instead of every interleaving, and reports how much it pruned
-//!   ([`Report::reduction_ratio`]). Optional state fingerprinting
-//!   ([`explore_with_fingerprint`] / [`explore_hashed`]) additionally
-//!   prunes converged states.
+//!   ([`Report::reduction_ratio`]).
 //!
 //! Every run is **deterministic and replayable**: a failing schedule is
 //! reported as the exact sequence of actor indices that produced it, and
@@ -105,9 +103,6 @@ mod explore;
 mod rng;
 mod stats;
 
-pub use explore::{
-    explore, explore_hashed, explore_with_fingerprint, replay, Access, Actor, Mode, Report,
-    Violation,
-};
+pub use explore::{explore, replay, Access, Actor, Mode, Report, Violation};
 pub use rng::SplitMix64;
 pub use stats::{budget, deep, emit_stats};

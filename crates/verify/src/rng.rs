@@ -15,12 +15,12 @@ pub struct SplitMix64 {
 
 impl SplitMix64 {
     /// Creates a generator from a seed. Every seed is valid (including 0).
-    pub fn new(seed: u64) -> SplitMix64 {
+    pub(crate) fn new(seed: u64) -> SplitMix64 {
         SplitMix64 { state: seed }
     }
 
     /// Next 64 pseudo-random bits.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -32,7 +32,7 @@ impl SplitMix64 {
     ///
     /// Plain modulo — the bias for the explorer's tiny `n` (a handful of
     /// runnable actors) is ~2⁻⁶⁰ and irrelevant to schedule coverage.
-    pub fn below(&mut self, n: usize) -> usize {
+    pub(crate) fn below(&mut self, n: usize) -> usize {
         debug_assert!(n > 0, "below(0) is meaningless");
         (self.next_u64() % n as u64) as usize
     }

@@ -15,8 +15,8 @@
 use ccp_cachesim::{AddrSpace, HierarchyConfig, StreamStats, WayMask};
 use ccp_engine::partition::PartitionPolicy;
 use ccp_engine::sim::{
-    driver::{DEFAULT_MEASURE_CYCLES, DEFAULT_WARM_CYCLES},
-    run_concurrent, run_isolated, SimOperator, SimWorkload, StreamOutcome,
+    run_concurrent, run_isolated, SimOperator, SimWorkload, StreamOutcome, DEFAULT_MEASURE_CYCLES,
+    DEFAULT_WARM_CYCLES,
 };
 
 /// A builder producing a fresh operator twin inside the given address
@@ -114,15 +114,6 @@ impl Default for Experiment {
 }
 
 impl Experiment {
-    /// A faster configuration for CI/tests: shorter windows, same machine.
-    pub fn quick() -> Self {
-        Experiment {
-            warm_cycles: 4_000_000,
-            measure_cycles: 8_000_000,
-            ..Default::default()
-        }
-    }
-
     /// The paper's partition policy for this machine.
     pub fn policy(&self) -> PartitionPolicy {
         PartitionPolicy::paper_default(self.cfg.llc, self.cfg.l2.size_bytes)

@@ -17,7 +17,7 @@ use ccp_engine::sim::{OltpSim, SimOperator};
 /// used by the modified query of Figure 12a. Mostly document/assignment
 /// text and reference-key columns; the sum (≈ 45 MiB) plus the five
 /// inverted indexes lands the working set at LLC scale.
-pub const BIG13_DICTS: [u64; 13] = [
+pub(crate) const BIG13_DICTS: [u64; 13] = [
     8 << 20,       // 8 MiB
     6 << 20,       // 6 MiB
     5 << 20,       // 5 MiB
@@ -35,7 +35,7 @@ pub const BIG13_DICTS: [u64; 13] = [
 
 /// Dictionary sizes of the 6 (smaller) columns projected by the unmodified
 /// customer query of Figure 12b (≈ 7 MiB total).
-pub const SMALL6_DICTS: [u64; 6] = [
+pub(crate) const SMALL6_DICTS: [u64; 6] = [
     2 << 20,       // 2 MiB
     3 * (1 << 19), // 1.5 MiB
     1 << 20,       // 1 MiB

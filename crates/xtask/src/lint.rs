@@ -40,7 +40,7 @@ use std::path::{Path, PathBuf};
 
 /// One lint violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Finding {
+pub(crate) struct Finding {
     /// Stable rule identifier.
     pub rule: &'static str,
     /// File the violation is in (as given to the walker).
@@ -64,7 +64,7 @@ impl fmt::Display for Finding {
 impl Finding {
     /// Serializes the finding as one JSON object (hand-rolled; findings
     /// contain no exotic characters beyond what `escape` covers).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         fn esc(s: &str) -> String {
             s.chars()
                 .flat_map(|c| match c {
@@ -285,7 +285,7 @@ fn verify_annotated_findings(path: &str, scan_result: &FileScan) -> Vec<Finding>
 }
 
 /// Runs every rule over one scanned file. `path` decides rule scope.
-pub fn lint_file(path: &str, scan_result: &FileScan) -> Vec<Finding> {
+pub(crate) fn lint_file(path: &str, scan_result: &FileScan) -> Vec<Finding> {
     let mut findings = Vec::new();
     let norm = path.replace('\\', "/");
     // Harness files are whole-file test code: the concurrency-hygiene
@@ -412,7 +412,7 @@ pub fn lint_file(path: &str, scan_result: &FileScan) -> Vec<Finding> {
 const SKIP_DIRS: &[&str] = &["target", "vendor", "fixtures", ".git", "tests", "benches"];
 
 /// Collects every `.rs` file under `roots`, skipping [`SKIP_DIRS`].
-pub fn collect_rs_files(roots: &[PathBuf]) -> std::io::Result<Vec<PathBuf>> {
+pub(crate) fn collect_rs_files(roots: &[PathBuf]) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack: Vec<PathBuf> = roots.to_vec();
     while let Some(p) = stack.pop() {
@@ -444,7 +444,7 @@ pub fn collect_rs_files(roots: &[PathBuf]) -> std::io::Result<Vec<PathBuf>> {
 
 /// Lints every `.rs` file under `roots`; `Err` carries I/O problems, a
 /// non-empty `Ok` carries the findings.
-pub fn lint_paths(roots: &[PathBuf]) -> std::io::Result<Vec<Finding>> {
+pub(crate) fn lint_paths(roots: &[PathBuf]) -> std::io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
     for file in collect_rs_files(roots)? {
         let src = std::fs::read_to_string(&file)?;
@@ -455,7 +455,7 @@ pub fn lint_paths(roots: &[PathBuf]) -> std::io::Result<Vec<Finding>> {
 }
 
 /// The workspace's default lint roots, relative to the repo root.
-pub fn default_roots(repo_root: &Path) -> Vec<PathBuf> {
+pub(crate) fn default_roots(repo_root: &Path) -> Vec<PathBuf> {
     vec![repo_root.join("crates"), repo_root.join("src")]
 }
 

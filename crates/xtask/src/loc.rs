@@ -18,7 +18,7 @@ const ITEM_KEYWORDS: &[&str] = &[
 ];
 
 /// `(non-test lines, pub items)` of one source file.
-pub fn count(src: &str) -> (usize, usize) {
+pub(crate) fn count(src: &str) -> (usize, usize) {
     let scanned = scan(src);
     let mut lines = 0;
     let mut items = 0;
@@ -41,7 +41,7 @@ pub fn count(src: &str) -> (usize, usize) {
 
 /// One markdown table row per crate (`crates/*/src`, then the root
 /// package's `src`), plus a total row.
-pub fn table(repo_root: &Path) -> std::io::Result<String> {
+pub(crate) fn table(repo_root: &Path) -> std::io::Result<String> {
     let mut crates: Vec<_> = std::fs::read_dir(repo_root.join("crates"))?
         .filter_map(|e| Some(e.ok()?.path()))
         .filter(|p| p.join("src").is_dir())

@@ -12,7 +12,7 @@
 //! that merely shares the name — does not produce a false `"`.
 
 /// Per-line views of one source file.
-pub struct FileScan {
+pub(crate) struct FileScan {
     /// Code with comments stripped and literal contents blanked.
     pub code: Vec<String>,
     /// Concatenated comment text per line (both `//…` and `/*…*/`).
@@ -23,13 +23,13 @@ pub struct FileScan {
 
 impl FileScan {
     /// Number of lines scanned.
-    pub fn lines(&self) -> usize {
+    pub(crate) fn lines(&self) -> usize {
         self.code.len()
     }
 }
 
 /// Scans one file's source text.
-pub fn scan(src: &str) -> FileScan {
+pub(crate) fn scan(src: &str) -> FileScan {
     let chars: Vec<char> = src.chars().collect();
     let mut code: Vec<String> = vec![String::new()];
     let mut comments: Vec<String> = vec![String::new()];

@@ -16,7 +16,7 @@
 
 use cache_partitioning::prelude::*;
 use ccp_engine::ops::{aggregate, join, oltp, scan};
-use ccp_storage::{gen, Aggregate, Column, DictColumn, Table};
+use ccp_storage::{gen, Aggregate, DictColumn, InvertedIndex};
 use std::sync::Arc;
 
 fn main() {
@@ -47,15 +47,10 @@ fn main() {
     let order_pk = Arc::new(DictColumn::build(&gen::primary_keys(50_000, 3)));
     let order_fk = Arc::new(DictColumn::build(&gen::foreign_keys(ROWS, 50_000, 4)));
 
-    let mut customers = Table::new("customers");
-    customers.add_column(
-        "ID",
-        Column::Int(DictColumn::build(&gen::primary_keys(10_000, 5))),
-    );
-    customers.add_column(
-        "NAME",
-        Column::Str(DictColumn::build(&gen::string_values(10_000, 2_000, 24, 6))),
-    );
+    let customer_ids = DictColumn::build(&gen::primary_keys(10_000, 5));
+    let balances = DictColumn::build(&gen::uniform_ints(10_000, 1_000_000, 6));
+    let customer_index =
+        InvertedIndex::build(customer_ids.codes().iter(), customer_ids.dict().len());
 
     // --- OLAP side ---------------------------------------------------------
     println!("\nOLAP queries through the partitioned executor:");
@@ -72,11 +67,9 @@ fn main() {
     println!("  Q3 FK join      (CUID: mixed)     -> {matches} matches");
 
     // --- OLTP side ---------------------------------------------------------
-    let q = oltp::PointSelect::prepare(&customers, "ID", &["NAME"]);
-    let row = q.execute_int(4242);
+    let (rows, balance) = oltp::point_select_sum(&customer_ids, &customer_index, &balances, 4242);
     println!(
-        "  OLTP point select (full cache)     -> customer 4242 = {:?}",
-        row.first().map(|r| &r[0].1)
+        "  OLTP point select (full cache)     -> customer 4242: {rows} row, balance {balance}"
     );
 
     // --- what the executor did ---------------------------------------------

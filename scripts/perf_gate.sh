@@ -22,15 +22,17 @@
 #                       (default: the mask-rebind fast path, the mask
 #                       switch, the 20-bit scan, the hash-table update,
 #                       the served q2 MAX aggregation, the served q3
-#                       join probe, a wide-domain column build and
-#                       alternating-class job dispatch)
+#                       join probe, a wide-domain column build,
+#                       alternating-class job dispatch, and a request's
+#                       fixed costs: reply render, request-line parse,
+#                       HTTP read and a metric-family label lookup)
 #   CCP_BENCH_MS        measuring window per benchmark in ms (default 120)
 
 set -euo pipefail
 
 RUNS="${CCP_PERF_RUNS:-5}"
 THRESHOLD="${CCP_PERF_THRESHOLD:-15}"
-GATE_IDS="${CCP_PERF_GATE_IDS:-alloc/fast_path/rebind_same_mask alloc/switch/alternate_masks storage/scan/count_range_20bit storage/hashtable/update_100k_groups engine/aggregate/q2_max_64_groups engine/join/q3_probe_19bit storage/dict/build_256k_wide engine/dispatch/alternating_class_jobs}"
+GATE_IDS="${CCP_PERF_GATE_IDS:-alloc/fast_path/rebind_same_mask alloc/switch/alternate_masks storage/scan/count_range_20bit storage/hashtable/update_100k_groups engine/aggregate/q2_max_64_groups engine/join/q3_probe_19bit storage/dict/build_256k_wide engine/dispatch/alternating_class_jobs server/json/render_reply server/json/parse_request_line server/http/read_request obs/family/get_or_create_hit}"
 export CCP_BENCH_MS="${CCP_BENCH_MS:-120}"
 
 REPO_ROOT="$(git rev-parse --show-toplevel)"

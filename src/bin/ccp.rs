@@ -2,10 +2,6 @@
 //!
 //! ```text
 //! ccp probe                     # CAT/resctrl support of this host
-//! ccp demo                      # the paper's Figure 1 effect, simulated
-//! ccp classify                  # online CUID classification of the paper's operators
-//! ccp schedule scan agg join:125000 agg
-//!                               # plan co-run waves for a query queue
 //! ccp serve --addr 127.0.0.1:9090
 //!                               # HTTP query admission + Prometheus scrape service
 //! ccp bench-serve --addr 127.0.0.1:9090 --qps 50 --duration 10
@@ -13,12 +9,14 @@
 //! ccp help
 //! ```
 //!
+//! The simulator walkthroughs live in `examples/`: `quickstart` shows the
+//! paper's Figure 1 effect, `online_classifier` derives operator CUIDs
+//! online and plans co-run waves.
+//!
 //! Argument parsing is hand-rolled (the workspace deliberately keeps its
 //! dependency set to the offline-audited list).
 
 use cache_partitioning::prelude::*;
-use ccp_engine::sim::{classify_operator, AggregationSim, ColumnScanSim, FkJoinSim};
-use ccp_engine::CacheAwareScheduler;
 use ccp_server::{
     fetch, install_sigint_handler, sigint_requested, HttpClient, Json, Server, ServerConfig,
 };
@@ -27,16 +25,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// A named constructor for a simulated operator, used by `classify`.
-type SimOpFactory = Box<dyn Fn(&mut AddrSpace) -> Box<dyn ccp_engine::sim::SimOperator>>;
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("probe") => reject_extra_args("probe", &args[1..]).unwrap_or_else(probe),
-        Some("demo") => reject_extra_args("demo", &args[1..]).unwrap_or_else(demo),
-        Some("classify") => reject_extra_args("classify", &args[1..]).unwrap_or_else(classify),
-        Some("schedule") => schedule(&args[1..]),
         Some("serve") => serve(&args[1..]),
         Some("bench-serve") => bench_serve(&args[1..]),
         Some("help") | None => {
@@ -51,8 +43,8 @@ fn main() -> ExitCode {
     }
 }
 
-/// Commands that take no arguments fail loudly on stray ones instead of
-/// silently ignoring a typo like `ccp probe --verbose`.
+/// A command that takes no arguments (`probe`) fails loudly on stray
+/// ones instead of silently ignoring a typo like `ccp probe --verbose`.
 fn reject_extra_args(cmd: &str, rest: &[String]) -> Option<ExitCode> {
     if rest.is_empty() {
         None
@@ -68,15 +60,14 @@ fn print_help() {
          USAGE:\n  ccp <command>\n\n\
          COMMANDS:\n  \
          probe      detect Intel CAT / resctrl support on this host\n  \
-         demo       reproduce the paper's headline effect on the simulator\n  \
-         classify   probe the paper's operators and derive their CUIDs online\n  \
-         schedule   plan cache-aware co-run waves, e.g. `ccp schedule scan agg join:125000`\n  \
          serve      run the HTTP query/metrics service, e.g. `ccp serve --addr 127.0.0.1:9090`\n  \
          bench-serve  load-test a running server over keep-alive sockets\n  \
          help       this text\n\n\
          SERVE FLAGS:\n{}\n\
          BENCH-SERVE FLAGS:\n{}\n\
-         The full experiment suite lives in `cargo bench -p ccp-bench`.",
+         Simulator walkthroughs: `cargo run --release --example quickstart` (Figure 1)\n\
+         and `--example online_classifier` (CUIDs, co-run waves); the full\n\
+         experiment suite lives in `cargo bench -p ccp-bench`.",
         flag_help(SERVE_FLAGS),
         flag_help(BENCH_FLAGS),
     );
@@ -166,76 +157,6 @@ fn probe() -> ExitCode {
             ExitCode::SUCCESS
         }
     }
-}
-
-fn demo() -> ExitCode {
-    println!("simulating the paper's Figure 1 on the Broadwell model (one minute)…\n");
-    let e = Experiment::default();
-    let mk = |mask| {
-        vec![
-            QuerySpec::new("aggregation (Q2)", MaskChoice::Full, |s| {
-                paper::q2_aggregation(s, paper::DICT_4MIB, 100_000)
-            }),
-            QuerySpec::new("column scan (Q1)", mask, paper::q1_scan),
-        ]
-    };
-    let base = e.run_concurrent_normalized(&mk(MaskChoice::Full));
-    let part = e.run_concurrent_normalized(&mk(MaskChoice::Policy));
-    println!(
-        "{:>20} {:>14} {:>14}",
-        "query", "unpartitioned", "partitioned"
-    );
-    for (b, p) in base.iter().zip(&part) {
-        println!(
-            "{:>20} {:>13.1}% {:>13.1}%",
-            b.name,
-            b.normalized * 100.0,
-            p.normalized * 100.0
-        );
-    }
-    ExitCode::SUCCESS
-}
-
-fn classify() -> ExitCode {
-    let cfg = HierarchyConfig::broadwell_e5_2699_v4();
-    let policy = PartitionPolicy::paper_default(cfg.llc, cfg.l2.size_bytes);
-    let ops: Vec<(&str, SimOpFactory)> = vec![
-        (
-            "column scan",
-            Box::new(|s: &mut AddrSpace| Box::new(ColumnScanSim::paper_q1(s, 1 << 33)) as _),
-        ),
-        (
-            "aggregation 40MiB/1e5G",
-            Box::new(|s: &mut AddrSpace| {
-                Box::new(AggregationSim::paper_q2(s, 1 << 40, 40 << 20, 100_000)) as _
-            }),
-        ),
-        (
-            "fk join 1e6 keys",
-            Box::new(|s: &mut AddrSpace| Box::new(FkJoinSim::new(s, 1_000_000, 1 << 40)) as _),
-        ),
-        (
-            "fk join 1e8 keys",
-            Box::new(|s: &mut AddrSpace| Box::new(FkJoinSim::new(s, 100_000_000, 1 << 40)) as _),
-        ),
-    ];
-    println!(
-        "{:>24} {:>12} {:>8} {:>12} {:>20}",
-        "operator", "sensitivity", "re-use", "hot MiB", "CUID -> mask"
-    );
-    for (name, build) in &ops {
-        let r = classify_operator(&cfg, &policy, build.as_ref(), 3_000_000, 6_000_000);
-        println!(
-            "{:>24} {:>12.2} {:>8.2} {:>12.2} {:>13?} {:#x}",
-            name,
-            r.sensitivity_ratio,
-            r.reuse_hit_ratio,
-            r.hot_bytes as f64 / (1024.0 * 1024.0),
-            r.cuid,
-            policy.mask_for(r.cuid).bits()
-        );
-    }
-    ExitCode::SUCCESS
 }
 
 /// What `ccp serve` is started with: the server's configuration plus an
@@ -1141,51 +1062,6 @@ fn bench_serve(args: &[String]) -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-fn schedule(specs: &[String]) -> ExitCode {
-    if specs.is_empty() {
-        eprintln!("usage: ccp schedule <scan|agg|join:<bitvec-bytes>> …");
-        return ExitCode::FAILURE;
-    }
-    let mut queue = Vec::new();
-    for s in specs {
-        let cuid = if s == "scan" {
-            CacheUsageClass::Polluting
-        } else if s == "agg" {
-            CacheUsageClass::Sensitive
-        } else if let Some(bytes) = s.strip_prefix("join:") {
-            match bytes.parse::<u64>() {
-                Ok(b) => CacheUsageClass::Mixed { hot_bytes: b },
-                Err(_) => {
-                    eprintln!("bad join spec {s:?}: expected join:<bytes>");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            eprintln!("unknown query kind {s:?}: expected scan, agg or join:<bytes>");
-            return ExitCode::FAILURE;
-        };
-        queue.push(cuid);
-    }
-    let cfg = HierarchyConfig::broadwell_e5_2699_v4();
-    let policy = PartitionPolicy::paper_default(cfg.llc, cfg.l2.size_bytes);
-    let sched = CacheAwareScheduler::new(policy, 2);
-    println!("queue: {queue:?}");
-    for (i, wave) in sched.plan_waves(&queue).iter().enumerate() {
-        let members: Vec<String> = wave
-            .iter()
-            .map(|&j| {
-                format!(
-                    "{} (mask {:#x})",
-                    specs[j],
-                    policy.mask_for(queue[j]).bits()
-                )
-            })
-            .collect();
-        println!("wave {}: {}", i + 1, members.join("  +  "));
-    }
-    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

@@ -28,12 +28,36 @@ fn unknown_subcommand_fails_with_message() {
 
 #[test]
 fn stray_arguments_on_simple_commands_fail() {
-    for cmd in ["probe", "demo", "classify"] {
-        let out = ccp(&[cmd, "--verbose"]);
-        assert_eq!(out.status.code(), Some(1), "{cmd} accepts no flags");
+    let out = ccp(&["probe", "--verbose"]);
+    assert_eq!(out.status.code(), Some(1), "probe accepts no flags");
+    let err = stderr(&out);
+    assert!(err.contains("takes no arguments"), "probe stderr: {err}");
+}
+
+/// The simulator walkthroughs live in `examples/` only: the binary's
+/// commands are the host probe and the service pair.
+#[test]
+fn help_lists_exactly_the_served_commands() {
+    for gone in ["demo", "classify", "schedule"] {
+        let out = ccp(&[gone]);
+        assert_eq!(out.status.code(), Some(1), "`ccp {gone}` is not a command");
         let err = stderr(&out);
-        assert!(err.contains("takes no arguments"), "{cmd} stderr: {err}");
+        assert!(err.contains("unknown command"), "{gone} stderr: {err}");
     }
+    let out = ccp(&["help"]);
+    let text = String::from_utf8_lossy(&out.stdout).into_owned();
+    let at = text.find("COMMANDS:\n").expect("COMMANDS section");
+    let commands: Vec<&str> = text[at..]
+        .lines()
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(
+        commands,
+        ["probe", "serve", "bench-serve", "help"],
+        "{text}"
+    );
 }
 
 #[test]

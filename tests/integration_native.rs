@@ -5,7 +5,7 @@
 use cache_partitioning::prelude::*;
 use ccp_engine::alloc::RecordingAllocator;
 use ccp_engine::ops::{aggregate, join, oltp, scan};
-use ccp_storage::{gen, Aggregate, Column, DictColumn, Table};
+use ccp_storage::{gen, Aggregate, DictColumn, InvertedIndex};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -64,21 +64,24 @@ fn full_query_mix_produces_correct_results_and_masks() {
 
 #[test]
 fn oltp_point_select_over_generated_table() {
-    let mut t = Table::new("customers");
-    let ids = gen::primary_keys(5_000, 21);
-    t.add_column("ID", Column::Int(DictColumn::build(&ids)));
-    t.add_column(
-        "NAME",
-        Column::Str(DictColumn::build(&gen::string_values(5_000, 500, 16, 22))),
-    );
-    let q = oltp::PointSelect::prepare(&t, "ID", &["NAME"]);
-    // Every primary key is present exactly once.
-    for key in [1i64, 777, 5_000] {
-        let rows = q.execute_int(key);
-        assert_eq!(rows.len(), 1, "key {key}");
-        assert_eq!(rows[0][0].0, "NAME");
+    let ids = DictColumn::build(&gen::primary_keys(5_000, 21));
+    let amounts = DictColumn::build(&gen::uniform_ints(5_000, 1_000, 22));
+    let index = InvertedIndex::build(ids.codes().iter(), ids.dict().len());
+    // Every primary key is present exactly once, and its sum is its row's
+    // amount.
+    for row in 0..ids.len() {
+        let key = *ids.value_at(row);
+        let expect = (1, *amounts.value_at(row));
+        assert_eq!(
+            oltp::point_select_sum(&ids, &index, &amounts, key),
+            expect,
+            "key {key}"
+        );
     }
-    assert!(q.execute_int(5_001).is_empty());
+    assert_eq!(
+        oltp::point_select_sum(&ids, &index, &amounts, 5_001),
+        (0, 0)
+    );
 }
 
 #[test]
