@@ -6,6 +6,10 @@
 //! partitioning improves TPC-H queries by up to +5 %, most visibly Q1, Q7,
 //! Q8 and Q9 (they aggregate through the ≈ 29 MiB `L_EXTENDEDPRICE`
 //! dictionary); the scan itself gains up to +5 % (e.g. with Q18).
+//!
+//! Only the scan is ever confined: composite analytical queries keep the
+//! full cache in the paper's evaluation, so each TPC-H query runs through
+//! `SimWorkload::unpartitioned` whatever its plan's class.
 
 use ccp_bench::{banner, experiment_from_env, pct, save_json, ResultRow};
 use ccp_cachesim::{AddrSpace, WayMask};

@@ -4,8 +4,15 @@
 //! a parallelized operator. The **cache usage identifier** (CUID) is the
 //! paper's taxonomy of operators by cache behaviour (Section V-C); the
 //! executor turns it into a CAT way mask before the job runs.
+//!
+//! A query is a [`Plan`]: the [`Phase`]s it runs, each an operator with
+//! the sizes its footprint comes from. [`Phase::cuid`] is the CUID a
+//! phase's jobs carry and [`Plan::class`] the one the query is admitted
+//! and replies under; the served queries, the TPC-H profiles and the
+//! simulated composites all classify through these two rules.
 
 use ccp_resctrl::Class;
+use ccp_storage::BitVec;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -43,6 +50,89 @@ impl CacheUsageClass {
             CacheUsageClass::Sensitive => Class::Sensitive,
             CacheUsageClass::Mixed { .. } => Class::Mixed,
         }
+    }
+}
+
+/// One phase of a query. Sizes are those of the data the plan describes:
+/// SF 100 rows for a TPC-H profile, resident rows for a served query.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// Sequential scan of `rows` rows at `bytes_per_row` packed bytes.
+    Scan {
+        /// Rows scanned.
+        rows: u64,
+        /// Packed bytes per row (all scanned columns combined).
+        bytes_per_row: u64,
+    },
+    /// Bit-vector foreign-key join: build over `build_keys` keys, probe
+    /// with `probe_rows` rows.
+    Join {
+        /// Keys the probed bit vector holds one bit for.
+        build_keys: u64,
+        /// Probe-side rows.
+        probe_rows: u64,
+    },
+    /// Hash aggregation of `rows` input rows, decompressing through a
+    /// dictionary of `dict_bytes`, producing `groups` groups.
+    Aggregate {
+        /// Input rows.
+        rows: u64,
+        /// Dominant decompressed dictionary size in bytes.
+        dict_bytes: u64,
+        /// Result group count.
+        groups: u64,
+    },
+}
+
+impl Phase {
+    /// The CUID this phase's jobs carry: a scan streams without reuse
+    /// (class *i*), an aggregation wants the whole cache (class *ii*),
+    /// and a join is mixed (class *iii*) with its bit vector as the hot
+    /// set — `BitVec::bytes_for`, the size the probe really reads.
+    pub fn cuid(self) -> CacheUsageClass {
+        match self {
+            Phase::Scan { .. } => CacheUsageClass::Polluting,
+            Phase::Join { build_keys, .. } => CacheUsageClass::Mixed {
+                hot_bytes: BitVec::bytes_for(build_keys),
+            },
+            Phase::Aggregate { .. } => CacheUsageClass::Sensitive,
+        }
+    }
+
+    /// Rows the phase processes (a join's probe side).
+    fn rows(self) -> u64 {
+        match self {
+            Phase::Scan { rows, .. } | Phase::Aggregate { rows, .. } => rows,
+            Phase::Join { probe_rows, .. } => probe_rows,
+        }
+    }
+}
+
+/// A query as the phases it runs, in order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Plan {
+    /// The phases, in execution order.
+    pub phases: Vec<Phase>,
+}
+
+impl Plan {
+    /// The query's CUID: that of the phase processing the most rows (the
+    /// first of equals), which shapes its cache behaviour — a
+    /// scan-dominated query pollutes even when a small sum rides along
+    /// (TPC-H 6). A plan without phases (an OLTP point select) keeps the
+    /// default, [`CacheUsageClass::Sensitive`].
+    pub fn class(&self) -> CacheUsageClass {
+        self.phases
+            .iter()
+            .copied()
+            .reduce(|best, phase| {
+                if phase.rows() > best.rows() {
+                    phase
+                } else {
+                    best
+                }
+            })
+            .map_or_else(CacheUsageClass::default, Phase::cuid)
     }
 }
 
@@ -160,6 +250,51 @@ impl std::fmt::Debug for Job {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const SCAN: Phase = Phase::Scan {
+        rows: 100,
+        bytes_per_row: 8,
+    };
+    const AGG: Phase = Phase::Aggregate {
+        rows: 100,
+        dict_bytes: 64,
+        groups: 4,
+    };
+
+    #[test]
+    fn each_phase_kind_has_its_paper_class() {
+        assert_eq!(SCAN.cuid(), CacheUsageClass::Polluting);
+        assert_eq!(AGG.cuid(), CacheUsageClass::Sensitive);
+        let join = Phase::Join {
+            build_keys: 1_000_001,
+            probe_rows: 10,
+        };
+        // One bit per key, in whole 64-bit words.
+        assert_eq!(
+            join.cuid(),
+            CacheUsageClass::Mixed {
+                hot_bytes: BitVec::bytes_for(1_000_001)
+            }
+        );
+        assert_eq!(BitVec::bytes_for(1_000_001), 125_008);
+    }
+
+    #[test]
+    fn the_phase_with_the_most_rows_classifies_the_plan() {
+        let plan = |phases: &[Phase]| Plan {
+            phases: phases.to_vec(),
+        };
+        let big_agg = Phase::Aggregate {
+            rows: 101,
+            dict_bytes: 64,
+            groups: 4,
+        };
+        assert_eq!(plan(&[SCAN, big_agg]).class(), CacheUsageClass::Sensitive);
+        // A tie goes to the first phase.
+        assert_eq!(plan(&[SCAN, AGG]).class(), CacheUsageClass::Polluting);
+        assert_eq!(plan(&[AGG, SCAN]).class(), CacheUsageClass::Sensitive);
+        assert_eq!(Plan::default().class(), CacheUsageClass::Sensitive);
+    }
 
     #[test]
     fn default_cuid_is_sensitive() {

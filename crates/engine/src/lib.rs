@@ -49,7 +49,7 @@ pub mod sim;
 pub use alloc::{AllocError, CacheAllocator, NoopAllocator, RecordingAllocator, ResctrlAllocator};
 pub use dual_pool::DualPoolExecutor;
 pub use executor::{BatchHandle, JobExecutor};
-pub use job::{with_query_ctx, CacheUsageClass, Job, QueryCtx};
+pub use job::{with_query_ctx, CacheUsageClass, Job, Phase, Plan, QueryCtx};
 pub use masks::LiveMasks;
 pub use metrics::{class_label, ExecutorMetrics, SchedulerMetrics};
 pub use partition::{PartitionPolicy, PAPER_POLLUTER_MASK};

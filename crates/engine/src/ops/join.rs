@@ -12,14 +12,16 @@
 //! construction, so the translation never costs more than the per-row
 //! lookups it replaces.
 //!
-//! The join's CUID is [`CacheUsageClass::Mixed`] with the size of the
-//! vector the probe reads per row — the code-domain one,
-//! [`probe_hot_bytes`] — as the hot-structure hint: the partition policy
-//! decides at runtime whether this join is a polluter (tiny or huge bit
-//! vector) or cache-sensitive (bit vector comparable to the LLC).
+//! The join's CUID is
+//! [`CacheUsageClass::Mixed`](crate::CacheUsageClass::Mixed) with the
+//! size of the vector the probe reads per row — the code-domain one,
+//! [`phase`]'s [`Phase::cuid`] — as the hot-structure hint: the
+//! partition policy decides at runtime whether this join is a polluter
+//! (tiny or huge bit vector) or cache-sensitive (bit vector comparable to
+//! the LLC).
 
 use crate::executor::JobExecutor;
-use crate::job::CacheUsageClass;
+use crate::Phase;
 use ccp_reuse::{Artifact, ReuseHandle, ReuseStatus};
 use ccp_storage::bitpack::{scan_blocks, SCAN_BLOCK};
 use ccp_storage::{BitVec, DictColumn};
@@ -60,12 +62,16 @@ fn code_domain_bits(bv: &BitVec, fk_col: &DictColumn<i64>) -> BitVec {
     BitVec::from_ascending(dict.len() as u64, codes.map(|(_, code)| code))
 }
 
-/// The join's hot set: bytes of the code-domain vector a probe of `fk_col`
-/// reads per row. Admission classifies with it before any vector exists
-/// and the probe jobs carry it, so a join is admitted and bound under the
-/// same mask.
-pub fn probe_hot_bytes(fk_col: &DictColumn<i64>) -> u64 {
-    BitVec::bytes_for(fk_col.dict().len() as u64)
+/// The join of `fk_col` as a plan phase: its probe reads a code-domain
+/// vector of one bit per distinct foreign key, once per row. Admission
+/// classifies with its [`Phase::cuid`] before any vector exists and the
+/// probe jobs carry the same CUID, so a join is admitted and bound under
+/// the same mask.
+pub fn phase(fk_col: &DictColumn<i64>) -> Phase {
+    Phase::Join {
+        build_keys: fk_col.dict().len() as u64,
+        probe_rows: fk_col.len() as u64,
+    }
 }
 
 /// The per-row loop: one bit test per foreign-key code, parallel over
@@ -77,9 +83,7 @@ fn probe_codes(ex: &JobExecutor, bits: Arc<BitVec>, fk_col: &Arc<DictColumn<i64>
         fk_col.dict().len() as u64,
         "code-domain vector built for another foreign-key column"
     );
-    let cuid = CacheUsageClass::Mixed {
-        hot_bytes: probe_hot_bytes(fk_col),
-    };
+    let cuid = phase(fk_col).cuid();
     let n = fk_col.len();
     let chunks = n.div_ceil(super::CHUNK_ROWS).max(1);
     let fk_col = fk_col.clone();
@@ -149,6 +153,7 @@ pub fn fk_join_count_cached(
 mod tests {
     use super::*;
     use crate::alloc::{NoopAllocator, RecordingAllocator};
+    use crate::job::CacheUsageClass;
     use crate::partition::PartitionPolicy;
     use ccp_cachesim::HierarchyConfig;
     use ccp_storage::gen;
@@ -234,14 +239,19 @@ mod tests {
         let fk = DictColumn::build(&[-7i64, 0, 2, 3, 4, 5, 900, 2, 4]);
         let bits = code_domain_bits(&bv, &fk);
         assert_eq!(bits, BitVec::from_ascending(7, [2, 4]));
-        assert_eq!(bits.size_bytes(), probe_hot_bytes(&fk));
+        assert_eq!(
+            phase(&fk).cuid(),
+            CacheUsageClass::Mixed {
+                hot_bytes: bits.size_bytes()
+            }
+        );
     }
 
     #[test]
     fn admission_and_probe_jobs_see_one_cuid() {
         // Small, LLC-comparable and oversize code domains against a
         // scaled-down cache (4 KiB L2, 64 KiB LLC): what a caller
-        // classifies with `probe_hot_bytes` before the join runs is what
+        // classifies with `phase` before the join runs is what
         // every probe job is bound under.
         let mut cfg = HierarchyConfig::broadwell_e5_2699_v4();
         cfg.llc.size_bytes = 64 << 10;
@@ -251,9 +261,7 @@ mod tests {
             let ex = JobExecutor::new(2, policy, rec.clone());
             let pk = Arc::new(DictColumn::build(&[1i64, 2, 3]));
             let fk = Arc::new(DictColumn::build(&(1..=distinct).collect::<Vec<i64>>()));
-            let classified = CacheUsageClass::Mixed {
-                hot_bytes: probe_hot_bytes(&fk),
-            };
+            let classified = phase(&fk).cuid();
             assert_eq!(policy.mask_for(classified).bits(), mask, "{distinct}");
             assert_eq!(fk_join_count(&ex, &pk, &fk), 3);
             let bound = rec.calls();

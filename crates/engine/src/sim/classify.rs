@@ -130,11 +130,22 @@ fn hot_footprint_probe(
 mod tests {
     use super::*;
     use crate::sim::{AggregationSim, ColumnScanSim, FkJoinSim};
+    use crate::Phase;
 
     fn setup() -> (HierarchyConfig, PartitionPolicy) {
         let cfg = HierarchyConfig::broadwell_e5_2699_v4();
         let policy = PartitionPolicy::paper_default(cfg.llc, cfg.l2.size_bytes);
         (cfg, policy)
+    }
+
+    /// The measured CUID runs under the mask the plan rule predicts for
+    /// the phase the twin replays.
+    fn assert_plan_regime(policy: &PartitionPolicy, report: &ClassificationReport, phase: Phase) {
+        assert_eq!(
+            policy.regime(report.cuid),
+            policy.regime(phase.cuid()),
+            "{report:?} vs {phase:?}"
+        );
     }
 
     const WARM: u64 = 1_500_000;
@@ -153,6 +164,12 @@ mod tests {
         assert_eq!(report.cuid, CacheUsageClass::Polluting, "{report:?}");
         assert!(report.sensitivity_ratio > 0.95);
         assert!(report.reuse_hit_ratio < 0.1);
+        let phase = Phase::Scan {
+            rows: 1 << 33,
+            // 20-bit codes.
+            bytes_per_row: 3,
+        };
+        assert_plan_regime(&policy, &report, phase);
     }
 
     #[test]
@@ -167,6 +184,12 @@ mod tests {
         );
         assert_eq!(report.cuid, CacheUsageClass::Sensitive, "{report:?}");
         assert!(report.sensitivity_ratio < 0.93);
+        let phase = Phase::Aggregate {
+            rows: 1 << 40,
+            dict_bytes: 40 << 20,
+            groups: 100_000,
+        };
+        assert_plan_regime(&policy, &report, phase);
     }
 
     #[test]
@@ -191,6 +214,11 @@ mod tests {
             other => panic!("expected Mixed, got {other:?} ({report:?})"),
         }
         assert!(report.reuse_hit_ratio > 0.5, "{report:?}");
+        let phase = Phase::Join {
+            build_keys: 1_000_000,
+            probe_rows: 1 << 40,
+        };
+        assert_plan_regime(&policy, &report, phase);
     }
 
     #[test]

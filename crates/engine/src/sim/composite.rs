@@ -11,42 +11,40 @@ use super::SimOperator;
 use crate::job::CacheUsageClass;
 use ccp_cachesim::{MemoryHierarchy, StreamId};
 
-/// One phase: an operator twin plus the number of rows it contributes to
-/// each execution of the composite query.
-pub struct Phase {
-    /// The operator executed in this phase.
-    pub op: Box<dyn SimOperator>,
-    /// Rows processed before moving to the next phase.
-    pub quota: u64,
-}
-
 /// A query composed of sequential operator phases.
 pub struct CompositeSim {
     name: String,
-    phases: Vec<Phase>,
+    cuid: CacheUsageClass,
+    /// Each phase's operator twin, with the rows it processes before
+    /// execution moves to the next phase.
+    phases: Vec<(Box<dyn SimOperator>, u64)>,
     current: usize,
     done_in_phase: u64,
 }
 
 impl CompositeSim {
-    /// Builds a composite query. Its CUID is
-    /// [`CacheUsageClass::Sensitive`] — composite analytical queries keep
-    /// the full cache in the paper's evaluation (only the deliberately
-    /// polluting micro-queries are confined).
+    /// Builds a composite query from `(twin, row quota)` phases, with the
+    /// CUID derived for the whole query (a TPC-H query's
+    /// [`Plan::class`](crate::Plan::class)).
     ///
     /// # Panics
     /// Panics when `phases` is empty or any quota is zero.
-    pub fn new(name: impl Into<String>, phases: Vec<Phase>) -> Self {
+    pub fn new(
+        name: impl Into<String>,
+        cuid: CacheUsageClass,
+        phases: Vec<(Box<dyn SimOperator>, u64)>,
+    ) -> Self {
         assert!(
             !phases.is_empty(),
             "a composite query needs at least one phase"
         );
         assert!(
-            phases.iter().all(|p| p.quota > 0),
+            phases.iter().all(|&(_, quota)| quota > 0),
             "phase quotas must be positive"
         );
         CompositeSim {
             name: name.into(),
+            cuid,
             phases,
             current: 0,
             done_in_phase: 0,
@@ -60,23 +58,23 @@ impl SimOperator for CompositeSim {
     }
 
     fn cuid(&self) -> CacheUsageClass {
-        CacheUsageClass::Sensitive
+        self.cuid
     }
 
     fn parallelism(&self) -> u32 {
         // Per-phase parallelism is applied in `batch`; this is only the
         // initial value before the first batch runs.
-        self.phases[self.current].op.parallelism()
+        self.phases[self.current].0.parallelism()
     }
 
     fn batch(&mut self, mem: &mut MemoryHierarchy, stream: StreamId) -> u64 {
-        let phase = &mut self.phases[self.current];
+        let (op, quota) = &mut self.phases[self.current];
         // Each phase has its own memory-level parallelism (a scan phase
         // overlaps far more than a hash probe phase).
-        mem.set_parallelism(stream, phase.op.parallelism());
-        let n = phase.op.batch(mem, stream);
+        mem.set_parallelism(stream, op.parallelism());
+        let n = op.batch(mem, stream);
         self.done_in_phase += n;
-        if self.done_in_phase >= phase.quota {
+        if self.done_in_phase >= *quota {
             self.done_in_phase = 0;
             self.current = (self.current + 1) % self.phases.len();
         }
@@ -93,15 +91,13 @@ mod tests {
     fn composite(space: &mut AddrSpace) -> CompositeSim {
         CompositeSim::new(
             "q",
+            CacheUsageClass::Polluting,
             vec![
-                Phase {
-                    op: Box::new(ColumnScanSim::new(space, 1 << 20, 20)),
-                    quota: 1000,
-                },
-                Phase {
-                    op: Box::new(AggregationSim::new(space, 1 << 20, 1000, 100)),
-                    quota: 500,
-                },
+                (Box::new(ColumnScanSim::new(space, 1 << 20, 20)), 1000),
+                (
+                    Box::new(AggregationSim::new(space, 1 << 20, 1000, 100)),
+                    500,
+                ),
             ],
         )
     }
@@ -111,7 +107,7 @@ mod tests {
         let mut space = AddrSpace::new();
         let mut q = composite(&mut space);
         let mut mem = MemoryHierarchy::new(HierarchyConfig::tiny_for_tests(), 1);
-        assert_eq!(q.phases.iter().map(|p| p.quota).sum::<u64>(), 1500);
+        assert_eq!(q.phases.iter().map(|&(_, quota)| quota).sum::<u64>(), 1500);
         // Run through at least one full execution.
         let mut total = 0;
         while total < 1500 {
@@ -144,14 +140,14 @@ mod tests {
     }
 
     #[test]
-    fn cuid_is_sensitive() {
+    fn cuid_is_the_one_it_was_built_with() {
         let mut space = AddrSpace::new();
-        assert_eq!(composite(&mut space).cuid(), CacheUsageClass::Sensitive);
+        assert_eq!(composite(&mut space).cuid(), CacheUsageClass::Polluting);
     }
 
     #[test]
     #[should_panic(expected = "at least one phase")]
     fn empty_composite_rejected() {
-        let _ = CompositeSim::new("q", vec![]);
+        let _ = CompositeSim::new("q", CacheUsageClass::Sensitive, vec![]);
     }
 }

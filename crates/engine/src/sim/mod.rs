@@ -37,7 +37,7 @@ mod zipf;
 
 pub use aggregate::AggregationSim;
 pub use classify::{classify_operator, ClassificationReport};
-pub use composite::{CompositeSim, Phase};
+pub use composite::CompositeSim;
 pub use driver::{
     run_concurrent, run_isolated, RunOutcome, SimWorkload, StreamOutcome, DEFAULT_MEASURE_CYCLES,
     DEFAULT_WARM_CYCLES,

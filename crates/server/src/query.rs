@@ -13,11 +13,10 @@
 use crate::json::Json;
 use ccp_engine::alloc::CacheAllocator;
 use ccp_engine::ops::{aggregate, join, oltp, scan};
-use ccp_engine::{CacheUsageClass, DualPoolExecutor, Job, PartitionPolicy};
+use ccp_engine::{CacheUsageClass, DualPoolExecutor, Job, PartitionPolicy, Phase, Plan};
 use ccp_resctrl::Class;
 use ccp_reuse::{Artifact, ResultSet, ReuseCache, ReuseHandle, ReuseStatus};
 use ccp_storage::{gen, Aggregate, DictColumn, InvertedIndex, Table};
-use ccp_tpch::queries::PhaseSpec;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -250,7 +249,19 @@ struct Datasets {
     oltp_keys: DictColumn<i64>,
     oltp_index: InvertedIndex,
     oltp_amounts: DictColumn<i64>,
+    /// Every OLAP workload's plan, built once, so classifying a request
+    /// allocates nothing: `q1`–`q3` over the columns above, and
+    /// `tpch[id - 1]` — native for TPC-H 1 and 6 over `lineitem`, the
+    /// SF 100 profile for the rest.
+    q1: Plan,
+    q2: Plan,
+    q3: Plan,
+    tpch: Vec<Plan>,
 }
+
+/// The plan of OLTP point selects and the debug sleep: no OLAP phase, so
+/// [`Plan::class`] gives them the default CUID.
+static NO_OLAP_PHASE: Plan = Plan { phases: Vec::new() };
 
 impl Datasets {
     fn build(rows: usize) -> Self {
@@ -285,6 +296,24 @@ impl Datasets {
         // hold the index.
         drop(draws);
         let oltp_index = InvertedIndex::build(oltp_keys.codes().iter(), oltp_keys.dict().len());
+        let rows = rows as u64;
+        let q1 = Plan {
+            phases: vec![Phase::Scan {
+                rows,
+                bytes_per_row: (amounts.codes().packed_bytes() / rows).max(1),
+            }],
+        };
+        let q2 = Plan {
+            phases: vec![Phase::Aggregate {
+                rows,
+                dict_bytes: amounts.dict().len() as u64 * size_of::<i64>() as u64,
+                groups: regions.dict().len() as u64,
+            }],
+        };
+        let q3 = Plan {
+            phases: vec![join::phase(&fk)],
+        };
+        let tpch = ccp_tpch::plans(&lineitem);
         Datasets {
             amounts,
             regions,
@@ -294,12 +323,22 @@ impl Datasets {
             oltp_keys,
             oltp_index,
             oltp_amounts,
+            q1,
+            q2,
+            q3,
+            tpch,
         }
     }
 
-    /// The Q3 join's hot set: the vector its probe reads per row.
-    fn q3_hot_bytes(&self) -> u64 {
-        join::probe_hot_bytes(&self.fk)
+    /// The plan `spec` runs.
+    fn plan(&self, spec: &WorkloadSpec) -> &Plan {
+        match spec {
+            WorkloadSpec::Q1 { .. } => &self.q1,
+            WorkloadSpec::Q2 { .. } => &self.q2,
+            WorkloadSpec::Q3 => &self.q3,
+            WorkloadSpec::Tpch { id } => &self.tpch[usize::from(*id) - 1],
+            WorkloadSpec::Oltp { .. } | WorkloadSpec::Sleep { .. } => &NO_OLAP_PHASE,
+        }
     }
 }
 
@@ -384,27 +423,14 @@ impl QueryEngine {
         self.cat_live
     }
 
-    /// Classifies a workload to its cache usage identifier — the paper's
-    /// taxonomy applied at the query level.
+    /// Classifies a workload to its cache usage identifier: its plan's
+    /// [`Plan::class`]. Point selects and the debug sleep have no OLAP
+    /// phase and get the default, sensitive — a point select runs on the
+    /// never-bound connection thread with the full cache regardless, and
+    /// a sleep holds a slot the way a sensitive query would, which is
+    /// what the backpressure tests need.
     pub(crate) fn classify(&self, spec: &WorkloadSpec) -> CacheUsageClass {
-        match spec {
-            // A selective scan streams without reuse: class (i).
-            WorkloadSpec::Q1 { .. } => CacheUsageClass::Polluting,
-            // Aggregation hash tables + dictionaries want the LLC: (ii).
-            WorkloadSpec::Q2 { .. } => CacheUsageClass::Sensitive,
-            // The join's bit vector is the hot set: class (iii).
-            WorkloadSpec::Q3 => CacheUsageClass::Mixed {
-                hot_bytes: self.data.q3_hot_bytes(),
-            },
-            WorkloadSpec::Tpch { id } => classify_profile(*id),
-            // Point selects touch a few lines; treat as sensitive — they
-            // run on the never-bound connection thread, with the full
-            // cache, regardless.
-            WorkloadSpec::Oltp { .. } => CacheUsageClass::Sensitive,
-            // Sleep holds a slot the way a sensitive query would, which
-            // is exactly what the backpressure tests need.
-            WorkloadSpec::Sleep { .. } => CacheUsageClass::Sensitive,
-        }
+        self.data.plan(spec).class()
     }
 
     /// Classifies for *admission*, consulting the reuse cache first: a
@@ -543,10 +569,9 @@ impl QueryEngine {
                     ccp_tpch::q6_forecast_revenue(self.pools.olap(), &d.lineitem, 24, 4..=6);
                 (d.lineitem.row_count() as u64, revenue)
             }),
-            WorkloadSpec::Tpch { id } => {
-                let id = *id;
-                memoized(self.reuse_handle(spec), || self.run_profile_phases(id))
-            }
+            WorkloadSpec::Tpch { .. } => memoized(self.reuse_handle(spec), || {
+                self.run_profile_phases(d.plan(spec))
+            }),
             // Inline on the connection thread: it never binds, so it runs
             // in the resctrl root class — the full cache the OLTP pool
             // exists to give — without a pool round trip.
@@ -574,21 +599,21 @@ impl QueryEngine {
     /// each phase maps to the native operator of its kind, so the query
     /// exercises the same operator mix (and CUID behaviour) its SF 100
     /// profile describes, at the server's data scale.
-    fn run_profile_phases(&self, id: u8) -> (u64, i64) {
+    fn run_profile_phases(&self, plan: &Plan) -> (u64, i64) {
         let d = &self.data;
         let mut rows = 0u64;
         let mut result = 0i64;
-        for phase in &ccp_tpch::queries::profile(id).phases {
+        for phase in &plan.phases {
             match phase {
-                PhaseSpec::Scan { .. } => {
+                Phase::Scan { .. } => {
                     result += scan::column_scan(self.pools.olap(), &d.amounts, 25_000) as i64;
                     rows += d.amounts.len() as u64;
                 }
-                PhaseSpec::Join { .. } => {
+                Phase::Join { .. } => {
                     result += join::fk_join_count(self.pools.olap(), &d.pk, &d.fk) as i64;
                     rows += d.fk.len() as u64;
                 }
-                PhaseSpec::Aggregate { .. } => {
+                Phase::Aggregate { .. } => {
                     let t = aggregate::grouped_aggregate(
                         self.pools.olap(),
                         &d.amounts,
@@ -641,36 +666,6 @@ fn memoized(
         |&(rows, result)| Artifact::ResultSet(Arc::new(ResultSet { rows, result })),
     );
     (rows, result, status)
-}
-
-/// CUID for a TPC-H query from its SF 100 cache profile: the phase
-/// processing the most rows shapes the query's cache behaviour. A
-/// scan-dominated query pollutes even when a small sum rides along
-/// (TPC-H 6); an aggregation-dominated one is sensitive (TPC-H 1); a
-/// join-dominated one is mixed with the build-side bit vector as its hot
-/// set.
-fn classify_profile(id: u8) -> CacheUsageClass {
-    let profile = ccp_tpch::queries::profile(id);
-    let mut dominant: Option<(u64, CacheUsageClass)> = None;
-    for phase in &profile.phases {
-        let (rows, class) = match *phase {
-            PhaseSpec::Scan { rows, .. } => (rows, CacheUsageClass::Polluting),
-            PhaseSpec::Join {
-                build_keys,
-                probe_rows,
-            } => (
-                probe_rows,
-                CacheUsageClass::Mixed {
-                    hot_bytes: build_keys.div_ceil(8),
-                },
-            ),
-            PhaseSpec::Aggregate { rows, .. } => (rows, CacheUsageClass::Sensitive),
-        };
-        if dominant.is_none_or(|(max, _)| rows > max) {
-            dominant = Some((rows, class));
-        }
-    }
-    dominant.map_or(CacheUsageClass::Polluting, |(_, class)| class)
 }
 
 #[cfg(test)]
@@ -899,17 +894,94 @@ mod tests {
         assert!(reuse_key_parts(&WorkloadSpec::Oltp { key: 7 }).is_none());
     }
 
-    #[test]
-    fn every_tpch_profile_classifies_and_small_ones_execute() {
-        let en = engine();
-        for id in ccp_tpch::query_ids() {
-            let spec = WorkloadSpec::Tpch { id };
-            let _ = en.classify(&spec);
+    /// A reply's `(class, mask)`.
+    type Reply = (&'static str, u32);
+
+    /// The `(class, mask)` every spec replied with before its plan
+    /// classified it: `(spec, cold, after a predicted reuse hit)`, from
+    /// `classify_for_admission` → `execute_admitted` on a fresh engine
+    /// over 4 096 rows.
+    fn pinned_replies() -> Vec<(WorkloadSpec, Reply, Reply)> {
+        const POL: Reply = ("polluting", 0x3);
+        const SEN: Reply = ("sensitive", 0xfffff);
+        const MIX_SMALL: Reply = ("mixed", 0x3);
+        const MIX_LLC: Reply = ("mixed", 0xfff);
+        let mut rows = vec![(WorkloadSpec::Q1 { threshold: 25_000 }, POL, SEN)];
+        for agg in [
+            Aggregate::Max,
+            Aggregate::Min,
+            Aggregate::Sum,
+            Aggregate::Count,
+        ] {
+            rows.push((WorkloadSpec::Q2 { agg }, SEN, SEN));
         }
-        // A couple of profile-driven queries end to end.
-        for id in [3, 14] {
-            let out = en.execute(&WorkloadSpec::Tpch { id });
-            assert!(out.rows > 0, "tpch-{id} processed rows");
+        rows.push((WorkloadSpec::Q3, MIX_SMALL, SEN));
+        rows.push((WorkloadSpec::Oltp { key: 7 }, SEN, SEN));
+        let tpch = [
+            SEN, MIX_SMALL, MIX_LLC, MIX_LLC, MIX_LLC, POL, MIX_SMALL, MIX_LLC, MIX_LLC, MIX_LLC,
+            POL, MIX_LLC, MIX_LLC, POL, SEN, POL, MIX_LLC, SEN, MIX_LLC, MIX_LLC, MIX_SMALL, POL,
+        ];
+        for (id, cold) in ccp_tpch::query_ids().zip(tpch) {
+            rows.push((WorkloadSpec::Tpch { id }, cold, SEN));
+        }
+        rows
+    }
+
+    #[test]
+    fn every_spec_replies_its_pinned_class_and_mask() {
+        let en = engine();
+        for (spec, cold, warm) in pinned_replies() {
+            for (round, want) in [("cold", cold), ("warm", warm)] {
+                let (cuid, _) = en.classify_for_admission(&spec);
+                let out = en.execute_admitted(&spec, cuid);
+                assert!(out.rows > 0, "{} {round} processed no rows", spec.name());
+                assert_eq!(
+                    (out.class.label(), out.mask_bits),
+                    want,
+                    "{} {round}",
+                    spec.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_native_plan_names_the_masks_its_jobs_bind() {
+        let mut specs = vec![
+            WorkloadSpec::Q1 { threshold: 25_000 },
+            WorkloadSpec::Q3,
+            WorkloadSpec::Tpch { id: 1 },
+            WorkloadSpec::Tpch { id: 6 },
+        ];
+        specs.extend(
+            [
+                Aggregate::Max,
+                Aggregate::Min,
+                Aggregate::Sum,
+                Aggregate::Count,
+            ]
+            .map(|agg| WorkloadSpec::Q2 { agg }),
+        );
+        for spec in &specs {
+            let rec = Arc::new(RecordingAllocator::new());
+            let en = QueryEngine::with_allocator(2, 1, 4_096, rec.clone(), false);
+            let out = en.execute(spec);
+            let (policy, plan) = (en.policy(), en.data.plan(spec));
+            let planned: Vec<u32> = plan
+                .phases
+                .iter()
+                .map(|phase| policy.mask_for(phase.cuid()).bits())
+                .collect();
+            let bound = rec.calls();
+            assert!(!bound.is_empty(), "{} bound nothing", spec.name());
+            for (_, mask) in bound {
+                assert!(
+                    planned.contains(&mask.bits()),
+                    "{} bound {mask:?}, plan masks {planned:x?}",
+                    spec.name()
+                );
+            }
+            assert_eq!(out.mask_bits, policy.mask_for(plan.class()).bits());
         }
     }
 }

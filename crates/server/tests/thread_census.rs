@@ -6,7 +6,7 @@
 //! process, so a neighbouring test's server would be counted too.
 
 use ccp_server::{fetch, Server, ServerConfig};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The `comm` of every thread in this process.
 fn thread_names() -> Vec<String> {
@@ -15,6 +15,21 @@ fn thread_names() -> Vec<String> {
         .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
         .map(|comm| comm.trim_end().to_string())
         .collect()
+}
+
+/// Census after at most 5 s: the first one with exactly `plane` threads
+/// named `ccp-plane` (a thread names itself after it starts, and leaves
+/// `/proc/self/task` only after it is joined), else the last one taken.
+fn census_with_planes(plane: usize) -> Vec<String> {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let names = thread_names();
+        let planes = names.iter().filter(|n| *n == "ccp-plane").count();
+        if planes == plane || Instant::now() >= deadline {
+            return names;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }
 
 #[test]
@@ -35,7 +50,7 @@ fn every_periodic_duty_shares_the_one_plane_thread() {
     let health = fetch(server.addr(), "GET", "/healthz", None).expect("healthz");
     assert_eq!(health.status, 200);
 
-    let names = thread_names();
+    let names = census_with_planes(1);
     let count = |name: &str| names.iter().filter(|n| n.as_str() == name).count();
     assert_eq!(count("ccp-plane"), 1, "threads: {names:?}");
     for legacy in [
@@ -50,7 +65,10 @@ fn every_periodic_duty_shares_the_one_plane_thread() {
 
     server.shutdown();
     assert_eq!(
-        thread_names().iter().filter(|n| *n == "ccp-plane").count(),
+        census_with_planes(0)
+            .iter()
+            .filter(|n| *n == "ccp-plane")
+            .count(),
         0,
         "shutdown joins the plane"
     );

@@ -1,15 +1,16 @@
 //! Native execution of representative TPC-H queries over the sample
 //! tables — the end-to-end demonstration that the engine's operators
 //! compose into real queries (the simulated Figure 11 harness uses the
-//! profile models in [`crate::queries`] instead).
+//! profile models in `queries` instead).
 //!
 //! Implemented natively: **Q1** (pricing summary — the paper's flagship
 //! cache-sensitive TPC-H query) and **Q6** (forecasting revenue change —
 //! the scan-dominated one).
 
 use crate::gen;
+use crate::queries::{profile, query_ids};
 use ccp_engine::job::CacheUsageClass;
-use ccp_engine::JobExecutor;
+use ccp_engine::{JobExecutor, Phase, Plan};
 use ccp_storage::bitpack::{scan_blocks, SCAN_BLOCK};
 use ccp_storage::{Aggregate, CodeAccumulator, Column, Table};
 use std::ops::Bound;
@@ -96,6 +97,19 @@ pub fn q1_pricing_summary(ex: &JobExecutor, lineitem: &Arc<Table>) -> Vec<Q1Row>
     rows
 }
 
+/// The plan of [`q1_pricing_summary`] over `lineitem`: one aggregation of
+/// every row through the price dictionary into `|flag| × |status|` groups.
+fn q1_plan(lineitem: &Table) -> Plan {
+    let dict_len = |name| int_column(lineitem, name).dict().len() as u64;
+    Plan {
+        phases: vec![Phase::Aggregate {
+            rows: lineitem.row_count() as u64,
+            dict_bytes: dict_len("L_EXTENDEDPRICE") * size_of::<i64>() as u64,
+            groups: dict_len("L_RETURNFLAG") * dict_len("L_LINESTATUS"),
+        }],
+    }
+}
+
 /// Native TPC-H Q6 (adapted to integer columns):
 /// `SELECT SUM(l_extendedprice * l_discount) FROM lineitem
 ///  WHERE l_quantity < max_quantity AND l_discount BETWEEN lo AND hi`.
@@ -142,6 +156,37 @@ pub fn q6_forecast_revenue(
         }
         revenue as u64
     }) as i64
+}
+
+/// The plan of [`q6_forecast_revenue`] over `lineitem`: one scan of the
+/// three columns it unpacks (the revenue sum is folded inside the scan's
+/// jobs).
+fn q6_plan(lineitem: &Table) -> Plan {
+    let rows = lineitem.row_count() as u64;
+    let packed: u64 = ["L_QUANTITY", "L_DISCOUNT", "L_EXTENDEDPRICE"]
+        .into_iter()
+        .map(|name| int_column(lineitem, name).codes().packed_bytes())
+        .sum();
+    Plan {
+        phases: vec![Phase::Scan {
+            rows,
+            bytes_per_row: (packed / rows.max(1)).max(1),
+        }],
+    }
+}
+
+/// The plan of every TPC-H query, at index `id - 1`, when queries 1 and 6
+/// run natively over `lineitem` ([`q1_pricing_summary`],
+/// [`q6_forecast_revenue`]) and the rest play their SF 100 profiles back:
+/// the native plans come from `lineitem`'s columns.
+pub fn plans(lineitem: &Table) -> Vec<Plan> {
+    query_ids()
+        .map(|id| match id {
+            1 => q1_plan(lineitem),
+            6 => q6_plan(lineitem),
+            _ => profile(id),
+        })
+        .collect()
 }
 
 /// Builds the sample database (`lineitem` + `orders`) used by the native

@@ -3,7 +3,7 @@
 //! Generates small, distribution-faithful samples of the `lineitem` /
 //! `orders` columns for exercising the *native* operators (`ccp-engine`'s
 //! `ops`) in examples and integration tests. Not a dbgen replacement: the
-//! simulated Figure 11 harness uses [`crate::queries`] instead.
+//! simulated Figure 11 harness uses the `queries` profiles instead.
 
 use ccp_storage::gen as sgen;
 use ccp_storage::{Column, DictColumn, Table};

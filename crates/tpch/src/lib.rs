@@ -13,16 +13,16 @@
 //! * `schema` — table row counts and per-column NDV/dictionary-size
 //!   model at SF 100 (the paper itself confirms the key number: the
 //!   `L_EXTENDEDPRICE` dictionary is ≈ 29 MiB).
-//! * [`queries`] — the 22 queries expressed as phase sequences (scan /
-//!   join / aggregate) over the engine's operator twins, with a short
-//!   per-query rationale.
+//! * `queries` — the 22 queries expressed as phase sequences (scan /
+//!   join / aggregate, [`ccp_engine::Plan`]s) with a short per-query
+//!   rationale, and [`build_query`], their composite of operator twins.
 //! * [`gen`] — a miniature native TPC-H-like data generator for examples
 //!   and tests of the native operators.
 
 mod exec;
 pub mod gen;
-pub mod queries;
+mod queries;
 mod schema;
 
-pub use exec::{q1_pricing_summary, q6_forecast_revenue, sample_database, Q1Row};
-pub use queries::{build_query, query_ids, QueryProfile};
+pub use exec::{plans, q1_pricing_summary, q6_forecast_revenue, sample_database, Q1Row};
+pub use queries::{build_query, query_ids};
