@@ -157,7 +157,7 @@ impl JobExecutor {
     }
 
     /// Spawns `n_workers` job workers with threads named
-    /// `{pool}-worker-{i}`, so profiler output and thread listings are
+    /// `{pool}-worker-{i}`, so thread listings and external profilers are
     /// keyed by pool (`olap-worker-3`, `oltp-worker-0`). A worker that
     /// finds the queue empty polls it for `linger` before it parks;
     /// `Duration::ZERO` parks at once.
@@ -187,7 +187,6 @@ impl JobExecutor {
                 std::thread::Builder::new()
                     .name(format!("{pool}-worker-{i}"))
                     .spawn(move || {
-                        ccp_flight::register_current_thread();
                         let tid = current_tid();
                         let full =
                             WayMask::full(shared.policy.llc.ways).expect("validated LLC way count");

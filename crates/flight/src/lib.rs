@@ -1,4 +1,4 @@
-//! `ccp-flight`: flight recorder and continuous profiler.
+//! `ccp-flight`: flight recorder.
 //!
 //! Post-hoc observability for the cache-partitioning server. A
 //! partitioning decision that hurt tail latency is only debuggable if
@@ -16,17 +16,15 @@
 //!   points. All of it sits behind one mutex, so a reader sees whole
 //!   ticks. Served by the server as `GET /timeline` and rendered as the
 //!   self-contained `GET /dashboard`.
-//! * `profiler` + `symbolize` — SIGPROF stack sampling into
-//!   preallocated per-thread rings (async-signal-safe handler,
-//!   frame-pointer walk) with lazy ELF symbolization, collapsed into
-//!   `flamegraph.pl` lines for `GET /profile?seconds=N`.
+//!
+//! CPU profiles are not this crate's job: sample the process from the
+//! outside (`perf record -g`).
+
+#![forbid(unsafe_code)]
 
 mod events;
-mod profiler;
 mod recorder;
 mod ring;
-mod symbolize;
 
 pub use events::Event;
-pub use profiler::{profile, register_current_thread, ProfileError, ProfileReport};
 pub use recorder::{FlightHandle, FlightRecorder, RecorderConfig, Sampler, Timeline};

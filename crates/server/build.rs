@@ -1,7 +1,8 @@
-//! Bakes build provenance into the binary for `ccp_build_info` and
-//! `GET /version`: the short git SHA (or "unknown" outside a checkout)
-//! and the cargo profile. Benchmark reports embed both, so a p95 number
-//! can always be traced back to the exact build that produced it.
+//! Bakes build provenance into the binary for the `ccp_build_info`
+//! gauge on `/metrics`: the short git SHA (or "unknown" outside a
+//! checkout) and the cargo profile. Benchmark reports embed both, so a
+//! p95 number can always be traced back to the exact build that
+//! produced it.
 
 use std::process::Command;
 

@@ -387,7 +387,6 @@ impl ControlPlane {
         let thread = std::thread::Builder::new()
             .name("ccp-plane".to_string())
             .spawn(move || {
-                ccp_flight::register_current_thread();
                 let (lock, cv) = &*thread_stop;
                 // A plane without tasks has nothing to wake for: the loop
                 // ends at once and `stop` just collects the plane.

@@ -262,11 +262,6 @@ impl Response {
         }
     }
 
-    /// A `text/plain` response.
-    pub(crate) fn text(status: u16, body: impl Into<Vec<u8>>) -> Self {
-        Response::new(status, "text/plain; charset=utf-8", body)
-    }
-
     /// A `text/html` response (the self-contained dashboard).
     pub(crate) fn html(status: u16, body: impl Into<Vec<u8>>) -> Self {
         Response::new(status, "text/html; charset=utf-8", body)
@@ -631,8 +626,8 @@ impl HttpClient {
         // Peek at the first response byte before parsing, so "the server
         // closed or reset without responding at all" is distinguishable
         // from a failure mid-response. `fill_buf` (unlike `read_until` /
-        // `read_exact`) surfaces EINTR, which profiling-signal delivery
-        // makes routine — retry it here.
+        // `read_exact`) surfaces EINTR, which any signal delivered to
+        // this thread causes — retry it here.
         let peeked = loop {
             match reader.fill_buf() {
                 Ok(buf) => break Ok(buf.is_empty()),
@@ -835,12 +830,7 @@ mod tests {
     #[test]
     fn every_reply_is_one_write_with_unchanged_bytes() {
         let json = crate::json::Json::obj(vec![("error", crate::json::Json::str("full"))]);
-        let cases: [(Response, &str); 8] = [
-            (
-                Response::text(200, "hello"),
-                "HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\n\
-                 Content-Length: 5\r\n\r\nhello",
-            ),
+        let cases: [(Response, &str); 7] = [
             (
                 Response::json(429, &json),
                 "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\n\
@@ -862,8 +852,8 @@ mod tests {
                  Content-Length: 3\r\n\r\n<p>",
             ),
             (
-                Response::text(503, "busy").retry_after(2),
-                "HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain; charset=utf-8\r\n\
+                Response::html(503, "busy").retry_after(2),
+                "HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/html; charset=utf-8\r\n\
                  Content-Length: 4\r\nRetry-After: 2\r\n\r\nbusy",
             ),
             (
@@ -902,7 +892,7 @@ mod tests {
             for i in 0..3 {
                 let req = read_request(&mut reader).unwrap().unwrap();
                 assert_eq!(req.path(), format!("/r{i}"));
-                Response::text(200, format!("ok{i}"))
+                Response::html(200, format!("ok{i}"))
                     .write_to(reader.get_mut())
                     .unwrap();
             }
@@ -914,7 +904,7 @@ mod tests {
             assert_eq!(resp.body, format!("ok{i}"));
             assert_eq!(
                 resp.header("content-type"),
-                Some("text/plain; charset=utf-8")
+                Some("text/html; charset=utf-8")
             );
         }
         server.join().unwrap();
@@ -932,7 +922,7 @@ mod tests {
                 let (stream, _) = listener.accept().unwrap();
                 let mut reader = BufReader::new(stream);
                 let _ = read_request(&mut reader).unwrap().unwrap();
-                Response::text(200, "bye")
+                Response::html(200, "bye")
                     .closing()
                     .write_to(reader.get_mut())
                     .unwrap();
@@ -960,7 +950,7 @@ mod tests {
                 let _ = read_request(&mut reader).unwrap().unwrap();
                 // Respond keep-alive, then close anyway: the next request
                 // on this connection hits the idle-close race.
-                Response::text(200, "ok")
+                Response::html(200, "ok")
                     .write_to(reader.get_mut())
                     .unwrap();
             }
@@ -983,7 +973,7 @@ mod tests {
             let (stream, _) = listener.accept().unwrap();
             let mut reader = BufReader::new(stream);
             let _ = read_request(&mut reader).unwrap().unwrap();
-            Response::text(200, "ok")
+            Response::html(200, "ok")
                 .write_to(reader.get_mut())
                 .unwrap();
             // Read the second request fully — the server "received" it —

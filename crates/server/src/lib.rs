@@ -52,4 +52,4 @@ pub use http::{
 pub use json::Json;
 pub use metrics::ServerMetrics;
 pub use query::{parse_query, Breakdown, QueryEngine, QueryOutcome, WorkloadSpec};
-pub use server::{install_sigint_handler, sigint_requested, Server, ServerConfig};
+pub use server::{install_sigint_handler, sigint_requested, Server, ServerConfig, ENDPOINTS};

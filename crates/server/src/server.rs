@@ -2,7 +2,7 @@
 //!
 //! One listener thread accepts connections up to a hard cap and hands
 //! each to a short-lived handler thread (std-only; no async runtime).
-//! Handlers speak strict HTTP/1.1 with keep-alive, route to ten
+//! Handlers speak strict HTTP/1.1 with keep-alive, route to eight
 //! endpoints, and account every request in the `ccp_server_*` families:
 //!
 //! | endpoint | method | body |
@@ -15,8 +15,6 @@
 //! | `/data/bump` | POST | bumps the data-version epoch, invalidating reuse entries |
 //! | `/timeline` | GET | flight-recorder series + events (`?since=seq`, `?series=prefix`) |
 //! | `/dashboard` | GET | self-contained HTML/SVG overlay of the timeline |
-//! | `/profile` | GET | SIGPROF sampling for `?seconds=N`, collapsed stacks out |
-//! | `/version` | GET | build provenance (version, git SHA, profile) |
 //!
 //! This module is routing and the connection loop. Everything periodic —
 //! occupancy sampling, resctrl supervision, adaptive control, the flight
@@ -327,10 +325,7 @@ impl Server {
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::Builder::new()
             .name("ccp-accept".to_string())
-            .spawn(move || {
-                ccp_flight::register_current_thread();
-                accept_loop(listener, accept_shared)
-            })?;
+            .spawn(move || accept_loop(listener, accept_shared))?;
         Ok(Server {
             shared,
             addr,
@@ -512,8 +507,6 @@ fn route(shared: &Shared, req: &Request) -> (&'static str, Response) {
         ("GET", "/trace") => ("/trace", handle_trace(req)),
         ("GET", "/timeline") => ("/timeline", handle_timeline(shared, req)),
         ("GET", "/dashboard") => ("/dashboard", handle_dashboard(shared)),
-        ("GET", "/profile") => ("/profile", handle_profile(req)),
-        ("GET", "/version") => ("/version", Response::json(200, &build_info_json())),
         ("POST", "/query") => ("/query", handle_query(shared, req)),
         ("POST", "/data/bump") => ("/data/bump", handle_data_bump(shared)),
         ("GET" | "HEAD", _) => ("other", not_found()),
@@ -524,8 +517,9 @@ fn route(shared: &Shared, req: &Request) -> (&'static str, Response) {
     }
 }
 
-/// Every path [`route`] serves.
-const ENDPOINTS: [&str; 10] = [
+/// Every path the router serves; the 404 body and the `ccp serve` banner
+/// list them.
+pub const ENDPOINTS: [&str; 8] = [
     "/metrics",
     "/healthz",
     "/stats",
@@ -534,8 +528,6 @@ const ENDPOINTS: [&str; 10] = [
     "/data/bump",
     "/timeline",
     "/dashboard",
-    "/profile",
-    "/version",
 ];
 
 /// `true` when the request's query string sets `name=1` or `name=true`.
@@ -612,16 +604,6 @@ fn register_build_info(registry: &Registry) {
         .set(1.0);
 }
 
-/// `GET /version` body; bench reports embed it so every number is
-/// traceable to the build that produced it.
-fn build_info_json() -> Json {
-    Json::obj(vec![
-        ("version", Json::str(BUILD_VERSION)),
-        ("git_sha", Json::str(BUILD_GIT_SHA)),
-        ("profile", Json::str(BUILD_PROFILE)),
-    ])
-}
-
 /// `GET /timeline`: the flight recorder's retained series and events.
 /// `?since=seq` returns only points/events newer than `seq` (incremental
 /// pulls); `?series=prefix` filters series by name prefix.
@@ -687,25 +669,6 @@ fn handle_dashboard(shared: &Shared) -> Response {
     };
     let timeline = flight.timeline(0, None);
     Response::html(200, crate::dashboard::render(&timeline))
-}
-
-/// `GET /profile?seconds=N` (default 2, cap 30): runs one SIGPROF
-/// sampling window over every registered thread and returns collapsed
-/// stacks (`thread;root;…;leaf count`), ready for `flamegraph.pl`.
-/// Concurrent sessions get `409`.
-fn handle_profile(req: &Request) -> Response {
-    let seconds = match uint_param(req, "seconds") {
-        Ok(None) => 2,
-        Ok(Some(n)) if (1..=30).contains(&n) => n,
-        _ => return Response::error(400, "seconds must be an integer in 1..=30"),
-    };
-    match ccp_flight::profile(Duration::from_secs(seconds)) {
-        Ok(report) => Response::text(200, report.collapsed),
-        Err(ccp_flight::ProfileError::Busy) => {
-            Response::error(409, "a profiling session is already running")
-        }
-        Err(err) => Response::error(500, err.to_string()),
-    }
 }
 
 fn not_found() -> Response {
@@ -882,9 +845,9 @@ mod sigint {
     use super::SIGINT_SEEN;
     use std::sync::atomic::Ordering;
 
+    // ASYNC-SIGNAL-SAFE: only a store to a static atomic (no allocation,
+    // locking or formatting); the serve loop polls the flag.
     extern "C" fn on_sigint(_signum: i32) {
-        // Only async-signal-safe work here: flip the flag; the serve loop
-        // polls it.
         SIGINT_SEEN.store(true, Ordering::SeqCst);
     }
 

@@ -1,10 +1,13 @@
 //! Flight recorder endpoints over real sockets: `/timeline` serves the
 //! retained series with a working `since` cursor and prefix filter,
-//! `/dashboard` is one self-contained HTML page, `/version` reports the
-//! baked-in build provenance, `/profile` runs a SIGPROF window, and
-//! `--no-flight` turns the recorder endpoints into clean 404s.
+//! `/dashboard` is one self-contained HTML page, the `ccp_build_info`
+//! gauge on `/metrics` carries the baked-in build provenance, and
+//! `--no-flight` turns the recorder endpoints into clean 404s. The
+//! server does not profile itself: `/profile` and `/version` are
+//! ordinary unknown paths.
 
-use ccp_server::{fetch, Json, Server, ServerConfig};
+use ccp_server::{fetch, Json, Server, ServerConfig, ENDPOINTS};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 fn flight_config() -> ServerConfig {
@@ -21,14 +24,37 @@ fn flight_config() -> ServerConfig {
     }
 }
 
-fn timeline(addr: std::net::SocketAddr, path: &str) -> Json {
+fn timeline(addr: SocketAddr, path: &str) -> Json {
     let resp = fetch(addr, "GET", path, None).expect("timeline fetch");
     assert_eq!(resp.status, 200, "{path} -> {}", resp.body);
     Json::parse(&resp.body).expect("timeline is JSON")
 }
 
+/// Asserts the `ccp_build_info{version,git_sha,profile}` sample on
+/// `/metrics` has all three labels, each non-empty.
+fn assert_build_info_labels(addr: SocketAddr) {
+    let scrape = fetch(addr, "GET", "/metrics", None).expect("metrics").body;
+    let labels = scrape
+        .lines()
+        .find_map(|l| l.strip_prefix("ccp_build_info{"))
+        .and_then(|l| l.split_once('}'))
+        .unwrap_or_else(|| panic!("build info gauge missing from scrape:\n{scrape}"))
+        .0;
+    for key in ["version", "git_sha", "profile"] {
+        let value = labels
+            .split(',')
+            .find_map(|pair| {
+                pair.strip_prefix(key)?
+                    .strip_prefix("=\"")?
+                    .strip_suffix('"')
+            })
+            .unwrap_or_else(|| panic!("missing {key} in ccp_build_info{{{labels}}}"));
+        assert!(!value.is_empty(), "{key} must be non-empty");
+    }
+}
+
 #[test]
-fn timeline_dashboard_and_version_serve_recorder_state() {
+fn timeline_dashboard_and_build_info_serve_recorder_state() {
     let mut server = Server::start(flight_config()).expect("start");
     let addr = server.addr();
 
@@ -115,50 +141,45 @@ fn timeline_dashboard_and_version_serve_recorder_state() {
         );
     }
 
-    // Build provenance: /version mirrors the ccp_build_info gauge.
-    let version = fetch(addr, "GET", "/version", None).expect("version");
-    assert_eq!(version.status, 200);
-    let info = Json::parse(&version.body).expect("version JSON");
-    for key in ["version", "git_sha", "profile"] {
-        let value = info
-            .get(key)
-            .and_then(Json::as_str)
-            .unwrap_or_else(|| panic!("missing {key} in {info}"));
-        assert!(!value.is_empty(), "{key} must be non-empty");
-    }
-    let scrape = fetch(addr, "GET", "/metrics", None).expect("metrics").body;
-    assert!(
-        scrape.contains("ccp_build_info{"),
-        "build info gauge missing from scrape"
-    );
+    // Build provenance lives in the ccp_build_info gauge's labels.
+    assert_build_info_labels(addr);
 
     server.shutdown();
 }
 
 #[test]
-fn profile_endpoint_samples_and_validates_input() {
+fn profile_and_version_are_not_served() {
     let mut server = Server::start(flight_config()).expect("start");
     let addr = server.addr();
 
-    let bad = fetch(addr, "GET", "/profile?seconds=99", None).expect("bad seconds");
-    assert_eq!(bad.status, 400);
-
-    // Keep the worker threads busy so the sampler has something to see.
-    let busy = std::thread::spawn(move || {
-        for _ in 0..6 {
-            let _ = fetch(addr, "POST", "/query", Some(r#"{"workload":"q1"}"#));
-        }
-    });
-    let resp = fetch(addr, "GET", "/profile?seconds=1", None).expect("profile");
-    busy.join().expect("busy client");
-    assert_eq!(resp.status, 200, "{}", resp.body);
-    // Collapsed stack lines are `thread;frame;... count`; without forced
-    // frame pointers the stacks may be shallow, but each line must still
-    // parse and end in a positive count.
-    for line in resp.body.lines() {
-        let (stack, count) = line.rsplit_once(' ').expect("collapsed line shape");
-        assert!(!stack.is_empty());
-        assert!(count.parse::<u64>().expect("count parses") > 0);
+    for path in ["/profile", "/profile?seconds=1", "/version"] {
+        let resp = fetch(addr, "GET", path, None).expect("fetch");
+        assert_eq!(resp.status, 404, "{path} -> {}", resp.body);
+        let body = Json::parse(&resp.body).expect("404 body is JSON");
+        let listed: Vec<&str> = match body.get("endpoints") {
+            Some(Json::Arr(items)) => items.iter().filter_map(Json::as_str).collect(),
+            other => panic!("404 body must list endpoints, got {other:?}"),
+        };
+        assert_eq!(listed, ENDPOINTS, "{path}: 404 lists the served paths");
+    }
+    assert_eq!(
+        ENDPOINTS,
+        [
+            "/metrics",
+            "/healthz",
+            "/stats",
+            "/query",
+            "/trace",
+            "/data/bump",
+            "/timeline",
+            "/dashboard",
+        ]
+    );
+    // The router knows each listed path: a method it does not serve
+    // there is a 405, where an unknown path is a 404.
+    for path in ENDPOINTS {
+        let resp = fetch(addr, "DELETE", path, None).expect("fetch");
+        assert_eq!(resp.status, 405, "{path} -> {}", resp.body);
     }
 
     server.shutdown();
@@ -177,9 +198,8 @@ fn no_flight_disables_recorder_endpoints() {
         let resp = fetch(addr, "GET", path, None).expect("fetch");
         assert_eq!(resp.status, 404, "{path} must 404 with --no-flight");
     }
-    // /version does not depend on the recorder.
-    let version = fetch(addr, "GET", "/version", None).expect("version");
-    assert_eq!(version.status, 200);
+    // Build provenance does not depend on the recorder.
+    assert_build_info_labels(addr);
 
     server.shutdown();
 }

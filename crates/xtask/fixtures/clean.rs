@@ -20,6 +20,18 @@ pub fn strict(flag: &std::sync::atomic::AtomicBool) {
     flag.store(true, std::sync::atomic::Ordering::SeqCst);
 }
 
+// ASYNC-SIGNAL-SAFE: one store to a static atomic; no allocation,
+// locking or formatting.
+extern "C" fn on_signal(_signum: i32) {
+    SEEN.store(true, std::sync::atomic::Ordering::SeqCst);
+}
+
+extern "C" {
+    // A foreign declaration taking a function-pointer type: neither is a
+    // handler definition.
+    fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+}
+
 pub fn masks() {
     // Contiguous masks, in every radix the workspace uses.
     let _ = WayMask::new(0x3);

@@ -1,8 +1,9 @@
-// Seeded `signal-safe` violations: the path of this fixture mirrors
-// `crates/flight/src`, the scope where every `extern "C" fn` is held to
-// async-signal-safety. Never compiled.
+// Seeded `signal-safe` violations: every `extern "C" fn` definition in
+// the workspace is held to async-signal-safety; this file sits beside
+// the server's seeded violations because the server owns the one real
+// handler (SIGINT). Never compiled.
 
-// Violation: no `// ASYNC-SIGNAL-SAFE:` annotation on the handler.
+// Violation: the handler carries no async-signal-safety annotation.
 extern "C" fn on_signal_unannotated(sig: i32) {
     record(sig);
 }

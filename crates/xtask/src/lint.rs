@@ -21,11 +21,13 @@
 //! * `contiguous-mask` — every literal way-mask (`WayMask::new(0x…)` or
 //!   a `const …MASK… = 0x…`) is non-empty and contiguous, the CAT
 //!   hardware constraint `schemata` writes must satisfy.
-//! * `signal-safe` — every `extern "C" fn` in `crates/flight/src` (the
-//!   SIGPROF handler and anything shaped like one) carries an
-//!   `// ASYNC-SIGNAL-SAFE:` comment, and its body is free of tokens
-//!   that allocate, lock or panic (`format!`, `Box::new`, `.lock(`,
-//!   `.unwrap()`, …) — none of which are async-signal-safe.
+//! * `signal-safe` — every non-test `extern "C" fn` *definition* in the
+//!   workspace (the server's SIGINT handler and anything shaped like
+//!   one) carries an `// ASYNC-SIGNAL-SAFE:` comment, and its body is
+//!   free of tokens that allocate, lock or panic (`format!`, `Box::new`,
+//!   `.lock(`, `.unwrap()`, …) — none of which are async-signal-safe.
+//!   Foreign declarations and `extern "C" fn(i32)` pointer types are not
+//!   definitions.
 //! * `verify-annotated` — model-check harnesses in
 //!   `crates/verify/tests/` declare each step's access set with
 //!   `then_accessing(…)`; a bare `then(…)` silently pins the step to
@@ -192,8 +194,23 @@ const SIGNAL_UNSAFE_TOKENS: &[&str] = &[
     "RwLock",
 ];
 
-/// The `signal-safe` rule: every `extern "C" fn` in the flight crate
-/// must be annotated `// ASYNC-SIGNAL-SAFE:` (stating the argument for
+/// True when `code` defines an `extern "C" fn`: the ABI string and `fn`
+/// followed by a name. A function-pointer type (`extern "C" fn(i32)`)
+/// has no name, and a foreign declaration inside `extern "C" { … }`
+/// is a plain `fn`. The scanner blanks string contents, so any ABI
+/// string appears as `extern "" fn` in the code stream.
+fn defines_extern_fn(code: &str) -> bool {
+    code.match_indices("extern \"\" fn").any(|(at, m)| {
+        let rest = &code[at + m.len()..];
+        rest.starts_with(char::is_whitespace)
+            && rest
+                .trim_start()
+                .starts_with(|c: char| c.is_alphabetic() || c == '_')
+    })
+}
+
+/// The `signal-safe` rule: every `extern "C" fn` definition must be
+/// annotated `// ASYNC-SIGNAL-SAFE:` (stating the argument for
 /// why every operation in it is safe in signal context), and its body —
 /// tracked by brace depth from the signature to the matching close —
 /// must not contain any [`SIGNAL_UNSAFE_TOKENS`].
@@ -201,10 +218,7 @@ fn signal_safe_findings(path: &str, scan_result: &FileScan) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut line = 0;
     while line < scan_result.lines() {
-        let code = &scan_result.code[line];
-        // The scanner blanks string contents, so `extern "C" fn` (or any
-        // other ABI string) appears as `extern "" fn` in the code stream.
-        if scan_result.in_test[line] || !code.contains("extern \"\" fn") {
+        if scan_result.in_test[line] || !defines_extern_fn(&scan_result.code[line]) {
             line += 1;
             continue;
         }
@@ -297,9 +311,7 @@ pub(crate) fn lint_file(path: &str, scan_result: &FileScan) -> Vec<Finding> {
     // inherits the same no-panic discipline.
     let in_server_src = norm.contains("crates/server/src") || norm.contains("crates/reuse/src");
     let in_engine_src = norm.contains("crates/engine/src");
-    if norm.contains("crates/flight/src") {
-        findings.extend(signal_safe_findings(path, scan_result));
-    }
+    findings.extend(signal_safe_findings(path, scan_result));
     let finding = |rule, line, message: String| Finding {
         rule,
         file: path.to_string(),
@@ -582,21 +594,47 @@ mod tests {
     }
 
     #[test]
-    fn unannotated_signal_handler_is_flagged_in_flight_src_only() {
+    fn unannotated_signal_handler_is_flagged_in_any_crate() {
         let src = "extern \"C\" fn on_sig(sig: i32) {\n    count(sig);\n}\n";
-        let f = lint_src("crates/flight/src/profiler.rs", src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "signal-safe");
-        assert!(f[0].message.contains("ASYNC-SIGNAL-SAFE"));
-        // The rule is scoped: the same code elsewhere is fine.
-        assert!(lint_src("crates/engine/src/a.rs", src).is_empty());
+        for path in [
+            "crates/server/src/server.rs",
+            "crates/engine/src/a.rs",
+            "src/lib.rs",
+        ] {
+            let f = lint_src(path, src);
+            assert_eq!(f.len(), 1, "{path}: {f:?}");
+            assert_eq!(f[0].rule, "signal-safe");
+            assert!(f[0].message.contains("ASYNC-SIGNAL-SAFE"));
+        }
+        // `pub` and `unsafe` qualifiers do not hide a definition.
+        let f = lint_src(
+            "crates/x/src/a.rs",
+            "pub unsafe extern \"C\" fn on_sig(_: i32) {}\n",
+        );
+        assert_eq!(f.iter().filter(|v| v.rule == "signal-safe").count(), 1);
     }
 
     #[test]
     fn annotated_clean_handler_passes() {
-        let src = "// ASYNC-SIGNAL-SAFE: only atomic stores and TLS reads.\n\
-                   extern \"C\" fn on_sig(sig: i32) {\n    HITS.fetch_add(1, SeqCst);\n}\n";
-        let f = lint_src("crates/flight/src/profiler.rs", src);
+        let src = "// ASYNC-SIGNAL-SAFE: only a store to a static atomic.\n\
+                   extern \"C\" fn on_sigint(_signum: i32) {\n    SEEN.store(true, SeqCst);\n}\n";
+        let f = lint_src("crates/server/src/server.rs", src);
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn foreign_declaration_is_not_a_handler() {
+        let src = "extern \"C\" {\n    \
+                   fn signal(signum: i32, handler: extern \"C\" fn(i32)) -> usize;\n}\n";
+        let f = lint_src("crates/server/src/server.rs", src);
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn fn_pointer_type_is_not_a_handler() {
+        let src = "type Handler = extern \"C\" fn(i32);\n\
+                   fn install(h: extern \"C\" fn (i32)) { let _ = format!(\"{h:?}\"); }\n";
+        let f = lint_src("crates/x/src/a.rs", src);
         assert!(f.is_empty(), "{f:?}");
     }
 
@@ -608,7 +646,7 @@ mod tests {
                    \x20   QUEUE.lock(msg);\n\
                    }\n\
                    fn after() { let ok = format!(\"outside\"); }\n";
-        let f = lint_src("crates/flight/src/profiler.rs", src);
+        let f = lint_src("crates/server/src/server.rs", src);
         // format! and .lock( inside the body fire; the format! *after*
         // the closing brace does not.
         assert_eq!(f.len(), 2, "{f:?}");
@@ -699,6 +737,14 @@ mod tests {
                 "seeded fixture must trip `{rule}`; got {rules:?}"
             );
         }
+        // The seeded handler without an annotation is caught as such, not
+        // only through the tokens in the other handler's body.
+        assert!(
+            findings
+                .iter()
+                .any(|f| f.rule == "signal-safe" && f.message.contains("without an")),
+            "the unannotated fixture handler must fire: {findings:?}"
+        );
     }
 
     #[test]

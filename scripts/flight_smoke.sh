@@ -1,29 +1,25 @@
 #!/usr/bin/env bash
-# End-to-end gate for the flight recorder and the continuous profiler.
+# End-to-end gate for the flight recorder.
 #
 # Phase 1 (timeline): an adaptive server on the fake resctrl backend is
 # fed the scripted occupancy collapse; once the controller repartitions,
-# a bench run drives load with a `/profile?seconds=2` window inside it,
-# and `bench-serve --timeline-out` saves the recorder's `/timeline`.
-# Asserts:
+# a bench run drives load and `bench-serve --timeline-out` saves the
+# recorder's `/timeline`. Asserts:
 #
 #   * the timeline carries >= 1 `repartition` event, with per-class
 #     `ccp_llc_occupancy_bytes` points both before and after the event's
 #     sequence number (the black box shows cause and effect);
 #   * `/dashboard` is one self-contained HTML page — inline SVG, no
 #     external reference of any kind;
-#   * the collapsed profile has >= 1 stack through `ccp_engine` (the
-#     build forces frame pointers so the handler's walk sees real
-#     frames);
 #   * a client tailing `/timeline?since=<cursor>` through the bench run,
 #     with each reply's `tick` as its next cursor, gets every point of
 #     the `ccp_build_info` gauge exactly once (the documented `?since=`
-#     contract, live).
+#     contract, live);
+#   * the bench report carries the build provenance it measured.
 #
 # Phase 2 (overhead): two otherwise identical servers — recorder on vs
-# `--no-flight` — take the same A/B bench (with a background profile
-# window over the recorder-on phase), and the recorder side's p95 must
-# stay within 5% (+ absolute slack) of the recorder-off side.
+# `--no-flight` — take the same A/B bench, and the recorder side's p95
+# must stay within 5% (+ absolute slack) of the recorder-off side.
 #
 # Usage:
 #   scripts/flight_smoke.sh [PORT_FLIGHT] [PORT_BASE]   # 19390/19392
@@ -42,9 +38,6 @@ PORT_BASE="${2:-19392}"
 PORT_ON=$((PORT_BASE + 1))
 PORT_OFF=$((PORT_BASE + 2))
 QPS="${CCP_FLIGHT_QPS:-40}"
-# Phase 1 drives harder: SIGPROF samples CPU time, so the profile
-# assertion needs the engine actually burning cycles during the window.
-PROF_QPS="${CCP_FLIGHT_PROF_QPS:-300}"
 SECS="${CCP_FLIGHT_SECS:-3}"
 PROFILE="${CCP_FLIGHT_PROFILE:-release}"
 SLACK_US="${CCP_AB_SLACK_US:-2000}"
@@ -52,11 +45,6 @@ TRACE='sensitive:0.95x6,0.12;polluting:0.08;mixed:0.02'
 
 cd "$(dirname "$0")/.."
 . scripts/lib.sh
-
-# The profiler's stack walk follows frame pointers; without this flag a
-# release build keeps only the leaf frame and the engine-frame assertion
-# below would be meaningless.
-export RUSTFLAGS="${RUSTFLAGS:-} -Cforce-frame-pointers=yes"
 
 ccp_build "$PROFILE"
 ccp_init
@@ -68,12 +56,9 @@ ADDR_OFF="127.0.0.1:${PORT_OFF}"
 # ---------------------------------------------------------------------------
 # Phase 1: the recorder's story of an adaptive collapse.
 # ---------------------------------------------------------------------------
-# --no-reuse: with the artifact cache on, repeated bench queries become
-# cache hits served off the connection threads and the engine pools go
-# idle — leaving the CPU-time profiler nothing to sample.
 ccp_launch_server flight "$ADDR_FLIGHT" --fake-resctrl --adaptive \
   --control-interval-ms 50 --monitor-interval-ms 50 --flight-interval-ms 100 \
-  --occupancy-script "$TRACE" --no-reuse
+  --occupancy-script "$TRACE"
 
 echo "== waiting for the adaptive controller to repartition"
 CONVERGED=0
@@ -94,11 +79,9 @@ if [[ "$CONVERGED" != 1 ]]; then
 fi
 echo "   repartitions=${REPARTS}"
 
-echo "== bench with a 2s profile window inside the load"
-# The profile window must sit fully inside the bench: SIGPROF ticks on
-# CPU time (10ms apiece), so sampling an idle ramp-up yields nothing.
+echo "== bench with a live timeline tail beside the load"
 "$CCP" bench-serve --addr "$ADDR_FLIGHT" \
-  --qps "$PROF_QPS" --duration "$SECS" --concurrency 2 --max-error-pct 1 \
+  --qps "$QPS" --duration "$SECS" --concurrency 2 --max-error-pct 1 \
   --json-out "$WORK/bench.json" --timeline-out "$WORK/timeline.json" &
 BENCH_PID=$!
 # Tail the timeline beside the load: one pull every 50 ms for ~3 s, each
@@ -134,27 +117,12 @@ for name, got in seqs.items():
 print(f"   tailed ticks {first + 1}..={cursor}: every build-info point once, in order")
 PY
 TAIL_PID=$!
-sleep 0.6
-ccp_scrape "$ADDR_FLIGHT" "/profile?seconds=2" "$WORK/profile.txt"
 wait "$BENCH_PID"
 if ! wait "$TAIL_PID"; then
   cat "$WORK/tail.txt" >&2
   exit 1
 fi
 cat "$WORK/tail.txt"
-# Sampling is probabilistic: with ~10 process-wide ticks per window a
-# run can land them all on unregistered connection threads. Retry under
-# fresh load before calling that a failure.
-for attempt in 1 2; do
-  [[ -s "$WORK/profile.txt" ]] && break
-  echo "   profile empty (attempt ${attempt}); retrying under fresh load"
-  "$CCP" bench-serve --addr "$ADDR_FLIGHT" \
-    --qps "$PROF_QPS" --duration "$SECS" --concurrency 2 --max-error-pct 1 &
-  BENCH_PID=$!
-  sleep 0.6
-  ccp_scrape "$ADDR_FLIGHT" "/profile?seconds=2" "$WORK/profile.txt"
-  wait "$BENCH_PID"
-done
 
 echo "== checking the timeline black box"
 python3 - "$WORK/timeline.json" <<'PY'
@@ -197,30 +165,6 @@ for forbidden in ("http", "src=", "url(", "@import", "<script", "<link"):
 print(f"   {len(page)} bytes, inline SVG, zero external references")
 PY
 
-echo "== checking the collapsed profile"
-python3 - "$WORK/profile.txt" <<'PY'
-import sys
-
-with open(sys.argv[1]) as f:
-    lines = [l for l in f.read().splitlines() if l.strip()]
-assert lines, "profile window captured no samples"
-for line in lines:
-    stack, count = line.rsplit(" ", 1)
-    assert stack and int(count) > 0, f"malformed collapsed line: {line!r}"
-# An engine operator frame: a stack on one of the executor pool's
-# threads passing through reproduction code (the operators themselves
-# live in ccp_storage; the engine's glue inlines into closure shims).
-pools = ("olap-worker", "oltp-worker", "job-worker")
-engine = [l for l in lines
-          if l.startswith(pools) and ("ccp_engine" in l or "ccp_storage" in l)]
-assert engine, (
-    "no engine-pool stack passes through reproduction code; top lines:\n"
-    + "\n".join(lines[:10])
-)
-print(f"   {len(lines)} collapsed stacks, {len(engine)} operator stacks, "
-      f"e.g. {engine[0][:110]}")
-PY
-
 # The bench report must carry the build it measured.
 python3 - "$WORK/bench.json" <<'PY'
 import json, sys
@@ -237,20 +181,15 @@ PY
 ccp_assert_no_panics "$WORK/flight.metrics.txt"
 
 # ---------------------------------------------------------------------------
-# Phase 2: recorder + profiler overhead stays inside the 5% gate.
+# Phase 2: recorder overhead stays inside the 5% gate.
 # ---------------------------------------------------------------------------
 echo "== overhead A/B: recorder on vs --no-flight, ${QPS} qps for ${SECS}s each"
 ccp_launch_server flight-on "$ADDR_ON" --fake-resctrl --flight-interval-ms 100
 ccp_launch_server flight-off "$ADDR_OFF" --fake-resctrl --no-flight
 
-# A 2s profile window over the recorder-on phase (phase A runs first),
-# so the gate prices the profiler too, not just the recorder.
-ccp_scrape "$ADDR_ON" "/profile?seconds=2" "$WORK/overhead.profile.txt" &
-PROFILE_PID=$!
 "$CCP" bench-serve --addr "$ADDR_ON" --ab-addr "$ADDR_OFF" \
   --qps "$QPS" --duration "$SECS" --concurrency 2 --max-error-pct 1 \
   --json-out "$WORK/overhead.json"
-wait "$PROFILE_PID" || true
 
 python3 - "$WORK/overhead.json" "$SLACK_US" <<'PY'
 import json, sys
@@ -264,7 +203,7 @@ on_p95 = doc["static"]["total"]["p95_us"]
 off_p95 = doc["adaptive"]["total"]["p95_us"]
 limit = off_p95 * 1.05 + int(sys.argv[2])
 assert on_p95 <= limit, (
-    f"recorder+profiler p95 {on_p95}us exceeds recorder-off {off_p95}us "
+    f"recorder p95 {on_p95}us exceeds recorder-off {off_p95}us "
     f"(limit {limit:.0f}us)"
 )
 print(f"   recorder-on p95 {on_p95}us vs off {off_p95}us (limit {limit:.0f}us)")

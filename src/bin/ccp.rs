@@ -19,6 +19,7 @@
 use cache_partitioning::prelude::*;
 use ccp_server::{
     fetch, install_sigint_handler, sigint_requested, HttpClient, Json, Server, ServerConfig,
+    ENDPOINTS,
 };
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -393,10 +394,7 @@ fn serve(args: &[String]) -> ExitCode {
     };
     println!("ccp-server listening on http://{}", server.addr());
     println!("  partitioning: {}", server.partitioning());
-    println!(
-        "  endpoints: /metrics /healthz /stats /trace /timeline /dashboard /profile /version \
-         POST /query POST /data/bump"
-    );
+    println!("  endpoints: {}", ENDPOINTS.join(" "));
     if let Some(plan) = ccp_fault::active_plan() {
         println!("  fault plan: {plan}");
     }
@@ -948,14 +946,38 @@ fn resolve_bench_addr(addr_str: &str) -> Option<std::net::SocketAddr> {
         .and_then(|mut addrs| addrs.next())
 }
 
-/// The driven server's `GET /version` build info, so a saved bench
+/// The driven server's build provenance, read from the labels of the
+/// `ccp_build_info` gauge in one `/metrics` scrape, so a saved bench
 /// report names the exact build that produced its numbers.
 fn server_build_info(addr_str: &str) -> Option<Json> {
     let addr = resolve_bench_addr(addr_str)?;
-    let resp = fetch(addr, "GET", "/version", None).ok()?;
-    (resp.status == 200)
-        .then(|| Json::parse(&resp.body).ok())
-        .flatten()
+    let scrape = fetch(addr, "GET", "/metrics", None).ok()?.body;
+    build_info_labels(&scrape)
+}
+
+/// The `version`, `git_sha` and `profile` labels of the scrape's
+/// `ccp_build_info{…}` sample, as a JSON object with those three keys.
+fn build_info_labels(scrape: &str) -> Option<Json> {
+    let labels = scrape
+        .lines()
+        .find_map(|l| l.strip_prefix("ccp_build_info{"))?
+        .split_once('}')?
+        .0;
+    let label = |key: &str| {
+        labels
+            .split(',')
+            .find_map(|pair| {
+                pair.strip_prefix(key)?
+                    .strip_prefix("=\"")?
+                    .strip_suffix('"')
+            })
+            .map(Json::str)
+    };
+    Some(Json::obj(vec![
+        ("version", label("version")?),
+        ("git_sha", label("git_sha")?),
+        ("profile", label("profile")?),
+    ]))
 }
 
 /// `bench-serve`: one load phase against `--addr`, or an A/B comparison
@@ -1066,7 +1088,7 @@ fn bench_serve(args: &[String]) -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::exceeds_error_budget;
+    use super::{build_info_labels, exceeds_error_budget};
 
     #[test]
     fn error_budget_is_compared_exactly() {
@@ -1075,5 +1097,18 @@ mod tests {
         assert!(exceeds_error_budget(11, 1_000, 1));
         assert!(!exceeds_error_budget(0, 1, 0));
         assert!(exceeds_error_budget(1, 1_000, 0));
+    }
+
+    #[test]
+    fn build_info_comes_from_the_gauge_labels() {
+        let scrape = "# TYPE ccp_build_info gauge\n\
+                      ccp_build_info{version=\"0.1.0\",git_sha=\"abc1234\",profile=\"release\"} 1.0\n\
+                      ccp_uptime_seconds 3.0\n";
+        let build = build_info_labels(scrape).expect("labels parse");
+        assert_eq!(
+            build.to_string(),
+            r#"{"version":"0.1.0","git_sha":"abc1234","profile":"release"}"#
+        );
+        assert!(build_info_labels("ccp_uptime_seconds 3.0\n").is_none());
     }
 }
