@@ -34,13 +34,14 @@ pub struct ControlConfig {
     /// smaller deltas are held.
     pub min_delta_ways: u32,
     /// Consecutive ticks without a fresh reading after which the
-    /// controller clamps to the static plan.
+    /// controller clamps to the static plan. Each tick follows its own
+    /// probe, so this counts consecutive failed probes.
     pub stale_after_ticks: u32,
 }
 
 impl ControlConfig {
     /// Defaults for a `ways`-way, `llc_bytes` LLC: min 2 ways, grow by
-    /// 2, dwell 3 ticks, 2-way change threshold, stale after 8 ticks.
+    /// 2, dwell 3 ticks, 2-way change threshold, stale after 4 ticks.
     pub fn paper_default(ways: u32, llc_bytes: u64) -> Self {
         ControlConfig {
             ways,
@@ -50,19 +51,8 @@ impl ControlConfig {
             grow_step: 2,
             min_dwell_ticks: 3,
             min_delta_ways: 2,
-            stale_after_ticks: 8,
+            stale_after_ticks: 4,
         }
-    }
-
-    /// Scales the staleness horizon to the monitor/control interval
-    /// ratio: readings are expected every `monitor_ms`, the controller
-    /// ticks every `control_ms`, and three missed monitor periods (but
-    /// never fewer than 4 ticks) mean the pipeline is stuck.
-    pub fn with_intervals(mut self, control_ms: u64, monitor_ms: u64) -> Self {
-        let control_ms = control_ms.max(1);
-        let ticks_per_reading = monitor_ms.div_ceil(control_ms).max(1);
-        self.stale_after_ticks = (ticks_per_reading * 3).max(4).min(u64::from(u32::MAX)) as u32;
-        self
     }
 }
 

@@ -3,8 +3,8 @@
 //! Every `interval` the owner of the [`Sampler`] (the server's control
 //! plane) calls [`Sampler::tick`], which takes
 //! [`Registry::sample_all`] and pushes one point per metric into that
-//! metric's series: counters and gauges become one series each
-//! (named `family{labels}`), histograms become windowed `:p50` / `:p95`
+//! metric's series: counters and gauges become one series each (named
+//! by [`ccp_obs::series_name`], as their `/metrics` lines begin), histograms become windowed `:p50` / `:p95`
 //! / `:p99` / `:count` series — the recorder diffs consecutive
 //! cumulative snapshots with
 //! [`HistogramSnapshot::delta_since`] and takes proper log-linear
@@ -37,17 +37,18 @@
 
 use crate::events::Event;
 use crate::ring::Series;
-use ccp_obs::{HistogramSnapshot, Labels, MetricSample, Registry};
+use ccp_obs::{series_name, HistogramSnapshot, MetricSample, Registry};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant, SystemTime};
 
 /// Everything tunable about a [`FlightRecorder`].
 #[derive(Debug, Clone)]
 pub struct RecorderConfig {
-    /// Sampling interval (default 250 ms).
+    /// How often the [`Sampler`]'s owner ticks it (default 250 ms).
+    /// The recorder does not keep time: this only labels the timeline
+    /// (`interval_ms`).
     pub interval: Duration,
     /// Raw points retained per series (default 240 ≈ 60 s at 250 ms).
     pub raw_window: usize,
@@ -254,26 +255,6 @@ impl Sampler {
     }
 }
 
-/// Formats `family{labels}` exactly like the Prometheus exposition
-/// (labels come pre-sorted from the registry), so series names match
-/// what `/metrics` shows.
-fn series_name(family: &str, labels: &Labels) -> String {
-    if labels.is_empty() {
-        return family.to_string();
-    }
-    let mut out = String::with_capacity(family.len() + 16);
-    out.push_str(family);
-    out.push('{');
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{k}=\"{v}\"");
-    }
-    out.push('}');
-    out
-}
-
 /// Constructor namespace for a recorder's two halves.
 pub struct FlightRecorder;
 
@@ -342,6 +323,25 @@ mod tests {
         // Incremental read: only the new tick.
         let tl2 = handle.timeline(1, None);
         assert!(tl2.series.iter().all(|(_, p)| p == &vec![(2, 5.0)]));
+    }
+
+    #[test]
+    fn series_names_match_the_exposition_whatever_the_label_value() {
+        let registry = Registry::new();
+        registry
+            .gauge_family("g", "G")
+            .get_or_create(&[("path", r#"a"b\c"#)])
+            .set(1.0);
+        let (handle, mut sampler) = FlightRecorder::manual(&registry, test_cfg());
+        sampler.tick();
+        let tl = handle.timeline(0, None);
+        let exposition = registry.render_prometheus();
+        let line = exposition
+            .lines()
+            .find(|l| l.starts_with("g{"))
+            .expect("sample line");
+        assert_eq!(tl.series[0].0, r#"g{path="a\"b\\c"}"#);
+        assert_eq!(line, format!("{} 1.0", tl.series[0].0));
     }
 
     #[test]

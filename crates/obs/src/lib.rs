@@ -46,4 +46,4 @@ mod registry;
 
 pub use histogram::{unit, BucketSpec, Histogram, HistogramSnapshot};
 pub use metrics::{Counter, Gauge};
-pub use registry::{Family, FamilySample, Labels, MetricSample, Registry};
+pub use registry::{series_name, Family, FamilySample, Labels, MetricSample, Registry};

@@ -357,13 +357,17 @@ impl Registry {
                 AnyFamily::Counter(f) => {
                     header(&mut out, &name, &f.inner.help, "counter");
                     for (labels, c) in f.collect() {
-                        let _ = writeln!(out, "{name}{} {}", label_str(&labels), c.get());
+                        out.push_str(&name);
+                        push_labels(&mut out, &labels, None);
+                        let _ = writeln!(out, " {}", c.get());
                     }
                 }
                 AnyFamily::Gauge(f) => {
                     header(&mut out, &name, &f.inner.help, "gauge");
                     for (labels, g) in f.collect() {
-                        let _ = writeln!(out, "{name}{} {}", label_str(&labels), fmt_f64(g.get()));
+                        out.push_str(&name);
+                        push_labels(&mut out, &labels, None);
+                        let _ = writeln!(out, " {}", fmt_f64(g.get()));
                     }
                 }
                 AnyFamily::Histogram(f) => {
@@ -383,31 +387,38 @@ fn header(out: &mut String, name: &str, help: &str, kind: &str) {
     let _ = writeln!(out, "# TYPE {name} {kind}");
 }
 
-fn escape_label_value(v: &str) -> String {
-    v.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
+/// `family{k="v",…}`, exactly as a counter's or gauge's sample line in
+/// [`Registry::render_prometheus`] begins (both write the labels with
+/// one function): label values escaped, no braces for an empty set.
+/// `labels` are in registry (sorted) order.
+pub fn series_name(family: &str, labels: &Labels) -> String {
+    let mut out = String::with_capacity(family.len() + 16);
+    out.push_str(family);
+    push_labels(&mut out, labels, None);
+    out
 }
 
-fn label_str(labels: &Labels) -> String {
-    if labels.is_empty() {
-        return String::new();
+/// Appends `{k="v",…}` with each value escaped and `le` (a histogram
+/// bucket's bound) last; nothing when there is no label at all.
+fn push_labels(out: &mut String, labels: &Labels, le: Option<&str>) {
+    let pairs = labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+    for (i, (k, v)) in pairs.chain(le.map(|le| ("le", le))).enumerate() {
+        out.push(if i == 0 { '{' } else { ',' });
+        out.push_str(k);
+        out.push_str("=\"");
+        for c in v.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '"' => out.push_str("\\\""),
+                '\n' => out.push_str("\\n"),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
     }
-    let body: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
-        .collect();
-    format!("{{{}}}", body.join(","))
-}
-
-/// Extra `le` label appended to a (possibly empty) label set.
-fn label_str_with_le(labels: &Labels, le: &str) -> String {
-    let mut body: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
-        .collect();
-    body.push(format!("le=\"{le}\""));
-    format!("{{{}}}", body.join(","))
+    if !labels.is_empty() || le.is_some() {
+        out.push('}');
+    }
 }
 
 fn fmt_f64(v: f64) -> String {
@@ -427,19 +438,16 @@ fn render_histogram(out: &mut String, name: &str, labels: &Labels, h: &Histogram
             Some(b) => format!("{b}"),
             None => "+Inf".to_string(),
         };
-        let _ = writeln!(
-            out,
-            "{name}_bucket{} {cumulative}",
-            label_str_with_le(labels, &le)
-        );
+        let _ = write!(out, "{name}_bucket");
+        push_labels(out, labels, Some(&le));
+        let _ = writeln!(out, " {cumulative}");
     }
-    let _ = writeln!(
-        out,
-        "{name}_sum{} {}",
-        label_str(labels),
-        fmt_f64(snap.sum())
-    );
-    let _ = writeln!(out, "{name}_count{} {cumulative}", label_str(labels));
+    let _ = write!(out, "{name}_sum");
+    push_labels(out, labels, None);
+    let _ = writeln!(out, " {}", fmt_f64(snap.sum()));
+    let _ = write!(out, "{name}_count");
+    push_labels(out, labels, None);
+    let _ = writeln!(out, " {cumulative}");
 }
 
 #[cfg(test)]

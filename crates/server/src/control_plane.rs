@@ -3,27 +3,25 @@
 //! `ccp serve` has four periodic jobs — sample occupancy, supervise
 //! resctrl health, run the adaptive controller, record the flight
 //! timeline. A [`ControlPlane`] owns the state of all four and runs them
-//! on a single `ccp-plane` thread that sleeps on one condvar until the
-//! earliest due task. Tasks that fall due in the same wake always run in
-//! this order:
+//! on a single `ccp-plane` thread as one pass every
+//! `ServerConfig::control_interval` (`--control-interval-ms`, default
+//! 250 ms), always in this order:
 //!
-//! | step | period (`ServerConfig` field) | what it does |
+//! | step | present | what it does |
 //! |---|---|---|
-//! | sample | `monitor_interval` | probes per-class occupancy into the `ccp_llc_occupancy_bytes` / `ccp_mbm_total_bytes` gauges and the readings the control step consumes |
-//! | supervise | `reprobe_interval` | flips degraded mode on a breaker trip, re-probes while degraded |
-//! | control | `control_interval` | one [`Controller`] tick on the latest readings; applies or reverts the live mask table |
-//! | record | `flight_interval` | one flight-recorder snapshot of the registry |
+//! | sample | always | probes per-class occupancy into the `ccp_llc_occupancy_bytes` / `ccp_mbm_total_bytes` gauges and the readings the control step consumes |
+//! | supervise | with a resctrl tree | flips degraded mode on a breaker trip, re-probes while degraded |
+//! | control | `adaptive` | one [`Controller`] tick on the pass's readings; applies or reverts the live mask table |
+//! | record | `flight` | one flight-recorder snapshot of the registry |
 //!
 //! The order is what makes the hand-offs trivial: the control step reads
 //! the sample taken earlier in the same pass, so a reading can only be
 //! stale because the probe itself failed, never because another thread
 //! was scheduled late; the record step sees every counter the earlier
-//! steps moved. A task whose switch is off (`monitor_interval: None`,
-//! `adaptive: false`, `flight: false`, an unsupervised allocator) is
-//! simply absent. The price of one thread is that a step that blocks —
+//! steps moved. The price of one thread is that a step that blocks —
 //! the supervised resctrl retry backoff can sleep up to ~150 ms — delays
-//! the steps behind it. A late wake runs each due task once and re-arms
-//! it one period after the wake; there are no catch-up bursts.
+//! the steps behind it. After a pass the thread waits one period; a late
+//! pass stretches the gap, there are no catch-up bursts.
 //!
 //! The plane also holds the two duties towards the resctrl tree that are
 //! not periodic: the [`Sweeper`]'s start-up sweep runs in
@@ -33,8 +31,8 @@
 //! through the one [`ResctrlTree`] the engine's allocator hands out: the
 //! controller the workers bind through, under the mutex they take.
 //!
-//! [`ControlPlane::step`] is the whole scheduler, so tests drive the
-//! plane with synthetic instants and no thread.
+//! [`ControlPlane::step`] is one pass, so tests drive the plane pass by
+//! pass with no thread.
 //!
 //! Nothing here copies a number: the supervisor's, the controller's and
 //! the sweeper's instruments are attached to the registry where they are
@@ -57,7 +55,7 @@ use ccp_resctrl::{
 };
 use ccp_trace::TraceCat;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Failpoint name: an adaptive repartition's apply step. Arming it
 /// (e.g. `control.apply=err@1+1`) makes the control step treat the
@@ -134,34 +132,6 @@ impl ControlView {
     }
 }
 
-/// When a task next runs.
-struct Every {
-    period: Duration,
-    due: Instant,
-}
-
-impl Every {
-    /// Due at `start`, then one `period` after each run — a late wake
-    /// stretches the gap, it never triggers a catch-up burst.
-    fn new(period: Duration, start: Instant) -> Self {
-        Every { period, due: start }
-    }
-
-    fn fire(&mut self, now: Instant) -> bool {
-        if now < self.due {
-            return false;
-        }
-        self.due = now + self.period;
-        true
-    }
-}
-
-/// The task in `slot`, if it exists and is due at `now`.
-fn due<T>(slot: &mut Option<(Every, T)>, now: Instant) -> Option<&mut T> {
-    let (every, task) = slot.as_mut()?;
-    every.fire(now).then_some(task)
-}
-
 /// What the tasks act on besides their own state.
 struct Env {
     engine: Arc<QueryEngine>,
@@ -207,21 +177,22 @@ struct Control {
 
 /// The four periodic tasks and their state. See the module docs.
 pub struct ControlPlane {
+    /// The wait between two passes.
+    period: Duration,
     env: Env,
     readings: Readings,
-    sample: Option<(Every, Sample)>,
-    supervise: Option<(Every, Supervise)>,
-    control: Option<(Every, Control)>,
-    record: Option<(Every, ccp_flight::Sampler)>,
+    sample: Sample,
+    supervise: Option<Supervise>,
+    control: Option<Control>,
+    record: Option<ccp_flight::Sampler>,
     /// Present when the engine's allocator has a resctrl tree.
     sweeper: Option<Sweeper>,
 }
 
 impl ControlPlane {
     /// Builds the plane for `config` over `engine`, publishing into
-    /// `registry`/`metrics`. `probe` is the occupancy source; the sample
-    /// step exists only when both it and `config.monitor_interval` are
-    /// set.
+    /// `registry`/`metrics`. `probe` is the sample step's occupancy
+    /// source.
     ///
     /// When the engine's allocator has a resctrl tree this also attaches
     /// the tree's breaker and controller instruments to `registry` and
@@ -232,26 +203,22 @@ impl ControlPlane {
         engine: Arc<QueryEngine>,
         registry: &Registry,
         metrics: ServerMetrics,
-        probe: Option<Box<dyn OccupancyProbe>>,
+        probe: Box<dyn OccupancyProbe>,
     ) -> ControlPlane {
-        let start = Instant::now();
         let policy = engine.policy();
-        let sample = config.monitor_interval.zip(probe).map(|(period, probe)| {
-            let task = Sample {
-                probe,
-                occupancy: registry.gauge_family(
-                    "ccp_llc_occupancy_bytes",
-                    "LLC bytes occupied per CUID class (CMT; simulated when hardware \
-                     monitoring is unavailable)",
-                ),
-                mbm: registry.gauge_family(
-                    "ccp_mbm_total_bytes",
-                    "Cumulative memory-bandwidth bytes per CUID class (MBM; simulated \
-                     when hardware monitoring is unavailable)",
-                ),
-            };
-            (Every::new(period, start), task)
-        });
+        let sample = Sample {
+            probe,
+            occupancy: registry.gauge_family(
+                "ccp_llc_occupancy_bytes",
+                "LLC bytes occupied per CUID class (CMT; simulated when hardware \
+                 monitoring is unavailable)",
+            ),
+            mbm: registry.gauge_family(
+                "ccp_mbm_total_bytes",
+                "Cumulative memory-bandwidth bytes per CUID class (MBM; simulated \
+                 when hardware monitoring is unavailable)",
+            ),
+        };
         let tree = engine.allocator().tree();
         let supervise = tree.clone().map(|tree| {
             let trips_seen = {
@@ -260,27 +227,20 @@ impl ControlPlane {
                 tree.metrics().register_into(registry);
                 tree.health().trips()
             };
-            let task = Supervise {
+            Supervise {
                 trips_seen,
                 tree,
                 degraded_seen: false,
-            };
-            (Every::new(config.reprobe_interval, start), task)
+            }
         });
-        let control = (config.adaptive && sample.is_some()).then(|| {
-            let control_ms = config.control_interval.as_millis().max(1) as u64;
-            let monitor_ms = config
-                .monitor_interval
-                .map_or(control_ms, |d| d.as_millis().max(1) as u64);
-            let cfg = ControlConfig::paper_default(policy.llc.ways, policy.llc.size_bytes)
-                .with_intervals(control_ms, monitor_ms);
+        let control = config.adaptive.then(|| {
+            let cfg = ControlConfig::paper_default(policy.llc.ways, policy.llc.size_bytes);
             let controller = Controller::new(cfg, policy.static_plan());
-            let task = Control {
+            Control {
                 view: ControlView::new(registry, controller.current_plan()),
                 controller,
                 last_emitted: "",
-            };
-            (Every::new(config.control_interval, start), task)
+            }
         });
         let sweeper = tree.map(|tree| {
             let mut sweeper = Sweeper::new(tree);
@@ -291,7 +251,7 @@ impl ControlPlane {
             sweeper
         });
         let view = PlaneView {
-            control: control.as_ref().map(|(_, task)| task.view.clone()),
+            control: control.as_ref().map(|task| task.view.clone()),
             sweep: sweeper.as_ref().map(Sweeper::stats),
         };
         // The recorder is built after every family above is registered,
@@ -303,19 +263,17 @@ impl ControlPlane {
             let (handle, mut sampler) = FlightRecorder::manual(
                 registry,
                 RecorderConfig {
-                    interval: config.flight_interval,
+                    interval: config.control_interval,
                     ..RecorderConfig::default()
                 },
             );
             sampler.tick();
-            (
-                Some(handle),
-                Some((Every::new(config.flight_interval, start), sampler)),
-            )
+            (Some(handle), Some(sampler))
         } else {
             (None, None)
         };
         ControlPlane {
+            period: config.control_interval,
             env: Env {
                 engine,
                 metrics,
@@ -341,43 +299,23 @@ impl ControlPlane {
         Arc::clone(&self.env.view)
     }
 
-    /// Runs every task due at `now`, in the documented order, and returns
-    /// when the next one falls due (`None`: the plane has no tasks).
-    pub fn step(&mut self, now: Instant) -> Option<Instant> {
-        let ControlPlane {
-            env,
-            readings,
-            sample,
-            supervise,
-            control,
-            record,
-            ..
-        } = self;
-        if let Some(task) = due(sample, now) {
-            take_sample(task, readings);
+    /// Runs one pass: sample, supervise, control, record — each step
+    /// that exists, in that order.
+    pub fn step(&mut self) {
+        take_sample(&mut self.sample, &mut self.readings);
+        if let Some(task) = &mut self.supervise {
+            run_supervise(&self.env, task);
         }
-        if let Some(task) = due(supervise, now) {
-            run_supervise(env, task);
+        if let Some(task) = &mut self.control {
+            run_control(&self.env, task, &self.readings);
         }
-        if let Some(task) = due(control, now) {
-            run_control(env, task, readings);
-        }
-        if let Some(sampler) = due(record, now) {
+        if let Some(sampler) = &mut self.record {
             sampler.tick();
         }
-        [
-            sample.as_ref().map(|t| t.0.due),
-            supervise.as_ref().map(|t| t.0.due),
-            control.as_ref().map(|t| t.0.due),
-            record.as_ref().map(|t| t.0.due),
-        ]
-        .into_iter()
-        .flatten()
-        .min()
     }
 
-    /// Starts the `ccp-plane` thread: `step`, sleep until the returned
-    /// instant or a stop, repeat.
+    /// Starts the `ccp-plane` thread: `step`, wait one period or until a
+    /// stop, repeat.
     ///
     /// # Errors
     /// Propagates thread-spawn failure.
@@ -388,13 +326,11 @@ impl ControlPlane {
             .name("ccp-plane".to_string())
             .spawn(move || {
                 let (lock, cv) = &*thread_stop;
-                // A plane without tasks has nothing to wake for: the loop
-                // ends at once and `stop` just collects the plane.
-                while let Some(next) = self.step(Instant::now()) {
+                loop {
+                    self.step();
                     let stopped = lock.lock().unwrap_or_else(PoisonError::into_inner);
-                    let left = next.saturating_duration_since(Instant::now());
                     let (stopped, _) = cv
-                        .wait_timeout_while(stopped, left, |stopped| !*stopped)
+                        .wait_timeout_while(stopped, self.period, |stopped| !*stopped)
                         .unwrap_or_else(PoisonError::into_inner);
                     if *stopped {
                         break;
@@ -614,8 +550,7 @@ fn publish_fallback(engine: &QueryEngine, plan: &MaskPlan) {
     engine.live_masks().publish(plan);
 }
 
-/// Builds the occupancy probe for the sample step; `None` when
-/// `config.monitor_interval` turns sampling off.
+/// Builds the occupancy probe for the sample step.
 ///
 /// `config.occupancy_script` replaces the probe with a deterministic
 /// [`ScriptedTrace`]. Otherwise, with live CAT hardware the probe reads
@@ -633,29 +568,26 @@ pub(crate) fn occupancy_probe(
     config: &ServerConfig,
     engine: &QueryEngine,
     admission: &Arc<AdmissionQueue>,
-) -> std::io::Result<Option<Box<dyn OccupancyProbe>>> {
-    if config.monitor_interval.is_none() {
-        return Ok(None);
-    }
+) -> std::io::Result<Box<dyn OccupancyProbe>> {
     let policy = engine.policy();
     if let Some(spec) = &config.occupancy_script {
         let trace = ScriptedTrace::parse(spec, policy.llc.size_bytes)
             .map_err(|why| std::io::Error::new(std::io::ErrorKind::InvalidInput, why))?;
-        return Ok(Some(Box::new(trace)));
+        return Ok(Box::new(trace));
     }
     if let Some(tree) = engine.allocator().tree().filter(|_| engine.cat_live()) {
         let live = engine.live_masks();
         let masks = Box::new(move || live.snapshot());
-        return Ok(Some(Box::new(ResctrlMonitor::new(tree, masks, 0))));
+        return Ok(Box::new(ResctrlMonitor::new(tree, masks, 0)));
     }
     let ways = f64::from(policy.llc.ways);
     let llc_share = policy
         .static_plan()
         .map(|mask| f64::from(mask.way_count()) / ways);
     let admission = Arc::clone(admission);
-    Ok(Some(Box::new(SimulatedMonitor::new(
+    Ok(Box::new(SimulatedMonitor::new(
         policy.llc.size_bytes,
         llc_share,
         Box::new(move || admission.running_by_class().map(|&n| n as f64)),
-    ))))
+    )))
 }

@@ -43,6 +43,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+/// Per-connection socket read and write timeout.
+const IO_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Everything tunable about a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -58,10 +61,6 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Concurrent connections before new ones get `503` and close.
     pub max_connections: usize,
-    /// Per-connection socket read timeout.
-    pub read_timeout: Duration,
-    /// Per-connection socket write timeout.
-    pub write_timeout: Duration,
     /// Rows in each resident data set column.
     pub dataset_rows: usize,
     /// Enables the debug `sleep` workload (admission tests).
@@ -74,14 +73,6 @@ pub struct ServerConfig {
     pub trace: bool,
     /// Per-thread trace ring capacity (events retained per thread).
     pub trace_ring_capacity: usize,
-    /// Period of the control plane's sample step, which refreshes the
-    /// per-CUID-class `ccp_llc_occupancy_bytes` gauges. `None` disables
-    /// sampling.
-    pub monitor_interval: Option<Duration>,
-    /// Period of the control plane's supervise step, which flips the
-    /// engine into and out of degraded mode on the breaker's state and,
-    /// while degraded, re-probes the backend for recovery.
-    pub reprobe_interval: Duration,
     /// Backs the engine with an in-memory fake resctrl filesystem under
     /// full supervision (the chaos harness; see
     /// [`ResctrlAllocator::open_fake`]).
@@ -89,9 +80,10 @@ pub struct ServerConfig {
     /// Enables the closed-loop adaptive controller: occupancy readings
     /// drive online repartitions of the live mask table, clamped back to
     /// the paper's static mapping whenever resctrl health degrades or
-    /// readings go stale. Requires `monitor_interval` to be set.
+    /// readings go stale.
     pub adaptive: bool,
-    /// Period of the control plane's control step (one controller tick).
+    /// The control plane's period (`--control-interval-ms`): one pass of
+    /// sample, supervise, control and record each period.
     pub control_interval: Duration,
     /// Replaces the occupancy probe with a deterministic scripted trace
     /// (see [`ccp_control::ScriptedTrace`] for the grammar) — the CI harness for
@@ -105,9 +97,6 @@ pub struct ServerConfig {
     /// Runs the flight recorder (`/timeline`, `/dashboard`); off with
     /// `--no-flight`, e.g. for overhead A/B runs.
     pub flight: bool,
-    /// Period of the control plane's record step, the flight-recorder
-    /// sampling interval (`--flight-interval-ms`).
-    pub flight_interval: Duration,
     /// Per-tenant in-flight admission quotas (`--tenant-quota NAME=N`);
     /// a tenant at its quota gets `429` per request.
     pub tenant_quotas: Vec<(String, usize)>,
@@ -129,23 +118,18 @@ impl Default for ServerConfig {
             scheduler_slots: 2,
             queue_capacity: 16,
             max_connections: 64,
-            read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
             dataset_rows: 60_000,
             enable_sleep_workload: false,
             queue_deadline: Some(Duration::from_secs(30)),
             trace: true,
             trace_ring_capacity: 4096,
-            monitor_interval: Some(Duration::from_millis(250)),
-            reprobe_interval: Duration::from_millis(200),
             fake_resctrl: false,
             adaptive: false,
-            control_interval: Duration::from_millis(100),
+            control_interval: Duration::from_millis(250),
             occupancy_script: None,
             reuse_budget_mb: 64,
             no_reuse: false,
             flight: true,
-            flight_interval: Duration::from_millis(250),
             tenant_quotas: Vec::new(),
             tenant_weights: Vec::new(),
             fake_closids: None,
@@ -386,7 +370,7 @@ impl Server {
         if let Some(t) = self.accept.take() {
             let _ = t.join();
         }
-        let grace = self.shared.config.read_timeout + Duration::from_secs(2);
+        let grace = IO_TIMEOUT + Duration::from_secs(2);
         self.shared.admission.drain(grace);
         self.shared.conns.wait_zero(grace);
         // The shutdown sweep runs after the drain, when no query can mint
@@ -415,7 +399,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         };
         if !shared.conns.try_acquire(shared.config.max_connections) {
             shared.metrics.connection_refused();
-            let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
+            let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
             let mut s = stream;
             let _ = Response::error(503, "connection limit reached")
                 .closing()
@@ -437,8 +421,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 
 fn handle_connection(shared: &Shared, stream: TcpStream) {
     shared.metrics.connection_opened();
-    let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
-    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
+    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     // Responses are small; without TCP_NODELAY, Nagle against the
     // client's delayed ACK costs ~40ms per keep-alive round trip.
     let _ = stream.set_nodelay(true);
@@ -963,7 +947,6 @@ mod tests {
         let mut server = Server::start(ServerConfig {
             dataset_rows: 4_096,
             fake_resctrl: true,
-            monitor_interval: None,
             flight: false,
             ..ServerConfig::default()
         })

@@ -22,7 +22,6 @@ fn adaptive_config() -> ServerConfig {
         fake_resctrl: true,
         adaptive: true,
         control_interval: Duration::from_millis(10),
-        monitor_interval: Some(Duration::from_millis(20)),
         occupancy_script: Some(SHRINK_SCRIPT.to_string()),
         ..ServerConfig::default()
     }

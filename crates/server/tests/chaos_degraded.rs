@@ -76,8 +76,7 @@ fn write_faults_trip_degraded_mode_and_reprobe_heals() {
         scheduler_slots: 2,
         dataset_rows: 64,
         fake_resctrl: true,
-        reprobe_interval: Duration::from_millis(20),
-        monitor_interval: None,
+        control_interval: Duration::from_millis(20),
         // The repeated q1 must actually scan (and bind) every time;
         // with reuse on, repeats would be served from the cache and
         // the bind-fault window would never be consumed.

@@ -19,7 +19,7 @@ fn flight_config() -> ServerConfig {
         dataset_rows: 64,
         fake_resctrl: true,
         flight: true,
-        flight_interval: Duration::from_millis(20),
+        control_interval: Duration::from_millis(20),
         ..ServerConfig::default()
     }
 }

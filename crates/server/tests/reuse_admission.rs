@@ -41,7 +41,6 @@ fn repeat_hits_reclassify_bump_invalidates_and_faults_count_mispredictions() {
         olap_workers: 1,
         oltp_workers: 1,
         dataset_rows: 4_096,
-        monitor_interval: None,
         ..ServerConfig::default()
     })
     .expect("start");
@@ -129,7 +128,6 @@ fn no_reuse_disables_endpoint_and_bypasses() {
         olap_workers: 1,
         oltp_workers: 1,
         dataset_rows: 1_024,
-        monitor_interval: None,
         no_reuse: true,
         ..ServerConfig::default()
     })

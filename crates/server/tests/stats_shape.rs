@@ -190,7 +190,6 @@ fn stats_key_order_and_metric_families_are_pinned() {
         fake_resctrl: true,
         adaptive: true,
         occupancy_script: Some("sensitive:0.95x6,0.12;polluting:0.08;mixed:0.02".to_string()),
-        monitor_interval: Some(Duration::from_millis(10)),
         control_interval: Duration::from_millis(10),
         tenant_quotas: vec![("acme".to_string(), 2)],
         ..ServerConfig::default()

@@ -53,7 +53,6 @@ fn tenant_header_routes_quotas_and_stats() {
         dataset_rows: 64,
         enable_sleep_workload: true,
         fake_resctrl: true,
-        monitor_interval: None,
         no_reuse: true,
         tenant_quotas: vec![("acme".to_string(), 1)],
         tenant_weights: vec![("acme".to_string(), 3)],
@@ -181,7 +180,6 @@ fn cycling_tenant_ids_cannot_grow_the_exposition_without_bound() {
     let mut server = Server::start(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         dataset_rows: 64,
-        monitor_interval: None,
         no_reuse: true,
         // Quota 0: every acme arrival is a per-tenant 429.
         tenant_quotas: vec![("acme".to_string(), 0)],
@@ -286,7 +284,6 @@ fn four_closids_and_three_tenants_still_partition() {
         // 4 CLOSIDs = the root plus three groups: exactly the paper's
         // three masks, and nothing to spare for a group no task runs in.
         fake_closids: Some(4),
-        monitor_interval: None,
         no_reuse: true,
         tenant_quotas: vec![
             ("alpha".to_string(), 8),

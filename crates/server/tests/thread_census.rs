@@ -41,7 +41,7 @@ fn every_periodic_duty_shares_the_one_plane_thread() {
         fake_resctrl: true,
         adaptive: true,
         flight: true,
-        monitor_interval: Some(Duration::from_millis(20)),
+        control_interval: Duration::from_millis(20),
         occupancy_script: Some("sensitive:0.95x6,0.12;polluting:0.08;mixed:0.02".to_string()),
         ..ServerConfig::default()
     })

@@ -24,7 +24,7 @@ fn config() -> ServerConfig {
         scheduler_slots: 2,
         queue_capacity: 4,
         dataset_rows: 2_000,
-        monitor_interval: Some(Duration::from_millis(10)),
+        control_interval: Duration::from_millis(10),
         ..ServerConfig::default()
     }
 }

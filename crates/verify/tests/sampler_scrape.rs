@@ -53,7 +53,7 @@ fn plane_stop_is_idempotent_and_never_loses_the_final_publish() {
         // A plane whose only task is the sample step: no flight, and a
         // noop allocator has nothing to supervise or sweep.
         let config = ServerConfig {
-            monitor_interval: Some(Duration::from_millis(1)),
+            control_interval: Duration::from_millis(1),
             flight: false,
             ..ServerConfig::default()
         };
@@ -69,9 +69,9 @@ fn plane_stop_is_idempotent_and_never_loses_the_final_publish() {
             engine,
             &registry,
             ServerMetrics::new(&registry),
-            Some(Box::new(CountingProbe {
+            Box::new(CountingProbe {
                 n: Arc::clone(&samples),
-            })),
+            }),
         )
         .spawn()
         .expect("plane thread");
@@ -162,12 +162,11 @@ struct ScrapeModel {
 #[test]
 fn scrape_server_shutdown_loses_no_publish_and_tolerates_double_stop() {
     let build = || {
-        // The smallest server there is: 64 rows, no sampling, no flight
-        // recorder — the accept loop and the shutdown path are the model.
+        // The smallest server there is: 64 rows, no flight recorder —
+        // the accept loop and the shutdown path are the model.
         let server = Server::start(ServerConfig {
             olap_workers: 1,
             dataset_rows: 64,
-            monitor_interval: None,
             flight: false,
             ..ServerConfig::default()
         })

@@ -70,7 +70,7 @@ ADDR_CHAOS="127.0.0.1:${PORT_CHAOS}"
 
 ccp_launch_server static "$ADDR_STATIC" --fake-resctrl
 ccp_launch_server adaptive "$ADDR_ADAPTIVE" --fake-resctrl --fake-closids 4 --adaptive \
-  --control-interval-ms 50 --monitor-interval-ms 100 \
+  --control-interval-ms 100 \
   --occupancy-script "$TRACE"
 ADAPTIVE_PID="${CCP_SERVER_PIDS[${#CCP_SERVER_PIDS[@]}-1]}"
 ADAPTIVE_LOG="${CCP_SERVER_LOGS[${#CCP_SERVER_LOGS[@]}-1]}"
@@ -175,7 +175,7 @@ echo "   $(grep -o 'removed [0-9]* group(s), 0 ccp- group(s) remain' "$ADAPTIVE_
 FAULTS='resctrl.write_schemata=err@1+40,control.apply=err@1+1'
 echo "== chaos variant under fault plan '${FAULTS}'"
 ccp_launch_server chaos "$ADDR_CHAOS" --fake-resctrl --fake-closids 4 --adaptive \
-  --control-interval-ms 50 --monitor-interval-ms 100 --reprobe-interval-ms 150 \
+  --control-interval-ms 100 \
   --occupancy-script "$TRACE" --faults "$FAULTS"
 
 # (a) degraded mode observed with the controller clamped to static masks.

@@ -48,7 +48,7 @@ ccp_init
 # binds. (With reuse on, the mix is served from the cache after its first
 # two queries; the `oltp` share never binds — it runs on the connection
 # thread — so nothing would reach the fault window.)
-ccp_launch_server serve "$ADDR" --fake-resctrl --reprobe-interval-ms 150 \
+ccp_launch_server serve "$ADDR" --fake-resctrl --control-interval-ms 150 \
   --no-reuse --faults "$FAULTS"
 
 ccp_scrape "$ADDR" /stats "$WORK/stats.json"
@@ -115,7 +115,7 @@ echo "   jobs_panicked = 0"
 # stay >=99% successful while the window is still open.
 REUSE_ADDR="127.0.0.1:$((PORT + 1))"
 ccp_launch_server serve-reuse "$REUSE_ADDR" --fake-resctrl \
-  --reprobe-interval-ms 150 --faults "$FAULTS"
+  --control-interval-ms 150 --faults "$FAULTS"
 echo "== bench-serve with reuse on under '${FAULTS}': ${QPS} qps for 3s"
 "$CCP" bench-serve --addr "$REUSE_ADDR" --qps "$QPS" --duration 3 \
   --concurrency 2 --max-error-pct 1

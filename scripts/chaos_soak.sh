@@ -53,7 +53,7 @@ ccp_init
 
 echo "== chaos soak: seed=${SEED} plan='${FAULTS}' for ${SECS}s at ${QPS} qps"
 ccp_launch_server soak "$ADDR" --fake-resctrl --adaptive \
-  --control-interval-ms 50 --monitor-interval-ms 100 --reprobe-interval-ms 150 \
+  --control-interval-ms 100 \
   --occupancy-script "$TRACE" --faults "$FAULTS"
 
 "$CCP" bench-serve --addr "$ADDR" --qps "$QPS" --duration "$SECS" \

@@ -57,7 +57,7 @@ ADDR_OFF="127.0.0.1:${PORT_OFF}"
 # Phase 1: the recorder's story of an adaptive collapse.
 # ---------------------------------------------------------------------------
 ccp_launch_server flight "$ADDR_FLIGHT" --fake-resctrl --adaptive \
-  --control-interval-ms 50 --monitor-interval-ms 50 --flight-interval-ms 100 \
+  --control-interval-ms 50 \
   --occupancy-script "$TRACE"
 
 echo "== waiting for the adaptive controller to repartition"
@@ -184,8 +184,9 @@ ccp_assert_no_panics "$WORK/flight.metrics.txt"
 # Phase 2: recorder overhead stays inside the 5% gate.
 # ---------------------------------------------------------------------------
 echo "== overhead A/B: recorder on vs --no-flight, ${QPS} qps for ${SECS}s each"
-ccp_launch_server flight-on "$ADDR_ON" --fake-resctrl --flight-interval-ms 100
-ccp_launch_server flight-off "$ADDR_OFF" --fake-resctrl --no-flight
+ccp_launch_server flight-on "$ADDR_ON" --fake-resctrl --control-interval-ms 100
+ccp_launch_server flight-off "$ADDR_OFF" --fake-resctrl --no-flight \
+  --control-interval-ms 100
 
 "$CCP" bench-serve --addr "$ADDR_ON" --ab-addr "$ADDR_OFF" \
   --qps "$QPS" --duration "$SECS" --concurrency 2 --max-error-pct 1 \

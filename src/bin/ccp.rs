@@ -237,12 +237,6 @@ const SERVE_FLAGS: &[Flag<ServeArgs>] = &[
         apply: |a, _| set(&mut a.config.fake_resctrl, true),
     },
     Flag {
-        name: "--reprobe-interval-ms",
-        value: "N",
-        help: "degraded-mode check and re-probe period (default 200)",
-        apply: |a, v| parse_millis(v).map(|d| a.config.reprobe_interval = d),
-    },
-    Flag {
         name: "--adaptive",
         value: "",
         help: "close the loop: occupancy readings repartition the LLC online",
@@ -251,14 +245,11 @@ const SERVE_FLAGS: &[Flag<ServeArgs>] = &[
     Flag {
         name: "--control-interval-ms",
         value: "N",
-        help: "adaptive controller tick period (default 100)",
-        apply: |a, v| parse_millis(v).map(|d| a.config.control_interval = d),
-    },
-    Flag {
-        name: "--monitor-interval-ms",
-        value: "N",
-        help: "occupancy sampler period (default 250)",
-        apply: |a, v| parse_millis(v).map(|d| a.config.monitor_interval = Some(d)),
+        help: "control-plane period: sample, supervise, control, record (default 250)",
+        apply: |a, v| {
+            let ms = parse_count(v)? as u64;
+            set(&mut a.config.control_interval, Duration::from_millis(ms))
+        },
     },
     Flag {
         name: "--occupancy-script",
@@ -285,12 +276,6 @@ const SERVE_FLAGS: &[Flag<ServeArgs>] = &[
         apply: |a, _| set(&mut a.config.flight, false),
     },
     Flag {
-        name: "--flight-interval-ms",
-        value: "N",
-        help: "flight recorder snapshot period (default 250)",
-        apply: |a, v| parse_millis(v).map(|d| a.config.flight_interval = d),
-    },
-    Flag {
         name: "--tenant-quota",
         value: "NAME=N",
         help: "cap NAME's in-flight queries at N, 429 above (repeatable)",
@@ -307,7 +292,8 @@ const SERVE_FLAGS: &[Flag<ServeArgs>] = &[
         help: "weighted-fair admission share for NAME (default 1, repeatable)",
         apply: |a, v| {
             let (name, w) = parse_tenant_kv(v, "--tenant-weight")?;
-            a.config.tenant_weights.push((name, parse_count(w)? as u32));
+            let weight = parse_u32(w, "--tenant-weight")?;
+            a.config.tenant_weights.push((name, weight));
             Ok(())
         },
     },
@@ -315,7 +301,7 @@ const SERVE_FLAGS: &[Flag<ServeArgs>] = &[
         name: "--fake-closids",
         value: "N",
         help: "fake resctrl with only N CLOSIDs (implies --fake-resctrl; exhaustion chaos)",
-        apply: |a, v| parse_count(v).map(|n| a.config.fake_closids = Some(n as u32)),
+        apply: |a, v| parse_u32(v, "--fake-closids").map(|n| a.config.fake_closids = Some(n)),
     },
 ];
 
@@ -360,9 +346,16 @@ fn parse_count(s: &str) -> Result<usize, String> {
     }
 }
 
-/// A positive count of milliseconds.
-fn parse_millis(s: &str) -> Result<Duration, String> {
-    parse_count(s).map(|ms| Duration::from_millis(ms as u64))
+/// A positive `u32` for `flag`; out-of-range input is an error naming the
+/// flag, never a truncated value.
+fn parse_u32(s: &str, flag: &str) -> Result<u32, String> {
+    match s.parse::<u32>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!(
+            "{flag} expects a number from 1 to {}, got {s:?}",
+            u32::MAX
+        )),
+    }
 }
 
 fn serve(args: &[String]) -> ExitCode {

@@ -75,6 +75,71 @@ fn malformed_serve_flags_fail_without_binding() {
             &["serve", "--tenant-quota", "Bad Name=1"],
             "--tenant: invalid tenant id: \"Bad Name\" contains characters outside [a-z0-9_]",
         ),
+        // Period flags other than `--control-interval-ms` are unknown.
+        // (In these cases the out-of-range port makes a server that did
+        // start fail, not serve.)
+        (
+            &[
+                "serve",
+                "--monitor-interval-ms",
+                "100",
+                "--addr",
+                "127.0.0.1:99999",
+            ],
+            "unknown serve flag \"--monitor-interval-ms\"",
+        ),
+        (
+            &[
+                "serve",
+                "--reprobe-interval-ms",
+                "100",
+                "--addr",
+                "127.0.0.1:99999",
+            ],
+            "unknown serve flag \"--reprobe-interval-ms\"",
+        ),
+        (
+            &[
+                "serve",
+                "--flight-interval-ms",
+                "100",
+                "--addr",
+                "127.0.0.1:99999",
+            ],
+            "unknown serve flag \"--flight-interval-ms\"",
+        ),
+        // A `u32` flag past `u32::MAX` fails naming the flag, never runs
+        // truncated.
+        (
+            &[
+                "serve",
+                "--tenant-weight",
+                "a=4294967301",
+                "--addr",
+                "127.0.0.1:99999",
+            ],
+            "--tenant-weight expects a number from 1 to 4294967295",
+        ),
+        (
+            &[
+                "serve",
+                "--fake-closids",
+                "4294967300",
+                "--addr",
+                "127.0.0.1:99999",
+            ],
+            "--fake-closids expects a number from 1 to 4294967295",
+        ),
+        (
+            &[
+                "serve",
+                "--fake-closids",
+                "4294967296",
+                "--addr",
+                "127.0.0.1:99999",
+            ],
+            "--fake-closids expects a number from 1 to 4294967295",
+        ),
     ];
     for (args, expect) in cases {
         let out = ccp(args);
@@ -121,7 +186,7 @@ fn help_flags(section: &str) -> Vec<(String, bool)> {
 
 #[test]
 fn every_flag_is_listed_in_help_and_known_to_its_parser() {
-    const SERVE: [&str; 22] = [
+    const SERVE: [&str; 19] = [
         "--addr",
         "--olap-workers",
         "--oltp-workers",
@@ -132,15 +197,12 @@ fn every_flag_is_listed_in_help_and_known_to_its_parser() {
         "--queue-deadline-ms",
         "--faults",
         "--fake-resctrl",
-        "--reprobe-interval-ms",
         "--adaptive",
         "--control-interval-ms",
-        "--monitor-interval-ms",
         "--occupancy-script",
         "--reuse-budget-mb",
         "--no-reuse",
         "--no-flight",
-        "--flight-interval-ms",
         "--tenant-quota",
         "--tenant-weight",
         "--fake-closids",
