@@ -165,8 +165,15 @@ impl ResctrlAllocator {
     /// where failpoints, breaker trips and degraded mode need no CAT.
     ///
     /// # Errors
-    /// Propagates [`ResctrlError`] when the fake tree does not open.
+    /// [`ResctrlError::Unsupported`] for zero CLOSIDs — a tree with no
+    /// class of service, not even the root's, is no resctrl tree — and
+    /// any [`ResctrlError`] from opening the fake tree.
     pub fn open_fake(num_closids: u32) -> Result<Self, ResctrlError> {
+        if num_closids == 0 {
+            return Err(ResctrlError::Unsupported(
+                "a fake resctrl tree needs at least 1 CLOSID, got 0".into(),
+            ));
+        }
         let fs = FakeFs::new("/sys/fs/resctrl", 0xfffff, 2, num_closids, &[0]);
         let ctl = CacheController::open_with(Box::new(fs), "/sys/fs/resctrl")?;
         Ok(Self::new(ctl, vec![0]))
@@ -234,6 +241,14 @@ mod tests {
         let fs = FakeFs::broadwell();
         let ctl = CacheController::open_with(Box::new(fs.clone()), "/sys/fs/resctrl").unwrap();
         (fs, ResctrlAllocator::new(ctl, vec![0]))
+    }
+
+    #[test]
+    fn a_fake_tree_without_closids_is_an_error() {
+        let err = ResctrlAllocator::open_fake(0).err().expect("0 CLOSIDs");
+        assert!(err.to_string().contains("got 0"), "{err}");
+        let one = ResctrlAllocator::open_fake(1).expect("1 CLOSID opens");
+        assert_eq!(one.backend_name(), "resctrl");
     }
 
     #[test]

@@ -20,7 +20,6 @@ use ccp_trace::TraceCat;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -306,9 +305,51 @@ impl JobExecutor {
         batch
     }
 
-    /// Data-parallel sum: splits `0..n` into `chunks` ranges, runs `f` on
-    /// each as a job of class `cuid`, and returns the sum of the results.
-    /// Every job carries `name` as it is.
+    /// Data-parallel map: splits `0..n` into `chunks` ranges, runs `f` on
+    /// each as a job of class `cuid`, and returns the results in range
+    /// order, whatever order the jobs finished in. Every job carries `name`
+    /// as it is.
+    ///
+    /// # Panics
+    /// Panics when a job panicked: its range has no result.
+    pub fn parallel_map<T, F>(
+        &self,
+        name: &'static str,
+        cuid: crate::job::CacheUsageClass,
+        n: usize,
+        chunks: usize,
+        f: F,
+    ) -> Vec<T>
+    where
+        T: Send + 'static,
+        F: Fn(Range<usize>) -> T + Send + Sync + 'static,
+    {
+        let ranges: Vec<_> = chunk_ranges(n, chunks).collect();
+        let shared = Arc::new((f, Mutex::new((0..ranges.len()).map(|_| None).collect())));
+        let jobs = ranges
+            .into_iter()
+            .enumerate()
+            .map(|(slot, range)| {
+                let shared = shared.clone();
+                Job::new(name, cuid, move || {
+                    let (f, results): &(F, Mutex<Vec<Option<T>>>) = &shared;
+                    let out = f(range);
+                    results.lock()[slot] = Some(out);
+                })
+            })
+            .collect();
+        // Wait on the batch, not the pool: concurrent operators sharing
+        // this executor must not serialize on each other's jobs.
+        self.submit_batch(jobs).wait();
+        let results = std::mem::take(&mut *shared.1.lock());
+        results
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|| panic!("a {name} job panicked")))
+            .collect()
+    }
+
+    /// Data-parallel sum: [`parallel_map`](Self::parallel_map) with the
+    /// results added up.
     pub fn parallel_sum<F>(
         &self,
         name: &'static str,
@@ -320,29 +361,13 @@ impl JobExecutor {
     where
         F: Fn(Range<usize>) -> u64 + Send + Sync + 'static,
     {
-        let f = Arc::new(f);
-        let acc = Arc::new(AtomicU64::new(0));
-        let jobs = chunk_ranges(n, chunks)
-            .map(|rows| {
-                let f = f.clone();
-                let acc = acc.clone();
-                Job::new(name, cuid, move || {
-                    // ORDERING: relaxed accumulation is fine because the batch
-                    // wait below synchronizes (channel + condvar) before the read.
-                    acc.fetch_add(f(rows), Ordering::Relaxed);
-                })
-            })
-            .collect();
-        // Wait on the batch, not the pool: concurrent operators sharing
-        // this executor must not serialize on each other's jobs.
-        self.submit_batch(jobs).wait();
-        // ORDERING: the batch's completion handshake already happens-before
-        // this load, so relaxed observes every worker's fetch_add.
-        acc.load(Ordering::Relaxed)
+        self.parallel_map(name, cuid, n, chunks, f)
+            .into_iter()
+            .sum()
     }
 
     /// Data-parallel fold: splits `0..n` into `chunks` ranges like
-    /// [`parallel_sum`](Self::parallel_sum) and runs `fold` on each as a
+    /// [`parallel_map`](Self::parallel_map) and runs `fold` on each as a
     /// job of class `cuid`, over an accumulator checked out for the length
     /// of the job: a free one if an earlier job has handed one back, a new
     /// one from `init` otherwise. No more accumulators exist than jobs ran
@@ -406,6 +431,7 @@ mod tests {
     use crate::job::CacheUsageClass;
     use ccp_cachesim::HierarchyConfig;
     use ccp_resctrl::{Class, PerClass};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn policy() -> PartitionPolicy {
         let cfg = HierarchyConfig::broadwell_e5_2699_v4();
@@ -437,6 +463,32 @@ mod tests {
             r.map(|i| i as u64).sum()
         });
         assert_eq!(total, 499_500);
+    }
+
+    #[test]
+    fn parallel_map_returns_results_in_range_order() {
+        // The first range finishes last; its result still comes first.
+        let ex = JobExecutor::new(4, policy(), Arc::new(NoopAllocator));
+        let ranges = ex.parallel_map("map", CacheUsageClass::Polluting, 10, 4, |r| {
+            if r.start == 0 {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            r
+        });
+        assert_eq!(ranges, vec![0..3, 3..6, 6..9, 9..10]);
+        assert!(ex
+            .parallel_map("map", CacheUsageClass::Polluting, 0, 4, |r| r)
+            .is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "a map job panicked")]
+    fn parallel_map_fails_when_a_range_has_no_result() {
+        let ex = JobExecutor::new(2, policy(), Arc::new(NoopAllocator));
+        ex.parallel_map("map", CacheUsageClass::Polluting, 10, 2, |r| {
+            assert!(r.start != 5, "boom");
+            r.len()
+        });
     }
 
     #[test]

@@ -12,6 +12,13 @@
 //! construction, so the translation never costs more than the per-row
 //! lookups it replaces.
 //!
+//! Both the translation (`join_translate`, 64 dictionary keys per output
+//! word) and the probe (`fk_join_probe`) run as pool jobs under the join's
+//! CUID, so every phase but the build reads the cache through the join's
+//! mask (paper Fig. 8). The build stays on the caller: run as one more
+//! pool job it measured slower end to end (DESIGN.md, "Join in the code
+//! domain").
+//!
 //! The join's CUID is
 //! [`CacheUsageClass::Mixed`](crate::CacheUsageClass::Mixed) with the
 //! size of the vector the probe reads per row — the code-domain one,
@@ -32,34 +39,47 @@ use std::sync::Arc;
 /// the build walks the dictionary — ascending bit sets, no code unpacked —
 /// and its last entry bounds the bit-vector length. Valid because
 /// [`DictColumn::build`] is the only constructor: every dictionary value
-/// occurs in the column, none is stale.
+/// occurs in the column, none is stale. The dictionary strictly ascends,
+/// so its first key is its smallest: the positivity check is made there,
+/// once, and the loop over the keys carries none.
 ///
 /// # Panics
 /// Panics when a primary key is non-positive (the paper's keys are
 /// `1..=N`).
 pub fn fk_bit_vector(pk_col: &Arc<DictColumn<i64>>) -> BitVec {
     let _span = super::op_span("join_build");
-    let keys = pk_col.dict();
-    let max_key = keys.iter().next_back().copied().unwrap_or(0);
-    assert!(max_key >= 0, "primary keys must be positive");
-    let bits = keys.iter().map(|&key| {
-        assert!(key >= 1, "primary keys must be positive, got {key}");
-        key as u64
-    });
-    BitVec::from_ascending(max_key as u64 + 1, bits)
+    let keys = pk_col.dict().iter().as_slice();
+    if let Some(&first) = keys.first() {
+        assert!(first >= 1, "primary keys must be positive, got {first}");
+    }
+    let max_key = keys.last().copied().unwrap_or(0);
+    BitVec::from_ascending(max_key as u64 + 1, keys.iter().map(|&key| key as u64))
 }
 
-/// Translates the key-domain vector `bv` through `fk_col`'s dictionary:
-/// bit `c` of the result is set iff dictionary value `c` is a key `bv`
-/// holds (non-negative, inside `bv`, set there). The dictionary is sorted,
-/// so both its read and the bit tests ascend. This is the vector the probe
-/// reads, and the artifact the reuse cache memoizes.
-fn code_domain_bits(bv: &BitVec, fk_col: &DictColumn<i64>) -> BitVec {
-    let _span = super::op_span("join_translate");
-    let dict = fk_col.dict();
-    let held = |key: i64| key >= 0 && (key as u64) < bv.len() && bv.get(key as u64);
-    let codes = dict.iter().zip(0u64..).filter(|(&key, _)| held(key));
-    BitVec::from_ascending(dict.len() as u64, codes.map(|(_, code)| code))
+/// Translates the key-domain vector `bv` through `fk_col`'s dictionary,
+/// as the join's first pool phase: bit `c` of the result is set iff
+/// dictionary value `c` is a key `bv` holds (non-negative, inside `bv`,
+/// set there). Each job covers a range of whole 64-code words and runs
+/// [`BitVec::held_words`] over it, under the join's CUID — the mask its
+/// probe jobs run under. This is the vector the probe reads, and the
+/// artifact the reuse cache memoizes.
+fn code_domain_bits(ex: &JobExecutor, bv: Arc<BitVec>, fk_col: &Arc<DictColumn<i64>>) -> BitVec {
+    let n = fk_col.dict().len();
+    let chunks = n.div_ceil(super::CHUNK_ROWS).max(1);
+    let cuid = phase(fk_col).cuid();
+    let fk = fk_col.clone();
+    let parts = ex.parallel_map(
+        "join_translate",
+        cuid,
+        n.div_ceil(64),
+        chunks,
+        move |words| {
+            let keys = fk.dict().iter().as_slice();
+            let codes = words.start * 64..(words.end * 64).min(keys.len());
+            bv.held_words(&keys[codes]).collect::<Vec<u64>>()
+        },
+    );
+    BitVec::from_words(n as u64, parts.concat())
 }
 
 /// The join of `fk_col` as a plan phase: its probe reads a code-domain
@@ -103,7 +123,7 @@ fn probe_codes(ex: &JobExecutor, bits: Arc<BitVec>, fk_col: &Arc<DictColumn<i64>
 /// through the foreign-key dictionary once, then one bit test per row on
 /// codes.
 pub fn fk_probe_count(ex: &JobExecutor, bv: Arc<BitVec>, fk_col: &Arc<DictColumn<i64>>) -> u64 {
-    let bits = Arc::new(code_domain_bits(&bv, fk_col));
+    let bits = Arc::new(code_domain_bits(ex, bv, fk_col));
     probe_codes(ex, bits, fk_col)
 }
 
@@ -143,7 +163,13 @@ pub fn fk_join_count_cached(
     let _span = super::op_span("fk_join");
     let (bits, status) = handle.get_or_build(
         Artifact::join_bits,
-        || Arc::new(code_domain_bits(&fk_bit_vector(pk_col), fk_col)),
+        || {
+            Arc::new(code_domain_bits(
+                ex,
+                Arc::new(fk_bit_vector(pk_col)),
+                fk_col,
+            ))
+        },
         |bits| Artifact::JoinBits(Arc::clone(bits)),
     );
     (probe_codes(ex, bits, fk_col), status)
@@ -235,9 +261,9 @@ mod tests {
     fn code_domain_bits_mark_the_held_dictionary_values() {
         // Keys 2 and 4 of a 5-bit domain; the FK dictionary reaches below
         // zero, into the gaps and past the end of the key domain.
-        let bv = BitVec::from_ascending(5, [2, 4]);
-        let fk = DictColumn::build(&[-7i64, 0, 2, 3, 4, 5, 900, 2, 4]);
-        let bits = code_domain_bits(&bv, &fk);
+        let bv = Arc::new(BitVec::from_ascending(5, [2, 4]));
+        let fk = Arc::new(DictColumn::build(&[-7i64, 0, 2, 3, 4, 5, 900, 2, 4]));
+        let bits = code_domain_bits(&executor(Arc::new(NoopAllocator)), bv, &fk);
         assert_eq!(bits, BitVec::from_ascending(7, [2, 4]));
         assert_eq!(
             phase(&fk).cuid(),
@@ -256,17 +282,57 @@ mod tests {
         let mut cfg = HierarchyConfig::broadwell_e5_2699_v4();
         cfg.llc.size_bytes = 64 << 10;
         let policy = PartitionPolicy::paper_default(cfg.llc, 4 << 10);
-        for (distinct, mask) in [(1_000, 0x3), (300_000, 0xfff), (2_000_000, 0x3)] {
+        //
+        // Every job of the join — translation and probe — runs on the
+        // pool: a worker first bound to another class's mask must rebind
+        // to the join's, and nothing binds anything else after it.
+        let warm = CacheUsageClass::Sensitive;
+        for (distinct, mask, jobs) in [
+            (1_000, 0x3, 1 + 1),
+            (300_000, 0xfff, 5 + 5),
+            (2_000_000, 0x3, 31 + 31),
+        ] {
             let rec = Arc::new(RecordingAllocator::new());
             let ex = JobExecutor::new(2, policy, rec.clone());
+            ex.submit_batch(vec![crate::Job::new("warm", warm, || {})])
+                .wait();
             let pk = Arc::new(DictColumn::build(&[1i64, 2, 3]));
             let fk = Arc::new(DictColumn::build(&(1..=distinct).collect::<Vec<i64>>()));
             let classified = phase(&fk).cuid();
             assert_eq!(policy.mask_for(classified).bits(), mask, "{distinct}");
+            assert_ne!(policy.mask_for(warm).bits(), mask);
             assert_eq!(fk_join_count(&ex, &pk, &fk), 3);
+            assert_eq!(ex.metrics().jobs_executed(), 1 + jobs, "{distinct}");
             let bound = rec.calls();
-            assert!(!bound.is_empty());
-            assert!(bound.iter().all(|(_, m)| m.bits() == mask), "{distinct}");
+            assert_eq!(bound[0].1, policy.mask_for(warm));
+            assert!(bound.len() >= 2, "{distinct}");
+            assert!(
+                bound[1..].iter().all(|(_, m)| m.bits() == mask),
+                "{distinct}"
+            );
+        }
+    }
+
+    #[test]
+    fn pooled_translation_equals_the_serial_reference() {
+        // Every third key of a gappy primary-key domain: FK dictionaries
+        // of one word, around a word and around a job boundary, and the
+        // served one — reaching below zero and past the key domain.
+        let keys: Vec<i64> = (1..=400_000).filter(|k| k % 5 != 0).collect();
+        let bv = Arc::new(fk_bit_vector(&Arc::new(DictColumn::build(&keys))));
+        let ex = executor(Arc::new(NoopAllocator));
+        let chunk = super::super::CHUNK_ROWS as i64;
+        for distinct in [1, 63, 64, 65, chunk - 1, chunk + 1, 490_808] {
+            let fks: Vec<i64> = (0..distinct).map(|i| i * 3 - 40).collect();
+            let fk = Arc::new(DictColumn::build(&fks));
+            let mut serial = BitVec::zeros(distinct as u64);
+            for (code, &key) in fks.iter().enumerate() {
+                if key >= 0 && (key as u64) < bv.len() && bv.get(key as u64) {
+                    serial.set(code as u64);
+                }
+            }
+            let pooled = code_domain_bits(&ex, bv.clone(), &fk);
+            assert_eq!(pooled, serial, "{distinct} keys");
         }
     }
 

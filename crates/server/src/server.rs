@@ -229,6 +229,17 @@ impl Server {
                 std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("--tenant: {why}"))
             })?;
         }
+        let reuse_budget = (config.reuse_budget_mb as u64)
+            .checked_mul(1 << 20)
+            .ok_or_else(|| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    format!(
+                        "--reuse-budget-mb: {} MiB overflows a byte count",
+                        config.reuse_budget_mb
+                    ),
+                )
+            })?;
         if config.trace {
             ccp_trace::enable(ccp_trace::TraceConfig {
                 ring_capacity: config.trace_ring_capacity,
@@ -253,9 +264,7 @@ impl Server {
             cat_live,
         );
         engine.configure_reuse((!config.no_reuse).then(|| {
-            ccp_reuse::ReuseCache::new(ccp_reuse::ReuseConfig::with_budget(
-                (config.reuse_budget_mb as u64) << 20,
-            ))
+            ccp_reuse::ReuseCache::new(ccp_reuse::ReuseConfig::with_budget(reuse_budget))
         }));
         if let Some(cache) = engine.reuse_cache() {
             cache.register_into(&registry);
@@ -934,6 +943,30 @@ mod tests {
                 ("Content-Length".to_string(), body.len().to_string()),
             ],
             body: body.as_bytes().to_vec(),
+        }
+    }
+
+    #[test]
+    fn configurations_that_cannot_be_served_fail_to_start() {
+        // Both fail before the data is built or a port is bound.
+        for (config, why) in [
+            (
+                ServerConfig {
+                    fake_closids: Some(0),
+                    ..ServerConfig::default()
+                },
+                "at least 1 CLOSID, got 0",
+            ),
+            (
+                ServerConfig {
+                    reuse_budget_mb: (u64::MAX >> 20) as usize + 1,
+                    ..ServerConfig::default()
+                },
+                "--reuse-budget-mb: 17592186044416 MiB overflows",
+            ),
+        ] {
+            let err = Server::start(config).err().expect("must not start");
+            assert!(err.to_string().contains(why), "{err}");
         }
     }
 

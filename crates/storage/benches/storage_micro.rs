@@ -113,6 +113,19 @@ fn bench_bitvec_probe(c: &mut Criterion) {
     g.bench_function("from_ascending_500k", |b| {
         b.iter(|| BitVec::from_ascending(KEYS + 1, 1..=KEYS).len());
     });
+    // The served q3's translation on one thread: the 490 808 distinct
+    // values of 2 M foreign keys over that key domain, 64 per word.
+    let held = BitVec::from_ascending(KEYS + 1, 1..=KEYS);
+    let fk = DictColumn::build(&gen::foreign_keys(2_000_000, KEYS as i64, 22));
+    let fk_keys = fk.dict().iter().as_slice();
+    assert_eq!(fk_keys.len(), 490_808);
+    g.throughput(Throughput::Elements(fk_keys.len() as u64));
+    g.bench_function("translate_490k", |b| {
+        b.iter(|| {
+            let words = held.held_words(fk_keys).collect();
+            BitVec::from_words(fk_keys.len() as u64, words).len()
+        });
+    });
     g.finish();
 }
 

@@ -6,12 +6,13 @@
 //! random bit test — the data structure whose size relative to the LLC
 //! decides whether the join is cache-polluting or cache-sensitive.
 //!
-//! Both of the join's vectors are filled from sorted input — the build
-//! side from the primary-key dictionary, the probe side's code-domain
-//! translation from the foreign-key dictionary — so
-//! [`BitVec::from_ascending`] is the constructor and
-//! [`BitVec::count_set`] the probe: a block of unpacked codes in, the
-//! number of set bits among them out.
+//! The join's build side is filled from sorted input, the primary-key
+//! dictionary, so [`BitVec::from_ascending`] is its constructor. The
+//! probe side's code-domain vector is written a word at a time by
+//! [`BitVec::held_words`] — 64 foreign keys in, one word of "is it held"
+//! lanes out — and assembled by [`BitVec::from_words`]. [`BitVec::count_set`]
+//! is the probe: a block of unpacked codes in, the number of set bits among
+//! them out.
 
 /// A fixed-size bit vector backed by `u64` words.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,6 +57,23 @@ impl BitVec {
         bv
     }
 
+    /// The vector of `len` bits whose backing words are `words`, bit `i`
+    /// at bit `i % 64` of word `i / 64` — how a vector written a word at a
+    /// time (by [`held_words`](Self::held_words)) is put together.
+    ///
+    /// # Panics
+    /// Panics unless there are exactly `len.div_ceil(64)` words and no bit
+    /// at or past `len` is set.
+    pub fn from_words(len: u64, words: Vec<u64>) -> Self {
+        assert_eq!(words.len() as u64, len.div_ceil(64), "words for {len} bits");
+        let spare = match words.last() {
+            Some(&w) if !len.is_multiple_of(64) => w >> (len % 64),
+            _ => 0,
+        };
+        assert!(spare == 0, "a bit at or past {len} is set");
+        BitVec { words, len }
+    }
+
     /// Number of bits.
     pub fn len(&self) -> u64 {
         self.len
@@ -97,6 +115,34 @@ impl BitVec {
     pub fn get(&self, i: u64) -> bool {
         assert!(i < self.len, "bit {i} out of range (len {})", self.len);
         (self.words[(i / 64) as usize] >> (i % 64)) & 1 == 1
+    }
+
+    /// One word per 64 of `keys` (the last one for the rest): lane `j` of
+    /// word `w` is set iff the vector holds `keys[64 * w + j]`. A negative
+    /// key, or one at or past [`len`](Self::len), is not held. This is the
+    /// join's translation kernel: no branch on a key, and each word is
+    /// stored once.
+    pub fn held_words<'a>(&'a self, keys: &'a [i64]) -> impl Iterator<Item = u64> + 'a {
+        // One readable word even when the vector has none, so the clamped
+        // index below is always in bounds.
+        let words: &[u64] = if self.words.is_empty() {
+            &[0]
+        } else {
+            &self.words
+        };
+        let last = words.len() - 1;
+        keys.chunks(64).map(move |lanes| {
+            let mut word = 0u64;
+            for (lane, &key) in lanes.iter().enumerate() {
+                // A negative key wraps past every `len`. A key at or past
+                // `len` reads a clamped word, and `held` clears its lane.
+                let key = key as u64;
+                let held = u64::from(key < self.len);
+                let bits = words[((key / 64) as usize).min(last)];
+                word |= ((bits >> (key % 64)) & held) << lane;
+            }
+            word
+        })
     }
 
     /// How many of `codes` address a set bit — the join probe's block
@@ -156,6 +202,18 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn get_out_of_range_panics() {
         BitVec::zeros(10).get(10);
+    }
+
+    #[test]
+    #[should_panic(expected = "a bit at or past 70 is set")]
+    fn from_words_rejects_a_bit_past_len() {
+        BitVec::from_words(70, vec![0, 1 << 6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "words for 65 bits")]
+    fn from_words_rejects_a_short_vector() {
+        BitVec::from_words(65, vec![0]);
     }
 
     #[test]

@@ -140,6 +140,34 @@ proptest! {
         prop_assert_eq!(built.count_set(&codes), by_set.count_ones());
     }
 
+    /// `held_words`, the join's translation kernel, agrees with a per-key
+    /// `get`: lane `j` of word `w` is set iff the vector holds
+    /// `keys[64 * w + j]`, a negative key or one at or past `len` is not
+    /// held, and no lane past the last key is set — so `from_words` takes
+    /// the words back as a vector of one bit per key.
+    #[test]
+    fn bitvec_held_words_match_get(
+        len in prop_oneof![Just(0u64), Just(1), Just(63), Just(64), Just(65), Just(1000)],
+        set in proptest::collection::btree_set(0u64..1000, 0..300),
+        keys in proptest::collection::btree_set(
+            prop_oneof![-200i64..1200, Just(i64::MIN), Just(i64::MAX)],
+            0..300,
+        ),
+    ) {
+        let bv = BitVec::from_ascending(len, set.iter().copied().filter(|&b| b < len));
+        let keys: Vec<i64> = keys.into_iter().collect();
+        let words: Vec<u64> = bv.held_words(&keys).collect();
+        prop_assert_eq!(words.len(), keys.len().div_ceil(64));
+        let mut held = 0;
+        for (i, &key) in keys.iter().enumerate() {
+            let want = key >= 0 && (key as u64) < len && bv.get(key as u64);
+            prop_assert_eq!((words[i / 64] >> (i % 64)) & 1 == 1, want, "key {}", key);
+            held += u64::from(want);
+        }
+        let lanes = BitVec::from_words(keys.len() as u64, words);
+        prop_assert_eq!(lanes.count_ones(), held);
+    }
+
     /// Inverted index partitions the row ids: every row appears in exactly
     /// one posting list, the one of its code.
     #[test]

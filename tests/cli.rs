@@ -140,6 +140,19 @@ fn malformed_serve_flags_fail_without_binding() {
             ],
             "--fake-closids expects a number from 1 to 4294967295",
         ),
+        // A reuse budget whose byte count overflows a `u64` fails at
+        // server start naming the flag, never serves with a wrapped
+        // (0-byte) budget.
+        (
+            &[
+                "serve",
+                "--reuse-budget-mb",
+                "17592186044416",
+                "--addr",
+                "127.0.0.1:99999",
+            ],
+            "cannot start server: --reuse-budget-mb: 17592186044416 MiB overflows",
+        ),
     ];
     for (args, expect) in cases {
         let out = ccp(args);
