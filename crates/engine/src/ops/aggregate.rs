@@ -193,6 +193,17 @@ mod tests {
         assert_eq!(result.get(0), Some(5050));
     }
 
+    /// A table's `(group, aggregate, count)` cells in group order.
+    fn cells(table: &AggHashTable) -> Vec<(u32, i64, u64)> {
+        let mut cells: Vec<_> = table.iter().collect();
+        cells.sort_unstable();
+        cells
+    }
+
+    /// `grouped_aggregate_cached` == `grouped_aggregate` for every
+    /// aggregate across miss -> hit -> epoch bump -> miss: the hit hands
+    /// back the miss's table and publishes nothing, and the miss after
+    /// the bump builds a new table with the same contents.
     #[test]
     fn cached_aggregate_hits_on_repeat_and_matches_uncached() {
         let v = gen::uniform_ints(100_000, 5_000, 31);
@@ -201,24 +212,56 @@ mod tests {
         let g_col = Arc::new(DictColumn::build(&g));
         let ex = executor();
         let cache = ccp_reuse::ReuseCache::new(ccp_reuse::ReuseConfig::with_budget(1 << 20));
-        let handle = ReuseHandle::new(cache.clone(), cache.key("q2", "agg=sum"));
 
-        let (first, st1) =
-            grouped_aggregate_cached(&ex, &v_col, &g_col, Aggregate::Sum, Some(&handle));
-        assert_eq!(st1, ReuseStatus::Miss);
-        let (second, st2) =
-            grouped_aggregate_cached(&ex, &v_col, &g_col, Aggregate::Sum, Some(&handle));
-        assert_eq!(st2, ReuseStatus::Hit);
-        assert!(Arc::ptr_eq(&first, &second), "hit returns the cached table");
+        for agg in [
+            Aggregate::Max,
+            Aggregate::Min,
+            Aggregate::Sum,
+            Aggregate::Count,
+        ] {
+            let uncached = cells(&grouped_aggregate(&ex, &v_col, &g_col, agg));
+            let predicate = format!("agg={agg:?}");
+            let run = || {
+                let handle = ReuseHandle::new(cache.clone(), cache.key("q2", &predicate));
+                grouped_aggregate_cached(&ex, &v_col, &g_col, agg, Some(&handle))
+            };
 
-        let reference = grouped_aggregate(&ex, &v_col, &g_col, Aggregate::Sum);
-        assert_eq!(second.len(), reference.len());
-        for code in 0..reference.len() as u32 {
-            assert_eq!(second.get(code), reference.get(code));
+            let inserts = cache.stats().inserts;
+            let (first, status) = run();
+            assert_eq!(status, ReuseStatus::Miss, "{agg:?}");
+            assert_eq!(cells(&first), uncached, "{agg:?} miss");
+            assert_eq!(cache.stats().inserts, inserts + 1, "{agg:?} miss publishes");
+
+            let (hit, status) = run();
+            assert_eq!(status, ReuseStatus::Hit, "{agg:?}");
+            assert!(
+                Arc::ptr_eq(&first, &hit),
+                "{agg:?}: hit returns the cached table"
+            );
+            assert_eq!(cells(&hit), uncached, "{agg:?} hit");
+            assert_eq!(
+                cache.stats().inserts,
+                inserts + 1,
+                "{agg:?}: a hit builds and publishes nothing"
+            );
+
+            cache.bump_version();
+            let (rebuilt, status) = run();
+            assert_eq!(status, ReuseStatus::Miss, "{agg:?} after the bump");
+            assert!(
+                !Arc::ptr_eq(&first, &rebuilt),
+                "{agg:?}: the bump forces a rebuild"
+            );
+            assert_eq!(cells(&rebuilt), uncached, "{agg:?} after the bump");
+            assert_eq!(
+                cache.stats().inserts,
+                inserts + 2,
+                "{agg:?} rebuild publishes"
+            );
         }
 
-        let (_, st3) = grouped_aggregate_cached(&ex, &v_col, &g_col, Aggregate::Sum, None);
-        assert_eq!(st3, ReuseStatus::Bypass);
+        let (_, bypass) = grouped_aggregate_cached(&ex, &v_col, &g_col, Aggregate::Sum, None);
+        assert_eq!(bypass, ReuseStatus::Bypass);
     }
 
     #[test]

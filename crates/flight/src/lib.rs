@@ -14,8 +14,8 @@
 //!   [`Event`]s (repartition / revert / degraded / breaker trip / epoch
 //!   bump) stamped with recorder ticks so they align with series
 //!   points. All of it sits behind one mutex, so a reader sees whole
-//!   ticks. Served by the server as `GET /timeline` and rendered as the
-//!   self-contained `GET /dashboard`.
+//!   ticks. The server's control plane ticks it on every pass, and
+//!   `GET /timeline` is its one reader.
 //!
 //! CPU profiles are not this crate's job: sample the process from the
 //! outside (`perf record -g`).

@@ -14,12 +14,12 @@
 //! ## Memory bound
 //!
 //! Memory is bounded by construction, not by luck: at most
-//! `max_series` series are ever materialized (overflow increments a
+//! `MAX_SERIES` series are ever materialized (overflow increments a
 //! counter and drops the series, never grows the map), and each series
-//! owns `raw_window + history_window` slots of 16 B, allocated at
-//! creation. With the defaults (512 series × (240 + 240) slots × 16 B)
-//! the recorder's point storage tops out at ~3.9 MiB plus series names
-//! — independent of uptime. The event deque keeps at most `max_events`
+//! owns `RAW_WINDOW + HISTORY_WINDOW` slots of 16 B, allocated at
+//! creation. That is 512 series × (240 + 240) slots × 16 B, so the
+//! recorder's point storage tops out at ~3.9 MiB plus series names —
+//! independent of uptime. The event deque keeps at most `MAX_EVENTS`
 //! entries.
 //!
 //! ## One lock
@@ -43,37 +43,31 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant, SystemTime};
 
-/// Everything tunable about a [`FlightRecorder`].
+/// Raw points retained per series (≈ 60 s at 250 ms).
+const RAW_WINDOW: usize = 240;
+/// Downsampled points retained per series (≈ 8 minutes at 250 ms).
+const HISTORY_WINDOW: usize = 240;
+/// Raw points per downsampled history point.
+const DOWNSAMPLE: u64 = 8;
+/// Hard cap on distinct series; beyond it new series are dropped and
+/// counted.
+const MAX_SERIES: usize = 512;
+/// Events retained; older ones are evicted and counted.
+const MAX_EVENTS: usize = 1024;
+
+/// What a [`FlightRecorder`]'s owner tells it.
 #[derive(Debug, Clone)]
 pub struct RecorderConfig {
     /// How often the [`Sampler`]'s owner ticks it (default 250 ms).
     /// The recorder does not keep time: this only labels the timeline
     /// (`interval_ms`).
     pub interval: Duration,
-    /// Raw points retained per series (default 240 ≈ 60 s at 250 ms).
-    pub raw_window: usize,
-    /// Downsampled points retained per series (default 240; at the
-    /// default `downsample` that is ~8 minutes of history).
-    pub history_window: usize,
-    /// Raw points per downsampled history point (default 8).
-    pub downsample: u64,
-    /// Hard cap on distinct series; beyond it new series are dropped
-    /// and counted (default 512).
-    pub max_series: usize,
-    /// Events retained; older ones are evicted and counted (default
-    /// 1024).
-    pub max_events: usize,
 }
 
 impl Default for RecorderConfig {
     fn default() -> Self {
-        RecorderConfig {
+        Self {
             interval: Duration::from_millis(250),
-            raw_window: 240,
-            history_window: 240,
-            downsample: 8,
-            max_series: 512,
-            max_events: 1024,
         }
     }
 }
@@ -92,19 +86,15 @@ struct State {
 
 impl State {
     /// Appends `value` at `seq` to the series `name`, admitting the
-    /// series if the `max_series` cap allows and counting it dropped if
+    /// series if the `MAX_SERIES` cap allows and counting it dropped if
     /// not.
-    fn push(&mut self, cfg: &RecorderConfig, name: String, seq: u64, value: f64) {
+    fn push(&mut self, name: String, seq: u64, value: f64) {
         let admitted = self.series.len();
         match self.series.entry(name) {
             Entry::Occupied(series) => series.into_mut().push(seq, value),
-            Entry::Vacant(_) if admitted >= cfg.max_series => self.dropped_series += 1,
+            Entry::Vacant(_) if admitted >= MAX_SERIES => self.dropped_series += 1,
             Entry::Vacant(slot) => slot
-                .insert(Series::new(
-                    cfg.raw_window,
-                    cfg.history_window,
-                    cfg.downsample,
-                ))
+                .insert(Series::new(RAW_WINDOW, HISTORY_WINDOW, DOWNSAMPLE))
                 .push(seq, value),
         }
     }
@@ -113,7 +103,8 @@ impl State {
 /// State shared between the sampler, event emitters and `/timeline`
 /// readers.
 struct Shared {
-    cfg: RecorderConfig,
+    /// Labels the timeline; see [`RecorderConfig::interval`].
+    interval: Duration,
     state: Mutex<State>,
     started: Instant,
     started_unix_ms: u64,
@@ -149,9 +140,9 @@ pub struct Timeline {
     pub now_ms: u64,
     /// Recorder start as unix epoch milliseconds.
     pub started_unix_ms: u64,
-    /// Series dropped at the `max_series` cap.
+    /// Series dropped at the `MAX_SERIES` cap.
     pub dropped_series: u64,
-    /// Events evicted at the `max_events` cap.
+    /// Events evicted at the `MAX_EVENTS` cap.
     pub dropped_events: u64,
     /// `(name, points)` pairs, name-sorted; each point is `(seq, value)`.
     pub series: Vec<(String, Vec<(u64, f64)>)>,
@@ -161,12 +152,12 @@ pub struct Timeline {
 
 impl FlightHandle {
     /// Records a control-plane event at the current tick, evicting the
-    /// oldest event when `max_events` are already kept.
+    /// oldest event when `MAX_EVENTS` are already kept.
     pub fn emit(&self, kind: &'static str, detail: impl Into<String>) {
         let detail = detail.into();
         let t_ms = self.shared.now_ms();
         let mut state = self.shared.lock();
-        if state.events.len() >= self.shared.cfg.max_events.max(1) {
+        if state.events.len() >= MAX_EVENTS {
             state.events.pop_front();
             state.dropped_events += 1;
         }
@@ -188,7 +179,7 @@ impl FlightHandle {
         let state = self.shared.lock();
         Timeline {
             tick: state.tick,
-            interval_ms: self.shared.cfg.interval.as_millis() as u64,
+            interval_ms: self.shared.interval.as_millis() as u64,
             now_ms: self.shared.now_ms(),
             started_unix_ms: self.shared.started_unix_ms,
             dropped_series: state.dropped_series,
@@ -225,25 +216,24 @@ impl Sampler {
     /// the tick's publication.
     pub fn tick(&mut self) {
         let families = self.registry.sample_all();
-        let cfg = &self.shared.cfg;
         let mut state = self.shared.lock();
         let seq = state.tick + 1;
         for family in families {
             for (labels, sample) in family.samples {
                 let base = series_name(&family.name, &labels);
                 match sample {
-                    MetricSample::Counter(v) => state.push(cfg, base, seq, v as f64),
-                    MetricSample::Gauge(v) => state.push(cfg, base, seq, v),
+                    MetricSample::Counter(v) => state.push(base, seq, v as f64),
+                    MetricSample::Gauge(v) => state.push(base, seq, v),
                     MetricSample::Histogram(snap) => {
                         let delta = match self.prev_hist.get(&base) {
                             Some(prev) => snap.delta_since(prev),
                             None => snap.clone(),
                         };
                         let n = delta.count();
-                        state.push(cfg, format!("{base}:count"), seq, n as f64);
+                        state.push(format!("{base}:count"), seq, n as f64);
                         if n > 0 {
                             for (tag, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
-                                state.push(cfg, format!("{base}:{tag}"), seq, delta.quantile(q));
+                                state.push(format!("{base}:{tag}"), seq, delta.quantile(q));
                             }
                         }
                         self.prev_hist.insert(base, snap);
@@ -266,7 +256,7 @@ impl FlightRecorder {
             .duration_since(SystemTime::UNIX_EPOCH)
             .map_or(0, |d| d.as_millis() as u64);
         let shared = Arc::new(Shared {
-            cfg,
+            interval: cfg.interval,
             state: Mutex::new(State::default()),
             started: Instant::now(),
             started_unix_ms,
@@ -288,23 +278,12 @@ impl FlightRecorder {
 mod tests {
     use super::*;
 
-    fn test_cfg() -> RecorderConfig {
-        RecorderConfig {
-            interval: Duration::from_millis(5),
-            raw_window: 8,
-            history_window: 8,
-            downsample: 2,
-            max_series: 16,
-            max_events: 8,
-        }
-    }
-
     #[test]
     fn manual_ticks_record_counters_and_gauges() {
         let registry = Registry::new();
         let jobs = registry.counter_family("jobs_total", "J");
         let depth = registry.gauge_family("depth", "D");
-        let (handle, mut sampler) = FlightRecorder::manual(&registry, test_cfg());
+        let (handle, mut sampler) = FlightRecorder::manual(&registry, RecorderConfig::default());
         jobs.get_or_create(&[("class", "polluting")]).add(3);
         depth.get_or_create(&[]).set(2.0);
         sampler.tick();
@@ -332,7 +311,7 @@ mod tests {
             .gauge_family("g", "G")
             .get_or_create(&[("path", r#"a"b\c"#)])
             .set(1.0);
-        let (handle, mut sampler) = FlightRecorder::manual(&registry, test_cfg());
+        let (handle, mut sampler) = FlightRecorder::manual(&registry, RecorderConfig::default());
         sampler.tick();
         let tl = handle.timeline(0, None);
         let exposition = registry.render_prometheus();
@@ -350,7 +329,7 @@ mod tests {
         let lat = registry
             .histogram_family("lat_seconds", "L")
             .get_or_create(&[]);
-        let (handle, mut sampler) = FlightRecorder::manual(&registry, test_cfg());
+        let (handle, mut sampler) = FlightRecorder::manual(&registry, RecorderConfig::default());
         for _ in 0..100 {
             lat.observe(4.0);
         }
@@ -382,17 +361,13 @@ mod tests {
     fn series_cap_drops_and_counts() {
         let registry = Registry::new();
         let fam = registry.gauge_family("g", "G");
-        let cfg = RecorderConfig {
-            max_series: 2,
-            ..test_cfg()
-        };
-        let (handle, mut sampler) = FlightRecorder::manual(&registry, cfg);
-        for i in 0..5 {
+        let (handle, mut sampler) = FlightRecorder::manual(&registry, RecorderConfig::default());
+        for i in 0..MAX_SERIES + 3 {
             fam.get_or_create(&[("i", &i.to_string())]).set(1.0);
         }
         sampler.tick();
         let tl = handle.timeline(0, None);
-        assert_eq!(tl.series.len(), 2);
+        assert_eq!(tl.series.len(), MAX_SERIES);
         assert_eq!(tl.dropped_series, 3);
     }
 
@@ -400,7 +375,7 @@ mod tests {
     fn events_carry_the_current_tick() {
         let registry = Registry::new();
         registry.gauge_family("g", "G").get_or_create(&[]).set(0.0);
-        let (handle, mut sampler) = FlightRecorder::manual(&registry, test_cfg());
+        let (handle, mut sampler) = FlightRecorder::manual(&registry, RecorderConfig::default());
         sampler.tick();
         handle.emit("repartition", "plan 4/4/8");
         sampler.tick();
@@ -420,18 +395,15 @@ mod tests {
     #[test]
     fn full_event_deque_evicts_oldest_and_counts_drops() {
         let registry = Registry::new();
-        let cfg = RecorderConfig {
-            max_events: 2,
-            ..test_cfg()
-        };
-        let (handle, mut sampler) = FlightRecorder::manual(&registry, cfg);
-        for _ in 0..4 {
+        let (handle, mut sampler) = FlightRecorder::manual(&registry, RecorderConfig::default());
+        let emitted = MAX_EVENTS as u64 + 2;
+        for _ in 0..emitted {
             sampler.tick();
             handle.emit("hold", "");
         }
         let tl = handle.timeline(0, None);
         let kept: Vec<u64> = tl.events.iter().map(|e| e.seq).collect();
-        assert_eq!(kept, vec![3, 4]);
+        assert_eq!(kept, (3..=emitted).collect::<Vec<u64>>());
         assert_eq!(tl.dropped_events, 2);
     }
 
@@ -446,7 +418,7 @@ mod tests {
             .gauge_family("bb_y", "B")
             .get_or_create(&[])
             .set(2.0);
-        let (handle, mut sampler) = FlightRecorder::manual(&registry, test_cfg());
+        let (handle, mut sampler) = FlightRecorder::manual(&registry, RecorderConfig::default());
         sampler.tick();
         let tl = handle.timeline(0, Some("aa_"));
         assert_eq!(tl.series.len(), 1);

@@ -12,7 +12,7 @@
 //! | sample | always | probes per-class occupancy into the `ccp_llc_occupancy_bytes` / `ccp_mbm_total_bytes` gauges and the readings the control step consumes |
 //! | supervise | with a resctrl tree | flips degraded mode on a breaker trip, re-probes while degraded |
 //! | control | `adaptive` | one [`Controller`] tick on the pass's readings; applies or reverts the live mask table |
-//! | record | `flight` | one flight-recorder snapshot of the registry |
+//! | record | always | one flight-recorder snapshot of the registry |
 //!
 //! The order is what makes the hand-offs trivial: the control step reads
 //! the sample taken earlier in the same pass, so a reading can only be
@@ -136,16 +136,8 @@ impl ControlView {
 struct Env {
     engine: Arc<QueryEngine>,
     metrics: ServerMetrics,
-    flight: Option<FlightHandle>,
+    flight: FlightHandle,
     view: Arc<Mutex<PlaneView>>,
-}
-
-impl Env {
-    fn emit(&self, kind: &'static str, detail: String) {
-        if let Some(flight) = &self.flight {
-            flight.emit(kind, detail);
-        }
-    }
 }
 
 struct Sample {
@@ -184,7 +176,7 @@ pub struct ControlPlane {
     sample: Sample,
     supervise: Option<Supervise>,
     control: Option<Control>,
-    record: Option<ccp_flight::Sampler>,
+    record: ccp_flight::Sampler,
     /// Present when the engine's allocator has a resctrl tree.
     sweeper: Option<Sweeper>,
 }
@@ -259,19 +251,13 @@ impl ControlPlane {
         // Events are stamped with the last completed tick and `/timeline`
         // serves `seq > since`: without the baseline the first pass's
         // events would sit at tick 0, below every cursor.
-        let (flight, record) = if config.flight {
-            let (handle, mut sampler) = FlightRecorder::manual(
-                registry,
-                RecorderConfig {
-                    interval: config.control_interval,
-                    ..RecorderConfig::default()
-                },
-            );
-            sampler.tick();
-            (Some(handle), Some(sampler))
-        } else {
-            (None, None)
-        };
+        let (flight, mut record) = FlightRecorder::manual(
+            registry,
+            RecorderConfig {
+                interval: config.control_interval,
+            },
+        );
+        record.tick();
         ControlPlane {
             period: config.control_interval,
             env: Env {
@@ -289,8 +275,8 @@ impl ControlPlane {
         }
     }
 
-    /// The flight recorder's emit/read handle; `None` with `--no-flight`.
-    pub fn flight(&self) -> Option<FlightHandle> {
+    /// The flight recorder's emit/read handle.
+    pub fn flight(&self) -> FlightHandle {
         self.env.flight.clone()
     }
 
@@ -309,9 +295,7 @@ impl ControlPlane {
         if let Some(task) = &mut self.control {
             run_control(&self.env, task, &self.readings);
         }
-        if let Some(sampler) = &mut self.record {
-            sampler.tick();
-        }
+        self.record.tick();
     }
 
     /// Starts the `ccp-plane` thread: `step`, wait one period or until a
@@ -432,7 +416,7 @@ fn run_supervise(env: &Env, task: &mut Supervise) {
             (tree.health().trips(), tree.is_degraded())
         };
         if trips != task.trips_seen {
-            env.emit(
+            env.flight.emit(
                 "breaker_trip",
                 format!("circuit breaker trips: {} -> {trips}", task.trips_seen),
             );
@@ -446,10 +430,12 @@ fn run_supervise(env: &Env, task: &mut Supervise) {
             env.engine.pools().set_partitioning(!degraded);
             if degraded {
                 ccp_trace::instant(TraceCat::Bind, "resctrl_degraded");
-                env.emit("degraded", "resctrl breaker open; partitioning off".into());
+                env.flight
+                    .emit("degraded", "resctrl breaker open; partitioning off");
             } else {
                 ccp_trace::instant(TraceCat::Bind, "resctrl_restored");
-                env.emit("restored", "resctrl healed; partitioning back on".into());
+                env.flight
+                    .emit("restored", "resctrl healed; partitioning back on");
             }
         }
         // Healed: go round again so the restore (gauge, trace, re-enabled
@@ -481,13 +467,13 @@ fn run_control(env: &Env, task: &mut Control, readings: &Readings) {
             if apply_plan(&env.engine, &plan).is_ok() {
                 env.engine.live_masks().publish(&plan);
                 ccp_trace::instant(TraceCat::Bind, "control_repartition");
-                env.emit("repartition", plan_detail(&plan));
+                env.flight.emit("repartition", plan_detail(&plan));
             } else {
                 let fallback = task.controller.note_apply_failed();
                 view.reverts.inc();
                 publish_fallback(&env.engine, &fallback);
                 ccp_trace::instant(TraceCat::Bind, "control_revert");
-                env.emit(
+                env.flight.emit(
                     "revert",
                     format!("apply failed; back to {}", plan_detail(&fallback)),
                 );
@@ -498,7 +484,7 @@ fn run_control(env: &Env, task: &mut Control, readings: &Readings) {
             view.reverts.inc();
             publish_fallback(&env.engine, &plan);
             ccp_trace::instant(TraceCat::Bind, "control_revert");
-            env.emit("revert", plan_detail(&plan));
+            env.flight.emit("revert", plan_detail(&plan));
             task.last_emitted = "revert";
         }
         Decision::Hold(_) => {
@@ -506,7 +492,7 @@ fn run_control(env: &Env, task: &mut Control, readings: &Readings) {
             // One event per run of holds, not one per tick: the
             // interesting moment is the *transition* to holding.
             if task.last_emitted != "hold" {
-                env.emit("hold", "controller holding current plan".into());
+                env.flight.emit("hold", "controller holding current plan");
                 task.last_emitted = "hold";
             }
         }

@@ -262,11 +262,6 @@ impl Response {
         }
     }
 
-    /// A `text/html` response (the self-contained dashboard).
-    pub(crate) fn html(status: u16, body: impl Into<Vec<u8>>) -> Self {
-        Response::new(status, "text/html; charset=utf-8", body)
-    }
-
     /// An `application/json` response.
     pub(crate) fn json(status: u16, body: &crate::json::Json) -> Self {
         Response::json_text(status, body.to_string())
@@ -847,14 +842,14 @@ mod tests {
                  Content-Length: 4\r\n\r\nx 1\n",
             ),
             (
-                Response::html(200, "<p>"),
-                "HTTP/1.1 200 OK\r\nContent-Type: text/html; charset=utf-8\r\n\
-                 Content-Length: 3\r\n\r\n<p>",
+                Response::json_text(200, "[1]"),
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                 Content-Length: 3\r\n\r\n[1]",
             ),
             (
-                Response::html(503, "busy").retry_after(2),
-                "HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/html; charset=utf-8\r\n\
-                 Content-Length: 4\r\nRetry-After: 2\r\n\r\nbusy",
+                Response::json_text(503, "{}").retry_after(2),
+                "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+                 Content-Length: 2\r\nRetry-After: 2\r\n\r\n{}",
             ),
             (
                 Response::error(400, "bad").closing(),
@@ -892,7 +887,7 @@ mod tests {
             for i in 0..3 {
                 let req = read_request(&mut reader).unwrap().unwrap();
                 assert_eq!(req.path(), format!("/r{i}"));
-                Response::html(200, format!("ok{i}"))
+                Response::json_text(200, format!("ok{i}"))
                     .write_to(reader.get_mut())
                     .unwrap();
             }
@@ -902,10 +897,7 @@ mod tests {
             let resp = client.request("GET", &format!("/r{i}"), None).unwrap();
             assert_eq!(resp.status, 200);
             assert_eq!(resp.body, format!("ok{i}"));
-            assert_eq!(
-                resp.header("content-type"),
-                Some("text/html; charset=utf-8")
-            );
+            assert_eq!(resp.header("content-type"), Some("application/json"));
         }
         server.join().unwrap();
         assert_eq!(accepted.load(Ordering::SeqCst), 1, "connection was reused");
@@ -922,7 +914,7 @@ mod tests {
                 let (stream, _) = listener.accept().unwrap();
                 let mut reader = BufReader::new(stream);
                 let _ = read_request(&mut reader).unwrap().unwrap();
-                Response::html(200, "bye")
+                Response::json_text(200, "bye")
                     .closing()
                     .write_to(reader.get_mut())
                     .unwrap();
@@ -950,7 +942,7 @@ mod tests {
                 let _ = read_request(&mut reader).unwrap().unwrap();
                 // Respond keep-alive, then close anyway: the next request
                 // on this connection hits the idle-close race.
-                Response::html(200, "ok")
+                Response::json_text(200, "ok")
                     .write_to(reader.get_mut())
                     .unwrap();
             }
@@ -973,7 +965,7 @@ mod tests {
             let (stream, _) = listener.accept().unwrap();
             let mut reader = BufReader::new(stream);
             let _ = read_request(&mut reader).unwrap().unwrap();
-            Response::html(200, "ok")
+            Response::json_text(200, "ok")
                 .write_to(reader.get_mut())
                 .unwrap();
             // Read the second request fully — the server "received" it —

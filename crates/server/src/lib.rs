@@ -36,7 +36,6 @@
 
 mod admission;
 mod control_plane;
-mod dashboard;
 pub mod http;
 mod json;
 mod metrics;

@@ -2,7 +2,7 @@
 //!
 //! One listener thread accepts connections up to a hard cap and hands
 //! each to a short-lived handler thread (std-only; no async runtime).
-//! Handlers speak strict HTTP/1.1 with keep-alive, route to eight
+//! Handlers speak strict HTTP/1.1 with keep-alive, route to seven
 //! endpoints, and account every request in the `ccp_server_*` families:
 //!
 //! | endpoint | method | body |
@@ -14,7 +14,6 @@
 //! | `/trace` | GET | Chrome trace-event JSON (`?clear=1` resets the rings) |
 //! | `/data/bump` | POST | bumps the data-version epoch, invalidating reuse entries |
 //! | `/timeline` | GET | flight-recorder series + events (`?since=seq`, `?series=prefix`) |
-//! | `/dashboard` | GET | self-contained HTML/SVG overlay of the timeline |
 //!
 //! This module is routing and the connection loop. Everything periodic —
 //! occupancy sampling, resctrl supervision, adaptive control, the flight
@@ -94,9 +93,6 @@ pub struct ServerConfig {
     /// Disables the reuse cache entirely (`--no-reuse`): every query
     /// reports `"reuse":"bypass"` and admission never predicts hits.
     pub no_reuse: bool,
-    /// Runs the flight recorder (`/timeline`, `/dashboard`); off with
-    /// `--no-flight`, e.g. for overhead A/B runs.
-    pub flight: bool,
     /// Per-tenant in-flight admission quotas (`--tenant-quota NAME=N`);
     /// a tenant at its quota gets `429` per request.
     pub tenant_quotas: Vec<(String, usize)>,
@@ -129,7 +125,6 @@ impl Default for ServerConfig {
             occupancy_script: None,
             reuse_budget_mb: 64,
             no_reuse: false,
-            flight: true,
             tenant_quotas: Vec::new(),
             tenant_weights: Vec::new(),
             fake_closids: None,
@@ -193,18 +188,10 @@ pub(crate) struct Shared {
     shutdown: AtomicBool,
     conns: ConnTracker,
     pub(crate) started: Instant,
-    /// Flight-recorder handle for `/timeline`, `/dashboard` and event
-    /// emission; `None` with `--no-flight`.
-    flight: Option<FlightHandle>,
+    /// Flight-recorder handle for `/timeline` and event emission.
+    flight: FlightHandle,
     /// What the control plane last published for `/stats`.
     pub(crate) plane_view: Arc<Mutex<PlaneView>>,
-}
-
-/// Emits a flight-recorder event when the recorder is running.
-fn emit_event(shared: &Shared, kind: &'static str, detail: String) {
-    if let Some(flight) = &shared.flight {
-        flight.emit(kind, detail);
-    }
 }
 
 /// A running server; dropping it shuts the service down gracefully.
@@ -499,7 +486,6 @@ fn route(shared: &Shared, req: &Request) -> (&'static str, Response) {
         ("GET", "/stats") => ("/stats", Response::json(200, &crate::stats::render(shared))),
         ("GET", "/trace") => ("/trace", handle_trace(req)),
         ("GET", "/timeline") => ("/timeline", handle_timeline(shared, req)),
-        ("GET", "/dashboard") => ("/dashboard", handle_dashboard(shared)),
         ("POST", "/query") => ("/query", handle_query(shared, req)),
         ("POST", "/data/bump") => ("/data/bump", handle_data_bump(shared)),
         ("GET" | "HEAD", _) => ("other", not_found()),
@@ -512,7 +498,7 @@ fn route(shared: &Shared, req: &Request) -> (&'static str, Response) {
 
 /// Every path the router serves; the 404 body and the `ccp serve` banner
 /// list them.
-pub const ENDPOINTS: [&str; 8] = [
+pub const ENDPOINTS: [&str; 7] = [
     "/metrics",
     "/healthz",
     "/stats",
@@ -520,7 +506,6 @@ pub const ENDPOINTS: [&str; 8] = [
     "/trace",
     "/data/bump",
     "/timeline",
-    "/dashboard",
 ];
 
 /// `true` when the request's query string sets `name=1` or `name=true`.
@@ -601,14 +586,11 @@ fn register_build_info(registry: &Registry) {
 /// `?since=seq` returns only points/events newer than `seq` (incremental
 /// pulls); `?series=prefix` filters series by name prefix.
 fn handle_timeline(shared: &Shared, req: &Request) -> Response {
-    let Some(flight) = &shared.flight else {
-        return Response::error(404, "flight recorder disabled (--no-flight)");
-    };
     let since = match uint_param(req, "since") {
         Ok(since) => since.unwrap_or(0),
         Err(bad) => return bad,
     };
-    let timeline = flight.timeline(since, query_param(req, "series"));
+    let timeline = shared.flight.timeline(since, query_param(req, "series"));
     Response::json(200, &timeline_json(&timeline))
 }
 
@@ -653,17 +635,6 @@ fn timeline_json(tl: &ccp_flight::Timeline) -> Json {
     ])
 }
 
-/// `GET /dashboard`: the timeline rendered as one self-contained HTML
-/// page (inline SVG, zero external assets — it must work from an
-/// air-gapped artifact store).
-fn handle_dashboard(shared: &Shared) -> Response {
-    let Some(flight) = &shared.flight else {
-        return Response::error(404, "flight recorder disabled (--no-flight)");
-    };
-    let timeline = flight.timeline(0, None);
-    Response::html(200, crate::dashboard::render(&timeline))
-}
-
 fn not_found() -> Response {
     let endpoints = Json::Arr(ENDPOINTS.iter().map(|e| Json::str(*e)).collect());
     Response::json(
@@ -683,7 +654,9 @@ fn handle_data_bump(shared: &Shared) -> Response {
     match shared.engine.reuse_cache() {
         Some(cache) => {
             let version = cache.bump_version();
-            emit_event(shared, "epoch_bump", format!("data version -> {version}"));
+            shared
+                .flight
+                .emit("epoch_bump", format!("data version -> {version}"));
             Response::json(
                 200,
                 &Json::obj(vec![
@@ -975,12 +948,13 @@ mod tests {
     /// statement, a reuse-hit `q1` and a reuse-hit `q2` stays under its
     /// ceiling (the handler before the single renderer, label lookups
     /// without allocation and canonical reuse keys made 49, 70 and 68).
+    /// The count is per thread: the plane's sample and record steps run
+    /// on `ccp-plane` and allocate outside it.
     #[test]
     fn a_query_line_stays_inside_its_allocation_budget() {
         let mut server = Server::start(ServerConfig {
             dataset_rows: 4_096,
             fake_resctrl: true,
-            flight: false,
             ..ServerConfig::default()
         })
         .unwrap();

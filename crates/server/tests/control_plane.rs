@@ -18,13 +18,12 @@ struct Rig {
     engine: Arc<QueryEngine>,
 }
 
-/// An adaptive + flight + fake-resctrl plane, so each `step` runs all
-/// four steps.
+/// An adaptive + fake-resctrl plane, so each `step` runs all four
+/// steps.
 fn rig() -> Rig {
     let config = ServerConfig {
         fake_resctrl: true,
         adaptive: true,
-        flight: true,
         ..ServerConfig::default()
     };
     let registry = Registry::new();
@@ -124,8 +123,7 @@ fn the_steps_of_one_pass_run_in_the_documented_order() {
     assert_eq!((view.clamped, view.last_decision), (false, "hold-dwell"));
     // supervise → control: their events sit in that order, both stamped
     // with the baseline tick because record had not run yet.
-    let flight = rig.plane.flight().expect("flight on");
-    let timeline = flight.timeline(0, None);
+    let timeline = rig.plane.flight().timeline(0, None);
     let kinds: Vec<(&str, u64)> = timeline.events.iter().map(|e| (e.kind, e.seq)).collect();
     assert_eq!(kinds, [("breaker_trip", 1), ("hold", 1)]);
     // … → record: the pass's own tick carries what every earlier step of

@@ -1,10 +1,8 @@
 //! Flight recorder endpoints over real sockets: `/timeline` serves the
-//! retained series with a working `since` cursor and prefix filter,
-//! `/dashboard` is one self-contained HTML page, the `ccp_build_info`
-//! gauge on `/metrics` carries the baked-in build provenance, and
-//! `--no-flight` turns the recorder endpoints into clean 404s. The
-//! server does not profile itself: `/profile` and `/version` are
-//! ordinary unknown paths.
+//! retained series with a working `since` cursor and prefix filter, and
+//! the `ccp_build_info` gauge on `/metrics` carries the baked-in build
+//! provenance. Retired surfaces — `/profile`, `/version`, `/dashboard` —
+//! are ordinary unknown paths.
 
 use ccp_server::{fetch, Json, Server, ServerConfig, ENDPOINTS};
 use std::net::SocketAddr;
@@ -18,7 +16,6 @@ fn flight_config() -> ServerConfig {
         scheduler_slots: 2,
         dataset_rows: 64,
         fake_resctrl: true,
-        flight: true,
         control_interval: Duration::from_millis(20),
         ..ServerConfig::default()
     }
@@ -54,7 +51,7 @@ fn assert_build_info_labels(addr: SocketAddr) {
 }
 
 #[test]
-fn timeline_dashboard_and_build_info_serve_recorder_state() {
+fn timeline_and_build_info_serve_recorder_state() {
     let mut server = Server::start(flight_config()).expect("start");
     let addr = server.addr();
 
@@ -129,18 +126,6 @@ fn timeline_dashboard_and_build_info_serve_recorder_state() {
     let bad = fetch(addr, "GET", "/timeline?since=xyz", None).expect("bad since");
     assert_eq!(bad.status, 400);
 
-    // Dashboard: one page, inline SVG, zero external references.
-    let dash = fetch(addr, "GET", "/dashboard", None).expect("dashboard");
-    assert_eq!(dash.status, 200);
-    assert!(dash.body.contains("<svg"));
-    let lower = dash.body.to_ascii_lowercase();
-    for forbidden in ["http", "src=", "url(", "@import", "<script", "<link"] {
-        assert!(
-            !lower.contains(forbidden),
-            "dashboard must be self-contained, found {forbidden:?}"
-        );
-    }
-
     // Build provenance lives in the ccp_build_info gauge's labels.
     assert_build_info_labels(addr);
 
@@ -148,11 +133,11 @@ fn timeline_dashboard_and_build_info_serve_recorder_state() {
 }
 
 #[test]
-fn profile_and_version_are_not_served() {
+fn retired_surfaces_are_unknown_paths() {
     let mut server = Server::start(flight_config()).expect("start");
     let addr = server.addr();
 
-    for path in ["/profile", "/profile?seconds=1", "/version"] {
+    for path in ["/profile", "/profile?seconds=1", "/version", "/dashboard"] {
         let resp = fetch(addr, "GET", path, None).expect("fetch");
         assert_eq!(resp.status, 404, "{path} -> {}", resp.body);
         let body = Json::parse(&resp.body).expect("404 body is JSON");
@@ -172,7 +157,6 @@ fn profile_and_version_are_not_served() {
             "/trace",
             "/data/bump",
             "/timeline",
-            "/dashboard",
         ]
     );
     // The router knows each listed path: a method it does not serve
@@ -181,25 +165,6 @@ fn profile_and_version_are_not_served() {
         let resp = fetch(addr, "DELETE", path, None).expect("fetch");
         assert_eq!(resp.status, 405, "{path} -> {}", resp.body);
     }
-
-    server.shutdown();
-}
-
-#[test]
-fn no_flight_disables_recorder_endpoints() {
-    let config = ServerConfig {
-        flight: false,
-        ..flight_config()
-    };
-    let mut server = Server::start(config).expect("start");
-    let addr = server.addr();
-
-    for path in ["/timeline", "/dashboard"] {
-        let resp = fetch(addr, "GET", path, None).expect("fetch");
-        assert_eq!(resp.status, 404, "{path} must 404 with --no-flight");
-    }
-    // Build provenance does not depend on the recorder.
-    assert_build_info_labels(addr);
 
     server.shutdown();
 }

@@ -40,7 +40,6 @@ fn every_periodic_duty_shares_the_one_plane_thread() {
         dataset_rows: 64,
         fake_resctrl: true,
         adaptive: true,
-        flight: true,
         control_interval: Duration::from_millis(20),
         occupancy_script: Some("sensitive:0.95x6,0.12;polluting:0.08;mixed:0.02".to_string()),
         ..ServerConfig::default()

@@ -50,11 +50,10 @@ fn plane_stop_is_idempotent_and_never_loses_the_final_publish() {
     let build = || {
         let registry = Registry::new();
         let samples = Arc::new(AtomicU64::new(0));
-        // A plane whose only task is the sample step: no flight, and a
-        // noop allocator has nothing to supervise or sweep.
+        // A plane that samples and records: static mode has no control
+        // step, and a noop allocator has nothing to supervise or sweep.
         let config = ServerConfig {
             control_interval: Duration::from_millis(1),
-            flight: false,
             ..ServerConfig::default()
         };
         let engine = Arc::new(QueryEngine::with_allocator(
@@ -162,12 +161,12 @@ struct ScrapeModel {
 #[test]
 fn scrape_server_shutdown_loses_no_publish_and_tolerates_double_stop() {
     let build = || {
-        // The smallest server there is: 64 rows, no flight recorder —
-        // the accept loop and the shutdown path are the model.
+        // The smallest server there is: 64 rows, its plane sampling and
+        // recording every 250 ms — the accept loop and the shutdown path
+        // are the model.
         let server = Server::start(ServerConfig {
             olap_workers: 1,
             dataset_rows: 64,
-            flight: false,
             ..ServerConfig::default()
         })
         .expect("server");

@@ -270,12 +270,6 @@ const SERVE_FLAGS: &[Flag<ServeArgs>] = &[
         apply: |a, _| set(&mut a.config.no_reuse, true),
     },
     Flag {
-        name: "--no-flight",
-        value: "",
-        help: "disable the flight recorder (/timeline and /dashboard return 404)",
-        apply: |a, _| set(&mut a.config.flight, false),
-    },
-    Flag {
         name: "--tenant-quota",
         value: "NAME=N",
         help: "cap NAME's in-flight queries at N, 429 above (repeatable)",
@@ -1067,7 +1061,7 @@ fn bench_serve(args: &[String]) -> ExitCode {
                 }
             }
             None => {
-                eprintln!("cannot save timeline: {target} did not serve /timeline (--no-flight?)");
+                eprintln!("cannot save timeline: {target} did not serve /timeline");
                 failed = true;
             }
         }

@@ -75,8 +75,9 @@ fn malformed_serve_flags_fail_without_binding() {
             &["serve", "--tenant-quota", "Bad Name=1"],
             "--tenant: invalid tenant id: \"Bad Name\" contains characters outside [a-z0-9_]",
         ),
-        // Period flags other than `--control-interval-ms` are unknown.
-        // (In these cases the out-of-range port makes a server that did
+        // Retired flags are unknown: the period flags other than
+        // `--control-interval-ms`, and `--no-flight` (the recorder is
+        // always on). (In these cases the out-of-range port makes a server that did
         // start fail, not serve.)
         (
             &[
@@ -107,6 +108,10 @@ fn malformed_serve_flags_fail_without_binding() {
                 "127.0.0.1:99999",
             ],
             "unknown serve flag \"--flight-interval-ms\"",
+        ),
+        (
+            &["serve", "--no-flight", "--addr", "127.0.0.1:99999"],
+            "unknown serve flag \"--no-flight\"",
         ),
         // A `u32` flag past `u32::MAX` fails naming the flag, never runs
         // truncated.
@@ -199,7 +204,7 @@ fn help_flags(section: &str) -> Vec<(String, bool)> {
 
 #[test]
 fn every_flag_is_listed_in_help_and_known_to_its_parser() {
-    const SERVE: [&str; 19] = [
+    const SERVE: [&str; 18] = [
         "--addr",
         "--olap-workers",
         "--oltp-workers",
@@ -215,7 +220,6 @@ fn every_flag_is_listed_in_help_and_known_to_its_parser() {
         "--occupancy-script",
         "--reuse-budget-mb",
         "--no-reuse",
-        "--no-flight",
         "--tenant-quota",
         "--tenant-weight",
         "--fake-closids",
@@ -255,7 +259,7 @@ fn every_flag_is_listed_in_help_and_known_to_its_parser() {
             );
         }
         let switches = listed.iter().filter(|(_, valued)| !valued).count();
-        assert_eq!(switches, if cmd == "serve" { 4 } else { 0 }, "{section}");
+        assert_eq!(switches, if cmd == "serve" { 3 } else { 0 }, "{section}");
     }
 }
 
