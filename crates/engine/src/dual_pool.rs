@@ -20,7 +20,7 @@
 //! round trip, no bind. The OLTP pool is still built, and gets no served
 //! work, only because the benchmark harness links
 //! [`DualPoolExecutor::new`] and [`DualPoolExecutor::register_metrics`];
-//! deleting it waits for the harness owner's sign-off (ROADMAP F(3)/F(6)).
+//! deleting it waits for the harness owner's sign-off (ROADMAP N(2)).
 
 use crate::alloc::CacheAllocator;
 use crate::executor::JobExecutor;

@@ -11,6 +11,11 @@
 //! *value* is materialized — the scalar analogue of HANA's SIMD scan.
 //! [`PackedCodeVector::get`] is for random access only (OLTP point
 //! selects, inverted-index postings).
+//!
+//! Writers mirror the readers: every column is packed through one
+//! write path, `PackedCodeVector::extend`, whose aligned middle runs one
+//! packing kernel per width — the exact inverse of the decoder's — 64
+//! codes at a time.
 
 use std::ops::Range;
 
@@ -38,6 +43,22 @@ macro_rules! for_each_lane {
     };
 }
 
+/// Calls `$kernel::<W>$args` for the width `W` that `$bits` holds, so each
+/// width gets its own kernel with every shift folded, chosen once per call.
+macro_rules! by_width {
+    ($bits:expr, $kernel:ident $args:tt) => {
+        by_width!(@ $bits, $kernel $args;
+            1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16
+            17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32)
+    };
+    (@ $bits:expr, $kernel:ident $args:tt; $($w:literal)*) => {
+        match $bits {
+            $($w => $kernel::<$w> $args,)*
+            _ => unreachable!("width is checked to be 1..=32 at construction"),
+        }
+    };
+}
+
 /// Unpacks whole groups — `out.len() / 64` of them, `BITS` words each.
 fn unpack_groups<const BITS: usize>(words: &[u64], out: &mut [u32]) {
     let mask = (1u64 << BITS) - 1;
@@ -51,6 +72,30 @@ fn unpack_groups<const BITS: usize>(words: &[u64], out: &mut [u32]) {
                 v |= w[word + 1] << (64 - off);
             }
             o[LANE] = (v & mask) as u32;
+        });
+    }
+}
+
+/// Packs whole groups — `codes.len() / 64` of them into `BITS` words
+/// each — the inverse of [`unpack_groups`]. Every word is assigned before
+/// it is or-ed into: its first bits come from a lane that starts it or
+/// from the spill of the lane that straddles into it, so the kernel never
+/// reads what `words` held. Codes must fit in `BITS` bits.
+fn pack_groups<const BITS: usize>(codes: &[u32], words: &mut [u64]) {
+    for (c, w) in codes.chunks_exact(GROUP).zip(words.chunks_exact_mut(BITS)) {
+        let c: &[u32; GROUP] = c.try_into().expect("chunks_exact yields 64 codes");
+        let w: &mut [u64; BITS] = w.try_into().expect("chunks_exact_mut yields BITS words");
+        for_each_lane!(LANE => {
+            let (word, off) = (LANE * BITS / 64, LANE * BITS % 64);
+            let v = u64::from(c[LANE]);
+            if off == 0 {
+                w[word] = v;
+            } else {
+                w[word] |= v << off;
+            }
+            if off + BITS > 64 {
+                w[word + 1] = v >> (64 - off);
+            }
         });
     }
 }
@@ -114,10 +159,17 @@ impl PackedCodeVector {
     /// Panics if any code needs more than `bits` bits.
     pub fn from_codes(bits: u32, codes: &[u32]) -> Self {
         let mut v = Self::with_capacity(bits, codes.len());
-        for &c in codes {
-            v.push(c);
+        for block in codes.chunks(SCAN_BLOCK) {
+            v.extend(block);
         }
         v
+    }
+
+    /// The code width and the packed words, for tests that check the
+    /// layout against a reference of their own.
+    #[cfg(test)]
+    pub(crate) fn raw(&self) -> (u32, &[u64]) {
+        (self.bits, &self.words)
     }
 
     /// Number of codes stored.
@@ -140,16 +192,48 @@ impl PackedCodeVector {
         (1u64 << self.bits) - 1
     }
 
-    /// Appends a code.
+    /// Appends `codes` — the one write path. Codes up to the next multiple
+    /// of 64 rows and the last `< 64` are pushed one by one; the aligned
+    /// middle runs through [`pack_groups`] for the column's width. Writers
+    /// call it a [`SCAN_BLOCK`] at a time, so the width check's pass and
+    /// the packing pass both read the block from L1.
     ///
     /// # Panics
-    /// Panics when `code` does not fit in the configured width.
-    pub(crate) fn push(&mut self, code: u32) {
-        assert!(
-            u64::from(code) <= self.mask(),
-            "code {code} does not fit in {} bits",
-            self.bits
-        );
+    /// Panics when a code does not fit in the configured width, naming the
+    /// first such code; nothing is appended then.
+    pub(crate) fn extend(&mut self, codes: &[u32]) {
+        let mask = self.mask();
+        if u64::from(codes.iter().fold(0, |acc, &c| acc | c)) > mask {
+            let code = codes
+                .iter()
+                .find(|&&c| u64::from(c) > mask)
+                .expect("the or of the codes is wider than the mask");
+            panic!("code {code} does not fit in {} bits", self.bits);
+        }
+        let head = (self.len.next_multiple_of(GROUP) - self.len).min(codes.len());
+        let (head, rest) = codes.split_at(head);
+        for &c in head {
+            self.push(c);
+        }
+        let groups = rest.len() / GROUP;
+        let (body, tail) = rest.split_at(groups * GROUP);
+        if groups > 0 {
+            // `len` is a multiple of 64 here, so the words end on a group.
+            let first = self.words.len();
+            self.words.resize(first + groups * self.bits as usize, 0);
+            let words = &mut self.words[first..];
+            by_width!(self.bits, pack_groups(body, words));
+            self.len += body.len();
+        }
+        for &c in tail {
+            self.push(c);
+        }
+    }
+
+    /// Appends one code that fits the width — [`PackedCodeVector::extend`]'s
+    /// step for the rows around its whole groups.
+    fn push(&mut self, code: u32) {
+        debug_assert!(u64::from(code) <= self.mask(), "checked by extend");
         let bit_pos = self.len * self.bits as usize;
         let word = bit_pos / 64;
         let off = (bit_pos % 64) as u32;
@@ -227,16 +311,7 @@ impl PackedCodeVector {
             let bits = self.bits as usize;
             let first = aligned / GROUP * bits;
             let words = &self.words[first..first + groups * bits];
-            macro_rules! by_width {
-                ($($w:literal)*) => {
-                    match bits {
-                        $($w => unpack_groups::<$w>(words, body),)*
-                        _ => unreachable!("width is checked to be 1..=32 at construction"),
-                    }
-                };
-            }
-            by_width!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16
-                      17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32);
+            by_width!(bits, unpack_groups(words, body));
         }
         let tail_start = aligned + groups * GROUP;
         for (i, code) in tail.iter_mut().enumerate() {
@@ -294,6 +369,7 @@ impl PackedCodeVector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn roundtrip_simple() {
@@ -403,11 +479,77 @@ mod tests {
         assert!(rows.windows(2).all(|w| w[0] < w[1]));
     }
 
+    /// `n` codes of `bits` bits, every bit pattern possible.
+    fn codes(bits: u32, n: usize, seed: u64) -> Vec<u32> {
+        let mut x = seed;
+        (0..n)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 32) as u32 >> (32 - bits)
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// `extend` lays codes out as pushing them one at a time does, from
+        /// any starting length, at every width, in one call or in pieces.
+        #[test]
+        fn extend_matches_pushing_one_code_at_a_time(
+            start in 0usize..=127,
+            n in 0usize..=300,
+            cuts in proptest::collection::vec(0usize..=300, 0..4),
+            seed in 0u64..u64::MAX,
+        ) {
+            for bits in 1..=32u32 {
+                let all = codes(bits, start + n, seed);
+                let (prefix, codes) = all.split_at(start);
+                let mut want = PackedCodeVector::new(bits);
+                for &c in &all {
+                    want.push(c);
+                }
+                let mut one = PackedCodeVector::new(bits);
+                let mut pieces = PackedCodeVector::new(bits);
+                for &c in prefix {
+                    one.push(c);
+                    pieces.push(c);
+                }
+                one.extend(codes);
+                let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(n)).collect();
+                cuts.sort_unstable();
+                let mut lo = 0;
+                for hi in cuts.into_iter().chain([n]) {
+                    pieces.extend(&codes[lo..hi]);
+                    lo = hi;
+                }
+                prop_assert_eq!(&one, &want, "width {}", bits);
+                prop_assert_eq!(&pieces, &want, "width {}", bits);
+                for (row, &c) in all.iter().enumerate() {
+                    prop_assert_eq!(one.get(row), c, "width {}, row {}", bits, row);
+                }
+            }
+        }
+    }
+
     #[test]
-    #[should_panic(expected = "does not fit")]
-    fn push_rejects_oversized_code() {
+    #[should_panic(expected = "code 16 does not fit in 4 bits")]
+    fn extend_rejects_oversized_code() {
         let mut v = PackedCodeVector::new(4);
-        v.push(16);
+        v.extend(&[16]);
+    }
+
+    #[test]
+    #[should_panic(expected = "code 17 does not fit in 4 bits")]
+    fn extend_rejects_oversized_code_inside_a_whole_group() {
+        // Rows 64..128 form the one whole group; 17 sits in it, before
+        // another oversized code, and is the one named.
+        let mut codes = vec![3u32; 200];
+        codes[100] = 17;
+        codes[150] = 99;
+        let mut v = PackedCodeVector::new(4);
+        v.extend(&codes[..64]);
+        v.extend(&codes[64..]);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! values (where the table is no larger than the sorted copy); both
 //! encoders build the same column, bit for bit.
 
-use crate::bitpack::PackedCodeVector;
+use crate::bitpack::{PackedCodeVector, SCAN_BLOCK};
 use std::ops::Bound;
 
 /// A sorted, deduplicated value domain with O(log n) encode and O(1) decode.
@@ -130,14 +130,27 @@ pub trait DictValue: Ord + Clone {
 /// `values` into a [`Dictionary`], then binary-searches it once per row.
 fn encode_by_search<T: Ord + Clone>(values: &[T]) -> (Dictionary<T>, PackedCodeVector) {
     let dict = Dictionary::build(values.to_vec());
-    let mut codes = PackedCodeVector::with_capacity(dict.code_bits(), values.len());
-    for v in values {
-        let code = dict
-            .encode(v)
-            .expect("dictionary was built from these values");
-        codes.push(code);
-    }
+    let codes = pack_blocks(dict.code_bits(), values, |v| {
+        dict.encode(v)
+            .expect("dictionary was built from these values")
+    });
     (dict, codes)
+}
+
+/// Packs `code(v)` for every row, a [`SCAN_BLOCK`] of codes at a time:
+/// each block is looked up into a stack buffer, then packed by
+/// [`PackedCodeVector::extend`].
+fn pack_blocks<T>(bits: u32, values: &[T], code: impl Fn(&T) -> u32) -> PackedCodeVector {
+    let mut codes = PackedCodeVector::with_capacity(bits, values.len());
+    let mut buf = [0u32; SCAN_BLOCK];
+    for block in values.chunks(SCAN_BLOCK) {
+        let out = &mut buf[..block.len()];
+        for (c, v) in out.iter_mut().zip(block) {
+            *c = code(v);
+        }
+        codes.extend(out);
+    }
+    codes
 }
 
 /// The encoder for a dense integer domain: a value's code is its rank
@@ -172,10 +185,9 @@ fn encode_by_rank(values: &[i64]) -> Option<(Dictionary<i64>, PackedCodeVector)>
         }
     }
     let dict = Dictionary::from_sorted(sorted);
-    let mut codes = PackedCodeVector::with_capacity(dict.code_bits(), values.len());
-    for &v in values {
-        codes.push(table[v.abs_diff(min) as usize]);
-    }
+    let codes = pack_blocks(dict.code_bits(), values, |&v| {
+        table[v.abs_diff(min) as usize]
+    });
     Some((dict, codes))
 }
 
@@ -281,12 +293,21 @@ mod tests {
         assert_eq!(d.code_bits(), 9);
     }
 
-    /// The reference column: `Dictionary::build`, then `encode` per row.
-    fn reference(values: &[i64]) -> (Dictionary<i64>, PackedCodeVector) {
+    /// The reference column: `Dictionary::build`, then `encode` per row,
+    /// and the codes laid out bit by bit — row `i`'s bit `b` at bit
+    /// `i × bits + b` of the words — without the packer under test.
+    fn reference(values: &[i64]) -> (Dictionary<i64>, u32, Vec<u64>) {
         let dict = Dictionary::build(values.to_vec());
-        let codes: Vec<u32> = values.iter().map(|v| dict.encode(v).unwrap()).collect();
-        let codes = PackedCodeVector::from_codes(dict.code_bits(), &codes);
-        (dict, codes)
+        let bits = dict.code_bits() as usize;
+        let mut words = vec![0u64; (values.len() * bits).div_ceil(64)];
+        for (row, v) in values.iter().enumerate() {
+            let code = dict.encode(v).unwrap();
+            for b in (0..bits).filter(|b| code >> b & 1 == 1) {
+                let pos = row * bits + b;
+                words[pos / 64] |= 1 << (pos % 64);
+            }
+        }
+        (dict, bits as u32, words)
     }
 
     /// Asserts the `i64` encoder builds the reference column bit for bit;
@@ -294,11 +315,11 @@ mod tests {
     fn assert_matches_reference(values: &[i64]) -> bool {
         let by_rank = encode_by_rank(values).is_some();
         let (dict, codes) = i64::encode_column(values);
-        let (ref_dict, ref_codes) = reference(values);
+        let (ref_dict, ref_bits, ref_words) = reference(values);
         assert_eq!(dict.values, ref_dict.values, "{values:?}");
         assert_eq!(dict.values.capacity(), dict.len(), "{values:?}");
         assert_eq!(codes.len(), values.len());
-        assert_eq!(codes, ref_codes, "{values:?}");
+        assert_eq!(codes.raw(), (ref_bits, &ref_words[..]), "{values:?}");
         by_rank
     }
 
@@ -307,6 +328,8 @@ mod tests {
         fn i64_encoder_matches_reference(values in prop_oneof![
             // Dense, negative and positive.
             proptest::collection::vec(-40i64..40, 0..300),
+            // Dense over more rows than one packing block.
+            proptest::collection::vec(0i64..3000, 1000..2500),
             // Dense near an arbitrary base, extremes included.
             (i64::MIN..=i64::MAX, proptest::collection::vec(0i64..64, 0..200))
                 .prop_map(|(base, offsets)| offsets

@@ -13,7 +13,8 @@
 #     with each reply's `tick` as its next cursor, gets every point of
 #     the `ccp_build_info` gauge exactly once (the documented `?since=`
 #     contract, live);
-#   * the bench report carries the build provenance it measured.
+#   * the bench report carries the build provenance it measured, and its
+#     `git_sha` is the checkout's HEAD (a stale build fails the gate).
 #
 # Usage:
 #   scripts/flight_smoke.sh [PORT]   # default 19390
@@ -136,17 +137,22 @@ print(f"   repartition at seq {ev['seq']} ({ev['detail']}), "
       f"{len(occ)} occupancy series bracket it")
 PY
 
-# The bench report must carry the build it measured.
-python3 - "$WORK/bench.json" <<'PY'
+# The bench report must carry the build it measured, and that build must
+# be this checkout's HEAD.
+python3 - "$WORK/bench.json" "$(git rev-parse --short HEAD)" <<'PY'
 import json, sys
 
 with open(sys.argv[1]) as f:
     doc = json.load(f)
+head = sys.argv[2]
 build = doc.get("build")
 assert build and build.get("version") and build.get("git_sha") and build.get("profile"), (
     f"bench report lacks build provenance: {build!r}"
 )
-print(f"   bench report built from {build['git_sha']} ({build['profile']})")
+assert build["git_sha"] == head, (
+    f"bench report built from {build['git_sha']}, but HEAD is {head}: stale build provenance"
+)
+print(f"   bench report built from {build['git_sha']} = HEAD ({build['profile']})")
 PY
 
 ccp_assert_no_panics "$WORK/flight.metrics.txt"
