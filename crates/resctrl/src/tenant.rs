@@ -1,7 +1,7 @@
 //! Tenant identities, and the names of the groups this system owns.
 //!
-//! Tenancy is an admission concept: a validated [`TenantId`] keys quotas,
-//! weighted-fair queueing and the per-tenant metric labels. It names no
+//! Tenancy is an admission concept: a validated [`TenantId`] keys quotas
+//! and the per-tenant metric labels. It names no
 //! resctrl group — every tenant's workers bind into the shared per-mask
 //! group [`mask_group_name`] mints, `ccp-<mask hex>`, and everything this
 //! system creates in the tree carries `GROUP_PREFIX`, which is what

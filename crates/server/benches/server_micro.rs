@@ -1,19 +1,23 @@
 //! Criterion microbenchmarks for the fixed work every `/query` pays on
 //! the connection thread, around the query itself: reading the HTTP
-//! request, parsing its JSON line, rendering the reply line and the
-//! label lookups the request counters make.
+//! request, parsing its JSON line, taking and returning an admission
+//! permit, rendering the reply line and the label lookups the request
+//! counters make.
 //!
 //! The reply is rendered through `to_string()`, the call the
 //! benchmark's traced pass makes, so the ids compare across revisions
 //! of the renderer.
 
+use ccp_cachesim::HierarchyConfig;
+use ccp_engine::{CacheAwareScheduler, CacheUsageClass, PartitionPolicy, SchedulerMetrics};
 use ccp_obs::Registry;
 use ccp_resctrl::Class;
 use ccp_server::http::read_request;
-use ccp_server::{parse_query, Breakdown, Json, QueryOutcome};
+use ccp_server::{parse_query, AdmissionQueue, Breakdown, Json, QueryOutcome, ServerMetrics};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::borrow::Cow;
 use std::io::Cursor;
+use std::sync::Arc;
 
 /// A reuse-hit `q1` request line, as the load generator sends it.
 const LINE: &str = r#"{"workload":"q1","threshold":25000}"#;
@@ -94,5 +98,29 @@ fn bench_family(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_json, bench_http, bench_family);
+/// An uncontended permit on the served default of two slots: acquire,
+/// then drop, with nothing else waiting or running.
+fn bench_admission(c: &mut Criterion) {
+    let cfg = HierarchyConfig::broadwell_e5_2699_v4();
+    let policy = PartitionPolicy::paper_default(cfg.llc, cfg.l2.size_bytes);
+    let queue = Arc::new(AdmissionQueue::new(
+        CacheAwareScheduler::new(policy, 2),
+        16,
+        SchedulerMetrics::new(),
+        ServerMetrics::new(&Registry::new()),
+    ));
+    let mut g = c.benchmark_group("server/admission");
+    g.bench_function("acquire_release", |b| {
+        b.iter(|| drop(queue.acquire(black_box(CacheUsageClass::Polluting))));
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_json,
+    bench_http,
+    bench_admission,
+    bench_family
+);
 criterion_main!(benches);

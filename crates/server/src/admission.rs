@@ -9,8 +9,9 @@
 //!    may co-run: at most `slots` queries at once, never two
 //!    cache-sensitive ones together (they would fight over the LLC share
 //!    partitioning reserves for them). Waiters are served FIFO *with
-//!    bypass*: when the head of the queue is a deferred sensitive query, a
-//!    polluter behind it may start — the same packing rule
+//!    bypass*: the grant goes to the first admissible waiter in arrival
+//!    order, so when the head of the queue is a deferred sensitive query,
+//!    a polluter behind it may start — the same packing rule
 //!    [`plan_waves`](ccp_engine::CacheAwareScheduler::plan_waves) applies
 //!    to offline queues.
 //! 2. **Queue depth** — at most `capacity` queries may *wait*. Beyond
@@ -19,9 +20,14 @@
 //!    Backpressure is explicit and observable instead of an unbounded
 //!    thread pile-up.
 //!
+//! Tenants meet admission only at arrival: a tenant at its in-flight
+//! quota ([`TenantLimits`]) gets [`AdmissionError::QuotaExceeded`]
+//! before it enqueues, so backpressure lands on the tenant that caused
+//! it. Once queued, a waiter's tenant plays no part in grant order.
+//!
 //! Waiters may additionally carry a **deadline**
-//! ([`acquire_with_deadline`](AdmissionQueue::acquire_with_deadline)):
-//! a query that waits past it is dequeued and fails with
+//! ([`acquire_tenant`](AdmissionQueue::acquire_tenant)): a query that
+//! waits past it is dequeued and fails with
 //! [`AdmissionError::TimedOut`] (HTTP `503` + `Retry-After`), so a
 //! saturated server sheds load instead of accumulating doomed work.
 //!
@@ -83,27 +89,21 @@ struct State {
     running_tenants: Vec<Arc<str>>,
     /// Waiting queries in arrival order.
     waiting: Vec<Waiter>,
-    /// Weighted-fair grant accounting across tenants.
-    fair: FairShare,
     next_ticket: u64,
     shutdown: bool,
 }
 
 /// Per-tenant admission limits, layered on top of the global capacity:
-/// a `quota` bounds how many of a tenant's
-/// queries may be in flight (waiting + running) at once — the arrival
-/// that would exceed it gets an immediate per-tenant `429` — and a
-/// `weight` biases grant order when several tenants' waiters are
-/// admissible at the same moment. Unlisted tenants have no quota and
-/// weight 1.
+/// a `quota` bounds how many of a tenant's queries may be in flight
+/// (waiting + running) at once, and the arrival that would exceed it gets
+/// an immediate per-tenant `429`. Unlisted tenants have no quota.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TenantLimits {
     quotas: Vec<(String, usize)>,
-    weights: Vec<(String, u32)>,
 }
 
 impl TenantLimits {
-    /// No quotas, every tenant at weight 1.
+    /// No quotas.
     pub fn new() -> Self {
         Self::default()
     }
@@ -117,14 +117,6 @@ impl TenantLimits {
         self
     }
 
-    /// Gives `tenant` grant weight `weight` (minimum 1; builder style).
-    #[must_use]
-    pub(crate) fn with_weight(mut self, tenant: &str, weight: u32) -> Self {
-        self.weights.retain(|(t, _)| t != tenant);
-        self.weights.push((tenant.to_string(), weight.max(1)));
-        self
-    }
-
     /// The in-flight quota for `tenant`, if one is configured.
     pub(crate) fn quota_for(&self, tenant: &str) -> Option<usize> {
         self.quotas
@@ -133,107 +125,9 @@ impl TenantLimits {
             .map(|&(_, q)| q)
     }
 
-    /// The grant weight for `tenant` (1 when unconfigured).
-    pub(crate) fn weight_for(&self, tenant: &str) -> u32 {
-        self.weights
-            .iter()
-            .find(|(t, _)| t == tenant)
-            .map_or(1, |&(_, w)| w)
-    }
-
-    /// Every tenant named by a quota or weight, in configuration order.
-    pub(crate) fn tenants(&self) -> Vec<&str> {
-        let quotas = self.quotas.iter().map(|(t, _)| t.as_str());
-        unique(quotas.chain(self.weights.iter().map(|(t, _)| t.as_str())))
-    }
-}
-
-/// `names` without repeats, in first-seen order.
-pub(crate) fn unique<'a>(names: impl IntoIterator<Item = &'a str>) -> Vec<&'a str> {
-    let mut out: Vec<&str> = Vec::new();
-    for name in names {
-        if !out.contains(&name) {
-            out.push(name);
-        }
-    }
-    out
-}
-
-/// Weighted-fair grant selection across tenants — the pure core of the
-/// queue's grant order, kept free of locks and clocks so property tests
-/// can drive it with arbitrary arrival streams.
-///
-/// The rule is classic weighted round-robin: among the *head-of-line*
-/// admissible waiter of each tenant, grant to the tenant with the
-/// smallest normalized grant count `(grants + 1) / weight`; ties go to
-/// the earlier ticket. With every weight at 1 and a single tenant this
-/// degenerates to plain FIFO-with-bypass, so untenanted deployments
-/// behave exactly as before.
-#[derive(Debug, Clone, Default)]
-pub struct FairShare {
-    /// One entry per tenant name ever granted. The queue grants under the
-    /// capped names of `ServerMetrics::tenant_label`, so its ledger — and
-    /// the linear scans over it under the admission lock — stay short.
-    grants: Vec<(String, u64)>,
-}
-
-impl FairShare {
-    /// Fresh accounting (no grants yet).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Cumulative grants handed to `tenant`.
-    pub fn grants(&self, tenant: &str) -> u64 {
-        self.grants
-            .iter()
-            .find(|(t, _)| t == tenant)
-            .map_or(0, |&(_, g)| g)
-    }
-
-    /// Records that `tenant` won a grant.
-    pub fn record_grant(&mut self, tenant: &str) {
-        match self.grants.iter_mut().find(|(t, _)| t == tenant) {
-            Some((_, g)) => *g += 1,
-            None => self.grants.push((tenant.to_string(), 1)),
-        }
-    }
-
-    /// Tenants with at least one grant, with their counts.
-    pub(crate) fn all(&self) -> &[(String, u64)] {
-        &self.grants
-    }
-
-    /// Picks the next grant among `candidates` — the admissible waiters
-    /// in FIFO order as `(ticket, tenant)` — returning the winning
-    /// ticket. Only each tenant's first (head-of-line) candidate
-    /// competes, so order within a tenant stays FIFO; across tenants the
-    /// smallest `(grants + 1) / weight` wins, compared exactly via
-    /// cross-multiplication.
-    pub fn pick(&self, candidates: &[(u64, &str)], weight_of: impl Fn(&str) -> u32) -> Option<u64> {
-        let mut seen: Vec<&str> = Vec::new();
-        // (ticket, grants + 1, weight) of the best so far.
-        let mut best: Option<(u64, u64, u32)> = None;
-        for &(ticket, tenant) in candidates {
-            if seen.contains(&tenant) {
-                continue;
-            }
-            seen.push(tenant);
-            let g = self.grants(tenant) + 1;
-            let w = weight_of(tenant).max(1);
-            best = match best {
-                None => Some((ticket, g, w)),
-                Some((bt, bg, bw)) => {
-                    // g/w < bg/bw  <=>  g*bw < bg*w (all positive).
-                    if u128::from(g) * u128::from(bw) < u128::from(bg) * u128::from(w) {
-                        Some((ticket, g, w))
-                    } else {
-                        Some((bt, bg, bw))
-                    }
-                }
-            };
-        }
-        best.map(|(t, _, _)| t)
+    /// Every tenant with a quota, in configuration order.
+    fn tenants(&self) -> impl Iterator<Item = &str> {
+        self.quotas.iter().map(|(t, _)| t.as_str())
     }
 }
 
@@ -270,7 +164,6 @@ impl AdmissionQueue {
                 running: Vec::new(),
                 running_tenants: Vec::new(),
                 waiting: Vec::new(),
-                fair: FairShare::new(),
                 next_ticket: 0,
                 shutdown: false,
             }),
@@ -278,17 +171,17 @@ impl AdmissionQueue {
         }
     }
 
-    /// Layers per-tenant quotas and grant weights on top of the global
-    /// capacity. Call before the queue is shared (builder style). The tenants
-    /// `limits` names keep a metric label set of their own however many
-    /// unconfigured tenants show up.
+    /// Layers per-tenant quotas on top of the global capacity. Call before
+    /// the queue is shared (builder style). The tenants `limits` names keep
+    /// a metric label set of their own however many unconfigured tenants
+    /// show up.
     pub fn with_tenant_limits(mut self, limits: TenantLimits) -> Self {
         self.server_metrics.pin_tenants(limits.tenants());
         self.tenant_limits = limits;
         self
     }
 
-    /// The per-tenant quotas and weights in effect.
+    /// The per-tenant quotas in effect.
     pub(crate) fn tenant_limits(&self) -> &TenantLimits {
         &self.tenant_limits
     }
@@ -311,29 +204,20 @@ impl AdmissionQueue {
         self.acquire_tenant(cuid, DEFAULT_TENANT, None)
     }
 
-    /// Like [`acquire`](Self::acquire), but gives up with
-    /// [`AdmissionError::TimedOut`] (dequeuing the waiter) when no permit
-    /// was granted within `deadline`. `None` waits indefinitely.
-    pub fn acquire_with_deadline(
-        self: &Arc<Self>,
-        cuid: CacheUsageClass,
-        deadline: Option<Duration>,
-    ) -> Result<RunPermit, AdmissionError> {
-        self.acquire_tenant(cuid, DEFAULT_TENANT, deadline)
-    }
-
-    /// Like [`acquire_with_deadline`](Self::acquire_with_deadline), but on
-    /// behalf of `tenant`: the arrival is refused with
+    /// Like [`acquire`](Self::acquire), but on behalf of `tenant` and
+    /// with a `deadline`: the arrival is refused with
     /// [`AdmissionError::QuotaExceeded`] when the tenant is at its
-    /// in-flight quota, and grants among concurrently admissible waiters
-    /// follow the weighted-fair order of [`FairShare`].
+    /// in-flight quota, and gives up with [`AdmissionError::TimedOut`]
+    /// (dequeuing the waiter) when no permit was granted within
+    /// `deadline`. `None` waits indefinitely. Grants do not look at the
+    /// tenant: the first admissible waiter in arrival order starts.
     ///
     /// The queue knows `tenant` by the name the metrics book it under
     /// (`ServerMetrics::tenant_label`): the tenant header is client input,
-    /// so past the cap on distinct unconfigured names the rest queue, run
-    /// and are granted as the one tenant `other` (weight 1), which keeps
-    /// the ledger and `/stats → tenants` bounded. Configured tenants and
-    /// the default tenant always keep their own name, quota and weight.
+    /// so past the cap on distinct unconfigured names the rest queue and
+    /// run as the one tenant `other`, which keeps `/stats → tenants`
+    /// bounded. Configured tenants and the default tenant always keep
+    /// their own name and quota.
     pub fn acquire_tenant(
         self: &Arc<Self>,
         cuid: CacheUsageClass,
@@ -389,31 +273,16 @@ impl AdmissionQueue {
                 self.changed.notify_all();
                 return Err(AdmissionError::ShuttingDown);
             }
-            // FIFO with bypass, weighted across tenants: among the
-            // admissible waiters (a polluter may overtake a deferred
-            // sensitive query — it fills the wave), each tenant's
-            // head-of-line candidate competes and the weighted-fair rule
-            // picks the winner. With one tenant this is exactly "the
-            // first admissible waiter starts".
+            // FIFO with bypass: the first admissible waiter starts (a
+            // polluter may overtake a deferred sensitive query — it fills
+            // the wave), whatever its tenant.
             let decide_started = Instant::now();
-            let winner = {
-                let admissible: Vec<(u64, &str)> = st
-                    .waiting
-                    .iter()
-                    .filter(|w| self.scheduler.admit(&st.running, w.cuid) == Admission::RunNow)
-                    .map(|w| (w.ticket, &*w.tenant))
-                    .collect();
-                st.fair
-                    .pick(&admissible, |t| self.tenant_limits.weight_for(t))
-            };
+            let granted = st
+                .waiting
+                .iter()
+                .position(|w| self.scheduler.admit(&st.running, w.cuid) == Admission::RunNow)
+                .filter(|&i| st.waiting[i].ticket == ticket);
             sched_ns += decide_started.elapsed().as_nanos() as u64;
-            // The winner is drawn from `st.waiting` under this same lock
-            // hold, so when it is us the position lookup cannot miss; a
-            // defensive None re-enters the wait instead of panicking.
-            let granted = match winner {
-                Some(t) if t == ticket => st.waiting.iter().position(|w| w.ticket == ticket),
-                _ => None,
-            };
             match granted {
                 Some(i) => {
                     if i > 0 {
@@ -422,7 +291,6 @@ impl AdmissionQueue {
                     st.waiting.remove(i);
                     st.running.push(cuid);
                     st.running_tenants.push(Arc::clone(&tenant));
-                    st.fair.record_grant(&tenant);
                     self.publish(&st);
                     // Admitting one query can unblock another admissible
                     // one (slots permitting) — let everybody re-check.
@@ -561,12 +429,6 @@ impl AdmissionQueue {
     /// Count of currently *running* queries per tenant, for `/stats`.
     pub fn running_by_tenant(&self) -> Vec<(String, usize)> {
         tally(self.lock().running_tenants.iter().map(|t| t.to_string()))
-    }
-
-    /// Cumulative grants per tenant since startup (the weighted-fairness
-    /// accounting), for `/stats` and the fairness assertions in tests.
-    pub(crate) fn grants_by_tenant(&self) -> Vec<(String, u64)> {
-        self.lock().fair.all().to_vec()
     }
 }
 
@@ -762,7 +624,11 @@ mod tests {
         let q = queue(1, 4);
         let held = q.acquire(CacheUsageClass::Polluting).unwrap();
         let err = q
-            .acquire_with_deadline(CacheUsageClass::Polluting, Some(Duration::from_millis(30)))
+            .acquire_tenant(
+                CacheUsageClass::Polluting,
+                DEFAULT_TENANT,
+                Some(Duration::from_millis(30)),
+            )
             .unwrap_err();
         assert_eq!(err, AdmissionError::TimedOut);
         // The expired waiter left the queue: nothing waits any more.
@@ -771,7 +637,11 @@ mod tests {
         // Zero deadline with a free slot still admits immediately (the
         // admissibility check runs before the deadline check).
         let p = q
-            .acquire_with_deadline(CacheUsageClass::Polluting, Some(Duration::ZERO))
+            .acquire_tenant(
+                CacheUsageClass::Polluting,
+                DEFAULT_TENANT,
+                Some(Duration::ZERO),
+            )
             .unwrap();
         assert!(p.ticket() > 0);
         drop(p);
@@ -845,40 +715,42 @@ mod tests {
     }
 
     #[test]
-    fn grants_accounting_tracks_tenants() {
-        let q = queue(4, 8);
+    fn running_and_waiting_are_counted_by_tenant() {
+        let q = queue(2, 8);
         let a = q
             .acquire_tenant(CacheUsageClass::Polluting, "alpha", None)
             .unwrap();
         let b = q
             .acquire_tenant(CacheUsageClass::Mixed { hot_bytes: 1_000 }, "beta", None)
             .unwrap();
-        let a2 = q
-            .acquire_tenant(CacheUsageClass::Mixed { hot_bytes: 1_000 }, "alpha", None)
-            .unwrap();
-        let mut grants = q.grants_by_tenant();
-        grants.sort();
-        assert_eq!(
-            grants,
-            vec![("alpha".to_string(), 2), ("beta".to_string(), 1)]
-        );
+        // Both slots are taken: the next alpha arrival waits.
+        let q2 = Arc::clone(&q);
+        let waiter = thread::spawn(move || {
+            q2.acquire_tenant(CacheUsageClass::Polluting, "alpha", None)
+                .map(drop)
+        });
+        while q.occupancy().0 < 1 {
+            thread::yield_now();
+        }
+        assert_eq!(q.waiting_by_tenant(), vec![("alpha".to_string(), 1)]);
         let mut running = q.running_by_tenant();
         running.sort();
         assert_eq!(
             running,
-            vec![("alpha".to_string(), 2), ("beta".to_string(), 1)]
+            vec![("alpha".to_string(), 1), ("beta".to_string(), 1)]
         );
-        drop((a, b, a2));
+        drop((a, b));
+        waiter.join().unwrap().unwrap();
         assert!(q.drain(Duration::from_secs(1)));
-        assert!(q.running_by_tenant().is_empty());
+        assert!(q.running_by_tenant().is_empty() && q.waiting_by_tenant().is_empty());
     }
 
     #[test]
-    fn cycling_tenant_ids_leave_a_bounded_ledger_and_configured_weights_alone() {
+    fn cycling_tenant_ids_share_one_name_past_the_cap_and_keep_configured_quotas() {
         let q = Arc::new(
             Arc::into_inner(queue(4, 8))
                 .expect("sole owner")
-                .with_tenant_limits(TenantLimits::new().with_weight("acme", 3)),
+                .with_tenant_limits(TenantLimits::new().with_quota("acme", 1)),
         );
         for i in 0..200 {
             let id = format!("t{i}");
@@ -887,56 +759,73 @@ mod tests {
                 .unwrap();
             assert_eq!(permit.tenant(), if i < 64 { id.as_str() } else { "other" });
         }
-        drop(q.acquire(CacheUsageClass::Polluting).unwrap());
-        drop(
-            q.acquire_tenant(CacheUsageClass::Polluting, "acme", None)
-                .unwrap(),
-        );
-        let grants = q.grants_by_tenant();
+        // Two ids past the cap run side by side as one tenant.
+        let x = q
+            .acquire_tenant(CacheUsageClass::Polluting, "t200", None)
+            .unwrap();
+        let y = q
+            .acquire_tenant(CacheUsageClass::Polluting, "t201", None)
+            .unwrap();
+        assert_eq!(q.running_by_tenant(), vec![("other".to_string(), 2)]);
+        drop((x, y));
+        // However many ids went by, the default and the configured tenant
+        // keep their own names, and acme's quota of 1 still bites.
         assert_eq!(
-            grants.len(),
-            64 + 3,
-            "64 own + other + default + acme: {grants:?}"
+            q.acquire(CacheUsageClass::Polluting).unwrap().tenant(),
+            "default"
         );
-        let of = |name: &str| grants.iter().find(|(t, _)| t == name).map(|&(_, g)| g);
-        assert_eq!(of("other"), Some(136));
-        assert_eq!(of("t63"), Some(1));
-        assert_eq!(of("t64"), None);
-        assert_eq!(of("acme"), Some(1));
-        // However many ids went by, acme still outweighs a weight-1 tenant
-        // three to one.
-        assert_eq!(q.tenant_limits().weight_for("acme"), 3);
+        let held = q
+            .acquire_tenant(CacheUsageClass::Polluting, "acme", None)
+            .unwrap();
+        assert_eq!(held.tenant(), "acme");
+        assert_eq!(
+            q.acquire_tenant(CacheUsageClass::Polluting, "acme", None)
+                .unwrap_err(),
+            AdmissionError::QuotaExceeded
+        );
+        drop(held);
         assert!(q.running_by_tenant().is_empty() && q.waiting_by_tenant().is_empty());
     }
 
     #[test]
-    fn fair_share_single_tenant_is_fifo() {
-        let fs = FairShare::new();
-        let picked = fs.pick(&[(3, "only"), (5, "only"), (9, "only")], |_| 1);
-        assert_eq!(picked, Some(3), "head of line wins within a tenant");
-        assert_eq!(fs.pick(&[], |_| 1), None);
-    }
-
-    #[test]
-    fn fair_share_weights_bias_grant_ratio() {
-        // Tenants "heavy" (weight 3) and "light" (weight 1) always have a
-        // waiter ready; over 40 grants the split must be 30/10 exactly —
-        // the ±1 property tests generalize this to arbitrary streams.
-        let mut fs = FairShare::new();
-        let weight = |t: &str| if t == "heavy" { 3 } else { 1 };
-        let mut heavy = 0u64;
-        let mut light = 0u64;
-        for _ in 0..40 {
-            let winner = fs.pick(&[(1, "heavy"), (2, "light")], weight).unwrap();
-            if winner == 1 {
-                heavy += 1;
-                fs.record_grant("heavy");
-            } else {
-                light += 1;
-                fs.record_grant("light");
+    fn a_tenant_with_earlier_grants_is_not_starved_by_a_newcomer() {
+        let q = queue(1, 8);
+        for _ in 0..1_000 {
+            drop(
+                q.acquire_tenant(CacheUsageClass::Polluting, "alpha", None)
+                    .unwrap(),
+            );
+        }
+        let held = q.acquire(CacheUsageClass::Polluting).unwrap();
+        // alpha queues first, then three beta waiters; each arrival is
+        // seen waiting before the next one starts, so tickets follow the
+        // order below. With one slot, a waiter reports its grant while it
+        // still holds the slot, so the channel sees grants in order.
+        let (tx, rx) = mpsc::channel();
+        let mut waiters = Vec::new();
+        for (n, tenant) in ["alpha", "beta", "beta", "beta"].into_iter().enumerate() {
+            let q2 = Arc::clone(&q);
+            let tx = tx.clone();
+            waiters.push(thread::spawn(move || {
+                let permit = q2
+                    .acquire_tenant(CacheUsageClass::Polluting, tenant, None)
+                    .unwrap();
+                tx.send(tenant).unwrap();
+                drop(permit);
+            }));
+            while q.occupancy().0 < n + 1 {
+                thread::yield_now();
             }
         }
-        assert_eq!((heavy, light), (30, 10));
+        drop(held);
+        let order: Vec<&str> = (0..4)
+            .map(|_| rx.recv_timeout(Duration::from_secs(5)).unwrap())
+            .collect();
+        assert_eq!(order, ["alpha", "beta", "beta", "beta"]);
+        for waiter in waiters {
+            waiter.join().unwrap();
+        }
+        assert!(q.drain(Duration::from_secs(1)));
     }
 
     #[test]

@@ -43,7 +43,7 @@ mod query;
 mod server;
 mod stats;
 
-pub use admission::{AdmissionError, AdmissionQueue, FairShare, RunPermit, TenantLimits};
+pub use admission::{AdmissionError, AdmissionQueue, RunPermit, TenantLimits};
 pub use control_plane::{ControlPlane, ControlView, PlaneHandle, PlaneView};
 pub use http::{
     fetch, fetch_with_headers, ClientResponse, HttpClient, HttpError, Request, Response,

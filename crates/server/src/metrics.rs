@@ -9,16 +9,16 @@
 //! same handles.
 
 use ccp_obs::{unit, Counter, Family, Gauge, Histogram, Registry};
-use ccp_resctrl::DEFAULT_TENANT;
+use ccp_resctrl::{Class, DEFAULT_TENANT};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Unconfigured tenants that are booked under their own name — a label
-/// set in the `ccp_server_tenant_*` families, an entry in the admission
-/// queue's fair-share ledger and in `/stats → tenants`. `X-CCP-Tenant` is
-/// client input with 37^24 valid values; past this many distinct ones the
-/// rest are booked under [`OVERFLOW_TENANT`]. Configured tenants (a quota
-/// or a weight) and the default tenant never count against the cap.
+/// set in the `ccp_server_tenant_*` families and an entry in
+/// `/stats → tenants`. `X-CCP-Tenant` is client input with 37^24 valid
+/// values; past this many distinct ones the rest are booked under
+/// [`OVERFLOW_TENANT`]. Configured tenants (a quota) and the default
+/// tenant never count against the cap.
 const MAX_TENANT_LABELS: usize = 64;
 
 /// The name shared by every tenant past the cap.
@@ -173,7 +173,7 @@ impl ServerMetrics {
     }
 
     /// The name `tenant` is booked under, in the tenant-labelled families
-    /// here and in the admission queue's ledger: its own for the default
+    /// here and in the admission queue: its own for the default
     /// tenant, the configured ones and the first [`MAX_TENANT_LABELS`]
     /// others, [`OVERFLOW_TENANT`] for the rest. The one place that rule
     /// lives; it sees the id as the client sent it, so it is also where an
@@ -216,6 +216,36 @@ impl ServerMetrics {
         self.tenant_rejections
             .get_or_create(&[("tenant", label)])
             .inc();
+    }
+
+    /// Every name [`tenant_label`](Self::tenant_label) has booked: the
+    /// default tenant, the configured ones, the unconfigured ones under the
+    /// cap, and [`OVERFLOW_TENANT`] once an arrival landed there.
+    pub(crate) fn tenant_names(&self) -> Vec<String> {
+        let own = self.own_labels();
+        let mut names = vec![DEFAULT_TENANT.to_string()];
+        for name in own.configured.iter().chain(&own.unconfigured) {
+            if name != DEFAULT_TENANT {
+                names.push(name.clone());
+            }
+        }
+        if self.tenant_labels.overflow.get() > 0 && !names.iter().any(|n| n == OVERFLOW_TENANT) {
+            names.push(OVERFLOW_TENANT.to_string());
+        }
+        names
+    }
+
+    /// Queries admitted so far for `tenant`, summed over its class
+    /// labels in `ccp_server_tenant_requests_total`.
+    pub(crate) fn tenant_grants(&self, tenant: &str) -> u64 {
+        Class::ALL
+            .iter()
+            .filter_map(|c| {
+                self.tenant_requests
+                    .get(&[("tenant", tenant), ("class", c.label())])
+            })
+            .map(|c| c.get())
+            .sum()
     }
 
     /// Per-tenant quota rejections so far for `tenant`.

@@ -96,9 +96,6 @@ pub struct ServerConfig {
     /// Per-tenant in-flight admission quotas (`--tenant-quota NAME=N`);
     /// a tenant at its quota gets `429` per request.
     pub tenant_quotas: Vec<(String, usize)>,
-    /// Per-tenant grant weights for the weighted-fair admission order
-    /// (`--tenant-weight NAME=W`); unlisted tenants weigh 1.
-    pub tenant_weights: Vec<(String, u32)>,
     /// With `fake_resctrl`, caps the fake filesystem's CLOSIDs
     /// (`--fake-closids N`) so CLOSID-exhaustion paths are reachable in
     /// chaos runs; `None` keeps the Broadwell default of 16.
@@ -126,7 +123,6 @@ impl Default for ServerConfig {
             reuse_budget_mb: 64,
             no_reuse: false,
             tenant_quotas: Vec::new(),
-            tenant_weights: Vec::new(),
             fake_closids: None,
         }
     }
@@ -210,8 +206,7 @@ impl Server {
     /// header could ever match or a malformed occupancy script; otherwise
     /// what binding the address or spawning a thread reports.
     pub fn start(config: ServerConfig) -> std::io::Result<Server> {
-        let quotas = config.tenant_quotas.iter().map(|(t, _)| t);
-        for tenant in quotas.chain(config.tenant_weights.iter().map(|(t, _)| t)) {
+        for (tenant, _) in &config.tenant_quotas {
             ccp_resctrl::TenantId::parse(tenant).map_err(|why| {
                 std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("--tenant: {why}"))
             })?;
@@ -264,9 +259,6 @@ impl Server {
         let mut tenant_limits = TenantLimits::new();
         for (tenant, quota) in &config.tenant_quotas {
             tenant_limits = tenant_limits.with_quota(tenant, *quota);
-        }
-        for (tenant, weight) in &config.tenant_weights {
-            tenant_limits = tenant_limits.with_weight(tenant, *weight);
         }
         let admission = Arc::new(
             AdmissionQueue::new(

@@ -10,13 +10,12 @@
 //! [`ControlView`](crate::control_plane::ControlView) and the reuse
 //! cache. The two surfaces therefore cannot disagree, and reading never
 //! mints a label set. Typed views supply only what has no family: the
-//! controller's labels ([`PlaneView`]), the admission queue's tenant
-//! ledger, and echoes of the configuration.
+//! controller's labels ([`PlaneView`]), the admission queue's current
+//! occupancy by tenant, and echoes of the configuration.
 //!
 //! Key names *and key order* are part of the contract (scripts grep
 //! substrings of the rendered text); `tests/stats_shape.rs` pins both.
 
-use crate::admission::unique;
 use crate::control_plane::PlaneView;
 use crate::json::Json;
 use crate::server::Shared;
@@ -146,37 +145,29 @@ fn control(shared: &Shared, view: &PlaneView) -> Json {
     ])
 }
 
-/// Per-tenant view: configured quota and weight, current waiting/running
-/// occupancy, cumulative grants and quota rejections.
+/// Per-tenant view of every name the metrics book tenants under:
+/// configured quota, current waiting/running occupancy, admitted queries
+/// (`ccp_server_tenant_requests_total`, summed over class) and quota
+/// rejections.
 fn tenants(shared: &Shared) -> Json {
     let limits = shared.admission.tenant_limits();
     let waiting = shared.admission.waiting_by_tenant();
     let running = shared.admission.running_by_tenant();
-    let grants = shared.admission.grants_by_tenant();
-    let names = unique(
-        std::iter::once(ccp_resctrl::DEFAULT_TENANT)
-            .chain(limits.tenants())
-            .chain(grants.iter().map(|(t, _)| t.as_str()))
-            .chain(waiting.iter().map(|(t, _)| t.as_str()))
-            .chain(running.iter().map(|(t, _)| t.as_str())),
-    );
-    fn of<N: Copy + Default>(list: &[(String, N)], name: &str) -> N {
-        list.iter()
-            .find(|(t, _)| t == name)
-            .map_or(N::default(), |&(_, n)| n)
+    let m = &shared.metrics;
+    fn of(list: &[(String, usize)], name: &str) -> usize {
+        list.iter().find(|(t, _)| t == name).map_or(0, |&(_, n)| n)
     }
-    let tenant = |name: &str| {
+    let tenant = |name: String| {
         let fields = section([
-            ("quota", limits.quota_for(name).into()),
-            ("weight", limits.weight_for(name).into()),
-            ("waiting", of(&waiting, name).into()),
-            ("running", of(&running, name).into()),
-            ("grants", of(&grants, name).into()),
-            ("rejections", shared.metrics.tenant_rejections(name).into()),
+            ("quota", limits.quota_for(&name).into()),
+            ("waiting", of(&waiting, &name).into()),
+            ("running", of(&running, &name).into()),
+            ("grants", m.tenant_grants(&name).into()),
+            ("rejections", m.tenant_rejections(&name).into()),
         ]);
-        (name.to_string(), fields)
+        (name, fields)
     };
-    Json::Obj(names.into_iter().map(tenant).collect())
+    Json::Obj(m.tenant_names().into_iter().map(tenant).collect())
 }
 
 /// Orphan sweeps over the resctrl tree (start-up and shutdown): how many

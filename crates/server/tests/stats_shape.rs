@@ -73,14 +73,12 @@ const STATS_PATHS: &[&str] = &[
     "tenants",
     "tenants.default",
     "tenants.default.quota",
-    "tenants.default.weight",
     "tenants.default.waiting",
     "tenants.default.running",
     "tenants.default.grants",
     "tenants.default.rejections",
     "tenants.acme",
     "tenants.acme.quota",
-    "tenants.acme.weight",
     "tenants.acme.waiting",
     "tenants.acme.running",
     "tenants.acme.grants",

@@ -55,7 +55,6 @@ fn tenant_header_routes_quotas_and_stats() {
         fake_resctrl: true,
         no_reuse: true,
         tenant_quotas: vec![("acme".to_string(), 1)],
-        tenant_weights: vec![("acme".to_string(), 3)],
         ..ServerConfig::default()
     })
     .expect("start");
@@ -133,18 +132,12 @@ fn tenant_header_routes_quotas_and_stats() {
     let hold = holder.join().expect("holder thread");
     assert_eq!(hold.status, 200, "holder completes: {}", hold.body);
 
-    // /stats carries the whole tenant ledger: quota, weight, grants and
-    // rejections.
+    // /stats carries each tenant's quota, grants and rejections.
     let s = stats(addr);
     assert!(s.contains("\"tenants\""), "tenants section: {s}");
     assert!(s.contains("\"reconciler\""), "reconciler section: {s}");
     let at = s.find("\"acme\"").expect("acme entry");
     assert_eq!(stat_num(&s[at..], "quota"), 1.0, "acme quota in stats: {s}");
-    assert_eq!(
-        stat_num(&s[at..], "weight"),
-        3.0,
-        "acme weight in stats: {s}"
-    );
     assert!(stat_num(&s[at..], "grants") >= 1.0, "acme grants: {s}");
     assert!(
         stat_num(&s[at..], "rejections") >= 1.0,
@@ -183,7 +176,6 @@ fn cycling_tenant_ids_cannot_grow_the_exposition_without_bound() {
         no_reuse: true,
         // Quota 0: every acme arrival is a per-tenant 429.
         tenant_quotas: vec![("acme".to_string(), 0)],
-        tenant_weights: vec![("acme".to_string(), 3)],
         ..ServerConfig::default()
     })
     .expect("start");
@@ -205,19 +197,18 @@ fn cycling_tenant_ids_cannot_grow_the_exposition_without_bound() {
     for i in 0..200 {
         assert_eq!(query(&format!("t{i}")), 200);
     }
-    // The configured tenant keeps its quota, its weight and its own
-    // label set; the default tenant keeps its own too.
+    // The configured tenant keeps its quota and its own label set; the
+    // default tenant keeps its own too.
     assert_eq!(query("acme"), 429, "quota 0 still enforced");
     let r = fetch(addr, "POST", "/query", Some(r#"{"workload":"q1"}"#)).expect("default");
     assert_eq!(r.status, 200);
     // Reading per-tenant rejections for 200 tenants mints nothing.
     let s = stats(addr);
     let at = s.find("\"acme\"").expect("acme in tenants");
-    assert_eq!(stat_num(&s[at..], "weight"), 3.0, "{s}");
     assert_eq!(stat_num(&s[at..], "rejections"), 1.0, "{s}");
-    // The fair-share ledger and the `tenants` object stopped growing with
-    // the label sets: every entry carries one `grants` field, and only
-    // acme (quota 0) has none to show.
+    // The `tenants` object stopped growing with the label sets: every
+    // entry carries one `grants` field, and only acme (quota 0) has none
+    // to show.
     let tenants = &s[s.find("\"tenants\":{").expect("tenants object")..];
     let entries = tenants.matches("\"grants\":").count();
     assert_eq!(
@@ -229,13 +220,27 @@ fn cycling_tenant_ids_cannot_grow_the_exposition_without_bound() {
     assert_eq!(
         granted,
         64 + 2,
-        "ledger: 64 unconfigured + default + other: {s}"
+        "granted: 64 unconfigured + default + other: {s}"
     );
     let other = &tenants[tenants.find("\"other\":{").expect("other in tenants")..];
     assert_eq!(stat_num(other, "grants"), 136.0, "{s}");
-    assert_eq!(stat_num(other, "weight"), 1.0, "{s}");
 
     let scrape = fetch(addr, "GET", "/metrics", None).expect("scrape").body;
+    // Each tenant's `grants` is its request series summed over class.
+    let mut names: Vec<String> = (0..64).map(|i| format!("t{i}")).collect();
+    names.extend(["default", "other", "acme"].map(String::from));
+    for name in &names {
+        let label = format!("tenant=\"{name}\"}}");
+        let requests: f64 = scrape
+            .lines()
+            .filter(|l| l.starts_with("ccp_server_tenant_requests_total{") && l.contains(&label))
+            .filter_map(|l| l.rsplit_once(' ')?.1.parse::<f64>().ok())
+            .sum();
+        let entry = &tenants[tenants
+            .find(&format!("\"{name}\":{{"))
+            .unwrap_or_else(|| panic!("{name} in tenants: {s}"))..];
+        assert_eq!(stat_num(entry, "grants"), requests, "{name}: {s}");
+    }
     let series = |family: &str| {
         let prefix = format!("{family}{{");
         scrape.lines().filter(|l| l.starts_with(&prefix)).count()
@@ -362,7 +367,7 @@ fn tenant_names_in_the_configuration_are_validated_on_every_backend() {
             ..ServerConfig::default()
         },
         ServerConfig {
-            tenant_weights: vec![("probe".to_string(), 2)],
+            tenant_quotas: vec![("probe".to_string(), 2)],
             ..ServerConfig::default()
         },
     ] {

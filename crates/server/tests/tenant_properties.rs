@@ -1,18 +1,16 @@
 //! Property tests for the tenant admission layer: quotas are arrival
-//! gates that in-flight work can never exceed, and the weighted-fair
-//! grant order both satisfies its local invariant (the picked tenant
-//! minimizes virtual finish time `(grants+1)/weight`) and converges to
-//! proportional shares (±1 grant) when every tenant stays backlogged.
+//! gates that in-flight work can never exceed, and grants go to the first
+//! admissible waiter in arrival order whatever the tenants.
 
 use ccp_cachesim::HierarchyConfig;
-use ccp_engine::{CacheAwareScheduler, CacheUsageClass, PartitionPolicy, SchedulerMetrics};
-use ccp_obs::Registry;
-use ccp_server::{
-    AdmissionError, AdmissionQueue, FairShare, RunPermit, ServerMetrics, TenantLimits,
+use ccp_engine::{
+    Admission, CacheAwareScheduler, CacheUsageClass, PartitionPolicy, SchedulerMetrics,
 };
+use ccp_obs::Registry;
+use ccp_server::{AdmissionError, AdmissionQueue, RunPermit, ServerMetrics, TenantLimits};
 use proptest::prelude::*;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 /// Fixed tenant universe — names are irrelevant to the properties, the
 /// indices into this table are what the strategies generate.
@@ -133,94 +131,130 @@ proptest! {
         }
     }
 
-    /// Local fairness invariant under arbitrary candidate sets: the
-    /// winner is always drawn from the offered candidates, and no other
-    /// candidate has a strictly smaller virtual finish time
-    /// `(grants+1)/weight` (compared exactly via cross-multiplication).
+    /// One grant rule whatever the tenant: across arbitrary multi-tenant
+    /// arrival and departure streams over two slots and mixed classes,
+    /// every grant goes to the first admissible waiter in ticket order.
+    /// A model queue applies that rule with the scheduler's own `admit`
+    /// after every step, and the real queue must grant exactly the
+    /// waiters the model does.
     #[test]
-    fn pick_minimizes_virtual_finish_time(
-        weights in proptest::collection::vec(1u32..=5, 3..4),
-        rounds in proptest::collection::vec(
-            proptest::collection::vec(0usize..TENANTS.len(), 1..4), 1..80),
+    fn every_grant_goes_to_the_first_admissible_waiter(
+        ops in proptest::collection::vec(order_op_strategy(), 1..40),
     ) {
-        let mut fair = FairShare::new();
-        for (round, present) in rounds.into_iter().enumerate() {
-            let candidates: Vec<(u64, &str)> = present
-                .iter()
-                .map(|&t| ((round * TENANTS.len() + t) as u64, TENANTS[t]))
-                .collect();
-            let winner = fair.pick(&candidates, |t| {
-                weights[TENANTS.iter().position(|&n| n == t).unwrap()]
-            });
-            let ticket = winner.expect("nonempty candidate set always yields a winner");
-            let (_, name) = *candidates
-                .iter()
-                .find(|(tk, _)| *tk == ticket)
-                .expect("winner must be one of the candidates");
-            let wi = TENANTS.iter().position(|&n| n == name).unwrap();
-            let wg = u128::from(fair.grants(name) + 1);
-            let ww = u128::from(weights[wi]);
-            for &(_, other) in &candidates {
-                let oi = TENANTS.iter().position(|&n| n == other).unwrap();
-                let og = u128::from(fair.grants(other) + 1);
-                let ow = u128::from(weights[oi]);
-                prop_assert!(
-                    og * ww >= wg * ow,
-                    "{} (g+1={}, w={}) beat winner {} (g+1={}, w={})",
-                    other, og, ow, name, wg, ww
-                );
-            }
-            fair.record_grant(name);
-        }
-    }
+        let cfg = HierarchyConfig::broadwell_e5_2699_v4();
+        let policy = PartitionPolicy::paper_default(cfg.llc, cfg.l2.size_bytes);
+        let scheduler = CacheAwareScheduler::new(policy, 2);
+        let queue = Arc::new(AdmissionQueue::new(
+            scheduler,
+            128,
+            SchedulerMetrics::new(),
+            ServerMetrics::new(&Registry::new()),
+        ));
+        // Wakes every still-blocked waiter thread, also when an assert
+        // below fails.
+        let shutdown = ShutdownOnDrop(Arc::clone(&queue));
+        let (tx, rx) = mpsc::channel::<(usize, RunPermit)>();
+        // The model: arrivals not yet granted, in ticket order, and the
+        // granted ones with their permits.
+        let mut waiting: Vec<(usize, CacheUsageClass)> = Vec::new();
+        let mut running: Vec<(usize, CacheUsageClass, RunPermit)> = Vec::new();
+        let mut arrivals = 0usize;
+        let mut threads = Vec::new();
 
-    /// Proportional convergence when everyone is backlogged: grants
-    /// proceed in sorted virtual-finish order, so after any whole
-    /// number of periods (`G = m * W`, `W = Σw`) the split is *exact*
-    /// (`m * w` each), and mid-period each tenant's count stays inside
-    /// `[m*w, (m+1)*w]` — i.e. never deviates from the ideal
-    /// `G * w / W` by more than its own weight.
-    #[test]
-    fn backlogged_weights_converge_to_proportional_shares(
-        weights in proptest::collection::vec(1u32..=5, 3..4),
-        total in 1u64..=120,
-    ) {
-        let mut fair = FairShare::new();
-        let period: u64 = weights.iter().map(|&w| u64::from(w)).sum();
-        for g in 0..total {
-            let candidates: Vec<(u64, &str)> = TENANTS
-                .iter()
-                .enumerate()
-                .map(|(i, &t)| (g * TENANTS.len() as u64 + i as u64, t))
-                .collect();
-            let ticket = fair
-                .pick(&candidates, |t| {
-                    weights[TENANTS.iter().position(|&n| n == t).unwrap()]
-                })
-                .expect("backlogged candidates always yield a winner");
-            let (_, name) = *candidates.iter().find(|(tk, _)| *tk == ticket).unwrap();
-            fair.record_grant(name);
-
-            let granted = g + 1;
-            for (i, &t) in TENANTS.iter().enumerate() {
-                let got = fair.grants(t);
-                let w = u64::from(weights[i]);
-                let ideal_num = granted * w; // ideal = ideal_num / period
-                // |got - ideal| <= w  ⇔  |got * period - ideal_num| <= w * period
-                let dev = (got * period) as i128 - ideal_num as i128;
-                prop_assert!(
-                    dev.unsigned_abs() <= u128::from(w * period),
-                    "after {} grants {} holds {}, ideal {}/{}",
-                    granted, t, got, ideal_num, period
-                );
-                if granted % period == 0 {
-                    prop_assert_eq!(
-                        got,
-                        granted / period * u64::from(weights[i]),
-                        "whole periods split exactly"
-                    );
+        for op in ops {
+            match op {
+                OrderOp::Arrive(t, c) => {
+                    let (id, cuid) = (arrivals, CLASSES[c]);
+                    arrivals += 1;
+                    let (queue2, tx) = (Arc::clone(&queue), tx.clone());
+                    threads.push(std::thread::spawn(move || {
+                        if let Ok(permit) = queue2.acquire_tenant(cuid, TENANTS[t], None) {
+                            let _ = tx.send((id, permit));
+                        }
+                    }));
+                    waiting.push((id, cuid));
+                    // Queued or granted, the arrival holds its ticket
+                    // before the next one is made.
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    loop {
+                        let (w, r) = queue.occupancy();
+                        if w + r == waiting.len() + running.len() {
+                            break;
+                        }
+                        prop_assert!(Instant::now() < deadline, "arrival {} never showed", id);
+                        std::thread::yield_now();
+                    }
+                }
+                OrderOp::Depart(k) => {
+                    if !running.is_empty() {
+                        let at = k % running.len();
+                        running.remove(at);
+                    }
                 }
             }
+            // Grant as the rule says, one waiter at a time, and take each
+            // grant from the real queue in the same order.
+            loop {
+                let cuids: Vec<CacheUsageClass> = running.iter().map(|r| r.1).collect();
+                let Some(i) = waiting
+                    .iter()
+                    .position(|&(_, c)| scheduler.admit(&cuids, c) == Admission::RunNow)
+                else {
+                    break;
+                };
+                let (want, cuid) = waiting.remove(i);
+                let (got, permit) = rx
+                    .recv_timeout(Duration::from_secs(10))
+                    .unwrap_or_else(|e| panic!("no grant for arrival {want}: {e}"));
+                prop_assert_eq!(got, want, "granted out of order");
+                running.push((got, cuid, permit));
+            }
+            // Nothing else was granted.
+            prop_assert_eq!(queue.occupancy(), (waiting.len(), running.len()));
+            prop_assert!(rx.try_recv().is_err(), "a grant the model did not make");
+        }
+        drop(shutdown);
+        for t in threads {
+            t.join().expect("waiter thread");
         }
     }
+}
+
+/// Shuts the queue down when dropped.
+struct ShutdownOnDrop(Arc<AdmissionQueue>);
+
+impl Drop for ShutdownOnDrop {
+    fn drop(&mut self) {
+        self.0.shutdown();
+    }
+}
+
+/// Classes the order property mixes: a polluter may overtake a deferred
+/// sensitive waiter, so grant order is not plain arrival order.
+const CLASSES: [CacheUsageClass; 2] = [CacheUsageClass::Polluting, CacheUsageClass::Sensitive];
+
+/// One step of the order property's stream: tenant `t` arrives with a
+/// query of class `CLASSES[c]`, or the `k`-th held permit (mod the
+/// number held) completes.
+#[derive(Clone, Copy, Debug)]
+enum OrderOp {
+    Arrive(usize, usize),
+    Depart(usize),
+}
+
+fn order_op_strategy() -> BoxedStrategy<OrderOp> {
+    (
+        0usize..TENANTS.len(),
+        0usize..CLASSES.len(),
+        0usize..8,
+        0u32..2,
+    )
+        .prop_map(|(t, c, k, arrive)| {
+            if arrive == 1 {
+                OrderOp::Arrive(t, c)
+            } else {
+                OrderOp::Depart(k)
+            }
+        })
+        .boxed()
 }

@@ -4,13 +4,14 @@
 //! interleaving of acquire and release operations.
 //!
 //! The harness stays single-threaded by using
-//! `acquire_with_deadline(cuid, Some(Duration::ZERO))`: admissibility is
+//! `acquire_tenant(cuid, DEFAULT_TENANT, Some(Duration::ZERO))`: admissibility is
 //! checked before the deadline, so a zero deadline is a non-blocking
 //! try-acquire — admitted immediately or `TimedOut` with the waiter
 //! dequeued, never parked.
 
 use ccp_engine::{CacheAwareScheduler, CacheUsageClass, PartitionPolicy, SchedulerMetrics};
 use ccp_obs::Registry;
+use ccp_resctrl::DEFAULT_TENANT;
 use ccp_server::{AdmissionError, AdmissionQueue, RunPermit, ServerMetrics};
 use ccp_verify::{explore, Access, Actor, Mode};
 use std::sync::Arc;
@@ -44,7 +45,10 @@ struct QueueModel {
 impl QueueModel {
     fn try_acquire(&mut self, cuid: CacheUsageClass) {
         self.attempts += 1;
-        match self.queue.acquire_with_deadline(cuid, Some(Duration::ZERO)) {
+        match self
+            .queue
+            .acquire_tenant(cuid, DEFAULT_TENANT, Some(Duration::ZERO))
+        {
             Ok(permit) => {
                 self.granted_tickets.push(permit.ticket());
                 self.held.push(permit);
@@ -246,11 +250,19 @@ fn zero_capacity_queue_rejects_without_consuming_tickets() {
 fn shutdown_fails_new_arrivals_but_honors_held_permits() {
     let q = queue(2, 8);
     let permit = q
-        .acquire_with_deadline(CacheUsageClass::Polluting, Some(Duration::ZERO))
+        .acquire_tenant(
+            CacheUsageClass::Polluting,
+            DEFAULT_TENANT,
+            Some(Duration::ZERO),
+        )
         .expect("empty queue admits immediately");
     q.shutdown();
     assert!(matches!(
-        q.acquire_with_deadline(CacheUsageClass::Polluting, Some(Duration::ZERO)),
+        q.acquire_tenant(
+            CacheUsageClass::Polluting,
+            DEFAULT_TENANT,
+            Some(Duration::ZERO)
+        ),
         Err(AdmissionError::ShuttingDown)
     ));
     assert_eq!(q.occupancy(), (0, 1), "held permit survives shutdown");

@@ -4,7 +4,8 @@
 #
 # Starts `ccp serve` with the fake resctrl tree capped at 4 CLOSIDs — a
 # common CAT part: the root plus exactly the three mask groups workers
-# bind into — and four tenants configured, then:
+# bind into — and four tenants configured by quota alone (there are no
+# grant weights: admission grants in arrival order), then:
 #
 #   * a zero-quota tenant is 429'd at arrival while a quota'd tenant
 #     serves 200 through the very same queue (quotas are per tenant,
@@ -45,9 +46,9 @@ ccp_init
 
 ccp_launch_server serve "$ADDR" \
   --fake-closids 4 \
-  --tenant-quota alpha=8 --tenant-weight alpha=5 \
-  --tenant-quota beta=8 --tenant-weight beta=3 \
-  --tenant-quota gamma=8 --tenant-weight gamma=2 \
+  --tenant-quota alpha=8 \
+  --tenant-quota beta=8 \
+  --tenant-quota gamma=8 \
   --tenant-quota tiny=0
 SERVER_PID="${CCP_SERVER_PIDS[${#CCP_SERVER_PIDS[@]}-1]}"
 SERVER_LOG="${CCP_SERVER_LOGS[${#CCP_SERVER_LOGS[@]}-1]}"

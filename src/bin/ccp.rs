@@ -281,17 +281,6 @@ const SERVE_FLAGS: &[Flag<ServeArgs>] = &[
         },
     },
     Flag {
-        name: "--tenant-weight",
-        value: "NAME=W",
-        help: "weighted-fair admission share for NAME (default 1, repeatable)",
-        apply: |a, v| {
-            let (name, w) = parse_tenant_kv(v, "--tenant-weight")?;
-            let weight = parse_u32(w, "--tenant-weight")?;
-            a.config.tenant_weights.push((name, weight));
-            Ok(())
-        },
-    },
-    Flag {
         name: "--fake-closids",
         value: "N",
         help: "fake resctrl with only N CLOSIDs (implies --fake-resctrl; exhaustion chaos)",
