@@ -155,7 +155,8 @@ impl Controller {
         &self.static_plan
     }
 
-    /// Short label of the last decision (for `/stats`).
+    /// Short label of the last decision (the detail of the plane's
+    /// flight `hold` event).
     pub fn last_decision(&self) -> &'static str {
         self.last_decision
     }

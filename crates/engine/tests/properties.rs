@@ -31,7 +31,6 @@ proptest! {
         for (i, class) in Class::ALL.into_iter().enumerate() {
             prop_assert_eq!(class.index(), i);
             prop_assert_eq!(Class::parse(class.label()), Some(class));
-            prop_assert!(Class::PAPER_ORDER.contains(&class));
         }
         prop_assert_eq!(Class::parse("oltp"), None);
 

@@ -123,19 +123,6 @@ impl<T: Clone> Family<T> {
         })
     }
 
-    /// The metric for `labels` if one exists. Unlike
-    /// [`get_or_create`](Family::get_or_create) a lookup never mints a
-    /// label set, so read paths (`/stats`) cannot grow the exposition.
-    pub fn get(&self, labels: &[(&str, &str)]) -> Option<T> {
-        with_sorted(labels, |sorted| {
-            let metrics = lock(&self.inner.metrics);
-            let at = metrics
-                .binary_search_by(|(l, _)| cmp_labels(l, sorted))
-                .ok()?;
-            Some(metrics[at].1.clone())
-        })
-    }
-
     /// Attaches an existing metric handle under `labels`, replacing any
     /// previous metric there. This lets a component keep private
     /// instruments (isolated per instance) and expose them through a
@@ -480,20 +467,12 @@ mod tests {
     }
 
     #[test]
-    fn get_reads_without_creating_and_shortcuts_share_the_family() {
+    fn shortcuts_share_the_family() {
         let r = Registry::new();
-        let fam = r.counter_family("x_total", "X");
-        assert!(fam.get(&[("tenant", "a")]).is_none());
-        assert!(fam.collect().is_empty(), "a lookup minted a label set");
-        fam.get_or_create(&[("tenant", "a")]).add(2);
-        assert_eq!(fam.get(&[("tenant", "a")]).map(|c| c.get()), Some(2));
         r.counter("y_total", "Y").inc();
         assert_eq!(r.counter("y_total", "Y").get(), 1);
         r.gauge("z", "Z").set(4.0);
-        assert_eq!(
-            r.gauge_family("z", "Z").get(&[]).map(|g| g.get()),
-            Some(4.0)
-        );
+        assert_eq!(r.gauge_family("z", "Z").get_or_create(&[]).get(), 4.0);
     }
 
     #[test]
@@ -663,7 +642,7 @@ mod tests {
             before + 1,
             "a repeated lookup shares the handle"
         );
-        assert_eq!(fam.get(&wide_refs).map(|c| c.get()), Some(5));
+        assert_eq!(fam.get_or_create(&wide_refs).get(), 5);
         assert_eq!(
             fam.collect().len(),
             expected.len(),

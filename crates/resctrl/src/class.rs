@@ -3,10 +3,10 @@
 //! The paper's contract between operators and CAT is three classes —
 //! (i) polluting, (ii) sensitive, (iii) mixed (Section V-B). Every layer
 //! that speaks about a class — the engine's CUID, the occupancy probes,
-//! the adaptive controller, the live mask table, admission limits,
-//! `/stats` — uses this one enum, and everything held once per class is a
+//! the adaptive controller, the live mask table, admission, `/metrics` —
+//! uses this one enum, and everything held once per class is a
 //! [`PerClass`]. Strings exist only where bytes leave the process
-//! (metric label values, `/stats` keys, resctrl group names, the
+//! (metric label values, resctrl group names, the
 //! occupancy-script grammar, CLI flags), always through
 //! [`Class::label`] / [`Class::parse`].
 
@@ -30,12 +30,7 @@ impl Class {
     /// controller-facing surfaces (`control.mask_ways`, plan details).
     pub const ALL: [Class; 3] = [Class::Polluting, Class::Mixed, Class::Sensitive];
 
-    /// The paper's (*i*), (*ii*), (*iii*) numbering — the order
-    /// `/stats` `admission.classes` is rendered in.
-    pub const PAPER_ORDER: [Class; 3] = [Class::Polluting, Class::Sensitive, Class::Mixed];
-
-    /// The wire label: metric label value, `/stats` key,
-    /// occupancy-script class name.
+    /// The wire label: metric label value, occupancy-script class name.
     pub const fn label(self) -> &'static str {
         match self {
             Class::Polluting => "polluting",

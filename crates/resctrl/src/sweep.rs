@@ -29,8 +29,7 @@ use crate::tenant::GROUP_PREFIX;
 use ccp_obs::{Counter, Registry};
 
 /// The sweeper's `ccp_reconcile_*` instruments, a bundle of live
-/// `ccp_obs` handles: bumped by the sweeps, read by `/stats`
-/// (`handle.get()`), and — once attached with
+/// `ccp_obs` handles: bumped by the sweeps and — once attached with
 /// [`register_into`](SweepStats::register_into) — rendered by `/metrics`
 /// from the same handles. Cloning shares them.
 #[derive(Debug, Default, Clone)]
@@ -85,8 +84,7 @@ impl Sweeper {
         }
     }
 
-    /// The sweeper's instruments (shared handles, for `/metrics` and
-    /// `/stats`).
+    /// The sweeper's instruments (shared handles, for `/metrics`).
     pub fn stats(&self) -> SweepStats {
         self.stats.clone()
     }

@@ -10,8 +10,8 @@
 //! Tenant identifiers are deliberately strict: lowercase ASCII
 //! alphanumerics and underscores, 1–24 characters. No dashes, no path
 //! metacharacters, no uppercase (header values fold): an id is a metric
-//! label value and a `/stats` key, and hostile names — `..`, `a/b`,
-//! empty, overlong — are rejected where they enter.
+//! label value, and hostile names — `..`, `a/b`, empty, overlong — are
+//! rejected where they enter.
 
 use ccp_cachesim::WayMask;
 use std::fmt;
@@ -23,8 +23,7 @@ pub const DEFAULT_TENANT: &str = "default";
 /// Every group name this system owns starts with this.
 pub(crate) const GROUP_PREFIX: &str = "ccp-";
 
-/// Tenant identifiers reserved because a label or `/stats` key carrying
-/// them would read as the system's own vocabulary: `probe` (the
+/// Tenant identifiers reserved because a label carrying them would read as the system's own vocabulary: `probe` (the
 /// supervisor's `ccp-probe` scratch group), `shared`, and `mon`
 /// (resctrl's `mon_groups`/`mon_data`).
 pub const RESERVED: &[&str] = &["probe", "shared", "mon"];

@@ -1,7 +1,7 @@
 //! Property tests for tenant identifiers: every id over the legal
 //! alphabet parses to itself unless it is a reserved word, and hostile
 //! inputs (bad characters, over-length) are rejected where they enter
-//! rather than becoming a metric label or a `/stats` key.
+//! rather than becoming a metric label.
 
 use ccp_resctrl::tenant::{MAX_TENANT_LEN, RESERVED};
 use ccp_resctrl::TenantId;

@@ -172,7 +172,7 @@ pub enum Begin {
     Build(BuildGuard),
 }
 
-/// Point-in-time cache statistics (for `/stats.reuse`).
+/// Point-in-time cache statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ReuseStats {
     /// Lookups served from a published artifact.
@@ -451,7 +451,7 @@ impl ReuseCache {
             .register(&[], m.bytes.clone());
     }
 
-    /// Point-in-time statistics (for `/stats.reuse`).
+    /// Point-in-time statistics.
     pub fn stats(&self) -> ReuseStats {
         let (bytes, data_version, entries) = {
             let st = self.lock();

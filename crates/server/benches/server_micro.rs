@@ -82,7 +82,7 @@ fn bench_http(c: &mut Criterion) {
 fn bench_family(c: &mut Criterion) {
     let registry = Registry::new();
     let requests = registry.counter_family("requests_total", "Requests");
-    for endpoint in ["/metrics", "/query", "/stats", "other"] {
+    for endpoint in ["/metrics", "/query", "/timeline", "other"] {
         for status in ["200", "400", "429"] {
             requests.get_or_create(&[("endpoint", endpoint), ("status", status)]);
         }

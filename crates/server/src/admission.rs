@@ -181,11 +181,6 @@ impl AdmissionQueue {
         self
     }
 
-    /// The per-tenant quotas in effect.
-    pub(crate) fn tenant_limits(&self) -> &TenantLimits {
-        &self.tenant_limits
-    }
-
     fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -215,9 +210,9 @@ impl AdmissionQueue {
     /// The queue knows `tenant` by the name the metrics book it under
     /// (`ServerMetrics::tenant_label`): the tenant header is client input,
     /// so past the cap on distinct unconfigured names the rest queue and
-    /// run as the one tenant `other`, which keeps `/stats → tenants`
-    /// bounded. Configured tenants and the default tenant always keep
-    /// their own name and quota.
+    /// run as the one tenant `other`, which keeps the tenant-labelled
+    /// families bounded. Configured tenants and the default tenant always
+    /// keep their own name and quota.
     pub fn acquire_tenant(
         self: &Arc<Self>,
         cuid: CacheUsageClass,
@@ -394,26 +389,6 @@ impl AdmissionQueue {
         (st.waiting.len(), st.running.len())
     }
 
-    /// Maximum number of waiting queries.
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Maximum queries running concurrently (scheduler slots).
-    pub(crate) fn slots(&self) -> usize {
-        self.scheduler.slots
-    }
-
-    /// Arrival-time deferrals recorded so far.
-    pub(crate) fn deferrals(&self) -> u64 {
-        self.sched_metrics.deferrals()
-    }
-
-    /// Count of currently *waiting* queries per class, for `/stats`.
-    pub(crate) fn waiting_by_class(&self) -> PerClass<usize> {
-        count_by_class(self.lock().waiting.iter().map(|w| w.cuid))
-    }
-
     /// Count of currently *running* queries per class. This is the load
     /// signal the occupancy sampler's simulated probe feeds on when no
     /// CMT hardware is present.
@@ -421,12 +396,7 @@ impl AdmissionQueue {
         count_by_class(self.lock().running.iter().copied())
     }
 
-    /// Count of currently *waiting* queries per tenant, for `/stats`.
-    pub(crate) fn waiting_by_tenant(&self) -> Vec<(String, usize)> {
-        tally(self.lock().waiting.iter().map(|w| w.tenant.to_string()))
-    }
-
-    /// Count of currently *running* queries per tenant, for `/stats`.
+    /// Count of currently *running* queries per tenant.
     pub fn running_by_tenant(&self) -> Vec<(String, usize)> {
         tally(self.lock().running_tenants.iter().map(|t| t.to_string()))
     }
@@ -653,13 +623,12 @@ mod tests {
         let cfg = HierarchyConfig::broadwell_e5_2699_v4();
         let policy = PartitionPolicy::paper_default(cfg.llc, cfg.l2.size_bytes);
         let registry = Registry::new();
-        let metrics = ServerMetrics::new(&registry);
         let q = Arc::new(
             AdmissionQueue::new(
                 CacheAwareScheduler::new(policy, 4),
                 8,
                 SchedulerMetrics::new(),
-                metrics.clone(),
+                ServerMetrics::new(&registry),
             )
             .with_tenant_limits(TenantLimits::new().with_quota("acme", 1)),
         );
@@ -672,7 +641,9 @@ mod tests {
             .acquire_tenant(CacheUsageClass::Polluting, "acme", None)
             .unwrap_err();
         assert_eq!(err, AdmissionError::QuotaExceeded);
-        assert_eq!(metrics.tenant_rejections("acme"), 1);
+        assert!(registry
+            .render_prometheus()
+            .contains("ccp_server_tenant_rejections_total{tenant=\"acme\"} 1"));
         // Other tenants (and the default tenant) are untouched.
         let other = q
             .acquire_tenant(CacheUsageClass::Polluting, "globex", None)
@@ -715,7 +686,7 @@ mod tests {
     }
 
     #[test]
-    fn running_and_waiting_are_counted_by_tenant() {
+    fn running_queries_are_counted_by_tenant() {
         let q = queue(2, 8);
         let a = q
             .acquire_tenant(CacheUsageClass::Polluting, "alpha", None)
@@ -732,7 +703,6 @@ mod tests {
         while q.occupancy().0 < 1 {
             thread::yield_now();
         }
-        assert_eq!(q.waiting_by_tenant(), vec![("alpha".to_string(), 1)]);
         let mut running = q.running_by_tenant();
         running.sort();
         assert_eq!(
@@ -742,7 +712,7 @@ mod tests {
         drop((a, b));
         waiter.join().unwrap().unwrap();
         assert!(q.drain(Duration::from_secs(1)));
-        assert!(q.running_by_tenant().is_empty() && q.waiting_by_tenant().is_empty());
+        assert!(q.running_by_tenant().is_empty());
     }
 
     #[test]
@@ -784,7 +754,7 @@ mod tests {
             AdmissionError::QuotaExceeded
         );
         drop(held);
-        assert!(q.running_by_tenant().is_empty() && q.waiting_by_tenant().is_empty());
+        assert!(q.running_by_tenant().is_empty());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! | sample | always | probes per-class occupancy into the `ccp_llc_occupancy_bytes` / `ccp_mbm_total_bytes` gauges and the readings the control step consumes |
 //! | supervise | with a resctrl tree | flips degraded mode on a breaker trip, re-probes while degraded |
 //! | control | `adaptive` | one [`Controller`] tick on the pass's readings; applies or reverts the live mask table |
-//! | record | always | one flight-recorder snapshot of the registry |
+//! | record | always | sets `ccp_trace_dropped_records`, then one flight-recorder snapshot of the registry |
 //!
 //! The order is what makes the hand-offs trivial: the control step reads
 //! the sample taken earlier in the same pass, so a reading can only be
@@ -39,8 +39,8 @@
 //! bumped ([`ResctrlHealth::register_into`](ccp_resctrl::ResctrlHealth::register_into),
 //! [`ResctrlMetrics::register_into`](ccp_resctrl::ResctrlMetrics::register_into),
 //! [`SweepStats::register_into`](ccp_resctrl::SweepStats::register_into)),
-//! and the control step's own `ccp_control_*` instruments live in the
-//! [`PlaneView`] that `/stats` reads.
+//! and the control step's own `ccp_control_*` instruments are registered
+//! where the step bumps them.
 
 use crate::admission::AdmissionQueue;
 use crate::metrics::ServerMetrics;
@@ -50,8 +50,7 @@ use ccp_control::{ControlConfig, Controller, Decision, MaskPlan, ScriptedTrace, 
 use ccp_flight::{FlightHandle, FlightRecorder, RecorderConfig};
 use ccp_obs::{Counter, Family, Gauge, Registry};
 use ccp_resctrl::{
-    ClassReading, OccupancyProbe, PerClass, ResctrlMonitor, ResctrlTree, SimulatedMonitor,
-    SweepStats, Sweeper,
+    ClassReading, OccupancyProbe, PerClass, ResctrlMonitor, ResctrlTree, SimulatedMonitor, Sweeper,
 };
 use ccp_trace::TraceCat;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -62,35 +61,22 @@ use std::time::Duration;
 /// repartition as failed, exercising the revert-to-static path.
 pub(crate) const FAULT_CONTROL_APPLY: &str = "control.apply";
 
-/// What `/stats` reads from the plane: the control step's and the
-/// sweeper's live instruments plus the state that has no metric family.
-#[derive(Debug, Clone)]
-pub struct PlaneView {
-    /// The adaptive controller; `None` in static mode.
-    pub control: Option<ControlView>,
-    /// The sweeper's `ccp_reconcile_*` instruments; `None` when the
-    /// resctrl backend is unsupervised.
-    pub sweep: Option<SweepStats>,
-}
-
-/// The adaptive controller as `/stats` and `/metrics` show it. The
-/// control step is the only writer.
-#[derive(Debug, Clone)]
-pub struct ControlView {
-    /// Whether the last tick was clamped to the static plan.
-    pub clamped: bool,
-    /// Short label of the last decision.
-    pub last_decision: &'static str,
+/// The control step's `ccp_control_*` instruments; the step is the only
+/// writer.
+struct ControlView {
+    /// `ccp_control_clamped`: 1 while the last tick was clamped to the
+    /// static plan.
+    clamped: Gauge,
     /// `ccp_control_decisions_total`: ticks evaluated.
-    pub decisions: Counter,
+    decisions: Counter,
     /// `ccp_control_repartitions_total`: plans derived and applied.
-    pub repartitions: Counter,
+    repartitions: Counter,
     /// `ccp_control_holds_total`: ticks that held the current plan.
-    pub holds: Counter,
+    holds: Counter,
     /// `ccp_control_reverts_total`: falls back to the static plan.
-    pub reverts: Counter,
+    reverts: Counter,
     /// `ccp_control_mask_ways{class}`.
-    pub mask_ways: PerClass<Gauge>,
+    mask_ways: PerClass<Gauge>,
 }
 
 impl ControlView {
@@ -100,8 +86,11 @@ impl ControlView {
             "LLC ways currently granted to each CUID class by the live mask table",
         );
         let view = ControlView {
-            clamped: false,
-            last_decision: "none",
+            clamped: registry.gauge(
+                "ccp_control_clamped",
+                "1 while the adaptive controller is clamped to the static plan (degraded \
+                 health or stale readings), 0 otherwise",
+            ),
             decisions: registry.counter(
                 "ccp_control_decisions_total",
                 "Adaptive control ticks evaluated",
@@ -137,7 +126,6 @@ struct Env {
     engine: Arc<QueryEngine>,
     metrics: ServerMetrics,
     flight: FlightHandle,
-    view: Arc<Mutex<PlaneView>>,
 }
 
 struct Sample {
@@ -163,7 +151,6 @@ struct Supervise {
 struct Control {
     controller: Controller,
     last_emitted: &'static str,
-    /// The step's instruments; republished to [`PlaneView`] every tick.
     view: ControlView,
 }
 
@@ -177,6 +164,8 @@ pub struct ControlPlane {
     supervise: Option<Supervise>,
     control: Option<Control>,
     record: ccp_flight::Sampler,
+    /// `ccp_trace_dropped_records`, set by the record step.
+    trace_dropped: Gauge,
     /// Present when the engine's allocator has a resctrl tree.
     sweeper: Option<Sweeper>,
 }
@@ -242,10 +231,11 @@ impl ControlPlane {
             }
             sweeper
         });
-        let view = PlaneView {
-            control: control.as_ref().map(|task| task.view.clone()),
-            sweep: sweeper.as_ref().map(Sweeper::stats),
-        };
+        let trace_dropped = registry.gauge(
+            "ccp_trace_dropped_records",
+            "Trace records lost to ring wrap-around or recycling since the last clear, \
+             summed over rings",
+        );
         // The recorder is built after every family above is registered,
         // so tick 1, taken here, is a baseline carrying the full set.
         // Events are stamped with the last completed tick and `/timeline`
@@ -264,13 +254,13 @@ impl ControlPlane {
                 engine,
                 metrics,
                 flight,
-                view: Arc::new(Mutex::new(view)),
             },
             readings: Readings::default(),
             sample,
             supervise,
             control,
             record,
+            trace_dropped,
             sweeper,
         }
     }
@@ -278,11 +268,6 @@ impl ControlPlane {
     /// The flight recorder's emit/read handle.
     pub fn flight(&self) -> FlightHandle {
         self.env.flight.clone()
-    }
-
-    /// The `/stats` view the plane republishes after every pass.
-    pub fn view(&self) -> Arc<Mutex<PlaneView>> {
-        Arc::clone(&self.env.view)
     }
 
     /// Runs one pass: sample, supervise, control, record — each step
@@ -295,6 +280,7 @@ impl ControlPlane {
         if let Some(task) = &mut self.control {
             run_control(&self.env, task, &self.readings);
         }
+        self.trace_dropped.set(ccp_trace::dropped() as f64);
         self.record.tick();
     }
 
@@ -492,18 +478,14 @@ fn run_control(env: &Env, task: &mut Control, readings: &Readings) {
             // One event per run of holds, not one per tick: the
             // interesting moment is the *transition* to holding.
             if task.last_emitted != "hold" {
-                env.flight.emit("hold", "controller holding current plan");
+                env.flight.emit("hold", task.controller.last_decision());
                 task.last_emitted = "hold";
             }
         }
     }
     view.set_mask_ways(task.controller.current_plan());
-    view.clamped = task.controller.is_clamped();
-    view.last_decision = task.controller.last_decision();
-    env.view
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .control = Some(view.clone());
+    view.clamped
+        .set(f64::from(u8::from(task.controller.is_clamped())));
 }
 
 /// Human-readable way-count summary of a mask plan, for event details.

@@ -1,7 +1,7 @@
 //! A minimal JSON value type with a hand-rolled parser and renderer.
 //!
 //! The server speaks newline-delimited JSON on `/query` and emits JSON on
-//! `/stats`; the workspace keeps its dependency set to the offline-audited
+//! `/timeline`, `/healthz` and its error bodies; the workspace keeps its dependency set to the offline-audited
 //! list, so this is a deliberately small recursive-descent implementation
 //! (objects, arrays, strings with escapes, f64 numbers, booleans, null)
 //! rather than a serde integration. Parsing is depth-limited and never

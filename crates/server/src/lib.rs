@@ -11,8 +11,8 @@
 //!   overflows), and executes on the dual-pool executor;
 //! * exposes the whole stack's instruments — one `GET /metrics` scrape
 //!   in Prometheus text format shows executor, scheduler and
-//!   `ccp_server_*` families side by side, plus `GET /healthz` and a
-//!   JSON `GET /stats` snapshot;
+//!   `ccp_server_*` families side by side, `GET /timeline` their recent
+//!   history, and `GET /healthz` a liveness probe;
 //! * serves the process tracer ([`ccp_trace`]) as Chrome trace-event
 //!   JSON on `GET /trace` (load it in Perfetto / `chrome://tracing`),
 //!   and attaches a per-query latency breakdown
@@ -41,10 +41,9 @@ mod json;
 mod metrics;
 mod query;
 mod server;
-mod stats;
 
 pub use admission::{AdmissionError, AdmissionQueue, RunPermit, TenantLimits};
-pub use control_plane::{ControlPlane, ControlView, PlaneHandle, PlaneView};
+pub use control_plane::{ControlPlane, PlaneHandle};
 pub use http::{
     fetch, fetch_with_headers, ClientResponse, HttpClient, HttpError, Request, Response,
 };

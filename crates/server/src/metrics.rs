@@ -5,20 +5,19 @@
 //! admission-queue occupancy and rejections, per-tenant traffic — lands
 //! in the same [`Registry`] the engine, scheduler, resctrl and control
 //! layers attach their own handles to (`register_into`), so one
-//! `/metrics` scrape shows the whole stack and `/stats` reads the very
-//! same handles.
+//! `/metrics` scrape shows the whole stack and `/timeline` records the
+//! same series over time.
 
 use ccp_obs::{unit, Counter, Family, Gauge, Histogram, Registry};
-use ccp_resctrl::{Class, DEFAULT_TENANT};
+use ccp_resctrl::DEFAULT_TENANT;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Unconfigured tenants that are booked under their own name — a label
-/// set in the `ccp_server_tenant_*` families and an entry in
-/// `/stats → tenants`. `X-CCP-Tenant` is client input with 37^24 valid
-/// values; past this many distinct ones the rest are booked under
-/// [`OVERFLOW_TENANT`]. Configured tenants (a quota) and the default
-/// tenant never count against the cap.
+/// set in the `ccp_server_tenant_*` families. `X-CCP-Tenant` is client
+/// input with 37^24 valid values; past this many distinct ones the rest
+/// are booked under [`OVERFLOW_TENANT`]. Configured tenants (a quota) and
+/// the default tenant never count against the cap.
 const MAX_TENANT_LABELS: usize = 64;
 
 /// The name shared by every tenant past the cap.
@@ -218,77 +217,15 @@ impl ServerMetrics {
             .inc();
     }
 
-    /// Every name [`tenant_label`](Self::tenant_label) has booked: the
-    /// default tenant, the configured ones, the unconfigured ones under the
-    /// cap, and [`OVERFLOW_TENANT`] once an arrival landed there.
-    pub(crate) fn tenant_names(&self) -> Vec<String> {
-        let own = self.own_labels();
-        let mut names = vec![DEFAULT_TENANT.to_string()];
-        for name in own.configured.iter().chain(&own.unconfigured) {
-            if name != DEFAULT_TENANT {
-                names.push(name.clone());
-            }
-        }
-        if self.tenant_labels.overflow.get() > 0 && !names.iter().any(|n| n == OVERFLOW_TENANT) {
-            names.push(OVERFLOW_TENANT.to_string());
-        }
-        names
-    }
-
-    /// Queries admitted so far for `tenant`, summed over its class
-    /// labels in `ccp_server_tenant_requests_total`.
-    pub(crate) fn tenant_grants(&self, tenant: &str) -> u64 {
-        Class::ALL
-            .iter()
-            .filter_map(|c| {
-                self.tenant_requests
-                    .get(&[("tenant", tenant), ("class", c.label())])
-            })
-            .map(|c| c.get())
-            .sum()
-    }
-
-    /// Per-tenant quota rejections so far for `tenant`.
-    pub(crate) fn tenant_rejections(&self, tenant: &str) -> u64 {
-        self.tenant_rejections
-            .get(&[("tenant", tenant)])
-            .map_or(0, |c| c.get())
-    }
-
     /// Publishes the admission queue's current occupancy.
     pub(crate) fn set_admission_occupancy(&self, queued: usize, running: usize) {
         self.queue_depth.set(queued as f64);
         self.running_queries.set(running as f64);
     }
 
-    /// The admission queue's `(waiting, running)` occupancy as published.
-    pub(crate) fn admission_occupancy(&self) -> (f64, f64) {
-        (self.queue_depth.get(), self.running_queries.get())
-    }
-
     /// Records a query dequeued after its admission deadline (a 503).
     pub(crate) fn record_admission_timeout(&self) {
         self.admission_timeouts.inc();
-    }
-
-    /// Admission rejections so far.
-    pub(crate) fn admission_rejections(&self) -> u64 {
-        self.admission_rejections.get()
-    }
-
-    /// Admission deadline timeouts so far.
-    pub(crate) fn admission_timeouts(&self) -> u64 {
-        self.admission_timeouts.get()
-    }
-
-    /// Connections accepted so far.
-    pub(crate) fn connections_total(&self) -> u64 {
-        self.connections_total.get()
-    }
-
-    /// Connections currently active.
-    pub(crate) fn active_connections(&self) -> f64 {
-        self.active_connections.get()
     }
 
     /// Publishes the degraded flag (1 = degraded unpartitioned mode).
@@ -348,10 +285,9 @@ mod tests {
         m.record_tenant_request("acme", "polluting");
         m.record_tenant_request("acme", "polluting");
         m.record_tenant_rejection("acme");
-        assert_eq!(m.tenant_rejections("acme"), 1);
-        // The quota 429 also lands in the global rejection series.
-        assert_eq!(m.admission_rejections(), 1);
         let text = registry.render_prometheus();
+        // The quota 429 also lands in the global rejection series.
+        assert!(text.contains("ccp_server_admission_rejections_total 1"));
         assert!(text
             .contains("ccp_server_tenant_requests_total{class=\"polluting\",tenant=\"acme\"} 2"));
         assert!(text.contains("ccp_server_tenant_rejections_total{tenant=\"acme\"} 1"));
@@ -389,22 +325,14 @@ mod tests {
     }
 
     #[test]
-    fn reading_a_rejection_count_mints_no_label_set() {
-        let registry = Registry::new();
-        let m = ServerMetrics::new(&registry);
-        assert_eq!(m.tenant_rejections("nobody"), 0);
-        let text = registry.render_prometheus();
-        assert!(!text.contains("nobody"), "{text}");
-    }
-
-    #[test]
     fn connection_gauge_tracks_open_and_close() {
         let registry = Registry::new();
         let m = ServerMetrics::new(&registry);
         m.connection_opened();
         m.connection_opened();
         m.connection_closed();
-        assert_eq!(m.active_connections(), 1.0);
-        assert_eq!(m.connections_total(), 2);
+        let text = registry.render_prometheus();
+        assert!(text.contains("ccp_server_active_connections 1.0"));
+        assert!(text.contains("ccp_server_connections_total 2"));
     }
 }

@@ -401,7 +401,7 @@ impl QueryEngine {
         self.reuse.as_ref()
     }
 
-    /// The dual-pool executor (for `/stats` snapshots).
+    /// The dual-pool executor.
     pub fn pools(&self) -> &DualPoolExecutor {
         &self.pools
     }

@@ -2,14 +2,13 @@
 //!
 //! One listener thread accepts connections up to a hard cap and hands
 //! each to a short-lived handler thread (std-only; no async runtime).
-//! Handlers speak strict HTTP/1.1 with keep-alive, route to seven
+//! Handlers speak strict HTTP/1.1 with keep-alive, route to six
 //! endpoints, and account every request in the `ccp_server_*` families:
 //!
 //! | endpoint | method | body |
 //! |---|---|---|
 //! | `/metrics` | GET | Prometheus text exposition of the whole registry |
 //! | `/healthz` | GET | `{"status":"ok"}` |
-//! | `/stats` | GET | JSON snapshot of the whole stack (built in `stats.rs`) |
 //! | `/query` | POST | NDJSON workloads in, NDJSON outcomes out |
 //! | `/trace` | GET | Chrome trace-event JSON (`?clear=1` resets the rings) |
 //! | `/data/bump` | POST | bumps the data-version epoch, invalidating reuse entries |
@@ -26,7 +25,7 @@
 //! `TcpListener` leaks into the next test's port.
 
 use crate::admission::{AdmissionError, AdmissionQueue, TenantLimits};
-use crate::control_plane::{occupancy_probe, ControlPlane, PlaneHandle, PlaneView};
+use crate::control_plane::{occupancy_probe, ControlPlane, PlaneHandle};
 use crate::http::{read_request, HttpError, Request, Response};
 use crate::json::Json;
 use crate::metrics::ServerMetrics;
@@ -175,19 +174,16 @@ impl ConnTracker {
 }
 
 /// What every connection handler works on.
-pub(crate) struct Shared {
-    pub(crate) config: ServerConfig,
+struct Shared {
+    config: ServerConfig,
     registry: Registry,
-    pub(crate) metrics: ServerMetrics,
-    pub(crate) admission: Arc<AdmissionQueue>,
-    pub(crate) engine: Arc<QueryEngine>,
+    metrics: ServerMetrics,
+    admission: Arc<AdmissionQueue>,
+    engine: Arc<QueryEngine>,
     shutdown: AtomicBool,
     conns: ConnTracker,
-    pub(crate) started: Instant,
     /// Flight-recorder handle for `/timeline` and event emission.
     flight: FlightHandle,
-    /// What the control plane last published for `/stats`.
-    pub(crate) plane_view: Arc<Mutex<PlaneView>>,
 }
 
 /// A running server; dropping it shuts the service down gracefully.
@@ -289,9 +285,7 @@ impl Server {
             engine,
             shutdown: AtomicBool::new(false),
             conns: ConnTracker::new(),
-            started: Instant::now(),
             flight: plane.flight(),
-            plane_view: plane.view(),
         });
         let plane = plane.spawn()?;
         let accept_shared = Arc::clone(&shared);
@@ -337,17 +331,15 @@ impl Server {
         self.shared.engine.allocator().tree()?.lock().groups().ok()
     }
 
-    /// Whether something (a signal, `Server::shutdown`) asked the server
-    /// to stop.
-    pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Requests a graceful stop and blocks until the listener has exited,
     /// the admission queue has drained and every connection handler has
-    /// finished (bounded by the connection timeouts).
+    /// finished (bounded by the connection timeouts). Only the first call
+    /// does anything: a later one — `Drop` after an explicit call — must
+    /// not dial the freed port, which another listener may own by then.
     pub fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        if self.shared.shutdown.swap(true, Ordering::SeqCst) {
+            return;
+        }
         // The plane writes the live mask table and the resctrl tree; stop
         // it first so no repartition races the teardown.
         let plane = self.plane.take().and_then(|mut handle| handle.stop());
@@ -475,7 +467,6 @@ fn route(shared: &Shared, req: &Request) -> (&'static str, Response) {
             "/healthz",
             Response::json(200, &Json::obj(vec![("status", Json::str("ok"))])),
         ),
-        ("GET", "/stats") => ("/stats", Response::json(200, &crate::stats::render(shared))),
         ("GET", "/trace") => ("/trace", handle_trace(req)),
         ("GET", "/timeline") => ("/timeline", handle_timeline(shared, req)),
         ("POST", "/query") => ("/query", handle_query(shared, req)),
@@ -490,10 +481,9 @@ fn route(shared: &Shared, req: &Request) -> (&'static str, Response) {
 
 /// Every path the router serves; the 404 body and the `ccp serve` banner
 /// list them.
-pub const ENDPOINTS: [&str; 7] = [
+pub const ENDPOINTS: [&str; 6] = [
     "/metrics",
     "/healthz",
-    "/stats",
     "/query",
     "/trace",
     "/data/bump",

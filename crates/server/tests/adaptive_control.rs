@@ -1,6 +1,6 @@
 //! End-to-end adaptive control over real sockets: a scripted occupancy
 //! trace drives the controller to repartition the live mask table, the
-//! episode is visible in `/stats` and `/metrics`, and an armed
+//! episode is visible in `/metrics`, and an armed
 //! `control.apply` failpoint turns the first repartition into a clean
 //! revert followed by a successful retry. On a 4-CLOSID tree — the root
 //! plus three groups, one plan's worth — a repartition has to retire the
@@ -27,16 +27,27 @@ fn adaptive_config() -> ServerConfig {
     }
 }
 
-fn control_stats(addr: SocketAddr) -> Json {
-    let body = fetch(addr, "GET", "/stats", None).expect("stats").body;
-    let json = Json::parse(&body).expect("stats is JSON");
-    json.get("control").expect("control object").clone()
+fn scrape(addr: SocketAddr) -> String {
+    fetch(addr, "GET", "/metrics", None).expect("metrics").body
 }
 
-fn num(v: &Json, key: &str) -> f64 {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .unwrap_or_else(|| panic!("missing number {key:?} in {v}"))
+/// The sample of `series` (the family plus its labels, as the line
+/// begins) in a `/metrics` scrape.
+fn sample(scrape: &str, series: &str) -> f64 {
+    scrape
+        .lines()
+        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("{series} missing from the scrape"))
+        .parse()
+        .expect("numeric sample")
+}
+
+/// The live way count of `class` as `ccp_control_mask_ways` shows it.
+fn ways(scrape: &str, class: &str) -> f64 {
+    sample(
+        scrape,
+        &format!("ccp_control_mask_ways{{class=\"{class}\"}}"),
+    )
 }
 
 #[test]
@@ -48,15 +59,12 @@ fn scripted_shrink_repartitions_and_reports_everywhere() {
     let mut server = Server::start(adaptive_config()).expect("start");
     let addr = server.addr();
 
-    let first = control_stats(addr);
-    assert_eq!(first.get("enabled"), Some(&Json::Bool(true)));
-
     // The scripted sensitive working set collapses after 6 monitor
     // ticks; the controller must notice and shrink the live mask.
     let deadline = Instant::now() + Duration::from_secs(15);
     let control = loop {
-        let c = control_stats(addr);
-        if num(&c, "repartitions") >= 1.0 {
+        let c = scrape(addr);
+        if sample(&c, "ccp_control_repartitions_total") >= 1.0 {
             break c;
         }
         assert!(
@@ -65,22 +73,14 @@ fn scripted_shrink_repartitions_and_reports_everywhere() {
         );
         std::thread::sleep(Duration::from_millis(25));
     };
-    let ways = control.get("mask_ways").expect("mask_ways");
     assert!(
-        num(ways, "sensitive") < 20.0,
+        ways(&control, "sensitive") < 20.0,
         "sensitive mask did not shrink: {control}"
     );
-    assert!(num(ways, "polluting") >= 2.0, "polluter starved: {control}");
-
-    // The repartition shows up in the Prometheus scrape too.
-    let scrape = fetch(addr, "GET", "/metrics", None).expect("metrics").body;
     assert!(
-        scrape
-            .lines()
-            .any(|l| l.starts_with("ccp_control_repartitions_total") && !l.ends_with(" 0")),
-        "no repartitions in scrape"
+        ways(&control, "polluting") >= 2.0,
+        "polluter starved: {control}"
     );
-    assert!(scrape.contains("ccp_control_mask_ways{class=\"sensitive\"}"));
 
     // Queries keep flowing, and a sensitive query's reported mask is the
     // live (shrunken) one, not the static full mask.
@@ -103,14 +103,15 @@ fn apply_fault_reverts_cleanly_then_retries() {
 
     let deadline = Instant::now() + Duration::from_secs(15);
     loop {
-        let c = control_stats(addr);
+        let c = scrape(addr);
         // The first Repartition decision counts, then fails its apply
         // (one revert); the retry is the second repartition.
-        if num(&c, "reverts") >= 1.0 && num(&c, "repartitions") >= 2.0 {
+        if sample(&c, "ccp_control_reverts_total") >= 1.0
+            && sample(&c, "ccp_control_repartitions_total") >= 2.0
+        {
             // Reverted once on the injected failure, then landed the
             // adaptive plan on a retry.
-            let ways = c.get("mask_ways").expect("mask_ways");
-            assert!(num(ways, "sensitive") < 20.0, "retry never landed: {c}");
+            assert!(ways(&c, "sensitive") < 20.0, "retry never landed: {c}");
             break;
         }
         assert!(
@@ -148,9 +149,9 @@ fn four_closids_repartition_without_thrash() {
     loop {
         let groups = ccp_groups(&server);
         assert!(groups.len() <= 3, "more groups than one plan: {groups:?}");
-        let c = control_stats(addr);
-        if num(c.get("mask_ways").expect("mask_ways"), "sensitive") < 20.0 {
-            let decisions = num(&c, "decisions");
+        let c = scrape(addr);
+        if ways(&c, "sensitive") < 20.0 {
+            let decisions = sample(&c, "ccp_control_decisions_total");
             if decisions >= *shrunk_at.get_or_insert(decisions) + 60.0 {
                 break;
             }
@@ -169,37 +170,25 @@ fn four_closids_repartition_without_thrash() {
         replied.push(format!("ccp-{}", mask.trim_start_matches("0x")));
     }
 
-    let stats = fetch(addr, "GET", "/stats", None).expect("stats").body;
-    let stats = Json::parse(&stats).expect("stats is JSON");
-    let control = stats.get("control").expect("control");
-    assert_eq!(num(control, "reverts"), 0.0, "{control}");
-    assert!(num(control, "repartitions") <= 3.0, "{control}");
-    let olap = stats
-        .get("pools")
-        .and_then(|p| p.get("olap"))
-        .expect("olap");
-    assert_eq!(num(olap, "bind_failures"), 0.0, "{olap}");
+    let control = scrape(addr);
+    assert_eq!(sample(&control, "ccp_control_reverts_total"), 0.0);
+    assert!(sample(&control, "ccp_control_repartitions_total") <= 3.0);
+    assert_eq!(
+        sample(&control, "ccp_executor_bind_failures_total{pool=\"olap\"}"),
+        0.0
+    );
     // Groups are per mask: each one's schemata is written once, when it
     // is made, also across repartitions.
-    let scrape = fetch(addr, "GET", "/metrics", None).expect("metrics").body;
-    let total = |name: &str| {
-        scrape
-            .lines()
-            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
-            .unwrap_or_else(|| panic!("{name} missing from the scrape"))
-            .to_string()
-    };
     assert_eq!(
-        total("ccp_resctrl_schemata_writes_total"),
-        total("ccp_resctrl_group_creates_total")
+        sample(&control, "ccp_resctrl_schemata_writes_total"),
+        sample(&control, "ccp_resctrl_group_creates_total")
     );
 
     // Every group is the group of a mask the plan in force names: the
     // masks the replies report are there, and nothing is left of the
     // static plan the repartition replaced.
     let groups = ccp_groups(&server);
-    let ways = control.get("mask_ways").expect("mask_ways");
-    let plan_ways = ["polluting", "mixed", "sensitive"].map(|class| num(ways, class) as u32);
+    let plan_ways = ["polluting", "mixed", "sensitive"].map(|class| ways(&control, class) as u32);
     for group in &groups {
         let bits = u32::from_str_radix(&group["ccp-".len()..], 16).expect("ccp-<mask hex>");
         assert!(

@@ -3,7 +3,7 @@
 //! fake-resctrl engine keeps serving queries while binds fail, trips
 //! its circuit breaker into degraded unpartitioned mode, and heals back
 //! to partitioned once the background re-probe burns through the
-//! window — with the whole episode visible in `/stats` and `/metrics`.
+//! window — with the whole episode visible in `/metrics`.
 
 use ccp_server::{fetch, Server, ServerConfig};
 use std::net::SocketAddr;
@@ -18,8 +18,8 @@ impl Drop for PlanGuard {
     }
 }
 
-fn stats(addr: SocketAddr) -> String {
-    fetch(addr, "GET", "/stats", None).expect("stats").body
+fn scrape(addr: SocketAddr) -> String {
+    fetch(addr, "GET", "/metrics", None).expect("scrape").body
 }
 
 /// First sample of `name` in a Prometheus scrape.
@@ -32,38 +32,6 @@ fn scrape_value(scrape: &str, name: &str) -> f64 {
             (metric == name).then(|| value.parse().ok())?
         })
         .unwrap_or_else(|| panic!("metric {name} missing from scrape"))
-}
-
-/// The supervisor counters as `(/stats key, /metrics family)`.
-const RESCTRL_COUNTERS: [(&str, &str); 5] = [
-    ("retries", "ccp_resctrl_retries_total"),
-    ("op_failures", "ccp_resctrl_op_failures_total"),
-    ("breaker_trips", "ccp_resctrl_breaker_trips_total"),
-    ("reprobes", "ccp_resctrl_reprobes_total"),
-    ("restores", "ccp_resctrl_restores_total"),
-];
-
-/// [`RESCTRL_COUNTERS`] as `/stats` reports them in its `resctrl` section.
-fn resctrl_stats(stats: &str) -> Vec<f64> {
-    let section = &stats[stats.find("\"resctrl\":").expect("resctrl section")..];
-    RESCTRL_COUNTERS
-        .iter()
-        .map(|(key, _)| {
-            let needle = format!("\"{key}\":");
-            let rest = &section[section.find(&needle).expect("key") + needle.len()..];
-            rest[..rest.find([',', '}']).expect("value end")]
-                .parse()
-                .expect("numeric stat")
-        })
-        .collect()
-}
-
-/// [`RESCTRL_COUNTERS`] as a `/metrics` scrape reports them.
-fn resctrl_samples(scrape: &str) -> Vec<f64> {
-    RESCTRL_COUNTERS
-        .iter()
-        .map(|(_, family)| scrape_value(scrape, family))
-        .collect()
 }
 
 #[test]
@@ -86,9 +54,17 @@ fn write_faults_trip_degraded_mode_and_reprobe_heals() {
     .expect("start");
     let addr = server.addr();
 
-    let s = stats(addr);
-    assert!(s.contains("\"supervised\":true"), "fake resctrl: {s}");
-    assert!(s.contains("\"degraded\":false"), "healthy at start: {s}");
+    // The fake tree is supervised: the breaker's families are there.
+    let s = scrape(addr);
+    assert!(
+        s.contains("# TYPE ccp_resctrl_breaker_trips_total counter"),
+        "fake resctrl: {s}"
+    );
+    assert_eq!(
+        scrape_value(&s, "ccp_resctrl_degraded"),
+        0.0,
+        "healthy at start"
+    );
 
     // A window of 40 schemata-write failures: enough for three exhausted
     // ops (3 attempts each) to trip the breaker, small enough that the
@@ -105,29 +81,13 @@ fn write_faults_trip_degraded_mode_and_reprobe_heals() {
             "queries must survive bind faults: {}",
             r.body
         );
-        let s = stats(addr);
-        if s.contains("\"degraded\":true") {
-            // Mid-episode the counters are moving (the plane re-probes
-            // every 20 ms), so a scrape taken after the stats fetch can
-            // only be ahead of it — never behind, which is what a
-            // once-per-pass copy into the registry would show.
-            let scrape = fetch(addr, "GET", "/metrics", None).expect("scrape").body;
-            for ((stat, sample), (key, _)) in resctrl_stats(&s)
-                .into_iter()
-                .zip(resctrl_samples(&scrape))
-                .zip(RESCTRL_COUNTERS)
-            {
-                assert!(
-                    sample >= stat,
-                    "/metrics behind /stats on {key}: {sample} < {stat}"
-                );
-            }
+        if scrape_value(&scrape(addr), "ccp_resctrl_degraded") == 1.0 {
             break;
         }
         assert!(
             Instant::now() < deadline,
             "breaker never tripped: {}",
-            stats(addr)
+            scrape(addr)
         );
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -139,11 +99,11 @@ fn write_faults_trip_degraded_mode_and_reprobe_heals() {
     // The re-probe loop burns through the fault window and restores
     // partitioned mode on the first genuine write success.
     let deadline = Instant::now() + Duration::from_secs(15);
-    while stats(addr).contains("\"degraded\":true") {
+    while scrape_value(&scrape(addr), "ccp_resctrl_degraded") == 1.0 {
         assert!(
             Instant::now() < deadline,
             "re-probe never healed: {}",
-            stats(addr)
+            scrape(addr)
         );
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -154,21 +114,15 @@ fn write_faults_trip_degraded_mode_and_reprobe_heals() {
 
     // The whole episode is visible in one scrape: the gauge is back to
     // 0, and every stage left its counter trail.
-    let scrape = fetch(addr, "GET", "/metrics", None).expect("scrape").body;
-    assert_eq!(scrape_value(&scrape, "ccp_resctrl_degraded"), 0.0);
-    assert!(scrape_value(&scrape, "ccp_resctrl_retries_total") >= 1.0);
-    assert!(scrape_value(&scrape, "ccp_resctrl_op_failures_total") >= 3.0);
-    assert!(scrape_value(&scrape, "ccp_resctrl_breaker_trips_total") >= 1.0);
-    assert!(scrape_value(&scrape, "ccp_resctrl_reprobes_total") >= 1.0);
-    assert!(scrape_value(&scrape, "ccp_resctrl_restores_total") >= 1.0);
-    // `/stats` and `/metrics` read the same counters: with the episode
-    // over and the counters at rest, a stats fetch and the scrape right
-    // behind it agree on every one of them.
-    let at_rest = resctrl_stats(&stats(addr));
-    let scrape = fetch(addr, "GET", "/metrics", None).expect("scrape").body;
-    assert_eq!(at_rest, resctrl_samples(&scrape), "{RESCTRL_COUNTERS:?}");
+    let episode = scrape(addr);
+    assert_eq!(scrape_value(&episode, "ccp_resctrl_degraded"), 0.0);
+    assert!(scrape_value(&episode, "ccp_resctrl_retries_total") >= 1.0);
+    assert!(scrape_value(&episode, "ccp_resctrl_op_failures_total") >= 3.0);
+    assert!(scrape_value(&episode, "ccp_resctrl_breaker_trips_total") >= 1.0);
+    assert!(scrape_value(&episode, "ccp_resctrl_reprobes_total") >= 1.0);
+    assert!(scrape_value(&episode, "ccp_resctrl_restores_total") >= 1.0);
     // No worker died through any of it.
-    let panicked = scrape
+    let panicked = episode
         .lines()
         .filter(|l| l.starts_with("ccp_executor_jobs_panicked_total"))
         .filter_map(|l| l.rsplit(' ').next()?.parse::<f64>().ok())

@@ -8,7 +8,7 @@ use ccp_control::ScriptedTrace;
 use ccp_engine::alloc::ResctrlAllocator;
 use ccp_obs::Registry;
 use ccp_resctrl::Class;
-use ccp_server::{ControlPlane, ControlView, QueryEngine, ServerConfig, ServerMetrics};
+use ccp_server::{ControlPlane, QueryEngine, ServerConfig, ServerMetrics};
 use std::sync::Arc;
 
 const SHRINK_SCRIPT: &str = "sensitive:0.95x6,0.12;polluting:0.08;mixed:0.02";
@@ -16,6 +16,7 @@ const SHRINK_SCRIPT: &str = "sensitive:0.95x6,0.12;polluting:0.08;mixed:0.02";
 struct Rig {
     plane: ControlPlane,
     engine: Arc<QueryEngine>,
+    registry: Registry,
 }
 
 /// An adaptive + fake-resctrl plane, so each `step` runs all four
@@ -38,16 +39,26 @@ fn rig() -> Rig {
         ServerMetrics::new(&registry),
         Box::new(probe),
     );
-    Rig { plane, engine }
+    Rig {
+        plane,
+        engine,
+        registry,
+    }
 }
 
-/// The controller as the plane last published it.
-fn control(rig: &Rig) -> ControlView {
-    let view = rig.plane.view();
-    let view = view.lock().expect("view lock");
-    view.control
-        .clone()
-        .expect("adaptive plane publishes control")
+/// The sample of the unlabelled family `name` in the rig's `/metrics`
+/// rendering.
+fn sample(rig: &Rig, name: &str) -> f64 {
+    let text = rig.registry.render_prometheus();
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("{name} missing from\n{text}"))
+        .parse()
+        .expect("numeric sample")
+}
+
+fn clamped(rig: &Rig) -> bool {
+    sample(rig, "ccp_control_clamped") == 1.0
 }
 
 #[test]
@@ -58,7 +69,7 @@ fn repartitions_land_at_exact_passes() {
     let mut landed = Vec::new();
     for k in 1..=14 {
         rig.plane.step();
-        if control(&rig).repartitions.get() > landed.len() as u64 {
+        if sample(&rig, "ccp_control_repartitions_total") > landed.len() as f64 {
             landed.push(k);
         }
     }
@@ -85,7 +96,7 @@ fn only_a_probe_fault_window_of_the_stale_horizon_clamps() {
         let mut clamp_step = None;
         for k in 1..=12 {
             rig.plane.step();
-            if clamp_step.is_none() && control(&rig).clamped {
+            if clamp_step.is_none() && clamped(&rig) {
                 clamp_step = Some(k);
             }
         }
@@ -95,10 +106,7 @@ fn only_a_probe_fault_window_of_the_stale_horizon_clamps() {
             expect_clamp.then_some(6),
             "fault window of {window} probes"
         );
-        assert!(
-            !control(&rig).clamped,
-            "readings came back, the clamp must lift"
-        );
+        assert!(!clamped(&rig), "readings came back, the clamp must lift");
     }
 }
 
@@ -118,14 +126,15 @@ fn the_steps_of_one_pass_run_in_the_documented_order() {
 
     rig.plane.step();
 
-    // sample → control: the controller's first tick already had data.
-    let view = control(&rig);
-    assert_eq!((view.clamped, view.last_decision), (false, "hold-dwell"));
+    // sample → control: the controller's first tick already had data,
+    // so it holds for the warm-up dwell rather than clamping.
+    assert!(!clamped(&rig));
     // supervise → control: their events sit in that order, both stamped
     // with the baseline tick because record had not run yet.
     let timeline = rig.plane.flight().timeline(0, None);
     let kinds: Vec<(&str, u64)> = timeline.events.iter().map(|e| (e.kind, e.seq)).collect();
     assert_eq!(kinds, [("breaker_trip", 1), ("hold", 1)]);
+    assert_eq!(timeline.events[1].detail, "hold-dwell");
     // … → record: the pass's own tick carries what every earlier step of
     // the pass published.
     assert_eq!(timeline.tick, 2);
@@ -155,7 +164,11 @@ fn a_breaker_trip_after_a_repartition_settles_on_static_with_partitioning_off_un
     for _ in 1..=4 {
         rig.plane.step();
     }
-    assert_eq!(control(&rig).repartitions.get(), 1, "pass 4 repartitions");
+    assert_eq!(
+        sample(&rig, "ccp_control_repartitions_total"),
+        1.0,
+        "pass 4 repartitions"
+    );
     assert_ne!(live.snapshot(), static_plan);
     assert!(partitioning(&rig));
 
@@ -168,11 +181,11 @@ fn a_breaker_trip_after_a_repartition_settles_on_static_with_partitioning_off_un
         rig.plane.step();
         assert_eq!(live.snapshot(), static_plan, "degraded: the static plan");
         assert!(!partitioning(&rig), "degraded: partitioning off");
-        assert!(control(&rig).clamped);
+        assert!(clamped(&rig));
     }
     assert_eq!(
-        control(&rig).reverts.get(),
-        1,
+        sample(&rig, "ccp_control_reverts_total"),
+        1.0,
         "one revert, then clamped holds"
     );
 

@@ -1,8 +1,9 @@
 //! Flight recorder endpoints over real sockets: `/timeline` serves the
 //! retained series with a working `since` cursor and prefix filter, and
 //! the `ccp_build_info` gauge on `/metrics` carries the baked-in build
-//! provenance. Retired surfaces — `/profile`, `/version`, `/dashboard` —
-//! are ordinary unknown paths.
+//! provenance, and every counter and gauge of `/metrics` has a
+//! `/timeline` series of the same name. Retired surfaces — `/profile`,
+//! `/version`, `/dashboard`, `/stats` — are ordinary unknown paths.
 
 use ccp_server::{fetch, Json, Server, ServerConfig, ENDPOINTS};
 use std::net::SocketAddr;
@@ -132,12 +133,86 @@ fn timeline_and_build_info_serve_recorder_state() {
     server.shutdown();
 }
 
+fn tick(addr: SocketAddr) -> u64 {
+    timeline(addr, "/timeline")
+        .get("tick")
+        .and_then(Json::as_u64)
+        .expect("tick")
+}
+
+/// `/metrics` and `/timeline` are two projections of one registry: once
+/// the recorder has ticked past a scrape, every counter and gauge sample
+/// line of that scrape names a `/timeline` series — the two gauges the
+/// plane sets (`ccp_control_clamped`, `ccp_trace_dropped_records`)
+/// included.
+#[test]
+fn both_projections_name_the_same_series() {
+    let mut server = Server::start(ServerConfig {
+        adaptive: true,
+        ..flight_config()
+    })
+    .expect("start");
+    let addr = server.addr();
+    let q = fetch(addr, "POST", "/query", Some(r#"{"workload":"q1"}"#)).expect("query");
+    assert_eq!(q.status, 200, "{}", q.body);
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while tick(addr) < 3 {
+        assert!(Instant::now() < deadline, "recorder never ticked");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    // A pass that was under way during the scrape may have sampled the
+    // registry before a series the scrape shows was minted; the pass
+    // after it cannot have.
+    let before = tick(addr);
+    let scrape = fetch(addr, "GET", "/metrics", None).expect("metrics").body;
+    while tick(addr) < before + 2 {
+        assert!(Instant::now() < deadline, "recorder stopped ticking");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let tl = timeline(addr, "/timeline");
+    let Some(Json::Obj(series)) = tl.get("series") else {
+        panic!("series must be an object: {tl}");
+    };
+
+    let kinds: Vec<(&str, &str)> = scrape
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE ")?.split_once(' '))
+        .collect();
+    let mut checked = Vec::new();
+    for line in scrape.lines().filter(|l| !l.starts_with('#')) {
+        let (name, _) = line.rsplit_once(' ').expect("sample line");
+        let family = name.split('{').next().expect("family");
+        let numeric = kinds
+            .iter()
+            .any(|&(f, kind)| f == family && (kind == "counter" || kind == "gauge"));
+        if numeric {
+            assert!(
+                series.iter().any(|(s, _)| s == name),
+                "{name} has no /timeline series"
+            );
+            checked.push(family);
+        }
+    }
+    for family in ["ccp_control_clamped", "ccp_trace_dropped_records"] {
+        assert!(checked.contains(&family), "{family} missing from /metrics");
+    }
+
+    server.shutdown();
+}
+
 #[test]
 fn retired_surfaces_are_unknown_paths() {
     let mut server = Server::start(flight_config()).expect("start");
     let addr = server.addr();
 
-    for path in ["/profile", "/profile?seconds=1", "/version", "/dashboard"] {
+    for path in [
+        "/profile",
+        "/profile?seconds=1",
+        "/version",
+        "/dashboard",
+        "/stats",
+    ] {
         let resp = fetch(addr, "GET", path, None).expect("fetch");
         assert_eq!(resp.status, 404, "{path} -> {}", resp.body);
         let body = Json::parse(&resp.body).expect("404 body is JSON");
@@ -152,7 +227,6 @@ fn retired_surfaces_are_unknown_paths() {
         [
             "/metrics",
             "/healthz",
-            "/stats",
             "/query",
             "/trace",
             "/data/bump",

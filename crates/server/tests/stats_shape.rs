@@ -1,113 +1,19 @@
-//! The wire shape of `/stats` and `/metrics`, pinned: every key path of
-//! `/stats` in render order (scripts grep substrings such as
-//! `"reconciler":{"enabled":true`, so order is part of the contract) and
-//! every metric family with its type. The lists below were taken at
-//! commit cbb8391 and have since changed by removals (the
-//! `ccp-<tenant>-<class>` groups' keys and families went with the groups;
-//! the per-class queue caps' `admission.classes.*.{limit,rejections}`
-//! keys and `ccp_server_admission_class_rejections_total` went with the
-//! caps) and by five families: the resctrl controller's own instruments, which
-//! the server exports since it opens exactly one controller. A refactor
-//! of how the numbers are produced must leave this test passing
-//! unchanged.
+//! The wire shape of `/metrics`, pinned: every metric family with its
+//! type. `/metrics` is the server's one numeric snapshot and `/timeline`
+//! records the same series, so this list is the whole numeric surface.
+//! It was taken at commit cbb8391 and has since changed by removals (the
+//! `ccp-<tenant>-<class>` groups' families went with the groups;
+//! `ccp_server_admission_class_rejections_total` went with the per-class
+//! queue caps) and by five families: the resctrl controller's own
+//! instruments, which the server exports since it opens exactly one
+//! controller. A refactor of how the numbers are produced must leave
+//! this test passing unchanged.
 
-use ccp_server::{fetch, Json, Server, ServerConfig};
+use ccp_server::{fetch, Server, ServerConfig};
 use std::time::Duration;
 
-/// Every key path of `/stats` on a fake-resctrl + adaptive + one-quota
-/// server, depth-first in render order.
-const STATS_PATHS: &[&str] = &[
-    "uptime_secs",
-    "cat_live",
-    "pools",
-    "pools.olap",
-    "pools.olap.jobs_executed",
-    "pools.olap.jobs_panicked",
-    "pools.olap.mask_switches",
-    "pools.olap.bind_failures",
-    "pools.oltp",
-    "pools.oltp.jobs_executed",
-    "pools.oltp.jobs_panicked",
-    "pools.oltp.mask_switches",
-    "pools.oltp.bind_failures",
-    "admission",
-    "admission.queued",
-    "admission.running",
-    "admission.capacity",
-    "admission.slots",
-    "admission.rejections",
-    "admission.timeouts",
-    "admission.deferrals",
-    "admission.classes",
-    "admission.classes.polluting",
-    "admission.classes.polluting.waiting",
-    "admission.classes.sensitive",
-    "admission.classes.sensitive.waiting",
-    "admission.classes.mixed",
-    "admission.classes.mixed.waiting",
-    "connections",
-    "connections.active",
-    "connections.total",
-    "connections.max",
-    "resctrl",
-    "resctrl.supervised",
-    "resctrl.degraded",
-    "resctrl.retries",
-    "resctrl.op_failures",
-    "resctrl.breaker_trips",
-    "resctrl.reprobes",
-    "resctrl.restores",
-    "control",
-    "control.enabled",
-    "control.interval_ms",
-    "control.clamped",
-    "control.last_decision",
-    "control.decisions",
-    "control.repartitions",
-    "control.holds",
-    "control.reverts",
-    "control.mask_ways",
-    "control.mask_ways.polluting",
-    "control.mask_ways.mixed",
-    "control.mask_ways.sensitive",
-    "tenants",
-    "tenants.default",
-    "tenants.default.quota",
-    "tenants.default.waiting",
-    "tenants.default.running",
-    "tenants.default.grants",
-    "tenants.default.rejections",
-    "tenants.acme",
-    "tenants.acme.quota",
-    "tenants.acme.waiting",
-    "tenants.acme.running",
-    "tenants.acme.grants",
-    "tenants.acme.rejections",
-    "reconciler",
-    "reconciler.enabled",
-    "reconciler.sweeps",
-    "reconciler.orphans_removed",
-    "reconciler.failures",
-    "reuse",
-    "reuse.enabled",
-    "reuse.budget_bytes",
-    "reuse.bytes",
-    "reuse.entries",
-    "reuse.data_version",
-    "reuse.hits",
-    "reuse.misses",
-    "reuse.inserts",
-    "reuse.evictions",
-    "reuse.invalidations",
-    "reuse.coalesced",
-    "reuse.mispredictions",
-    "trace",
-    "trace.enabled",
-    "trace.rings",
-    "trace.dropped",
-];
-
-/// Every `# TYPE` line of `/metrics` on the same server, sorted.
+/// Every `# TYPE` line of `/metrics` on a fake-resctrl + adaptive +
+/// one-quota server, sorted.
 const METRIC_TYPES: &[&str] = &[
     "ccp_admission_timeouts_total counter",
     "ccp_build_info gauge",
@@ -162,23 +68,14 @@ const METRIC_TYPES: &[&str] = &[
 /// Families that did not exist at cbb8391. A scrape may carry these on
 /// top of [`METRIC_TYPES`] and nothing else; the pinned families must
 /// still all be there, with their types, in order.
-const FAMILIES_ADDED_SINCE: &[&str] = &["ccp_server_tenant_label_overflow_total counter"];
-
-fn key_paths(prefix: &str, value: &Json, out: &mut Vec<String>) {
-    let Json::Obj(fields) = value else { return };
-    for (key, child) in fields {
-        let path = if prefix.is_empty() {
-            key.clone()
-        } else {
-            format!("{prefix}.{key}")
-        };
-        out.push(path.clone());
-        key_paths(&path, child, out);
-    }
-}
+const FAMILIES_ADDED_SINCE: &[&str] = &[
+    "ccp_control_clamped gauge",
+    "ccp_server_tenant_label_overflow_total counter",
+    "ccp_trace_dropped_records gauge",
+];
 
 #[test]
-fn stats_key_order_and_metric_families_are_pinned() {
+fn metric_families_are_pinned() {
     // The plane passes process-global failpoint sites; keep other tests'
     // fault plans out of this server.
     let _turn = ccp_fault::exclusive();
@@ -195,13 +92,6 @@ fn stats_key_order_and_metric_families_are_pinned() {
     .expect("start");
     let addr = server.addr();
 
-    let body = fetch(addr, "GET", "/stats", None).expect("stats").body;
-    let mut paths = Vec::new();
-    key_paths("", &Json::parse(&body).expect("stats is JSON"), &mut paths);
-    assert_eq!(paths, STATS_PATHS, "/stats key paths or order moved");
-    // The substring the tenant smoke script greps.
-    assert!(body.contains("\"reconciler\":{\"enabled\":true"), "{body}");
-
     let scrape = fetch(addr, "GET", "/metrics", None).expect("scrape").body;
     let mut types: Vec<&str> = scrape
         .lines()
@@ -214,12 +104,9 @@ fn stats_key_order_and_metric_families_are_pinned() {
         pinned, METRIC_TYPES,
         "a pinned family moved or changed type"
     );
-    for family in added {
-        assert!(
-            FAMILIES_ADDED_SINCE.contains(&family),
-            "unexpected metric family {family:?}"
-        );
-    }
+    // This server has a controller and a recorder, so it carries every
+    // later family, and nothing else.
+    assert_eq!(added, FAMILIES_ADDED_SINCE, "unexpected metric families");
 
     server.shutdown();
 }

@@ -10,23 +10,21 @@ use ccp_server::{fetch, fetch_with_headers, Server, ServerConfig};
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-fn stats(addr: SocketAddr) -> String {
-    fetch(addr, "GET", "/stats", None).expect("stats").body
+fn scrape(addr: SocketAddr) -> String {
+    fetch(addr, "GET", "/metrics", None).expect("scrape").body
 }
 
-/// Value of the first `"key":<number>` occurrence in a JSON blob.
-fn stat_num(body: &str, key: &str) -> f64 {
-    let needle = format!("\"{key}\":");
-    let at = body
-        .find(&needle)
-        .unwrap_or_else(|| panic!("{key} missing from {body}"));
-    let rest = &body[at + needle.len()..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit() && c != '.' && c != '-')
-        .unwrap_or(rest.len());
-    rest[..end]
-        .parse()
-        .unwrap_or_else(|_| panic!("{key} not numeric in {body}"))
+/// Queries admitted for `tenant`: its `ccp_server_tenant_requests_total`
+/// series summed over class.
+fn grants(scrape: &str, tenant: &str) -> f64 {
+    let label = format!("tenant=\"{tenant}\"}}");
+    scrape
+        .lines()
+        .filter_map(|l| l.strip_prefix("ccp_server_tenant_requests_total{"))
+        .filter_map(|l| l.rsplit_once(' '))
+        .filter(|(series, _)| series.ends_with(&label))
+        .map(|(_, value)| value.parse::<f64>().expect("numeric sample"))
+        .sum()
 }
 
 /// First sample of `name` in a Prometheus scrape (exact match on the
@@ -43,7 +41,7 @@ fn scrape_value(scrape: &str, name: &str) -> f64 {
 }
 
 #[test]
-fn tenant_header_routes_quotas_and_stats() {
+fn tenant_header_routes_quotas_and_counts() {
     let _turn = ccp_fault::exclusive();
     let mut server = Server::start(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -94,12 +92,12 @@ fn tenant_header_routes_quotas_and_stats() {
         )
         .expect("holder")
     });
-    // Wait until the holder is visibly in flight for acme.
+    // Wait until the holder is admitted: its grant is booked before it
+    // runs, and its permit holds acme's quota until the sleep ends.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let s = stats(addr);
-        let at = s.find("\"acme\"").expect("acme in tenants");
-        if stat_num(&s[at..], "running") + stat_num(&s[at..], "waiting") >= 1.0 {
+        let s = scrape(addr);
+        if grants(&s, "acme") >= 1.0 {
             break;
         }
         assert!(Instant::now() < deadline, "holder never admitted: {s}");
@@ -132,24 +130,10 @@ fn tenant_header_routes_quotas_and_stats() {
     let hold = holder.join().expect("holder thread");
     assert_eq!(hold.status, 200, "holder completes: {}", hold.body);
 
-    // /stats carries each tenant's quota, grants and rejections.
-    let s = stats(addr);
-    assert!(s.contains("\"tenants\""), "tenants section: {s}");
-    assert!(s.contains("\"reconciler\""), "reconciler section: {s}");
-    let at = s.find("\"acme\"").expect("acme entry");
-    assert_eq!(stat_num(&s[at..], "quota"), 1.0, "acme quota in stats: {s}");
-    assert!(stat_num(&s[at..], "grants") >= 1.0, "acme grants: {s}");
-    assert!(
-        stat_num(&s[at..], "rejections") >= 1.0,
-        "acme rejections: {s}"
-    );
-    let rec = &s[s.find("\"reconciler\"").unwrap()..];
-    assert!(rec.contains("\"enabled\":true"), "sweeps enabled: {s}");
-    assert_eq!(stat_num(rec, "sweeps"), 1.0, "the start-up sweep ran: {s}");
-
     // One scrape shows the per-tenant labelled families next to the
     // sweep counters (label keys render sorted: class then tenant).
-    let scrape = fetch(addr, "GET", "/metrics", None).expect("scrape").body;
+    let scrape = scrape(addr);
+    assert_eq!(grants(&scrape, "acme"), 1.0, "the holder alone ran");
     assert!(
         scrape.contains("ccp_server_tenant_requests_total{class=\"polluting\",tenant=\"default\"}"),
         "default tenant request family: {scrape}"
@@ -161,6 +145,7 @@ fn tenant_header_routes_quotas_and_stats() {
         ) >= 1.0,
         "acme rejection family: {scrape}"
     );
+    // The start-up sweep ran.
     assert_eq!(scrape_value(&scrape, "ccp_reconcile_sweeps_total"), 1.0);
     assert_eq!(scrape_value(&scrape, "ccp_reconcile_failures_total"), 0.0);
 
@@ -202,45 +187,16 @@ fn cycling_tenant_ids_cannot_grow_the_exposition_without_bound() {
     assert_eq!(query("acme"), 429, "quota 0 still enforced");
     let r = fetch(addr, "POST", "/query", Some(r#"{"workload":"q1"}"#)).expect("default");
     assert_eq!(r.status, 200);
-    // Reading per-tenant rejections for 200 tenants mints nothing.
-    let s = stats(addr);
-    let at = s.find("\"acme\"").expect("acme in tenants");
-    assert_eq!(stat_num(&s[at..], "rejections"), 1.0, "{s}");
-    // The `tenants` object stopped growing with the label sets: every
-    // entry carries one `grants` field, and only acme (quota 0) has none
-    // to show.
-    let tenants = &s[s.find("\"tenants\":{").expect("tenants object")..];
-    let entries = tenants.matches("\"grants\":").count();
-    assert_eq!(
-        entries,
-        64 + 3,
-        "64 unconfigured + default + other + acme: {s}"
-    );
-    let granted = entries - tenants.matches("\"grants\":0").count();
-    assert_eq!(
-        granted,
-        64 + 2,
-        "granted: 64 unconfigured + default + other: {s}"
-    );
-    let other = &tenants[tenants.find("\"other\":{").expect("other in tenants")..];
-    assert_eq!(stat_num(other, "grants"), 136.0, "{s}");
-
-    let scrape = fetch(addr, "GET", "/metrics", None).expect("scrape").body;
-    // Each tenant's `grants` is its request series summed over class.
-    let mut names: Vec<String> = (0..64).map(|i| format!("t{i}")).collect();
-    names.extend(["default", "other", "acme"].map(String::from));
-    for name in &names {
-        let label = format!("tenant=\"{name}\"}}");
-        let requests: f64 = scrape
-            .lines()
-            .filter(|l| l.starts_with("ccp_server_tenant_requests_total{") && l.contains(&label))
-            .filter_map(|l| l.rsplit_once(' ')?.1.parse::<f64>().ok())
-            .sum();
-        let entry = &tenants[tenants
-            .find(&format!("\"{name}\":{{"))
-            .unwrap_or_else(|| panic!("{name} in tenants: {s}"))..];
-        assert_eq!(stat_num(entry, "grants"), requests, "{name}: {s}");
+    let scrape = scrape(addr);
+    // Each of the first 64 ids ran once under its own name, the rest
+    // under `other`; acme (quota 0) never ran.
+    for i in 0..64 {
+        assert_eq!(grants(&scrape, &format!("t{i}")), 1.0, "t{i}");
     }
+    assert_eq!(grants(&scrape, "t64"), 0.0, "t64 is booked as other");
+    assert_eq!(grants(&scrape, "other"), 136.0);
+    assert_eq!(grants(&scrape, "default"), 1.0);
+    assert_eq!(grants(&scrape, "acme"), 0.0);
     let series = |family: &str| {
         let prefix = format!("{family}{{");
         scrape.lines().filter(|l| l.starts_with(&prefix)).count()
@@ -319,13 +275,14 @@ fn four_closids_and_three_tenants_still_partition() {
 
     // Every bind landed: the polluting and the sensitive mask are both
     // in force, under the CLOSID budget of a common CAT part.
-    let s = stats(addr);
-    let olap = &s[s.find("\"olap\"").expect("olap pool")..];
-    assert_eq!(stat_num(olap, "bind_failures"), 0.0, "{s}");
-    assert!(stat_num(olap, "mask_switches") >= 2.0, "{s}");
+    let scrape = scrape(addr);
+    assert_eq!(
+        scrape_value(&scrape, "ccp_executor_bind_failures_total{pool=\"olap\"}"),
+        0.0
+    );
+    assert!(scrape_value(&scrape, "ccp_executor_mask_switches_total{pool=\"olap\"}") >= 2.0);
     // Groups are per mask: each one's schemata is written once, when it
     // is made, and a bind never writes one.
-    let scrape = fetch(addr, "GET", "/metrics", None).expect("metrics").body;
     assert_eq!(
         scrape_value(&scrape, "ccp_resctrl_schemata_writes_total"),
         scrape_value(&scrape, "ccp_resctrl_group_creates_total"),

@@ -1,7 +1,7 @@
 //! End-to-end tests of the observability surface over real sockets:
 //! the per-query latency breakdown's arithmetic, the Chrome trace-event
-//! export on `/trace`, per-CUID-class occupancy gauges on `/metrics`,
-//! and deadline-based load shedding with `Retry-After`.
+//! export on `/trace`, per-CUID-class occupancy and trace-loss gauges on
+//! `/metrics`, and deadline-based load shedding with `Retry-After`.
 
 use ccp_server::{fetch, HttpClient, Json, Server, ServerConfig};
 use std::sync::{Mutex, PoisonError};
@@ -366,29 +366,38 @@ fn oltp_statements_bind_nothing() {
     server.shutdown();
 }
 
-/// `/stats` surfaces tracer ring health: whether the tracer runs, how
-/// many rings it holds and how many events it dropped.
+/// `/metrics` carries the tracer's losses: with 8-record rings a few
+/// queries on one connection overflow its ring, and within a plane pass
+/// `ccp_trace_dropped_records` shows it.
 #[test]
-fn stats_expose_trace_health() {
+fn metrics_count_dropped_trace_records() {
     let _guard = serial();
-    let mut server = Server::start(config()).expect("start");
+    let mut server = Server::start(ServerConfig {
+        trace_ring_capacity: 8,
+        ..config()
+    })
+    .expect("start");
     let addr = server.addr();
-    let resp = fetch(addr, "GET", "/stats", None).expect("stats");
-    assert_eq!(resp.status, 200);
-    let doc = Json::parse(&resp.body).expect("/stats is valid JSON");
-
-    let trace = doc.get("trace").expect("trace section present");
-    assert!(
-        matches!(trace.get("enabled"), Some(Json::Bool(true))),
-        "tracer on by default: {trace:?}"
-    );
-    assert!(
-        trace.get("rings").and_then(Json::as_u64).is_some(),
-        "ring count numeric"
-    );
-    assert!(
-        trace.get("dropped").and_then(Json::as_u64).is_some(),
-        "drop counter numeric"
-    );
+    let dropped = || {
+        let scrape = fetch(addr, "GET", "/metrics", None).expect("scrape").body;
+        scrape
+            .lines()
+            .find_map(|l| l.strip_prefix("ccp_trace_dropped_records "))
+            .unwrap_or_else(|| panic!("no ccp_trace_dropped_records in\n{scrape}"))
+            .parse::<f64>()
+            .expect("numeric sample")
+    };
+    let mut client = HttpClient::connect(addr).expect("connect");
+    for _ in 0..10 {
+        let resp = client
+            .request("POST", "/query", Some(r#"{"workload":"oltp","key":4}"#))
+            .expect("query");
+        assert_eq!(resp.status, 200, "{}", resp.body);
+    }
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while dropped() == 0.0 {
+        assert!(Instant::now() < deadline, "no drops published");
+        thread::sleep(Duration::from_millis(10));
+    }
     server.shutdown();
 }

@@ -70,7 +70,7 @@ mod tracer;
 pub use export::{escape_json_into, ThreadInfo, TraceEvent, TraceEventKind, TraceSnapshot};
 pub use tracer::{
     clear, disable, dropped, enable, enabled, instant, instant_id, snapshot, snapshot_and_clear,
-    span, span_id, stats, SpanGuard, TraceConfig, TracerStats,
+    span, span_id, SpanGuard, TraceConfig,
 };
 
 /// Category a trace event belongs to; becomes the Chrome `cat` field so

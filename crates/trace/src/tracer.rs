@@ -2,7 +2,7 @@
 //! registration and recycling, span guards and snapshots.
 //!
 //! Lock order: the registry, then a ring. A push takes only its own
-//! ring's lock, which only a scrape (`snapshot`, `stats`, `clear`)
+//! ring's lock, which only a scrape (`snapshot`, `dropped`, `clear`)
 //! ever contends.
 
 use std::cell::OnceCell;
@@ -334,40 +334,10 @@ fn snapshot_inner(clear: bool) -> TraceSnapshot {
     }
 }
 
-/// Point-in-time counters of the process tracer, cheap enough for a
-/// `/stats` poll: how many rings exist (live threads plus retained dead
-/// ones) and how many records were lost to wrap-around or recycling
-/// since the last clear. A rising `dropped` under sustained load means
-/// `/trace` timelines have holes — raise the ring capacity or scrape
-/// (with `clear=1`) more often.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TracerStats {
-    /// Whether tracing is currently enabled.
-    pub enabled: bool,
-    /// Registered rings (one per traced thread, plus retained dead rings).
-    pub rings: usize,
-    /// Records lost to ring wrap-around or recycling since the last clear,
-    /// summed across rings.
-    pub dropped: u64,
-}
-
-/// Snapshot of the tracer's ring/overflow counters (see [`TracerStats`]).
-pub fn stats() -> TracerStats {
-    let reg = lock(&global().registry);
-    TracerStats {
-        enabled: enabled(),
-        rings: reg.rings.len(),
-        dropped: dropped_in(&reg),
-    }
-}
-
 /// Total records lost to ring wrap-around or recycling since the last
 /// [`clear`].
 pub fn dropped() -> u64 {
-    dropped_in(&lock(&global().registry))
-}
-
-fn dropped_in(reg: &Registry) -> u64 {
+    let reg = lock(&global().registry);
     reg.rings.iter().map(|r| lock(&r.ring).dropped()).sum()
 }
 

@@ -13,7 +13,7 @@
 //!   sweeps (Figures 4–6) and concurrent normalized-throughput runs
 //!   (Figures 1, 9–12), each returning ready-to-print rows.
 //!
-//! Native co-runs go through `ccp serve`: its `/metrics` and `/stats`
+//! Native co-runs go through `ccp serve`: its `/metrics` and `/timeline`
 //! report what the engine actually ran.
 
 pub mod experiment;

@@ -76,9 +76,6 @@ fn main() {
         }
     }
 
-    let stats = fetch(addr, "GET", "/stats", None).expect("stats");
-    println!("\n/stats → {}", stats.body);
-
     let scrape = fetch(addr, "GET", "/metrics", None).expect("scrape");
     println!("\nserver-side families from /metrics:");
     for line in scrape.body.lines() {

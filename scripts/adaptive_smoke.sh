@@ -197,8 +197,7 @@ for _ in $(seq 1 150); do
     && grep -qE '^ccp_resctrl_degraded 1' "$WORK/chaos.metrics.txt"; then
     CSENS=$(ccp_metric "$WORK/chaos.metrics.txt" "$SENS_WAYS")
     if awk -v s="$CSENS" 'BEGIN { exit !(s != "" && s == 20) }' \
-      && ccp_scrape "$ADDR_CHAOS" /stats "$WORK/chaos.stats.json" 2>/dev/null \
-      && grep -qF '"clamped":true' "$WORK/chaos.stats.json"; then
+      && grep -qE '^ccp_control_clamped 1' "$WORK/chaos.metrics.txt"; then
       CLAMPED=1
       break
     fi
@@ -210,7 +209,7 @@ if [[ "$CLAMPED" != 1 ]]; then
   grep -E '^ccp_(control|resctrl)' "$WORK/chaos.metrics.txt" >&2 || true
   exit 1
 fi
-echo "   degraded=1 with sensitive=20 ways and clamped=true"
+echo "   degraded=1 with sensitive=20 ways and ccp_control_clamped=1"
 
 # (b) the backend heals once the fault window is exhausted.
 HEALED=0

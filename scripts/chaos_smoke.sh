@@ -51,10 +51,12 @@ ccp_init
 ccp_launch_server serve "$ADDR" --fake-resctrl --control-interval-ms 150 \
   --no-reuse --faults "$FAULTS"
 
-ccp_scrape "$ADDR" /stats "$WORK/stats.json"
-grep -qF '"supervised":true' "$WORK/stats.json" || {
-  echo "engine is not under resctrl supervision:" >&2
-  cat "$WORK/stats.json" >&2
+# A supervised backend exports the breaker's families; an unsupervised
+# one has none.
+ccp_scrape "$ADDR" /metrics "$WORK/metrics.txt"
+grep -q '^# TYPE ccp_resctrl_breaker_trips_total ' "$WORK/metrics.txt" || {
+  echo "engine is not under resctrl supervision (no ccp_resctrl_breaker_trips_total):" >&2
+  grep '^ccp_resctrl' "$WORK/metrics.txt" >&2 || true
   exit 1
 }
 

@@ -18,10 +18,15 @@
 #     the OLTP pool ran no job and failed no bind;
 #   * SIGINT shutdown runs the final sweep and the server's own exit
 #     log proves 0 `ccp-` groups remain;
-#   * zero worker panics end to end.
+#   * zero worker panics end to end;
+#   * flood phase, on a second server (PORT+1, `--fake-resctrl
+#     --no-reuse --tenant-quota flood=2`): a `q1` flooder on 24
+#     connections — more than slots + queue (2 + 16) — beside a steady
+#     20 q/s `q2` tenant. The quota must keep every steady query ok while
+#     the flooder gets 429s.
 #
 # Usage:
-#   scripts/tenant_smoke.sh [PORT]          # default: 19393
+#   scripts/tenant_smoke.sh [PORT]          # default: 19393; uses PORT+1 too
 #
 # Tunables (environment):
 #   CCP_TENANT_QPS       offered load (default 40)
@@ -72,17 +77,15 @@ post_as_tenant() {
   fi
 }
 
-ccp_scrape "$ADDR" /stats "$WORK/stats.json"
-grep -qF '"tenants"' "$WORK/stats.json" || {
-  echo "/stats is missing the tenants section:" >&2
-  cat "$WORK/stats.json" >&2
+# The orphan sweeps run: the start-up sweep is on record before any load.
+ccp_scrape "$ADDR" /metrics "$WORK/metrics.txt"
+SWEEPS=$(ccp_metric "$WORK/metrics.txt" ccp_reconcile_sweeps_total)
+if ! num_gt0 "$SWEEPS"; then
+  echo "no orphan sweep on record: ccp_reconcile_sweeps_total=${SWEEPS:-absent}" >&2
+  grep '^ccp_reconcile' "$WORK/metrics.txt" >&2 || true
   exit 1
-}
-grep -qF '"reconciler":{"enabled":true' "$WORK/stats.json" || {
-  echo "/stats says the orphan sweeps are not running:" >&2
-  cat "$WORK/stats.json" >&2
-  exit 1
-}
+fi
+echo "   start-up sweep on record: ccp_reconcile_sweeps_total=${SWEEPS}"
 
 echo "== per-tenant quotas: tiny (quota 0) is rejected, alpha serves"
 STATUS_TINY="$(post_as_tenant tiny '{"workload":"q1"}')"
@@ -156,5 +159,35 @@ if ! grep -qE 'reconcile shutdown sweep: removed [0-9]+ group\(s\), 0 ccp- group
   exit 1
 fi
 echo "   shutdown sweep left 0 ccp- group(s)"
+
+# bench-serve's per-tenant line: "  tenant  NAME: sent S, ok K, 429 R".
+tenant_tally() {
+  awk -v t="$2:" '$1 == "tenant" && $2 == t { gsub(",", ""); print $4, $6, $8; exit }' "$1"
+}
+
+FLOOD_ADDR="127.0.0.1:$((PORT + 1))"
+echo "== flood: q1 on 24 connections as tenant flood (quota 2) beside 20 qps of q2 as steady"
+ccp_launch_server flood "$FLOOD_ADDR" --fake-resctrl --no-reuse --tenant-quota flood=2
+"$CCP" bench-serve --addr "$FLOOD_ADDR" --workload q1 --tenant-mix flood:1 \
+  --concurrency 24 --qps 20000 --duration 10 --max-error-pct 100 >"$WORK/flood.txt" &
+FLOOD_PID=$!
+sleep 1
+"$CCP" bench-serve --addr "$FLOOD_ADDR" --workload q2 --tenant-mix steady:1 \
+  --qps 20 --duration 8 --max-error-pct 100 >"$WORK/steady.txt"
+wait "$FLOOD_PID"
+read -r STEADY_SENT STEADY_OK _ < <(tenant_tally "$WORK/steady.txt" steady)
+read -r FLOOD_SENT FLOOD_OK FLOOD_429 < <(tenant_tally "$WORK/flood.txt" flood)
+echo "   steady: ${STEADY_OK:-?}/${STEADY_SENT:-?} ok, $(grep -m1 'total latency' "$WORK/steady.txt" | awk '{ print "p95", $7, "us" }')"
+echo "   flood: ${FLOOD_OK:-?}/${FLOOD_SENT:-?} ok, ${FLOOD_429:-?} 429"
+if ! num_gt0 "${STEADY_SENT:-}" || ! num_eq "${STEADY_OK:-}" "$STEADY_SENT"; then
+  echo "the quota did not keep the steady tenant whole:" >&2
+  cat "$WORK/steady.txt" >&2
+  exit 1
+fi
+if ! num_gt0 "${FLOOD_429:-}"; then
+  echo "the flooder was never held at its quota:" >&2
+  cat "$WORK/flood.txt" >&2
+  exit 1
+fi
 
 echo "tenant smoke OK"

@@ -375,7 +375,7 @@ fn serve(args: &[String]) -> ExitCode {
         println!("  fault plan: {plan}");
     }
     println!("  ctrl-c to stop");
-    while !sigint_requested() && !server.shutdown_requested() {
+    while !sigint_requested() {
         std::thread::sleep(std::time::Duration::from_millis(100));
     }
     println!("shutting down…");

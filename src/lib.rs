@@ -64,7 +64,7 @@
 //! On a machine with CAT and a mounted resctrl filesystem, the same policy
 //! drives real hardware through [`engine::JobExecutor`] with
 //! [`engine::ResctrlAllocator`]; see `examples/htap_mixed.rs`. The served
-//! engine — admission, both worker pools, `/metrics` and `/stats` — is
+//! engine — admission, both worker pools, `/metrics` and `/timeline` — is
 //! [`server::Server`], which the `ccp serve` binary starts.
 
 pub use ccp_cachesim as cachesim;

@@ -120,19 +120,13 @@ fn scrape_exposes_all_layers() {
 }
 
 #[test]
-fn stats_healthz_and_error_routes() {
+fn healthz_and_error_routes() {
     let mut server = test_server();
     let addr = server.addr();
 
     let health = fetch(addr, "GET", "/healthz", None).unwrap();
     assert_eq!(health.status, 200);
     assert!(health.body.contains("ok"));
-
-    let stats = fetch(addr, "GET", "/stats", None).unwrap();
-    assert_eq!(stats.status, 200);
-    let v = Json::parse(&stats.body).expect("stats is JSON");
-    assert!(v.get("pools").and_then(|p| p.get("olap")).is_some());
-    assert!(v.get("admission").and_then(|a| a.get("capacity")).is_some());
 
     assert_eq!(fetch(addr, "GET", "/nope", None).unwrap().status, 404);
     assert_eq!(fetch(addr, "POST", "/metrics", None).unwrap().status, 405);
@@ -206,4 +200,19 @@ fn shutdown_is_idempotent_and_port_is_released() {
     server.shutdown(); // second call is a no-op
                        // The port is free again: a fresh listener can bind it.
     std::net::TcpListener::bind(addr).expect("port released after shutdown");
+}
+
+#[test]
+fn a_shut_down_server_never_dials_its_freed_port() {
+    let mut server = test_server();
+    let addr = server.addr();
+    server.shutdown();
+    // Another listener takes the freed port before the server is dropped.
+    let listener = std::net::TcpListener::bind(addr).expect("port released after shutdown");
+    listener.set_nonblocking(true).unwrap();
+    drop(server);
+    let err = listener
+        .accept()
+        .expect_err("the drop dialled the freed port");
+    assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
 }
