@@ -212,6 +212,9 @@ mod tests {
         let g_col = Arc::new(DictColumn::build(&g));
         let ex = executor();
         let cache = ccp_reuse::ReuseCache::new(ccp_reuse::ReuseConfig::with_budget(1 << 20));
+        let registry = ccp_obs::Registry::new();
+        cache.register_into(&registry);
+        let published = registry.counter("ccp_reuse_inserts_total", "");
 
         for agg in [
             Aggregate::Max,
@@ -226,11 +229,11 @@ mod tests {
                 grouped_aggregate_cached(&ex, &v_col, &g_col, agg, Some(&handle))
             };
 
-            let inserts = cache.stats().inserts;
+            let inserts = published.get();
             let (first, status) = run();
             assert_eq!(status, ReuseStatus::Miss, "{agg:?}");
             assert_eq!(cells(&first), uncached, "{agg:?} miss");
-            assert_eq!(cache.stats().inserts, inserts + 1, "{agg:?} miss publishes");
+            assert_eq!(published.get(), inserts + 1, "{agg:?} miss publishes");
 
             let (hit, status) = run();
             assert_eq!(status, ReuseStatus::Hit, "{agg:?}");
@@ -240,7 +243,7 @@ mod tests {
             );
             assert_eq!(cells(&hit), uncached, "{agg:?} hit");
             assert_eq!(
-                cache.stats().inserts,
+                published.get(),
                 inserts + 1,
                 "{agg:?}: a hit builds and publishes nothing"
             );
@@ -253,11 +256,7 @@ mod tests {
                 "{agg:?}: the bump forces a rebuild"
             );
             assert_eq!(cells(&rebuilt), uncached, "{agg:?} after the bump");
-            assert_eq!(
-                cache.stats().inserts,
-                inserts + 2,
-                "{agg:?} rebuild publishes"
-            );
+            assert_eq!(published.get(), inserts + 2, "{agg:?} rebuild publishes");
         }
 
         let (_, bypass) = grouped_aggregate_cached(&ex, &v_col, &g_col, Aggregate::Sum, None);

@@ -232,13 +232,15 @@ mod tests {
         let ex = executor(Arc::new(NoopAllocator));
         let cache = ccp_reuse::ReuseCache::new(ccp_reuse::ReuseConfig::with_budget(1 << 20));
         let handle = ReuseHandle::new(cache.clone(), cache.key("q3", ""));
+        let registry = ccp_obs::Registry::new();
+        cache.register_into(&registry);
 
         let (count, st) = fk_join_count_cached(&ex, &pk, &fk, Some(&handle));
         assert_eq!((count, st), (500, ReuseStatus::Miss));
         // The hit probes the memoized code-domain vector: fresh count.
         let (count, st) = fk_join_count_cached(&ex, &pk, &fk, Some(&handle));
         assert_eq!((count, st), (500, ReuseStatus::Hit));
-        assert_eq!(cache.stats().hits, 1);
+        assert_eq!(registry.counter("ccp_reuse_hits_total", "").get(), 1);
 
         let (count, st) = fk_join_count_cached(&ex, &pk, &fk, None);
         assert_eq!((count, st), (500, ReuseStatus::Bypass));

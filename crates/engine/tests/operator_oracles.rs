@@ -6,6 +6,7 @@
 use ccp_cachesim::HierarchyConfig;
 use ccp_engine::ops::{aggregate, join, oltp, scan};
 use ccp_engine::{JobExecutor, NoopAllocator, PartitionPolicy};
+use ccp_obs::Registry;
 use ccp_reuse::{Begin, ReuseCache, ReuseConfig, ReuseHandle, ReuseStatus};
 use ccp_storage::{gen, Aggregate, DictColumn, InvertedIndex};
 use proptest::prelude::*;
@@ -231,6 +232,9 @@ fn cached_join_equals_uncached_across_an_epoch_bump() {
     let uncached = join::fk_join_count(&ex, &pk, &fk);
 
     let cache = ReuseCache::new(ReuseConfig::with_budget(1 << 20));
+    let registry = Registry::new();
+    cache.register_into(&registry);
+    let inserts = registry.counter("ccp_reuse_inserts_total", "");
     let run = || {
         let handle = ReuseHandle::new(cache.clone(), cache.key("q3", ""));
         join::fk_join_count_cached(&ex, &pk, &fk, Some(&handle))
@@ -241,21 +245,17 @@ fn cached_join_equals_uncached_across_an_epoch_bump() {
     };
 
     assert_eq!(run(), (uncached, ReuseStatus::Miss));
-    assert_eq!(cache.stats().inserts, 1);
+    assert_eq!(inserts.get(), 1);
     let first = published();
     assert_eq!(first.len(), fk.dict().len() as u64, "code-domain vector");
 
     assert_eq!(run(), (uncached, ReuseStatus::Hit));
-    assert_eq!(
-        cache.stats().inserts,
-        1,
-        "a hit builds and publishes nothing"
-    );
+    assert_eq!(inserts.get(), 1, "a hit builds and publishes nothing");
     assert!(Arc::ptr_eq(&first, &published()));
 
     cache.bump_version();
     assert_eq!(run(), (uncached, ReuseStatus::Miss));
-    assert_eq!(cache.stats().inserts, 2);
+    assert_eq!(inserts.get(), 2);
     assert!(!Arc::ptr_eq(&first, &published()));
     assert_eq!(*first, *published());
 }

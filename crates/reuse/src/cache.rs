@@ -172,34 +172,6 @@ pub enum Begin {
     Build(BuildGuard),
 }
 
-/// Point-in-time cache statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ReuseStats {
-    /// Lookups served from a published artifact.
-    pub hits: u64,
-    /// Lookups that claimed a build.
-    pub misses: u64,
-    /// Artifacts installed.
-    pub inserts: u64,
-    /// Entries evicted by the byte budget.
-    pub evictions: u64,
-    /// Stale entries swept after a version bump (plus stale in-flight
-    /// builds discarded at publish time).
-    pub invalidations: u64,
-    /// Lookups that waited for a concurrent builder and then hit.
-    pub coalesced: u64,
-    /// Predicted hits that had vanished by execution time.
-    pub mispredictions: u64,
-    /// Bytes currently accounted.
-    pub bytes: u64,
-    /// The configured budget.
-    pub budget_bytes: u64,
-    /// The current data-version epoch.
-    pub data_version: u64,
-    /// Published entries currently resident.
-    pub entries: u64,
-}
-
 #[derive(Clone)]
 struct Instruments {
     hits: Counter,
@@ -451,33 +423,6 @@ impl ReuseCache {
             .register(&[], m.bytes.clone());
     }
 
-    /// Point-in-time statistics.
-    pub fn stats(&self) -> ReuseStats {
-        let (bytes, data_version, entries) = {
-            let st = self.lock();
-            let entries = st
-                .slots
-                .values()
-                .filter(|s| matches!(s, Slot::Published(_)))
-                .count() as u64;
-            (st.bytes, st.version, entries)
-        };
-        let m = &self.inner.m;
-        ReuseStats {
-            hits: m.hits.get(),
-            misses: m.misses.get(),
-            inserts: m.inserts.get(),
-            evictions: m.evictions.get(),
-            invalidations: m.invalidations.get(),
-            coalesced: m.coalesced.get(),
-            mispredictions: m.mispredictions.get(),
-            bytes,
-            budget_bytes: self.inner.budget,
-            data_version,
-            entries,
-        }
-    }
-
     /// Evicts until `incoming` more bytes fit in the budget. Returns
     /// `false` when they cannot: the artifact is larger than the whole
     /// budget, or everything left is pinned by a reader or still
@@ -648,6 +593,16 @@ mod tests {
         Artifact::ResultSet(Arc::new(ResultSet { rows, result }))
     }
 
+    /// `c`'s `ccp_reuse_<name>_total`, read through the family a scrape
+    /// renders.
+    fn counter(c: &ReuseCache, name: &str) -> u64 {
+        let registry = Registry::new();
+        c.register_into(&registry);
+        registry
+            .counter(&format!("ccp_reuse_{name}_total"), "")
+            .get()
+    }
+
     #[test]
     fn build_then_hit_round_trip() {
         let c = cache(1 << 16);
@@ -660,11 +615,11 @@ mod tests {
             panic!("published entry must hit");
         };
         assert_eq!(a.result_set().map(|r| r.result), Some(7));
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.inserts), (1, 1, 1));
-        assert_eq!(s.hits + s.misses, 2, "hits + misses == lookups");
-        assert_eq!(s.entries, 1);
-        assert!(s.bytes > 0 && s.bytes <= s.budget_bytes);
+        let n = |name| counter(&c, name);
+        assert_eq!((n("hits"), n("misses"), n("inserts")), (1, 1, 1));
+        assert_eq!(n("hits") + n("misses"), 2, "hits + misses == lookups");
+        assert!(c.predict(&key));
+        assert!(c.bytes() > 0 && c.bytes() <= 1 << 16);
     }
 
     #[test]
@@ -676,7 +631,7 @@ mod tests {
         };
         drop(guard); // abandon
         assert!(matches!(c.begin(&key), Begin::Build(_)));
-        assert_eq!(c.stats().misses, 2);
+        assert_eq!(counter(&c, "misses"), 2);
     }
 
     #[test]
@@ -698,16 +653,20 @@ mod tests {
         std::thread::sleep(Duration::from_millis(30));
         assert!(guard.publish(result_artifact(5, 42), Duration::from_micros(900)));
         assert_eq!(waiter.join().ok().flatten(), Some(42));
-        let s = c.stats();
-        assert_eq!(s.coalesced, 1, "the waiter hit without building");
-        assert_eq!(s.hits + s.misses, 2);
+        assert_eq!(
+            counter(&c, "coalesced"),
+            1,
+            "the waiter hit without building"
+        );
+        assert_eq!(counter(&c, "hits") + counter(&c, "misses"), 2);
     }
 
     #[test]
     fn version_bump_invalidates_every_stale_entry() {
         let c = cache(1 << 16);
         let key = c.key("q1", "t<5");
-        for k in [&key, &c.key("q2", "t<5")] {
+        let other = c.key("q2", "t<5");
+        for k in [&key, &other] {
             if let Begin::Build(g) = c.begin(k) {
                 g.publish(result_artifact(1, 1), Duration::from_micros(10));
             }
@@ -715,10 +674,13 @@ mod tests {
         assert!(c.predict(&key));
         let v = c.bump_version();
         assert_eq!(v, 1);
-        let s = c.stats();
-        assert_eq!(s.invalidations, 2, "both entries swept by the bump");
-        assert_eq!(s.entries, 0);
-        assert_eq!(s.bytes, 0, "invalidation returns the bytes");
+        assert_eq!(
+            counter(&c, "invalidations"),
+            2,
+            "both entries swept by the bump"
+        );
+        assert!(!c.predict(&other));
+        assert_eq!(c.bytes(), 0, "invalidation returns the bytes");
         // The old-version key no longer predicts, the new one misses.
         let fresh = c.key("q1", "t<5");
         assert!(!c.predict(&key) && !c.predict(&fresh));
@@ -736,12 +698,11 @@ mod tests {
     #[test]
     fn a_bump_frees_stale_entries_before_any_eviction() {
         let c = cache(300);
-        join_bits_128b(&c, "expensive", Duration::from_millis(50));
+        let stale = join_bits_128b(&c, "expensive", Duration::from_millis(50));
         c.bump_version();
-        let s = c.stats();
         assert_eq!(
-            (s.entries, s.bytes, s.invalidations),
-            (0, 0, 1),
+            (c.predict(&stale), c.bytes(), counter(&c, "invalidations")),
+            (false, 0, 1),
             "the bump sweeps the stale entry and returns its bytes"
         );
         // A live cheap entry, then a third install: 256 of 300 bytes is
@@ -751,8 +712,7 @@ mod tests {
         let third = join_bits_128b(&c, "third", Duration::from_millis(10));
         assert!(c.predict(&cheap), "the live cheap entry survives");
         assert!(c.predict(&third));
-        let s = c.stats();
-        assert_eq!((s.entries, s.bytes, s.evictions), (2, 256, 0));
+        assert_eq!((c.bytes(), counter(&c, "evictions")), (256, 0));
     }
 
     #[test]
@@ -809,13 +769,18 @@ mod tests {
         }
         drop(stop);
         bumper.join().expect("bumper");
-        let s = c.stats();
-        assert_eq!(s.hits + s.misses, (THREADS * BEGINS) as u64, "{s:?}");
-        assert!(s.coalesced <= s.hits, "{s:?}");
-        assert_eq!(s.bytes, s.entries * 32, "{s:?}");
-        assert!(s.bytes <= s.budget_bytes, "{s:?}");
-        assert_eq!(s.inserts, published.len() as u64, "{s:?}");
-        assert!(s.inserts <= built.len() as u64, "{s:?}");
+        let n = |name| counter(&c, name);
+        assert_eq!(n("hits") + n("misses"), (THREADS * BEGINS) as u64);
+        assert!(n("coalesced") <= n("hits"));
+        // Bumps have stopped: the resident entries are the current
+        // epoch's keys that predict a hit.
+        let entries = (0..3)
+            .filter(|q| c.predict(&c.key(&format!("q{q}"), "t<1")))
+            .count() as u64;
+        assert_eq!(c.bytes(), entries * 32);
+        assert!(c.bytes() <= BUDGET);
+        assert_eq!(n("inserts"), published.len() as u64);
+        assert!(n("inserts") <= built.len() as u64);
     }
 
     #[test]
@@ -827,10 +792,9 @@ mod tests {
         };
         c.bump_version();
         assert!(!guard.publish(result_artifact(1, 1), Duration::from_micros(10)));
-        let s = c.stats();
-        assert_eq!(s.entries, 0);
-        assert_eq!(s.bytes, 0);
-        assert!(s.invalidations >= 1);
+        assert!(!c.predict(&key));
+        assert_eq!(c.bytes(), 0);
+        assert!(counter(&c, "invalidations") >= 1);
     }
 
     #[test]
@@ -857,9 +821,8 @@ mod tests {
         }
         assert!(c.predict(&expensive), "high rebuild cost is retained");
         assert!(!c.predict(&cheap), "cheap-to-rebuild entry evicted");
-        let s = c.stats();
-        assert_eq!(s.evictions, 1);
-        assert!(s.bytes <= s.budget_bytes);
+        assert_eq!(counter(&c, "evictions"), 1);
+        assert!(c.bytes() <= 300);
     }
 
     #[test]
@@ -909,7 +872,7 @@ mod tests {
             ));
         }
         assert_eq!(c.bytes(), 0);
-        assert_eq!(c.stats().inserts, 0);
+        assert_eq!(counter(&c, "inserts"), 0);
     }
 
     #[test]
@@ -932,6 +895,6 @@ mod tests {
             |b| Artifact::JoinBits(Arc::clone(b)),
         );
         assert_eq!(status, ReuseStatus::Miss);
-        assert_eq!(c.stats().inserts, 1);
+        assert_eq!(counter(&c, "inserts"), 1);
     }
 }

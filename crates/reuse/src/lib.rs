@@ -82,8 +82,7 @@ mod cache;
 mod key;
 
 pub use cache::{
-    Artifact, Begin, BuildGuard, ResultSet, ReuseCache, ReuseConfig, ReuseHandle, ReuseStats,
-    TryBegin,
+    Artifact, Begin, BuildGuard, ResultSet, ReuseCache, ReuseConfig, ReuseHandle, TryBegin,
 };
 pub use key::{canonicalize_predicate, ReuseKey};
 

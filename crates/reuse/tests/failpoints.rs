@@ -4,6 +4,7 @@
 //! through both sites, so the tests that arm them live here, in a
 //! process of their own, and take turns ([`ccp_fault::exclusive`]).
 
+use ccp_obs::Registry;
 use ccp_reuse::{Artifact, Begin, ResultSet, ReuseCache, ReuseConfig};
 use std::sync::Arc;
 use std::time::Duration;
@@ -29,7 +30,7 @@ fn lookup_failpoint_forces_the_vanished_entry_path() {
     // the entry is gone afterwards (as if evicted mid-flight).
     assert!(matches!(c.begin(&key), Begin::Build(_)));
     ccp_fault::clear();
-    assert_eq!(c.stats().entries, 0);
+    assert!(!c.predict(&key));
     assert_eq!(c.bytes(), 0);
 }
 
@@ -43,6 +44,8 @@ fn install_failpoint_drops_the_artifact() {
         assert!(!g.publish(result_artifact(3, 3), Duration::from_micros(10)));
     }
     ccp_fault::clear();
-    assert_eq!(c.stats().inserts, 0);
+    let registry = Registry::new();
+    c.register_into(&registry);
+    assert_eq!(registry.counter("ccp_reuse_inserts_total", "").get(), 0);
     assert!(matches!(c.begin(&key), Begin::Build(_)), "still a miss");
 }

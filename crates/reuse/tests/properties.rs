@@ -3,6 +3,7 @@
 //! the byte budget plus pinning invariants survive arbitrary
 //! insert/lookup/bump sequences.
 
+use ccp_obs::Registry;
 use ccp_reuse::{canonicalize_predicate, Artifact, ReuseCache, ReuseConfig, ReuseKey, TryBegin};
 use ccp_storage::BitVec;
 use proptest::prelude::*;
@@ -119,6 +120,10 @@ proptest! {
     ) {
         const BUDGET: u64 = 256; // fits only a handful of entries
         let cache = ReuseCache::new(ReuseConfig::with_budget(BUDGET));
+        let registry = Registry::new();
+        cache.register_into(&registry);
+        let hits = registry.counter("ccp_reuse_hits_total", "");
+        let misses = registry.counter("ccp_reuse_misses_total", "");
         let mut lookups = 0u64;
         for op in &ops {
             match op {
@@ -138,13 +143,12 @@ proptest! {
                     cache.bump_version();
                 }
             }
-            let stats = cache.stats();
             prop_assert!(
-                stats.bytes <= BUDGET,
+                cache.bytes() <= BUDGET,
                 "{} bytes exceed the {BUDGET}-byte budget after {op:?}",
-                stats.bytes
+                cache.bytes()
             );
-            prop_assert_eq!(stats.hits + stats.misses, lookups);
+            prop_assert_eq!(hits.get() + misses.get(), lookups);
         }
     }
 
@@ -173,7 +177,7 @@ proptest! {
             if let TryBegin::Build(g) = cache.try_begin(&key_for(&cache, *q)) {
                 g.publish(bits_artifact(*words), Duration::from_micros(50));
             }
-            prop_assert!(cache.stats().bytes <= BUDGET);
+            prop_assert!(cache.bytes() <= BUDGET);
             let TryBegin::Hit(again) = cache.try_begin(&pinned_key) else {
                 panic!("pinned entry was evicted while a reader held it");
             };

@@ -14,10 +14,12 @@ use ccp_obs::Registry;
 use ccp_resctrl::Class;
 use ccp_server::http::read_request;
 use ccp_server::{parse_query, AdmissionQueue, Breakdown, Json, QueryOutcome, ServerMetrics};
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Bencher, Criterion};
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::io::Cursor;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::thread;
 
 /// A reuse-hit `q1` request line, as the load generator sends it.
 const LINE: &str = r#"{"workload":"q1","threshold":25000}"#;
@@ -113,7 +115,56 @@ fn bench_admission(c: &mut Criterion) {
     g.bench_function("acquire_release", |b| {
         b.iter(|| drop(queue.acquire(black_box(CacheUsageClass::Polluting))));
     });
+    g.bench_function("handoff_16_waiters", |b| bench_handoff(b, 16));
     g.finish();
+}
+
+/// One release with `waiters` sensitive queries parked behind the held
+/// sensitive permit, timed until the waiter it granted runs (sends its
+/// permit back). Each grantee re-queues at once; the untimed set-up waits
+/// until all `waiters` are parked again.
+fn bench_handoff(b: &mut Bencher, waiters: usize) {
+    let cfg = HierarchyConfig::broadwell_e5_2699_v4();
+    let policy = PartitionPolicy::paper_default(cfg.llc, cfg.l2.size_bytes);
+    let queue = Arc::new(AdmissionQueue::new(
+        CacheAwareScheduler::new(policy, 2),
+        waiters,
+        SchedulerMetrics::new(),
+        ServerMetrics::new(&Registry::new()),
+    ));
+    let held = Cell::new(Some(queue.acquire(CacheUsageClass::Sensitive).unwrap()));
+    let (tx, rx) = mpsc::channel();
+    let threads: Vec<_> = (0..waiters)
+        .map(|_| {
+            let (queue, tx) = (Arc::clone(&queue), tx.clone());
+            thread::spawn(move || {
+                while let Ok(permit) = queue.acquire(CacheUsageClass::Sensitive) {
+                    if tx.send(permit).is_err() {
+                        break;
+                    }
+                }
+            })
+        })
+        .collect();
+    b.iter_batched(
+        || {
+            while queue.occupancy().0 < waiters {
+                thread::yield_now();
+            }
+            held.take().unwrap()
+        },
+        |permit| {
+            drop(permit);
+            held.set(Some(rx.recv().unwrap()));
+        },
+        BatchSize::SmallInput,
+    );
+    queue.shutdown();
+    drop(held);
+    drop(rx);
+    for t in threads {
+        t.join().unwrap();
+    }
 }
 
 criterion_group!(

@@ -1,40 +1,41 @@
 //! Bounded, scheduler-gated query admission.
 //!
-//! Every `/query` request must take a [`RunPermit`] before it touches the
-//! executor. Permits come from an [`AdmissionQueue`] that enforces two
-//! independent limits:
+//! Every `/query` request takes a [`RunPermit`] from an [`AdmissionQueue`]
+//! before it touches the executor. The engine's [`CacheAwareScheduler`]
+//! decides who may co-run: at most `slots` queries at once, never two
+//! cache-sensitive ones together. Waiters are served FIFO *with bypass*:
+//! a grant goes to the first admissible waiter in arrival order, so a
+//! polluter may overtake a deferred sensitive query — the packing rule
+//! [`plan_waves`](ccp_engine::CacheAwareScheduler::plan_waves) applies
+//! offline. At most `capacity` queries may wait; past that an arrival
+//! fails at once with [`AdmissionError::QueueFull`] (HTTP `429`), as does
+//! a tenant at its in-flight quota ([`TenantLimits`], `QuotaExceeded`).
+//! A waiter past its deadline is dequeued with
+//! [`AdmissionError::TimedOut`] (HTTP `503` + `Retry-After`).
 //!
-//! 1. **Concurrency shape** — the engine's
-//!    [`CacheAwareScheduler`] decides who
-//!    may co-run: at most `slots` queries at once, never two
-//!    cache-sensitive ones together (they would fight over the LLC share
-//!    partitioning reserves for them). Waiters are served FIFO *with
-//!    bypass*: the grant goes to the first admissible waiter in arrival
-//!    order, so when the head of the queue is a deferred sensitive query,
-//!    a polluter behind it may start — the same packing rule
-//!    [`plan_waves`](ccp_engine::CacheAwareScheduler::plan_waves) applies
-//!    to offline queues.
-//! 2. **Queue depth** — at most `capacity` queries may *wait*. Beyond
-//!    that, [`acquire`](AdmissionQueue::acquire) fails immediately with
-//!    [`AdmissionError::QueueFull`], which the HTTP layer maps to `429`.
-//!    Backpressure is explicit and observable instead of an unbounded
-//!    thread pile-up.
+//! **Granting is a hand-off.** One grant pass (`grant_ready`) decides
+//! every grant to a queued waiter: it walks the queue once in arrival
+//! order and grants each waiter the scheduler admits beside what runs.
+//! `admit` is monotone (a longer running set never turns a deferral into
+//! an admission), so the pass equals "grant the first admissible waiter,
+//! repeat", and after it no queued waiter is admissible. Only a release
+//! can change that, so only a release runs the pass; it wakes exactly the
+//! waiters it granted, each on a condvar of its own, and the slot is
+//! theirs before the releaser returns. A timeout or shutdown removes a
+//! waiter that was not admissible, so it grants nothing and wakes no one
+//! else. By the same invariant an arrival is the first admissible waiter
+//! exactly when the scheduler admits it now; then it never queues. A
+//! woken waiter looks only for its own grant, and a grant wins any race
+//! with its deadline or shutdown, so no slot is lost.
 //!
-//! Tenants meet admission only at arrival: a tenant at its in-flight
-//! quota ([`TenantLimits`]) gets [`AdmissionError::QuotaExceeded`]
-//! before it enqueues, so backpressure lands on the tenant that caused
-//! it. Once queued, a waiter's tenant plays no part in grant order.
-//!
-//! Waiters may additionally carry a **deadline**
-//! ([`acquire_tenant`](AdmissionQueue::acquire_tenant)): a query that
-//! waits past it is dequeued and fails with
-//! [`AdmissionError::TimedOut`] (HTTP `503` + `Retry-After`), so a
-//! saturated server sheds load instead of accumulating doomed work.
-//!
-//! Every admission is traced ([`ccp_trace`]): an `admission_wait` span
-//! covers enqueue→grant, with `enqueue` / `dequeue` / `bypass` /
-//! `timeout` instants, all tagged with the admission ticket — the same
-//! id the query's operator spans carry downstream.
+//! [`RunPermit::schedule_us`] is the scheduler's time deciding for the
+//! query: its arrival check, timed on its own thread, plus its share of
+//! every grant pass that walked it (one clock pair per pass, split evenly
+//! over the waiters walked). [`RunPermit::queue_us`] is the rest of the
+//! wait. Every admission is traced ([`ccp_trace`]): an `admission_wait`
+//! span covers enqueue→grant, with `enqueue` / `dequeue` / `bypass` /
+//! `timeout` instants tagged with the admission ticket — the id the
+//! query's operator spans carry downstream.
 
 use crate::metrics::ServerMetrics;
 use ccp_engine::{Admission, CacheAwareScheduler, CacheUsageClass, SchedulerMetrics};
@@ -74,11 +75,14 @@ impl std::fmt::Display for AdmissionError {
     }
 }
 
-/// One waiting query.
+/// One waiting query: `wake` is signalled for it alone (its grant or
+/// shutdown), and `sched_ns` is the scheduler time spent on it so far.
 struct Waiter {
     ticket: u64,
     cuid: CacheUsageClass,
     tenant: Arc<str>,
+    wake: Arc<Condvar>,
+    sched_ns: u64,
 }
 
 struct State {
@@ -87,8 +91,12 @@ struct State {
     /// Tenants of the running queries (parallel to `running`, so the
     /// scheduler's `&[CacheUsageClass]` view stays a plain slice).
     running_tenants: Vec<Arc<str>>,
-    /// Waiting queries in arrival order.
+    /// Waiting queries in arrival order. No waiter in it is admissible
+    /// beside `running` (see the module doc).
     waiting: Vec<Waiter>,
+    /// `(ticket, sched_ns)` of waiters granted a slot (already counted in
+    /// `running`) that have not woken to collect it yet.
+    granted: Vec<(u64, u64)>,
     next_ticket: u64,
     shutdown: bool,
 }
@@ -139,7 +147,8 @@ pub struct AdmissionQueue {
     capacity: usize,
     tenant_limits: TenantLimits,
     state: Mutex<State>,
-    changed: Condvar,
+    /// Signalled when nothing runs or waits any more ([`drain`](Self::drain)).
+    drained: Condvar,
 }
 
 impl AdmissionQueue {
@@ -164,10 +173,11 @@ impl AdmissionQueue {
                 running: Vec::new(),
                 running_tenants: Vec::new(),
                 waiting: Vec::new(),
+                granted: Vec::new(),
                 next_ticket: 0,
                 shutdown: false,
             }),
-            changed: Condvar::new(),
+            drained: Condvar::new(),
         }
     }
 
@@ -185,9 +195,13 @@ impl AdmissionQueue {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Publishes the occupancy; wakes [`drain`](Self::drain) once nothing runs or waits.
     fn publish(&self, st: &State) {
         self.server_metrics
             .set_admission_occupancy(st.waiting.len(), st.running.len());
+        if st.running.is_empty() && st.waiting.is_empty() {
+            self.drained.notify_all();
+        }
     }
 
     /// Blocks until `cuid` may run, then returns a permit; the permit
@@ -204,8 +218,7 @@ impl AdmissionQueue {
     /// [`AdmissionError::QuotaExceeded`] when the tenant is at its
     /// in-flight quota, and gives up with [`AdmissionError::TimedOut`]
     /// (dequeuing the waiter) when no permit was granted within
-    /// `deadline`. `None` waits indefinitely. Grants do not look at the
-    /// tenant: the first admissible waiter in arrival order starts.
+    /// `deadline`. `None` waits indefinitely.
     ///
     /// The queue knows `tenant` by the name the metrics book it under
     /// (`ServerMetrics::tenant_label`): the tenant header is client input,
@@ -244,100 +257,103 @@ impl AdmissionQueue {
                 return Err(AdmissionError::QuotaExceeded);
             }
         }
-        // Record the arrival-time decision (admitted vs. deferred) in the
-        // scheduler's instruments; re-checks below are not re-counted.
-        self.scheduler
+        // No queued waiter is admissible, so the arrival is the first
+        // admissible one exactly when the scheduler admits it now.
+        let decide_started = Instant::now();
+        let decision = self
+            .scheduler
             .admit_observed(&st.running, cuid, &self.sched_metrics);
+        let sched_ns = decide_started.elapsed().as_nanos() as u64;
         let ticket = st.next_ticket;
         st.next_ticket += 1;
-        st.waiting.push(Waiter {
-            ticket,
-            cuid,
-            tenant: Arc::clone(&tenant),
-        });
-        self.publish(&st);
         let wait_span = ccp_trace::span_id(TraceCat::Admission, "admission_wait", ticket);
         ccp_trace::instant_id(TraceCat::Admission, "enqueue", ticket);
-        // Decision time (scheduler admissibility scans on behalf of this
-        // waiter) is accounted separately from pure queueing time.
-        let mut sched_ns: u64 = 0;
-        loop {
-            if st.shutdown {
-                st.waiting.retain(|w| w.ticket != ticket);
-                self.publish(&st);
-                self.changed.notify_all();
-                return Err(AdmissionError::ShuttingDown);
-            }
-            // FIFO with bypass: the first admissible waiter starts (a
-            // polluter may overtake a deferred sensitive query — it fills
-            // the wave), whatever its tenant.
-            let decide_started = Instant::now();
-            let granted = st
-                .waiting
-                .iter()
-                .position(|w| self.scheduler.admit(&st.running, w.cuid) == Admission::RunNow)
-                .filter(|&i| st.waiting[i].ticket == ticket);
-            sched_ns += decide_started.elapsed().as_nanos() as u64;
-            match granted {
-                Some(i) => {
-                    if i > 0 {
-                        ccp_trace::instant_id(TraceCat::Admission, "bypass", ticket);
-                    }
-                    st.waiting.remove(i);
-                    st.running.push(cuid);
-                    st.running_tenants.push(Arc::clone(&tenant));
+        let sched_ns = if decision == Admission::RunNow {
+            st.running.push(cuid);
+            st.running_tenants.push(Arc::clone(&tenant));
+            self.publish(&st);
+            sched_ns
+        } else {
+            let wake = Arc::new(Condvar::new());
+            st.waiting.push(Waiter {
+                ticket,
+                cuid,
+                tenant: Arc::clone(&tenant),
+                wake: Arc::clone(&wake),
+                sched_ns,
+            });
+            self.publish(&st);
+            // Parked until a grant pass grants us, the deadline passes or
+            // the queue shuts down; a grant found on waking wins.
+            loop {
+                if let Some(i) = st.granted.iter().position(|&(t, _)| t == ticket) {
+                    break st.granted.swap_remove(i).1;
+                }
+                let remaining = deadline.map(|d| d.saturating_sub(enqueued.elapsed()));
+                if st.shutdown || remaining.is_some_and(|left| left.is_zero()) {
+                    // Not admissible, so leaving changes no one's admissibility.
+                    st.waiting.retain(|w| w.ticket != ticket);
                     self.publish(&st);
-                    // Admitting one query can unblock another admissible
-                    // one (slots permitting) — let everybody re-check.
-                    self.changed.notify_all();
-                    ccp_trace::instant_id(TraceCat::Admission, "dequeue", ticket);
-                    drop(wait_span);
-                    let schedule_us = sched_ns / 1_000;
-                    let queue_us =
-                        (enqueued.elapsed().as_micros() as u64).saturating_sub(schedule_us);
-                    return Ok(RunPermit {
-                        queue: Arc::clone(self),
-                        cuid,
-                        tenant,
-                        ticket,
-                        queue_us,
-                        schedule_us,
-                    });
+                    if st.shutdown {
+                        return Err(AdmissionError::ShuttingDown);
+                    }
+                    self.server_metrics.record_admission_timeout();
+                    ccp_trace::instant_id(TraceCat::Admission, "timeout", ticket);
+                    return Err(AdmissionError::TimedOut);
                 }
-                None => {
-                    let remaining = match deadline {
-                        None => None,
-                        Some(d) => match d.checked_sub(enqueued.elapsed()) {
-                            Some(left) if !left.is_zero() => Some(left),
-                            _ => {
-                                // Deadline passed while still deferred:
-                                // leave the queue so the slot scan stops
-                                // considering us, and tell the client to
-                                // come back.
-                                st.waiting.retain(|w| w.ticket != ticket);
-                                self.publish(&st);
-                                self.changed.notify_all();
-                                self.server_metrics.record_admission_timeout();
-                                ccp_trace::instant_id(TraceCat::Admission, "timeout", ticket);
-                                return Err(AdmissionError::TimedOut);
-                            }
-                        },
-                    };
-                    st = match remaining {
-                        Some(left) => {
-                            self.changed
-                                .wait_timeout(st, left)
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .0
-                        }
-                        None => self
-                            .changed
-                            .wait(st)
-                            .unwrap_or_else(PoisonError::into_inner),
-                    };
-                }
+                let left = remaining.unwrap_or(Duration::MAX);
+                st = wake
+                    .wait_timeout(st, left)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
             }
+        };
+        ccp_trace::instant_id(TraceCat::Admission, "dequeue", ticket);
+        drop(wait_span);
+        let schedule_us = sched_ns / 1_000;
+        let queue_us = (enqueued.elapsed().as_micros() as u64).saturating_sub(schedule_us);
+        Ok(RunPermit {
+            queue: Arc::clone(self),
+            cuid,
+            tenant,
+            ticket,
+            queue_us,
+            schedule_us,
+        })
+    }
+
+    /// The one grant decision: walks `waiting` once in arrival order and
+    /// grants every waiter the scheduler admits beside what runs (plus
+    /// what this pass granted), waking each grantee alone. The pass's
+    /// scheduler time is split evenly over the waiters it walked.
+    fn grant_ready(&self, st: &mut State) {
+        let walked = st.waiting.len() as u64;
+        if walked == 0 || st.shutdown {
+            return;
         }
+        let started = Instant::now();
+        let first_grant = st.granted.len();
+        let mut i = 0;
+        while i < st.waiting.len() {
+            if self.scheduler.admit(&st.running, st.waiting[i].cuid) != Admission::RunNow {
+                i += 1;
+                continue;
+            }
+            let w = st.waiting.remove(i);
+            if i > 0 {
+                ccp_trace::instant_id(TraceCat::Admission, "bypass", w.ticket);
+            }
+            st.running.push(w.cuid);
+            st.running_tenants.push(w.tenant);
+            st.granted.push((w.ticket, w.sched_ns));
+            w.wake.notify_one();
+        }
+        let share = started.elapsed().as_nanos() as u64 / walked;
+        st.granted[first_grant..]
+            .iter_mut()
+            .map(|(_, ns)| ns)
+            .chain(st.waiting.iter_mut().map(|w| &mut w.sched_ns))
+            .for_each(|ns| *ns += share);
     }
 
     fn release(&self, cuid: CacheUsageClass, tenant: &str) {
@@ -351,8 +367,8 @@ impl AdmissionQueue {
             st.running.remove(i);
             st.running_tenants.remove(i);
         }
+        self.grant_ready(&mut st);
         self.publish(&st);
-        self.changed.notify_all();
     }
 
     /// Marks the queue as draining: waiters wake with
@@ -361,26 +377,21 @@ impl AdmissionQueue {
     pub fn shutdown(&self) {
         let mut st = self.lock();
         st.shutdown = true;
+        for w in &st.waiting {
+            w.wake.notify_one();
+        }
         self.publish(&st);
-        self.changed.notify_all();
     }
 
     /// Waits until nothing runs or waits any more, up to `timeout`.
     /// Returns `true` when the queue drained completely.
     pub fn drain(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.lock();
-        while !st.running.is_empty() || !st.waiting.is_empty() {
-            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                return false;
-            };
-            let (guard, _) = self
-                .changed
-                .wait_timeout(st, left)
-                .unwrap_or_else(PoisonError::into_inner);
-            st = guard;
-        }
-        true
+        let busy = |st: &mut State| !st.running.is_empty() || !st.waiting.is_empty();
+        let (mut st, _) = self
+            .drained
+            .wait_timeout_while(self.lock(), timeout, busy)
+            .unwrap_or_else(PoisonError::into_inner);
+        !busy(&mut st)
     }
 
     /// Current `(waiting, running)` occupancy.
@@ -393,35 +404,24 @@ impl AdmissionQueue {
     /// signal the occupancy sampler's simulated probe feeds on when no
     /// CMT hardware is present.
     pub(crate) fn running_by_class(&self) -> PerClass<usize> {
-        count_by_class(self.lock().running.iter().copied())
-    }
-
-    /// Count of currently *running* queries per tenant.
-    pub fn running_by_tenant(&self) -> Vec<(String, usize)> {
-        tally(self.lock().running_tenants.iter().map(|t| t.to_string()))
-    }
-}
-
-/// How many of `cuids` belong to each class.
-fn count_by_class(cuids: impl Iterator<Item = CacheUsageClass>) -> PerClass<usize> {
-    let mut counts = PerClass::default();
-    for cuid in cuids {
-        let class = cuid.class();
-        counts.set(class, counts.get(class) + 1);
-    }
-    counts
-}
-
-/// How often each distinct key occurs, in first-seen order.
-fn tally<K: PartialEq>(keys: impl Iterator<Item = K>) -> Vec<(K, usize)> {
-    let mut counts: Vec<(K, usize)> = Vec::new();
-    for key in keys {
-        match counts.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, n)) => *n += 1,
-            None => counts.push((key, 1)),
+        let mut counts = PerClass::default();
+        for class in self.lock().running.iter().map(|c| c.class()) {
+            counts.set(class, counts.get(class) + 1);
         }
+        counts
     }
-    counts
+
+    /// Count of currently *running* queries per tenant, in first-seen order.
+    pub fn running_by_tenant(&self) -> Vec<(String, usize)> {
+        let mut counts: Vec<(String, usize)> = Vec::new();
+        for tenant in &self.lock().running_tenants {
+            match counts.iter_mut().find(|(t, _)| **t == **tenant) {
+                Some((_, n)) => *n += 1,
+                None => counts.push((tenant.to_string(), 1)),
+            }
+        }
+        counts
+    }
 }
 
 /// Permission for one query to run; releases its concurrency slot on drop
@@ -468,8 +468,8 @@ impl RunPermit {
         self.queue_us
     }
 
-    /// Microseconds the scheduler spent on admissibility decisions for
-    /// this waiter (accumulated over every wakeup re-check).
+    /// Microseconds the scheduler spent deciding for this query: its
+    /// arrival check plus its share of every grant pass that considered it.
     pub fn schedule_us(&self) -> u64 {
         self.schedule_us
     }
@@ -796,6 +796,69 @@ mod tests {
             waiter.join().unwrap();
         }
         assert!(q.drain(Duration::from_secs(1)));
+    }
+
+    #[test]
+    fn a_release_grants_before_it_returns() {
+        let q = queue(4, 16);
+        let held = q.acquire(CacheUsageClass::Sensitive).unwrap();
+        // Each grantee hands its permit to this thread, so only the
+        // release under test can have changed the occupancy.
+        let (tx, rx) = mpsc::channel();
+        let waiters: Vec<_> = (0..8)
+            .map(|_| {
+                let (q2, tx) = (Arc::clone(&q), tx.clone());
+                thread::spawn(move || tx.send(q2.acquire(CacheUsageClass::Sensitive).unwrap()))
+            })
+            .collect();
+        while q.occupancy().0 < 8 {
+            thread::yield_now();
+        }
+        drop(held);
+        // The releaser granted the head sensitive waiter itself; the other
+        // seven stay deferred beside it.
+        assert_eq!(q.occupancy(), (7, 1));
+        for _ in 0..8 {
+            drop(rx.recv_timeout(Duration::from_secs(5)).unwrap());
+        }
+        for w in waiters {
+            w.join().unwrap().unwrap();
+        }
+        assert!(q.drain(Duration::from_secs(1)));
+    }
+
+    #[test]
+    fn a_timeout_racing_a_grant_loses_no_slot() {
+        let q = queue(2, 4);
+        for round in 0..200u64 {
+            let held = q.acquire(CacheUsageClass::Sensitive).unwrap();
+            let q2 = Arc::clone(&q);
+            let waiter = thread::spawn(move || {
+                q2.acquire_tenant(
+                    CacheUsageClass::Sensitive,
+                    DEFAULT_TENANT,
+                    Some(Duration::from_micros(500)),
+                )
+                .map(drop)
+            });
+            // Release around the waiter's deadline: before, at or after it.
+            thread::sleep(Duration::from_micros(300 + 40 * (round % 10)));
+            drop(held);
+            match waiter.join().unwrap() {
+                Ok(()) | Err(AdmissionError::TimedOut) => {}
+                Err(e) => panic!("round {round}: {e}"),
+            }
+            assert!(q.drain(Duration::from_secs(1)), "round {round}");
+            assert_eq!(q.occupancy(), (0, 0), "round {round}");
+            let p = q
+                .acquire_tenant(
+                    CacheUsageClass::Sensitive,
+                    DEFAULT_TENANT,
+                    Some(Duration::ZERO),
+                )
+                .unwrap_or_else(|e| panic!("round {round}: slot lost ({e})"));
+            drop(p);
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! *unresolved* lookups — the cache counts neither a hit nor a miss for
 //! them, and the conservation equation accounts for that.
 
+use ccp_obs::Registry;
 use ccp_reuse::{Artifact, BuildGuard, ResultSet, ReuseCache, ReuseConfig, ReuseKey, TryBegin};
 use ccp_verify::{explore, Access, Actor, Mode};
 use std::sync::Arc;
@@ -34,6 +35,7 @@ fn artifact() -> Artifact {
 
 struct ReuseModel {
     cache: ReuseCache,
+    budget: u64,
     /// Build guards claimed by worker actors, by actor index.
     guards: Vec<Option<BuildGuard>>,
     /// Lookups that resolved as hits / build claims; `Pending` retries
@@ -47,6 +49,7 @@ impl ReuseModel {
     fn new(workers: usize, budget: u64) -> ReuseModel {
         ReuseModel {
             cache: ReuseCache::new(ReuseConfig::with_budget(budget)),
+            budget,
             guards: (0..workers).map(|_| None).collect(),
             resolved_hits: 0,
             resolved_builds: 0,
@@ -86,32 +89,40 @@ impl ReuseModel {
     }
 }
 
+/// `cache`'s `(hits, misses)`, read through the
+/// `ccp_reuse_{hits,misses}_total` families a scrape renders.
+fn hits_and_misses(cache: &ReuseCache) -> (u64, u64) {
+    let registry = Registry::new();
+    cache.register_into(&registry);
+    let read = |name| registry.counter(name, "").get();
+    (read("ccp_reuse_hits_total"), read("ccp_reuse_misses_total"))
+}
+
 /// Budget and byte-accounting checks, valid regardless of key layout.
 fn step_invariants(s: &ReuseModel) -> Result<(), String> {
-    let stats = s.cache.stats();
-    if stats.bytes > stats.budget_bytes {
+    let bytes = s.cache.bytes();
+    if bytes > s.budget {
         return Err(format!(
-            "cache holds {} bytes over the {}-byte budget",
-            stats.bytes, stats.budget_bytes
+            "cache holds {bytes} bytes over the {}-byte budget",
+            s.budget
         ));
     }
     // Every resident artifact in this harness is a 32-byte result set.
-    if stats.bytes != stats.entries * 32 {
+    if !bytes.is_multiple_of(32) {
         return Err(format!(
-            "byte accounting drifted: {} entries but {} bytes",
-            stats.entries, stats.bytes
+            "byte accounting drifted: {bytes} bytes is no whole number of entries"
         ));
     }
     Ok(())
 }
 
 fn final_invariants(s: &mut ReuseModel) -> Result<(), String> {
-    let stats = s.cache.stats();
-    if stats.hits != s.resolved_hits || stats.misses != s.resolved_builds {
+    let (hits, misses) = hits_and_misses(&s.cache);
+    if hits != s.resolved_hits || misses != s.resolved_builds {
         return Err(format!(
-            "counter conservation broken: cache says {} hits + {} misses, \
+            "counter conservation broken: cache says {hits} hits + {misses} misses, \
              harness resolved {} hits + {} builds ({} unresolved)",
-            stats.hits, stats.misses, s.resolved_hits, s.resolved_builds, s.unresolved
+            s.resolved_hits, s.resolved_builds, s.unresolved
         ));
     }
     // Abandon any still-held guard and confirm the key is buildable
@@ -249,15 +260,18 @@ fn tiny_budget_never_overruns_across_interleavings() {
         (state, actors)
     };
     let report = explore(MODE, build, step_invariants, |s: &mut ReuseModel| {
-        let stats = s.cache.stats();
-        if stats.hits != s.resolved_hits || stats.misses != s.resolved_builds {
+        let (hits, misses) = hits_and_misses(&s.cache);
+        if hits != s.resolved_hits || misses != s.resolved_builds {
             return Err(format!(
-                "conservation broken: {stats:?} vs {} hits + {} builds",
+                "conservation broken: {hits} hits + {misses} misses vs {} hits + {} builds",
                 s.resolved_hits, s.resolved_builds
             ));
         }
-        if stats.entries > 1 {
-            return Err(format!("40-byte budget holds {} entries", stats.entries));
+        if s.cache.bytes() > 32 {
+            return Err(format!(
+                "40-byte budget holds {} bytes of 32-byte entries",
+                s.cache.bytes()
+            ));
         }
         Ok(())
     })
@@ -389,18 +403,24 @@ fn two_key_final(s: &mut TwoKeyModel) -> Result<(), String> {
             return Err(format!("key group {group}: {why}"));
         }
     }
-    let stats = s.cache.stats();
-    if stats.hits != s.resolved_hits || stats.misses != s.resolved_builds {
+    let (hits, misses) = hits_and_misses(&s.cache);
+    if hits != s.resolved_hits || misses != s.resolved_builds {
         return Err(format!(
-            "counter conservation broken: cache says {} hits + {} misses, \
+            "counter conservation broken: cache says {hits} hits + {misses} misses, \
              harness resolved {} hits + {} builds ({} unresolved)",
-            stats.hits, stats.misses, s.resolved_hits, s.resolved_builds, s.unresolved
+            s.resolved_hits, s.resolved_builds, s.unresolved
         ));
     }
-    if stats.bytes != stats.entries * 32 {
+    // A bump sweeps every older entry, so the resident entries are the
+    // current epoch's keys that predict a hit.
+    let entries = [("qa", "t < 5"), ("qb", "t < 5")]
+        .iter()
+        .filter(|(q, f)| s.cache.predict(&s.cache.key(q, f)))
+        .count() as u64;
+    if s.cache.bytes() != entries * 32 {
         return Err(format!(
-            "byte accounting drifted: {} entries but {} bytes",
-            stats.entries, stats.bytes
+            "byte accounting drifted: {entries} entries but {} bytes",
+            s.cache.bytes()
         ));
     }
     // No wedged keys once every guard is dropped.
@@ -468,12 +488,11 @@ fn dpor_two_keys_would_catch_a_double_build() {
     // conservation violation, proving the harness's final check is live.
     let build = two_key_build(2, 1);
     let broken_final = |s: &mut TwoKeyModel| {
-        let stats = s.cache.stats();
+        let (_, misses) = hits_and_misses(&s.cache);
         let claimed = s.resolved_builds + s.unresolved;
-        if stats.misses != claimed {
+        if misses != claimed {
             return Err(format!(
-                "seeded miscount: cache says {} misses, model (wrongly) claims {claimed}",
-                stats.misses
+                "seeded miscount: cache says {misses} misses, model (wrongly) claims {claimed}"
             ));
         }
         Ok(())
