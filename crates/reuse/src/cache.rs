@@ -594,13 +594,21 @@ mod tests {
     }
 
     /// `c`'s `ccp_reuse_<name>_total`, read through the family a scrape
-    /// renders.
+    /// renders. A name `register_into` did not register panics rather
+    /// than reading a freshly made 0.
     fn counter(c: &ReuseCache, name: &str) -> u64 {
         let registry = Registry::new();
         c.register_into(&registry);
+        let family = format!("ccp_reuse_{name}_total");
         registry
-            .counter(&format!("ccp_reuse_{name}_total"), "")
-            .get()
+            .sample_all()
+            .into_iter()
+            .find(|f| f.name == family)
+            .and_then(|f| match f.samples.as_slice() {
+                [(_, ccp_obs::MetricSample::Counter(v))] => Some(*v),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("{family} is not a registered counter"))
     }
 
     #[test]

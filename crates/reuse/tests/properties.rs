@@ -3,7 +3,7 @@
 //! the byte budget plus pinning invariants survive arbitrary
 //! insert/lookup/bump sequences.
 
-use ccp_obs::Registry;
+use ccp_obs::{MetricSample, Registry};
 use ccp_reuse::{canonicalize_predicate, Artifact, ReuseCache, ReuseConfig, ReuseKey, TryBegin};
 use ccp_storage::BitVec;
 use proptest::prelude::*;
@@ -27,6 +27,20 @@ fn decorate(text: &str, pad: u8, upper: bool) -> String {
     };
     let spaces = " ".repeat(pad as usize);
     format!("{spaces}\t{body}{spaces}")
+}
+
+/// The registered counter `name`'s value. A name the registry does not
+/// hold panics rather than reading a freshly made 0.
+fn counter(registry: &Registry, name: &str) -> u64 {
+    registry
+        .sample_all()
+        .into_iter()
+        .find(|f| f.name == name)
+        .and_then(|f| match f.samples.as_slice() {
+            [(_, MetricSample::Counter(v))] => Some(*v),
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("{name} is not a registered counter"))
 }
 
 proptest! {
@@ -122,8 +136,6 @@ proptest! {
         let cache = ReuseCache::new(ReuseConfig::with_budget(BUDGET));
         let registry = Registry::new();
         cache.register_into(&registry);
-        let hits = registry.counter("ccp_reuse_hits_total", "");
-        let misses = registry.counter("ccp_reuse_misses_total", "");
         let mut lookups = 0u64;
         for op in &ops {
             match op {
@@ -148,7 +160,11 @@ proptest! {
                 "{} bytes exceed the {BUDGET}-byte budget after {op:?}",
                 cache.bytes()
             );
-            prop_assert_eq!(hits.get() + misses.get(), lookups);
+            prop_assert_eq!(
+                counter(&registry, "ccp_reuse_hits_total")
+                    + counter(&registry, "ccp_reuse_misses_total"),
+                lookups
+            );
         }
     }
 

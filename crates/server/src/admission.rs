@@ -9,9 +9,10 @@
 //! [`plan_waves`](ccp_engine::CacheAwareScheduler::plan_waves) applies
 //! offline. At most `capacity` queries may wait; past that an arrival
 //! fails at once with [`AdmissionError::QueueFull`] (HTTP `429`), as does
-//! a tenant at its in-flight quota ([`TenantLimits`], `QuotaExceeded`).
-//! A waiter past its deadline is dequeued with
-//! [`AdmissionError::TimedOut`] (HTTP `503` + `Retry-After`).
+//! a tenant at its in-flight quota ([`TenantLimits`], `QuotaExceeded`):
+//! tenants meet admission only there, and once queued a waiter's tenant
+//! plays no part in grant order. A waiter past its deadline is dequeued
+//! with [`AdmissionError::TimedOut`] (HTTP `503` + `Retry-After`).
 //!
 //! **Granting is a hand-off.** One grant pass (`grant_ready`) decides
 //! every grant to a queued waiter: it walks the queue once in arrival
@@ -22,20 +23,20 @@
 //! can change that, so only a release runs the pass; it wakes exactly the
 //! waiters it granted, each on a condvar of its own, and the slot is
 //! theirs before the releaser returns. A timeout or shutdown removes a
-//! waiter that was not admissible, so it grants nothing and wakes no one
-//! else. By the same invariant an arrival is the first admissible waiter
-//! exactly when the scheduler admits it now; then it never queues. A
-//! woken waiter looks only for its own grant, and a grant wins any race
-//! with its deadline or shutdown, so no slot is lost.
+//! waiter that was not admissible: no grant, no other wake-up. By the
+//! same invariant an arrival is the first admissible waiter exactly when
+//! the scheduler admits it now, and then it never queues. A woken waiter
+//! looks only for its own grant; a grant wins any race with its deadline
+//! or shutdown, so no slot is lost.
 //!
 //! [`RunPermit::schedule_us`] is the scheduler's time deciding for the
 //! query: its arrival check, timed on its own thread, plus its share of
 //! every grant pass that walked it (one clock pair per pass, split evenly
 //! over the waiters walked). [`RunPermit::queue_us`] is the rest of the
-//! wait. Every admission is traced ([`ccp_trace`]): an `admission_wait`
-//! span covers enqueue→grant, with `enqueue` / `dequeue` / `bypass` /
-//! `timeout` instants tagged with the admission ticket — the id the
-//! query's operator spans carry downstream.
+//! wait. Every admission is traced ([`ccp_trace`]) on the query's own
+//! thread: an `admission_wait` span covers enqueue→grant, with `enqueue` /
+//! `dequeue` / `bypass` (it overtook a waiter) / `timeout` instants tagged
+//! with the admission ticket, the id its operator spans carry downstream.
 
 use crate::metrics::ServerMetrics;
 use ccp_engine::{Admission, CacheAwareScheduler, CacheUsageClass, SchedulerMetrics};
@@ -94,9 +95,9 @@ struct State {
     /// Waiting queries in arrival order. No waiter in it is admissible
     /// beside `running` (see the module doc).
     waiting: Vec<Waiter>,
-    /// `(ticket, sched_ns)` of waiters granted a slot (already counted in
-    /// `running`) that have not woken to collect it yet.
-    granted: Vec<(u64, u64)>,
+    /// `(ticket, sched_ns, bypassed)` of grants (counted in `running`) not
+    /// yet collected by their waiters; `bypassed` if the grantee overtook one.
+    granted: Vec<(u64, u64, bool)>,
     next_ticket: u64,
     shutdown: bool,
 }
@@ -268,11 +269,11 @@ impl AdmissionQueue {
         st.next_ticket += 1;
         let wait_span = ccp_trace::span_id(TraceCat::Admission, "admission_wait", ticket);
         ccp_trace::instant_id(TraceCat::Admission, "enqueue", ticket);
-        let sched_ns = if decision == Admission::RunNow {
+        let (_, sched_ns, bypassed) = if decision == Admission::RunNow {
             st.running.push(cuid);
             st.running_tenants.push(Arc::clone(&tenant));
             self.publish(&st);
-            sched_ns
+            (ticket, sched_ns, !st.waiting.is_empty())
         } else {
             let wake = Arc::new(Condvar::new());
             st.waiting.push(Waiter {
@@ -283,11 +284,10 @@ impl AdmissionQueue {
                 sched_ns,
             });
             self.publish(&st);
-            // Parked until a grant pass grants us, the deadline passes or
-            // the queue shuts down; a grant found on waking wins.
+            // Parked until granted, timed out or shut down; a grant wins.
             loop {
-                if let Some(i) = st.granted.iter().position(|&(t, _)| t == ticket) {
-                    break st.granted.swap_remove(i).1;
+                if let Some(i) = st.granted.iter().position(|g| g.0 == ticket) {
+                    break st.granted.swap_remove(i);
                 }
                 let remaining = deadline.map(|d| d.saturating_sub(enqueued.elapsed()));
                 if st.shutdown || remaining.is_some_and(|left| left.is_zero()) {
@@ -308,6 +308,9 @@ impl AdmissionQueue {
                     .0;
             }
         };
+        if bypassed {
+            ccp_trace::instant_id(TraceCat::Admission, "bypass", ticket);
+        }
         ccp_trace::instant_id(TraceCat::Admission, "dequeue", ticket);
         drop(wait_span);
         let schedule_us = sched_ns / 1_000;
@@ -340,18 +343,15 @@ impl AdmissionQueue {
                 continue;
             }
             let w = st.waiting.remove(i);
-            if i > 0 {
-                ccp_trace::instant_id(TraceCat::Admission, "bypass", w.ticket);
-            }
             st.running.push(w.cuid);
             st.running_tenants.push(w.tenant);
-            st.granted.push((w.ticket, w.sched_ns));
+            st.granted.push((w.ticket, w.sched_ns, i > 0));
             w.wake.notify_one();
         }
         let share = started.elapsed().as_nanos() as u64 / walked;
         st.granted[first_grant..]
             .iter_mut()
-            .map(|(_, ns)| ns)
+            .map(|(_, ns, _)| ns)
             .chain(st.waiting.iter_mut().map(|w| &mut w.sched_ns))
             .for_each(|ns| *ns += share);
     }

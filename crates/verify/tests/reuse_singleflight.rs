@@ -11,7 +11,7 @@
 //! *unresolved* lookups — the cache counts neither a hit nor a miss for
 //! them, and the conservation equation accounts for that.
 
-use ccp_obs::Registry;
+use ccp_obs::{MetricSample, Registry};
 use ccp_reuse::{Artifact, BuildGuard, ResultSet, ReuseCache, ReuseConfig, ReuseKey, TryBegin};
 use ccp_verify::{explore, Access, Actor, Mode};
 use std::sync::Arc;
@@ -36,6 +36,8 @@ fn artifact() -> Artifact {
 struct ReuseModel {
     cache: ReuseCache,
     budget: u64,
+    /// The `(query, filter)` names of every key the workers build.
+    names: &'static [(&'static str, &'static str)],
     /// Build guards claimed by worker actors, by actor index.
     guards: Vec<Option<BuildGuard>>,
     /// Lookups that resolved as hits / build claims; `Pending` retries
@@ -46,10 +48,15 @@ struct ReuseModel {
 }
 
 impl ReuseModel {
-    fn new(workers: usize, budget: u64) -> ReuseModel {
+    fn new(
+        workers: usize,
+        budget: u64,
+        names: &'static [(&'static str, &'static str)],
+    ) -> ReuseModel {
         ReuseModel {
             cache: ReuseCache::new(ReuseConfig::with_budget(budget)),
             budget,
+            names,
             guards: (0..workers).map(|_| None).collect(),
             resolved_hits: 0,
             resolved_builds: 0,
@@ -90,12 +97,34 @@ impl ReuseModel {
 }
 
 /// `cache`'s `(hits, misses)`, read through the
-/// `ccp_reuse_{hits,misses}_total` families a scrape renders.
+/// `ccp_reuse_{hits,misses}_total` families a scrape renders. A family
+/// the cache did not register panics rather than reading a fresh 0.
 fn hits_and_misses(cache: &ReuseCache) -> (u64, u64) {
     let registry = Registry::new();
     cache.register_into(&registry);
-    let read = |name| registry.counter(name, "").get();
+    let families = registry.sample_all();
+    let read = |name| {
+        families
+            .iter()
+            .find(|f| f.name == name)
+            .and_then(|f| match f.samples.as_slice() {
+                [(_, MetricSample::Counter(v))] => Some(*v),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("{name} is not a registered counter"))
+    };
     (read("ccp_reuse_hits_total"), read("ccp_reuse_misses_total"))
+}
+
+/// Published entries resident in `cache`, among the `(query, filter)`
+/// names the harness builds. A bump sweeps every older entry and a stale
+/// build is discarded at publish, so every resident entry is a current
+/// epoch key that predicts a hit.
+fn resident_entries(cache: &ReuseCache, names: &[(&str, &str)]) -> u64 {
+    names
+        .iter()
+        .filter(|(q, f)| cache.predict(&cache.key(q, f)))
+        .count() as u64
 }
 
 /// Budget and byte-accounting checks, valid regardless of key layout.
@@ -108,9 +137,10 @@ fn step_invariants(s: &ReuseModel) -> Result<(), String> {
         ));
     }
     // Every resident artifact in this harness is a 32-byte result set.
-    if !bytes.is_multiple_of(32) {
+    let entries = resident_entries(&s.cache, s.names);
+    if bytes != entries * 32 {
         return Err(format!(
-            "byte accounting drifted: {bytes} bytes is no whole number of entries"
+            "byte accounting drifted: {entries} entries but {bytes} bytes"
         ));
     }
     Ok(())
@@ -145,7 +175,7 @@ fn final_invariants(s: &mut ReuseModel) -> Result<(), String> {
 fn single_flight_conserves_counters_under_all_interleavings_with_a_bump() {
     const WORKERS: usize = 3;
     let build = || {
-        let state = ReuseModel::new(WORKERS, 1 << 20);
+        let state = ReuseModel::new(WORKERS, 1 << 20, &[("q1", "t < 5")]);
         let shared_key = state.cache.key("q1", "t < 5");
         let mut actors: Vec<Actor<ReuseModel>> = (0..WORKERS)
             .map(|i| {
@@ -218,9 +248,11 @@ fn single_flight_conserves_counters_under_all_interleavings_with_a_bump() {
 fn tiny_budget_never_overruns_across_interleavings() {
     const WORKERS: usize = 2;
     let build = || {
-        let state = ReuseModel::new(WORKERS, 40);
-        let keys: Vec<ReuseKey> = (0..WORKERS)
-            .map(|i| state.cache.key(&format!("q{i}"), "t < 5"))
+        let state = ReuseModel::new(WORKERS, 40, &[("q0", "t < 5"), ("q1", "t < 5")]);
+        let keys: Vec<ReuseKey> = state
+            .names
+            .iter()
+            .map(|(q, f)| state.cache.key(q, f))
             .collect();
         let mut actors: Vec<Actor<ReuseModel>> = keys
             .iter()
@@ -267,11 +299,9 @@ fn tiny_budget_never_overruns_across_interleavings() {
                 s.resolved_hits, s.resolved_builds
             ));
         }
-        if s.cache.bytes() > 32 {
-            return Err(format!(
-                "40-byte budget holds {} bytes of 32-byte entries",
-                s.cache.bytes()
-            ));
+        let entries = resident_entries(&s.cache, s.names);
+        if entries > 1 {
+            return Err(format!("40-byte budget holds {entries} entries"));
         }
         Ok(())
     })
@@ -411,12 +441,7 @@ fn two_key_final(s: &mut TwoKeyModel) -> Result<(), String> {
             s.resolved_hits, s.resolved_builds, s.unresolved
         ));
     }
-    // A bump sweeps every older entry, so the resident entries are the
-    // current epoch's keys that predict a hit.
-    let entries = [("qa", "t < 5"), ("qb", "t < 5")]
-        .iter()
-        .filter(|(q, f)| s.cache.predict(&s.cache.key(q, f)))
-        .count() as u64;
+    let entries = resident_entries(&s.cache, &[("qa", "t < 5"), ("qb", "t < 5")]);
     if s.cache.bytes() != entries * 32 {
         return Err(format!(
             "byte accounting drifted: {entries} entries but {} bytes",
