@@ -66,7 +66,7 @@ pub use monitor::{ClassReading, OccupancyProbe, ResctrlMonitor, SimulatedMonitor
 pub use schemata::Schemata;
 pub use supervisor::{ResctrlHealth, ResctrlTree, RetryPolicy, SupervisedController};
 pub use sweep::{SweepStats, Sweeper};
-pub use tenant::{mask_group_name, TenantId, DEFAULT_TENANT};
+pub use tenant::{mask_group_name, DEFAULT_TENANT};
 
 /// Conventional mount point of the resctrl filesystem.
 pub(crate) const DEFAULT_MOUNT: &str = "/sys/fs/resctrl";

@@ -9,10 +9,11 @@
 //! [`plan_waves`](ccp_engine::CacheAwareScheduler::plan_waves) applies
 //! offline. At most `capacity` queries may wait; past that an arrival
 //! fails at once with [`AdmissionError::QueueFull`] (HTTP `429`), as does
-//! a tenant at its in-flight quota ([`TenantLimits`], `QuotaExceeded`):
-//! tenants meet admission only there, and once queued a waiter's tenant
-//! plays no part in grant order. A waiter past its deadline is dequeued
-//! with [`AdmissionError::TimedOut`] (HTTP `503` + `Retry-After`).
+//! a tenant at its in-flight quota (`QuotaExceeded`): tenants meet
+//! admission only there, as booked handles compared by pointer, and once
+//! queued a waiter's tenant plays no part in grant order. A waiter past
+//! its deadline is dequeued with [`AdmissionError::TimedOut`] (HTTP `503`
+//! + `Retry-After`).
 //!
 //! **Granting is a hand-off.** One grant pass (`grant_ready`) decides
 //! every grant to a queued waiter: it walks the queue once in arrival
@@ -39,6 +40,7 @@
 //! with the admission ticket, the id its operator spans carry downstream.
 
 use crate::metrics::ServerMetrics;
+use crate::tenant::Tenant;
 use ccp_engine::{Admission, CacheAwareScheduler, CacheUsageClass, SchedulerMetrics};
 use ccp_resctrl::PerClass;
 use ccp_resctrl::DEFAULT_TENANT;
@@ -81,7 +83,7 @@ impl std::fmt::Display for AdmissionError {
 struct Waiter {
     ticket: u64,
     cuid: CacheUsageClass,
-    tenant: Arc<str>,
+    tenant: Arc<Tenant>,
     wake: Arc<Condvar>,
     sched_ns: u64,
 }
@@ -91,7 +93,7 @@ struct State {
     running: Vec<CacheUsageClass>,
     /// Tenants of the running queries (parallel to `running`, so the
     /// scheduler's `&[CacheUsageClass]` view stays a plain slice).
-    running_tenants: Vec<Arc<str>>,
+    running_tenants: Vec<Arc<Tenant>>,
     /// Waiting queries in arrival order. No waiter in it is admissible
     /// beside `running` (see the module doc).
     waiting: Vec<Waiter>,
@@ -102,51 +104,12 @@ struct State {
     shutdown: bool,
 }
 
-/// Per-tenant admission limits, layered on top of the global capacity:
-/// a `quota` bounds how many of a tenant's queries may be in flight
-/// (waiting + running) at once, and the arrival that would exceed it gets
-/// an immediate per-tenant `429`. Unlisted tenants have no quota.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TenantLimits {
-    quotas: Vec<(String, usize)>,
-}
-
-impl TenantLimits {
-    /// No quotas.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Caps `tenant` at `quota` simultaneous in-flight queries
-    /// (builder style; last setting wins).
-    #[must_use]
-    pub fn with_quota(mut self, tenant: &str, quota: usize) -> Self {
-        self.quotas.retain(|(t, _)| t != tenant);
-        self.quotas.push((tenant.to_string(), quota));
-        self
-    }
-
-    /// The in-flight quota for `tenant`, if one is configured.
-    pub(crate) fn quota_for(&self, tenant: &str) -> Option<usize> {
-        self.quotas
-            .iter()
-            .find(|(t, _)| t == tenant)
-            .map(|&(_, q)| q)
-    }
-
-    /// Every tenant with a quota, in configuration order.
-    fn tenants(&self) -> impl Iterator<Item = &str> {
-        self.quotas.iter().map(|(t, _)| t.as_str())
-    }
-}
-
 /// Bounded admission queue in front of the dual-pool executor.
 pub struct AdmissionQueue {
     scheduler: CacheAwareScheduler,
     sched_metrics: SchedulerMetrics,
     server_metrics: ServerMetrics,
     capacity: usize,
-    tenant_limits: TenantLimits,
     state: Mutex<State>,
     /// Signalled when nothing runs or waits any more ([`drain`](Self::drain)).
     drained: Condvar,
@@ -169,7 +132,6 @@ impl AdmissionQueue {
             sched_metrics,
             server_metrics,
             capacity,
-            tenant_limits: TenantLimits::default(),
             state: Mutex::new(State {
                 running: Vec::new(),
                 running_tenants: Vec::new(),
@@ -182,13 +144,15 @@ impl AdmissionQueue {
         }
     }
 
-    /// Layers per-tenant quotas on top of the global capacity. Call before
-    /// the queue is shared (builder style). The tenants `limits` names keep
-    /// a metric label set of their own however many unconfigured tenants
-    /// show up.
-    pub fn with_tenant_limits(mut self, limits: TenantLimits) -> Self {
-        self.server_metrics.pin_tenants(limits.tenants());
-        self.tenant_limits = limits;
+    /// Caps each named tenant at `quota` queries in flight (waiting +
+    /// running); the arrival past it gets an immediate `429`. The last
+    /// setting for a name wins, and a named tenant keeps its own label set
+    /// however many others show up. Call before the queue is shared.
+    pub fn with_tenant_quotas<'a>(
+        self,
+        quotas: impl IntoIterator<Item = (&'a str, usize)>,
+    ) -> Self {
+        self.server_metrics.tenants().configure(quotas);
         self
     }
 
@@ -221,11 +185,9 @@ impl AdmissionQueue {
     /// (dequeuing the waiter) when no permit was granted within
     /// `deadline`. `None` waits indefinitely.
     ///
-    /// The queue knows `tenant` by the name the metrics book it under
-    /// (`ServerMetrics::tenant_label`): the tenant header is client input,
-    /// so past the cap on distinct unconfigured names the rest queue and
-    /// run as the one tenant `other`, which keeps the tenant-labelled
-    /// families bounded. Configured tenants and the default tenant always
+    /// `tenant` is booked, not validated, in the server's tenant table: past
+    /// the cap on distinct unconfigured names the rest queue and run as the
+    /// one tenant `other`, while configured tenants and the default tenant
     /// keep their own name and quota.
     pub fn acquire_tenant(
         self: &Arc<Self>,
@@ -233,11 +195,21 @@ impl AdmissionQueue {
         tenant: &str,
         deadline: Option<Duration>,
     ) -> Result<RunPermit, AdmissionError> {
+        let tenant = self.server_metrics.tenants().book(tenant);
+        self.acquire_as(cuid, tenant, deadline)
+    }
+
+    /// [`acquire_tenant`](Self::acquire_tenant) for a booked tenant.
+    pub(crate) fn acquire_as(
+        self: &Arc<Self>,
+        cuid: CacheUsageClass,
+        tenant: Arc<Tenant>,
+        deadline: Option<Duration>,
+    ) -> Result<RunPermit, AdmissionError> {
         if ccp_fault::should_fail(FAULT_ADMISSION) {
             self.server_metrics.record_admission_rejection();
             return Err(AdmissionError::QueueFull);
         }
-        let tenant: Arc<str> = Arc::from(self.server_metrics.tenant_label(tenant));
         let enqueued = Instant::now();
         let mut st = self.lock();
         if st.shutdown {
@@ -250,9 +222,10 @@ impl AdmissionQueue {
         // The tenant quota bounds *in-flight* queries (waiting + running)
         // — this arrival has not enqueued yet, so a quota of N admits at
         // most N simultaneous queries of the tenant.
-        if let Some(quota) = self.tenant_limits.quota_for(&tenant) {
-            let in_flight = st.waiting.iter().filter(|w| w.tenant == tenant).count()
-                + st.running_tenants.iter().filter(|t| **t == tenant).count();
+        if let Some(quota) = tenant.quota {
+            let mine = |t: &Arc<Tenant>| Arc::ptr_eq(t, &tenant);
+            let in_flight = st.waiting.iter().filter(|w| mine(&w.tenant)).count()
+                + st.running_tenants.iter().filter(|t| mine(t)).count();
             if in_flight >= quota {
                 self.server_metrics.record_tenant_rejection(&tenant);
                 return Err(AdmissionError::QuotaExceeded);
@@ -356,13 +329,13 @@ impl AdmissionQueue {
             .for_each(|ns| *ns += share);
     }
 
-    fn release(&self, cuid: CacheUsageClass, tenant: &str) {
+    fn release(&self, cuid: CacheUsageClass, tenant: &Arc<Tenant>) {
         let mut st = self.lock();
         if let Some(i) = st
             .running
             .iter()
             .zip(st.running_tenants.iter())
-            .position(|(&c, t)| c == cuid && **t == *tenant)
+            .position(|(&c, t)| c == cuid && Arc::ptr_eq(t, tenant))
         {
             st.running.remove(i);
             st.running_tenants.remove(i);
@@ -413,14 +386,18 @@ impl AdmissionQueue {
 
     /// Count of currently *running* queries per tenant, in first-seen order.
     pub fn running_by_tenant(&self) -> Vec<(String, usize)> {
-        let mut counts: Vec<(String, usize)> = Vec::new();
-        for tenant in &self.lock().running_tenants {
-            match counts.iter_mut().find(|(t, _)| **t == **tenant) {
+        let mut counts: Vec<(&Arc<Tenant>, usize)> = Vec::new();
+        let st = self.lock();
+        for tenant in &st.running_tenants {
+            match counts.iter_mut().find(|(t, _)| Arc::ptr_eq(t, tenant)) {
                 Some((_, n)) => *n += 1,
-                None => counts.push((tenant.to_string(), 1)),
+                None => counts.push((tenant, 1)),
             }
         }
         counts
+            .into_iter()
+            .map(|(t, n)| (t.name.to_string(), n))
+            .collect()
     }
 }
 
@@ -429,7 +406,7 @@ impl AdmissionQueue {
 pub struct RunPermit {
     queue: Arc<AdmissionQueue>,
     cuid: CacheUsageClass,
-    tenant: Arc<str>,
+    tenant: Arc<Tenant>,
     ticket: u64,
     queue_us: u64,
     schedule_us: u64,
@@ -439,7 +416,7 @@ impl std::fmt::Debug for RunPermit {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RunPermit")
             .field("cuid", &self.cuid)
-            .field("tenant", &self.tenant)
+            .field("tenant", &self.tenant.name)
             .field("ticket", &self.ticket)
             .finish()
     }
@@ -453,7 +430,7 @@ impl RunPermit {
 
     /// The tenant this permit was granted to.
     pub fn tenant(&self) -> &str {
-        &self.tenant
+        &self.tenant.name
     }
 
     /// The admission ticket — unique per queue, used as the query id on
@@ -630,7 +607,7 @@ mod tests {
                 SchedulerMetrics::new(),
                 ServerMetrics::new(&registry),
             )
-            .with_tenant_limits(TenantLimits::new().with_quota("acme", 1)),
+            .with_tenant_quotas([("acme", 1)]),
         );
         // One running query of the tenant consumes the whole quota.
         let held = q
@@ -674,7 +651,7 @@ mod tests {
                 SchedulerMetrics::new(),
                 ServerMetrics::new(&registry),
             )
-            .with_tenant_limits(TenantLimits::new().with_quota("banned", 0)),
+            .with_tenant_quotas([("banned", 0)]),
         );
         assert_eq!(
             limited
@@ -720,7 +697,7 @@ mod tests {
         let q = Arc::new(
             Arc::into_inner(queue(4, 8))
                 .expect("sole owner")
-                .with_tenant_limits(TenantLimits::new().with_quota("acme", 1)),
+                .with_tenant_quotas([("acme", 1)]),
         );
         for i in 0..200 {
             let id = format!("t{i}");

@@ -445,47 +445,51 @@ fn run_control(env: &Env, task: &mut Control, readings: &Readings) {
         readings: &readings.classes,
         degraded,
     });
-    let view = &mut task.view;
-    view.decisions.inc();
-    match decision {
+    let view = &task.view;
+    let counted: &[&Counter] = match decision {
         Decision::Repartition(plan) => {
-            view.repartitions.inc();
+            task.last_emitted = "repartition";
             if apply_plan(&env.engine, &plan).is_ok() {
                 env.engine.live_masks().publish(&plan);
                 ccp_trace::instant(TraceCat::Bind, "control_repartition");
                 env.flight.emit("repartition", plan_detail(&plan));
+                &[&view.repartitions]
             } else {
                 let fallback = task.controller.note_apply_failed();
-                view.reverts.inc();
                 publish_fallback(&env.engine, &fallback);
                 ccp_trace::instant(TraceCat::Bind, "control_revert");
                 env.flight.emit(
                     "revert",
                     format!("apply failed; back to {}", plan_detail(&fallback)),
                 );
+                &[&view.repartitions, &view.reverts]
             }
-            task.last_emitted = "repartition";
         }
         Decision::Revert { plan, .. } => {
-            view.reverts.inc();
             publish_fallback(&env.engine, &plan);
             ccp_trace::instant(TraceCat::Bind, "control_revert");
             env.flight.emit("revert", plan_detail(&plan));
             task.last_emitted = "revert";
+            &[&view.reverts]
         }
         Decision::Hold(_) => {
-            view.holds.inc();
             // One event per run of holds, not one per tick: the
             // interesting moment is the *transition* to holding.
             if task.last_emitted != "hold" {
                 env.flight.emit("hold", task.controller.last_decision());
                 task.last_emitted = "hold";
             }
+            &[&view.holds]
         }
-    }
+    };
     view.set_mask_ways(task.controller.current_plan());
     view.clamped
         .set(f64::from(u8::from(task.controller.is_clamped())));
+    // Counted last, so a scrape that shows a decision shows its gauges.
+    view.decisions.inc();
+    for counter in counted {
+        counter.inc();
+    }
 }
 
 /// Human-readable way-count summary of a mask plan, for event details.

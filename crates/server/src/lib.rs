@@ -41,8 +41,9 @@ mod json;
 mod metrics;
 mod query;
 mod server;
+mod tenant;
 
-pub use admission::{AdmissionError, AdmissionQueue, RunPermit, TenantLimits};
+pub use admission::{AdmissionError, AdmissionQueue, RunPermit};
 pub use control_plane::{ControlPlane, PlaneHandle};
 pub use http::{
     fetch, fetch_with_headers, ClientResponse, HttpClient, HttpError, Request, Response,

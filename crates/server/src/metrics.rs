@@ -8,33 +8,9 @@
 //! `/metrics` scrape shows the whole stack and `/timeline` records the
 //! same series over time.
 
+use crate::tenant::{Tenant, Tenants};
 use ccp_obs::{unit, Counter, Family, Gauge, Histogram, Registry};
-use ccp_resctrl::DEFAULT_TENANT;
-use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-/// Unconfigured tenants that are booked under their own name — a label
-/// set in the `ccp_server_tenant_*` families. `X-CCP-Tenant` is client
-/// input with 37^24 valid values; past this many distinct ones the rest
-/// are booked under [`OVERFLOW_TENANT`]. Configured tenants (a quota) and
-/// the default tenant never count against the cap.
-const MAX_TENANT_LABELS: usize = 64;
-
-/// The name shared by every tenant past the cap.
-const OVERFLOW_TENANT: &str = "other";
-
-/// Which tenants are booked under their own name.
-struct TenantLabels {
-    own: Mutex<OwnLabels>,
-    overflow: Counter,
-}
-
-#[derive(Default)]
-struct OwnLabels {
-    configured: BTreeSet<String>,
-    /// At most [`MAX_TENANT_LABELS`] names, first come first served.
-    unconfigured: BTreeSet<String>,
-}
+use std::sync::Arc;
 
 /// Instruments of the HTTP service layer. Cloning shares state.
 #[derive(Clone)]
@@ -48,7 +24,7 @@ pub struct ServerMetrics {
     admission_timeouts: Counter,
     tenant_requests: Family<Counter>,
     tenant_rejections: Family<Counter>,
-    tenant_labels: Arc<TenantLabels>,
+    tenants: Arc<Tenants>,
     queue_depth: Gauge,
     running_queries: Gauge,
     resctrl_degraded: Gauge,
@@ -58,7 +34,7 @@ impl ServerMetrics {
     /// Creates the `ccp_server_*` families in `registry` and returns live
     /// handles.
     pub fn new(registry: &Registry) -> Self {
-        let metrics = ServerMetrics {
+        ServerMetrics {
             connections_total: registry.counter(
                 "ccp_server_connections_total",
                 "TCP connections accepted by the server",
@@ -96,14 +72,11 @@ impl ServerMetrics {
                 "ccp_server_tenant_rejections_total",
                 "Queries rejected with 429 because their tenant hit its in-flight quota",
             ),
-            tenant_labels: Arc::new(TenantLabels {
-                own: Mutex::default(),
-                overflow: registry.counter(
-                    "ccp_server_tenant_label_overflow_total",
-                    "Tenant-labelled events booked under tenant=\"other\" because the cap on \
-                     distinct unconfigured tenant label sets was reached",
-                ),
-            }),
+            tenants: Arc::new(Tenants::new(registry.counter(
+                "ccp_server_tenant_label_overflow_total",
+                "Tenant-labelled events booked under tenant=\"other\" because the cap on \
+                 distinct unconfigured tenant label sets was reached",
+            ))),
             queue_depth: registry.gauge(
                 "ccp_server_admission_queue_depth",
                 "Queries waiting in the bounded admission queue",
@@ -117,9 +90,7 @@ impl ServerMetrics {
                 "1 while the resctrl circuit breaker is tripped and the engine runs \
                  unpartitioned (degraded mode), 0 when partitioning is live",
             ),
-        };
-        metrics.pin_tenants([DEFAULT_TENANT]);
-        metrics
+        }
     }
 
     /// Records an accepted connection; pair with
@@ -156,64 +127,33 @@ impl ServerMetrics {
         self.admission_rejections.inc();
     }
 
-    /// Gives each of `tenants` a label set of its own that does not
-    /// count against [`MAX_TENANT_LABELS`] — the configured tenants.
-    pub(crate) fn pin_tenants<'a>(&self, tenants: impl IntoIterator<Item = &'a str>) {
-        let mut own = self.own_labels();
-        own.configured
-            .extend(tenants.into_iter().map(str::to_string));
+    /// The tenant table: the admission queue and the request counters
+    /// book a request's tenant in it once and share the handle.
+    pub(crate) fn tenants(&self) -> &Tenants {
+        &self.tenants
     }
 
-    fn own_labels(&self) -> MutexGuard<'_, OwnLabels> {
-        self.tenant_labels
-            .own
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The name `tenant` is booked under, in the tenant-labelled families
-    /// here and in the admission queue: its own for the default
-    /// tenant, the configured ones and the first [`MAX_TENANT_LABELS`]
-    /// others, [`OVERFLOW_TENANT`] for the rest. The one place that rule
-    /// lives; it sees the id as the client sent it, so it is also where an
-    /// arrival landing in the overflow is counted. A request resolves its
-    /// tenant once — the admission queue does, and its permit carries the
-    /// name to the recorders below.
-    pub(crate) fn tenant_label<'a>(&self, tenant: &'a str) -> &'a str {
-        let mut own = self.own_labels();
-        if own.configured.contains(tenant) || own.unconfigured.contains(tenant) {
-            return tenant;
-        }
-        if own.unconfigured.len() >= MAX_TENANT_LABELS {
-            self.tenant_labels.overflow.inc();
-            return OVERFLOW_TENANT;
-        }
-        own.unconfigured.insert(tenant.to_string());
-        tenant
-    }
-
-    /// Records one admitted query for `tenant` in `class`.
+    /// Records one admitted query for `tenant` in `class`, booking the
+    /// name as a `/query` request would.
     pub fn record_tenant_request(&self, tenant: &str, class: &str) {
-        self.record_labelled_request(self.tenant_label(tenant), class);
+        self.record_admitted(&self.tenants.book(tenant), class);
     }
 
-    /// [`record_tenant_request`](Self::record_tenant_request) under
-    /// `label`, a name [`tenant_label`](Self::tenant_label) already
-    /// resolved — a permit's tenant.
-    pub(crate) fn record_labelled_request(&self, label: &str, class: &str) {
+    /// [`record_tenant_request`](Self::record_tenant_request) for a
+    /// tenant already booked.
+    pub(crate) fn record_admitted(&self, tenant: &Tenant, class: &str) {
         self.tenant_requests
-            .get_or_create(&[("tenant", label), ("class", class)])
+            .get_or_create(&[("tenant", &tenant.name), ("class", class)])
             .inc();
     }
 
-    /// Records a per-tenant quota rejection (also a 429) under `label`, a
-    /// name [`tenant_label`](Self::tenant_label) already resolved. The
-    /// global rejection counter is bumped too, so existing dashboards keep
-    /// seeing every 429 in one series.
-    pub(crate) fn record_tenant_rejection(&self, label: &str) {
+    /// Records a per-tenant quota rejection (also a 429). The global
+    /// rejection counter is bumped too, so existing dashboards keep seeing
+    /// every 429 in one series.
+    pub(crate) fn record_tenant_rejection(&self, tenant: &Tenant) {
         self.admission_rejections.inc();
         self.tenant_rejections
-            .get_or_create(&[("tenant", label)])
+            .get_or_create(&[("tenant", &tenant.name)])
             .inc();
     }
 
@@ -237,6 +177,8 @@ impl ServerMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tenant::MAX_TENANT_LABELS;
+    use ccp_resctrl::DEFAULT_TENANT;
 
     #[test]
     fn families_render_with_endpoint_and_status_labels() {
@@ -284,7 +226,7 @@ mod tests {
         let m = ServerMetrics::new(&registry);
         m.record_tenant_request("acme", "polluting");
         m.record_tenant_request("acme", "polluting");
-        m.record_tenant_rejection("acme");
+        m.record_tenant_rejection(&m.tenants().book("acme"));
         let text = registry.render_prometheus();
         // The quota 429 also lands in the global rejection series.
         assert!(text.contains("ccp_server_admission_rejections_total 1"));
@@ -297,14 +239,14 @@ mod tests {
     fn unconfigured_tenants_past_the_cap_share_one_label_set() {
         let registry = Registry::new();
         let m = ServerMetrics::new(&registry);
-        m.pin_tenants(["acme"]);
+        m.tenants().configure([("acme", 1)]);
         for i in 0..MAX_TENANT_LABELS + 10 {
             m.record_tenant_request(&format!("t{i}"), "polluting");
         }
         m.record_tenant_request("acme", "polluting");
         m.record_tenant_request(DEFAULT_TENANT, "polluting");
         m.record_tenant_request("t0", "polluting"); // already owns a label set
-        m.record_tenant_rejection("acme");
+        m.record_tenant_rejection(&m.tenants().book("acme"));
         let text = registry.render_prometheus();
         let label_sets = text
             .lines()

@@ -24,12 +24,13 @@
 //! the handle joins every connection before returning — no
 //! `TcpListener` leaks into the next test's port.
 
-use crate::admission::{AdmissionError, AdmissionQueue, TenantLimits};
+use crate::admission::{AdmissionError, AdmissionQueue};
 use crate::control_plane::{occupancy_probe, ControlPlane, PlaneHandle};
 use crate::http::{read_request, HttpError, Request, Response};
 use crate::json::Json;
 use crate::metrics::ServerMetrics;
 use crate::query::{parse_query, Breakdown, QueryEngine};
+use crate::tenant::{self, Tenant};
 use ccp_engine::alloc::{host_allocator, CacheAllocator, ResctrlAllocator};
 use ccp_engine::{with_query_ctx, CacheAwareScheduler, QueryCtx, SchedulerMetrics};
 use ccp_flight::FlightHandle;
@@ -203,7 +204,7 @@ impl Server {
     /// what binding the address or spawning a thread reports.
     pub fn start(config: ServerConfig) -> std::io::Result<Server> {
         for (tenant, _) in &config.tenant_quotas {
-            ccp_resctrl::TenantId::parse(tenant).map_err(|why| {
+            tenant::validate(tenant).map_err(|why| {
                 std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("--tenant: {why}"))
             })?;
         }
@@ -252,10 +253,6 @@ impl Server {
         let sched_metrics = SchedulerMetrics::new();
         sched_metrics.register_into(&registry);
         let scheduler = CacheAwareScheduler::new(engine.policy(), config.scheduler_slots);
-        let mut tenant_limits = TenantLimits::new();
-        for (tenant, quota) in &config.tenant_quotas {
-            tenant_limits = tenant_limits.with_quota(tenant, *quota);
-        }
         let admission = Arc::new(
             AdmissionQueue::new(
                 scheduler,
@@ -263,7 +260,7 @@ impl Server {
                 sched_metrics,
                 metrics.clone(),
             )
-            .with_tenant_limits(tenant_limits),
+            .with_tenant_quotas(config.tenant_quotas.iter().map(|(t, q)| (t.as_str(), *q))),
         );
 
         let engine = Arc::new(engine);
@@ -659,15 +656,16 @@ fn handle_data_bump(shared: &Shared) -> Response {
 /// 200 NDJSON stream, since the status line has already been decided.
 ///
 /// The `X-CCP-Tenant` header names the tenant the request is admitted
-/// as; absent means the default tenant, a malformed name is a `400`.
+/// as; absent means the default tenant, a malformed name is a `400`. The
+/// name is validated and booked once, and every line runs as that handle.
 fn handle_query(shared: &Shared, req: &Request) -> Response {
-    let tenant = match req.header("x-ccp-tenant") {
-        None => ccp_resctrl::TenantId::default_tenant(),
-        Some(raw) => match ccp_resctrl::TenantId::parse(raw) {
-            Ok(t) => t,
-            Err(why) => return Response::error(400, format!("bad X-CCP-Tenant: {why}")),
-        },
-    };
+    let name = req
+        .header("x-ccp-tenant")
+        .unwrap_or(ccp_resctrl::DEFAULT_TENANT);
+    if let Err(why) = tenant::validate(name) {
+        return Response::error(400, format!("bad X-CCP-Tenant: {why}"));
+    }
+    let tenant = shared.metrics.tenants().book(name);
     let Ok(body) = std::str::from_utf8(&req.body) else {
         return Response::error(400, "body is not UTF-8");
     };
@@ -727,7 +725,7 @@ fn retry_after_secs(shared: &Shared) -> u64 {
 fn run_query_line(
     shared: &Shared,
     line: &str,
-    tenant: &ccp_resctrl::TenantId,
+    tenant: &Arc<Tenant>,
 ) -> Result<Json, QueryLineError> {
     let value = Json::parse(line).map_err(|e| QueryLineError::Parse(format!("bad JSON: {e}")))?;
     let spec =
@@ -738,12 +736,9 @@ fn run_query_line(
     let (cuid, predicted_hit) = shared.engine.classify_for_admission(&spec);
     let permit = shared
         .admission
-        .acquire_tenant(cuid, tenant.as_str(), shared.config.queue_deadline)
+        .acquire_as(cuid, Arc::clone(tenant), shared.config.queue_deadline)
         .map_err(QueryLineError::Admission)?;
-    // The permit carries the name the queue resolved the tenant to.
-    shared
-        .metrics
-        .record_labelled_request(permit.tenant(), cuid.class().label());
+    shared.metrics.record_admitted(tenant, cuid.class().label());
     // The admission ticket doubles as the trace query id: every span this
     // query emits downstream (scheduler, bind, operators) carries it.
     let ticket = permit.ticket();
@@ -888,15 +883,17 @@ mod tests {
         (out, ALLOCATIONS.with(Cell::get) - before)
     }
 
-    fn query(body: &str) -> Request {
+    fn query(body: &str, tenant: Option<&str>) -> Request {
+        let mut headers = vec![
+            ("Host".to_string(), "127.0.0.1".to_string()),
+            ("Content-Length".to_string(), body.len().to_string()),
+        ];
+        headers.extend(tenant.map(|t| ("X-CCP-Tenant".to_string(), t.to_string())));
         Request {
             method: "POST".to_string(),
             target: "/query".to_string(),
             http11: true,
-            headers: vec![
-                ("Host".to_string(), "127.0.0.1".to_string()),
-                ("Content-Length".to_string(), body.len().to_string()),
-            ],
+            headers,
             body: body.as_bytes().to_vec(),
         }
     }
@@ -927,9 +924,11 @@ mod tests {
 
     /// The fixed per-request work of `/query`, counted in heap
     /// allocations on the connection thread: the handler for an `oltp`
-    /// statement, a reuse-hit `q1` and a reuse-hit `q2` stays under its
-    /// ceiling (the handler before the single renderer, label lookups
-    /// without allocation and canonical reuse keys made 49, 70 and 68).
+    /// statement (as the default tenant and as an already booked one), a
+    /// reuse-hit `q1` and a reuse-hit `q2` stays under its ceiling (the
+    /// handler before the single renderer, label lookups without
+    /// allocation and canonical reuse keys made 49, 70 and 68; a tenant
+    /// named by a `String` and an `Arc<str>` per request, 29, 35 and 34).
     /// The count is per thread: the plane's sample and record steps run
     /// on `ccp-plane` and allocate outside it.
     #[test]
@@ -940,14 +939,16 @@ mod tests {
             ..ServerConfig::default()
         })
         .unwrap();
-        for (body, ceiling) in [
-            (r#"{"workload":"oltp","key":7}"#, 31),
-            (r#"{"workload":"q1","threshold":25000}"#, 37),
-            (r#"{"workload":"q2","agg":"sum"}"#, 36),
+        for (tenant, body, ceiling) in [
+            (None, r#"{"workload":"oltp","key":7}"#, 27),
+            (Some("acme"), r#"{"workload":"oltp","key":7}"#, 27),
+            (None, r#"{"workload":"q1","threshold":25000}"#, 33),
+            (None, r#"{"workload":"q2","agg":"sum"}"#, 32),
         ] {
-            let req = query(body);
-            // The first run mints the label sets and the best-throughput
-            // entry, and publishes the reuse entry the measured run hits.
+            let req = query(body, tenant);
+            // The first run books the tenant, mints the label sets and
+            // the best-throughput entry, and publishes the reuse entry
+            // the measured run hits.
             assert_eq!(handle_query(&server.shared, &req).status, 200);
             let (resp, allocations) = allocations_in(|| handle_query(&server.shared, &req));
             assert_eq!(resp.status, 200, "{body}");

@@ -62,17 +62,20 @@ fn scripted_shrink_repartitions_and_reports_everywhere() {
     // The scripted sensitive working set collapses after 6 monitor
     // ticks; the controller must notice and shrink the live mask.
     let deadline = Instant::now() + Duration::from_secs(15);
-    let control = loop {
+    loop {
         let c = scrape(addr);
         if sample(&c, "ccp_control_repartitions_total") >= 1.0 {
-            break c;
+            break;
         }
         assert!(
             Instant::now() < deadline,
             "controller never repartitioned: {c}"
         );
         std::thread::sleep(Duration::from_millis(25));
-    };
+    }
+    // A scrape renders the gauges before the counter, so the one that
+    // first shows the counter may predate the gauges; the next one cannot.
+    let control = scrape(addr);
     assert!(
         ways(&control, "sensitive") < 20.0,
         "sensitive mask did not shrink: {control}"
@@ -109,9 +112,6 @@ fn apply_fault_reverts_cleanly_then_retries() {
         if sample(&c, "ccp_control_reverts_total") >= 1.0
             && sample(&c, "ccp_control_repartitions_total") >= 2.0
         {
-            // Reverted once on the injected failure, then landed the
-            // adaptive plan on a retry.
-            assert!(ways(&c, "sensitive") < 20.0, "retry never landed: {c}");
             break;
         }
         assert!(
@@ -120,6 +120,10 @@ fn apply_fault_reverts_cleanly_then_retries() {
         );
         std::thread::sleep(Duration::from_millis(25));
     }
+    // Reverted once on the injected failure, then landed the adaptive
+    // plan on a retry: the scrape after the counters shows its gauges.
+    let c = scrape(addr);
+    assert!(ways(&c, "sensitive") < 20.0, "retry never landed: {c}");
 
     server.shutdown();
 }

@@ -7,7 +7,7 @@ use ccp_engine::{
     Admission, CacheAwareScheduler, CacheUsageClass, PartitionPolicy, SchedulerMetrics,
 };
 use ccp_obs::Registry;
-use ccp_server::{AdmissionError, AdmissionQueue, RunPermit, ServerMetrics, TenantLimits};
+use ccp_server::{AdmissionError, AdmissionQueue, RunPermit, ServerMetrics};
 use proptest::prelude::*;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 /// indices into this table are what the strategies generate.
 const TENANTS: [&str; 3] = ["apex", "blue", "coral"];
 
-fn queue_with(limits: TenantLimits) -> Arc<AdmissionQueue> {
+fn queue_with(quotas: &[(&str, usize)]) -> Arc<AdmissionQueue> {
     let cfg = HierarchyConfig::broadwell_e5_2699_v4();
     let policy = PartitionPolicy::paper_default(cfg.llc, cfg.l2.size_bytes);
     // Slots and capacity far above any generated stream so tenant
@@ -30,7 +30,7 @@ fn queue_with(limits: TenantLimits) -> Arc<AdmissionQueue> {
             SchedulerMetrics::new(),
             ServerMetrics::new(&registry),
         )
-        .with_tenant_limits(limits),
+        .with_tenant_quotas(quotas.iter().copied()),
     )
 }
 
@@ -71,13 +71,12 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..60),
     ) {
         let quotas: Vec<Option<usize>> = raw_quotas.iter().map(|&q| quota_of(q)).collect();
-        let mut limits = TenantLimits::new();
-        for (i, q) in quotas.iter().enumerate() {
-            if let Some(q) = q {
-                limits = limits.with_quota(TENANTS[i], *q);
-            }
-        }
-        let queue = queue_with(limits);
+        let limits: Vec<(&str, usize)> = quotas
+            .iter()
+            .enumerate()
+            .filter_map(|(i, q)| q.map(|q| (TENANTS[i], q)))
+            .collect();
+        let queue = queue_with(&limits);
         let mut held: Vec<Vec<RunPermit>> = vec![Vec::new(), Vec::new(), Vec::new()];
 
         for op in ops {
