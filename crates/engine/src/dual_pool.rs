@@ -21,29 +21,31 @@
 //! work, only because the benchmark harness links
 //! [`DualPoolExecutor::new`] and [`DualPoolExecutor::register_metrics`];
 //! deleting it waits for the harness owner's sign-off (ROADMAP N(2)).
+//!
+//! The OLAP workers also give way on the CPU: each one lowers its own
+//! priority to [`OLAP_NICE`] as it starts, so a connection thread that
+//! wakes beside a running scan preempts the scan instead of queueing
+//! behind it. The way mask confines a polluter's share of the LLC; the
+//! nice value confines its share of the run queue.
 
 use crate::alloc::CacheAllocator;
 use crate::executor::JobExecutor;
 use crate::partition::PartitionPolicy;
 use std::sync::Arc;
-use std::time::Duration;
 
-/// How long an OLAP worker busy-polls its empty queue before it parks.
+/// The nice value every OLAP worker gives itself as it starts.
 ///
-/// It has to outlast the turn-around of a closed-loop client (reply, next
-/// request, parse, admit, submit: 100-250 us on the benchmark host), so
-/// that a stream of back-to-back analytic queries never lets the workers
-/// sleep. Measured on `oltp_scan`/`reuse_churn` (EXPERIMENTS.md): with
-/// sub-millisecond scans and no linger the foreground streams lose half
-/// their throughput and their p95 grows fivefold; from 100 us up they keep
-/// both, and 1 ms sits well inside that plateau. The price is at most this
-/// much CPU per worker after a batch on an otherwise idle server.
-///
-/// The OLTP pool does not linger: its requests arrive faster than any
-/// useful linger, so its worker would spin for good and compete with the
-/// OLAP workers as a third CPU-bound thread (measured: OLTP p95 0.09 ->
-/// 0.68 ms).
-const OLAP_LINGER: Duration = Duration::from_millis(1);
+/// On a host with fewer cores than busy threads the contended resource is
+/// the run queue, not the LLC: a connection thread woken by a reply waits
+/// behind the OLAP workers' scans. A lower priority is the CPU analogue of
+/// the polluter's way mask. At nice +10 a worker weighs about a tenth of a
+/// nice-0 thread (110 against 1024), so a waking connection thread
+/// preempts it, and it still gets every cycle nobody else wants. Swept
+/// over 0, 5, 10 and 19 on the four benchmark workloads; 10 gave the most
+/// `oltp_scan` throughput with the steadiest foreground median (DESIGN.md
+/// §2, "OLAP workers run at nice +10"). The OLTP pool stays at 0: its
+/// work is the latency-critical side.
+pub const OLAP_NICE: i32 = 10;
 
 /// Two-pool engine front end: partitioned OLAP workers, full-cache OLTP
 /// workers.
@@ -63,15 +65,9 @@ impl DualPoolExecutor {
         policy: PartitionPolicy,
         allocator: Arc<dyn CacheAllocator>,
     ) -> Self {
-        let olap = JobExecutor::with_pool_name(
-            olap_workers,
-            policy,
-            allocator.clone(),
-            "olap",
-            OLAP_LINGER,
-        );
-        let oltp =
-            JobExecutor::with_pool_name(oltp_workers, policy, allocator, "oltp", Duration::ZERO);
+        let olap =
+            JobExecutor::with_pool_name(olap_workers, policy, allocator.clone(), "olap", OLAP_NICE);
+        let oltp = JobExecutor::with_pool_name(oltp_workers, policy, allocator, "oltp", 0);
         // The OLTP pool never partitions: with partitioning disabled, every
         // job binds the full mask, and the per-worker fast path makes that
         // a one-time cost per worker thread.

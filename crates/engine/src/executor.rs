@@ -17,12 +17,12 @@ use crate::metrics::ExecutorMetrics;
 use crate::partition::PartitionPolicy;
 use ccp_cachesim::WayMask;
 use ccp_trace::TraceCat;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Condvar, Mutex};
 use std::ops::Range;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 struct BatchInner {
     remaining: Mutex<usize>,
@@ -99,34 +99,26 @@ struct Shared {
     metrics: ExecutorMetrics,
 }
 
-/// Busy-wait iterations between two looks at the queue while a worker
-/// lingers: about a microsecond, so the two workers of a pool do not
-/// fight the submitter for the queue's lock.
-const LINGER_POLL_SPINS: u32 = 32;
-
-/// The next job, or `None` once every sender is gone.
+/// Lowers the calling thread's scheduling priority to `nice`.
 ///
-/// An empty queue is busy-polled for `linger` before the worker parks on
-/// it. A worker that parks between sub-millisecond batches comes back from
-/// every sleep with its CPU debt forgiven, so the kernel scheduler treats
-/// it as the equal of the connection threads it shares the CPUs with, and
-/// their hand-offs wait out the worker's burst instead of preempting it. A
-/// worker that burns its idle time stays in debt, and short sleepers keep
-/// preempting it at once. The poll has to spin: one that yields the CPU
-/// was measured and does not have the effect (DESIGN.md §2, "Lingering
-/// OLAP workers").
-fn next_job(rx: &Receiver<Queued>, linger: Duration) -> Option<Queued> {
-    let idle_since = Instant::now();
-    while idle_since.elapsed() < linger {
-        if let Some(next) = rx.try_recv() {
-            return Some(next);
-        }
-        for _ in 0..LINGER_POLL_SPINS {
-            std::hint::spin_loop();
-        }
+/// On Linux `setpriority(PRIO_PROCESS, 0, ..)` acts on the calling thread
+/// only, needs no privilege when it lowers priority, and touches nothing
+/// outside the process. Best effort: on failure the thread keeps nice 0.
+#[cfg(target_os = "linux")]
+fn set_own_nice(nice: i32) {
+    extern "C" {
+        fn setpriority(which: i32, who: u32, prio: i32) -> i32;
     }
-    rx.recv().ok()
+    const PRIO_PROCESS: i32 = 0;
+    // SAFETY: `setpriority(2)` takes plain integers, reads and writes no
+    // memory of ours, and with `who = 0` changes only this thread's nice.
+    unsafe {
+        setpriority(PRIO_PROCESS, 0, nice);
+    }
 }
+
+#[cfg(not(target_os = "linux"))]
+fn set_own_nice(_nice: i32) {}
 
 /// `0..n` cut into at most `chunks` (at least one) equal ranges, the last
 /// one shorter; no empty range is produced.
@@ -152,14 +144,14 @@ impl JobExecutor {
         policy: PartitionPolicy,
         allocator: Arc<dyn CacheAllocator>,
     ) -> Self {
-        Self::with_pool_name(n_workers, policy, allocator, "job", Duration::ZERO)
+        Self::with_pool_name(n_workers, policy, allocator, "job", 0)
     }
 
     /// Spawns `n_workers` job workers with threads named
     /// `{pool}-worker-{i}`, so thread listings and external profilers are
-    /// keyed by pool (`olap-worker-3`, `oltp-worker-0`). A worker that
-    /// finds the queue empty polls it for `linger` before it parks;
-    /// `Duration::ZERO` parks at once.
+    /// keyed by pool (`olap-worker-3`, `oltp-worker-0`). Each worker
+    /// lowers its own priority to `nice` as it starts (0 leaves it as is),
+    /// and blocks on the queue whenever it is empty.
     ///
     /// # Panics
     /// Panics when `n_workers` is zero.
@@ -168,7 +160,7 @@ impl JobExecutor {
         policy: PartitionPolicy,
         allocator: Arc<dyn CacheAllocator>,
         pool: &str,
-        linger: Duration,
+        nice: i32,
     ) -> Self {
         assert!(n_workers > 0, "executor needs at least one worker");
         let (tx, rx) = unbounded::<Queued>();
@@ -186,16 +178,19 @@ impl JobExecutor {
                 std::thread::Builder::new()
                     .name(format!("{pool}-worker-{i}"))
                     .spawn(move || {
+                        if nice != 0 {
+                            set_own_nice(nice);
+                        }
                         let tid = current_tid();
                         let full =
                             WayMask::full(shared.policy.llc.ways).expect("validated LLC way count");
                         // Mask last bound, live-table generation then.
                         let mut current: Option<(WayMask, u64)> = None;
-                        while let Some(Queued {
+                        while let Ok(Queued {
                             job,
                             submitted,
                             batch,
-                        }) = next_job(&rx, linger)
+                        }) = rx.recv()
                         {
                             let queue_wait = submitted.elapsed().as_secs_f64();
                             let cuid = job.cuid;
@@ -432,6 +427,7 @@ mod tests {
     use ccp_cachesim::HierarchyConfig;
     use ccp_resctrl::{Class, PerClass};
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::Duration;
 
     fn policy() -> PartitionPolicy {
         let cfg = HierarchyConfig::broadwell_e5_2699_v4();
@@ -782,39 +778,37 @@ mod tests {
     }
 
     #[test]
-    fn next_job_drains_then_reports_disconnection_with_or_without_linger() {
-        for linger in [Duration::ZERO, Duration::from_millis(2)] {
-            let (tx, rx) = unbounded::<Queued>();
-            let batch = BatchHandle::new(1);
-            let queued = Queued {
-                job: Job::unannotated("queued", || {}),
-                submitted: Instant::now(),
-                batch: batch.guard(),
-            };
-            assert!(tx.send(queued).is_ok(), "receiver alive");
-            drop(tx);
-            let queued = next_job(&rx, linger).expect("the queued job");
-            assert_eq!(queued.job.name, "queued");
-            drop(queued);
-            // The dropped guard completed the batch: `wait` returns at once.
-            batch.wait();
-            // Empty and disconnected: the linger runs out, then `None`.
-            assert!(next_job(&rx, linger).is_none());
-        }
+    fn queued_jobs_run_before_a_dropped_pool_joins() {
+        let ex = JobExecutor::new(1, policy(), Arc::new(NoopAllocator));
+        let counter = Arc::new(AtomicU64::new(0));
+        let jobs = (0..8)
+            .map(|i| {
+                let c = counter.clone();
+                Job::unannotated(format!("j{i}"), move || {
+                    std::thread::sleep(Duration::from_millis(1));
+                    c.fetch_add(1, Ordering::Relaxed);
+                })
+            })
+            .collect();
+        let batch = ex.submit_batch(jobs);
+        // Dropping the pool drops the sender while most of the batch is
+        // still queued: the worker drains it, then sees the disconnection
+        // and is joined.
+        drop(ex);
+        assert_eq!(counter.load(Ordering::Relaxed), 8);
+        batch.wait();
     }
 
     #[test]
-    fn lingering_pool_runs_batches_and_shuts_down() {
+    fn niced_pool_runs_back_to_back_batches_and_shuts_down() {
         let ex = JobExecutor::with_pool_name(
             2,
             policy(),
             Arc::new(NoopAllocator),
-            "linger",
-            Duration::from_millis(2),
+            "nice",
+            crate::OLAP_NICE,
         );
         let counter = Arc::new(AtomicU64::new(0));
-        // The first batch finds the workers polling or parked, whichever
-        // they reached; the second follows at once and finds them polling.
         for _ in 0..2 {
             let jobs = (0..8)
                 .map(|i| {
@@ -828,7 +822,7 @@ mod tests {
         }
         assert_eq!(counter.load(Ordering::Relaxed), 16);
         assert_eq!(ex.metrics().jobs_executed(), 16);
-        drop(ex); // workers leave the poll loop and are joined
+        drop(ex); // workers see the disconnection and are joined
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod scheduler;
 pub mod sim;
 
 pub use alloc::{AllocError, CacheAllocator, NoopAllocator, RecordingAllocator, ResctrlAllocator};
-pub use dual_pool::DualPoolExecutor;
+pub use dual_pool::{DualPoolExecutor, OLAP_NICE};
 pub use executor::{BatchHandle, JobExecutor};
 pub use job::{with_query_ctx, CacheUsageClass, Job, Phase, Plan, QueryCtx};
 pub use masks::LiveMasks;

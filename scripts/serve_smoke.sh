@@ -60,6 +60,36 @@ echo "   all expected families present ($(wc -l <"$WORK/metrics.txt") lines)"
 ccp_assert_no_panics "$WORK/metrics.txt"
 echo "   jobs_panicked = 0"
 
+echo "== thread priorities"
+# Only the OLAP workers give way (`dual_pool::OLAP_NICE`); every other
+# thread of the server keeps nice 0.
+OLAP_NICE=$(sed -n 's/^pub const OLAP_NICE: i32 = \(-\{0,1\}[0-9]\{1,\}\);$/\1/p' crates/engine/src/dual_pool.rs)
+[[ -n "$OLAP_NICE" ]] || { echo "OLAP_NICE not found in dual_pool.rs" >&2; exit 1; }
+olap_workers=0
+for task in /proc/"${CCP_SERVER_PIDS[0]}"/task/*; do
+  # A thread may exit between the listing and the reads.
+  comm=$(<"$task/comm") 2>/dev/null || continue
+  stat=$(<"$task/stat") 2>/dev/null || continue
+  # Field 19 of stat; the name in field 2 may hold spaces, so split after
+  # its closing ')' (field 3 comes first there).
+  read -r -a fields <<<"${stat##*) }"
+  nice=${fields[16]}
+  want=0
+  if [[ "$comm" == olap-worker-* ]]; then
+    want=$OLAP_NICE
+    olap_workers=$((olap_workers + 1))
+  fi
+  if [[ "$nice" != "$want" ]]; then
+    echo "thread ${comm} ($(basename "$task")) runs at nice ${nice}, want ${want}" >&2
+    exit 1
+  fi
+done
+if [[ $olap_workers == 0 ]]; then
+  echo "no olap-worker-* thread in the server" >&2
+  exit 1
+fi
+echo "   ${olap_workers} olap-worker thread(s) at nice ${OLAP_NICE}, every other thread at 0"
+
 echo "== scraping /trace"
 ccp_scrape "$ADDR" /trace "$WORK/trace.json"
 python3 - "$WORK/trace.json" <<'PY'
